@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-oracle check-prop check-bench check-bench-scenarios check-tail-scenarios build vet test race race-obs fuzz-smoke bench-sched bench bench-compare e2e-serve lint
+.PHONY: check check-oracle check-prop check-bench check-bench-scenarios check-tail-scenarios build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: vet build test race fuzz-smoke
@@ -109,3 +109,16 @@ bench:
 BASELINE ?= BENCH_main.json
 bench-compare:
 	$(GO) run ./cmd/jawsbench -compare $(BASELINE)
+
+## bench-wall: the wall-clock benchmark BENCHMARK.json names — a real
+## jawsd under load and trace replays, five workloads (benchmark/README.md).
+## Arguments pass through, e.g. make bench-wall ARGS='-workload serve-bulk -trace 1'.
+ARGS ?=
+bench-wall:
+	bash benchmark/run.sh $(ARGS)
+
+## bench-wall-compare: compare two result files written by
+## `bash benchmark/run.sh -runs N -out FILE`, one per commit. Usage:
+##   make bench-wall-compare BASE=base.json HEAD=head.json
+bench-wall-compare:
+	bash benchmark/run.sh -compare $(BASE) $(HEAD)

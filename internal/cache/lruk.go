@@ -61,11 +61,17 @@ func (p *LRUK) touch(id store.AtomID) {
 		h[0] = p.clock
 		return
 	}
-	h = append([]int64{p.clock}, h...)
-	if len(h) > p.k {
-		h = h[:p.k]
+	// Shift the history down one place inside the atom's own array, which
+	// is allocated once, with room for all k references.
+	if h == nil {
+		h = make([]int64, 0, p.k)
 	}
-	p.hist[id] = h
+	if len(h) < p.k {
+		h = h[:len(h)+1]
+		p.hist[id] = h
+	}
+	copy(h[1:], h)
+	h[0] = p.clock
 	if p.clock%512 == 0 {
 		p.gc()
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,11 +22,9 @@ import (
 	"jaws/internal/disk"
 	"jaws/internal/fault"
 	"jaws/internal/field"
-	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/jobgraph"
 	"jaws/internal/metrics"
-	"jaws/internal/morton"
 	"jaws/internal/obs"
 	"jaws/internal/prefetch"
 	"jaws/internal/query"
@@ -53,8 +52,9 @@ type Config struct {
 	// Compute evaluates the interpolation kernels for real; otherwise
 	// only virtual time is charged (benchmarks of scheduling behaviour).
 	Compute bool
-	// Parallelism is the number of worker goroutines for kernel
-	// evaluation when Compute is set; 0 means GOMAXPROCS.
+	// Parallelism is the number of goroutines that evaluate kernels when
+	// Compute is set, the simulation goroutine included; 0 means
+	// GOMAXPROCS.
 	Parallelism int
 	// KeepResults retains per-position kernel outputs in the report
 	// (memory-heavy; examples use it, experiments do not).
@@ -182,27 +182,41 @@ type queryState struct {
 	q         *query.Query
 	remaining int
 	result    *QueryResult
-	// chains accumulates a derivative query's per-step kernel outputs,
-	// keyed by primary atom code with one slot per chain index. The
-	// per-step spatial partitions are congruent (atom codes depend only on
-	// position), so every code sees the same positions in the same Morton
-	// order at every step — the invariant the finite-differencing relies
-	// on. Nil for plain queries and for runs without KeepResults.
-	chains map[morton.Code][][]PointSample
+	// chain accumulates a derivative query's per-step kernel outputs, one
+	// array for the whole query: the sample of chain step j at partition
+	// index i (query.SubQuery.Offset plus the index within the sub-query)
+	// is chain[j*len(q.Points)+i]. The per-step spatial partitions are
+	// congruent (atom codes depend only on position), so an index names
+	// the same position at every step — the invariant the finite-
+	// differencing relies on. Nil for plain queries and for runs without
+	// KeepResults.
+	chain []PointSample
+	// filled counts the samples written into chain.
+	filled int
 }
 
-// noteChainSamples stashes one per-(step,atom) sub-query's outputs into
-// the derivative accumulator.
-func (st *queryState) noteChainSamples(sq *query.SubQuery, out []PointSample) {
-	if st.chains == nil {
-		st.chains = make(map[morton.Code][][]PointSample)
+// samples returns where the kernel outputs of sq go, allocating the
+// query's one result array when its first sub-query executes (not at
+// dispatch: a queued query then holds no result memory). A plain query's
+// sub-queries fill result.Positions in execution order; a derivative
+// query's fill their slots of chain.
+func (st *queryState) samples(sq *query.SubQuery) []PointSample {
+	n := len(st.q.Points)
+	if k := st.q.ChainLen(); k > 1 {
+		if st.chain == nil {
+			st.chain = make([]PointSample, k*n)
+		}
+		lo := (sq.Atom.Step-st.q.Step)*n + sq.Offset
+		st.filled += len(sq.Points)
+		return st.chain[lo : lo+len(sq.Points)]
 	}
-	slots := st.chains[sq.Atom.Code]
-	if slots == nil {
-		slots = make([][]PointSample, st.q.ChainLen())
-		st.chains[sq.Atom.Code] = slots
+	pos := st.result.Positions
+	if pos == nil {
+		pos = make([]PointSample, 0, n)
 	}
-	slots[sq.Atom.Step-st.q.Step] = out
+	lo := len(pos)
+	st.result.Positions = pos[:lo+len(sq.Points)]
+	return st.result.Positions[lo:]
 }
 
 // Engine executes one workload; create a fresh engine per run.
@@ -228,6 +242,14 @@ type Engine struct {
 	// gateBuf is the reusable BlockedBy scratch of the gate-aware tail
 	// policy's state source (the decision path is single-threaded).
 	gateBuf []jobgraph.Ref
+
+	// Scratch of one decision, reused by the next: the primary atoms of
+	// the decision's batches (index-parallel to them), the footprint atoms
+	// the batch in hand has read, and that batch's kernel evaluation. Each
+	// is cleared after use, so none keeps an atom or a result alive.
+	atomBuf []*field.Atom
+	seenBuf []store.AtomID
+	job     computeJob
 
 	completedRT []time.Duration
 	runCount    int
@@ -610,16 +632,19 @@ func (e *Engine) execute(batches []sched.Batch) error {
 	e.inst.noteBeginDecision(batches)
 	defer e.inst.noteEndDecision()
 	e.advance(e.cfg.DecisionOverhead, causeOverhead)
-	atoms := make(map[store.AtomID]*field.Atom, len(batches))
+	defer func() {
+		clear(e.atomBuf)
+		e.atomBuf = e.atomBuf[:0]
+	}()
 	for i := range batches {
 		a, err := e.readAtom(batches[i].Atom)
 		if err != nil {
 			return err
 		}
-		atoms[batches[i].Atom] = a
+		e.atomBuf = append(e.atomBuf, a)
 	}
 	for i := range batches {
-		if err := e.executeBatch(&batches[i], atoms[batches[i].Atom]); err != nil {
+		if err := e.executeBatch(&batches[i], e.atomBuf[i]); err != nil {
 			return err
 		}
 	}
@@ -638,17 +663,18 @@ func (e *Engine) executeBatch(b *sched.Batch, atom *field.Atom) error {
 	// Footprint atoms: interpolation stencils near atom faces also touch
 	// neighbouring atoms (§III.B "potentially nearby atoms"). Read each
 	// distinct one once for the whole batch.
-	seen := map[store.AtomID]bool{b.Atom: true}
+	seen := append(e.seenBuf[:0], b.Atom)
 	for _, sq := range b.SubQueries {
 		for _, f := range sq.Footprint {
-			if !seen[f] {
-				seen[f] = true
+			if !slices.Contains(seen, f) {
+				seen = append(seen, f)
 				if _, err := e.readAtom(f); err != nil {
 					return err
 				}
 			}
 		}
 	}
+	e.seenBuf = seen
 
 	// Charge computation: T_m per position, scaled by kernel cost.
 	var compute time.Duration
@@ -705,46 +731,38 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 	}
 }
 
-// computeBatch evaluates the kernels for every position of the batch in
-// parallel across the engine's worker pool (one pool per run, not one
-// goroutine set per batch).
+// computeBatch evaluates the kernels for every position of the batch,
+// each sub-query writing into its range of its query's result array (or
+// nowhere, without KeepResults: the evaluation is then the run's CPU load
+// alone). A batch large enough to repay the hand-off fans out across the
+// engine's worker pool (one pool per run, not one goroutine set per
+// batch); a smaller one runs here.
 func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
-	space := e.cfg.Store.Space()
-	type unit struct {
-		sq  *query.SubQuery
-		out []PointSample
-	}
-	units := make([]unit, len(b.SubQueries))
-	for i, sq := range b.SubQueries {
-		units[i] = unit{sq: sq, out: make([]PointSample, len(sq.Points))}
-	}
-	if e.pool == nil {
-		// Lazily started on the simulation goroutine (Run or Session.loop),
-		// whichever drives this engine; both close it when they return.
-		e.pool = newComputePool(e.cfg.Parallelism)
-	}
-	e.pool.run(len(units), func(i int) {
-		u := &units[i]
-		ac := geom.AtomFromCode(u.sq.Atom.Code)
-		for p, pos := range u.sq.Points {
-			val := field.Interpolate(u.sq.Query.Kernel, atom, space, ac, pos)
-			u.out[p].Pos = geom3{X: pos.X, Y: pos.Y, Z: pos.Z}
-			u.out[p].Val = val
+	j := &e.job
+	j.atom, j.space = atom, e.cfg.Store.Space()
+	work := 0
+	for _, sq := range b.SubQueries {
+		var out []PointSample
+		if st := e.states[sq.Query.ID]; st.result != nil {
+			out = st.samples(sq)
 		}
-	})
-	if e.cfg.KeepResults {
-		for _, u := range units {
-			st := e.states[u.sq.Query.ID]
-			if st.result == nil {
-				continue
-			}
-			if u.sq.Query.ChainLen() > 1 {
-				st.noteChainSamples(u.sq, u.out)
-			} else {
-				st.result.Positions = append(st.result.Positions, u.out...)
-			}
-		}
+		u := computeUnit{sq: sq, out: out}
+		j.units = append(j.units, u)
+		work += u.work()
 	}
+	if spans := min(e.cfg.Parallelism, work/minSpanSamples, len(j.units)); spans > 1 {
+		if e.pool == nil {
+			// Lazily started on the simulation goroutine (Run or Session.loop),
+			// whichever drives this engine; both close it when they return.
+			e.pool = newComputePool(e.cfg.Parallelism - 1)
+		}
+		j.cut(spans, work)
+		e.pool.run(j, j.cuts, &j.wg)
+	} else {
+		j.evalSpan(0, len(j.units))
+	}
+	clear(j.units)
+	j.units, j.atom = j.units[:0], nil
 }
 
 // complete finalizes a query: response-time accounting, run accounting,
@@ -804,48 +822,34 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 }
 
 // assembleDeriv collapses a derivative query's accumulated per-step
-// kernel outputs into ∂/∂t estimates: for every primary atom (in code
-// order, so the result layout is deterministic) and every position, the
+// kernel outputs into ∂/∂t estimates, in partition order (atoms in code
+// order, so the result layout is deterministic): for every position the
 // derivative is Σⱼ wⱼ·v(step+j) / StepDT with the Fornberg forward
-// stencil. Positions whose chain is incomplete (an atom skipped by a
-// compute-disabled path) are dropped rather than differenced wrongly.
+// stencil. A chain with a step that was never evaluated (a compute-
+// disabled path) yields no values rather than wrongly differenced ones.
 func (e *Engine) assembleDeriv(st *queryState) {
-	k := st.q.ChainLen()
+	k, n := st.q.ChainLen(), len(st.q.Points)
+	chain := st.chain
+	st.chain = nil
+	if st.filled != k*n {
+		return
+	}
 	w := query.DerivWeights(k)
-	codes := make([]morton.Code, 0, len(st.chains))
-	for c := range st.chains {
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		slots := st.chains[c]
-		complete := true
+	out := make([]PointSample, n)
+	for p := range out {
+		out[p].Pos = chain[p].Pos
+		var val [field.Components]float64
 		for j := 0; j < k; j++ {
-			if slots[j] == nil || len(slots[j]) != len(slots[0]) {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		out := make([]PointSample, len(slots[0]))
-		for p := range out {
-			out[p].Pos = slots[0][p].Pos
-			var val [field.Components]float64
-			for j := 0; j < k; j++ {
-				for comp := range val {
-					val[comp] += w[j] * slots[j][p].Val[comp]
-				}
-			}
 			for comp := range val {
-				val[comp] /= query.StepDT
+				val[comp] += w[j] * chain[j*n+p].Val[comp]
 			}
-			out[p].Val = val
 		}
-		st.result.Positions = append(st.result.Positions, out...)
+		for comp := range val {
+			val[comp] /= query.StepDT
+		}
+		out[p].Val = val
 	}
-	st.chains = nil
+	st.result.Positions = out
 }
 
 // pushUtilities coordinates the cache with the scheduler (URC, §V.B):

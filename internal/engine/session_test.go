@@ -2,12 +2,15 @@ package engine
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
 	"jaws/internal/cache"
 	"jaws/internal/fault"
+	"jaws/internal/field"
 	"jaws/internal/job"
+	"jaws/internal/query"
 	"jaws/internal/sched"
 )
 
@@ -270,6 +273,36 @@ func BenchmarkSessionThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-sess.Results()
+	}
+	b.StopTimer()
+	sess.Close()
+}
+
+// BenchmarkSessionBulkQuery is one 512-point Lag6 query, scattered over a
+// step whose atoms are all resident, from Submit to its result: the
+// per-request data path (PreProcess, cache hits, kernel evaluation,
+// result assembly) with no store read in it.
+func BenchmarkSessionBulkQuery(b *testing.B) {
+	st := testStore(b)
+	c := cache.New(64, cache.NewLRUK(2, 0))
+	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
+	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost, Compute: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := scatter(rand.New(rand.NewSource(3)), 512)
+	submit := func(id int64) {
+		q := &query.Query{ID: query.ID(id), JobID: id, Step: 1, Points: pts, Kernel: field.KernelLag6}
+		if err := sess.Submit(&job.Job{ID: id, User: 1, Type: job.Batched, Queries: []*query.Query{q}}); err != nil {
+			b.Fatal(err)
+		}
+		<-sess.Results()
+	}
+	submit(1) // reads the step's atoms into the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(int64(i + 2))
 	}
 	b.StopTimer()
 	sess.Close()

@@ -287,6 +287,7 @@ func BenchmarkInterpolateLag4(b *testing.B) {
 	ac := geom.AtomCoord{I: 1, J: 1, K: 1}
 	a := f.Sample(0, s, ac, 8)
 	p := s.Center(ac)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Interpolate(KernelLag4, a, s, ac, p)

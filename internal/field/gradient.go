@@ -97,8 +97,8 @@ func InterpolateGradient(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord,
 // lagrangeDerivWeights returns the derivatives of the N Lagrange basis
 // polynomials anchored at start, evaluated at fractional sample
 // coordinate s (in sample-index units).
-func lagrangeDerivWeights(s float64, start, n int) []float64 {
-	d := make([]float64, n)
+func lagrangeDerivWeights(s float64, start, n int) [maxStencil]float64 {
+	var d [maxStencil]float64
 	for i := 0; i < n; i++ {
 		xi := float64(start + i)
 		den := 1.0

@@ -152,18 +152,17 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 	return out
 }
 
-// lagrangeWeights returns the first stencil index and the N Lagrange
-// basis weights for fractional sample coordinate s on a grid of `side`
-// samples, clamping the stencil to the grid.
-func lagrangeWeights(s float64, n, side int) (int, []float64) {
-	return lagrangeWeightsHalo(s, n, side, 0)
-}
+// maxStencil is the widest stencil a kernel uses (Lag8), and so the size
+// of the weight arrays, which live on the caller's stack.
+const maxStencil = 8
 
-// lagrangeWeightsHalo is lagrangeWeights with a replication halo of g
-// samples available on each side: the stencil may start as early as −g
-// and end as late as side+g, so positions near an atom face keep a
-// centred (more accurate) stencil instead of a clamped one-sided one.
-func lagrangeWeightsHalo(s float64, n, side, g int) (int, []float64) {
+// lagrangeWeightsHalo returns the first stencil index and the n ≤
+// maxStencil Lagrange basis weights for fractional sample coordinate s on
+// a grid of `side` samples with a replication halo of g samples on each
+// side: the stencil may start as early as −g and end as late as side+g,
+// so positions near an atom face keep a centred (more accurate) stencil
+// instead of a clamped one-sided one.
+func lagrangeWeightsHalo(s float64, n, side, g int) (int, [maxStencil]float64) {
 	var start int
 	if n == 2 {
 		start = int(math.Floor(s))
@@ -171,7 +170,7 @@ func lagrangeWeightsHalo(s float64, n, side, g int) (int, []float64) {
 		start = int(math.Floor(s)) - n/2 + 1
 	}
 	start = clamp(start, -g, side+g-n)
-	w := make([]float64, n)
+	var w [maxStencil]float64
 	for i := 0; i < n; i++ {
 		xi := float64(start + i)
 		num, den := 1.0, 1.0

@@ -1,0 +1,247 @@
+package field
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"jaws/internal/geom"
+)
+
+// The functions below are the slice-based kernels this package shipped
+// before the weights moved into stack arrays (three make([]float64, n) per
+// interpolated point, six per gradient), kept as the reference the
+// differential tests compare against with ==: the arrays changed where
+// the weights live, not one floating-point operation or its order.
+
+func refLagrangeWeightsHalo(s float64, n, side, g int) (int, []float64) {
+	var start int
+	if n == 2 {
+		start = int(math.Floor(s))
+	} else {
+		start = int(math.Floor(s)) - n/2 + 1
+	}
+	start = clamp(start, -g, side+g-n)
+	w := make([]float64, n)
+	for i := 0; i < n; i++ {
+		xi := float64(start + i)
+		num, den := 1.0, 1.0
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			xj := float64(start + j)
+			num *= s - xj
+			den *= xi - xj
+		}
+		w[i] = num / den
+	}
+	return start, w
+}
+
+func refLagrangeDerivWeights(s float64, start, n int) []float64 {
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		xi := float64(start + i)
+		den := 1.0
+		for j := 0; j < n; j++ {
+			if j != i {
+				den *= xi - float64(start+j)
+			}
+		}
+		sum := 0.0
+		for m := 0; m < n; m++ {
+			if m == i {
+				continue
+			}
+			prod := 1.0
+			for j := 0; j < n; j++ {
+				if j == i || j == m {
+					continue
+				}
+				prod *= s - float64(start+j)
+			}
+			sum += prod
+		}
+		d[i] = sum / den
+	}
+	return d
+}
+
+// sampleCoords is the prologue Interpolate and InterpolateGradient share:
+// pos in the atom's fractional sample coordinates.
+func sampleCoords(a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) (sx, sy, sz, h float64) {
+	atomLen := float64(space.AtomSide) * space.VoxelSize()
+	h = atomLen / float64(a.Side)
+	wp := geom.Wrap(pos)
+	lx := (wp.X - float64(ac.I)*atomLen) / h
+	ly := (wp.Y - float64(ac.J)*atomLen) / h
+	lz := (wp.Z - float64(ac.K)*atomLen) / h
+	return lx - 0.5, ly - 0.5, lz - 0.5, h
+}
+
+func stencilWidth(k Kernel, a *Atom) int {
+	n := 2
+	switch k {
+	case KernelLag4:
+		n = 4
+	case KernelLag6:
+		n = 6
+	case KernelLag8:
+		n = 8
+	}
+	if a.dim() < n {
+		n = a.dim()
+	}
+	return n
+}
+
+func refInterpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
+	sx, sy, sz, _ := sampleCoords(a, space, ac, pos)
+	if k == KernelNone {
+		i := clamp(int(math.Round(sx)), 0, a.Side-1)
+		j := clamp(int(math.Round(sy)), 0, a.Side-1)
+		l := clamp(int(math.Round(sz)), 0, a.Side-1)
+		return a.At(i, j, l)
+	}
+	n := stencilWidth(k, a)
+	ix, wx := refLagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
+	iy, wy := refLagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
+	iz, wz := refLagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
+	d := a.dim()
+	g := a.Ghost
+	var out [Components]float64
+	for kk := 0; kk < n; kk++ {
+		for jj := 0; jj < n; jj++ {
+			wyz := wy[jj] * wz[kk]
+			rowBase := (iz+g+kk)*d + (iy + g + jj)
+			for ii := 0; ii < n; ii++ {
+				w := wx[ii] * wyz
+				base := (rowBase*d + ix + g + ii) * Components
+				out[0] += w * a.Data[base]
+				out[1] += w * a.Data[base+1]
+				out[2] += w * a.Data[base+2]
+				out[3] += w * a.Data[base+3]
+			}
+		}
+	}
+	return out
+}
+
+func refInterpolateGradient(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) Gradient {
+	n := stencilWidth(k, a)
+	sx, sy, sz, h := sampleCoords(a, space, ac, pos)
+	ix, wx := refLagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
+	iy, wy := refLagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
+	iz, wz := refLagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
+	dx := refLagrangeDerivWeights(sx, ix, n)
+	dy := refLagrangeDerivWeights(sy, iy, n)
+	dz := refLagrangeDerivWeights(sz, iz, n)
+	d := a.dim()
+	gh := a.Ghost
+	var g Gradient
+	for kk := 0; kk < n; kk++ {
+		for jj := 0; jj < n; jj++ {
+			rowBase := ((iz+gh+kk)*d + (iy + gh + jj)) * d
+			for ii := 0; ii < n; ii++ {
+				base := (rowBase + ix + gh + ii) * Components
+				wX := dx[ii] * wy[jj] * wz[kk]
+				wY := wx[ii] * dy[jj] * wz[kk]
+				wZ := wx[ii] * wy[jj] * dz[kk]
+				for vi := 0; vi < 3; vi++ {
+					v := a.Data[base+vi]
+					g[vi][0] += wX * v
+					g[vi][1] += wY * v
+					g[vi][2] += wZ * v
+				}
+			}
+		}
+	}
+	inv := 1 / h
+	for vi := 0; vi < 3; vi++ {
+		for xj := 0; xj < 3; xj++ {
+			g[vi][xj] *= inv
+		}
+	}
+	return g
+}
+
+var allKernels = []Kernel{KernelNone, KernelTrilinear, KernelLag4, KernelLag6, KernelLag8}
+
+// kernelCases are the atoms the differential and allocation tests run on:
+// with and without a halo, and one too small for the wider stencils (the
+// clamped-width path).
+func kernelCases() []struct {
+	name string
+	ac   geom.AtomCoord
+	atom *Atom
+} {
+	f := New(17, 24, 0)
+	s := testSpace()
+	ac := geom.AtomCoord{I: 3, J: 0, K: 7}
+	return []struct {
+		name string
+		ac   geom.AtomCoord
+		atom *Atom
+	}{
+		{"side 8", ac, f.Sample(1, s, ac, 8)},
+		{"side 8, ghost 4", ac, f.SampleGhost(1, s, ac, 8, 4)},
+		{"side 4", ac, f.Sample(2, s, ac, 4)},
+	}
+}
+
+// positionIn draws a position of atom ac: uniform inside it, on one of
+// its faces, a period away, or (still evaluated against ac's samples, as
+// the clamped stencil allows) slightly outside it.
+func positionIn(rng *rand.Rand, s geom.Space, ac geom.AtomCoord) geom.Position {
+	atomLen := float64(s.AtomSide) * s.VoxelSize()
+	coord := func(i uint32) float64 {
+		lo := float64(i) * atomLen
+		switch rng.Intn(8) {
+		case 0:
+			return lo
+		case 1:
+			return math.Nextafter(lo+atomLen, math.Inf(-1))
+		case 2:
+			return lo + rng.Float64()*atomLen - geom.DomainSide
+		case 3:
+			return lo + (rng.Float64()*1.2-0.1)*atomLen
+		}
+		return lo + rng.Float64()*atomLen
+	}
+	return geom.Position{X: coord(ac.I), Y: coord(ac.J), Z: coord(ac.K)}
+}
+
+func TestInterpolateMatchesReferenceBitForBit(t *testing.T) {
+	s := testSpace()
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range kernelCases() {
+		for _, k := range allKernels {
+			for i := 0; i < 2000; i++ {
+				p := positionIn(rng, s, tc.ac)
+				if got, want := Interpolate(k, tc.atom, s, tc.ac, p), refInterpolate(k, tc.atom, s, tc.ac, p); got != want {
+					t.Fatalf("%s %v at %+v: Interpolate %v, reference %v", tc.name, k, p, got, want)
+				}
+				if got, want := InterpolateGradient(k, tc.atom, s, tc.ac, p), refInterpolateGradient(k, tc.atom, s, tc.ac, p); got != want {
+					t.Fatalf("%s %v at %+v: InterpolateGradient %v, reference %v", tc.name, k, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestInterpolateDoesNotAllocate(t *testing.T) {
+	s := testSpace()
+	var sink float64
+	for _, tc := range kernelCases() {
+		p := s.Center(tc.ac)
+		for _, k := range allKernels {
+			if allocs := testing.AllocsPerRun(100, func() { sink += Interpolate(k, tc.atom, s, tc.ac, p)[0] }); allocs != 0 {
+				t.Errorf("%s %v: Interpolate allocates %v times, want 0", tc.name, k, allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sink += InterpolateGradient(k, tc.atom, s, tc.ac, p)[0][0] }); allocs != 0 {
+				t.Errorf("%s %v: InterpolateGradient allocates %v times, want 0", tc.name, k, allocs)
+			}
+		}
+	}
+}

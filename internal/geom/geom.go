@@ -12,6 +12,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"jaws/internal/morton"
 )
@@ -129,31 +130,57 @@ func (s Space) AtomOf(p Position) AtomCoord {
 // this is the "kernel of computation" locality that two-level scheduling
 // (batching k nearby atoms) exploits.
 func (s Space) Footprint(p Position, radius int) []AtomCoord {
-	primary := s.AtomOf(p)
-	if radius <= 0 {
-		return []AtomCoord{primary}
-	}
+	var buf [MaxFootprint]AtomCoord
+	return append([]AtomCoord(nil), s.AppendFootprint(buf[:0], p, radius)...)
+}
+
+// MaxFootprint bounds the atoms of one footprint: the primary plus the
+// atoms of the stencil's eight corners. A caller that passes
+// AppendFootprint a buffer of this capacity never allocates.
+const MaxFootprint = 9
+
+// AppendFootprint appends the footprint of p (see Footprint) to dst and
+// returns the extended slice.
+func (s Space) AppendFootprint(dst []AtomCoord, p Position, radius int) []AtomCoord {
 	vx, vy, vz := s.VoxelOf(p)
-	n := s.AtomsPerAxis()
-	seen := map[AtomCoord]bool{primary: true}
-	out := []AtomCoord{primary}
-	// Examine the two extreme corners of the stencil along each axis.
-	for _, dx := range [2]int{vx - radius, vx + radius} {
-		for _, dy := range [2]int{vy - radius, vy + radius} {
-			for _, dz := range [2]int{vz - radius, vz + radius} {
-				a := AtomCoord{
-					I: uint32(wrapInt(dx/s.AtomSide, floorDivAdjust(dx, s.AtomSide), n)),
-					J: uint32(wrapInt(dy/s.AtomSide, floorDivAdjust(dy, s.AtomSide), n)),
-					K: uint32(wrapInt(dz/s.AtomSide, floorDivAdjust(dz, s.AtomSide), n)),
-				}
-				if !seen[a] {
-					seen[a] = true
-					out = append(out, a)
+	return s.AppendFootprintAt(dst, vx, vy, vz, radius)
+}
+
+// AppendFootprintAt is AppendFootprint for a position already resolved
+// to its voxel (VoxelOf): the voxel's atom first, then the atoms of the
+// stencil's corners not yet listed, the x corner varying slowest and the
+// z corner fastest.
+func (s Space) AppendFootprintAt(dst []AtomCoord, vx, vy, vz, radius int) []AtomCoord {
+	primary := AtomCoord{
+		I: uint32(vx / s.AtomSide),
+		J: uint32(vy / s.AtomSide),
+		K: uint32(vz / s.AtomSide),
+	}
+	start := len(dst)
+	dst = append(dst, primary)
+	if radius <= 0 {
+		return dst
+	}
+	// The two extreme corners of the stencil along each axis.
+	is := [2]uint32{s.atomIndex(vx - radius), s.atomIndex(vx + radius)}
+	js := [2]uint32{s.atomIndex(vy - radius), s.atomIndex(vy + radius)}
+	ks := [2]uint32{s.atomIndex(vz - radius), s.atomIndex(vz + radius)}
+	for _, i := range is {
+		for _, j := range js {
+			for _, k := range ks {
+				if a := (AtomCoord{I: i, J: j, K: k}); !slices.Contains(dst[start:], a) {
+					dst = append(dst, a)
 				}
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// atomIndex maps a voxel index along one axis, possibly outside the grid,
+// to the index of its atom in the periodic atom grid.
+func (s Space) atomIndex(v int) uint32 {
+	return uint32(wrapInt(v/s.AtomSide, floorDivAdjust(v, s.AtomSide), s.AtomsPerAxis()))
 }
 
 // floorDivAdjust returns -1 when integer division of a negative numerator

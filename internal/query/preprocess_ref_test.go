@@ -1,0 +1,244 @@
+package query
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"jaws/internal/field"
+	"jaws/internal/geom"
+	"jaws/internal/morton"
+	"jaws/internal/store"
+)
+
+// refPreProcess is the map-based PreProcess this package shipped before
+// the single-sort one (a map entry and a grown slice per atom, the whole
+// partition recomputed per chain step), kept as the reference the
+// differential test below compares against. One thing is pinned down that
+// the original left to sort.Sort: positions in the same voxel keep their
+// input order. The original's insertion sort did so for up to twelve
+// points per atom and left larger ties unspecified; sort.Stable extends
+// the small-n order to every n, which is the order PreProcess documents.
+func refPreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	radius := q.Kernel.StencilRadius()
+	groups := make(map[store.AtomID]*SubQuery)
+	for s := 0; s < q.ChainLen(); s++ {
+		step := q.Step + s
+		for _, p := range q.Points {
+			fp := space.Footprint(p, radius)
+			primary := store.AtomID{Step: step, Code: fp[0].Code()}
+			sq, ok := groups[primary]
+			if !ok {
+				sq = &SubQuery{Query: q, Atom: primary}
+				groups[primary] = sq
+			}
+			sq.Points = append(sq.Points, p)
+			for _, ac := range fp[1:] {
+				refAddFootprint(sq, store.AtomID{Step: step, Code: ac.Code()})
+			}
+		}
+	}
+	out := make([]*SubQuery, 0, len(groups))
+	for _, sq := range groups {
+		refSortMorton(space, sq.Points)
+		sort.Slice(sq.Footprint, func(i, j int) bool {
+			return sq.Footprint[i].Key() < sq.Footprint[j].Key()
+		})
+		out = append(out, sq)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Atom.Key() < out[j].Atom.Key() })
+	return out, nil
+}
+
+func refAddFootprint(sq *SubQuery, id store.AtomID) {
+	for _, existing := range sq.Footprint {
+		if existing == id {
+			return
+		}
+	}
+	sq.Footprint = append(sq.Footprint, id)
+}
+
+func refSortMorton(space geom.Space, pts []geom.Position) {
+	codes := make([]morton.Code, len(pts))
+	for i, p := range pts {
+		vx, vy, vz := space.VoxelOf(p)
+		codes[i] = morton.Encode(uint32(vx), uint32(vy), uint32(vz))
+	}
+	sort.Stable(&refByCode{pts: pts, codes: codes})
+}
+
+type refByCode struct {
+	pts   []geom.Position
+	codes []morton.Code
+}
+
+func (b *refByCode) Len() int           { return len(b.pts) }
+func (b *refByCode) Less(i, j int) bool { return b.codes[i] < b.codes[j] }
+func (b *refByCode) Swap(i, j int) {
+	b.pts[i], b.pts[j] = b.pts[j], b.pts[i]
+	b.codes[i], b.codes[j] = b.codes[j], b.codes[i]
+}
+
+// randomPoints draws n positions for a differential run: uniform ones,
+// ones exactly on (or one ulp off) atom faces and the periodic seam,
+// negative and beyond-2π ones, clusters inside one voxel (voxel-code
+// ties) and exact duplicates (ties all the way down to the input index).
+func randomPoints(rng *rand.Rand, space geom.Space, n int) []geom.Position {
+	asz := float64(space.AtomSide) * space.VoxelSize()
+	coord := func() float64 {
+		face := float64(rng.Intn(space.AtomsPerAxis()+1)) * asz
+		switch rng.Intn(12) {
+		case 0:
+			return face
+		case 1:
+			return math.Nextafter(face, math.Inf(-1))
+		case 2:
+			return math.Nextafter(face, math.Inf(1))
+		case 3:
+			return -rng.Float64() * 2 * geom.DomainSide
+		case 4:
+			return geom.DomainSide + rng.Float64()*2*geom.DomainSide
+		}
+		return rng.Float64() * geom.DomainSide
+	}
+	pts := make([]geom.Position, 0, n)
+	for len(pts) < n {
+		p := geom.Position{X: coord(), Y: coord(), Z: coord()}
+		pts = append(pts, p)
+		switch rng.Intn(6) {
+		case 0: // the same position again, later in the input
+			pts = append(pts, p)
+		case 1: // a run of neighbours, most of them in p's voxel
+			for i := rng.Intn(20); i > 0; i-- {
+				d := space.VoxelSize() * 0.3
+				pts = append(pts, geom.Position{X: p.X + rng.Float64()*d, Y: p.Y + rng.Float64()*d, Z: p.Z + rng.Float64()*d})
+			}
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts[:n]
+}
+
+// PreProcess must return what the reference returns, sub-query for
+// sub-query: atoms in the same key order, the same points in the same
+// order (input-order ties included), the same sorted footprints (nil where
+// empty) — for every kernel radius, plain and chained, on spaces whose
+// atoms are wider and narrower than the stencil. Offset must be the
+// running point count within a step.
+func TestPreProcessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spaces := []geom.Space{
+		{GridSide: 128, AtomSide: 32},
+		{GridSide: 64, AtomSide: 16},
+		{GridSide: 16, AtomSide: 2},
+		{GridSide: 8, AtomSide: 8},
+	}
+	kernels := []field.Kernel{field.KernelNone, field.KernelTrilinear, field.KernelLag4, field.KernelLag6, field.KernelLag8}
+	sizes := []int{1, 2, 8, 13, 64, 512}
+	for trial := 0; trial < 400; trial++ {
+		space := spaces[trial%len(spaces)]
+		q := &Query{
+			ID:     ID(trial + 1),
+			Step:   rng.Intn(5),
+			Kernel: kernels[rng.Intn(len(kernels))],
+			Points: randomPoints(rng, space, sizes[rng.Intn(len(sizes))]),
+		}
+		if trial%2 == 1 {
+			q.DerivSteps = 2 + rng.Intn(7)
+		}
+		input := append([]geom.Position(nil), q.Points...)
+		want, err := refPreProcess(q, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PreProcess(q, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(q.Points, input) {
+			t.Fatalf("trial %d: PreProcess reordered the query's own points", trial)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (%v, chain %d, %d points): %d sub-queries, reference %d",
+				trial, q.Kernel, q.ChainLen(), len(q.Points), len(got), len(want))
+		}
+		offset := 0
+		for i := range want {
+			g, w := got[i], want[i]
+			if i > 0 && g.Atom.Step != got[i-1].Atom.Step {
+				offset = 0
+			}
+			if g.Query != q || g.Atom != w.Atom {
+				t.Fatalf("trial %d sub-query %d: atom %v of query %p, reference %v of %p", trial, i, g.Atom, g.Query, w.Atom, q)
+			}
+			if !reflect.DeepEqual(g.Points, w.Points) {
+				t.Fatalf("trial %d sub-query %d (%v): points\n%v\nreference\n%v", trial, i, g.Atom, g.Points, w.Points)
+			}
+			if !reflect.DeepEqual(g.Footprint, w.Footprint) {
+				t.Fatalf("trial %d sub-query %d (%v): footprint %v, reference %v", trial, i, g.Atom, g.Footprint, w.Footprint)
+			}
+			if g.Offset != offset {
+				t.Fatalf("trial %d sub-query %d (%v): offset %d, want %d", trial, i, g.Atom, g.Offset, offset)
+			}
+			offset += len(g.Points)
+		}
+	}
+}
+
+// A consumer that appends to one sub-query's slices must not reach into
+// the next one's share of the backing arrays.
+func TestPreProcessSlicesAreCapped(t *testing.T) {
+	space := geom.Space{GridSide: 64, AtomSide: 16}
+	q := &Query{ID: 1, Kernel: field.KernelLag8, DerivSteps: 2, Points: randomPoints(rand.New(rand.NewSource(3)), space, 200)}
+	sqs, err := PreProcess(q, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sq := range sqs {
+		if cap(sq.Points) != len(sq.Points) || cap(sq.Footprint) != len(sq.Footprint) {
+			t.Fatalf("%v: points len %d cap %d, footprint len %d cap %d", sq.Atom,
+				len(sq.Points), cap(sq.Points), len(sq.Footprint), cap(sq.Footprint))
+		}
+	}
+}
+
+// The allocation count of PreProcess is a constant: it depends neither on
+// the number of points, nor on the number of atoms they fall in, nor on
+// the length of a derivative chain.
+func TestPreProcessAllocsConstant(t *testing.T) {
+	space := geom.Space{GridSide: 128, AtomSide: 16} // 512 atoms per step
+	rng := rand.New(rand.NewSource(11))
+	cases := []struct {
+		name   string
+		points int
+		chain  int
+	}{
+		{"8 points", 8, 0},
+		{"512 points", 512, 0},
+		{"4096 points", 4096, 0},
+		{"512 points, 3-step chain", 512, 3},
+	}
+	for _, tc := range cases {
+		q := &Query{ID: 1, Kernel: field.KernelLag6, DerivSteps: tc.chain, Points: randomPoints(rng, space, tc.points)}
+		// The least of several runs is the count with the pooled scratch at
+		// hand: under the race detector sync.Pool drops a quarter of what is
+		// put back, and the next call then grows a scratch of its own.
+		allocs := math.Inf(1)
+		for i := 0; i < 10; i++ {
+			allocs = min(allocs, testing.AllocsPerRun(2, func() {
+				if _, err := PreProcess(q, space); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if allocs > 8 {
+			t.Errorf("%s: %v allocs per PreProcess, want at most 8", tc.name, allocs)
+		}
+	}
+}

@@ -7,8 +7,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"jaws/internal/field"
@@ -90,84 +92,143 @@ type SubQuery struct {
 	Atom store.AtomID
 	// Points are the positions inside Atom, sorted in Morton order of
 	// their voxels so locations close in space are evaluated in close
-	// succession (§III.B).
+	// succession (§III.B); positions in the same voxel keep their input
+	// order. The steps of a derivative chain share one array: read-only.
 	Points []geom.Position
 	// Footprint lists additional atoms the interpolation stencils of
 	// these positions spill into (excluding Atom itself). The two-level
 	// scheduler co-schedules them to respect locality of reference.
 	Footprint []store.AtomID
+	// Offset is the index of Points[0] in the query's partition order
+	// (atoms in Morton order, then Points order). It does not depend on
+	// the step, so the sub-queries of a derivative chain that cover the
+	// same atom agree on it.
+	Offset int
 }
+
+// pointKey places one input position in the partition order: primary
+// atom, then voxel, then input index. The index makes the order total, so
+// the result does not depend on the sorting algorithm.
+type pointKey struct {
+	atom, voxel morton.Code
+	idx         int
+}
+
+func comparePointKeys(a, b pointKey) int {
+	if c := cmp.Compare(a.atom, b.atom); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.voxel, b.voxel); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// atomGroup is one primary atom's run of keys[lo:hi] and its staged
+// footprint codes[fpLo:fpHi].
+type atomGroup struct {
+	lo, hi, fpLo, fpHi int
+}
+
+// scratch is PreProcess's working storage. It holds no pointers into a
+// query, and a pooled one is never larger than the largest query it
+// served.
+type scratch struct {
+	keys   []pointKey
+	groups []atomGroup
+	codes  []morton.Code
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // PreProcess splits q into sub-queries grouped by primary atom, in Morton
 // order of the atoms. It returns an error if the query is malformed.
+//
+// The sub-queries, their points and their footprints are carved out of
+// one array each, so the allocation count does not depend on the number
+// of points or atoms.
 func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	radius := q.Kernel.StencilRadius()
-	groups := make(map[store.AtomID]*SubQuery)
-	// Temporal-derivative queries repeat the same spatial grouping at
-	// every step of their chain: atom codes depend only on position, so
-	// the per-step partitions are congruent (the engine's finite-
-	// differencing relies on this).
-	for s := 0; s < q.ChainLen(); s++ {
-		step := q.Step + s
-		for _, p := range q.Points {
-			fp := space.Footprint(p, radius)
-			primary := store.AtomID{Step: step, Code: fp[0].Code()}
-			sq, ok := groups[primary]
-			if !ok {
-				sq = &SubQuery{Query: q, Atom: primary}
-				groups[primary] = sq
-			}
-			sq.Points = append(sq.Points, p)
-			for _, ac := range fp[1:] {
-				sq.addFootprint(store.AtomID{Step: step, Code: ac.Code()})
-			}
-		}
-	}
-	out := make([]*SubQuery, 0, len(groups))
-	for _, sq := range groups {
-		sortMorton(space, sq.Points)
-		sort.Slice(sq.Footprint, func(i, j int) bool {
-			return sq.Footprint[i].Key() < sq.Footprint[j].Key()
-		})
-		out = append(out, sq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Atom.Key() < out[j].Atom.Key() })
-	return out, nil
-}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
-func (sq *SubQuery) addFootprint(id store.AtomID) {
-	for _, existing := range sq.Footprint {
-		if existing == id {
-			return
-		}
-	}
-	sq.Footprint = append(sq.Footprint, id)
-}
-
-// sortMorton sorts positions by the Morton code of their voxel so that
-// points referencing the same region of an atom are evaluated together.
-func sortMorton(space geom.Space, pts []geom.Position) {
-	codes := make([]morton.Code, len(pts))
-	for i, p := range pts {
+	// One pass resolves every position; one sort groups them.
+	keys := sc.keys[:0]
+	for i, p := range q.Points {
 		vx, vy, vz := space.VoxelOf(p)
-		codes[i] = morton.Encode(uint32(vx), uint32(vy), uint32(vz))
+		keys = append(keys, pointKey{
+			atom:  morton.Encode(uint32(vx/space.AtomSide), uint32(vy/space.AtomSide), uint32(vz/space.AtomSide)),
+			voxel: morton.Encode(uint32(vx), uint32(vy), uint32(vz)),
+			idx:   i,
+		})
 	}
-	sort.Sort(&byCode{pts: pts, codes: codes})
-}
+	sc.keys = keys
+	slices.SortFunc(keys, comparePointKeys)
 
-type byCode struct {
-	pts   []geom.Position
-	codes []morton.Code
-}
+	// Stage each group's footprint as atom codes: they are the same at
+	// every step of a derivative chain.
+	groups, codes := sc.groups[:0], sc.codes[:0]
+	pts := make([]geom.Position, len(keys))
+	for lo := 0; lo < len(keys); {
+		g := atomGroup{lo: lo, hi: lo + 1, fpLo: len(codes)}
+		for g.hi < len(keys) && keys[g.hi].atom == keys[lo].atom {
+			g.hi++
+		}
+		for i := g.lo; i < g.hi; i++ {
+			pts[i] = q.Points[keys[i].idx]
+			if radius <= 0 {
+				continue
+			}
+			vx, vy, vz := keys[i].voxel.Decode()
+			var buf [geom.MaxFootprint]geom.AtomCoord
+			for _, ac := range space.AppendFootprintAt(buf[:0], int(vx), int(vy), int(vz), radius)[1:] {
+				if c := ac.Code(); !slices.Contains(codes[g.fpLo:], c) {
+					codes = append(codes, c)
+				}
+			}
+		}
+		slices.Sort(codes[g.fpLo:])
+		g.fpHi = len(codes)
+		groups = append(groups, g)
+		lo = g.hi
+	}
+	sc.groups, sc.codes = groups, codes
 
-func (b *byCode) Len() int           { return len(b.pts) }
-func (b *byCode) Less(i, j int) bool { return b.codes[i] < b.codes[j] }
-func (b *byCode) Swap(i, j int) {
-	b.pts[i], b.pts[j] = b.pts[j], b.pts[i]
-	b.codes[i], b.codes[j] = b.codes[j], b.codes[i]
+	// A temporal-derivative query repeats the partition at every step of
+	// its chain (atom codes depend only on position, and the engine's
+	// finite-differencing relies on the congruence): the steps share the
+	// point storage and differ in the step of their atom IDs.
+	chain := q.ChainLen()
+	subs := make([]SubQuery, chain*len(groups))
+	out := make([]*SubQuery, len(subs))
+	var fps []store.AtomID
+	if len(codes) > 0 {
+		fps = make([]store.AtomID, 0, chain*len(codes))
+	}
+	for s := 0; s < chain; s++ {
+		step := q.Step + s
+		for gi, g := range groups {
+			sq := &subs[s*len(groups)+gi]
+			*sq = SubQuery{
+				Query:  q,
+				Atom:   store.AtomID{Step: step, Code: keys[g.lo].atom},
+				Points: pts[g.lo:g.hi:g.hi],
+				Offset: g.lo,
+			}
+			if g.fpLo < g.fpHi {
+				n := len(fps)
+				for _, c := range codes[g.fpLo:g.fpHi] {
+					fps = append(fps, store.AtomID{Step: step, Code: c})
+				}
+				sq.Footprint = fps[n:len(fps):len(fps)]
+			}
+			out[s*len(groups)+gi] = sq
+		}
+	}
+	return out, nil
 }
 
 // Atoms returns the set of primary atoms accessed by query q — A(q) in the

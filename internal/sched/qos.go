@@ -35,18 +35,16 @@ type QoS struct {
 	horizon time.Duration
 
 	deadlines map[query.ID]time.Duration
-	pendingBy map[store.AtomID]map[query.ID]bool
-	// pendingCnt counts how many atom queues still hold sub-queries of
-	// each query, so a deadline verdict is delivered exactly once, when
-	// the query's last atom is served.
+	// pendingCnt counts each query's queued sub-queries, so a deadline
+	// verdict is delivered exactly once, when the query's last atom is
+	// served. Which queries wait on which atom is not kept here: the inner
+	// scheduler's atom queues say, and they are walked in key order.
 	pendingCnt map[query.ID]int
 
-	// Reused decision buffers and the inner-map pool (zero allocations in
-	// steady state).
+	// Reused decision buffers (zero allocations in steady state).
 	urgents []qosUrgent
 	sorter  qosSorter
 	out     []Batch
-	mapPool []map[query.ID]bool
 
 	// Decision capture for the flight recorder (see Explained). The
 	// urgent EDF path fills exp; fallthrough rounds are captured by the
@@ -104,7 +102,6 @@ func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration)
 		stretch:    stretch,
 		horizon:    horizon,
 		deadlines:  make(map[query.ID]time.Duration),
-		pendingBy:  make(map[store.AtomID]map[query.ID]bool),
 		pendingCnt: make(map[query.ID]int),
 	}
 }
@@ -129,41 +126,29 @@ func (s *QoS) Enqueue(sq *query.SubQuery, now time.Duration) {
 		est := s.estimate(sq)
 		s.deadlines[qid] = sq.Query.Arrival + time.Duration(s.stretch*float64(est))
 	}
-	m := s.pendingBy[sq.Atom]
-	if m == nil {
-		if n := len(s.mapPool); n > 0 {
-			m = s.mapPool[n-1]
-			s.mapPool[n-1] = nil
-			s.mapPool = s.mapPool[:n-1]
-		} else {
-			m = make(map[query.ID]bool)
-		}
-		s.pendingBy[sq.Atom] = m
-	}
-	if !m[qid] {
-		m[qid] = true
-		s.pendingCnt[qid]++
-	}
+	s.pendingCnt[qid]++
 	s.inner.Enqueue(sq, now)
 }
 
 // NextBatch implements Scheduler: serve urgent atoms (whose pending
 // sub-queries have deadlines within the horizon) earliest-deadline-first;
 // otherwise fall through to contention-ordered JAWS batching. The urgent
-// pass iterates a map, but the subsequent sort is a total order (deadline,
-// then unique clustered key), so the decision is deterministic.
+// pass reads the inner scheduler's atom queues, and the subsequent sort is
+// a total order (deadline, then unique clustered key).
 func (s *QoS) NextBatch(now time.Duration) []Batch {
 	s.inner.q.beginDecision()
 	s.urgents = s.urgents[:0]
-	for atom, qs := range s.pendingBy {
-		best := time.Duration(1<<62 - 1)
-		for qid := range qs {
-			if d := s.deadlines[qid]; d < best {
-				best = d
+	for _, b := range s.inner.q.buckets {
+		for _, aq := range b.atoms {
+			best := time.Duration(1<<62 - 1)
+			for _, sq := range aq.subs {
+				if d := s.deadlines[sq.Query.ID]; d < best {
+					best = d
+				}
 			}
-		}
-		if best <= now+s.horizon {
-			s.urgents = append(s.urgents, qosUrgent{atom: atom, deadline: best})
+			if best <= now+s.horizon {
+				s.urgents = append(s.urgents, qosUrgent{atom: aq.id, deadline: best})
+			}
 		}
 	}
 	var batches []Batch
@@ -204,8 +189,8 @@ func (s *QoS) NextBatch(now time.Duration) []Batch {
 	// Bookkeeping: retire served sub-queries; the deadline verdict lands
 	// once, when a query's final atom is served.
 	for _, b := range batches {
-		m := s.pendingBy[b.Atom]
-		for qid := range m {
+		for _, sq := range b.SubQueries {
+			qid := sq.Query.ID
 			s.pendingCnt[qid]--
 			if s.pendingCnt[qid] > 0 {
 				continue
@@ -217,13 +202,6 @@ func (s *QoS) NextBatch(now time.Duration) []Batch {
 			}
 			delete(s.deadlines, qid)
 			delete(s.pendingCnt, qid)
-		}
-		if m != nil {
-			for qid := range m {
-				delete(m, qid)
-			}
-			s.mapPool = append(s.mapPool, m)
-			delete(s.pendingBy, b.Atom)
 		}
 	}
 	return batches

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,9 +19,15 @@ import (
 type slowBackend struct {
 	Backend
 	delay time.Duration
+	// entered, when set, counts the Submit calls begun: the requests the
+	// workers have taken off the queue.
+	entered *atomic.Int64
 }
 
 func (s slowBackend) Submit(jobs ...*jaws.Job) error {
+	if s.entered != nil {
+		s.entered.Add(1)
+	}
 	time.Sleep(s.delay)
 	return s.Backend.Submit(jobs...)
 }
@@ -144,8 +151,9 @@ func TestConcurrentClientsShedExactlyOnce(t *testing.T) {
 // (no request dropped after accept), and only new work is refused.
 func TestGracefulDrainServesAccepted(t *testing.T) {
 	sess := openTestSession(t)
+	var taken atomic.Int64
 	srv, err := New(Config{
-		Backends:   []Backend{slowBackend{Backend: sess, delay: 30 * time.Millisecond}},
+		Backends:   []Backend{slowBackend{Backend: sess, delay: 30 * time.Millisecond, entered: &taken}},
 		QueueBound: 8,
 		Workers:    2,
 		Steps:      4,
@@ -170,8 +178,15 @@ func TestGracefulDrainServesAccepted(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
-	waitFor(t, "all requests in flight", func() bool {
-		return srv.Stats().InFlight == accepted
+	// In flight is not enough: a handler counts as in flight before it has
+	// put its request on the queue, and Shutdown rightly answers one that
+	// has not yet done so 503. Wait until every request is admitted — on
+	// the queue or taken off it by a worker. The workers are read first: a
+	// request that moves from the queue to a worker between the two reads
+	// is then missed, and the poll repeats, never counted twice.
+	waitFor(t, "all requests admitted", func() bool {
+		n := taken.Load()
+		return n+int64(srv.Stats().QueueDepth) == accepted
 	})
 
 	reports := srv.Shutdown()

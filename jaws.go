@@ -408,13 +408,10 @@ func (s *System) newScheduler() sched.Scheduler {
 // Run executes the jobs to completion on a fresh engine (the cache stays
 // warm across calls) and returns the report.
 func (s *System) Run(jobs []*Job) (*Report, error) {
-	sc := s.newScheduler()
-	// The scheduler's cost model must match the engine's; rebuild the
-	// scheduler when Cost was defaulted by the engine.
 	e, err := engine.New(engine.Config{
 		Store:       s.store,
 		Cache:       s.cache,
-		Sched:       sc,
+		Sched:       s.newScheduler(),
 		Cost:        s.cfg.Cost,
 		JobAware:    s.cfg.Scheduler == SchedJAWS2,
 		RunLength:   s.cfg.RunLength,
