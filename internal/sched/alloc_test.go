@@ -183,6 +183,24 @@ func TestDecisionPathZeroAllocs(t *testing.T) {
 			})
 			return s
 		}},
+		{"JAWS+QoS+gate-aware+adaptive-batch", func() Scheduler {
+			// QoS composed with tail policies: deadlines land mid-drain, so
+			// each measured round starts with fall-through decisions (one of
+			// them truncating, k grows) and ends with urgent ones (k shrinks).
+			inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1, Resident: resident})
+			inner.SetResidencyVersion(version)
+			PolicySpec{
+				GateAware:     &GateAwareParams{Discount: 0.5, Boost: 2},
+				AdaptiveBatch: &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 2},
+			}.Wrap(inner)
+			inner.SetGateSource(func(q query.ID) GateState {
+				if q%4 == 0 {
+					return GateReleasing
+				}
+				return GateFree
+			})
+			return NewQoS(inner, testCost, 0.1, time.Millisecond)
+		}},
 	}
 	workloads := []struct {
 		name string

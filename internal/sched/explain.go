@@ -55,7 +55,7 @@ func (e *Explain) captureStep(q *queues, b *stepBucket, alpha float64, now time.
 		Step:   b.step,
 		Atoms:  n,
 		MeanUt: q.stepUtSum(b) / float64(n),
-		MeanUe: q.stepMeanUeBucket(b, alpha, now),
+		MeanUe: q.stepUeSum(b, alpha, now) / float64(n),
 	})
 }
 

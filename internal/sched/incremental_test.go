@@ -62,6 +62,43 @@ func TestUtilityMemoizationCountsRecomputes(t *testing.T) {
 	}
 }
 
+// The one selection kernel must not have cost plain JAWS its memoized
+// path: at α = 0 with a version source, repeated decisions over unchanged
+// buckets reuse the per-step Σ U_t instead of rebuilding them — also with
+// a cross-step clause, which adds no score factor. A gate-aware clause
+// does add one (it changes per decision), so those sums are rebuilt.
+func TestJAWSAlphaZeroUsesMemoizedStepSums(t *testing.T) {
+	build := func(spec PolicySpec) *JAWS {
+		s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1})
+		s.SetResidencyVersion(func() uint64 { return 1 })
+		spec.Wrap(s)
+		for step := 0; step < 4; step++ {
+			for a := uint32(0); a < 3; a++ {
+				s.Enqueue(subQueryAt(query.ID(step*10+int(a)+1), step, a, 0, 0, 20+10*step+int(a)), 0)
+			}
+		}
+		return s
+	}
+	// Each decision takes one atom of one bucket: that bucket's sum is
+	// rebuilt next round, the other three are memo hits.
+	rebuilds := func(s *JAWS) int {
+		s.NextBatch(0)
+		base := s.q.stepSumRecomputes
+		s.NextBatch(time.Millisecond)
+		return s.q.stepSumRecomputes - base
+	}
+	if got := rebuilds(build(PolicySpec{})); got != 1 {
+		t.Errorf("plain JAWS rebuilt %d step sums in one decision, want 1 (the bucket the last decision touched)", got)
+	}
+	if got := rebuilds(build(PolicySpec{CrossStep: &CrossStepParams{Span: 2}})); got != 1 {
+		t.Errorf("JAWS+cross-step rebuilt %d step sums in one decision, want 1", got)
+	}
+	gated := build(PolicySpec{GateAware: &GateAwareParams{Discount: 0.5, Boost: 2}})
+	if got := rebuilds(gated); got != 0 {
+		t.Errorf("JAWS+gate-aware touched the memoized step sums %d times; its sums carry gate factors and bypass them", got)
+	}
+}
+
 // Without a version source, memoization stays off: every read recomputes
 // (exactness by default).
 func TestNoVersionSourceAlwaysRecomputes(t *testing.T) {

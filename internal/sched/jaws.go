@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"jaws/internal/metrics"
-	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/store"
 )
@@ -31,9 +30,9 @@ type JAWSConfig struct {
 	NoMortonOrder bool
 }
 
-// selSorter orders a JAWS selection in one of the three orders the
-// algorithm needs, swapping the score slice in lockstep. A preallocated
-// struct (instead of sort.Slice closures) keeps the decision path
+// selSorter orders a JAWS selection in one of the orders the algorithm
+// needs, swapping the score slice in lockstep. A preallocated struct
+// (instead of sort.Slice closures) keeps the decision path
 // allocation-free.
 type selSorter struct {
 	sel   []*atomQueue
@@ -42,9 +41,10 @@ type selSorter struct {
 }
 
 const (
-	sortScoreDescKeyAsc  = iota // truncation: most contentious first
-	sortKeyAsc                  // Morton execution order
-	sortScoreDescKeyDesc        // noMorton ablation: metric order
+	sortScoreDescKeyAsc   = iota // truncation: most contentious first
+	sortKeyAsc                   // Morton execution order
+	sortScoreDescKeyDesc         // noMorton ablation: metric order
+	sortDeadlineAscKeyAsc        // QoS urgent pre-pass: earliest deadline first
 )
 
 func (s *selSorter) Len() int { return len(s.sel) }
@@ -63,6 +63,11 @@ func (s *selSorter) Less(i, j int) bool {
 			return s.score[i] > s.score[j]
 		}
 		return s.sel[i].id.Key() > s.sel[j].id.Key()
+	case sortDeadlineAscKeyAsc:
+		if s.sel[i].deadline != s.sel[j].deadline {
+			return s.sel[i].deadline < s.sel[j].deadline
+		}
+		return s.sel[i].id.Key() < s.sel[j].id.Key()
 	default: // sortScoreDescKeyAsc
 		if s.score[i] != s.score[j] {
 			return s.score[i] > s.score[j]
@@ -75,22 +80,36 @@ func (s *selSorter) Less(i, j int) bool {
 // At the coarse level it picks the time step with the highest mean aged
 // workload throughput; at the fine level it batches up to k above-mean
 // atoms of that step and executes them in Morton order.
+//
+// It is the only type that selects a JAWS batch. Four optional hooks,
+// each a nil-able field consulted at one point of NextBatch, turn the
+// paper's algorithm into its tail-policy and QoS variants (a hook left
+// unset costs one branch):
+//
+//	score factor      gate (+ gateFn): every atom's aged metric is
+//	                  multiplied by the gate-aware Boost/Discount factor
+//	                  (PolicySpec.GateAware)
+//	window extension  span > 1: the anchor step's window grows across
+//	                  adjacent steps sharing a query (PolicySpec.CrossStep)
+//	batch-bound steer steer: k follows the truncation streaks, after the
+//	                  decision (PolicySpec.AdaptiveBatch)
+//	urgent pre-pass   qos: atoms with a deadline inside the horizon are
+//	                  served earliest-deadline-first, before the two-level
+//	                  selection is even tried (NewQoS)
+//
+// PolicySpec.Wrap and NewQoS install the hooks; they compose freely.
 type JAWS struct {
-	q        *queues
+	queueCore
+	name     string
 	k        int
 	ctrl     *alphaController
 	noMorton bool
-	trace    *obs.Tracer
 
-	// Decision capture for the flight recorder (see Explained); off by
-	// default so the decision path stays allocation-free.
-	explain bool
-	exp     Explain
-
-	// lastTrunc is the number of above-mean candidates the batch bound
-	// dropped in the most recent decision (the per-round batch-full
-	// pass-over count the adaptive-batch policy steers on).
-	lastTrunc int
+	gate   *GateAwareParams
+	gateFn func(query.ID) GateState
+	span   int
+	steer  *batchSteer
+	qos    *qosPass
 
 	// Reused decision buffers (zero allocations in steady state).
 	sel    []*atomQueue
@@ -112,18 +131,26 @@ func NewJAWS(cfg JAWSConfig) *JAWS {
 		alpha = 1
 	}
 	return &JAWS{
-		q:        newQueues(cfg.Cost, cfg.Resident),
-		k:        cfg.BatchSize,
-		ctrl:     newAlphaController(alpha, cfg.Adaptive),
-		noMorton: cfg.NoMortonOrder,
+		queueCore: queueCore{q: newQueues(cfg.Cost, cfg.Resident)},
+		name:      "JAWS",
+		k:         cfg.BatchSize,
+		ctrl:      newAlphaController(alpha, cfg.Adaptive),
+		noMorton:  cfg.NoMortonOrder,
+		span:      1,
 	}
 }
 
-// Name implements Scheduler.
-func (s *JAWS) Name() string { return "JAWS" }
+// Name implements Scheduler: "JAWS" plus one "+clause" per installed hook
+// (e.g. JAWS+gate-aware+cross-step+adaptive-batch, JAWS+QoS).
+func (s *JAWS) Name() string { return s.name }
 
 // Enqueue implements Scheduler.
-func (s *JAWS) Enqueue(sq *query.SubQuery, now time.Duration) { s.q.add(sq, now) }
+func (s *JAWS) Enqueue(sq *query.SubQuery, now time.Duration) {
+	if s.qos != nil {
+		s.qos.admit(sq)
+	}
+	s.q.add(sq, now)
+}
 
 // sortSel sorts the current selection under the given mode.
 func (s *JAWS) sortSel(mode int) {
@@ -131,6 +158,32 @@ func (s *JAWS) sortSel(mode int) {
 	s.sorter.score = s.score
 	s.sorter.mode = mode
 	sort.Sort(&s.sorter)
+}
+
+// atomScore is the decision score of one atom: Eq. 2's aged metric, times
+// the gate factor when a gate-aware clause is installed. The clause makes
+// the multiplication unconditional (×1.0 is IEEE-exact), so the spelled
+// expression is the same on every path and in the reference model.
+func (s *JAWS) atomScore(aq *atomQueue, alpha float64, now time.Duration) float64 {
+	ue := s.q.ue(aq, alpha, now)
+	if s.gate == nil {
+		return ue
+	}
+	return ue * s.gateFactor(aq)
+}
+
+// bucketScoreSum returns Σ atomScore over the bucket, atoms in key order.
+// Without a gate-aware clause this is the queues' own Σ U_e, memoized at
+// α = 0; gate factors change per decision, so with one the sum is rebuilt.
+func (s *JAWS) bucketScoreSum(b *stepBucket, alpha float64, now time.Duration) float64 {
+	if s.gate == nil {
+		return s.q.stepUeSum(b, alpha, now)
+	}
+	sum := 0.0
+	for _, aq := range b.atoms {
+		sum += s.atomScore(aq, alpha, now)
+	}
+	return sum
 }
 
 // NextBatch implements Scheduler. Two-level selection (Fig. 6): first the
@@ -144,113 +197,146 @@ func (s *JAWS) sortSel(mode int) {
 // the reference model, so strict > reproduces its tie-breaks and the
 // floating-point sums accumulate identically.
 func (s *JAWS) NextBatch(now time.Duration) []Batch {
-	s.lastTrunc = 0
-	s.q.beginDecision()
-	if len(s.q.buckets) == 0 {
+	q := s.q
+	q.beginDecision()
+	if len(q.buckets) == 0 {
 		return nil
 	}
-	s.q.syncResidency()
+	q.syncResidency()
 	alpha := s.ctrl.alpha
 	var exp *Explain
 	if s.explain {
 		exp = &s.exp
-		exp.reset(s.Name(), alpha, len(s.q.byAtom), s.q.subs)
+		exp.reset(s.name, alpha, len(q.byAtom), q.subs)
 	}
-
-	var bestBucket *stepBucket
-	bestMean := 0.0
-	for _, b := range s.q.buckets {
-		mean := s.q.stepMeanUeBucket(b, alpha, now)
-		if exp != nil {
-			exp.captureStep(s.q, b, alpha, now)
-		}
-		if bestBucket == nil || mean > bestMean {
-			bestBucket, bestMean = b, mean
-		}
-	}
-	if exp != nil {
-		exp.WinnerStep = bestBucket.step
-	}
-
 	s.sel = s.sel[:0]
 	s.score = s.score[:0]
-	var fallback *atomQueue
-	fallbackScore := 0.0
-	for _, aq := range bestBucket.atoms {
-		sc := s.q.ue(aq, alpha, now)
-		if sc > bestMean {
-			s.sel = append(s.sel, aq)
-			s.score = append(s.score, sc)
-		}
-		if fallback == nil || sc > fallbackScore {
-			fallback, fallbackScore = aq, sc
-		}
-	}
-	if len(s.sel) == 0 {
-		s.sel = append(s.sel, fallback)
-		s.score = append(s.score, fallbackScore)
-	}
-	// Keep the k most contentious of the above-mean atoms, then execute
-	// them in Morton order to amortize seeks. The selection is built in
-	// key order, so the Morton re-sort is only needed after a truncation
-	// disturbed it.
-	truncated := false
-	if len(s.sel) > s.k {
-		s.lastTrunc = len(s.sel) - s.k
-		s.sortSel(sortScoreDescKeyAsc)
+	// trunc counts the above-mean candidates the batch bound drops: the
+	// round's batch-full pass-overs, which the batch-bound steer follows.
+	trunc := 0
+
+	if s.qos != nil && s.selectUrgent(alpha, now) {
+		// Urgent pre-pass: deadlines bind, so the k earliest-deadline atoms
+		// go now — still in Morton order, the data-sharing elasticity the
+		// paper notes survives real-time constraints. The atoms beyond k
+		// are not batch-full pass-overs (they lost no utility race): an
+		// urgent round reports zero truncation.
 		if exp != nil {
-			// The victims are the tail beyond k, before the shrink: the
-			// above-mean candidates the batch bound passed over.
-			for i := s.k; i < len(s.sel); i++ {
-				exp.captureAtom(&exp.Truncated, s.q, s.sel[i], s.score[i], now)
+			exp.Urgent = true
+		}
+		s.sortSel(sortDeadlineAscKeyAsc)
+		if len(s.sel) > s.k {
+			s.sel = s.sel[:s.k]
+			s.score = s.score[:s.k]
+		}
+		s.sortSel(sortKeyAsc)
+	} else {
+		// Level one: anchor on the step bucket with the best mean score
+		// (strict >, so the earliest step wins ties).
+		anchor := -1
+		bestMean, winSum := 0.0, 0.0
+		for i, b := range q.buckets {
+			sum := s.bucketScoreSum(b, alpha, now)
+			if mean := sum / float64(len(b.atoms)); anchor < 0 || mean > bestMean {
+				anchor, bestMean, winSum = i, mean, sum
+			}
+			if exp != nil {
+				exp.captureStep(q, b, alpha, now)
 			}
 		}
-		s.sel = s.sel[:s.k]
-		s.score = s.score[:s.k]
-		truncated = true
+		if exp != nil {
+			exp.WinnerStep = q.buckets[anchor].step
+		}
+		// Window extension: fold in up to span−1 following buckets whose
+		// step values stay contiguous and that share a pending query with
+		// the anchor — the derivative-chain case, where serving the later
+		// steps alongside the anchor completes the chain in one decision (a
+		// bucket with no query in common gains nothing from co-scheduling
+		// and is left to its own race). The window mean then replaces the
+		// anchor mean as level two's bar.
+		end := anchor + 1
+		winCount := len(q.buckets[anchor].atoms)
+		for ; end < len(q.buckets) && end-anchor < s.span; end++ {
+			b := q.buckets[end]
+			if b.step != q.buckets[end-1].step+1 || !bucketsShareQuery(q.buckets[anchor], b) {
+				break
+			}
+			for _, aq := range b.atoms {
+				winSum += s.atomScore(aq, alpha, now)
+			}
+			winCount += len(b.atoms)
+		}
+		if end > anchor+1 {
+			bestMean = winSum / float64(winCount)
+		}
+		// Level two: the above-mean atoms of the window, in global key order
+		// (bucket order is step-ascending and keys are step-major, so
+		// concatenation preserves key order).
+		var fallback *atomQueue
+		fallbackScore := 0.0
+		for _, b := range q.buckets[anchor:end] {
+			for _, aq := range b.atoms {
+				sc := s.atomScore(aq, alpha, now)
+				if sc > bestMean {
+					s.sel = append(s.sel, aq)
+					s.score = append(s.score, sc)
+				}
+				if fallback == nil || sc > fallbackScore {
+					fallback, fallbackScore = aq, sc
+				}
+			}
+		}
+		if len(s.sel) == 0 {
+			s.sel = append(s.sel, fallback)
+			s.score = append(s.score, fallbackScore)
+		}
+		// Keep the k most contentious of the above-mean atoms, then execute
+		// them in Morton order to amortize seeks. The selection is built in
+		// key order, so the Morton re-sort is only needed after a truncation
+		// disturbed it.
+		if len(s.sel) > s.k {
+			trunc = len(s.sel) - s.k
+			s.sortSel(sortScoreDescKeyAsc)
+			if exp != nil {
+				// The victims are the tail beyond k, before the shrink: the
+				// above-mean candidates the batch bound passed over.
+				for i := s.k; i < len(s.sel); i++ {
+					exp.captureAtom(&exp.Truncated, q, s.sel[i], s.score[i], now)
+				}
+			}
+			s.sel = s.sel[:s.k]
+			s.score = s.score[:s.k]
+		}
+		if s.noMorton {
+			// Ablation: metric order instead of Morton order.
+			s.sortSel(sortScoreDescKeyDesc)
+		} else if trunc > 0 {
+			s.sortSel(sortKeyAsc)
+		}
 	}
-	if s.noMorton {
-		// Ablation: metric order instead of Morton order.
-		s.sortSel(sortScoreDescKeyDesc)
-	} else if truncated {
-		s.sortSel(sortKeyAsc)
-	}
+
 	if s.trace.Enabled() {
 		for i, aq := range s.sel {
-			s.trace.Decision(now, s.Name(), aq.id.Step, uint64(aq.id.Code),
-				len(s.sel), s.q.ut(aq), s.score[i], alpha)
+			s.trace.Decision(now, s.name, aq.id.Step, uint64(aq.id.Code),
+				len(s.sel), q.ut(aq), s.score[i], alpha)
 		}
 	}
 	s.out = s.out[:0]
 	for i, aq := range s.sel {
 		if exp != nil {
-			exp.captureAtom(&exp.Chosen, s.q, aq, s.score[i], now)
+			exp.captureAtom(&exp.Chosen, q, aq, s.score[i], now)
 		}
-		s.out = append(s.out, s.q.take(aq.id))
+		s.out = append(s.out, q.take(aq.id))
 		s.sel[i] = nil
+	}
+	if s.qos != nil {
+		s.qos.retire(s.out, now)
+	}
+	if s.steer != nil {
+		s.k = s.steer.next(s.k, trunc)
 	}
 	return s.out
 }
-
-// SetExplain implements Explained.
-func (s *JAWS) SetExplain(on bool) { s.explain = on }
-
-// LastExplain implements Explained.
-func (s *JAWS) LastExplain() *Explain {
-	if !s.explain {
-		return nil
-	}
-	return &s.exp
-}
-
-// SetTracer implements Traced.
-func (s *JAWS) SetTracer(t *obs.Tracer) { s.trace = t }
-
-// SetResidencyVersion implements ResidencyVersioned.
-func (s *JAWS) SetResidencyVersion(fn func() uint64) { s.q.setResidencyVersion(fn) }
-
-// Pending implements Scheduler.
-func (s *JAWS) Pending() int { return s.q.subs }
 
 // OnRunEnd implements Scheduler: feed the run's performance to the
 // adaptive α controller.
@@ -259,40 +345,8 @@ func (s *JAWS) OnRunEnd(rt, tp float64) { s.ctrl.onRunEnd(rt, tp) }
 // Alpha implements Scheduler.
 func (s *JAWS) Alpha() float64 { return s.ctrl.alpha }
 
-// BatchSize returns k.
+// BatchSize returns k (the current bound, under an adaptive-batch clause).
 func (s *JAWS) BatchSize() int { return s.k }
-
-// SetBatchSize changes k for subsequent decisions (clamped to ≥ 1). The
-// adaptive-batch tail policy resizes the batch through this.
-func (s *JAWS) SetBatchSize(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.k = k
-}
-
-// LastTruncated reports how many above-mean candidates the batch bound
-// dropped in the most recent decision (0 when the round fit within k).
-func (s *JAWS) LastTruncated() int { return s.lastTrunc }
-
-// AtomUtility implements UtilityProvider.
-func (s *JAWS) AtomUtility(id store.AtomID) float64 {
-	s.q.syncResidency()
-	if aq, ok := s.q.byAtom[id]; ok {
-		return s.q.ut(aq)
-	}
-	return 0
-}
-
-// StepMean implements UtilityProvider.
-func (s *JAWS) StepMean(step int) float64 {
-	s.q.syncResidency()
-	return s.q.stepMeanUt(step)
-}
-
-// PendingSteps implements UtilityProvider: the memoized ascending step
-// list (no per-call allocation; do not mutate).
-func (s *JAWS) PendingSteps() []int { return s.q.steps }
 
 var (
 	_ Scheduler          = (*JAWS)(nil)
@@ -300,6 +354,7 @@ var (
 	_ Traced             = (*JAWS)(nil)
 	_ ResidencyVersioned = (*JAWS)(nil)
 	_ Explained          = (*JAWS)(nil)
+	_ GateAware          = (*JAWS)(nil)
 )
 
 // alphaController implements the adaptive starvation resistance of §V.A.

@@ -13,15 +13,11 @@ import (
 // ever co-scheduled; the only I/O sharing is whatever the buffer cache
 // happens to provide across consecutive queries.
 type NoShare struct {
+	observed
 	fifo    []*noShareQuery // ring: the live entries are fifo[head:]
 	head    int
 	byQuery map[query.ID]*noShareQuery
 	pending int
-	trace   *obs.Tracer
-
-	// Decision capture for the flight recorder (see Explained).
-	explain bool
-	exp     Explain
 
 	// Reused decision buffers and the query-struct freelist (zero
 	// allocations in steady state).
@@ -111,20 +107,6 @@ func (s *NoShare) NextBatch(now time.Duration) []Batch {
 	return s.out
 }
 
-// SetTracer implements Traced.
-func (s *NoShare) SetTracer(t *obs.Tracer) { s.trace = t }
-
-// SetExplain implements Explained.
-func (s *NoShare) SetExplain(on bool) { s.explain = on }
-
-// LastExplain implements Explained.
-func (s *NoShare) LastExplain() *Explain {
-	if !s.explain {
-		return nil
-	}
-	return &s.exp
-}
-
 // Pending implements Scheduler.
 func (s *NoShare) Pending() int { return s.pending }
 
@@ -148,12 +130,8 @@ var (
 // still co-schedules sub-queries that reference the same atom
 // (LifeRaft_1).
 type LifeRaft struct {
-	q     *queues
+	queueCore
 	alpha float64
-	trace *obs.Tracer
-	// Decision capture for the flight recorder (see Explained).
-	explain bool
-	exp     Explain
 	// outBatch is the reused single-batch decision buffer.
 	outBatch [1]Batch
 }
@@ -172,7 +150,7 @@ func NewLifeRaft(cost CostModel, alpha float64, resident func(store.AtomID) bool
 	// time-independent, so the indexed max-heap can stand in for the
 	// argmax scan (engaged once a residency version source is installed).
 	q.useHeap = alpha == 0
-	return &LifeRaft{q: q, alpha: alpha}
+	return &LifeRaft{queueCore: queueCore{q: q}, alpha: alpha}
 }
 
 // Name implements Scheduler.
@@ -224,51 +202,12 @@ func (s *LifeRaft) NextBatch(now time.Duration) []Batch {
 	return s.outBatch[:]
 }
 
-// SetTracer implements Traced.
-func (s *LifeRaft) SetTracer(t *obs.Tracer) { s.trace = t }
-
-// SetExplain implements Explained.
-func (s *LifeRaft) SetExplain(on bool) { s.explain = on }
-
-// LastExplain implements Explained.
-func (s *LifeRaft) LastExplain() *Explain {
-	if !s.explain {
-		return nil
-	}
-	return &s.exp
-}
-
-// SetResidencyVersion implements ResidencyVersioned.
-func (s *LifeRaft) SetResidencyVersion(fn func() uint64) { s.q.setResidencyVersion(fn) }
-
-// Pending implements Scheduler.
-func (s *LifeRaft) Pending() int { return s.q.subs }
-
 // OnRunEnd implements Scheduler (α is fixed in LifeRaft; adaptation is a
 // JAWS contribution).
 func (s *LifeRaft) OnRunEnd(rt, tp float64) {}
 
 // Alpha implements Scheduler.
 func (s *LifeRaft) Alpha() float64 { return s.alpha }
-
-// AtomUtility implements UtilityProvider.
-func (s *LifeRaft) AtomUtility(id store.AtomID) float64 {
-	s.q.syncResidency()
-	if aq, ok := s.q.byAtom[id]; ok {
-		return s.q.ut(aq)
-	}
-	return 0
-}
-
-// StepMean implements UtilityProvider.
-func (s *LifeRaft) StepMean(step int) float64 {
-	s.q.syncResidency()
-	return s.q.stepMeanUt(step)
-}
-
-// PendingSteps implements UtilityProvider: the memoized ascending step
-// list (no per-call allocation; do not mutate).
-func (s *LifeRaft) PendingSteps() []int { return s.q.steps }
 
 var (
 	_ Scheduler          = (*LifeRaft)(nil)

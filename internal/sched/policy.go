@@ -2,18 +2,14 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"jaws/internal/obs"
 	"jaws/internal/query"
-	"jaws/internal/store"
 )
 
-// Tail policies: pluggable decorators over the JAWS scheduler that attack
-// the response-time tail the wait-cause attribution exposes (gated-behind,
+// Tail policies: optional hooks of the JAWS selector that attack the
+// response-time tail the wait-cause attribution exposes (gated-behind,
 // batch-full, lost-race). Three policies compose through one spec string:
 //
 //	gate-aware      adjust the utility race with job-graph gate states:
@@ -31,12 +27,12 @@ import (
 //	                pass-overs) and shrink it back when rounds fit,
 //	                so aged queries stop losing races at a fixed k.
 //
-// gate-aware and cross-step both replace the two-level selection and fold
-// into one decorator (a gate-aware spec is a window of span 1; a plain
-// cross-step spec applies no gate factors); adaptive-batch wraps either
-// the combined selection or a bare JAWS. Every decorator keeps the
-// zero-alloc decision path (see TestDecisionPathZeroAllocs) and has an
-// independent reference model in internal/oracle certified by
+// None of them selects anything itself: gate-aware is the selector's score
+// factor, cross-step its window extension, adaptive-batch its batch-bound
+// steer (JAWS.NextBatch is the one selection kernel; this file holds the
+// grammar and the three hook bodies). Every combination keeps the
+// zero-alloc decision path (see TestDecisionPathZeroAllocs) and is
+// certified against the independent reference model in internal/oracle by
 // differential replay.
 
 // GateState is the job-graph condition of one pending query, as reported
@@ -274,109 +270,42 @@ func parseAdaptiveBatch(params map[string]string) (*AdaptiveBatchParams, error) 
 	return p, nil
 }
 
-// tailInner is the contract a scheduler must satisfy to sit under a tail
-// decorator: the full observable scheduler surface plus a resizable batch
-// bound and the per-round truncation count.
-type tailInner interface {
-	Scheduler
-	UtilityProvider
-	Traced
-	ResidencyVersioned
-	Explained
-	BatchSize() int
-	SetBatchSize(int)
-	LastTruncated() int
-}
-
-// Wrap applies the spec's policies around inner and returns the decorated
-// scheduler (inner itself for the empty spec). gate-aware and cross-step
-// fold into one TailJAWS selection layer; adaptive-batch wraps outermost.
+// Wrap installs the spec's policies on inner — each clause one hook of
+// the JAWS selector (see JAWS) — and returns inner. Clauses the spec lacks
+// are left uninstalled, so the empty spec changes nothing.
 func (s PolicySpec) Wrap(inner *JAWS) Scheduler {
-	var cur tailInner = inner
-	if s.GateAware != nil || s.CrossStep != nil {
-		cur = newTailJAWS(inner, s.GateAware, s.CrossStep)
-	}
-	if s.AdaptiveBatch != nil {
-		cur = newAdaptiveBatch(cur, *s.AdaptiveBatch)
-	}
-	if cur == tailInner(inner) {
-		return inner
-	}
-	return cur
-}
-
-// --- TailJAWS: gate-aware scoring + cross-step windows -------------------
-
-// TailJAWS replaces the inner JAWS's two-level selection with a
-// gate-adjusted, window-widened one. Like QoS it owns the decision while
-// reusing the inner scheduler's incremental queues, α controller, and
-// freelists:
-//
-//   - every atom's aged metric U_e is multiplied by a gate factor: Boost
-//     when any pending query on the atom is GateReleasing, Discount when
-//     every pending query is GateBlocked, 1 otherwise;
-//   - level one anchors on the best single step bucket by mean adjusted
-//     metric — exactly JAWS's rule (strict >, earliest on ties) — then
-//     extends the window across up to Span−1 following buckets whose
-//     step values are contiguous and that share a pending query with the
-//     anchor bucket: a derivative chain's sub-queries on steps s..s+c
-//     are the sharing case, so the chain is served in one decision
-//     instead of c utility races (a bucket with no query in common gains
-//     nothing from co-scheduling and is left to its own race);
-//   - level two batches the above-window-mean atoms of the window (single
-//     best as fallback), truncates to k most-contentious, and executes in
-//     Morton order exactly as JAWS does.
-//
-// With Span 1 and no gate source the selection is bit-identical to JAWS:
-// the factor multiplication by 1.0 is exact and the accumulation order
-// (buckets step-ascending, atoms key-ascending) is unchanged.
-type TailJAWS struct {
-	inner  *JAWS
-	span   int
-	gate   *GateAwareParams
-	gateFn func(query.ID) GateState
-	name   string
-	trace  *obs.Tracer
-
-	// Decision capture for the flight recorder (see Explained).
-	explain bool
-	exp     Explain
-
-	lastTrunc int
-
-	// Reused decision buffers (zero allocations in steady state).
-	sel    []*atomQueue
-	score  []float64
-	sorter selSorter
-	out    []Batch
-}
-
-func newTailJAWS(inner *JAWS, gate *GateAwareParams, xs *CrossStepParams) *TailJAWS {
-	span := 1
-	if xs != nil {
-		span = xs.Span
-	}
 	name := "JAWS"
-	if gate != nil {
+	if s.GateAware != nil {
+		inner.gate = s.GateAware
 		name += "+gate-aware"
 	}
-	if xs != nil {
+	if p := s.CrossStep; p != nil {
+		inner.span = p.Span
 		name += "+cross-step"
 	}
-	return &TailJAWS{inner: inner, span: span, gate: gate, name: name}
+	if p := s.AdaptiveBatch; p != nil {
+		inner.steer = &batchSteer{p: *p}
+		inner.k = min(max(inner.k, p.Min), p.Max)
+		name += "+adaptive-batch"
+	}
+	if inner.qos != nil {
+		name += "+QoS"
+	}
+	inner.name = name
+	return inner
 }
 
-// Name implements Scheduler.
-func (s *TailJAWS) Name() string { return s.name }
+// --- score factor: gate-aware ---------------------------------------------
 
-// SetGateSource implements GateAware.
-func (s *TailJAWS) SetGateSource(fn func(q query.ID) GateState) { s.gateFn = fn }
+// SetGateSource implements GateAware. The source is consulted only while
+// a gate-aware clause is installed.
+func (s *JAWS) SetGateSource(fn func(q query.ID) GateState) { s.gateFn = fn }
 
-// factor returns the gate multiplier for one atom queue: Boost if any
+// gateFactor returns the gate multiplier for one atom queue: Boost if any
 // pending query is releasing, Discount if all are blocked, 1 otherwise
-// (and always 1 without a gate policy or source).
-func (s *TailJAWS) factor(aq *atomQueue) float64 {
-	if s.gate == nil || s.gateFn == nil {
+// (and always 1 without a gate source).
+func (s *JAWS) gateFactor(aq *atomQueue) float64 {
+	if s.gateFn == nil {
 		return 1
 	}
 	releasing := false
@@ -399,20 +328,7 @@ func (s *TailJAWS) factor(aq *atomQueue) float64 {
 	return 1
 }
 
-// adjusted is the policy's decision score: Eq. 2's aged metric times the
-// gate factor. The multiplication happens unconditionally so the spelled
-// expression is identical on every path (and in the reference model).
-func (s *TailJAWS) adjusted(aq *atomQueue, alpha float64, now time.Duration) float64 {
-	return s.inner.q.ue(aq, alpha, now) * s.factor(aq)
-}
-
-// sortSel sorts the current selection under the given mode.
-func (s *TailJAWS) sortSel(mode int) {
-	s.sorter.sel = s.sel
-	s.sorter.score = s.score
-	s.sorter.mode = mode
-	sort.Sort(&s.sorter)
-}
+// --- window extension: cross-step -----------------------------------------
 
 // bucketsShareQuery reports whether any pending sub-query in a and b
 // belongs to the same query — the derivative-chain signature that makes
@@ -433,311 +349,70 @@ func bucketsShareQuery(a, b *stepBucket) bool {
 	return false
 }
 
-// NextBatch implements Scheduler.
-func (s *TailJAWS) NextBatch(now time.Duration) []Batch {
-	s.lastTrunc = 0
-	q := s.inner.q
-	q.beginDecision()
-	if len(q.buckets) == 0 {
-		return nil
-	}
-	q.syncResidency()
-	alpha := s.inner.ctrl.alpha
-	var exp *Explain
-	if s.explain {
-		exp = &s.exp
-		exp.reset(s.name, alpha, len(q.byAtom), q.subs)
-	}
+// --- batch-bound steer: adaptive-batch ------------------------------------
 
-	// Level one: anchor on the best single bucket by mean adjusted metric
-	// — JAWS's own rule (strict >, earliest bucket on ties). Gate factors
-	// change per decision, so no memoized sums apply: the sums accumulate
-	// bucket by bucket in step order, atoms in key order — the reference
-	// model's exact order.
-	bestStart, bestLen := -1, 1
-	bestMean, winSum, winCount := 0.0, 0.0, 0
-	for i := range q.buckets {
-		sum := 0.0
-		count := 0
-		for _, aq := range q.buckets[i].atoms {
-			sum += s.adjusted(aq, alpha, now)
-			count++
-		}
-		if mean := sum / float64(count); bestStart < 0 || mean > bestMean {
-			bestStart, bestMean = i, mean
-			winSum, winCount = sum, count
-		}
-		if exp != nil {
-			exp.captureStep(q, q.buckets[i], alpha, now)
-		}
-	}
-	if exp != nil {
-		exp.WinnerStep = q.buckets[bestStart].step
-	}
-
-	// Window extension: fold in up to span−1 following buckets whose step
-	// values stay contiguous and that share a pending query with the
-	// anchor — the derivative-chain case, where serving the later steps
-	// alongside the anchor completes the chain in one decision. The
-	// window mean replaces the anchor mean as level two's bar.
-	for j := bestStart + 1; j < len(q.buckets) && j-bestStart < s.span; j++ {
-		if q.buckets[j].step != q.buckets[j-1].step+1 ||
-			!bucketsShareQuery(q.buckets[bestStart], q.buckets[j]) {
-			break
-		}
-		for _, aq := range q.buckets[j].atoms {
-			winSum += s.adjusted(aq, alpha, now)
-			winCount++
-		}
-		bestLen++
-	}
-	if bestLen > 1 {
-		bestMean = winSum / float64(winCount)
-	}
-
-	// Level two: above-window-mean atoms across the window, in global key
-	// order (bucket order is step-ascending and keys are step-major, so
-	// concatenation preserves key order).
-	s.sel = s.sel[:0]
-	s.score = s.score[:0]
-	var fallback *atomQueue
-	fallbackScore := 0.0
-	for j := bestStart; j < bestStart+bestLen; j++ {
-		for _, aq := range q.buckets[j].atoms {
-			sc := s.adjusted(aq, alpha, now)
-			if sc > bestMean {
-				s.sel = append(s.sel, aq)
-				s.score = append(s.score, sc)
-			}
-			if fallback == nil || sc > fallbackScore {
-				fallback, fallbackScore = aq, sc
-			}
-		}
-	}
-	if len(s.sel) == 0 {
-		s.sel = append(s.sel, fallback)
-		s.score = append(s.score, fallbackScore)
-	}
-	truncated := false
-	if len(s.sel) > s.inner.k {
-		s.lastTrunc = len(s.sel) - s.inner.k
-		s.sortSel(sortScoreDescKeyAsc)
-		if exp != nil {
-			for i := s.inner.k; i < len(s.sel); i++ {
-				exp.captureAtom(&exp.Truncated, q, s.sel[i], s.score[i], now)
-			}
-		}
-		s.sel = s.sel[:s.inner.k]
-		s.score = s.score[:s.inner.k]
-		truncated = true
-	}
-	if truncated {
-		s.sortSel(sortKeyAsc)
-	}
-	if s.trace.Enabled() {
-		for i, aq := range s.sel {
-			s.trace.Decision(now, s.name, aq.id.Step, uint64(aq.id.Code),
-				len(s.sel), q.ut(aq), s.score[i], alpha)
-		}
-	}
-	s.out = s.out[:0]
-	for i, aq := range s.sel {
-		if exp != nil {
-			exp.captureAtom(&exp.Chosen, q, aq, s.score[i], now)
-		}
-		s.out = append(s.out, q.take(aq.id))
-		s.sel[i] = nil
-	}
-	return s.out
-}
-
-// Enqueue implements Scheduler.
-func (s *TailJAWS) Enqueue(sq *query.SubQuery, now time.Duration) { s.inner.Enqueue(sq, now) }
-
-// Pending implements Scheduler.
-func (s *TailJAWS) Pending() int { return s.inner.Pending() }
-
-// OnRunEnd implements Scheduler.
-func (s *TailJAWS) OnRunEnd(rt, tp float64) { s.inner.OnRunEnd(rt, tp) }
-
-// Alpha implements Scheduler.
-func (s *TailJAWS) Alpha() float64 { return s.inner.Alpha() }
-
-// BatchSize returns the inner batch bound k.
-func (s *TailJAWS) BatchSize() int { return s.inner.BatchSize() }
-
-// SetBatchSize resizes the inner batch bound.
-func (s *TailJAWS) SetBatchSize(k int) { s.inner.SetBatchSize(k) }
-
-// LastTruncated reports the most recent round's batch-full pass-overs.
-func (s *TailJAWS) LastTruncated() int { return s.lastTrunc }
-
-// SetTracer implements Traced. The decision is taken here, so the tracer
-// stays local (the inner JAWS's NextBatch never runs under TailJAWS).
-func (s *TailJAWS) SetTracer(t *obs.Tracer) { s.trace = t }
-
-// SetResidencyVersion implements ResidencyVersioned.
-func (s *TailJAWS) SetResidencyVersion(fn func() uint64) { s.inner.SetResidencyVersion(fn) }
-
-// SetExplain implements Explained.
-func (s *TailJAWS) SetExplain(on bool) { s.explain = on }
-
-// LastExplain implements Explained.
-func (s *TailJAWS) LastExplain() *Explain {
-	if !s.explain {
-		return nil
-	}
-	return &s.exp
-}
-
-// AtomUtility implements UtilityProvider.
-func (s *TailJAWS) AtomUtility(id store.AtomID) float64 { return s.inner.AtomUtility(id) }
-
-// StepMean implements UtilityProvider.
-func (s *TailJAWS) StepMean(step int) float64 { return s.inner.StepMean(step) }
-
-// PendingSteps implements UtilityProvider.
-func (s *TailJAWS) PendingSteps() []int { return s.inner.PendingSteps() }
-
-// --- AdaptiveBatch: starvation-aware batch sizing ------------------------
-
-// AdaptiveBatch resizes the inner batch bound k from the truncation
-// pressure the decisions themselves report: after Full consecutive rounds
-// that dropped above-mean candidates (batch-full pass-overs, the same
-// per-round count obs.FlightRecorder aggregates as PassBatchFull), k
-// grows by Grow up to Max; after Idle consecutive rounds that fit, k
-// shrinks by Shrink down to Min. Steering on the decision stream — not on
-// a wall-clock recorder snapshot — keeps the policy a pure function of
-// the op log, so the oracle replays it exactly; TestAdaptiveBatchMirrorsFlightRecorder
-// pins the equivalence of the two counters.
-type AdaptiveBatch struct {
-	inner tailInner
-	p     AdaptiveBatchParams
+// batchSteer resizes the batch bound k from the truncation pressure the
+// decisions themselves report: after Full consecutive rounds that dropped
+// above-mean candidates (batch-full pass-overs, the same per-round count
+// obs.FlightRecorder aggregates as PassBatchFull), k grows by Grow up to
+// Max; after Idle consecutive rounds that fit, k shrinks by Shrink down to
+// Min. Steering on the decision stream — not on a wall-clock recorder
+// snapshot — keeps the policy a pure function of the op log, so the oracle
+// replays it exactly; TestAdaptiveBatchMirrorsFlightRecorder pins the
+// equivalence of the two counters.
+type batchSteer struct {
+	p AdaptiveBatchParams
 
 	streakFull, streakIdle int
 	passOvers              int64
 	grows, shrinks         int
 }
 
-func newAdaptiveBatch(inner tailInner, p AdaptiveBatchParams) *AdaptiveBatch {
-	k := inner.BatchSize()
-	if k < p.Min {
-		k = p.Min
-	}
-	if k > p.Max {
-		k = p.Max
-	}
-	inner.SetBatchSize(k)
-	return &AdaptiveBatch{inner: inner, p: p}
-}
-
-// Name implements Scheduler.
-func (s *AdaptiveBatch) Name() string { return s.inner.Name() + "+adaptive-batch" }
-
-// NextBatch implements Scheduler: delegate, then steer k for the next
-// round from this round's truncation count. Empty rounds (no pending
-// work) leave the streaks untouched.
-func (s *AdaptiveBatch) NextBatch(now time.Duration) []Batch {
-	out := s.inner.NextBatch(now)
-	if len(out) == 0 {
-		return out
-	}
-	t := s.inner.LastTruncated()
-	s.passOvers += int64(t)
-	if t > 0 {
-		s.streakFull++
-		s.streakIdle = 0
-		if s.streakFull >= s.p.Full {
-			s.streakFull = 0
-			if k := s.inner.BatchSize(); k < s.p.Max {
-				k += s.p.Grow
-				if k > s.p.Max {
-					k = s.p.Max
-				}
-				s.inner.SetBatchSize(k)
-				s.grows++
+// next folds one non-empty round's truncation count into the streaks and
+// returns the batch bound for the following round (empty rounds never
+// reach the steer, so they leave the streaks untouched).
+func (a *batchSteer) next(k, trunc int) int {
+	a.passOvers += int64(trunc)
+	if trunc > 0 {
+		a.streakFull++
+		a.streakIdle = 0
+		if a.streakFull >= a.p.Full {
+			a.streakFull = 0
+			if k < a.p.Max {
+				k = min(k+a.p.Grow, a.p.Max)
+				a.grows++
 			}
 		}
-	} else {
-		s.streakIdle++
-		s.streakFull = 0
-		if s.streakIdle >= s.p.Idle {
-			s.streakIdle = 0
-			if k := s.inner.BatchSize(); k > s.p.Min {
-				k -= s.p.Shrink
-				if k < s.p.Min {
-					k = s.p.Min
-				}
-				s.inner.SetBatchSize(k)
-				s.shrinks++
-			}
+		return k
+	}
+	a.streakIdle++
+	a.streakFull = 0
+	if a.streakIdle >= a.p.Idle {
+		a.streakIdle = 0
+		if k > a.p.Min {
+			k = max(k-a.p.Shrink, a.p.Min)
+			a.shrinks++
 		}
 	}
-	return out
+	return k
 }
 
-// PassOvers reports the cumulative batch-full pass-overs observed across
-// decisions — the policy's own count of the aggregate the flight recorder
-// publishes as PassBatchFull.
-func (s *AdaptiveBatch) PassOvers() int64 { return s.passOvers }
-
-// Resizes reports how many times the policy grew and shrank k.
-func (s *AdaptiveBatch) Resizes() (grows, shrinks int) { return s.grows, s.shrinks }
-
-// Enqueue implements Scheduler.
-func (s *AdaptiveBatch) Enqueue(sq *query.SubQuery, now time.Duration) { s.inner.Enqueue(sq, now) }
-
-// Pending implements Scheduler.
-func (s *AdaptiveBatch) Pending() int { return s.inner.Pending() }
-
-// OnRunEnd implements Scheduler.
-func (s *AdaptiveBatch) OnRunEnd(rt, tp float64) { s.inner.OnRunEnd(rt, tp) }
-
-// Alpha implements Scheduler.
-func (s *AdaptiveBatch) Alpha() float64 { return s.inner.Alpha() }
-
-// BatchSize returns the current (adapted) batch bound.
-func (s *AdaptiveBatch) BatchSize() int { return s.inner.BatchSize() }
-
-// SetBatchSize implements tailInner (resets the adapted bound).
-func (s *AdaptiveBatch) SetBatchSize(k int) { s.inner.SetBatchSize(k) }
-
-// LastTruncated implements tailInner.
-func (s *AdaptiveBatch) LastTruncated() int { return s.inner.LastTruncated() }
-
-// SetGateSource implements GateAware by forwarding when the inner layer
-// consumes gate states.
-func (s *AdaptiveBatch) SetGateSource(fn func(q query.ID) GateState) {
-	if ga, ok := s.inner.(GateAware); ok {
-		ga.SetGateSource(fn)
+// PassOvers reports the cumulative batch-full pass-overs the adaptive-batch
+// steer observed across decisions — the policy's own count of the
+// aggregate the flight recorder publishes as PassBatchFull (0 without the
+// clause).
+func (s *JAWS) PassOvers() int64 {
+	if s.steer == nil {
+		return 0
 	}
+	return s.steer.passOvers
 }
 
-// SetTracer implements Traced.
-func (s *AdaptiveBatch) SetTracer(t *obs.Tracer) { s.inner.SetTracer(t) }
-
-// SetResidencyVersion implements ResidencyVersioned.
-func (s *AdaptiveBatch) SetResidencyVersion(fn func() uint64) { s.inner.SetResidencyVersion(fn) }
-
-// SetExplain implements Explained.
-func (s *AdaptiveBatch) SetExplain(on bool) { s.inner.SetExplain(on) }
-
-// LastExplain implements Explained.
-func (s *AdaptiveBatch) LastExplain() *Explain { return s.inner.LastExplain() }
-
-// AtomUtility implements UtilityProvider.
-func (s *AdaptiveBatch) AtomUtility(id store.AtomID) float64 { return s.inner.AtomUtility(id) }
-
-// StepMean implements UtilityProvider.
-func (s *AdaptiveBatch) StepMean(step int) float64 { return s.inner.StepMean(step) }
-
-// PendingSteps implements UtilityProvider.
-func (s *AdaptiveBatch) PendingSteps() []int { return s.inner.PendingSteps() }
-
-var (
-	_ tailInner = (*JAWS)(nil)
-	_ tailInner = (*TailJAWS)(nil)
-	_ tailInner = (*AdaptiveBatch)(nil)
-	_ GateAware = (*TailJAWS)(nil)
-	_ GateAware = (*AdaptiveBatch)(nil)
-)
+// Resizes reports how many times the adaptive-batch steer grew and shrank
+// k (zeros without the clause).
+func (s *JAWS) Resizes() (grows, shrinks int) {
+	if s.steer == nil {
+		return 0, 0
+	}
+	return s.steer.grows, s.steer.shrinks
+}

@@ -104,42 +104,55 @@ func TestWrapComposition(t *testing.T) {
 	build := func() *JAWS {
 		return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, Resident: func(id store.AtomID) bool { return false }})
 	}
-	inner := build()
-	if got := (PolicySpec{}).Wrap(inner); got != Scheduler(inner) {
-		t.Errorf("empty spec wrapped: %T", got)
-	}
-
+	gate := &GateAwareParams{Discount: 0.25, Boost: 2}
+	adapt := &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 1}
 	cases := []struct {
 		spec PolicySpec
-		typ  string
 		name string
 	}{
-		{PolicySpec{GateAware: &GateAwareParams{Discount: 0.25, Boost: 2}}, "*sched.TailJAWS", "JAWS+gate-aware"},
-		{PolicySpec{CrossStep: &CrossStepParams{Span: 2}}, "*sched.TailJAWS", "JAWS+cross-step"},
-		{PolicySpec{AdaptiveBatch: &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 1}},
-			"*sched.AdaptiveBatch", "JAWS+adaptive-batch"},
-		{PolicySpec{
-			GateAware:     &GateAwareParams{Discount: 0.25, Boost: 2},
-			CrossStep:     &CrossStepParams{Span: 2},
-			AdaptiveBatch: &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 1},
-		}, "*sched.AdaptiveBatch", "JAWS+gate-aware+cross-step+adaptive-batch"},
+		{PolicySpec{}, "JAWS"},
+		{PolicySpec{GateAware: gate}, "JAWS+gate-aware"},
+		{PolicySpec{CrossStep: &CrossStepParams{Span: 2}}, "JAWS+cross-step"},
+		{PolicySpec{AdaptiveBatch: adapt}, "JAWS+adaptive-batch"},
+		{PolicySpec{GateAware: gate, CrossStep: &CrossStepParams{Span: 2}, AdaptiveBatch: adapt},
+			"JAWS+gate-aware+cross-step+adaptive-batch"},
 	}
 	for _, tc := range cases {
-		s := tc.spec.Wrap(build())
-		if got := reflect.TypeOf(s).String(); got != tc.typ {
-			t.Errorf("%q wraps to %s, want %s", tc.spec, got, tc.typ)
+		// Wrap configures the selector it is handed: no second scheduler
+		// type exists, so the stack is gate-aware pluggable by construction.
+		inner := build()
+		s := tc.spec.Wrap(inner)
+		if s != Scheduler(inner) {
+			t.Errorf("%q wraps to a new %T, want the configured inner", tc.spec, s)
 		}
 		if s.Name() != tc.name {
 			t.Errorf("%q names %q, want %q", tc.spec, s.Name(), tc.name)
 		}
-		// Every decorated stack remains gate-aware pluggable.
-		if _, ok := s.(GateAware); !ok {
-			t.Errorf("%q: wrapped scheduler does not implement GateAware", tc.spec)
+	}
+
+	// QoS composes with the tail policies in either installation order,
+	// under one canonical name.
+	spec := PolicySpec{GateAware: gate, AdaptiveBatch: adapt}
+	a := build()
+	spec.Wrap(a)
+	NewQoS(a, testCost, 4, time.Second)
+	b := build()
+	NewQoS(b, testCost, 4, time.Second)
+	spec.Wrap(b)
+	for _, s := range []*JAWS{a, b} {
+		if want := "JAWS+gate-aware+adaptive-batch+QoS"; s.Name() != want {
+			t.Errorf("composed name %q, want %q", s.Name(), want)
 		}
+		if s.gate == nil || s.steer == nil || s.qos == nil {
+			t.Errorf("%s: a hook went missing: gate=%v steer=%v qos=%v", s.Name(), s.gate, s.steer, s.qos)
+		}
+	}
+	if plain := NewQoS(build(), testCost, 4, time.Second); plain.Name() != "JAWS+QoS" {
+		t.Errorf("QoS alone names %q, want JAWS+QoS", plain.Name())
 	}
 }
 
-// --- TailJAWS decision rules ---------------------------------------------
+// --- selector hook decision rules -----------------------------------------
 
 // policyWorkload spreads contention over three steps and four atoms per
 // step, with second sub-queries on two atoms.
@@ -171,39 +184,61 @@ func describeDecision(batches []Batch) string {
 	return out
 }
 
-// TestTailJAWSSpan1EquivalentToJAWS pins the degenerate case: a TailJAWS
-// with span 1 and no gate source must decide bit-identically to the bare
-// JAWS it wraps — the gate factor ×1.0 is IEEE-exact and the accumulation
-// order is unchanged, so any drift here is a selection-rule bug.
-func TestTailJAWSSpan1EquivalentToJAWS(t *testing.T) {
+// TestIdentityHooksEquivalentToJAWS pins the degenerate setting of every
+// selector hook: installed but inert, it must leave each decision and each
+// α bit-identical to plain JAWS — the gate factor ×1.0 is IEEE-exact, a
+// span-1 window is the anchor bucket, a steer with min = max = k never
+// moves k, and a pre-pass that finds nothing urgent falls through — so
+// any drift here is a selection-rule bug, not a policy effect.
+func TestIdentityHooksEquivalentToJAWS(t *testing.T) {
+	const k = 2
 	build := func() *JAWS {
-		return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 2, InitialAlpha: 0.5, Adaptive: true,
+		return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: k, InitialAlpha: 0.5, Adaptive: true,
 			Resident: func(id store.AtomID) bool { return id.Step == 0 }})
 	}
-	plain := build()
-	tail := newTailJAWS(build(), nil, &CrossStepParams{Span: 1})
-
-	for round := 0; round < 3; round++ {
-		for _, sq := range policyWorkload(query.ID(1 + round*100)) {
-			plain.Enqueue(sq, 0)
-		}
-		for _, sq := range policyWorkload(query.ID(1 + round*100)) {
-			tail.Enqueue(sq, 0)
-		}
-		now := time.Duration(round) * time.Second
-		for plain.Pending() > 0 || tail.Pending() > 0 {
-			a := describeDecision(plain.NextBatch(now))
-			b := describeDecision(tail.NextBatch(now))
-			if a != b {
-				t.Fatalf("round %d @%v: decisions diverge:\n JAWS: %s\n tail: %s", round, now, a, b)
+	cases := []struct {
+		name    string
+		install func(*JAWS)
+	}{
+		{"cross-step span 1", func(s *JAWS) { PolicySpec{CrossStep: &CrossStepParams{Span: 1}}.Wrap(s) }},
+		{"gate-aware without a source", func(s *JAWS) {
+			PolicySpec{GateAware: &GateAwareParams{Discount: 0.25, Boost: 4}}.Wrap(s)
+		}},
+		{"adaptive-batch min=max=k", func(s *JAWS) {
+			PolicySpec{AdaptiveBatch: &AdaptiveBatchParams{Min: k, Max: k, Grow: 1, Shrink: 1, Full: 1, Idle: 1}}.Wrap(s)
+		}},
+		{"QoS with no deadline inside the horizon", func(s *JAWS) { NewQoS(s, testCost, 1e9, time.Nanosecond) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, hooked := build(), build()
+			tc.install(hooked)
+			for round := 0; round < 3; round++ {
+				for _, sq := range policyWorkload(query.ID(1 + round*100)) {
+					plain.Enqueue(sq, 0)
+				}
+				for _, sq := range policyWorkload(query.ID(1 + round*100)) {
+					hooked.Enqueue(sq, 0)
+				}
+				now := time.Duration(round) * time.Second
+				for plain.Pending() > 0 || hooked.Pending() > 0 {
+					a := describeDecision(plain.NextBatch(now))
+					b := describeDecision(hooked.NextBatch(now))
+					if a != b {
+						t.Fatalf("round %d @%v: decisions diverge:\n JAWS:   %s\n hooked: %s", round, now, a, b)
+					}
+					now += 50 * time.Millisecond
+				}
+				plain.OnRunEnd(1.5, 2.0)
+				hooked.OnRunEnd(1.5, 2.0)
+				if pa, ha := plain.Alpha(), hooked.Alpha(); pa != ha {
+					t.Fatalf("round %d: alpha diverged: %g vs %g", round, pa, ha)
+				}
 			}
-			now += 50 * time.Millisecond
-		}
-		plain.OnRunEnd(1.5, 2.0)
-		tail.OnRunEnd(1.5, 2.0)
-		if pa, ta := plain.Alpha(), tail.Alpha(); pa != ta {
-			t.Fatalf("round %d: alpha diverged: %g vs %g", round, pa, ta)
-		}
+			if hooked.BatchSize() != k {
+				t.Fatalf("identity hook moved k to %d", hooked.BatchSize())
+			}
+		})
 	}
 }
 
@@ -212,10 +247,10 @@ func TestTailJAWSSpan1EquivalentToJAWS(t *testing.T) {
 // and a discounted (all-blocked) atom loses the decision it would
 // otherwise win.
 func TestGateFactorSteering(t *testing.T) {
-	build := func(fn func(query.ID) GateState) *TailJAWS {
-		inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1,
+	build := func(fn func(query.ID) GateState) *JAWS {
+		s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1,
 			Resident: func(id store.AtomID) bool { return false }})
-		s := newTailJAWS(inner, &GateAwareParams{Discount: 0.25, Boost: 4}, nil)
+		PolicySpec{GateAware: &GateAwareParams{Discount: 0.25, Boost: 4}}.Wrap(s)
 		s.SetGateSource(fn)
 		return s
 	}
@@ -223,7 +258,7 @@ func TestGateFactorSteering(t *testing.T) {
 	// sub-queries), so undecorated JAWS serves it first.
 	atomA := subQueryAt(1, 0, 0, 0, 0, 30).Atom
 	atomB := subQueryAt(2, 0, 1, 0, 0, 30).Atom
-	load := func(s *TailJAWS) {
+	load := func(s *JAWS) {
 		s.Enqueue(subQueryAt(1, 0, 0, 0, 0, 30), 0) // atomA: query 1
 		s.Enqueue(subQueryAt(2, 0, 1, 0, 0, 30), 0) // atomB: queries 2, 3
 		s.Enqueue(subQueryAt(3, 0, 1, 0, 0, 30), 0)
@@ -279,10 +314,11 @@ func TestGateFactorSteering(t *testing.T) {
 // buckets into one decision when the contiguous pair outscores any single
 // bucket, and that non-adjacent steps never join a window.
 func TestCrossStepWindow(t *testing.T) {
-	build := func(span int) *TailJAWS {
-		inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 8,
+	build := func(span int) *JAWS {
+		s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 8,
 			Resident: func(id store.AtomID) bool { return false }})
-		return newTailJAWS(inner, nil, &CrossStepParams{Span: span})
+		PolicySpec{CrossStep: &CrossStepParams{Span: span}}.Wrap(s)
+		return s
 	}
 	// A derivative-chain shape: query 1 fans heavy sub-queries over steps
 	// 0 and 1, a light unrelated query sits on step 1, and a weak
@@ -290,7 +326,7 @@ func TestCrossStepWindow(t *testing.T) {
 	// highest bucket mean), step 1 shares query 1 with it, so the span-2
 	// window serves the whole chain in one decision: both heavy atoms
 	// exceed the window mean, the light atom does not.
-	load := func(s *TailJAWS) {
+	load := func(s *JAWS) {
 		s.Enqueue(subQueryAt(1, 0, 0, 0, 0, 100), 0)
 		s.Enqueue(subQueryAt(1, 1, 0, 0, 0, 100), 0)
 		s.Enqueue(subQueryAt(3, 1, 1, 0, 0, 10), 0)
@@ -332,14 +368,21 @@ func TestCrossStepWindow(t *testing.T) {
 	}
 }
 
-// --- AdaptiveBatch behavior ----------------------------------------------
+// --- adaptive-batch behavior ----------------------------------------------
+
+// adaptiveJAWS builds a JAWS with batch size k under an adaptive-batch
+// clause.
+func adaptiveJAWS(k int, p AdaptiveBatchParams) *JAWS {
+	s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: k,
+		Resident: func(id store.AtomID) bool { return false }})
+	PolicySpec{AdaptiveBatch: &p}.Wrap(s)
+	return s
+}
 
 func TestAdaptiveBatchResizing(t *testing.T) {
-	inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1,
-		Resident: func(id store.AtomID) bool { return false }})
 	// Idle is large so the growth phase is not undone by the fitting
 	// rounds at the tail of each drain.
-	s := newAdaptiveBatch(inner, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 100})
+	s := adaptiveJAWS(1, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 100})
 	if got := s.BatchSize(); got != 1 {
 		t.Fatalf("initial k = %d, want 1 (clamped into [1, 3])", got)
 	}
@@ -384,9 +427,7 @@ func TestAdaptiveBatchResizing(t *testing.T) {
 }
 
 func TestAdaptiveBatchShrinks(t *testing.T) {
-	inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3,
-		Resident: func(id store.AtomID) bool { return false }})
-	s := newAdaptiveBatch(inner, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 2})
+	s := adaptiveJAWS(3, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 2})
 	if got := s.BatchSize(); got != 3 {
 		t.Fatalf("initial k = %d, want 3", got)
 	}
@@ -407,15 +448,11 @@ func TestAdaptiveBatchShrinks(t *testing.T) {
 }
 
 func TestAdaptiveBatchClampsInitialK(t *testing.T) {
-	inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 100,
-		Resident: func(id store.AtomID) bool { return false }})
-	s := newAdaptiveBatch(inner, AdaptiveBatchParams{Min: 2, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
+	s := adaptiveJAWS(100, AdaptiveBatchParams{Min: 2, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
 	if got := s.BatchSize(); got != 8 {
 		t.Errorf("k = %d, want clamped to Max = 8", got)
 	}
-	inner2 := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1,
-		Resident: func(id store.AtomID) bool { return false }})
-	s2 := newAdaptiveBatch(inner2, AdaptiveBatchParams{Min: 4, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
+	s2 := adaptiveJAWS(1, AdaptiveBatchParams{Min: 4, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
 	if got := s2.BatchSize(); got != 4 {
 		t.Errorf("k = %d, want clamped to Min = 4", got)
 	}

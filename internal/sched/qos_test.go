@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jaws/internal/obs"
 	"jaws/internal/query"
 )
 
@@ -14,8 +15,8 @@ func newQoSForTest(stretch float64, horizon time.Duration) *QoS {
 
 func TestQoSDefaults(t *testing.T) {
 	q := newQoSForTest(0, 0)
-	if q.stretch != 8 || q.horizon != 2*time.Second {
-		t.Fatalf("defaults: stretch=%g horizon=%v", q.stretch, q.horizon)
+	if q.qos.stretch != 8 || q.qos.horizon != 2*time.Second {
+		t.Fatalf("defaults: stretch=%g horizon=%v", q.qos.stretch, q.qos.horizon)
 	}
 	if q.Name() == "" {
 		t.Fatal("empty name")
@@ -125,4 +126,104 @@ func TestQoSUtilityProvider(t *testing.T) {
 		t.Fatalf("Alpha = %g", q.Alpha())
 	}
 	q.OnRunEnd(1, 1) // must not panic
+}
+
+// TestQoSTracesEveryRound is the regression test for urgent rounds being
+// invisible to the tracer: every non-empty NextBatch — earliest-deadline
+// and fall-through alike — must emit one Decision event per served atom
+// under the scheduler's one name, and fill the flight-recorder capture.
+func TestQoSTracesEveryRound(t *testing.T) {
+	// Deadline ≈ arrival + 2× service: a sub-query enqueued with an old
+	// arrival is urgent at once, one that arrives "now" is not for a while.
+	q := newQoSForTest(2, 10*time.Millisecond)
+	tr := obs.NewTracer(0, nil)
+	q.SetTracer(tr)
+	q.SetExplain(true)
+
+	enqueue := func(id query.ID, atom uint32, arrival, now time.Duration) {
+		sq := subQueryAt(id, 0, atom, 0, 0, 40)
+		sq.Query.Arrival = arrival
+		q.Enqueue(sq, now)
+	}
+	now := time.Hour
+	enqueue(1, 0, 0, now)   // overdue: urgent
+	enqueue(2, 1, now, now) // fresh: elastic
+	enqueue(3, 2, now, now)
+
+	var rounds, urgentRounds, atoms int
+	for q.Pending() > 0 {
+		before := tr.Total()
+		batches := q.NextBatch(now)
+		if len(batches) == 0 {
+			t.Fatal("no batches with pending work")
+		}
+		rounds++
+		atoms += len(batches)
+		if got := tr.Total() - before; got != int64(len(batches)) {
+			t.Fatalf("round %d served %d atoms but traced %d decision events", rounds, len(batches), got)
+		}
+		exp := q.LastExplain()
+		if exp == nil || len(exp.Chosen) != len(batches) || exp.Sched != "JAWS+QoS" {
+			t.Fatalf("round %d: capture %+v does not describe the %d served atoms", rounds, exp, len(batches))
+		}
+		if exp.Urgent {
+			urgentRounds++
+		}
+	}
+	if urgentRounds == 0 || urgentRounds == rounds {
+		t.Fatalf("%d of %d rounds were urgent; the test must cover both paths", urgentRounds, rounds)
+	}
+	decisions := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind != obs.KindDecision || ev.Sched != "JAWS+QoS" {
+			t.Fatalf("unexpected event %+v", ev)
+		}
+		decisions++
+	}
+	if decisions != atoms {
+		t.Fatalf("traced %d decision events for %d served atoms", decisions, atoms)
+	}
+}
+
+// TestQoSComposesWithTailPolicies pins the one defined interaction of the
+// urgent pre-pass with the batch-bound steer: an urgent round that leaves
+// urgent atoms beyond k reports zero truncation (they lost no utility
+// race), so PassOvers stays the flight recorder's PassBatchFull and the
+// round counts toward the idle streak.
+func TestQoSComposesWithTailPolicies(t *testing.T) {
+	inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 2})
+	PolicySpec{
+		GateAware:     &GateAwareParams{Discount: 0.5, Boost: 2},
+		AdaptiveBatch: &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 1},
+	}.Wrap(inner)
+	q := NewQoS(inner, testCost, 1, time.Second)
+	q.SetExplain(true)
+	inner.SetGateSource(func(id query.ID) GateState { return GateBlocked })
+
+	// Four overdue atoms against k = 2: an urgent round, two atoms left over.
+	for a := uint32(0); a < 4; a++ {
+		sq := subQueryAt(query.ID(a+1), 0, a, 0, 0, 40)
+		q.Enqueue(sq, time.Hour)
+	}
+	if got := q.NextBatch(time.Hour); len(got) != 2 {
+		t.Fatalf("urgent round served %d atoms, want k = 2", len(got))
+	}
+	exp := q.LastExplain()
+	if !exp.Urgent || len(exp.Truncated) != 0 {
+		t.Fatalf("urgent round capture: urgent=%v truncated=%d, want true/0", exp.Urgent, len(exp.Truncated))
+	}
+	// The gate factor reaches the recorded score on urgent rounds too.
+	if c := exp.Chosen[0]; c.Ue != c.Ut*0.5 {
+		t.Fatalf("urgent round recorded score %v, want the discounted %v", c.Ue, c.Ut*0.5)
+	}
+	if inner.PassOvers() != 0 {
+		t.Fatalf("urgent round counted %d batch-full pass-overs", inner.PassOvers())
+	}
+	// Idle = 1: the zero-truncation round shrank k by one.
+	if inner.BatchSize() != 1 {
+		t.Fatalf("k after one urgent round = %d, want 1 (one idle round)", inner.BatchSize())
+	}
+	if q.DeadlineMisses() != 2 {
+		t.Fatalf("DeadlineMisses = %d, want the 2 overdue queries served", q.DeadlineMisses())
+	}
 }

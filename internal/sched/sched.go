@@ -110,6 +110,63 @@ type ResidencyVersioned interface {
 	SetResidencyVersion(fn func() uint64)
 }
 
+// observed is the observability state every scheduler carries: the
+// decision tracer (Traced) and the flight-recorder capture (Explained).
+// Both are off by default so the decision path stays allocation-free.
+type observed struct {
+	trace   *obs.Tracer
+	explain bool
+	exp     Explain
+}
+
+// SetTracer implements Traced.
+func (o *observed) SetTracer(t *obs.Tracer) { o.trace = t }
+
+// SetExplain implements Explained.
+func (o *observed) SetExplain(on bool) { o.explain = on }
+
+// LastExplain implements Explained.
+func (o *observed) LastExplain() *Explain {
+	if !o.explain {
+		return nil
+	}
+	return &o.exp
+}
+
+// queueCore is what the contention-based schedulers (LifeRaft, JAWS)
+// share: the per-atom workload queues and every accessor that only reads
+// them — UtilityProvider, ResidencyVersioned, Pending. The schedulers
+// embed it and add their selection rule.
+type queueCore struct {
+	observed
+	q *queues
+}
+
+// Pending implements Scheduler.
+func (c *queueCore) Pending() int { return c.q.subs }
+
+// SetResidencyVersion implements ResidencyVersioned.
+func (c *queueCore) SetResidencyVersion(fn func() uint64) { c.q.setResidencyVersion(fn) }
+
+// AtomUtility implements UtilityProvider.
+func (c *queueCore) AtomUtility(id store.AtomID) float64 {
+	c.q.syncResidency()
+	if aq, ok := c.q.byAtom[id]; ok {
+		return c.q.ut(aq)
+	}
+	return 0
+}
+
+// StepMean implements UtilityProvider.
+func (c *queueCore) StepMean(step int) float64 {
+	c.q.syncResidency()
+	return c.q.stepMeanUt(step)
+}
+
+// PendingSteps implements UtilityProvider: the memoized ascending step
+// list (no per-call allocation; do not mutate).
+func (c *queueCore) PendingSteps() []int { return c.q.steps }
+
 // atomQueue is the workload queue of one atom: the union of the pending
 // W_j^i over all queries (§III.C).
 type atomQueue struct {
@@ -117,6 +174,10 @@ type atomQueue struct {
 	subs      []*query.SubQuery
 	positions int
 	oldest    time.Duration // enqueue time of the oldest sub-query
+	// deadline is scratch of the QoS urgent pre-pass: the earliest
+	// completion-time bound over the pending queries, written and read
+	// within one decision.
+	deadline time.Duration
 
 	// ut memoizes the Eq. 1 value, valid iff utSeen == queues.epoch
 	// (see index.go for the invariant).
@@ -290,22 +351,19 @@ func (q *queues) stepUtSum(b *stepBucket) float64 {
 	return sum
 }
 
-// stepMeanUeBucket returns the mean aged metric over the bucket's atoms.
-// The α = 0 case reuses the memoized Σ U_t (bitwise-identical, see
-// stepUtSum); otherwise the age terms are time-dependent and the sum is
-// rebuilt each call — in the same Morton order as the reference model.
-func (q *queues) stepMeanUeBucket(b *stepBucket, alpha float64, now time.Duration) float64 {
-	if len(b.atoms) == 0 {
-		return 0
-	}
+// stepUeSum returns Σ U_e over the bucket's atoms. The α = 0 case reuses
+// the memoized Σ U_t (bitwise-identical, see stepUtSum); otherwise the age
+// terms are time-dependent and the sum is rebuilt each call — in the same
+// Morton order as the reference model.
+func (q *queues) stepUeSum(b *stepBucket, alpha float64, now time.Duration) float64 {
 	if alpha == 0 {
-		return q.stepUtSum(b) / float64(len(b.atoms))
+		return q.stepUtSum(b)
 	}
 	sum := 0.0
 	for _, aq := range b.atoms {
 		sum += q.ue(aq, alpha, now)
 	}
-	return sum / float64(len(b.atoms))
+	return sum
 }
 
 // stepMeanUt returns the mean un-aged metric over the pending atoms.

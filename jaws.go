@@ -267,7 +267,7 @@ type Config struct {
 	// execution (the §VII "encapsulate jobs in the database" direction);
 	// only meaningful with SchedJAWS2.
 	DeclareJobs bool
-	// QoSStretch, when positive, wraps the JAWS scheduler with the §VII
+	// QoSStretch, when positive, gives the JAWS scheduler the §VII
 	// proportional completion-time guarantee: each query's deadline is
 	// arrival + QoSStretch × its isolated service-time estimate, and
 	// atoms with imminent deadlines are served earliest-deadline-first.
@@ -275,12 +275,11 @@ type Config struct {
 	// QoSHorizon is how far ahead of a deadline a query becomes urgent;
 	// zero means 2 s of virtual time.
 	QoSHorizon time.Duration
-	// TailPolicy, when non-empty, decorates the JAWS scheduler with the
-	// tail-attacking policies of DESIGN.md §18 (gate-aware admission,
-	// cross-step batching, adaptive batch sizing). The spec grammar is
+	// TailPolicy, when non-empty, installs the tail-attacking policies of
+	// DESIGN.md §18 on the JAWS scheduler (gate-aware admission, cross-step
+	// batching, adaptive batch sizing). The spec grammar is
 	// sched.ParsePolicySpec's, e.g. "gate-aware;adaptive-batch:min=4,max=32".
-	// Requires a JAWS scheduler and cannot be combined with QoSStretch
-	// (both decorate the same inner scheduler).
+	// Requires a JAWS scheduler; composes with QoSStretch.
 	TailPolicy string
 	// Obs enables scheduling-decision tracing and metrics for every run of
 	// the system; nil (the default) keeps the engine uninstrumented.
@@ -334,9 +333,6 @@ func Open(cfg Config) (*System, error) {
 		}
 		if cfg.Scheduler != SchedJAWS1 && cfg.Scheduler != SchedJAWS2 {
 			return nil, fmt.Errorf("jaws: TailPolicy requires a JAWS scheduler, not %v", cfg.Scheduler)
-		}
-		if cfg.QoSStretch > 0 {
-			return nil, fmt.Errorf("jaws: TailPolicy cannot be combined with QoSStretch (both decorate the JAWS scheduler)")
 		}
 		tailSpec = spec
 	}
@@ -395,11 +391,9 @@ func (s *System) newScheduler() sched.Scheduler {
 			Adaptive:     !s.cfg.AdaptiveOff,
 			Resident:     resident,
 		})
+		s.tailSpec.Wrap(inner)
 		if s.cfg.QoSStretch > 0 {
-			return sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, s.cfg.QoSHorizon)
-		}
-		if !s.tailSpec.Empty() {
-			return s.tailSpec.Wrap(inner)
+			sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, s.cfg.QoSHorizon)
 		}
 		return inner
 	}

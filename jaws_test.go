@@ -200,10 +200,33 @@ func TestExtensionsEndToEnd(t *testing.T) {
 		t.Fatalf("completed %d/%d", rep.Completed, w.TotalQueries())
 	}
 	if rep.Scheduler != "JAWS+QoS" {
-		t.Fatalf("scheduler = %q, want the QoS wrapper", rep.Scheduler)
+		t.Fatalf("scheduler = %q, want JAWS+QoS", rep.Scheduler)
 	}
 	if rep.PrefetchedAtoms == 0 {
 		t.Fatal("prefetch idle on an ordered-job workload")
+	}
+}
+
+// QoS and the tail policies are hooks of one selector, so a Config may ask
+// for both: the run completes under the composed scheduler's one name.
+func TestQoSComposesWithTailPolicy(t *testing.T) {
+	cfg := smallConfig(SchedJAWS2)
+	cfg.QoSStretch = 8
+	cfg.TailPolicy = "gate-aware;adaptive-batch:min=2,max=8"
+	sys, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := smallWorkload(31, 25)
+	rep, err := sys.Run(w.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != w.TotalQueries() {
+		t.Fatalf("completed %d/%d", rep.Completed, w.TotalQueries())
+	}
+	if want := "JAWS+gate-aware+adaptive-batch+QoS"; rep.Scheduler != want {
+		t.Fatalf("scheduler = %q, want %q", rep.Scheduler, want)
 	}
 }
 
