@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	jawscheck                     # 544 differential runs: 34 seeds × (3 standard + 2 churn + 3 matrix) × ±faults
+//	jawscheck                     # 624 differential runs: (34 seeds × (3 standard + 2 churn + 3 matrix + 1 tail) + 6 compose) × ±faults
 //	jawscheck -seeds 100 -v       # more seeds, one report line per run
 //	jawscheck -no-faults          # clean-run pass only
 //

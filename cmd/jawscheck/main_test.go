@@ -18,7 +18,7 @@ func TestCleanSuitePasses(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, errb)
 	}
-	if !strings.Contains(out, "36 differential runs") { // 2 seeds × (3 standard + 2 churn + 3 matrix + 1 tail) × ±faults
+	if !strings.Contains(out, "40 differential runs") { // 2 seeds × (3 standard + 2 churn + 3 matrix + 1 tail + 1 compose) × ±faults
 		t.Errorf("missing summary line:\n%s", out)
 	}
 	if !strings.Contains(out, "0 diverged") {
@@ -36,7 +36,7 @@ func TestVerboseAndNoFaults(t *testing.T) {
 			t.Errorf("verbose output missing %s line:\n%s", algo, out)
 		}
 	}
-	if !strings.Contains(out, "9 differential runs") {
+	if !strings.Contains(out, "10 differential runs") {
 		t.Errorf("-no-faults should halve the run count:\n%s", out)
 	}
 }

@@ -23,10 +23,18 @@ type Target struct {
 }
 
 // StandardTarget pairs a production scheduler of the given algorithm with
-// its reference model, both built from the same parameters.
+// its reference model, both built from the same parameters — for JAWS
+// including the tail policies and QoS deadlines the parameters name.
 func StandardTarget(a Algo, p Params) Target {
+	name := a.String()
+	if a == AlgoJAWS && !p.Policy.Empty() {
+		name += "+policy(" + p.Policy.String() + ")"
+	}
+	if a == AlgoJAWS && p.QoSStretch > 0 {
+		name += fmt.Sprintf("+QoS(stretch=%g,horizon=%s)", p.QoSStretch, p.QoSHorizon)
+	}
 	return Target{
-		Name: a.String(),
+		Name: name,
 		New: func(resident func(store.AtomID) bool) sched.Scheduler {
 			switch a {
 			case AlgoNoShare:
@@ -34,13 +42,18 @@ func StandardTarget(a Algo, p Params) Target {
 			case AlgoLifeRaft:
 				return sched.NewLifeRaft(p.Cost, p.Alpha, resident)
 			default:
-				return sched.NewJAWS(sched.JAWSConfig{
+				s := sched.NewJAWS(sched.JAWSConfig{
 					Cost:         p.Cost,
 					BatchSize:    p.BatchSize,
 					InitialAlpha: p.Alpha,
 					Adaptive:     p.Adaptive,
 					Resident:     resident,
 				})
+				p.Policy.Wrap(s)
+				if p.QoSStretch > 0 {
+					sched.NewQoS(s, p.Cost, p.QoSStretch, p.QoSHorizon)
+				}
+				return s
 			}
 		},
 		NewModel: func() Model { return NewModel(a, p) },

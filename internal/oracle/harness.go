@@ -19,12 +19,10 @@ import (
 
 // CaptureConfig assembles one recorded run for differential checking.
 type CaptureConfig struct {
-	// Algo and Params pick the scheduler under test.
+	// Algo and Params pick the scheduler under test (tail policies and QoS
+	// deadlines included, see Params).
 	Algo   Algo
 	Params Params
-	// Policy, when non-empty, is a sched.PolicySpec string decorating a
-	// JAWS scheduler with tail policies (Algo must be AlgoJAWS).
-	Policy string
 	// Workload parameterizes the synthetic trace. Zero Space/Steps default
 	// to a deliberately tiny store (128³ grid in 32³ atoms over 5 steps)
 	// so hundreds of seeds stay affordable in the test suite.
@@ -69,20 +67,6 @@ type Capture struct {
 	Partners map[jobgraph.Ref][]jobgraph.Ref
 }
 
-// target resolves the differential target the config describes: the
-// standard algorithm pairing, or the policy-decorated JAWS pairing when a
-// policy spec is set.
-func (cfg CaptureConfig) target() (Target, error) {
-	if cfg.Policy == "" {
-		return StandardTarget(cfg.Algo, cfg.Params), nil
-	}
-	spec, err := sched.ParsePolicySpec(cfg.Policy)
-	if err != nil {
-		return Target{}, err
-	}
-	return PolicyTarget(cfg.Params, spec), nil
-}
-
 // Run executes the configured workload on a real engine with a recording
 // scheduler and returns the capture. The run is deterministic in the
 // configuration.
@@ -114,11 +98,7 @@ func Run(cfg CaptureConfig) (*Capture, error) {
 	}
 	ch := cache.New(cfg.CacheAtoms, cache.NewSLRU(cfg.CacheAtoms, cfg.ProtectedFrac))
 
-	target, err := cfg.target()
-	if err != nil {
-		return nil, err
-	}
-	rec := NewRecordingSched(target.New(ch.Contains), ch.Contains)
+	rec := NewRecordingSched(StandardTarget(cfg.Algo, cfg.Params).New(ch.Contains), ch.Contains)
 
 	var inj *fault.Injector
 	if cfg.FaultSpec != "" {

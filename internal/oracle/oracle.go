@@ -71,6 +71,15 @@ type Params struct {
 	Alpha float64
 	// Adaptive enables the §V.A controller (JAWS only).
 	Adaptive bool
+	// Policy installs tail policies on JAWS (the zero spec: none), on the
+	// production scheduler through sched.PolicySpec.Wrap and on the model
+	// as the matching optional steps.
+	Policy sched.PolicySpec
+	// QoSStretch, when positive, adds proportional completion-time
+	// deadlines to JAWS (sched.NewQoS's stretch); QoSHorizon is its
+	// look-ahead horizon (≤ 0: the 2 s default).
+	QoSStretch float64
+	QoSHorizon time.Duration
 }
 
 // Model is the oracle-side scheduler interface. Residency for the φ(i)
@@ -110,6 +119,13 @@ type UtilityModel interface {
 	PendingAtoms() []store.AtomID
 }
 
+// GateAwareModel is the oracle-side counterpart of sched.GateAware: the
+// harness installs the same per-query gate source on both sides of a
+// differential comparison.
+type GateAwareModel interface {
+	SetGateSource(fn func(q query.ID) sched.GateState)
+}
+
 // NewModel builds the reference model for the algorithm.
 func NewModel(a Algo, p Params) Model {
 	switch a {
@@ -118,15 +134,7 @@ func NewModel(a Algo, p Params) Model {
 	case AlgoLifeRaft:
 		return &modelLifeRaft{cost: p.Cost, alpha: clamp01(p.Alpha)}
 	default:
-		k := p.BatchSize
-		if k <= 0 {
-			k = 15
-		}
-		return &modelJAWS{
-			cost: p.Cost,
-			k:    k,
-			ctrl: modelAlphaController{alpha: clamp01(p.Alpha), adaptive: p.Adaptive, exploreSign: 1},
-		}
+		return newModelJAWS(p)
 	}
 }
 
@@ -208,6 +216,18 @@ func (l *queueList) ofStep(step int) []*modelQueue {
 		}
 	}
 	return out
+}
+
+// hasQuery reports whether any queue still holds a sub-query of the query.
+func (l *queueList) hasQuery(id query.ID) bool {
+	for _, q := range l.queues {
+		for _, sq := range q.subs {
+			if sq.Query.ID == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // atoms returns every pending atom in key order.
@@ -359,57 +379,159 @@ func (m *modelLifeRaft) PendingAtoms() []store.AtomID { return m.q.atoms() }
 
 // --- JAWS ----------------------------------------------------------------
 
-// modelJAWS is the two-level selection of Fig. 6: the time step with the
-// highest mean aged metric, then up to k above-mean atoms of that step in
-// Morton order (or the single best atom when none exceeds the mean).
+// modelJAWS is the one reference model of the JAWS family: the two-level
+// selection of Fig. 6 — the time step with the highest mean aged metric,
+// then up to k above-mean atoms of that step in Morton order (or the
+// single best atom when none exceeds the mean) — restated as a naive
+// rescan over the sorted queue list. The tail policies and QoS are
+// optional steps of this same model (policy.go): a factor on every score,
+// a wider level-one window, a step before the selection and one after it.
+// With none installed (no gate clause, span 1) it is Fig. 6 to the letter:
+// ×1.0 is IEEE-exact and a span-1 window is the anchor step.
 type modelJAWS struct {
 	cost sched.CostModel
 	k    int
 	ctrl modelAlphaController
 	q    queueList
-	// lastTrunc is the most recent decision's batch-full pass-over count,
-	// mirroring the production scheduler's LastTruncated for the
-	// adaptive-batch policy model.
-	lastTrunc int
+
+	gate   *sched.GateAwareParams // score factor; nil: every factor is 1
+	gateFn func(query.ID) sched.GateState
+	span   int         // level-one window, in steps; 1: the anchor only
+	edf    *modelEDF   // earliest-deadline pre-step; nil: none
+	steer  *modelSteer // batch-bound post-step; nil: k is fixed
 }
 
-func (m *modelJAWS) Enqueue(sq *query.SubQuery, now time.Duration) { m.q.add(sq, now) }
+func newModelJAWS(p Params) *modelJAWS {
+	m := &modelJAWS{
+		cost: p.Cost,
+		k:    p.BatchSize,
+		ctrl: modelAlphaController{alpha: clamp01(p.Alpha), adaptive: p.Adaptive, exploreSign: 1},
+		gate: p.Policy.GateAware,
+		span: 1,
+	}
+	if m.k <= 0 {
+		m.k = 15
+	}
+	if xs := p.Policy.CrossStep; xs != nil {
+		m.span = xs.Span
+	}
+	if ab := p.Policy.AdaptiveBatch; ab != nil {
+		m.steer = &modelSteer{p: *ab}
+		if m.k < ab.Min {
+			m.k = ab.Min
+		}
+		if m.k > ab.Max {
+			m.k = ab.Max
+		}
+	}
+	if p.QoSStretch > 0 {
+		m.edf = &modelEDF{stretch: p.QoSStretch, horizon: p.QoSHorizon, deadlines: make(map[query.ID]time.Duration)}
+		if m.edf.horizon <= 0 {
+			m.edf.horizon = 2 * time.Second
+		}
+	}
+	return m
+}
+
+func (m *modelJAWS) Enqueue(sq *query.SubQuery, now time.Duration) {
+	if m.edf != nil {
+		m.edf.admit(sq, m.cost)
+	}
+	m.q.add(sq, now)
+}
 
 func (m *modelJAWS) NextBatch(now time.Duration, resident func(store.AtomID) bool) []sched.Batch {
-	m.lastTrunc = 0
 	if m.q.subs == 0 {
 		return nil
 	}
-	alpha := m.ctrl.alpha
+	// Pre-step: atoms with a deadline inside the horizon go first. They are
+	// not candidates the batch bound dropped, so such a round truncates
+	// nothing as far as the post-step is concerned.
+	var selected []*modelQueue
+	truncated := 0
+	if m.edf != nil {
+		selected = m.edf.urgent(&m.q, m.k, now)
+	}
+	if len(selected) == 0 {
+		selected, truncated = m.twoLevel(now, resident)
+	}
+	out := make([]sched.Batch, len(selected))
+	for i, q := range selected {
+		out[i] = m.q.take(q)
+	}
+	if m.edf != nil {
+		m.edf.retire(out, &m.q)
+	}
+	// Post-step: the batch bound follows the truncation streaks.
+	if m.steer != nil {
+		m.k = m.steer.next(m.k, truncated)
+	}
+	return out
+}
 
-	// Level one: the step with the highest mean aged metric; ascending
-	// iteration plus strict > resolves ties to the lowest step.
-	bestStep, bestMean := -1, 0.0
-	for _, step := range m.q.steps() {
+// score is the decision score of one atom queue: Eq. 2's aged metric
+// times the gate factor (1 without a gate-aware clause or source).
+func (m *modelJAWS) score(q *modelQueue, alpha float64, now time.Duration, resident func(store.AtomID) bool) float64 {
+	return ue(m.cost, q, alpha, now, resident) * m.factor(q)
+}
+
+// twoLevel is the selection proper. It returns the chosen queues in
+// execution order and how many above-mean candidates the batch bound
+// dropped.
+func (m *modelJAWS) twoLevel(now time.Duration, resident func(store.AtomID) bool) ([]*modelQueue, int) {
+	alpha := m.ctrl.alpha
+	steps := m.q.steps()
+
+	// Level one: anchor on the step with the highest mean score; ascending
+	// iteration plus strict > resolves ties to the lowest step. Sums
+	// accumulate atoms in key order.
+	anchor := -1
+	bestMean, winSum, winCount := 0.0, 0.0, 0
+	for i, step := range steps {
 		queues := m.q.ofStep(step)
 		sum := 0.0
 		for _, q := range queues {
-			sum += ue(m.cost, q, alpha, now, resident)
+			sum += m.score(q, alpha, now, resident)
 		}
-		mean := sum / float64(len(queues))
-		if bestStep < 0 || mean > bestMean {
-			bestStep, bestMean = step, mean
+		if mean := sum / float64(len(queues)); anchor < 0 || mean > bestMean {
+			anchor, bestMean = i, mean
+			winSum, winCount = sum, len(queues)
 		}
 	}
 
-	// Level two: the above-mean atoms of that step; if none strictly
-	// exceeds the mean, the single best atom keeps the schedule moving.
-	queues := m.q.ofStep(bestStep)
+	// Window: fold in up to span−1 following steps whose values stay
+	// contiguous and that share a pending query with the anchor (the
+	// derivative-chain signature). The window mean replaces the anchor
+	// mean as level two's bar.
+	end := anchor + 1
+	for ; end < len(steps) && end-anchor < m.span; end++ {
+		if steps[end] != steps[end-1]+1 || !m.stepsShareQuery(steps[anchor], steps[end]) {
+			break
+		}
+		for _, q := range m.q.ofStep(steps[end]) {
+			winSum += m.score(q, alpha, now, resident)
+			winCount++
+		}
+	}
+	if end > anchor+1 {
+		bestMean = winSum / float64(winCount)
+	}
+
+	// Level two: the above-mean atoms across the window in key order; if
+	// none strictly exceeds the mean, the single best atom keeps the
+	// schedule moving.
 	var selected []*modelQueue
 	var fallback *modelQueue
 	fallbackScore := 0.0
-	for _, q := range queues {
-		score := ue(m.cost, q, alpha, now, resident)
-		if score > bestMean {
-			selected = append(selected, q)
-		}
-		if fallback == nil || score > fallbackScore {
-			fallback, fallbackScore = q, score
+	for _, step := range steps[anchor:end] {
+		for _, q := range m.q.ofStep(step) {
+			sc := m.score(q, alpha, now, resident)
+			if sc > bestMean {
+				selected = append(selected, q)
+			}
+			if fallback == nil || sc > fallbackScore {
+				fallback, fallbackScore = q, sc
+			}
 		}
 	}
 	if len(selected) == 0 {
@@ -417,11 +539,12 @@ func (m *modelJAWS) NextBatch(now time.Duration, resident func(store.AtomID) boo
 	}
 	// Keep the k most contentious (score-descending, key-ascending on
 	// ties), then execute in Morton order.
+	truncated := 0
 	if len(selected) > m.k {
-		m.lastTrunc = len(selected) - m.k
+		truncated = len(selected) - m.k
 		sort.SliceStable(selected, func(i, j int) bool {
-			si := ue(m.cost, selected[i], alpha, now, resident)
-			sj := ue(m.cost, selected[j], alpha, now, resident)
+			si := m.score(selected[i], alpha, now, resident)
+			sj := m.score(selected[j], alpha, now, resident)
 			if si != sj {
 				return si > sj
 			}
@@ -432,11 +555,7 @@ func (m *modelJAWS) NextBatch(now time.Duration, resident func(store.AtomID) boo
 			return selected[i].atom.Key() < selected[j].atom.Key()
 		})
 	}
-	out := make([]sched.Batch, len(selected))
-	for i, q := range selected {
-		out[i] = m.q.take(q)
-	}
-	return out
+	return selected, truncated
 }
 
 func (m *modelJAWS) OnRunEnd(rt, tp float64) { m.ctrl.onRunEnd(rt, tp) }
@@ -459,18 +578,10 @@ func (m *modelJAWS) PendingSteps() []int { return m.q.steps() }
 // PendingAtoms implements UtilityModel.
 func (m *modelJAWS) PendingAtoms() []store.AtomID { return m.q.atoms() }
 
-func (m *modelJAWS) setBatchSize(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.k = k
-}
-func (m *modelJAWS) batchSize() int     { return m.k }
-func (m *modelJAWS) lastTruncated() int { return m.lastTrunc }
-
 var (
-	_ UtilityModel = (*modelLifeRaft)(nil)
-	_ UtilityModel = (*modelJAWS)(nil)
+	_ UtilityModel   = (*modelLifeRaft)(nil)
+	_ UtilityModel   = (*modelJAWS)(nil)
+	_ GateAwareModel = (*modelJAWS)(nil)
 )
 
 // modelAlphaController is the §V.A starvation-resistance controller,

@@ -1,134 +1,28 @@
 package oracle
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"jaws/internal/query"
 	"jaws/internal/sched"
-	"jaws/internal/store"
 )
 
-// Reference models for the tail policies (sched.PolicySpec) and for the
-// QoS decorator. Like the base models they trade every optimization for
-// legibility — naive rescans over the sorted queue list, one loop per
-// decision rule — and rely on the differential harness to certify
-// bit-exact agreement with the production decorators.
-
-// GateAwareModel is the oracle-side counterpart of sched.GateAware: the
-// harness installs the same per-query gate source on both sides of a
-// differential comparison.
-type GateAwareModel interface {
-	SetGateSource(fn func(q query.ID) sched.GateState)
-}
-
-// resizableModel is the oracle-side counterpart of the production
-// tailInner contract: a model whose batch bound the adaptive-batch policy
-// model can steer, with the per-round truncation count it steers on.
-type resizableModel interface {
-	Model
-	UtilityModel
-	setBatchSize(k int)
-	batchSize() int
-	lastTruncated() int
-}
-
-// NewPolicyModel builds the reference model for a policy-decorated JAWS
-// scheduler, mirroring sched.PolicySpec.Wrap: gate-aware and cross-step
-// fold into one windowed selection model, adaptive-batch wraps outermost.
-// The empty spec yields the plain JAWS model.
-func NewPolicyModel(p Params, spec sched.PolicySpec) Model {
-	k := p.BatchSize
-	if k <= 0 {
-		k = 15
-	}
-	ctrl := modelAlphaController{alpha: clamp01(p.Alpha), adaptive: p.Adaptive, exploreSign: 1}
-	var inner resizableModel
-	if spec.GateAware != nil || spec.CrossStep != nil {
-		span := 1
-		if spec.CrossStep != nil {
-			span = spec.CrossStep.Span
-		}
-		inner = &modelTail{cost: p.Cost, k: k, span: span, gate: spec.GateAware, ctrl: ctrl}
-	} else {
-		inner = &modelJAWS{cost: p.Cost, k: k, ctrl: ctrl}
-	}
-	if spec.AdaptiveBatch != nil {
-		return newModelAdaptiveBatch(inner, *spec.AdaptiveBatch)
-	}
-	return inner
-}
-
-// PolicyTarget pairs a policy-decorated production JAWS scheduler with
-// its reference model, both built from the same parameters and spec.
-func PolicyTarget(p Params, spec sched.PolicySpec) Target {
-	return Target{
-		Name: "JAWS+policy(" + spec.String() + ")",
-		New: func(resident func(store.AtomID) bool) sched.Scheduler {
-			inner := sched.NewJAWS(sched.JAWSConfig{
-				Cost:         p.Cost,
-				BatchSize:    p.BatchSize,
-				InitialAlpha: p.Alpha,
-				Adaptive:     p.Adaptive,
-				Resident:     resident,
-			})
-			return spec.Wrap(inner)
-		},
-		NewModel: func() Model { return NewPolicyModel(p, spec) },
-	}
-}
-
-// QoSTarget pairs the production QoS decorator with its reference model.
-// stretch and horizon follow NewQoS's conventions (≤ 0 selects the
-// defaults).
-func QoSTarget(p Params, stretch float64, horizon time.Duration) Target {
-	return Target{
-		Name: fmt.Sprintf("JAWS+QoS(stretch=%g,horizon=%s)", stretch, horizon),
-		New: func(resident func(store.AtomID) bool) sched.Scheduler {
-			inner := sched.NewJAWS(sched.JAWSConfig{
-				Cost:         p.Cost,
-				BatchSize:    p.BatchSize,
-				InitialAlpha: p.Alpha,
-				Adaptive:     p.Adaptive,
-				Resident:     resident,
-			})
-			return sched.NewQoS(inner, p.Cost, stretch, horizon)
-		},
-		NewModel: func() Model { return newModelQoS(p, stretch, horizon) },
-	}
-}
-
-// --- TailJAWS model: gate-aware scoring + cross-step windows -------------
-
-// modelTail restates sched.TailJAWS's decision: every atom's aged metric
-// is multiplied by a gate factor, level one anchors on the best single
-// step by mean adjusted metric (JAWS's rule) and extends the window
-// across ≤ span−1 following contiguous steps that share a pending query
-// with the anchor, level two batches the above-window-mean atoms (single
-// best as fallback), truncated to the k most contentious and executed in
-// Morton order.
-type modelTail struct {
-	cost   sched.CostModel
-	k      int
-	span   int
-	gate   *sched.GateAwareParams
-	gateFn func(query.ID) sched.GateState
-	ctrl   modelAlphaController
-	q      queueList
-
-	lastTrunc int
-}
+// The optional steps of the JAWS reference model (modelJAWS in oracle.go):
+// the gate-aware score factor, the cross-step window predicate, the
+// adaptive-batch post-step and the QoS earliest-deadline pre-step. Like
+// the rest of the model they trade every optimization for legibility —
+// naive rescans over the sorted queue list, one loop per decision rule,
+// no code shared with internal/sched — and rely on the differential
+// harness to certify bit-exact agreement with the production selector.
 
 // SetGateSource implements GateAwareModel.
-func (m *modelTail) SetGateSource(fn func(q query.ID) sched.GateState) { m.gateFn = fn }
+func (m *modelJAWS) SetGateSource(fn func(q query.ID) sched.GateState) { m.gateFn = fn }
 
-func (m *modelTail) Enqueue(sq *query.SubQuery, now time.Duration) { m.q.add(sq, now) }
-
-// factor mirrors the production rule: Boost if any pending query on the
-// atom is releasing, Discount if all are blocked, 1 otherwise (and always
-// 1 without a gate policy or source).
-func (m *modelTail) factor(q *modelQueue) float64 {
+// factor is the gate-aware score factor: Boost if any pending query on
+// the atom is releasing, Discount if all are blocked, 1 otherwise (and
+// always 1 without a gate-aware clause or a gate source).
+func (m *modelJAWS) factor(q *modelQueue) float64 {
 	if m.gate == nil || m.gateFn == nil {
 		return 1
 	}
@@ -152,17 +46,10 @@ func (m *modelTail) factor(q *modelQueue) float64 {
 	return 1
 }
 
-// adjusted is the decision score: Eq. 2's aged metric times the gate
-// factor, spelled exactly as the production expression so agreement is
-// bit-exact.
-func (m *modelTail) adjusted(q *modelQueue, alpha float64, now time.Duration, resident func(store.AtomID) bool) float64 {
-	return ue(m.cost, q, alpha, now, resident) * m.factor(q)
-}
-
 // stepsShareQuery reports whether any pending sub-query on step a belongs
-// to the same query as one on step b — the production bucketsShareQuery
-// predicate that qualifies a window extension.
-func (m *modelTail) stepsShareQuery(a, b int) bool {
+// to the same query as one on step b — what qualifies step b to join a
+// cross-step window anchored on a.
+func (m *modelJAWS) stepsShareQuery(a, b int) bool {
 	for _, qa := range m.q.ofStep(a) {
 		for _, sqa := range qa.subs {
 			for _, qb := range m.q.ofStep(b) {
@@ -177,390 +64,113 @@ func (m *modelTail) stepsShareQuery(a, b int) bool {
 	return false
 }
 
-func (m *modelTail) NextBatch(now time.Duration, resident func(store.AtomID) bool) []sched.Batch {
-	m.lastTrunc = 0
-	if m.q.subs == 0 {
-		return nil
-	}
-	alpha := m.ctrl.alpha
-	steps := m.q.steps()
-
-	// Level one: anchor on the best single step by mean adjusted metric
-	// (strict >, earliest step on ties — JAWS's own rule), sums
-	// accumulating atoms in key order, the production accumulation order.
-	bestStart, bestLen := -1, 1
-	bestMean, winSum, winCount := 0.0, 0.0, 0
-	for i := range steps {
-		sum := 0.0
-		count := 0
-		for _, q := range m.q.ofStep(steps[i]) {
-			sum += m.adjusted(q, alpha, now, resident)
-			count++
-		}
-		if mean := sum / float64(count); bestStart < 0 || mean > bestMean {
-			bestStart, bestMean = i, mean
-			winSum, winCount = sum, count
-		}
-	}
-
-	// Window extension: fold in up to span−1 following steps whose values
-	// stay contiguous and that share a pending query with the anchor (the
-	// derivative-chain signature). The window mean replaces the anchor
-	// mean as level two's bar.
-	for j := bestStart + 1; j < len(steps) && j-bestStart < m.span; j++ {
-		if steps[j] != steps[j-1]+1 ||
-			!m.stepsShareQuery(steps[bestStart], steps[j]) {
-			break
-		}
-		for _, q := range m.q.ofStep(steps[j]) {
-			winSum += m.adjusted(q, alpha, now, resident)
-			winCount++
-		}
-		bestLen++
-	}
-	if bestLen > 1 {
-		bestMean = winSum / float64(winCount)
-	}
-
-	// Level two: the above-window-mean atoms across the window in key
-	// order; if none strictly exceeds the mean, the single best atom
-	// keeps the schedule moving.
-	var selected []*modelQueue
-	var fallback *modelQueue
-	fallbackScore := 0.0
-	for j := bestStart; j < bestStart+bestLen; j++ {
-		for _, q := range m.q.ofStep(steps[j]) {
-			score := m.adjusted(q, alpha, now, resident)
-			if score > bestMean {
-				selected = append(selected, q)
-			}
-			if fallback == nil || score > fallbackScore {
-				fallback, fallbackScore = q, score
-			}
-		}
-	}
-	if len(selected) == 0 {
-		selected = []*modelQueue{fallback}
-	}
-	// Keep the k most contentious (adjusted-score-descending,
-	// key-ascending on ties), then execute in Morton order.
-	if len(selected) > m.k {
-		m.lastTrunc = len(selected) - m.k
-		sort.SliceStable(selected, func(i, j int) bool {
-			si := m.adjusted(selected[i], alpha, now, resident)
-			sj := m.adjusted(selected[j], alpha, now, resident)
-			if si != sj {
-				return si > sj
-			}
-			return selected[i].atom.Key() < selected[j].atom.Key()
-		})
-		selected = selected[:m.k]
-		sort.Slice(selected, func(i, j int) bool {
-			return selected[i].atom.Key() < selected[j].atom.Key()
-		})
-	}
-	out := make([]sched.Batch, len(selected))
-	for i, q := range selected {
-		out[i] = m.q.take(q)
-	}
-	return out
-}
-
-func (m *modelTail) OnRunEnd(rt, tp float64) { m.ctrl.onRunEnd(rt, tp) }
-func (m *modelTail) Alpha() float64          { return m.ctrl.alpha }
-func (m *modelTail) Pending() int            { return m.q.subs }
-
-// AtomUtility implements UtilityModel.
-func (m *modelTail) AtomUtility(id store.AtomID, resident func(store.AtomID) bool) float64 {
-	return m.q.atomUtility(m.cost, id, resident)
-}
-
-// StepMean implements UtilityModel.
-func (m *modelTail) StepMean(step int, resident func(store.AtomID) bool) float64 {
-	return m.q.stepMean(m.cost, step, resident)
-}
-
-// PendingSteps implements UtilityModel.
-func (m *modelTail) PendingSteps() []int { return m.q.steps() }
-
-// PendingAtoms implements UtilityModel.
-func (m *modelTail) PendingAtoms() []store.AtomID { return m.q.atoms() }
-
-func (m *modelTail) setBatchSize(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.k = k
-}
-func (m *modelTail) batchSize() int     { return m.k }
-func (m *modelTail) lastTruncated() int { return m.lastTrunc }
-
-// --- AdaptiveBatch model: starvation-aware batch sizing ------------------
-
-// modelAdaptiveBatch restates sched.AdaptiveBatch: after p.Full
-// consecutive truncating rounds the inner batch bound grows by p.Grow up
-// to p.Max; after p.Idle consecutive fitting rounds it shrinks by
-// p.Shrink down to p.Min. Empty rounds leave the streaks untouched.
-type modelAdaptiveBatch struct {
-	inner resizableModel
-	p     sched.AdaptiveBatchParams
+// modelSteer is the adaptive-batch post-step: after p.Full consecutive
+// truncating rounds the batch bound grows by p.Grow up to p.Max; after
+// p.Idle consecutive fitting rounds it shrinks by p.Shrink down to p.Min.
+// Empty rounds never reach it and leave the streaks untouched.
+type modelSteer struct {
+	p sched.AdaptiveBatchParams
 
 	streakFull, streakIdle int
 }
 
-func newModelAdaptiveBatch(inner resizableModel, p sched.AdaptiveBatchParams) *modelAdaptiveBatch {
-	k := inner.batchSize()
-	if k < p.Min {
-		k = p.Min
-	}
-	if k > p.Max {
-		k = p.Max
-	}
-	inner.setBatchSize(k)
-	return &modelAdaptiveBatch{inner: inner, p: p}
-}
-
-func (m *modelAdaptiveBatch) Enqueue(sq *query.SubQuery, now time.Duration) {
-	m.inner.Enqueue(sq, now)
-}
-
-func (m *modelAdaptiveBatch) NextBatch(now time.Duration, resident func(store.AtomID) bool) []sched.Batch {
-	out := m.inner.NextBatch(now, resident)
-	if len(out) == 0 {
-		return out
-	}
-	if t := m.inner.lastTruncated(); t > 0 {
-		m.streakFull++
-		m.streakIdle = 0
-		if m.streakFull >= m.p.Full {
-			m.streakFull = 0
-			if k := m.inner.batchSize(); k < m.p.Max {
-				k += m.p.Grow
-				if k > m.p.Max {
-					k = m.p.Max
+// next folds one round's truncation count into the streaks and returns
+// the batch bound of the following round.
+func (s *modelSteer) next(k, truncated int) int {
+	if truncated > 0 {
+		s.streakFull++
+		s.streakIdle = 0
+		if s.streakFull >= s.p.Full {
+			s.streakFull = 0
+			if k < s.p.Max {
+				k += s.p.Grow
+				if k > s.p.Max {
+					k = s.p.Max
 				}
-				m.inner.setBatchSize(k)
 			}
 		}
-	} else {
-		m.streakIdle++
-		m.streakFull = 0
-		if m.streakIdle >= m.p.Idle {
-			m.streakIdle = 0
-			if k := m.inner.batchSize(); k > m.p.Min {
-				k -= m.p.Shrink
-				if k < m.p.Min {
-					k = m.p.Min
-				}
-				m.inner.setBatchSize(k)
+		return k
+	}
+	s.streakIdle++
+	s.streakFull = 0
+	if s.streakIdle >= s.p.Idle {
+		s.streakIdle = 0
+		if k > s.p.Min {
+			k -= s.p.Shrink
+			if k < s.p.Min {
+				k = s.p.Min
 			}
 		}
 	}
-	return out
+	return k
 }
 
-func (m *modelAdaptiveBatch) OnRunEnd(rt, tp float64) { m.inner.OnRunEnd(rt, tp) }
-func (m *modelAdaptiveBatch) Alpha() float64          { return m.inner.Alpha() }
-func (m *modelAdaptiveBatch) Pending() int            { return m.inner.Pending() }
-
-// SetGateSource implements GateAwareModel by forwarding when the inner
-// model consumes gate states.
-func (m *modelAdaptiveBatch) SetGateSource(fn func(q query.ID) sched.GateState) {
-	if ga, ok := m.inner.(GateAwareModel); ok {
-		ga.SetGateSource(fn)
-	}
-}
-
-// AtomUtility implements UtilityModel.
-func (m *modelAdaptiveBatch) AtomUtility(id store.AtomID, resident func(store.AtomID) bool) float64 {
-	return m.inner.AtomUtility(id, resident)
-}
-
-// StepMean implements UtilityModel.
-func (m *modelAdaptiveBatch) StepMean(step int, resident func(store.AtomID) bool) float64 {
-	return m.inner.StepMean(step, resident)
-}
-
-// PendingSteps implements UtilityModel.
-func (m *modelAdaptiveBatch) PendingSteps() []int { return m.inner.PendingSteps() }
-
-// PendingAtoms implements UtilityModel.
-func (m *modelAdaptiveBatch) PendingAtoms() []store.AtomID { return m.inner.PendingAtoms() }
-
-// --- QoS model: proportional completion-time guarantees ------------------
-
-// modelQoS restates sched.QoS: each query's first enqueue fixes a
+// modelEDF is the QoS pre-step: each query's first enqueue fixes a
 // deadline proportional to its estimated service time; whenever a pending
-// atom carries a deadline within the look-ahead horizon the urgent atoms
-// are served earliest-deadline-first (truncated to the inner batch bound,
-// executed in Morton order), otherwise the decision falls through to the
-// inner JAWS model.
-type modelQoS struct {
-	inner   *modelJAWS
-	cost    sched.CostModel
-	stretch float64
-	horizon time.Duration
-
+// atom carries a deadline within the look-ahead horizon, the urgent atoms
+// are served earliest-deadline-first instead of by the two-level
+// selection.
+type modelEDF struct {
+	stretch   float64
+	horizon   time.Duration
 	deadlines map[query.ID]time.Duration
-	// pendingCnt counts how many atom queues still hold sub-queries of
-	// each query, so a deadline is retired exactly when the query's last
-	// atom is served (mirroring the production bookkeeping).
-	pendingCnt map[query.ID]int
 }
 
-func newModelQoS(p Params, stretch float64, horizon time.Duration) *modelQoS {
-	if stretch <= 0 {
-		stretch = 8
+// admit fixes the query's deadline on its first sub-query: arrival plus
+// stretch × (atoms·T_b + weighted positions·T_m).
+func (e *modelEDF) admit(sq *query.SubQuery, cost sched.CostModel) {
+	if _, ok := e.deadlines[sq.Query.ID]; ok {
+		return
 	}
-	if horizon <= 0 {
-		horizon = 2 * time.Second
-	}
-	k := p.BatchSize
-	if k <= 0 {
-		k = 15
-	}
-	return &modelQoS{
-		inner: &modelJAWS{
-			cost: p.Cost,
-			k:    k,
-			ctrl: modelAlphaController{alpha: clamp01(p.Alpha), adaptive: p.Adaptive, exploreSign: 1},
-		},
-		cost:       p.Cost,
-		stretch:    stretch,
-		horizon:    horizon,
-		deadlines:  make(map[query.ID]time.Duration),
-		pendingCnt: make(map[query.ID]int),
-	}
+	atoms := 1 + len(sq.Footprint)
+	est := time.Duration(atoms)*cost.Tb +
+		time.Duration(float64(len(sq.Query.Points))*sq.Query.Kernel.CostWeight())*cost.Tm
+	e.deadlines[sq.Query.ID] = sq.Query.Arrival + time.Duration(e.stretch*float64(est))
 }
 
-// queryOnAtom reports whether the query already has a pending sub-query
-// on the atom (the production pendingBy membership test).
-func (m *modelQoS) queryOnAtom(atom store.AtomID, qid query.ID) bool {
-	for _, q := range m.inner.q.queues {
-		if q.atom != atom {
-			continue
-		}
-		for _, sq := range q.subs {
-			if sq.Query.ID == qid {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (m *modelQoS) Enqueue(sq *query.SubQuery, now time.Duration) {
-	qid := sq.Query.ID
-	if _, ok := m.deadlines[qid]; !ok {
-		atoms := 1 + len(sq.Footprint)
-		est := time.Duration(atoms)*m.cost.Tb +
-			time.Duration(float64(len(sq.Query.Points))*sq.Query.Kernel.CostWeight())*m.cost.Tm
-		m.deadlines[qid] = sq.Query.Arrival + time.Duration(m.stretch*float64(est))
-	}
-	if !m.queryOnAtom(sq.Atom, qid) {
-		m.pendingCnt[qid]++
-	}
-	m.inner.Enqueue(sq, now)
-}
-
-// distinctQueries returns the distinct query IDs among the sub-queries,
-// in first-appearance order.
-func distinctQueries(subs []*query.SubQuery) []query.ID {
-	var out []query.ID
-	for _, sq := range subs {
-		dup := false
-		for _, qid := range out {
-			if qid == sq.Query.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, sq.Query.ID)
-		}
-	}
-	return out
-}
-
-func (m *modelQoS) NextBatch(now time.Duration, resident func(store.AtomID) bool) []sched.Batch {
-	type urgent struct {
-		q        *modelQueue
-		deadline time.Duration
-	}
-	var urgents []urgent
-	for _, q := range m.inner.q.queues {
+// urgent returns the atoms to serve ahead of the two-level selection, in
+// execution order: those whose earliest pending deadline lies within the
+// horizon, earliest deadline first (key on ties), at most k of them,
+// executed in Morton order. Empty when no deadline binds yet.
+func (e *modelEDF) urgent(l *queueList, k int, now time.Duration) []*modelQueue {
+	earliest := make(map[*modelQueue]time.Duration)
+	var urgent []*modelQueue
+	for _, q := range l.queues {
 		best := time.Duration(1<<62 - 1)
-		for _, qid := range distinctQueries(q.subs) {
-			if d := m.deadlines[qid]; d < best {
+		for _, sq := range q.subs {
+			if d := e.deadlines[sq.Query.ID]; d < best {
 				best = d
 			}
 		}
-		if best <= now+m.horizon {
-			urgents = append(urgents, urgent{q: q, deadline: best})
+		if best <= now+e.horizon {
+			earliest[q] = best
+			urgent = append(urgent, q)
 		}
 	}
-	var batches []sched.Batch
-	if len(urgents) > 0 {
-		// Earliest deadline first (key on ties), truncate to the inner
-		// batch bound, execute in Morton order.
-		sort.SliceStable(urgents, func(i, j int) bool {
-			if urgents[i].deadline != urgents[j].deadline {
-				return urgents[i].deadline < urgents[j].deadline
-			}
-			return urgents[i].q.atom.Key() < urgents[j].q.atom.Key()
-		})
-		if len(urgents) > m.inner.k {
-			urgents = urgents[:m.inner.k]
+	sort.SliceStable(urgent, func(i, j int) bool {
+		if earliest[urgent[i]] != earliest[urgent[j]] {
+			return earliest[urgent[i]] < earliest[urgent[j]]
 		}
-		sort.Slice(urgents, func(i, j int) bool {
-			return urgents[i].q.atom.Key() < urgents[j].q.atom.Key()
-		})
-		batches = make([]sched.Batch, len(urgents))
-		for i, u := range urgents {
-			batches[i] = m.inner.q.take(u.q)
-		}
-	} else {
-		batches = m.inner.NextBatch(now, resident)
+		return urgent[i].atom.Key() < urgent[j].atom.Key()
+	})
+	if len(urgent) > k {
+		urgent = urgent[:k]
 	}
-	// Retire served sub-queries; a query's deadline is dropped when its
-	// last atom is served.
+	sort.Slice(urgent, func(i, j int) bool {
+		return urgent[i].atom.Key() < urgent[j].atom.Key()
+	})
+	return urgent
+}
+
+// retire drops the deadline of every query the batches finished: one with
+// no sub-query left in any queue. (A query re-admitted later — a retried
+// read — gets a fresh deadline, as in production.)
+func (e *modelEDF) retire(batches []sched.Batch, l *queueList) {
 	for _, b := range batches {
-		for _, qid := range distinctQueries(b.SubQueries) {
-			if m.pendingCnt[qid]--; m.pendingCnt[qid] <= 0 {
-				delete(m.pendingCnt, qid)
-				delete(m.deadlines, qid)
+		for _, sq := range b.SubQueries {
+			if !l.hasQuery(sq.Query.ID) {
+				delete(e.deadlines, sq.Query.ID)
 			}
 		}
 	}
-	return batches
 }
-
-func (m *modelQoS) OnRunEnd(rt, tp float64) { m.inner.OnRunEnd(rt, tp) }
-func (m *modelQoS) Alpha() float64          { return m.inner.Alpha() }
-func (m *modelQoS) Pending() int            { return m.inner.Pending() }
-
-// AtomUtility implements UtilityModel.
-func (m *modelQoS) AtomUtility(id store.AtomID, resident func(store.AtomID) bool) float64 {
-	return m.inner.AtomUtility(id, resident)
-}
-
-// StepMean implements UtilityModel.
-func (m *modelQoS) StepMean(step int, resident func(store.AtomID) bool) float64 {
-	return m.inner.StepMean(step, resident)
-}
-
-// PendingSteps implements UtilityModel.
-func (m *modelQoS) PendingSteps() []int { return m.inner.PendingSteps() }
-
-// PendingAtoms implements UtilityModel.
-func (m *modelQoS) PendingAtoms() []store.AtomID { return m.inner.PendingAtoms() }
-
-var (
-	_ resizableModel = (*modelJAWS)(nil)
-	_ resizableModel = (*modelTail)(nil)
-	_ UtilityModel   = (*modelTail)(nil)
-	_ UtilityModel   = (*modelAdaptiveBatch)(nil)
-	_ UtilityModel   = (*modelQoS)(nil)
-	_ GateAwareModel = (*modelTail)(nil)
-	_ GateAwareModel = (*modelAdaptiveBatch)(nil)
-)

@@ -52,16 +52,25 @@ func propTargets(seed int64) []Target {
 		{GateAware: gate, CrossStep: xstep},
 		{GateAware: gate, CrossStep: xstep, AdaptiveBatch: adapt},
 	} {
-		targets = append(targets, PolicyTarget(jaws, spec))
+		p := jaws
+		p.Policy = spec
+		targets = append(targets, StandardTarget(AlgoJAWS, p))
 	}
 	// QoS in both regimes: a small stretch keeps deadlines inside the
 	// horizon (urgent EDF path), a huge stretch with a tiny horizon never
-	// finds one urgent (fallthrough through the QoS bookkeeping).
-	targets = append(targets,
-		QoSTarget(jaws, 1+float64(seed%8), time.Duration(seed%3+1)*time.Second),
-		QoSTarget(jaws, 1e9, time.Nanosecond),
+	// finds one urgent (fallthrough through the QoS bookkeeping) — and
+	// composed with gate-aware scoring and adaptive batch sizing, under a
+	// stretch and horizon that interleave urgent rounds with two-level ones.
+	urgent, never, composed := jaws, jaws, jaws
+	urgent.QoSStretch, urgent.QoSHorizon = 1+float64(seed%8), time.Duration(seed%3+1)*time.Second
+	never.QoSStretch, never.QoSHorizon = 1e9, time.Nanosecond
+	composed.Policy = sched.PolicySpec{GateAware: gate, AdaptiveBatch: adapt}
+	composed.QoSStretch, composed.QoSHorizon = 3+float64(seed%3), 5*time.Millisecond
+	return append(targets,
+		StandardTarget(AlgoJAWS, urgent),
+		StandardTarget(AlgoJAWS, never),
+		StandardTarget(AlgoJAWS, composed),
 	)
-	return targets
 }
 
 func TestRandomOpLogsDifferential(t *testing.T) {

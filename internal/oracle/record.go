@@ -38,9 +38,10 @@ type Op struct {
 	// production scheduler's answer (nil once a log has been shrunk).
 	Resident map[store.AtomID]bool
 	Got      []sched.Batch
-	// Gates snapshots the gate source's answer for every then-pending
-	// query (gate-aware schedulers only; the graph cannot change during
-	// the call, so the snapshot is exact). Only non-GateFree states are
+	// Gates snapshots every answer the gate source gave the scheduler
+	// during the call (the graph cannot change during it, so the snapshot
+	// is exact); nil when the scheduler asked nothing, as any scheduler
+	// without a gate-aware clause does. Only non-GateFree states are
 	// stored — absent queries read GateFree, matching the source.
 	Gates map[query.ID]sched.GateState
 
@@ -84,27 +85,20 @@ type RecordingSched struct {
 	resident func(store.AtomID) bool
 	log      *OpLog
 	pending  map[store.AtomID]int
-	// pendingQ counts pending sub-queries per query, so decisions can
-	// snapshot the gate source for exactly the queries the scheduler may
-	// consult. gateFn is the installed source; gateAware records whether
-	// the inner scheduler consumes it (snapshots are skipped otherwise).
-	pendingQ  map[query.ID]int
-	gateFn    func(query.ID) sched.GateState
-	gateAware bool
+	// gates collects the gate states the inner scheduler reads during the
+	// decision in flight (see SetGateSource).
+	gates map[query.ID]sched.GateState
 }
 
 // NewRecordingSched wraps inner. resident is the same residency oracle
 // the production scheduler consults (the cache's Contains); it is used
 // only to snapshot, never to decide, and may be nil.
 func NewRecordingSched(inner sched.Scheduler, resident func(store.AtomID) bool) *RecordingSched {
-	_, gateAware := inner.(sched.GateAware)
 	return &RecordingSched{
-		inner:     inner,
-		resident:  resident,
-		log:       &OpLog{},
-		pending:   make(map[store.AtomID]int),
-		pendingQ:  make(map[query.ID]int),
-		gateAware: gateAware,
+		inner:    inner,
+		resident: resident,
+		log:      &OpLog{},
+		pending:  make(map[store.AtomID]int),
 	}
 }
 
@@ -118,7 +112,6 @@ func (r *RecordingSched) Name() string { return r.inner.Name() }
 func (r *RecordingSched) Enqueue(sq *query.SubQuery, now time.Duration) {
 	r.log.Ops = append(r.log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: sq})
 	r.pending[sq.Atom]++
-	r.pendingQ[sq.Query.ID]++
 	r.inner.Enqueue(sq, now)
 }
 
@@ -129,15 +122,7 @@ func (r *RecordingSched) NextBatch(now time.Duration) []sched.Batch {
 	for id := range r.pending {
 		snap[id] = r.resident != nil && r.resident(id)
 	}
-	var gates map[query.ID]sched.GateState
-	if r.gateAware && r.gateFn != nil {
-		gates = make(map[query.ID]sched.GateState, len(r.pendingQ))
-		for qid := range r.pendingQ {
-			if st := r.gateFn(qid); st != sched.GateFree {
-				gates[qid] = st
-			}
-		}
-	}
+	r.gates = nil
 	got := r.inner.NextBatch(now)
 	rec := make([]sched.Batch, len(got))
 	for i, b := range got {
@@ -145,13 +130,8 @@ func (r *RecordingSched) NextBatch(now time.Duration) []sched.Batch {
 		if r.pending[b.Atom] -= len(b.SubQueries); r.pending[b.Atom] <= 0 {
 			delete(r.pending, b.Atom)
 		}
-		for _, sq := range b.SubQueries {
-			if r.pendingQ[sq.Query.ID]--; r.pendingQ[sq.Query.ID] <= 0 {
-				delete(r.pendingQ, sq.Query.ID)
-			}
-		}
 	}
-	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: rec, Gates: gates})
+	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: rec, Gates: r.gates})
 	return got
 }
 
@@ -186,13 +166,28 @@ func (r *RecordingSched) SetResidencyVersion(fn func() uint64) {
 }
 
 // SetGateSource implements sched.GateAware, passing the engine's job-graph
-// gate source through and remembering it so decisions can snapshot the
-// gate states the wrapped scheduler saw.
+// gate source through a tap that notes every state the wrapped scheduler
+// reads, so each decision's op carries exactly the gate view it was taken
+// under — and none at all for a scheduler that never asks.
 func (r *RecordingSched) SetGateSource(fn func(query.ID) sched.GateState) {
-	r.gateFn = fn
-	if ga, ok := r.inner.(sched.GateAware); ok {
-		ga.SetGateSource(fn)
+	ga, ok := r.inner.(sched.GateAware)
+	if !ok {
+		return
 	}
+	if fn == nil {
+		ga.SetGateSource(nil)
+		return
+	}
+	ga.SetGateSource(func(q query.ID) sched.GateState {
+		st := fn(q)
+		if st != sched.GateFree {
+			if r.gates == nil {
+				r.gates = make(map[query.ID]sched.GateState)
+			}
+			r.gates[q] = st
+		}
+		return st
+	})
 }
 
 var (

@@ -34,7 +34,16 @@ const (
 	// the live job-graph gate states the engine feeds the gate-aware
 	// scoring.
 	ProfileTail = "tail"
+	// ProfileCompose is the tail configuration with QoS deadlines on top:
+	// gate-aware scoring and adaptive batch sizing under a stretch tight
+	// enough that earliest-deadline rounds interleave with two-level ones —
+	// the composition the one-selector design made legal. It runs for
+	// JAWS on the first ComposeSeeds seeds only.
+	ProfileCompose = "compose"
 )
+
+// ComposeSeeds is how many seeds of a suite pass also run ProfileCompose.
+const ComposeSeeds = 6
 
 // SeedResult is the outcome of one differential run: one (algorithm,
 // seed, profile, fault schedule) tuple captured on a real engine and
@@ -44,8 +53,9 @@ type SeedResult struct {
 	Seed      int64
 	Profile   string
 	FaultSpec string
-	// Policy is the tail-policy spec decorating the scheduler (tail
-	// profile only; empty otherwise).
+	// Policy is the tail-policy spec installed on the scheduler, with
+	// "+QoS" appended under QoS deadlines (tail and compose profiles;
+	// empty otherwise).
 	Policy string
 	// Ops and Decisions size the captured log.
 	Ops, Decisions int
@@ -179,10 +189,29 @@ func TailPolicySpec(seed int64) string {
 
 // TailParams derives the tail-policy variant: the scenario-matrix
 // workload (derivative chains are what cross-step exists for) with the
-// per-seed policy spec decorating JAWS.
+// per-seed policy spec installed on JAWS.
 func TailParams(a Algo, seed int64) (CaptureConfig, Params) {
+	return policyParams(a, seed, TailPolicySpec(seed))
+}
+
+// ComposeParams derives the QoS × tail-policy variant of TailParams.
+func ComposeParams(a Algo, seed int64) (CaptureConfig, Params) {
+	cfg, p := policyParams(a, seed, "gate-aware;adaptive-batch:min=2,max=6,grow=1,shrink=1,full=1,idle=2")
+	p.QoSStretch = 12 + 4*float64(seed%3)
+	p.QoSHorizon = 500 * time.Millisecond
+	cfg.Params = p
+	return cfg, p
+}
+
+// policyParams is MatrixParams with a tail-policy spec installed (one of
+// this file's constants, so a parse error is a programming error).
+func policyParams(a Algo, seed int64, spec string) (CaptureConfig, Params) {
 	cfg, p := MatrixParams(a, seed)
-	cfg.Policy = TailPolicySpec(seed)
+	var err error
+	if p.Policy, err = sched.ParsePolicySpec(spec); err != nil {
+		panic(err)
+	}
+	cfg.Params = p
 	return cfg, p
 }
 
@@ -195,6 +224,8 @@ func ProfileParams(profile string, a Algo, seed int64) (CaptureConfig, Params) {
 		return MatrixParams(a, seed)
 	case ProfileTail:
 		return TailParams(a, seed)
+	case ProfileCompose:
+		return ComposeParams(a, seed)
 	}
 	return SuiteParams(a, seed)
 }
@@ -229,16 +260,15 @@ func DiffSeedProfile(profile string, a Algo, seed int64, faultSpec string) (*See
 		Seed:      seed,
 		Profile:   profile,
 		FaultSpec: faultSpec,
-		Policy:    cfg.Policy,
+		Policy:    cfg.Params.Policy.String(),
 		Ops:       len(c.Log.Ops),
 		Decisions: len(c.Decisions),
 		Crashed:   c.RunErr != nil,
 	}
-	target, err := cfg.target()
-	if err != nil {
-		return nil, err
+	if cfg.Params.QoSStretch > 0 {
+		res.Policy += "+QoS"
 	}
-	res.Divergence = Diff(target, c.Log)
+	res.Divergence = Diff(StandardTarget(a, cfg.Params), c.Log)
 	res.Violations = append(res.Violations, CheckExactlyOnce(c, c.RunErr == nil)...)
 	if cfg.JobAware {
 		res.Violations = append(res.Violations, CheckGateRelease(c)...)
@@ -261,8 +291,9 @@ func DiffSeedProfile(profile string, a Algo, seed int64, faultSpec string) (*See
 // algorithms (LifeRaft, JAWS) additionally run the high-churn profile,
 // so one suite pass covers the sustained-queueing, maximum-turnover, and
 // scenario-matrix regimes: 3n standard + 2n churn + 3n matrix captures
-// per fault arm. report, when non-nil, receives every result as it
-// completes.
+// per fault arm, plus n tail-policy and min(n, ComposeSeeds) QoS ×
+// tail-policy captures of JAWS. report, when non-nil, receives every
+// result as it completes.
 func Suite(n int, withFaults bool, report func(*SeedResult)) ([]*SeedResult, error) {
 	var out []*SeedResult
 	for _, a := range []Algo{AlgoNoShare, AlgoLifeRaft, AlgoJAWS} {
@@ -279,8 +310,12 @@ func Suite(n int, withFaults bool, report func(*SeedResult)) ([]*SeedResult, err
 			if withFaults {
 				specs = append(specs, SuiteFaultSpec(seed))
 			}
+			seedProfiles := profiles
+			if a == AlgoJAWS && seed <= ComposeSeeds {
+				seedProfiles = append(profiles[:len(profiles):len(profiles)], ProfileCompose)
+			}
 			for _, spec := range specs {
-				for _, profile := range profiles {
+				for _, profile := range seedProfiles {
 					r, err := DiffSeedProfile(profile, a, seed, spec)
 					if err != nil {
 						return out, fmt.Errorf("oracle: %v seed %d %s fault %q: %w", a, seed, profile, spec, err)

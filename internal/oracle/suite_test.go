@@ -3,6 +3,9 @@ package oracle
 import (
 	"testing"
 
+	"jaws/internal/query"
+	"jaws/internal/sched"
+	"jaws/internal/store"
 	"jaws/internal/workload"
 )
 
@@ -11,7 +14,8 @@ import (
 // reference models, with and without fault schedules, and every decision
 // and utility must agree bit for bit. 34 seeds × (3 standard + 2 churn +
 // 3 scenario-matrix + 1 tail-policy profiles) × {clean, faulted} = 612
-// differential runs.
+// differential runs, plus ComposeSeeds × {clean, faulted} = 12 of JAWS
+// under QoS × tail policies.
 func TestDifferentialSuite(t *testing.T) {
 	seeds := 34
 	if testing.Short() {
@@ -21,7 +25,7 @@ func TestDifferentialSuite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("suite: %v", err)
 	}
-	if want := seeds * (3 + 2 + 3 + 1) * 2; len(results) != want {
+	if want := (seeds*(3+2+3+1) + min(seeds, ComposeSeeds)) * 2; len(results) != want {
 		t.Fatalf("suite ran %d captures, want %d", len(results), want)
 	}
 	var crashed, decisions int
@@ -117,5 +121,62 @@ func TestMatrixProfileCoversNewClasses(t *testing.T) {
 	}
 	if len(arrivals) != 3 {
 		t.Errorf("six consecutive seeds covered arrival processes %v, want all 3", arrivals)
+	}
+}
+
+// TestComposeProfileCoversBothRoundKinds opens the compose profile's hood:
+// its captures must interleave earliest-deadline rounds with two-level
+// ones, truncate some of the latter (so the batch-bound steer sees both
+// signals), and record live gate states — otherwise the profile would
+// certify QoS or the tail policies, not their composition.
+func TestComposeProfileCoversBothRoundKinds(t *testing.T) {
+	var urgent, twoLevel, truncating, gated int
+	for seed := int64(1); seed <= ComposeSeeds; seed++ {
+		cfg, p := ComposeParams(AlgoJAWS, seed)
+		c, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replay the capture through a fresh production scheduler with
+		// decision capture on: the flight-recorder view says which kind of
+		// round each decision was.
+		var snap map[store.AtomID]bool
+		var gates map[query.ID]sched.GateState
+		s := StandardTarget(AlgoJAWS, p).New(func(id store.AtomID) bool { return snap[id] })
+		s.(sched.GateAware).SetGateSource(func(q query.ID) sched.GateState { return gates[q] })
+		ex := s.(sched.Explained)
+		ex.SetExplain(true)
+		for _, op := range c.Log.Ops {
+			switch op.Kind {
+			case OpEnqueue:
+				s.Enqueue(op.Sub, op.Now)
+			case OpRunEnd:
+				s.OnRunEnd(op.RT, op.TP)
+			case OpDecision:
+				snap, gates = op.Resident, op.Gates
+				if len(op.Gates) > 0 {
+					gated++
+				}
+				if got := s.NextBatch(op.Now); !batchesEqual(got, op.Got) {
+					t.Fatalf("seed %d: replay diverged from the capture", seed)
+				} else if len(got) == 0 {
+					continue
+				}
+				e := ex.LastExplain()
+				if e.Urgent {
+					urgent++
+					continue
+				}
+				twoLevel++
+				if len(e.Truncated) > 0 {
+					truncating++
+				}
+			}
+		}
+	}
+	t.Logf("%d compose seeds: %d urgent rounds, %d two-level (%d truncating), %d decisions under live gate states",
+		ComposeSeeds, urgent, twoLevel, truncating, gated)
+	if urgent == 0 || twoLevel == 0 || truncating == 0 || gated == 0 {
+		t.Error("the compose profile does not exercise the composition")
 	}
 }

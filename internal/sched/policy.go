@@ -59,32 +59,35 @@ type GateAware interface {
 	SetGateSource(fn func(q query.ID) GateState)
 }
 
-// GateAwareParams tunes the gate-aware admission-order policy.
-type GateAwareParams struct {
-	// Discount multiplies the aged metric of atoms whose pending queries
-	// are all gate-blocked; in (0, 1].
-	Discount float64
-	// Boost multiplies the aged metric of atoms carrying at least one
-	// gate-releasing query; ≥ 1.
-	Boost float64
-}
+// The parameters of the three clauses.
+type (
+	// GateAwareParams tunes the gate-aware admission-order policy.
+	GateAwareParams struct {
+		// Discount multiplies the aged metric of atoms whose pending queries
+		// are all gate-blocked; in (0, 1].
+		Discount float64
+		// Boost multiplies the aged metric of atoms carrying at least one
+		// gate-releasing query; ≥ 1.
+		Boost float64
+	}
 
-// CrossStepParams tunes the cross-step batching policy.
-type CrossStepParams struct {
-	// Span bounds the window of adjacent step buckets one decision may
-	// coalesce; in [1, 8] (1 degenerates to plain JAWS selection).
-	Span int
-}
+	// CrossStepParams tunes the cross-step batching policy.
+	CrossStepParams struct {
+		// Span bounds the window of adjacent step buckets one decision may
+		// coalesce; in [1, 8] (1 degenerates to plain JAWS selection).
+		Span int
+	}
 
-// AdaptiveBatchParams tunes the starvation-aware batch sizing policy.
-type AdaptiveBatchParams struct {
-	// Min and Max bound the batch size k.
-	Min, Max int
-	// Grow is added to k after Full consecutive truncating rounds;
-	// Shrink is subtracted after Idle consecutive non-truncating rounds.
-	Grow, Shrink int
-	Full, Idle   int
-}
+	// AdaptiveBatchParams tunes the starvation-aware batch sizing policy.
+	AdaptiveBatchParams struct {
+		// Min and Max bound the batch size k.
+		Min, Max int
+		// Grow is added to k after Full consecutive truncating rounds;
+		// Shrink is subtracted after Idle consecutive non-truncating rounds.
+		Grow, Shrink int
+		Full, Idle   int
+	}
+)
 
 // Policy spec grammar (mirrors internal/fault's ParseSpec):
 //
