@@ -35,10 +35,13 @@ endif
 ## baseline was measured with) re-measured and gated against that
 ## baseline, per-cause p99 wait included. CI runs these as the tail-gate
 ## matrix job (see DESIGN.md §18).
+TAIL_FIG8 := -scenario fig8 -policy 'gate-aware:boost=1.2,discount=0.8'
+TAIL_POISSON_BOX := -scenario poisson-box -policy 'gate-aware'
+TAIL_DERIV_CHAIN := -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch'
 check-tail-scenarios:
-	$(GO) run ./cmd/jawsbench -scenario fig8 -policy 'gate-aware:boost=1.2,discount=0.8' -compare BENCH_fig8-tail.json
-	$(GO) run ./cmd/jawsbench -scenario poisson-box -policy 'gate-aware' -compare BENCH_poisson-box-tail.json
-	$(GO) run ./cmd/jawsbench -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch' -compare BENCH_deriv-chain-tail.json
+	$(GO) run ./cmd/jawsbench $(TAIL_FIG8) -compare BENCH_fig8-tail.json
+	$(GO) run ./cmd/jawsbench $(TAIL_POISSON_BOX) -compare BENCH_poisson-box-tail.json
+	$(GO) run ./cmd/jawsbench $(TAIL_DERIV_CHAIN) -compare BENCH_deriv-chain-tail.json
 
 ## check-artifacts: the proof a refactor changed no decision — every
 ## committed BENCH_*.json regenerated with the exact flags of check-bench,
@@ -54,9 +57,9 @@ check-artifacts:
 	regen BENCH_poisson-box.json -scenario poisson-box; \
 	regen BENCH_deriv-chain.json -scenario deriv-chain; \
 	regen BENCH_diurnal.json -scenario diurnal; \
-	regen BENCH_fig8-tail.json -scenario fig8 -policy 'gate-aware:boost=1.2,discount=0.8'; \
-	regen BENCH_poisson-box-tail.json -scenario poisson-box -policy 'gate-aware'; \
-	regen BENCH_deriv-chain-tail.json -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch'; \
+	regen BENCH_fig8-tail.json $(TAIL_FIG8); \
+	regen BENCH_poisson-box-tail.json $(TAIL_POISSON_BOX); \
+	regen BENCH_deriv-chain-tail.json $(TAIL_DERIV_CHAIN); \
 	for f in BENCH_*.json; do [ -f "$$tmp/$$f" ] || { echo "check-artifacts: $$f has no regeneration rule"; exit 1; }; done
 
 build:

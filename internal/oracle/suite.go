@@ -297,25 +297,13 @@ func DiffSeedProfile(profile string, a Algo, seed int64, faultSpec string) (*See
 func Suite(n int, withFaults bool, report func(*SeedResult)) ([]*SeedResult, error) {
 	var out []*SeedResult
 	for _, a := range []Algo{AlgoNoShare, AlgoLifeRaft, AlgoJAWS} {
-		profiles := []string{ProfileStandard}
-		if a != AlgoNoShare {
-			profiles = append(profiles, ProfileChurn)
-		}
-		profiles = append(profiles, ProfileMatrix)
-		if a == AlgoJAWS {
-			profiles = append(profiles, ProfileTail)
-		}
 		for seed := int64(1); seed <= int64(n); seed++ {
 			specs := []string{""}
 			if withFaults {
 				specs = append(specs, SuiteFaultSpec(seed))
 			}
-			seedProfiles := profiles
-			if a == AlgoJAWS && seed <= ComposeSeeds {
-				seedProfiles = append(profiles[:len(profiles):len(profiles)], ProfileCompose)
-			}
 			for _, spec := range specs {
-				for _, profile := range seedProfiles {
+				for _, profile := range suiteProfiles(a, seed) {
 					r, err := DiffSeedProfile(profile, a, seed, spec)
 					if err != nil {
 						return out, fmt.Errorf("oracle: %v seed %d %s fault %q: %w", a, seed, profile, spec, err)
@@ -329,4 +317,20 @@ func Suite(n int, withFaults bool, report func(*SeedResult)) ([]*SeedResult, err
 		}
 	}
 	return out, nil
+}
+
+// suiteProfiles lists the profiles one (algorithm, seed) runs under.
+func suiteProfiles(a Algo, seed int64) []string {
+	profiles := []string{ProfileStandard}
+	if a != AlgoNoShare {
+		profiles = append(profiles, ProfileChurn)
+	}
+	profiles = append(profiles, ProfileMatrix)
+	if a == AlgoJAWS {
+		profiles = append(profiles, ProfileTail)
+		if seed <= ComposeSeeds {
+			profiles = append(profiles, ProfileCompose)
+		}
+	}
+	return profiles
 }

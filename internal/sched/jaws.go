@@ -215,7 +215,7 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 	// round's batch-full pass-overs, which the batch-bound steer follows.
 	trunc := 0
 
-	if s.qos != nil && s.selectUrgent(alpha, now) {
+	if s.qos != nil && s.selectUrgent(now) {
 		// Urgent pre-pass: deadlines bind, so the k earliest-deadline atoms
 		// go now — still in Morton order, the data-sharing elasticity the
 		// paper notes survives real-time constraints. The atoms beyond k
@@ -230,6 +230,9 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 			s.score = s.score[:s.k]
 		}
 		s.sortSel(sortKeyAsc)
+		for i, aq := range s.sel {
+			s.score[i] = s.atomScore(aq, alpha, now) // reported, not decided on
+		}
 	} else {
 		// Level one: anchor on the step bucket with the best mean score
 		// (strict >, so the earliest step wins ties).

@@ -97,8 +97,9 @@ func (p *qosPass) admit(sq *query.SubQuery) {
 // selectUrgent is the urgent pre-pass: it collects, in key order, every
 // atom whose earliest pending deadline lies within the horizon (leaving
 // that deadline on the atom queue for the EDF sort) and reports whether
-// there is any.
-func (s *JAWS) selectUrgent(alpha float64, now time.Duration) bool {
+// there is any. Scores play no part in the EDF order; the caller fills
+// them in for the atoms it serves.
+func (s *JAWS) selectUrgent(now time.Duration) bool {
 	for _, b := range s.q.buckets {
 		for _, aq := range b.atoms {
 			best := time.Duration(1<<62 - 1)
@@ -110,7 +111,7 @@ func (s *JAWS) selectUrgent(alpha float64, now time.Duration) bool {
 			if best <= now+s.qos.horizon {
 				aq.deadline = best
 				s.sel = append(s.sel, aq)
-				s.score = append(s.score, s.atomScore(aq, alpha, now))
+				s.score = append(s.score, 0)
 			}
 		}
 	}

@@ -391,6 +391,7 @@ func (s *System) newScheduler() sched.Scheduler {
 			Adaptive:     !s.cfg.AdaptiveOff,
 			Resident:     resident,
 		})
+		// Both install hooks on inner itself (one selector, DESIGN.md §18).
 		s.tailSpec.Wrap(inner)
 		if s.cfg.QoSStretch > 0 {
 			sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, s.cfg.QoSHorizon)
