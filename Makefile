@@ -101,9 +101,12 @@ check-prop:
 
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only
-## repetition shows a rare one (map growth, a pool refill).
+## repetition shows a rare one (map growth, a pool refill) — and the
+## serving layer's wire-codec and handler pins, which are exact counts
+## and need 20 repetitions only to meet every pool state.
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
+	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
 
 ## e2e-serve: boot a real jawsd on a free port, drive a seeded jawsload
 ## burst that overwhelms the small queue (some 429s expected, zero 5xx
@@ -120,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGenerate -fuzztime 10s ./internal/workload/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzParsePolicySpec -fuzztime 10s ./internal/sched/
+	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline).

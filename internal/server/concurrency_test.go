@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -246,4 +247,54 @@ func TestManyClientsAgainstReplicaPool(t *testing.T) {
 	if total != clients {
 		t.Errorf("replicas completed %d queries in total, want %d", total, clients)
 	}
+}
+
+// TestConcurrentBulkRequestsKeepTheirBytes drives 64 clients, each with
+// its own 512-point request, through the pooled read buffer, position
+// scratch and write buffer at once, and recomputes every response from the
+// request that asked for it. A buffer handed back to its pool while a
+// request still reads or fills it shows here as a wrong number, not only
+// as a race report.
+func TestConcurrentBulkRequestsKeepTheirBytes(t *testing.T) {
+	eval := func(p jaws.Position) [4]float64 { return [4]float64{p.X + p.Y, p.Y * p.Z, p.Z - p.X, p.X * 1e-9} }
+	fake := newFakeBackend()
+	fake.eval = eval
+	_, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
+		c.QueueBound, c.Workers = 64, 8
+		c.MaxBodyBytes, c.MaxPoints = 1<<20, 512
+	})
+
+	const clients, points, rounds = 64, 512, 3
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				sent := bulkRequest(points, int64(c*rounds+round))
+				body, _ := json.Marshal(sent)
+				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got QueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(got.Values) != points {
+					t.Errorf("client %d: status %d, %d values, decode error %v", c, resp.StatusCode, len(got.Values), err)
+					return
+				}
+				for i, v := range got.Values {
+					val := eval(jaws.Position(sent.Points[i]))
+					want := PointValue{Position: sent.Points[i], Velocity: [3]float64{val[0], val[1], val[2]}, Pressure: val[3]}
+					if v != want {
+						t.Errorf("client %d round %d value %d = %+v, want %+v", c, round, i, v, want)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -73,17 +73,37 @@ var kernels = map[string]jaws.Kernel{
 }
 
 // task is one accepted request traveling from the handler through the
-// queue to a worker and back.
+// queue to a worker and back. It is passed by value: what the backend
+// keeps a reference to is req alone, never the context or the channel.
 type task struct {
 	ctx context.Context
-	id  jaws.QueryID
-	job *jaws.Job
+	req *request
 	// rs is the request's wall-clock span (nil when request tracking is
 	// off). Ownership travels with the task: the worker marks the queued,
 	// dispatch, and execute phases, then the respc send returns the span
 	// to the handler for Finish.
 	rs    *obs.ReqSpan
 	respc chan taskOutcome // cap 1: the worker's send never blocks
+}
+
+// request is what a backend is handed for one accepted request — the job,
+// its single query and the one-element slice joining them — allocated as
+// one object.
+type request struct {
+	job     jaws.Job
+	query   jaws.Query
+	queries [1]*jaws.Query
+}
+
+// newRequest builds the one-query batched job the serving layer submits.
+func newRequest(id jaws.QueryID, rid string, kernel jaws.Kernel, in DecodedRequest) *request {
+	req := &request{
+		job:   jaws.Job{ID: int64(id), User: 1, Type: jaws.Batched},
+		query: jaws.Query{ID: id, JobID: int64(id), User: 1, Step: in.Step, DerivSteps: in.DerivSteps, Points: in.Points, Kernel: kernel, ReqID: rid},
+	}
+	req.queries[0] = &req.query
+	req.job.Queries = req.queries[:]
+	return req
 }
 
 // taskOutcome is the worker's verdict: a result, or an HTTP status.
@@ -127,11 +147,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var in QueryRequest
-	if err := dec.Decode(&in); err != nil {
+	in, err := DecodeQueryRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.rejectRequest(w, http.StatusRequestEntityTooLarge,
@@ -171,13 +188,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := s.cfg.DefaultDeadline
-	if in.TimeoutMS > 0 {
-		deadline = time.Duration(in.TimeoutMS) * time.Millisecond
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
-	}
+	deadline := s.deadline(in.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
@@ -190,15 +201,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := obs.RequestID(s.cfg.ReqIDSeed, int64(id))
 	w.Header().Set("X-Jaws-Request-Id", rid)
 	rs.SetRequest(rid, int64(id))
-	pts := make([]jaws.Position, len(in.Points))
-	for i, p := range in.Points {
-		pts[i] = jaws.Position{X: p.X, Y: p.Y, Z: p.Z}
-	}
-	q := &jaws.Query{ID: id, JobID: int64(id), User: 1, Step: in.Step, DerivSteps: in.DerivSteps, Points: pts, Kernel: kernel, ReqID: rid}
-	t := &task{
+	t := task{
 		ctx:   ctx,
-		id:    id,
-		job:   &jaws.Job{ID: int64(id), User: 1, Type: jaws.Batched, Queries: []*jaws.Query{q}},
+		req:   newRequest(id, rid, kernel, in),
 		rs:    rs,
 		respc: make(chan taskOutcome, 1),
 	}
@@ -232,20 +237,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var status int
 	switch {
 	case out.res != nil:
-		status = http.StatusOK
+		// The body is streamed from the result as it is encoded; only a
+		// non-finite value, found before the first byte, changes the status.
 		virt := (out.res.Completed - out.res.Query.Arrival).Seconds()
-		s.served.Inc()
-		s.hLatency.Observe(time.Since(start).Seconds())
-		s.hVirtual.Observe(virt)
-		resp := QueryResponse{QueryID: int64(id), VirtualSeconds: virt, Values: make([]PointValue, 0, len(out.res.Positions))}
-		for _, p := range out.res.Positions {
-			resp.Values = append(resp.Values, PointValue{
-				Position: Point{X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z},
-				Velocity: [3]float64{p.Val[0], p.Val[1], p.Val[2]},
-				Pressure: p.Val[3],
-			})
+		lat := time.Since(start)
+		w.Header().Set("Content-Type", "application/json")
+		if err := WriteQueryResponse(w, int64(id), virt, out.res.Positions); errors.Is(err, ErrNonFinite) {
+			status = http.StatusInternalServerError
+			s.errcount.Inc()
+			http.Error(w, "backend produced a non-finite value", status)
+			break
 		}
-		writeJSON(w, http.StatusOK, resp)
+		status = http.StatusOK
+		s.served.Inc()
+		s.hLatency.Observe(lat.Seconds())
+		s.hVirtual.Observe(virt)
 	case out.status == http.StatusGatewayTimeout:
 		status = http.StatusGatewayTimeout
 		s.timeouts.Inc()
@@ -273,6 +279,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"request_id", rid, "query", int64(id), "status", status,
 			"wall_ms", float64(wall)/float64(time.Millisecond),
 			"queue_depth", len(s.queue))
+	}
+}
+
+// deadline is the wall-clock budget of a request asking for timeoutMS
+// milliseconds: the default when it asks for none, never more than
+// MaxDeadline. The comparison is made in milliseconds because the product
+// overflows time.Duration from about 9.2e12 ms upward.
+func (s *Server) deadline(timeoutMS int64) time.Duration {
+	switch {
+	case timeoutMS <= 0:
+		return s.cfg.DefaultDeadline
+	case timeoutMS <= int64(s.cfg.MaxDeadline/time.Millisecond):
+		return time.Duration(timeoutMS) * time.Millisecond
+	default:
+		return s.cfg.MaxDeadline
 	}
 }
 

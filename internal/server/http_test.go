@@ -18,6 +18,35 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
+// validationCases is the request-validation table; FuzzDecodeQuery seeds
+// its corpus from the bodies.
+var validationCases = []struct {
+	name   string
+	method string
+	body   string
+	code   int
+	want   string // substring of the error body
+}{
+	{"malformed JSON", "POST", `{"step":`, http.StatusBadRequest, "malformed request"},
+	{"not JSON at all", "POST", `hello`, http.StatusBadRequest, "malformed request"},
+	{"unknown field", "POST", `{"step":1,"points":[{"x":1,"y":2,"z":3}],"frobnicate":true}`, http.StatusBadRequest, "unknown field"},
+	{"unknown kernel", "POST", `{"step":1,"kernel":"spline","points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, `unknown kernel "spline"`},
+	{"negative step", "POST", `{"step":-1,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "outside [0, 4)"},
+	{"step past store", "POST", `{"step":4,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "outside [0, 4)"},
+	{"no points", "POST", `{"step":1,"points":[]}`, http.StatusBadRequest, "no points"},
+	{"too many points", "POST", `{"step":1,"points":[{"x":1},{"x":2},{"x":3}]}`, http.StatusBadRequest, "exceed the limit of 2"},
+	{"deriv_steps of one", "POST", `{"step":1,"deriv_steps":1,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps 1 invalid"},
+	{"deriv_steps negative", "POST", `{"step":1,"deriv_steps":-2,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps -2 invalid"},
+	{"deriv_steps too long", "POST", `{"step":0,"deriv_steps":9,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps 9 invalid"},
+	{"deriv chain past store", "POST", `{"step":3,"deriv_steps":2,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "derivative chain [3, 5) exceeds the stored 4 steps"},
+	{"oversized body", "POST", `{"step":1,"points":[` + strings.Repeat(`{"x":1.234567,"y":2.345678,"z":3.456789},`, 20) + `{"x":1}]}`, http.StatusRequestEntityTooLarge, "exceeds 256 bytes"},
+	{"GET not allowed", "GET", "", http.StatusMethodNotAllowed, "POST only"},
+	{"duplicate key", "POST", `{"step":1,"step":2,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, `duplicate field "step"`},
+	{"duplicate key by case", "POST", `{"step":1,"points":[{"x":1,"X":2}]}`, http.StatusBadRequest, `duplicate field "X"`},
+	{"data after the request", "POST", okBody + ` {}`, http.StatusBadRequest, "after the request object"},
+	{"padding past the limit", "POST", okBody + strings.Repeat(" ", 256), http.StatusRequestEntityTooLarge, "exceeds 256 bytes"},
+}
+
 // TestQueryValidation is the table-driven request-validation suite: every
 // malformed request is rejected before it can reach a backend.
 func TestQueryValidation(t *testing.T) {
@@ -27,29 +56,7 @@ func TestQueryValidation(t *testing.T) {
 		c.MaxPoints = 2
 	})
 
-	cases := []struct {
-		name   string
-		method string
-		body   string
-		code   int
-		want   string // substring of the error body
-	}{
-		{"malformed JSON", "POST", `{"step":`, http.StatusBadRequest, "malformed request"},
-		{"not JSON at all", "POST", `hello`, http.StatusBadRequest, "malformed request"},
-		{"unknown field", "POST", `{"step":1,"points":[{"x":1,"y":2,"z":3}],"frobnicate":true}`, http.StatusBadRequest, "unknown field"},
-		{"unknown kernel", "POST", `{"step":1,"kernel":"spline","points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, `unknown kernel "spline"`},
-		{"negative step", "POST", `{"step":-1,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "outside [0, 4)"},
-		{"step past store", "POST", `{"step":4,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "outside [0, 4)"},
-		{"no points", "POST", `{"step":1,"points":[]}`, http.StatusBadRequest, "no points"},
-		{"too many points", "POST", `{"step":1,"points":[{"x":1},{"x":2},{"x":3}]}`, http.StatusBadRequest, "exceed the limit of 2"},
-		{"deriv_steps of one", "POST", `{"step":1,"deriv_steps":1,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps 1 invalid"},
-		{"deriv_steps negative", "POST", `{"step":1,"deriv_steps":-2,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps -2 invalid"},
-		{"deriv_steps too long", "POST", `{"step":0,"deriv_steps":9,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "deriv_steps 9 invalid"},
-		{"deriv chain past store", "POST", `{"step":3,"deriv_steps":2,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusBadRequest, "derivative chain [3, 5) exceeds the stored 4 steps"},
-		{"oversized body", "POST", `{"step":1,"points":[` + strings.Repeat(`{"x":1.234567,"y":2.345678,"z":3.456789},`, 20) + `{"x":1}]}`, http.StatusRequestEntityTooLarge, "exceeds 256 bytes"},
-		{"GET not allowed", "GET", "", http.StatusMethodNotAllowed, "POST only"},
-	}
-	for _, c := range cases {
+	for _, c := range validationCases {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := http.NewRequest(c.method, ts.URL+"/query", strings.NewReader(c.body))
 			if err != nil {

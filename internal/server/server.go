@@ -117,6 +117,10 @@ type Config struct {
 	TailPolicy string
 }
 
+// defaultMaxPoints is the default Config.MaxPoints, and with it the bound
+// on the position scratch a pooled request decoder keeps.
+const defaultMaxPoints = 4096
+
 func (c *Config) applyDefaults() {
 	if c.QueueBound <= 0 {
 		c.QueueBound = 64
@@ -131,7 +135,7 @@ func (c *Config) applyDefaults() {
 		c.MaxBodyBytes = 1 << 20
 	}
 	if c.MaxPoints <= 0 {
-		c.MaxPoints = 4096
+		c.MaxPoints = defaultMaxPoints
 	}
 	if c.Steps <= 0 {
 		c.Steps = 31
@@ -161,7 +165,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	backends []*backendState
-	queue    chan *task
+	queue    chan task
 	start    time.Time
 
 	nextID   atomic.Int64 // query/job ID source, unique across backends
@@ -238,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
-		queue: make(chan *task, cfg.QueueBound),
+		queue: make(chan task, cfg.QueueBound),
 		start: time.Now(),
 
 		requests:    cfg.Reg.Counter("jaws_server_requests_total"),
@@ -323,19 +327,20 @@ func (s *Server) worker() {
 // t.rs before the queue send, this goroutine marks between receiving the
 // task and sending on respc, and the handler resumes only after the
 // respc receive — each handoff is a happens-before edge.
-func (s *Server) serveTask(t *task) {
+func (s *Server) serveTask(t task) {
 	t.rs.Mark(obs.ReqQueued)
 	if t.ctx.Err() != nil { // deadline spent while queued
 		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
 		return
 	}
 	b := s.pick()
+	id := t.req.query.ID
 	ch := make(chan *jaws.QueryResult, 1)
-	s.demux.Store(t.id, ch)
-	err := b.be.Submit(t.job)
+	s.demux.Store(id, ch)
+	err := b.be.Submit(&t.req.job)
 	t.rs.Mark(obs.ReqDispatch)
 	if err != nil {
-		s.demux.Delete(t.id)
+		s.demux.Delete(id)
 		t.respc <- taskOutcome{status: http.StatusBadGateway, err: err}
 		return
 	}
@@ -345,11 +350,11 @@ func (s *Server) serveTask(t *task) {
 		t.respc <- taskOutcome{res: r}
 	case <-t.ctx.Done():
 		t.rs.Mark(obs.ReqExecute)
-		s.demux.Delete(t.id)
+		s.demux.Delete(id)
 		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
 	case <-b.dead:
 		t.rs.Mark(obs.ReqExecute)
-		s.demux.Delete(t.id)
+		s.demux.Delete(id)
 		t.respc <- taskOutcome{status: http.StatusBadGateway, err: b.be.Err()}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"jaws"
+	"jaws/internal/engine"
 	"jaws/internal/obs"
 )
 
@@ -21,6 +24,10 @@ import (
 // release, and die simulates a crash-faulted session.
 type fakeBackend struct {
 	results chan *jaws.QueryResult
+
+	// eval, when set, makes results carry values: one per query point, in
+	// input order. Set before the first Submit.
+	eval func(jaws.Position) [4]float64
 
 	mu        sync.Mutex
 	submitted []*jaws.Job
@@ -52,7 +59,14 @@ func (f *fakeBackend) Submit(jobs ...*jaws.Job) error {
 func (f *fakeBackend) complete(jobs []*jaws.Job) {
 	for _, j := range jobs {
 		for _, q := range j.Queries {
-			f.results <- &jaws.QueryResult{Query: q, Completed: q.Arrival + time.Second}
+			r := &jaws.QueryResult{Query: q, Completed: q.Arrival + time.Second}
+			if f.eval != nil {
+				r.Positions = make([]engine.PointSample, len(q.Points))
+				for i, p := range q.Points {
+					r.Positions[i] = sample(p.X, p.Y, p.Z, f.eval(p))
+				}
+			}
+			f.results <- r
 		}
 	}
 }
@@ -550,5 +564,61 @@ func TestChaosCrashFaultOnServicePath(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Errors == 0 {
 		t.Errorf("stats %+v: no error counted", st)
+	}
+}
+
+// TestDeadlineClampsBeforeMultiplying: timeout_ms is compared with
+// MaxDeadline in milliseconds, so a request for a very long deadline gets
+// MaxDeadline and not the negative product that used to answer 504 at once.
+func TestDeadlineClampsBeforeMultiplying(t *testing.T) {
+	const def, max = 7 * time.Second, 2*time.Minute + 500*time.Microsecond
+	srv, _ := newTestServer(t, []Backend{newFakeBackend()}, func(c *Config) {
+		c.DefaultDeadline, c.MaxDeadline = def, max
+	})
+	maxMS := int64(max / time.Millisecond)
+	for _, c := range []struct {
+		timeoutMS int64
+		want      time.Duration
+	}{
+		{math.MinInt64, def},
+		{-1, def},
+		{0, def},
+		{1, time.Millisecond},
+		{maxMS - 1, max - 1500*time.Microsecond},
+		{maxMS, max - 500*time.Microsecond},
+		{maxMS + 1, max},
+		{math.MaxInt64 / int64(time.Millisecond), max},
+		{math.MaxInt64/int64(time.Millisecond) + 1, max}, // the first product to wrap negative
+		{math.MaxInt64, max},
+	} {
+		if got := srv.deadline(c.timeoutMS); got != c.want {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", c.timeoutMS, got, c.want)
+		}
+	}
+
+	// End to end: the request that used to time out instantly is served.
+	fake := newFakeBackend()
+	_, ts := newTestServer(t, []Backend{fake}, nil)
+	resp := postQuery(t, ts.URL, `{"step":1,"points":[{"x":1,"y":2,"z":3}],"timeout_ms":9223372036854775807}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("timeout_ms = MaxInt64 answered %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteResultIs500: JSON cannot carry a NaN, and the server says so
+// with a status instead of the 200 and empty body it used to send.
+func TestNonFiniteResultIs500(t *testing.T) {
+	fake := newFakeBackend()
+	fake.eval = func(p jaws.Position) [4]float64 { return [4]float64{p.X, math.NaN(), p.Z, 0} }
+	srv, ts := newTestServer(t, []Backend{fake}, nil)
+	resp := postQuery(t, ts.URL, okBody)
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "backend produced a non-finite value") {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	if st := srv.Stats(); st.Errors != 1 || st.Served != 0 {
+		t.Errorf("stats %+v, want the request counted as an error and not as served", st)
 	}
 }
