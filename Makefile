@@ -87,7 +87,8 @@ race:
 	$(GO) test -race ./...
 
 ## race-obs: race-check the packages with real concurrency — the obs
-## layer (atomic registry, locked tracer), the engine's compute pool,
+## layer (atomic registry, locked tracer), the engine's compute pool and
+## the atom frames its workers read (TestEvictedFrameNotReusedWithinDecision),
 ## the scheduler structures, the serving layer, and their concurrent
 ## users.
 race-obs:
@@ -103,10 +104,13 @@ check-prop:
 ## over — one allocation in ten rounds is enough to fail a run, so only
 ## repetition shows a rare one (map growth, a pool refill) — and the
 ## serving layer's wire-codec and handler pins, which are exact counts
-## and need 20 repetitions only to meet every pool state.
+## and need 20 repetitions only to meet every pool state; likewise the
+## engine's frame pins (a miss at capacity allocates the atom handle and no
+## sample buffer; a URC utility push allocates nothing).
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
+	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs' -count 20 ./internal/engine/
 
 ## e2e-serve: boot a real jawsd on a free port, drive a seeded jawsload
 ## burst that overwhelms the small queue (some 429s expected, zero 5xx

@@ -156,21 +156,27 @@ func (c *Cache) Contains(id store.AtomID) bool {
 }
 
 // Put inserts id, evicting per policy if the cache is full. Inserting an
-// already-resident atom just refreshes its value and recency.
-func (c *Cache) Put(id store.AtomID, v any) {
-	if _, ok := c.entries[id]; ok {
+// already-resident atom just refreshes its value and recency. It returns
+// the value the insertion pushed out — the evicted victim's, or the one a
+// same-id Put replaced; nil when there was none — so the caller that owns
+// the values' memory can reuse it.
+func (c *Cache) Put(id store.AtomID, v any) (displaced any) {
+	if old, ok := c.entries[id]; ok {
 		c.entries[id] = v
 		start := time.Now()
 		c.policy.OnHit(id)
 		c.stats.PolicyTime += time.Since(start)
-		return
+		return old
 	}
 	start := time.Now()
-	for len(c.entries) >= c.capacity {
+	// Residency never exceeds the capacity, so one eviction makes room.
+	if len(c.entries) >= c.capacity {
 		victim := c.policy.Victim()
-		if _, ok := c.entries[victim]; !ok {
+		old, ok := c.entries[victim]
+		if !ok {
 			panic(fmt.Sprintf("cache: policy %s evicted non-resident atom %v", c.policy.Name(), victim))
 		}
+		displaced = old
 		delete(c.entries, victim)
 		c.version++
 		c.policy.OnEvict(victim)
@@ -183,6 +189,7 @@ func (c *Cache) Put(id store.AtomID, v any) {
 	c.version++
 	c.policy.OnInsert(id)
 	c.stats.PolicyTime += time.Since(start)
+	return displaced
 }
 
 // EndRun forwards the end-of-run signal to the policy.
@@ -200,14 +207,13 @@ func (c *Cache) Len() int { return len(c.entries) }
 // every Contains answer (and thus every φ(i) term) is unchanged too.
 func (c *Cache) Version() uint64 { return c.version }
 
-// Keys returns the resident atom IDs in unspecified order. The engine
-// uses this to push scheduler utilities into URC.
-func (c *Cache) Keys() []store.AtomID {
-	out := make([]store.AtomID, 0, len(c.entries))
+// EachKey calls fn for every resident atom ID, in unspecified order. The
+// engine uses this to push scheduler utilities into URC; fn must not
+// touch the cache.
+func (c *Cache) EachKey(fn func(id store.AtomID)) {
 	for id := range c.entries {
-		out = append(out, id)
+		fn(id)
 	}
-	return out
 }
 
 // Capacity reports the configured maximum.

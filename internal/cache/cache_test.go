@@ -48,8 +48,12 @@ func TestGetMissAndHit(t *testing.T) {
 
 func TestPutRefreshesExisting(t *testing.T) {
 	c := New(2, NewLRU())
-	c.Put(id(0, 1), "a")
-	c.Put(id(0, 1), "b")
+	if old := c.Put(id(0, 1), "a"); old != nil {
+		t.Fatalf("Put into an empty cache displaced %v", old)
+	}
+	if old := c.Put(id(0, 1), "b"); old != "a" {
+		t.Fatalf("same-id Put handed back %v, want the replaced value", old)
+	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate Put", c.Len())
 	}
@@ -61,7 +65,14 @@ func TestPutRefreshesExisting(t *testing.T) {
 func TestCapacityEnforced(t *testing.T) {
 	c := New(3, NewLRU())
 	for i := 0; i < 10; i++ {
-		c.Put(id(0, i), i)
+		// Every Put past the capacity hands back the value it evicted.
+		var want any
+		if i >= 3 {
+			want = i - 3
+		}
+		if old := c.Put(id(0, i), i); old != want {
+			t.Fatalf("Put %d displaced %v, want %v", i, old, want)
+		}
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())

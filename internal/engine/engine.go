@@ -219,6 +219,13 @@ func (st *queryState) samples(sq *query.SubQuery) []PointSample {
 	return st.result.Positions[lo:]
 }
 
+// liveJob is a submitted job and how many of its queries are still to
+// complete.
+type liveJob struct {
+	*job.Job
+	left int
+}
+
 // Engine executes one workload; create a fresh engine per run.
 type Engine struct {
 	cfg    Config
@@ -230,9 +237,11 @@ type Engine struct {
 	arrivedRefs map[jobgraph.Ref]bool
 	pool        *computePool
 
-	arrived  []*query.Query
-	states   map[query.ID]*queryState
-	jobsByID map[int64]*job.Job
+	arrived []*query.Query
+	states  map[query.ID]*queryState
+	// jobsByID holds the jobs with a query still to complete; an entry goes
+	// when its last query does, so a long-lived session stays bounded.
+	jobsByID map[int64]liveJob
 
 	predictor  *prefetch.Predictor
 	prefetched int64
@@ -250,6 +259,25 @@ type Engine struct {
 	atomBuf []*field.Atom
 	seenBuf []store.AtomID
 	job     computeJob
+
+	// The frame lifecycle (DESIGN.md §19). An atom arrives from the store
+	// unfilled and is filled when it is first a batch's primary; when the
+	// cache evicts it, it is retired; when the decision in hand ends, the
+	// retired atoms' sample buffers become free for later fills. Not
+	// sooner: execute fetches every primary before it evaluates any, so
+	// an atom in atomBuf may be evicted, retired, and still filled and read
+	// by its batch. Both lists belong to the simulation goroutine. free
+	// holds at most the cache's capacity: every buffer was a resident
+	// atom's or is about to be one's, so buffers cached, free and retired
+	// never exceed that capacity plus one decision's evictions.
+	retired []*field.Atom
+	free    [][]float64
+	// fills counts the syntheses this engine performed (at most one per
+	// store read; none with Compute off).
+	fills int64
+
+	// stepMeans is pushUtilities' scratch (URC copies what it is given).
+	stepMeans map[int]float64
 
 	completedRT []time.Duration
 	runCount    int
@@ -297,8 +325,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		states:     make(map[query.ID]*queryState),
-		jobsByID:   make(map[int64]*job.Job),
+		jobsByID:   make(map[int64]liveJob),
 		registered: make(map[int64]bool),
+		stepMeans:  make(map[int]float64),
 	}
 	if cfg.Prefetch {
 		e.predictor = prefetch.New(cfg.Store.Space())
@@ -378,7 +407,7 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		e.jobsByID[j.ID] = j
+		e.jobsByID[j.ID] = liveJob{j, len(j.Queries)}
 		total += len(j.Queries)
 		switch j.Type {
 		case job.Batched:
@@ -508,7 +537,7 @@ func (e *Engine) jobAtoms(j *job.Job) [][]store.AtomID {
 // onArrival records a query's arrival: job-aware runs register ordered
 // jobs in the precedence graph on first contact.
 func (e *Engine) onArrival(q *query.Query) {
-	j := e.jobsByID[q.JobID]
+	j := e.jobsByID[q.JobID].Job
 	if e.cfg.JobAware && j != nil && j.Type == job.Ordered && !e.registered[j.ID] {
 		e.registered[j.ID] = true
 		// Registration cannot fail here: the job was validated and is not
@@ -550,7 +579,7 @@ func (e *Engine) canDispatch(q *query.Query) bool {
 	if !e.cfg.JobAware {
 		return true
 	}
-	j := e.jobsByID[q.JobID]
+	j := e.jobsByID[q.JobID].Job
 	if j == nil || j.Type != job.Ordered {
 		return true
 	}
@@ -588,7 +617,7 @@ func (e *Engine) gateState(qid query.ID) sched.GateState {
 		return sched.GateFree
 	}
 	q := st.q
-	j := e.jobsByID[q.JobID]
+	j := e.jobsByID[q.JobID].Job
 	if j == nil || j.Type != job.Ordered {
 		return sched.GateFree
 	}
@@ -635,6 +664,7 @@ func (e *Engine) execute(batches []sched.Batch) error {
 	defer func() {
 		clear(e.atomBuf)
 		e.atomBuf = e.atomBuf[:0]
+		e.freeRetired()
 	}()
 	for i := range batches {
 		a, err := e.readAtom(batches[i].Atom)
@@ -714,7 +744,7 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 		a, cost, err := e.cfg.Store.Read(id)
 		e.advance(cost, causeDisk) // on error, cost is the failure-detection latency
 		if err == nil {
-			e.cfg.Cache.Put(id, a)
+			e.putAtom(id, a)
 			return a, nil
 		}
 		if !fault.IsTransient(err) || attempt >= e.cfg.MaxRetries {
@@ -731,13 +761,49 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 	}
 }
 
+// putAtom makes a resident and retires the atom this displaced, if any.
+func (e *Engine) putAtom(id store.AtomID, a *field.Atom) {
+	if old, ok := e.cfg.Cache.Put(id, a).(*field.Atom); ok {
+		e.retired = append(e.retired, old)
+	}
+}
+
+// freeRetired ends the retired atoms' hold on their sample buffers: no
+// batch of the decision that evicted them can read them any more.
+func (e *Engine) freeRetired() {
+	for i, a := range e.retired {
+		if buf := a.Release(); buf != nil && len(e.free) < e.cfg.Cache.Capacity() {
+			e.free = append(e.free, buf)
+		}
+		e.retired[i] = nil
+	}
+	e.retired = e.retired[:0]
+}
+
+// fill synthesizes a's samples if nothing has yet, into a free buffer when
+// there is one.
+func (e *Engine) fill(a *field.Atom) {
+	if a.Filled() {
+		return
+	}
+	var buf []float64
+	if n := len(e.free); n > 0 {
+		buf, e.free[n-1] = e.free[n-1], nil
+		e.free = e.free[:n-1]
+	}
+	a.Fill(buf)
+	e.fills++
+}
+
 // computeBatch evaluates the kernels for every position of the batch,
 // each sub-query writing into its range of its query's result array (or
 // nowhere, without KeepResults: the evaluation is then the run's CPU load
 // alone). A batch large enough to repay the hand-off fans out across the
 // engine's worker pool (one pool per run, not one goroutine set per
-// batch); a smaller one runs here.
+// batch); a smaller one runs here. The atom is filled here first, on the
+// simulation goroutine: the workers only read it.
 func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
+	e.fill(atom)
 	j := &e.job
 	j.atom, j.space = atom, e.cfg.Store.Space()
 	work := 0
@@ -781,7 +847,15 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 	}
 	delete(e.states, st.q.ID)
 
-	j := e.jobsByID[st.q.JobID]
+	lj := e.jobsByID[st.q.JobID]
+	j := lj.Job
+	if j != nil {
+		if lj.left--; lj.left > 0 {
+			e.jobsByID[j.ID] = lj
+		} else {
+			delete(e.jobsByID, j.ID)
+		}
+	}
 	if j != nil && j.Type == job.Ordered {
 		if e.cfg.JobAware {
 			e.graph.MarkDone(jobgraph.Ref{Job: st.q.JobID, Seq: st.q.Seq})
@@ -865,14 +939,14 @@ func (e *Engine) pushUtilities() {
 	if !ok {
 		return
 	}
-	means := make(map[int]float64)
+	clear(e.stepMeans)
 	for _, step := range up.PendingSteps() {
-		means[step] = up.StepMean(step)
+		e.stepMeans[step] = up.StepMean(step)
 	}
-	urc.ReplaceStepMeans(means)
-	for _, id := range e.cfg.Cache.Keys() {
+	urc.ReplaceStepMeans(e.stepMeans)
+	e.cfg.Cache.EachKey(func(id store.AtomID) {
 		urc.SetAtomUtility(id, up.AtomUtility(id))
-	}
+	})
 	e.inst.noteUtilityPush()
 }
 
@@ -901,7 +975,7 @@ func (e *Engine) prefetchFor(j *job.Job, q *query.Query) {
 		if err != nil {
 			continue
 		}
-		e.cfg.Cache.Put(id, a)
+		e.putAtom(id, a)
 		e.prefetched++
 		e.inst.notePrefetch(e.clock.Now(), j.ID, id, cost)
 		budget -= cost

@@ -17,16 +17,7 @@ import (
 
 func testStore(t testing.TB) *store.Store {
 	t.Helper()
-	s, err := store.Open(store.Config{
-		Space:      geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
-		Steps:      4,
-		SampleSide: 4,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return frameStore(t, 4, 0)
 }
 
 var testCost = sched.CostModel{Tb: 40 * time.Millisecond, Tm: 20 * time.Microsecond}

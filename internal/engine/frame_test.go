@@ -1,0 +1,425 @@
+package engine
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"jaws/internal/cache"
+	"jaws/internal/field"
+	"jaws/internal/geom"
+	"jaws/internal/job"
+	"jaws/internal/query"
+	"jaws/internal/sched"
+	"jaws/internal/store"
+)
+
+// frameStore opens the tests' store (testStore is the 4³, no-halo one) with
+// a chosen sample side and halo.
+func frameStore(t testing.TB, side, ghost int) *store.Store {
+	t.Helper()
+	s, err := store.Open(store.Config{
+		Space:       geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
+		Steps:       4,
+		SampleSide:  side,
+		SampleGhost: ghost,
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// freshValues recomputes what a query must return from atoms the engine
+// never saw: a Store.Read of its own per atom and field.Interpolate, for a
+// derivative query under the forward stencil summed in chain order.
+type freshValues struct {
+	t     testing.TB
+	s     *store.Store
+	atoms map[store.AtomID]*field.Atom
+}
+
+func (f *freshValues) atom(id store.AtomID) *field.Atom {
+	a, ok := f.atoms[id]
+	if !ok {
+		var err error
+		if a, _, err = f.s.Read(id); err != nil {
+			f.t.Fatal(err)
+		}
+		f.atoms[id] = a
+	}
+	return a
+}
+
+func (f *freshValues) want(q *query.Query, p geom3) [field.Components]float64 {
+	space := f.s.Space()
+	pos := geom.Position{X: p.X, Y: p.Y, Z: p.Z}
+	ac := space.AtomOf(pos)
+	k := q.ChainLen()
+	if k == 1 {
+		return field.Interpolate(q.Kernel, f.atom(store.AtomID{Step: q.Step, Code: ac.Code()}), space, ac, pos)
+	}
+	var val [field.Components]float64
+	for j, w := range query.DerivWeights(k) {
+		v := field.Interpolate(q.Kernel, f.atom(store.AtomID{Step: q.Step + j, Code: ac.Code()}), space, ac, pos)
+		for c := range val {
+			val[c] += w * v[c]
+		}
+	}
+	for c := range val {
+		val[c] /= query.StepDT
+	}
+	return val
+}
+
+func (f *freshValues) check(results []*QueryResult) {
+	f.t.Helper()
+	for _, r := range results {
+		if len(r.Positions) != len(r.Query.Points) {
+			f.t.Fatalf("query %d: %d positions for %d points", r.Query.ID, len(r.Positions), len(r.Query.Points))
+		}
+		for _, ps := range r.Positions {
+			if want := f.want(r.Query, ps.Pos); ps.Val != want {
+				f.t.Fatalf("query %d at %+v: %v, recomputed %v", r.Query.ID, ps.Pos, ps.Val, want)
+			}
+		}
+	}
+}
+
+// cornerPoints returns n positions of atom (i,j,k) close to its high
+// corner, so a Lagrange stencil reaches into the seven atoms beyond it.
+func cornerPoints(s *store.Store, i, j, k uint32, n int) []geom.Position {
+	sp := s.Space()
+	atomLen := float64(sp.AtomSide) * sp.VoxelSize()
+	pts := make([]geom.Position, n)
+	for p := range pts {
+		f := 1 - (float64(p)+0.5)/float64(n)*sp.VoxelSize()/atomLen
+		pts[p] = geom.Position{X: (float64(i) + f) * atomLen, Y: (float64(j) + f) * atomLen, Z: (float64(k) + f) * atomLen}
+	}
+	return pts
+}
+
+// centrePoints returns n positions around the centre of atom (i,j,k): no
+// stencil leaves the atom.
+func centrePoints(s *store.Store, i, j, k uint32, n int) []geom.Position {
+	sp := s.Space()
+	atomLen := float64(sp.AtomSide) * sp.VoxelSize()
+	pts := make([]geom.Position, n)
+	for p := range pts {
+		f := 0.5 + ((float64(p)+0.5)/float64(n)-0.5)*sp.VoxelSize()/atomLen
+		pts[p] = geom.Position{X: (float64(i) + f) * atomLen, Y: (float64(j) + 0.5) * atomLen, Z: (float64(k) + 0.5) * atomLen}
+	}
+	return pts
+}
+
+// decide dispatches the queries and executes decisions until none is
+// pending, returning how many it took.
+func decide(t testing.TB, e *Engine, qs ...*query.Query) int {
+	t.Helper()
+	for _, q := range qs {
+		e.dispatch(q)
+	}
+	n := 0
+	for ; e.cfg.Sched.Pending() > 0; n++ {
+		if err := e.execute(e.cfg.Sched.NextBatch(e.clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestEvictedFrameNotReusedWithinDecision is the frame lifecycle's safety
+// rule: the buffer of an evicted atom is reusable only once the decision
+// that evicted it has ended.
+func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
+	// The exact hazard. A is resident and filled; one decision executes
+	// batches B then A, both fetched up front. B's footprint reads then
+	// evict first B and then A from the two-atom cache, and only after
+	// them is B filled — into A's buffer, were that free already, which
+	// A's batch would then evaluate on.
+	t.Run("hazard", func(t *testing.T) {
+		s := frameStore(t, 4, 0)
+		c := cache.New(2, cache.NewLRU())
+		e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
+			cfg.Cache = c
+			cfg.Compute = true
+			cfg.KeepResults = true
+			cfg.Parallelism = 1
+		})
+		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
+		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
+		v, ok := c.Get(idA)
+		if !ok || !v.(*field.Atom).Filled() || c.Len() != 1 {
+			t.Fatalf("set-up: A resident %v, %d atoms cached; want A filled and alone", ok, c.Len())
+		}
+		oldA := v.(*field.Atom)
+		// JAWS would split the two atoms (A, resident, outranks B), so the
+		// decision is put together by hand, in Morton order as JAWS executes.
+		pts := append(cornerPoints(s, 0, 0, 0, 20), centrePoints(s, 2, 2, 2, 20)...)
+		e.dispatch(&query.Query{ID: 2, JobID: 2, Step: 1, Points: pts, Kernel: field.KernelLag4})
+		var decision []sched.Batch
+		for e.cfg.Sched.Pending() > 0 {
+			for _, b := range e.cfg.Sched.NextBatch(e.clock.Now()) {
+				decision = append(decision, sched.Batch{Atom: b.Atom, SubQueries: slices.Clone(b.SubQueries)})
+			}
+		}
+		slices.SortFunc(decision, func(x, y sched.Batch) int { return cmp.Compare(x.Atom.Key(), y.Atom.Key()) })
+		if len(decision) != 2 || decision[1].Atom != idA {
+			t.Fatalf("decision %v, want B then A", decision)
+		}
+		if err := e.execute(decision); err != nil {
+			t.Fatal(err)
+		}
+		if c.Contains(idA) || oldA.Filled() {
+			t.Fatalf("A resident %v, filled %v: the decision was meant to evict and then free it", c.Contains(idA), oldA.Filled())
+		}
+		if len(e.free) == 0 {
+			t.Fatal("no buffer became free when the decision ended")
+		}
+		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+	})
+
+	// The same rule under everything that moves frames at once: eight
+	// primaries per decision against two cache slots, overlapping box
+	// queries that fan out over the pool, derivative chains, a same-id
+	// re-Put between decisions, and the cache flushed after each one.
+	for _, ghost := range []int{0, 2} {
+		for _, flush := range []bool{false, true} {
+			t.Run(fmt.Sprintf("ghost=%d,flush=%v", ghost, flush), func(t *testing.T) {
+				s := frameStore(t, 4, ghost)
+				space := s.Space()
+				c := cache.New(2, cache.NewLRUK(2, 0))
+				var e *Engine
+				decisions := 0
+				e = newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
+					cfg.Cache = c
+					cfg.Compute = true
+					cfg.KeepResults = true
+					cfg.Parallelism = 4
+					cfg.FlushPerDecision = flush
+					cfg.OnDecision = func(_ time.Duration, batches []sched.Batch) {
+						// Every other decision, replace a resident atom under
+						// its own id: the replaced frame retires like a victim.
+						if decisions++; decisions%2 == 0 {
+							return
+						}
+						if id := batches[0].Atom; c.Contains(id) {
+							a, _, err := s.Read(id)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							e.putAtom(id, a)
+						}
+					}
+				})
+				rng := rand.New(rand.NewSource(int64(5 + ghost)))
+				var jobs []*job.Job
+				add := func(q *query.Query, deriv int) {
+					q.JobID, q.DerivSteps = int64(q.ID), deriv
+					jobs = append(jobs, &job.Job{ID: q.JobID, User: 1, Type: job.Batched, Queries: []*query.Query{q}})
+				}
+				side := float64(space.AtomSide) * space.VoxelSize()
+				for i := 0; i < 6; i++ {
+					// Boxes of 2×2×2 atoms' extent at offsets inside one atom, so
+					// they overlap and their sub-queries share batches.
+					lo := geom.Position{X: rng.Float64() * side, Y: rng.Float64() * side, Z: rng.Float64() * side}
+					hi := geom.Position{X: lo.X + 2*side, Y: lo.Y + 2*side, Z: lo.Z + 2*side}
+					q, err := query.BoxQuery(query.ID(i+1), space, 1, lo, hi, 5, field.KernelLag4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					deriv := 0
+					if i%2 == 1 {
+						q.Step, deriv = 0, 3
+					}
+					add(q, deriv)
+				}
+				add(&query.Query{ID: 7, Step: 2, Points: scatter(rng, 600), Kernel: field.KernelLag6}, 0)
+				add(&query.Query{ID: 8, Step: 1, Points: scatter(rng, 300), Kernel: field.KernelLag4}, 3)
+				rep, err := e.Run(jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Results) != len(jobs) {
+					t.Fatalf("%d results for %d queries", len(rep.Results), len(jobs))
+				}
+				if rep.CacheStats.Evictions == 0 || e.fills == 0 {
+					t.Fatalf("%d evictions, %d fills: the run moved no frames", rep.CacheStats.Evictions, e.fills)
+				}
+				if len(e.free) > c.Capacity() || len(e.retired) != 0 {
+					t.Fatalf("%d free buffers for a cache of %d, %d atoms still retired", len(e.free), c.Capacity(), len(e.retired))
+				}
+				(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(rep.Results)
+			})
+		}
+	}
+}
+
+// TestComputeOffNeverFills pins laziness: a run that evaluates nothing
+// synthesizes nothing, and on a run that does evaluate, an atom read only
+// for a neighbour's stencil footprint has no samples until it is itself a
+// batch's primary — so fills stay below store reads.
+func TestComputeOffNeverFills(t *testing.T) {
+	unfilled := func(t *testing.T, c *cache.Cache) (resident, filled int) {
+		t.Helper()
+		var ids []store.AtomID
+		c.EachKey(func(id store.AtomID) { ids = append(ids, id) })
+		for _, id := range ids {
+			if v, _ := c.Get(id); v.(*field.Atom).Filled() {
+				filled++
+			}
+		}
+		return len(ids), filled
+	}
+
+	t.Run("replay-shaped", func(t *testing.T) {
+		// The paper's experiment in small: JAWS over many queries against a
+		// cache a fraction of the store, Compute off.
+		s := testStore(t)
+		c := cache.New(16, cache.NewLRUK(2, 0))
+		e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
+			cfg.Cache = c
+		})
+		rng := rand.New(rand.NewSource(9))
+		var jobs []*job.Job
+		for i := int64(1); i <= 40; i++ {
+			q := &query.Query{ID: query.ID(i), JobID: i, Step: int(i % 4), Points: scatter(rng, 30), Kernel: field.KernelLag4,
+				Arrival: time.Duration(i) * 100 * time.Millisecond}
+			jobs = append(jobs, &job.Job{ID: i, User: 1, Type: job.Batched, Queries: []*query.Query{q}})
+		}
+		rep, err := e.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident, filled := unfilled(t, c)
+		if rep.DiskStats.Reads == 0 || resident == 0 {
+			t.Fatalf("%d reads, %d resident: nothing to check", rep.DiskStats.Reads, resident)
+		}
+		if e.fills != 0 || filled != 0 || len(e.free) != 0 {
+			t.Fatalf("Compute off: %d fills, %d resident atoms hold samples, %d free buffers; want none", e.fills, filled, len(e.free))
+		}
+	})
+
+	t.Run("footprint-only", func(t *testing.T) {
+		s := testStore(t)
+		c := cache.New(32, cache.NewLRUK(2, 0))
+		e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
+			cfg.Cache = c
+			cfg.Compute = true
+			cfg.KeepResults = true
+		})
+		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 0, Points: cornerPoints(s, 0, 0, 0, 10), Kernel: field.KernelLag4})
+		resident, filled := unfilled(t, c)
+		if resident != 8 || filled != 1 || e.fills != 1 {
+			t.Fatalf("%d resident, %d filled, %d fills; want the primary filled and its 7 footprint atoms not", resident, filled, e.fills)
+		}
+		if reads := s.DiskStats().Reads; e.fills >= reads {
+			t.Fatalf("%d fills for %d store reads", e.fills, reads)
+		}
+		neighbour := store.AtomID{Step: 0, Code: geom.AtomCoord{I: 1, J: 1, K: 1}.Code()}
+		v, _ := c.Get(neighbour)
+		if v.(*field.Atom).Filled() {
+			t.Fatal("footprint atom filled before it was a primary")
+		}
+		decide(t, e, &query.Query{ID: 2, JobID: 2, Step: 0, Points: centrePoints(s, 1, 1, 1, 10), Kernel: field.KernelLag4})
+		if !v.(*field.Atom).Filled() || e.fills != 2 {
+			t.Fatalf("the neighbour as primary: filled %v, %d fills; want the resident frame filled in place", v.(*field.Atom).Filled(), e.fills)
+		}
+		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+	})
+}
+
+// missCycle returns the steady state of a miss at capacity on a warmed
+// engine: every call reads an atom that is not resident, which evicts one,
+// fills it as a batch would, and ends the decision.
+func missCycle(t testing.TB, side int) (step func(), e *Engine) {
+	s := frameStore(t, side, 0)
+	c := cache.New(8, cache.NewLRUK(2, 0))
+	e = newEngine(t, s, sched.NewNoShare(), false, func(cfg *Config) { cfg.Cache = c })
+	var ids []store.AtomID
+	s.ScanStep(0, func(id store.AtomID) bool { ids = append(ids, id); return len(ids) < 32 })
+	next := 0
+	step = func() {
+		a, err := e.readAtom(ids[next%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		e.fill(a)
+		e.freeRetired()
+	}
+	for range 2 * len(ids) {
+		step()
+	}
+	return step, e
+}
+
+// TestReadMissAllocs pins the miss path at capacity to the frame's handle:
+// the samples go into an evicted atom's buffer.
+func TestReadMissAllocs(t *testing.T) {
+	step, e := missCycle(t, 8)
+	fills := e.fills
+	if n := testing.AllocsPerRun(200, step); n > 1 {
+		t.Errorf("a miss at capacity: %v allocs, want at most the atom handle", n)
+	}
+	if e.fills-fills < 200 {
+		t.Fatalf("%d fills in 200 misses", e.fills-fills)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256 {
+		t.Errorf("a miss at capacity: %d B allocated, want under 256 (no sample buffer)", per)
+	}
+}
+
+// TestURCDecisionZeroAllocs pins the utility push a URC cache costs every
+// decision: in steady state it allocates nothing.
+func TestURCDecisionZeroAllocs(t *testing.T) {
+	s := testStore(t)
+	c := cache.New(16, cache.NewURC())
+	e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains}), false, func(cfg *Config) {
+		cfg.Cache = c
+	})
+	rng := rand.New(rand.NewSource(4))
+	for i := 1; i <= 8; i++ { // pending work on every step, residents to rank
+		e.dispatch(&query.Query{ID: query.ID(i), JobID: int64(i), Step: i % 4, Points: scatter(rng, 40), Kernel: field.KernelLag4})
+	}
+	for range 3 {
+		if err := e.execute(e.cfg.Sched.NextBatch(e.clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() == 0 || e.cfg.Sched.Pending() == 0 {
+		t.Fatalf("%d resident, %d pending: the push has nothing to do", c.Len(), e.cfg.Sched.Pending())
+	}
+	if n := testing.AllocsPerRun(100, e.pushUtilities); n != 0 {
+		t.Errorf("pushUtilities: %v allocs per decision, want 0", n)
+	}
+}
+
+// BenchmarkReadAtomMiss is one miss at capacity end to end — cache lookup,
+// store read, eviction, fill into the evicted buffer — for the daemon's
+// 8³ atoms and the experiments' 4³.
+func BenchmarkReadAtomMiss(b *testing.B) {
+	for _, side := range []int{8, 4} {
+		b.Run(fmt.Sprintf("side=%d", side), func(b *testing.B) {
+			step, _ := missCycle(b, side)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}

@@ -288,7 +288,7 @@ func (in *instruments) noteFlight(e *Engine, batches []sched.Batch) {
 	// Gating edges: every held-back arrived query, and who it waits on.
 	if e.graph != nil {
 		for _, q := range e.arrived {
-			j := e.jobsByID[q.JobID]
+			j := e.jobsByID[q.JobID].Job
 			if j == nil || j.Type != job.Ordered {
 				continue
 			}
@@ -298,7 +298,7 @@ func (in *instruments) noteFlight(e *Engine, batches []sched.Batch) {
 					Query: int64(q.ID), Job: q.JobID, Seq: q.Seq,
 					OnJob: b.Job, OnSeq: b.Seq,
 				}
-				if bj := e.jobsByID[b.Job]; bj != nil && b.Seq >= 0 && b.Seq < len(bj.Queries) {
+				if bj := e.jobsByID[b.Job].Job; bj != nil && b.Seq >= 0 && b.Seq < len(bj.Queries) {
 					edge.OnQuery = int64(bj.Queries[b.Seq].ID)
 				}
 				rec.Blocked = append(rec.Blocked, edge)

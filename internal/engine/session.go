@@ -59,7 +59,10 @@ func NewSession(cfg Config) (*Session, error) {
 
 // Submit schedules jobs for execution at the current virtual time (their
 // queries' Arrival fields are treated as offsets from "now"). It returns
-// an error if the session is closed or the jobs are invalid.
+// an error if the session is closed or the jobs are invalid. Job IDs must be
+// unique over the session; what the loop detects, and fails on, is a
+// duplicate of a live job — one with a query still to complete — since
+// finished jobs are forgotten.
 func (s *Session) Submit(jobs ...*job.Job) error {
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
@@ -109,7 +112,6 @@ func (s *Session) loop(e *Engine) {
 	defer e.closePool()
 
 	total := 0
-	flushed := 0
 	closing := false
 
 	fail := func(err error) {
@@ -131,7 +133,7 @@ func (s *Session) loop(e *Engine) {
 			if _, dup := e.jobsByID[j.ID]; dup {
 				return fmt.Errorf("engine: job %d already submitted", j.ID)
 			}
-			e.jobsByID[j.ID] = j
+			e.jobsByID[j.ID] = liveJob{j, len(j.Queries)}
 			total += len(j.Queries)
 			switch j.Type {
 			case job.Batched:
@@ -149,13 +151,16 @@ func (s *Session) loop(e *Engine) {
 		return nil
 	}
 
-	// flush streams any newly completed queries, dropping the engine's
-	// reference so long sessions do not accumulate every result.
+	// flush streams the newly completed queries and empties the engine's
+	// list of them, so a long session holds neither the results nor a list
+	// as long as its history: the list's capacity is the largest burst one
+	// cycle completed.
 	flush := func() {
-		for ; flushed < len(e.report.Results); flushed++ {
-			s.results <- e.report.Results[flushed]
-			e.report.Results[flushed] = nil
+		for i, r := range e.report.Results {
+			s.results <- r
+			e.report.Results[i] = nil
 		}
+		e.report.Results = e.report.Results[:0]
 	}
 
 	crashAt, willCrash := e.cfg.Fault.CrashAt()
@@ -227,7 +232,6 @@ func (s *Session) loop(e *Engine) {
 		if e.report.Completed == total && !worked {
 			if closing {
 				e.finishReport()
-				e.report.Results = nil // streamed already
 				s.mu.Lock()
 				s.report = &e.report
 				s.mu.Unlock()

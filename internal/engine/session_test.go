@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,13 +139,11 @@ func TestSessionDuplicateJobFailsLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One submission, so the first job is certainly still live when the
+	// loop meets the second: only a live job's ID is remembered.
 	j1 := batchedJob(st, 1, []time.Duration{0}, 0)
-	if err := sess.Submit(j1); err != nil {
-		t.Fatal(err)
-	}
-	<-sess.Results()
 	j2 := batchedJob(st, 1, []time.Duration{0}, 1) // same ID
-	if err := sess.Submit(j2); err != nil {
+	if err := sess.Submit(j1, j2); err != nil {
 		t.Fatal(err) // accepted at the API; the loop reports the failure
 	}
 	sess.Close()
@@ -160,13 +159,9 @@ func TestSessionSubmitAfterLoopFailureErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Submit(batchedJob(st, 1, []time.Duration{0}, 0)); err != nil {
-		t.Fatal(err)
-	}
-	<-sess.Results()
-	// A duplicate job ID kills the loop; once it is dead the session must
-	// reject further submissions instead of blocking forever.
-	if err := sess.Submit(batchedJob(st, 1, []time.Duration{0}, 1)); err != nil {
+	// A duplicate of a live job's ID kills the loop; once it is dead the
+	// session must reject further submissions instead of blocking forever.
+	if err := sess.Submit(batchedJob(st, 1, []time.Duration{0}, 0), batchedJob(st, 1, []time.Duration{0}, 1)); err != nil {
 		t.Fatal(err)
 	}
 	for range sess.Results() {
@@ -185,6 +180,76 @@ func TestSessionSubmitAfterLoopFailureErrors(t *testing.T) {
 		t.Fatal("submit to a dead session blocked")
 	}
 	sess.Close()
+}
+
+// TestSessionBoundedMemory serves 20 000 single-query jobs through one
+// daemon-shaped session (8³-sample atoms, a 256-atom cache, kernels
+// evaluated, 8-point requests over a resident working set): a finished job
+// is forgotten and the list of completed results does not grow with the
+// session's history, so the second half of the stream leaves the heap
+// where the first half did. What still grows is the final report's
+// response-time samples, 8 B a query (ROADMAP item 1, next on the ledger);
+// a remembered job would be 200 B and its points.
+func TestSessionBoundedMemory(t *testing.T) {
+	st := frameStore(t, 8, 0)
+	c := cache.New(256, cache.NewLRUK(2, 0))
+	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
+	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost, Compute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const half, burst = 10000, 8
+	served := make(chan struct{})
+	go func() {
+		for range sess.Results() {
+			served <- struct{}{}
+		}
+	}()
+	rng := rand.New(rand.NewSource(2))
+	next := int64(1)
+	// serve streams n jobs in bursts and returns the live heap afterwards,
+	// the session idle.
+	serve := func(n int) uint64 {
+		for ; n > 0; n -= burst {
+			jobs := make([]*job.Job, burst)
+			for i := range jobs {
+				q := &query.Query{ID: query.ID(next), JobID: next, Step: int(next % 4), Points: scatter(rng, 8), Kernel: field.KernelLag4}
+				jobs[i] = &job.Job{ID: next, User: 1, Type: job.Batched, Queries: []*query.Query{q}}
+				next++
+			}
+			if err := sess.Submit(jobs...); err != nil {
+				t.Fatal(err)
+			}
+			for range jobs {
+				<-served
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	serve(2000) // every atom of the four steps resident and filled
+	first := serve(half)
+	second := serve(half)
+	rep := sess.Close()
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2000+2*half {
+		t.Fatalf("%d queries completed, want %d", rep.Completed, 2000+2*half)
+	}
+	if n := len(sess.eng.jobsByID); n != 0 {
+		t.Errorf("%d jobs still remembered after all completed", n)
+	}
+	if len(rep.Results) != 0 || cap(rep.Results) > 2*burst {
+		t.Errorf("completed-results list: len %d cap %d, want it empty and no longer than a burst of %d", len(rep.Results), cap(rep.Results), burst)
+	}
+	if float64(second) > 1.05*float64(first) {
+		t.Errorf("live heap %d B after %d queries, %d B after %d more: the session grows with its history", first, 2000+half, second, half)
+	}
+	t.Logf("live heap %d B, then %d B", first, second)
 }
 
 func TestSessionHonoursCrashFault(t *testing.T) {

@@ -100,7 +100,11 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 	var out [Components]float64
 	for i := range f.modes {
 		m := &f.modes[i]
-		phase := m.k[0]*pos.X + m.k[1]*pos.Y + m.k[2]*pos.Z + m.ph + m.omega*t
+		// Every product is rounded on its own (float64(...) forbids fusing it
+		// into the following add), so the fill kernel, which hoists three of
+		// them out of its inner loop, produces the same bits on every
+		// architecture.
+		phase := float64(m.k[0]*pos.X) + float64(m.k[1]*pos.Y) + float64(m.k[2]*pos.Z) + m.ph + float64(m.omega*t)
 		s := math.Sin(phase)
 		out[0] += m.a[0] * s
 		out[1] += m.a[1] * s
@@ -116,10 +120,23 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 // of replication on each side for performance reasons"): samples beyond
 // the atom's own extent let interpolation stencils near a face evaluate
 // without touching the neighbour atom's data.
+//
+// An atom from Frame is a frame: it carries the recipe of its samples and
+// synthesizes them on first use (Fill, or the first At / Interpolate /
+// InterpolateGradient on it), so an atom that is only ever resident costs
+// no synthesis and no sample memory. The first use is a write: goroutines
+// that share an atom call Fill before they part.
 type Atom struct {
 	Side  int
 	Ghost int
-	Data  []float64
+	// Data is nil until the atom is filled.
+	Data []float64
+
+	// The recipe: nil src on an atom assembled by hand around its Data.
+	src   *Field
+	step  int
+	space geom.Space
+	ac    geom.AtomCoord
 }
 
 // dim is the stored samples per axis including the halo.
@@ -143,43 +160,117 @@ func (f *Field) Sample(step int, space geom.Space, ac geom.AtomCoord, side int) 
 // periodic field itself, exactly as the production pipeline copies them
 // from neighbouring atoms.
 func (f *Field) SampleGhost(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
+	a := f.Frame(step, space, ac, side, ghost)
+	a.Fill(nil)
+	return a
+}
+
+// Frame returns the atom SampleGhost would, unfilled.
+func (f *Field) Frame(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	if side <= 0 {
 		side = 8
 	}
 	if ghost < 0 {
 		ghost = 0
 	}
-	atomLen := float64(space.AtomSide) * space.VoxelSize()
-	origin := geom.Position{
-		X: float64(ac.I) * atomLen,
-		Y: float64(ac.J) * atomLen,
-		Z: float64(ac.K) * atomLen,
+	return &Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac}
+}
+
+// Filled reports whether the atom's samples are materialized.
+func (a *Atom) Filled() bool { return a.Data != nil }
+
+// Fill synthesizes the samples of an unfilled atom, into buf when that is
+// large enough (its contents are overwritten) and into a new array
+// otherwise; on a filled atom it does nothing.
+func (a *Atom) Fill(buf []float64) {
+	if a.Data == nil {
+		a.synthesize(buf)
 	}
-	h := atomLen / float64(side)
-	dim := side + 2*ghost
-	a := &Atom{Side: side, Ghost: ghost, Data: make([]float64, dim*dim*dim*Components)}
-	idx := 0
-	for k := -ghost; k < side+ghost; k++ {
-		for j := -ghost; j < side+ghost; j++ {
-			for i := -ghost; i < side+ghost; i++ {
-				p := geom.Position{
-					X: origin.X + (float64(i)+0.5)*h,
-					Y: origin.Y + (float64(j)+0.5)*h,
-					Z: origin.Z + (float64(k)+0.5)*h,
+}
+
+// synthesize is Fill's slow path, apart so the guard inlines into the
+// interpolation kernels.
+func (a *Atom) synthesize(buf []float64) {
+	d := a.dim()
+	if n := d * d * d * Components; cap(buf) >= n {
+		buf = buf[:n]
+		clear(buf)
+	} else {
+		buf = make([]float64, n)
+	}
+	a.fill(buf)
+	a.Data = buf
+}
+
+// Release detaches the sample array and returns it for reuse (nil from an
+// unfilled atom). The atom is a frame again: a holder that still uses it
+// pays a second synthesis, never reads another atom's samples.
+func (a *Atom) Release() []float64 {
+	buf := a.Data
+	a.Data = nil
+	return buf
+}
+
+// paperDim is the samples per axis of a paper-sized atom, halo included
+// (64 + 2·4): up to it the fill kernel's coordinate tables live on its
+// stack.
+const paperDim = 72
+
+// fill is the one synthesis kernel: it adds the field at every sample
+// position of the frame into data, which the caller zeroed, with the bits
+// Eval gives there. Eval's work is regrouped, not reformulated: the
+// wrapped coordinate of a sample depends on one index per axis, so the
+// three tables are computed once per atom; with the modes outermost,
+// ω·t is a per-mode and k·z, k·y a per-plane and per-row constant; and one
+// Sincos replaces Sin and Cos of the same phase. Every sample still sums
+// the same rounded terms in the same mode order.
+func (a *Atom) fill(data []float64) {
+	f := a.src
+	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
+	h := atomLen / float64(a.Side)
+	d := a.dim()
+	var stack [3 * paperDim]float64
+	tab := stack[:]
+	if 3*d > len(tab) {
+		tab = make([]float64, 3*d)
+	}
+	xs, ys, zs := tab[:d], tab[d:2*d], tab[2*d:3*d]
+	for n := 0; n < d; n++ {
+		off := float64((float64(n-a.Ghost) + 0.5) * h)
+		p := geom.Wrap(geom.Position{
+			X: float64(float64(a.ac.I)*atomLen) + off,
+			Y: float64(float64(a.ac.J)*atomLen) + off,
+			Z: float64(float64(a.ac.K)*atomLen) + off,
+		})
+		xs[n], ys[n], zs[n] = p.X, p.Y, p.Z
+	}
+	t := float64(a.step) * f.dt
+	for mi := range f.modes {
+		m := &f.modes[mi]
+		kx, wt := m.k[0], float64(m.omega*t)
+		idx := 0
+		for _, z := range zs {
+			kz := float64(m.k[2] * z)
+			for _, y := range ys {
+				ky := float64(m.k[1] * y)
+				for _, x := range xs {
+					s, c := math.Sincos(float64(kx*x) + ky + kz + m.ph + wt)
+					data[idx] += m.a[0] * s
+					data[idx+1] += m.a[1] * s
+					data[idx+2] += m.a[2] * s
+					data[idx+3] += m.p * c
+					idx += Components
 				}
-				v := f.Eval(step, p)
-				copy(a.Data[idx:idx+Components], v[:])
-				idx += Components
 			}
 		}
 	}
-	return a
 }
 
 // At returns the sampled value at integer grid point (i, j, k) of the
 // atom's own extent; indices from −Ghost to Side+Ghost−1 reach into the
 // replication halo.
 func (a *Atom) At(i, j, k int) [Components]float64 {
+	a.Fill(nil)
 	d := a.dim()
 	base := (((k+a.Ghost)*d+(j+a.Ghost))*d + (i + a.Ghost)) * Components
 	var out [Components]float64
@@ -187,5 +278,6 @@ func (a *Atom) At(i, j, k int) [Components]float64 {
 	return out
 }
 
-// Bytes returns the in-memory footprint of the sampled atom.
+// Bytes returns the in-memory footprint of the atom's samples (0 while
+// unfilled).
 func (a *Atom) Bytes() int64 { return int64(len(a.Data) * 8) }

@@ -128,25 +128,103 @@ func TestSampleDefaultSide(t *testing.T) {
 	}
 }
 
-func TestSampleMatchesEval(t *testing.T) {
-	f := New(5, 16, 0)
+// TestFillMatchesEval pins the fill kernel to the analytic ground truth,
+// bit for bit: every stored value of an atom is the Eval of its sample
+// position, over sides and halos, two steps, and an interior atom and the
+// two seam atoms of an axis (where halo positions wrap). The products are
+// rounded explicitly so the test's positions are the kernel's on
+// architectures that fuse multiply-adds.
+func TestFillMatchesEval(t *testing.T) {
+	f := New(5, 48, 0)
 	s := testSpace()
-	ac := geom.AtomCoord{I: 2, J: 1, K: 0}
-	a := f.Sample(7, s, ac, 4)
-	// Sample (1,2,3) sits at a known physical position.
 	atomLen := float64(s.AtomSide) * s.VoxelSize()
-	h := atomLen / 4
-	p := geom.Position{
-		X: float64(ac.I)*atomLen + 1.5*h,
-		Y: float64(ac.J)*atomLen + 2.5*h,
-		Z: float64(ac.K)*atomLen + 3.5*h,
-	}
-	want := f.Eval(7, p)
-	got := a.At(1, 2, 3)
-	for c := 0; c < Components; c++ {
-		if math.Abs(got[c]-want[c]) > 1e-12 {
-			t.Fatalf("sample (1,2,3) component %d = %g, want %g", c, got[c], want[c])
+	last := uint32(s.GridSide/s.AtomSide - 1)
+	for _, side := range []int{4, 8, 12} {
+		for _, ghost := range []int{0, 2, 4} {
+			for _, step := range []int{0, 7} {
+				for _, ac := range []geom.AtomCoord{{I: 2, J: 1, K: 3}, {I: 0, J: 0, K: 0}, {I: last, J: last, K: last}} {
+					a := f.SampleGhost(step, s, ac, side, ghost)
+					h := atomLen / float64(side)
+					at := func(c uint32, n int) float64 {
+						return float64(float64(c)*atomLen) + float64((float64(n)+0.5)*h)
+					}
+					idx := 0
+					for k := -ghost; k < side+ghost; k++ {
+						for j := -ghost; j < side+ghost; j++ {
+							for i := -ghost; i < side+ghost; i++ {
+								want := f.Eval(step, geom.Position{X: at(ac.I, i), Y: at(ac.J, j), Z: at(ac.K, k)})
+								for c, w := range want {
+									if got := a.Data[idx+c]; math.Float64bits(got) != math.Float64bits(w) {
+										t.Fatalf("side %d ghost %d step %d atom %v sample (%d,%d,%d) component %d: %v, Eval gives %v",
+											side, ghost, step, ac, i, j, k, c, got, w)
+									}
+								}
+								if a.At(i, j, k) != want {
+									t.Fatalf("At(%d,%d,%d) = %v, want %v", i, j, k, a.At(i, j, k), want)
+								}
+								idx += Components
+							}
+						}
+					}
+					if idx != len(a.Data) {
+						t.Fatalf("side %d ghost %d: %d values stored, %d checked", side, ghost, len(a.Data), idx)
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestFrameLifecycle walks one frame through its states: unfilled and
+// holding no samples, filled on first use into the buffer it is given
+// (whatever that held), released, and filled again with the same values.
+func TestFrameLifecycle(t *testing.T) {
+	f := New(5, 48, 0)
+	s := testSpace()
+	ac := geom.AtomCoord{I: 1, J: 2, K: 3}
+	want := f.SampleGhost(3, s, ac, 4, 2)
+
+	a := f.Frame(3, s, ac, 4, 2)
+	if a.Filled() || a.Bytes() != 0 {
+		t.Fatalf("a new frame holds %d bytes of samples", a.Bytes())
+	}
+	dirty := make([]float64, len(want.Data)+5)
+	for i := range dirty {
+		dirty[i] = math.NaN()
+	}
+	a.Fill(dirty)
+	if !a.Filled() || &a.Data[0] != &dirty[0] {
+		t.Fatal("Fill did not use the buffer it was given")
+	}
+	same := func(stage string) {
+		t.Helper()
+		if len(a.Data) != len(want.Data) {
+			t.Fatalf("%s: %d values, want %d", stage, len(a.Data), len(want.Data))
+		}
+		for i, w := range want.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("%s: value %d is %v, want %v", stage, i, a.Data[i], w)
+			}
+		}
+	}
+	same("filled into a dirty buffer")
+	a.Fill(nil) // filled already: keeps its buffer
+	if &a.Data[0] != &dirty[0] {
+		t.Fatal("Fill replaced the samples of a filled atom")
+	}
+	if buf := a.Release(); &buf[0] != &dirty[0] || a.Filled() {
+		t.Fatal("Release did not hand the buffer back")
+	}
+	if got, w := Interpolate(KernelLag4, a, s, ac, s.Center(ac)), Interpolate(KernelLag4, want, s, ac, s.Center(ac)); got != w {
+		t.Fatalf("interpolation on a released frame: %v, want %v", got, w)
+	}
+	same("refilled by first use")
+	small := make([]float64, 3)
+	a.Release()
+	a.Fill(small) // too small a buffer is left alone
+	same("filled past a buffer that is too small")
+	if &a.Data[0] == &small[0] {
+		t.Fatal("Fill used a buffer smaller than the atom")
 	}
 }
 
@@ -278,6 +356,20 @@ func BenchmarkSampleAtom8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.Sample(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8)
+	}
+}
+
+// BenchmarkFillFrame8 is BenchmarkSampleAtom8 on the path a cache miss
+// takes at capacity: the samples go into the buffer of an evicted atom.
+func BenchmarkFillFrame8(b *testing.B) {
+	f := New(1, 48, 0)
+	s := testSpace()
+	var buf []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := f.Frame(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8, 0)
+		a.Fill(buf)
+		buf = a.Release()
 	}
 }
 

@@ -36,7 +36,8 @@ func (f *Field) EvalGradient(step int, pos geom.Position) Gradient {
 // interpolant at pos using the sampled atom: the separable Lagrange basis
 // is differentiated analytically along each axis, matching how the
 // production service computes FD4/FD6/FD8 gradients on the grid. The
-// kernel selects the stencil width (KernelNone degrades to trilinear).
+// kernel selects the stencil width (KernelNone degrades to trilinear). An
+// unfilled atom is filled first.
 func InterpolateGradient(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) Gradient {
 	n := 2
 	switch k {
@@ -50,6 +51,7 @@ func InterpolateGradient(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord,
 	if a.dim() < n {
 		n = a.dim()
 	}
+	a.Fill(nil)
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	h := atomLen / float64(a.Side)
 	wp := geom.Wrap(pos)

@@ -82,7 +82,8 @@ func (k Kernel) CostWeight() float64 {
 // a (the atom containing pos within `space`). Stencils may extend into
 // the atom's replication halo (§III.A stores four ghost voxels on each
 // side for exactly this purpose); without a halo they are clamped to the
-// atom's own sample grid. Returns the interpolated (u, v, w, p).
+// atom's own sample grid. Returns the interpolated (u, v, w, p). An unfilled
+// atom is filled first.
 func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
 	// Position in atom-local fractional sample coordinates.
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
@@ -125,6 +126,7 @@ func clamp(v, lo, hi int) int {
 // lagrange performs separable N-point Lagrange interpolation on the atom's
 // sample grid (halo included). N=2 degenerates to trilinear interpolation.
 func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
+	a.Fill(nil)
 	if a.dim() < n {
 		n = a.dim() // tiny test atoms: fall back to the widest stencil that fits
 	}

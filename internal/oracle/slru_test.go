@@ -48,7 +48,8 @@ func TestSLRUDifferential(t *testing.T) {
 
 			requireSameResidents := func(op string) {
 				t.Helper()
-				rk := real.Keys()
+				var rk []store.AtomID
+				real.EachKey(func(id store.AtomID) { rk = append(rk, id) })
 				sort.Slice(rk, func(i, j int) bool { return rk[i].Key() < rk[j].Key() })
 				mk := model.Resident()
 				if fmt.Sprint(rk) != fmt.Sprint(mk) {

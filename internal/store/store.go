@@ -4,7 +4,9 @@
 // Morton order within each time step.
 //
 // Reading an atom charges the disk model the nominal 8 MB transfer and
-// materializes the atom's samples from the deterministic synthetic field.
+// returns a frame: the atom's samples are synthesized from the
+// deterministic field when something first evaluates on them (field.Atom),
+// which costs wall time only — virtual time is charged here, in full.
 // Caching is deliberately external (the paper manages its cache outside
 // SQL Server); the store itself always goes to "disk".
 package store
@@ -129,10 +131,11 @@ func (s *Store) Contains(id AtomID) bool {
 	return ok
 }
 
-// Read fetches an atom from "disk": it walks the clustered index, charges
-// the disk array for the transfer, and materializes the samples. The
-// returned duration is the simulated I/O cost to charge to the virtual
-// clock.
+// Read fetches an atom from "disk": it walks the clustered index and
+// charges the disk array for the transfer. The returned duration is the
+// simulated I/O cost to charge to the virtual clock. The atom is an
+// unfilled frame, valid for as long as the caller holds it: its samples
+// appear on first use, so an atom nothing evaluates on never has any.
 func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
 	meta, ok := s.index.Get(id.Key())
 	if !ok {
@@ -144,7 +147,7 @@ func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
 		// the virtual clock before retrying or aborting.
 		return nil, cost, fmt.Errorf("store: atom %v: %w", id, err)
 	}
-	a := s.field.SampleGhost(id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
+	a := s.field.Frame(id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
 	return a, cost, nil
 }
 

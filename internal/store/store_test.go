@@ -1,8 +1,10 @@
 package store
 
 import (
+	"math"
 	"testing"
 
+	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/morton"
 )
@@ -56,11 +58,28 @@ func TestReadKnownAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == nil || len(a.Data) == 0 {
-		t.Fatal("empty atom data")
-	}
 	if cost <= 0 {
 		t.Fatalf("read cost = %v, want positive", cost)
+	}
+	// The read charged the transfer; the samples wait for their first use,
+	// and are then the ones an eager SampleGhost gives.
+	if a == nil || a.Filled() {
+		t.Fatal("Read returned no atom, or one with its samples synthesized already")
+	}
+	cfg := testConfig()
+	ac := geom.AtomFromCode(id.Code)
+	want := s.Field().SampleGhost(id.Step, cfg.Space, ac, cfg.SampleSide, cfg.SampleGhost)
+	p := cfg.Space.Center(ac)
+	if got, w := field.Interpolate(field.KernelLag4, a, cfg.Space, ac, p), field.Interpolate(field.KernelLag4, want, cfg.Space, ac, p); got != w {
+		t.Fatalf("interpolation on a read atom: %v, want %v", got, w)
+	}
+	if !a.Filled() || a.Side != want.Side || a.Ghost != want.Ghost || len(a.Data) != len(want.Data) {
+		t.Fatalf("filled atom: side %d ghost %d, %d values; want %d, %d, %d", a.Side, a.Ghost, len(a.Data), want.Side, want.Ghost, len(want.Data))
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("value %d of the lazily filled atom is %v, eager %v", i, a.Data[i], w)
+		}
 	}
 }
 
@@ -96,6 +115,11 @@ func TestReadDeterministic(t *testing.T) {
 	id := AtomID{Step: 1, Code: morton.Encode(2, 0, 1)}
 	a1, _, _ := s1.Read(id)
 	a2, _, _ := s2.Read(id)
+	a1.Fill(nil)
+	a2.Fill(nil)
+	if len(a1.Data) == 0 || len(a1.Data) != len(a2.Data) {
+		t.Fatalf("%d and %d values", len(a1.Data), len(a2.Data))
+	}
 	for i := range a1.Data {
 		if a1.Data[i] != a2.Data[i] {
 			t.Fatalf("atom data not deterministic at %d", i)
@@ -207,10 +231,16 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func BenchmarkReadAtom(b *testing.B) {
-	s, _ := Open(testConfig())
+var sinkAtom *field.Atom
+
+// BenchmarkStoreRead is one Read of a daemon-shaped atom (8³ samples): the
+// index walk, the disk model and the frame, with no synthesis.
+func BenchmarkStoreRead(b *testing.B) {
+	cfg := testConfig()
+	cfg.SampleSide = 8
+	s, _ := Open(cfg)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Read(AtomID{Step: i % 4, Code: morton.Code(i % 64)})
+		sinkAtom, _, _ = s.Read(AtomID{Step: i % 4, Code: morton.Code(i % 64)})
 	}
 }
