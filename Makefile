@@ -106,11 +106,16 @@ check-prop:
 ## serving layer's wire-codec and handler pins, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
 ## engine's frame pins (a miss at capacity allocates the atom handle and no
-## sample buffer; a URC utility push allocates nothing).
+## sample buffer; a URC utility push allocates nothing) and the admission
+## pins (registering a job allocates at most a member array per admitted
+## edge, an ordered job's arrival and first dispatch what the dispatch
+## alone did, a held query's gate re-check and the event list nothing).
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs' -count 20 ./internal/engine/
+	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
+	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
 
 ## e2e-serve: boot a real jawsd on a free port, drive a seeded jawsload
 ## burst that overwhelms the small queue (some 429s expected, zero 5xx
@@ -128,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzParsePolicySpec -fuzztime 10s ./internal/sched/
 	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline).

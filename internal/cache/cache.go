@@ -111,7 +111,9 @@ func (c *Cache) SetObserver(o Observer) { c.obs = o }
 // corruption injector that normally backs it.
 func (c *Cache) SetIntegrity(fn func(id store.AtomID) bool) { c.integrity = fn }
 
-// Get returns the cached value for id, if resident.
+// Get returns the cached value for id, if resident. A resident value the
+// integrity hook rejects is dropped and handed back with ok false, so the
+// caller that owns the values' memory can reuse it, as with Put.
 func (c *Cache) Get(id store.AtomID) (any, bool) {
 	v, ok := c.entries[id]
 	if ok && c.integrity != nil && !c.integrity(id) {
@@ -128,7 +130,7 @@ func (c *Cache) Get(id store.AtomID) (any, bool) {
 		if c.obs.Miss != nil {
 			c.obs.Miss(id)
 		}
-		return nil, false
+		return v, false
 	}
 	if ok {
 		c.stats.Hits++
@@ -225,11 +227,16 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the counters (contents stay resident).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Flush evicts everything. The NoShare baseline flushes between queries so
-// that no I/O is shared across queries (§VI), mirroring the paper's
-// methodology of flushing the buffer pool.
-func (c *Cache) Flush() {
-	for id := range c.entries {
+// Flush evicts everything, appending the dropped values to buf for the
+// caller that owns their memory, as Put hands back what it displaces. The
+// NoShare baseline flushes between queries so that no I/O is shared across
+// queries (§VI), mirroring the paper's methodology of flushing the buffer
+// pool. Residents go in map iteration order: neither the policy's and the
+// observer's eviction callbacks nor the returned values have a defined
+// order.
+func (c *Cache) Flush(buf []any) []any {
+	for id, v := range c.entries {
+		buf = append(buf, v)
 		delete(c.entries, id)
 		c.version++
 		c.policy.OnEvict(id)
@@ -238,6 +245,7 @@ func (c *Cache) Flush() {
 			c.obs.Evict(id)
 		}
 	}
+	return buf
 }
 
 // PolicyName reports the replacement policy in use.

@@ -425,7 +425,7 @@ func TestFlush(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Put(id(0, i), i)
 	}
-	c.Flush()
+	c.Flush(nil)
 	if c.Len() != 0 {
 		t.Fatalf("Flush left %d entries", c.Len())
 	}
@@ -436,6 +436,39 @@ func TestFlush(t *testing.T) {
 	c.Put(id(0, 9), nil)
 	if !c.Contains(id(0, 9)) {
 		t.Fatal("cache broken after Flush")
+	}
+}
+
+// What the cache drops other than through Put's eviction also goes back to
+// the caller that owns the values: everything on a Flush, and a resident
+// value the integrity hook rejects.
+func TestDroppedValuesHandedBack(t *testing.T) {
+	c := New(4, NewLRU())
+	for i := 0; i < 3; i++ {
+		c.Put(id(0, i), i)
+	}
+	got := c.Flush([]any{"kept"})
+	if len(got) != 4 || got[0] != "kept" {
+		t.Fatalf("Flush returned %v, want the buffer's element and the 3 residents", got)
+	}
+	sum := 0
+	for _, v := range got[1:] {
+		sum += v.(int)
+	}
+	if sum != 0+1+2 {
+		t.Fatalf("Flush returned %v, want each resident's value once", got[1:])
+	}
+	if got := c.Flush(nil); len(got) != 0 {
+		t.Fatalf("Flush of an empty cache returned %v", got)
+	}
+
+	c.Put(id(0, 7), "seven")
+	c.SetIntegrity(func(store.AtomID) bool { return false })
+	if v, ok := c.Get(id(0, 7)); ok || v != "seven" {
+		t.Fatalf("Get of a corrupt resident = %v, %v; want the dropped value and false", v, ok)
+	}
+	if v, ok := c.Get(id(0, 7)); ok || v != nil {
+		t.Fatalf("Get after the drop = %v, %v; want a plain miss", v, ok)
 	}
 }
 
@@ -693,7 +726,7 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	c.SetIntegrity(nil)
 	v4 := c.Version()
 
-	c.Flush()
+	c.Flush(nil)
 	if c.Version() == v4 {
 		t.Fatal("flush did not advance the version")
 	}

@@ -145,8 +145,8 @@ func TestLRUKMatchesReferenceOnRandomOpLogs(t *testing.T) {
 							cw.Put(a, op)
 						default:
 							// Flush evicts in map order: only the set is comparable.
-							cg.Flush()
-							cw.Flush()
+							cg.Flush(nil)
+							cw.Flush(nil)
 							byKey := func(a, b store.AtomID) int { return cmp.Compare(a.Key(), b.Key()) }
 							slices.SortFunc(gotEvicted, byKey)
 							slices.SortFunc(wantEvicted, byKey)

@@ -232,10 +232,8 @@ type Engine struct {
 	clock  vclock.Clock
 	events vclock.EventList
 
-	graph       *jobgraph.Graph
-	registered  map[int64]bool
-	arrivedRefs map[jobgraph.Ref]bool
-	pool        *computePool
+	graph *jobgraph.Graph
+	pool  *computePool
 
 	arrived []*query.Query
 	states  map[query.ID]*queryState
@@ -251,6 +249,12 @@ type Engine struct {
 	// gateBuf is the reusable BlockedBy scratch of the gate-aware tail
 	// policy's state source (the decision path is single-threaded).
 	gateBuf []jobgraph.Ref
+
+	// jobAtomIDs and jobAtomLists are register's scratch: a job's per-query
+	// atom lists end to end, and the list headers over them (the graph
+	// copies what it is given).
+	jobAtomIDs   []store.AtomID
+	jobAtomLists [][]store.AtomID
 
 	// Scratch of one decision, reused by the next: the primary atoms of
 	// the decision's batches (index-parallel to them), the footprint atoms
@@ -272,6 +276,7 @@ type Engine struct {
 	// never exceed that capacity plus one decision's evictions.
 	retired []*field.Atom
 	free    [][]float64
+	flushed []any // FlushPerDecision's scratch: what Cache.Flush dropped
 	// fills counts the syntheses this engine performed (at most one per
 	// store read; none with Compute off).
 	fills int64
@@ -323,17 +328,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg.RetryBackoffMax = 500 * time.Millisecond
 	}
 	e := &Engine{
-		cfg:        cfg,
-		states:     make(map[query.ID]*queryState),
-		jobsByID:   make(map[int64]liveJob),
-		registered: make(map[int64]bool),
-		stepMeans:  make(map[int]float64),
+		cfg:       cfg,
+		states:    make(map[query.ID]*queryState),
+		jobsByID:  make(map[int64]liveJob),
+		stepMeans: make(map[int]float64),
 	}
 	if cfg.Prefetch {
 		e.predictor = prefetch.New(cfg.Store.Space())
 	}
 	if cfg.JobAware {
-		e.arrivedRefs = make(map[jobgraph.Ref]bool)
 		// Jobs register their per-query atom footprints directly, so the
 		// graph's inverted atom index derives the sharing relation; no
 		// pairwise set-intersection callback is needed.
@@ -441,10 +444,7 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 		progressed := false
 
 		// 1. Deliver due arrivals.
-		for ev := e.events.Peek(); ev != nil && ev.At <= e.clock.Now(); ev = e.events.Peek() {
-			e.events.Pop()
-			q := ev.Payload.(*query.Query)
-			e.onArrival(q)
+		if e.deliverDue() {
 			progressed = true
 		}
 
@@ -466,7 +466,7 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 				}
 				progressed = true
 			}
-		} else if ev := e.events.Peek(); ev != nil {
+		} else if ev, ok := e.events.Peek(); ok {
 			// Never fast-forward past the crash instant, or a long idle
 			// gap would let the node outlive its own death.
 			at := ev.At
@@ -507,47 +507,57 @@ func (e *Engine) declareAll(jobs []*job.Job) {
 		return ordered[i].Queries[0].Arrival < ordered[k].Queries[0].Arrival
 	})
 	for _, j := range ordered {
-		if e.registered[j.ID] {
-			continue
-		}
-		e.registered[j.ID] = true
-		if err := e.graph.AddJobWithAtoms(j.ID, e.jobAtoms(j)); err != nil {
-			panic(fmt.Sprintf("engine: declared-job registration: %v", err))
+		if !e.graph.Registered(j.ID) {
+			e.register(j)
 		}
 	}
 }
 
-// jobAtoms computes the per-query atom lists of an ordered job, each in
-// clustered-key order, for the graph's inverted index.
-func (e *Engine) jobAtoms(j *job.Job) [][]store.AtomID {
+// register enters an ordered job in the precedence graph with its
+// per-query atom lists, each in clustered-key order, for the graph's
+// inverted index. It cannot fail: the job was validated and is not yet
+// registered.
+func (e *Engine) register(j *job.Job) {
 	space := e.cfg.Store.Space()
-	atoms := make([][]store.AtomID, len(j.Queries))
-	for s, jq := range j.Queries {
-		set := query.Atoms(jq, space)
-		lst := make([]store.AtomID, 0, len(set))
-		for id := range set {
-			lst = append(lst, id)
-		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a].Key() < lst[b].Key() })
-		atoms[s] = lst
+	ids, lists := e.jobAtomIDs[:0], e.jobAtomLists[:0]
+	for _, jq := range j.Queries {
+		n := len(ids)
+		ids = query.AppendAtoms(ids, jq, space)
+		lists = append(lists, ids[n:])
 	}
-	return atoms
+	// ids may have moved while it grew: point every list at its final place.
+	lo := 0
+	for s := range lists {
+		hi := lo + len(lists[s])
+		lists[s] = ids[lo:hi]
+		lo = hi
+	}
+	e.jobAtomIDs, e.jobAtomLists = ids, lists
+	if err := e.graph.AddJobWithAtoms(j.ID, lists); err != nil {
+		panic(fmt.Sprintf("engine: graph registration: %v", err))
+	}
+}
+
+// deliverDue hands every arrival that is due to onArrival, and reports
+// whether there was one.
+func (e *Engine) deliverDue() bool {
+	delivered := false
+	for ev, ok := e.events.Peek(); ok && ev.At <= e.clock.Now(); ev, ok = e.events.Peek() {
+		ev, _ = e.events.Pop()
+		e.onArrival(ev.Payload.(*query.Query))
+		delivered = true
+	}
+	return delivered
 }
 
 // onArrival records a query's arrival: job-aware runs register ordered
 // jobs in the precedence graph on first contact.
 func (e *Engine) onArrival(q *query.Query) {
-	j := e.jobsByID[q.JobID].Job
-	if e.cfg.JobAware && j != nil && j.Type == job.Ordered && !e.registered[j.ID] {
-		e.registered[j.ID] = true
-		// Registration cannot fail here: the job was validated and is not
-		// yet registered.
-		if err := e.graph.AddJobWithAtoms(j.ID, e.jobAtoms(j)); err != nil {
-			panic(fmt.Sprintf("engine: graph registration: %v", err))
+	if j := e.jobsByID[q.JobID].Job; e.cfg.JobAware && j != nil && j.Type == job.Ordered {
+		if !e.graph.Registered(j.ID) {
+			e.register(j)
 		}
-	}
-	if e.cfg.JobAware && j != nil && j.Type == job.Ordered {
-		e.arrivedRefs[jobgraph.Ref{Job: q.JobID, Seq: q.Seq}] = true
+		e.graph.MarkArrived(jobgraph.Ref{Job: q.JobID, Seq: q.Seq})
 	}
 	e.arrived = append(e.arrived, q)
 }
@@ -574,7 +584,8 @@ func (e *Engine) admitArrived() bool {
 }
 
 // canDispatch applies gating: job-aware runs admit ordered-job queries
-// only in the QUEUE state.
+// only in the QUEUE state. A blocked query's re-check, every cycle until it
+// clears, allocates nothing.
 func (e *Engine) canDispatch(q *query.Query) bool {
 	if !e.cfg.JobAware {
 		return true
@@ -583,23 +594,11 @@ func (e *Engine) canDispatch(q *query.Query) bool {
 	if j == nil || j.Type != job.Ordered {
 		return true
 	}
-	ref := jobgraph.Ref{Job: q.JobID, Seq: q.Seq}
-	if e.graph.State(ref) != jobgraph.Queue {
-		return false
-	}
 	// Atomic group admission: hold a gated query until every live
 	// co-scheduled partner has also arrived (think time elapsed), so the
 	// whole group's sub-queries land in the workload queues in the same
 	// admission pass and their shared atoms are read in one batch.
-	ok := true
-	e.graph.EachPartner(ref, func(p jobgraph.Ref) bool {
-		if e.graph.State(p) != jobgraph.Done && !e.arrivedRefs[p] {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
+	return e.graph.Dispatchable(jobgraph.Ref{Job: q.JobID, Seq: q.Seq})
 }
 
 // gateState is the gate-aware tail policy's per-query state source: the
@@ -679,7 +678,11 @@ func (e *Engine) execute(batches []sched.Batch) error {
 		}
 	}
 	if e.cfg.FlushPerDecision {
-		e.cfg.Cache.Flush()
+		e.flushed = e.cfg.Cache.Flush(e.flushed[:0])
+		for i, v := range e.flushed {
+			e.retire(v)
+			e.flushed[i] = nil
+		}
 	}
 	e.pushUtilities()
 	return nil
@@ -736,9 +739,11 @@ func (e *Engine) executeBatch(b *sched.Batch, atom *field.Atom) error {
 // backoff charged to the virtual clock; permanent failures and exhausted
 // retries propagate as errors that abort the run.
 func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
-	if v, ok := e.cfg.Cache.Get(id); ok {
+	v, ok := e.cfg.Cache.Get(id)
+	if ok {
 		return v.(*field.Atom), nil
 	}
+	e.retire(v) // a hit the integrity hook dropped
 	backoff := e.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		a, cost, err := e.cfg.Store.Read(id)
@@ -763,8 +768,14 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 
 // putAtom makes a resident and retires the atom this displaced, if any.
 func (e *Engine) putAtom(id store.AtomID, a *field.Atom) {
-	if old, ok := e.cfg.Cache.Put(id, a).(*field.Atom); ok {
-		e.retired = append(e.retired, old)
+	e.retire(e.cfg.Cache.Put(id, a))
+}
+
+// retire takes over an atom the cache dropped — displaced by a Put, flushed,
+// or failed by the integrity hook; v is nil when it dropped none.
+func (e *Engine) retire(v any) {
+	if a, ok := v.(*field.Atom); ok {
+		e.retired = append(e.retired, a)
 	}
 }
 

@@ -261,6 +261,62 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 	}
 }
 
+// TestFlushRecyclesFrames: NoShare flushes the cache after every decision,
+// and what it flushes retires like an evicted atom, so the next decision's
+// fills reuse those sample buffers instead of allocating their own. The
+// same goes for a resident atom the integrity hook fails.
+func TestFlushRecyclesFrames(t *testing.T) {
+	const side = 8
+	bufBytes := uint64(side * side * side * field.Components * 8)
+	for _, corrupt := range []bool{false, true} {
+		s := frameStore(t, side, 0)
+		c := cache.New(8, cache.NewLRUK(2, 0))
+		var e *Engine
+		var first runtime.MemStats
+		var firstFills int64
+		decisions := 0
+		e = newEngine(t, s, sched.NewNoShare(), false, func(cfg *Config) {
+			cfg.Cache = c
+			cfg.Compute = true
+			cfg.FlushPerDecision = !corrupt
+			cfg.OnDecision = func(time.Duration, []sched.Batch) {
+				// Called before a decision executes: the second call is the
+				// first decision's end.
+				if decisions++; decisions == 2 {
+					runtime.ReadMemStats(&first)
+					firstFills = e.fills
+				}
+			}
+		})
+		if corrupt {
+			// Every hit fails verification: the run's only frame turnover is
+			// the integrity drop (one atom, a cache of 8: nothing is evicted).
+			c.SetIntegrity(func(store.AtomID) bool { return false })
+		}
+		// Queries on one atom, one decision each.
+		j := &job.Job{ID: 1, User: 1, Type: job.Batched}
+		for i := 0; i < 40; i++ {
+			j.Queries = append(j.Queries, &query.Query{ID: query.ID(i + 1), JobID: 1, Seq: i, Step: 1,
+				Points: centrePoints(s, 1, 1, 1, 4), Kernel: field.KernelLag4, Arrival: time.Duration(i) * time.Second})
+		}
+		rep, err := e.Run([]*job.Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last runtime.MemStats
+		runtime.ReadMemStats(&last)
+		fills := uint64(e.fills - firstFills)
+		if fills < 30 || rep.CacheStats.Evictions+rep.CacheStats.Corruptions < 30 {
+			t.Fatalf("corrupt=%v: %d fills, %d evictions, %d corruptions after the first decision: the run did not turn frames over",
+				corrupt, fills, rep.CacheStats.Evictions, rep.CacheStats.Corruptions)
+		}
+		if buffers := (last.TotalAlloc - first.TotalAlloc) / bufBytes; buffers*4 > fills {
+			t.Errorf("corrupt=%v: %d fills after the first decision allocated %d B, room for %d sample buffers; want the dropped frames' reused",
+				corrupt, fills, last.TotalAlloc-first.TotalAlloc, buffers)
+		}
+	}
+}
+
 // TestComputeOffNeverFills pins laziness: a run that evaluates nothing
 // synthesizes nothing, and on a run that does evaluate, an atom read only
 // for a neighbour's stencil footprint has no samples until it is itself a

@@ -8,7 +8,6 @@ import (
 
 	"jaws/internal/fault"
 	"jaws/internal/job"
-	"jaws/internal/query"
 )
 
 // Session is a long-lived interactive front end over an engine: jobs are
@@ -194,12 +193,7 @@ func (s *Session) loop(e *Engine) {
 		}
 
 		// One engine cycle: deliver due arrivals, admit, execute or jump.
-		worked := false
-		for ev := e.events.Peek(); ev != nil && ev.At <= e.clock.Now(); ev = e.events.Peek() {
-			e.events.Pop()
-			e.onArrival(ev.Payload.(*query.Query))
-			worked = true
-		}
+		worked := e.deliverDue()
 		if e.admitArrived() {
 			worked = true
 		}
@@ -212,7 +206,7 @@ func (s *Session) loop(e *Engine) {
 				}
 				worked = true
 			}
-		} else if ev := e.events.Peek(); ev != nil {
+		} else if ev, ok := e.events.Peek(); ok {
 			e.advanceTo(ev.At)
 			worked = true
 		}

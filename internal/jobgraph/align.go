@@ -17,6 +17,8 @@
 //     precedence constraints (Fig. 4).
 package jobgraph
 
+import "slices"
+
 // Pair is one aligned query pair from the dynamic program: query SeqA of
 // job A is co-scheduled with query SeqB of job B.
 type Pair struct {
@@ -31,104 +33,84 @@ type Pair struct {
 // the graph admit a job against the already-admitted run without
 // re-running any pairwise DP from scratch. The DP matrix and the share
 // bits are kept in flat reusable arenas, so repeated alignments allocate
-// only for the returned pairs.
+// nothing.
 //
 // The zero Aligner is ready for use: call Begin, then AppendRow for each
 // query of job A in sequence order, then Pairs.
 type Aligner struct {
-	lenB int
-	rows int     // rows appended so far (queries of job A)
-	m    []int32 // (rows+1)×(lenB+1) score matrix, row-major, borders included
-	sh   []bool  // rows×lenB share bits, recorded during the forward pass
+	lenB   int
+	stride int      // words per row of sh
+	rows   int      // rows appended so far (queries of job A)
+	m      []int32  // (rows+1)×(lenB+1) score matrix, row-major, borders included
+	sh     []uint64 // rows×stride share bits, kept for the traceback
 }
 
 // Begin starts a fresh alignment against a job of lenB queries, reusing
 // the internal arenas.
 func (al *Aligner) Begin(lenB int) {
 	al.lenB = lenB
+	al.stride = (lenB + 63) >> 6
 	al.rows = 0
-	need := lenB + 1
-	if cap(al.m) < need {
-		al.m = make([]int32, need)
-	}
-	al.m = al.m[:need]
-	for j := range al.m {
-		al.m[j] = 0
-	}
+	al.m = slices.Grow(al.m[:0], lenB+1)[:lenB+1]
+	clear(al.m)
 	al.sh = al.sh[:0]
 }
 
-// AppendRow extends the alignment with the next query of job A.
-// share(j) reports whether that query and query j of job B exhibit data
-// sharing (score 1); skipping a query costs nothing (gap penalty 0), as
-// in the paper. The share answers are recorded so the traceback never
-// re-asks.
-func (al *Aligner) AppendRow(share func(j int) bool) {
+// AppendRow extends the alignment with the next query of job A. Bit j of
+// row (bit j&63 of word j>>6; at least lenB bits) says whether that query
+// and query j of job B exhibit data sharing (score 1); skipping a query
+// costs nothing (gap penalty 0), as in the paper. The row is copied.
+func (al *Aligner) AppendRow(row []uint64) {
+	row = row[:al.stride]
+	al.sh = append(al.sh, row...)
 	i := al.rows + 1
 	w := al.lenB + 1
-	need := (i + 1) * w
-	for len(al.m) < need {
-		al.m = append(al.m, 0)
-	}
+	al.m = slices.Grow(al.m, w)[:(i+1)*w]
 	prev := al.m[(i-1)*w : i*w]
-	row := al.m[i*w : (i+1)*w]
-	row[0] = 0
+	cur := al.m[i*w : (i+1)*w]
+	cur[0] = 0
 	for j := 1; j <= al.lenB; j++ {
-		s := share(j - 1)
-		al.sh = append(al.sh, s)
-		best := prev[j-1]
-		if s {
-			best++
-		}
+		best := prev[j-1] + int32(row[(j-1)>>6]>>((j-1)&63)&1)
 		if prev[j] > best {
 			best = prev[j]
 		}
-		if row[j-1] > best {
-			best = row[j-1]
+		if cur[j-1] > best {
+			best = cur[j-1]
 		}
-		row[j] = best
+		cur[j] = best
 	}
 	al.rows = i
 }
 
-// Pairs runs the traceback over the accumulated rows and returns the
-// aligned sharing pairs in increasing sequence order. By construction the
-// pairs are non-crossing and each query appears in at most one pair —
-// exactly the feasibility conditions for gating edges between one pair of
-// jobs. The returned slice is freshly allocated (callers retain it).
-func (al *Aligner) Pairs() []Pair {
-	if al.rows == 0 || al.lenB == 0 {
-		return nil
-	}
+// Pairs runs the traceback over the accumulated rows and appends the
+// aligned sharing pairs to buf in increasing sequence order. By
+// construction the pairs are non-crossing and each query appears in at
+// most one pair — exactly the feasibility conditions for gating edges
+// between one pair of jobs.
+func (al *Aligner) Pairs(buf []Pair) []Pair {
 	w := al.lenB + 1
+	first := len(buf)
 	// Traceback, preferring matched diagonals so every unit of score
 	// becomes a gating edge.
-	var rev []Pair
 	i, j := al.rows, al.lenB
 	for i > 0 && j > 0 {
-		s := int32(0)
-		if al.sh[(i-1)*al.lenB+(j-1)] {
-			s = 1
-		}
+		shared := al.sh[(i-1)*al.stride+(j-1)>>6]>>((j-1)&63)&1 == 1
 		switch {
-		case s == 1 && al.m[i*w+j] == al.m[(i-1)*w+(j-1)]+1:
-			rev = append(rev, Pair{SeqA: i - 1, SeqB: j - 1})
+		case shared && al.m[i*w+j] == al.m[(i-1)*w+(j-1)]+1:
+			buf = append(buf, Pair{SeqA: i - 1, SeqB: j - 1})
 			i--
 			j--
 		case al.m[i*w+j] == al.m[(i-1)*w+j]:
 			i--
 		case al.m[i*w+j] == al.m[i*w+(j-1)]:
 			j--
-		default: // unmatched diagonal (s == 0, equal scores)
+		default: // unmatched diagonal (no sharing, equal scores)
 			i--
 			j--
 		}
 	}
-	out := make([]Pair, len(rev))
-	for k, p := range rev {
-		out[len(rev)-1-k] = p
-	}
-	return out
+	slices.Reverse(buf[first:])
+	return buf
 }
 
 // Align runs the full Needleman–Wunsch alignment between two jobs of lenA
@@ -140,10 +122,17 @@ func Align(lenA, lenB int, share func(i, j int) bool) []Pair {
 	if lenA == 0 || lenB == 0 {
 		return nil
 	}
-	var al Aligner
+	al := Aligner{m: make([]int32, 0, (lenA+1)*(lenB+1))}
 	al.Begin(lenB)
+	row := make([]uint64, al.stride)
 	for i := 0; i < lenA; i++ {
-		al.AppendRow(func(j int) bool { return share(i, j) })
+		clear(row)
+		for j := 0; j < lenB; j++ {
+			if share(i, j) {
+				row[j>>6] |= 1 << (j & 63)
+			}
+		}
+		al.AppendRow(row)
 	}
-	return al.Pairs()
+	return al.Pairs(nil)
 }

@@ -175,8 +175,35 @@ func BenchmarkAlign100x100(b *testing.B) {
 		c[i] = rng.Intn(20)
 	}
 	share := shareFromRegions(a, c)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Align(100, 100, share)
+	}
+}
+
+// The same alignment as the graph runs it: rows of share bits, the
+// aligner's arenas and the pair buffer reused.
+func BenchmarkAlign100x100BitRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	rows := make([][]uint64, 100)
+	for i := range rows {
+		rows[i] = make([]uint64, 2)
+		for j := 0; j < 100; j++ {
+			if rng.Intn(20) == 0 {
+				rows[i][j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	var al Aligner
+	var pairs []Pair
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		al.Begin(100)
+		for _, row := range rows {
+			al.AppendRow(row)
+		}
+		pairs = al.Pairs(pairs[:0])
 	}
 }

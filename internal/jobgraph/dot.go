@@ -1,8 +1,9 @@
 package jobgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -16,11 +17,11 @@ func (g *Graph) Dot() string {
 	b.WriteString("graph jaws {\n")
 	b.WriteString("  rankdir=LR;\n  node [shape=circle fontsize=10];\n")
 
-	ids := append([]int64(nil), g.jobSeq...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	order := slices.Clone(g.order)
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(g.jobs[x].id, g.jobs[y].id) })
 
-	for _, jobID := range ids {
-		n := g.jobs[jobID].n
+	for _, slot := range order {
+		jobID, n := g.jobs[slot].id, len(g.jobs[slot].q)
 		fmt.Fprintf(&b, "  subgraph cluster_j%d {\n    label=\"job %d\";\n", jobID, jobID)
 		for s := 0; s < n; s++ {
 			q := Ref{Job: jobID, Seq: s}
@@ -46,23 +47,18 @@ func (g *Graph) Dot() string {
 		b.WriteString("  }\n")
 	}
 
-	// Gating edges: emit each component as a clique, each pair once.
-	seen := map[string]bool{}
-	for _, jobID := range ids {
-		for _, q := range g.jobs[jobID].gated {
-			c := g.compOf(q)
-			for _, a := range c.members {
-				for _, d := range c.members {
-					if a.Job > d.Job || (a.Job == d.Job && a.Seq >= d.Seq) {
-						continue
-					}
-					key := fmt.Sprintf("%v-%v", a, d)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
+	// Gating edges: emit each component as a clique, each pair once — at
+	// its first member, the one the walk in job order meets first.
+	for _, slot := range order {
+		for _, v := range g.jobs[slot].q {
+			members := g.comps[v.comp].members
+			if len(members) == 0 || members[0].slot != slot {
+				continue
+			}
+			for i, a := range members {
+				for _, d := range members[i+1:] {
 					fmt.Fprintf(&b, "  q%d_%d -- q%d_%d [style=dashed constraint=false];\n",
-						a.Job, a.Seq, d.Job, d.Seq)
+						a.job, a.seq, d.job, d.seq)
 				}
 			}
 		}

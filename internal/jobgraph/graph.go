@@ -1,8 +1,9 @@
 package jobgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"jaws/internal/store"
 )
@@ -18,7 +19,7 @@ type Ref struct {
 func (r Ref) String() string { return fmt.Sprintf("q(%d,%d)", r.Job, r.Seq) }
 
 // State is the scheduling state of a query vertex (§IV.B).
-type State int
+type State uint8
 
 const (
 	// Wait: precedence constraints unsatisfied (predecessor not done).
@@ -46,48 +47,136 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// member is one query of a gating component. The job ID orders the
+// members; the job's slot and the sequence number address the query's
+// records, so a walk over members never looks a job up by ID.
+type member struct {
+	job  int64
+	slot int32
+	seq  int32
+}
+
+func (m member) ref() Ref { return Ref{Job: m.job, Seq: int(m.seq)} }
+
 // component is a set of queries connected by gating edges; all members are
-// co-scheduled. level is the gating number G: the number of gating edges
+// co-scheduled. It holds at most one query per job, in ascending job ID.
+// level is the gating number G: the number of gating edges
 // (synchronization points) that must be evaluated before the component can
 // be scheduled.
 type component struct {
-	members []Ref
-	level   int
+	members []member
+	level   int32
 }
 
-// jobInfo is the per-job record: query states and component pointers are
-// dense slices indexed by sequence number (the per-Ref maps they replace
-// dominated the gating profile), gated lists the job's gated queries in
-// sequence order, and atoms holds the per-query atom lists when the job
-// was registered through AddJobWithAtoms (nil for the callback path).
-type jobInfo struct {
-	n      int
-	states []State
-	comps  []*component
-	gated  []Ref
-	atoms  [][]store.AtomID
+// vertex is the per-query record.
+type vertex struct {
+	comp    int32 // index of the query's component in Graph.comps; 0: no gating edge
+	atomEnd int32 // end of the query's atoms in its job's atoms
+	state   State
+	arrived bool // see MarkArrived
+}
+
+// jobRec is the per-job record, addressed by slot. A slot is the job's
+// index in Graph.jobs from registration until Prune drops the job; a
+// vacated slot is a zero record (q == nil) that no slots entry, order
+// entry, component member or posting refers to, and the next registration
+// reuses it.
+type jobRec struct {
+	id  int64
+	reg int64    // registration number: orders jobs by arrival across slot reuse
+	q   []vertex // by sequence number
+	// atoms holds the per-query atom lists end to end when the job was
+	// registered through AddJobWithAtoms (vertex.atomEnd delimits them).
+	atoms    []store.AtomID
+	hasAtoms bool
+}
+
+// posting is one node of an atom's chain in the inverted index: a query
+// whose footprint contains the atom. next links the chain (and the free
+// list) by index+1 into Graph.posts; 0 ends it.
+type posting struct {
+	slot, seq int32
+	next      int32
+}
+
+// cand is one partner job's alignment with the job being merged:
+// pairs[lo:hi] of the graph's pair buffer.
+type cand struct {
+	slot    int32
+	lo, hi  int32
+	id, reg int64
+}
+
+// arenaChunk is the number of records an arena allocates at a time.
+const arenaChunk = 2048
+
+// arena carves zeroed runs out of fixed-size chunks. It holds only the
+// chunk it is carving from: a run belongs to the job record it was carved
+// for, and a chunk is collected once every such job has been pruned.
+type arena[T any] struct{ chunk []T }
+
+func (a *arena[T]) alloc(n int) []T {
+	if n > cap(a.chunk)-len(a.chunk) {
+		a.chunk = make([]T, 0, max(n, arenaChunk))
+	}
+	lo := len(a.chunk)
+	a.chunk = a.chunk[:lo+n]
+	return a.chunk[lo : lo+n : lo+n]
 }
 
 // Graph is the precedence graph with gating edges for a set of ordered
 // jobs. It is not safe for concurrent use; the scheduler owns it.
+//
+// Everything is a table indexed by job slot, sequence number or component
+// index; a public call resolves its job ID to a slot once and no walk
+// inside looks anything up by job or Ref.
 type Graph struct {
 	shares func(a, b Ref) bool
-	jobs   map[int64]*jobInfo
-	jobSeq []int64 // job registration order, for deterministic iteration
 
-	// postings is the inverted index over atom-registered jobs: for each
-	// atom, the queries whose footprint contains it. The merge phase reads
-	// a new job's sharing partners straight out of it instead of probing
-	// the shares callback once per query pair.
-	postings map[store.AtomID][]Ref
+	slots     map[int64]int32 // job ID → slot
+	jobs      []jobRec
+	freeSlots []int32
+	order     []int32 // live slots in registration order
+	regs      int64
 
-	dpCache map[[2]int64][]Pair
-	al      Aligner
+	// comps[0] is unused, so that a zero vertex has no component. A merge
+	// keeps one of the two components' records and frees the other; a freed
+	// record drops its member array for the collector (pinning it here
+	// would keep every superseded membership alive as long as the graph).
+	comps     []component
+	freeComps []int32
 
-	// work and touched are the reusable buffers of the incremental
-	// propagation (see promote).
-	work    []Ref
-	touched []*component
+	verts arena[vertex]
+	atoms arena[store.AtomID]
+
+	// heads and posts are the inverted index over atom-registered jobs: for
+	// each atom, the chain of queries whose footprint contains it. The
+	// merge phase reads a new job's sharing partners straight out of it
+	// instead of probing the shares callback once per query pair.
+	heads    map[store.AtomID]int32
+	posts    []posting
+	freePost int32
+
+	// The scratch of one registration. bits holds the share relation of
+	// the new job with each partner it touches, one bit matrix per partner
+	// (rows: the queries of the job with the smaller ID — the dynamic
+	// program's A side — columns: the other job's); blockAt[slot] is 1 +
+	// the start of that partner's matrix, 0 while untouched, and partners
+	// lists the touched slots. cands spans pairs, one span per partner with
+	// a non-empty alignment. touched lists the components whose membership
+	// the merge changed.
+	al       Aligner
+	bits     []uint64
+	blockAt  []int32
+	partners []int32
+	cands    []cand
+	pairs    []Pair
+	touched  []int32
+
+	// admitEdge's scratch: the would-be combined membership, and the
+	// one-member lists standing in for queries not yet in a component.
+	union []member
+	lone  [2]member
 
 	// mergeByArrival disables the paper's greedy largest-alignment-first
 	// merge in favour of plain registration order (ablation).
@@ -120,9 +209,9 @@ func NewArrivalMerge(shares func(a, b Ref) bool) *Graph {
 func newGraph(shares func(a, b Ref) bool, byArrival bool) *Graph {
 	return &Graph{
 		shares:         shares,
-		jobs:           make(map[int64]*jobInfo),
-		postings:       make(map[store.AtomID][]Ref),
-		dpCache:        make(map[[2]int64][]Pair),
+		slots:          make(map[int64]int32),
+		heads:          make(map[store.AtomID]int32),
+		comps:          make([]component, 1),
 		mergeByArrival: byArrival,
 	}
 }
@@ -132,7 +221,14 @@ func newGraph(shares func(a, b Ref) bool, byArrival bool) *Graph {
 func (g *Graph) SetObserver(fn func(admitted bool, u, v Ref)) { g.obs = fn }
 
 // Jobs returns the number of registered jobs.
-func (g *Graph) Jobs() int { return len(g.jobs) }
+func (g *Graph) Jobs() int { return len(g.order) }
+
+// Registered reports whether job id is in the graph: registered and not
+// yet pruned.
+func (g *Graph) Registered(id int64) bool {
+	_, ok := g.slots[id]
+	return ok
+}
 
 // EdgesAdmitted reports how many gating links were admitted (a component
 // of k members counts as k-1 links).
@@ -142,25 +238,19 @@ func (g *Graph) EdgesAdmitted() int { return g.admitted }
 // refused.
 func (g *Graph) EdgesRejected() int { return g.rejected }
 
-// stateOf returns the state of q and whether q is a live (registered,
-// unpruned) query. Unknown queries read as Wait, matching the map
-// semantics this replaced.
-func (g *Graph) stateOf(q Ref) (State, bool) {
-	ji := g.jobs[q.Job]
-	if ji == nil || q.Seq < 0 || q.Seq >= ji.n {
-		return Wait, false
+// lookup is the one ID → slot resolution of a public call: q's record and
+// its job's slot, or nil for a query that is not live (never registered,
+// or pruned).
+func (g *Graph) lookup(q Ref) (*vertex, int32) {
+	slot, ok := g.slots[q.Job]
+	if !ok || q.Seq < 0 || q.Seq >= len(g.jobs[slot].q) {
+		return nil, 0
 	}
-	return ji.states[q.Seq], true
+	return &g.jobs[slot].q[q.Seq], slot
 }
 
-// compOf returns q's gating component, or nil.
-func (g *Graph) compOf(q Ref) *component {
-	ji := g.jobs[q.Job]
-	if ji == nil || q.Seq < 0 || q.Seq >= ji.n {
-		return nil
-	}
-	return ji.comps[q.Seq]
-}
+// vert returns m's record.
+func (g *Graph) vert(m member) *vertex { return &g.jobs[m.slot].q[m.seq] }
 
 // AddJob registers an ordered job of n queries, aligns it against every
 // previously registered job with the Needleman–Wunsch dynamic program, and
@@ -179,80 +269,83 @@ func (g *Graph) AddJob(id int64, n int) error {
 // index, and its sharing partners are discovered by a single pass over the
 // index — one postings lookup per atom — instead of one set-intersection
 // probe per query pair, so admission cost scales with actual sharing
-// rather than with the number of registered queries.
+// rather than with the number of registered queries. The lists are copied:
+// the caller may reuse them.
 func (g *Graph) AddJobWithAtoms(id int64, atoms [][]store.AtomID) error {
 	return g.addJob(id, len(atoms), atoms)
 }
 
 func (g *Graph) addJob(id int64, n int, atoms [][]store.AtomID) error {
-	if _, dup := g.jobs[id]; dup {
+	if _, dup := g.slots[id]; dup {
 		return fmt.Errorf("jobgraph: job %d already registered", id)
 	}
 	if n <= 0 {
 		return fmt.Errorf("jobgraph: job %d has no queries", id)
 	}
-	ji := &jobInfo{
-		n:      n,
-		states: make([]State, n),
-		comps:  make([]*component, n),
-		atoms:  atoms,
+	var slot int32
+	if k := len(g.freeSlots); k > 0 {
+		slot, g.freeSlots = g.freeSlots[k-1], g.freeSlots[:k-1]
+	} else {
+		slot = int32(len(g.jobs))
+		g.jobs = append(g.jobs, jobRec{})
+		g.blockAt = append(g.blockAt, 0)
 	}
-	ji.states[0] = Ready
-	g.jobs[id] = ji
-	g.jobSeq = append(g.jobSeq, id)
-	for s, as := range atoms {
-		for _, a := range as {
-			g.postings[a] = append(g.postings[a], Ref{Job: id, Seq: s})
+	j := &g.jobs[slot]
+	*j = jobRec{id: id, reg: g.regs, q: g.verts.alloc(n), hasAtoms: atoms != nil}
+	g.regs++
+	j.q[0].state = Ready
+	g.slots[id] = slot
+	g.order = append(g.order, slot)
+	if atoms != nil {
+		total := 0
+		for _, as := range atoms {
+			total += len(as)
+		}
+		j.atoms = g.atoms.alloc(total)[:0]
+		for s, as := range atoms {
+			j.atoms = append(j.atoms, as...)
+			j.q[s].atomEnd = int32(len(j.atoms))
 		}
 	}
 	g.touched = g.touched[:0]
-	g.mergeJob(id)
+	g.mergeJob(slot)
 	// Incremental propagation: the only queries the registration can have
 	// made promotable are the new job's first query (born Ready) and the
 	// Ready members of components whose membership just changed. Promoting
 	// a Ready query to Queue never enables further promotions (gating only
 	// requires partners to have reached Ready), so one pass suffices.
-	g.work = g.work[:0]
-	g.work = append(g.work, Ref{Job: id, Seq: 0})
+	g.promote(slot, 0)
 	for _, c := range g.touched {
-		g.work = append(g.work, c.members...)
+		for _, m := range g.comps[c].members {
+			g.promote(m.slot, m.seq)
+		}
 	}
-	g.promote(g.work)
 	return nil
 }
 
-// dpPairs returns (computing and caching) the dynamic-program alignment
-// between jobs a and b via the shares callback, expressed as pairs
-// (seq in a, seq in b).
-func (g *Graph) dpPairs(a, b int64) []Pair {
-	key := [2]int64{a, b}
-	if a > b {
-		key = [2]int64{b, a}
+// sides orients a pair of jobs for the dynamic program: the job with the
+// smaller ID is the A side, whichever of the two is being merged, because
+// the traceback's tie-breaks depend on the orientation.
+func (g *Graph) sides(x, y int32) (a, b *jobRec) {
+	a, b = &g.jobs[x], &g.jobs[y]
+	if b.id < a.id {
+		a, b = b, a
 	}
-	if cached, ok := g.dpCache[key]; ok {
-		if key[0] == a {
-			return cached
-		}
-		// Cached with swapped roles: flip.
-		flipped := make([]Pair, len(cached))
-		for i, p := range cached {
-			flipped[i] = Pair{SeqA: p.SeqB, SeqB: p.SeqA}
-		}
-		return flipped
+	return a, b
+}
+
+// block returns where partner's share matrix starts in bits and its row
+// stride in words, carving a cleared matrix at first touch.
+func (g *Graph) block(a, b *jobRec, partner int32) (base, stride int) {
+	stride = (len(b.q) + 63) >> 6
+	if g.blockAt[partner] == 0 {
+		base = len(g.bits)
+		g.bits = slices.Grow(g.bits, len(a.q)*stride)[:base+len(a.q)*stride]
+		clear(g.bits[base:])
+		g.blockAt[partner] = int32(base) + 1
+		g.partners = append(g.partners, partner)
 	}
-	lo, hi := key[0], key[1]
-	pairs := Align(g.jobs[lo].n, g.jobs[hi].n, func(i, j int) bool {
-		return g.shares(Ref{Job: lo, Seq: i}, Ref{Job: hi, Seq: j})
-	})
-	g.dpCache[key] = pairs
-	if lo == a {
-		return pairs
-	}
-	flipped := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		flipped[i] = Pair{SeqA: p.SeqB, SeqB: p.SeqA}
-	}
-	return flipped
+	return int(g.blockAt[partner]) - 1, stride
 }
 
 // mergeJob admits gating edges between the new job and every previously
@@ -260,121 +353,140 @@ func (g *Graph) dpPairs(a, b int64) []Pair {
 // size (the greedy merge of §IV.B) and admitting each job's edges in
 // precedence order. When both sides registered atom lists, the sharing
 // relation comes from one pass over the inverted index; mixed pairs fall
-// back to the shares callback.
-func (g *Graph) mergeJob(newJob int64) {
-	ji := g.jobs[newJob]
-	type cand struct {
-		partner int64
-		pairs   []Pair // SeqA = new job, SeqB = partner
-	}
-	var cands []cand
-	// Single sweep over the new job's atoms: every postings hit marks one
-	// shared (new-seq, partner-seq) cell of the pairwise DP's share
-	// relation. The alignment then reads the marks in O(1) per cell.
-	var marks map[int64]map[int]bool
-	if ji.atoms != nil {
-		marks = make(map[int64]map[int]bool)
-		for i, as := range ji.atoms {
-			for _, a := range as {
-				for _, ref := range g.postings[a] {
-					if ref.Job == newJob {
-						continue
-					}
-					pj := g.jobs[ref.Job]
-					m := marks[ref.Job]
-					if m == nil {
-						m = make(map[int]bool)
-						marks[ref.Job] = m
-					}
-					m[i*pj.n+ref.Seq] = true
+// back to the shares callback. Either way it lands in the same bit
+// matrices, which one dynamic-program driver consumes.
+func (g *Graph) mergeJob(self int32) {
+	j := &g.jobs[self]
+	g.bits, g.partners = g.bits[:0], g.partners[:0]
+	// Single sweep over the new job's atoms: every posting met marks one
+	// shared (new-seq, partner-seq) cell, and the new query joins the chain.
+	lo := int32(0)
+	for s := range j.q {
+		for _, atom := range j.atoms[lo:j.q[s].atomEnd] {
+			head := g.heads[atom]
+			for p := head; p != 0; p = g.posts[p-1].next {
+				hit := g.posts[p-1]
+				if hit.slot == self {
+					continue
 				}
+				a, b := g.sides(self, hit.slot)
+				base, stride := g.block(a, b, hit.slot)
+				row, col := int(hit.seq), s
+				if a == j {
+					row, col = s, int(hit.seq)
+				}
+				g.bits[base+row*stride+col>>6] |= 1 << (col & 63)
 			}
+			g.heads[atom] = g.newPosting(self, int32(s), head)
 		}
+		lo = j.q[s].atomEnd
 	}
-	for _, other := range g.jobSeq {
-		if other == newJob {
-			continue
-		}
-		pj := g.jobs[other]
-		var pairs []Pair
-		if ji.atoms != nil && pj.atoms != nil {
-			m := marks[other]
-			if len(m) == 0 {
+	if g.shares != nil {
+		for _, p := range g.order {
+			if p == self || j.hasAtoms && g.jobs[p].hasAtoms {
 				continue
 			}
-			// Orient the DP with the smaller job ID as the A side — the
-			// same canonical orientation dpPairs uses — so traceback
-			// tie-breaks match the callback path exactly.
-			nB := pj.n
-			if newJob < other {
-				g.al.Begin(nB)
-				for i := 0; i < ji.n; i++ {
-					base := i * nB
-					g.al.AppendRow(func(j int) bool { return m[base+j] })
-				}
-				pairs = g.al.Pairs()
-			} else {
-				g.al.Begin(ji.n)
-				for j := 0; j < nB; j++ {
-					j := j
-					g.al.AppendRow(func(i int) bool { return m[i*nB+j] })
-				}
-				pairs = g.al.Pairs()
-				for k := range pairs {
-					pairs[k].SeqA, pairs[k].SeqB = pairs[k].SeqB, pairs[k].SeqA
+			a, b := g.sides(self, p)
+			base, stride := g.block(a, b, p)
+			for row := range a.q {
+				for col := range b.q {
+					if g.shares(Ref{Job: a.id, Seq: row}, Ref{Job: b.id, Seq: col}) {
+						g.bits[base+row*stride+col>>6] |= 1 << (col & 63)
+					}
 				}
 			}
-		} else {
-			if g.shares == nil {
-				continue // no way to probe sharing for this pair
-			}
-			pairs = g.dpPairs(newJob, other)
-		}
-		if len(pairs) > 0 {
-			cands = append(cands, cand{partner: other, pairs: pairs})
 		}
 	}
-	if !g.mergeByArrival {
-		sort.SliceStable(cands, func(i, j int) bool {
-			if len(cands[i].pairs) != len(cands[j].pairs) {
-				return len(cands[i].pairs) > len(cands[j].pairs)
+
+	g.cands, g.pairs = g.cands[:0], g.pairs[:0]
+	for _, p := range g.partners {
+		a, b := g.sides(self, p)
+		base, stride := g.block(a, b, p) // touched: this only locates it
+		g.blockAt[p] = 0
+		g.al.Begin(len(b.q))
+		for row := range a.q {
+			g.al.AppendRow(g.bits[base+row*stride : base+(row+1)*stride])
+		}
+		lo := len(g.pairs)
+		g.pairs = g.al.Pairs(g.pairs)
+		if len(g.pairs) == lo {
+			continue
+		}
+		if a != j { // SeqA is the new job's query, whichever side it was
+			for k := lo; k < len(g.pairs); k++ {
+				g.pairs[k].SeqA, g.pairs[k].SeqB = g.pairs[k].SeqB, g.pairs[k].SeqA
 			}
-			return cands[i].partner < cands[j].partner
-		})
+		}
+		pj := &g.jobs[p]
+		g.cands = append(g.cands, cand{slot: p, lo: int32(lo), hi: int32(len(g.pairs)), id: pj.id, reg: pj.reg})
 	}
-	for _, c := range cands {
-		for _, p := range c.pairs {
-			g.admitEdge(Ref{Job: newJob, Seq: p.SeqA}, Ref{Job: c.partner, Seq: p.SeqB})
+	if g.mergeByArrival {
+		slices.SortFunc(g.cands, byRegistration)
+	} else {
+		slices.SortFunc(g.cands, byAlignment)
+	}
+	for _, c := range g.cands {
+		for _, p := range g.pairs[c.lo:c.hi] {
+			g.admitEdge(member{j.id, self, int32(p.SeqA)}, member{c.id, c.slot, int32(p.SeqB)})
 		}
 	}
 }
 
-// levelBefore returns 1 + the highest gating level among gated queries of
-// job j strictly before seq — the minimum level a new gating edge at seq
-// could take (the MaxGatNum computation of Fig. 4).
-func (g *Graph) levelBefore(j int64, seq int) int {
-	max := 0
-	for _, q := range g.jobs[j].gated {
-		if q.Seq >= seq {
+// byAlignment is the greedy merge order: larger alignments first, ties to
+// the smaller job ID. IDs are distinct, so the order is total.
+func byAlignment(a, b cand) int {
+	if c := cmp.Compare(b.hi-b.lo, a.hi-a.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+func byRegistration(a, b cand) int { return cmp.Compare(a.reg, b.reg) }
+
+// newPosting links a node for query (slot, seq) in front of next.
+func (g *Graph) newPosting(slot, seq, next int32) int32 {
+	p := g.freePost
+	if p == 0 {
+		g.posts = append(g.posts, posting{})
+		p = int32(len(g.posts))
+	} else {
+		g.freePost = g.posts[p-1].next
+	}
+	g.posts[p-1] = posting{slot: slot, seq: seq, next: next}
+	return p
+}
+
+// membersOf returns the component of m's query, or m alone in lone[i].
+func (g *Graph) membersOf(m member, c int32, i int) []member {
+	if c != 0 {
+		return g.comps[c].members
+	}
+	g.lone[i] = m
+	return g.lone[i : i+1]
+}
+
+// levelBounds returns the gating levels a component holding query seq of
+// job slot must lie between: above every gated query before it in the job
+// — lower is 1 + the nearest one's level, the MaxGatNum computation of
+// Fig. 4 — and strictly below the nearest gated query after it (upper; -1
+// if none). Levels increase strictly along a job, so the nearest gated
+// neighbours carry the binding ones.
+func (g *Graph) levelBounds(slot, seq int32) (lower, upper int32) {
+	q := g.jobs[slot].q
+	lower, upper = 1, -1
+	for s := seq - 1; s >= 0; s-- {
+		if c := q[s].comp; c != 0 {
+			lower = g.comps[c].level + 1
 			break
 		}
-		if lvl := g.compOf(q).level; lvl >= max {
-			max = lvl
+	}
+	for s := int(seq) + 1; s < len(q); s++ {
+		if c := q[s].comp; c != 0 {
+			upper = g.comps[c].level
+			break
 		}
 	}
-	return max + 1
-}
-
-// levelAfterBound returns the lowest gating level among gated queries of
-// job j strictly after seq, or -1 if none; a component containing (j, seq)
-// must sit strictly below this level.
-func (g *Graph) levelAfterBound(j int64, seq int) int {
-	for _, q := range g.jobs[j].gated {
-		if q.Seq > seq {
-			return g.compOf(q).level
-		}
-	}
-	return -1
+	return lower, upper
 }
 
 // admitEdge attempts to admit a gating edge between u (a query of the job
@@ -389,32 +501,33 @@ func (g *Graph) levelAfterBound(j int64, seq int) int {
 //     increasing along every job (the gating-number check of line 9).
 //
 // It reports whether the edge was admitted.
-func (g *Graph) admitEdge(u, v Ref) bool {
-	cu, cv := g.compOf(u), g.compOf(v)
-	if cu != nil && cu == cv {
+func (g *Graph) admitEdge(u, v member) bool {
+	cu, cv := g.vert(u).comp, g.vert(v).comp
+	if cu != 0 && cu == cv {
 		return true // already co-scheduled
 	}
-	// Gather the would-be combined membership.
-	membersOf := func(r Ref, c *component) []Ref {
-		if c != nil {
-			return c.members
-		}
-		return []Ref{r}
-	}
-	mu, mv := membersOf(u, cu), membersOf(v, cv)
+	mu, mv := g.membersOf(u, cu, 0), g.membersOf(v, cv, 1)
 
-	// A component may contain at most one query per job: co-scheduling two
-	// ordered queries of the same job is an immediate deadlock.
-	jobs := make(map[int64]int, len(mu)+len(mv))
-	for _, m := range mu {
-		jobs[m.Job] = m.Seq
-	}
-	for _, m := range mv {
-		if _, clash := jobs[m.Job]; clash {
+	// The would-be combined membership: both lists are in job order, so one
+	// merge builds it. A component may contain at most one query per job —
+	// co-scheduling two ordered queries of the same job is an immediate
+	// deadlock — and a job in both lists shows up as a tie.
+	all := slices.Grow(g.union[:0], len(mu)+len(mv))
+	g.union = all
+	i, k := 0, 0
+	for i < len(mu) && k < len(mv) {
+		switch {
+		case mu[i].job == mv[k].job:
 			return g.rejectEdge(u, v)
+		case mu[i].job < mv[k].job:
+			all = append(all, mu[i])
+			i++
+		default:
+			all = append(all, mv[k])
+			k++
 		}
-		jobs[m.Job] = m.Seq
 	}
+	all = append(append(all, mu[i:]...), mv[k:]...)
 
 	// Crossing check: for every pair of jobs now linked through the
 	// combined component, the set of co-scheduling pairs across all
@@ -432,95 +545,103 @@ func (g *Graph) admitEdge(u, v Ref) bool {
 	// Level feasibility (gating numbers). Every member imposes a lower
 	// bound (strictly above all gated predecessors in its job) and an
 	// upper bound (strictly below all gated successors).
-	lower := 0
-	upper := 1 << 30
-	all := make([]Ref, 0, len(mu)+len(mv))
-	all = append(all, mu...)
-	all = append(all, mv...)
+	lower, upper := int32(0), int32(1<<30)
 	for _, m := range all {
-		if lb := g.levelBefore(m.Job, m.Seq); lb > lower {
-			lower = lb
-		}
-		if ub := g.levelAfterBound(m.Job, m.Seq); ub >= 0 && ub < upper {
-			upper = ub
+		lb, ub := g.levelBounds(m.slot, m.seq)
+		lower = max(lower, lb)
+		if ub >= 0 {
+			upper = min(upper, ub)
 		}
 	}
 	level := lower
 	// Existing components have committed levels; they cannot move (their
 	// jobs' later edges were admitted against them).
 	switch {
-	case cu != nil && cv != nil:
-		if cu.level != cv.level {
+	case cu != 0 && cv != 0:
+		if g.comps[cu].level != g.comps[cv].level {
 			return g.rejectEdge(u, v)
 		}
-		level = cu.level
-	case cu != nil:
-		if cu.level < lower {
+		level = g.comps[cu].level
+	case cu != 0:
+		if g.comps[cu].level < lower {
 			return g.rejectEdge(u, v)
 		}
-		level = cu.level
-	case cv != nil:
-		if cv.level < lower {
+		level = g.comps[cu].level
+	case cv != 0:
+		if g.comps[cv].level < lower {
 			return g.rejectEdge(u, v)
 		}
-		level = cv.level
+		level = g.comps[cv].level
 	}
 	if level >= upper {
 		return g.rejectEdge(u, v)
 	}
 
-	// Admit: union into one component at the agreed level.
-	merged := &component{members: all, level: level}
-	sort.Slice(merged.members, func(i, j int) bool {
-		if merged.members[i].Job != merged.members[j].Job {
-			return merged.members[i].Job < merged.members[j].Job
-		}
-		return merged.members[i].Seq < merged.members[j].Seq
-	})
-	for _, m := range merged.members {
-		mi := g.jobs[m.Job]
-		if mi.comps[m.Seq] == nil {
-			g.insertGated(m)
-		}
-		mi.comps[m.Seq] = merged
+	// Admit: union into one component at the agreed level, in the record
+	// (and, if it fits, the member array) of whichever side has more room.
+	keep, drop := cv, cu
+	if cap(g.comps[cu].members) > cap(g.comps[cv].members) {
+		keep, drop = cu, cv
 	}
-	g.touched = append(g.touched, merged)
+	switch {
+	case keep == 0 && len(g.freeComps) > 0:
+		keep = g.freeComps[len(g.freeComps)-1]
+		g.freeComps = g.freeComps[:len(g.freeComps)-1]
+	case keep == 0:
+		keep = int32(len(g.comps))
+		g.comps = append(g.comps, component{})
+	}
+	if drop != 0 {
+		g.freeComp(drop)
+	}
+	c := &g.comps[keep]
+	c.members, c.level = append(c.members[:0], all...), level
+	for _, m := range all {
+		g.vert(m).comp = keep
+	}
+	g.touched = append(g.touched, keep)
 	g.admitted++
 	if g.obs != nil {
-		g.obs(true, u, v)
+		g.obs(true, u.ref(), v.ref())
 	}
 	return true
 }
 
+// freeComp vacates a component record, leaving its member array to the
+// collector.
+func (g *Graph) freeComp(c int32) {
+	g.comps[c] = component{}
+	g.freeComps = append(g.freeComps, c)
+}
+
 // rejectEdge counts and reports one refused gating edge.
-func (g *Graph) rejectEdge(u, v Ref) bool {
+func (g *Graph) rejectEdge(u, v member) bool {
 	g.rejected++
 	if g.obs != nil {
-		g.obs(false, u, v)
+		g.obs(false, u.ref(), v.ref())
 	}
 	return false
 }
 
-// wouldCross reports whether co-scheduling a with b would cross an
-// existing co-scheduling pair between their jobs, or duplicate an edge on
-// either query for that job pair.
-func (g *Graph) wouldCross(a, b Ref) bool {
-	if a.Job == b.Job {
-		return true
-	}
+// wouldCross reports whether co-scheduling a with b (queries of different
+// jobs) would cross an existing co-scheduling pair between their jobs, or
+// duplicate an edge on either query for that job pair.
+func (g *Graph) wouldCross(a, b member) bool {
 	// Scan gated queries of job a; those whose component also holds a
 	// query of job b define the existing pairs.
-	for _, qa := range g.jobs[a.Job].gated {
-		c := g.compOf(qa)
-		for _, m := range c.members {
-			if m.Job != b.Job {
+	for s, qa := range g.jobs[a.slot].q {
+		if qa.comp == 0 {
+			continue
+		}
+		for _, m := range g.comps[qa.comp].members {
+			if m.slot != b.slot {
 				continue
 			}
-			// Existing pair (qa.Seq, m.Seq) vs candidate (a.Seq, b.Seq).
-			if qa.Seq == a.Seq || m.Seq == b.Seq {
+			// Existing pair (s, m.seq) vs candidate (a.seq, b.seq).
+			if int32(s) == a.seq || m.seq == b.seq {
 				return true // second edge on the same query for this job pair
 			}
-			if (qa.Seq < a.Seq) != (m.Seq < b.Seq) {
+			if (int32(s) < a.seq) != (m.seq < b.seq) {
 				return true // crossing
 			}
 		}
@@ -528,23 +649,11 @@ func (g *Graph) wouldCross(a, b Ref) bool {
 	return false
 }
 
-// insertGated records that q now has gating edges, keeping the per-job
-// list sorted by sequence.
-func (g *Graph) insertGated(q Ref) {
-	ji := g.jobs[q.Job]
-	lst := ji.gated
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].Seq >= q.Seq })
-	lst = append(lst, Ref{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = q
-	ji.gated = lst
-}
-
 // GatingNumber returns G(q): the gating level of q's component, or 0 if q
 // has no gating edges.
 func (g *Graph) GatingNumber(q Ref) int {
-	if c := g.compOf(q); c != nil {
-		return c.level
+	if v, _ := g.lookup(q); v != nil {
+		return int(g.comps[v.comp].level)
 	}
 	return 0
 }
@@ -553,14 +662,15 @@ func (g *Graph) GatingNumber(q Ref) int {
 // itself), in deterministic order. The slice is freshly allocated; hot
 // paths should prefer EachPartner.
 func (g *Graph) Partners(q Ref) []Ref {
-	c := g.compOf(q)
-	if c == nil {
+	v, _ := g.lookup(q)
+	if v == nil || v.comp == 0 {
 		return nil
 	}
-	out := make([]Ref, 0, len(c.members)-1)
-	for _, m := range c.members {
-		if m != q {
-			out = append(out, m)
+	members := g.comps[v.comp].members
+	out := make([]Ref, 0, len(members)-1)
+	for _, m := range members {
+		if m.ref() != q {
+			out = append(out, m.ref())
 		}
 	}
 	return out
@@ -570,111 +680,99 @@ func (g *Graph) Partners(q Ref) []Ref {
 // deterministic (job, seq) order, stopping early when fn returns false.
 // It allocates nothing.
 func (g *Graph) EachPartner(q Ref, fn func(Ref) bool) {
-	c := g.compOf(q)
-	if c == nil {
+	v, _ := g.lookup(q)
+	if v == nil {
 		return
 	}
-	for _, m := range c.members {
-		if m != q && !fn(m) {
+	for _, m := range g.comps[v.comp].members {
+		if m.ref() != q && !fn(m.ref()) {
 			return
 		}
 	}
 }
 
-// State returns the scheduling state of q.
+// State returns the scheduling state of q. Unknown queries read as Wait.
 func (g *Graph) State(q Ref) State {
-	st, _ := g.stateOf(q)
-	return st
+	if v, _ := g.lookup(q); v != nil {
+		return v.state
+	}
+	return Wait
+}
+
+// MarkArrived records that q has arrived at the scheduler (for an ordered
+// job's later queries: its predecessor completed and the think time has
+// elapsed). Dispatchable reads it; nothing else in the graph does. Unknown
+// queries are ignored.
+func (g *Graph) MarkArrived(q Ref) {
+	if v, _ := g.lookup(q); v != nil {
+		v.arrived = true
+	}
+}
+
+// Dispatchable reports whether q can enter the workload queues: it is in
+// the QUEUE state and every co-scheduled partner that is not yet DONE has
+// arrived too, so that the whole group can be enqueued in one pass. It
+// allocates nothing.
+func (g *Graph) Dispatchable(q Ref) bool {
+	v, _ := g.lookup(q)
+	if v == nil || v.state != Queue {
+		return false
+	}
+	for _, m := range g.comps[v.comp].members {
+		if p := g.vert(m); p != v && p.state != Done && !p.arrived {
+			return false
+		}
+	}
+	return true
 }
 
 // MarkDone records the completion of q, releases its successor from WAIT,
 // and propagates gating releases. Marking an unknown or non-QUEUE query
 // done is a programming error in the engine and panics.
 func (g *Graph) MarkDone(q Ref) {
-	ji := g.jobs[q.Job]
-	if ji == nil || q.Seq < 0 || q.Seq >= ji.n {
+	v, slot := g.lookup(q)
+	if v == nil {
 		panic(fmt.Sprintf("jobgraph: MarkDone on unknown query %v", q))
 	}
-	if st := ji.states[q.Seq]; st != Queue {
-		panic(fmt.Sprintf("jobgraph: MarkDone on %v in state %v", q, st))
+	if v.state != Queue {
+		panic(fmt.Sprintf("jobgraph: MarkDone on %v in state %v", q, v.state))
 	}
-	ji.states[q.Seq] = Done
+	v.state = Done
 	// Incremental propagation: q's own transition (QUEUE→DONE) cannot
 	// change anyone's gating satisfaction — both states already count as
 	// "reached Ready". Only the successor's WAIT→READY release can, and
 	// only for the successor itself and the members of its component.
-	if q.Seq+1 >= ji.n || ji.states[q.Seq+1] != Wait {
+	jq := g.jobs[slot].q
+	if q.Seq+1 >= len(jq) || jq[q.Seq+1].state != Wait {
 		return
 	}
-	succ := Ref{Job: q.Job, Seq: q.Seq + 1}
-	ji.states[succ.Seq] = Ready
-	g.work = g.work[:0]
-	g.work = append(g.work, succ)
-	if c := ji.comps[succ.Seq]; c != nil {
-		g.work = append(g.work, c.members...)
+	succ := &jq[q.Seq+1]
+	succ.state = Ready
+	g.promote(slot, int32(q.Seq+1))
+	for _, m := range g.comps[succ.comp].members {
+		g.promote(m.slot, m.seq)
 	}
-	g.promote(g.work)
 }
 
-// promote moves the given queries from READY to QUEUE where their gating
-// constraints are satisfied. Because promotion only raises states that
-// already count as "reached Ready" for partners, it can never enable a
-// further promotion, so the worklist needs no fixpoint iteration; callers
-// just list every query whose satisfaction may have changed. The naive
+// promote moves a query from READY to QUEUE if every query co-scheduled
+// with it has at least reached READY (Done partners count: their data
+// sharing opportunity has passed). Because promotion only raises a state
+// that already counts as "reached Ready" for partners, it can never
+// enable a further promotion, so callers need no fixpoint iteration; they
+// just promote every query whose satisfaction may have changed. The naive
 // full-graph fixpoint this replaces is kept as propagateAll for the
 // equivalence tests.
-func (g *Graph) promote(work []Ref) {
-	for _, r := range work {
-		ji := g.jobs[r.Job]
-		if ji == nil || ji.states[r.Seq] != Ready {
-			continue
-		}
-		if g.gatingSatisfied(r) {
-			ji.states[r.Seq] = Queue
-		}
+func (g *Graph) promote(slot, seq int32) {
+	v := &g.jobs[slot].q[seq]
+	if v.state != Ready {
+		return
 	}
-}
-
-// propagateAll is the reference propagation: sweep every query to a
-// fixpoint. Kept only to cross-check the incremental promote in tests.
-func (g *Graph) propagateAll() {
-	for {
-		changed := false
-		for _, jobID := range g.jobSeq {
-			ji := g.jobs[jobID]
-			for s := 0; s < ji.n; s++ {
-				if ji.states[s] != Ready {
-					continue
-				}
-				if g.gatingSatisfied(Ref{Job: jobID, Seq: s}) {
-					ji.states[s] = Queue
-					changed = true
-				}
-			}
-		}
-		if !changed {
+	for _, m := range g.comps[v.comp].members {
+		if g.vert(m).state < Ready {
 			return
 		}
 	}
-}
-
-// gatingSatisfied reports whether every query co-scheduled with q has at
-// least reached READY (Done partners count as satisfied: their data
-// sharing opportunity has passed).
-func (g *Graph) gatingSatisfied(q Ref) bool {
-	c := g.compOf(q)
-	if c == nil {
-		return true
-	}
-	for _, m := range c.members {
-		if m == q {
-			continue
-		}
-		if st, _ := g.stateOf(m); st < Ready {
-			return false
-		}
-	}
-	return true
+	v.state = Queue
 }
 
 // BlockedBy appends to buf the queries directly holding q back and
@@ -684,24 +782,17 @@ func (g *Graph) gatingSatisfied(q Ref) bool {
 // themselves, in deterministic (job, seq) order. It allocates nothing
 // when buf has capacity.
 func (g *Graph) BlockedBy(q Ref, buf []Ref) []Ref {
-	st, known := g.stateOf(q)
-	if !known {
+	v, _ := g.lookup(q)
+	if v == nil {
 		return buf
 	}
-	switch st {
+	switch v.state {
 	case Wait:
 		return append(buf, Ref{Job: q.Job, Seq: q.Seq - 1})
 	case Ready:
-		c := g.compOf(q)
-		if c == nil {
-			return buf
-		}
-		for _, m := range c.members {
-			if m == q {
-				continue
-			}
-			if mst, _ := g.stateOf(m); mst < Ready {
-				buf = append(buf, m)
+		for _, m := range g.comps[v.comp].members {
+			if g.vert(m).state < Ready {
+				buf = append(buf, m.ref())
 			}
 		}
 	}
@@ -712,11 +803,11 @@ func (g *Graph) BlockedBy(q Ref, buf []Ref) []Ref {
 // (job registration order, sequence).
 func (g *Graph) Schedulable() []Ref {
 	var out []Ref
-	for _, jobID := range g.jobSeq {
-		ji := g.jobs[jobID]
-		for s := 0; s < ji.n; s++ {
-			if ji.states[s] == Queue {
-				out = append(out, Ref{Job: jobID, Seq: s})
+	for _, slot := range g.order {
+		j := &g.jobs[slot]
+		for s := range j.q {
+			if j.q[s].state == Queue {
+				out = append(out, Ref{Job: j.id, Seq: s})
 			}
 		}
 	}
@@ -725,10 +816,9 @@ func (g *Graph) Schedulable() []Ref {
 
 // Finished reports whether every query of every registered job is DONE.
 func (g *Graph) Finished() bool {
-	for _, jobID := range g.jobSeq {
-		ji := g.jobs[jobID]
-		for s := 0; s < ji.n; s++ {
-			if ji.states[s] != Done {
+	for _, slot := range g.order {
+		for _, v := range g.jobs[slot].q {
+			if v.state != Done {
 				return false
 			}
 		}
@@ -739,61 +829,72 @@ func (g *Graph) Finished() bool {
 // Prune drops completed jobs from the graph (the paper prunes completed
 // queries continually to keep the merge phase cheap). A job is dropped
 // when all of its queries are DONE and none of its components link to a
-// live query. Pruning also retires the job's postings so the inverted
-// index tracks only live jobs.
+// live query. Its queries leave the components they were in — a component
+// that survives through another job keeps its level and its other members
+// — its postings leave the inverted index, and its slot is vacated.
 func (g *Graph) Prune() {
-	keep := g.jobSeq[:0]
-	for _, jobID := range g.jobSeq {
-		ji := g.jobs[jobID]
-		done := true
-		for s := 0; s < ji.n; s++ {
-			if ji.states[s] != Done {
-				done = false
-				break
+	keep := g.order[:0]
+	for _, slot := range g.order {
+		if g.drained(slot) {
+			g.drop(slot)
+		} else {
+			keep = append(keep, slot)
+		}
+	}
+	g.order = keep
+}
+
+// drained reports whether every query of the job, and every query
+// co-scheduled with one, is DONE.
+func (g *Graph) drained(slot int32) bool {
+	for _, v := range g.jobs[slot].q {
+		if v.state != Done {
+			return false
+		}
+		for _, m := range g.comps[v.comp].members {
+			if g.vert(m).state != Done {
+				return false
 			}
 		}
-		live := false
-		if done {
-		scan:
-			for _, q := range ji.gated {
-				for _, m := range g.compOf(q).members {
-					// A member with no live record was pruned earlier, which
-					// implies it was already Done.
-					if st, known := g.stateOf(m); known && st != Done {
-						live = true
-						break scan
-					}
-				}
-			}
-		}
-		if done && !live {
-			for _, as := range ji.atoms {
-				for _, a := range as {
-					refs := g.postings[a]
-					for k := 0; k < len(refs); {
-						if refs[k].Job == jobID {
-							refs[k] = refs[len(refs)-1]
-							refs = refs[:len(refs)-1]
-						} else {
-							k++
-						}
-					}
-					if len(refs) == 0 {
-						delete(g.postings, a)
-					} else {
-						g.postings[a] = refs
-					}
-				}
-			}
-			delete(g.jobs, jobID)
-			for key := range g.dpCache {
-				if key[0] == jobID || key[1] == jobID {
-					delete(g.dpCache, key)
-				}
-			}
+	}
+	return true
+}
+
+// drop removes a job and vacates its slot.
+func (g *Graph) drop(slot int32) {
+	j := &g.jobs[slot]
+	for _, v := range j.q {
+		if v.comp == 0 {
 			continue
 		}
-		keep = append(keep, jobID)
+		c := &g.comps[v.comp]
+		k := 0
+		for c.members[k].slot != slot {
+			k++
+		}
+		c.members = slices.Delete(c.members, k, k+1)
+		if len(c.members) == 0 {
+			g.freeComp(v.comp)
+		}
 	}
-	g.jobSeq = keep
+	for _, atom := range j.atoms {
+		// Unlink the job's nodes from the atom's chain.
+		head := g.heads[atom]
+		for link := &head; *link != 0; {
+			p := &g.posts[*link-1]
+			if p.slot != slot {
+				link = &p.next
+				continue
+			}
+			*link, p.next, g.freePost = p.next, g.freePost, *link
+		}
+		if head == 0 {
+			delete(g.heads, atom)
+		} else {
+			g.heads[atom] = head
+		}
+	}
+	delete(g.slots, j.id)
+	*j = jobRec{}
+	g.freeSlots = append(g.freeSlots, slot)
 }

@@ -249,10 +249,10 @@ func TestGatingLevelsMonotoneProperty(t *testing.T) {
 			prev := 0
 			for s := range regions {
 				q := Ref{Job: id, Seq: s}
-				if g.compOf(q) == nil {
-					continue
-				}
 				lvl := g.GatingNumber(q)
+				if lvl == 0 {
+					continue // no gating edge
+				}
 				if lvl <= prev {
 					t.Fatalf("trial %d: job %d gating levels not strictly increasing (%d then %d)",
 						trial, id, prev, lvl)
@@ -352,6 +352,7 @@ func BenchmarkAddJob50Jobs(b *testing.B) {
 		}
 		regions[j] = r
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := New(func(a, b Ref) bool { return regions[a.Job][a.Seq] == regions[b.Job][b.Seq] })
@@ -412,5 +413,41 @@ func TestDotRendering(t *testing.T) {
 	// Each gating pair appears exactly once.
 	if strings.Count(dot, "q1_1 -- q2_0") != 1 {
 		t.Fatalf("gating edge duplicated:\n%s", dot)
+	}
+}
+
+// Dispatchable holds a QUEUE query until every partner that is not DONE
+// has been marked arrived — the engine's atomic group admission.
+func TestDispatchableWaitsForArrivedPartners(t *testing.T) {
+	// j1 = [R1 R2], j2 = [R2]: j2/q0 is co-scheduled with j1/q1.
+	g := regionGraph(t, map[int64][]int{1: {1, 2}, 2: {2}})
+	a, b, lone := Ref{Job: 1, Seq: 1}, Ref{Job: 2, Seq: 0}, Ref{Job: 1, Seq: 0}
+	g.MarkArrived(lone)
+	g.MarkArrived(b)
+	if !g.Dispatchable(lone) {
+		t.Fatal("an ungated QUEUE query is not dispatchable")
+	}
+	if g.Dispatchable(b) {
+		t.Fatalf("j2/q0 dispatchable in state %v", g.State(b))
+	}
+	g.MarkDone(lone) // releases j1/q1: both partners reach QUEUE
+	if g.State(a) != Queue || g.State(b) != Queue {
+		t.Fatalf("states %v, %v, want both QUEUE", g.State(a), g.State(b))
+	}
+	if g.Dispatchable(b) {
+		t.Fatal("j2/q0 dispatchable before its partner j1/q1 arrived")
+	}
+	g.MarkArrived(a)
+	if !g.Dispatchable(a) || !g.Dispatchable(b) {
+		t.Fatal("the group is not dispatchable with both members arrived")
+	}
+	// A DONE partner no longer has to arrive; an unknown query never goes.
+	g.MarkDone(a)
+	if !g.Dispatchable(b) {
+		t.Fatal("j2/q0 held by a partner that is DONE")
+	}
+	g.MarkArrived(Ref{Job: 9, Seq: 0})
+	if g.Dispatchable(Ref{Job: 9, Seq: 0}) || g.Dispatchable(Ref{Job: 1, Seq: 5}) {
+		t.Fatal("an unknown query is dispatchable")
 	}
 }

@@ -2,6 +2,7 @@ package jobgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jaws/internal/morton"
@@ -99,10 +100,10 @@ func TestAtomsPathMatchesCallbackPath(t *testing.T) {
 func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 	snapshot := func(g *Graph) map[Ref]State {
 		m := make(map[Ref]State)
-		for _, id := range g.jobSeq {
-			ji := g.jobs[id]
-			for s := 0; s < ji.n; s++ {
-				m[Ref{Job: id, Seq: s}] = ji.states[s]
+		for _, slot := range g.order {
+			j := &g.jobs[slot]
+			for s, v := range j.q {
+				m[Ref{Job: j.id, Seq: s}] = v.state
 			}
 		}
 		return m
@@ -187,32 +188,39 @@ func TestEachPartnerMatchesPartners(t *testing.T) {
 	}
 }
 
-// The append-row Aligner must agree with the one-shot Align on random
-// share relations, including after arena reuse.
+// The bit-row Aligner must agree with the closure-per-row one it replaced
+// (and so must Align, which drives it) on random share relations,
+// including rows of more than one word and after arena reuse.
 func TestAlignerAppendRowMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var al Aligner
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		lenA, lenB := rng.Intn(9)+1, rng.Intn(9)+1
+		if trial%10 == 0 {
+			lenA, lenB = rng.Intn(150)+1, rng.Intn(150)+1
+		}
 		shares := make([]bool, lenA*lenB)
 		for i := range shares {
 			shares[i] = rng.Intn(3) == 0
 		}
 		share := func(i, j int) bool { return shares[i*lenB+j] }
-		want := Align(lenA, lenB, share)
+		want := refAlign(lenA, lenB, share)
+		if got := Align(lenA, lenB, share); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Align %v vs %v", trial, got, want)
+		}
 		al.Begin(lenB)
+		row := make([]uint64, (lenB+63)/64)
 		for i := 0; i < lenA; i++ {
-			i := i
-			al.AppendRow(func(j int) bool { return share(i, j) })
-		}
-		got := al.Pairs()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %v vs %v", trial, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: %v vs %v", trial, got, want)
+			clear(row)
+			for j := 0; j < lenB; j++ {
+				if share(i, j) {
+					row[j>>6] |= 1 << (j & 63)
+				}
 			}
+			al.AppendRow(row)
+		}
+		if got := al.Pairs(nil); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v vs %v", trial, got, want)
 		}
 	}
 }

@@ -21,6 +21,10 @@ type ModelGraph struct {
 	byRef  map[jobgraph.Ref]*modelComponent
 
 	admitted, rejected int
+
+	// Observer, when set, is told the outcome of every candidate edge the
+	// feasibility checks ruled on, as jobgraph.Graph.SetObserver's is.
+	Observer func(admitted bool, u, v jobgraph.Ref)
 }
 
 // modelComponent is one co-scheduling group and its gating number.
@@ -170,13 +174,24 @@ func (g *ModelGraph) gatedOf(j int64) []jobgraph.Ref {
 	return out
 }
 
-// admit applies Fig. 4's feasibility checks to a candidate edge (u, v) and
-// merges the two components when all pass.
+// admit rules on a candidate edge (u, v) and reports the ruling. Queries
+// already co-scheduled need none.
 func (g *ModelGraph) admit(u, v jobgraph.Ref) bool {
-	cu, cv := g.byRef[u], g.byRef[v]
-	if cu != nil && cu == cv {
+	if cu := g.byRef[u]; cu != nil && cu == g.byRef[v] {
 		return true
 	}
+	ok := g.feasible(u, v)
+	if g.Observer != nil {
+		g.Observer(ok, u, v)
+	}
+	return ok
+}
+
+// feasible applies Fig. 4's feasibility checks to a candidate edge (u, v)
+// between queries of different components and merges the two when all
+// pass.
+func (g *ModelGraph) feasible(u, v jobgraph.Ref) bool {
+	cu, cv := g.byRef[u], g.byRef[v]
 	mu, mv := g.members(u), g.members(v)
 	union := append(append([]jobgraph.Ref{}, mu...), mv...)
 

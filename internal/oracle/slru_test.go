@@ -91,7 +91,7 @@ func TestSLRUDifferential(t *testing.T) {
 					model.EndRun()
 				default: // NoShare-style flush
 					realEvicted = realEvicted[:0]
-					real.Flush()
+					real.Flush(nil)
 					victims := model.Flush()
 					sort.Slice(realEvicted, func(a, b int) bool { return realEvicted[a].Key() < realEvicted[b].Key() })
 					if fmt.Sprint(realEvicted) != fmt.Sprint(victims) {

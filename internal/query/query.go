@@ -231,16 +231,38 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 	return out, nil
 }
 
-// Atoms returns the set of primary atoms accessed by query q — A(q) in the
+// AppendAtoms appends the primary atoms accessed by query q — A(q) in the
 // paper's notation (§IV), the basis of the data-sharing test between
-// queries of different jobs. A temporal-derivative query's set spans its
-// whole step chain.
+// queries of different jobs — to buf, each once, in clustered-key order
+// (step, then Morton code). A temporal-derivative query's set spans its
+// whole step chain. It allocates nothing when buf has room for one entry
+// per point.
+func AppendAtoms(buf []store.AtomID, q *Query, space geom.Space) []store.AtomID {
+	first := len(buf)
+	for _, p := range q.Points {
+		// Neighbouring points mostly share an atom: drop the repeats a
+		// comparison away, sort and compact the rest.
+		if c := space.AtomOf(p).Code(); len(buf) == first || buf[len(buf)-1].Code != c {
+			buf = append(buf, store.AtomID{Step: q.Step, Code: c})
+		}
+	}
+	slices.SortFunc(buf[first:], func(a, b store.AtomID) int { return cmp.Compare(a.Code, b.Code) })
+	buf = buf[:first+len(slices.Compact(buf[first:]))]
+	// The later steps of a derivative chain touch the same atoms, a step on.
+	n := len(buf) - first
+	for s := 1; s < q.ChainLen(); s++ {
+		for _, id := range buf[first : first+n] {
+			buf = append(buf, store.AtomID{Step: q.Step + s, Code: id.Code})
+		}
+	}
+	return buf
+}
+
+// Atoms returns A(q) as a set.
 func Atoms(q *Query, space geom.Space) map[store.AtomID]bool {
 	out := make(map[store.AtomID]bool)
-	for s := 0; s < q.ChainLen(); s++ {
-		for _, p := range q.Points {
-			out[store.AtomID{Step: q.Step + s, Code: space.AtomOf(p).Code()}] = true
-		}
+	for _, id := range AppendAtoms(nil, q, space) {
+		out[id] = true
 	}
 	return out
 }

@@ -10,7 +10,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -73,56 +72,73 @@ type Event struct {
 	seq int // tie-break so equal-time events pop in push order
 }
 
+// before orders events by virtual time, then by push order.
+func (ev *Event) before(other *Event) bool {
+	if ev.At != other.At {
+		return ev.At < other.At
+	}
+	return ev.seq < other.seq
+}
+
 // EventList is a min-heap of future events ordered by virtual time.
-// It is not safe for concurrent use; the simulation loop owns it.
+// Events are held by value: pushing and popping allocate nothing beyond
+// the heap array's growth. It is not safe for concurrent use; the
+// simulation loop owns it.
 type EventList struct {
-	h   eventHeap
+	h   []Event
 	seq int
 }
 
 // Push schedules payload to become runnable at virtual time at.
 func (l *EventList) Push(at time.Duration, payload any) {
 	l.seq++
-	heap.Push(&l.h, &Event{At: at, Payload: payload, seq: l.seq})
+	l.h = append(l.h, Event{At: at, Payload: payload, seq: l.seq})
+	// Sift up.
+	for i := len(l.h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !l.h[i].before(&l.h[parent]) {
+			break
+		}
+		l.h[i], l.h[parent] = l.h[parent], l.h[i]
+		i = parent
+	}
 }
 
-// Pop removes and returns the earliest event. It returns nil when empty.
-func (l *EventList) Pop() *Event {
-	if len(l.h) == 0 {
-		return nil
+// Pop removes and returns the earliest event; ok is false when the list is
+// empty.
+func (l *EventList) Pop() (ev Event, ok bool) {
+	n := len(l.h) - 1
+	if n < 0 {
+		return Event{}, false
 	}
-	return heap.Pop(&l.h).(*Event)
+	ev = l.h[0]
+	l.h[0] = l.h[n]
+	l.h[n] = Event{} // drop the payload reference
+	l.h = l.h[:n]
+	// Sift down.
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if l.h[c].before(&l.h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return ev, true
+		}
+		l.h[i], l.h[least] = l.h[least], l.h[i]
+		i = least
+	}
 }
 
-// Peek returns the earliest event without removing it, or nil when empty.
-func (l *EventList) Peek() *Event {
+// Peek returns the earliest event without removing it; ok is false when
+// the list is empty.
+func (l *EventList) Peek() (ev Event, ok bool) {
 	if len(l.h) == 0 {
-		return nil
+		return Event{}, false
 	}
-	return l.h[0]
+	return l.h[0], true
 }
 
 // Len reports the number of pending events.
 func (l *EventList) Len() int { return len(l.h) }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}

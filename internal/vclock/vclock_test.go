@@ -83,7 +83,7 @@ func TestEventListOrdering(t *testing.T) {
 	l.Push(1*time.Second, "a")
 	l.Push(2*time.Second, "b")
 	var got []string
-	for ev := l.Pop(); ev != nil; ev = l.Pop() {
+	for ev, ok := l.Pop(); ok; ev, ok = l.Pop() {
 		got = append(got, ev.Payload.(string))
 	}
 	want := []string{"a", "b", "c"}
@@ -100,7 +100,7 @@ func TestEventListFIFOTieBreak(t *testing.T) {
 		l.Push(time.Second, i)
 	}
 	for i := 0; i < 10; i++ {
-		ev := l.Pop()
+		ev, _ := l.Pop()
 		if ev.Payload.(int) != i {
 			t.Fatalf("equal-time events popped out of push order: got %d at position %d", ev.Payload, i)
 		}
@@ -109,11 +109,11 @@ func TestEventListFIFOTieBreak(t *testing.T) {
 
 func TestEventListPeek(t *testing.T) {
 	var l EventList
-	if l.Peek() != nil {
-		t.Fatal("Peek on empty list should return nil")
+	if _, ok := l.Peek(); ok {
+		t.Fatal("Peek on empty list should report nothing")
 	}
 	l.Push(time.Second, "x")
-	if ev := l.Peek(); ev == nil || ev.Payload != "x" {
+	if ev, ok := l.Peek(); !ok || ev.Payload != "x" {
 		t.Fatalf("Peek = %v, want event x", ev)
 	}
 	if l.Len() != 1 {
@@ -123,8 +123,8 @@ func TestEventListPeek(t *testing.T) {
 
 func TestEventListPopEmpty(t *testing.T) {
 	var l EventList
-	if l.Pop() != nil {
-		t.Fatal("Pop on empty list should return nil")
+	if _, ok := l.Pop(); ok {
+		t.Fatal("Pop on empty list should report nothing")
 	}
 }
 
@@ -140,7 +140,7 @@ func TestEventListSortedProperty(t *testing.T) {
 			l.Push(time.Duration(ti), ti)
 		}
 		prev := time.Duration(-1)
-		for ev := l.Pop(); ev != nil; ev = l.Pop() {
+		for ev, ok := l.Pop(); ok; ev, ok = l.Pop() {
 			if ev.At < prev {
 				return false
 			}
@@ -165,7 +165,7 @@ func TestEventListPreservesMultiset(t *testing.T) {
 		l.Push(d, nil)
 	}
 	var popped []time.Duration
-	for ev := l.Pop(); ev != nil; ev = l.Pop() {
+	for ev, ok := l.Pop(); ok; ev, ok = l.Pop() {
 		popped = append(popped, ev.At)
 	}
 	if len(popped) != len(pushed) {
@@ -176,5 +176,55 @@ func TestEventListPreservesMultiset(t *testing.T) {
 		if pushed[i] != popped[i] {
 			t.Fatalf("multiset mismatch at %d: pushed %v popped %v", i, pushed[i], popped[i])
 		}
+	}
+}
+
+// Equal-time events interleaved with earlier and later ones, pushed while
+// others pop, still leave in push order among themselves.
+func TestEventListFIFOUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var l EventList
+	pushed := 0
+	last := make(map[time.Duration]int) // per instant, the last push number popped
+	pop := func() {
+		ev, ok := l.Pop()
+		if !ok {
+			t.Fatal("Pop reported an empty list")
+		}
+		if n := ev.Payload.(int); n <= last[ev.At] {
+			t.Fatalf("event %d at %v popped after event %d of the same instant", n, ev.At, last[ev.At])
+		} else {
+			last[ev.At] = n
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		pushed++
+		l.Push(time.Duration(rng.Intn(5))*time.Second, pushed)
+		if rng.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for l.Len() > 0 {
+		pop()
+	}
+}
+
+// Events are held by value: once the heap array has grown, pushing and
+// popping allocate nothing.
+func TestEventListZeroAllocs(t *testing.T) {
+	var l EventList
+	payload := any(&l) // a pointer boxes without allocating, as the engine's *query.Query does
+	for i := 0; i < 64; i++ {
+		l.Push(time.Duration(i%7), payload)
+	}
+	at := time.Duration(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		at++
+		l.Push(at%13, payload)
+		l.Push(at%5, payload)
+		l.Pop()
+		l.Pop()
+	}); n != 0 {
+		t.Fatalf("steady-state push/pop allocates %v objects per round, want 0", n)
 	}
 }
