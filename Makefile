@@ -89,8 +89,9 @@ race:
 ## race-obs: race-check the packages with real concurrency — the obs
 ## layer (atomic registry, locked tracer), the engine's compute pool and
 ## the atom frames its workers read (TestEvictedFrameNotReusedWithinDecision),
-## the scheduler structures, the serving layer, and their concurrent
-## users.
+## the results consumers hold and release (TestResultStableUntilRelease,
+## TestLateResultReleased), the scheduler structures, the serving layer,
+## and their concurrent users.
 race-obs:
 	$(GO) test -race ./internal/obs/ ./internal/sched/ ./internal/engine/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
 
@@ -106,14 +107,16 @@ check-prop:
 ## serving layer's wire-codec and handler pins, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
 ## engine's frame pins (a miss at capacity allocates the atom handle and no
-## sample buffer; a URC utility push allocates nothing) and the admission
+## sample buffer; a URC utility push allocates nothing), its query-frame
+## pins (a dispatch into a recycled frame allocates nothing; a bulk request
+## on a session, Submit to Release, its Submit argument) and the admission
 ## pins (registering a job allocates at most a member array per admitted
-## edge, an ordered job's arrival and first dispatch what the dispatch
-## alone did, a held query's gate re-check and the event list nothing).
+## edge, an ordered job's arrival and first dispatch nothing more, a held
+## query's gate re-check and the event list nothing).
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestSessionQueryAllocs' -count 20 ./internal/engine/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
 
@@ -134,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParsePolicySpec -fuzztime 10s ./internal/sched/
 	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
+	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline).

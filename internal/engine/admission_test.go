@@ -73,9 +73,8 @@ func TestCanDispatchZeroAllocs(t *testing.T) {
 
 // On a warmed job-aware engine, the arrival of an ordered job — atom lists,
 // registration and merge into the graph, arrival mark, gate check — and the
-// dispatch of its first query allocate what the dispatch always did: the
-// pre-processor's arrays and the query's state, plus a member array per
-// gating edge the job was admitted with.
+// dispatch of its first query into a recycled frame allocate a member array
+// per gating edge the job was admitted with, and nothing else.
 func TestArrivalPathAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := testStore(t)
@@ -97,12 +96,13 @@ func TestArrivalPathAllocs(t *testing.T) {
 		arrive(mk(id))
 		decide(t, e)
 	}
-	// The pin is on the median job: slab and index growth falls on whichever
-	// job crosses a boundary, and under the race detector sync.Pool drops a
-	// quarter of the pre-processor's scratch, which the next call regrows.
+	// The pin is on the lower quartile of many jobs: slab and index growth
+	// falls on whichever job crosses a boundary, and under the race detector
+	// sync.Pool drops a quarter of the pre-processor's scratch or more, which
+	// the next call regrows.
 	var over []int // per job, allocations beyond its admitted edges
 	edges := 0
-	for id := int64(100); id < 117; id++ {
+	for id := int64(100); id < 165; id++ {
 		j := mk(id)
 		before, m0 := e.graph.EdgesAdmitted(), mallocs()
 		arrive(j)
@@ -115,8 +115,8 @@ func TestArrivalPathAllocs(t *testing.T) {
 		t.Fatal("the measured jobs were admitted no gating edge")
 	}
 	slices.Sort(over)
-	if median := over[len(over)/2]; median > 5 {
-		t.Errorf("arrival and dispatch of a job allocates %d objects beyond its admitted edges' (median; all jobs: %v), want at most 5", median, over)
+	if quartile := over[len(over)/4]; quartile > 0 {
+		t.Errorf("arrival and dispatch of a job allocates %d objects beyond its admitted edges' (lower quartile; all jobs: %v), want none", quartile, over)
 	}
 }
 

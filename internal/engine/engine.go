@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"jaws/internal/cache"
@@ -130,6 +131,63 @@ type QueryResult struct {
 	Query     *query.Query
 	Completed time.Duration
 	Positions []PointSample
+
+	// home is the free list of the session the result came from; nil once
+	// released, and for a result nothing recycles (Engine.Run's belong to
+	// the report).
+	home *resultList
+}
+
+// Release hands r and its sample buffer back to the session that produced
+// it, to carry a later query's result: whoever holds r calls it, once, and
+// does not use r or r.Positions afterwards. It is optional — a result never
+// released is left to the collector — and does nothing on a result already
+// released, on one a session did not produce, and once the session has
+// closed.
+func (r *QueryResult) Release() {
+	l := r.home
+	if l == nil {
+		return
+	}
+	r.home, r.Query, r.Positions = nil, nil, r.Positions[:0]
+	l.mu.Lock()
+	if !l.closed {
+		l.free = append(l.free, r)
+	}
+	l.mu.Unlock()
+}
+
+// resultList is a session's free list of results. Consumers release from
+// their own goroutines and dispatch takes on the simulation goroutine,
+// hence the lock. It never holds more results than were out at once.
+type resultList struct {
+	mu     sync.Mutex
+	free   []*QueryResult
+	closed bool
+}
+
+// take returns a result for q: a released one with its buffer, else a new
+// one. On a nil list (Engine.Run) every result is new and nobody's to
+// release.
+func (l *resultList) take(q *query.Query) *QueryResult {
+	if l == nil {
+		return &QueryResult{Query: q}
+	}
+	l.mu.Lock()
+	r, ok := pop(&l.free)
+	l.mu.Unlock()
+	if !ok {
+		r = new(QueryResult)
+	}
+	r.home, r.Query, r.Completed = l, q, 0
+	return r
+}
+
+// close drops the free results and makes every later Release a no-op.
+func (l *resultList) close() {
+	l.mu.Lock()
+	l.free, l.closed = nil, true
+	l.mu.Unlock()
 }
 
 // PointSample is one evaluated position: the kernel output (or, for
@@ -178,45 +236,85 @@ type Report struct {
 	Results []*QueryResult
 }
 
+// queryState is the frame of one dispatched query (DESIGN.md §19): its
+// partition, its progress and its gate state, in storage the engine
+// recycles from query to query. It holds no sample memory: kernel outputs
+// go straight into the result's buffer.
 type queryState struct {
+	query.Partition
 	q         *query.Query
 	remaining int
-	result    *QueryResult
-	// chain accumulates a derivative query's per-step kernel outputs, one
-	// array for the whole query: the sample of chain step j at partition
-	// index i (query.SubQuery.Offset plus the index within the sub-query)
-	// is chain[j*len(q.Points)+i]. The per-step spatial partitions are
-	// congruent (atom codes depend only on position), so an index names
-	// the same position at every step — the invariant the finite-
-	// differencing relies on. Nil for plain queries and for runs without
-	// KeepResults.
-	chain []PointSample
-	// filled counts the samples written into chain.
+	// result is nil without KeepResults. While a derivative query executes,
+	// result.Positions is its chain, one array for the whole query: the
+	// sample of chain step j at partition index i (query.SubQuery.Offset
+	// plus the index within the sub-query) is Positions[j*len(q.Points)+i].
+	// The per-step spatial partitions are congruent (atom codes depend only
+	// on position), so an index names the same position at every step — the
+	// invariant the finite-differencing relies on.
+	result *QueryResult
+	// filled counts the samples written into a derivative query's chain.
 	filled int
+	// gate is what the gate-aware tail policy reads for this query. It
+	// cannot change while the query is enqueued, so dispatch computes it.
+	gate sched.GateState
 }
 
-// samples returns where the kernel outputs of sq go, allocating the
-// query's one result array when its first sub-query executes (not at
-// dispatch: a queued query then holds no result memory). A plain query's
-// sub-queries fill result.Positions in execution order; a derivative
-// query's fill their slots of chain.
+// samples returns where the kernel outputs of sq go, in the result's
+// buffer, which grows when the query's first sub-query executes if it is
+// too small (a new result's is empty). A plain query's sub-queries fill
+// Positions in execution order; a derivative query's fill their slots of
+// the chain.
 func (st *queryState) samples(sq *query.SubQuery) []PointSample {
-	n := len(st.q.Points)
+	n, r := len(st.q.Points), st.result
 	if k := st.q.ChainLen(); k > 1 {
-		if st.chain == nil {
-			st.chain = make([]PointSample, k*n)
+		if st.filled == 0 {
+			if cap(r.Positions) < k*n {
+				r.Positions = make([]PointSample, k*n)
+			}
+			r.Positions = r.Positions[:k*n]
 		}
 		lo := (sq.Atom.Step-st.q.Step)*n + sq.Offset
 		st.filled += len(sq.Points)
-		return st.chain[lo : lo+len(sq.Points)]
+		return r.Positions[lo : lo+len(sq.Points)]
 	}
-	pos := st.result.Positions
-	if pos == nil {
+	pos := r.Positions
+	if cap(pos) < n {
 		pos = make([]PointSample, 0, n)
 	}
 	lo := len(pos)
-	st.result.Positions = pos[:lo+len(sq.Points)]
-	return st.result.Positions[lo:]
+	r.Positions = pos[:lo+len(sq.Points)]
+	return r.Positions[lo:]
+}
+
+// difference collapses a derivative query's chain into ∂/∂t estimates, in
+// place and in partition order (atoms in code order, so the result layout
+// is deterministic): for every position the derivative is
+// Σⱼ wⱼ·v(step+j) / StepDT with the Fornberg forward stencil. Position p
+// reads index p of every step and writes index p of the first, so no
+// value is read after it was overwritten. A chain with a step that was
+// never evaluated (a compute-disabled path) yields no values rather than
+// wrongly differenced ones.
+func (st *queryState) difference() {
+	k, n, r := st.q.ChainLen(), len(st.q.Points), st.result
+	if st.filled != k*n {
+		r.Positions = r.Positions[:0]
+		return
+	}
+	w := query.DerivWeights(k)
+	chain := r.Positions
+	for p := 0; p < n; p++ {
+		var val [field.Components]float64
+		for j := 0; j < k; j++ {
+			for comp := range val {
+				val[comp] += w[j] * chain[j*n+p].Val[comp]
+			}
+		}
+		for comp := range val {
+			val[comp] /= query.StepDT
+		}
+		chain[p].Val = val
+	}
+	r.Positions = chain[:n]
 }
 
 // liveJob is a submitted job and how many of its queries are still to
@@ -246,9 +344,16 @@ type Engine struct {
 
 	inst *instruments
 
-	// gateBuf is the reusable BlockedBy scratch of the gate-aware tail
-	// policy's state source (the decision path is single-threaded).
-	gateBuf []jobgraph.Ref
+	// Query frames (DESIGN.md §19). dispatch takes a query's state from
+	// freeStates, complete retires it, and the end of the decision in hand
+	// frees what was retired — not sooner: the decision's batches still
+	// list the completed query's sub-queries, for whoever reads them until
+	// then. Both lists are the simulation goroutine's and die with the
+	// engine; together they hold as many frames as queries were in flight
+	// at once. results is a session's free list of results; nil under Run.
+	freeStates    []*queryState
+	retiredStates []*queryState
+	results       *resultList
 
 	// jobAtomIDs and jobAtomLists are register's scratch: a job's per-query
 	// atom lists end to end, and the list headers over them (the graph
@@ -490,7 +595,10 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 	}
 
 	e.finishReport()
-	return &e.report, nil
+	// A copy: a pointer into the engine would keep the job graph, the
+	// scheduler's queues and the frame lists alive as long as the report.
+	rep := e.report
+	return &rep, nil
 }
 
 // declareAll registers every ordered job in the precedence graph before
@@ -579,6 +687,7 @@ func (e *Engine) admitArrived() bool {
 		e.dispatch(q)
 		admitted = true
 	}
+	clear(e.arrived[len(kept):]) // or the array pins the dispatched queries
 	e.arrived = kept
 	return admitted
 }
@@ -602,44 +711,48 @@ func (e *Engine) canDispatch(q *query.Query) bool {
 }
 
 // gateState is the gate-aware tail policy's per-query state source: the
-// job-graph condition of one enqueued query. A query whose ordered job
-// holds a WAIT successor reads GateReleasing — completing it shortens the
-// successor's gated-behind wait, so its atoms deserve promotion. A query
-// jobgraph.BlockedBy still holds back reads GateBlocked (with atomic
-// group admission this is a transient window, but the policy and its
-// oracle model handle it; random op logs exercise it heavily). Everything
-// else — batched jobs, lone queries, chain tails — reads GateFree. Called
-// on the decision path: no allocations (reused BlockedBy scratch).
+// job-graph condition of one enqueued query, as dispatch found it. Called
+// per enqueued query per decision: one map lookup.
 func (e *Engine) gateState(qid query.ID) sched.GateState {
-	st := e.states[qid]
-	if st == nil {
-		return sched.GateFree
-	}
-	q := st.q
-	j := e.jobsByID[q.JobID].Job
-	if j == nil || j.Type != job.Ordered {
-		return sched.GateFree
-	}
-	if q.Seq+1 < len(j.Queries) &&
-		e.graph.State(jobgraph.Ref{Job: q.JobID, Seq: q.Seq + 1}) == jobgraph.Wait {
-		return sched.GateReleasing
-	}
-	e.gateBuf = e.graph.BlockedBy(jobgraph.Ref{Job: q.JobID, Seq: q.Seq}, e.gateBuf[:0])
-	if len(e.gateBuf) > 0 {
-		return sched.GateBlocked
+	if st := e.states[qid]; st != nil {
+		return st.gate
 	}
 	return sched.GateFree
 }
 
-// dispatch pre-processes the query and enqueues its sub-queries.
+// gateAtDispatch is the gate state of q for as long as it is enqueued. A
+// query whose ordered job holds a successor reads GateReleasing: the
+// successor is WAIT until q completes, and completing q shortens its
+// gated-behind wait, so q's atoms deserve promotion. Everything else —
+// batched jobs, lone queries, chain tails — reads GateFree. GateBlocked
+// (jobgraph.BlockedBy non-empty) cannot occur: only a QUEUE vertex is
+// dispatched and nothing holds one back. The policy and its oracle model
+// still handle it; random op logs exercise it heavily.
+func (e *Engine) gateAtDispatch(q *query.Query) sched.GateState {
+	if !e.cfg.JobAware {
+		return sched.GateFree
+	}
+	if j := e.jobsByID[q.JobID].Job; j != nil && j.Type == job.Ordered && q.Seq+1 < len(j.Queries) {
+		return sched.GateReleasing
+	}
+	return sched.GateFree
+}
+
+// dispatch pre-processes the query into a frame and enqueues its
+// sub-queries. On a warmed engine, a query no larger than one already
+// served allocates nothing here.
 func (e *Engine) dispatch(q *query.Query) {
-	sqs, err := query.PreProcess(q, e.cfg.Store.Space())
+	st, ok := pop(&e.freeStates)
+	if !ok {
+		st = new(queryState)
+	}
+	sqs, err := st.Split(q, e.cfg.Store.Space())
 	if err != nil {
 		panic(fmt.Sprintf("engine: pre-process of validated query failed: %v", err))
 	}
-	st := &queryState{q: q, remaining: len(sqs)}
+	st.q, st.remaining, st.filled, st.gate = q, len(sqs), 0, e.gateAtDispatch(q)
 	if e.cfg.KeepResults {
-		st.result = &QueryResult{Query: q}
+		st.result = e.results.take(q)
 	}
 	e.states[q.ID] = st
 	now := e.clock.Now()
@@ -647,6 +760,18 @@ func (e *Engine) dispatch(q *query.Query) {
 	for _, sq := range sqs {
 		e.cfg.Sched.Enqueue(sq, now)
 	}
+}
+
+// releaseStates frees the frames of the queries the decision completed,
+// emptied of every reference to them.
+func (e *Engine) releaseStates() {
+	for i, st := range e.retiredStates {
+		st.Reset()
+		st.q, st.result = nil, nil
+		e.freeStates = append(e.freeStates, st)
+		e.retiredStates[i] = nil
+	}
+	e.retiredStates = e.retiredStates[:0]
 }
 
 // execute runs one scheduler decision: a group of atom batches evaluated
@@ -658,6 +783,7 @@ func (e *Engine) execute(batches []sched.Batch) error {
 	e.inst.noteDecision(len(batches))
 	e.inst.noteFlight(e, batches)
 	e.inst.noteBeginDecision(batches)
+	defer e.releaseStates() // deferred first, so it runs after the clean-up below and the hook
 	defer e.inst.noteEndDecision()
 	e.advance(e.cfg.DecisionOverhead, causeOverhead)
 	defer func() {
@@ -791,17 +917,26 @@ func (e *Engine) freeRetired() {
 	e.retired = e.retired[:0]
 }
 
+// pop takes the last element off a free list, leaving no reference to it
+// behind; ok is false, and v zero, when the list is empty.
+func pop[T any](list *[]T) (v T, ok bool) {
+	n := len(*list)
+	if n == 0 {
+		return v, false
+	}
+	var zero T
+	v, (*list)[n-1] = (*list)[n-1], zero
+	*list = (*list)[:n-1]
+	return v, true
+}
+
 // fill synthesizes a's samples if nothing has yet, into a free buffer when
 // there is one.
 func (e *Engine) fill(a *field.Atom) {
 	if a.Filled() {
 		return
 	}
-	var buf []float64
-	if n := len(e.free); n > 0 {
-		buf, e.free[n-1] = e.free[n-1], nil
-		e.free = e.free[:n-1]
-	}
+	buf, _ := pop(&e.free)
 	a.Fill(buf)
 	e.fills++
 }
@@ -851,12 +986,13 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 	e.inst.noteCompleted(st.q, rt, now)
 	if st.result != nil {
 		if st.q.ChainLen() > 1 {
-			e.assembleDeriv(st)
+			st.difference()
 		}
 		st.result.Completed = now
 		e.report.Results = append(e.report.Results, st.result)
 	}
 	delete(e.states, st.q.ID)
+	e.retiredStates = append(e.retiredStates, st)
 
 	lj := e.jobsByID[st.q.JobID]
 	j := lj.Job
@@ -904,37 +1040,6 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 		e.runStart = now
 		e.runRT = metrics.Summary{}
 	}
-}
-
-// assembleDeriv collapses a derivative query's accumulated per-step
-// kernel outputs into ∂/∂t estimates, in partition order (atoms in code
-// order, so the result layout is deterministic): for every position the
-// derivative is Σⱼ wⱼ·v(step+j) / StepDT with the Fornberg forward
-// stencil. A chain with a step that was never evaluated (a compute-
-// disabled path) yields no values rather than wrongly differenced ones.
-func (e *Engine) assembleDeriv(st *queryState) {
-	k, n := st.q.ChainLen(), len(st.q.Points)
-	chain := st.chain
-	st.chain = nil
-	if st.filled != k*n {
-		return
-	}
-	w := query.DerivWeights(k)
-	out := make([]PointSample, n)
-	for p := range out {
-		out[p].Pos = chain[p].Pos
-		var val [field.Components]float64
-		for j := 0; j < k; j++ {
-			for comp := range val {
-				val[comp] += w[j] * chain[j*n+p].Val[comp]
-			}
-		}
-		for comp := range val {
-			val[comp] /= query.StepDT
-		}
-		out[p].Val = val
-	}
-	st.result.Positions = out
 }
 
 // pushUtilities coordinates the cache with the scheduler (URC, §V.B):

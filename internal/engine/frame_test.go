@@ -133,6 +133,20 @@ func decide(t testing.TB, e *Engine, qs ...*query.Query) int {
 	return n
 }
 
+// oneDecision drains the scheduler into a single decision put together by
+// hand, in Morton order as JAWS executes: JAWS itself need not put all that
+// is pending into one.
+func oneDecision(e *Engine) []sched.Batch {
+	var decision []sched.Batch
+	for e.cfg.Sched.Pending() > 0 {
+		for _, b := range e.cfg.Sched.NextBatch(e.clock.Now()) {
+			decision = append(decision, sched.Batch{Atom: b.Atom, SubQueries: slices.Clone(b.SubQueries)})
+		}
+	}
+	slices.SortFunc(decision, func(x, y sched.Batch) int { return cmp.Compare(x.Atom.Key(), y.Atom.Key()) })
+	return decision
+}
+
 // TestEvictedFrameNotReusedWithinDecision is the frame lifecycle's safety
 // rule: the buffer of an evicted atom is reusable only once the decision
 // that evicted it has ended.
@@ -162,13 +176,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		// decision is put together by hand, in Morton order as JAWS executes.
 		pts := append(cornerPoints(s, 0, 0, 0, 20), centrePoints(s, 2, 2, 2, 20)...)
 		e.dispatch(&query.Query{ID: 2, JobID: 2, Step: 1, Points: pts, Kernel: field.KernelLag4})
-		var decision []sched.Batch
-		for e.cfg.Sched.Pending() > 0 {
-			for _, b := range e.cfg.Sched.NextBatch(e.clock.Now()) {
-				decision = append(decision, sched.Batch{Atom: b.Atom, SubQueries: slices.Clone(b.SubQueries)})
-			}
-		}
-		slices.SortFunc(decision, func(x, y sched.Batch) int { return cmp.Compare(x.Atom.Key(), y.Atom.Key()) })
+		decision := oneDecision(e)
 		if len(decision) != 2 || decision[1].Atom != idA {
 			t.Fatalf("decision %v, want B then A", decision)
 		}

@@ -83,3 +83,55 @@ func TestJobAwareDispatchOrderRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestGateStateMatchesGraphDerivation holds the gate state dispatch stores
+// in a query's frame to the derivation from the job graph it replaced, at
+// every call the gate-aware policy makes over the fig8 and deriv-chain
+// traces, with jobs registered as they arrive and all up front: a
+// dispatched query's state must not change while it is enqueued.
+func TestGateStateMatchesGraphDerivation(t *testing.T) {
+	spec, err := sched.ParsePolicySpec("gate-aware")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scenario := range []string{"fig8", "deriv-chain"} {
+		for _, upfront := range []bool{false, true} {
+			s := experiments.TestScale()
+			s.Scenario = scenario
+			st, err := store.Open(store.Config{Space: s.Space, Steps: s.Steps, SampleSide: s.SampleSide, Seed: s.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cache.New(s.CacheAtoms, cache.NewLRUK(2, 0))
+			js := sched.NewJAWS(sched.JAWSConfig{
+				Cost: s.Cost, BatchSize: s.BatchSize, InitialAlpha: 0.5, Adaptive: true, Resident: c.Contains,
+			})
+			spec.Wrap(js)
+			e, err := engine.New(engine.Config{
+				Store: st, Cache: c, Sched: js, Cost: s.Cost, JobAware: true, DeclareUpfront: upfront, RunLength: s.RunLength,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls, releasing := 0, 0
+			js.SetGateSource(func(qid query.ID) sched.GateState {
+				got, want := e.FrameGateState(qid), e.DerivedGateState(qid)
+				if got != want && !t.Failed() {
+					t.Errorf("%s, upfront %v: query %d reads %v from its frame, the job graph says %v", scenario, upfront, qid, got, want)
+				}
+				calls++
+				if got == sched.GateReleasing {
+					releasing++
+				}
+				return got
+			})
+			if _, err := e.Run(experiments.FreshJobs(s, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if calls == 0 || releasing == 0 || releasing == calls {
+				t.Fatalf("%s, upfront %v: %d gate reads, %d releasing: the run does not exercise both states", scenario, upfront, calls, releasing)
+			}
+			t.Logf("%s, upfront %v: %d gate reads, %d releasing", scenario, upfront, calls, releasing)
+		}
+	}
+}

@@ -45,6 +45,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.results = new(resultList)
 	s := &Session{
 		eng:     e,
 		submit:  make(chan []*job.Job),
@@ -80,7 +81,9 @@ func (s *Session) Submit(jobs ...*job.Job) error {
 }
 
 // Results streams completed queries in completion order. The channel
-// closes after Close once every in-flight query has finished.
+// closes after Close once every in-flight query has finished. A consumer
+// done with a result may Release it; the session then reuses it and its
+// sample buffer for a later query.
 func (s *Session) Results() <-chan *QueryResult { return s.results }
 
 // Close stops accepting submissions; the loop drains the in-flight work,
@@ -109,6 +112,7 @@ func (s *Session) loop(e *Engine) {
 	defer close(s.done)
 	defer close(s.results)
 	defer e.closePool()
+	defer e.results.close()
 
 	total := 0
 	closing := false
@@ -226,8 +230,9 @@ func (s *Session) loop(e *Engine) {
 		if e.report.Completed == total && !worked {
 			if closing {
 				e.finishReport()
+				rep := e.report // detached from the engine, as Run's
 				s.mu.Lock()
-				s.report = &e.report
+				s.report = &rep
 				s.mu.Unlock()
 				return
 			}

@@ -189,7 +189,11 @@ func TestSessionSubmitAfterLoopFailureErrors(t *testing.T) {
 // session's history, so the second half of the stream leaves the heap
 // where the first half did. What still grows is the final report's
 // response-time samples, 8 B a query (ROADMAP item 1, next on the ledger);
-// a remembered job would be 200 B and its points.
+// a remembered job would be 200 B and its points. Frames and results are
+// recycled, so there are as many of either as queries were in flight at
+// once — a burst — and no more after 22 000 queries than after 2 000; a
+// derivative burst early on sizes the frames, and the plain queries that
+// follow never grow one.
 func TestSessionBoundedMemory(t *testing.T) {
 	st := frameStore(t, 8, 0)
 	c := cache.New(256, cache.NewLRUK(2, 0))
@@ -201,7 +205,8 @@ func TestSessionBoundedMemory(t *testing.T) {
 	const half, burst = 10000, 8
 	served := make(chan struct{})
 	go func() {
-		for range sess.Results() {
+		for r := range sess.Results() {
+			r.Release()
 			served <- struct{}{}
 		}
 	}()
@@ -214,6 +219,9 @@ func TestSessionBoundedMemory(t *testing.T) {
 			jobs := make([]*job.Job, burst)
 			for i := range jobs {
 				q := &query.Query{ID: query.ID(next), JobID: next, Step: int(next % 4), Points: scatter(rng, 8), Kernel: field.KernelLag4}
+				if next <= burst { // the first burst: chains over the first three steps
+					q.Step, q.DerivSteps = 0, 3
+				}
 				jobs[i] = &job.Job{ID: next, User: 1, Type: job.Batched, Queries: []*query.Query{q}}
 				next++
 			}
@@ -231,8 +239,20 @@ func TestSessionBoundedMemory(t *testing.T) {
 		return m.HeapAlloc
 	}
 	serve(2000) // every atom of the four steps resident and filled
+	// The session is idle and its last result received: its lists are at rest.
+	recycled := func() (frames, results int) {
+		e := sess.eng
+		return len(e.freeStates) + len(e.retiredStates), freeResults(sess)
+	}
+	frames, results := recycled()
+	if frames == 0 || frames > burst || results == 0 || results > 2*burst {
+		t.Errorf("%d frames and %d results recycled after bursts of %d, want at most a burst in the engine and another with the consumer", frames, results, burst)
+	}
 	first := serve(half)
 	second := serve(half)
+	if f, r := recycled(); f != frames || r != results {
+		t.Errorf("%d frames and %d results recycled after 2 000 queries, %d and %d after %d more: the lists grow with the session's history", frames, results, f, r, 2*half)
+	}
 	rep := sess.Close()
 	if err := sess.Err(); err != nil {
 		t.Fatal(err)
@@ -345,8 +365,9 @@ func BenchmarkSessionThroughput(b *testing.B) {
 
 // BenchmarkSessionBulkQuery is one 512-point Lag6 query, scattered over a
 // step whose atoms are all resident, from Submit to its result: the
-// per-request data path (PreProcess, cache hits, kernel evaluation,
-// result assembly) with no store read in it.
+// per-request data path (partition, cache hits, kernel evaluation, result
+// assembly) with no store read in it. The result is released, as the
+// serving layer releases it once the response is written.
 func BenchmarkSessionBulkQuery(b *testing.B) {
 	st := testStore(b)
 	c := cache.New(64, cache.NewLRUK(2, 0))
@@ -361,7 +382,7 @@ func BenchmarkSessionBulkQuery(b *testing.B) {
 		if err := sess.Submit(&job.Job{ID: id, User: 1, Type: job.Batched, Queries: []*query.Query{q}}); err != nil {
 			b.Fatal(err)
 		}
-		<-sess.Results()
+		(<-sess.Results()).Release()
 	}
 	submit(1) // reads the step's atoms into the cache
 	b.ReportAllocs()

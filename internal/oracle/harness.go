@@ -128,11 +128,7 @@ func Run(cfg CaptureConfig) (*Capture, error) {
 		Obs:              &obs.Obs{Spans: spans},
 		Fault:            inj,
 		OnDecision: func(now time.Duration, batches []sched.Batch) {
-			cp := make([]sched.Batch, len(batches))
-			for i, b := range batches {
-				cp[i] = sched.Batch{Atom: b.Atom, SubQueries: append([]*query.SubQuery(nil), b.SubQueries...)}
-			}
-			cap.Decisions = append(cap.Decisions, Decision{Now: now, Batches: cp})
+			cap.Decisions = append(cap.Decisions, Decision{Now: now, Batches: rec.Snapshot(batches)})
 		},
 	})
 	if err != nil {

@@ -55,6 +55,46 @@ func TestCheckExactlyOnceFlagsViolations(t *testing.T) {
 	}
 }
 
+// TestRecorderSnapshotsSubQueries: the engine reuses a sub-query record
+// once its query completed, so the recorder must log copies. One record
+// carries two sub-queries in turn here; the log must show each as it was
+// enqueued, the decisions must name the copies, and the exactly-once
+// checker, which keys on them, must pass.
+func TestRecorderSnapshotsSubQueries(t *testing.T) {
+	rec := NewRecordingSched(sched.NewNoShare(), nil)
+	live := genSub(1, 0, 1, 1, 1, 4, 0)
+	first := *live
+	rec.Enqueue(live, 10)
+	served := rec.NextBatch(20)
+	if len(served) != 1 || served[0].SubQueries[0] != live {
+		t.Fatalf("the engine was handed %v, want the record it enqueued", served)
+	}
+	// The query completed: the record now holds a later query's sub-query.
+	*live = *genSub(2, 1, 2, 2, 2, 7, 30)
+	second := *live
+	rec.Enqueue(live, 30)
+	c := &Capture{Log: rec.Log(), Decisions: []Decision{
+		{Now: 20, Batches: rec.Log().Decisions()[0].Got},
+		{Now: 40, Batches: rec.Snapshot(rec.NextBatch(40))},
+	}}
+	enq := rec.Log().Enqueues()
+	if len(enq) != 2 || enq[0].Sub == live || enq[1].Sub == live {
+		t.Fatalf("the log holds the engine's record itself: %v", enq)
+	}
+	for i, want := range []query.SubQuery{first, second} {
+		got := enq[i].Sub
+		if got.Query != want.Query || got.Atom != want.Atom || len(got.Points) != len(want.Points) || &got.Points[0] == &want.Points[0] {
+			t.Errorf("enqueue %d logged %+v, want a deep copy of %+v", i, *got, want)
+		}
+		if c.Decisions[i].Batches[0].SubQueries[0] != got {
+			t.Errorf("decision %d does not name the log's copy of its sub-query", i)
+		}
+	}
+	if out := CheckExactlyOnce(c, true); len(out) != 0 {
+		t.Errorf("a reused record reads as a violation: %q", out)
+	}
+}
+
 func TestCheckSpanConservationFlagsViolations(t *testing.T) {
 	good := obs.Span{Query: 1, Arrival: 0, Done: 10 * time.Millisecond, Queued: 4 * time.Millisecond, Disk: 6 * time.Millisecond}
 	bad := obs.Span{Query: 2, Arrival: 0, Done: 10 * time.Millisecond, Queued: 4 * time.Millisecond}

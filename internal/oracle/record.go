@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"jaws/internal/obs"
@@ -29,7 +30,8 @@ type Op struct {
 	Kind OpKind
 	Now  time.Duration
 
-	// Enqueue.
+	// Enqueue. Sub is the log's own copy of the sub-query: the engine
+	// recycles the record it enqueued once the query completes.
 	Sub *query.SubQuery
 
 	// Decision. Resident snapshots residency of every then-pending atom —
@@ -85,6 +87,11 @@ type RecordingSched struct {
 	resident func(store.AtomID) bool
 	log      *OpLog
 	pending  map[store.AtomID]int
+	// stable maps a sub-query record of the engine's to the log's copy of
+	// what it currently holds. An entry is overwritten when the engine
+	// reuses the record, which it does only after the sub-query it held
+	// was served, so a decision always finds its own.
+	stable map[*query.SubQuery]*query.SubQuery
 	// gates collects the gate states the inner scheduler reads during the
 	// decision in flight (see SetGateSource).
 	gates map[query.ID]sched.GateState
@@ -99,6 +106,7 @@ func NewRecordingSched(inner sched.Scheduler, resident func(store.AtomID) bool) 
 		resident: resident,
 		log:      &OpLog{},
 		pending:  make(map[store.AtomID]int),
+		stable:   make(map[*query.SubQuery]*query.SubQuery),
 	}
 }
 
@@ -108,11 +116,31 @@ func (r *RecordingSched) Log() *OpLog { return r.log }
 // Name implements sched.Scheduler.
 func (r *RecordingSched) Name() string { return r.inner.Name() }
 
-// Enqueue implements sched.Scheduler.
+// Enqueue implements sched.Scheduler. sq is valid only until its query
+// completes, so the log keeps a deep copy (the Query is the caller's and
+// stays shared).
 func (r *RecordingSched) Enqueue(sq *query.SubQuery, now time.Duration) {
-	r.log.Ops = append(r.log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: sq})
+	cp := *sq
+	cp.Points, cp.Footprint = slices.Clone(sq.Points), slices.Clone(sq.Footprint)
+	r.stable[sq] = &cp
+	r.log.Ops = append(r.log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: &cp})
 	r.pending[sq.Atom]++
 	r.inner.Enqueue(sq, now)
+}
+
+// Snapshot copies a decision the wrapped scheduler just returned, with
+// every sub-query replaced by the log's copy of it — what a recorder may
+// keep beyond the decision.
+func (r *RecordingSched) Snapshot(batches []sched.Batch) []sched.Batch {
+	cp := make([]sched.Batch, len(batches))
+	for i, b := range batches {
+		subs := make([]*query.SubQuery, len(b.SubQueries))
+		for j, sq := range b.SubQueries {
+			subs[j] = r.stable[sq]
+		}
+		cp[i] = sched.Batch{Atom: b.Atom, SubQueries: subs}
+	}
+	return cp
 }
 
 // NextBatch implements sched.Scheduler: snapshot residency of the pending
@@ -124,14 +152,12 @@ func (r *RecordingSched) NextBatch(now time.Duration) []sched.Batch {
 	}
 	r.gates = nil
 	got := r.inner.NextBatch(now)
-	rec := make([]sched.Batch, len(got))
-	for i, b := range got {
-		rec[i] = sched.Batch{Atom: b.Atom, SubQueries: append([]*query.SubQuery(nil), b.SubQueries...)}
+	for _, b := range got {
 		if r.pending[b.Atom] -= len(b.SubQueries); r.pending[b.Atom] <= 0 {
 			delete(r.pending, b.Atom)
 		}
 	}
-	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: rec, Gates: r.gates})
+	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: r.Snapshot(got), Gates: r.gates})
 	return got
 }
 

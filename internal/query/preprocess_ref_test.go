@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -125,38 +126,63 @@ func randomPoints(rng *rand.Rand, space geom.Space, n int) []geom.Position {
 	return pts[:n]
 }
 
-// PreProcess must return what the reference returns, sub-query for
-// sub-query: atoms in the same key order, the same points in the same
-// order (input-order ties included), the same sorted footprints (nil where
-// empty) — for every kernel radius, plain and chained, on spaces whose
-// atoms are wider and narrower than the stencil. Offset must be the
-// running point count within a step.
-func TestPreProcessMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	spaces := []geom.Space{
+// checkAgainstReference fails unless got is what the reference returns for
+// q, sub-query for sub-query: atoms in the same key order, the same points
+// in the same order (input-order ties included), the same sorted
+// footprints (nil where empty), and Offset the running point count within
+// a step.
+func checkAgainstReference(t *testing.T, label string, q *Query, space geom.Space, got []*SubQuery) {
+	t.Helper()
+	want, err := refPreProcess(q, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s (%v, chain %d, %d points): %d sub-queries, reference %d",
+			label, q.Kernel, q.ChainLen(), len(q.Points), len(got), len(want))
+	}
+	offset := 0
+	for i := range want {
+		g, w := got[i], want[i]
+		if i > 0 && g.Atom.Step != got[i-1].Atom.Step {
+			offset = 0
+		}
+		w.Offset = offset // the reference predates the field
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s sub-query %d:\n%+v\nreference\n%+v", label, i, *g, *w)
+		}
+		offset += len(g.Points)
+	}
+}
+
+var (
+	refSpaces = []geom.Space{
 		{GridSide: 128, AtomSide: 32},
 		{GridSide: 64, AtomSide: 16},
 		{GridSide: 16, AtomSide: 2},
 		{GridSide: 8, AtomSide: 8},
 	}
-	kernels := []field.Kernel{field.KernelNone, field.KernelTrilinear, field.KernelLag4, field.KernelLag6, field.KernelLag8}
+	refKernels = []field.Kernel{field.KernelNone, field.KernelTrilinear, field.KernelLag4, field.KernelLag6, field.KernelLag8}
+)
+
+// PreProcess must return what the reference returns — for every kernel
+// radius, plain and chained, on spaces whose atoms are wider and narrower
+// than the stencil — and leave the query's own points alone.
+func TestPreProcessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	sizes := []int{1, 2, 8, 13, 64, 512}
 	for trial := 0; trial < 400; trial++ {
-		space := spaces[trial%len(spaces)]
+		space := refSpaces[trial%len(refSpaces)]
 		q := &Query{
 			ID:     ID(trial + 1),
 			Step:   rng.Intn(5),
-			Kernel: kernels[rng.Intn(len(kernels))],
+			Kernel: refKernels[rng.Intn(len(refKernels))],
 			Points: randomPoints(rng, space, sizes[rng.Intn(len(sizes))]),
 		}
 		if trial%2 == 1 {
 			q.DerivSteps = 2 + rng.Intn(7)
 		}
 		input := append([]geom.Position(nil), q.Points...)
-		want, err := refPreProcess(q, space)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := PreProcess(q, space)
 		if err != nil {
 			t.Fatal(err)
@@ -164,31 +190,85 @@ func TestPreProcessMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(q.Points, input) {
 			t.Fatalf("trial %d: PreProcess reordered the query's own points", trial)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (%v, chain %d, %d points): %d sub-queries, reference %d",
-				trial, q.Kernel, q.ChainLen(), len(q.Points), len(got), len(want))
-		}
-		offset := 0
-		for i := range want {
-			g, w := got[i], want[i]
-			if i > 0 && g.Atom.Step != got[i-1].Atom.Step {
-				offset = 0
+		checkAgainstReference(t, fmt.Sprintf("trial %d", trial), q, space, got)
+	}
+}
+
+// reuseQuery draws the n-th query of a Partition's life: 1 to 2 000
+// points (faces, the periodic seam, ties: randomPoints), any kernel, a
+// chain of 1 to 8 steps.
+func reuseQuery(rng *rand.Rand, space geom.Space, n, points int) *Query {
+	q := &Query{
+		ID:     ID(n + 1),
+		Step:   rng.Intn(5),
+		Kernel: refKernels[rng.Intn(len(refKernels))],
+		Points: randomPoints(rng, space, points),
+	}
+	if chain := 1 + rng.Intn(8); chain > 1 {
+		q.DerivSteps = chain
+	}
+	return q
+}
+
+// One Partition refilled query after query must return what a fresh one
+// returns every time: nothing of an earlier, larger or chained query may
+// show in a later one.
+func TestPartitionReuseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{2000, 1, 8, 700, 3, 64, 1999, 2, 512, 13}
+	for si, space := range refSpaces {
+		var p Partition
+		for n := 0; n < 60; n++ {
+			q := reuseQuery(rng, space, n, sizes[n%len(sizes)])
+			got, err := p.Split(q, space)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if g.Query != q || g.Atom != w.Atom {
-				t.Fatalf("trial %d sub-query %d: atom %v of query %p, reference %v of %p", trial, i, g.Atom, g.Query, w.Atom, q)
+			checkAgainstReference(t, fmt.Sprintf("space %d query %d", si, n), q, space, got)
+			for _, sq := range got {
+				if cap(sq.Points) != len(sq.Points) || cap(sq.Footprint) != len(sq.Footprint) {
+					t.Fatalf("space %d query %d, %v: slices not capped at their length", si, n, sq.Atom)
+				}
 			}
-			if !reflect.DeepEqual(g.Points, w.Points) {
-				t.Fatalf("trial %d sub-query %d (%v): points\n%v\nreference\n%v", trial, i, g.Atom, g.Points, w.Points)
+			// Reset, called between queries as the engine calls it, leaves
+			// the arrays in place and no reference to any query in them.
+			p.Reset()
+			if n%10 == 9 {
+				for i, sq := range p.subs[:cap(p.subs)] {
+					if sq.Query != nil {
+						t.Fatalf("space %d: record %d still points at query %d after Reset", si, i, sq.Query.ID)
+					}
+				}
 			}
-			if !reflect.DeepEqual(g.Footprint, w.Footprint) {
-				t.Fatalf("trial %d sub-query %d (%v): footprint %v, reference %v", trial, i, g.Atom, g.Footprint, w.Footprint)
-			}
-			if g.Offset != offset {
-				t.Fatalf("trial %d sub-query %d (%v): offset %d, want %d", trial, i, g.Atom, g.Offset, offset)
-			}
-			offset += len(g.Points)
 		}
 	}
+}
+
+// FuzzPartitionReuse drives the same comparison from fuzzed sizes: a
+// Partition serves three queries in a row, the fuzzer choosing the space
+// and how large each is — up to 32 points for the lower half of a size's
+// range and up to 2 000 for the upper, so that most executions are cheap.
+func FuzzPartitionReuse(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(1<<15+1999), uint16(0), uint16(7))
+	f.Add(int64(2), uint8(2), uint16(2), uint16(1<<15+1500), uint16(1))
+	f.Add(int64(3), uint8(3), uint16(31), uint16(31), uint16(1<<16-1))
+	f.Fuzz(func(t *testing.T, seed int64, spaceIdx uint8, a, b, c uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		space := refSpaces[int(spaceIdx)%len(refSpaces)]
+		var p Partition
+		for n, size := range []uint16{a, b, c} {
+			points := 1 + int(size)%32
+			if size >= 1<<15 {
+				points = 1 + int(size)%2000
+			}
+			q := reuseQuery(rng, space, n, points)
+			got, err := p.Split(q, space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstReference(t, fmt.Sprintf("query %d", n), q, space, got)
+		}
+	})
 }
 
 // A consumer that appends to one sub-query's slices must not reach into

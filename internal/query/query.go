@@ -130,9 +130,8 @@ type atomGroup struct {
 	lo, hi, fpLo, fpHi int
 }
 
-// scratch is PreProcess's working storage. It holds no pointers into a
-// query, and a pooled one is never larger than the largest query it
-// served.
+// scratch is Split's working storage. It holds no pointers into a query,
+// and a pooled one is never larger than the largest query it served.
 type scratch struct {
 	keys   []pointKey
 	groups []atomGroup
@@ -141,13 +140,31 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// PreProcess splits q into sub-queries grouped by primary atom, in Morton
+// Partition is the storage of one query's split into sub-queries: the
+// positions in partition order, the sub-query records, the list of
+// pointers to them that a scheduler is fed, and the footprints. Its owner
+// reuses it query after query; an array grows only when a query is larger
+// than any the partition served. The zero value is ready to use.
+type Partition struct {
+	pts  []geom.Position
+	subs []SubQuery
+	out  []*SubQuery
+	fps  []store.AtomID
+}
+
+// PreProcess splits q into sub-queries in storage of their own (see
+// Partition.Split).
+func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
+	return new(Partition).Split(q, space)
+}
+
+// Split splits q into sub-queries grouped by primary atom, in Morton
 // order of the atoms. It returns an error if the query is malformed.
 //
 // The sub-queries, their points and their footprints are carved out of
-// one array each, so the allocation count does not depend on the number
-// of points or atoms.
-func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
+// one array each, so nothing depends on the number of points or atoms but
+// the arrays' sizes. They are p's: valid until the next Split or Reset.
+func (p *Partition) Split(q *Query, space geom.Space) ([]*SubQuery, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,8 +174,8 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 
 	// One pass resolves every position; one sort groups them.
 	keys := sc.keys[:0]
-	for i, p := range q.Points {
-		vx, vy, vz := space.VoxelOf(p)
+	for i, pt := range q.Points {
+		vx, vy, vz := space.VoxelOf(pt)
 		keys = append(keys, pointKey{
 			atom:  morton.Encode(uint32(vx/space.AtomSide), uint32(vy/space.AtomSide), uint32(vz/space.AtomSide)),
 			voxel: morton.Encode(uint32(vx), uint32(vy), uint32(vz)),
@@ -169,9 +186,14 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 	slices.SortFunc(keys, comparePointKeys)
 
 	// Stage each group's footprint as atom codes: they are the same at
-	// every step of a derivative chain.
+	// every step of a derivative chain. A stencil that stays inside its
+	// atom on all three axes — most do — adds nothing to it.
 	groups, codes := sc.groups[:0], sc.codes[:0]
-	pts := make([]geom.Position, len(keys))
+	pts := grow(p.pts, len(keys))
+	inside := func(v uint32) bool {
+		l := int(v) % space.AtomSide
+		return l >= radius && l+radius < space.AtomSide
+	}
 	for lo := 0; lo < len(keys); {
 		g := atomGroup{lo: lo, hi: lo + 1, fpLo: len(codes)}
 		for g.hi < len(keys) && keys[g.hi].atom == keys[lo].atom {
@@ -183,6 +205,9 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 				continue
 			}
 			vx, vy, vz := keys[i].voxel.Decode()
+			if inside(vx) && inside(vy) && inside(vz) {
+				continue
+			}
 			var buf [geom.MaxFootprint]geom.AtomCoord
 			for _, ac := range space.AppendFootprintAt(buf[:0], int(vx), int(vy), int(vz), radius)[1:] {
 				if c := ac.Code(); !slices.Contains(codes[g.fpLo:], c) {
@@ -202,12 +227,9 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 	// finite-differencing relies on the congruence): the steps share the
 	// point storage and differ in the step of their atom IDs.
 	chain := q.ChainLen()
-	subs := make([]SubQuery, chain*len(groups))
-	out := make([]*SubQuery, len(subs))
-	var fps []store.AtomID
-	if len(codes) > 0 {
-		fps = make([]store.AtomID, 0, chain*len(codes))
-	}
+	subs := grow(p.subs, chain*len(groups))
+	out := grow(p.out, len(subs))
+	fps := grow(p.fps, chain*len(codes))[:0]
 	for s := 0; s < chain; s++ {
 		step := q.Step + s
 		for gi, g := range groups {
@@ -228,7 +250,20 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 			out[s*len(groups)+gi] = sq
 		}
 	}
+	p.pts, p.subs, p.out, p.fps = pts, subs, out, fps
 	return out, nil
+}
+
+// Reset drops p's references to the query it last split, so that an idle
+// partition pins nothing but its own arrays.
+func (p *Partition) Reset() { clear(p.subs) }
+
+// grow returns s with length n, in its own array when that has room.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // AppendAtoms appends the primary atoms accessed by query q — A(q) in the

@@ -212,6 +212,9 @@ func TestResultResponseTime(t *testing.T) {
 	}
 }
 
+// BenchmarkPreProcess1kPoints splits one 1 000-point query: through the
+// allocating wrapper, and into one Partition reused as the engine reuses a
+// frame's.
 func BenchmarkPreProcess1kPoints(b *testing.B) {
 	s := testSpace()
 	rng := rand.New(rand.NewSource(9))
@@ -224,11 +227,21 @@ func BenchmarkPreProcess1kPoints(b *testing.B) {
 		}
 	}
 	q := mkQuery(1, 0, pts, field.KernelLag4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PreProcess(q, s); err != nil {
-			b.Fatal(err)
-		}
+	var p Partition
+	for _, bc := range []struct {
+		name  string
+		split func() ([]*SubQuery, error)
+	}{
+		{"fresh", func() ([]*SubQuery, error) { return PreProcess(q, s) }},
+		{"reused", func() ([]*SubQuery, error) { return p.Split(q, s) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.split(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

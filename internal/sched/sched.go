@@ -58,6 +58,10 @@ type Scheduler interface {
 	// Name identifies the algorithm in reports.
 	Name() string
 	// Enqueue admits one pre-processed sub-query at virtual time now.
+	//
+	// Ownership: sq is the engine's and valid until its query completes —
+	// the engine then reuses the record for a later query's sub-query. A
+	// scheduler holds it only while it is queued; a recorder must copy.
 	Enqueue(sq *query.SubQuery, now time.Duration)
 	// NextBatch selects and removes the next batch(es) of work. It
 	// returns nil when no work is pending.

@@ -211,7 +211,7 @@ func (d *decoder) request() (in DecodedRequest, err error) {
 			n, err = d.intValue(strconv.IntSize)
 			in.Step = int(n)
 		case 1:
-			in.Kernel, err = d.stringValue()
+			in.Kernel, err = d.kernelValue()
 		case 2:
 			err = d.points()
 		case 3:
@@ -330,12 +330,19 @@ func (d *decoder) floatValue() (float64, error) {
 	return v, nil
 }
 
-// stringValue parses a string field or null.
-func (d *decoder) stringValue() (string, error) {
+// kernelValue parses the kernel field, a string or null. A kernel's wire
+// name comes back as the constant, so only a name the handler will refuse
+// costs an allocation.
+func (d *decoder) kernelValue() (string, error) {
 	switch c := d.skipSpace(); c {
 	case '"':
 		if err := d.str(); err != nil {
 			return "", err
+		}
+		for name := range kernels {
+			if string(d.tok) == name {
+				return name, nil
+			}
 		}
 		return string(d.tok), nil
 	case 'n':

@@ -242,7 +242,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		virt := (out.res.Completed - out.res.Query.Arrival).Seconds()
 		lat := time.Since(start)
 		w.Header().Set("Content-Type", "application/json")
-		if err := WriteQueryResponse(w, int64(id), virt, out.res.Positions); errors.Is(err, ErrNonFinite) {
+		err := WriteQueryResponse(w, int64(id), virt, out.res.Positions)
+		out.res.Release() // written or refused: the backend may reuse it
+		if errors.Is(err, ErrNonFinite) {
 			status = http.StatusInternalServerError
 			s.errcount.Inc()
 			http.Error(w, "backend produced a non-finite value", status)

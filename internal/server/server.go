@@ -177,7 +177,10 @@ type Server struct {
 	// enqueue holds the read side, the drain flag flips under the write
 	// side, so no send can race the close.
 	acceptMu sync.RWMutex
-	demux    sync.Map // jaws.QueryID → chan *jaws.QueryResult (cap 1)
+	// demux holds the result channel (cap 1) of every query a worker waits
+	// on: at most Workers entries.
+	demuxMu sync.Mutex
+	demux   map[jaws.QueryID]chan *jaws.QueryResult
 
 	workerWG     sync.WaitGroup
 	demuxWG      sync.WaitGroup
@@ -243,6 +246,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		queue: make(chan task, cfg.QueueBound),
+		demux: make(map[jaws.QueryID]chan *jaws.QueryResult, cfg.Workers),
 		start: time.Now(),
 
 		requests:    cfg.Reg.Counter("jaws_server_requests_total"),
@@ -296,17 +300,29 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // drain routes one backend's completion stream to the per-request
 // channels registered in demux. Results nobody waits for (the waiter
-// timed out or the request was canceled) are dropped and counted.
+// timed out or the request was canceled) are counted and released here:
+// the handler that gave up never sees them.
 func (s *Server) drain(b *backendState) {
 	defer s.demuxWG.Done()
 	defer close(b.dead)
 	for r := range b.be.Results() {
-		if ch, ok := s.demux.LoadAndDelete(r.Query.ID); ok {
-			ch.(chan *jaws.QueryResult) <- r // cap 1: never blocks
+		if ch := s.unwait(r.Query.ID); ch != nil {
+			ch <- r // cap 1: never blocks
 		} else {
+			r.Release()
 			s.late.Inc()
 		}
 	}
+}
+
+// unwait removes and returns the channel registered for id, nil if there
+// is none (any more).
+func (s *Server) unwait(id jaws.QueryID) chan *jaws.QueryResult {
+	s.demuxMu.Lock()
+	ch := s.demux[id]
+	delete(s.demux, id)
+	s.demuxMu.Unlock()
+	return ch
 }
 
 // worker consumes the admission queue until Shutdown closes it, then
@@ -336,11 +352,13 @@ func (s *Server) serveTask(t task) {
 	b := s.pick()
 	id := t.req.query.ID
 	ch := make(chan *jaws.QueryResult, 1)
-	s.demux.Store(id, ch)
+	s.demuxMu.Lock()
+	s.demux[id] = ch
+	s.demuxMu.Unlock()
 	err := b.be.Submit(&t.req.job)
 	t.rs.Mark(obs.ReqDispatch)
 	if err != nil {
-		s.demux.Delete(id)
+		s.unwait(id)
 		t.respc <- taskOutcome{status: http.StatusBadGateway, err: err}
 		return
 	}
@@ -350,11 +368,11 @@ func (s *Server) serveTask(t task) {
 		t.respc <- taskOutcome{res: r}
 	case <-t.ctx.Done():
 		t.rs.Mark(obs.ReqExecute)
-		s.demux.Delete(id)
+		s.unwait(id)
 		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
 	case <-b.dead:
 		t.rs.Mark(obs.ReqExecute)
-		s.demux.Delete(id)
+		s.unwait(id)
 		t.respc <- taskOutcome{status: http.StatusBadGateway, err: b.be.Err()}
 	}
 }

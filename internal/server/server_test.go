@@ -217,6 +217,76 @@ func TestDeadlineExceeded(t *testing.T) {
 	waitFor(t, "late result accounting", func() bool { return srv.Stats().LateResults == 1 })
 }
 
+// lateBackend is a real session that answers late: every result waits for
+// a token on gate before it is passed on, and is noted on the way.
+type lateBackend struct {
+	*jaws.Session
+	out  chan *jaws.QueryResult
+	gate chan struct{}
+
+	mu     sync.Mutex
+	passed []*jaws.QueryResult
+}
+
+func (b *lateBackend) Results() <-chan *jaws.QueryResult { return b.out }
+
+func (b *lateBackend) pump() {
+	defer close(b.out)
+	for r := range b.Session.Results() {
+		<-b.gate
+		b.mu.Lock()
+		b.passed = append(b.passed, r)
+		b.mu.Unlock()
+		b.out <- r
+	}
+}
+
+// TestLateResultReleased: a request that times out while its query is
+// still in the engine is answered 504 and its handler is gone; when the
+// result arrives after all, drain — the only goroutine that ever sees it —
+// counts it and releases it, so the session hands the same result to the
+// next query. Under the race detector this is also the proof that nothing
+// else touches a late result.
+func TestLateResultReleased(t *testing.T) {
+	sess, err := jaws.OpenSession(jaws.Config{
+		Space:      jaws.Space{GridSide: 64, AtomSide: 32},
+		Steps:      4,
+		Seed:       11,
+		CacheAtoms: 16,
+		Compute:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &lateBackend{Session: sess, out: make(chan *jaws.QueryResult), gate: make(chan struct{}, 1)}
+	go be.pump()
+	srv, ts := newTestServer(t, []Backend{be}, nil)
+
+	resp := postQuery(t, ts.URL, `{"step":1,"points":[{"x":1,"y":2,"z":3}],"timeout_ms":50}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	be.gate <- struct{}{} // the answer, late
+	waitFor(t, "late result accounting", func() bool { return srv.Stats().LateResults == 1 })
+
+	be.gate <- struct{}{} // the next answer passes at once
+	resp = postQuery(t, ts.URL, `{"step":2,"points":[{"x":3,"y":2,"z":1},{"x":3,"y":2,"z":2}]}`)
+	defer resp.Body.Close()
+	var out QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, error %v", resp.StatusCode, err)
+	}
+	if len(out.Values) != 2 || out.Values[0].Position != (Point{X: 3, Y: 2, Z: 1}) && out.Values[0].Position != (Point{X: 3, Y: 2, Z: 2}) {
+		t.Fatalf("the second request was answered %+v", out.Values)
+	}
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if len(be.passed) != 2 || be.passed[0] != be.passed[1] {
+		t.Fatalf("results passed: %p; want the late result released and handed to the next query", be.passed)
+	}
+}
+
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	fake := newFakeBackend()
 	fake.hold = true
