@@ -1,9 +1,19 @@
 GO ?= go
 
-.PHONY: check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
-check: vet build test race fuzz-smoke
+check: fmt-check vet check-assembly build test race fuzz-smoke
+
+## fmt-check: every Go file is gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+## check-assembly: internal/system is the only non-test code that calls the
+## store, cache, scheduler and engine constructors (DESIGN.md §3, "One
+## assembler"); offenders are printed.
+check-assembly:
+	./scripts/check_assembly.sh
 
 ## check-oracle: the scheduler correctness oracle — every decision of the
 ## real schedulers diffed against the reference models over randomized
@@ -90,10 +100,10 @@ race:
 ## layer (atomic registry, locked tracer), the engine's compute pool and
 ## the atom frames its workers read (TestEvictedFrameNotReusedWithinDecision),
 ## the results consumers hold and release (TestResultStableUntilRelease,
-## TestLateResultReleased), the scheduler structures, the serving layer,
-## and their concurrent users.
+## TestLateResultReleased), the scheduler structures, the sessions the
+## assembler starts, the serving layer, and their concurrent users.
 race-obs:
-	$(GO) test -race ./internal/obs/ ./internal/sched/ ./internal/engine/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
+	$(GO) test -race ./internal/obs/ ./internal/sched/ ./internal/engine/ ./internal/system/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
 
 ## check-prop: the quickcheck-style differential property tests — random
 ## op logs replayed through the production schedulers and the reference

@@ -10,6 +10,7 @@ package jaws
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"jaws/internal/experiments"
@@ -133,8 +134,8 @@ func BenchmarkFig12BatchSize(b *testing.B) {
 // virtual seconds per query.
 func BenchmarkTable1Caches(b *testing.B) {
 	s := benchScale()
-	for _, pol := range []string{"lru-k", "slru", "urc", "lru", "fifo"} {
-		b.Run(pol, func(b *testing.B) {
+	for _, pol := range []CachePolicy{PolicyLRUK, PolicySLRU, PolicyURC, PolicyLRU, PolicyFIFO} {
+		b.Run(strings.ToLower(pol.String()), func(b *testing.B) {
 			var hit, spq float64
 			for i := 0; i < b.N; i++ {
 				rep, err := experiments.RunPolicy(s, pol)

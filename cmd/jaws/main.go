@@ -8,7 +8,7 @@
 //	jaws -sched jaws2 -policy urc -k 10 -speedup 4
 //
 // Schedulers: noshare, liferaft1, liferaft2, jaws1, jaws2.
-// Cache policies: lruk, slru, urc, lru, fifo.
+// Cache policies: lruk (or lru-k), slru, urc, lru, fifo, 2q.
 package main
 
 import (
@@ -31,9 +31,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("jaws", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sched, pol := jaws.SchedJAWS2, jaws.PolicyLRUK
+	fs.TextVar(&sched, "sched", sched, "scheduler: "+strings.Join(jaws.SchedulerNames(), ", "))
+	fs.TextVar(&pol, "policy", pol, "cache policy: "+strings.Join(jaws.CachePolicyNames(), ", "))
 	var (
-		schedName = fs.String("sched", "jaws2", "scheduler: noshare, liferaft1, liferaft2, jaws1, jaws2")
-		policy    = fs.String("policy", "lruk", "cache policy: lruk, slru, urc, lru, fifo")
 		tailPol   = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		tracePath = fs.String("trace", "", "replay a trace file written by tracegen (otherwise generate)")
 		jobs      = fs.Int("jobs", 200, "jobs to generate when no trace is given")
@@ -57,37 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	errf := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "jaws: "+format+"\n", a...)
 		return 1
-	}
-
-	var sched jaws.Scheduler
-	switch strings.ToLower(*schedName) {
-	case "noshare":
-		sched = jaws.SchedNoShare
-	case "liferaft1":
-		sched = jaws.SchedLifeRaft1
-	case "liferaft2":
-		sched = jaws.SchedLifeRaft2
-	case "jaws1":
-		sched = jaws.SchedJAWS1
-	case "jaws2":
-		sched = jaws.SchedJAWS2
-	default:
-		return errf("unknown scheduler %q", *schedName)
-	}
-	var pol jaws.CachePolicy
-	switch strings.ToLower(*policy) {
-	case "lruk":
-		pol = jaws.PolicyLRUK
-	case "slru":
-		pol = jaws.PolicySLRU
-	case "urc":
-		pol = jaws.PolicyURC
-	case "lru":
-		pol = jaws.PolicyLRU
-	case "fifo":
-		pol = jaws.PolicyFIFO
-	default:
-		return errf("unknown cache policy %q", *policy)
 	}
 
 	var w *jaws.Workload

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"jaws"
 )
 
 // tiny are flags keeping a run under a second.
@@ -55,8 +58,9 @@ func TestRunUsageErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{append(tiny, "-sched", "bogus"), 1, `unknown scheduler "bogus"`},
-		{append(tiny, "-policy", "bogus"), 1, `unknown cache policy "bogus"`},
+		// A bad enum value is rejected by the flag itself, like any bad flag.
+		{append(tiny, "-sched", "bogus"), 2, `unknown scheduler "bogus"`},
+		{append(tiny, "-policy", "bogus"), 2, `unknown cache policy "bogus"`},
 		{append(tiny, "-fault-spec", "bogus:nope"), 1, "fault"},
 		{append(tiny, "-trace", "/nonexistent/trace.gz"), 1, "no such file"},
 	}
@@ -111,5 +115,51 @@ func TestRunTraceOutAndMetrics(t *testing.T) {
 	}
 	if len(bytes.TrimSpace(data)) == 0 {
 		t.Error("trace file is empty")
+	}
+}
+
+// TestEnumFlagNames runs the command under every spelling the two enum
+// flags accept — the names their help lists, the names the report prints,
+// and mixed case — and holds the help text to the same tables.
+func TestEnumFlagNames(t *testing.T) {
+	policies := append(jaws.CachePolicyNames(), "lru-k", "LRU-K", "Slru", "2Q")
+	for _, name := range policies {
+		want, err := jaws.ParseCachePolicy(name)
+		if err != nil {
+			t.Fatalf("ParseCachePolicy(%q): %v", name, err)
+		}
+		code, out, errb := runCLI(t, append(tiny, "-policy", name)...)
+		if code != 0 {
+			t.Fatalf("-policy %s: exit %d, stderr: %s", name, code, errb)
+		}
+		if line := "cache policy    " + want.String() + " "; !strings.Contains(out, line) {
+			t.Errorf("-policy %s: report missing %q:\n%s", name, line, out)
+		}
+	}
+	if len(jaws.CachePolicyNames()) != 6 || !slices.Contains(jaws.CachePolicyNames(), "2q") {
+		t.Errorf("cache policy names = %v, want all six with 2q", jaws.CachePolicyNames())
+	}
+	schedulers := append(jaws.SchedulerNames(), "JAWS2", "LifeRaft1", "NoShare")
+	for _, name := range schedulers {
+		want, err := jaws.ParseScheduler(name)
+		if err != nil {
+			t.Fatalf("ParseScheduler(%q): %v", name, err)
+		}
+		code, out, errb := runCLI(t, append(tiny, "-sched", name)...)
+		if code != 0 {
+			t.Fatalf("-sched %s: exit %d, stderr: %s", name, code, errb)
+		}
+		if line := "scheduler       " + want.String() + " "; !strings.Contains(out, line) {
+			t.Errorf("-sched %s: report missing %q:\n%s", name, line, out)
+		}
+	}
+	_, _, help := runCLI(t, "-h")
+	for _, want := range []string{
+		"scheduler: " + strings.Join(jaws.SchedulerNames(), ", "),
+		"cache policy: " + strings.Join(jaws.CachePolicyNames(), ", "),
+	} {
+		if !strings.Contains(help, want) {
+			t.Errorf("help missing %q:\n%s", want, help)
+		}
 	}
 }

@@ -81,14 +81,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "override the number of jobs in the trace")
 	seed := fs.Int64("seed", 0, "override the workload/field seed")
 	format := fs.String("format", "text", "output format: text or csv")
-	traceOut := fs.String("trace-out", "", "write a JSONL decision trace of every experiment engine to this file")
+	traceOut := fs.String("trace-out", "", "write a JSONL decision trace of every experiment engine (ablation and alpha included) to this file")
 	showMetrics := fs.Bool("metrics", false, "print the aggregated metrics registry after the experiments")
 	faultSpec := fs.String("fault-spec", "", "deterministic fault schedule for every experiment engine (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector")
 	benchOut := fs.String("bench-out", "", "run the benchmark workload and write a BENCH_*.json artifact to this file (skips the experiment tables)")
 	benchName := fs.String("bench-name", "", "artifact name recorded in -bench-out / fresh -compare runs (default: the scenario name, or jaws2 for the baseline)")
 	scenario := fs.String("scenario", "", "workload scenario overlay for experiments and benchmarks (see -list-scenarios); empty means the fig8 baseline")
-	policy := fs.String("policy", "", "tail-policy spec decorating the JAWS scheduler, e.g. gate-aware;adaptive-batch:min=4,max=32 (DESIGN.md §18); empty means undecorated")
+	policy := fs.String("policy", "", "tail-policy spec decorating the JAWS scheduler of every experiment (ablation and alpha included) and benchmark, e.g. gate-aware;adaptive-batch:min=4,max=32 (DESIGN.md §18); empty means undecorated")
 	listScenarios := fs.Bool("list-scenarios", false, "list the workload scenario registry and exit")
 	compareWith := fs.String("compare", "", "baseline BENCH_*.json to gate against (re-measures unless -with is given; exits 3 on regression)")
 	withFile := fs.String("with", "", "candidate BENCH_*.json for -compare (instead of re-measuring)")

@@ -146,3 +146,38 @@ func TestBenchOutCompareGate(t *testing.T) {
 		t.Errorf("missing baseline: exit %d, want 1", code)
 	}
 }
+
+// The ablation and α-dynamics experiments build their engines through the
+// same node description as every other experiment, so -trace-out, -metrics
+// and -policy reach them too (they used to wire their own engines and drop
+// all three).
+func TestAblationAndAlphaHonourObserversAndPolicy(t *testing.T) {
+	tables := map[string]string{}
+	for _, exp := range []string{"ablation", "alpha"} {
+		path := filepath.Join(t.TempDir(), exp+".jsonl")
+		code, out, errb := runCLI(t, "-quick", "-exp", exp, "-format", "csv", "-trace-out", path, "-metrics")
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", exp, code, errb)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, []byte("\n")); n == 0 {
+			t.Errorf("-exp %s -trace-out wrote no events", exp)
+		}
+		if !strings.Contains(out, "jaws_decisions_total") {
+			t.Errorf("-exp %s -metrics printed no registry:\n%s", exp, out)
+		}
+		tables[exp], _, _ = strings.Cut(out, "\n\n") // the table, without the metrics dump
+	}
+	for exp, plain := range tables {
+		code, out, errb := runCLI(t, "-quick", "-exp", exp, "-format", "csv", "-policy", "adaptive-batch:min=2,max=4")
+		if code != 0 {
+			t.Fatalf("%s -policy: exit %d, stderr: %s", exp, code, errb)
+		}
+		if strings.TrimSpace(out) == strings.TrimSpace(plain) {
+			t.Errorf("-exp %s ignores -policy: same table with and without it:\n%s", exp, out)
+		}
+	}
+}

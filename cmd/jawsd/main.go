@@ -40,6 +40,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("jawsd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sched := jaws.SchedJAWS2
+	fs.TextVar(&sched, "sched", sched, "scheduler: "+strings.Join(jaws.SchedulerNames(), ", "))
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one)")
 		nodes       = fs.Int("nodes", 1, "session replicas serving the space (queries route round-robin)")
@@ -55,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		atom        = fs.Int("atom", 32, "atom side in voxels")
 		steps       = fs.Int("steps", 8, "stored time steps per node")
 		seed        = fs.Int64("seed", 1, "turbulence field seed (replicas share it: same data)")
-		schedName   = fs.String("sched", "jaws2", "scheduler: noshare, liferaft1, liferaft2, jaws1, jaws2")
 		tailPol     = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler on every node, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		cacheAtoms  = fs.Int("cache", 64, "cache capacity in atoms per node")
 		faultSpec   = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05' (see internal/fault)")
@@ -81,21 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var sched jaws.Scheduler
-	switch strings.ToLower(*schedName) {
-	case "noshare":
-		sched = jaws.SchedNoShare
-	case "liferaft1":
-		sched = jaws.SchedLifeRaft1
-	case "liferaft2":
-		sched = jaws.SchedLifeRaft2
-	case "jaws1":
-		sched = jaws.SchedJAWS1
-	case "jaws2":
-		sched = jaws.SchedJAWS2
-	default:
-		return errf("unknown scheduler %q", *schedName)
-	}
 	if *nodes < 1 {
 		return errf("need at least one node, got %d", *nodes)
 	}

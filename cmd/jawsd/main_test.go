@@ -30,7 +30,7 @@ func TestRunUsageErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{append(tiny, "-sched", "bogus"), 1, `unknown scheduler "bogus"`},
+		{append(tiny, "-sched", "bogus"), 2, `unknown scheduler "bogus"`},
 		{append(tiny, "-nodes", "0"), 1, "at least one node"},
 		{append(tiny, "-fault-spec", "bogus:nope"), 1, "fault"},
 		{append(tiny, "-addr", "256.256.256.256:http"), 1, "listen"},

@@ -11,8 +11,8 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
+	"jaws/internal/experiments"
 	"jaws/internal/job"
 	"jaws/internal/metrics"
 	"jaws/internal/workload"
@@ -57,16 +57,8 @@ func main() {
 
 	// Fig. 8-style duration histogram.
 	if len(w.Durations) > 0 {
-		h := metrics.NewHistogram(time.Minute, 30*time.Minute, time.Hour, 2*time.Hour, 6*time.Hour)
-		for _, d := range w.Durations {
-			h.Add(d)
-		}
-		tbl := metrics.Table{Header: []string{"duration", "jobs", "fraction"}}
-		for i, label := range []string{"<1min", "1-30min", "30-60min", "1-2hr", "2-6hr", ">6hr"} {
-			tbl.AddRow(label, fmt.Sprint(h.Counts[i]), fmt.Sprintf("%.2f", h.Fraction(i)))
-		}
 		fmt.Println("job durations (Fig. 8):")
-		fmt.Println(tbl.String())
+		fmt.Println(experiments.Fig8Of(w).Table.String())
 	}
 
 	// Fig. 9-style step distribution.

@@ -699,8 +699,8 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	}
 	v1 := c.Version()
 
-	c.Get(id(0, 1))  // hit
-	c.Get(id(0, 9))  // miss
+	c.Get(id(0, 1)) // hit
+	c.Get(id(0, 9)) // miss
 	c.Contains(id(0, 1))
 	c.Put(id(0, 1), "a2") // refresh: residency set unchanged
 	if c.Version() != v1 {

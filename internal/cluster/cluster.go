@@ -17,14 +17,13 @@ import (
 	"sort"
 	"sync"
 
-	"jaws/internal/cache"
 	"jaws/internal/engine"
 	"jaws/internal/fault"
 	"jaws/internal/job"
 	"jaws/internal/obs"
 	"jaws/internal/query"
-	"jaws/internal/sched"
 	"jaws/internal/store"
+	"jaws/internal/system"
 )
 
 // Strategy selects how atoms map to nodes.
@@ -90,24 +89,14 @@ func (p *Partitioner) Nodes() int { return p.nodes }
 
 // Config assembles a cluster.
 type Config struct {
-	// Nodes is the number of database nodes.
+	// Nodes is the number of database nodes; atoms per step must divide
+	// evenly among them.
 	Nodes int
-	// Store configures each node's store (all nodes share the synthetic
-	// field seed, so the cluster presents one coherent dataset).
-	Store store.Config
-	// CacheAtoms is each node's cache capacity in atoms.
-	CacheAtoms int
-	// NewPolicy builds a fresh replacement policy per node.
-	NewPolicy func() cache.Policy
-	// NewSched builds a fresh scheduler per node, given that node's cache
-	// (for the residency function).
-	NewSched func(c *cache.Cache) sched.Scheduler
-	// Cost is the shared T_b/T_m model.
-	Cost sched.CostModel
-	// JobAware enables gated execution on every node.
-	JobAware bool
-	// RunLength is the adaptation run length per node.
-	RunLength int
+	// Node describes every node: each builds its own system from it (all
+	// share the synthetic field seed, so the cluster presents one coherent
+	// dataset). Observe replaces its Obs per node; its Fault and FaultSeed
+	// are ignored for the cluster's, which give each node its own stream.
+	Node system.Config
 	// Strategy selects the atom→node mapping; default Contiguous.
 	Strategy Strategy
 	// Observe gives every node its own metrics registry and merges them
@@ -119,11 +108,11 @@ type Config struct {
 	// and the mediator reruns a crashed node's jobs on the first live
 	// replica. 0 or 1 disables failover.
 	Replicas int
-	// FaultSpec schedules deterministic fault injection on every node
-	// (see internal/fault); the empty spec disables it. Each node derives
-	// its own independent injector from FaultSeed and its node index.
-	FaultSpec fault.Spec
-	// FaultSeed seeds the fault injectors when FaultSpec is non-empty.
+	// Fault schedules deterministic fault injection on every node (see
+	// internal/fault); the empty spec disables it. Each node derives its
+	// own independent injector from FaultSeed and its node index.
+	Fault fault.Spec
+	// FaultSeed seeds the fault injectors when Fault is non-empty.
 	FaultSeed int64
 }
 
@@ -173,16 +162,12 @@ type Cluster struct {
 	part *Partitioner
 }
 
-// New validates the configuration.
+// New validates what the mediator itself reads: node count, replication
+// factor, partitioned space. The rest of the node description is validated
+// where a node is built, so a bad one is a per-node error of Run.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
-	}
-	if cfg.NewSched == nil || cfg.NewPolicy == nil {
-		return nil, fmt.Errorf("cluster: NewSched and NewPolicy are required")
-	}
-	if cfg.CacheAtoms <= 0 {
-		cfg.CacheAtoms = 64
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -190,10 +175,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Replicas > cfg.Nodes {
 		return nil, fmt.Errorf("cluster: %d replicas exceed %d nodes", cfg.Replicas, cfg.Nodes)
 	}
-	if err := cfg.Store.Space.Validate(); err != nil {
+	cfg.Node = cfg.Node.WithDefaults()
+	if err := cfg.Node.Space.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := NewPartitionerStrategy(cfg.Nodes, cfg.Store.Space.AtomsPerStep(), cfg.Strategy)
+	part, err := NewPartitionerStrategy(cfg.Nodes, cfg.Node.Space.AtomsPerStep(), cfg.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +194,7 @@ func (c *Cluster) Partitioner() *Partitioner { return c.part }
 // preserves the original query order. The returned map holds only nodes
 // that received work.
 func (c *Cluster) SplitJob(j *job.Job) map[int]*job.Job {
-	space := c.cfg.Store.Space
+	space := c.cfg.Node.Space
 	out := make(map[int]*job.Job)
 	seqPerNode := make(map[int]int)
 	for _, q := range j.Queries {
@@ -268,29 +254,22 @@ func (c *Cluster) split(jobs []*job.Job) map[int][]*job.Job {
 	return perNode
 }
 
-// runNode executes njobs on one node with a fresh store, cache, scheduler
-// and — when fault injection is configured — the node's own deterministic
-// injector.
+// runNode executes njobs on one node: a fresh system built from the node
+// description, with the node's own registry under Observe and — when fault
+// injection is configured — its own deterministic injector.
 func (c *Cluster) runNode(node int, njobs []*job.Job) (*engine.Report, *obs.Obs, error) {
-	st, err := store.Open(c.cfg.Store)
+	sys, err := system.Open(c.cfg.Node)
 	if err != nil {
 		return nil, nil, err
 	}
-	ch := cache.New(c.cfg.CacheAtoms, c.cfg.NewPolicy())
+	ec := sys.EngineConfig(sys.NewScheduler())
+	ec.Fault = fault.New(c.cfg.Fault, c.cfg.FaultSeed, node)
 	var o *obs.Obs
 	if c.cfg.Observe {
 		o = &obs.Obs{Reg: obs.NewRegistry(), Spans: obs.NewSpanAgg()}
+		ec.Obs = o
 	}
-	e, err := engine.New(engine.Config{
-		Store:     st,
-		Cache:     ch,
-		Sched:     c.cfg.NewSched(ch),
-		Cost:      c.cfg.Cost,
-		JobAware:  c.cfg.JobAware,
-		RunLength: c.cfg.RunLength,
-		Obs:       o,
-		Fault:     fault.New(c.cfg.FaultSpec, c.cfg.FaultSeed, node),
-	})
+	e, err := engine.New(ec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"jaws/internal/cache"
 	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/job"
@@ -12,25 +11,29 @@ import (
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
+	"jaws/internal/system"
 )
 
 var testCost = sched.CostModel{Tb: 40 * time.Millisecond, Tm: 20 * time.Microsecond}
 
+// testConfig is a cluster of tiny nodes: JAWS without gating at fixed
+// α = 0 over an 8-atom LRU cache.
 func testConfig(nodes int) Config {
 	return Config{
 		Nodes: nodes,
-		Store: store.Config{
-			Space:      geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
-			Steps:      2,
-			SampleSide: 4,
-			Seed:       3,
+		Node: system.Config{
+			Space:       geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
+			Steps:       2,
+			SampleSide:  4,
+			Seed:        3,
+			Scheduler:   system.SchedJAWS1,
+			BatchSize:   4,
+			AlphaSet:    true,
+			AdaptiveOff: true,
+			Policy:      system.PolicyLRU,
+			CacheAtoms:  8,
+			Cost:        testCost,
 		},
-		CacheAtoms: 8,
-		NewPolicy:  func() cache.Policy { return cache.NewLRU() },
-		NewSched: func(c *cache.Cache) sched.Scheduler {
-			return sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
-		},
-		Cost: testCost,
 	}
 }
 
@@ -39,11 +42,6 @@ func TestNewValidation(t *testing.T) {
 	cfg.Nodes = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("zero nodes accepted")
-	}
-	cfg = testConfig(4)
-	cfg.NewSched = nil
-	if _, err := New(cfg); err == nil {
-		t.Fatal("missing scheduler factory accepted")
 	}
 	cfg = testConfig(3) // 64 atoms not divisible by 3
 	if _, err := New(cfg); err == nil {
@@ -96,7 +94,7 @@ func TestSplitJobRoutesByPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := testConfig(4).Store.Space
+	space := testConfig(4).Node.Space
 	// One point in the very first atom (node 0), one in the last (node 3).
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	pts := []geom.Position{
@@ -126,7 +124,7 @@ func TestSplitJobRoutesByPartition(t *testing.T) {
 
 func TestSplitJobPreservesOrderedSequence(t *testing.T) {
 	c, _ := New(testConfig(2))
-	space := testConfig(2).Store.Space
+	space := testConfig(2).Node.Space
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	j := &job.Job{ID: 5, User: 1, Type: job.Ordered, ThinkTime: time.Millisecond}
 	for i := 0; i < 3; i++ {
@@ -158,7 +156,7 @@ func TestRunAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := testConfig(4).Store.Space
+	space := testConfig(4).Node.Space
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	var jobs []*job.Job
 	for id := int64(1); id <= 8; id++ {
@@ -193,7 +191,7 @@ func TestRunSingleNodeEqualsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := testConfig(1).Store.Space
+	space := testConfig(1).Node.Space
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	jobs := []*job.Job{mkClusterJob(1, []geom.Position{
 		{X: 0.5 * atomLen, Y: 0.5 * atomLen, Z: 0.5 * atomLen},
@@ -214,7 +212,7 @@ func TestRunParallelismMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := testConfig(4).Store.Space
+		space := testConfig(4).Node.Space
 		atomLen := float64(space.AtomSide) * space.VoxelSize()
 		var jobs []*job.Job
 		for id := int64(1); id <= 12; id++ {
@@ -270,7 +268,7 @@ func TestContiguousBeatsStripedOnLocality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := cfg.Store.Space
+		space := cfg.Node.Space
 		atomLen := float64(space.AtomSide) * space.VoxelSize()
 		var pts []geom.Position
 		for i := 0; i < 8; i++ {

@@ -4,15 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"jaws/internal/cache"
 	"jaws/internal/fault"
 	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/morton"
 	"jaws/internal/query"
-	"jaws/internal/sched"
 	"jaws/internal/store"
+	"jaws/internal/system"
 )
 
 // nodeCenters returns positions at the centers of every atom owned by node
@@ -23,7 +22,7 @@ func nodeCenters(t *testing.T, cfg Config, node int) []geom.Position {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := cfg.Store.Space
+	space := cfg.Node.Space
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	side := space.GridSide / space.AtomSide
 	var pts []geom.Position
@@ -78,7 +77,7 @@ func TestRunPartialReportOnCrash(t *testing.T) {
 	// completed work — with the crashed run's spans and metrics discarded.
 	cfg := testConfig(2)
 	cfg.Observe = true
-	cfg.FaultSpec = mustSpec(t, "crash@0:at=50ms")
+	cfg.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestRunFailoverReplicaServes(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Observe = true
 	cfg.Replicas = 2
-	cfg.FaultSpec = mustSpec(t, "crash@0:at=50ms")
+	cfg.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestRunCascadeFailover(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Observe = true
 	cfg.Replicas = 3
-	cfg.FaultSpec = mustSpec(t, "crash@0:at=50ms;crash@1:at=500ms")
+	cfg.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=500ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestRunAllReplicasDead(t *testing.T) {
 	// the joined error names the dead node.
 	cfg := testConfig(2)
 	cfg.Replicas = 2
-	cfg.FaultSpec = mustSpec(t, "crash@0:at=50ms;crash@1:at=50ms")
+	cfg.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +249,12 @@ func TestRunAllReplicasDead(t *testing.T) {
 }
 
 func TestRunJoinsNonCrashErrors(t *testing.T) {
-	// A node failure that is not a crash (here: a scheduler factory that
-	// returns nil, failing engine construction) is joined per node and
+	// A node failure that is not a crash (here: a node description naming
+	// no cache policy, failing system construction) is joined per node and
 	// never triggers failover — only fault.NodeCrashError does.
 	cfg := testConfig(2)
 	cfg.Replicas = 2
-	cfg.NewSched = func(c *cache.Cache) sched.Scheduler { return nil }
+	cfg.Node.Policy = system.CachePolicy(99)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,9 +265,9 @@ func TestRunJoinsNonCrashErrors(t *testing.T) {
 	}
 	rep, err := c.Run(jobs)
 	if err == nil {
-		t.Fatal("nil scheduler accepted")
+		t.Fatal("unknown cache policy accepted")
 	}
-	for _, want := range []string{"cluster node 0", "cluster node 1", "scheduler"} {
+	for _, want := range []string{"cluster node 0", "cluster node 1", "cache policy"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error missing %q: %v", want, err)
 		}
@@ -279,10 +278,10 @@ func TestRunJoinsNonCrashErrors(t *testing.T) {
 }
 
 func TestRunStoreOpenFailureJoined(t *testing.T) {
-	// An invalid store (zero steps passes New's space validation but fails
+	// An invalid store (negative steps pass New's space validation but fail
 	// store.Open inside runNode) is reported per node via errors.Join.
 	cfg := testConfig(2)
-	cfg.Store.Steps = 0
+	cfg.Node.Steps = -1
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -306,21 +305,18 @@ func TestNewRejectsBadReplicasAndSpace(t *testing.T) {
 		t.Errorf("replicas > nodes accepted: %v", err)
 	}
 	cfg = testConfig(2)
-	cfg.Store.Space = geom.Space{GridSide: 100, AtomSide: 32} // not divisible
+	cfg.Node.Space = geom.Space{GridSide: 100, AtomSide: 32} // not divisible
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid space accepted")
 	}
-	cfg = testConfig(2)
-	cfg.NewPolicy = nil
-	if _, err := New(cfg); err == nil {
-		t.Error("missing policy factory accepted")
+	// Defaults: the node description's and Replicas fall back rather than
+	// fail — the zero description is the paper's 512-atom step.
+	c, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatalf("defaulting config rejected: %v", err)
 	}
-	// Defaults: CacheAtoms and Replicas fall back rather than fail.
-	cfg = testConfig(2)
-	cfg.CacheAtoms = 0
-	cfg.Replicas = 0
-	if _, err := New(cfg); err != nil {
-		t.Errorf("defaulting config rejected: %v", err)
+	if got := c.cfg.Node.Space.AtomsPerStep(); got != 512 || c.cfg.Replicas != 1 {
+		t.Errorf("defaults: %d atoms per step, %d replicas; want 512, 1", got, c.cfg.Replicas)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestSplitJobPreservesPerNodeQueryOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := cfg.Store.Space
+		space := cfg.Node.Space
 		domain := float64(space.GridSide) * space.VoxelSize()
 		for trial := 0; trial < 20; trial++ {
 			j := &job.Job{ID: 9, User: 1, Type: job.Batched}

@@ -337,7 +337,9 @@ type Engine struct {
 	states  map[query.ID]*queryState
 	// jobsByID holds the jobs with a query still to complete; an entry goes
 	// when its last query does, so a long-lived session stays bounded.
+	// total counts the queries of every job taken in (intake).
 	jobsByID map[int64]liveJob
+	total    int
 
 	predictor  *prefetch.Predictor
 	prefetched int64
@@ -510,79 +512,27 @@ func estimateTb() time.Duration {
 // jobs' queries carry absolute arrival times; ordered jobs' queries beyond
 // the first arrive ThinkTime after their predecessor completes.
 func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
-	total := 0
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		e.jobsByID[j.ID] = liveJob{j, len(j.Queries)}
-		total += len(j.Queries)
-		switch j.Type {
-		case job.Batched:
-			for _, q := range j.Queries {
-				e.events.Push(q.Arrival, q)
-			}
-		case job.Ordered:
-			e.events.Push(j.Queries[0].Arrival, j.Queries[0])
-		default:
-			return nil, fmt.Errorf("engine: job %d has unknown type %v", j.ID, j.Type)
-		}
 	}
-
+	if err := e.intake(jobs, 0); err != nil {
+		return nil, err
+	}
 	if e.cfg.JobAware && e.cfg.DeclareUpfront {
 		e.declareAll(jobs)
 	}
 
 	defer e.closePool()
 
-	crashAt, willCrash := e.cfg.Fault.CrashAt()
 	stall := 0
-	for e.report.Completed < total {
-		// 0. Honour a scheduled node crash: the node dies the first time
-		// virtual time passes the injector's chosen instant. Everything in
-		// flight is lost; the cluster layer recovers via failover.
-		if willCrash && e.clock.Now() >= crashAt {
-			e.inst.noteCrash(e.clock.Now(), e.cfg.Fault.Node())
-			return nil, &fault.NodeCrashError{Node: e.cfg.Fault.Node(), At: crashAt}
+	for e.report.Completed < e.total {
+		worked, err := e.step()
+		if err != nil {
+			return nil, err
 		}
-
-		progressed := false
-
-		// 1. Deliver due arrivals.
-		if e.deliverDue() {
-			progressed = true
-		}
-
-		// 2. Admit arrived queries whose gating constraints allow it.
-		if e.admitArrived() {
-			progressed = true
-		}
-
-		// 3. Execute the next batch, or fast-forward to the next event.
-		if e.cfg.Sched.Pending() > 0 {
-			decidedAt := e.clock.Now()
-			batches := e.cfg.Sched.NextBatch(decidedAt)
-			if len(batches) > 0 {
-				if e.cfg.OnDecision != nil {
-					e.cfg.OnDecision(decidedAt, batches)
-				}
-				if err := e.execute(batches); err != nil {
-					return nil, err
-				}
-				progressed = true
-			}
-		} else if ev, ok := e.events.Peek(); ok {
-			// Never fast-forward past the crash instant, or a long idle
-			// gap would let the node outlive its own death.
-			at := ev.At
-			if willCrash && crashAt < at {
-				at = crashAt
-			}
-			e.advanceTo(at)
-			progressed = true
-		}
-
-		if progressed {
+		if worked {
 			stall = 0
 			continue
 		}
@@ -590,7 +540,7 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 		if stall > e.cfg.StallLimit {
 			e.inst.noteStallAbort(e.clock.Now())
 			return nil, fmt.Errorf("engine: stalled with %d/%d queries complete (gated-execution deadlock?)",
-				e.report.Completed, total)
+				e.report.Completed, e.total)
 		}
 	}
 
@@ -599,6 +549,77 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 	// scheduler's queues and the frame lists alive as long as the report.
 	rep := e.report
 	return &rep, nil
+}
+
+// intake enters validated jobs in the live-job table and their first
+// arrivals on the event list, arrival times shifted by offset (a session's
+// "now"; zero under Run), and adds their queries to the total to complete.
+// A job whose ID a live job already has is an error.
+func (e *Engine) intake(jobs []*job.Job, offset time.Duration) error {
+	for _, j := range jobs {
+		if _, dup := e.jobsByID[j.ID]; dup {
+			return fmt.Errorf("engine: job %d already submitted", j.ID)
+		}
+		e.jobsByID[j.ID] = liveJob{j, len(j.Queries)}
+		e.total += len(j.Queries)
+		switch j.Type {
+		case job.Batched:
+			for _, q := range j.Queries {
+				q.Arrival += offset
+				e.events.Push(q.Arrival, q)
+			}
+		case job.Ordered:
+			j.Queries[0].Arrival += offset
+			e.events.Push(j.Queries[0].Arrival, j.Queries[0])
+		default:
+			return fmt.Errorf("engine: job %d has unknown type %v", j.ID, j.Type)
+		}
+	}
+	return nil
+}
+
+// step is the engine's one cycle; Run and Session.loop drive it until their
+// work is done. It honours a scheduled node crash, delivers the arrivals
+// that are due, admits what gating allows, then executes the scheduler's
+// next decision — or, with nothing pending, fast-forwards to the next
+// event. worked is false when nothing moved: a stall, or a session's
+// idleness.
+func (e *Engine) step() (worked bool, err error) {
+	// The node dies the first time virtual time passes the injector's
+	// instant. What is in flight is lost; the cluster recovers by failover.
+	crashAt, willCrash := e.cfg.Fault.CrashAt()
+	if willCrash && e.clock.Now() >= crashAt {
+		e.inst.noteCrash(e.clock.Now(), e.cfg.Fault.Node())
+		return false, &fault.NodeCrashError{Node: e.cfg.Fault.Node(), At: crashAt}
+	}
+
+	worked = e.deliverDue()
+	if e.admitArrived() {
+		worked = true
+	}
+
+	if e.cfg.Sched.Pending() > 0 {
+		decidedAt := e.clock.Now()
+		batches := e.cfg.Sched.NextBatch(decidedAt)
+		if len(batches) == 0 {
+			return worked, nil
+		}
+		if e.cfg.OnDecision != nil {
+			e.cfg.OnDecision(decidedAt, batches)
+		}
+		return true, e.execute(batches)
+	}
+	if ev, ok := e.events.Peek(); ok {
+		// Never fast-forward past the crash instant, or a long idle gap
+		// would let the node outlive its own death.
+		at := ev.At
+		if willCrash && crashAt < at {
+			at = crashAt
+		}
+		e.advanceTo(at)
+		worked = true
+	}
+	return worked, nil
 }
 
 // declareAll registers every ordered job in the precedence graph before

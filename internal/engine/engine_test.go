@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +126,13 @@ func TestRunValidatesJobs(t *testing.T) {
 	e := newEngine(t, s, sched.NewNoShare(), false)
 	if _, err := e.Run([]*job.Job{{ID: 1}}); err == nil {
 		t.Fatal("invalid job accepted")
+	}
+	// Two jobs under one ID would share one live-job record: Run takes
+	// jobs in through the intake a session uses, which refuses the second.
+	e = newEngine(t, s, sched.NewNoShare(), false)
+	twice := []*job.Job{batchedJob(s, 1, []time.Duration{0}, 0), batchedJob(s, 1, []time.Duration{0}, 1)}
+	if _, err := e.Run(twice); err == nil || !strings.Contains(err.Error(), "already submitted") {
+		t.Fatalf("duplicate job ID: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"jaws/internal/fault"
 	"jaws/internal/job"
 )
 
@@ -114,7 +113,6 @@ func (s *Session) loop(e *Engine) {
 	defer e.closePool()
 	defer e.results.close()
 
-	total := 0
 	closing := false
 
 	fail := func(err error) {
@@ -128,31 +126,9 @@ func (s *Session) loop(e *Engine) {
 		s.closeOnce.Do(func() { close(s.closed) })
 	}
 
-	// accept registers newly submitted jobs, shifting their arrivals to
-	// the current virtual time.
-	accept := func(jobs []*job.Job) error {
-		now := e.clock.Now()
-		for _, j := range jobs {
-			if _, dup := e.jobsByID[j.ID]; dup {
-				return fmt.Errorf("engine: job %d already submitted", j.ID)
-			}
-			e.jobsByID[j.ID] = liveJob{j, len(j.Queries)}
-			total += len(j.Queries)
-			switch j.Type {
-			case job.Batched:
-				for _, q := range j.Queries {
-					q.Arrival += now
-					e.events.Push(q.Arrival, q)
-				}
-			case job.Ordered:
-				j.Queries[0].Arrival += now
-				e.events.Push(j.Queries[0].Arrival, j.Queries[0])
-			default:
-				return fmt.Errorf("engine: job %d has unknown type %v", j.ID, j.Type)
-			}
-		}
-		return nil
-	}
+	// accept takes newly submitted jobs in, their arrivals offsets from the
+	// current virtual time.
+	accept := func(jobs []*job.Job) error { return e.intake(jobs, e.clock.Now()) }
 
 	// flush streams the newly completed queries and empties the engine's
 	// list of them, so a long session holds neither the results nor a list
@@ -166,22 +142,11 @@ func (s *Session) loop(e *Engine) {
 		e.report.Results = e.report.Results[:0]
 	}
 
-	crashAt, willCrash := e.cfg.Fault.CrashAt()
 	stall := 0
 	for {
-		// Honour a scheduled node crash exactly as Engine.Run does: the
-		// node dies the first time virtual time passes the injector's
-		// instant, so chaos schedules exercise the serving path too.
-		if willCrash && e.clock.Now() >= crashAt {
-			e.inst.noteCrash(e.clock.Now(), e.cfg.Fault.Node())
-			flush()
-			fail(&fault.NodeCrashError{Node: e.cfg.Fault.Node(), At: crashAt})
-			return
-		}
-
 		// Drain whatever is submittable without blocking.
-		drainSubmits := true
-		for drainSubmits {
+	drain:
+		for {
 			select {
 			case jobs := <-s.submit:
 				if err := accept(jobs); err != nil {
@@ -190,52 +155,37 @@ func (s *Session) loop(e *Engine) {
 				}
 			case <-s.closed:
 				closing = true
-				drainSubmits = false
+				break drain
 			default:
-				drainSubmits = false
+				break drain
 			}
 		}
 
-		// One engine cycle: deliver due arrivals, admit, execute or jump.
-		worked := e.deliverDue()
-		if e.admitArrived() {
-			worked = true
-		}
-		if e.cfg.Sched.Pending() > 0 {
-			if batches := e.cfg.Sched.NextBatch(e.clock.Now()); len(batches) > 0 {
-				if err := e.execute(batches); err != nil {
-					flush()
-					fail(err)
-					return
-				}
-				worked = true
-			}
-		} else if ev, ok := e.events.Peek(); ok {
-			e.advanceTo(ev.At)
-			worked = true
-		}
+		// One engine cycle, the one Engine.Run drives: a scheduled crash
+		// and Config.OnDecision reach the serving path as they do a run.
+		worked, err := e.step()
 		flush()
-
-		if worked {
-			stall = 0
-		} else if e.report.Completed < total {
-			stall++
-			if stall > e.cfg.StallLimit {
-				fail(fmt.Errorf("engine: session stalled with %d/%d queries complete", e.report.Completed, total))
-				return
-			}
-			continue
+		if err != nil {
+			fail(err)
+			return
 		}
 
-		if e.report.Completed == total && !worked {
-			if closing {
-				e.finishReport()
-				rep := e.report // detached from the engine, as Run's
-				s.mu.Lock()
-				s.report = &rep
-				s.mu.Unlock()
+		switch {
+		case worked:
+			stall = 0
+		case e.report.Completed < e.total:
+			if stall++; stall > e.cfg.StallLimit {
+				fail(fmt.Errorf("engine: session stalled with %d/%d queries complete", e.report.Completed, e.total))
 				return
 			}
+		case closing:
+			e.finishReport()
+			rep := e.report // detached from the engine, as Run's
+			s.mu.Lock()
+			s.report = &rep
+			s.mu.Unlock()
+			return
+		default:
 			// Idle: block until a submission or Close arrives. Virtual
 			// time only moves for work, so waiting costs nothing.
 			select {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,8 +12,10 @@ import (
 	"jaws/internal/fault"
 	"jaws/internal/field"
 	"jaws/internal/job"
+	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/sched"
+	"jaws/internal/store"
 )
 
 func newTestSession(t testing.TB) *Session {
@@ -392,4 +395,110 @@ func BenchmarkSessionBulkQuery(b *testing.B) {
 	}
 	b.StopTimer()
 	sess.Close()
+}
+
+// recordingSched wraps a scheduler and keeps the atoms of every non-empty
+// decision it returned, in order.
+type recordingSched struct {
+	sched.Scheduler
+	decisions [][]store.AtomID
+}
+
+func decisionAtoms(batches []sched.Batch) []store.AtomID {
+	ids := make([]store.AtomID, len(batches))
+	for i, b := range batches {
+		ids[i] = b.Atom
+	}
+	return ids
+}
+
+func (r *recordingSched) NextBatch(now time.Duration) []sched.Batch {
+	batches := r.Scheduler.NextBatch(now)
+	if len(batches) > 0 {
+		r.decisions = append(r.decisions, decisionAtoms(batches))
+	}
+	return batches
+}
+
+// A session drives the same cycle as Run, so Config.OnDecision sees every
+// decision of the serving path: the same batches, in the same order, as the
+// scheduler returned them.
+func TestSessionReportsEveryDecision(t *testing.T) {
+	st := testStore(t)
+	c := cache.New(16, cache.NewLRU())
+	rec := &recordingSched{Scheduler: sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 2, Resident: c.Contains})}
+	var reported [][]store.AtomID
+	sess, err := NewSession(Config{
+		Store: st, Cache: c, Sched: rec, Cost: testCost, JobAware: true,
+		OnDecision: func(_ time.Duration, batches []sched.Batch) {
+			reported = append(reported, decisionAtoms(batches))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*job.Job{
+		batchedJob(st, 1, []time.Duration{0, 5 * time.Millisecond, 2 * time.Second}, 0),
+		batchedJob(st, 2, []time.Duration{0, time.Millisecond}, 1),
+		orderedJob(st, 3, []int{0, 1, 2}, []uint32{0, 2, 3}, time.Millisecond, 0),
+	}
+	if err := sess.Submit(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	for got := 0; got < 8; got++ {
+		if r, open := <-sess.Results(); !open || r == nil {
+			t.Fatalf("stream closed after %d of 8 results: %v", got, sess.Err())
+		}
+	}
+	sess.Close() // the loop has returned: its slices are safe to read
+	if len(rec.decisions) == 0 {
+		t.Fatal("the session made no decision")
+	}
+	if !reflect.DeepEqual(reported, rec.decisions) {
+		t.Fatalf("OnDecision saw %d decisions, the scheduler made %d:\n reported %v\n made     %v",
+			len(reported), len(rec.decisions), reported, rec.decisions)
+	}
+}
+
+// A crash scheduled inside an idle gap happens at its own instant: the
+// fast-forward to the next arrival stops there, as Run's does, so the
+// error, the session clock and the traced event all read the crash time
+// and not the arrival's.
+func TestSessionCrashInsideIdleGap(t *testing.T) {
+	const crashAt = time.Second
+	st := testStore(t)
+	spec, err := fault.ParseSpec("crash@0:at=1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(0, nil)
+	sess, err := NewSession(Config{
+		Store: st, Cache: cache.New(16, cache.NewLRU()), Sched: sched.NewNoShare(), Cost: testCost,
+		Fault: fault.New(spec, 1, 0),
+		Obs:   &obs.Obs{Trace: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Submit(batchedJob(st, 1, []time.Duration{10 * crashAt}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for range sess.Results() {
+	} // closes when the node dies
+	var nce *fault.NodeCrashError
+	if !errors.As(sess.Err(), &nce) || nce.At != crashAt {
+		t.Fatalf("session error = %v, want a NodeCrashError at %v", sess.Err(), crashAt)
+	}
+	if now := sess.Now(); now != crashAt {
+		t.Errorf("session clock reads %v after the crash, want %v", now, crashAt)
+	}
+	var crashes []time.Duration
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindNodeCrash {
+			crashes = append(crashes, ev.T)
+		}
+	}
+	if len(crashes) != 1 || crashes[0] != crashAt {
+		t.Errorf("traced crash events at %v, want one at %v", crashes, crashAt)
+	}
 }

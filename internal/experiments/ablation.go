@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"jaws/internal/cache"
 	"jaws/internal/engine"
-	"jaws/internal/fault"
 	"jaws/internal/metrics"
 	"jaws/internal/sched"
-	"jaws/internal/store"
+	"jaws/internal/system"
 )
 
 // AblationRow is one configuration of the ablation study.
@@ -32,33 +29,27 @@ type AblationResult struct {
 	Table metrics.Table
 }
 
-// ablationConfig is one knob setting.
-type ablationConfig struct {
-	name           string
-	jobAware       bool
-	adaptive       bool
-	initialAlpha   float64
-	noMorton       bool
-	prefetch       bool
-	declareUpfront bool
-	qosStretch     float64
-}
-
-// Ablations runs the design-choice matrix on the Fig. 10 trace.
+// Ablations runs the design-choice matrix on the Fig. 10 trace: every row
+// is the JAWS2 node description with one field changed.
 func Ablations(s Scale) (*AblationResult, error) {
-	configs := []ablationConfig{
-		{name: "JAWS2 (baseline)", jobAware: true, adaptive: true, initialAlpha: 0.5},
-		{name: "- job-aware gating", jobAware: false, adaptive: true, initialAlpha: 0.5},
-		{name: "- adaptive α (fixed 0.5)", jobAware: true, adaptive: false, initialAlpha: 0.5},
-		{name: "- Morton batch order", jobAware: true, adaptive: true, initialAlpha: 0.5, noMorton: true},
-		{name: "+ trajectory prefetch", jobAware: true, adaptive: true, initialAlpha: 0.5, prefetch: true},
-		{name: "+ declared jobs", jobAware: true, adaptive: true, initialAlpha: 0.5, declareUpfront: true},
-		{name: "+ QoS (stretch 8)", jobAware: true, adaptive: true, initialAlpha: 0.5, qosStretch: 8},
+	rows := []struct {
+		name  string
+		delta func(*system.Config)
+	}{
+		{"JAWS2 (baseline)", func(*system.Config) {}},
+		{"- job-aware gating", func(c *system.Config) { c.Scheduler = AlgJAWS1 }},
+		{"- adaptive α (fixed 0.5)", func(c *system.Config) { c.AdaptiveOff = true }},
+		{"- Morton batch order", func(c *system.Config) { c.NoMortonOrder = true }},
+		{"+ trajectory prefetch", func(c *system.Config) { c.Prefetch = true }},
+		{"+ declared jobs", func(c *system.Config) { c.DeclareJobs = true }},
+		{"+ QoS (stretch 8)", func(c *system.Config) { c.QoSStretch = 8 }},
 	}
 	r := &AblationResult{}
 	r.Table.Header = []string{"configuration", "throughput (q/s)", "mean resp (s)", "p95 resp (s)", "reads", "hit", "extra"}
-	for _, cfg := range configs {
-		row, err := runAblation(s, cfg)
+	for _, ab := range rows {
+		cfg := s.node(AlgJAWS2, s.BatchSize)
+		ab.delta(&cfg)
+		row, err := runAblation(s, ab.name, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +61,7 @@ func Ablations(s Scale) (*AblationResult, error) {
 		if row.Prefetched > 0 {
 			extra = fmt.Sprintf("prefetched=%d", row.Prefetched)
 		}
-		r.Table.AddRow(cfg.name,
+		r.Table.AddRow(ab.name,
 			fmt.Sprintf("%.3f", row.Throughput),
 			fmt.Sprintf("%.2f", row.MeanRespSec),
 			fmt.Sprintf("%.2f", row.P95RespSec),
@@ -81,51 +72,25 @@ func Ablations(s Scale) (*AblationResult, error) {
 	return r, nil
 }
 
-func runAblation(s Scale, cfg ablationConfig) (*AblationRow, error) {
-	st, err := store.Open(store.Config{
-		Space:      s.Space,
-		Steps:      s.Steps,
-		SampleSide: s.SampleSide,
-		Seed:       s.Seed,
-	})
+// runAblation runs one row. It builds the engine itself, on the system's
+// engine config, to keep the scheduler in hand: the QoS row reads its
+// deadline verdicts after the run.
+func runAblation(s Scale, name string, cfg system.Config) (*AblationRow, error) {
+	sys, err := system.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := cache.New(s.CacheAtoms, cache.NewLRUK(2, 0))
-	inner := sched.NewJAWS(sched.JAWSConfig{
-		Cost:          s.Cost,
-		BatchSize:     s.BatchSize,
-		InitialAlpha:  cfg.initialAlpha,
-		Adaptive:      cfg.adaptive,
-		Resident:      c.Contains,
-		NoMortonOrder: cfg.noMorton,
-	})
-	var sc sched.Scheduler = inner
-	var qos *sched.QoS
-	if cfg.qosStretch > 0 {
-		qos = sched.NewQoS(inner, s.Cost, cfg.qosStretch, 2*time.Second)
-		sc = qos
-	}
-	e, err := engine.New(engine.Config{
-		Store:          st,
-		Cache:          c,
-		Sched:          sc,
-		Cost:           s.Cost,
-		JobAware:       cfg.jobAware,
-		RunLength:      s.RunLength,
-		Prefetch:       cfg.prefetch,
-		DeclareUpfront: cfg.declareUpfront,
-		Fault:          fault.New(s.FaultSpec, s.FaultSeed, 0),
-	})
+	sc := sys.NewScheduler()
+	e, err := engine.New(sys.EngineConfig(sc))
 	if err != nil {
 		return nil, err
 	}
-	rep, err := e.Run(s.freshJobs(1))
+	rep, err := e.Run(FreshJobs(s, 1))
 	if err != nil {
 		return nil, err
 	}
 	row := &AblationRow{
-		Name:           cfg.name,
+		Name:           name,
 		Throughput:     rep.ThroughputQPS,
 		MeanRespSec:    rep.MeanResponse.Seconds(),
 		P95RespSec:     rep.P95Response.Seconds(),
@@ -134,8 +99,8 @@ func runAblation(s Scale, cfg ablationConfig) (*AblationRow, error) {
 		DeadlineMisses: -1,
 		Prefetched:     rep.PrefetchedAtoms,
 	}
-	if qos != nil {
-		row.DeadlineMisses = qos.DeadlineMisses()
+	if cfg.QoSStretch > 0 {
+		row.DeadlineMisses = sc.(*sched.JAWS).DeadlineMisses()
 	}
 	return row, nil
 }

@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"jaws/internal/cache"
-	"jaws/internal/engine"
-	"jaws/internal/fault"
 	"jaws/internal/metrics"
-	"jaws/internal/sched"
-	"jaws/internal/store"
 	"jaws/internal/workload"
 )
 
@@ -51,36 +46,7 @@ func AlphaDynamics(s Scale) (*AlphaResult, error) {
 		mk(s.Seed+2, s.Jobs/2, 1),  // saturated burst again
 	}, 10*time.Second)
 
-	st, err := store.Open(store.Config{
-		Space:      s.Space,
-		Steps:      s.Steps,
-		SampleSide: s.SampleSide,
-		Seed:       s.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c := cache.New(s.CacheAtoms, cache.NewLRUK(2, 0))
-	js := sched.NewJAWS(sched.JAWSConfig{
-		Cost:         s.Cost,
-		BatchSize:    s.BatchSize,
-		InitialAlpha: 0.5,
-		Adaptive:     true,
-		Resident:     c.Contains,
-	})
-	e, err := engine.New(engine.Config{
-		Store:     st,
-		Cache:     c,
-		Sched:     js,
-		Cost:      s.Cost,
-		JobAware:  true,
-		RunLength: s.RunLength,
-		Fault:     fault.New(s.FaultSpec, s.FaultSeed, 0),
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.Run(trace.Jobs)
+	rep, err := run(s.node(AlgJAWS2, s.BatchSize), trace.Jobs)
 	if err != nil {
 		return nil, err
 	}

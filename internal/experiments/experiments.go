@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"jaws/internal/cache"
 	"jaws/internal/engine"
 	"jaws/internal/fault"
 	"jaws/internal/geom"
@@ -21,7 +20,7 @@ import (
 	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/sched"
-	"jaws/internal/store"
+	"jaws/internal/system"
 	"jaws/internal/workload"
 )
 
@@ -49,7 +48,7 @@ type Scale struct {
 	// TailPolicy, when non-empty, is a sched.PolicySpec string decorating
 	// the JAWS schedulers (AlgJAWS1/AlgJAWS2) with tail policies. The
 	// other algorithms ignore it. Callers must validate the spec (the
-	// CLIs do at flag-parse time); an invalid spec errors in runOne.
+	// CLIs do at flag-parse time); an invalid spec errors in system.Open.
 	TailPolicy string
 	// Obs, when non-nil, instruments every engine the suite builds
 	// (jawsbench threads its -trace-out/-metrics flags through here).
@@ -119,97 +118,54 @@ func (s Scale) workloadConfig(speedUp float64, seed int64) workload.Config {
 	return cfg
 }
 
-// Algorithm identifies one evaluated configuration (Fig. 10's x axis).
-type Algorithm int
+// Algorithm identifies one evaluated configuration (Fig. 10's x axis): the
+// node description's scheduler, under the paper's name for it.
+type Algorithm = system.Scheduler
 
 const (
-	AlgNoShare Algorithm = iota
-	AlgLifeRaft1
-	AlgLifeRaft2
-	AlgJAWS1
-	AlgJAWS2
+	AlgNoShare   = system.SchedNoShare
+	AlgLifeRaft1 = system.SchedLifeRaft1
+	AlgLifeRaft2 = system.SchedLifeRaft2
+	AlgJAWS1     = system.SchedJAWS1
+	AlgJAWS2     = system.SchedJAWS2
 )
-
-// String names the algorithm as in the paper.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgNoShare:
-		return "NoShare"
-	case AlgLifeRaft1:
-		return "LifeRaft1"
-	case AlgLifeRaft2:
-		return "LifeRaft2"
-	case AlgJAWS1:
-		return "JAWS1"
-	case AlgJAWS2:
-		return "JAWS2"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
 
 // AllAlgorithms lists the Fig. 10 lineup.
 func AllAlgorithms() []Algorithm {
 	return []Algorithm{AlgNoShare, AlgLifeRaft1, AlgLifeRaft2, AlgJAWS1, AlgJAWS2}
 }
 
-// runOne executes the given workload under one algorithm with a fresh
-// store and cache, returning the engine report.
-func runOne(s Scale, alg Algorithm, policy func(capacity int) cache.Policy, jobs []*job.Job, batchSize int) (*engine.Report, error) {
-	st, err := store.Open(store.Config{
+// node describes the node every experiment runs on, under one algorithm
+// with batch size k (α₀ = 0.5, adaptive, LRU-K: the description's defaults).
+// An experiment states its setting as a delta on it.
+func (s Scale) node(alg Algorithm, k int) system.Config {
+	cfg := system.Config{
 		Space:      s.Space,
 		Steps:      s.Steps,
 		SampleSide: s.SampleSide,
 		Seed:       s.Seed,
-	})
+		Scheduler:  alg,
+		BatchSize:  k,
+		CacheAtoms: s.CacheAtoms,
+		Cost:       s.Cost,
+		RunLength:  s.RunLength,
+		Obs:        s.Obs,
+		Fault:      s.FaultSpec,
+		FaultSeed:  s.FaultSeed,
+	}
+	if alg == AlgJAWS1 || alg == AlgJAWS2 {
+		cfg.TailPolicy = s.TailPolicy
+	}
+	return cfg
+}
+
+// run executes jobs on a fresh system built from cfg.
+func run(cfg system.Config, jobs []*job.Job) (*engine.Report, error) {
+	sys, err := system.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = func(capacity int) cache.Policy { return cache.NewLRUK(2, 0) }
-	}
-	c := cache.New(s.CacheAtoms, policy(s.CacheAtoms))
-	var sc sched.Scheduler
-	switch alg {
-	case AlgNoShare:
-		sc = sched.NewNoShare()
-	case AlgLifeRaft1:
-		sc = sched.NewLifeRaft(s.Cost, 1, c.Contains)
-	case AlgLifeRaft2:
-		sc = sched.NewLifeRaft(s.Cost, 0, c.Contains)
-	default:
-		inner := sched.NewJAWS(sched.JAWSConfig{
-			Cost:         s.Cost,
-			BatchSize:    batchSize,
-			InitialAlpha: 0.5,
-			Adaptive:     true,
-			Resident:     c.Contains,
-		})
-		sc = inner
-		if s.TailPolicy != "" {
-			spec, err := sched.ParsePolicySpec(s.TailPolicy)
-			if err != nil {
-				return nil, err
-			}
-			sc = spec.Wrap(inner)
-		}
-	}
-	e, err := engine.New(engine.Config{
-		Store:     st,
-		Cache:     c,
-		Sched:     sc,
-		Cost:      s.Cost,
-		JobAware:  alg == AlgJAWS2,
-		RunLength: s.RunLength,
-		Obs:       s.Obs,
-		Fault:     fault.New(s.FaultSpec, s.FaultSeed, 0),
-		// NoShare shares no I/O across queries (§VI): the cache is
-		// flushed after every query, as in the paper's methodology.
-		FlushPerDecision: alg == AlgNoShare,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(jobs)
+	return sys.Run(jobs)
 }
 
 // FreshJobs re-generates the workload so every run starts from pristine
@@ -219,41 +175,25 @@ func FreshJobs(s Scale, speedUp float64) []*job.Job {
 	return workload.Generate(s.workloadConfig(speedUp, s.Seed)).Jobs
 }
 
-func (s Scale) freshJobs(speedUp float64) []*job.Job { return FreshJobs(s, speedUp) }
-
 // RunAlgorithm executes a fresh speed-up-1 workload under one algorithm
 // with batch size k, using the default LRU-K cache. Exported for the
 // repository's benchmark suite.
 func RunAlgorithm(s Scale, alg Algorithm, k int) (*engine.Report, error) {
-	return runOne(s, alg, nil, s.freshJobs(1), k)
+	return RunAlgorithmOn(s, alg, FreshJobs(s, 1), k)
 }
 
 // RunAlgorithmOn is RunAlgorithm with a caller-provided job list (e.g. a
 // different saturation speed-up).
 func RunAlgorithmOn(s Scale, alg Algorithm, jobs []*job.Job, k int) (*engine.Report, error) {
-	return runOne(s, alg, nil, jobs, k)
+	return run(s.node(alg, k), jobs)
 }
 
-// RunPolicy executes the speed-up-1 workload under JAWS1 with the named
-// cache replacement policy ("lru-k", "slru", "urc", "lru", "fifo").
-func RunPolicy(s Scale, policy string) (*engine.Report, error) {
-	mk := func(capacity int) cache.Policy {
-		switch policy {
-		case "slru":
-			return cache.NewSLRU(capacity, 0.05)
-		case "urc":
-			return cache.NewURC()
-		case "lru":
-			return cache.NewLRU()
-		case "fifo":
-			return cache.NewFIFO()
-		case "2q":
-			return cache.NewTwoQ(capacity)
-		default:
-			return cache.NewLRUK(2, 0)
-		}
-	}
-	return runOne(s, AlgJAWS1, mk, s.freshJobs(1), s.BatchSize)
+// RunPolicy executes the speed-up-1 workload under JAWS1 with the given
+// cache replacement policy.
+func RunPolicy(s Scale, pol system.CachePolicy) (*engine.Report, error) {
+	cfg := s.node(AlgJAWS1, s.BatchSize)
+	cfg.Policy = pol
+	return run(cfg, FreshJobs(s, 1))
 }
 
 // --- Fig. 8: distribution of jobs by execution time ---------------------
@@ -266,7 +206,11 @@ type Fig8Result struct {
 
 // Fig8 reproduces the job-duration distribution.
 func Fig8(s Scale) *Fig8Result {
-	w := workload.Generate(s.workloadConfig(1, s.Seed))
+	return Fig8Of(workload.Generate(s.workloadConfig(1, s.Seed)))
+}
+
+// Fig8Of is Fig8 over a given trace (cmd/traceinfo summarizes saved ones).
+func Fig8Of(w *workload.Workload) *Fig8Result {
 	h := metrics.NewHistogram(
 		time.Minute, 30*time.Minute, time.Hour, 2*time.Hour, 6*time.Hour,
 	)
@@ -329,7 +273,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 	r.Table.Header = []string{"algorithm", "throughput (q/s)", "vs NoShare"}
 	var base float64
 	for _, alg := range AllAlgorithms() {
-		rep, err := runOne(s, alg, nil, s.freshJobs(1), s.BatchSize)
+		rep, err := RunAlgorithm(s, alg, s.BatchSize)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +339,7 @@ func Fig11(s Scale, speedUps []float64) (*Fig11Result, error) {
 			wg.Add(1)
 			go func(idx int, su float64, alg Algorithm) {
 				defer wg.Done()
-				rep, err := runOne(s, alg, nil, s.freshJobs(su), s.BatchSize)
+				rep, err := RunAlgorithmOn(s, alg, FreshJobs(s, su), s.BatchSize)
 				if err != nil {
 					grid[idx] = cell{err: err}
 					return
@@ -466,7 +410,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		base, err := runOne(s, AlgLifeRaft2, nil, s.freshJobs(1), 1)
+		base, err := RunAlgorithm(s, AlgLifeRaft2, 1)
 		if err != nil {
 			baseErr = err
 			return
@@ -477,7 +421,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 		wg.Add(1)
 		go func(i, k int) {
 			defer wg.Done()
-			rep, err := runOne(s, AlgJAWS2, nil, s.freshJobs(1), k)
+			rep, err := RunAlgorithm(s, AlgJAWS2, k)
 			if err != nil {
 				slots[i] = slot{err: err}
 				return
@@ -522,31 +466,19 @@ type Table1Result struct {
 // replacement studied without the job-aware variable), plus the LRU and
 // FIFO ablations.
 func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
-	type entry struct {
-		name string
-		mk   func(capacity int) cache.Policy
-	}
-	entries := []entry{
-		{"LRU-K", func(int) cache.Policy { return cache.NewLRUK(2, 0) }},
-		{"SLRU", func(capacity int) cache.Policy { return cache.NewSLRU(capacity, 0.05) }},
-		{"URC", func(int) cache.Policy { return cache.NewURC() }},
-	}
+	policies := []system.CachePolicy{system.PolicyLRUK, system.PolicySLRU, system.PolicyURC}
 	if includeAblations {
-		entries = append(entries,
-			entry{"2Q", func(capacity int) cache.Policy { return cache.NewTwoQ(capacity) }},
-			entry{"LRU", func(int) cache.Policy { return cache.NewLRU() }},
-			entry{"FIFO", func(int) cache.Policy { return cache.NewFIFO() }},
-		)
+		policies = append(policies, system.PolicyTwoQ, system.PolicyLRU, system.PolicyFIFO)
 	}
 	r := &Table1Result{}
 	r.Table.Header = []string{"policy", "cache hit", "sec/qry", "overhead/qry"}
-	for _, en := range entries {
-		rep, err := runOne(s, AlgJAWS1, en.mk, s.freshJobs(1), s.BatchSize)
+	for _, pol := range policies {
+		rep, err := RunPolicy(s, pol)
 		if err != nil {
 			return nil, err
 		}
 		row := Table1Row{
-			Policy:    en.name,
+			Policy:    pol.String(),
 			CacheHit:  rep.CacheStats.HitRatio(),
 			SecPerQry: rep.Elapsed.Seconds() / float64(rep.Completed),
 		}
@@ -554,7 +486,7 @@ func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
 			row.OverheadQry = rep.CacheStats.PolicyTime / time.Duration(rep.Completed)
 		}
 		r.Rows = append(r.Rows, row)
-		r.Table.AddRow(en.name,
+		r.Table.AddRow(row.Policy,
 			fmt.Sprintf("%.0f%%", row.CacheHit*100),
 			fmt.Sprintf("%.3f", row.SecPerQry),
 			row.OverheadQry.String())

@@ -20,7 +20,7 @@ func TestChaosSpansConserveAcrossFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := cl.Run(chaosJobs(cfg.Store.Space))
+		rep, err := cl.Run(chaosJobs(cfg.Node.Space))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"jaws/internal/cache"
 	"jaws/internal/cluster"
 	"jaws/internal/fault"
 	"jaws/internal/field"
@@ -23,7 +22,7 @@ import (
 	"jaws/internal/morton"
 	"jaws/internal/query"
 	"jaws/internal/sched"
-	"jaws/internal/store"
+	"jaws/internal/system"
 )
 
 var chaosCost = sched.CostModel{Tb: 40 * time.Millisecond, Tm: 20 * time.Microsecond}
@@ -41,21 +40,22 @@ func chaosConfig(t *testing.T, seed int64) cluster.Config {
 	}
 	return cluster.Config{
 		Nodes: 4,
-		Store: store.Config{
-			Space:      geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
-			Steps:      2,
-			SampleSide: 4,
-			Seed:       3,
+		Node: system.Config{
+			Space:       geom.Space{GridSide: 128, AtomSide: 32}, // 64 atoms/step
+			Steps:       2,
+			SampleSide:  4,
+			Seed:        3,
+			Scheduler:   system.SchedJAWS1,
+			BatchSize:   4,
+			AlphaSet:    true, // α fixed at 0
+			AdaptiveOff: true,
+			Policy:      system.PolicyLRU,
+			CacheAtoms:  8,
+			Cost:        chaosCost,
 		},
-		CacheAtoms: 8,
-		NewPolicy:  func() cache.Policy { return cache.NewLRU() },
-		NewSched: func(c *cache.Cache) sched.Scheduler {
-			return sched.NewJAWS(sched.JAWSConfig{Cost: chaosCost, BatchSize: 4, Resident: c.Contains})
-		},
-		Cost:      chaosCost,
 		Observe:   true,
 		Replicas:  2,
-		FaultSpec: spec,
+		Fault:     spec,
 		FaultSeed: seed,
 	}
 }
@@ -114,7 +114,7 @@ func runChaos(t *testing.T, seed int64) (snapshot, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := chaosJobs(cfg.Store.Space)
+	jobs := chaosJobs(cfg.Node.Space)
 
 	// Expected per-partition query count, from an independent split.
 	expectedServed := 0

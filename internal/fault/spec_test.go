@@ -39,22 +39,22 @@ func TestParseSpecEmpty(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := map[string]string{
-		"frobnicate:p=0.5":             "unknown fault kind",
-		"disk-transient":               "needs p",
-		"disk-transient:p=0":           "needs p",
-		"disk-transient:p=1.5":         "needs p",
-		"disk-transient:p=0.5,at=3s":   "does not take at",
-		"crash:p=0.5,at=1s":            "does not take p",
-		"crash":                        "needs at",
-		"crash@x:at=1s":                "bad node",
-		"crash@-2:at=1s":               "bad node",
-		"disk-slow:p=0.5":              "needs extra",
-		"corrupt:p=0.5,p=0.6":          "duplicate parameter",
-		"corrupt:p":                    "not key=value",
-		"corrupt:p=0.5,zap=1":          "unknown parameter",
+		"frobnicate:p=0.5":                "unknown fault kind",
+		"disk-transient":                  "needs p",
+		"disk-transient:p=0":              "needs p",
+		"disk-transient:p=1.5":            "needs p",
+		"disk-transient:p=0.5,at=3s":      "does not take at",
+		"crash:p=0.5,at=1s":               "does not take p",
+		"crash":                           "needs at",
+		"crash@x:at=1s":                   "bad node",
+		"crash@-2:at=1s":                  "bad node",
+		"disk-slow:p=0.5":                 "needs extra",
+		"corrupt:p=0.5,p=0.6":             "duplicate parameter",
+		"corrupt:p":                       "not key=value",
+		"corrupt:p=0.5,zap=1":             "unknown parameter",
 		"corrupt:p=0.5,after=2s,until=1s": "empty window",
-		"crash:at=-1s":                 "negative duration",
-		"crash:at=bogus":               "parameter at",
+		"crash:at=-1s":                    "negative duration",
+		"crash:at=bogus":                  "parameter at",
 	}
 	for in, want := range bad {
 		_, err := ParseSpec(in)

@@ -124,8 +124,8 @@ type roundRef struct {
 // non-decreasing) plus query → serving-round and query → blocked-round
 // inverted indexes.
 type DecisionIndex struct {
-	byEngine map[int][]DecisionRecord
-	servedAt map[int64][]roundRef
+	byEngine  map[int][]DecisionRecord
+	servedAt  map[int64][]roundRef
 	blockedAt map[int64][]roundRef
 }
 

@@ -14,6 +14,7 @@ import (
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
+	"jaws/internal/system"
 	"jaws/internal/workload"
 )
 
@@ -34,7 +35,8 @@ type CaptureConfig struct {
 	// RunLength is r, queries per adaptation run; zero means 8 (small, so
 	// short runs still exercise OnRunEnd).
 	RunLength int
-	// JobAware enables gated execution.
+	// JobAware enables gated execution (AlgoJAWS only: the node
+	// description's JAWS2).
 	JobAware bool
 	// FaultSpec, when non-empty, schedules deterministic fault injection
 	// (see internal/fault for the grammar); FaultSeed seeds it.
@@ -88,49 +90,49 @@ func Run(cfg CaptureConfig) (*Capture, error) {
 	}
 	wl := workload.Generate(cfg.Workload)
 
-	st, err := store.Open(store.Config{
-		Space: cfg.Workload.Space,
-		Steps: cfg.Workload.Steps,
-		Seed:  cfg.Workload.Seed,
-	})
-	if err != nil {
-		return nil, err
+	spans := obs.NewSpanAgg()
+	node := system.Config{
+		Space:         cfg.Workload.Space,
+		Steps:         cfg.Workload.Steps,
+		Seed:          cfg.Workload.Seed,
+		Scheduler:     cfg.scheduler(),
+		Policy:        system.PolicySLRU,
+		CacheAtoms:    cfg.CacheAtoms,
+		ProtectedFrac: cfg.ProtectedFrac,
+		Cost:          cfg.Params.Cost,
+		RunLength:     cfg.RunLength,
+		Obs:           &obs.Obs{Spans: spans},
+		FaultSeed:     cfg.FaultSeed,
 	}
-	ch := cache.New(cfg.CacheAtoms, cache.NewSLRU(cfg.CacheAtoms, cfg.ProtectedFrac))
-
-	rec := NewRecordingSched(StandardTarget(cfg.Algo, cfg.Params).New(ch.Contains), ch.Contains)
-
-	var inj *fault.Injector
 	if cfg.FaultSpec != "" {
 		spec, err := fault.ParseSpec(cfg.FaultSpec)
 		if err != nil {
 			return nil, err
 		}
-		inj = fault.New(spec, cfg.FaultSeed, 0)
+		node.Fault = spec
 	}
+	sys, err := system.Open(node)
+	if err != nil {
+		return nil, err
+	}
+	ch := sys.Cache()
 
+	// The oracle's own: the scheduler under test is StandardTarget's (α and
+	// policy specs the node description's five names cannot express) inside
+	// a recorder, and the engine reports every decision.
+	rec := NewRecordingSched(StandardTarget(cfg.Algo, cfg.Params).New(ch.Contains), ch.Contains)
 	cap := &Capture{Jobs: wl.Jobs}
-	spans := obs.NewSpanAgg()
-	eng, err := engine.New(engine.Config{
-		Store:    st,
-		Cache:    ch,
-		Sched:    rec,
-		Cost:     cfg.Params.Cost,
-		JobAware: cfg.JobAware,
-		// Upfront declaration makes the gating graph a pure function of the
-		// job set, so the reference ModelGraph's partner sets are exact at
-		// every point of the run (incremental registration would make them
-		// time-dependent); it is also the stronger discipline — queries
-		// genuinely wait for partners from later-arriving jobs.
-		DeclareUpfront:   cfg.JobAware,
-		RunLength:        cfg.RunLength,
-		FlushPerDecision: cfg.Algo == AlgoNoShare,
-		Obs:              &obs.Obs{Spans: spans},
-		Fault:            inj,
-		OnDecision: func(now time.Duration, batches []sched.Batch) {
-			cap.Decisions = append(cap.Decisions, Decision{Now: now, Batches: rec.Snapshot(batches)})
-		},
-	})
+	ec := sys.EngineConfig(rec)
+	// Upfront declaration makes the gating graph a pure function of the
+	// job set, so the reference ModelGraph's partner sets are exact at
+	// every point of the run (incremental registration would make them
+	// time-dependent); it is also the stronger discipline — queries
+	// genuinely wait for partners from later-arriving jobs.
+	ec.DeclareUpfront = cfg.JobAware
+	ec.OnDecision = func(now time.Duration, batches []sched.Batch) {
+		cap.Decisions = append(cap.Decisions, Decision{Now: now, Batches: rec.Snapshot(batches)})
+	}
+	eng, err := engine.New(ec)
 	if err != nil {
 		return nil, err
 	}
@@ -140,9 +142,23 @@ func Run(cfg CaptureConfig) (*Capture, error) {
 	cap.CacheStats = ch.Stats()
 	cap.CacheLen = ch.Len()
 	if cfg.JobAware {
-		cap.Partners = referencePartners(wl.Jobs, st.Space())
+		cap.Partners = referencePartners(wl.Jobs, node.Space)
 	}
 	return cap, nil
+}
+
+// scheduler is the node description's name for the algorithm under test;
+// the engine reads of it whether to flush per decision and whether to gate.
+func (cfg CaptureConfig) scheduler() system.Scheduler {
+	switch {
+	case cfg.Algo == AlgoNoShare:
+		return system.SchedNoShare
+	case cfg.Algo == AlgoLifeRaft:
+		return system.SchedLifeRaft2
+	case cfg.JobAware:
+		return system.SchedJAWS2
+	}
+	return system.SchedJAWS1
 }
 
 // referencePartners derives each gated query's co-scheduled partner set

@@ -73,11 +73,22 @@ func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration)
 }
 
 // DeadlineMisses reports how many queries had their final atom served
-// after their completion-time bound.
-func (s *QoS) DeadlineMisses() int { return s.qos.missed }
+// after their completion-time bound (0 without QoS installed).
+func (s *JAWS) DeadlineMisses() int {
+	if s.qos == nil {
+		return 0
+	}
+	return s.qos.missed
+}
 
-// DeadlinesMet reports how many queries finished within their bound.
-func (s *QoS) DeadlinesMet() int { return s.qos.met }
+// DeadlinesMet reports how many queries finished within their bound (0
+// without QoS installed).
+func (s *JAWS) DeadlinesMet() int {
+	if s.qos == nil {
+		return 0
+	}
+	return s.qos.met
+}
 
 // admit fixes a query's deadline at its first sub-query, from the isolated
 // service-time estimate of that sub-query's shape: atoms × T_b plus

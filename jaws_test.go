@@ -31,24 +31,6 @@ func smallWorkload(seed int64, jobs int) *Workload {
 	})
 }
 
-func TestOpenDefaults(t *testing.T) {
-	sys, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Store().Steps() != 31 {
-		t.Fatalf("default steps = %d, want 31", sys.Store().Steps())
-	}
-}
-
-func TestOpenRejectsBadPolicy(t *testing.T) {
-	cfg := smallConfig(SchedJAWS2)
-	cfg.Policy = CachePolicy(99)
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestEndToEndAllSchedulers(t *testing.T) {
 	w := smallWorkload(5, 30)
 	total := w.TotalQueries()
@@ -134,6 +116,63 @@ func TestRunCluster(t *testing.T) {
 	}
 	if rep.AggregateThroughput <= 0 {
 		t.Fatal("no aggregate throughput")
+	}
+}
+
+// A cluster node is the single node: built from the same description
+// through the same assembler, a one-node cluster's node report equals
+// Open(cfg).Run's under every scheduler and every setting the description
+// carries (before internal/system, RunCluster wired its nodes by hand, so
+// NoShare shared I/O there and tail policies, QoS and prefetch were
+// dropped).
+func TestOneNodeClusterEqualsSingleNode(t *testing.T) {
+	cases := map[string]Config{}
+	for _, s := range []Scheduler{SchedNoShare, SchedLifeRaft1, SchedLifeRaft2, SchedJAWS1, SchedJAWS2} {
+		cases[s.String()] = smallConfig(s)
+	}
+	tail := smallConfig(SchedJAWS2)
+	tail.TailPolicy = "gate-aware;adaptive-batch"
+	qos := smallConfig(SchedJAWS2)
+	qos.QoSStretch = 8
+	prefetch := smallConfig(SchedJAWS2)
+	prefetch.Prefetch = true
+	cases["JAWS2+tail"], cases["JAWS2+QoS"], cases["JAWS2+prefetch"] = tail, qos, prefetch
+
+	for name, cfg := range cases {
+		sys, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := sys.Run(smallWorkload(5, 30).Jobs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		crep, err := RunCluster(ClusterConfig{Nodes: 1, Node: cfg}, smallWorkload(5, 30).Jobs)
+		if err != nil {
+			t.Fatalf("%s: cluster: %v", name, err)
+		}
+		if len(crep.PerNode) != 1 {
+			t.Fatalf("%s: %d node reports, want 1", name, len(crep.PerNode))
+		}
+		got := crep.PerNode[0].Report
+		ws, gs := want.CacheStats, got.CacheStats
+		if got.Scheduler != want.Scheduler || got.Completed != want.Completed || got.Elapsed != want.Elapsed ||
+			got.DiskStats != want.DiskStats || got.PrefetchedAtoms != want.PrefetchedAtoms ||
+			gs.Hits != ws.Hits || gs.Misses != ws.Misses || gs.Evictions != ws.Evictions {
+			t.Errorf("%s: cluster node diverged from the single node:\n node   %s: %d queries in %v, %+v, %d/%d/%d hit/miss/evict\n single %s: %d queries in %v, %+v, %d/%d/%d",
+				name, got.Scheduler, got.Completed, got.Elapsed, got.DiskStats, gs.Hits, gs.Misses, gs.Evictions,
+				want.Scheduler, want.Completed, want.Elapsed, want.DiskStats, ws.Hits, ws.Misses, ws.Evictions)
+		}
+	}
+
+	// A description Open rejects, RunCluster rejects: per node, at run time.
+	bad := smallConfig(SchedLifeRaft2)
+	bad.TailPolicy = "gate-aware"
+	if _, err := Open(bad); err == nil {
+		t.Fatal("TailPolicy on a non-JAWS scheduler accepted by Open")
+	}
+	if _, err := RunCluster(ClusterConfig{Nodes: 1, Node: bad}, smallWorkload(5, 4).Jobs); err == nil {
+		t.Fatal("TailPolicy on a non-JAWS node accepted by RunCluster")
 	}
 }
 
