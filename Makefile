@@ -116,10 +116,12 @@ check-prop:
 ## repetition shows a rare one (map growth, a pool refill) — and the
 ## serving layer's wire-codec and handler pins, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
-## engine's frame pins (a miss at capacity allocates the atom handle and no
-## sample buffer; a URC utility push allocates nothing), its query-frame
-## pins (a dispatch into a recycled frame allocates nothing; a bulk request
-## on a session, Submit to Release, its Submit argument) and the admission
+## engine's frame pins (a miss at capacity allocates nothing — the handle
+## and the sample buffer are an evicted atom's; a URC utility push allocates
+## nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
+## of a returning and of a never-seen atom, allocate nothing), the engine's
+## query-frame pins (a dispatch into a recycled frame allocates nothing; a
+## bulk request on a session, Submit to Release, its Submit argument) and the admission
 ## pins (registering a job allocates at most a member array per admitted
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
 ## query's gate re-check and the event list nothing).
@@ -127,6 +129,7 @@ check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
 	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
 
@@ -148,11 +151,16 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
 	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
+	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
-## overhead (compare against a pre-change baseline).
+## overhead (compare against a pre-change baseline), and the eviction
+## index against the reference's scan as the resident set grows (both
+## columns from this one tree: the ref rows run the scan kept in
+## lruk_ref_test.go).
 bench-sched:
 	$(GO) test -run xxx -bench BenchmarkFig10Schedulers -benchtime 2x .
+	$(GO) test -run xxx -bench BenchmarkLRUKMiss -benchtime 20000x ./internal/cache/
 
 ## bench: measure this tree into a versioned BENCH_*.json artifact
 ## (byte-deterministic for a fixed config; see DESIGN.md §11).

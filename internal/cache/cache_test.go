@@ -498,7 +498,7 @@ func TestLRUKRetainedHistory(t *testing.T) {
 	c2.Get(id(0, 7))      // rich history
 	c2.Put(id(0, 8), nil) // evicts 7
 	c2.Put(id(0, 7), nil) // 7 returns: now has ≥2 refs counting history
-	if len(p2.hist[id(0, 7)]) < 2 {
+	if len(p2.history(id(0, 7))) < 2 {
 		t.Fatal("reference history not retained across eviction")
 	}
 }

@@ -22,14 +22,41 @@ import (
 //     is recognized as hot instead of being treated as brand new (without
 //     this the cache freezes on early two-reference atoms and thrashes
 //     every newcomer).
+//
+// The state lives on tables the policy owns (DESIGN.md §6, "Eviction
+// index"): an atom with history has a slot — a record in recs and k
+// places in hist — and the resident slots sit in a binary min-heap on the
+// victim order, so a touch sifts one slot and Victim reads the root.
 type LRUK struct {
 	k          int
 	correlated int64 // correlated reference period in ticks
 	retain     int64 // retained-history period in ticks
 	clock      int64
-	hist       map[store.AtomID][]int64 // most recent first, len ≤ k
-	resident   map[store.AtomID]bool
+
+	slot map[store.AtomID]int32 // every atom with history → its slot
+	recs []lrukRec
+	hist []int64     // slot s's references at hist[s*k:][:recs[s].n], most recent first
+	heap []lrukEntry // the resident slots, least (the next victim) first
+	free []int32     // slots whose history aged out
 }
+
+// lrukRec is one slot: a free one has n 0, a non-resident one pos -1.
+type lrukRec struct {
+	id  store.AtomID
+	n   int32 // references held, ≤ k
+	pos int32 // index in heap
+}
+
+// lrukEntry is a resident slot in the heap beside its place in the victim
+// order (rank), so a comparison reads the heap alone.
+type lrukEntry struct {
+	rank int64
+	slot int32
+}
+
+// fullHistory is set in the rank of a slot that holds all k references;
+// reference times stay below it.
+const fullHistory = 1 << 62
 
 // DefaultRetain is the retained-information period (in reference ticks)
 // used when NewLRUK is given retain ≤ 0.
@@ -45,32 +72,48 @@ func NewLRUK(k int, correlated int64) *LRUK {
 		k:          k,
 		correlated: correlated,
 		retain:     DefaultRetain,
-		hist:       make(map[store.AtomID][]int64),
-		resident:   make(map[store.AtomID]bool),
+		slot:       make(map[store.AtomID]int32),
 	}
 }
 
 // Name implements Policy.
 func (p *LRUK) Name() string { return "lru-k" }
 
-func (p *LRUK) touch(id store.AtomID) {
+// slotOf returns id's slot, giving it an empty one — a vacated slot before
+// a new one — when it has no history.
+func (p *LRUK) slotOf(id store.AtomID) int32 {
+	if s, ok := p.slot[id]; ok {
+		return s
+	}
+	var s int32
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		s = int32(len(p.recs))
+		p.recs = append(p.recs, lrukRec{})
+		p.hist = append(p.hist, make([]int64, p.k)...)
+	}
+	p.recs[s] = lrukRec{id: id, pos: -1}
+	p.slot[id] = s
+	return s
+}
+
+// touch records a reference to slot s's atom, which leaves a resident slot
+// out of heap order: the caller sifts it.
+func (p *LRUK) touch(s int32) {
 	p.clock++
-	h := p.hist[id]
-	if len(h) > 0 && p.correlated > 0 && p.clock-h[0] <= p.correlated {
+	r := &p.recs[s]
+	h := p.hist[int(s)*p.k:][:p.k]
+	if r.n > 0 && p.correlated > 0 && p.clock-h[0] <= p.correlated {
 		// Correlated reference: update the most recent time only.
 		h[0] = p.clock
 		return
 	}
-	// Shift the history down one place inside the atom's own array, which
-	// is allocated once, with room for all k references.
-	if h == nil {
-		h = make([]int64, 0, p.k)
+	if int(r.n) < p.k {
+		r.n++
 	}
-	if len(h) < p.k {
-		h = h[:len(h)+1]
-		p.hist[id] = h
-	}
-	copy(h[1:], h)
+	copy(h[1:r.n], h)
 	h[0] = p.clock
 	if p.clock%512 == 0 {
 		p.gc()
@@ -78,61 +121,124 @@ func (p *LRUK) touch(id store.AtomID) {
 }
 
 // gc drops retained history of non-resident atoms whose last reference is
-// older than the retention period, bounding memory.
+// older than the retention period, bounding memory: their slots go on the
+// free list.
 func (p *LRUK) gc() {
-	for id, h := range p.hist {
-		if !p.resident[id] && p.clock-h[0] > p.retain {
-			delete(p.hist, id)
+	for s := range p.recs {
+		r := &p.recs[s]
+		if r.n > 0 && r.pos < 0 && p.clock-p.hist[s*p.k] > p.retain {
+			delete(p.slot, r.id)
+			r.n = 0
+			p.free = append(p.free, int32(s))
 		}
 	}
 }
 
+// rank places slot s in the victim order: an atom short of k references
+// (infinite backward K-distance) before a full one, then the older k-th —
+// for a short history, oldest known — reference.
+func (p *LRUK) rank(s int32) int64 {
+	n := int(p.recs[s].n)
+	rank := p.hist[int(s)*p.k+n-1]
+	if n == p.k {
+		rank |= fullHistory
+	}
+	return rank
+}
+
+// less is the victim order: by rank, then by the lower key. Distinct atoms
+// have distinct keys, so the order is strict and total, and the heap's root
+// is the one atom a scan of the residents for the minimum would find.
+func (p *LRUK) less(a, b lrukEntry) bool {
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return p.recs[a.slot].id.Key() < p.recs[b.slot].id.Key()
+}
+
+// place puts e at heap index i.
+func (p *LRUK) place(i int, e lrukEntry) {
+	p.heap[i] = e
+	p.recs[e.slot].pos = int32(i)
+}
+
+// sift ranks the slot at heap index i anew — it is the one entry whose
+// history may have changed — and restores heap order around it, moving it up
+// or down as far as it must go.
+func (p *LRUK) sift(i int) {
+	e := p.heap[i]
+	e.rank = p.rank(e.slot)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.less(e, p.heap[parent]) {
+			break
+		}
+		p.place(i, p.heap[parent])
+		i = parent
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(p.heap) {
+			break
+		}
+		if c+1 < len(p.heap) && p.less(p.heap[c+1], p.heap[c]) {
+			c++
+		}
+		if !p.less(p.heap[c], e) {
+			break
+		}
+		p.place(i, p.heap[c])
+		i = c
+	}
+	p.place(i, e)
+}
+
 // OnHit implements Policy.
-func (p *LRUK) OnHit(id store.AtomID) { p.touch(id) }
+func (p *LRUK) OnHit(id store.AtomID) {
+	s := p.slotOf(id)
+	p.touch(s)
+	if pos := p.recs[s].pos; pos >= 0 {
+		p.sift(int(pos))
+	}
+}
 
 // OnInsert implements Policy.
 func (p *LRUK) OnInsert(id store.AtomID) {
-	p.resident[id] = true
-	p.touch(id)
+	s := p.slotOf(id)
+	p.touch(s)
+	pos := int(p.recs[s].pos)
+	if pos < 0 {
+		pos = len(p.heap)
+		p.heap = append(p.heap, lrukEntry{slot: s})
+	}
+	p.sift(pos)
 }
 
 // Victim implements Policy: the resident atom with maximum backward
 // K-distance.
 func (p *LRUK) Victim() store.AtomID {
-	var victim store.AtomID
-	victimKth := int64(1<<62 - 1)
-	victimShort := false // victim has < k references
-	first := true
-	for id := range p.resident {
-		h := p.hist[id]
-		short := len(h) < p.k
-		var kth int64
-		if short {
-			kth = h[len(h)-1] // oldest known reference
-		} else {
-			kth = h[p.k-1]
-		}
-		better := false
-		switch {
-		case first:
-			better = true
-		case short && !victimShort:
-			better = true // infinite distance beats finite
-		case short == victimShort && kth < victimKth:
-			better = true
-		case short == victimShort && kth == victimKth && id.Key() < victim.Key():
-			better = true // deterministic tie-break for reproducible runs
-		}
-		if better {
-			victim, victimKth, victimShort, first = id, kth, short, false
-		}
+	if len(p.heap) == 0 {
+		return store.AtomID{}
 	}
-	return victim
+	return p.recs[p.heap[0].slot].id
 }
 
 // OnEvict implements Policy. The reference history is retained (up to the
 // retention period) so returning atoms keep their hotness.
-func (p *LRUK) OnEvict(id store.AtomID) { delete(p.resident, id) }
+func (p *LRUK) OnEvict(id store.AtomID) {
+	s, ok := p.slot[id]
+	if !ok || p.recs[s].pos < 0 {
+		return
+	}
+	i, last := int(p.recs[s].pos), len(p.heap)-1
+	p.recs[s].pos = -1
+	moved := p.heap[last]
+	p.heap = p.heap[:last]
+	if i < last {
+		p.heap[i] = moved
+		p.sift(i)
+	}
+}
 
 // EndRun implements Policy (no-op).
 func (p *LRUK) EndRun() {}

@@ -374,16 +374,19 @@ type Engine struct {
 	// The frame lifecycle (DESIGN.md §19). An atom arrives from the store
 	// unfilled and is filled when it is first a batch's primary; when the
 	// cache evicts it, it is retired; when the decision in hand ends, the
-	// retired atoms' sample buffers become free for later fills. Not
-	// sooner: execute fetches every primary before it evaluates any, so
-	// an atom in atomBuf may be evicted, retired, and still filled and read
-	// by its batch. Both lists belong to the simulation goroutine. free
-	// holds at most the cache's capacity: every buffer was a resident
-	// atom's or is about to be one's, so buffers cached, free and retired
-	// never exceed that capacity plus one decision's evictions.
-	retired []*field.Atom
-	free    [][]float64
-	flushed []any // FlushPerDecision's scratch: what Cache.Flush dropped
+	// retired atoms' sample buffers become free for later fills and their
+	// handles for later reads. Not sooner: execute fetches every primary
+	// before it evaluates any, so an atom in atomBuf may be evicted,
+	// retired, and still filled and read by its batch; once atomBuf is
+	// cleared nothing of the engine's holds it. The lists belong to the
+	// simulation goroutine. free and freeAtoms each hold at most the
+	// cache's capacity: every buffer and handle was a resident atom's or is
+	// about to be one's, so those cached, free and retired never exceed
+	// that capacity plus one decision's evictions.
+	retired   []*field.Atom
+	free      [][]float64
+	freeAtoms []*field.Atom
+	flushed   []any // FlushPerDecision's scratch: what Cache.Flush dropped
 	// fills counts the syntheses this engine performed (at most one per
 	// store read; none with Compute off).
 	fills int64
@@ -893,7 +896,7 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 	e.retire(v) // a hit the integrity hook dropped
 	backoff := e.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		a, cost, err := e.cfg.Store.Read(id)
+		a, cost, err := e.readFrame(id)
 		e.advance(cost, causeDisk) // on error, cost is the failure-detection latency
 		if err == nil {
 			e.putAtom(id, a)
@@ -913,6 +916,17 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 	}
 }
 
+// readFrame reads id from the store, into a free handle when there is one;
+// a read that fails leaves the handle free.
+func (e *Engine) readFrame(id store.AtomID) (*field.Atom, time.Duration, error) {
+	frame, _ := pop(&e.freeAtoms)
+	a, cost, err := e.cfg.Store.ReadInto(id, frame)
+	if err != nil && frame != nil {
+		e.freeAtoms = append(e.freeAtoms, frame)
+	}
+	return a, cost, err
+}
+
 // putAtom makes a resident and retires the atom this displaced, if any.
 func (e *Engine) putAtom(id store.AtomID, a *field.Atom) {
 	e.retire(e.cfg.Cache.Put(id, a))
@@ -926,12 +940,17 @@ func (e *Engine) retire(v any) {
 	}
 }
 
-// freeRetired ends the retired atoms' hold on their sample buffers: no
-// batch of the decision that evicted them can read them any more.
+// freeRetired frees the retired atoms' sample buffers and then their
+// handles: no batch of the decision that evicted them can read them any
+// more, and atomBuf, the last place that could list them, is empty.
 func (e *Engine) freeRetired() {
+	limit := e.cfg.Cache.Capacity()
 	for i, a := range e.retired {
-		if buf := a.Release(); buf != nil && len(e.free) < e.cfg.Cache.Capacity() {
+		if buf := a.Release(); buf != nil && len(e.free) < limit {
 			e.free = append(e.free, buf)
+		}
+		if len(e.freeAtoms) < limit {
+			e.freeAtoms = append(e.freeAtoms, a)
 		}
 		e.retired[i] = nil
 	}
@@ -1108,7 +1127,7 @@ func (e *Engine) prefetchFor(j *job.Job, q *query.Query) {
 		if e.cfg.Cache.Contains(id) || !e.cfg.Store.Contains(id) {
 			continue
 		}
-		a, cost, err := e.cfg.Store.Read(id)
+		a, cost, err := e.readFrame(id)
 		if err != nil {
 			continue
 		}

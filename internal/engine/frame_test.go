@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jaws/internal/cache"
+	"jaws/internal/fault"
 	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/job"
@@ -399,6 +400,95 @@ func TestComputeOffNeverFills(t *testing.T) {
 	})
 }
 
+// TestRecycledHandleServesOnlyItsAtom: an evicted atom's handle is free
+// from the end of the decision that evicted it, and the next store read —
+// a miss, a prefetch, a retry after a transient fault — overwrites it. What
+// is then evaluated on it must be the new atom, bit for bit what a handle
+// fresh from Store.Read gives, and nothing of the atom it was.
+func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
+	// setup runs three one-atom queries through a cache of two — the third
+	// evicts the first — and returns the engine with that one handle free.
+	setup := func(t *testing.T, opts ...func(*Config)) (*Engine, *store.Store, *cache.Cache, *field.Atom) {
+		s := frameStore(t, 4, 2)
+		c := cache.New(2, cache.NewLRUK(2, 0))
+		opts = append([]func(*Config){func(cfg *Config) {
+			cfg.Cache = c
+			cfg.Compute = true
+			cfg.KeepResults = true
+			cfg.Parallelism = 1
+		}}, opts...)
+		e := newEngine(t, s, sched.NewNoShare(), false, opts...)
+		for i := uint32(0); i < 3; i++ {
+			decide(t, e, &query.Query{ID: query.ID(i + 1), JobID: int64(i + 1), Step: 0, Points: centrePoints(s, i, 1, 1, 10), Kernel: field.KernelLag4})
+		}
+		if len(e.freeAtoms) != 1 || e.freeAtoms[0].Filled() || c.Stats().Evictions != 1 {
+			t.Fatalf("set-up: %d free handles after %d evictions, want one, released", len(e.freeAtoms), c.Stats().Evictions)
+		}
+		return e, s, c, e.freeAtoms[0]
+	}
+	// evaluate runs a query on atom (i,j,k) of the step and checks that the
+	// atom sits in handle h and every result of the run against fresh reads.
+	evaluate := func(t *testing.T, e *Engine, s *store.Store, c *cache.Cache, h *field.Atom, step int, i, j, k uint32) {
+		t.Helper()
+		id := store.AtomID{Step: step, Code: geom.AtomCoord{I: i, J: j, K: k}.Code()}
+		decide(t, e, &query.Query{ID: 100, JobID: 100, Step: step, Points: centrePoints(s, i, j, k, 10), Kernel: field.KernelLag4})
+		if v, ok := c.Get(id); !ok || v.(*field.Atom) != h {
+			t.Fatalf("%v resident %v in handle %p, want the recycled %p", id, ok, v, h)
+		}
+		if !h.Filled() {
+			t.Fatal("the recycled handle was not evaluated on")
+		}
+		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+	}
+
+	t.Run("miss", func(t *testing.T) {
+		e, s, c, h := setup(t)
+		evaluate(t, e, s, c, h, 2, 3, 2, 2)
+		// The miss evicted in its turn: that handle is free now, h is not.
+		if len(e.freeAtoms) != 1 || e.freeAtoms[0] == h {
+			t.Fatalf("free handles %p with %p resident, want one other than it", e.freeAtoms, h)
+		}
+	})
+
+	t.Run("prefetch", func(t *testing.T) {
+		e, s, c, h := setup(t, func(cfg *Config) { cfg.Prefetch = true })
+		// A job drifting one atom and one step per query: after (0,2,2) at
+		// step 1 and (1,2,2) at step 2 the predictor names (2,2,2) at step 3.
+		j := &job.Job{ID: 9, User: 1, Type: job.Ordered, ThinkTime: time.Second}
+		e.predictor.Observe(j.ID, &query.Query{ID: 10, JobID: j.ID, Step: 1, Points: centrePoints(s, 0, 2, 2, 10)})
+		e.prefetchFor(j, &query.Query{ID: 11, JobID: j.ID, Seq: 1, Step: 2, Points: centrePoints(s, 1, 2, 2, 10)})
+		if e.prefetched == 0 || h.Filled() {
+			t.Fatalf("%d atoms prefetched, the handle filled %v: want a prefetch into the free handle, unfilled", e.prefetched, h.Filled())
+		}
+		evaluate(t, e, s, c, h, 3, 2, 2, 2)
+	})
+
+	t.Run("retry", func(t *testing.T) {
+		e, s, c, h := setup(t)
+		failures := 2
+		s.SetFault(func(addr, size int64) (time.Duration, error) {
+			if failures > 0 {
+				failures--
+				return time.Millisecond, fault.ErrDiskTransient
+			}
+			return 0, nil
+		})
+		evaluate(t, e, s, c, h, 2, 3, 2, 2)
+		if e.report.Retries != 2 {
+			t.Fatalf("%d retries, want 2", e.report.Retries)
+		}
+		// A read that fails for good leaves the handle it was given free.
+		free := len(e.freeAtoms)
+		s.SetFault(func(addr, size int64) (time.Duration, error) { return 0, fault.ErrDiskPermanent })
+		if _, err := e.readAtom(store.AtomID{Step: 1, Code: 0}); err == nil {
+			t.Fatal("a permanent fault read an atom")
+		}
+		if free == 0 || len(e.freeAtoms) != free {
+			t.Fatalf("%d free handles before the failed read, %d after", free, len(e.freeAtoms))
+		}
+	})
+}
+
 // missCycle returns the steady state of a miss at capacity on a warmed
 // engine: every call reads an atom that is not resident, which evicts one,
 // fills it as a batch would, and ends the decision.
@@ -424,13 +514,14 @@ func missCycle(t testing.TB, side int) (step func(), e *Engine) {
 	return step, e
 }
 
-// TestReadMissAllocs pins the miss path at capacity to the frame's handle:
-// the samples go into an evicted atom's buffer.
+// TestReadMissAllocs pins the miss path at capacity to nothing: the atom
+// goes into an evicted atom's handle, its samples into an evicted atom's
+// buffer, and the policy's index moves in place.
 func TestReadMissAllocs(t *testing.T) {
 	step, e := missCycle(t, 8)
 	fills := e.fills
-	if n := testing.AllocsPerRun(200, step); n > 1 {
-		t.Errorf("a miss at capacity: %v allocs, want at most the atom handle", n)
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("a miss at capacity: %v allocs, want 0", n)
 	}
 	if e.fills-fills < 200 {
 		t.Fatalf("%d fills in 200 misses", e.fills-fills)
@@ -442,8 +533,8 @@ func TestReadMissAllocs(t *testing.T) {
 		step()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256 {
-		t.Errorf("a miss at capacity: %d B allocated, want under 256 (no sample buffer)", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 96 {
+		t.Errorf("a miss at capacity: %d B allocated, want under 96 (no handle, no sample buffer)", per)
 	}
 }
 

@@ -167,13 +167,24 @@ func (f *Field) SampleGhost(step int, space geom.Space, ac geom.AtomCoord, side,
 
 // Frame returns the atom SampleGhost would, unfilled.
 func (f *Field) Frame(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
+	return f.FrameInto(nil, step, space, ac, side, ghost)
+}
+
+// FrameInto is Frame on a handle the caller gives, which nothing else may
+// still hold: a is overwritten whole, so no recipe and no sample of the
+// atom it was survives in it. A nil a is allocated.
+func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	if side <= 0 {
 		side = 8
 	}
 	if ghost < 0 {
 		ghost = 0
 	}
-	return &Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac}
+	if a == nil {
+		a = new(Atom)
+	}
+	*a = Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac}
+	return a
 }
 
 // Filled reports whether the atom's samples are materialized.
@@ -204,7 +215,11 @@ func (a *Atom) synthesize(buf []float64) {
 
 // Release detaches the sample array and returns it for reuse (nil from an
 // unfilled atom). The atom is a frame again: a holder that still uses it
-// pays a second synthesis, never reads another atom's samples.
+// pays a second synthesis, never reads another atom's samples — for as
+// long as the handle is this atom's. The engine releases an atom at the end
+// of the decision in which the cache displaced it and from then on may hand
+// the handle to FrameInto, so a handle is valid until that point and no
+// further.
 func (a *Atom) Release() []float64 {
 	buf := a.Data
 	a.Data = nil

@@ -226,6 +226,16 @@ func TestFrameLifecycle(t *testing.T) {
 	if &a.Data[0] == &small[0] {
 		t.Fatal("Fill used a buffer smaller than the atom")
 	}
+
+	// The handle taken over for another atom, filled as it is: nothing of
+	// the atom it was is left, and it evaluates as a frame of its own does.
+	bc := geom.AtomCoord{I: 3, J: 0, K: 1}
+	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.Filled() || a.Ghost != 0 {
+		t.Fatalf("FrameInto returned %p for %p, filled %v, halo %d; want the handle itself, unfilled, as described", b, a, a.Filled(), a.Ghost)
+	}
+	want = f.SampleGhost(2, s, bc, 4, 0)
+	a.Fill(nil)
+	same("taken over for another atom")
 }
 
 func TestNominalAtomBytes(t *testing.T) {

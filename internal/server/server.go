@@ -368,12 +368,24 @@ func (s *Server) serveTask(t task) {
 		t.respc <- taskOutcome{res: r}
 	case <-t.ctx.Done():
 		t.rs.Mark(obs.ReqExecute)
-		s.unwait(id)
+		s.abandon(id, ch)
 		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
 	case <-b.dead:
 		t.rs.Mark(obs.ReqExecute)
-		s.unwait(id)
+		s.abandon(id, ch)
 		t.respc <- taskOutcome{status: http.StatusBadGateway, err: b.be.Err()}
+	}
+}
+
+// abandon ends the wait on ch, registered for id, without its result. When
+// drain took the channel first — the result and the deadline, or the
+// backend's death, came together — the result is in ch or on its way there
+// and this worker is the only goroutine left to see it: it is late like one
+// drain finds no waiter for, and released and counted here.
+func (s *Server) abandon(id jaws.QueryID, ch chan *jaws.QueryResult) {
+	if s.unwait(id) == nil {
+		(<-ch).Release()
+		s.late.Inc()
 	}
 }
 

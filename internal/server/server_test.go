@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -285,6 +287,56 @@ func TestLateResultReleased(t *testing.T) {
 	if len(be.passed) != 2 || be.passed[0] != be.passed[1] {
 		t.Fatalf("results passed: %p; want the late result released and handed to the next query", be.passed)
 	}
+}
+
+// deadlineBackend answers every query at the instant its request's deadline
+// passes: Submit cancels the request in hand and completes it at once, so
+// the worker comes to its select with the deadline ready and the result in
+// drain's hands or already through them.
+type deadlineBackend struct {
+	*fakeBackend
+	cancel func() // the request in hand; requests come one at a time
+}
+
+func (b *deadlineBackend) Submit(jobs ...*jaws.Job) error {
+	b.cancel()
+	err := b.fakeBackend.Submit(jobs...)
+	runtime.Gosched() // drain's turn: more often than not it gets the result through first
+	return err
+}
+
+// TestResultAtDeadlineAccounted: when a result and the deadline are ready
+// together, whichever the worker's select takes, the request gets one
+// answer and the result one reader — the handler (200), or, once the worker
+// gave up (504), drain or the worker itself when drain had taken the
+// channel first; a result in that last case used to stay in the channel,
+// neither released nor counted.
+func TestResultAtDeadlineAccounted(t *testing.T) {
+	be := &deadlineBackend{fakeBackend: newFakeBackend()}
+	srv, _ := newTestServer(t, []Backend{be}, func(c *Config) { c.Workers = 1 })
+	const requests = 1000
+	for i := 0; i < requests; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		be.cancel = cancel
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(okBody)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusOK && rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status %d, want 200 or 504", i, rec.Code)
+		}
+	}
+	st := srv.Stats()
+	if st.Requests != requests || st.Served+st.Timeouts+st.Errors != requests {
+		t.Fatalf("%d requests: %d served + %d timeouts + %d errors", st.Requests, st.Served, st.Timeouts, st.Errors)
+	}
+	if st.Timeouts == 0 {
+		t.Fatal("no request timed out: the deadline never won")
+	}
+	// Every query produced a result; the served ones were read by handlers.
+	late := requests - st.Served
+	waitFor(t, fmt.Sprintf("%d late results, one per request not served (%d)", late, st.Served),
+		func() bool { return srv.Stats().LateResults == late })
 }
 
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {

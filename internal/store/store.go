@@ -134,9 +134,19 @@ func (s *Store) Contains(id AtomID) bool {
 // Read fetches an atom from "disk": it walks the clustered index and
 // charges the disk array for the transfer. The returned duration is the
 // simulated I/O cost to charge to the virtual clock. The atom is an
-// unfilled frame, valid for as long as the caller holds it: its samples
-// appear on first use, so an atom nothing evaluates on never has any.
+// unfilled frame on a handle of its own: its samples appear on first use,
+// so an atom nothing evaluates on never has any. A caller that keeps the
+// atom keeps it for good; one that gives it to an engine's cache holds a
+// valid handle until the end of the decision in which the cache displaced
+// it, after which the engine reads another atom into it (ReadInto).
 func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
+	return s.ReadInto(id, nil)
+}
+
+// ReadInto is Read into frame, a handle nothing else may still hold, which
+// it overwrites and returns (field.FrameInto); a nil frame is allocated. A
+// failed read returns no atom and leaves frame as it was.
+func (s *Store) ReadInto(id AtomID, frame *field.Atom) (*field.Atom, time.Duration, error) {
 	meta, ok := s.index.Get(id.Key())
 	if !ok {
 		return nil, 0, fmt.Errorf("store: atom %v not in this partition", id)
@@ -147,7 +157,7 @@ func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
 		// the virtual clock before retrying or aborting.
 		return nil, cost, fmt.Errorf("store: atom %v: %w", id, err)
 	}
-	a := s.field.Frame(id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
+	a := s.field.FrameInto(frame, id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
 	return a, cost, nil
 }
 

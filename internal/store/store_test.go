@@ -1,8 +1,10 @@
 package store
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"jaws/internal/field"
 	"jaws/internal/geom"
@@ -80,6 +82,44 @@ func TestReadKnownAtom(t *testing.T) {
 		if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
 			t.Fatalf("value %d of the lazily filled atom is %v, eager %v", i, a.Data[i], w)
 		}
+	}
+}
+
+// TestReadIntoOverwritesTheHandle: ReadInto gives the atom in the handle it
+// was handed, charged like a Read and with nothing of the handle's former
+// atom; a read that fails returns no atom and leaves the handle alone.
+func TestReadIntoOverwritesTheHandle(t *testing.T) {
+	s, err := Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	idA, idB := AtomID{Step: 2, Code: morton.Encode(1, 2, 3)}, AtomID{Step: 0, Code: morton.Encode(3, 0, 1)}
+	h, _, err := s.Read(idA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Fill(nil)
+	b, cost, err := s.ReadInto(idB, h)
+	if err != nil || b != h || cost <= 0 || h.Filled() {
+		t.Fatalf("ReadInto: atom %p for handle %p, cost %v, filled %v, error %v", b, h, cost, h.Filled(), err)
+	}
+	fresh, _, err := s.Read(idB)
+	if err != nil || fresh == h {
+		t.Fatalf("Read returned %p (the recycled handle is %p), error %v", fresh, h, err)
+	}
+	ac := geom.AtomFromCode(idB.Code)
+	p := cfg.Space.Center(ac)
+	if got, w := field.Interpolate(field.KernelLag4, h, cfg.Space, ac, p), field.Interpolate(field.KernelLag4, fresh, cfg.Space, ac, p); got != w {
+		t.Fatalf("interpolation on the recycled handle: %v, on a fresh one %v", got, w)
+	}
+
+	s.SetFault(func(addr, size int64) (time.Duration, error) { return time.Millisecond, errors.New("injected") })
+	if a, cost, err := s.ReadInto(idA, h); err == nil || a != nil || cost != time.Millisecond {
+		t.Fatalf("failed ReadInto: atom %p, cost %v, error %v", a, cost, err)
+	}
+	if got, w := field.Interpolate(field.KernelLag4, h, cfg.Space, ac, p), field.Interpolate(field.KernelLag4, fresh, cfg.Space, ac, p); got != w {
+		t.Fatalf("after a failed read the handle evaluates to %v, want its atom's %v", got, w)
 	}
 }
 
