@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-assembly fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
-check: fmt-check vet check-assembly build test race fuzz-smoke
+check: fmt-check vet check-assembly check-reporting build test race fuzz-smoke
 
 ## fmt-check: every Go file is gofmt-clean.
 fmt-check:
@@ -14,6 +14,12 @@ fmt-check:
 ## assembler"); offenders are printed.
 check-assembly:
 	./scripts/check_assembly.sh
+
+## check-reporting: the reporting tier holds one of each — one histogram
+## type, one trace decoder (obs.ScanTrace), one quantile rank
+## (obs.Quantile), six binaries (DESIGN.md §20); offenders are printed.
+check-reporting:
+	./scripts/check_reporting.sh
 
 ## check-oracle: the scheduler correctness oracle — every decision of the
 ## real schedulers diffed against the reference models over randomized
@@ -152,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
 	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
 	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
+	$(GO) test -run xxx -fuzz FuzzScanTrace -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline), and the eviction

@@ -33,7 +33,7 @@ func BenchmarkFig8WorkloadGen(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig8(s)
-		frac = r.Hist.Fraction(1)
+		frac = float64(r.Hist.Buckets()[1]) / float64(r.Hist.Count())
 	}
 	b.ReportMetric(frac, "frac-1-30min")
 }

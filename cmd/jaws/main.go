@@ -4,6 +4,7 @@
 // Usage:
 //
 //	jaws -sched jaws2 -jobs 200                 # generated workload
+//	jaws -jobs 1000 -trace-save trace.json.gz   # archive the workload it ran
 //	jaws -sched liferaft2 -trace trace.json.gz  # replay a saved trace
 //	jaws -sched jaws2 -policy urc -k 10 -speedup 4
 //
@@ -36,7 +37,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.TextVar(&pol, "policy", pol, "cache policy: "+strings.Join(jaws.CachePolicyNames(), ", "))
 	var (
 		tailPol   = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
-		tracePath = fs.String("trace", "", "replay a trace file written by tracegen (otherwise generate)")
+		tracePath = fs.String("trace", "", "replay a workload file written by -trace-save (otherwise generate)")
+		traceSave = fs.String("trace-save", "", "save the workload this run uses to this file, for -trace to replay (.gz suffix enables compression)")
 		jobs      = fs.Int("jobs", 200, "jobs to generate when no trace is given")
 		seed      = fs.Int64("seed", 1, "workload and field seed")
 		speedup   = fs.Float64("speedup", 1, "arrival speed-up (workload saturation)")
@@ -47,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		steps     = fs.Int("steps", 31, "stored time steps")
 		compute   = fs.Bool("compute", false, "evaluate interpolation kernels for real")
 		verbose   = fs.Bool("v", false, "print per-run adaptation history")
-		traceOut  = fs.String("trace-out", "", "write a JSONL decision trace to this file (read it with tracestat)")
+		traceOut  = fs.String("trace-out", "", "write a JSONL decision trace to this file (read it with jawsreport)")
 		metrics   = fs.Bool("metrics", false, "print the metrics registry in Prometheus text format after the run")
 		faultSpec = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05;disk-slow:p=0.1,extra=50ms' (see internal/fault)")
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault injector (same spec+seed replays identically)")
@@ -80,6 +82,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 	fmt.Fprintf(stdout, "workload: %s\n", workload.Describe(w))
+	if *traceSave != "" {
+		if err := saveWorkload(*traceSave, w); err != nil {
+			return errf("%v", err)
+		}
+	}
 
 	var o *jaws.Obs
 	var tracer *jaws.Tracer
@@ -173,4 +180,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// saveWorkload archives w at path for a later -trace run.
+func saveWorkload(path string, w *jaws.Workload) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := workload.Save(f, w, strings.HasSuffix(path, ".gz")); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

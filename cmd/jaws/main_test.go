@@ -118,6 +118,43 @@ func TestRunTraceOutAndMetrics(t *testing.T) {
 	}
 }
 
+// TestTraceSaveRoundTrip saves the workload a run generated and replays it:
+// the replay describes the same workload and prints the same report, the
+// wall-clock line aside, compressed or not.
+func TestTraceSaveRoundTrip(t *testing.T) {
+	noWall := func(out string) string {
+		i := strings.Index(out, "wall clock")
+		if i < 0 {
+			t.Fatalf("no wall-clock line:\n%s", out)
+		}
+		return out[:i]
+	}
+	for _, name := range []string{"w.json", "w.json.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		code, saved, errb := runCLI(t, append(tiny, "-seed", "3", "-trace-save", path)...)
+		if code != 0 {
+			t.Fatalf("%s: save: exit %d, stderr: %s", name, code, errb)
+		}
+		code, replayed, errb := runCLI(t, "-steps", "3", "-cache", "32", "-seed", "3", "-trace", path)
+		if code != 0 {
+			t.Fatalf("%s: replay: exit %d, stderr: %s", name, code, errb)
+		}
+		if !strings.HasPrefix(saved, "workload: ") || noWall(saved) != noWall(replayed) {
+			t.Errorf("%s: replay differs from the run that saved it:\n--- saved\n%s--- replayed\n%s", name, saved, replayed)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gz := bytes.HasPrefix(data, []byte{0x1f, 0x8b}); gz != strings.HasSuffix(name, ".gz") {
+			t.Errorf("%s: gzip magic present = %v", name, gz)
+		}
+	}
+	if code, _, errb := runCLI(t, append(tiny, "-trace-save", "/nonexistent/dir/w.json")...); code != 1 || !strings.Contains(errb, "no such file") {
+		t.Errorf("unwritable -trace-save: exit %d, stderr %q", code, errb)
+	}
+}
+
 // TestEnumFlagNames runs the command under every spelling the two enum
 // flags accept — the names their help lists, the names the report prints,
 // and mixed case — and holds the help text to the same tables.

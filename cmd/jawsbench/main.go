@@ -52,9 +52,9 @@ import (
 	"jaws/internal/bench"
 	"jaws/internal/experiments"
 	"jaws/internal/fault"
-	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/sched"
+	"jaws/internal/textplot"
 	"jaws/internal/workload"
 )
 
@@ -207,12 +207,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r := experiments.Fig9(scale)
 		c.emit(&r.Table)
 		if !c.asCSV {
-			series := metrics.Series{Label: "queries per step"}
+			series := textplot.Series{Label: "queries per step"}
 			for step, c := range r.Counts {
 				series.Append(float64(step), float64(c))
 			}
 			fmt.Fprintln(c.stdout)
-			fmt.Fprint(c.stdout, metrics.LineChart([]metrics.Series{series}, 10))
+			fmt.Fprint(c.stdout, textplot.LineChart([]textplot.Series{series}, 10))
 		}
 	}
 	if sel("fig10") {
@@ -231,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				values[i] = row.Throughput
 			}
 			fmt.Fprintln(c.stdout)
-			fmt.Fprint(c.stdout, metrics.BarChart(labels, values, 40))
+			fmt.Fprint(c.stdout, textplot.BarChart(labels, values, 40))
 		}
 	}
 	if sel("fig11") {
@@ -244,9 +244,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c.emit(&r.Table)
 		if !c.asCSV {
 			fmt.Fprintln(c.stdout, "\n(a) throughput vs speed-up:")
-			fmt.Fprint(c.stdout, metrics.LineChart(fig11Series(r, false), 10))
+			fmt.Fprint(c.stdout, textplot.LineChart(fig11Series(r, false), 10))
 			fmt.Fprintln(c.stdout, "\n(b) mean response time vs speed-up:")
-			fmt.Fprint(c.stdout, metrics.LineChart(fig11Series(r, true), 10))
+			fmt.Fprint(c.stdout, textplot.LineChart(fig11Series(r, true), 10))
 		}
 	}
 	if sel("fig12") {
@@ -258,14 +258,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		c.emit(&r.Table)
 		if !c.asCSV {
-			s := metrics.Series{Label: "JAWS2 throughput by k"}
-			base := metrics.Series{Label: "LifeRaft2 baseline"}
+			s := textplot.Series{Label: "JAWS2 throughput by k"}
+			base := textplot.Series{Label: "LifeRaft2 baseline"}
 			for _, p := range r.Points {
 				s.Append(float64(p.K), p.Throughput)
 				base.Append(float64(p.K), r.LifeRaft2Baseline)
 			}
 			fmt.Fprintln(c.stdout)
-			fmt.Fprint(c.stdout, metrics.LineChart([]metrics.Series{s, base}, 10))
+			fmt.Fprint(c.stdout, textplot.LineChart([]textplot.Series{s, base}, 10))
 		}
 	}
 	if sel("table1") {
@@ -382,14 +382,14 @@ func (c *cli) benchMode(scale experiments.Scale, outPath, name, basePath, withPa
 }
 
 // fig11Series groups the Fig. 11 grid into per-algorithm series.
-func fig11Series(r *experiments.Fig11Result, respTime bool) []metrics.Series {
+func fig11Series(r *experiments.Fig11Result, respTime bool) []textplot.Series {
 	order := []experiments.Algorithm{
 		experiments.AlgNoShare, experiments.AlgLifeRaft1,
 		experiments.AlgLifeRaft2, experiments.AlgJAWS2,
 	}
-	var out []metrics.Series
+	var out []textplot.Series
 	for _, alg := range order {
-		s := metrics.Series{Label: alg.String()}
+		s := textplot.Series{Label: alg.String()}
 		for _, p := range r.Points {
 			if p.Algorithm != alg {
 				continue
@@ -405,7 +405,7 @@ func fig11Series(r *experiments.Fig11Result, respTime bool) []metrics.Series {
 	return out
 }
 
-func (c *cli) emit(t *metrics.Table) {
+func (c *cli) emit(t *textplot.Table) {
 	if c.asCSV {
 		fmt.Fprint(c.stdout, t.CSV())
 		return

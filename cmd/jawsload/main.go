@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jaws/internal/obs"
 	"jaws/internal/server"
 	"jaws/internal/workload"
 )
@@ -196,12 +197,13 @@ func (t *tally) note(rec reqRecord, latency time.Duration, err error) {
 	}
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+// latencyLine renders the served requests' latency percentiles from their
+// ascending latencies — obs.Quantile's rank, the one jawsreport's request
+// section reads from the same run's trace.
+func latencyLine(asc []time.Duration) string {
+	q := func(p int) time.Duration { return obs.Quantile(asc, p).Round(time.Microsecond) }
+	return fmt.Sprintf("latency         p50 %v p90 %v p95 %v p99 %v max %v",
+		q(50), q(90), q(95), q(99), asc[len(asc)-1].Round(time.Microsecond))
 }
 
 // run is the testable body of the generator: flags in, exit code out.
@@ -355,12 +357,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "transport err   x %d\n", tl.transport)
 	}
 	if served > 0 {
-		fmt.Fprintf(stdout, "latency         p50 %v p90 %v p95 %v p99 %v max %v\n",
-			percentile(tl.latencies, 0.50).Round(time.Microsecond),
-			percentile(tl.latencies, 0.90).Round(time.Microsecond),
-			percentile(tl.latencies, 0.95).Round(time.Microsecond),
-			percentile(tl.latencies, 0.99).Round(time.Microsecond),
-			tl.latencies[len(tl.latencies)-1].Round(time.Microsecond))
+		fmt.Fprintln(stdout, latencyLine(tl.latencies))
 	}
 	fmt.Fprintf(stdout, "summary         %d served, %d shed, %d 5xx\n", served, shed, fivexx)
 

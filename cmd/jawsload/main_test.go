@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"jaws"
+	"jaws/internal/obs"
 	"jaws/internal/server"
 )
 
@@ -21,6 +24,24 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
 	code = run(args, &out, &errb)
 	return code, out.String(), errb.String()
+}
+
+// TestLatencyPercentilesMatchReport pins the client-side percentiles to the
+// rank jawsreport's request section reads from the same run's trace: over
+// 100 latencies of 1…100 ms, p99 is the maximum, not the 99th smallest.
+func TestLatencyPercentilesMatchReport(t *testing.T) {
+	var asc []time.Duration
+	var spans []obs.ReqSpan
+	for i := 1; i <= 100; i++ {
+		d := time.Duration(i) * time.Millisecond
+		asc = append(asc, d)
+		spans = append(spans, obs.ReqSpan{ID: obs.RequestID(1, int64(i)), Wall: d})
+	}
+	sum := obs.SummarizeReqSpans(spans, 0)
+	want := fmt.Sprintf("latency         p50 %v p90 %v p95 %v p99 %v max %v", sum.P50, sum.P90, sum.P95, sum.P99, sum.Max)
+	if got := latencyLine(asc); got != want || want != "latency         p50 51ms p90 91ms p95 96ms p99 100ms max 100ms" {
+		t.Errorf("latency line %q, the report's rank gives %q", got, want)
+	}
 }
 
 func TestRunUsageErrors(t *testing.T) {

@@ -22,12 +22,19 @@
 // gating edge before dispatch — and the main report gains a per-cause
 // tail breakdown plus the dominant cause of each starvation-tail query.
 //
-// It also audits the trace itself: every span — virtual and wall — is
-// checked against the attribution invariant (phase components must sum
-// exactly to the total), and the trace footer's drop counters are
-// surfaced so a truncated trace is never mistaken for a complete one.
-// A failed audit (conservation violations, a missing footer, or sink
-// drops) exits with status 2 so CI jobs catch corrupt traces.
+// The same pass feeds the event-stream sections, each printed only when
+// its events exist: the event mix, the decisions per scheduler, the cache
+// hit ratio over virtual time, the adaptive α trajectory, gating waits and
+// the disk-read profile. They are aggregated in bounded memory; only the
+// spans and decision records are held (memory O(queries)).
+//
+// It also audits the trace itself (obs.TraceAudit): every span — virtual
+// and wall — is checked against the attribution invariant (phase
+// components must sum exactly to the total), and the file against its
+// footer, so a trace cut short or missing a line is never mistaken for a
+// complete one. A failed audit (conservation violations, a missing
+// footer, sink drops, or an event count that differs from the footer's)
+// exits with status 2 so CI jobs catch corrupt traces.
 //
 // Usage:
 //
@@ -40,8 +47,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,8 +55,8 @@ import (
 	"strconv"
 	"time"
 
-	"jaws/internal/metrics"
 	"jaws/internal/obs"
+	"jaws/internal/textplot"
 )
 
 // errIntegrity marks a trace that failed the integrity audit; main
@@ -85,69 +90,34 @@ func main() {
 	}
 }
 
-// stitched pairs one request's wall-clock span with the engine span that
-// served it, joined on the propagated request ID.
-type stitched struct {
-	req    obs.ReqSpan
-	engine *obs.Span // nil when no engine span carries the ID (shed, timeout before dispatch)
-}
-
 // run streams the trace and writes the lifecycle report. Split out from
 // main so tests can drive it against golden files. When reqID (or why)
 // is non-empty only that request's stitched record (or that query's
 // wait chain) is printed.
 func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string) error {
 	var (
-		spans         []obs.Span
-		reqSpans      []obs.ReqSpan
-		decRecs       []obs.DecisionRecord
-		footer        *obs.TraceFooter
-		events        int64
-		violations    int
-		reqViolations int
+		spans    []obs.Span
+		reqSpans []obs.ReqSpan
+		decRecs  []obs.DecisionRecord
+		audit    obs.TraceAudit
+		stream   = newAggregator()
 	)
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
+	err := obs.ScanTrace(in, func(ev *obs.Event) error {
+		audit.Add(ev)
 		switch ev.Kind {
+		case obs.KindFooter:
+			return nil
 		case obs.KindSpan:
-			if ev.Span == nil {
-				return fmt.Errorf("line %d: span event without payload", line)
-			}
-			if ev.Span.PhaseSum() != ev.Span.Total() {
-				violations++
-			}
 			spans = append(spans, *ev.Span)
 		case obs.KindReqSpan:
-			if ev.Req == nil {
-				return fmt.Errorf("line %d: reqspan event without payload", line)
-			}
-			if ev.Req.PhaseSum() != ev.Req.Wall {
-				reqViolations++
-			}
 			reqSpans = append(reqSpans, *ev.Req)
 		case obs.KindDecisionRecord:
-			if ev.Flight == nil {
-				return fmt.Errorf("line %d: decision_record event without payload", line)
-			}
 			decRecs = append(decRecs, *ev.Flight)
-		case obs.KindFooter:
-			footer = ev.Footer
-		default:
-			events++
 		}
-	}
-	if err := sc.Err(); err != nil {
+		stream.add(ev)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 
@@ -163,7 +133,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 	if reqID != "" {
 		for i := range reqSpans {
 			if reqSpans[i].ID == reqID {
-				printStitched(out, stitched{req: reqSpans[i], engine: byReq[reqID]})
+				printStitched(out, &reqSpans[i], byReq[reqID])
 				return nil
 			}
 		}
@@ -188,15 +158,14 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 
 	sum := obs.SummarizeSpans(spans, worstK)
 	fmt.Fprintf(out, "trace: %s (%d spans, %d request spans, %d other events)\n",
-		name, len(spans), len(reqSpans), events)
+		name, len(spans), len(reqSpans), audit.Events-int64(len(spans)+len(reqSpans)+len(decRecs)))
 
 	fmt.Fprintln(out, "\n== response time ==")
 	fmt.Fprintf(out, "queries: %d (%d gate-blocked)\n", sum.Count, sum.Blocked)
-	fmt.Fprintf(out, "mean %s   p50 %s   p90 %s   p95 %s   p99 %s   max %s\n",
-		fd(sum.Mean), fd(sum.P50), fd(sum.P90), fd(sum.P95), fd(sum.P99), fd(sum.Max))
+	printDist(out, sum.Dist)
 
 	fmt.Fprintln(out, "\n== attribution ==")
-	tb := &metrics.Table{Header: []string{"phase", "total", "share", "mean/query"}}
+	tb := &textplot.Table{Header: []string{"phase", "total", "share", "mean/query"}}
 	for _, row := range sum.Attribution() {
 		tb.AddRow(row.Name, fd(row.Total), fmt.Sprintf("%.1f%%", row.Share*100), fd(row.MeanPerQuery))
 	}
@@ -204,7 +173,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 
 	if len(sum.WorstK) > 0 {
 		fmt.Fprintf(out, "\n== starvation tail (worst %d) ==\n", len(sum.WorstK))
-		wt := &metrics.Table{Header: []string{"query", "job", "total", "gated", "queued", "overhead", "disk", "compute", "dec", "hit/miss"}}
+		wt := &textplot.Table{Header: []string{"query", "job", "total", "gated", "queued", "overhead", "disk", "compute", "dec", "hit/miss"}}
 		for i := range sum.WorstK {
 			sp := &sum.WorstK[i]
 			wt.AddRow(fmt.Sprint(sp.Query), fmt.Sprint(sp.Job), fd(sp.Total()),
@@ -217,7 +186,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 	if len(decRecs) > 0 {
 		ix := obs.NewDecisionIndex(decRecs)
 		fmt.Fprintf(out, "\n== wait causes (%d decision records) ==\n", len(decRecs))
-		cb := &metrics.Table{Header: []string{"cause", "total", "mean/query", "p50", "p95", "p99"}}
+		cb := &textplot.Table{Header: []string{"cause", "total", "mean/query", "p50", "p95", "p99"}}
 		for _, ct := range obs.CauseBreakdown(spans, ix) {
 			cb.AddRow(ct.Cause, fms(ct.TotalMS), fms(ct.MeanMS), fms(ct.P50MS), fms(ct.P95MS), fms(ct.P99MS))
 		}
@@ -225,7 +194,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 
 		if len(sum.WorstK) > 0 {
 			fmt.Fprintf(out, "\n== starvation tail by dominant wait cause ==\n")
-			dt := &metrics.Table{Header: []string{"query", "wait", "dominant cause", "share", "passed over", "detail"}}
+			dt := &textplot.Table{Header: []string{"query", "wait", "dominant cause", "share", "passed over", "detail"}}
 			for i := range sum.WorstK {
 				c := ix.Chain(sum.WorstK[i])
 				cause, d := c.DominantCause()
@@ -246,11 +215,10 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		rsum := obs.SummarizeReqSpans(reqSpans, worstK)
 		fmt.Fprintln(out, "\n== requests (wall clock) ==")
 		fmt.Fprintf(out, "requests: %d (%d ok)\n", rsum.Count, rsum.OK)
-		fmt.Fprintf(out, "mean %s   p50 %s   p90 %s   p95 %s   p99 %s   max %s\n",
-			fd(rsum.Mean), fd(rsum.P50), fd(rsum.P90), fd(rsum.P95), fd(rsum.P99), fd(rsum.Max))
+		printDist(out, rsum.Dist)
 
 		fmt.Fprintln(out, "\n== request attribution ==")
-		rb := &metrics.Table{Header: []string{"phase", "total", "share", "mean/request"}}
+		rb := &textplot.Table{Header: []string{"phase", "total", "share", "mean/request"}}
 		for _, row := range rsum.Attribution() {
 			rb.AddRow(row.Name, fd(row.Total), fmt.Sprintf("%.1f%%", row.Share*100), fd(row.MeanPerQuery))
 		}
@@ -267,7 +235,7 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		}
 		fmt.Fprintf(out, "\n== request tail (worst %d, %d/%d stitched to engine spans) ==\n",
 			len(rsum.WorstK), stitchedCount, len(reqSpans))
-		st := &metrics.Table{Header: []string{"request", "query", "status", "qdepth", "wall", "validate", "queued", "dispatch", "execute", "write", "virtual"}}
+		st := &textplot.Table{Header: []string{"request", "query", "status", "qdepth", "wall", "validate", "queued", "dispatch", "execute", "write", "virtual"}}
 		for i := range rsum.WorstK {
 			rs := &rsum.WorstK[i]
 			virt := "-"
@@ -280,40 +248,14 @@ func run(in io.Reader, name string, out io.Writer, worstK int, reqID, why string
 		fmt.Fprint(out, st.String())
 	}
 
-	fmt.Fprintln(out, "\n== trace integrity ==")
-	if violations > 0 {
-		fmt.Fprintf(out, "WARNING: %d spans violate the attribution invariant (phase sum != total)\n", violations)
-	} else {
-		fmt.Fprintf(out, "attribution invariant: all %d spans conserve (phase sum == total)\n", len(spans))
-	}
-	if len(reqSpans) > 0 {
-		if reqViolations > 0 {
-			fmt.Fprintf(out, "WARNING: %d request spans violate the attribution invariant (phase sum != wall)\n", reqViolations)
-		} else {
-			fmt.Fprintf(out, "request invariant: all %d request spans conserve (phase sum == wall)\n", len(reqSpans))
-		}
-	}
-	switch {
-	case footer == nil:
-		fmt.Fprintln(out, "WARNING: no trace footer — the trace was cut short (writer crashed or was not closed)")
-	case footer.SinkDropped > 0:
-		fmt.Fprintf(out, "WARNING: footer reports %d events lost to sink write errors\n", footer.SinkDropped)
-	default:
-		fmt.Fprintf(out, "footer: %d events emitted, 0 lost\n", footer.Total)
-	}
+	stream.print(out, audit.Events)
 
 	// A failed audit is an exit-status failure, not just a WARNING line:
 	// conservation violations or a dropped/truncated trace mean every
 	// number above may be wrong, and CI must not greenlight it.
-	switch {
-	case violations > 0:
-		return fmt.Errorf("%w: %d spans violate the attribution invariant", errIntegrity, violations)
-	case reqViolations > 0:
-		return fmt.Errorf("%w: %d request spans violate the attribution invariant", errIntegrity, reqViolations)
-	case footer == nil:
-		return fmt.Errorf("%w: no trace footer", errIntegrity)
-	case footer.SinkDropped > 0:
-		return fmt.Errorf("%w: %d events lost to sink write errors", errIntegrity, footer.SinkDropped)
+	fmt.Fprintln(out, "\n== trace integrity ==")
+	if err := audit.Report(out); err != nil {
+		return fmt.Errorf("%w: %v", errIntegrity, err)
 	}
 	return nil
 }
@@ -373,7 +315,7 @@ func printWhy(out io.Writer, c *obs.WaitChain) {
 	served := len(c.Rounds) - c.PassedOver()
 	fmt.Fprintf(out, "\n  decision rounds in [dispatch, done): %d (%d serving, %d passed over)\n",
 		len(c.Rounds), served, c.PassedOver())
-	rt := &metrics.Table{Header: []string{"round", "t", "charged", "outcome", "detail"}}
+	rt := &textplot.Table{Header: []string{"round", "t", "charged", "outcome", "detail"}}
 	elided := 0
 	for i := range c.Rounds {
 		if len(c.Rounds) > whyRoundCap && i >= whyRoundCap/2 && i < len(c.Rounds)-whyRoundCap/2 {
@@ -432,21 +374,27 @@ func dominantDetail(c *obs.WaitChain, cause obs.WaitCause) string {
 	return best.Detail
 }
 
+// printDist writes the percentile line the query and request sections share.
+func printDist(out io.Writer, d obs.Dist) {
+	fmt.Fprintf(out, "mean %s   p50 %s   p90 %s   p95 %s   p99 %s   max %s\n",
+		fd(d.Mean), fd(d.P50), fd(d.P90), fd(d.P95), fd(d.P99), fd(d.Max))
+}
+
 // fms renders a float of milliseconds compactly.
 func fms(v float64) string { return fmt.Sprintf("%.1fms", v) }
 
 // printStitched renders one request's full record: the wall-clock phases
 // the serving layer charged around the engine, and — when the trace
-// carries the engine span with the same propagated ID — the
-// virtual-clock phases inside it.
-func printStitched(out io.Writer, s stitched) {
-	rs := &s.req
+// carries the engine span with the same propagated ID (es is nil for a
+// request shed or timed out before dispatch) — the virtual-clock phases
+// inside it.
+func printStitched(out io.Writer, rs *obs.ReqSpan, es *obs.Span) {
 	fmt.Fprintf(out, "request %s\n", rs.ID)
 	fmt.Fprintf(out, "  status %d   query %d   queue depth at admission %d\n",
 		rs.Status, rs.Query, rs.QueueDepth)
 	fmt.Fprintf(out, "  wall    %s = validate %s + queued %s + dispatch %s + execute %s + write %s\n",
 		fd(rs.Wall), fd(rs.Validate), fd(rs.Queued), fd(rs.Dispatch), fd(rs.Execute), fd(rs.Write))
-	if es := s.engine; es != nil {
+	if es != nil {
 		fmt.Fprintf(out, "  virtual %s = gated %s + queued %s + overhead %s + disk %s + compute %s\n",
 			fd(es.Total()), fd(es.Gated), fd(es.Queued), fd(es.Overhead), fd(es.Disk), fd(es.Compute))
 		fmt.Fprintf(out, "  engine  query %d job %d: %d decisions, %d/%d cache hit/miss\n",

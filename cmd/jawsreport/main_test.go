@@ -26,15 +26,7 @@ func TestGolden(t *testing.T) {
 		{"service.jsonl", "service.golden", false},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
-			// Input fixtures are shared with cmd/tracestat (both commands
-			// consume the same trace format); goldens stay per-command.
-			in, err := os.Open(filepath.Join("..", "testdata", tc.fixture))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer in.Close()
-			var out bytes.Buffer
-			err = run(in, tc.fixture, &out, 10, "", "")
+			out, err := report(t, tc.fixture)
 			if tc.wantIntegrity {
 				if !errors.Is(err, errIntegrity) {
 					t.Fatalf("err = %v, want errIntegrity", err)
@@ -44,7 +36,7 @@ func TestGolden(t *testing.T) {
 			}
 			goldenPath := filepath.Join("testdata", tc.golden)
 			if *update {
-				if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(goldenPath, []byte(out), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -53,8 +45,8 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("output differs from %s (rerun with -update after intentional changes):\n%s", tc.golden, out.String())
+			if out != string(want) {
+				t.Errorf("output differs from %s (rerun with -update after intentional changes):\n%s", tc.golden, out)
 			}
 		})
 	}

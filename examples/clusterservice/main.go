@@ -3,32 +3,21 @@
 // a public web-service front end like the one the Turbulence database
 // exposes to scientists.
 //
-// The example does two things:
-//
-//  1. runs a generated batch workload across a simulated cluster and
-//     prints the per-node and aggregate reports;
-//  2. stands up the production serving layer (internal/server — the same
-//     admission-controlled front end cmd/jawsd runs) over a pool of
-//     session replicas, issues a demo request against it with the shared
-//     wire types, and prints the interpolated velocities.
+// The example runs a generated batch workload across a simulated cluster
+// (jaws.RunCluster) and prints the per-node and aggregate reports. The
+// web-service half of the figure is cmd/jawsd, driven by cmd/jawsload; the
+// example prints the two commands.
 //
 // go run ./examples/clusterservice
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"time"
 
 	"jaws"
-	"jaws/internal/obs"
-	"jaws/internal/server"
 )
 
 func main() {
@@ -40,29 +29,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("clusterservice", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jobs      = fs.Int("jobs", 30, "jobs in the generated batch workload")
-		nodes     = fs.Int("nodes", 4, "cluster nodes (batch run) and session replicas (service)")
-		grid      = fs.Int("grid", 128, "grid side in voxels")
-		steps     = fs.Int("steps", 8, "stored time steps")
-		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
+		jobs  = fs.Int("jobs", 30, "jobs in the generated batch workload")
+		nodes = fs.Int("nodes", 4, "cluster nodes")
+		grid  = fs.Int("grid", 128, "grid side in voxels")
+		steps = fs.Int("steps", 8, "stored time steps")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "clusterservice: %v\n", err)
-		return 1
-	}
-
-	// Diagnostics are served on their own listener, never the public mux:
-	// the public service exposes /query, /metrics, /healthz, /varz only.
-	if *pprofAddr != "" {
-		pp, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			return fail(err)
-		}
-		defer pp.Close()
-		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", pp.Addr())
 	}
 
 	space := jaws.Space{GridSide: *grid, AtomSide: 32}
@@ -74,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheAtoms: 32,
 	}
 
-	// --- 1. batch workload across the cluster --------------------------
 	w := jaws.GenerateWorkload(jaws.WorkloadConfig{
 		Seed:  21,
 		Steps: *steps,
@@ -83,7 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	rep, err := jaws.RunCluster(jaws.ClusterConfig{Nodes: *nodes, Node: nodeCfg}, w.Jobs)
 	if err != nil {
-		return fail(err)
+		fmt.Fprintf(stderr, "clusterservice: %v\n", err)
+		return 1
 	}
 	fmt.Fprintf(stdout, "cluster run: %d logical queries, makespan %.1f virtual s, %.2f q/s aggregate\n",
 		rep.Completed, rep.MaxElapsed, rep.AggregateThroughput)
@@ -93,100 +66,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			nr.Report.CacheStats.HitRatio()*100)
 	}
 
-	// --- 2. interactive web-service front end --------------------------
-	// The serving layer owns admission control, backpressure, and result
-	// demultiplexing; the example only opens the session replicas and
-	// wires them in. This is exactly what cmd/jawsd deploys.
-	reg := jaws.NewRegistry()
-	backends := make([]server.Backend, *nodes)
-	for i := range backends {
-		sess, err := jaws.OpenSession(jaws.Config{
-			Space:      space,
-			Steps:      *steps,
-			Scheduler:  jaws.SchedJAWS1,
-			CacheAtoms: 32,
-			Compute:    true,
-			Obs:        &jaws.Obs{Reg: reg},
-		})
-		if err != nil {
-			return fail(err)
-		}
-		backends[i] = sess
-	}
-	srv, err := server.New(server.Config{
-		Backends:   backends,
-		Reg:        reg,
-		QueueBound: 32,
-		Workers:    4,
-		Steps:      *steps,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	defer srv.Shutdown()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	fmt.Fprintf(stdout, "\nweb service listening on http://%s (%d replicas)\n", ln.Addr(), *nodes)
-
-	// Demo client request, as a scientist's script would issue it — the
-	// wire types are the server's own, so client and service cannot drift.
-	body, err := json.Marshal(server.QueryRequest{
-		Step:   *steps / 2,
-		Kernel: "lag8",
-		Points: []server.Point{
-			{X: 1.0, Y: 2.0, Z: 3.0},
-			{X: 1.1, Y: 2.0, Z: 3.0},
-			{X: 1.2, Y: 2.0, Z: 3.0},
-		},
-	})
-	if err != nil {
-		return fail(err)
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Post(fmt.Sprintf("http://%s/query", ln.Addr()), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return fail(fmt.Errorf("/query answered %d: %s", resp.StatusCode, msg))
-	}
-	var out server.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stdout, "demo query served in %.3f virtual s:\n", out.VirtualSeconds)
-	for _, v := range out.Values {
-		fmt.Fprintf(stdout, "  u(%.2f, %.2f, %.2f) = (%+.4f, %+.4f, %+.4f), p = %+.4f\n",
-			v.Position.X, v.Position.Y, v.Position.Z,
-			v.Velocity[0], v.Velocity[1], v.Velocity[2], v.Pressure)
-	}
-
-	// Scrape the metrics endpoint, as a monitoring agent would: engine and
-	// serving-layer counters share one registry.
-	mresp, err := client.Get(fmt.Sprintf("http://%s/metrics", ln.Addr()))
-	if err != nil {
-		return fail(err)
-	}
-	defer mresp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(mresp.Body); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stdout, "\n/metrics sample:\n")
-	for i, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if i >= 8 {
-			fmt.Fprintln(stdout, "  ...")
-			break
-		}
-		fmt.Fprintf(stdout, "  %s\n", line)
-	}
+	fmt.Fprintln(stdout, "\nthe web-service front end over such nodes is cmd/jawsd:")
+	fmt.Fprintf(stdout, "  go run ./cmd/jawsd -addr 127.0.0.1:8080 -nodes %d -grid %d -steps %d\n", *nodes, *grid, *steps)
+	fmt.Fprintf(stdout, "  go run ./cmd/jawsload -addr 127.0.0.1:8080 -steps %d\n", *steps)
 	return 0
 }

@@ -25,7 +25,6 @@ import (
 	"jaws/internal/field"
 	"jaws/internal/job"
 	"jaws/internal/jobgraph"
-	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/prefetch"
 	"jaws/internal/query"
@@ -397,7 +396,7 @@ type Engine struct {
 	completedRT []time.Duration
 	runCount    int
 	runStart    time.Duration
-	runRT       metrics.Summary
+	runRTSum    float64 // Σ response time (s) over the current run
 
 	report Report
 }
@@ -1059,7 +1058,7 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 
 	// Run accounting (§V.A): after r consecutive queries, report the
 	// run's performance to the scheduler and let the cache close its run.
-	e.runRT.Add(rt.Seconds())
+	e.runRTSum += rt.Seconds()
 	e.runCount++
 	if e.runCount >= e.cfg.RunLength {
 		span := (now - e.runStart).Seconds()
@@ -1067,18 +1066,19 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 		if span > 0 {
 			tp = float64(e.runCount) / span
 		}
+		meanRT := e.runRTSum / float64(e.runCount)
 		e.report.Runs = append(e.report.Runs, RunStats{
 			EndedAt:     now,
-			MeanRespSec: e.runRT.Mean(),
+			MeanRespSec: meanRT,
 			Throughput:  tp,
 			Alpha:       e.cfg.Sched.Alpha(),
 		})
-		e.cfg.Sched.OnRunEnd(e.runRT.Mean(), tp)
-		e.inst.noteRunEnd(now, len(e.report.Runs), e.cfg.Sched.Alpha(), e.runRT.Mean(), tp)
+		e.cfg.Sched.OnRunEnd(meanRT, tp)
+		e.inst.noteRunEnd(now, len(e.report.Runs), e.cfg.Sched.Alpha(), meanRT, tp)
 		e.cfg.Cache.EndRun()
 		e.runCount = 0
 		e.runStart = now
-		e.runRT = metrics.Summary{}
+		e.runRTSum = 0
 	}
 }
 
@@ -1153,8 +1153,8 @@ func (e *Engine) finishReport() {
 			sum += rt
 		}
 		e.report.MeanResponse = sum / time.Duration(n)
-		e.report.P50Response = sorted[n/2]
-		e.report.P95Response = sorted[n*95/100]
+		e.report.P50Response = obs.Quantile(sorted, 50)
+		e.report.P95Response = obs.Quantile(sorted, 95)
 	}
 	e.report.CacheStats = e.cfg.Cache.Stats()
 	e.report.DiskStats = e.cfg.Store.DiskStats()

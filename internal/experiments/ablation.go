@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"jaws/internal/engine"
-	"jaws/internal/metrics"
 	"jaws/internal/sched"
 	"jaws/internal/system"
+	"jaws/internal/textplot"
 )
 
 // AblationRow is one configuration of the ablation study.
@@ -26,7 +26,7 @@ type AblationRow struct {
 // (prefetch, declared jobs, QoS).
 type AblationResult struct {
 	Rows  []AblationRow
-	Table metrics.Table
+	Table textplot.Table
 }
 
 // Ablations runs the design-choice matrix on the Fig. 10 trace: every row

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"jaws/internal/metrics"
+	"jaws/internal/textplot"
 	"jaws/internal/workload"
 )
 
@@ -25,7 +25,7 @@ type AlphaResult struct {
 	// MaxAlphaLull the highest during the idle phase.
 	MinAlphaBurst float64
 	MaxAlphaLull  float64
-	Table         metrics.Table
+	Table         textplot.Table
 	Chart         string
 }
 
@@ -53,7 +53,7 @@ func AlphaDynamics(s Scale) (*AlphaResult, error) {
 
 	r := &AlphaResult{MinAlphaBurst: 1}
 	r.Table.Header = []string{"run", "ended at (s)", "α", "throughput (q/s)", "mean resp (s)"}
-	alphaSeries := metrics.Series{Label: "α per run"}
+	alphaSeries := textplot.Series{Label: "α per run"}
 	for i, run := range rep.Runs {
 		p := AlphaPoint{
 			Run:         i,
@@ -79,6 +79,6 @@ func AlphaDynamics(s Scale) (*AlphaResult, error) {
 			r.MaxAlphaLull = r.Points[i].Alpha
 		}
 	}
-	r.Chart = metrics.LineChart([]metrics.Series{alphaSeries}, 8)
+	r.Chart = textplot.LineChart([]textplot.Series{alphaSeries}, 8)
 	return r, nil
 }

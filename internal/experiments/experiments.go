@@ -17,10 +17,10 @@ import (
 	"jaws/internal/fault"
 	"jaws/internal/geom"
 	"jaws/internal/job"
-	"jaws/internal/metrics"
 	"jaws/internal/obs"
 	"jaws/internal/sched"
 	"jaws/internal/system"
+	"jaws/internal/textplot"
 	"jaws/internal/workload"
 )
 
@@ -198,30 +198,31 @@ func RunPolicy(s Scale, pol system.CachePolicy) (*engine.Report, error) {
 
 // --- Fig. 8: distribution of jobs by execution time ---------------------
 
-// Fig8Result is the duration histogram of the generated trace.
+// Fig8Result is the duration histogram of the generated trace; Hist
+// buckets job durations in nanoseconds.
 type Fig8Result struct {
-	Hist  *metrics.Histogram
-	Table metrics.Table
+	Hist  *obs.Histogram
+	Table textplot.Table
 }
 
 // Fig8 reproduces the job-duration distribution.
 func Fig8(s Scale) *Fig8Result {
-	return Fig8Of(workload.Generate(s.workloadConfig(1, s.Seed)))
-}
-
-// Fig8Of is Fig8 over a given trace (cmd/traceinfo summarizes saved ones).
-func Fig8Of(w *workload.Workload) *Fig8Result {
-	h := metrics.NewHistogram(
-		time.Minute, 30*time.Minute, time.Hour, 2*time.Hour, 6*time.Hour,
-	)
+	w := workload.Generate(s.workloadConfig(1, s.Seed))
+	h := obs.NewHistogram(float64(time.Minute), float64(30*time.Minute),
+		float64(time.Hour), float64(2*time.Hour), float64(6*time.Hour))
 	for _, d := range w.Durations {
-		h.Add(d)
+		h.Observe(float64(d))
 	}
 	r := &Fig8Result{Hist: h}
 	r.Table.Header = []string{"duration", "jobs", "fraction"}
 	labels := []string{"<1min", "1-30min", "30-60min", "1-2hr", "2-6hr", ">6hr"}
+	counts, n := h.Buckets(), h.Count()
 	for i, l := range labels {
-		r.Table.AddRow(l, fmt.Sprint(h.Counts[i]), fmt.Sprintf("%.2f", h.Fraction(i)))
+		frac := 0.0
+		if n > 0 {
+			frac = float64(counts[i]) / float64(n)
+		}
+		r.Table.AddRow(l, fmt.Sprint(counts[i]), fmt.Sprintf("%.2f", frac))
 	}
 	return r
 }
@@ -231,7 +232,7 @@ func Fig8Of(w *workload.Workload) *Fig8Result {
 // Fig9Result is the per-step access frequency.
 type Fig9Result struct {
 	Counts []int
-	Table  metrics.Table
+	Table  textplot.Table
 }
 
 // Fig9 reproduces the time-step access skew.
@@ -263,7 +264,7 @@ type Fig10Row struct {
 // Fig10Result is the full comparison.
 type Fig10Result struct {
 	Rows  []Fig10Row
-	Table metrics.Table
+	Table textplot.Table
 }
 
 // Fig10 compares the five schedulers on the evaluation trace (k = 15,
@@ -305,7 +306,7 @@ type Fig11Point struct {
 // Fig11Result carries both panels: throughput (a) and response time (b).
 type Fig11Result struct {
 	Points []Fig11Point
-	Table  metrics.Table
+	Table  textplot.Table
 }
 
 // DefaultSpeedUps is the Fig. 11 x axis.
@@ -382,7 +383,7 @@ type Fig12Point struct {
 type Fig12Result struct {
 	Points            []Fig12Point
 	LifeRaft2Baseline float64
-	Table             metrics.Table
+	Table             textplot.Table
 }
 
 // DefaultBatchSizes is the Fig. 12 x axis.
@@ -459,7 +460,7 @@ type Table1Row struct {
 // Table1Result is the policy comparison.
 type Table1Result struct {
 	Rows  []Table1Row
-	Table metrics.Table
+	Table textplot.Table
 }
 
 // Table1 compares LRU-K, SLRU, and URC under JAWS1 (as in §VI: cache
@@ -500,7 +501,7 @@ func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
 type JobIDResult struct {
 	Accuracy      float64
 	QueriesInJobs float64
-	Table         metrics.Table
+	Table         textplot.Table
 }
 
 // JobID measures the job-identification heuristics on the synthetic log.

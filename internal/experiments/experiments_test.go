@@ -7,12 +7,12 @@ import (
 
 func TestFig8Shape(t *testing.T) {
 	r := Fig8(TestScale())
-	if r.Hist.Total() == 0 {
+	if r.Hist.Count() == 0 {
 		t.Fatal("empty histogram")
 	}
 	// The 1–30 minute bucket must dominate (≈63 % in the paper).
-	if r.Hist.Fraction(1) < 0.4 {
-		t.Fatalf("1–30min fraction = %.2f, want the majority bucket", r.Hist.Fraction(1))
+	if frac := float64(r.Hist.Buckets()[1]) / float64(r.Hist.Count()); frac < 0.4 {
+		t.Fatalf("1–30min fraction = %.2f, want the majority bucket", frac)
 	}
 	if len(r.Table.Rows) != 6 {
 		t.Fatalf("table rows = %d", len(r.Table.Rows))

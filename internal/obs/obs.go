@@ -7,8 +7,8 @@
 // throughput metric U_t, the aged U_e, the adaptive α, gating admissions,
 // cache and disk interactions — that end-of-run aggregates cannot
 // explain. This package captures those decisions as they happen so that
-// tools (cmd/tracestat, the /metrics endpoint of examples/clusterservice)
-// can reconstruct why a batch was chosen and where time went.
+// tools (cmd/jawsreport over ScanTrace, cmd/jawsd's /metrics endpoint) can
+// reconstruct why a batch was chosen and where time went.
 //
 // Zero-overhead-when-disabled contract: every update method on *Counter,
 // *Gauge, *Histogram, *Registry, *Tracer and *Obs is nil-safe — calling

@@ -64,7 +64,9 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 sum, CAS-updated
 }
 
-func newHistogram(bounds []float64) *Histogram {
+// NewHistogram creates a histogram outside any registry, with the given
+// strictly ascending bucket bounds.
+func NewHistogram(bounds ...float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("obs: histogram bounds must be strictly ascending, got %v", bounds))
@@ -91,6 +93,19 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// Buckets returns the observation count of each bucket, the open tail
+// bucket last (nil for a nil histogram).
+func (h *Histogram) Buckets() []int64 {
+	if h == nil {
+		return nil
+	}
+	out := make([]int64, len(h.buckets))
+	for i := range h.buckets {
+		out[i] = h.buckets[i].Load()
+	}
+	return out
 }
 
 // Count returns the number of observations (0 for a nil histogram).
@@ -208,7 +223,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = newHistogram(bounds)
+		h = NewHistogram(bounds...)
 		r.histograms[name] = h
 	}
 	return h

@@ -67,6 +67,14 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := h.Mean(); got != 55.55/4 {
 		t.Fatalf("hist mean = %g", got)
 	}
+	// Upper edges are inclusive; the open tail bucket comes last.
+	h.Observe(1)
+	if got := h.Buckets(); len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 1 || got[3] != 1 {
+		t.Fatalf("buckets = %v, want [1 2 1 1]", got)
+	}
+	if (*Histogram)(nil).Buckets() != nil {
+		t.Fatal("nil histogram has buckets")
+	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {

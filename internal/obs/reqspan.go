@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -189,17 +187,11 @@ func (p *ReqPhaseTotals) add(r *ReqSpan) {
 // ReqSpanSummary aggregates finished request spans: wall-clock
 // percentiles, per-phase attribution, and the worst-k tail.
 type ReqSpanSummary struct {
-	Count int
+	Dist
 	// OK counts requests answered 200.
 	OK int
 	// TotalWall is Σ wall time; attribution shares are fractions of it.
 	TotalWall time.Duration
-	Mean      time.Duration
-	P50       time.Duration
-	P90       time.Duration
-	P95       time.Duration
-	P99       time.Duration
-	Max       time.Duration
 	Phases    ReqPhaseTotals
 	// WorstK holds the k slowest spans, slowest first (ties broken by
 	// request ID so summaries are deterministic).
@@ -208,111 +200,37 @@ type ReqSpanSummary struct {
 
 // Attribution returns the per-phase rows in lifecycle order.
 func (s ReqSpanSummary) Attribution() []PhaseShare {
-	rows := []PhaseShare{
-		{Name: "validate", Total: s.Phases.Validate},
-		{Name: "queued", Total: s.Phases.Queued},
-		{Name: "dispatch", Total: s.Phases.Dispatch},
-		{Name: "execute", Total: s.Phases.Execute},
-		{Name: "write", Total: s.Phases.Write},
-	}
-	for i := range rows {
-		if s.TotalWall > 0 {
-			rows[i].Share = float64(rows[i].Total) / float64(s.TotalWall)
-		}
-		if s.Count > 0 {
-			rows[i].MeanPerQuery = rows[i].Total / time.Duration(s.Count)
-		}
-	}
-	return rows
+	return shares(s.TotalWall, s.Count,
+		PhaseShare{Name: "validate", Total: s.Phases.Validate},
+		PhaseShare{Name: "queued", Total: s.Phases.Queued},
+		PhaseShare{Name: "dispatch", Total: s.Phases.Dispatch},
+		PhaseShare{Name: "execute", Total: s.Phases.Execute},
+		PhaseShare{Name: "write", Total: s.Phases.Write})
 }
 
-// ReqSpanAgg collects finished request spans. All methods are nil-safe (a
-// nil aggregator records nothing) and Add is safe for concurrent use, so
-// every handler goroutine shares one aggregator.
-type ReqSpanAgg struct {
-	mu    sync.Mutex
-	spans []ReqSpan
-}
+// ReqSpanAgg collects finished request spans (see Agg); every handler
+// goroutine shares one.
+type ReqSpanAgg = Agg[ReqSpan, ReqSpanSummary]
 
 // NewReqSpanAgg creates an empty aggregator.
 func NewReqSpanAgg() *ReqSpanAgg { return &ReqSpanAgg{} }
-
-// Add records one finished span. Nil-safe no-op.
-func (a *ReqSpanAgg) Add(r ReqSpan) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.spans = append(a.spans, r)
-	a.mu.Unlock()
-}
-
-// Count returns the number of recorded spans (0 for nil).
-func (a *ReqSpanAgg) Count() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.spans)
-}
-
-// Spans returns a copy of the recorded spans in recording order.
-func (a *ReqSpanAgg) Spans() []ReqSpan {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]ReqSpan(nil), a.spans...)
-}
-
-// Summarize computes the aggregate view, retaining the worstK slowest
-// spans (0 keeps none).
-func (a *ReqSpanAgg) Summarize(worstK int) ReqSpanSummary {
-	if a == nil {
-		return ReqSpanSummary{}
-	}
-	a.mu.Lock()
-	spans := append([]ReqSpan(nil), a.spans...)
-	a.mu.Unlock()
-	return SummarizeReqSpans(spans, worstK)
-}
 
 // SummarizeReqSpans aggregates an explicit span list (the aggregator-free
 // path used by trace-reading tools). The result is deterministic
 // regardless of input order.
 func SummarizeReqSpans(spans []ReqSpan, worstK int) ReqSpanSummary {
 	var sum ReqSpanSummary
-	sum.Count = len(spans)
-	if len(spans) == 0 {
-		return sum
-	}
-	sorted := append([]ReqSpan(nil), spans...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if ti, tj := sorted[i].Wall, sorted[j].Wall; ti != tj {
-			return ti > tj
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	n := len(sorted)
-	for i := range sorted {
-		sp := &sorted[i]
-		sum.TotalWall += sp.Wall
-		sum.Phases.add(sp)
-		if sp.Status == 200 {
+	sum.Dist, sum.TotalWall, sum.WorstK = summarizeBy(spans, worstK, (*ReqSpan).Total,
+		func(a, b *ReqSpan) bool { return a.ID < b.ID })
+	for i := range spans {
+		sum.Phases.add(&spans[i])
+		if spans[i].Status == 200 {
 			sum.OK++
 		}
 	}
-	sum.Mean = sum.TotalWall / time.Duration(n)
-	at := func(q int) time.Duration { return sorted[n-1-n*q/100].Wall }
-	sum.P50, sum.P90, sum.P95, sum.P99 = at(50), at(90), at(95), at(99)
-	sum.Max = sorted[0].Wall
-	if worstK > n {
-		worstK = n
-	}
-	if worstK > 0 {
-		sum.WorstK = append([]ReqSpan(nil), sorted[:worstK]...)
-	}
 	return sum
+}
+
+func (ReqSpan) summarize(spans []ReqSpan, worstK int) ReqSpanSummary {
+	return SummarizeReqSpans(spans, worstK)
 }

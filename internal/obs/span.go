@@ -109,60 +109,92 @@ type PhaseShare struct {
 	MeanPerQuery time.Duration
 }
 
-// SpanSummary aggregates completed spans: response-time percentiles, the
-// per-phase attribution totals, and the starvation tail (the worst-k
-// spans by response time — the very queries the α-tuner exists to rescue).
-type SpanSummary struct {
-	Count   int
-	Blocked int
-	// TotalResponse is Σ response time; the attribution shares are
-	// fractions of it.
-	TotalResponse time.Duration
-	Mean          time.Duration
-	P50           time.Duration
-	P90           time.Duration
-	P95           time.Duration
-	P99           time.Duration
-	Max           time.Duration
-	Phases        PhaseTotals
-	// WorstK holds the k slowest spans, slowest first (ties broken by
-	// query id so summaries are deterministic).
-	WorstK []Span
-}
-
-// Attribution returns the per-phase rows in canonical lifecycle order.
-func (s SpanSummary) Attribution() []PhaseShare {
-	rows := []PhaseShare{
-		{Name: "gated", Total: s.Phases.Gated},
-		{Name: "queued", Total: s.Phases.Queued},
-		{Name: "overhead", Total: s.Phases.Overhead},
-		{Name: "disk", Total: s.Phases.Disk},
-		{Name: "compute", Total: s.Phases.Compute},
-	}
+// shares completes attribution rows that carry a name and a phase total:
+// each row's fraction of total (the population's summed response time)
+// and its mean over count spans, both 0 for an empty population.
+func shares(total time.Duration, count int, rows ...PhaseShare) []PhaseShare {
 	for i := range rows {
-		if s.TotalResponse > 0 {
-			rows[i].Share = float64(rows[i].Total) / float64(s.TotalResponse)
+		if total > 0 {
+			rows[i].Share = float64(rows[i].Total) / float64(total)
 		}
-		if s.Count > 0 {
-			rows[i].MeanPerQuery = rows[i].Total / time.Duration(s.Count)
+		if count > 0 {
+			rows[i].MeanPerQuery = rows[i].Total / time.Duration(count)
 		}
 	}
 	return rows
 }
 
-// SpanAgg collects completed spans. All methods are nil-safe (a nil
-// aggregator records nothing), and Add is safe for concurrent use so
-// per-node engines can share one aggregator if a caller chooses to.
-type SpanAgg struct {
-	mu    sync.Mutex
-	spans []Span
+// Quantile returns the q-th percentile (0 ≤ q < 100) of an ascending
+// sample: the element of rank ⌊n·q/100⌋, 0 for an empty sample. It is the
+// one order statistic of the repo — the engine's report, both span
+// summaries, the per-cause wait tails and jawsload's client-side latencies
+// all read it — so a percentile means the same rank on every surface.
+func Quantile(asc []time.Duration, q int) time.Duration {
+	n := len(asc)
+	if n == 0 {
+		return 0
+	}
+	return asc[n*q/100]
 }
 
-// NewSpanAgg creates an empty aggregator.
-func NewSpanAgg() *SpanAgg { return &SpanAgg{} }
+// Dist is the distribution half of a span summary: the population's size
+// and its response-time statistics.
+type Dist struct {
+	Count                         int
+	Mean, P50, P90, P95, P99, Max time.Duration
+}
 
-// Add records one completed span. Nil-safe no-op.
-func (a *SpanAgg) Add(s Span) {
+// summarizeBy is the one body behind every span summary: the distribution
+// of the spans' totals, their sum, and the worstK slowest spans, slowest
+// first. before breaks ties between equal totals, so the result does not
+// depend on the order spans were recorded in. What differs per span type
+// (the phase fold, the flag count) stays with the caller.
+func summarizeBy[S any](spans []S, worstK int, total func(*S) time.Duration, before func(a, b *S) bool) (d Dist, sum time.Duration, worst []S) {
+	n := len(spans)
+	d.Count = n
+	if n == 0 {
+		return d, 0, nil
+	}
+	sorted := append([]S(nil), spans...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if ti, tj := total(&sorted[i]), total(&sorted[j]); ti != tj {
+			return ti > tj
+		}
+		return before(&sorted[i], &sorted[j])
+	})
+	asc := make([]time.Duration, n)
+	for i := range sorted {
+		t := total(&sorted[i])
+		asc[n-1-i] = t
+		sum += t
+	}
+	d.Mean = sum / time.Duration(n)
+	d.P50, d.P90, d.P95, d.P99 = Quantile(asc, 50), Quantile(asc, 90), Quantile(asc, 95), Quantile(asc, 99)
+	d.Max = asc[n-1]
+	if worstK > 0 {
+		worst = append([]S(nil), sorted[:min(worstK, n)]...)
+	}
+	return d, sum, worst
+}
+
+// summarizer is what a span type brings to the shared aggregator: its own
+// summary over a population.
+type summarizer[S, R any] interface {
+	summarize(spans []S, worstK int) R
+}
+
+// Agg collects finished spans of one type: SpanAgg for the engine's
+// virtual-clock spans, ReqSpanAgg for the serving layer's wall-clock ones.
+// All methods are nil-safe (a nil aggregator records nothing), and Add is
+// safe for concurrent use, so per-node engines or handler goroutines can
+// share one aggregator.
+type Agg[S summarizer[S, R], R any] struct {
+	mu    sync.Mutex
+	spans []S
+}
+
+// Add records one finished span. Nil-safe no-op.
+func (a *Agg[S, R]) Add(s S) {
 	if a == nil {
 		return
 	}
@@ -173,20 +205,18 @@ func (a *SpanAgg) Add(s Span) {
 
 // Merge folds other's spans into a (per-node → cluster aggregation).
 // Nil-safe in both directions.
-func (a *SpanAgg) Merge(other *SpanAgg) {
-	if a == nil || other == nil {
+func (a *Agg[S, R]) Merge(other *Agg[S, R]) {
+	if a == nil {
 		return
 	}
-	other.mu.Lock()
-	spans := append([]Span(nil), other.spans...)
-	other.mu.Unlock()
+	spans := other.Spans()
 	a.mu.Lock()
 	a.spans = append(a.spans, spans...)
 	a.mu.Unlock()
 }
 
 // Count returns the number of recorded spans (0 for nil).
-func (a *SpanAgg) Count() int {
+func (a *Agg[S, R]) Count() int {
 	if a == nil {
 		return 0
 	}
@@ -196,65 +226,67 @@ func (a *SpanAgg) Count() int {
 }
 
 // Spans returns a copy of the recorded spans in recording order.
-func (a *SpanAgg) Spans() []Span {
+func (a *Agg[S, R]) Spans() []S {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Span(nil), a.spans...)
+	return append([]S(nil), a.spans...)
 }
 
 // Summarize computes the aggregate view, retaining the worstK slowest
 // spans (0 keeps none). The result is deterministic regardless of the
 // order spans were added in.
-func (a *SpanAgg) Summarize(worstK int) SpanSummary {
-	var sum SpanSummary
-	if a == nil {
-		return sum
-	}
-	a.mu.Lock()
-	spans := append([]Span(nil), a.spans...)
-	a.mu.Unlock()
-	return SummarizeSpans(spans, worstK)
+func (a *Agg[S, R]) Summarize(worstK int) R {
+	var s S
+	return s.summarize(a.Spans(), worstK)
 }
+
+// SpanSummary aggregates completed spans: response-time percentiles, the
+// per-phase attribution totals, and the starvation tail (the worst-k
+// spans by response time — the very queries the α-tuner exists to rescue).
+type SpanSummary struct {
+	Dist
+	Blocked int
+	// TotalResponse is Σ response time; the attribution shares are
+	// fractions of it.
+	TotalResponse time.Duration
+	Phases        PhaseTotals
+	// WorstK holds the k slowest spans, slowest first (ties broken by
+	// query id so summaries are deterministic).
+	WorstK []Span
+}
+
+// Attribution returns the per-phase rows in canonical lifecycle order.
+func (s SpanSummary) Attribution() []PhaseShare {
+	return shares(s.TotalResponse, s.Count,
+		PhaseShare{Name: "gated", Total: s.Phases.Gated},
+		PhaseShare{Name: "queued", Total: s.Phases.Queued},
+		PhaseShare{Name: "overhead", Total: s.Phases.Overhead},
+		PhaseShare{Name: "disk", Total: s.Phases.Disk},
+		PhaseShare{Name: "compute", Total: s.Phases.Compute})
+}
+
+// SpanAgg collects completed query spans (see Agg).
+type SpanAgg = Agg[Span, SpanSummary]
+
+// NewSpanAgg creates an empty aggregator.
+func NewSpanAgg() *SpanAgg { return &SpanAgg{} }
 
 // SummarizeSpans aggregates an explicit span list (the aggregator-free
 // path used by trace-reading tools).
 func SummarizeSpans(spans []Span, worstK int) SpanSummary {
 	var sum SpanSummary
-	sum.Count = len(spans)
-	if len(spans) == 0 {
-		return sum
-	}
-	// Sort slowest-first with a deterministic tie-break; percentiles read
-	// from the tail, WorstK from the head.
-	sorted := append([]Span(nil), spans...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if ti, tj := sorted[i].Total(), sorted[j].Total(); ti != tj {
-			return ti > tj
-		}
-		return sorted[i].Query < sorted[j].Query
-	})
-	n := len(sorted)
-	for i := range sorted {
-		sp := &sorted[i]
-		sum.TotalResponse += sp.Total()
-		sum.Phases.add(sp)
-		if sp.Blocked {
+	sum.Dist, sum.TotalResponse, sum.WorstK = summarizeBy(spans, worstK, (*Span).Total,
+		func(a, b *Span) bool { return a.Query < b.Query })
+	for i := range spans {
+		sum.Phases.add(&spans[i])
+		if spans[i].Blocked {
 			sum.Blocked++
 		}
 	}
-	sum.Mean = sum.TotalResponse / time.Duration(n)
-	// sorted is descending: the q-th percentile sits at index n-1-n*q/100.
-	at := func(q int) time.Duration { return sorted[n-1-n*q/100].Total() }
-	sum.P50, sum.P90, sum.P95, sum.P99 = at(50), at(90), at(95), at(99)
-	sum.Max = sorted[0].Total()
-	if worstK > n {
-		worstK = n
-	}
-	if worstK > 0 {
-		sum.WorstK = append([]Span(nil), sorted[:worstK]...)
-	}
 	return sum
 }
+
+func (Span) summarize(spans []Span, worstK int) SpanSummary { return SummarizeSpans(spans, worstK) }

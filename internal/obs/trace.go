@@ -73,6 +73,15 @@ const (
 	KindFooter Kind = "trace_footer"
 )
 
+// Kinds lists every event kind in the order reports tabulate them. The
+// footer is a property of the file, not an event, and is not listed.
+var Kinds = []Kind{
+	KindDecision, KindCacheHit, KindCacheMiss, KindCacheEvict, KindDiskRead,
+	KindEdgeAdmit, KindEdgeReject, KindGateBlock, KindGateAdmit,
+	KindPrefetch, KindAlpha, KindFaultRetry, KindFaultAbort, KindNodeCrash,
+	KindStallAbort, KindSpan, KindReqSpan, KindDecisionRecord,
+}
+
 // Event is one structured trace record. Fields are a flat union across
 // kinds (unused ones are omitted from the JSONL encoding) so a trace file
 // is one self-describing object per line.

@@ -359,15 +359,14 @@ func CauseBreakdown(spans []Span, ix *DecisionIndex) []CauseTail {
 	n := len(spans)
 	for _, cause := range AllWaitCauses {
 		ds := perCause[cause]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] > ds[j] })
-		at := func(q int) time.Duration { return ds[n-1-n*q/100] }
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 		out = append(out, CauseTail{
 			Cause:   string(cause),
 			TotalMS: ms(totals[cause]),
 			MeanMS:  ms(totals[cause] / time.Duration(n)),
-			P50MS:   ms(at(50)),
-			P95MS:   ms(at(95)),
-			P99MS:   ms(at(99)),
+			P50MS:   ms(Quantile(ds, 50)),
+			P95MS:   ms(Quantile(ds, 95)),
+			P99MS:   ms(Quantile(ds, 99)),
 		})
 	}
 	return out

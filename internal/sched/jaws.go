@@ -1,11 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"jaws/internal/metrics"
 	"jaws/internal/query"
 	"jaws/internal/store"
 )
@@ -377,7 +377,7 @@ type alphaController struct {
 	alpha    float64
 	adaptive bool
 
-	rtE, tpE       *metrics.EWMA
+	rtE, tpE       *ewma
 	prevRt, prevTp float64
 	havePrev       bool
 	flatRuns       int
@@ -391,10 +391,41 @@ func newAlphaController(alpha float64, adaptive bool) *alphaController {
 	return &alphaController{
 		alpha:       alpha,
 		adaptive:    adaptive,
-		rtE:         metrics.NewEWMA(0.2),
-		tpE:         metrics.NewEWMA(0.2),
+		rtE:         newEWMA(0.2),
+		tpE:         newEWMA(0.2),
 		exploreSign: 1,
 	}
+}
+
+// ewma is the exponentially weighted moving average JAWS uses to smooth
+// per-run performance (§V.A): x'(i) = w·x(i) + (1-w)·x'(i-1), with
+// x'(0) = x(0). w stays a run-time value: 1-w folded at compile time
+// rounds differently, and α's low bits (and every committed artifact)
+// would move.
+type ewma struct {
+	w       float64
+	value   float64
+	started bool
+}
+
+// newEWMA creates an EWMA with weight w on the newest observation. The
+// paper uses w = 0.2.
+func newEWMA(w float64) *ewma {
+	if w <= 0 || w > 1 {
+		panic(fmt.Sprintf("sched: EWMA weight must be in (0,1], got %g", w))
+	}
+	return &ewma{w: w}
+}
+
+// observe folds in a new value and returns the smoothed result.
+func (e *ewma) observe(v float64) float64 {
+	if !e.started {
+		e.value = v
+		e.started = true
+		return v
+	}
+	e.value = e.w*v + (1-e.w)*e.value
+	return e.value
 }
 
 // flatTolerance bounds the relative change regarded as "no change" for
@@ -409,8 +440,8 @@ func (c *alphaController) onRunEnd(rt, tp float64) {
 	if !c.adaptive {
 		return
 	}
-	srt := c.rtE.Observe(rt)
-	stp := c.tpE.Observe(tp)
+	srt := c.rtE.observe(rt)
+	stp := c.tpE.observe(tp)
 	defer func() { c.History = append(c.History, c.alpha) }()
 	if !c.havePrev {
 		c.prevRt, c.prevTp = srt, stp

@@ -25,9 +25,9 @@ type envelope struct {
 	Workload *Workload `json:"workload"`
 }
 
-// Save writes the workload as (optionally gzip-compressed) JSON. Traces
-// generated by tracegen are replayed by the jaws CLI, so experiments can
-// be archived and re-run bit-for-bit.
+// Save writes the workload as (optionally gzip-compressed) JSON. A
+// workload saved by jaws -trace-save is replayed by jaws -trace, so
+// experiments can be archived and re-run bit-for-bit.
 func Save(w io.Writer, wl *Workload, compress bool) error {
 	var out io.Writer = w
 	var gz *gzip.Writer
