@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-assembly check-reporting build test race fuzz-smoke
@@ -130,11 +130,15 @@ check-prop:
 ## bulk request on a session, Submit to Release, its Submit argument) and the admission
 ## pins (registering a job allocates at most a member array per admitted
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
-## query's gate re-check and the event list nothing).
+## query's gate re-check and the event list nothing) — and the in-repo twin
+## of the wall-clock benchmark's replay-cold allocation figures: one Run of
+## the BENCH_main.json trace allocates at most 1.0 objects and 0.95 KiB per
+## query, and nothing of it stays reachable from the System.
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
@@ -157,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
 	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
+	$(GO) test -run xxx -fuzz FuzzWrap -fuzztime 10s ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run xxx -fuzz FuzzScanTrace -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
 
@@ -164,10 +169,28 @@ fuzz-smoke:
 ## overhead (compare against a pre-change baseline), and the eviction
 ## index against the reference's scan as the resident set grows (both
 ## columns from this one tree: the ref rows run the scan kept in
-## lruk_ref_test.go).
+## lruk_ref_test.go), and the pre-processor at the sizes the traces carry
+## (17, 59, 128 points) and at 1 000, its packed-key sort against the
+## comparator it replaced (the ref rows force the oversize-key path: the
+## reference, which no shipped workload takes).
 bench-sched:
 	$(GO) test -run xxx -bench BenchmarkFig10Schedulers -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkLRUKMiss -benchtime 20000x ./internal/cache/
+	$(GO) test -run xxx -bench BenchmarkPreProcess -benchtime 20000x ./internal/query/
+
+## profile-replay: CPU and allocation profiles of the replay-cold workload's
+## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh
+## system each), printed cumulative — the profile tables of EXPERIMENTS.md in
+## one command (two runs: recording every allocation would bend the CPU
+## profile; the object counts are per 3 replays, one of them b.N's probe).
+## Binary and profiles go to PROFILE_DIR, outside the tree.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/jaws-profile
+profile-replay:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench ReplayCold -benchtime 20x -o $(PROFILE_DIR)/jaws.test -cpuprofile $(PROFILE_DIR)/cpu.prof .
+	$(GO) test -run xxx -bench ReplayCold -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 1 .
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/mem.prof
 
 ## bench: measure this tree into a versioned BENCH_*.json artifact
 ## (byte-deterministic for a fixed config; see DESIGN.md §11).

@@ -238,3 +238,29 @@ func BenchmarkEndToEndFacade(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReplayCold is the body of the wall-clock benchmark's replay-cold
+// workload (benchmark/replay.go): the BENCH_main.json trace at the default
+// scale through Open and Run on a fresh system per replay, the trace and
+// the system built off the clock. One op is one replay of 6 099 queries;
+// `make profile-replay` profiles it.
+func BenchmarkReplayCold(b *testing.B) {
+	s := experiments.DefaultScale()
+	b.ReportAllocs()
+	queries := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		jobs := experiments.FreshJobs(s, 1)
+		sys, err := Open(s.Node(experiments.AlgJAWS2, s.BatchSize))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rep, err := sys.Run(jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = rep.Completed
+	}
+	b.ReportMetric(float64(queries), "queries/op")
+}

@@ -11,11 +11,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -346,12 +346,15 @@ type Engine struct {
 	inst *instruments
 
 	// Query frames (DESIGN.md §19). dispatch takes a query's state from
-	// freeStates, complete retires it, and the end of the decision in hand
+	// freeStates — kept in ascending order of the frames' point capacity, so
+	// that it finds the smallest that fits — or carves a new one from
+	// stateSlab; complete retires it, and the end of the decision in hand
 	// frees what was retired — not sooner: the decision's batches still
 	// list the completed query's sub-queries, for whoever reads them until
-	// then. Both lists are the simulation goroutine's and die with the
+	// then. Slab and lists are the simulation goroutine's and die with the
 	// engine; together they hold as many frames as queries were in flight
 	// at once. results is a session's free list of results; nil under Run.
+	stateSlab     []queryState
 	freeStates    []*queryState
 	retiredStates []*queryState
 	results       *resultList
@@ -634,8 +637,8 @@ func (e *Engine) declareAll(jobs []*job.Job) {
 			ordered = append(ordered, j)
 		}
 	}
-	sort.SliceStable(ordered, func(i, k int) bool {
-		return ordered[i].Queries[0].Arrival < ordered[k].Queries[0].Arrival
+	slices.SortStableFunc(ordered, func(a, b *job.Job) int {
+		return cmp.Compare(a.Queries[0].Arrival, b.Queries[0].Arrival)
 	})
 	for _, j := range ordered {
 		if !e.graph.Registered(j.ID) {
@@ -761,14 +764,39 @@ func (e *Engine) gateAtDispatch(q *query.Query) sched.GateState {
 	return sched.GateFree
 }
 
-// dispatch pre-processes the query into a frame and enqueues its
-// sub-queries. On a warmed engine, a query no larger than one already
-// served allocates nothing here.
-func (e *Engine) dispatch(q *query.Query) {
-	st, ok := pop(&e.freeStates)
-	if !ok {
-		st = new(queryState)
+// frameSlab is the number of query frames the engine allocates at a time.
+const frameSlab = 64
+
+// byPointCap orders the free frames: where a frame of capacity n belongs.
+func byPointCap(st *queryState, n int) int { return cmp.Compare(st.PointCap(), n) }
+
+// takeState returns a frame for a query of n points: the smallest free one
+// whose point array holds them — so that a small query does not use up the
+// frame a large one sized, and the large one regrow a small frame. When
+// none does, the smallest of all regrows (it discards the least); with no
+// free frame, a new one is carved from the slab.
+func (e *Engine) takeState(n int) *queryState {
+	if len(e.freeStates) == 0 {
+		if len(e.stateSlab) == cap(e.stateSlab) {
+			e.stateSlab = make([]queryState, 0, frameSlab)
+		}
+		e.stateSlab = e.stateSlab[:len(e.stateSlab)+1]
+		return &e.stateSlab[len(e.stateSlab)-1]
 	}
+	i, _ := slices.BinarySearchFunc(e.freeStates, n, byPointCap)
+	if i == len(e.freeStates) {
+		i = 0
+	}
+	st := e.freeStates[i]
+	e.freeStates = slices.Delete(e.freeStates, i, i+1)
+	return st
+}
+
+// dispatch pre-processes the query into a frame and enqueues its
+// sub-queries. On a warmed engine, a query that a free frame fits — one no
+// larger than a query that frame served — allocates nothing here.
+func (e *Engine) dispatch(q *query.Query) {
+	st := e.takeState(len(q.Points))
 	sqs, err := st.Split(q, e.cfg.Store.Space())
 	if err != nil {
 		panic(fmt.Sprintf("engine: pre-process of validated query failed: %v", err))
@@ -780,18 +808,19 @@ func (e *Engine) dispatch(q *query.Query) {
 	e.states[q.ID] = st
 	now := e.clock.Now()
 	e.inst.noteDispatched(q, now)
-	for _, sq := range sqs {
-		e.cfg.Sched.Enqueue(sq, now)
+	for i := range sqs {
+		e.cfg.Sched.Enqueue(&sqs[i], now)
 	}
 }
 
 // releaseStates frees the frames of the queries the decision completed,
-// emptied of every reference to them.
+// emptied of every reference to them, each to its place in the order.
 func (e *Engine) releaseStates() {
 	for i, st := range e.retiredStates {
 		st.Reset()
 		st.q, st.result = nil, nil
-		e.freeStates = append(e.freeStates, st)
+		at, _ := slices.BinarySearchFunc(e.freeStates, st.PointCap(), byPointCap)
+		e.freeStates = slices.Insert(e.freeStates, at, st)
 		e.retiredStates[i] = nil
 	}
 	e.retiredStates = e.retiredStates[:0]
@@ -1147,7 +1176,7 @@ func (e *Engine) finishReport() {
 	}
 	if n := len(e.completedRT); n > 0 {
 		sorted := append([]time.Duration(nil), e.completedRT...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		var sum time.Duration
 		for _, rt := range sorted {
 			sum += rt

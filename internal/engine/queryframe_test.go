@@ -86,6 +86,52 @@ func TestDispatchAllocs(t *testing.T) {
 	}
 }
 
+// TestFittingFrameReuse pins the fitting-frame rule: dispatch takes the
+// smallest free frame whose point array holds the query, wherever it sits.
+// Two queries in flight at once size two frames, 512 points and 17; under
+// NoShare they complete in arrival order, so the small frame is the one
+// freed last. A last-in-first-out list then hands it to the next bulk
+// query, which regrows it, and the large frame to the next small one; taken
+// by fit, every later dispatch allocates nothing and neither frame grows.
+func TestFittingFrameReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := newEngine(t, testStore(t), sched.NewNoShare(), false, func(cfg *Config) {
+		cfg.Cache = cache.New(256, cache.NewLRUK(2, 0))
+	})
+	pts := scatter(rand.New(rand.NewSource(5)), 512)
+	bulk := &query.Query{ID: 1, JobID: 1, Step: 1, Points: pts, Kernel: field.KernelLag6}
+	small := &query.Query{ID: 2, JobID: 2, Step: 1, Points: pts[:17], Kernel: field.KernelLag6}
+	for range 3 { // two frames, the scratch and the scheduler's queues reach their size
+		decide(t, e, bulk, small)
+	}
+	caps := func() []int {
+		var out []int
+		for _, st := range e.freeStates {
+			out = append(out, st.PointCap())
+		}
+		return out
+	}
+	if got := caps(); !slices.Equal(got, []int{17, 512}) {
+		t.Fatalf("free frames hold %v points after a 512- and a 17-point query in flight together, want [17 512]", got)
+	}
+	for _, q := range []*query.Query{bulk, small, bulk, bulk, small} {
+		// The least of many, for the reason TestDispatchAllocs gives.
+		var allocs []uint64
+		for range 21 {
+			m0 := mallocs()
+			e.dispatch(q)
+			allocs = append(allocs, mallocs()-m0)
+			decide(t, e)
+		}
+		if least := slices.Min(allocs); least != 0 {
+			t.Errorf("dispatch of %d points with a free frame that fits: %d allocs (least; all: %v), want 0", len(q.Points), least, allocs)
+		}
+	}
+	if got := caps(); !slices.Equal(got, []int{17, 512}) {
+		t.Errorf("free frames hold %v points at the end, want [17 512]: a frame grew", got)
+	}
+}
+
 // TestSessionQueryAllocs pins a whole bulk request on a warmed session,
 // Submit → result → Release: the Submit argument is all it allocates, for
 // a 512-point scattered query and for a 170-point derivative over three

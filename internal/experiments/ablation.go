@@ -47,7 +47,7 @@ func Ablations(s Scale) (*AblationResult, error) {
 	r := &AblationResult{}
 	r.Table.Header = []string{"configuration", "throughput (q/s)", "mean resp (s)", "p95 resp (s)", "reads", "hit", "extra"}
 	for _, ab := range rows {
-		cfg := s.node(AlgJAWS2, s.BatchSize)
+		cfg := s.Node(AlgJAWS2, s.BatchSize)
 		ab.delta(&cfg)
 		row, err := runAblation(s, ab.name, cfg)
 		if err != nil {

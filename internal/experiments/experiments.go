@@ -135,10 +135,11 @@ func AllAlgorithms() []Algorithm {
 	return []Algorithm{AlgNoShare, AlgLifeRaft1, AlgLifeRaft2, AlgJAWS1, AlgJAWS2}
 }
 
-// node describes the node every experiment runs on, under one algorithm
+// Node describes the node every experiment runs on, under one algorithm
 // with batch size k (α₀ = 0.5, adaptive, LRU-K: the description's defaults).
-// An experiment states its setting as a delta on it.
-func (s Scale) node(alg Algorithm, k int) system.Config {
+// An experiment states its setting as a delta on it. Exported for the
+// benchmark's in-repo twins (BenchmarkReplayCold, TestRunAllocBudget).
+func (s Scale) Node(alg Algorithm, k int) system.Config {
 	cfg := system.Config{
 		Space:      s.Space,
 		Steps:      s.Steps,
@@ -185,13 +186,13 @@ func RunAlgorithm(s Scale, alg Algorithm, k int) (*engine.Report, error) {
 // RunAlgorithmOn is RunAlgorithm with a caller-provided job list (e.g. a
 // different saturation speed-up).
 func RunAlgorithmOn(s Scale, alg Algorithm, jobs []*job.Job, k int) (*engine.Report, error) {
-	return run(s.node(alg, k), jobs)
+	return run(s.Node(alg, k), jobs)
 }
 
 // RunPolicy executes the speed-up-1 workload under JAWS1 with the given
 // cache replacement policy.
 func RunPolicy(s Scale, pol system.CachePolicy) (*engine.Report, error) {
-	cfg := s.node(AlgJAWS1, s.BatchSize)
+	cfg := s.Node(AlgJAWS1, s.BatchSize)
 	cfg.Policy = pol
 	return run(cfg, FreshJobs(s, 1))
 }

@@ -85,8 +85,23 @@ func AtomFromCode(c morton.Code) AtomCoord {
 	return AtomCoord{I: x, J: y, K: z}
 }
 
-// wrap maps v into [0, DomainSide) respecting periodicity.
+// wrap maps v into [0, DomainSide] respecting periodicity: a coordinate
+// already in [0, DomainSide) is returned as it is (math.Mod would return
+// the same bits, −0 included), anything else is reduced with math.Mod. The
+// upper end is closed: a negative v too small to move DomainSide (−1e-20)
+// rounds to DomainSide itself. ±Inf and NaN yield NaN.
 func wrap(v float64) float64 {
+	if v >= 0 && v < DomainSide {
+		return v
+	}
+	return wrapOutside(v)
+}
+
+// wrapOutside is wrap's reduction, kept out of line so that the test
+// above inlines into wrap's callers.
+//
+//go:noinline
+func wrapOutside(v float64) float64 {
 	v = math.Mod(v, DomainSide)
 	if v < 0 {
 		v += DomainSide
@@ -94,20 +109,28 @@ func wrap(v float64) float64 {
 	return v
 }
 
-// Wrap returns p with every component wrapped into the periodic domain.
+// Wrap returns p with every component wrapped into the periodic domain
+// [0, DomainSide] — DomainSide itself only for a tiny negative component
+// (see wrap), which VoxelOf places in the last voxel.
 func Wrap(p Position) Position {
 	return Position{X: wrap(p.X), Y: wrap(p.Y), Z: wrap(p.Z)}
 }
 
-// VoxelOf returns the integer voxel containing p (after periodic wrap).
+// VoxelOf returns the integer voxel containing p (after periodic wrap),
+// each index in [0, GridSide). The clamp below is what keeps a coordinate
+// that wraps to DomainSide itself inside the grid. A non-finite coordinate
+// (wrap gives NaN) is placed in the last voxel too, on every platform: the
+// clamp tests the quotient, not the integer a NaN converts to. Nothing
+// upstream rejects such a position.
 func (s Space) VoxelOf(p Position) (vx, vy, vz int) {
-	vsz := s.VoxelSize()
+	vsz, side := s.VoxelSize(), float64(s.GridSide)
 	f := func(v float64) int {
-		i := int(wrap(v) / vsz)
-		if i >= s.GridSide { // guard against FP round-up at the seam
-			i = s.GridSide - 1
+		w := wrap(v) / vsz
+		// FP round-up at the seam, wrap(v) == DomainSide, or NaN.
+		if !(w < side) {
+			return s.GridSide - 1
 		}
-		return i
+		return int(w)
 	}
 	return f(p.X), f(p.Y), f(p.Z)
 }

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,4 +207,79 @@ func TestWrap(t *testing.T) {
 	if p.X < 0 || p.X >= DomainSide || p.Y < 0 || p.Y >= DomainSide || p.Z < 0 || p.Z >= DomainSide {
 		t.Fatalf("Wrap left components outside domain: %+v", p)
 	}
+}
+
+// refWrap is wrap as it was before the in-domain fast path: math.Mod on
+// every coordinate. The fast path must agree with it bit for bit.
+func refWrap(v float64) float64 {
+	v = math.Mod(v, DomainSide)
+	if v < 0 {
+		v += DomainSide
+	}
+	return v
+}
+
+// checkWrap fails unless wrap(v) has the reference's bits (sign bit
+// included; any NaN equals any NaN) and lies in the documented range, and
+// VoxelOf and AtomOf place v inside every space's grid — a non-finite v in
+// the last voxel, whatever the platform converts a NaN to.
+func checkWrap(t *testing.T, v float64) {
+	t.Helper()
+	got, want := wrap(v), refWrap(v)
+	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Fatalf("wrap(%v) = %v (%#x), math.Mod reference %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if !math.IsNaN(got) && (got < 0 || got > DomainSide) {
+		t.Fatalf("wrap(%v) = %v outside [0, DomainSide]", v, got)
+	}
+	for _, s := range []Space{testSpace(), PaperSpace(), {GridSide: 96, AtomSide: 24}, {GridSide: 8, AtomSide: 8}} {
+		vx, vy, vz := s.VoxelOf(Position{X: v, Y: -v, Z: v / 2})
+		for _, i := range []int{vx, vy, vz} {
+			if i < 0 || i >= s.GridSide {
+				t.Fatalf("%+v: VoxelOf(%v) = (%d,%d,%d) outside the grid", s, v, vx, vy, vz)
+			}
+		}
+		if last := s.GridSide - 1; math.IsNaN(got) && (vx != last || vy != last || vz != last) {
+			t.Fatalf("%+v: VoxelOf(%v) = (%d,%d,%d), want the last voxel for a non-finite coordinate", s, v, vx, vy, vz)
+		}
+		a := s.AtomOf(Position{X: v, Y: -v, Z: v / 2})
+		if n := uint32(s.AtomsPerAxis()); a.I >= n || a.J >= n || a.K >= n {
+			t.Fatalf("%+v: AtomOf(%v) = %v outside the atom grid", s, v, a)
+		}
+	}
+}
+
+func TestWrapMatchesMod(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{
+		0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-20, -1e-20, 1e-300, -1e-300,
+		DomainSide, -DomainSide, math.Nextafter(DomainSide, 0), math.Nextafter(DomainSide, math.Inf(1)),
+		-math.Nextafter(DomainSide, 0), DomainSide / 2, 1, -1, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for k := 2.0; k < 1e6; k *= 3 {
+		vals = append(vals, k*DomainSide, -k*DomainSide, math.Nextafter(k*DomainSide, 0), math.Nextafter(-k*DomainSide, 0))
+	}
+	for _, v := range vals {
+		checkWrap(t, v)
+	}
+	if !math.Signbit(wrap(negZero)) {
+		t.Fatal("wrap(-0) lost the sign bit math.Mod keeps")
+	}
+	// The documented exception to [0, DomainSide): pinned, not endorsed.
+	if got := wrap(-1e-20); got != DomainSide {
+		t.Fatalf("wrap(-1e-20) = %v; the doc comments of wrap, Wrap and VoxelOf say DomainSide", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		checkWrap(t, (rng.Float64()*6-3)*DomainSide)
+		checkWrap(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+func FuzzWrap(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), -1e-20, DomainSide, math.Nextafter(DomainSide, 0), -3 * DomainSide, math.Inf(1), math.NaN()} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) { checkWrap(t, v) })
 }

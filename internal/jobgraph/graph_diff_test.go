@@ -45,6 +45,8 @@ func checkTables(g *Graph) error {
 		if j.q == nil || g.slots[j.id] != slot {
 			return fmt.Errorf("slot %d (job %d) is not what the ID index says", slot, j.id)
 		}
+		// Levels increase strictly along a job: the invariant admitEdge
+		// stands on in place of a crossing scan.
 		prev := int32(0)
 		for s, v := range j.q {
 			if v.comp == 0 {
@@ -131,8 +133,9 @@ const (
 // side, comparing everything the two expose after every op. Job IDs are
 // drawn from a small range in no particular order, so the dynamic
 // program's orientation varies, duplicates are attempted, and a pruned ID
-// (and its slot) comes back.
-func replayOps(t testing.TB, data []byte) (adds, pruned int) {
+// (and its slot) comes back. crossings is how many edges the reference
+// refused by its crossing scan, which Graph does not have.
+func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
 	next := func() (byte, bool) {
 		if len(data) == 0 {
 			return 0, false
@@ -219,7 +222,7 @@ func replayOps(t testing.TB, data []byte) (adds, pruned int) {
 	for {
 		op, ok := next()
 		if !ok {
-			return adds, pruned
+			return adds, pruned, ref.crossings
 		}
 		switch {
 		case op%8 < 2: // register
@@ -292,17 +295,22 @@ func TestGraphMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	adds, pruned := 0, 0
+	adds, pruned, crossings := 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		data := make([]byte, 100+rng.Intn(500))
 		rng.Read(data)
-		a, p := replayOps(t, data)
-		adds, pruned = adds+a, pruned+p
+		a, p, c := replayOps(t, data)
+		adds, pruned, crossings = adds+a, pruned+p, crossings+c
 	}
-	t.Logf("%d op logs: %d jobs registered, %d pruned", seeds, adds, pruned)
+	t.Logf("%d op logs: %d jobs registered, %d pruned, %d edges refused by the reference's crossing scan", seeds, adds, pruned, crossings)
 	if pruned < seeds {
 		t.Fatalf("op logs pruned only %d jobs: the generator no longer reaches Prune's interesting cases", pruned)
+	}
+	// Graph refuses a crossing edge by its level check, without the scan
+	// (admitEdge): the op logs must keep reaching the case.
+	if crossings < seeds {
+		t.Fatalf("the reference's crossing scan refused only %d edges: the generator no longer certifies that Graph refuses them too", crossings)
 	}
 }
 

@@ -63,6 +63,10 @@ type refGraph struct {
 
 	// stats
 	admitted, rejected int
+	// crossings counts the edges the crossing scan refused. Graph has no
+	// scan — its tie and level checks refuse the same edges — so every one
+	// of these is a case in which the two graphs agree for different reasons.
+	crossings int
 
 	// obs, when set, is called with the outcome of every gating-edge
 	// admission attempt (tracing; the graph carries no virtual clock, so
@@ -392,6 +396,7 @@ func (g *refGraph) admitEdge(u, v Ref) bool {
 	for _, a := range mu {
 		for _, b := range mv {
 			if g.wouldCross(a, b) {
+				g.crossings++
 				return g.rejectEdge(u, v)
 			}
 		}

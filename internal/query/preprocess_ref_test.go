@@ -1,10 +1,12 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -126,6 +128,61 @@ func randomPoints(rng *rand.Rand, space geom.Space, n int) []geom.Position {
 	return pts[:n]
 }
 
+// shapedPoints draws n positions and, by shape, leaves them shuffled (0),
+// puts them in partition order already (1),
+// in reverse partition order (2), or makes them all the same position (3:
+// the order rests on the input index alone).
+func shapedPoints(rng *rand.Rand, space geom.Space, n, shape int) []geom.Position {
+	pts := randomPoints(rng, space, n)
+	switch shape {
+	case 1, 2:
+		sqs, err := refPreProcess(&Query{ID: 1, Points: pts}, space)
+		if err != nil {
+			panic(err)
+		}
+		pts = pts[:0:0]
+		for _, sq := range sqs {
+			pts = append(pts, sq.Points...)
+		}
+		if shape == 2 {
+			slices.Reverse(pts)
+		}
+	case 3:
+		for i := range pts {
+			pts[i] = pts[0]
+		}
+	}
+	return pts
+}
+
+// pointers lists the addresses of a partition's records, the form the
+// reference returns.
+func pointers(subs []SubQuery) []*SubQuery {
+	out := make([]*SubQuery, len(subs))
+	for i := range subs {
+		out[i] = &subs[i]
+	}
+	return out
+}
+
+// splitBothWays splits q into p twice — with the packed key's full room,
+// and with one bit less than q's keys need, which forces the comparator —
+// and checks each against the reference.
+func splitBothWays(t *testing.T, label string, p *Partition, q *Query, space geom.Space) {
+	t.Helper()
+	_, need := layoutFor(space, len(q.Points))
+	if need > packedKeyBits {
+		t.Fatalf("%s: a test query needs %d key bits", label, need)
+	}
+	for _, room := range []int{need - 1, packedKeyBits} {
+		got, err := p.split(q, space, room)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, fmt.Sprintf("%s, %d bits of room for %d", label, room, need), q, space, pointers(got))
+	}
+}
+
 // checkAgainstReference fails unless got is what the reference returns for
 // q, sub-query for sub-query: atoms in the same key order, the same points
 // in the same order (input-order ties included), the same sorted
@@ -161,6 +218,7 @@ var (
 		{GridSide: 64, AtomSide: 16},
 		{GridSide: 16, AtomSide: 2},
 		{GridSide: 8, AtomSide: 8},
+		{GridSide: 96, AtomSide: 24}, // atom side not a power of two: voxel order does not nest in atom order
 	}
 	refKernels = []field.Kernel{field.KernelNone, field.KernelTrilinear, field.KernelLag4, field.KernelLag6, field.KernelLag8}
 )
@@ -170,14 +228,14 @@ var (
 // than the stencil — and leave the query's own points alone.
 func TestPreProcessMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sizes := []int{1, 2, 8, 13, 64, 512}
-	for trial := 0; trial < 400; trial++ {
+	sizes := []int{1, 2, 8, 13, 17, 59, 64, 128, 512, 1000}
+	for trial := 0; trial < 600; trial++ {
 		space := refSpaces[trial%len(refSpaces)]
 		q := &Query{
 			ID:     ID(trial + 1),
 			Step:   rng.Intn(5),
 			Kernel: refKernels[rng.Intn(len(refKernels))],
-			Points: randomPoints(rng, space, sizes[rng.Intn(len(sizes))]),
+			Points: shapedPoints(rng, space, sizes[rng.Intn(len(sizes))], rng.Intn(6)),
 		}
 		if trial%2 == 1 {
 			q.DerivSteps = 2 + rng.Intn(7)
@@ -191,6 +249,53 @@ func TestPreProcessMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: PreProcess reordered the query's own points", trial)
 		}
 		checkAgainstReference(t, fmt.Sprintf("trial %d", trial), q, space, got)
+		splitBothWays(t, fmt.Sprintf("trial %d", trial), new(Partition), q, space)
+	}
+}
+
+// The packed key orders exactly as the three-field key does, at the widths
+// the layout gives it and at the limit: the paper's space with a 4 M-point
+// query fills all 64 bits, one point more takes the comparator.
+func TestPackedKeyOrder(t *testing.T) {
+	if _, need := layoutFor(geom.PaperSpace(), 1<<22); need != packedKeyBits {
+		t.Fatalf("paper space, 4 Mi points: %d key bits, want %d", need, packedKeyBits)
+	}
+	if _, need := layoutFor(geom.PaperSpace(), 1<<22+1); need != packedKeyBits+1 {
+		t.Fatalf("paper space, 4 Mi + 1 points: %d key bits, want %d", need, packedKeyBits+1)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		space geom.Space
+		n     int
+	}{
+		{geom.PaperSpace(), 1 << 22}, {geom.Space{GridSide: 256, AtomSide: 32}, 128},
+		{geom.Space{GridSide: 96, AtomSide: 24}, 1000}, {geom.Space{GridSide: 8, AtomSide: 8}, 1},
+	} {
+		l, _ := layoutFor(tc.space, tc.n)
+		draw := func() pointKey {
+			vx, vy, vz := rng.Intn(tc.space.GridSide), rng.Intn(tc.space.GridSide), rng.Intn(tc.space.GridSide)
+			if rng.Intn(2) == 0 { // the extremes: every bit of a field set
+				vx, vy, vz = tc.space.GridSide-1, tc.space.GridSide-1, tc.space.GridSide-1
+			}
+			k := pointKey{
+				atom:  morton.Encode(uint32(vx/tc.space.AtomSide), uint32(vy/tc.space.AtomSide), uint32(vz/tc.space.AtomSide)),
+				voxel: morton.Encode(uint32(vx), uint32(vy), uint32(vz)),
+				idx:   rng.Intn(tc.n),
+			}
+			if rng.Intn(4) == 0 {
+				k.idx = tc.n - 1
+			}
+			return k
+		}
+		for i := 0; i < 5000; i++ {
+			a, b := draw(), draw()
+			if l.unpack(l.pack(a)) != a {
+				t.Fatalf("%+v n=%d: %+v packs to %#x, unpacks to %+v", tc.space, tc.n, a, l.pack(a), l.unpack(l.pack(a)))
+			}
+			if got, want := cmp.Compare(l.pack(a), l.pack(b)), comparePointKeys(a, b); got != want {
+				t.Fatalf("%+v n=%d: packed order of %+v, %+v is %d, key order %d", tc.space, tc.n, a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -224,7 +329,7 @@ func TestPartitionReuseMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, fmt.Sprintf("space %d query %d", si, n), q, space, got)
+			checkAgainstReference(t, fmt.Sprintf("space %d query %d", si, n), q, space, pointers(got))
 			for _, sq := range got {
 				if cap(sq.Points) != len(sq.Points) || cap(sq.Footprint) != len(sq.Footprint) {
 					t.Fatalf("space %d query %d, %v: slices not capped at their length", si, n, sq.Atom)
@@ -247,11 +352,14 @@ func TestPartitionReuseMatchesReference(t *testing.T) {
 // FuzzPartitionReuse drives the same comparison from fuzzed sizes: a
 // Partition serves three queries in a row, the fuzzer choosing the space
 // and how large each is — up to 32 points for the lower half of a size's
-// range and up to 2 000 for the upper, so that most executions are cheap.
+// range and up to 2 000 for the upper, so that most executions are cheap —
+// and the shape of each (shuffled, in partition order, reversed, one
+// position n times), each split with the packed key and with the comparator.
 func FuzzPartitionReuse(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(1<<15+1999), uint16(0), uint16(7))
 	f.Add(int64(2), uint8(2), uint16(2), uint16(1<<15+1500), uint16(1))
 	f.Add(int64(3), uint8(3), uint16(31), uint16(31), uint16(1<<16-1))
+	f.Add(int64(4), uint8(4), uint16(16), uint16(1<<15+58), uint16(1<<15+127))
 	f.Fuzz(func(t *testing.T, seed int64, spaceIdx uint8, a, b, c uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		space := refSpaces[int(spaceIdx)%len(refSpaces)]
@@ -262,11 +370,8 @@ func FuzzPartitionReuse(f *testing.F) {
 				points = 1 + int(size)%2000
 			}
 			q := reuseQuery(rng, space, n, points)
-			got, err := p.Split(q, space)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstReference(t, fmt.Sprintf("query %d", n), q, space, got)
+			q.Points = shapedPoints(rng, space, points, int(size>>5)%6)
+			splitBothWays(t, fmt.Sprintf("query %d", n), &p, q, space)
 		}
 	})
 }

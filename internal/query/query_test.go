@@ -212,36 +212,45 @@ func TestResultResponseTime(t *testing.T) {
 	}
 }
 
-// BenchmarkPreProcess1kPoints splits one 1 000-point query: through the
-// allocating wrapper, and into one Partition reused as the engine reuses a
-// frame's.
-func BenchmarkPreProcess1kPoints(b *testing.B) {
+// BenchmarkPreProcess splits one query of each size the benchmark traces
+// carry (17 to 128 points, mean 59) and one 1 000-point bulk request:
+// through the allocating wrapper, into one Partition reused as the engine
+// reuses a frame's, and — the reference, not a served path: no shipped
+// workload has a key too wide to pack — into one with no room for a packed
+// key, which sorts with the comparator as every query did before.
+func BenchmarkPreProcess(b *testing.B) {
 	s := testSpace()
 	rng := rand.New(rand.NewSource(9))
-	pts := make([]geom.Position, 1000)
-	for i := range pts {
-		pts[i] = geom.Position{
-			X: rng.Float64() * geom.DomainSide,
-			Y: rng.Float64() * geom.DomainSide,
-			Z: rng.Float64() * geom.DomainSide,
-		}
-	}
-	q := mkQuery(1, 0, pts, field.KernelLag4)
-	var p Partition
-	for _, bc := range []struct {
-		name  string
-		split func() ([]*SubQuery, error)
-	}{
-		{"fresh", func() ([]*SubQuery, error) { return PreProcess(q, s) }},
-		{"reused", func() ([]*SubQuery, error) { return p.Split(q, s) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.split(); err != nil {
-					b.Fatal(err)
-				}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"17Points", 17}, {"59Points", 59}, {"128Points", 128}, {"1kPoints", 1000}} {
+		pts := make([]geom.Position, size.n)
+		for i := range pts {
+			pts[i] = geom.Position{
+				X: rng.Float64() * geom.DomainSide,
+				Y: rng.Float64() * geom.DomainSide,
+				Z: rng.Float64() * geom.DomainSide,
 			}
-		})
+		}
+		q := mkQuery(1, 0, pts, field.KernelLag4)
+		var p Partition
+		for _, bc := range []struct {
+			name  string
+			split func() error
+		}{
+			{"fresh", func() error { _, err := PreProcess(q, s); return err }},
+			{"reused", func() error { _, err := p.Split(q, s); return err }},
+			{"ref", func() error { _, err := p.split(q, s, 0); return err }},
+		} {
+			b.Run(size.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := bc.split(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

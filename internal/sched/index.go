@@ -3,6 +3,7 @@ package sched
 import (
 	"sort"
 
+	"jaws/internal/query"
 	"jaws/internal/store"
 )
 
@@ -231,7 +232,16 @@ func (q *queues) siftDown(i int) {
 
 // --- freelists ----------------------------------------------------------
 
-// newAtomQueue returns a recycled (or fresh) atom queue for id.
+// atomSlab is the number of atom queues allocated at a time, and atomSubs
+// the room a new one's sub-query list starts with: most queues drain with
+// fewer, and a list that starts empty grows 1 → 2 → 4 → 8 on the way there.
+const (
+	atomSlab = 64
+	atomSubs = 8
+)
+
+// newAtomQueue returns a recycled atom queue for id, or a fresh one carved
+// from the slab.
 func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 	if n := len(q.freeAtoms); n > 0 {
 		aq := q.freeAtoms[n-1]
@@ -240,7 +250,13 @@ func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 		aq.id = id
 		return aq
 	}
-	return &atomQueue{id: id, heapIdx: -1}
+	if len(q.slab) == cap(q.slab) {
+		q.slab = make([]atomQueue, 0, atomSlab)
+	}
+	q.slab = q.slab[:len(q.slab)+1]
+	aq := &q.slab[len(q.slab)-1]
+	*aq = atomQueue{id: id, subs: make([]*query.SubQuery, 0, atomSubs), heapIdx: -1}
+	return aq
 }
 
 // beginDecision recycles the atom queues released by the previous

@@ -215,7 +215,8 @@ type queues struct {
 	useHeap  bool
 
 	// Freelists and the deferred-recycle list backing the zero-allocation
-	// decision path.
+	// decision path; slab is the chunk new atom queues are carved from.
+	slab        []atomQueue
 	freeAtoms   []*atomQueue
 	freeBuckets []*stepBucket
 	released    []*atomQueue
