@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
-check: fmt-check vet check-assembly check-reporting build test race fuzz-smoke
+check: fmt-check vet check-assembly check-reporting check-surface build test race fuzz-smoke
 
 ## fmt-check: every Go file is gofmt-clean.
 fmt-check:
@@ -20,6 +20,15 @@ check-assembly:
 ## (obs.Quantile), six binaries (DESIGN.md §20); offenders are printed.
 check-reporting:
 	./scripts/check_reporting.sh
+
+## check-surface: the closed surface (DESIGN.md §3) — every exported name
+## under internal/ (outside internal/oracle) is reachable from non-test
+## code of this module or benchmark/, and every field of an internal Config
+## the facade does not re-export is set by non-test code outside its
+## package; a finding names the symbol, file and line. The ≤ 15-entry
+## allowlist, one reason each, is surfaceAllow in surface_test.go.
+check-surface:
+	$(GO) test -count=1 -run 'TestClosedSurface' .
 
 ## check-oracle: the scheduler correctness oracle — every decision of the
 ## real schedulers diffed against the reference models over randomized

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"jaws"
+	"jaws/internal/system"
 	"jaws/internal/workload"
 )
 
@@ -49,10 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		steps     = fs.Int("steps", 31, "stored time steps")
 		compute   = fs.Bool("compute", false, "evaluate interpolation kernels for real")
 		verbose   = fs.Bool("v", false, "print per-run adaptation history")
-		traceOut  = fs.String("trace-out", "", "write a JSONL decision trace to this file (read it with jawsreport)")
-		metrics   = fs.Bool("metrics", false, "print the metrics registry in Prometheus text format after the run")
-		faultSpec = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05;disk-slow:p=0.1,extra=50ms' (see internal/fault)")
-		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault injector (same spec+seed replays identically)")
+		rf        = system.BindRunFlags(fs, false)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,24 +86,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var o *jaws.Obs
-	var tracer *jaws.Tracer
-	if *traceOut != "" || *metrics {
-		o = &jaws.Obs{}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return errf("%v", err)
-			}
-			tracer = jaws.NewTracer(0, f)
-			o.Trace = tracer
-		}
-		if *metrics {
-			o.Reg = jaws.NewRegistry()
-		}
+	spec, err := rf.Fault()
+	if err != nil {
+		return errf("%v", err)
 	}
-
-	spec, err := jaws.ParseFaultSpec(*faultSpec)
+	o, err := rf.Obs()
 	if err != nil {
 		return errf("%v", err)
 	}
@@ -124,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Compute:      *compute,
 		Obs:          o,
 		Fault:        spec,
-		FaultSeed:    *faultSeed,
+		FaultSeed:    rf.FaultSeed,
 	})
 	if err != nil {
 		return errf("%v", err)
@@ -167,17 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return errf("trace: %v", err)
-		}
-		fmt.Fprintf(stdout, "trace           %d events -> %s\n", tracer.Total(), *traceOut)
-	}
-	if *metrics {
-		fmt.Fprintln(stdout)
-		if err := o.Reg.WriteText(stdout); err != nil {
-			return errf("metrics: %v", err)
-		}
+	if err := rf.Finish(stdout, stdout); err != nil {
+		return errf("%v", err)
 	}
 	return 0
 }

@@ -51,9 +51,9 @@ import (
 
 	"jaws/internal/bench"
 	"jaws/internal/experiments"
-	"jaws/internal/fault"
 	"jaws/internal/obs"
 	"jaws/internal/sched"
+	"jaws/internal/system"
 	"jaws/internal/textplot"
 	"jaws/internal/workload"
 )
@@ -81,10 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "override the number of jobs in the trace")
 	seed := fs.Int64("seed", 0, "override the workload/field seed")
 	format := fs.String("format", "text", "output format: text or csv")
-	traceOut := fs.String("trace-out", "", "write a JSONL decision trace of every experiment engine (ablation and alpha included) to this file")
-	showMetrics := fs.Bool("metrics", false, "print the aggregated metrics registry after the experiments")
-	faultSpec := fs.String("fault-spec", "", "deterministic fault schedule for every experiment engine (see internal/fault)")
-	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector")
+	rf := system.BindRunFlags(fs, false)
 	benchOut := fs.String("bench-out", "", "run the benchmark workload and write a BENCH_*.json artifact to this file (skips the experiment tables)")
 	benchName := fs.String("bench-name", "", "artifact name recorded in -bench-out / fresh -compare runs (default: the scenario name, or jaws2 for the baseline)")
 	scenario := fs.String("scenario", "", "workload scenario overlay for experiments and benchmarks (see -list-scenarios); empty means the fig8 baseline")
@@ -148,14 +145,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed != 0 {
 		scale.Seed = *seed
 	}
-	if *faultSpec != "" {
-		spec, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			return c.fail(err)
-		}
-		scale.FaultSpec = spec
-		scale.FaultSeed = *faultSeed
+	var err error
+	if scale.FaultSpec, err = rf.Fault(); err != nil {
+		return c.fail(err)
 	}
+	scale.FaultSeed = rf.FaultSeed
 
 	if *benchOut != "" || *compareWith != "" {
 		name := *benchName
@@ -174,21 +168,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.benchMode(scale, *benchOut, name, *compareWith, *withFile, *regress)
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" || *showMetrics {
-		o := &obs.Obs{}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return c.fail(err)
-			}
-			tracer = obs.NewTracer(0, f)
-			o.Trace = tracer
-		}
-		if *showMetrics {
-			o.Reg = obs.NewRegistry()
-		}
-		scale.Obs = o
+	if scale.Obs, err = rf.Obs(); err != nil {
+		return c.fail(err)
 	}
 
 	which := strings.ToLower(*exp)
@@ -312,19 +293,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return c.fail(err)
-		}
-		if !c.asCSV {
-			fmt.Fprintf(c.stdout, "\ntrace: %d events -> %s\n", tracer.Total(), *traceOut)
-		}
+	status := c.stdout
+	if c.asCSV {
+		status = io.Discard
+	} else if rf.Tracer != nil {
+		fmt.Fprintln(status)
 	}
-	if *showMetrics {
-		fmt.Fprintln(c.stdout)
-		if err := scale.Obs.Reg.WriteText(c.stdout); err != nil {
-			return c.fail(err)
-		}
+	if err := rf.Finish(status, c.stdout); err != nil {
+		return c.fail(err)
 	}
 	if !c.asCSV {
 		fmt.Fprintf(c.stdout, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))

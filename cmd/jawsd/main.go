@@ -30,6 +30,7 @@ import (
 	"jaws"
 	"jaws/internal/obs"
 	"jaws/internal/server"
+	"jaws/internal/system"
 )
 
 func main() {
@@ -59,12 +60,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Int64("seed", 1, "turbulence field seed (replicas share it: same data)")
 		tailPol     = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler on every node, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		cacheAtoms  = fs.Int("cache", 64, "cache capacity in atoms per node")
-		faultSpec   = fs.String("fault-spec", "", "deterministic fault schedule, e.g. 'disk-transient:p=0.05' (see internal/fault)")
-		faultSeed   = fs.Int64("fault-seed", 1, "seed for the fault injector (each node derives its own stream)")
-		traceOut    = fs.String("trace-out", "", "write a JSONL decision trace to this file")
+		rf          = system.BindRunFlags(fs, true)
 		flight      = fs.Bool("flight", false, "record scheduler decision flight records (ring + trace-out sink; enables /varz sched and jaws_sched_* metrics)")
 		flightRing  = fs.Int("flight-ring", 0, "flight recorder ring capacity in records (0: default 4096, <0: unbounded)")
-		metricsOut  = fs.String("metrics-out", "", "write the metrics registry (Prometheus text) to this file on exit")
 		serveFor    = fs.Duration("serve-for", 0, "drain and exit after this long (0: serve until a signal)")
 		allowQuit   = fs.Bool("allow-quit", false, "serve POST /quitquitquit to trigger a graceful drain")
 		logOut      = fs.String("log-out", "", "write structured JSON request logs to this file (- for stderr)")
@@ -85,22 +83,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *nodes < 1 {
 		return errf("need at least one node, got %d", *nodes)
 	}
-	spec, err := jaws.ParseFaultSpec(*faultSpec)
+	spec, err := rf.Fault()
 	if err != nil {
 		return errf("%v", err)
 	}
-
-	reg := jaws.NewRegistry()
-	o := &jaws.Obs{Reg: reg}
-	var tracer *jaws.Tracer
+	o, err := rf.Obs()
+	if err != nil {
+		return errf("%v", err)
+	}
+	reg, tracer := rf.Reg, rf.Tracer
 	var reqSpans *obs.ReqSpanAgg
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return errf("%v", err)
-		}
-		tracer = jaws.NewTracer(0, f)
-		o.Trace = tracer
+	if tracer != nil {
 		// The same tracer carries both the engines' virtual-clock events
 		// and the server's wall-clock request spans, so one JSONL file
 		// holds both sides of every request.
@@ -141,9 +134,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CacheAtoms: *cacheAtoms,
 			Compute:    true,
 			Obs:        o,
-			EngineID:   i, // label decision records per node
+			Node:       i, // labels its flight records, is its '@node', mixes into its fault stream
 			Fault:      spec,
-			FaultSeed:  *faultSeed + int64(i), // independent fault streams
+			FaultSeed:  rf.FaultSeed,
 		})
 		if err != nil {
 			return errf("node %d: %v", i, err)
@@ -274,31 +267,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "flight          %d decisions (%d atoms chosen; pass-overs: %d batch-full, %d lost-race, %d aged-in; %d gated rounds)\n",
 			snap.Decisions, snap.ChosenAtoms, snap.PassBatchFull, snap.PassLostRace, snap.PassAgedIn, snap.GatedEdgeRounds)
 	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return errf("trace: %v", err)
-		}
-		fmt.Fprintf(stdout, "trace           %d events -> %s\n", tracer.Total(), *traceOut)
-		// Fold the final drop totals into the counter so the exported
-		// metrics file agrees with the closed trace.
-		c := reg.Counter("jaws_trace_dropped_total")
-		if dropped := tracer.RingDropped() + tracer.SinkDropped(); dropped > c.Value() {
-			c.Add(dropped - c.Value())
-		}
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return errf("%v", err)
-		}
-		if err := reg.WriteText(f); err != nil {
-			f.Close()
-			return errf("metrics: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			return errf("metrics: %v", err)
-		}
-		fmt.Fprintf(stdout, "metrics         -> %s\n", *metricsOut)
+	if err := rf.Finish(stdout, stdout); err != nil {
+		return errf("%v", err)
 	}
 	return 0
 }

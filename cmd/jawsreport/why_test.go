@@ -35,10 +35,10 @@ func TestWhyEndToEnd(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("run produced no spans")
 	}
-	ix := obs.NewDecisionIndex(rec.Records())
-	if ix.Records() == 0 {
+	if len(rec.Records()) == 0 {
 		t.Fatal("run produced no decision records")
 	}
+	ix := obs.NewDecisionIndex(rec.Records())
 
 	// Conservation across the whole population, not just one lucky span.
 	target := &spans[0]

@@ -53,12 +53,6 @@ func New[K any, V any](order int, less func(a, b K) bool) *Tree[K, V] {
 	return &Tree[K, V]{less: less, order: order, root: &leaf[K, V]{}, height: 1}
 }
 
-// Len reports the number of stored keys.
-func (t *Tree[K, V]) Len() int { return t.size }
-
-// Height reports the number of levels (1 for a single-leaf tree).
-func (t *Tree[K, V]) Height() int { return t.height }
-
 // Put inserts or replaces the value for key k.
 func (t *Tree[K, V]) Put(k K, v V) {
 	sep, right, split, added := t.root.insert(t, k, v)
@@ -117,32 +111,6 @@ func (t *Tree[K, V]) Scan(lo, hi K, fn func(k K, v V) bool) {
 		}
 		lf = lf.next
 	}
-}
-
-// Ascend calls fn for every key in ascending order, stopping early if fn
-// returns false.
-func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
-	lf := t.root.firstLeaf()
-	for lf != nil {
-		for i, k := range lf.keys {
-			if !fn(k, lf.vals[i]) {
-				return
-			}
-		}
-		lf = lf.next
-	}
-}
-
-// Min returns the smallest key and its value; ok is false on an empty tree.
-func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
-	lf := t.root.firstLeaf()
-	for lf != nil {
-		if len(lf.keys) > 0 {
-			return lf.keys[0], lf.vals[0], true
-		}
-		lf = lf.next
-	}
-	return k, v, false
 }
 
 // childIndex finds which child subtree of an interior node covers k.

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,19 +14,16 @@ func newInt(order int) *Tree[int, string] { return New[int, string](order, intLe
 
 func TestEmptyTree(t *testing.T) {
 	tr := newInt(0)
-	if tr.Len() != 0 {
-		t.Fatalf("empty tree Len = %d", tr.Len())
+	if tr.size != 0 {
+		t.Fatalf("empty tree Len = %d", tr.size)
 	}
 	if _, ok := tr.Get(1); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
 	called := false
-	tr.Ascend(func(int, string) bool { called = true; return true })
+	tr.Scan(math.MinInt, math.MaxInt, func(int, string) bool { called = true; return true })
 	if called {
-		t.Fatal("Ascend on empty tree visited a key")
+		t.Fatal("Scan on empty tree visited a key")
 	}
 }
 
@@ -34,8 +32,8 @@ func TestPutGet(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Put(i, "v")
 	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tr.Len())
+	if tr.size != 100 {
+		t.Fatalf("Len = %d, want 100", tr.size)
 	}
 	for i := 0; i < 100; i++ {
 		if _, ok := tr.Get(i); !ok {
@@ -51,8 +49,8 @@ func TestPutReplace(t *testing.T) {
 	tr := newInt(4)
 	tr.Put(7, "a")
 	tr.Put(7, "b")
-	if tr.Len() != 1 {
-		t.Fatalf("replace changed Len to %d", tr.Len())
+	if tr.size != 1 {
+		t.Fatalf("replace changed Len to %d", tr.size)
 	}
 	if v, _ := tr.Get(7); v != "b" {
 		t.Fatalf("Get(7) = %q, want b", v)
@@ -61,12 +59,12 @@ func TestPutReplace(t *testing.T) {
 
 func TestSplitGrowsHeight(t *testing.T) {
 	tr := newInt(3)
-	h := tr.Height()
+	h := tr.height
 	for i := 0; i < 50; i++ {
 		tr.Put(i, "v")
 	}
-	if tr.Height() <= h {
-		t.Fatalf("tree never grew: height %d", tr.Height())
+	if tr.height <= h {
+		t.Fatalf("tree never grew: height %d", tr.height)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -126,9 +124,10 @@ func TestMin(t *testing.T) {
 	for _, k := range []int{42, 7, 99, 13} {
 		tr.Put(k, "v")
 	}
-	k, _, ok := tr.Min()
-	if !ok || k != 7 {
-		t.Fatalf("Min = %d/%v, want 7/true", k, ok)
+	min, ok := 0, false
+	tr.Scan(math.MinInt, math.MaxInt, func(k int, _ string) bool { min, ok = k, true; return false })
+	if !ok || min != 7 {
+		t.Fatalf("a scan from the bottom starts at %d/%v, want 7/true", min, ok)
 	}
 }
 
@@ -139,12 +138,12 @@ func TestAscendSorted(t *testing.T) {
 		tr.Put(rng.Intn(500), "v")
 	}
 	var keys []int
-	tr.Ascend(func(k int, _ string) bool { keys = append(keys, k); return true })
+	tr.Scan(math.MinInt, math.MaxInt, func(k int, _ string) bool { keys = append(keys, k); return true })
 	if !sort.IntsAreSorted(keys) {
-		t.Fatal("Ascend not sorted")
+		t.Fatal("full Scan not sorted")
 	}
-	if len(keys) != tr.Len() {
-		t.Fatalf("Ascend visited %d keys, Len = %d", len(keys), tr.Len())
+	if len(keys) != tr.size {
+		t.Fatalf("full Scan visited %d keys, size = %d", len(keys), tr.size)
 	}
 }
 
@@ -161,7 +160,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 				tr.Put(k, i)
 				ref[k] = i
 			}
-			if tr.Len() != len(ref) {
+			if tr.size != len(ref) {
 				return false
 			}
 			for k, v := range ref {
@@ -170,7 +169,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 					return false
 				}
 			}
-			// Full ascend equals sorted reference keys.
+			// A full scan equals the sorted reference keys.
 			var want []int
 			for k := range ref {
 				want = append(want, k)
@@ -178,7 +177,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 			sort.Ints(want)
 			i := 0
 			good := true
-			tr.Ascend(func(k int, _ int) bool {
+			tr.Scan(math.MinInt, math.MaxInt, func(k int, _ int) bool {
 				if i >= len(want) || k != want[i] {
 					good = false
 					return false
@@ -242,7 +241,7 @@ func TestCompositeKey(t *testing.T) {
 		tr.Put(key(e), e)
 	}
 	var got []entry
-	tr.Ascend(func(_ uint64, e entry) bool { got = append(got, e); return true })
+	tr.Scan(0, math.MaxUint64, func(_ uint64, e entry) bool { got = append(got, e); return true })
 	want := []entry{{0, 9}, {1, 2}, {1, 5}, {2, 0}, {2, 1}}
 	for i := range want {
 		if got[i] != want[i] {

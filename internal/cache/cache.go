@@ -248,9 +248,6 @@ func (c *Cache) Flush(buf []any) []any {
 	return buf
 }
 
-// PolicyName reports the replacement policy in use.
-func (c *Cache) PolicyName() string { return c.policy.Name() }
-
 // Policy exposes the policy for scheduler coordination (URC needs utility
 // updates pushed into it).
 func (c *Cache) Policy() Policy { return c.policy }

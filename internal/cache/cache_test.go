@@ -160,9 +160,6 @@ func TestPolicyName(t *testing.T) {
 		if tc.p.Name() != tc.want {
 			t.Errorf("Name = %q, want %q", tc.p.Name(), tc.want)
 		}
-		if New(4, tc.p).PolicyName() != tc.want {
-			t.Errorf("cache PolicyName mismatch for %q", tc.want)
-		}
 	}
 }
 
@@ -242,8 +239,8 @@ func TestSLRUProtectedSurvivesScan(t *testing.T) {
 	}
 	c.Put(id(0, 2), nil)
 	c.EndRun() // promotes atom 1
-	if p.ProtectedLen() != 1 {
-		t.Fatalf("protected segment = %d, want 1", p.ProtectedLen())
+	if p.prot.Len() != 1 {
+		t.Fatalf("protected segment = %d, want 1", p.prot.Len())
 	}
 	for i := 10; i < 20; i++ { // scan: 10 cold atoms through a 4-atom cache
 		c.Put(id(0, i), nil)
@@ -265,8 +262,8 @@ func TestSLRUDemotion(t *testing.T) {
 		c.Get(id(0, 2))
 	}
 	c.EndRun() // 2 promoted, 1 demoted to probationary MRU
-	if p.ProtectedLen() != 1 {
-		t.Fatalf("protected segment = %d, want 1", p.ProtectedLen())
+	if p.prot.Len() != 1 {
+		t.Fatalf("protected segment = %d, want 1", p.prot.Len())
 	}
 	// 1 must still be resident (demoted to MRU end, not dropped).
 	if !c.Contains(id(0, 1)) {
@@ -281,7 +278,7 @@ func TestSLRUZeroProtected(t *testing.T) {
 		c.Put(id(0, i), nil)
 		c.EndRun()
 	}
-	if p.ProtectedLen() != 0 {
+	if p.prot.Len() != 0 {
 		t.Fatal("protected segment grew despite zero fraction")
 	}
 }
@@ -307,7 +304,7 @@ func TestURCEvictsLowestUtility(t *testing.T) {
 	c.Put(id(0, 1), nil)
 	c.Put(id(0, 2), nil)
 	c.Put(id(0, 3), nil)
-	p.SetStepMean(0, 1.0)
+	p.stepMean[0] = 1.0
 	p.SetAtomUtility(id(0, 1), 5)
 	p.SetAtomUtility(id(0, 2), 1) // coldest within the step
 	p.SetAtomUtility(id(0, 3), 9)
@@ -327,8 +324,8 @@ func TestURCStepOrdering(t *testing.T) {
 	c := New(2, p)
 	c.Put(id(0, 1), nil)
 	c.Put(id(1, 1), nil)
-	p.SetStepMean(0, 0.1) // cold step
-	p.SetStepMean(1, 5.0) // hot step
+	p.stepMean[0] = 0.1 // cold step
+	p.stepMean[1] = 5.0 // hot step
 	p.SetAtomUtility(id(0, 1), 100)
 	p.SetAtomUtility(id(1, 1), 0.5)
 	c.Put(id(1, 2), nil) // must evict the cold-step atom
@@ -345,7 +342,7 @@ func TestURCUnknownUtilitiesEvictFirst(t *testing.T) {
 	c := New(2, p)
 	c.Put(id(0, 1), nil)
 	c.Put(id(0, 2), nil)
-	p.SetStepMean(0, 1)
+	p.stepMean[0] = 1
 	p.SetAtomUtility(id(0, 1), 3)
 	// atom 2 has no pending workload: defaults to zero utility.
 	c.Put(id(0, 3), nil)
@@ -360,7 +357,7 @@ func TestURCMetadataBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Put(id(i%3, i), nil)
 		p.SetAtomUtility(id(i%3, i), float64(i))
-		p.SetStepMean(i%3, float64(i))
+		p.stepMean[i%3] = float64(i)
 	}
 	// Eviction must clean up per-atom metadata: only resident atoms plus
 	// the 3 step means remain.
@@ -554,8 +551,8 @@ func TestURCRecencyTieBreak(t *testing.T) {
 
 func TestURCReplaceStepMeans(t *testing.T) {
 	p := NewURC()
-	p.SetStepMean(1, 5)
-	p.SetStepMean(2, 7)
+	p.stepMean[1] = 5
+	p.stepMean[2] = 7
 	p.ReplaceStepMeans(map[int]float64{2: 3, 4: 9})
 	if _, ok := p.stepMean[1]; ok {
 		t.Fatal("stale step mean survived ReplaceStepMeans")
@@ -577,13 +574,13 @@ func TestTwoQPromotionViaGhost(t *testing.T) {
 	if c.Contains(id(0, 1)) {
 		t.Fatal("probation atom survived a scan")
 	}
-	if p.GhostLen() == 0 {
+	if p.ghost.Len() == 0 {
 		t.Fatal("no ghost recorded")
 	}
 	// Re-reference 1 while its ghost lives: must enter the hot LRU.
 	c.Put(id(0, 1), nil)
-	if p.HotLen() != 1 {
-		t.Fatalf("HotLen = %d, want 1 after ghost promotion", p.HotLen())
+	if p.am.Len() != 1 {
+		t.Fatalf("HotLen = %d, want 1 after ghost promotion", p.am.Len())
 	}
 	// A subsequent scan must not evict the hot atom.
 	for i := 10; i < 20; i++ {
@@ -601,8 +598,8 @@ func TestTwoQScanResistance(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(id(0, i), nil)
 	}
-	if p.HotLen() != 0 {
-		t.Fatalf("scan promoted %d atoms into the hot set", p.HotLen())
+	if p.am.Len() != 0 {
+		t.Fatalf("scan promoted %d atoms into the hot set", p.am.Len())
 	}
 }
 
@@ -612,8 +609,8 @@ func TestTwoQGhostBounded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Put(id(0, i), nil)
 	}
-	if p.GhostLen() > 2 {
-		t.Fatalf("ghost queue grew to %d, bound is 2", p.GhostLen())
+	if p.ghost.Len() > 2 {
+		t.Fatalf("ghost queue grew to %d, bound is 2", p.ghost.Len())
 	}
 }
 

@@ -155,6 +155,3 @@ func (p *SLRU) EndRun() {
 	}
 	p.counts = make(map[store.AtomID]int)
 }
-
-// ProtectedLen reports the current protected-segment size (for tests).
-func (p *SLRU) ProtectedLen() int { return p.prot.Len() }

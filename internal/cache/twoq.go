@@ -114,9 +114,3 @@ func (p *TwoQ) OnEvict(id store.AtomID) {
 
 // EndRun implements Policy (no-op; 2Q adapts continuously).
 func (p *TwoQ) EndRun() {}
-
-// HotLen reports the current Am size (tests).
-func (p *TwoQ) HotLen() int { return p.am.Len() }
-
-// GhostLen reports the current A1out size (tests).
-func (p *TwoQ) GhostLen() int { return p.ghost.Len() }

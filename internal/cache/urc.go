@@ -64,12 +64,6 @@ func (p *URC) SetAtomUtility(id store.AtomID, ut float64) {
 	p.atomUt[id] = ut
 }
 
-// SetStepMean records the mean workload throughput of a time step, the
-// coarse level of the two-level framework.
-func (p *URC) SetStepMean(step int, mean float64) {
-	p.stepMean[step] = mean
-}
-
 // ReplaceStepMeans swaps in the full current per-step means, dropping
 // entries for steps that no longer have pending work (their atoms become
 // farthest-future and evict first).

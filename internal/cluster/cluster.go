@@ -59,12 +59,6 @@ type Partitioner struct {
 	strategy     Strategy
 }
 
-// NewPartitioner builds a partitioner for n nodes over a step of
-// atomsPerStep atoms, using the Contiguous strategy.
-func NewPartitioner(n, atomsPerStep int) (*Partitioner, error) {
-	return NewPartitionerStrategy(n, atomsPerStep, Contiguous)
-}
-
 // NewPartitionerStrategy builds a partitioner with an explicit strategy.
 func NewPartitionerStrategy(n, atomsPerStep int, st Strategy) (*Partitioner, error) {
 	if n <= 0 {
@@ -84,9 +78,6 @@ func (p *Partitioner) NodeOf(id store.AtomID) int {
 	return int(id.Code) * p.nodes / p.atomsPerStep
 }
 
-// Nodes returns the node count.
-func (p *Partitioner) Nodes() int { return p.nodes }
-
 // Config assembles a cluster.
 type Config struct {
 	// Nodes is the number of database nodes; atoms per step must divide
@@ -94,8 +85,9 @@ type Config struct {
 	Nodes int
 	// Node describes every node: each builds its own system from it (all
 	// share the synthetic field seed, so the cluster presents one coherent
-	// dataset). Observe replaces its Obs per node; its Fault and FaultSeed
-	// are ignored for the cluster's, which give each node its own stream.
+	// dataset) with Node.Node set to its index, so its Fault schedule's
+	// '@node' rules address cluster nodes and each node draws its own
+	// stream from FaultSeed. Observe replaces its Obs per node.
 	Node system.Config
 	// Strategy selects the atom→node mapping; default Contiguous.
 	Strategy Strategy
@@ -108,12 +100,6 @@ type Config struct {
 	// and the mediator reruns a crashed node's jobs on the first live
 	// replica. 0 or 1 disables failover.
 	Replicas int
-	// Fault schedules deterministic fault injection on every node (see
-	// internal/fault); the empty spec disables it. Each node derives its
-	// own independent injector from FaultSeed and its node index.
-	Fault fault.Spec
-	// FaultSeed seeds the fault injectors when Fault is non-empty.
-	FaultSeed int64
 }
 
 // NodeReport pairs an executed engine run with the node that hosted it.
@@ -186,9 +172,6 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{cfg: cfg, part: part}, nil
 }
 
-// Partitioner exposes the atom→node mapping.
-func (c *Cluster) Partitioner() *Partitioner { return c.part }
-
 // SplitJob routes one job's queries across nodes: each query's positions
 // are divided by owning node, producing at most one per-node job that
 // preserves the original query order. The returned map holds only nodes
@@ -255,25 +238,20 @@ func (c *Cluster) split(jobs []*job.Job) map[int][]*job.Job {
 }
 
 // runNode executes njobs on one node: a fresh system built from the node
-// description, with the node's own registry under Observe and — when fault
-// injection is configured — its own deterministic injector.
+// description as node `node`, with the node's own registry under Observe.
 func (c *Cluster) runNode(node int, njobs []*job.Job) (*engine.Report, *obs.Obs, error) {
-	sys, err := system.Open(c.cfg.Node)
-	if err != nil {
-		return nil, nil, err
-	}
-	ec := sys.EngineConfig(sys.NewScheduler())
-	ec.Fault = fault.New(c.cfg.Fault, c.cfg.FaultSeed, node)
+	cfg := c.cfg.Node
+	cfg.Node = node
 	var o *obs.Obs
 	if c.cfg.Observe {
 		o = &obs.Obs{Reg: obs.NewRegistry(), Spans: obs.NewSpanAgg()}
-		ec.Obs = o
+		cfg.Obs = o
 	}
-	e, err := engine.New(ec)
+	sys, err := system.Open(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := e.Run(njobs)
+	rep, err := sys.Run(njobs)
 	return rep, o, err
 }
 

@@ -8,6 +8,7 @@ import (
 	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/morton"
+	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
@@ -50,7 +51,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPartitionerContiguousAndBalanced(t *testing.T) {
-	p, err := NewPartitioner(4, 64)
+	p, err := NewPartitionerStrategy(4, 64, Contiguous)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSplitJobRoutesByPartition(t *testing.T) {
 			total += len(q.Points)
 			for _, p := range q.Points {
 				id := store.AtomID{Step: 0, Code: space.AtomOf(p).Code()}
-				if c.Partitioner().NodeOf(id) != n {
+				if c.part.NodeOf(id) != n {
 					t.Fatalf("point routed to wrong node %d", n)
 				}
 			}
@@ -182,6 +183,35 @@ func TestRunAggregates(t *testing.T) {
 		if rep.PerNode[i-1].Node >= rep.PerNode[i].Node {
 			t.Fatal("per-node reports unsorted")
 		}
+	}
+}
+
+// TestRunLabelsFlightRecordsByNode: nodes that share one flight recorder
+// label their decision records with their own index, so the shared trace
+// splits back into per-node timelines (every record read node 0 while the
+// cluster wired its engines by hand).
+func TestRunLabelsFlightRecordsByNode(t *testing.T) {
+	cfg := testConfig(2)
+	rec := obs.NewFlightRecorder(-1, nil, nil)
+	cfg.Node.Obs = &obs.Obs{Flight: rec}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := cfg.Node.Space
+	var jobs []*job.Job
+	for id, code := range []morton.Code{0, 63} { // one atom in each node's half
+		jobs = append(jobs, mkClusterJob(int64(id+1), []geom.Position{space.Center(geom.AtomFromCode(code))}, job.Batched))
+	}
+	if _, err := c.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	perNode := map[int]int{}
+	for _, r := range rec.Records() {
+		perNode[r.Engine]++
+	}
+	if len(perNode) != 2 || perNode[0] == 0 || perNode[1] == 0 {
+		t.Fatalf("decision records per engine label = %v, want some under 0 and some under 1", perNode)
 	}
 }
 

@@ -27,7 +27,7 @@ func nodeCenters(t *testing.T, cfg Config, node int) []geom.Position {
 	side := space.GridSide / space.AtomSide
 	var pts []geom.Position
 	for code := 0; code < space.AtomsPerStep(); code++ {
-		if c.Partitioner().NodeOf(store.AtomID{Step: 0, Code: morton.Code(code)}) != node {
+		if c.part.NodeOf(store.AtomID{Step: 0, Code: morton.Code(code)}) != node {
 			continue
 		}
 		x, y, z := morton.Code(code).Decode()
@@ -77,7 +77,7 @@ func TestRunPartialReportOnCrash(t *testing.T) {
 	// completed work — with the crashed run's spans and metrics discarded.
 	cfg := testConfig(2)
 	cfg.Observe = true
-	cfg.Fault = mustSpec(t, "crash@0:at=50ms")
+	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRunFailoverReplicaServes(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Observe = true
 	cfg.Replicas = 2
-	cfg.Fault = mustSpec(t, "crash@0:at=50ms")
+	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestRunCascadeFailover(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Observe = true
 	cfg.Replicas = 3
-	cfg.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=500ms")
+	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=500ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestRunAllReplicasDead(t *testing.T) {
 	// the joined error names the dead node.
 	cfg := testConfig(2)
 	cfg.Replicas = 2
-	cfg.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=50ms")
+	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestPartitionerAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Nodes() != 4 {
-		t.Errorf("Nodes() = %d, want 4", p.Nodes())
+	if p.nodes != 4 {
+		t.Errorf("nodes = %d, want 4", p.nodes)
 	}
 }

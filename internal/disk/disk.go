@@ -180,6 +180,3 @@ func (a *Array) ResetStats() {
 	defer a.mu.Unlock()
 	a.stats = Stats{}
 }
-
-// Spindles reports the stripe width.
-func (a *Array) Spindles() int { return a.n }

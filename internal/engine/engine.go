@@ -33,6 +33,26 @@ import (
 	"jaws/internal/vclock"
 )
 
+const (
+	// stallLimit aborts a run that makes no progress for this many
+	// consecutive iterations (a gated-execution deadlock would otherwise
+	// hang).
+	stallLimit = 1 << 20
+	// decisionOverhead is the fixed cost of submitting one scheduling
+	// decision to the database (query setup, plan compilation, round
+	// trip). Batching k atoms amortizes it — one of the two mechanisms
+	// (with sequential Morton-order I/O) that make the two-level batch
+	// profitable.
+	decisionOverhead = 50 * time.Millisecond
+	// maxRetries bounds how many times a read failing with a transient
+	// error is retried before the run aborts; retryBackoff is the base of
+	// the exponential backoff charged to the virtual clock between
+	// attempts, doubling per retry up to retryBackoffMax.
+	maxRetries      = 4
+	retryBackoff    = 10 * time.Millisecond
+	retryBackoffMax = 500 * time.Millisecond
+)
+
 // Config assembles an engine.
 type Config struct {
 	Store *store.Store
@@ -59,16 +79,6 @@ type Config struct {
 	// KeepResults retains per-position kernel outputs in the report
 	// (memory-heavy; examples use it, experiments do not).
 	KeepResults bool
-	// StallLimit aborts the run if the engine makes no progress for this
-	// many consecutive iterations (a gated-execution deadlock would
-	// otherwise hang); 0 means 1<<20.
-	StallLimit int
-	// DecisionOverhead is the fixed cost of submitting one scheduling
-	// decision to the database (query setup, plan compilation, round
-	// trip). Batching k atoms amortizes it — one of the two mechanisms
-	// (with sequential Morton-order I/O) that make the two-level batch
-	// profitable. Zero means 50 ms; negative disables.
-	DecisionOverhead time.Duration
 	// FlushPerDecision empties the cache after every scheduling decision.
 	// The NoShare baseline sets this: each query is evaluated
 	// independently with no I/O shared across queries (§VI), matching the
@@ -95,23 +105,16 @@ type Config struct {
 	// check (see the obs package's zero-overhead contract).
 	Obs *obs.Obs
 	// EngineID labels this engine's decision flight records so a shared
-	// trace can be split back into per-node timelines (cluster layers give
-	// each node a distinct ID). Ignored unless Obs carries a recorder.
+	// trace can be split back into per-node timelines: system.EngineConfig
+	// sets it to the node description's Node, which a jawsd replica and a
+	// cluster node set to their index. Ignored unless Obs carries a
+	// recorder.
 	EngineID int
 	// Fault enables deterministic fault injection: transient/permanent
 	// disk errors, latency spikes, cache corruption, and a scheduled node
 	// crash (see internal/fault). Nil (the default) disables injection for
 	// the cost of one nil check per hook, mirroring Obs.
 	Fault *fault.Injector
-	// MaxRetries bounds how many times a read failing with a transient
-	// error is retried before the run aborts; 0 means 4.
-	MaxRetries int
-	// RetryBackoff is the base of the capped exponential backoff charged
-	// to the virtual clock between read attempts; 0 means 10 ms. The
-	// backoff doubles per retry up to RetryBackoffMax.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the per-retry backoff; 0 means 500 ms.
-	RetryBackoffMax time.Duration
 	// OnDecision, when non-nil, receives every scheduling decision the
 	// engine executes: the virtual time of the NextBatch call and the
 	// batches it returned, before any time is charged. The differential
@@ -415,29 +418,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.StallLimit <= 0 {
-		cfg.StallLimit = 1 << 20
-	}
 	if cfg.Cost.Tb <= 0 {
 		cfg.Cost.Tb = estimateTb()
 	}
 	if cfg.Cost.Tm <= 0 {
 		cfg.Cost.Tm = 20 * time.Microsecond
-	}
-	if cfg.DecisionOverhead == 0 {
-		cfg.DecisionOverhead = 50 * time.Millisecond
-	}
-	if cfg.DecisionOverhead < 0 {
-		cfg.DecisionOverhead = 0
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 4
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 500 * time.Millisecond
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -542,7 +527,7 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 			continue
 		}
 		stall++
-		if stall > e.cfg.StallLimit {
+		if stall > stallLimit {
 			e.inst.noteStallAbort(e.clock.Now())
 			return nil, fmt.Errorf("engine: stalled with %d/%d queries complete (gated-execution deadlock?)",
 				e.report.Completed, e.total)
@@ -837,7 +822,7 @@ func (e *Engine) execute(batches []sched.Batch) error {
 	e.inst.noteBeginDecision(batches)
 	defer e.releaseStates() // deferred first, so it runs after the clean-up below and the hook
 	defer e.inst.noteEndDecision()
-	e.advance(e.cfg.DecisionOverhead, causeOverhead)
+	e.advance(decisionOverhead, causeOverhead)
 	defer func() {
 		clear(e.atomBuf)
 		e.atomBuf = e.atomBuf[:0]
@@ -913,7 +898,7 @@ func (e *Engine) executeBatch(b *sched.Batch, atom *field.Atom) error {
 
 // readAtom fetches an atom through the cache, charging disk time on miss.
 // Reads failing with a transient (injected) error are retried up to
-// MaxRetries times under capped exponential backoff, every attempt and
+// maxRetries times under capped exponential backoff, every attempt and
 // backoff charged to the virtual clock; permanent failures and exhausted
 // retries propagate as errors that abort the run.
 func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
@@ -922,7 +907,7 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 		return v.(*field.Atom), nil
 	}
 	e.retire(v) // a hit the integrity hook dropped
-	backoff := e.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		a, cost, err := e.readFrame(id)
 		e.advance(cost, causeDisk) // on error, cost is the failure-detection latency
@@ -930,7 +915,7 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 			e.putAtom(id, a)
 			return a, nil
 		}
-		if !fault.IsTransient(err) || attempt >= e.cfg.MaxRetries {
+		if !fault.IsTransient(err) || attempt >= maxRetries {
 			e.inst.noteFaultAbort(e.clock.Now(), id, attempt)
 			return nil, fmt.Errorf("engine: read failed after %d attempt(s): %w", attempt+1, err)
 		}
@@ -938,8 +923,8 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 		e.inst.noteRetry(e.clock.Now(), id, attempt, backoff)
 		e.advance(backoff, causeDisk)
 		backoff *= 2
-		if backoff > e.cfg.RetryBackoffMax {
-			backoff = e.cfg.RetryBackoffMax
+		if backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 	}
 }

@@ -72,7 +72,7 @@ type instruments struct {
 	faultAborts      *obs.Counter // reads abandoned (run aborts)
 	faultCorruptions *obs.Counter // cache payloads dropped as corrupt
 	nodeCrashes      *obs.Counter // injector-scheduled node deaths
-	stallAborts      *obs.Counter // StallLimit deadlock aborts
+	stallAborts      *obs.Counter // stall-limit deadlock aborts
 
 	// blockedAt records the virtual time gating first held each query
 	// back, so the eventual admission can carry the accumulated wait.
@@ -435,7 +435,7 @@ func (in *instruments) noteCrash(now time.Duration, node int) {
 	in.trace.NodeCrash(now, node)
 }
 
-// noteStallAbort records a StallLimit abort (gated-execution deadlock).
+// noteStallAbort records a stall-limit abort (gated-execution deadlock).
 func (in *instruments) noteStallAbort(now time.Duration) {
 	if in == nil {
 		return

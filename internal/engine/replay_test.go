@@ -91,7 +91,7 @@ func TestReplayByteIdenticalTraces(t *testing.T) {
 	}
 }
 
-// deadlockSched simulates the failure mode StallLimit exists for: work
+// deadlockSched simulates the failure mode stallLimit exists for: work
 // is pending forever but no batch is ever released (a gating deadlock).
 type deadlockSched struct{}
 
@@ -109,12 +109,11 @@ func TestStallLimitAbortsDeadlock(t *testing.T) {
 	s := testStore(t)
 	reg := obs.NewRegistry()
 	e, err := New(Config{
-		Store:      s,
-		Cache:      cache.New(4, cache.NewLRU()),
-		Sched:      deadlockSched{},
-		Cost:       testCost,
-		StallLimit: 50,
-		Obs:        &obs.Obs{Reg: reg},
+		Store: s,
+		Cache: cache.New(4, cache.NewLRU()),
+		Sched: deadlockSched{},
+		Cost:  testCost,
+		Obs:   &obs.Obs{Reg: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

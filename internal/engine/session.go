@@ -174,7 +174,7 @@ func (s *Session) loop(e *Engine) {
 		case worked:
 			stall = 0
 		case e.report.Completed < e.total:
-			if stall++; stall > e.cfg.StallLimit {
+			if stall++; stall > stallLimit {
 				fail(fmt.Errorf("engine: session stalled with %d/%d queries complete", e.report.Completed, e.total))
 				return
 			}

@@ -47,7 +47,7 @@ func checkConservation(t *testing.T, agg *obs.SpanAgg, completed int) {
 
 // spanRun executes one generated workload with span collection and
 // returns the aggregator plus the completion count.
-func spanRun(t *testing.T, seed int64, jobAware bool, spec fault.Spec, maxRetries int) (*obs.SpanAgg, int) {
+func spanRun(t *testing.T, seed int64, jobAware bool, spec fault.Spec) (*obs.SpanAgg, int) {
 	t.Helper()
 	s := testStore(t)
 	w := workload.Generate(workload.Config{
@@ -68,9 +68,8 @@ func spanRun(t *testing.T, seed int64, jobAware bool, spec fault.Spec, maxRetrie
 			Cost: testCost, BatchSize: 4, InitialAlpha: 0.5, Adaptive: true, Resident: c.Contains,
 		}),
 		Cost: testCost, JobAware: jobAware, RunLength: 16,
-		Obs:        &obs.Obs{Spans: agg},
-		Fault:      fault.New(spec, seed, 0),
-		MaxRetries: maxRetries,
+		Obs:   &obs.Obs{Spans: agg},
+		Fault: fault.New(spec, seed, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func spanRun(t *testing.T, seed int64, jobAware bool, spec fault.Spec, maxRetrie
 func TestSpanConservation(t *testing.T) {
 	for _, jobAware := range []bool{false, true} {
 		for seed := int64(1); seed <= 5; seed++ {
-			agg, completed := spanRun(t, seed, jobAware, fault.Spec{}, 0)
+			agg, completed := spanRun(t, seed, jobAware, fault.Spec{})
 			if completed == 0 {
 				t.Fatal("workload completed nothing")
 			}
@@ -107,7 +106,7 @@ func TestSpanConservationUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		agg, completed := spanRun(t, seed, true, spec, 12)
+		agg, completed := spanRun(t, seed, true, spec)
 		checkConservation(t, agg, completed)
 		// The fault schedule above retries with probability 0.08 per read:
 		// over thousands of reads at least one span should carry disk time.
@@ -125,7 +124,7 @@ func TestSpanConservationUnderFaults(t *testing.T) {
 // admits gating edges must mark at least the held queries Blocked, and
 // their Gated phase must cover the hold.
 func TestSpanBlockedFlag(t *testing.T) {
-	agg, completed := spanRun(t, 3, true, fault.Spec{}, 0)
+	agg, completed := spanRun(t, 3, true, fault.Spec{})
 	checkConservation(t, agg, completed)
 	blocked := 0
 	for _, sp := range agg.Spans() {

@@ -42,7 +42,7 @@ func TestChaosSpansConserveAcrossFailover(t *testing.T) {
 		// The summary must survive pooling (percentiles over the merged
 		// set, deterministic ordering).
 		sum := rep.Spans.Summarize(3)
-		if sum.Count == 0 || sum.Phases.Sum() != sum.TotalResponse {
+		if p := sum.Phases; sum.Count == 0 || p.Gated+p.Queued+p.Overhead+p.Disk+p.Compute != sum.TotalResponse {
 			t.Fatalf("seed %d: pooled summary inconsistent: %+v", seed, sum)
 		}
 	}

@@ -52,11 +52,11 @@ func chaosConfig(t *testing.T, seed int64) cluster.Config {
 			Policy:      system.PolicyLRU,
 			CacheAtoms:  8,
 			Cost:        chaosCost,
+			Fault:       spec,
+			FaultSeed:   seed,
 		},
-		Observe:   true,
-		Replicas:  2,
-		Fault:     spec,
-		FaultSeed: seed,
+		Observe:  true,
+		Replicas: 2,
 	}
 }
 

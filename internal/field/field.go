@@ -122,9 +122,9 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 // without touching the neighbour atom's data.
 //
 // An atom from Frame is a frame: it carries the recipe of its samples and
-// synthesizes them on first use (Fill, or the first At / Interpolate /
-// InterpolateGradient on it), so an atom that is only ever resident costs
-// no synthesis and no sample memory. The first use is a write: goroutines
+// synthesizes them on first use (Fill, or the first At / Interpolate on
+// it), so an atom that is only ever resident costs no synthesis and no
+// sample memory. The first use is a write: goroutines
 // that share an atom call Fill before they part.
 type Atom struct {
 	Side  int
@@ -147,18 +147,13 @@ func (a *Atom) dim() int { return a.Side + 2*a.Ghost }
 // the paper's "roughly 8 MB".
 const NominalAtomBytes = 64 * 64 * 64 * Components * 8
 
-// Sample materializes the atom at coordinate ac of time step `step` on a
-// grid with `side` samples per axis within the atom and no halo. The
-// simulation uses a reduced side (e.g. 8) to keep memory small; the disk
-// model still charges the nominal 8 MB.
-func (f *Field) Sample(step int, space geom.Space, ac geom.AtomCoord, side int) *Atom {
-	return f.SampleGhost(step, space, ac, side, 0)
-}
-
-// SampleGhost materializes the atom with a replication halo of `ghost`
-// samples on each side (the §III.A layout). Halo samples come from the
-// periodic field itself, exactly as the production pipeline copies them
-// from neighbouring atoms.
+// SampleGhost materializes the atom at coordinate ac of time step `step`
+// on a grid with `side` samples per axis within the atom — the simulation
+// uses a reduced side (e.g. 8) to keep memory small; the disk model still
+// charges the nominal 8 MB — and a replication halo of `ghost` samples on
+// each side (the §III.A layout). Halo samples come from the periodic field
+// itself, exactly as the production pipeline copies them from neighbouring
+// atoms.
 func (f *Field) SampleGhost(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	a := f.Frame(step, space, ac, side, ghost)
 	a.Fill(nil)
@@ -292,7 +287,3 @@ func (a *Atom) At(i, j, k int) [Components]float64 {
 	copy(out[:], a.Data[base:base+Components])
 	return out
 }
-
-// Bytes returns the in-memory footprint of the atom's samples (0 while
-// unfilled).
-func (a *Atom) Bytes() int64 { return int64(len(a.Data) * 8) }

@@ -108,21 +108,18 @@ func TestDivergenceFree(t *testing.T) {
 func TestSampleShape(t *testing.T) {
 	f := New(5, 16, 0)
 	s := testSpace()
-	a := f.Sample(0, s, geom.AtomCoord{I: 1, J: 2, K: 3}, 8)
+	a := f.SampleGhost(0, s, geom.AtomCoord{I: 1, J: 2, K: 3}, 8, 0)
 	if a.Side != 8 {
 		t.Fatalf("Side = %d, want 8", a.Side)
 	}
 	if len(a.Data) != 8*8*8*Components {
 		t.Fatalf("Data len = %d", len(a.Data))
 	}
-	if a.Bytes() != int64(len(a.Data)*8) {
-		t.Fatalf("Bytes = %d", a.Bytes())
-	}
 }
 
 func TestSampleDefaultSide(t *testing.T) {
 	f := New(5, 16, 0)
-	a := f.Sample(0, testSpace(), geom.AtomCoord{I: 0, J: 0, K: 0}, 0)
+	a := f.SampleGhost(0, testSpace(), geom.AtomCoord{I: 0, J: 0, K: 0}, 0, 0)
 	if a.Side != 8 {
 		t.Fatalf("default side = %d, want 8", a.Side)
 	}
@@ -185,8 +182,8 @@ func TestFrameLifecycle(t *testing.T) {
 	want := f.SampleGhost(3, s, ac, 4, 2)
 
 	a := f.Frame(3, s, ac, 4, 2)
-	if a.Filled() || a.Bytes() != 0 {
-		t.Fatalf("a new frame holds %d bytes of samples", a.Bytes())
+	if a.Filled() || len(a.Data) != 0 {
+		t.Fatalf("a new frame holds %d samples", len(a.Data))
 	}
 	dirty := make([]float64, len(want.Data)+5)
 	for i := range dirty {
@@ -283,7 +280,7 @@ func TestInterpolationAccuracyImproves(t *testing.T) {
 	f := New(21, 24, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 3, J: 3, K: 3}
-	a := f.Sample(0, s, ac, 16)
+	a := f.SampleGhost(0, s, ac, 16, 0)
 	p := s.Center(ac)
 	p.X += 0.3 * s.VoxelSize()
 	p.Y -= 0.2 * s.VoxelSize()
@@ -310,7 +307,7 @@ func TestInterpolateAtSamplePoint(t *testing.T) {
 	f := New(9, 16, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 1, J: 1, K: 1}
-	a := f.Sample(0, s, ac, 8)
+	a := f.SampleGhost(0, s, ac, 8, 0)
 	atomLen := float64(s.AtomSide) * s.VoxelSize()
 	h := atomLen / 8
 	for _, idx := range [][3]int{{2, 3, 4}, {0, 0, 0}, {7, 7, 7}, {4, 4, 4}} {
@@ -337,7 +334,7 @@ func TestInterpolateFinite(t *testing.T) {
 	f := New(13, 16, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 2, J: 2, K: 2}
-	a := f.Sample(0, s, ac, 8)
+	a := f.SampleGhost(0, s, ac, 8, 0)
 	atomLen := float64(s.AtomSide) * s.VoxelSize()
 	g := func(fx, fy, fz float64, kk uint8) bool {
 		frac := func(v float64) float64 { v = math.Abs(v); return v - math.Floor(v) }
@@ -365,7 +362,7 @@ func BenchmarkSampleAtom8(b *testing.B) {
 	s := testSpace()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Sample(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8)
+		f.SampleGhost(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8, 0)
 	}
 }
 
@@ -387,7 +384,7 @@ func BenchmarkInterpolateLag4(b *testing.B) {
 	f := New(1, 48, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 1, J: 1, K: 1}
-	a := f.Sample(0, s, ac, 8)
+	a := f.SampleGhost(0, s, ac, 8, 0)
 	p := s.Center(ac)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -408,7 +405,7 @@ func TestSampleGhostLayout(t *testing.T) {
 		t.Fatalf("halo data len = %d, want (4+2·2)³·4", len(a.Data))
 	}
 	// Interior samples must agree with the no-halo atom.
-	plain := f.Sample(3, s, ac, 4)
+	plain := f.SampleGhost(3, s, ac, 4, 0)
 	for i := 0; i < 4; i++ {
 		if a.At(i, i, i) != plain.At(i, i, i) {
 			t.Fatalf("interior sample (%d,%d,%d) differs with halo", i, i, i)

@@ -10,7 +10,7 @@ import (
 
 // The functions below are the slice-based kernels this package shipped
 // before the weights moved into stack arrays (three make([]float64, n) per
-// interpolated point, six per gradient), kept as the reference the
+// interpolated point), kept as the reference the
 // differential tests compare against with ==: the arrays changed where
 // the weights live, not one floating-point operation or its order.
 
@@ -39,37 +39,8 @@ func refLagrangeWeightsHalo(s float64, n, side, g int) (int, []float64) {
 	return start, w
 }
 
-func refLagrangeDerivWeights(s float64, start, n int) []float64 {
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xi := float64(start + i)
-		den := 1.0
-		for j := 0; j < n; j++ {
-			if j != i {
-				den *= xi - float64(start+j)
-			}
-		}
-		sum := 0.0
-		for m := 0; m < n; m++ {
-			if m == i {
-				continue
-			}
-			prod := 1.0
-			for j := 0; j < n; j++ {
-				if j == i || j == m {
-					continue
-				}
-				prod *= s - float64(start+j)
-			}
-			sum += prod
-		}
-		d[i] = sum / den
-	}
-	return d
-}
-
-// sampleCoords is the prologue Interpolate and InterpolateGradient share:
-// pos in the atom's fractional sample coordinates.
+// sampleCoords is Interpolate's prologue: pos in the atom's fractional
+// sample coordinates.
 func sampleCoords(a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) (sx, sy, sz, h float64) {
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	h = atomLen / float64(a.Side)
@@ -128,44 +99,6 @@ func refInterpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos 
 	return out
 }
 
-func refInterpolateGradient(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) Gradient {
-	n := stencilWidth(k, a)
-	sx, sy, sz, h := sampleCoords(a, space, ac, pos)
-	ix, wx := refLagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
-	iy, wy := refLagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
-	iz, wz := refLagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
-	dx := refLagrangeDerivWeights(sx, ix, n)
-	dy := refLagrangeDerivWeights(sy, iy, n)
-	dz := refLagrangeDerivWeights(sz, iz, n)
-	d := a.dim()
-	gh := a.Ghost
-	var g Gradient
-	for kk := 0; kk < n; kk++ {
-		for jj := 0; jj < n; jj++ {
-			rowBase := ((iz+gh+kk)*d + (iy + gh + jj)) * d
-			for ii := 0; ii < n; ii++ {
-				base := (rowBase + ix + gh + ii) * Components
-				wX := dx[ii] * wy[jj] * wz[kk]
-				wY := wx[ii] * dy[jj] * wz[kk]
-				wZ := wx[ii] * wy[jj] * dz[kk]
-				for vi := 0; vi < 3; vi++ {
-					v := a.Data[base+vi]
-					g[vi][0] += wX * v
-					g[vi][1] += wY * v
-					g[vi][2] += wZ * v
-				}
-			}
-		}
-	}
-	inv := 1 / h
-	for vi := 0; vi < 3; vi++ {
-		for xj := 0; xj < 3; xj++ {
-			g[vi][xj] *= inv
-		}
-	}
-	return g
-}
-
 var allKernels = []Kernel{KernelNone, KernelTrilinear, KernelLag4, KernelLag6, KernelLag8}
 
 // kernelCases are the atoms the differential and allocation tests run on:
@@ -184,9 +117,9 @@ func kernelCases() []struct {
 		ac   geom.AtomCoord
 		atom *Atom
 	}{
-		{"side 8", ac, f.Sample(1, s, ac, 8)},
+		{"side 8", ac, f.SampleGhost(1, s, ac, 8, 0)},
 		{"side 8, ghost 4", ac, f.SampleGhost(1, s, ac, 8, 4)},
-		{"side 4", ac, f.Sample(2, s, ac, 4)},
+		{"side 4", ac, f.SampleGhost(2, s, ac, 4, 0)},
 	}
 }
 
@@ -222,9 +155,6 @@ func TestInterpolateMatchesReferenceBitForBit(t *testing.T) {
 				if got, want := Interpolate(k, tc.atom, s, tc.ac, p), refInterpolate(k, tc.atom, s, tc.ac, p); got != want {
 					t.Fatalf("%s %v at %+v: Interpolate %v, reference %v", tc.name, k, p, got, want)
 				}
-				if got, want := InterpolateGradient(k, tc.atom, s, tc.ac, p), refInterpolateGradient(k, tc.atom, s, tc.ac, p); got != want {
-					t.Fatalf("%s %v at %+v: InterpolateGradient %v, reference %v", tc.name, k, p, got, want)
-				}
 			}
 		}
 	}
@@ -238,9 +168,6 @@ func TestInterpolateDoesNotAllocate(t *testing.T) {
 		for _, k := range allKernels {
 			if allocs := testing.AllocsPerRun(100, func() { sink += Interpolate(k, tc.atom, s, tc.ac, p)[0] }); allocs != 0 {
 				t.Errorf("%s %v: Interpolate allocates %v times, want 0", tc.name, k, allocs)
-			}
-			if allocs := testing.AllocsPerRun(100, func() { sink += InterpolateGradient(k, tc.atom, s, tc.ac, p)[0][0] }); allocs != 0 {
-				t.Errorf("%s %v: InterpolateGradient allocates %v times, want 0", tc.name, k, allocs)
 			}
 		}
 	}

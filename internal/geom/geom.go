@@ -52,10 +52,6 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// PaperSpace returns the production geometry: 1024³ voxels in 64³-voxel
-// atoms.
-func PaperSpace() Space { return Space{GridSide: 1024, AtomSide: 64} }
-
 // AtomsPerAxis returns the number of atoms along one axis.
 func (s Space) AtomsPerAxis() int { return s.GridSide / s.AtomSide }
 
@@ -222,20 +218,6 @@ func wrapInt(q, adjust, n int) int {
 		v += n
 	}
 	return v
-}
-
-// Dist2 returns the squared Euclidean distance between two positions under
-// the minimum-image convention of the periodic domain.
-func Dist2(a, b Position) float64 {
-	d := func(x, y float64) float64 {
-		dv := math.Abs(wrap(x) - wrap(y))
-		if dv > DomainSide/2 {
-			dv = DomainSide - dv
-		}
-		return dv
-	}
-	dx, dy, dz := d(a.X, b.X), d(a.Y, b.Y), d(a.Z, b.Z)
-	return dx*dx + dy*dy + dz*dz
 }
 
 // Center returns the physical center of atom a.

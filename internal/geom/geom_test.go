@@ -9,11 +9,14 @@ import (
 
 func testSpace() Space { return Space{GridSide: 256, AtomSide: 32} }
 
+// paperSpace is the production geometry: 1024³ voxels in 64³-voxel atoms.
+func paperSpace() Space { return Space{GridSide: 1024, AtomSide: 64} }
+
 func TestValidate(t *testing.T) {
 	if err := testSpace().Validate(); err != nil {
 		t.Fatalf("valid space rejected: %v", err)
 	}
-	if err := PaperSpace().Validate(); err != nil {
+	if err := paperSpace().Validate(); err != nil {
 		t.Fatalf("paper space rejected: %v", err)
 	}
 	bad := []Space{
@@ -31,7 +34,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestPaperSpaceDimensions(t *testing.T) {
-	s := PaperSpace()
+	s := paperSpace()
 	if got := s.AtomsPerAxis(); got != 16 {
 		t.Fatalf("paper atoms per axis = %d, want 16", got)
 	}
@@ -166,25 +169,6 @@ func TestFootprintNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestDist2Periodic(t *testing.T) {
-	a := Position{0.1, 0, 0}
-	b := Position{DomainSide - 0.1, 0, 0}
-	want := 0.2 * 0.2
-	if got := Dist2(a, b); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("minimum-image Dist2 = %g, want %g", got, want)
-	}
-}
-
-func TestDist2Symmetric(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a, b := Position{ax, ay, az}, Position{bx, by, bz}
-		return math.Abs(Dist2(a, b)-Dist2(b, a)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCenterInsideAtom(t *testing.T) {
 	s := testSpace()
 	for _, a := range []AtomCoord{{0, 0, 0}, {3, 5, 7}, {7, 7, 7}} {
@@ -232,7 +216,7 @@ func checkWrap(t *testing.T, v float64) {
 	if !math.IsNaN(got) && (got < 0 || got > DomainSide) {
 		t.Fatalf("wrap(%v) = %v outside [0, DomainSide]", v, got)
 	}
-	for _, s := range []Space{testSpace(), PaperSpace(), {GridSide: 96, AtomSide: 24}, {GridSide: 8, AtomSide: 8}} {
+	for _, s := range []Space{testSpace(), paperSpace(), {GridSide: 96, AtomSide: 24}, {GridSide: 8, AtomSide: 8}} {
 		vx, vy, vz := s.VoxelOf(Position{X: v, Y: -v, Z: v / 2})
 		for _, i := range []int{vx, vy, vz} {
 			if i < 0 || i >= s.GridSide {

@@ -82,9 +82,8 @@ type vertex struct {
 // entry, component member or posting refers to, and the next registration
 // reuses it.
 type jobRec struct {
-	id  int64
-	reg int64    // registration number: orders jobs by arrival across slot reuse
-	q   []vertex // by sequence number
+	id int64
+	q  []vertex // by sequence number
 	// atoms holds the per-query atom lists end to end when the job was
 	// registered through AddJobWithAtoms (vertex.atomEnd delimits them).
 	atoms    []store.AtomID
@@ -102,9 +101,9 @@ type posting struct {
 // cand is one partner job's alignment with the job being merged:
 // pairs[lo:hi] of the graph's pair buffer.
 type cand struct {
-	slot    int32
-	lo, hi  int32
-	id, reg int64
+	slot   int32
+	lo, hi int32
+	id     int64
 }
 
 // arenaChunk is the number of records an arena allocates at a time.
@@ -137,7 +136,6 @@ type Graph struct {
 	jobs      []jobRec
 	freeSlots []int32
 	order     []int32 // live slots in registration order
-	regs      int64
 
 	// comps[0] is unused, so that a zero vertex has no component. A merge
 	// keeps one of the two components' records and frees the other; a freed
@@ -178,10 +176,6 @@ type Graph struct {
 	union []member
 	lone  [2]member
 
-	// mergeByArrival disables the paper's greedy largest-alignment-first
-	// merge in favour of plain registration order (ablation).
-	mergeByArrival bool
-
 	// stats
 	admitted, rejected int
 
@@ -196,32 +190,17 @@ type Graph struct {
 // may be nil when every job is registered through AddJobWithAtoms, which
 // derives sharing from the inverted atom index instead.
 func New(shares func(a, b Ref) bool) *Graph {
-	return newGraph(shares, false)
-}
-
-// NewArrivalMerge creates a graph whose merge phase admits partner jobs in
-// registration order instead of the paper's greedy largest-alignment-first
-// order — the merge-order ablation of DESIGN.md §5.
-func NewArrivalMerge(shares func(a, b Ref) bool) *Graph {
-	return newGraph(shares, true)
-}
-
-func newGraph(shares func(a, b Ref) bool, byArrival bool) *Graph {
 	return &Graph{
-		shares:         shares,
-		slots:          make(map[int64]int32),
-		heads:          make(map[store.AtomID]int32),
-		comps:          make([]component, 1),
-		mergeByArrival: byArrival,
+		shares: shares,
+		slots:  make(map[int64]int32),
+		heads:  make(map[store.AtomID]int32),
+		comps:  make([]component, 1),
 	}
 }
 
 // SetObserver registers fn to be notified of every gating-edge admission
 // decision (admitted or refused) between queries u and v. nil disables.
 func (g *Graph) SetObserver(fn func(admitted bool, u, v Ref)) { g.obs = fn }
-
-// Jobs returns the number of registered jobs.
-func (g *Graph) Jobs() int { return len(g.order) }
 
 // Registered reports whether job id is in the graph: registered and not
 // yet pruned.
@@ -291,8 +270,7 @@ func (g *Graph) addJob(id int64, n int, atoms [][]store.AtomID) error {
 		g.blockAt = append(g.blockAt, 0)
 	}
 	j := &g.jobs[slot]
-	*j = jobRec{id: id, reg: g.regs, q: g.verts.alloc(n), hasAtoms: atoms != nil}
-	g.regs++
+	*j = jobRec{id: id, q: g.verts.alloc(n), hasAtoms: atoms != nil}
 	j.q[0].state = Ready
 	g.slots[id] = slot
 	g.order = append(g.order, slot)
@@ -417,14 +395,9 @@ func (g *Graph) mergeJob(self int32) {
 				g.pairs[k].SeqA, g.pairs[k].SeqB = g.pairs[k].SeqB, g.pairs[k].SeqA
 			}
 		}
-		pj := &g.jobs[p]
-		g.cands = append(g.cands, cand{slot: p, lo: int32(lo), hi: int32(len(g.pairs)), id: pj.id, reg: pj.reg})
+		g.cands = append(g.cands, cand{slot: p, lo: int32(lo), hi: int32(len(g.pairs)), id: g.jobs[p].id})
 	}
-	if g.mergeByArrival {
-		slices.SortFunc(g.cands, byRegistration)
-	} else {
-		slices.SortFunc(g.cands, byAlignment)
-	}
+	slices.SortFunc(g.cands, byAlignment)
 	for _, c := range g.cands {
 		for _, p := range g.pairs[c.lo:c.hi] {
 			g.admitEdge(member{j.id, self, int32(p.SeqA)}, member{c.id, c.slot, int32(p.SeqB)})
@@ -440,8 +413,6 @@ func byAlignment(a, b cand) int {
 	}
 	return cmp.Compare(a.id, b.id)
 }
-
-func byRegistration(a, b cand) int { return cmp.Compare(a.reg, b.reg) }
 
 // newPosting links a node for query (slot, seq) in front of next.
 func (g *Graph) newPosting(slot, seq, next int32) int32 {
@@ -636,8 +607,7 @@ func (g *Graph) GatingNumber(q Ref) int {
 }
 
 // Partners returns the queries co-scheduled with q (its component minus
-// itself), in deterministic order. The slice is freshly allocated; hot
-// paths should prefer EachPartner.
+// itself), in deterministic order. The slice is freshly allocated.
 func (g *Graph) Partners(q Ref) []Ref {
 	v, _ := g.lookup(q)
 	if v == nil || v.comp == 0 {
@@ -651,21 +621,6 @@ func (g *Graph) Partners(q Ref) []Ref {
 		}
 	}
 	return out
-}
-
-// EachPartner calls fn for every query co-scheduled with q, in
-// deterministic (job, seq) order, stopping early when fn returns false.
-// It allocates nothing.
-func (g *Graph) EachPartner(q Ref, fn func(Ref) bool) {
-	v, _ := g.lookup(q)
-	if v == nil {
-		return
-	}
-	for _, m := range g.comps[v.comp].members {
-		if m.ref() != q && !fn(m.ref()) {
-			return
-		}
-	}
 }
 
 // State returns the scheduling state of q. Unknown queries read as Wait.

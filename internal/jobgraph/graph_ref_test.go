@@ -57,10 +57,6 @@ type refGraph struct {
 	work    []Ref
 	touched []*refComponent
 
-	// mergeByArrival disables the paper's greedy largest-alignment-first
-	// merge in favour of plain registration order (ablation).
-	mergeByArrival bool
-
 	// stats
 	admitted, rejected int
 	// crossings counts the edges the crossing scan refused. Graph has no
@@ -79,23 +75,11 @@ type refGraph struct {
 // may be nil when every job is registered through AddJobWithAtoms, which
 // derives sharing from the inverted atom index instead.
 func newRefGraph(shares func(a, b Ref) bool) *refGraph {
-	return newRefGraphOrder(shares, false)
-}
-
-// newRefArrivalMerge creates a graph whose merge phase admits partner jobs in
-// registration order instead of the paper's greedy largest-alignment-first
-// order — the merge-order ablation of DESIGN.md §5.
-func newRefArrivalMerge(shares func(a, b Ref) bool) *refGraph {
-	return newRefGraphOrder(shares, true)
-}
-
-func newRefGraphOrder(shares func(a, b Ref) bool, byArrival bool) *refGraph {
 	return &refGraph{
-		shares:         shares,
-		jobs:           make(map[int64]*refJobInfo),
-		postings:       make(map[store.AtomID][]Ref),
-		dpCache:        make(map[[2]int64][]Pair),
-		mergeByArrival: byArrival,
+		shares:   shares,
+		jobs:     make(map[int64]*refJobInfo),
+		postings: make(map[store.AtomID][]Ref),
+		dpCache:  make(map[[2]int64][]Pair),
 	}
 }
 
@@ -306,14 +290,12 @@ func (g *refGraph) mergeJob(newJob int64) {
 			cands = append(cands, cand{partner: other, pairs: pairs})
 		}
 	}
-	if !g.mergeByArrival {
-		sort.SliceStable(cands, func(i, j int) bool {
-			if len(cands[i].pairs) != len(cands[j].pairs) {
-				return len(cands[i].pairs) > len(cands[j].pairs)
-			}
-			return cands[i].partner < cands[j].partner
-		})
-	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if len(cands[i].pairs) != len(cands[j].pairs) {
+			return len(cands[i].pairs) > len(cands[j].pairs)
+		}
+		return cands[i].partner < cands[j].partner
+	})
 	for _, c := range cands {
 		for _, p := range c.pairs {
 			g.admitEdge(Ref{Job: newJob, Seq: p.SeqA}, Ref{Job: c.partner, Seq: p.SeqB})

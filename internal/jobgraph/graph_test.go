@@ -2,7 +2,6 @@ package jobgraph
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -44,8 +43,8 @@ func TestAddJobValidation(t *testing.T) {
 	if err := g.AddJob(1, 3); err == nil {
 		t.Fatal("duplicate job accepted")
 	}
-	if g.Jobs() != 1 {
-		t.Fatalf("Jobs = %d", g.Jobs())
+	if len(g.order) != 1 {
+		t.Fatalf("Jobs = %d", len(g.order))
 	}
 }
 
@@ -286,8 +285,8 @@ func TestPrune(t *testing.T) {
 	g := regionGraph(t, map[int64][]int{1: {1, 2}, 2: {1, 2}})
 	drainAll(t, g, 5)
 	g.Prune()
-	if g.Jobs() != 0 {
-		t.Fatalf("prune left %d jobs", g.Jobs())
+	if len(g.order) != 0 {
+		t.Fatalf("prune left %d jobs", len(g.order))
 	}
 	// Graph remains usable after pruning.
 	if err := g.AddJob(10, 2); err != nil {
@@ -306,13 +305,13 @@ func TestPruneKeepsLiveComponents(t *testing.T) {
 	g.MarkDone(Ref{Job: 2, Seq: 0})
 	g.MarkDone(Ref{Job: 1, Seq: 0})
 	g.Prune()
-	if g.Jobs() != 2 {
-		t.Fatalf("prune dropped a job with a live gating partner: %d jobs", g.Jobs())
+	if len(g.order) != 2 {
+		t.Fatalf("prune dropped a job with a live gating partner: %d jobs", len(g.order))
 	}
 	g.MarkDone(Ref{Job: 2, Seq: 1})
 	g.Prune()
-	if g.Jobs() != 0 {
-		t.Fatalf("prune left %d jobs after completion", g.Jobs())
+	if len(g.order) != 0 {
+		t.Fatalf("prune left %d jobs after completion", len(g.order))
 	}
 }
 
@@ -359,60 +358,6 @@ func BenchmarkAddJob50Jobs(b *testing.B) {
 		for j := int64(1); j <= 50; j++ {
 			g.AddJob(j, len(regions[j]))
 		}
-	}
-}
-
-func TestArrivalMergeAblation(t *testing.T) {
-	// Both merge orders must produce valid, deadlock-free graphs; the
-	// greedy order should never admit fewer edges than arrival order on a
-	// workload engineered so greedy wins (a late pair with a large
-	// alignment that arrival-order merging fragments).
-	jobs := map[int64][]int{
-		1: {1, 9, 9, 9}, // small overlap with 3
-		2: {8, 8, 8, 8}, // no overlap
-		3: {1, 2, 3, 4}, // full overlap with 4
-		4: {1, 2, 3, 4}, // full overlap with 3
-	}
-	shares := func(a, b Ref) bool { return jobs[a.Job][a.Seq] == jobs[b.Job][b.Seq] }
-
-	build := func(mk func(func(a, b Ref) bool) *Graph) *Graph {
-		g := mk(shares)
-		for id := int64(1); id <= 4; id++ {
-			if err := g.AddJob(id, len(jobs[id])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return g
-	}
-	greedy := build(New)
-	arrival := build(NewArrivalMerge)
-	if greedy.EdgesAdmitted() < arrival.EdgesAdmitted() {
-		t.Fatalf("greedy merge admitted fewer edges (%d) than arrival order (%d)",
-			greedy.EdgesAdmitted(), arrival.EdgesAdmitted())
-	}
-	drainAll(t, greedy, 1)
-	drainAll(t, arrival, 2)
-}
-
-func TestDotRendering(t *testing.T) {
-	g := regionGraph(t, map[int64][]int{1: {1, 2, 4}, 2: {2, 4}})
-	g.MarkDone(Ref{Job: 1, Seq: 0})
-	dot := g.Dot()
-	for _, want := range []string{
-		"graph jaws",
-		"cluster_j1", "cluster_j2",
-		"q1_0 -- q1_1",  // precedence
-		"style=dashed",  // gating
-		"DONE", "QUEUE", // states rendered
-		"G=1", // gating numbers rendered
-	} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, dot)
-		}
-	}
-	// Each gating pair appears exactly once.
-	if strings.Count(dot, "q1_1 -- q2_0") != 1 {
-		t.Fatalf("gating edge duplicated:\n%s", dot)
 	}
 }
 

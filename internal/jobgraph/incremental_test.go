@@ -160,34 +160,6 @@ func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 	}
 }
 
-// EachPartner must visit exactly the Partners slice, in order, without
-// allocating.
-func TestEachPartnerMatchesPartners(t *testing.T) {
-	g := regionGraph(t, map[int64][]int{1: {1, 2, 4}, 2: {2, 4}, 3: {2}})
-	for _, q := range []Ref{{Job: 1, Seq: 1}, {Job: 2, Seq: 0}, {Job: 1, Seq: 0}, {Job: 9, Seq: 0}} {
-		want := g.Partners(q)
-		var got []Ref
-		g.EachPartner(q, func(r Ref) bool {
-			got = append(got, r)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("%v: EachPartner visited %v, Partners %v", q, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v: EachPartner visited %v, Partners %v", q, got, want)
-			}
-		}
-	}
-	// Early stop.
-	n := 0
-	g.EachPartner(Ref{Job: 1, Seq: 1}, func(Ref) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-stop visited %d partners, want 1", n)
-	}
-}
-
 // The bit-row Aligner must agree with the closure-per-row one it replaced
 // (and so must Align, which drives it) on random share relations,
 // including rows of more than one word and after arena reuse.

@@ -61,72 +61,6 @@ func compact(v uint64) uint32 {
 	return uint32(x)
 }
 
-// CubeRange returns the half-open Morton code interval [lo, hi) covered by
-// the axis-aligned cube of side 2^level whose minimum corner is (x, y, z).
-// The corner must be aligned to the cube size (a property of the
-// hierarchical index: space is partitioned into cubes of side 2^k). Because
-// the Morton curve visits every point of an aligned cube contiguously, the
-// cube maps to exactly one code interval — this is what makes range and
-// containment queries efficient with respect to I/O.
-func CubeRange(x, y, z uint32, level uint) (lo, hi Code) {
-	side := uint32(1) << level
-	if x%side != 0 || y%side != 0 || z%side != 0 {
-		panic(fmt.Sprintf("morton: cube corner (%d,%d,%d) not aligned to side %d", x, y, z, side))
-	}
-	lo = Encode(x, y, z)
-	hi = lo + Code(1)<<(3*level)
-	return lo, hi
-}
-
-// ContainingCube returns the minimum corner of the level-sized cube that
-// contains (x, y, z).
-func ContainingCube(x, y, z uint32, level uint) (cx, cy, cz uint32) {
-	mask := ^uint32(1<<level - 1)
-	return x & mask, y & mask, z & mask
-}
-
-// Parent returns the Morton code of the cube one level up that contains c:
-// codes within one parent cube share all but their low three bits.
-func (c Code) Parent() Code { return c >> 3 }
-
-// Neighbors returns the Morton codes of the up-to-26 face/edge/corner
-// neighbours of the unit cell c within a grid of side `side` cells per
-// axis. Cells outside the grid are omitted (the simulated field is
-// non-periodic at the index level; periodicity is handled by the geometry
-// layer). Interpolation kernels use this to find the nearby atoms a
-// stencil spills into.
-func (c Code) Neighbors(side uint32) []Code {
-	x, y, z := c.Decode()
-	out := make([]Code, 0, 26)
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dz := -1; dz <= 1; dz++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				nx, ny, nz := int64(x)+int64(dx), int64(y)+int64(dy), int64(z)+int64(dz)
-				if nx < 0 || ny < 0 || nz < 0 || nx >= int64(side) || ny >= int64(side) || nz >= int64(side) {
-					continue
-				}
-				out = append(out, Encode(uint32(nx), uint32(ny), uint32(nz)))
-			}
-		}
-	}
-	return out
-}
-
-// Dist2 returns the squared Euclidean distance between the cells encoded
-// by a and b. Used by tests to verify the locality-preserving property of
-// the curve and by pre-fetch heuristics to rank candidate atoms.
-func Dist2(a, b Code) uint64 {
-	ax, ay, az := a.Decode()
-	bx, by, bz := b.Decode()
-	dx := int64(ax) - int64(bx)
-	dy := int64(ay) - int64(by)
-	dz := int64(az) - int64(bz)
-	return uint64(dx*dx + dy*dy + dz*dz)
-}
-
 // String renders the code and its decoded coordinates for diagnostics.
 func (c Code) String() string {
 	x, y, z := c.Decode()

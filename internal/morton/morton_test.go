@@ -57,15 +57,13 @@ func TestEncodeOutOfRangePanics(t *testing.T) {
 	Encode(MaxCoord+1, 0, 0)
 }
 
-// Property: Morton order within an aligned cube is contiguous — every code
-// inside the cube's [lo,hi) range decodes to a point inside the cube, and
-// every point of the cube encodes into the range.
+// Property: Morton order within an aligned cube is contiguous — the side³
+// codes from the cube's minimum corner on decode to the points of the cube,
+// and every point of the cube encodes among them. The store's layout and
+// the cluster's contiguous partitions rest on it.
 func TestCubeRangeContiguity(t *testing.T) {
-	const level = 2 // cubes of side 4
-	lo, hi := CubeRange(4, 8, 12, level)
-	if hi-lo != 64 {
-		t.Fatalf("cube of side 4 should cover 64 codes, got %d", hi-lo)
-	}
+	lo := Encode(4, 8, 12) // a cube of side 4
+	hi := lo + 64
 	for c := lo; c < hi; c++ {
 		x, y, z := c.Decode()
 		if x < 4 || x >= 8 || y < 8 || y >= 12 || z < 12 || z >= 16 {
@@ -89,80 +87,17 @@ func TestCubeRangeContiguity(t *testing.T) {
 	}
 }
 
-func TestCubeRangeUnalignedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CubeRange with unaligned corner did not panic")
-		}
-	}()
-	CubeRange(1, 0, 0, 2)
-}
-
-func TestContainingCube(t *testing.T) {
-	cx, cy, cz := ContainingCube(13, 7, 22, 3)
-	if cx != 8 || cy != 0 || cz != 16 {
-		t.Fatalf("ContainingCube(13,7,22,3) = (%d,%d,%d), want (8,0,16)", cx, cy, cz)
-	}
-	// The containing cube's range must include the original point.
-	lo, hi := CubeRange(cx, cy, cz, 3)
-	c := Encode(13, 7, 22)
-	if c < lo || c >= hi {
-		t.Fatalf("point not inside its containing cube's Morton range")
-	}
-}
-
 func TestParent(t *testing.T) {
-	// All 8 children of a level-1 cube share the same parent code.
+	// The 8 children of a level-1 cube share all but their low three bits:
+	// one shift walks up the hierarchical index.
 	parent := Encode(2, 4, 6) >> 3
 	for dx := uint32(0); dx < 2; dx++ {
 		for dy := uint32(0); dy < 2; dy++ {
 			for dz := uint32(0); dz < 2; dz++ {
-				c := Encode(2+dx, 4+dy, 6+dz)
-				if c.Parent() != parent {
-					t.Fatalf("child (%d,%d,%d) parent = %d, want %d", 2+dx, 4+dy, 6+dz, c.Parent(), parent)
+				if c := Encode(2+dx, 4+dy, 6+dz); c>>3 != parent {
+					t.Fatalf("child (%d,%d,%d) parent = %d, want %d", 2+dx, 4+dy, 6+dz, c>>3, parent)
 				}
 			}
-		}
-	}
-}
-
-func TestNeighborsInterior(t *testing.T) {
-	c := Encode(5, 5, 5)
-	nbrs := c.Neighbors(16)
-	if len(nbrs) != 26 {
-		t.Fatalf("interior cell should have 26 neighbours, got %d", len(nbrs))
-	}
-	seen := map[Code]bool{}
-	for _, n := range nbrs {
-		if seen[n] {
-			t.Fatalf("duplicate neighbour %v", n)
-		}
-		seen[n] = true
-		if d := Dist2(c, n); d < 1 || d > 3 {
-			t.Fatalf("neighbour %v at squared distance %d, want 1..3", n, d)
-		}
-	}
-}
-
-func TestNeighborsCorner(t *testing.T) {
-	c := Encode(0, 0, 0)
-	nbrs := c.Neighbors(16)
-	if len(nbrs) != 7 {
-		t.Fatalf("corner cell should have 7 neighbours, got %d", len(nbrs))
-	}
-}
-
-func TestNeighborsEdgeOfGrid(t *testing.T) {
-	side := uint32(4)
-	c := Encode(3, 3, 3) // max corner
-	nbrs := c.Neighbors(side)
-	if len(nbrs) != 7 {
-		t.Fatalf("max-corner cell should have 7 neighbours, got %d", len(nbrs))
-	}
-	for _, n := range nbrs {
-		x, y, z := n.Decode()
-		if x >= side || y >= side || z >= side {
-			t.Fatalf("neighbour (%d,%d,%d) outside grid of side %d", x, y, z, side)
 		}
 	}
 }
@@ -182,6 +117,13 @@ func TestLocalityPreservation(t *testing.T) {
 		}
 	}
 	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+	// Dist2 is the squared Euclidean distance between two encoded cells.
+	Dist2 := func(a, b Code) uint64 {
+		ax, ay, az := a.Decode()
+		bx, by, bz := b.Decode()
+		dx, dy, dz := int64(ax)-int64(bx), int64(ay)-int64(by), int64(az)-int64(bz)
+		return uint64(dx*dx + dy*dy + dz*dz)
+	}
 
 	var adjSum float64
 	for i := 1; i < len(codes); i++ {

@@ -244,17 +244,6 @@ func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	r.trace.DecisionRecordDone(rec)
 }
 
-// Total reports how many decisions were recorded over the recorder's
-// lifetime (0 for nil).
-func (r *FlightRecorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Snapshot returns the live aggregates (zero value for nil).
 func (r *FlightRecorder) Snapshot() FlightSnapshot {
 	if r == nil {

@@ -19,9 +19,6 @@ func TestFlightNilSafety(t *testing.T) {
 	if got := r.Records(); got != nil {
 		t.Fatalf("nil recorder Records() = %v, want nil", got)
 	}
-	if got := r.Total(); got != 0 {
-		t.Fatalf("nil recorder Total() = %d, want 0", got)
-	}
 	if got := r.Snapshot(); got != (FlightSnapshot{}) {
 		t.Fatalf("nil recorder Snapshot() = %+v, want zero", got)
 	}
@@ -34,8 +31,8 @@ func TestFlightRingWraps(t *testing.T) {
 	for seq := int64(0); seq < 5; seq++ {
 		r.Record(&DecisionRecord{Seq: seq})
 	}
-	if got := r.Total(); got != 5 {
-		t.Fatalf("Total() = %d, want 5", got)
+	if r.total != 5 {
+		t.Fatalf("total = %d, want 5", r.total)
 	}
 	recs := r.Records()
 	wantSeqs := []int64{2, 3, 4}

@@ -27,15 +27,6 @@ func NewLogger(w io.Writer) *Logger {
 // on this before building attribute arguments.
 func (l *Logger) Enabled() bool { return l != nil }
 
-// With returns a logger whose lines all carry the given attributes.
-// Nil-safe: a nil logger returns nil.
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(args...)}
-}
-
 // Info logs at Info level. Nil-safe no-op.
 func (l *Logger) Info(msg string, args ...any) {
 	if l == nil {
@@ -50,12 +41,4 @@ func (l *Logger) Warn(msg string, args ...any) {
 		return
 	}
 	l.s.Warn(msg, args...)
-}
-
-// Error logs at Error level. Nil-safe no-op.
-func (l *Logger) Error(msg string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.s.Error(msg, args...)
 }

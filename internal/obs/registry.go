@@ -124,15 +124,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Mean returns the mean observation (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Registry is a concurrency-safe set of named metrics. Metric names
 // follow the Prometheus convention (snake_case with a unit suffix);
 // lookups get-or-create, so instrumented code can resolve its metrics

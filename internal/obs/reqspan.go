@@ -171,11 +171,6 @@ type ReqPhaseTotals struct {
 	Write    time.Duration `json:"write"`
 }
 
-// Sum is the grand total across phases.
-func (p ReqPhaseTotals) Sum() time.Duration {
-	return p.Validate + p.Queued + p.Dispatch + p.Execute + p.Write
-}
-
 func (p *ReqPhaseTotals) add(r *ReqSpan) {
 	p.Validate += r.Validate
 	p.Queued += r.Queued

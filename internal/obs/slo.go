@@ -152,11 +152,3 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 	snap.BudgetRemaining = 1 - snap.BurnRate
 	return snap
 }
-
-// Target returns the latency threshold (0 for nil).
-func (t *SLOTracker) Target() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.target
-}

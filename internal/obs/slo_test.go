@@ -134,9 +134,6 @@ func TestSLOTrackerDefaultsAndNil(t *testing.T) {
 	if snap := tr.Snapshot(); snap != (SLOSnapshot{}) {
 		t.Fatalf("nil snapshot not zero: %+v", snap)
 	}
-	if tr.Target() != 0 {
-		t.Fatal("nil target must be 0")
-	}
 	def := NewSLOTracker(time.Second, 0, 0)
 	if def.objective != 0.99 || def.window != time.Minute {
 		t.Fatalf("defaults not applied: %+v", def)

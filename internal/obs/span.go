@@ -84,11 +84,6 @@ type PhaseTotals struct {
 	Compute  time.Duration `json:"compute"`
 }
 
-// Sum is the grand total across phases.
-func (p PhaseTotals) Sum() time.Duration {
-	return p.Gated + p.Queued + p.Overhead + p.Disk + p.Compute
-}
-
 // add folds one span's components in.
 func (p *PhaseTotals) add(s *Span) {
 	p.Gated += s.Gated

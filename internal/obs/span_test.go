@@ -123,8 +123,8 @@ func TestSummarizeSpansPercentilesAndWorstK(t *testing.T) {
 	if len(sum.WorstK) != 3 || sum.WorstK[0].Total() != 100*time.Second || sum.WorstK[2].Total() != 98*time.Second {
 		t.Fatalf("worst-k wrong: %+v", sum.WorstK)
 	}
-	if sum.Phases.Sum() != sum.TotalResponse {
-		t.Fatalf("phase totals %v != total response %v", sum.Phases.Sum(), sum.TotalResponse)
+	if p := sum.Phases; p.Gated+p.Queued+p.Overhead+p.Disk+p.Compute != sum.TotalResponse {
+		t.Fatalf("phase totals %+v != total response %v", p, sum.TotalResponse)
 	}
 	// Attribution shares must sum to 1 over conserving spans.
 	var share float64

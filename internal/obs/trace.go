@@ -51,7 +51,7 @@ const (
 	// KindNodeCrash marks the injector killing the node; Node carries the
 	// node index.
 	KindNodeCrash Kind = "node_crash"
-	// KindStallAbort marks the engine giving up after StallLimit
+	// KindStallAbort marks the engine giving up after its stall limit of
 	// iterations without progress (gated-execution deadlock).
 	KindStallAbort Kind = "stall_abort"
 	// KindSpan is one completed query lifecycle: the full response-time

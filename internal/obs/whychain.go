@@ -165,15 +165,6 @@ func NewDecisionIndex(recs []DecisionRecord) *DecisionIndex {
 	return ix
 }
 
-// Records reports how many decision records the index holds.
-func (ix *DecisionIndex) Records() int {
-	n := 0
-	for _, t := range ix.byEngine {
-		n += len(t)
-	}
-	return n
-}
-
 // Chain reconstructs the wait chain of one completed span. When no
 // decision record mentions the query (recorder off, or the ring dropped
 // its window) the chain carries a Note and Exact is false.

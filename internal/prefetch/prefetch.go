@@ -141,6 +141,3 @@ func (p *Predictor) Forget(jobID int64) {
 	delete(p.hist, jobID)
 	delete(p.seen, jobID)
 }
-
-// Jobs reports how many jobs are currently tracked.
-func (p *Predictor) Jobs() int { return len(p.hist) }

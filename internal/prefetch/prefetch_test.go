@@ -139,11 +139,11 @@ func TestForget(t *testing.T) {
 	p := New(testSpace())
 	p.Observe(1, cloudQuery(0, geom.Position{X: 1, Y: 1, Z: 1}, 10, 0.05, 1))
 	p.Observe(1, cloudQuery(1, geom.Position{X: 1, Y: 1, Z: 1}, 10, 0.05, 2))
-	if p.Jobs() != 1 {
-		t.Fatalf("Jobs = %d", p.Jobs())
+	if len(p.hist) != 1 {
+		t.Fatalf("Jobs = %d", len(p.hist))
 	}
 	p.Forget(1)
-	if p.Jobs() != 0 {
+	if len(p.hist) != 0 {
 		t.Fatal("Forget did not drop the job")
 	}
 	if p.Predict(1) != nil {
@@ -154,7 +154,7 @@ func TestForget(t *testing.T) {
 func TestObserveEmptyQueryIgnored(t *testing.T) {
 	p := New(testSpace())
 	p.Observe(1, &query.Query{ID: 1, Step: 0})
-	if p.Jobs() != 0 {
+	if len(p.hist) != 0 {
 		t.Fatal("empty query recorded")
 	}
 }

@@ -155,11 +155,11 @@ func TestAtomsSpansChain(t *testing.T) {
 	// with a point query at a later chain step even though their anchor
 	// steps differ.
 	later := &Query{ID: 3, Step: 4, Points: pts}
-	if !Shares(deriv, later, space) || !Shares(later, deriv, space) {
+	if !shares(deriv, later, space) || !shares(later, deriv, space) {
 		t.Fatal("deriv query does not share with point query inside its chain")
 	}
 	outside := &Query{ID: 4, Step: 9, Points: pts}
-	if Shares(deriv, outside, space) {
+	if shares(deriv, outside, space) {
 		t.Fatal("deriv query shares with point query outside its chain")
 	}
 }

@@ -257,10 +257,10 @@ func TestPreProcessMatchesReference(t *testing.T) {
 // the layout gives it and at the limit: the paper's space with a 4 M-point
 // query fills all 64 bits, one point more takes the comparator.
 func TestPackedKeyOrder(t *testing.T) {
-	if _, need := layoutFor(geom.PaperSpace(), 1<<22); need != packedKeyBits {
+	if _, need := layoutFor(geom.Space{GridSide: 1024, AtomSide: 64}, 1<<22); need != packedKeyBits {
 		t.Fatalf("paper space, 4 Mi points: %d key bits, want %d", need, packedKeyBits)
 	}
-	if _, need := layoutFor(geom.PaperSpace(), 1<<22+1); need != packedKeyBits+1 {
+	if _, need := layoutFor(geom.Space{GridSide: 1024, AtomSide: 64}, 1<<22+1); need != packedKeyBits+1 {
 		t.Fatalf("paper space, 4 Mi + 1 points: %d key bits, want %d", need, packedKeyBits+1)
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -268,7 +268,7 @@ func TestPackedKeyOrder(t *testing.T) {
 		space geom.Space
 		n     int
 	}{
-		{geom.PaperSpace(), 1 << 22}, {geom.Space{GridSide: 256, AtomSide: 32}, 128},
+		{geom.Space{GridSide: 1024, AtomSide: 64}, 1 << 22}, {geom.Space{GridSide: 256, AtomSide: 32}, 128},
 		{geom.Space{GridSide: 96, AtomSide: 24}, 1000}, {geom.Space{GridSide: 8, AtomSide: 8}, 1},
 	} {
 		l, _ := layoutFor(tc.space, tc.n)

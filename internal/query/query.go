@@ -375,30 +375,3 @@ func Atoms(q *Query, space geom.Space) map[store.AtomID]bool {
 	}
 	return out
 }
-
-// Shares reports whether queries a and b exhibit data sharing:
-// A(a) ∩ A(b) ≠ ∅.
-func Shares(a, b *Query, space geom.Space) bool {
-	aa := Atoms(a, space)
-	for s := 0; s < b.ChainLen(); s++ {
-		for _, p := range b.Points {
-			if aa[store.AtomID{Step: b.Step + s, Code: space.AtomOf(p).Code()}] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Result is the combined output of a completed query: one kernel value per
-// input position, in the original position order.
-type Result struct {
-	Query  *Query
-	Values [][field.Components]float64
-	// Completed is the virtual time the final sub-query finished.
-	Completed time.Duration
-}
-
-// ResponseTime is the paper's response-time measure: completion minus
-// arrival.
-func (r *Result) ResponseTime() time.Duration { return r.Completed - r.Query.Arrival }

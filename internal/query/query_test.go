@@ -171,6 +171,18 @@ func TestPreProcessPartitionProperty(t *testing.T) {
 	}
 }
 
+// shares reports whether queries a and b exhibit data sharing:
+// A(a) ∩ A(b) ≠ ∅.
+func shares(a, b *Query, space geom.Space) bool {
+	aa := Atoms(a, space)
+	for id := range Atoms(b, space) {
+		if aa[id] {
+			return true
+		}
+	}
+	return false
+}
+
 func TestAtomsAndShares(t *testing.T) {
 	s := testSpace()
 	atomLen := float64(s.AtomSide) * s.VoxelSize()
@@ -189,26 +201,17 @@ func TestAtomsAndShares(t *testing.T) {
 	if got := Atoms(qa, s); len(got) != 2 {
 		t.Fatalf("Atoms(qa) = %v, want 2 atoms", got)
 	}
-	if !Shares(qa, qb, s) {
+	if !shares(qa, qb, s) {
 		t.Fatal("qa and qb share atom (1,1,1) but Shares = false")
 	}
-	if Shares(qa, qc, s) {
+	if shares(qa, qc, s) {
 		t.Fatal("qa and qc share nothing but Shares = true")
 	}
-	if Shares(qa, qd, s) {
+	if shares(qa, qd, s) {
 		t.Fatal("different time steps must not share atoms")
 	}
-	if !Shares(qa, qa, s) {
+	if !shares(qa, qa, s) {
 		t.Fatal("query does not share with itself")
-	}
-}
-
-func TestResultResponseTime(t *testing.T) {
-	q := mkQuery(1, 0, []geom.Position{{}}, field.KernelNone)
-	q.Arrival = 100
-	r := &Result{Query: q, Completed: 350}
-	if r.ResponseTime() != 250 {
-		t.Fatalf("ResponseTime = %v, want 250", r.ResponseTime())
 	}
 }
 

@@ -348,9 +348,6 @@ func (s *JAWS) OnRunEnd(rt, tp float64) { s.ctrl.onRunEnd(rt, tp) }
 // Alpha implements Scheduler.
 func (s *JAWS) Alpha() float64 { return s.ctrl.alpha }
 
-// BatchSize returns k (the current bound, under an adaptive-batch clause).
-func (s *JAWS) BatchSize() int { return s.k }
-
 var (
 	_ Scheduler          = (*JAWS)(nil)
 	_ UtilityProvider    = (*JAWS)(nil)

@@ -235,8 +235,8 @@ func TestIdentityHooksEquivalentToJAWS(t *testing.T) {
 					t.Fatalf("round %d: alpha diverged: %g vs %g", round, pa, ha)
 				}
 			}
-			if hooked.BatchSize() != k {
-				t.Fatalf("identity hook moved k to %d", hooked.BatchSize())
+			if hooked.k != k {
+				t.Fatalf("identity hook moved k to %d", hooked.k)
 			}
 		})
 	}
@@ -383,7 +383,7 @@ func TestAdaptiveBatchResizing(t *testing.T) {
 	// Idle is large so the growth phase is not undone by the fitting
 	// rounds at the tail of each drain.
 	s := adaptiveJAWS(1, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 100})
-	if got := s.BatchSize(); got != 1 {
+	if got := s.k; got != 1 {
 		t.Fatalf("initial k = %d, want 1 (clamped into [1, 3])", got)
 	}
 
@@ -403,7 +403,7 @@ func TestAdaptiveBatchResizing(t *testing.T) {
 			now += 50 * time.Millisecond
 		}
 	}
-	if got := s.BatchSize(); got != 3 {
+	if got := s.k; got != 3 {
 		t.Errorf("k after sustained truncation = %d, want Max = 3", got)
 	}
 	grows, _ := s.Resizes()
@@ -415,20 +415,20 @@ func TestAdaptiveBatchResizing(t *testing.T) {
 	}
 
 	// Empty rounds leave the streaks and k untouched.
-	before := s.BatchSize()
+	before := s.k
 	for i := 0; i < 20; i++ {
 		if got := s.NextBatch(0); len(got) != 0 {
 			t.Fatalf("empty round returned %d batches", len(got))
 		}
 	}
-	if got := s.BatchSize(); got != before {
+	if got := s.k; got != before {
 		t.Errorf("empty rounds moved k: %d -> %d", before, got)
 	}
 }
 
 func TestAdaptiveBatchShrinks(t *testing.T) {
 	s := adaptiveJAWS(3, AdaptiveBatchParams{Min: 1, Max: 3, Grow: 1, Shrink: 1, Full: 1, Idle: 2})
-	if got := s.BatchSize(); got != 3 {
+	if got := s.k; got != 3 {
 		t.Fatalf("initial k = %d, want 3", got)
 	}
 	// One atom per round always fits: every Idle (= 2) consecutive fitting
@@ -439,7 +439,7 @@ func TestAdaptiveBatchShrinks(t *testing.T) {
 			t.Fatalf("fitting round served %d batches", len(got))
 		}
 	}
-	if got := s.BatchSize(); got != 1 {
+	if got := s.k; got != 1 {
 		t.Errorf("k after fitting rounds = %d, want Min = 1", got)
 	}
 	if _, shrinks := s.Resizes(); shrinks < 2 {
@@ -449,11 +449,11 @@ func TestAdaptiveBatchShrinks(t *testing.T) {
 
 func TestAdaptiveBatchClampsInitialK(t *testing.T) {
 	s := adaptiveJAWS(100, AdaptiveBatchParams{Min: 2, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
-	if got := s.BatchSize(); got != 8 {
+	if got := s.k; got != 8 {
 		t.Errorf("k = %d, want clamped to Max = 8", got)
 	}
 	s2 := adaptiveJAWS(1, AdaptiveBatchParams{Min: 4, Max: 8, Grow: 1, Shrink: 1, Full: 1, Idle: 1})
-	if got := s2.BatchSize(); got != 4 {
+	if got := s2.k; got != 4 {
 		t.Errorf("k = %d, want clamped to Min = 4", got)
 	}
 }

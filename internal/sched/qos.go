@@ -47,7 +47,6 @@ type qosPass struct {
 	pendingCnt map[query.ID]int
 
 	missed int
-	met    int
 }
 
 // NewQoS installs proportional completion-time guarantees on a JAWS
@@ -79,15 +78,6 @@ func (s *JAWS) DeadlineMisses() int {
 		return 0
 	}
 	return s.qos.missed
-}
-
-// DeadlinesMet reports how many queries finished within their bound (0
-// without QoS installed).
-func (s *JAWS) DeadlinesMet() int {
-	if s.qos == nil {
-		return 0
-	}
-	return s.qos.met
 }
 
 // admit fixes a query's deadline at its first sub-query, from the isolated
@@ -141,8 +131,6 @@ func (p *qosPass) retire(batches []Batch, now time.Duration) {
 			}
 			if now > p.deadlines[qid] {
 				p.missed++
-			} else {
-				p.met++
 			}
 			delete(p.deadlines, qid)
 			delete(p.pendingCnt, qid)

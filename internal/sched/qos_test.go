@@ -220,8 +220,8 @@ func TestQoSComposesWithTailPolicies(t *testing.T) {
 		t.Fatalf("urgent round counted %d batch-full pass-overs", inner.PassOvers())
 	}
 	// Idle = 1: the zero-truncation round shrank k by one.
-	if inner.BatchSize() != 1 {
-		t.Fatalf("k after one urgent round = %d, want 1 (one idle round)", inner.BatchSize())
+	if inner.k != 1 {
+		t.Fatalf("k after one urgent round = %d, want 1 (one idle round)", inner.k)
 	}
 	if q.DeadlineMisses() != 2 {
 		t.Fatalf("DeadlineMisses = %d, want the 2 overdue queries served", q.DeadlineMisses())

@@ -43,15 +43,6 @@ type Batch struct {
 	SubQueries []*query.SubQuery
 }
 
-// Positions returns the total number of positions in the batch.
-func (b *Batch) Positions() int {
-	n := 0
-	for _, sq := range b.SubQueries {
-		n += len(sq.Points)
-	}
-	return n
-}
-
 // Scheduler is the engine-facing interface all three algorithms satisfy.
 // Implementations are not safe for concurrent use; the engine serializes.
 type Scheduler interface {

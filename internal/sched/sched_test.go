@@ -154,9 +154,8 @@ func TestLifeRaftPicksMostContended(t *testing.T) {
 	if b.Atom != (store.AtomID{Step: 0, Code: morton.Encode(1, 0, 0)}) {
 		t.Fatalf("picked %v, want the contended atom", b.Atom)
 	}
-	if len(b.SubQueries) != 2 || b.Positions() != 1000 {
-		t.Fatalf("batch did not co-schedule both queries: %d subs, %d positions",
-			len(b.SubQueries), b.Positions())
+	if len(b.SubQueries) != 2 || len(b.SubQueries[0].Points)+len(b.SubQueries[1].Points) != 1000 {
+		t.Fatalf("batch did not co-schedule both queries: %d subs", len(b.SubQueries))
 	}
 }
 
@@ -244,7 +243,7 @@ func TestJAWSFallbackWhenAllEqual(t *testing.T) {
 }
 
 func TestJAWSDefaultBatchSize(t *testing.T) {
-	if NewJAWS(JAWSConfig{Cost: testCost}).BatchSize() != 15 {
+	if NewJAWS(JAWSConfig{Cost: testCost}).k != 15 {
 		t.Fatal("default k != 15 (the paper's evaluation setting)")
 	}
 }
@@ -354,16 +353,6 @@ func TestAlphaControllerBoundsProperty(t *testing.T) {
 	}
 	if len(c.History) == 0 {
 		t.Fatal("controller recorded no history")
-	}
-}
-
-func TestBatchPositions(t *testing.T) {
-	b := Batch{SubQueries: []*query.SubQuery{
-		subQueryAt(1, 0, 0, 0, 0, 7),
-		subQueryAt(2, 0, 0, 0, 0, 5),
-	}}
-	if b.Positions() != 12 {
-		t.Fatalf("Positions = %d", b.Positions())
 	}
 }
 

@@ -135,7 +135,7 @@ func TestRequestSpanConservationConcurrent(t *testing.T) {
 		seen[sp.ID] = true
 	}
 	sum := obs.SummarizeReqSpans(spans, 3)
-	if sum.OK != clients*per || sum.Phases.Sum() != sum.TotalWall {
+	if p := sum.Phases; sum.OK != clients*per || p.Validate+p.Queued+p.Dispatch+p.Execute+p.Write != sum.TotalWall {
 		t.Fatalf("summary lost time or requests: %+v", sum)
 	}
 }

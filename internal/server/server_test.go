@@ -689,6 +689,82 @@ func TestChaosCrashFaultOnServicePath(t *testing.T) {
 	}
 }
 
+// TestFaultSpecAddressesReplicas builds two session backends the way jawsd
+// does — one description, Node set to the replica's index — under a
+// schedule that crashes node 1 alone. Replica 0 must go on answering;
+// replica 1 must die as node 1; /healthz must name that one backend. Built
+// as fault node 0 each (the parent's wiring), neither replica crashed under
+// crash@1 and both did under crash@0.
+func TestFaultSpecAddressesReplicas(t *testing.T) {
+	spec, err := jaws.ParseFaultSpec("crash@1:at=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]Backend, 2)
+	for i := range backends {
+		sess, err := jaws.OpenSession(jaws.Config{
+			Space:      jaws.Space{GridSide: 64, AtomSide: 32},
+			Steps:      4,
+			CacheAtoms: 16,
+			Node:       i,
+			Fault:      spec,
+			FaultSeed:  7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = sess
+	}
+	_, ts := newTestServer(t, backends, nil)
+
+	// Queries alternate between the replicas until replica 1's clock
+	// passes the crash time and the server routes around it: every answer
+	// is replica 0's 200 or, if the death is noticed mid-request, a 502.
+	ok := 0
+	for i := 0; i < 12; i++ {
+		resp := postQuery(t, ts.URL, okBody)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			ok++
+		case http.StatusBadGateway:
+		default:
+			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if ok < 6 {
+		t.Fatalf("%d of 12 queries answered: replica 0 did not serve throughout", ok)
+	}
+
+	// The death is asynchronous; /healthz turns 503 once the server saw it.
+	var body string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		hresp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(hresp.Body)
+		hresp.Body.Close()
+		if body = buf.String(); hresp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthz still %d %q: crash@1 crashed no replica", hresp.StatusCode, body)
+		}
+	}
+	if !strings.Contains(body, "backend 1 down") || !strings.Contains(body, "node 1 crashed") {
+		t.Fatalf("healthz %q, want backend 1 down as node 1", body)
+	}
+	if err := backends[0].Err(); err != nil {
+		t.Fatalf("replica 0 died under a schedule addressed to node 1: %v", err)
+	}
+	var crash *jaws.NodeCrashError
+	if err := backends[1].Err(); !errors.As(err, &crash) || crash.Node != 1 {
+		t.Fatalf("replica 1's error is %v, want a NodeCrashError of node 1", err)
+	}
+}
+
 // TestDeadlineClampsBeforeMultiplying: timeout_ms is compared with
 // MaxDeadline in milliseconds, so a request for a very long deadline gets
 // MaxDeadline and not the negative product that used to answer 504 at once.

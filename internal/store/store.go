@@ -61,11 +61,10 @@ type Config struct {
 	SampleGhost int
 	// Seed drives the synthetic field.
 	Seed int64
-	// Disks is the stripe width; 0 means the paper's 4.
-	Disks int
-	// DiskParams override the default spindle model when non-zero.
-	DiskParams disk.Params
 }
+
+// disks is the stripe width of the simulated array: the paper's 4.
+const disks = 4
 
 // Store is a single-node atom database.
 type Store struct {
@@ -86,16 +85,10 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.SampleSide <= 0 {
 		cfg.SampleSide = 8
 	}
-	if cfg.Disks <= 0 {
-		cfg.Disks = 4
-	}
-	if cfg.DiskParams.TransferRate == 0 {
-		cfg.DiskParams = disk.DefaultParams()
-	}
 	s := &Store{
 		cfg:   cfg,
 		field: field.New(cfg.Seed, 0, 0),
-		array: disk.NewArray(cfg.Disks, cfg.DiskParams),
+		array: disk.NewArray(disks, disk.DefaultParams()),
 		index: btree.New[uint64, blockMeta](64, func(a, b uint64) bool { return a < b }),
 	}
 	// Lay atoms out in (step, Morton) order: because the atom grid side is
@@ -114,12 +107,6 @@ func Open(cfg Config) (*Store, error) {
 
 // Space returns the store's geometry.
 func (s *Store) Space() geom.Space { return s.cfg.Space }
-
-// Steps returns the number of stored time steps.
-func (s *Store) Steps() int { return s.cfg.Steps }
-
-// AtomsPerStep returns the number of atoms per time step.
-func (s *Store) AtomsPerStep() int { return s.cfg.Space.AtomsPerStep() }
 
 // Field exposes the underlying synthetic field (ground truth for tests and
 // for the example applications' correctness checks).

@@ -36,7 +36,6 @@ func TestOpenValidation(t *testing.T) {
 func TestOpenDefaults(t *testing.T) {
 	cfg := testConfig()
 	cfg.SampleSide = 0
-	cfg.Disks = 0
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,12 +256,6 @@ func TestAtomIDString(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s, _ := Open(testConfig())
-	if s.Steps() != 4 {
-		t.Fatalf("Steps = %d", s.Steps())
-	}
-	if s.AtomsPerStep() != 64 {
-		t.Fatalf("AtomsPerStep = %d", s.AtomsPerStep())
-	}
 	if s.Field() == nil {
 		t.Fatal("nil field")
 	}

@@ -98,16 +98,18 @@ type Config struct {
 	// Obs enables scheduling-decision tracing and metrics for every run of
 	// the system; nil (the default) keeps the engine uninstrumented.
 	Obs *obs.Obs
-	// EngineID labels this system's decision flight records so a shared
-	// trace splits back into per-node timelines; meaningful only when Obs
-	// carries a flight recorder.
-	EngineID int
+	// Node says which node of a deployment this system is — a jawsd
+	// replica's index, a cluster node's — and is the one place that does:
+	// it labels the system's decision flight records, so a shared trace
+	// splits back into per-node timelines, and it is the node the '@node'
+	// rules of Fault address and whose fault stream the injector draws.
+	Node int
 	// Fault schedules deterministic fault injection (disk errors, latency
 	// spikes, cache corruption, a node crash) for every run of the
 	// system; the empty spec leaves the fast path untouched.
 	Fault fault.Spec
 	// FaultSeed seeds the injector when Fault is non-empty; runs with the
-	// same (Fault, FaultSeed) replay identically.
+	// same (Fault, FaultSeed, Node) replay identically.
 	FaultSeed int64
 }
 
@@ -250,8 +252,8 @@ func (s *System) EngineConfig(sc sched.Scheduler) engine.Config {
 		Prefetch:         s.cfg.Prefetch,
 		DeclareUpfront:   s.cfg.DeclareJobs,
 		Obs:              s.cfg.Obs,
-		EngineID:         s.cfg.EngineID,
-		Fault:            fault.New(s.cfg.Fault, s.cfg.FaultSeed, 0),
+		EngineID:         s.cfg.Node,
+		Fault:            fault.New(s.cfg.Fault, s.cfg.FaultSeed, s.cfg.Node),
 	}
 }
 

@@ -119,8 +119,8 @@ func refAssemble(cfg system.Config) (engine.Config, error) {
 		Prefetch:         cfg.Prefetch,
 		DeclareUpfront:   cfg.DeclareJobs,
 		Obs:              cfg.Obs,
-		EngineID:         cfg.EngineID,
-		Fault:            fault.New(cfg.Fault, cfg.FaultSeed, 0),
+		EngineID:         cfg.Node,
+		Fault:            fault.New(cfg.Fault, cfg.FaultSeed, cfg.Node),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"jaws/internal/job"
 	"jaws/internal/query"
 	"jaws/internal/sched"
+	"jaws/internal/store"
 	"jaws/internal/system"
 )
 
@@ -54,8 +55,11 @@ func TestOpenDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.Store(); st.Steps() != 31 || st.Space() != want.Space {
-		t.Fatalf("default store: %d steps over %+v", st.Steps(), st.Space())
+	st := sys.Store()
+	_, _, last := st.Read(store.AtomID{Step: 30})
+	_, _, past := st.Read(store.AtomID{Step: 31})
+	if last != nil || past == nil || st.Space() != want.Space {
+		t.Fatalf("default store: step 30 reads %v, step 31 reads %v, over %+v; want 31 steps", last, past, st.Space())
 	}
 	c := sys.Cache()
 	if pol, err := system.ParseCachePolicy(c.Policy().Name()); c.Capacity() != 256 || err != nil || pol != system.PolicyLRUK {

@@ -55,14 +55,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	return c.now
 }
 
-// Reset rewinds the clock to zero. Only tests and back-to-back experiment
-// runs should call this.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}
-
 // Event is an entry in the future-event list: an opaque payload that
 // becomes runnable at a virtual time.
 type Event struct {
@@ -139,6 +131,3 @@ func (l *EventList) Peek() (ev Event, ok bool) {
 	}
 	return l.h[0], true
 }
-
-// Len reports the number of pending events.
-func (l *EventList) Len() int { return len(l.h) }

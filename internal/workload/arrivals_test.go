@@ -94,7 +94,7 @@ func TestFig8Golden(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{"default", DefaultConfig(), 0x5eca5ff34623e9c2},
+		{"default", Config{Seed: 1}, 0x5eca5ff34623e9c2},
 		{"eval-scale", evalConfig(), 0x0dd627108eee7114},
 	}
 	for _, tc := range cases {

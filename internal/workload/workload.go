@@ -86,25 +86,6 @@ type Config struct {
 	DerivChain int
 }
 
-// DefaultConfig returns the evaluation-scale configuration used by the
-// bench harness: ~1k jobs against a 31-step store.
-func DefaultConfig() Config {
-	return Config{
-		Seed:           1,
-		Space:          geom.Space{GridSide: 256, AtomSide: 32}, // 512 atoms/step
-		Steps:          31,
-		Jobs:           1000,
-		PointsPerQuery: 60,
-		OrderedFrac:    0.7,
-		LoneQueryFrac:  0.05,
-		SpeedUp:        1,
-		MeanJobGap:     4 * time.Second,
-		ThinkTime:      50 * time.Millisecond,
-		QueryScale:     10,
-		Hotspots:       6,
-	}
-}
-
 // Workload is a generated trace: runnable jobs plus the raw log records
 // (with ground-truth job labels) for the job-identification experiment.
 type Workload struct {

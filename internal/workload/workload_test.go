@@ -7,11 +7,8 @@ import (
 	"jaws/internal/job"
 )
 
-func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Jobs = 200
-	return cfg
-}
+// smallConfig is the evaluation trace (Generate's defaults) cut to 200 jobs.
+func smallConfig() Config { return Config{Seed: 1, Jobs: 200} }
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(smallConfig())
@@ -222,7 +219,7 @@ func TestGenerateDefaultsApplied(t *testing.T) {
 }
 
 func BenchmarkGenerate1kJobs(b *testing.B) {
-	cfg := DefaultConfig()
+	var cfg Config
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		Generate(cfg)

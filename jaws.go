@@ -73,9 +73,6 @@ type (
 	WorkloadConfig = workload.Config
 	// CostModel carries the T_b / T_m constants of Eq. 1.
 	CostModel = sched.CostModel
-	// Gradient is the velocity-gradient tensor du_i/dx_j returned by the
-	// analytic field's EvalGradient (reach it via System.Store().Field()).
-	Gradient = field.Gradient
 	// ClusterReport aggregates a multi-node run.
 	ClusterReport = cluster.Report
 	// Obs bundles a tracer and a metrics registry for a run; see the

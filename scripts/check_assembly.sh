@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # The guard that keeps the assembler one (DESIGN.md §3, "One assembler"):
 # outside internal/system, no non-test code turns a description into a
-# store, a cache, a scheduler or an engine by calling the layers'
+# store, a cache, a scheduler, an engine or a fault injector (which needs
+# to know which node it serves: system.Config.Node) by calling the layers'
 # constructors. Two exceptions, both by design: internal/oracle/diff.go's
 # StandardTarget (the production side of the differential comparison, which
 # sweeps parameters the node description cannot name), and a caller that
 # adjusts the engine config system.EngineConfig returned before handing it
-# to engine.New (the cluster's per-node injector, the ablation study's
-# scheduler handle, the oracle's recorder). benchmark/ holds its own copy
-# under a wiring-drift test until ROADMAP item 5 re-points it.
+# to engine.New (the ablation study's scheduler handle, the oracle's
+# recorder). benchmark/ holds its own copy under a wiring-drift test until
+# ROADMAP item 1 re-points it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-calls='engine\.New(Session)?\(|sched\.New(JAWS|LifeRaft|NoShare|QoS)\(|cache\.New[A-Za-z]*\(|store\.Open\('
+calls='engine\.New(Session)?\(|sched\.New(JAWS|LifeRaft|NoShare|QoS)\(|cache\.New[A-Za-z]*\(|store\.Open\(|fault\.New\('
 scope=('*.go' ':!*_test.go' ':!benchmark' ':!internal/system' ':!internal/oracle/diff.go')
 
 # Allowed: engine.New on sys.EngineConfig(...) directly, or on a variable ec
