@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one)")
 		nodes       = fs.Int("nodes", 1, "session replicas serving the space (queries route round-robin)")
 		queue       = fs.Int("queue", 64, "admission queue bound (full queue sheds with 429)")
-		workers     = fs.Int("workers", 8, "worker pool size (max queries concurrently in the engines)")
+		workers     = fs.Int("workers", 8, "serving slots (max queries concurrently in the engines)")
 		maxInFlight = fs.Int("max-in-flight", 0, "max requests between accept and response (0: 4×(queue+workers))")
 		deadline    = fs.Duration("deadline", 30*time.Second, "default per-request deadline")
 		maxDeadline = fs.Duration("max-deadline", 2*time.Minute, "cap on client-requested timeout_ms")

@@ -14,9 +14,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"jaws"
 )
@@ -29,6 +31,13 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run tracks the clouds and checks them against the analytic reference.
+func run(w io.Writer) error {
 	sys, err := jaws.Open(jaws.Config{
 		Space:       jaws.Space{GridSide: 128, AtomSide: 32},
 		Steps:       steps,
@@ -39,7 +48,7 @@ func main() {
 		KeepResults: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Scatter the clouds near a shared region of interest — particles with
@@ -89,7 +98,7 @@ func main() {
 		}
 		rep, err := sys.Run(jobs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		totalVirtual += rep.Elapsed.Seconds()
 
@@ -138,12 +147,13 @@ func main() {
 	}
 	meanErr /= float64(n)
 
-	fmt.Printf("tracked %d particles in %d clouds through %d steps\n", clouds*particles, clouds, steps-1)
-	fmt.Printf("virtual time    %.2f s\n", totalVirtual)
-	fmt.Printf("cache hit       %.1f%%\n", sys.CacheStats().HitRatio()*100)
-	fmt.Printf("trajectory err  mean %.2e, max %.2e (vs analytic reference)\n", meanErr, maxErr)
+	fmt.Fprintf(w, "tracked %d particles in %d clouds through %d steps\n", clouds*particles, clouds, steps-1)
+	fmt.Fprintf(w, "virtual time    %.2f s\n", totalVirtual)
+	fmt.Fprintf(w, "cache hit       %.1f%%\n", sys.CacheStats().HitRatio()*100)
+	fmt.Fprintf(w, "trajectory err  mean %.2e, max %.2e (vs analytic reference)\n", meanErr, maxErr)
 	if meanErr > 0.05 {
-		log.Fatalf("tracking diverged from reference: mean error %.3f", meanErr)
+		return fmt.Errorf("tracking diverged from reference: mean error %.3f", meanErr)
 	}
-	fmt.Println("tracking agrees with the analytic reference ✓")
+	fmt.Fprintln(w, "tracking agrees with the analytic reference ✓")
+	return nil
 }

@@ -58,8 +58,8 @@ type Config struct {
 	Store *store.Store
 	Cache *cache.Cache
 	Sched sched.Scheduler
-	// Cost is the T_b/T_m model shared with the scheduler. If zero, T_b
-	// defaults to a cold 8 MB read estimate and T_m to 20 µs.
+	// Cost is the T_b/T_m model shared with the scheduler. The engine
+	// charges T_m per position; zero means sched.DefaultCost's.
 	Cost sched.CostModel
 	// JobAware enables gated execution (§IV): ordered jobs are registered
 	// in the precedence graph and queries are admitted to the workload
@@ -418,11 +418,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Cost.Tb <= 0 {
-		cfg.Cost.Tb = estimateTb()
-	}
 	if cfg.Cost.Tm <= 0 {
-		cfg.Cost.Tm = 20 * time.Microsecond
+		cfg.Cost.Tm = sched.DefaultCost().Tm
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -489,13 +486,6 @@ func (e *Engine) advanceTo(at time.Duration) {
 	}
 	e.clock.AdvanceTo(at)
 	e.inst.noteAdvance(causeWait, d)
-}
-
-// estimateTb returns the cold-read cost of one nominal atom on the default
-// disk array — the empirically derived T_b of Eq. 1.
-func estimateTb() time.Duration {
-	a := disk.NewArray(4, disk.DefaultParams())
-	return a.Read(0, field.NominalAtomBytes)
 }
 
 // Run executes the jobs to completion and returns the report. Batched

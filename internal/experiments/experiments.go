@@ -78,7 +78,7 @@ func DefaultScale() Scale {
 		CacheAtoms:     128,
 		BatchSize:      10,
 		RunLength:      32,
-		Cost:           sched.CostModel{Tb: 41 * time.Millisecond, Tm: 20 * time.Microsecond},
+		Cost:           sched.DefaultCost(),
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // the serving-layer counterpart of the engine's virtual-clock Span. Where
 // a Span explains where a query's *virtual* response time went inside the
 // engine (gated/queued/disk/compute), a ReqSpan explains where the *wall*
-// time went around it: validation, the admission queue, worker dispatch,
-// backend execution, and response writing.
+// time went around it: validation, the wait for a serving slot,
+// dispatch, backend execution, and response writing.
 //
 // Attribution invariant, mirroring Span: the phase components sum exactly
 // to Wall. The serving layer maintains this by construction — it keeps
@@ -21,8 +21,8 @@ import (
 //
 //   - Validate: handler entry → admission. Request decode, body and
 //     parameter validation, ID assignment.
-//   - Queued: admission → a worker picks the request up.
-//   - Dispatch: worker pickup → the backend accepted the submission.
+//   - Queued: admission → a serving slot is taken (or the deadline hit).
+//   - Dispatch: slot taken → the backend accepted the submission.
 //   - Execute: submission → the outcome is decided (result, deadline
 //     expiry, or backend death).
 //   - Write: outcome → the response is written.
@@ -40,8 +40,8 @@ type ReqSpan struct {
 	Status int `json:"status,omitempty"`
 	// Start is the wall-clock handler-entry stamp.
 	Start time.Time `json:"start"`
-	// QueueDepth is the admission queue depth observed when the request
-	// was accepted.
+	// QueueDepth is the number of requests waiting for a serving slot
+	// when this one was admitted.
 	QueueDepth int `json:"qdepth"`
 
 	// Phase components; see the attribution invariant above.
@@ -72,9 +72,8 @@ const (
 	ReqWrite
 )
 
-// NewReqSpan opens a span at the current wall time. The caller holds the
-// only reference until the span is handed off through a channel (the
-// handoff's happens-before edge makes the cross-goroutine Marks safe).
+// NewReqSpan opens a span at the current wall time. A span is not safe for
+// concurrent use: one goroutine marks it, from accept to write.
 func NewReqSpan() *ReqSpan {
 	now := time.Now()
 	return &ReqSpan{Start: now, last: now}
@@ -91,8 +90,7 @@ func (r *ReqSpan) SetRequest(id string, query int64) {
 }
 
 // Admit records the queue depth observed at admission and closes the
-// Validate phase. Nil-safe no-op. Must be called before the span is
-// handed to another goroutine.
+// Validate phase. Nil-safe no-op.
 func (r *ReqSpan) Admit(depth int) {
 	if r == nil {
 		return

@@ -98,7 +98,7 @@ func (r *SeedResult) String() string {
 // seeds so tie-breaking and truncation paths all get exercised.
 func SuiteParams(a Algo, seed int64) (CaptureConfig, Params) {
 	p := Params{
-		Cost:      sched.CostModel{Tb: 41 * time.Millisecond, Tm: 20 * time.Microsecond},
+		Cost:      sched.DefaultCost(),
 		BatchSize: 2 + int(seed%4),         // small k so the >k truncation path runs
 		Alpha:     float64(seed%11) / 10.0, // sweep [0,1]
 		Adaptive:  a == AlgoJAWS && seed%2 == 0,

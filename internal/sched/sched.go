@@ -29,11 +29,16 @@ import (
 
 // CostModel carries the constants of Eq. 1: T_b estimates the time to
 // read an atom from disk and T_m the computation cost of a single
-// position. Both are derived empirically (the engine measures T_b from
-// the disk model's parameters).
+// position.
 type CostModel struct {
 	Tb time.Duration
 	Tm time.Duration
+}
+
+// DefaultCost returns the one T_b/T_m pair of the reproduction: 41 ms per
+// atom read, 20 µs per position.
+func DefaultCost() CostModel {
+	return CostModel{Tb: 41 * time.Millisecond, Tm: 20 * time.Microsecond}
 }
 
 // Batch is one unit of execution handed to the engine: all pending

@@ -469,15 +469,16 @@ func TestCodecAllocs(t *testing.T) {
 // file's harness (fake backend, NewRecorder, request tracking off),
 // whatever the point count: the request's deadline context and timer (5),
 // its ID and header values (4), the position array, the body limiter, the
-// request record, the task's two channels (4), the Submit argument, and the
-// fake backend's result (2). With encoding/json in the path it was 43 for 8
-// points and 54 for 512; with the waiter table a sync.Map and the kernel
-// name a string, 21 here and 22 in a daemon, whose query IDs are past the
-// runtime's small-integer boxes.
-const handleQueryAllocs = 19
+// request record, the Submit argument, and the fake backend's result (2).
+// The reply channel is the serving slot's, made once in New. With
+// encoding/json in the path it was 43 for 8 points and 54 for 512; with
+// the waiter table a sync.Map and the kernel name a string, 21 here and 22
+// in a daemon, whose query IDs are past the runtime's small-integer boxes;
+// with a worker pool and two fresh channels per request, 19.
+const handleQueryAllocs = 15
 
 // TestHandleQueryAllocs pins the whole handler — decode, admission, a
-// worker's round trip to a fake backend, encode — at its exact count.
+// slot's round trip to a fake backend, encode — at its exact count.
 func TestHandleQueryAllocs(t *testing.T) {
 	fake := newFakeBackend()
 	fake.eval = func(p jaws.Position) [4]float64 { return [4]float64{p.X, p.Y, p.Z, 1} }

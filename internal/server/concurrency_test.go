@@ -15,13 +15,13 @@ import (
 )
 
 // slowBackend throttles Submit so a burst of clients reliably overwhelms
-// a small queue: the worker pool is pinned inside Submit long enough for
-// the admission queue to fill and shedding to kick in.
+// a small queue: every serving slot is pinned inside Submit long enough
+// for the waiting requests to reach the bound and shedding to kick in.
 type slowBackend struct {
 	Backend
 	delay time.Duration
-	// entered, when set, counts the Submit calls begun: the requests the
-	// workers have taken off the queue.
+	// entered, when set, counts the Submit calls begun: the requests that
+	// have taken a slot.
 	entered *atomic.Int64
 }
 
@@ -93,7 +93,7 @@ func fire(t *testing.T, url string, clients int) (byStatus map[int]int, ids map[
 
 // TestConcurrentClientsShedExactlyOnce is the acceptance scenario: 64
 // concurrent clients against a queue bound of 8 and two throttled
-// workers. Some requests must be shed with 429; every accepted request
+// slots. Some requests must be shed with 429; every accepted request
 // is served exactly once (unique query IDs, engine completion count
 // equal to the number of 200s); nothing is lost or double-served.
 func TestConcurrentClientsShedExactlyOnce(t *testing.T) {
@@ -165,7 +165,7 @@ func TestGracefulDrainServesAccepted(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const accepted = 6 // 2 workers + 4 queued, all within bounds
+	const accepted = 6 // 2 slots + 4 waiting, all within bounds
 	codes := make(chan int, accepted)
 	for i := 0; i < accepted; i++ {
 		go func() {
@@ -179,12 +179,12 @@ func TestGracefulDrainServesAccepted(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
-	// In flight is not enough: a handler counts as in flight before it has
-	// put its request on the queue, and Shutdown rightly answers one that
-	// has not yet done so 503. Wait until every request is admitted — on
-	// the queue or taken off it by a worker. The workers are read first: a
-	// request that moves from the queue to a worker between the two reads
-	// is then missed, and the poll repeats, never counted twice.
+	// In flight is not enough: a handler counts as in flight before it is
+	// admitted, and Shutdown rightly answers one that has not yet been
+	// 503. Wait until every request is admitted — waiting for a slot or
+	// holding one. The slot holders are read first: a request that takes a
+	// slot between the two reads is then missed, and the poll repeats,
+	// never counted twice.
 	waitFor(t, "all requests admitted", func() bool {
 		n := taken.Load()
 		return n+int64(srv.Stats().QueueDepth) == accepted

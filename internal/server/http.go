@@ -72,20 +72,6 @@ var kernels = map[string]jaws.Kernel{
 	"none":      jaws.KernelNone,
 }
 
-// task is one accepted request traveling from the handler through the
-// queue to a worker and back. It is passed by value: what the backend
-// keeps a reference to is req alone, never the context or the channel.
-type task struct {
-	ctx context.Context
-	req *request
-	// rs is the request's wall-clock span (nil when request tracking is
-	// off). Ownership travels with the task: the worker marks the queued,
-	// dispatch, and execute phases, then the respc send returns the span
-	// to the handler for Finish.
-	rs    *obs.ReqSpan
-	respc chan taskOutcome // cap 1: the worker's send never blocks
-}
-
 // request is what a backend is handed for one accepted request — the job,
 // its single query and the one-element slice joining them — allocated as
 // one object.
@@ -106,19 +92,19 @@ func newRequest(id jaws.QueryID, rid string, kernel jaws.Kernel, in DecodedReque
 	return req
 }
 
-// taskOutcome is the worker's verdict: a result, or an HTTP status.
-type taskOutcome struct {
+// outcome is serve's verdict: a result, or an HTTP status.
+type outcome struct {
 	res    *jaws.QueryResult
 	status int
 	err    error
 }
 
-// handleQuery is POST /query: validate, gate, enqueue, wait, respond.
-// With request tracking on, every wall-clock transition of an admitted
-// request is charged to exactly one ReqSpan phase: handler entry →
-// admission is validate, the worker marks queued/dispatch/execute, and
-// Finish charges the response write — so the phases sum to the span's
-// Wall by construction.
+// handleQuery is POST /query: validate, gate, admit, take a slot, serve,
+// respond, all on one goroutine. With request tracking on, every
+// wall-clock transition of an admitted request is charged to exactly one
+// ReqSpan phase: handler entry → admission is validate, the slot wait is
+// queued, serve marks dispatch/execute, and Finish charges the response
+// write — so the phases sum to the span's Wall by construction.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -201,12 +187,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := obs.RequestID(s.cfg.ReqIDSeed, int64(id))
 	w.Header().Set("X-Jaws-Request-Id", rid)
 	rs.SetRequest(rid, int64(id))
-	t := task{
-		ctx:   ctx,
-		req:   newRequest(id, rid, kernel, in),
-		rs:    rs,
-		respc: make(chan taskOutcome, 1),
-	}
 
 	start := time.Now()
 	s.acceptMu.RLock()
@@ -217,23 +197,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.emitSpan(rs, http.StatusServiceUnavailable)
 		return
 	}
-	// Close the validate phase and record the queue depth before the
-	// send: after the send the worker owns the span.
-	rs.Admit(len(s.queue))
-	select {
-	case s.queue <- t:
-		s.acceptMu.RUnlock()
-		s.gQueue.Set(float64(len(s.queue)))
-	default:
+	depth := s.waiting.Add(1)
+	rs.Admit(int(depth - 1))
+	if depth > int64(s.cfg.QueueBound) {
+		s.waiting.Add(-1)
 		s.acceptMu.RUnlock()
 		s.shedRequest(w, rid, "request queue full")
 		s.emitSpan(rs, http.StatusTooManyRequests)
 		return
 	}
+	s.admitted.Add(1)
+	s.acceptMu.RUnlock()
+	s.gQueue.Set(float64(depth))
 
-	// Accepted: a worker is now guaranteed to respond exactly once, and
-	// the respc receive hands span ownership back to this goroutine.
-	out := <-t.respc
+	// Admitted: wait for a slot (blocked receivers take slots in arrival
+	// order) or the deadline, whichever first.
+	var out outcome
+	select {
+	case sl := <-s.slots:
+		s.gQueue.Set(float64(s.waiting.Add(-1)))
+		out = s.serve(ctx, sl, newRequest(id, rid, kernel, in), rs)
+		s.slots <- sl
+	case <-ctx.Done():
+		s.gQueue.Set(float64(s.waiting.Add(-1)))
+		rs.Mark(obs.ReqQueued)
+		out = outcome{status: http.StatusGatewayTimeout}
+	}
+	s.admitted.Done()
 	var status int
 	switch {
 	case out.res != nil:
@@ -280,7 +270,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lg.Info("request finished",
 			"request_id", rid, "query", int64(id), "status", status,
 			"wall_ms", float64(wall)/float64(time.Millisecond),
-			"queue_depth", len(s.queue))
+			"queue_depth", s.waiting.Load())
 	}
 }
 

@@ -5,15 +5,15 @@
 // control and backpressure a batch scheduler needs to face interactive
 // traffic:
 //
-//   - a bounded request queue feeding a fixed worker pool: accepted work
-//     is never dropped, and the engine sees at most Workers concurrent
-//     jobs per backend;
-//   - load shedding: when the queue is full (or the in-flight gate is
-//     exceeded) requests are rejected immediately with 429 and a
+//   - serving slots: a request is served on the goroutine that accepted
+//     it, holding one of Workers slots while in a backend, after up to
+//     QueueBound others wait for one, in admission order;
+//   - load shedding: when QueueBound requests wait (or the in-flight gate
+//     is exceeded) requests are rejected immediately with 429 and a
 //     Retry-After hint instead of piling up latency;
 //   - per-request deadlines: every query carries a wall-clock deadline
 //     (client-settable via timeout_ms, capped by MaxDeadline); expiry
-//     answers 504 and the eventual engine result is discarded;
+//     answers 504, waiting or not, and the engine result is discarded;
 //   - graceful drain: Shutdown stops admission, serves every request
 //     already accepted, then closes the backends and collects their
 //     final reports.
@@ -27,6 +27,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -63,11 +64,11 @@ type Config struct {
 	// Reg receives the server's metrics (and is served at /metrics). Nil
 	// allocates a private registry so instrumentation is always on.
 	Reg *obs.Registry
-	// QueueBound is the admission queue capacity; default 64. Requests
-	// arriving with the queue full are shed with 429.
+	// QueueBound is how many admitted requests may wait for a serving
+	// slot; default 64. Requests beyond it are shed with 429.
 	QueueBound int
-	// Workers is the worker-pool size: the maximum number of queries
-	// concurrently submitted to the backends; default 8.
+	// Workers is the number of serving slots: the maximum number of
+	// queries concurrently submitted to the backends; default 8.
 	Workers int
 	// MaxInFlight caps requests between accept and response (including
 	// decode and queue wait); beyond it requests are shed with 429.
@@ -159,30 +160,34 @@ type backendState struct {
 	dead chan struct{}
 }
 
+// slot is one of the Workers serving slots: the result channel (cap 1, so
+// drain never blocks) of whichever request holds it.
+type slot chan *jaws.QueryResult
+
 // Server is the HTTP front end. Create with New, expose Handler on a
 // listener, and call Shutdown to drain.
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	backends []*backendState
-	queue    chan task
+	slots    chan slot // the free serving slots
 	start    time.Time
 
 	nextID   atomic.Int64 // query/job ID source, unique across backends
 	rr       atomic.Int64 // round-robin backend cursor
 	inflight atomic.Int64
+	waiting  atomic.Int64 // admitted requests not yet holding a slot
 	draining atomic.Bool
 
-	// acceptMu serializes enqueues against Shutdown's close(queue): an
-	// enqueue holds the read side, the drain flag flips under the write
-	// side, so no send can race the close.
+	// acceptMu orders admission against Shutdown: admitted.Add runs under
+	// the read side, the drain flag flips under the write side.
 	acceptMu sync.RWMutex
-	// demux holds the result channel (cap 1) of every query a worker waits
-	// on: at most Workers entries.
+	admitted sync.WaitGroup
+	// demux maps every query a slot holder waits on to its slot: at most
+	// Workers entries.
 	demuxMu sync.Mutex
-	demux   map[jaws.QueryID]chan *jaws.QueryResult
+	demux   map[jaws.QueryID]slot
 
-	workerWG     sync.WaitGroup
 	demuxWG      sync.WaitGroup
 	shutdownOnce sync.Once
 	reports      []*jaws.Report
@@ -220,7 +225,7 @@ var serverMetricHelp = map[string]string{
 	"jaws_server_errors_total":       "Requests failed by a backend (5xx).",
 	"jaws_server_unavailable_total":  "Requests refused while draining (503).",
 	"jaws_server_late_results_total": "Engine results that arrived after their waiter gave up.",
-	"jaws_server_queue_depth":        "Admission queue depth.",
+	"jaws_server_queue_depth":        "Admitted requests waiting for a serving slot.",
 	"jaws_server_inflight":           "Requests between accept and response.",
 	"jaws_server_latency_seconds":    "Wall-clock request latency from admission to outcome.",
 	"jaws_server_virtual_seconds":    "Query response time on the engine's virtual clock.",
@@ -232,8 +237,8 @@ var serverMetricHelp = map[string]string{
 	"jaws_trace_dropped_total":       "Trace events lost to ring overwrites or sink write failures.",
 }
 
-// New validates cfg, starts the worker pool and the per-backend result
-// demultiplexers, and returns a servable Server.
+// New validates cfg, starts the per-backend result demultiplexers, and
+// returns a servable Server.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("server: at least one backend required")
@@ -245,8 +250,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
-		queue: make(chan task, cfg.QueueBound),
-		demux: make(map[jaws.QueryID]chan *jaws.QueryResult, cfg.Workers),
+		slots: make(chan slot, cfg.Workers),
+		demux: make(map[jaws.QueryID]slot, cfg.Workers),
 		start: time.Now(),
 
 		requests:    cfg.Reg.Counter("jaws_server_requests_total"),
@@ -285,8 +290,7 @@ func New(cfg Config) (*Server, error) {
 		go s.drain(b)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
+		s.slots <- make(slot, 1)
 	}
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -298,10 +302,10 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the public mux (/query, /metrics, /healthz, /varz).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// drain routes one backend's completion stream to the per-request
-// channels registered in demux. Results nobody waits for (the waiter
-// timed out or the request was canceled) are counted and released here:
-// the handler that gave up never sees them.
+// drain routes one backend's completion stream to the slots registered in
+// demux. Results nobody waits for (the waiter timed out or the request was
+// canceled) are counted and released here: the handler that gave up never
+// sees them.
 func (s *Server) drain(b *backendState) {
 	defer s.demuxWG.Done()
 	defer close(b.dead)
@@ -315,9 +319,9 @@ func (s *Server) drain(b *backendState) {
 	}
 }
 
-// unwait removes and returns the channel registered for id, nil if there
-// is none (any more).
-func (s *Server) unwait(id jaws.QueryID) chan *jaws.QueryResult {
+// unwait removes and returns the slot registered for id, nil if there is
+// none (any more).
+func (s *Server) unwait(id jaws.QueryID) slot {
 	s.demuxMu.Lock()
 	ch := s.demux[id]
 	delete(s.demux, id)
@@ -325,64 +329,46 @@ func (s *Server) unwait(id jaws.QueryID) chan *jaws.QueryResult {
 	return ch
 }
 
-// worker consumes the admission queue until Shutdown closes it, then
-// finishes whatever is still queued (accepted work is never dropped).
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.queue {
-		s.gQueue.Set(float64(len(s.queue)))
-		s.serveTask(t)
-	}
-}
-
-// serveTask submits one accepted request to a live backend and waits for
-// its result, the deadline, or the backend's death — whichever first.
-// Every task gets exactly one response on respc.
-//
-// The span marks are safe without locks: the handler stopped touching
-// t.rs before the queue send, this goroutine marks between receiving the
-// task and sending on respc, and the handler resumes only after the
-// respc receive — each handoff is a happens-before edge.
-func (s *Server) serveTask(t task) {
-	t.rs.Mark(obs.ReqQueued)
-	if t.ctx.Err() != nil { // deadline spent while queued
-		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
-		return
+// serve submits an admitted request, holding slot sl, to a live backend and
+// waits for its result, the deadline, or the backend's death. sl is empty
+// again on return: the result was received, or abandon accounted for it.
+func (s *Server) serve(ctx context.Context, sl slot, req *request, rs *obs.ReqSpan) outcome {
+	rs.Mark(obs.ReqQueued)
+	if ctx.Err() != nil { // deadline spent while queued
+		return outcome{status: http.StatusGatewayTimeout}
 	}
 	b := s.pick()
-	id := t.req.query.ID
-	ch := make(chan *jaws.QueryResult, 1)
+	id := req.query.ID
 	s.demuxMu.Lock()
-	s.demux[id] = ch
+	s.demux[id] = sl
 	s.demuxMu.Unlock()
-	err := b.be.Submit(&t.req.job)
-	t.rs.Mark(obs.ReqDispatch)
+	err := b.be.Submit(&req.job)
+	rs.Mark(obs.ReqDispatch)
 	if err != nil {
 		s.unwait(id)
-		t.respc <- taskOutcome{status: http.StatusBadGateway, err: err}
-		return
+		return outcome{status: http.StatusBadGateway, err: err}
 	}
 	select {
-	case r := <-ch:
-		t.rs.Mark(obs.ReqExecute)
-		t.respc <- taskOutcome{res: r}
-	case <-t.ctx.Done():
-		t.rs.Mark(obs.ReqExecute)
-		s.abandon(id, ch)
-		t.respc <- taskOutcome{status: http.StatusGatewayTimeout}
+	case r := <-sl:
+		rs.Mark(obs.ReqExecute)
+		return outcome{res: r}
+	case <-ctx.Done():
+		rs.Mark(obs.ReqExecute)
+		s.abandon(id, sl)
+		return outcome{status: http.StatusGatewayTimeout}
 	case <-b.dead:
-		t.rs.Mark(obs.ReqExecute)
-		s.abandon(id, ch)
-		t.respc <- taskOutcome{status: http.StatusBadGateway, err: b.be.Err()}
+		rs.Mark(obs.ReqExecute)
+		s.abandon(id, sl)
+		return outcome{status: http.StatusBadGateway, err: b.be.Err()}
 	}
 }
 
 // abandon ends the wait on ch, registered for id, without its result. When
 // drain took the channel first — the result and the deadline, or the
 // backend's death, came together — the result is in ch or on its way there
-// and this worker is the only goroutine left to see it: it is late like one
-// drain finds no waiter for, and released and counted here.
-func (s *Server) abandon(id jaws.QueryID, ch chan *jaws.QueryResult) {
+// and this handler is the only goroutine left to see it: it is late like
+// one drain finds no waiter for, and released and counted here.
+func (s *Server) abandon(id jaws.QueryID, ch slot) {
 	if s.unwait(id) == nil {
 		(<-ch).Release()
 		s.late.Inc()
@@ -424,17 +410,15 @@ func (s *Server) healthy() error {
 	return nil
 }
 
-// Shutdown gracefully drains the server: admission stops (new queries
-// get 503), every accepted request is served, the worker pool exits,
-// and the backends are closed. It returns the backends' final reports
-// (dead backends contribute none) and is idempotent.
+// Shutdown gracefully drains the server: admission stops (new queries get
+// 503), every admitted request is served, and the backends are closed. It
+// returns their final reports (dead backends contribute none); idempotent.
 func (s *Server) Shutdown() []*jaws.Report {
 	s.shutdownOnce.Do(func() {
 		s.acceptMu.Lock()
 		s.draining.Store(true)
 		s.acceptMu.Unlock()
-		close(s.queue)
-		s.workerWG.Wait()
+		s.admitted.Wait()
 		for _, b := range s.backends {
 			if rep := b.be.Close(); rep != nil {
 				s.reports = append(s.reports, rep)
@@ -485,7 +469,7 @@ func (s *Server) Stats() Stats {
 		Errors:      s.errcount.Value(),
 		Unavailable: s.unavailable.Value(),
 		LateResults: s.late.Value(),
-		QueueDepth:  len(s.queue),
+		QueueDepth:  int(s.waiting.Load()),
 		InFlight:    s.inflight.Load(),
 		Draining:    s.draining.Load(),
 	}

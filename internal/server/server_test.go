@@ -291,7 +291,7 @@ func TestLateResultReleased(t *testing.T) {
 
 // deadlineBackend answers every query at the instant its request's deadline
 // passes: Submit cancels the request in hand and completes it at once, so
-// the worker comes to its select with the deadline ready and the result in
+// the handler comes to its select with the deadline ready and the result in
 // drain's hands or already through them.
 type deadlineBackend struct {
 	*fakeBackend
@@ -306,11 +306,11 @@ func (b *deadlineBackend) Submit(jobs ...*jaws.Job) error {
 }
 
 // TestResultAtDeadlineAccounted: when a result and the deadline are ready
-// together, whichever the worker's select takes, the request gets one
-// answer and the result one reader — the handler (200), or, once the worker
-// gave up (504), drain or the worker itself when drain had taken the
-// channel first; a result in that last case used to stay in the channel,
-// neither released nor counted.
+// together, whichever the handler's select takes, the request gets one
+// answer and the result one reader — the handler's response (200), or,
+// once the handler gave up (504), drain or the handler's abandon when drain
+// had taken the channel first; a result in that last case used to stay in
+// the channel, neither released nor counted.
 func TestResultAtDeadlineAccounted(t *testing.T) {
 	be := &deadlineBackend{fakeBackend: newFakeBackend()}
 	srv, _ := newTestServer(t, []Backend{be}, func(c *Config) { c.Workers = 1 })
@@ -347,7 +347,7 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 		c.QueueBound = 1
 	})
 
-	// r1 occupies the single worker, r2 the single queue slot.
+	// r1 holds the single serving slot, r2 is the one request let wait.
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -380,6 +380,125 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 		if code := <-done; code != http.StatusOK {
 			t.Errorf("held request %d finished with %d, want 200", i, code)
 		}
+	}
+}
+
+// postAsync posts body from a goroutine and delivers the response status
+// (-1 when the request failed).
+func postAsync(t *testing.T, url, body string) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			code <- -1
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
+// timeoutBody is okBody with a deadline of the given milliseconds.
+func timeoutBody(ms int) string {
+	return fmt.Sprintf(`{"step":1,"points":[{"x":1,"y":2,"z":3}],"timeout_ms":%d}`, ms)
+}
+
+// TestQueuedDeadlineAnsweredAtDeadline: a request whose deadline passes
+// while it waits for a slot is answered 504 at its deadline, while the
+// request holding the slot is still in the backend — not once the slot
+// frees.
+func TestQueuedDeadlineAnsweredAtDeadline(t *testing.T) {
+	fake := newFakeBackend()
+	fake.hold = true
+	srv, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
+		c.Workers = 1
+		c.QueueBound = 1
+	})
+	t.Cleanup(fake.release) // before Shutdown, should r1 still be held
+
+	held := postAsync(t, ts.URL, okBody)
+	waitFor(t, "r1 to hold the slot", func() bool { return fake.submittedCount() == 1 })
+	queued := postAsync(t, ts.URL, timeoutBody(50))
+	select {
+	case code := <-queued:
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("queued request answered %d, want 504", code)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("queued request with a 50 ms deadline unanswered after 1 s")
+	}
+	select {
+	case code := <-held:
+		t.Fatalf("r1 answered %d while its query was held", code)
+	default:
+	}
+	if st := srv.Stats(); st.Timeouts != 1 || st.QueueDepth != 0 {
+		t.Errorf("stats %+v, want 1 timeout and nothing waiting", st)
+	}
+	fake.release()
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("r1 finished with %d, want 200", code)
+	}
+}
+
+// TestSlotsConserved: every way a request can end — served, timed out
+// waiting for a slot or while executing, refused by Submit, cut off by its
+// backend's death — hands its slot back empty, so after the drain every
+// slot is free and nothing waits.
+func TestSlotsConserved(t *testing.T) {
+	fake := newFakeBackend()
+	srv, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
+		c.Workers = 2
+		c.QueueBound = 4
+	})
+	expect := func(what string, code <-chan int, want int) {
+		t.Helper()
+		if got := <-code; got != want {
+			t.Errorf("%s: status %d, want %d", what, got, want)
+		}
+	}
+	hold := func() {
+		fake.mu.Lock()
+		fake.hold = true
+		fake.mu.Unlock()
+	}
+
+	// Two requests time out in the backend with both slots held, a third
+	// while it waits behind them.
+	hold()
+	executing := []<-chan int{postAsync(t, ts.URL, timeoutBody(300)), postAsync(t, ts.URL, timeoutBody(300))}
+	waitFor(t, "both slots held", func() bool { return fake.submittedCount() == 2 })
+	expect("deadline while waiting", postAsync(t, ts.URL, timeoutBody(50)), http.StatusGatewayTimeout)
+	for _, code := range executing {
+		expect("deadline while executing", code, http.StatusGatewayTimeout)
+	}
+	fake.release()
+	waitFor(t, "late results", func() bool { return srv.Stats().LateResults == 2 })
+
+	expect("served", postAsync(t, ts.URL, okBody), http.StatusOK)
+
+	// One request is cut off by the backend's death (the served request is
+	// still on the fake's list); Submit refuses the next.
+	hold()
+	dying := postAsync(t, ts.URL, okBody)
+	waitFor(t, "request in the backend", func() bool { return fake.submittedCount() == 2 })
+	fake.die(errors.New("node crashed"))
+	expect("backend death", dying, http.StatusBadGateway)
+	expect("Submit error", postAsync(t, ts.URL, okBody), http.StatusBadGateway)
+
+	srv.Shutdown()
+	if n := len(srv.slots); n != srv.cfg.Workers {
+		t.Errorf("%d free slots after the drain, want %d", n, srv.cfg.Workers)
+	}
+	for i := 0; i < srv.cfg.Workers; i++ {
+		if sl := <-srv.slots; len(sl) != 0 {
+			t.Errorf("slot %d returned with %d results in its channel", i, len(sl))
+		}
+	}
+	if st := srv.Stats(); st.QueueDepth != 0 || st.Served != 1 || st.Timeouts != 3 || st.Errors != 2 {
+		t.Errorf("stats %+v, want nothing waiting, 1 served, 3 timeouts, 2 errors", st)
 	}
 }
 

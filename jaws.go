@@ -23,8 +23,6 @@
 package jaws
 
 import (
-	"time"
-
 	"jaws/internal/cluster"
 	"jaws/internal/engine"
 	"jaws/internal/fault"
@@ -237,11 +235,9 @@ func RunCluster(cfg ClusterConfig, jobs []*Job) (*ClusterReport, error) {
 }
 
 // DefaultEvaluationCost returns the T_b/T_m pair used throughout the
-// reproduction: a cold 8 MB atom read on the 4-disk array and 20 µs per
-// position.
-func DefaultEvaluationCost() CostModel {
-	return CostModel{Tb: 41 * time.Millisecond, Tm: 20 * time.Microsecond}
-}
+// reproduction: 41 ms per atom read (the disk model's cold read of one
+// nominal 8 MB atom on the 4-disk array is 42.62 ms) and 20 µs per position.
+func DefaultEvaluationCost() CostModel { return sched.DefaultCost() }
 
 // BoxQuery builds a cutout query sampling an axis-aligned box on a regular
 // lattice of the given voxel stride, mirroring the Turbulence service's
