@@ -142,7 +142,9 @@ check-prop:
 ## query's gate re-check and the event list nothing) — and the in-repo twin
 ## of the wall-clock benchmark's replay-cold allocation figures: one Run of
 ## the BENCH_main.json trace allocates at most 1.0 objects and 0.95 KiB per
-## query, and nothing of it stays reachable from the System.
+## query, and nothing of it stays reachable from the System — and opening
+## a store allocates the same at 1 step as at 31: an atom's extent is
+## arithmetic on its (step, Morton) key, so nothing is built per atom.
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
@@ -151,6 +153,7 @@ check-allocs:
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
+	$(GO) test -run TestOpenIndependentOfSteps -count 5 ./internal/store/
 
 ## e2e-serve: boot a real jawsd on a free port, drive a seeded jawsload
 ## burst that overwhelms the small queue (some 429s expected, zero 5xx

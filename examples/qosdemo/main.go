@@ -9,16 +9,19 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
 	"jaws"
 )
 
-func buildWorkload(space jaws.Space) []*jaws.Job {
+func buildWorkload(space jaws.Space) ([]*jaws.Job, error) {
 	rng := rand.New(rand.NewSource(5))
 	var jobs []*jaws.Job
 	var qid jaws.QueryID = 1
@@ -30,7 +33,7 @@ func buildWorkload(space jaws.Space) []*jaws.Job {
 		jaws.Position{X: 2 * atomLen, Y: 2 * atomLen, Z: 2 * atomLen},
 		2, jaws.KernelLag4)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	box.JobID = 1
 	box.Arrival = 0
@@ -61,10 +64,12 @@ func buildWorkload(space jaws.Space) []*jaws.Job {
 			Queries: []*jaws.Query{q},
 		})
 	}
-	return jobs
+	return jobs, nil
 }
 
-func run(stretch float64) (small95 float64, tp float64) {
+// measure runs the workload under a QoS stretch (0: none) and returns the
+// short queries' p95 response and the throughput.
+func measure(stretch float64) (small95 float64, tp float64, err error) {
 	space := jaws.Space{GridSide: 128, AtomSide: 32}
 	sys, err := jaws.Open(jaws.Config{
 		Space:      space,
@@ -81,11 +86,15 @@ func run(stretch float64) (small95 float64, tp float64) {
 		KeepResults:  true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
-	rep, err := sys.Run(buildWorkload(space))
+	jobs, err := buildWorkload(space)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
+	}
+	rep, err := sys.Run(jobs)
+	if err != nil {
+		return 0, 0, err
 	}
 	// p95 response of the small queries only (job IDs ≥ 2).
 	var rts []float64
@@ -95,19 +104,30 @@ func run(stretch float64) (small95 float64, tp float64) {
 		}
 	}
 	sort.Float64s(rts)
-	return rts[len(rts)*95/100], rep.ThroughputQPS
+	return rts[len(rts)*95/100], rep.ThroughputQPS, nil
 }
 
 func main() {
-	p95Plain, tpPlain := run(0)
-	p95QoS, tpQoS := run(6)
-	fmt.Println("mixed workload: one dense cutout + 40 short point queries")
-	fmt.Printf("%-28s p95(short) = %6.2fs   throughput = %.2f q/s\n", "JAWS (no guarantees)", p95Plain, tpPlain)
-	fmt.Printf("%-28s p95(short) = %6.2fs   throughput = %.2f q/s\n", "JAWS + QoS (stretch 6)", p95QoS, tpQoS)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares the workload without and with the QoS wrapper.
+func run(w io.Writer) error {
+	p95Plain, tpPlain, err := measure(0)
+	p95QoS, tpQoS, errQoS := measure(6)
+	if err = cmp.Or(err, errQoS); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "mixed workload: one dense cutout + 40 short point queries")
+	fmt.Fprintf(w, "%-28s p95(short) = %6.2fs   throughput = %.2f q/s\n", "JAWS (no guarantees)", p95Plain, tpPlain)
+	fmt.Fprintf(w, "%-28s p95(short) = %6.2fs   throughput = %.2f q/s\n", "JAWS + QoS (stretch 6)", p95QoS, tpQoS)
 	if p95QoS < p95Plain {
-		fmt.Printf("\nQoS cut the short queries' p95 by %.0f%% while keeping %.0f%% of throughput.\n",
+		fmt.Fprintf(w, "\nQoS cut the short queries' p95 by %.0f%% while keeping %.0f%% of throughput.\n",
 			(1-p95QoS/p95Plain)*100, tpQoS/tpPlain*100)
 	} else {
-		fmt.Println("\nshort queries were already unstarved on this run")
+		fmt.Fprintln(w, "\nshort queries were already unstarved on this run")
 	}
+	return nil
 }

@@ -7,12 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"jaws"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares JAWS with the arrival-order baseline on one workload.
+func run(out io.Writer) error {
 	// A small store: 8 time steps of 128³ voxels in 32³-voxel atoms.
 	sys, err := jaws.Open(jaws.Config{
 		Space:      jaws.Space{GridSide: 128, AtomSide: 32},
@@ -22,7 +31,7 @@ func main() {
 		CacheAtoms: 32,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A synthetic trace with the production log's shape: mostly ordered
@@ -32,18 +41,18 @@ func main() {
 		Steps: 8,
 		Jobs:  40,
 	})
-	fmt.Printf("running %d queries from %d jobs...\n", w.TotalQueries(), len(w.Jobs))
+	fmt.Fprintf(out, "running %d queries from %d jobs...\n", w.TotalQueries(), len(w.Jobs))
 
 	report, err := sys.Run(w.Jobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("throughput      %.2f queries/second (virtual time)\n", report.ThroughputQPS)
-	fmt.Printf("mean response   %.3f s\n", report.MeanResponse.Seconds())
-	fmt.Printf("cache hit       %.1f%%\n", report.CacheStats.HitRatio()*100)
-	fmt.Printf("gating edges    %d admitted\n", report.GatingAdmitted)
-	fmt.Printf("final age bias  α = %.2f\n", report.FinalAlpha)
+	fmt.Fprintf(out, "throughput      %.2f queries/second (virtual time)\n", report.ThroughputQPS)
+	fmt.Fprintf(out, "mean response   %.3f s\n", report.MeanResponse.Seconds())
+	fmt.Fprintf(out, "cache hit       %.1f%%\n", report.CacheStats.HitRatio()*100)
+	fmt.Fprintf(out, "gating edges    %d admitted\n", report.GatingAdmitted)
+	fmt.Fprintf(out, "final age bias  α = %.2f\n", report.FinalAlpha)
 
 	// The same workload under the arrival-order baseline, for contrast.
 	base, err := jaws.Open(jaws.Config{
@@ -53,13 +62,14 @@ func main() {
 		CacheAtoms: 32,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w2 := jaws.GenerateWorkload(jaws.WorkloadConfig{Seed: 7, Steps: 8, Jobs: 40})
 	baseline, err := base.Run(w2.Jobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nNoShare baseline: %.2f q/s — JAWS speedup %.2fx\n",
+	fmt.Fprintf(out, "\nNoShare baseline: %.2f q/s — JAWS speedup %.2fx\n",
 		baseline.ThroughputQPS, report.ThroughputQPS/baseline.ThroughputQPS)
+	return nil
 }

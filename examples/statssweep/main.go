@@ -11,10 +11,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"jaws"
 )
@@ -25,6 +28,13 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the per-step statistics and checks that they stay stationary.
+func run(out io.Writer) error {
 	sys, err := jaws.Open(jaws.Config{
 		Space:       jaws.Space{GridSide: 128, AtomSide: 32},
 		Steps:       steps,
@@ -35,7 +45,7 @@ func main() {
 		KeepResults: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One batched job: a query per time step sampling the same probe
@@ -73,11 +83,14 @@ func main() {
 
 	rep, err := sys.Run([]*jaws.Job{j})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("step   <KE>        u_rms       p_rms\n")
-	fmt.Printf("----   ---------   ---------   ---------\n")
+	// The synthetic field is statistically stationary, so the kinetic
+	// energy should not drift wildly across steps: first and last keep it.
+	var first, last float64
+	fmt.Fprintf(out, "step   <KE>        u_rms       p_rms\n")
+	fmt.Fprintf(out, "----   ---------   ---------   ---------\n")
 	for _, res := range rep.Results {
 		var ke, u2, p2 float64
 		for _, pv := range res.Positions {
@@ -87,31 +100,21 @@ func main() {
 			p2 += pv.Val[3] * pv.Val[3]
 		}
 		n := float64(len(res.Positions))
-		fmt.Printf("%4d   %9.5f   %9.5f   %9.5f\n",
+		switch res.Query.Step {
+		case 0:
+			first = ke / n
+		case steps - 1:
+			last = ke / n
+		}
+		fmt.Fprintf(out, "%4d   %9.5f   %9.5f   %9.5f\n",
 			res.Query.Step, ke/n, math.Sqrt(u2/n), math.Sqrt(p2/n))
 	}
-	fmt.Printf("\n%d queries, %.2f virtual seconds, cache hit %.1f%%\n",
+	fmt.Fprintf(out, "\n%d queries, %.2f virtual seconds, cache hit %.1f%%\n",
 		rep.Completed, rep.Elapsed.Seconds(), rep.CacheStats.HitRatio()*100)
-
-	// Sanity: the synthetic field is statistically stationary, so the
-	// kinetic energy should not drift wildly across steps.
-	var first, last float64
-	for _, res := range rep.Results {
-		var ke float64
-		for _, pv := range res.Positions {
-			ke += 0.5 * (pv.Val[0]*pv.Val[0] + pv.Val[1]*pv.Val[1] + pv.Val[2]*pv.Val[2])
-		}
-		ke /= float64(len(res.Positions))
-		if res.Query.Step == 0 {
-			first = ke
-		}
-		if res.Query.Step == steps-1 {
-			last = ke
-		}
-	}
 	if first <= 0 || last <= 0 {
-		log.Fatal("kinetic energy vanished — field sampling broken")
+		return errors.New("kinetic energy vanished — field sampling broken")
 	}
-	fmt.Printf("KE(first)=%.5f KE(last)=%.5f — stationary within a factor of %.1f\n",
+	fmt.Fprintf(out, "KE(first)=%.5f KE(last)=%.5f — stationary within a factor of %.1f\n",
 		first, last, math.Max(first/last, last/first))
+	return nil
 }

@@ -3,9 +3,10 @@
 //
 // The database logically partitions space into cubes of side 2^k and lays
 // atoms out on disk in Morton order, so atoms that are close along the
-// curve are also near each other in voxel space. Both the clustered
-// B+-tree access path and JAWS's batch execution order (sub-queries within
-// a batch are evaluated in Morton order) depend on this package.
+// curve are also near each other in voxel space. Both the store's on-disk
+// layout (an atom's extent is its (time step, Morton code) rank) and JAWS's
+// batch execution order (sub-queries within a batch are evaluated in Morton
+// order) depend on this package.
 //
 // Coordinates up to 21 bits per axis are supported, so codes fit in 63
 // bits of a uint64.

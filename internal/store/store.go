@@ -1,7 +1,9 @@
-// Package store is the simulated Turbulence database on one node: a
-// clustered B+-tree access path, keyed on the combination of Morton index
-// and time step (§III.A), over atoms laid out on a simulated disk array in
-// Morton order within each time step.
+// Package store is the simulated Turbulence database on one node: atoms
+// laid out on a simulated disk array in (time step, Morton index) order.
+// The paper finds an atom through a clustered B+-tree on that key
+// (§III.A); here Morton codes are dense in [0, atoms per step), so the key's
+// rank is the atom's place on disk and its extent is that rank × the
+// nominal atom size, with no index to walk.
 //
 // Reading an atom charges the disk model the nominal 8 MB transfer and
 // returns a frame: the atom's samples are synthesized from the
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"jaws/internal/btree"
 	"jaws/internal/disk"
 	"jaws/internal/field"
 	"jaws/internal/geom"
@@ -34,17 +35,11 @@ func (id AtomID) String() string {
 	return fmt.Sprintf("t%d/%s", id.Step, geom.AtomFromCode(id.Code))
 }
 
-// Key packs the ID into the clustered index key: time step in the high
-// bits so a whole step is one contiguous key range (and one contiguous
+// Key packs the ID into its sort key, the on-disk order: time step in the
+// high bits so a whole step is one contiguous key range (and one contiguous
 // disk extent), Morton code in the low bits for spatial order within it.
 func (id AtomID) Key() uint64 {
 	return uint64(id.Step)<<40 | uint64(id.Code)
-}
-
-// blockMeta is the indexed location of an atom on the simulated disk.
-type blockMeta struct {
-	addr int64
-	size int64
 }
 
 // Config parameterizes a store.
@@ -71,10 +66,10 @@ type Store struct {
 	cfg   Config
 	field *field.Field
 	array *disk.Array
-	index *btree.Tree[uint64, blockMeta]
+	per   int64 // atoms per step
 }
 
-// Open builds the store and its clustered index.
+// Open builds the store.
 func Open(cfg Config) (*Store, error) {
 	if err := cfg.Space.Validate(); err != nil {
 		return nil, err
@@ -85,24 +80,12 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.SampleSide <= 0 {
 		cfg.SampleSide = 8
 	}
-	s := &Store{
+	return &Store{
 		cfg:   cfg,
 		field: field.New(cfg.Seed, 0, 0),
 		array: disk.NewArray(disks, disk.DefaultParams()),
-		index: btree.New[uint64, blockMeta](64, func(a, b uint64) bool { return a < b }),
-	}
-	// Lay atoms out in (step, Morton) order: because the atom grid side is
-	// a power of two, Morton codes are dense in [0, atomsPerStep), so the
-	// layout has no holes and Morton-adjacent atoms are disk-adjacent.
-	per := int64(cfg.Space.AtomsPerStep())
-	for step := 0; step < cfg.Steps; step++ {
-		for c := int64(0); c < per; c++ {
-			id := AtomID{Step: step, Code: morton.Code(c)}
-			addr := (int64(step)*per + c) * field.NominalAtomBytes
-			s.index.Put(id.Key(), blockMeta{addr: addr, size: field.NominalAtomBytes})
-		}
-	}
-	return s, nil
+		per:   int64(cfg.Space.AtomsPerStep()),
+	}, nil
 }
 
 // Space returns the store's geometry.
@@ -114,12 +97,11 @@ func (s *Store) Field() *field.Field { return s.field }
 
 // Contains reports whether the atom exists in this store's partition.
 func (s *Store) Contains(id AtomID) bool {
-	_, ok := s.index.Get(id.Key())
-	return ok
+	return id.Step >= 0 && id.Step < s.cfg.Steps && uint64(id.Code) < uint64(s.per)
 }
 
-// Read fetches an atom from "disk": it walks the clustered index and
-// charges the disk array for the transfer. The returned duration is the
+// Read fetches an atom from "disk": it charges the disk array for the
+// transfer of the atom's extent. The returned duration is the
 // simulated I/O cost to charge to the virtual clock. The atom is an
 // unfilled frame on a handle of its own: its samples appear on first use,
 // so an atom nothing evaluates on never has any. A caller that keeps the
@@ -134,11 +116,14 @@ func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
 // it overwrites and returns (field.FrameInto); a nil frame is allocated. A
 // failed read returns no atom and leaves frame as it was.
 func (s *Store) ReadInto(id AtomID, frame *field.Atom) (*field.Atom, time.Duration, error) {
-	meta, ok := s.index.Get(id.Key())
-	if !ok {
+	if !s.Contains(id) {
 		return nil, 0, fmt.Errorf("store: atom %v not in this partition", id)
 	}
-	cost, err := s.array.ReadChecked(meta.addr, meta.size)
+	// Atoms lie in (step, Morton) order: the atom grid side is a power of
+	// two, so Morton codes are dense in [0, per), the layout has no holes and
+	// Morton-adjacent atoms are disk-adjacent.
+	addr := (int64(id.Step)*s.per + int64(id.Code)) * field.NominalAtomBytes
+	cost, err := s.array.ReadChecked(addr, field.NominalAtomBytes)
 	if err != nil {
 		// cost is the failure-detection latency; the engine charges it to
 		// the virtual clock before retrying or aborting.
@@ -157,12 +142,10 @@ func (s *Store) SetFault(fn func(addr, size int64) (time.Duration, error)) {
 }
 
 // ScanStep calls fn for every atom of the given step in Morton order.
+// A step the store does not hold visits nothing.
 func (s *Store) ScanStep(step int, fn func(id AtomID) bool) {
-	lo := AtomID{Step: step, Code: 0}.Key()
-	hi := AtomID{Step: step + 1, Code: 0}.Key()
-	s.index.Scan(lo, hi, func(k uint64, _ blockMeta) bool {
-		return fn(AtomID{Step: int(k >> 40), Code: morton.Code(k & (1<<40 - 1))})
-	})
+	for id := (AtomID{Step: step}); s.Contains(id) && fn(id); id.Code++ {
+	}
 }
 
 // SetIOObserver registers fn on the underlying disk array: it is called

@@ -130,6 +130,23 @@ func TestReadMissingAtom(t *testing.T) {
 	if _, _, err := s.Read(AtomID{Step: 0, Code: morton.Code(1 << 30)}); err == nil {
 		t.Fatal("read of out-of-grid atom succeeded")
 	}
+	for _, id := range outside() {
+		if a, _, err := s.Read(id); err == nil || a != nil {
+			t.Fatalf("read of %+v outside the store: atom %v, error %v", id, a, err)
+		}
+	}
+}
+
+// outside lists atoms just past each edge of testConfig's store (4 steps of
+// 64 atoms), and a code whose bits would spill into the step of a packed
+// Key.
+func outside() []AtomID {
+	return []AtomID{
+		{Step: -1, Code: 0},
+		{Step: 4, Code: 0},
+		{Step: 0, Code: 64},
+		{Step: 0, Code: 1 << 40},
+	}
 }
 
 func TestContains(t *testing.T) {
@@ -145,6 +162,53 @@ func TestContains(t *testing.T) {
 	}
 	if s.Contains(AtomID{Step: 0, Code: morton.Code(64)}) {
 		t.Fatal("phantom atom present")
+	}
+	for _, id := range outside() {
+		if s.Contains(id) {
+			t.Fatalf("%+v is outside the store but Contains says it is in", id)
+		}
+	}
+}
+
+// TestLayoutIsKeyOrder: every atom's read lands on its (step, Morton) rank
+// × the nominal atom size, whatever order the atoms are read in.
+func TestLayoutIsKeyOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Steps = 2
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotAddr, gotSize int64
+	s.SetIOObserver(func(addr, size int64, _ bool, _ time.Duration) { gotAddr, gotSize = addr, size })
+	for i := 0; i < 128; i++ {
+		rank := (i * 37) % 128
+		id := AtomID{Step: rank / 64, Code: morton.Code(rank % 64)}
+		gotAddr, gotSize = -1, -1
+		if _, _, err := s.Read(id); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(rank) * field.NominalAtomBytes; gotAddr != want || gotSize != field.NominalAtomBytes {
+			t.Fatalf("read of %+v: extent [%d, +%d), want [%d, +%d)", id, gotAddr, gotSize, want, field.NominalAtomBytes)
+		}
+	}
+}
+
+// TestOpenIndependentOfSteps: opening a store costs the same whatever number
+// of steps it holds, because nothing is built per atom.
+func TestOpenIndependentOfSteps(t *testing.T) {
+	allocs := func(steps int) float64 {
+		cfg := testConfig()
+		cfg.Space = geom.Space{GridSide: 256, AtomSide: 32} // 512 atoms/step
+		cfg.Steps = steps
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(31); one != many {
+		t.Fatalf("Open allocates %v objects at 1 step and %v at 31", one, many)
 	}
 }
 
@@ -179,6 +243,13 @@ func TestScanStepMortonOrder(t *testing.T) {
 		}
 		if int(id.Code) != i {
 			t.Fatalf("scan out of Morton order at %d: code %d", i, id.Code)
+		}
+	}
+	for _, step := range []int{-1, 4} {
+		n := 0
+		s.ScanStep(step, func(AtomID) bool { n++; return true })
+		if n != 0 {
+			t.Fatalf("scan of step %d, which the store does not hold, visited %d atoms", step, n)
 		}
 	}
 }
@@ -267,7 +338,7 @@ func TestAccessors(t *testing.T) {
 var sinkAtom *field.Atom
 
 // BenchmarkStoreRead is one Read of a daemon-shaped atom (8³ samples): the
-// index walk, the disk model and the frame, with no synthesis.
+// bounds check, the disk model and the frame, with no synthesis.
 func BenchmarkStoreRead(b *testing.B) {
 	cfg := testConfig()
 	cfg.SampleSide = 8

@@ -27,13 +27,12 @@ import (
 // non-test code outside the package that declares it. surfaceAllow is the
 // short list of names kept for a test or a ROADMAP item, one reason each.
 var surfaceAllow = map[string]string{
-	"jaws/internal/btree.Tree.CheckInvariants": "the structural invariant checker of the split and reference-model tests",
-	"jaws/internal/cache.URC.MetadataLen":      "how the engine's URC-coordination test sees utilities arrive, and the O(resident) metadata claim's test",
-	"jaws/internal/jobgraph.Align":             "set-up of the alignment property tests: one call drives the Aligner the graph drives row by row",
-	"jaws/internal/jobgraph.Graph.AddJob":      "set-up of the gating tests and the oracle's: registration through the shares callback, which AddJobWithAtoms' index replaced in the engine",
-	"jaws/internal/jobgraph.Graph.Prune":       "ROADMAP item 5(c) calls it from the engine; differential and fuzz tests hold it to the reference until then",
-	"jaws/internal/sched.JAWS.PassOvers":       "invariant checker: the engine's flight test holds the adaptive-batch steer's count to the recorder's PassBatchFull",
-	"jaws/internal/sched.JAWS.Resizes":         "invariant checker: the same test and the policy tests assert the steer grew and shrank k",
+	"jaws/internal/cache.URC.MetadataLen": "how the engine's URC-coordination test sees utilities arrive, and the O(resident) metadata claim's test",
+	"jaws/internal/jobgraph.Align":        "set-up of the alignment property tests: one call drives the Aligner the graph drives row by row",
+	"jaws/internal/jobgraph.Graph.AddJob": "set-up of the gating tests and the oracle's: registration through the shares callback, which AddJobWithAtoms' index replaced in the engine",
+	"jaws/internal/jobgraph.Graph.Prune":  "ROADMAP item 5(c) calls it from the engine; differential and fuzz tests hold it to the reference until then",
+	"jaws/internal/sched.JAWS.PassOvers":  "invariant checker: the engine's flight test holds the adaptive-batch steer's count to the recorder's PassBatchFull",
+	"jaws/internal/sched.JAWS.Resizes":    "invariant checker: the same test and the policy tests assert the steer grew and shrank k",
 }
 
 func TestClosedSurface(t *testing.T) {
