@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-assembly check-reporting check-surface build test race fuzz-smoke
@@ -129,7 +129,8 @@ check-prop:
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only
 ## repetition shows a rare one (map growth, a pool refill) — and the
-## serving layer's wire-codec and handler pins, which are exact counts
+## serving layer's wire-codec and handler pins and what a served loopback
+## request allocates over net/http's floor, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
 ## engine's frame pins (a miss at capacity allocates nothing — the handle
 ## and the sample buffer are an evicted atom's; a URC utility push allocates
@@ -147,7 +148,7 @@ check-prop:
 ## arithmetic on its (step, Morton) key, so nothing is built per atom.
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
-	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs' -count 20 ./internal/server/
+	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
 	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
 	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
@@ -203,6 +204,14 @@ profile-replay:
 	$(GO) test -run xxx -bench ReplayCold -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 1 .
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/mem.prof
+
+## profile-serve: the per-site allocation profile of served requests — a
+## jawsd built into PROFILE_DIR and booted with the serve workloads' flags
+## under GODEBUG=memprofilerate=1, warmed with jawsload -steps 1, then the
+## objects 10 000 more requests allocate, by site (pprof -base between two
+## heap profiles).
+profile-serve:
+	PROFILE_DIR=$(PROFILE_DIR) GO=$(GO) ./scripts/profile_serve.sh
 
 ## bench: measure this tree into a versioned BENCH_*.json artifact
 ## (byte-deterministic for a fixed config; see DESIGN.md §11).

@@ -173,20 +173,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stop := make(chan string, 1)
 	var stopOnce sync.Once
 	requestStop := func(why string) { stopOnce.Do(func() { stop <- why }) }
+	// Caught from before the address is printed: whoever read the address
+	// and signals drains the daemon rather than killing it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 
-	root := http.NewServeMux()
-	root.Handle("/", srv.Handler())
-	if *allowQuit {
-		root.HandleFunc("/quitquitquit", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				w.Header().Set("Allow", http.MethodPost)
-				http.Error(w, "POST only", http.StatusMethodNotAllowed)
-				return
-			}
-			fmt.Fprintln(w, "draining")
-			requestStop("quitquitquit")
-		})
-	}
+	// One handler: /quitquitquit (under -allow-quit) is answered here and
+	// every other path goes straight to the server's own mux.
+	api := srv.Handler()
+	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !*allowQuit || r.URL.Path != "/quitquitquit" {
+			api.ServeHTTP(w, r)
+			return
+		}
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		fmt.Fprintln(w, "draining")
+		requestStop("quitquitquit")
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -214,9 +222,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 	var timerC <-chan time.Time
 	if *serveFor > 0 {
 		timerC = time.After(*serveFor)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -89,6 +91,107 @@ func (w *addrWriter) String() string {
 	return w.buf.String()
 }
 
+// boot runs the daemon with tiny's store and args on a goroutine and
+// returns once it printed its address: its base URL, its stdout, and the
+// channel its exit code arrives on.
+func boot(t *testing.T, args ...string) (base string, out *addrWriter, errb *bytes.Buffer, exit <-chan int) {
+	t.Helper()
+	out = &addrWriter{addr: make(chan string, 1)}
+	errb = new(bytes.Buffer)
+	code := make(chan int, 1)
+	go func() { code <- run(append(append([]string(nil), tiny...), args...), out, errb) }()
+	select {
+	case addr := <-out.addr:
+		return "http://" + addr, out, errb, code
+	case c := <-code:
+		t.Fatalf("daemon exited %d before printing its address; stderr: %s", c, errb.String())
+	case <-time.After(10 * time.Second):
+		t.Fatalf("daemon never printed its address; stderr: %s", errb.String())
+	}
+	return
+}
+
+// TestRoutes pins what every path answers, with and without -allow-quit:
+// /quitquitquit is POST-only and exists only when allowed, the server's
+// endpoints all answer beside it, and any other path is a 404.
+func TestRoutes(t *testing.T) {
+	for _, allowQuit := range []bool{true, false} {
+		t.Run(fmt.Sprintf("allow-quit=%v", allowQuit), func(t *testing.T) {
+			args := []string{"-addr", "127.0.0.1:0"}
+			if allowQuit {
+				args = append(args, "-allow-quit")
+			}
+			base, out, errb, exit := boot(t, args...)
+			call := func(method, path, body string) (*http.Response, string) {
+				t.Helper()
+				req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				return resp, string(b)
+			}
+			for _, c := range []struct {
+				method, path, body string
+				want               int
+			}{
+				{http.MethodPost, "/query", `{"step":1,"points":[{"x":1,"y":2,"z":3}]}`, http.StatusOK},
+				{http.MethodGet, "/healthz", "", http.StatusOK},
+				{http.MethodGet, "/varz", "", http.StatusOK},
+				{http.MethodGet, "/metrics", "", http.StatusOK},
+				{http.MethodGet, "/no-such-path", "", http.StatusNotFound},
+				{http.MethodGet, "/quitquitquit/", "", http.StatusNotFound},
+			} {
+				if resp, body := call(c.method, c.path, c.body); resp.StatusCode != c.want {
+					t.Errorf("%s %s: status %d, want %d (%q)", c.method, c.path, resp.StatusCode, c.want, body)
+				}
+			}
+
+			resp, _ := call(http.MethodGet, "/quitquitquit", "")
+			why := "draining (interrupt)"
+			if allowQuit {
+				if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+					t.Errorf("GET /quitquitquit: status %d, Allow %q; want 405 and POST", resp.StatusCode, resp.Header.Get("Allow"))
+				}
+				resp, body := call(http.MethodPost, "/quitquitquit", "")
+				if resp.StatusCode != http.StatusOK || body != "draining\n" {
+					t.Errorf("POST /quitquitquit: status %d, body %q; want 200 and draining", resp.StatusCode, body)
+				}
+				why = "draining (quitquitquit)"
+			} else {
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("GET /quitquitquit without -allow-quit: status %d, want 404", resp.StatusCode)
+				}
+				if resp, _ := call(http.MethodPost, "/quitquitquit", ""); resp.StatusCode != http.StatusNotFound {
+					t.Errorf("POST /quitquitquit without -allow-quit: status %d, want 404", resp.StatusCode)
+				}
+				// No endpoint stops this daemon: a signal does, as it
+				// would a deployed one.
+				if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			select {
+			case code := <-exit:
+				if code != 0 {
+					t.Fatalf("daemon exited %d; stderr: %s", code, errb.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("daemon did not drain")
+			}
+			if !strings.Contains(out.String(), why) || !strings.Contains(out.String(), "served          1 queries") {
+				t.Errorf("output missing %q or one served query:\n%s", why, out.String())
+			}
+		})
+	}
+}
+
 // TestDaemonSmoke boots the daemon on a free port with the full
 // observability surface enabled (request tracing, structured logs, SLO
 // tracking, pprof), serves a real query and the observability endpoints,
@@ -99,25 +202,12 @@ func TestDaemonSmoke(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.prom")
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	logPath := filepath.Join(dir, "jawsd.log")
-	out := &addrWriter{addr: make(chan string, 1)}
-	var errb bytes.Buffer
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run(append(tiny,
-			"-addr", "127.0.0.1:0", "-nodes", "2", "-queue", "8", "-workers", "2",
-			"-allow-quit", "-metrics-out", metricsPath,
-			"-trace-out", tracePath, "-log-out", logPath,
-			"-pprof", "127.0.0.1:0", "-req-seed", "7",
-			"-slo-target", "5s", "-slo-objective", "0.9"), out, &errb)
-	}()
-
-	var addr string
-	select {
-	case addr = <-out.addr:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("daemon never printed its address; stderr: %s", errb.String())
-	}
-	base := "http://" + addr
+	base, out, errb, exit := boot(t,
+		"-addr", "127.0.0.1:0", "-nodes", "2", "-queue", "8", "-workers", "2",
+		"-allow-quit", "-metrics-out", metricsPath,
+		"-trace-out", tracePath, "-log-out", logPath,
+		"-pprof", "127.0.0.1:0", "-req-seed", "7",
+		"-slo-target", "5s", "-slo-objective", "0.9")
 
 	resp, err := http.Post(base+"/query", "application/json",
 		strings.NewReader(`{"step":1,"kernel":"lag4","points":[{"x":1,"y":2,"z":3}]}`))

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // ReqSpan is the wall-clock lifecycle record of one served HTTP request:
 // the serving-layer counterpart of the engine's virtual-clock Span. Where
@@ -149,7 +146,8 @@ func (r *ReqSpan) PhaseSum() time.Duration {
 // under seed (a splitmix64 mix rendered as "r" + 16 hex digits). The
 // serving layer numbers requests with its query-ID counter, so for a
 // fixed seed the same acceptance order yields the same IDs — which is
-// what makes traces, tests, and client-side logs cross-checkable.
+// what makes traces, tests, and client-side logs cross-checkable. The
+// digits are written by hand, so the string is the only allocation.
 func RequestID(seed, n int64) string {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(n)
 	x ^= x >> 30
@@ -157,7 +155,14 @@ func RequestID(seed, n int64) string {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return fmt.Sprintf("r%016x", x)
+	const hex = "0123456789abcdef"
+	var b [17]byte
+	b[0] = 'r'
+	for i := len(b) - 1; i > 0; i-- {
+		b[i] = hex[x&0xf]
+		x >>= 4
+	}
+	return string(b[:])
 }
 
 // ReqPhaseTotals accumulates wall-clock phase durations across spans.

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +98,36 @@ func TestRequestIDDeterministic(t *testing.T) {
 	for _, c := range a[1:] {
 		if !strings.ContainsRune("0123456789abcdef", c) {
 			t.Fatalf("non-hex rune %q in %q", c, a)
+		}
+	}
+}
+
+// TestRequestIDMatchesSprintf holds the hand-written formatter to the
+// fmt.Sprintf("r%016x", …) form it replaced, on the edge values of seed and
+// n and on random pairs.
+func TestRequestIDMatchesSprintf(t *testing.T) {
+	ref := func(seed, n int64) string {
+		x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(n)
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		return fmt.Sprintf("r%016x", x)
+	}
+	edges := []int64{0, -1, math.MaxInt64}
+	for _, seed := range edges {
+		for _, n := range edges {
+			if got, want := RequestID(seed, n), ref(seed, n); got != want {
+				t.Errorf("RequestID(%d, %d) = %q, want %q", seed, n, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 10_000; i++ {
+		seed, n := int64(rng.Uint64()), int64(rng.Uint64())
+		if got, want := RequestID(seed, n), ref(seed, n); got != want {
+			t.Fatalf("RequestID(%d, %d) = %q, want %q", seed, n, got, want)
 		}
 	}
 }

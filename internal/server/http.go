@@ -1,12 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"jaws"
@@ -72,13 +72,17 @@ var kernels = map[string]jaws.Kernel{
 	"none":      jaws.KernelNone,
 }
 
-// request is what a backend is handed for one accepted request — the job,
-// its single query and the one-element slice joining them — allocated as
-// one object.
+// request is one accepted request, allocated as one object: the job a
+// backend is handed, its single query, the one-element slices joining
+// them and the Submit argument, and the X-Jaws-Request-Id header value.
+// It is never reused: a backend may keep the job, and everything reachable
+// from it, for as long as it likes (see Backend.Submit).
 type request struct {
 	job     jaws.Job
 	query   jaws.Query
 	queries [1]*jaws.Query
+	jobs    [1]*jaws.Job
+	rid     [1]string
 }
 
 // newRequest builds the one-query batched job the serving layer submits.
@@ -86,10 +90,38 @@ func newRequest(id jaws.QueryID, rid string, kernel jaws.Kernel, in DecodedReque
 	req := &request{
 		job:   jaws.Job{ID: int64(id), User: 1, Type: jaws.Batched},
 		query: jaws.Query{ID: id, JobID: int64(id), User: 1, Step: in.Step, DerivSteps: in.DerivSteps, Points: in.Points, Kernel: kernel, ReqID: rid},
+		rid:   [1]string{rid},
 	}
 	req.queries[0] = &req.query
 	req.job.Queries = req.queries[:]
+	req.jobs[0] = &req.job
 	return req
+}
+
+// jsonContentType is the Content-Type header value of every /query answer.
+// It is assigned into a response's header map, never appended to: net/http
+// clones the map when the header is written, and a Set replaces the slice.
+var jsonContentType = []string{"application/json"}
+
+// timerPool holds request-deadline timers that were stopped before they
+// ever fired, so their channels are empty. A fresh timer per request would
+// cost three objects.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// putTimer stops t and puts it back in timerPool only if it had not fired.
+// A timer that fired is dropped: under this module's go 1.22 timer channels
+// keep their pre-Go 1.23 semantics, where a Stop that loses the race with a
+// firing timer returns false before the tick reaches the channel, so no
+// drain could be sure to catch it, and a late tick would end the next
+// request that took the timer.
+func putTimer(t *time.Timer) {
+	if t.Stop() {
+		timerPool.Put(t)
+	}
 }
 
 // outcome is serve's verdict: a result, or an HTTP status.
@@ -144,6 +176,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// The decoder read the body to its end; closed, it leaves net/http
+	// nothing to discard before the response.
+	r.Body.Close()
 	kernel, ok := kernels[in.Kernel]
 	if !ok {
 		s.rejectRequest(w, http.StatusBadRequest, fmt.Sprintf("unknown kernel %q", in.Kernel))
@@ -174,9 +209,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The request ends at its deadline or when its client goes away,
+	// whichever comes first: a 504 either way.
 	deadline := s.deadline(in.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
+	timer := timerPool.Get().(*time.Timer)
+	timer.Reset(deadline)
+	defer putTimer(timer)
+	end := expiry{deadline: timer.C, gone: r.Context().Done()}
 
 	// Validation passed: consume a query ID and derive the request ID
 	// from it. The ID is returned to the client immediately (even if the
@@ -185,7 +224,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cmd/jawsreport can stitch both sides of the request back together.
 	id := jaws.QueryID(s.nextID.Add(1))
 	rid := obs.RequestID(s.cfg.ReqIDSeed, int64(id))
-	w.Header().Set("X-Jaws-Request-Id", rid)
+	req := newRequest(id, rid, kernel, in)
+	w.Header()["X-Jaws-Request-Id"] = req.rid[:]
 	rs.SetRequest(rid, int64(id))
 
 	start := time.Now()
@@ -211,17 +251,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.gQueue.Set(float64(depth))
 
 	// Admitted: wait for a slot (blocked receivers take slots in arrival
-	// order) or the deadline, whichever first.
+	// order) or the request's end, whichever first.
 	var out outcome
 	select {
 	case sl := <-s.slots:
 		s.gQueue.Set(float64(s.waiting.Add(-1)))
-		out = s.serve(ctx, sl, newRequest(id, rid, kernel, in), rs)
+		out = s.serve(end, sl, req, rs)
 		s.slots <- sl
-	case <-ctx.Done():
-		s.gQueue.Set(float64(s.waiting.Add(-1)))
-		rs.Mark(obs.ReqQueued)
-		out = outcome{status: http.StatusGatewayTimeout}
+	case <-end.deadline:
+		out = s.expiredQueued(rs)
+	case <-end.gone:
+		out = s.expiredQueued(rs)
 	}
 	s.admitted.Done()
 	var status int
@@ -231,7 +271,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// non-finite value, found before the first byte, changes the status.
 		virt := (out.res.Completed - out.res.Query.Arrival).Seconds()
 		lat := time.Since(start)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		err := WriteQueryResponse(w, int64(id), virt, out.res.Positions)
 		out.res.Release() // written or refused: the backend may reuse it
 		if errors.Is(err, ErrNonFinite) {
@@ -287,6 +327,14 @@ func (s *Server) deadline(timeoutMS int64) time.Duration {
 	default:
 		return s.cfg.MaxDeadline
 	}
+}
+
+// expiredQueued accounts for a request that ended while it waited for a
+// slot.
+func (s *Server) expiredQueued(rs *obs.ReqSpan) outcome {
+	s.gQueue.Set(float64(s.waiting.Add(-1)))
+	rs.Mark(obs.ReqQueued)
+	return outcome{status: http.StatusGatewayTimeout}
 }
 
 // emitSpan finishes rs with the HTTP status the request was answered

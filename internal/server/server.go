@@ -27,7 +27,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -45,6 +44,10 @@ import (
 type Backend interface {
 	// Submit schedules jobs at the backend's current virtual time. It
 	// must return an error (not block) once the backend is closed or dead.
+	// The jobs are the backend's to keep: the server never reuses the
+	// slice, a submitted job, its query or the query's points, whatever
+	// the request's outcome (a timing wrapper may replay the queries after
+	// the server stopped).
 	Submit(jobs ...*jaws.Job) error
 	// Results streams completed queries; the channel closes when the
 	// backend stops (cleanly or on a fault).
@@ -329,12 +332,32 @@ func (s *Server) unwait(id jaws.QueryID) slot {
 	return ch
 }
 
+// expiry is how a request ends without an answer: its deadline timer fires,
+// or its client goes away (net/http cancels the request's context). Either
+// is a 504.
+type expiry struct {
+	deadline <-chan time.Time
+	gone     <-chan struct{} // nil when the request's context is never canceled
+}
+
+// passed reports, without blocking, whether the request has ended.
+func (e expiry) passed() bool {
+	select {
+	case <-e.deadline:
+		return true
+	case <-e.gone:
+		return true
+	default:
+		return false
+	}
+}
+
 // serve submits an admitted request, holding slot sl, to a live backend and
-// waits for its result, the deadline, or the backend's death. sl is empty
-// again on return: the result was received, or abandon accounted for it.
-func (s *Server) serve(ctx context.Context, sl slot, req *request, rs *obs.ReqSpan) outcome {
+// waits for its result, its end, or the backend's death. sl is empty again
+// on return: the result was received, or abandon accounted for it.
+func (s *Server) serve(end expiry, sl slot, req *request, rs *obs.ReqSpan) outcome {
 	rs.Mark(obs.ReqQueued)
-	if ctx.Err() != nil { // deadline spent while queued
+	if end.passed() { // ended while queued
 		return outcome{status: http.StatusGatewayTimeout}
 	}
 	b := s.pick()
@@ -342,7 +365,7 @@ func (s *Server) serve(ctx context.Context, sl slot, req *request, rs *obs.ReqSp
 	s.demuxMu.Lock()
 	s.demux[id] = sl
 	s.demuxMu.Unlock()
-	err := b.be.Submit(&req.job)
+	err := b.be.Submit(req.jobs[:]...)
 	rs.Mark(obs.ReqDispatch)
 	if err != nil {
 		s.unwait(id)
@@ -352,15 +375,16 @@ func (s *Server) serve(ctx context.Context, sl slot, req *request, rs *obs.ReqSp
 	case r := <-sl:
 		rs.Mark(obs.ReqExecute)
 		return outcome{res: r}
-	case <-ctx.Done():
-		rs.Mark(obs.ReqExecute)
-		s.abandon(id, sl)
-		return outcome{status: http.StatusGatewayTimeout}
 	case <-b.dead:
 		rs.Mark(obs.ReqExecute)
 		s.abandon(id, sl)
 		return outcome{status: http.StatusBadGateway, err: b.be.Err()}
+	case <-end.deadline:
+	case <-end.gone:
 	}
+	rs.Mark(obs.ReqExecute)
+	s.abandon(id, sl)
+	return outcome{status: http.StatusGatewayTimeout}
 }
 
 // abandon ends the wait on ch, registered for id, without its result. When

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -339,6 +340,28 @@ func TestResultAtDeadlineAccounted(t *testing.T) {
 		func() bool { return srv.Stats().LateResults == late })
 }
 
+// TestFiredTimerNotReused pins putTimer's rule: a deadline timer that fired
+// never goes back to the pool. Its tick may still be on its way to the
+// channel when Stop returns, and would end the next request that took the
+// timer at once.
+func TestFiredTimerNotReused(t *testing.T) {
+	fired := timerPool.Get().(*time.Timer)
+	fired.Reset(time.Nanosecond)
+	time.Sleep(time.Millisecond)
+	putTimer(fired)
+	var taken []*time.Timer
+	for range 8 {
+		got := timerPool.Get().(*time.Timer)
+		if got == fired {
+			t.Fatal("a timer that fired was put back in the pool")
+		}
+		taken = append(taken, got)
+	}
+	for _, tm := range taken {
+		timerPool.Put(tm)
+	}
+}
+
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	fake := newFakeBackend()
 	fake.hold = true
@@ -488,6 +511,15 @@ func TestSlotsConserved(t *testing.T) {
 	expect("backend death", dying, http.StatusBadGateway)
 	expect("Submit error", postAsync(t, ts.URL, okBody), http.StatusBadGateway)
 
+	checkSlotsFree(t, srv)
+	if st := srv.Stats(); st.QueueDepth != 0 || st.Served != 1 || st.Timeouts != 3 || st.Errors != 2 {
+		t.Errorf("stats %+v, want nothing waiting, 1 served, 3 timeouts, 2 errors", st)
+	}
+}
+
+// checkSlotsFree drains srv and checks that every slot came back, empty.
+func checkSlotsFree(t *testing.T, srv *Server) {
+	t.Helper()
 	srv.Shutdown()
 	if n := len(srv.slots); n != srv.cfg.Workers {
 		t.Errorf("%d free slots after the drain, want %d", n, srv.cfg.Workers)
@@ -497,8 +529,176 @@ func TestSlotsConserved(t *testing.T) {
 			t.Errorf("slot %d returned with %d results in its channel", i, len(sl))
 		}
 	}
-	if st := srv.Stats(); st.QueueDepth != 0 || st.Served != 1 || st.Timeouts != 3 || st.Errors != 2 {
-		t.Errorf("stats %+v, want nothing waiting, 1 served, 3 timeouts, 2 errors", st)
+}
+
+// TestClientGoneWhileQueued: a client whose connection closes while its
+// request waits for the only slot ends the request then — one timeout, not
+// a wait until its deadline or the slot — and the slots come back whole.
+func TestClientGoneWhileQueued(t *testing.T) {
+	fake := newFakeBackend()
+	fake.hold = true
+	srv, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
+		c.Workers = 1
+		c.QueueBound = 1
+		c.DefaultDeadline = time.Minute
+	})
+	held := postAsync(t, ts.URL, okBody)
+	waitFor(t, "r1 to hold the slot", func() bool { return fake.submittedCount() == 1 })
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: jaws\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(okBody), okBody)
+	waitFor(t, "r2 to wait for the slot", func() bool { return srv.Stats().QueueDepth == 1 })
+	conn.Close()
+	waitFor(t, "r2 to end with its client", func() bool {
+		st := srv.Stats()
+		return st.Timeouts == 1 && st.QueueDepth == 0
+	})
+
+	fake.release()
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("r1 finished with %d, want 200", code)
+	}
+	checkSlotsFree(t, srv)
+	if st := srv.Stats(); st.Served != 1 || st.Timeouts != 1 || st.Errors != 0 || st.LateResults != 0 {
+		t.Errorf("stats %+v, want 1 served and 1 timeout", st)
+	}
+}
+
+// recordingBackend keeps every job it is handed, as the benchmark's timing
+// wrapper does to replay the queries after the server stopped.
+type recordingBackend struct {
+	Backend
+	mu   sync.Mutex
+	kept []*jaws.Job
+}
+
+func (b *recordingBackend) Submit(jobs ...*jaws.Job) error {
+	b.mu.Lock()
+	b.kept = append(b.kept, jobs...)
+	b.mu.Unlock()
+	return b.Backend.Submit(jobs...)
+}
+
+// TestSubmittedJobsStayIntact pins the ownership rule of Backend.Submit:
+// nothing reachable from a submitted job is reused. Requests that end every
+// way a request can — served, timed out waiting or executing, canceled by
+// their client, cut off by the backend's death, refused by Submit — each
+// carry their own step, kernel and points; afterwards every job a recording
+// backend kept still holds its own query, as decoded from its own body.
+func TestSubmittedJobsStayIntact(t *testing.T) {
+	fake := newFakeBackend()
+	rec := &recordingBackend{Backend: fake}
+	const seed = 5
+	srv, ts := newTestServer(t, []Backend{rec}, func(c *Config) {
+		c.Workers = 1
+		c.QueueBound = 2
+		c.ReqIDSeed = seed
+	})
+	hold := func() {
+		fake.mu.Lock()
+		fake.hold = true
+		fake.mu.Unlock()
+	}
+
+	// Request i is tagged by its first point's x; its step, kernel and
+	// point count vary with i.
+	wire := []string{"lag4", "lag6", "lag8", "trilinear", "none", ""}
+	var sent []QueryRequest
+	body := func(timeoutMS int64) string {
+		i := len(sent)
+		in := QueryRequest{Step: i % 4, Kernel: wire[i%len(wire)], TimeoutMS: timeoutMS}
+		for p := 0; p <= i%5; p++ {
+			in.Points = append(in.Points, Point{X: float64(i), Y: float64(p) / 8, Z: float64(i*p) / 16})
+		}
+		sent = append(sent, in)
+		b, _ := json.Marshal(in)
+		return string(b)
+	}
+	expect := func(what string, code <-chan int, want int) {
+		t.Helper()
+		if got := <-code; got != want {
+			t.Errorf("%s: status %d, want %d", what, got, want)
+		}
+	}
+	submitted := func(n int) func() bool { return func() bool { return fake.submittedCount() == n } }
+
+	// One request times out in the backend, one behind it waiting for the
+	// slot, and one is canceled by its client in the backend; their results
+	// come late.
+	hold()
+	executing := postAsync(t, ts.URL, body(200))
+	waitFor(t, "a request in the backend", submitted(1))
+	expect("deadline while waiting", postAsync(t, ts.URL, body(20)), http.StatusGatewayTimeout)
+	expect("deadline while executing", executing, http.StatusGatewayTimeout)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", strings.NewReader(body(0)))
+	canceled := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		canceled <- err
+	}()
+	waitFor(t, "the client's request in the backend", submitted(2))
+	cancel()
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled request: %v, want context.Canceled", err)
+	}
+	waitFor(t, "the canceled request's timeout", func() bool { return srv.Stats().Timeouts == 3 })
+	fake.release()
+	waitFor(t, "late results", func() bool { return srv.Stats().LateResults == 2 })
+
+	for i := 0; i < 5; i++ {
+		expect("served", postAsync(t, ts.URL, body(0)), http.StatusOK)
+	}
+
+	// The backend dies under one request; Submit refuses the rest.
+	hold()
+	dying := postAsync(t, ts.URL, body(0))
+	waitFor(t, "a request in the backend", submitted(6))
+	fake.die(errors.New("node crashed"))
+	expect("backend death", dying, http.StatusBadGateway)
+	for i := 0; i < 3; i++ {
+		expect("Submit error", postAsync(t, ts.URL, body(0)), http.StatusBadGateway)
+	}
+	srv.Shutdown()
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if want := len(sent) - 1; len(rec.kept) != want { // all but the one that timed out waiting
+		t.Fatalf("backend kept %d jobs, want %d", len(rec.kept), want)
+	}
+	seen := make(map[jaws.QueryID]bool)
+	for _, j := range rec.kept {
+		if len(j.Queries) != 1 {
+			t.Fatalf("job %d carries %d queries, want 1", j.ID, len(j.Queries))
+		}
+		q := j.Queries[0]
+		if q.JobID != j.ID || jaws.QueryID(j.ID) != q.ID || seen[q.ID] {
+			t.Errorf("job %d holds query %d of job %d (seen before: %v)", j.ID, q.ID, q.JobID, seen[q.ID])
+		}
+		seen[q.ID] = true
+		if q.ReqID != obs.RequestID(seed, int64(q.ID)) {
+			t.Errorf("query %d carries request ID %q, want %q", q.ID, q.ReqID, obs.RequestID(seed, int64(q.ID)))
+		}
+		if len(q.Points) == 0 || q.Points[0].X < 0 || int(q.Points[0].X) >= len(sent) {
+			t.Fatalf("query %d has points %v, which no request sent", q.ID, q.Points)
+		}
+		in := sent[int(q.Points[0].X)]
+		if q.Step != in.Step || q.Kernel != kernels[in.Kernel] || len(q.Points) != len(in.Points) {
+			t.Errorf("query %d: step %d, kernel %v, %d points; its request sent step %d, kernel %q, %d points",
+				q.ID, q.Step, q.Kernel, len(q.Points), in.Step, in.Kernel, len(in.Points))
+			continue
+		}
+		for p, pt := range in.Points {
+			if q.Points[p] != jaws.Position(pt) {
+				t.Errorf("query %d point %d = %v, its request sent %v", q.ID, p, q.Points[p], pt)
+			}
+		}
 	}
 }
 
