@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-compare bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-assembly check-reporting check-surface build test race fuzz-smoke
@@ -20,6 +20,14 @@ check-assembly:
 ## (obs.Quantile), six binaries (DESIGN.md §20); offenders are printed.
 check-reporting:
 	./scripts/check_reporting.sh
+
+## check-fma: no fused multiply-add in internal/sched or internal/oracle —
+## jawsd and jawscheck cross-compiled for arm64, ppc64le and riscv64 and
+## disassembled (ROADMAP item 8); a fused x*y + z rounds differently from
+## amd64, so the byte-identical artifacts and the oracle's float equality
+## would hold on amd64 only. Offending functions are printed.
+check-fma:
+	./scripts/check_fma.sh
 
 ## check-surface: the closed surface (DESIGN.md §3) — every exported name
 ## under internal/ (outside internal/oracle) is reachable from non-test

@@ -516,11 +516,8 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 			stall = 0
 			continue
 		}
-		stall++
-		if stall > stallLimit {
-			e.inst.noteStallAbort(e.clock.Now())
-			return nil, fmt.Errorf("engine: stalled with %d/%d queries complete (gated-execution deadlock?)",
-				e.report.Completed, e.total)
+		if err := e.stalled(&stall); err != nil {
+			return nil, err
 		}
 	}
 
@@ -529,6 +526,20 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 	// scheduler's queues and the frame lists alive as long as the report.
 	rep := e.report
 	return &rep, nil
+}
+
+// stalled is the one stall rule of Run and Session.loop, called for each
+// cycle that moved nothing while queries are outstanding: it counts the
+// cycle in *stall and, past stallLimit such cycles in a row, records the
+// abort (counter and trace event) and returns the error that ends the
+// drive.
+func (e *Engine) stalled(stall *int) error {
+	if *stall++; *stall <= stallLimit {
+		return nil
+	}
+	e.inst.noteStallAbort(e.clock.Now())
+	return fmt.Errorf("engine: stalled with %d/%d queries complete (gated-execution deadlock?)",
+		e.report.Completed, e.total)
 }
 
 // intake enters validated jobs in the live-job table and their first

@@ -132,3 +132,36 @@ func TestStallLimitAbortsDeadlock(t *testing.T) {
 		t.Fatalf("jaws_stall_aborts_total = %d, want 1", got)
 	}
 }
+
+// TestSessionStallLimitAbortsDeadlock is the serving path's twin: a
+// session over a deadlocked scheduler fails with the same error as Run,
+// and the abort reaches the metrics registry there too.
+func TestSessionStallLimitAbortsDeadlock(t *testing.T) {
+	s := testStore(t)
+	reg := obs.NewRegistry()
+	sess, err := NewSession(Config{
+		Store: s,
+		Cache: cache.New(4, cache.NewLRU()),
+		Sched: deadlockSched{},
+		Cost:  testCost,
+		Obs:   &obs.Obs{Reg: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Submit(batchedJob(s, 1, []time.Duration{0}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for range sess.Results() {
+	} // the stream closes when the loop gives up
+	err = sess.Err()
+	if err == nil {
+		t.Fatal("deadlocked session reported no error")
+	}
+	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), "0/1") {
+		t.Fatalf("abort error not descriptive: %v", err)
+	}
+	if got := reg.Counter("jaws_stall_aborts_total").Value(); got != 1 {
+		t.Fatalf("jaws_stall_aborts_total = %d, want 1", got)
+	}
+}

@@ -174,8 +174,8 @@ func (s *Session) loop(e *Engine) {
 		case worked:
 			stall = 0
 		case e.report.Completed < e.total:
-			if stall++; stall > stallLimit {
-				fail(fmt.Errorf("engine: session stalled with %d/%d queries complete", e.report.Completed, e.total))
+			if err := e.stalled(&stall); err != nil {
+				fail(err)
 				return
 			}
 		case closing:

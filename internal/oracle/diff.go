@@ -93,8 +93,8 @@ func (d *Divergence) Error() string {
 //
 // The replay installs a residency version source on the production
 // scheduler — bumped whenever a decision's snapshot replaces the current
-// one — so the memoized incremental utility path runs and is certified,
-// not the recompute-everything fallback. After every decision the
+// one — so memos live across calls, as they do under the engine, and that
+// is what is certified. After every decision the
 // production UtilityProvider view (AtomUtility, StepMean, PendingSteps)
 // is compared against the model's naive rescan with strict float
 // equality.

@@ -141,8 +141,8 @@ func GenLog(seed int64, cfg GenConfig) *OpLog {
 		default:
 			log.Ops = append(log.Ops, Op{
 				Kind: OpRunEnd,
-				RT:   rng.Float64()*2 + 0.01,
-				TP:   rng.Float64()*50 + 1,
+				RT:   float64(rng.Float64()*2) + 0.01,
+				TP:   float64(rng.Float64()*50) + 1,
 			})
 		}
 	}

@@ -265,14 +265,16 @@ func (l *queueList) stepMean(cost sched.CostModel, step int, resident func(store
 }
 
 // ut computes Eq. 1: U_t(i) = ΣW / (T_b·φ(i) + T_m·ΣW), with φ(i) = 0 for
-// a cache-resident atom.
+// a cache-resident atom. Here, in ue and in the controller, float64(x*y)
+// forces the product to round before the add: no architecture may fuse
+// them into one multiply-add (make check-fma).
 func ut(cost sched.CostModel, q *modelQueue, resident func(store.AtomID) bool) float64 {
 	w := float64(q.positions)
 	phi := 1.0
 	if resident != nil && resident(q.atom) {
 		phi = 0
 	}
-	denom := cost.Tb.Seconds()*phi + cost.Tm.Seconds()*w
+	denom := float64(cost.Tb.Seconds()*phi) + float64(cost.Tm.Seconds()*w)
 	if denom <= 0 {
 		return 0
 	}
@@ -283,7 +285,7 @@ func ut(cost sched.CostModel, q *modelQueue, resident func(store.AtomID) bool) f
 // the oldest pending sub-query in milliseconds.
 func ue(cost sched.CostModel, q *modelQueue, alpha float64, now time.Duration, resident func(store.AtomID) bool) float64 {
 	ageMs := float64(now-q.oldest) / float64(time.Millisecond)
-	return ut(cost, q, resident)*(1-alpha) + ageMs*alpha
+	return float64(ut(cost, q, resident)*(1-alpha)) + float64(ageMs*alpha)
 }
 
 // --- NoShare -------------------------------------------------------------
@@ -610,8 +612,8 @@ func (c *modelAlphaController) smooth(rt, tp float64) (float64, float64) {
 		c.rtS, c.tpS = rt, tp
 		c.started = true
 	} else {
-		c.rtS = w*rt + (1-w)*c.rtS
-		c.tpS = w*tp + (1-w)*c.tpS
+		c.rtS = float64(w*rt) + float64((1-w)*c.rtS)
+		c.tpS = float64(w*tp) + float64((1-w)*c.tpS)
 	}
 	return c.rtS, c.tpS
 }
@@ -648,7 +650,7 @@ func (c *modelAlphaController) onRunEnd(rt, tp float64) {
 	case math.Abs(rtRatio-1) < 0.01 && math.Abs(tpRatio-1) < 0.01:
 		c.flatRuns++
 		if c.flatRuns >= 2 {
-			c.alpha += c.exploreSign * 0.05
+			c.alpha += float64(c.exploreSign * 0.05)
 			c.exploreSign = -c.exploreSign
 			c.flatRuns = 0
 		}

@@ -10,24 +10,23 @@ import (
 
 // The quickcheck-style differential property: over seeded random op logs
 // of enqueue/decision/α-update operations, the production schedulers'
-// incremental structures (step buckets, memoized utilities, the indexed
-// max-heap, the zero-alloc decision path) must return byte-identical
-// batch decisions AND utilities vs the naive rescan reference models.
-// Diff installs a residency version source bumped per decision, so the
-// memoized path — not the recompute fallback — is what these seeds
-// certify. A failing seed is shrunk to a locally minimal reproducer via
-// the same machinery the suite uses.
+// incremental structures (step buckets, memoized utilities, the
+// zero-alloc decision path) must return byte-identical batch decisions AND
+// utilities vs the naive rescan reference models. Diff installs a
+// residency version source bumped per decision, so memos live across
+// calls, as they do under the engine. A failing seed is shrunk to a
+// locally minimal reproducer via the same machinery the suite uses.
 
 var propCost = sched.CostModel{Tb: 41 * time.Millisecond, Tm: 20 * time.Microsecond}
 
 // propTargets returns the target sweep for one seed: the α grid and
-// batch sizes vary by seed so tie-break, truncation, heap (LifeRaft at
-// α = 0) and adaptive-controller paths all get random-log coverage, and
-// every tail-policy configuration plus the QoS decorator replays each
-// log alongside the base algorithms.
+// batch sizes vary by seed so tie-break, truncation, memoized-U_t argmax
+// (LifeRaft at α = 0) and adaptive-controller paths all get random-log
+// coverage, and every tail-policy configuration plus the QoS decorator
+// replays each log alongside the base algorithms.
 func propTargets(seed int64) []Target {
 	lrAlpha := Params{Cost: propCost, Alpha: float64(seed%11) / 10.0}
-	lrZero := Params{Cost: propCost, Alpha: 0} // heap path under Diff's version source
+	lrZero := Params{Cost: propCost, Alpha: 0} // the argmax over memoized U_t
 	jaws := Params{Cost: propCost, BatchSize: 1 + int(seed%4), Alpha: float64((seed*3)%11) / 10.0, Adaptive: seed%2 == 0}
 	targets := []Target{
 		StandardTarget(AlgoNoShare, Params{}),

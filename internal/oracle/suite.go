@@ -16,9 +16,8 @@ const (
 	ProfileStandard = "standard"
 	// ProfileChurn is the high-churn configuration: tiny batches, adaptive
 	// α, a tight cache, and short adaptation runs, so queue membership and
-	// residency — and with them the memo epochs, heap rebuilds, and
-	// freelist recycling of the incremental scheduler structures — turn
-	// over at the maximum rate.
+	// residency — and with them the memo epochs and freelist recycling of
+	// the incremental scheduler structures — turn over at the maximum rate.
 	ProfileChurn = "churn"
 	// ProfileMatrix is the scenario-matrix configuration: the workload
 	// mixes box cutouts and temporal-derivative chains over arrival
@@ -130,8 +129,7 @@ func SuiteParams(a Algo, seed int64) (CaptureConfig, Params) {
 // compression, half the cache, and 3-query adaptation runs. Decisions
 // come thick and small, residency turns over constantly, and the α
 // controller fires often — the regime that stresses the incremental
-// utility structures (epoch invalidation, heap rebuilds, freelists)
-// hardest.
+// utility structures (epoch invalidation, freelists) hardest.
 func ChurnParams(a Algo, seed int64) (CaptureConfig, Params) {
 	cfg, p := SuiteParams(a, seed)
 	p.BatchSize = 1 + int(seed%2)
@@ -197,7 +195,7 @@ func TailParams(a Algo, seed int64) (CaptureConfig, Params) {
 // ComposeParams derives the QoS × tail-policy variant of TailParams.
 func ComposeParams(a Algo, seed int64) (CaptureConfig, Params) {
 	cfg, p := policyParams(a, seed, "gate-aware;adaptive-batch:min=2,max=6,grow=1,shrink=1,full=1,idle=2")
-	p.QoSStretch = 12 + 4*float64(seed%3)
+	p.QoSStretch = float64(12 + 4*(seed%3))
 	p.QoSHorizon = 500 * time.Millisecond
 	cfg.Params = p
 	return cfg, p

@@ -94,7 +94,7 @@ func TestDecisionPathZeroAllocs(t *testing.T) {
 		build func() Scheduler
 	}{
 		{"NoShare", func() Scheduler { return NewNoShare() }},
-		{"LifeRaft-alpha0-heap", func() Scheduler {
+		{"LifeRaft-alpha0", func() Scheduler {
 			s := NewLifeRaft(testCost, 0, resident)
 			s.SetResidencyVersion(version)
 			return s
@@ -115,8 +115,8 @@ func TestDecisionPathZeroAllocs(t *testing.T) {
 			return s
 		}},
 		{"JAWS-noversion", func() Scheduler {
-			// Memoization off (no version source): still zero allocs, every
-			// utility recomputed in place.
+			// No version source: every call starts a new memo epoch, still
+			// zero allocs.
 			return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, Resident: resident})
 		}},
 		{"JAWS+QoS-urgent", func() Scheduler {

@@ -99,17 +99,24 @@ func TestJAWSAlphaZeroUsesMemoizedStepSums(t *testing.T) {
 	}
 }
 
-// Without a version source, memoization stays off: every read recomputes
-// (exactness by default).
+// Without a version source every sync starts a new epoch: reads between
+// two syncs are memo hits, and the first read after each sync recomputes
+// (the residency may have changed; there is no counter to say it did not).
 func TestNoVersionSourceAlwaysRecomputes(t *testing.T) {
 	q := newQueues(testCost, nil)
 	q.add(subQueryAt(1, 0, 0, 0, 0, 100), 0)
-	base := q.stepSumRecomputes
+	base, utBase := q.stepSumRecomputes, q.utRecomputes
 	for i := 0; i < 4; i++ {
-		q.stepMeanUt(0)
+		q.syncResidency()
+		for j := 0; j < 3; j++ {
+			q.stepMeanUt(0)
+		}
 	}
 	if got := q.stepSumRecomputes - base; got != 4 {
-		t.Fatalf("un-versioned queues recomputed the aggregate %d times over 4 reads, want 4", got)
+		t.Fatalf("un-versioned queues recomputed the aggregate %d times over 4 syncs × 3 reads, want 4", got)
+	}
+	if got := q.utRecomputes - utBase; got != 4 {
+		t.Fatalf("un-versioned queues recomputed U_t %d times over 4 syncs × 3 reads, want 4", got)
 	}
 }
 
@@ -136,53 +143,86 @@ func TestPendingStepsIncremental(t *testing.T) {
 	}
 }
 
-// The indexed max-heap (LifeRaft at α = 0 with a version source) must make
-// exactly the decisions the plain scan makes, through random enqueues,
-// takes, and residency changes.
-func TestHeapMatchesScan(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		residentSet := make(map[store.AtomID]bool)
-		var version uint64 = 1
-		resident := func(id store.AtomID) bool { return residentSet[id] }
+// A version source changes how long a memo lives, never a decision: a
+// scheduler with one (memos survive until the version moves) must decide
+// and report exactly as the same scheduler without one (every call starts
+// a new epoch), through random enqueues, residency flips, utility reads,
+// run ends and decisions.
+func TestVersionedMatchesUnversioned(t *testing.T) {
+	kinds := []struct {
+		name  string
+		build func(resident func(store.AtomID) bool) Scheduler
+	}{
+		{"LifeRaft-alpha0", func(r func(store.AtomID) bool) Scheduler { return NewLifeRaft(testCost, 0, r) }},
+		{"LifeRaft-alpha0.5", func(r func(store.AtomID) bool) Scheduler { return NewLifeRaft(testCost, 0.5, r) }},
+		{"JAWS", func(r func(store.AtomID) bool) Scheduler {
+			return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, Resident: r})
+		}},
+		{"JAWS-adaptive", func(r func(store.AtomID) bool) Scheduler {
+			return NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, InitialAlpha: 0.5, Adaptive: true, Resident: r})
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				residentSet := make(map[store.AtomID]bool)
+				var version uint64 = 1
+				resident := func(id store.AtomID) bool { return residentSet[id] }
 
-		heapSched := NewLifeRaft(testCost, 0, resident)
-		heapSched.SetResidencyVersion(func() uint64 { return version })
-		scanSched := NewLifeRaft(testCost, 0, resident) // no version: scan path
-		if !heapSched.q.useHeap || scanSched.q.memoOK() {
-			t.Fatal("test premise broken: heap/scan configuration")
-		}
+				versioned := kind.build(resident)
+				versioned.(ResidencyVersioned).SetResidencyVersion(func() uint64 { return version })
+				plain := kind.build(resident)
+				vu, pu := versioned.(UtilityProvider), plain.(UtilityProvider)
 
-		now := time.Duration(0)
-		qid := 1
-		for op := 0; op < 300; op++ {
-			now += time.Millisecond
-			switch r := rng.Intn(10); {
-			case r < 6 || heapSched.Pending() == 0:
-				// Random atom in a small universe so queues collide.
-				sq := subQueryAt(query.ID(qid), rng.Intn(2),
-					uint32(rng.Intn(3)), uint32(rng.Intn(2)), 0, rng.Intn(200)+1)
-				qid++
-				heapSched.Enqueue(sq, now)
-				scanSched.Enqueue(sq, now)
-			case r < 8:
-				// Flip residency of a pending or absent atom; bump the version.
-				id := store.AtomID{Step: rng.Intn(2), Code: morton.Code(rng.Intn(64))}
-				residentSet[id] = !residentSet[id]
-				version++
-			default:
-				hb := heapSched.NextBatch(now)
-				sb := scanSched.NextBatch(now)
-				if len(hb) != 1 || len(sb) != 1 {
-					t.Fatalf("seed %d op %d: batch lens %d vs %d", seed, op, len(hb), len(sb))
-				}
-				if hb[0].Atom != sb[0].Atom {
-					t.Fatalf("seed %d op %d: heap picked %v, scan picked %v", seed, op, hb[0].Atom, sb[0].Atom)
-				}
-				if len(hb[0].SubQueries) != len(sb[0].SubQueries) {
-					t.Fatalf("seed %d op %d: batch sizes differ", seed, op)
+				now := time.Duration(0)
+				qid := 1
+				for op := 0; op < 300; op++ {
+					now += time.Millisecond
+					switch r := rng.Intn(12); {
+					case r < 6 || versioned.Pending() == 0:
+						// Random atom in a small universe so queues collide.
+						sq := subQueryAt(query.ID(qid), rng.Intn(2),
+							uint32(rng.Intn(3)), uint32(rng.Intn(2)), 0, rng.Intn(200)+1)
+						qid++
+						versioned.Enqueue(sq, now)
+						plain.Enqueue(sq, now)
+					case r < 8:
+						// Flip residency of a pending or absent atom; bump the version.
+						id := store.AtomID{Step: rng.Intn(2), Code: morton.Code(rng.Intn(64))}
+						residentSet[id] = !residentSet[id]
+						version++
+					case r < 9:
+						id := store.AtomID{Step: rng.Intn(2), Code: morton.Code(rng.Intn(64))}
+						if v, p := vu.AtomUtility(id), pu.AtomUtility(id); v != p {
+							t.Fatalf("seed %d op %d: AtomUtility(%v) %v versioned, %v plain", seed, op, id, v, p)
+						}
+						step := rng.Intn(2)
+						if v, p := vu.StepMean(step), pu.StepMean(step); v != p {
+							t.Fatalf("seed %d op %d: StepMean(%d) %v versioned, %v plain", seed, op, step, v, p)
+						}
+					case r < 10:
+						rt, tp := 1+rng.Float64(), 1+rng.Float64()
+						versioned.OnRunEnd(rt, tp)
+						plain.OnRunEnd(rt, tp)
+						if versioned.Alpha() != plain.Alpha() {
+							t.Fatalf("seed %d op %d: α %v versioned, %v plain", seed, op, versioned.Alpha(), plain.Alpha())
+						}
+					default:
+						vb := versioned.NextBatch(now)
+						pb := plain.NextBatch(now)
+						if len(vb) != len(pb) {
+							t.Fatalf("seed %d op %d: %d batches versioned, %d plain", seed, op, len(vb), len(pb))
+						}
+						for i := range vb {
+							if vb[i].Atom != pb[i].Atom || len(vb[i].SubQueries) != len(pb[i].SubQueries) {
+								t.Fatalf("seed %d op %d: batch %d is %v (%d subs) versioned, %v (%d subs) plain",
+									seed, op, i, vb[i].Atom, len(vb[i].SubQueries), pb[i].Atom, len(pb[i].SubQueries))
+							}
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // This file holds the incremental index structures behind the queues
 // type: per-step Morton-sorted buckets with memoized utility aggregates,
-// an indexed max-heap over candidate atoms, and the freelists that keep
-// the decision path allocation-free.
+// and the freelists that keep the decision path allocation-free. Every
+// argmax over them is a key-ascending scan with strict >, the iteration
+// the reference model performs; the memos make that scan cheap.
 //
 // Invariants (each checked by the differential oracle, which replays
 // every decision through a naive rescan model):
@@ -22,14 +23,10 @@ import (
 //     identical.
 //   - A memoized value stamped with seen == epoch equals the value a
 //     fresh recomputation would produce: the epoch advances whenever the
-//     residency version changes, and per-atom/per-bucket stamps are
-//     zeroed whenever positions or membership change, so a valid stamp
-//     implies every input of the memo is unchanged.
-//   - When heapSeen == epoch the heap contains exactly the pending atoms,
-//     every member's ut stamp is current, heapIdx back-pointers are
-//     consistent, and the max-heap property holds under the total order
-//     (ut descending, key ascending) — whose maximum is the same atom a
-//     key-ascending scan with strict > selects.
+//     residency may have changed (see syncResidency), and per-atom/
+//     per-bucket stamps are zeroed whenever positions or membership
+//     change, so a valid stamp implies every input of the memo is
+//     unchanged.
 
 // stepBucket is the per-time-step index: the step's pending atom queues
 // in Morton (clustered-key) order plus the memoized Σ U_t aggregate.
@@ -106,128 +103,21 @@ func (q *queues) dropBucket(b *stepBucket) {
 // --- residency-version gating -------------------------------------------
 
 // syncResidency advances the memo epoch when the cache may have changed
-// since the last call. Without a version source memoization stays off
-// (every read recomputes — always exact); the engine installs the cache's
-// mutation counter via SetResidencyVersion, after which φ-dependent memos
-// survive across calls until the counter moves.
+// since the last call. Every utility read follows a sync in the same
+// call (add, NextBatch, AtomUtility, StepMean), so memos are exact. The
+// engine installs the cache's mutation counter via SetResidencyVersion,
+// after which φ-dependent memos survive across calls until the counter
+// moves; without a version source every call starts a new epoch, and only
+// reads within one call share a memo.
 func (q *queues) syncResidency() {
-	if q.resVersion == nil {
-		return
-	}
-	v := q.resVersion()
-	if !q.haveRes || v != q.lastRes {
-		q.haveRes = true
-		q.lastRes = v
-		q.epoch++
-	}
-}
-
-// memoOK reports whether cross-call memoization is safe.
-func (q *queues) memoOK() bool { return q.resVersion != nil }
-
-// --- indexed max-heap ---------------------------------------------------
-
-// heapLess is the heap's total order: U_t descending, clustered key
-// ascending. Its maximum is exactly the atom a key-ascending scan with
-// strict > keeps, which is what the reference model computes.
-func heapLess(a, b *atomQueue) bool {
-	if a.ut != b.ut {
-		return a.ut > b.ut
-	}
-	return a.id.Key() < b.id.Key()
-}
-
-// heapValid reports whether the heap mirrors the current epoch. The heap
-// requires memoization (it compares cached ut values), so without a
-// residency version source it stays disengaged and callers fall back to
-// the exact linear scan.
-func (q *queues) heapValid() bool { return q.useHeap && q.memoOK() && q.heapSeen == q.epoch }
-
-// heapRebuild reconstructs the heap from the buckets: recompute every
-// atom's ut at the current epoch, then heapify.
-func (q *queues) heapRebuild() {
-	q.heap = q.heap[:0]
-	for _, b := range q.buckets {
-		for _, aq := range b.atoms {
-			q.ut(aq)
-			aq.heapIdx = len(q.heap)
-			q.heap = append(q.heap, aq)
-		}
-	}
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-	q.heapSeen = q.epoch
-}
-
-// heapTop returns the maximum under heapLess, rebuilding if stale.
-func (q *queues) heapTop() *atomQueue {
-	if !q.heapValid() {
-		q.heapRebuild()
-	}
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
-func (q *queues) heapPush(aq *atomQueue) {
-	aq.heapIdx = len(q.heap)
-	q.heap = append(q.heap, aq)
-	q.siftUp(aq.heapIdx)
-}
-
-func (q *queues) heapRemove(aq *atomQueue) {
-	i := aq.heapIdx
-	last := len(q.heap) - 1
-	q.heap[i] = q.heap[last]
-	q.heap[i].heapIdx = i
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	aq.heapIdx = -1
-	if i < last {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-}
-
-// heapFix restores the heap property around aq after its ut changed.
-func (q *queues) heapFix(aq *atomQueue) {
-	q.siftDown(aq.heapIdx)
-	q.siftUp(aq.heapIdx)
-}
-
-func (q *queues) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(q.heap[i], q.heap[parent]) {
+	if q.resVersion != nil {
+		v := q.resVersion()
+		if q.haveRes && v == q.lastRes {
 			return
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		q.heap[i].heapIdx = i
-		q.heap[parent].heapIdx = parent
-		i = parent
+		q.haveRes, q.lastRes = true, v
 	}
-}
-
-func (q *queues) siftDown(i int) {
-	n := len(q.heap)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && heapLess(q.heap[l], q.heap[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && heapLess(q.heap[r], q.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		q.heap[i].heapIdx = i
-		q.heap[best].heapIdx = best
-		i = best
-	}
+	q.epoch++
 }
 
 // --- freelists ----------------------------------------------------------
@@ -255,7 +145,7 @@ func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 	}
 	q.slab = q.slab[:len(q.slab)+1]
 	aq := &q.slab[len(q.slab)-1]
-	*aq = atomQueue{id: id, subs: make([]*query.SubQuery, 0, atomSubs), heapIdx: -1}
+	*aq = atomQueue{id: id, subs: make([]*query.SubQuery, 0, atomSubs)}
 	return aq
 }
 
@@ -273,7 +163,6 @@ func (q *queues) beginDecision() {
 		aq.positions = 0
 		aq.oldest = 0
 		aq.utSeen = 0
-		aq.heapIdx = -1
 		q.freeAtoms = append(q.freeAtoms, aq)
 		q.released[i] = nil
 	}

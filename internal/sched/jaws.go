@@ -421,7 +421,7 @@ func (e *ewma) observe(v float64) float64 {
 		e.started = true
 		return v
 	}
-	e.value = e.w*v + (1-e.w)*e.value
+	e.value = float64(e.w*v) + float64((1-e.w)*e.value)
 	return e.value
 }
 
@@ -470,7 +470,7 @@ func (c *alphaController) onRunEnd(rt, tp float64) {
 		if c.flatRuns >= 2 {
 			// Explore the performance curve: alternate the direction so a
 			// fruitless probe is undone on the next flat pair.
-			c.alpha += c.exploreSign * exploreStep
+			c.alpha += float64(c.exploreSign * exploreStep)
 			c.exploreSign = -c.exploreSign
 			c.flatRuns = 0
 		}

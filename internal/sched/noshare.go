@@ -145,12 +145,7 @@ func NewLifeRaft(cost CostModel, alpha float64, resident func(store.AtomID) bool
 	if alpha > 1 {
 		alpha = 1
 	}
-	q := newQueues(cost, resident)
-	// At α = 0 the aged metric degenerates to U_t bitwise, which is
-	// time-independent, so the indexed max-heap can stand in for the
-	// argmax scan (engaged once a residency version source is installed).
-	q.useHeap = alpha == 0
-	return &LifeRaft{queueCore: queueCore{q: q}, alpha: alpha}
+	return &LifeRaft{queueCore: queueCore{q: newQueues(cost, resident)}, alpha: alpha}
 }
 
 // Name implements Scheduler.
@@ -161,9 +156,9 @@ func (s *LifeRaft) Enqueue(sq *query.SubQuery, now time.Duration) { s.q.add(sq, 
 
 // NextBatch implements Scheduler: the single atom queue with the highest
 // aged workload throughput (LifeRaft schedules one atom at a time; the
-// two-level batching of k atoms is what JAWS adds). At α = 0 the answer
-// comes from the indexed max-heap in O(log n); otherwise a linear scan in
-// the model's key order keeps the tie-breaks exact.
+// two-level batching of k atoms is what JAWS adds). The scan runs in the
+// model's key order with strict >, so ties go to the lowest clustered key;
+// at α = 0 it reads memoized U_t values.
 func (s *LifeRaft) NextBatch(now time.Duration) []Batch {
 	s.q.beginDecision()
 	if s.q.subs == 0 {
@@ -172,16 +167,11 @@ func (s *LifeRaft) NextBatch(now time.Duration) []Batch {
 	s.q.syncResidency()
 	var best *atomQueue
 	bestScore := 0.0
-	if s.alpha == 0 && s.q.useHeap && s.q.memoOK() {
-		best = s.q.heapTop()
-		bestScore = s.q.ue(best, s.alpha, now)
-	} else {
-		for _, b := range s.q.buckets {
-			for _, aq := range b.atoms {
-				score := s.q.ue(aq, s.alpha, now)
-				if best == nil || score > bestScore {
-					best, bestScore = aq, score
-				}
+	for _, b := range s.q.buckets {
+		for _, aq := range b.atoms {
+			score := s.q.ue(aq, s.alpha, now)
+			if best == nil || score > bestScore {
+				best, bestScore = aq, score
 			}
 		}
 	}

@@ -103,9 +103,10 @@ type UtilityProvider interface {
 // ResidencyVersioned is implemented by schedulers that memoize
 // φ(i)-dependent utility values behind a residency version counter: the
 // counter must change whenever the set of cache-resident atoms may have
-// changed (the cache's mutation counter). Without a version source the
-// schedulers recompute utilities on every read — still exact, just not
-// incremental. The engine installs the cache's Version method.
+// changed (the cache's mutation counter). Without a version source every
+// scheduler call starts a new memo epoch — still exact, just not
+// incremental across calls. The engine installs the cache's Version
+// method.
 type ResidencyVersioned interface {
 	SetResidencyVersion(fn func() uint64)
 }
@@ -183,13 +184,12 @@ type atomQueue struct {
 	// (see index.go for the invariant).
 	ut     float64
 	utSeen uint64
-	// heapIdx is the position in queues.heap, -1 when not a member.
-	heapIdx int
 }
 
 // queues indexes the atom queues by atom and by time step. See index.go
-// for the incremental structures (sorted step buckets, memo epochs, the
-// indexed max-heap, and the freelists).
+// for the incremental structures (sorted step buckets, memo epochs and the
+// freelists). The schedulers select by scanning the buckets in key order;
+// the memos, not a separate index, are what make the scan cheap.
 type queues struct {
 	byAtom   map[store.AtomID]*atomQueue
 	buckets  []*stepBucket // step-ascending; buckets[i].step == steps[i]
@@ -203,12 +203,6 @@ type queues struct {
 	lastRes    uint64
 	haveRes    bool
 	epoch      uint64
-
-	// Indexed max-heap over all pending atoms (ut desc, key asc); engaged
-	// by LifeRaft at α = 0, rebuilt lazily when the epoch moves.
-	heap     []*atomQueue
-	heapSeen uint64
-	useHeap  bool
 
 	// Freelists and the deferred-recycle list backing the zero-allocation
 	// decision path; slab is the chunk new atom queues are carved from.
@@ -234,8 +228,8 @@ func newQueues(cost CostModel, resident func(store.AtomID) bool) *queues {
 	}
 }
 
-// setResidencyVersion installs the residency version source, enabling
-// cross-call memoization (and the heap, for schedulers that want it).
+// setResidencyVersion installs the residency version source, after which
+// memos survive across calls until the version moves.
 func (q *queues) setResidencyVersion(fn func() uint64) {
 	q.resVersion = fn
 	q.haveRes = false
@@ -253,10 +247,6 @@ func (q *queues) add(sq *query.SubQuery, now time.Duration) {
 		aq.subs = append(aq.subs, sq)
 		aq.positions += len(sq.Points)
 		q.subs++
-		if q.heapValid() {
-			q.ut(aq)
-			q.heapPush(aq)
-		}
 		return
 	}
 	aq.subs = append(aq.subs, sq)
@@ -265,10 +255,6 @@ func (q *queues) add(sq *query.SubQuery, now time.Duration) {
 	q.subs++
 	if b := q.bucketFor(sq.Atom.Step, false); b != nil {
 		b.sumSeen = 0
-	}
-	if q.heapValid() {
-		q.ut(aq)
-		q.heapFix(aq)
 	}
 }
 
@@ -283,9 +269,6 @@ func (q *queues) take(id store.AtomID) Batch {
 	if len(b.atoms) == 0 {
 		q.dropBucket(b)
 	}
-	if q.heapValid() && aq.heapIdx >= 0 {
-		q.heapRemove(aq)
-	}
 	q.subs -= len(aq.subs)
 	q.released = append(q.released, aq)
 	return Batch{Atom: aq.id, SubQueries: aq.subs}
@@ -296,11 +279,16 @@ func (q *queues) take(id store.AtomID) Batch {
 //	U_t(i) = ΣW / (T_b·φ(i) + T_m·ΣW)
 //
 // in positions per second, where φ(i) is 0 if the atom is resident in the
-// cache and 1 otherwise. The value is memoized per residency epoch when a
-// version source is installed; recomputation reproduces the identical
-// float (same expression, same inputs), which the oracle certifies.
+// cache and 1 otherwise. The value is memoized per residency epoch;
+// recomputation reproduces the identical float (same expression, same
+// inputs), which the oracle certifies.
+//
+// Each product is wrapped in float64(...) so it rounds on its own: the Go
+// spec lets arm64, ppc64le and riscv64 fuse x*y + z into one multiply-add,
+// which would round differently from amd64 (make check-fma). The same
+// holds for ue, ewma and every other x*y + z of the scheduler and oracle.
 func (q *queues) ut(aq *atomQueue) float64 {
-	if q.memoOK() && aq.utSeen == q.epoch {
+	if aq.utSeen == q.epoch {
 		return aq.ut
 	}
 	q.utRecomputes++
@@ -309,15 +297,13 @@ func (q *queues) ut(aq *atomQueue) float64 {
 	if q.resident(aq.id) {
 		phi = 0
 	}
-	denom := q.cost.Tb.Seconds()*phi + q.cost.Tm.Seconds()*w
+	denom := float64(q.cost.Tb.Seconds()*phi) + float64(q.cost.Tm.Seconds()*w)
 	v := 0.0
 	if denom > 0 {
 		v = w / denom
 	}
-	if q.memoOK() {
-		aq.ut = v
-		aq.utSeen = q.epoch
-	}
+	aq.ut = v
+	aq.utSeen = q.epoch
 	return v
 }
 
@@ -329,7 +315,7 @@ func (q *queues) ut(aq *atomQueue) float64 {
 // (the paper's unit).
 func (q *queues) ue(aq *atomQueue, alpha float64, now time.Duration) float64 {
 	ageMs := float64(now-aq.oldest) / float64(time.Millisecond)
-	return q.ut(aq)*(1-alpha) + ageMs*alpha
+	return float64(q.ut(aq)*(1-alpha)) + float64(ageMs*alpha)
 }
 
 // stepUtSum returns Σ U_t over the bucket's atoms, accumulated in Morton
@@ -337,7 +323,7 @@ func (q *queues) ue(aq *atomQueue, alpha float64, now time.Duration) float64 {
 // ut·(1−0) ≡ ut and ageMs·0 ≡ +0.0 for the non-negative finite ages the
 // virtual clock produces, and x + 0.0 ≡ x for the non-negative ut.
 func (q *queues) stepUtSum(b *stepBucket) float64 {
-	if q.memoOK() && b.sumSeen == q.epoch {
+	if b.sumSeen == q.epoch {
 		return b.utSum
 	}
 	q.stepSumRecomputes++
@@ -345,10 +331,8 @@ func (q *queues) stepUtSum(b *stepBucket) float64 {
 	for _, aq := range b.atoms {
 		sum += q.ut(aq)
 	}
-	if q.memoOK() {
-		b.utSum = sum
-		b.sumSeen = q.epoch
-	}
+	b.utSum = sum
+	b.sumSeen = q.epoch
 	return sum
 }
 

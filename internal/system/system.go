@@ -45,12 +45,13 @@ type Config struct {
 	Scheduler Scheduler
 	// BatchSize is JAWS's k; zero means 15.
 	BatchSize int
-	// InitialAlpha seeds the age bias; NaN-free zero means 0.5 for JAWS
-	// (set AlphaSet to force 0).
+	// InitialAlpha seeds the age bias; zero means 0.5 for JAWS (set
+	// AlphaSet to force 0).
 	InitialAlpha float64
 	// AlphaSet forces InitialAlpha to be used verbatim (including 0).
 	AlphaSet bool
-	// Adaptive enables §V.A adaptation for JAWS schedulers; default on.
+	// AdaptiveOff disables §V.A adaptation for JAWS schedulers, whose α
+	// then stays at InitialAlpha; adaptation is on by default.
 	AdaptiveOff bool
 	// NoMortonOrder makes JAWS execute a batch in score order instead of
 	// Morton order (ablation: the sequential-I/O half of two-level
@@ -63,7 +64,10 @@ type Config struct {
 	CacheAtoms int
 	// ProtectedFrac is SLRU's protected share; zero means 0.05.
 	ProtectedFrac float64
-	// Cost overrides the T_b / T_m model (zero: derived).
+	// Cost is the T_b / T_m model of Eq. 1, handed as given to both the
+	// scheduler and the engine. Zero is not defaulted: the scheduler then
+	// scores with T_b = T_m = 0, so U_t = 0 for every atom, while the engine
+	// charges sched.DefaultCost().Tm per position (TestCostHandedAsGiven).
 	Cost sched.CostModel
 	// RunLength is r, queries per adaptation run; zero means 32.
 	RunLength int

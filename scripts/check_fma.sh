@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# The guard that keeps the scheduler and its oracle free of fused
+# multiply-adds (ROADMAP item 8). The Go spec lets a compiler fuse x*y + z
+# into one FMA instruction unless an explicit float64(...) conversion
+# forces the product to round; amd64 never fuses, arm64, ppc64le and
+# riscv64 do. A fused site rounds differently from amd64, so the
+# byte-identical artifacts and the oracle's strict float equality would
+# hold on one architecture only.
+#
+# The script cross-compiles cmd/jawsd and cmd/jawscheck for each of those
+# architectures (no emulator needed) and disassembles every function of
+# jaws/internal/sched and jaws/internal/oracle; any FMA-family instruction
+# fails it, printed with its function. s390x is left out until its
+# mnemonics are confirmed.
+#
+#   ./scripts/check_fma.sh        (or: make check-fma)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# arm64 and riscv64: FMADDD/FMSUBD/FNMADDD/FNMSUBD (and the S forms);
+# ppc64le: FMADD/FMSUB/FNMADD/FNMSUB (and the S forms, with or without CC).
+ops='F(N)?M(ADD|SUB)(D|S)?(CC)?'
+funcs='^jaws/internal/(sched|oracle)\.'
+
+bad=""
+for arch in arm64 ppc64le riscv64; do
+	for cmd in jawsd jawscheck; do
+		bin="$tmp/$cmd.$arch"
+		GOOS=linux GOARCH=$arch go build -o "$bin" "./cmd/$cmd"
+		go tool objdump -s "$funcs" "$bin" >"$bin.s"
+		# A disassembly without the scheduler would pass vacuously.
+		grep -q '^TEXT jaws/internal/sched\.' "$bin.s" || {
+			echo "check-fma: no jaws/internal/sched function in $cmd for $arch"
+			exit 1
+		}
+		hits=$(awk -v ops="^($ops)\$" '
+			/^TEXT / { fn = $2; next }
+			{ for (i = 1; i <= NF; i++) if ($i ~ ops) { print fn ": " $i; break } }' "$bin.s" |
+			sort | uniq -c)
+		[ -z "$hits" ] || bad+="$arch $cmd:"$'\n'"$hits"$'\n'
+	done
+done
+
+if [ -n "$bad" ]; then
+	echo "check-fma: fused multiply-adds in internal/sched or internal/oracle (wrap the product in float64(...)):"
+	printf '%s' "$bad"
+	exit 1
+fi
+echo "check-fma: ok (no fused multiply-add in internal/sched, internal/oracle on arm64, ppc64le, riscv64)"
