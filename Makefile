@@ -23,9 +23,9 @@ check-reporting:
 
 ## check-fma: no fused multiply-add in internal/sched or internal/oracle —
 ## jawsd and jawscheck cross-compiled for arm64, ppc64le and riscv64 and
-## disassembled (ROADMAP item 8); a fused x*y + z rounds differently from
-## amd64, so the byte-identical artifacts and the oracle's float equality
-## would hold on amd64 only. Offending functions are printed.
+## disassembled (the oracle compares floats with ==, DESIGN.md §12); a
+## fused x*y + z rounds differently from amd64, so the byte-identical
+## artifacts and the oracle's float equality would hold on amd64 only. Offending functions are printed.
 check-fma:
 	./scripts/check_fma.sh
 
@@ -128,11 +128,15 @@ race:
 race-obs:
 	$(GO) test -race ./internal/obs/ ./internal/sched/ ./internal/engine/ ./internal/system/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
 
-## check-prop: the quickcheck-style differential property tests — random
-## op logs replayed through the production schedulers and the reference
-## models, decisions and utilities compared bit for bit.
+## check-prop: every op-log certificate behind one target — the
+## quickcheck-style differential property tests (random op logs replayed
+## through the production schedulers and the reference models, decisions
+## and utilities compared bit for bit) and the cache's (LRU-K against the
+## scanning reference, LRU-K(1) against a linked-list LRU, residency and
+## evictions compared after every op).
 check-prop:
 	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught' -count 1 ./internal/oracle/
+	$(GO) test -run 'TestLRUKMatchesReferenceOnRandomOpLogs|TestLRUKOneIsLRU' -count 1 ./internal/cache/
 
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only

@@ -134,7 +134,11 @@ func BenchmarkFig12BatchSize(b *testing.B) {
 // virtual seconds per query.
 func BenchmarkTable1Caches(b *testing.B) {
 	s := benchScale()
-	for _, pol := range []CachePolicy{PolicyLRUK, PolicySLRU, PolicyURC, PolicyLRU, PolicyFIFO} {
+	for _, name := range CachePolicyNames() {
+		pol, err := ParseCachePolicy(name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(strings.ToLower(pol.String()), func(b *testing.B) {
 			var hit, spq float64
 			for i := 0; i < b.N; i++ {

@@ -252,7 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if sel("table1") {
 		any = true
 		c.section("Table I — cache replacement algorithms")
-		r, err := experiments.Table1(scale, true)
+		r, err := experiments.Table1(scale)
 		if err != nil {
 			return c.fail(err)
 		}

@@ -1,10 +1,10 @@
 // Package cache implements the externally managed atom cache of §V.B and
-// the replacement policies the paper evaluates in Table I: the LRU-K
+// the three replacement policies the paper evaluates in Table I: the LRU-K
 // baseline (SQL Server's page replacement is a variant of LRU-K), the
 // low-overhead Segmented LRU (SLRU) that promotes frequently accessed
 // atoms into a protected segment at the end of each run, and the
 // Utility-Ranked Cache (URC) that coordinates eviction with the two-level
-// scheduler. Plain LRU and FIFO are included for ablation.
+// scheduler.
 //
 // Capacity is counted in atoms: atoms are equal-sized (the paper assumes
 // uniform I/O cost for the same reason), so a 2 GB cache is 256 8-MB atoms.
@@ -20,7 +20,7 @@ import (
 // Policy decides which resident atom to evict. Implementations are not
 // safe for concurrent use; the cache serializes calls.
 type Policy interface {
-	// Name identifies the policy in reports ("lru-k", "slru", "urc", ...).
+	// Name identifies the policy in reports: "lru-k", "slru" or "urc".
 	Name() string
 	// OnHit notes an access to a resident atom.
 	OnHit(id store.AtomID)

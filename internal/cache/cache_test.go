@@ -18,7 +18,7 @@ func TestNewValidation(t *testing.T) {
 				t.Error("zero capacity accepted")
 			}
 		}()
-		New(0, NewLRU())
+		New(0, NewLRUK(1, 0))
 	}()
 	func() {
 		defer func() {
@@ -31,7 +31,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestGetMissAndHit(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	if _, ok := c.Get(id(0, 1)); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -47,7 +47,7 @@ func TestGetMissAndHit(t *testing.T) {
 }
 
 func TestPutRefreshesExisting(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	if old := c.Put(id(0, 1), "a"); old != nil {
 		t.Fatalf("Put into an empty cache displaced %v", old)
 	}
@@ -63,7 +63,7 @@ func TestPutRefreshesExisting(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	c := New(3, NewLRU())
+	c := New(3, NewLRUK(1, 0))
 	for i := 0; i < 10; i++ {
 		// Every Put past the capacity hands back the value it evicted.
 		var want any
@@ -83,7 +83,7 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestContainsDoesNotPerturb(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	c.Put(id(0, 1), nil)
 	c.Put(id(0, 2), nil)
 	// Probing 1 via Contains must not refresh its recency.
@@ -101,24 +101,13 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	c.Put(id(0, 1), nil)
 	c.Put(id(0, 2), nil)
 	c.Get(id(0, 1))      // 1 becomes MRU
 	c.Put(id(0, 3), nil) // evicts 2
 	if !c.Contains(id(0, 1)) || c.Contains(id(0, 2)) || !c.Contains(id(0, 3)) {
 		t.Fatal("LRU evicted the wrong atom")
-	}
-}
-
-func TestFIFOIgnoresHits(t *testing.T) {
-	c := New(2, NewFIFO())
-	c.Put(id(0, 1), nil)
-	c.Put(id(0, 2), nil)
-	c.Get(id(0, 1))      // should NOT save 1
-	c.Put(id(0, 3), nil) // evicts 1 (oldest insert)
-	if c.Contains(id(0, 1)) || !c.Contains(id(0, 2)) {
-		t.Fatal("FIFO order not insert-based")
 	}
 }
 
@@ -134,7 +123,7 @@ func TestHitRatio(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	c.Put(id(0, 1), nil)
 	c.Get(id(0, 1))
 	c.ResetStats()
@@ -151,8 +140,6 @@ func TestPolicyName(t *testing.T) {
 		p    Policy
 		want string
 	}{
-		{NewLRU(), "lru"},
-		{NewFIFO(), "fifo"},
 		{NewLRUK(2, 0), "lru-k"},
 		{NewSLRU(10, 0.2), "slru"},
 		{NewURC(), "urc"},
@@ -167,8 +154,7 @@ func TestPolicyName(t *testing.T) {
 // and never loses the most recently inserted atom immediately.
 func TestPolicyConformance(t *testing.T) {
 	policies := []func() Policy{
-		func() Policy { return NewLRU() },
-		func() Policy { return NewFIFO() },
+		func() Policy { return NewLRUK(1, 0) },
 		func() Policy { return NewLRUK(2, 0) },
 		func() Policy { return NewSLRU(4, 0.25) },
 		func() Policy { return NewURC() },
@@ -401,7 +387,6 @@ func TestPolicyTimeAccumulates(t *testing.T) {
 	}
 }
 
-func BenchmarkLRUPut(b *testing.B)  { benchPolicy(b, NewLRU()) }
 func BenchmarkLRUKPut(b *testing.B) { benchPolicy(b, NewLRUK(2, 0)) }
 func BenchmarkSLRUPut(b *testing.B) { benchPolicy(b, NewSLRU(256, 0.05)) }
 func BenchmarkURCPut(b *testing.B)  { benchPolicy(b, NewURC()) }
@@ -418,7 +403,7 @@ func benchPolicy(b *testing.B, p Policy) {
 }
 
 func TestFlush(t *testing.T) {
-	c := New(4, NewLRU())
+	c := New(4, NewLRUK(1, 0))
 	for i := 0; i < 4; i++ {
 		c.Put(id(0, i), i)
 	}
@@ -440,7 +425,7 @@ func TestFlush(t *testing.T) {
 // the caller that owns the values: everything on a Flush, and a resident
 // value the integrity hook rejects.
 func TestDroppedValuesHandedBack(t *testing.T) {
-	c := New(4, NewLRU())
+	c := New(4, NewLRUK(1, 0))
 	for i := 0; i < 3; i++ {
 		c.Put(id(0, i), i)
 	}
@@ -562,88 +547,8 @@ func TestURCReplaceStepMeans(t *testing.T) {
 	}
 }
 
-func TestTwoQPromotionViaGhost(t *testing.T) {
-	p := NewTwoQ(4) // kin=1, kout=2
-	c := New(4, p)
-	c.Put(id(0, 1), nil)
-	// Push 1 out of probation with a stream of cold atoms.
-	c.Put(id(0, 2), nil)
-	c.Put(id(0, 3), nil)
-	c.Put(id(0, 4), nil)
-	c.Put(id(0, 5), nil)
-	if c.Contains(id(0, 1)) {
-		t.Fatal("probation atom survived a scan")
-	}
-	if p.ghost.Len() == 0 {
-		t.Fatal("no ghost recorded")
-	}
-	// Re-reference 1 while its ghost lives: must enter the hot LRU.
-	c.Put(id(0, 1), nil)
-	if p.am.Len() != 1 {
-		t.Fatalf("HotLen = %d, want 1 after ghost promotion", p.am.Len())
-	}
-	// A subsequent scan must not evict the hot atom.
-	for i := 10; i < 20; i++ {
-		c.Put(id(0, i), nil)
-	}
-	if !c.Contains(id(0, 1)) {
-		t.Fatal("scan flushed the 2Q hot set")
-	}
-}
-
-func TestTwoQScanResistance(t *testing.T) {
-	// One-shot scans never pollute Am.
-	p := NewTwoQ(8)
-	c := New(8, p)
-	for i := 0; i < 100; i++ {
-		c.Put(id(0, i), nil)
-	}
-	if p.am.Len() != 0 {
-		t.Fatalf("scan promoted %d atoms into the hot set", p.am.Len())
-	}
-}
-
-func TestTwoQGhostBounded(t *testing.T) {
-	p := NewTwoQ(4) // kout = 2
-	c := New(4, p)
-	for i := 0; i < 200; i++ {
-		c.Put(id(0, i), nil)
-	}
-	if p.ghost.Len() > 2 {
-		t.Fatalf("ghost queue grew to %d, bound is 2", p.ghost.Len())
-	}
-}
-
-func TestTwoQValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("2Q accepted non-positive capacity")
-		}
-	}()
-	NewTwoQ(0)
-}
-
-func TestTwoQConformance(t *testing.T) {
-	p := NewTwoQ(4)
-	c := New(4, p)
-	for i := 0; i < 200; i++ {
-		c.Put(id(i%3, i%17), i)
-		if c.Len() > 4 {
-			t.Fatalf("2Q cache over capacity: %d", c.Len())
-		}
-		if i%5 == 0 {
-			c.Get(id(i%3, i%17))
-		}
-	}
-	if p.Name() != "2q" {
-		t.Fatal("wrong name")
-	}
-}
-
-func BenchmarkTwoQPut(b *testing.B) { benchPolicy(b, NewTwoQ(256)) }
-
 func TestIntegrityCorruptionDropsEntry(t *testing.T) {
-	c := New(4, NewLRU())
+	c := New(4, NewLRUK(1, 0))
 	c.Put(id(0, 1), "payload")
 
 	bad := map[store.AtomID]bool{id(0, 1): true}
@@ -687,7 +592,7 @@ func TestIntegrityCorruptionDropsEntry(t *testing.T) {
 // advance on reads or refreshing Puts — an unchanged value proves every
 // Contains answer is unchanged.
 func TestVersionTracksResidencyMutations(t *testing.T) {
-	c := New(2, NewLRU())
+	c := New(2, NewLRUK(1, 0))
 	v0 := c.Version()
 
 	c.Put(id(0, 1), "a") // insert

@@ -31,7 +31,7 @@ func testConfig(nodes int) Config {
 			BatchSize:   4,
 			AlphaSet:    true,
 			AdaptiveOff: true,
-			Policy:      system.PolicyLRU,
+			Policy:      system.PolicyLRUK,
 			CacheAtoms:  8,
 			Cost:        testCost,
 		},

@@ -14,7 +14,7 @@ import (
 )
 
 func jobAwareEngine(t *testing.T, s *store.Store) *Engine {
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	return newEngine(t, s, js, true, func(cfg *Config) { cfg.Cache = c })
 }

@@ -27,7 +27,7 @@ func newEngine(t testing.TB, s *store.Store, sc sched.Scheduler, jobAware bool, 
 	t.Helper()
 	cfg := Config{
 		Store:    s,
-		Cache:    cache.New(16, cache.NewLRU()),
+		Cache:    cache.New(16, cache.NewLRUK(1, 0)),
 		Sched:    sc,
 		Cost:     testCost,
 		JobAware: jobAware,
@@ -251,7 +251,7 @@ func TestJobAwareGatingSharesIO(t *testing.T) {
 
 	run := func(jobAware bool) *Report {
 		st := testStore(t)
-		c := cache.New(2, cache.NewLRU()) // tiny cache: sharing must come from co-scheduling
+		c := cache.New(2, cache.NewLRUK(1, 0)) // tiny cache: sharing must come from co-scheduling
 		js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, InitialAlpha: 0, Resident: c.Contains})
 		e, err := New(Config{Store: st, Cache: c, Sched: js, Cost: testCost, JobAware: jobAware})
 		if err != nil {
@@ -326,7 +326,7 @@ func TestURCCoordinationUpdatesUtilities(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	runOnce := func() *Report {
 		s := testStore(t)
-		c := cache.New(8, cache.NewLRU())
+		c := cache.New(8, cache.NewLRUK(1, 0))
 		js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 3, InitialAlpha: 0.5, Resident: c.Contains})
 		e, err := New(Config{Store: s, Cache: c, Sched: js, Cost: testCost, JobAware: true})
 		if err != nil {
@@ -392,7 +392,7 @@ func TestThroughputOrderingAcrossSchedulers(t *testing.T) {
 	}
 	run := func(mk func(c *cache.Cache) sched.Scheduler) float64 {
 		s := testStore(t)
-		c := cache.New(2, cache.NewLRU())
+		c := cache.New(2, cache.NewLRUK(1, 0))
 		e, err := New(Config{Store: s, Cache: c, Sched: mk(c), Cost: testCost})
 		if err != nil {
 			t.Fatal(err)
@@ -421,7 +421,7 @@ func TestThroughputOrderingAcrossSchedulers(t *testing.T) {
 func BenchmarkEngineRunJAWS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := testStore(b)
-		c := cache.New(16, cache.NewLRU())
+		c := cache.New(16, cache.NewLRUK(1, 0))
 		js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 5, Resident: c.Contains})
 		e, err := New(Config{Store: s, Cache: c, Sched: js, Cost: testCost, JobAware: true})
 		if err != nil {
@@ -465,7 +465,7 @@ func TestPrefetchImprovesHitRatio(t *testing.T) {
 	}
 	run := func(pf bool) *Report {
 		s := testStore(t)
-		c := cache.New(16, cache.NewLRU())
+		c := cache.New(16, cache.NewLRUK(1, 0))
 		e, err := New(Config{
 			Store: s, Cache: c, Sched: sched.NewNoShare(), Cost: testCost,
 			Prefetch: pf,
@@ -499,7 +499,7 @@ func TestPrefetchBudgetBounded(t *testing.T) {
 	// With zero think time there is no idle window: nothing may be
 	// prefetched.
 	s := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	e, err := New(Config{Store: s, Cache: c, Sched: sched.NewNoShare(), Cost: testCost, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +526,7 @@ func TestDeclareUpfrontGatesFirstQueries(t *testing.T) {
 	}
 	run := func(declare bool) *Report {
 		s := testStore(t)
-		c := cache.New(2, cache.NewLRU())
+		c := cache.New(2, cache.NewLRUK(1, 0))
 		js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, InitialAlpha: 0, Resident: c.Contains})
 		e, err := New(Config{Store: s, Cache: c, Sched: js, Cost: testCost,
 			JobAware: true, DeclareUpfront: declare})

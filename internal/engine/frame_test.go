@@ -159,7 +159,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 	// A's batch would then evaluate on.
 	t.Run("hazard", func(t *testing.T) {
 		s := frameStore(t, 4, 0)
-		c := cache.New(2, cache.NewLRU())
+		c := cache.New(2, cache.NewLRUK(1, 0))
 		e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
 			cfg.Cache = c
 			cfg.Compute = true

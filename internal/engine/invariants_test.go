@@ -129,7 +129,7 @@ func TestFigure2Scenario(t *testing.T) {
 	}
 	run := func(aware bool) *Report {
 		st := testStore(t)
-		c := cache.New(1, cache.NewLRU()) // single-atom cache: sharing must be simultaneous
+		c := cache.New(1, cache.NewLRUK(1, 0)) // single-atom cache: sharing must be simultaneous
 		js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, InitialAlpha: 0, Resident: c.Contains})
 		e, err := New(Config{Store: st, Cache: c, Sched: js, Cost: testCost, JobAware: aware})
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 func obsWorkload(t *testing.T) (*Engine, *obs.Obs, []*job.Job) {
 	t.Helper()
 	s := testStore(t)
-	c := cache.New(4, cache.NewLRU()) // tiny: forces evictions
+	c := cache.New(4, cache.NewLRUK(1, 0)) // tiny: forces evictions
 	o := &obs.Obs{
 		Trace: obs.NewTracer(1<<16, nil),
 		Reg:   obs.NewRegistry(),
@@ -152,7 +152,7 @@ func TestObsDecisionEventsMatchScheduler(t *testing.T) {
 
 func TestObsJSONLSinkRoundTrips(t *testing.T) {
 	s := testStore(t)
-	c := cache.New(8, cache.NewLRU())
+	c := cache.New(8, cache.NewLRUK(1, 0))
 	var buf bytes.Buffer
 	o := &obs.Obs{Trace: obs.NewTracer(16, &buf)} // ring smaller than event count
 	e, err := New(Config{
@@ -187,7 +187,7 @@ func TestObsJSONLSinkRoundTrips(t *testing.T) {
 // tracer.
 func TestObsHooksClearedAcrossEngines(t *testing.T) {
 	s := testStore(t)
-	c := cache.New(8, cache.NewLRU())
+	c := cache.New(8, cache.NewLRUK(1, 0))
 	o := &obs.Obs{Trace: obs.NewTracer(0, nil), Reg: obs.NewRegistry()}
 	sc := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, Resident: c.Contains})
 	e1, err := New(Config{Store: s, Cache: c, Sched: sc, Cost: testCost, Obs: o})

@@ -23,7 +23,7 @@ func TestAdaptiveBatchMirrorsFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	inner := sched.NewJAWS(sched.JAWSConfig{
 		Cost: testCost, BatchSize: 1, InitialAlpha: 0.5, Adaptive: true,
 		Resident: c.Contains,

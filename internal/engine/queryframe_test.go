@@ -340,7 +340,7 @@ func TestReleaseIsOptionalAndIdempotent(t *testing.T) {
 // executed; only then is the frame free for a dispatch.
 func TestCompletedFrameNotReusedWithinDecision(t *testing.T) {
 	s := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
 		cfg.Cache = c
 	})

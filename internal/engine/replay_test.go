@@ -37,7 +37,7 @@ func TestReplayByteIdenticalTraces(t *testing.T) {
 			Hotspots:       3,
 		})
 		s := testStore(t)
-		ch := cache.New(16, cache.NewLRU())
+		ch := cache.New(16, cache.NewLRUK(1, 0))
 		var buf bytes.Buffer
 		spec, err := fault.ParseSpec("disk-transient:p=0.05,extra=1ms;disk-slow:p=0.05,extra=2ms;corrupt:p=0.02")
 		if err != nil {
@@ -110,7 +110,7 @@ func TestStallLimitAbortsDeadlock(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Config{
 		Store: s,
-		Cache: cache.New(4, cache.NewLRU()),
+		Cache: cache.New(4, cache.NewLRUK(1, 0)),
 		Sched: deadlockSched{},
 		Cost:  testCost,
 		Obs:   &obs.Obs{Reg: reg},
@@ -141,7 +141,7 @@ func TestSessionStallLimitAbortsDeadlock(t *testing.T) {
 	reg := obs.NewRegistry()
 	sess, err := NewSession(Config{
 		Store: s,
-		Cache: cache.New(4, cache.NewLRU()),
+		Cache: cache.New(4, cache.NewLRUK(1, 0)),
 		Sched: deadlockSched{},
 		Cost:  testCost,
 		Obs:   &obs.Obs{Reg: reg},

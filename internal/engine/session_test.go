@@ -21,7 +21,7 @@ import (
 func newTestSession(t testing.TB) *Session {
 	t.Helper()
 	s := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	sess, err := NewSession(Config{Store: s, Cache: c, Sched: js, Cost: testCost, JobAware: true})
 	if err != nil {
@@ -32,7 +32,7 @@ func newTestSession(t testing.TB) *Session {
 
 func TestSessionStreamsResults(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestSessionStreamsResults(t *testing.T) {
 
 func TestSessionMultipleSubmissionsAdvanceClock(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: sched.NewNoShare(), Cost: testCost})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestSessionMultipleSubmissionsAdvanceClock(t *testing.T) {
 
 func TestSessionOrderedJobAcrossSubmissions(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost, JobAware: true})
 	if err != nil {
@@ -137,7 +137,7 @@ func TestSessionRejectsInvalidJob(t *testing.T) {
 
 func TestSessionDuplicateJobFailsLoop(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: sched.NewNoShare(), Cost: testCost})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSessionDuplicateJobFailsLoop(t *testing.T) {
 
 func TestSessionSubmitAfterLoopFailureErrors(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: sched.NewNoShare(), Cost: testCost})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,9 @@ func TestSessionSubmitAfterLoopFailureErrors(t *testing.T) {
 // is forgotten and the list of completed results does not grow with the
 // session's history, so the second half of the stream leaves the heap
 // where the first half did. What still grows is the final report's
-// response-time samples, 8 B a query (ROADMAP item 1, next on the ledger);
-// a remembered job would be 200 B and its points. Frames and results are
+// response-time samples, 8 B a query (Engine.completedRT: only the closing
+// report reads it, so a session never trims it); a remembered job would be
+// 200 B and its points. Frames and results are
 // recycled, so there are as many of either as queries were in flight at
 // once — a burst — and no more after 22 000 queries than after 2 000; a
 // derivative burst early on sizes the frames, and the plain queries that
@@ -277,7 +278,7 @@ func TestSessionBoundedMemory(t *testing.T) {
 
 func TestSessionHonoursCrashFault(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	spec, err := fault.ParseSpec("crash@0:at=1ms")
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +306,7 @@ func TestSessionHonoursCrashFault(t *testing.T) {
 
 func TestSessionConcurrentSubmitters(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost})
 	if err != nil {
@@ -348,7 +349,7 @@ func TestSessionConcurrentSubmitters(t *testing.T) {
 
 func BenchmarkSessionThroughput(b *testing.B) {
 	st := testStore(b)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
 	sess, err := NewSession(Config{Store: st, Cache: c, Sched: js, Cost: testCost})
 	if err != nil {
@@ -425,7 +426,7 @@ func (r *recordingSched) NextBatch(now time.Duration) []sched.Batch {
 // scheduler returned them.
 func TestSessionReportsEveryDecision(t *testing.T) {
 	st := testStore(t)
-	c := cache.New(16, cache.NewLRU())
+	c := cache.New(16, cache.NewLRUK(1, 0))
 	rec := &recordingSched{Scheduler: sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 2, Resident: c.Contains})}
 	var reported [][]store.AtomID
 	sess, err := NewSession(Config{
@@ -473,7 +474,7 @@ func TestSessionCrashInsideIdleGap(t *testing.T) {
 	}
 	tr := obs.NewTracer(0, nil)
 	sess, err := NewSession(Config{
-		Store: st, Cache: cache.New(16, cache.NewLRU()), Sched: sched.NewNoShare(), Cost: testCost,
+		Store: st, Cache: cache.New(16, cache.NewLRUK(1, 0)), Sched: sched.NewNoShare(), Cost: testCost,
 		Fault: fault.New(spec, 1, 0),
 		Obs:   &obs.Obs{Trace: tr},
 	})

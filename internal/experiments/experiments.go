@@ -464,17 +464,14 @@ type Table1Result struct {
 	Table textplot.Table
 }
 
-// Table1 compares LRU-K, SLRU, and URC under JAWS1 (as in §VI: cache
-// replacement studied without the job-aware variable), plus the LRU and
-// FIFO ablations.
-func Table1(s Scale, includeAblations bool) (*Table1Result, error) {
-	policies := []system.CachePolicy{system.PolicyLRUK, system.PolicySLRU, system.PolicyURC}
-	if includeAblations {
-		policies = append(policies, system.PolicyTwoQ, system.PolicyLRU, system.PolicyFIFO)
-	}
+// Table1 compares the cache policies — LRU-K, SLRU and URC, one row each
+// in the enum's order — under JAWS1 (as in §VI: cache replacement studied
+// without the job-aware variable).
+func Table1(s Scale) (*Table1Result, error) {
 	r := &Table1Result{}
 	r.Table.Header = []string{"policy", "cache hit", "sec/qry", "overhead/qry"}
-	for _, pol := range policies {
+	for v := range system.CachePolicyNames() {
+		pol := system.CachePolicy(v)
 		rep, err := RunPolicy(s, pol)
 		if err != nil {
 			return nil, err

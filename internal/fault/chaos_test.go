@@ -49,7 +49,7 @@ func chaosConfig(t *testing.T, seed int64) cluster.Config {
 			BatchSize:   4,
 			AlphaSet:    true, // α fixed at 0
 			AdaptiveOff: true,
-			Policy:      system.PolicyLRU,
+			Policy:      system.PolicyLRUK,
 			CacheAtoms:  8,
 			Cost:        chaosCost,
 			Fault:       spec,

@@ -537,10 +537,10 @@ func poolDrops() bool {
 const servedOverFloorAllocs = 14
 
 // TestServedRequestOverFloor measures a served request against the
-// net/http floor (ROADMAP 4(a)) on real loopback keep-alive requests: one
-// client sends the same 8-point body to an empty handler — it reads the
-// body and writes one header and 200 — and to Handler() over the fake
-// backend. Allocations are counted process-wide, client included, so the
+// net/http floor (DESIGN.md §13, "Wire codec") on real loopback keep-alive
+// requests: one client sends the same 8-point body to an empty handler — it
+// reads the body and writes one header and 200 — and to Handler() over the
+// fake backend. Allocations are counted process-wide, client included, so the
 // difference per request is what the serving layer adds to net/http.
 func TestServedRequestOverFloor(t *testing.T) {
 	if poolDrops() {

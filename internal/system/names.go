@@ -35,13 +35,6 @@ const (
 	PolicySLRU
 	// PolicyURC is utility-ranked caching coordinated with the scheduler.
 	PolicyURC
-	// PolicyLRU is plain LRU (ablation).
-	PolicyLRU
-	// PolicyFIFO is FIFO (ablation).
-	PolicyFIFO
-	// PolicyTwoQ is the 2Q algorithm of Johnson & Shasha, one of SLRU's
-	// antecedents (ablation).
-	PolicyTwoQ
 )
 
 // enum is what the two enums share: the name table, indexed by value, that
@@ -53,7 +46,7 @@ type enum struct {
 
 var (
 	schedulers    = enum{"Scheduler", "scheduler", []string{"NoShare", "LifeRaft1", "LifeRaft2", "JAWS1", "JAWS2"}}
-	cachePolicies = enum{"CachePolicy", "cache policy", []string{"LRU-K", "SLRU", "URC", "LRU", "FIFO", "2Q"}}
+	cachePolicies = enum{"CachePolicy", "cache policy", []string{"LRU-K", "SLRU", "URC"}}
 )
 
 // fold is the spelling a name is matched in, and listed in for a flag:

@@ -184,12 +184,6 @@ func Open(cfg Config) (*System, error) {
 		pol = cache.NewSLRU(cfg.CacheAtoms, cfg.ProtectedFrac)
 	case PolicyURC:
 		pol = cache.NewURC()
-	case PolicyLRU:
-		pol = cache.NewLRU()
-	case PolicyFIFO:
-		pol = cache.NewFIFO()
-	case PolicyTwoQ:
-		pol = cache.NewTwoQ(cfg.CacheAtoms)
 	default:
 		return nil, fmt.Errorf("jaws: unknown cache policy %v", cfg.Policy)
 	}

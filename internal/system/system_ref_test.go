@@ -71,12 +71,6 @@ func refAssemble(cfg system.Config) (engine.Config, error) {
 		pol = cache.NewSLRU(cfg.CacheAtoms, cfg.ProtectedFrac)
 	case system.PolicyURC:
 		pol = cache.NewURC()
-	case system.PolicyLRU:
-		pol = cache.NewLRU()
-	case system.PolicyFIFO:
-		pol = cache.NewFIFO()
-	case system.PolicyTwoQ:
-		pol = cache.NewTwoQ(cfg.CacheAtoms)
 	default:
 		return engine.Config{}, fmt.Errorf("unknown cache policy %v", cfg.Policy)
 	}
@@ -186,7 +180,7 @@ func sameRun(t *testing.T, what string, got, want *engine.Report) {
 	}
 }
 
-// refCases is the matrix: 5 schedulers × 6 cache policies, plus every
+// refCases is the matrix: 5 schedulers × 3 cache policies, plus every
 // setting of the description that reaches the scheduler or the engine.
 func refCases(s experiments.Scale) map[string]system.Config {
 	base := func(alg system.Scheduler) system.Config {
@@ -204,7 +198,7 @@ func refCases(s experiments.Scale) map[string]system.Config {
 	}
 	cases := map[string]system.Config{}
 	for _, alg := range experiments.AllAlgorithms() {
-		for pol := system.PolicyLRUK; pol <= system.PolicyTwoQ; pol++ {
+		for pol := system.PolicyLRUK; pol <= system.PolicyURC; pol++ {
 			cfg := base(alg)
 			cfg.Policy = pol
 			cases[fmt.Sprintf("%v/%v", alg, pol)] = cfg

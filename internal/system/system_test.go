@@ -104,11 +104,11 @@ func oneQueryJob(n int) *job.Job {
 // zero — as cmd/jaws and cmd/jawsd leave it — the scheduler therefore
 // scores with a zero cost model (Eq. 1 yields U_t = 0 for every atom) while
 // the engine falls back to its own default, the zero-CostModel issue of
-// DESIGN.md §19 and ROADMAP item 3. The fix is one line in the defaults
-// block (Config.WithDefaults: default Cost there, so both readers see the
-// same model); it changes serving behaviour, so it waits for the benchmark
-// re-baseline of ROADMAP item 5 — and when it lands, the zero-cost
-// assertions below flip on purpose.
+// DESIGN.md §19. The fix is one line in the defaults block
+// (Config.WithDefaults: default Cost there, so both readers see the same
+// model); it changes serving behaviour, so it waits for a re-baseline of
+// the wall-clock benchmark — and when it lands, the zero-cost assertions
+// below flip on purpose.
 func TestCostHandedAsGiven(t *testing.T) {
 	utility := func(cost sched.CostModel) float64 {
 		cfg := smallConfig(system.SchedJAWS2)
@@ -190,8 +190,8 @@ func TestEnumNames(t *testing.T) {
 	if got := len(system.SchedulerNames()); got != 5 {
 		t.Errorf("%d scheduler names, want 5", got)
 	}
-	if got := len(system.CachePolicyNames()); got != 6 {
-		t.Errorf("%d cache policy names, want 6", got)
+	if got := len(system.CachePolicyNames()); got != 3 {
+		t.Errorf("%d cache policy names, want 3", got)
 	}
 	if p, err := system.ParseCachePolicy("lru-k"); err != nil || p != system.PolicyLRUK {
 		t.Errorf(`ParseCachePolicy("lru-k") = %v, %v`, p, err)

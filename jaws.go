@@ -165,15 +165,12 @@ const (
 	SchedJAWS2     = system.SchedJAWS2
 )
 
-// Cache policies: the LRU-K baseline, SLRU and URC of Table I, and the
-// LRU, FIFO and 2Q ablations.
+// Cache policies: the LRU-K baseline, SLRU and URC, the three rows of
+// Table I.
 const (
 	PolicyLRUK = system.PolicyLRUK
 	PolicySLRU = system.PolicySLRU
 	PolicyURC  = system.PolicyURC
-	PolicyLRU  = system.PolicyLRU
-	PolicyFIFO = system.PolicyFIFO
-	PolicyTwoQ = system.PolicyTwoQ
 )
 
 // ParseScheduler and ParseCachePolicy invert the enums' String methods

@@ -75,7 +75,11 @@ func TestJAWS2BeatsNoShareOnContendedTrace(t *testing.T) {
 }
 
 func TestAllCachePolicies(t *testing.T) {
-	for _, p := range []CachePolicy{PolicyLRUK, PolicySLRU, PolicyURC, PolicyLRU, PolicyFIFO, PolicyTwoQ} {
+	for _, name := range CachePolicyNames() {
+		p, err := ParseCachePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := smallConfig(SchedJAWS1)
 		cfg.Policy = p
 		sys, err := Open(cfg)
@@ -205,10 +209,14 @@ func TestStringers(t *testing.T) {
 			t.Fatal("empty scheduler name")
 		}
 	}
-	for _, p := range []CachePolicy{PolicyLRUK, PolicySLRU, PolicyURC, PolicyLRU, PolicyFIFO, PolicyTwoQ, CachePolicy(42)} {
-		if p.String() == "" {
-			t.Fatal("empty policy name")
+	for _, name := range CachePolicyNames() {
+		p, err := ParseCachePolicy(name)
+		if err != nil || p.String() == "" {
+			t.Fatalf("policy %q: %q, %v", name, p, err)
 		}
+	}
+	if CachePolicy(42).String() == "" {
+		t.Fatal("empty policy name")
 	}
 }
 

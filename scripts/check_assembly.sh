@@ -9,7 +9,7 @@
 # adjusts the engine config system.EngineConfig returned before handing it
 # to engine.New (the ablation study's scheduler handle, the oracle's
 # recorder). benchmark/ holds its own copy under a wiring-drift test until
-# ROADMAP item 1 re-points it.
+# the benchmark is rebuilt on internal/system.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

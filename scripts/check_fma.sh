@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The guard that keeps the scheduler and its oracle free of fused
-# multiply-adds (ROADMAP item 8). The Go spec lets a compiler fuse x*y + z
-# into one FMA instruction unless an explicit float64(...) conversion
-# forces the product to round; amd64 never fuses, arm64, ppc64le and
-# riscv64 do. A fused site rounds differently from amd64, so the
-# byte-identical artifacts and the oracle's strict float equality would
-# hold on one architecture only.
+# multiply-adds. The Go spec lets a compiler fuse x*y + z into one FMA
+# instruction unless an explicit float64(...) conversion forces the
+# product to round; amd64 never fuses, arm64, ppc64le and riscv64 do. A
+# fused site rounds differently from amd64, so the byte-identical artifacts
+# and the oracle's strict float equality (DESIGN.md §12) would hold on one
+# architecture only.
 #
 # The script cross-compiles cmd/jawsd and cmd/jawscheck for each of those
 # architectures (no emulator needed) and disassembles every function of

@@ -25,12 +25,12 @@ import (
 // examples/, this facade, benchmark/, internal/oracle — and every field of
 // an internal *Config type the facade does not re-export must be set by
 // non-test code outside the package that declares it. surfaceAllow is the
-// short list of names kept for a test or a ROADMAP item, one reason each.
+// short list of names kept for a test, one reason each, naming the test.
 var surfaceAllow = map[string]string{
 	"jaws/internal/cache.URC.MetadataLen": "how the engine's URC-coordination test sees utilities arrive, and the O(resident) metadata claim's test",
 	"jaws/internal/jobgraph.Align":        "set-up of the alignment property tests: one call drives the Aligner the graph drives row by row",
 	"jaws/internal/jobgraph.Graph.AddJob": "set-up of the gating tests and the oracle's: registration through the shares callback, which AddJobWithAtoms' index replaced in the engine",
-	"jaws/internal/jobgraph.Graph.Prune":  "ROADMAP item 5(c) calls it from the engine; differential and fuzz tests hold it to the reference until then",
+	"jaws/internal/jobgraph.Graph.Prune":  "the paper's pruning, not yet called by the engine (it moves the artifacts): TestPruneThenAdmit, FuzzGraphOps and oracle.TestGatingPruneDifferential hold it to the references",
 	"jaws/internal/sched.JAWS.PassOvers":  "invariant checker: the engine's flight test holds the adaptive-batch steer's count to the recorder's PassBatchFull",
 	"jaws/internal/sched.JAWS.Resizes":    "invariant checker: the same test and the policy tests assert the steer grew and shrank k",
 }
