@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-bench check-bench-scenarios check-tail-scenarios check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-compare bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-assembly check-reporting check-surface build test race fuzz-smoke
@@ -21,11 +21,13 @@ check-assembly:
 check-reporting:
 	./scripts/check_reporting.sh
 
-## check-fma: no fused multiply-add in internal/sched or internal/oracle —
-## jawsd and jawscheck cross-compiled for arm64, ppc64le and riscv64 and
-## disassembled (the oracle compares floats with ==, DESIGN.md §12); a
-## fused x*y + z rounds differently from amd64, so the byte-identical
-## artifacts and the oracle's float equality would hold on amd64 only. Offending functions are printed.
+## check-fma: no fused multiply-add in the packages that compute a
+## decision, a sample or a trace (sched, oracle, field, query, engine,
+## workload, disk, vclock, prefetch) — jawsd and jawscheck cross-compiled
+## for arm64, ppc64le and riscv64 and disassembled (the oracle compares
+## floats with ==, DESIGN.md §12); a fused x*y + z rounds differently from
+## amd64, so the byte-identical artifacts and the oracle's float equality
+## would hold on amd64 only. Offending functions are printed.
 check-fma:
 	./scripts/check_fma.sh
 
@@ -44,56 +46,13 @@ check-surface:
 check-oracle:
 	$(GO) run ./cmd/jawscheck
 
-## check-bench: measure this tree and gate it against the committed
-## BENCH_main.json baseline (exits 3 past the regression threshold).
-check-bench:
-	$(GO) run ./cmd/jawsbench -compare BENCH_main.json
-
-## check-bench-scenarios: the scenario-matrix regression gates — each
-## scenario's measurement against its own committed baseline (a
-## cross-scenario comparison is refused by the artifact schema). CI runs
-## these as a matrix job; use SCENARIO=<name> to gate a single one.
-SCENARIO ?=
-check-bench-scenarios:
-ifeq ($(SCENARIO),)
-	$(GO) run ./cmd/jawsbench -scenario poisson-box -compare BENCH_poisson-box.json
-	$(GO) run ./cmd/jawsbench -scenario deriv-chain -compare BENCH_deriv-chain.json
-	$(GO) run ./cmd/jawsbench -scenario diurnal -compare BENCH_diurnal.json
-else
-	$(GO) run ./cmd/jawsbench -scenario $(SCENARIO) -compare BENCH_$(SCENARIO).json
-endif
-
-## check-tail-scenarios: the tail-policy regression gates — each
-## scenario's policy stack (the one its committed BENCH_<scenario>-tail
-## baseline was measured with) re-measured and gated against that
-## baseline, per-cause p99 wait included. CI runs these as the tail-gate
-## matrix job (see DESIGN.md §18).
-TAIL_FIG8 := -scenario fig8 -policy 'gate-aware:boost=1.2,discount=0.8'
-TAIL_POISSON_BOX := -scenario poisson-box -policy 'gate-aware'
-TAIL_DERIV_CHAIN := -scenario deriv-chain -policy 'cross-step:span=2;adaptive-batch'
-check-tail-scenarios:
-	$(GO) run ./cmd/jawsbench $(TAIL_FIG8) -compare BENCH_fig8-tail.json
-	$(GO) run ./cmd/jawsbench $(TAIL_POISSON_BOX) -compare BENCH_poisson-box-tail.json
-	$(GO) run ./cmd/jawsbench $(TAIL_DERIV_CHAIN) -compare BENCH_deriv-chain-tail.json
-
 ## check-artifacts: the proof a refactor changed no decision — every
-## committed BENCH_*.json regenerated with the exact flags of check-bench,
-## check-bench-scenarios and check-tail-scenarios and compared byte for
-## byte (cmp, not the threshold compare of those gates; the virtual-time
-## artifacts are byte-deterministic, DESIGN.md §11).
+## committed BENCH_*.json regenerated and compared byte for byte (the
+## virtual-time artifacts are byte-deterministic, DESIGN.md §11). The files
+## and the arguments that produce them are one table in
+## cmd/jawsbench/artifacts_test.go; the test is also part of go test ./...
 check-artifacts:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	regen() { out=$$1; shift; \
-		$(GO) run ./cmd/jawsbench "$$@" -bench-out "$$tmp/$$out" >/dev/null; \
-		cmp "$$tmp/$$out" "$$out"; echo "$$out: byte-identical"; }; \
-	regen BENCH_main.json; \
-	regen BENCH_poisson-box.json -scenario poisson-box; \
-	regen BENCH_deriv-chain.json -scenario deriv-chain; \
-	regen BENCH_diurnal.json -scenario diurnal; \
-	regen BENCH_fig8-tail.json $(TAIL_FIG8); \
-	regen BENCH_poisson-box-tail.json $(TAIL_POISSON_BOX); \
-	regen BENCH_deriv-chain-tail.json $(TAIL_DERIV_CHAIN); \
-	for f in BENCH_*.json; do [ -f "$$tmp/$$f" ] || { echo "check-artifacts: $$f has no regeneration rule"; exit 1; }; done
+	$(GO) test -count=1 -run TestArtifactsByteIdentical ./cmd/jawsbench/
 
 build:
 	$(GO) build ./...
@@ -189,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzWrap -fuzztime 10s ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run xxx -fuzz FuzzScanTrace -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run xxx -fuzz FuzzLoadArtifact -fuzztime 10s -fuzzminimizetime 1s ./internal/bench/
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline), and the eviction
@@ -226,16 +186,11 @@ profile-serve:
 	PROFILE_DIR=$(PROFILE_DIR) GO=$(GO) ./scripts/profile_serve.sh
 
 ## bench: measure this tree into a versioned BENCH_*.json artifact
-## (byte-deterministic for a fixed config; see DESIGN.md §11).
+## (byte-deterministic for a fixed config; see DESIGN.md §11), written
+## under bench-artifacts/ so it is never mistaken for a committed one.
 bench:
-	$(GO) run ./cmd/jawsbench -bench-out BENCH_pr.json
-
-## bench-compare: gate this tree against a committed baseline artifact
-## (exits 3 past the regression threshold). Usage:
-##   make bench-compare BASELINE=BENCH_main.json
-BASELINE ?= BENCH_main.json
-bench-compare:
-	$(GO) run ./cmd/jawsbench -compare $(BASELINE)
+	@mkdir -p bench-artifacts
+	$(GO) run ./cmd/jawsbench -bench-out bench-artifacts/BENCH_pr.json
 
 ## bench-wall: the wall-clock benchmark BENCHMARK.json names — a real
 ## jawsd under load and trace replays, five workloads (benchmark/README.md).

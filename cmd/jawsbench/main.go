@@ -15,30 +15,25 @@
 // EXPERIMENTS.md.
 //
 // Benchmark trajectory mode (DESIGN.md §11) sidesteps the experiment
-// tables and produces or gates a versioned BENCH_*.json artifact:
+// tables and writes a versioned, byte-deterministic BENCH_*.json artifact:
 //
-//	jawsbench -bench-out BENCH_pr.json             # measure this tree
-//	jawsbench -compare BENCH_main.json             # re-measure and gate
-//	jawsbench -compare BENCH_main.json -with BENCH_pr.json   # gate two files
-//
-// Compare mode exits 3 when throughput drops or p95 response rises by
-// more than -regress (default 10%).
+//	jawsbench -bench-out bench-artifacts/BENCH_pr.json   # measure this tree (make bench)
 //
 // The workload scenario matrix (DESIGN.md §17) varies the arrival process
 // and query-class mix without touching the scale:
 //
 //	jawsbench -list-scenarios                      # the registry, one per line
-//	jawsbench -scenario poisson-box -bench-out BENCH_poisson-box.json
-//	jawsbench -scenario deriv-chain -compare BENCH_deriv-chain.json
-//
-// Each scenario gates against its own baseline: artifacts record the
-// scenario and Compare refuses cross-scenario comparisons.
+//	jawsbench -scenario poisson-box -bench-out BENCH_poisson-box.json   # re-record the committed file
 //
 // Tail policies (DESIGN.md §18) decorate the JAWS scheduler for the run;
-// the artifact records the spec and gets a -tail name suffix by default:
+// the artifact records the spec and its name gets a -tail suffix:
 //
-//	jawsbench -scenario fig8 -policy 'gate-aware;adaptive-batch' -bench-out BENCH_fig8-tail.json
-//	jawsbench -scenario fig8 -policy 'gate-aware;adaptive-batch' -compare BENCH_fig8-tail.json
+//	jawsbench -scenario fig8 -policy 'gate-aware;adaptive-batch' -bench-out bench-artifacts/BENCH_fig8-tail.json
+//
+// The artifact is named after the scenario (jaws2 for the baseline trace).
+// The committed artifacts and the arguments that produce each one are the
+// table in artifacts_test.go; go test ./cmd/jawsbench/ regenerates them and
+// fails on any byte that moved, printing the command that re-records it.
 package main
 
 import (
@@ -70,8 +65,7 @@ type cli struct {
 }
 
 // run is the testable body of the command: flags in, exit code out.
-// Exit codes: 0 success, 1 runtime error, 2 usage error, 3 benchmark
-// regression gate failure.
+// Exit codes: 0 success, 1 runtime error, 2 usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	c := &cli{stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet("jawsbench", flag.ContinueOnError)
@@ -83,16 +77,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text or csv")
 	rf := system.BindRunFlags(fs, false)
 	benchOut := fs.String("bench-out", "", "run the benchmark workload and write a BENCH_*.json artifact to this file (skips the experiment tables)")
-	benchName := fs.String("bench-name", "", "artifact name recorded in -bench-out / fresh -compare runs (default: the scenario name, or jaws2 for the baseline)")
 	scenario := fs.String("scenario", "", "workload scenario overlay for experiments and benchmarks (see -list-scenarios); empty means the fig8 baseline")
 	policy := fs.String("policy", "", "tail-policy spec decorating the JAWS scheduler of every experiment (ablation and alpha included) and benchmark, e.g. gate-aware;adaptive-batch:min=4,max=32 (DESIGN.md §18); empty means undecorated")
 	listScenarios := fs.Bool("list-scenarios", false, "list the workload scenario registry and exit")
-	compareWith := fs.String("compare", "", "baseline BENCH_*.json to gate against (re-measures unless -with is given; exits 3 on regression)")
-	withFile := fs.String("with", "", "candidate BENCH_*.json for -compare (instead of re-measuring)")
-	regress := fs.Float64("regress", 0.10, "regression threshold for -compare: max fractional throughput drop / p95 rise")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address for profiling long runs (e.g. localhost:6060); empty disables")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *benchOut != "" {
+		// The artifact run brings its own observers and writes no tables,
+		// so these flags would be silently dropped.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "exp", "format", "trace-out", "metrics":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(stderr, "jawsbench: -bench-out cannot be combined with %s\n", strings.Join(ignored, ", "))
+			return 2
+		}
 	}
 
 	if *listScenarios {
@@ -151,21 +156,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	scale.FaultSeed = rf.FaultSeed
 
-	if *benchOut != "" || *compareWith != "" {
-		name := *benchName
-		if name == "" {
-			if *scenario != "" {
-				name = *scenario
-			} else {
-				name = "jaws2"
-			}
-			if *policy != "" {
-				// Tail-policy artifacts live beside the undecorated baselines
-				// (BENCH_fig8.json vs BENCH_fig8-tail.json), never overwrite them.
-				name += "-tail"
-			}
-		}
-		return c.benchMode(scale, *benchOut, name, *compareWith, *withFile, *regress)
+	if *benchOut != "" {
+		return c.benchMode(scale, *benchOut)
 	}
 
 	if scale.Obs, err = rf.Obs(); err != nil {
@@ -308,53 +300,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchMode handles -bench-out and -compare: measure the tree, write the
-// artifact, and/or gate against a baseline. Returns 3 on regression.
-func (c *cli) benchMode(scale experiments.Scale, outPath, name, basePath, withPath string, threshold float64) int {
-	var cur *bench.Artifact
-	if withPath != "" {
-		var err error
-		cur, err = bench.Load(withPath)
-		if err != nil {
-			return c.fail(err)
-		}
-	} else {
-		start := time.Now()
-		a, err := bench.Run(scale, name)
-		if err != nil {
-			return c.fail(err)
-		}
-		cur = a
-		fmt.Fprintf(c.stdout, "benchmark: %d queries, %.3f q/s, p95 %.1f ms, cache hit %.0f%% (measured in %v)\n",
-			cur.Completed, cur.ThroughputQPS, cur.P95ResponseMS, cur.CacheHitRate*100,
-			time.Since(start).Round(time.Millisecond))
+// benchMode handles -bench-out: measure the tree and write the artifact,
+// named after the scenario (jaws2 for the baseline trace) with a -tail
+// suffix under a tail policy, so BENCH_fig8.json and BENCH_fig8-tail.json
+// never overwrite each other.
+func (c *cli) benchMode(scale experiments.Scale, outPath string) int {
+	name := scale.Scenario
+	if name == "" {
+		name = "jaws2"
 	}
-	if outPath != "" {
-		if err := cur.WriteFile(outPath); err != nil {
-			return c.fail(err)
-		}
-		fmt.Fprintf(c.stdout, "artifact: %s\n", outPath)
+	if scale.TailPolicy != "" {
+		name += "-tail"
 	}
-	if basePath == "" {
-		return 0
-	}
-	base, err := bench.Load(basePath)
+	start := time.Now()
+	a, err := bench.Run(scale, name)
 	if err != nil {
 		return c.fail(err)
 	}
-	regs, err := bench.Compare(base, cur, threshold)
-	if err != nil {
+	fmt.Fprintf(c.stdout, "benchmark: %d queries, %.3f q/s, p95 %.1f ms, cache hit %.0f%% (measured in %v)\n",
+		a.Completed, a.ThroughputQPS, a.P95ResponseMS, a.CacheHitRate*100,
+		time.Since(start).Round(time.Millisecond))
+	if err := a.WriteFile(outPath); err != nil {
 		return c.fail(err)
 	}
-	if len(regs) == 0 {
-		fmt.Fprintf(c.stdout, "gate: PASS vs %s (threshold %.0f%%)\n", basePath, threshold*100)
-		return 0
-	}
-	fmt.Fprintf(c.stderr, "gate: FAIL vs %s (threshold %.0f%%)\n", basePath, threshold*100)
-	for _, r := range regs {
-		fmt.Fprintf(c.stderr, "  regression: %s\n", r)
-	}
-	return 3
+	fmt.Fprintf(c.stdout, "artifact: %s\n", outPath)
+	return 0
 }
 
 // fig11Series groups the Fig. 11 grid into per-algorithm series.

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +18,8 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	artifact, trace := filepath.Join(dir, "q.json"), filepath.Join(dir, "t.jsonl")
 	cases := []struct {
 		args []string
 		want string
@@ -26,6 +27,11 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 		{[]string{"-format", "xml"}, `unknown format "xml"`},
 		{[]string{"-quick", "-exp", "fig99"}, `unknown experiment "fig99"`},
+		// The artifact run has its own observers and prints no tables:
+		// flags it would ignore are refused, by name.
+		{[]string{"-quick", "-bench-out", artifact, "-trace-out", trace, "-metrics"}, "-bench-out cannot be combined with -metrics, -trace-out"},
+		{[]string{"-quick", "-bench-out", artifact, "-exp", "fig10"}, "-bench-out cannot be combined with -exp"},
+		{[]string{"-quick", "-bench-out", artifact, "-format", "text"}, "-bench-out cannot be combined with -format"},
 	}
 	for _, c := range cases {
 		code, _, errb := runCLI(t, c.args...)
@@ -34,6 +40,11 @@ func TestUsageErrors(t *testing.T) {
 		}
 		if !strings.Contains(errb, c.want) {
 			t.Errorf("%v: stderr %q missing %q", c.args, errb, c.want)
+		}
+	}
+	for _, p := range []string{artifact, trace} {
+		if _, err := os.Stat(p); err == nil {
+			t.Errorf("a usage error wrote %s", p)
 		}
 	}
 }
@@ -85,13 +96,10 @@ func TestBadFaultSpec(t *testing.T) {
 	}
 }
 
-// TestBenchOutCompareGate covers the benchmark trajectory mode end to end:
-// measure an artifact, gate it against itself (PASS, exit 0), then against
-// a doctored baseline claiming twice the throughput (FAIL, exit 3).
-func TestBenchOutCompareGate(t *testing.T) {
-	dir := t.TempDir()
-	artifact := filepath.Join(dir, "BENCH_pr.json")
-
+// TestBenchOutWritesArtifact covers the benchmark trajectory mode end to
+// end: the artifact is written, announced, and loads back.
+func TestBenchOutWritesArtifact(t *testing.T) {
+	artifact := filepath.Join(t.TempDir(), "BENCH_pr.json")
 	code, out, errb := runCLI(t, "-quick", "-bench-out", artifact)
 	if code != 0 {
 		t.Fatalf("-bench-out: exit %d, stderr: %s", code, errb)
@@ -101,49 +109,6 @@ func TestBenchOutCompareGate(t *testing.T) {
 	}
 	if _, err := bench.Load(artifact); err != nil {
 		t.Fatalf("written artifact does not load: %v", err)
-	}
-
-	// Self-comparison with -with skips re-measuring and must pass.
-	code, out, errb = runCLI(t, "-quick", "-compare", artifact, "-with", artifact)
-	if code != 0 {
-		t.Fatalf("self-compare: exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "gate: PASS") {
-		t.Errorf("self-compare did not report PASS:\n%s", out)
-	}
-
-	// Doctor a baseline that claims double the throughput; the measured
-	// artifact then regresses past any reasonable threshold.
-	doctored := filepath.Join(dir, "BENCH_main.json")
-	raw, err := os.ReadFile(artifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["throughput_qps"] = m["throughput_qps"].(float64) * 2
-	raw, err = json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(doctored, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, _, errb = runCLI(t, "-quick", "-compare", doctored, "-with", artifact)
-	if code != 3 {
-		t.Fatalf("regression gate: exit %d, want 3 (stderr: %s)", code, errb)
-	}
-	if !strings.Contains(errb, "gate: FAIL") || !strings.Contains(errb, "regression:") {
-		t.Errorf("regression gate stderr incomplete: %s", errb)
-	}
-
-	// Missing baseline file is a runtime error, not a gate failure.
-	code, _, _ = runCLI(t, "-quick", "-compare", filepath.Join(dir, "missing.json"), "-with", artifact)
-	if code != 1 {
-		t.Errorf("missing baseline: exit %d, want 1", code)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package bench produces versioned, machine-readable benchmark artifacts
-// (BENCH_<name>.json) from the evaluation harness, so the repository can
-// track its own performance trajectory PR over PR: each artifact captures
+// (BENCH_<name>.json) from the evaluation harness: each artifact captures
 // throughput, response-time percentiles, per-phase attribution, and the
-// exact configuration that produced them, and Compare gates a new artifact
-// against an old one with a regression threshold.
+// exact configuration that produced them.
 //
 // Determinism contract: for a fixed (workload, seed, config) the artifact
 // bytes are identical across runs and machines. Everything in the artifact
 // derives from the virtual clock and integer arithmetic — no wall-clock
 // timestamps, no map iteration, no float accumulation whose order varies.
+// The committed artifacts are therefore checked by byte identity alone:
+// cmd/jawsbench's TestArtifactsByteIdentical regenerates each one and
+// compares it with the file.
 package bench
 
 import (
@@ -23,15 +24,13 @@ import (
 
 // ArtifactVersion is the BENCH_*.json schema version. Bump it on any
 // incompatible change to Artifact's shape; Load rejects other versions so
-// cross-version comparisons fail loudly instead of silently misreading.
-// Version 2 added the per-cause wait tail (wait_causes). Version 3 added
-// the workload scenario to the config record (the baseline "" trace is
-// recorded as "fig8"), so artifacts from different scenarios can never be
-// compared against each other by accident.
+// a reader of an older or newer file fails loudly instead of silently
+// misreading it. Version 2 added the per-cause wait tail (wait_causes).
+// Version 3 added the workload scenario to the config record (the baseline
+// "" trace is recorded as "fig8").
 const ArtifactVersion = 3
 
 // ConfigRecord pins the simulation parameters that produced an artifact.
-// Two artifacts are comparable only if their configs match.
 type ConfigRecord struct {
 	GridSide       int    `json:"grid_side"`
 	AtomSide       int    `json:"atom_side"`
@@ -51,7 +50,7 @@ type ConfigRecord struct {
 	Scenario string `json:"scenario"`
 	// Policy is the tail-policy spec decorating the scheduler (see
 	// sched.ParsePolicySpec); empty for the undecorated baseline, and
-	// omitted from the encoding so pre-policy artifacts stay comparable.
+	// omitted from the encoding so pre-policy artifacts keep their bytes.
 	Policy string `json:"policy,omitempty"`
 }
 
@@ -207,72 +206,21 @@ func Load(path string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
+	a, err := parse(b)
+	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
 	}
+	return a, nil
+}
+
+// parse decodes an artifact's bytes, rejecting unknown schema versions.
+func parse(b []byte) (*Artifact, error) {
+	var a Artifact
+	if err := json.Unmarshal(b, &a); err != nil {
+		return nil, err
+	}
 	if a.Version != ArtifactVersion {
-		return nil, fmt.Errorf("bench: %s has schema version %d, this build reads version %d", path, a.Version, ArtifactVersion)
+		return nil, fmt.Errorf("schema version %d, this build reads version %d", a.Version, ArtifactVersion)
 	}
 	return &a, nil
-}
-
-// Regression describes one gated metric that moved past the threshold.
-type Regression struct {
-	Metric string  // which number regressed
-	Old    float64 // baseline value
-	New    float64 // measured value
-	Delta  float64 // relative change, signed (negative = worse throughput, positive = worse latency)
-}
-
-// String renders the regression for CLI output.
-func (r Regression) String() string {
-	return fmt.Sprintf("%s: %.4f -> %.4f (%+.1f%%)", r.Metric, r.Old, r.New, r.Delta*100)
-}
-
-// Compare gates cur against old: throughput must not drop, and p95
-// response must not rise, by more than threshold (a fraction; 0.10 means
-// 10%). It returns the regressions found (empty means the gate passes) and
-// an error when the artifacts are not comparable at all.
-func Compare(old, cur *Artifact, threshold float64) ([]Regression, error) {
-	if old.Config.Scenario != cur.Config.Scenario {
-		return nil, fmt.Errorf("bench: artifacts measure different scenarios (%q vs %q): a cross-scenario comparison would gate nothing — rerun with the matching baseline",
-			old.Config.Scenario, cur.Config.Scenario)
-	}
-	if old.Config != cur.Config {
-		return nil, fmt.Errorf("bench: artifacts are not comparable: config %+v vs %+v", old.Config, cur.Config)
-	}
-	var regs []Regression
-	if old.ThroughputQPS > 0 {
-		delta := (cur.ThroughputQPS - old.ThroughputQPS) / old.ThroughputQPS
-		if delta < -threshold {
-			regs = append(regs, Regression{Metric: "throughput_qps", Old: old.ThroughputQPS, New: cur.ThroughputQPS, Delta: delta})
-		}
-	}
-	if old.P95ResponseMS > 0 {
-		delta := (cur.P95ResponseMS - old.P95ResponseMS) / old.P95ResponseMS
-		if delta > threshold {
-			regs = append(regs, Regression{Metric: "p95_response_ms", Old: old.P95ResponseMS, New: cur.P95ResponseMS, Delta: delta})
-		}
-	}
-	// Per-cause wait tails: the tail policies exist to push these down, so
-	// no single cause's p99 may creep back past the threshold unnoticed.
-	// Causes are matched by name (order-independent); the absolute floor
-	// keeps near-zero causes from tripping the relative gate on noise.
-	const causeFloorMS = 1.0
-	oldCauses := make(map[string]obs.CauseTail, len(old.WaitCauses))
-	for _, c := range old.WaitCauses {
-		oldCauses[c.Cause] = c
-	}
-	for _, c := range cur.WaitCauses {
-		o, ok := oldCauses[c.Cause]
-		if !ok || o.P99MS <= 0 {
-			continue
-		}
-		delta := (c.P99MS - o.P99MS) / o.P99MS
-		if delta > threshold && c.P99MS-o.P99MS > causeFloorMS {
-			regs = append(regs, Regression{Metric: "wait_" + c.Cause + "_p99_ms", Old: o.P99MS, New: c.P99MS, Delta: delta})
-		}
-	}
-	return regs, nil
 }

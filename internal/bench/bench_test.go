@@ -2,8 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"jaws/internal/experiments"
@@ -79,8 +79,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOtherVersions ensures cross-version comparisons fail
-// loudly.
+// TestLoadRejectsOtherVersions ensures a file of another schema version
+// fails loudly.
 func TestLoadRejectsOtherVersions(t *testing.T) {
 	s := experiments.TestScale()
 	a, err := Run(s, "ver")
@@ -97,67 +97,47 @@ func TestLoadRejectsOtherVersions(t *testing.T) {
 	}
 }
 
-// TestCompareGatesRegressions doctors a ≥10% throughput drop and a p95
-// rise and checks both trip the gate, while the identity comparison and
-// sub-threshold drift pass.
-func TestCompareGatesRegressions(t *testing.T) {
-	s := experiments.TestScale()
-	base, err := Run(s, "cmp")
+// FuzzLoadArtifact hammers the artifact reader with arbitrary bytes, seeded
+// with the committed artifacts: it must never panic, must accept only the
+// current schema version, and what it accepts must encode to a canonical
+// form that parses back to the same bytes.
+func FuzzLoadArtifact(f *testing.F) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-
-	if regs, err := Compare(base, base, 0.10); err != nil || len(regs) != 0 {
-		t.Fatalf("identity comparison failed: regs=%v err=%v", regs, err)
+	if len(paths) == 0 {
+		f.Fatal("no committed BENCH_*.json to seed the corpus")
 	}
-
-	slow := *base
-	slow.ThroughputQPS = base.ThroughputQPS * 0.85 // 15% drop
-	slow.P95ResponseMS = base.P95ResponseMS * 1.30 // 30% rise
-	regs, err := Compare(base, &slow, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions (throughput, p95), got %v", regs)
-	}
-
-	drift := *base
-	drift.ThroughputQPS = base.ThroughputQPS * 0.95 // within threshold
-	if regs, err := Compare(base, &drift, 0.10); err != nil || len(regs) != 0 {
-		t.Fatalf("5%% drift should pass a 10%% gate: regs=%v err=%v", regs, err)
-	}
-
-	other := *base
-	other.Config.Seed++
-	if _, err := Compare(base, &other, 0.10); err == nil {
-		t.Fatal("Compare accepted artifacts with different configs")
-	}
-}
-
-// TestCompareRefusesScenarioMismatch: two artifacts from different
-// scenarios must be rejected with an error that names both scenarios —
-// never compared (a cross-scenario gate would PASS or FAIL on noise).
-func TestCompareRefusesScenarioMismatch(t *testing.T) {
-	s := experiments.TestScale()
-	base, err := Run(s, "fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Config.Scenario != "fig8" {
-		t.Fatalf("empty Scale.Scenario recorded as %q, want fig8", base.Config.Scenario)
-	}
-
-	other := *base
-	other.Config.Scenario = "poisson-box"
-	for _, pair := range [][2]*Artifact{{base, &other}, {&other, base}} {
-		_, err := Compare(pair[0], pair[1], 0.10)
-		if err == nil {
-			t.Fatal("Compare accepted artifacts from different scenarios")
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, "fig8") || !strings.Contains(msg, "poisson-box") {
-			t.Errorf("error does not name both scenarios: %v", err)
-		}
+		f.Add(b)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := parse(data)
+		if err != nil {
+			return
+		}
+		if a.Version != ArtifactVersion {
+			t.Fatalf("accepted schema version %d, want %d", a.Version, ArtifactVersion)
+		}
+		enc, err := a.Encode()
+		if err != nil {
+			t.Fatalf("accepted artifact does not encode: %v", err)
+		}
+		back, err := parse(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding does not parse: %v\n%s", err, enc)
+		}
+		again, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("canonical encoding is not a fixed point:\n%s\n--- vs ---\n%s", enc, again)
+		}
+	})
 }

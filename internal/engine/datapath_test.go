@@ -115,7 +115,7 @@ func TestResultsMatchHandAssembly(t *testing.T) {
 			for j := 0; j < k; j++ {
 				v := field.Interpolate(deriv.Kernel, atoms[j], space, ac, p)
 				for c := range val {
-					val[c] += w[j] * v[c]
+					val[c] += float64(w[j] * v[c])
 				}
 			}
 			for c := range val {

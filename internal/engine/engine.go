@@ -308,7 +308,7 @@ func (st *queryState) difference() {
 		var val [field.Components]float64
 		for j := 0; j < k; j++ {
 			for comp := range val {
-				val[comp] += w[j] * chain[j*n+p].Val[comp]
+				val[comp] += float64(w[j] * chain[j*n+p].Val[comp])
 			}
 		}
 		for comp := range val {

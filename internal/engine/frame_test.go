@@ -69,7 +69,7 @@ func (f *freshValues) want(q *query.Query, p geom3) [field.Components]float64 {
 	for j, w := range query.DerivWeights(k) {
 		v := field.Interpolate(q.Kernel, f.atom(store.AtomID{Step: q.Step + j, Code: ac.Code()}), space, ac, pos)
 		for c := range val {
-			val[c] += w * v[c]
+			val[c] += float64(w * v[c])
 		}
 	}
 	for c := range val {

@@ -58,7 +58,7 @@ func New(seed int64, nModes int, dt float64) *Field {
 		kx := float64(rng.Intn(31) - 15)
 		ky := float64(rng.Intn(31) - 15)
 		kz := float64(rng.Intn(31) - 15)
-		k2 := kx*kx + ky*ky + kz*kz
+		k2 := float64(kx*kx) + float64(ky*ky) + float64(kz*kz)
 		if k2 < 1 {
 			continue
 		}
@@ -67,11 +67,11 @@ func New(seed int64, nModes int, dt float64) *Field {
 		amp := math.Pow(kmag, -11.0/6.0)
 		// Random direction projected perpendicular to k (incompressible).
 		ax, ay, az := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		dot := (ax*kx + ay*ky + az*kz) / k2
-		ax -= dot * kx
-		ay -= dot * ky
-		az -= dot * kz
-		norm := math.Sqrt(ax*ax + ay*ay + az*az)
+		dot := (float64(ax*kx) + float64(ay*ky) + float64(az*kz)) / k2
+		ax -= float64(dot * kx)
+		ay -= float64(dot * ky)
+		az -= float64(dot * kz)
+		norm := math.Sqrt(float64(ax*ax) + float64(ay*ay) + float64(az*az))
 		if norm < 1e-12 {
 			continue
 		}
@@ -80,7 +80,7 @@ func New(seed int64, nModes int, dt float64) *Field {
 			k:     [3]float64{kx, ky, kz},
 			a:     [3]float64{ax * scale, ay * scale, az * scale},
 			p:     amp * 0.5,
-			ph:    rng.Float64() * 2 * math.Pi,
+			ph:    float64(rng.Float64()) * 2 * math.Pi,
 			omega: kmag * 0.7, // eddy turnover frequency grows with k
 		})
 	}
@@ -101,15 +101,15 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 	for i := range f.modes {
 		m := &f.modes[i]
 		// Every product is rounded on its own (float64(...) forbids fusing it
-		// into the following add), so the fill kernel, which hoists three of
-		// them out of its inner loop, produces the same bits on every
-		// architecture.
+		// into the following add), here and in the fill kernel, which hoists
+		// three of them out of its inner loop, so both produce the same bits
+		// on every architecture (make check-fma).
 		phase := float64(m.k[0]*pos.X) + float64(m.k[1]*pos.Y) + float64(m.k[2]*pos.Z) + m.ph + float64(m.omega*t)
 		s := math.Sin(phase)
-		out[0] += m.a[0] * s
-		out[1] += m.a[1] * s
-		out[2] += m.a[2] * s
-		out[3] += m.p * math.Cos(phase)
+		out[0] += float64(m.a[0] * s)
+		out[1] += float64(m.a[1] * s)
+		out[2] += float64(m.a[2] * s)
+		out[3] += float64(m.p * math.Cos(phase))
 	}
 	return out
 }
@@ -265,10 +265,10 @@ func (a *Atom) fill(data []float64) {
 				ky := float64(m.k[1] * y)
 				for _, x := range xs {
 					s, c := math.Sincos(float64(kx*x) + ky + kz + m.ph + wt)
-					data[idx] += m.a[0] * s
-					data[idx+1] += m.a[1] * s
-					data[idx+2] += m.a[2] * s
-					data[idx+3] += m.p * c
+					data[idx] += float64(m.a[0] * s)
+					data[idx+1] += float64(m.a[1] * s)
+					data[idx+2] += float64(m.a[2] * s)
+					data[idx+3] += float64(m.p * c)
 					idx += Components
 				}
 			}

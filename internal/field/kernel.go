@@ -89,9 +89,9 @@ func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geo
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	h := atomLen / float64(a.Side)
 	wp := geom.Wrap(pos)
-	lx := (wp.X - float64(ac.I)*atomLen) / h
-	ly := (wp.Y - float64(ac.J)*atomLen) / h
-	lz := (wp.Z - float64(ac.K)*atomLen) / h
+	lx := (wp.X - float64(float64(ac.I)*atomLen)) / h
+	ly := (wp.Y - float64(float64(ac.J)*atomLen)) / h
+	lz := (wp.Z - float64(float64(ac.K)*atomLen)) / h
 	// Samples sit at cell centers (i+0.5); convert to sample coordinates.
 	sx, sy, sz := lx-0.5, ly-0.5, lz-0.5
 
@@ -144,10 +144,10 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 			for ii := 0; ii < n; ii++ {
 				w := wx[ii] * wyz
 				base := (rowBase*d + ix + g + ii) * Components
-				out[0] += w * a.Data[base]
-				out[1] += w * a.Data[base+1]
-				out[2] += w * a.Data[base+2]
-				out[3] += w * a.Data[base+3]
+				out[0] += float64(w * a.Data[base])
+				out[1] += float64(w * a.Data[base+1])
+				out[2] += float64(w * a.Data[base+2])
+				out[3] += float64(w * a.Data[base+3])
 			}
 		}
 	}

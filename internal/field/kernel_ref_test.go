@@ -45,9 +45,9 @@ func sampleCoords(a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Positio
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	h = atomLen / float64(a.Side)
 	wp := geom.Wrap(pos)
-	lx := (wp.X - float64(ac.I)*atomLen) / h
-	ly := (wp.Y - float64(ac.J)*atomLen) / h
-	lz := (wp.Z - float64(ac.K)*atomLen) / h
+	lx := (wp.X - float64(float64(ac.I)*atomLen)) / h
+	ly := (wp.Y - float64(float64(ac.J)*atomLen)) / h
+	lz := (wp.Z - float64(float64(ac.K)*atomLen)) / h
 	return lx - 0.5, ly - 0.5, lz - 0.5, h
 }
 
@@ -89,10 +89,10 @@ func refInterpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos 
 			for ii := 0; ii < n; ii++ {
 				w := wx[ii] * wyz
 				base := (rowBase*d + ix + g + ii) * Components
-				out[0] += w * a.Data[base]
-				out[1] += w * a.Data[base+1]
-				out[2] += w * a.Data[base+2]
-				out[3] += w * a.Data[base+3]
+				out[0] += float64(w * a.Data[base])
+				out[1] += float64(w * a.Data[base+1])
+				out[2] += float64(w * a.Data[base+2])
+				out[3] += float64(w * a.Data[base+3])
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func summarize(q *query.Query) observation {
 	var s2 float64
 	for _, pt := range unwrapped {
 		dx, dy, dz := pt.X-c.X, pt.Y-c.Y, pt.Z-c.Z
-		s2 += dx*dx + dy*dy + dz*dz
+		s2 += float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 	}
 	return observation{step: q.Step, centroid: geom.Wrap(c), spread: math.Sqrt(s2 / n)}
 }

@@ -27,7 +27,9 @@ func BoxQuery(id ID, space geom.Space, step int, lo, hi geom.Position, stride in
 	if hi.X-lo.X > geom.DomainSide || hi.Y-lo.Y > geom.DomainSide || hi.Z-lo.Z > geom.DomainSide {
 		return nil, fmt.Errorf("query: box exceeds the periodic domain")
 	}
-	h := space.VoxelSize() * float64(stride)
+	// Rounded on its own, or arm64, ppc64le and riscv64 fuse the product
+	// into every z += h below (make check-fma).
+	h := float64(space.VoxelSize() * float64(stride))
 	var pts []geom.Position
 	for z := lo.Z; z < hi.Z; z += h {
 		for y := lo.Y; y < hi.Y; y += h {
@@ -53,12 +55,12 @@ func SphereQuery(id ID, space geom.Space, step int, center geom.Position, radius
 	if radius <= 0 || radius > geom.DomainSide/2 {
 		return nil, fmt.Errorf("query: sphere radius %g out of range", radius)
 	}
-	h := space.VoxelSize() * float64(stride)
+	h := float64(space.VoxelSize() * float64(stride))
 	var pts []geom.Position
 	for z := -radius; z <= radius; z += h {
 		for y := -radius; y <= radius; y += h {
 			for x := -radius; x <= radius; x += h {
-				if x*x+y*y+z*z > radius*radius {
+				if float64(x*x)+float64(y*y)+float64(z*z) > radius*radius {
 					continue
 				}
 				pts = append(pts, geom.Wrap(geom.Position{

@@ -45,12 +45,12 @@ func DerivWeights(k int) []float64 {
 			c2 *= c3
 			if j == i-1 {
 				for v := mn; v >= 1; v-- {
-					c[i][v] = c1 * (float64(v)*c[i-1][v-1] - c5*c[i-1][v]) / c2
+					c[i][v] = c1 * (float64(float64(v)*c[i-1][v-1]) - float64(c5*c[i-1][v])) / c2
 				}
 				c[i][0] = -c1 * c5 * c[i-1][0] / c2
 			}
 			for v := mn; v >= 1; v-- {
-				c[j][v] = (c4*c[j][v] - float64(v)*c[j][v-1]) / c3
+				c[j][v] = (float64(c4*c[j][v]) - float64(float64(v)*c[j][v-1])) / c3
 			}
 			c[j][0] = c4 * c[j][0] / c3
 		}

@@ -104,7 +104,7 @@ func (d Diurnal) Stream() GapFunc {
 	return func(rng *rand.Rand, mean, now time.Duration) time.Duration {
 		gap := inner(rng, mean, now)
 		phase := 2 * math.Pi * float64(now) / float64(d.Period)
-		env := 1 + d.Amplitude*math.Sin(phase)
+		env := 1 + float64(d.Amplitude*math.Sin(phase))
 		if env < 1e-6 {
 			env = 1e-6
 		}

@@ -19,14 +19,17 @@ import (
 // lattice parameters come from Config.BoxSide/BoxStride.
 func (g *generator) makeCutout(jobID int64, seq, step int, center geom.Position, arrival time.Duration) *query.Query {
 	side := g.cfg.BoxSide
+	// side/2 compiles to side*0.5: rounded on its own, or arm64, ppc64le and
+	// riscv64 fuse it into the corners below (make check-fma).
+	half := float64(side / 2)
 	var q *query.Query
 	var err error
 	if g.rng.Float64() < 0.5 {
-		lo := geom.Position{X: center.X - side/2, Y: center.Y - side/2, Z: center.Z - side/2}
-		hi := geom.Position{X: center.X + side/2, Y: center.Y + side/2, Z: center.Z + side/2}
+		lo := geom.Position{X: center.X - half, Y: center.Y - half, Z: center.Z - half}
+		hi := geom.Position{X: center.X + half, Y: center.Y + half, Z: center.Z + half}
 		q, err = query.BoxQuery(g.nextQuery, g.cfg.Space, step, lo, hi, g.cfg.BoxStride, g.kernelFor(jobID))
 	} else {
-		q, err = query.SphereQuery(g.nextQuery, g.cfg.Space, step, center, side/2, g.cfg.BoxStride, g.kernelFor(jobID))
+		q, err = query.SphereQuery(g.nextQuery, g.cfg.Space, step, center, half, g.cfg.BoxStride, g.kernelFor(jobID))
 	}
 	if err != nil {
 		// The generator validates its own parameters (side ≥ one lattice

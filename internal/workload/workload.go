@@ -242,10 +242,10 @@ func buildStepWeights(steps int) []float64 {
 	for s := 0; s < steps; s++ {
 		f := float64(s) / (float64(steps-1) + 1e-9)
 		// Downward-trending baseline.
-		base := 1.0 - 0.5*f
+		base := 1.0 - float64(0.5*f)
 		// Start and end clusters (≈ a dozen steps carry 70 % of queries at
 		// paper scale: exponential decay from each boundary).
-		cluster := 14*math.Exp(-float64(s)/2.0) + 8*math.Exp(-float64(steps-1-s)/2.0)
+		cluster := float64(14*math.Exp(-float64(s)/2.0)) + float64(8*math.Exp(-float64(steps-1-s)/2.0))
 		// Secondary spike at 25–40 % of simulation time.
 		spike := 0.0
 		if f >= 0.25 && f <= 0.40 {
@@ -281,13 +281,13 @@ func (g *generator) jobQueryCount() (int, time.Duration) {
 	var minutes float64
 	switch {
 	case r < 0.18: // short jobs, under a minute
-		minutes = 0.3 + g.rng.Float64()*0.65
+		minutes = 0.3 + float64(g.rng.Float64()*0.65)
 	case r < 0.81: // the 63 % majority: 1–30 minutes
-		minutes = 1 + g.rng.Float64()*28.5
+		minutes = 1 + float64(g.rng.Float64()*28.5)
 	case r < 0.95: // 30 minutes – 2 hours
-		minutes = 31 + g.rng.Float64()*89
+		minutes = 31 + float64(g.rng.Float64()*89)
 	default: // multi-hour tail
-		minutes = 121 + g.rng.Float64()*360
+		minutes = 121 + float64(g.rng.Float64()*360)
 	}
 	n := int(minutes*2) / g.cfg.QueryScale // 2 queries per minute
 	if n < 2 {
@@ -441,9 +441,9 @@ func (g *generator) pickCenter() geom.Position {
 
 func (g *generator) jitter(p geom.Position, sigma float64) geom.Position {
 	return geom.Wrap(geom.Position{
-		X: p.X + g.rng.NormFloat64()*sigma,
-		Y: p.Y + g.rng.NormFloat64()*sigma,
-		Z: p.Z + g.rng.NormFloat64()*sigma,
+		X: p.X + float64(g.rng.NormFloat64()*sigma),
+		Y: p.Y + float64(g.rng.NormFloat64()*sigma),
+		Z: p.Z + float64(g.rng.NormFloat64()*sigma),
 	})
 }
 

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# The guard that keeps the scheduler and its oracle free of fused
-# multiply-adds. The Go spec lets a compiler fuse x*y + z into one FMA
-# instruction unless an explicit float64(...) conversion forces the
-# product to round; amd64 never fuses, arm64, ppc64le and riscv64 do. A
-# fused site rounds differently from amd64, so the byte-identical artifacts
-# and the oracle's strict float equality (DESIGN.md §12) would hold on one
-# architecture only.
+# The guard that keeps the virtual-time path free of fused multiply-adds.
+# The Go spec lets a compiler fuse x*y + z into one FMA instruction unless
+# an explicit float64(...) conversion forces the product to round; amd64
+# never fuses, arm64, ppc64le and riscv64 do. A fused site rounds
+# differently from amd64, so the byte-identical artifacts and the oracle's
+# strict float equality (DESIGN.md §12) would hold on one architecture
+# only.
 #
 # The script cross-compiles cmd/jawsd and cmd/jawscheck for each of those
-# architectures (no emulator needed) and disassembles every function of
-# jaws/internal/sched and jaws/internal/oracle; any FMA-family instruction
-# fails it, printed with its function. s390x is left out until its
-# mnemonics are confirmed.
+# architectures (no emulator needed) and disassembles every function of the
+# packages that compute a decision, a sample or a trace — sched, oracle,
+# field, query, engine, workload, disk, vclock and prefetch under
+# jaws/internal; any FMA-family instruction fails it, printed with its
+# function. s390x is left out until its mnemonics are confirmed.
 #
 #   ./scripts/check_fma.sh        (or: make check-fma)
 set -euo pipefail
@@ -23,7 +24,7 @@ trap 'rm -rf "$tmp"' EXIT
 # arm64 and riscv64: FMADDD/FMSUBD/FNMADDD/FNMSUBD (and the S forms);
 # ppc64le: FMADD/FMSUB/FNMADD/FNMSUB (and the S forms, with or without CC).
 ops='F(N)?M(ADD|SUB)(D|S)?(CC)?'
-funcs='^jaws/internal/(sched|oracle)\.'
+funcs='^jaws/internal/(sched|oracle|field|query|engine|workload|disk|vclock|prefetch)\.'
 
 bad=""
 for arch in arm64 ppc64le riscv64; do
@@ -45,8 +46,8 @@ for arch in arm64 ppc64le riscv64; do
 done
 
 if [ -n "$bad" ]; then
-	echo "check-fma: fused multiply-adds in internal/sched or internal/oracle (wrap the product in float64(...)):"
+	echo "check-fma: fused multiply-adds (wrap the product in float64(...)):"
 	printf '%s' "$bad"
 	exit 1
 fi
-echo "check-fma: ok (no fused multiply-add in internal/sched, internal/oracle on arm64, ppc64le, riscv64)"
+echo "check-fma: ok (no fused multiply-add in $funcs on arm64, ppc64le, riscv64)"
