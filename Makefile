@@ -23,8 +23,9 @@ check-reporting:
 
 ## check-fma: no fused multiply-add in the packages that compute a
 ## decision, a sample or a trace (sched, oracle, field, query, engine,
-## workload, disk, vclock, prefetch) — jawsd and jawscheck cross-compiled
-## for arm64, ppc64le and riscv64 and disassembled (the oracle compares
+## workload, disk, vclock, prefetch) — jawsd, jawscheck and the field test
+## binary cross-compiled for arm64, ppc64le and riscv64 and disassembled (the
+## field tests mirror its kernels bit for bit; the oracle compares
 ## floats with ==, DESIGN.md §12); a fused x*y + z rounds differently from
 ## amd64, so the byte-identical artifacts and the oracle's float equality
 ## would hold on amd64 only. Offending functions are printed.

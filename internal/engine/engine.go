@@ -23,6 +23,7 @@ import (
 	"jaws/internal/disk"
 	"jaws/internal/fault"
 	"jaws/internal/field"
+	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/jobgraph"
 	"jaws/internal/obs"
@@ -984,14 +985,17 @@ func pop[T any](list *[]T) (v T, ok bool) {
 	return v, true
 }
 
-// fill synthesizes a's samples if nothing has yet, into a free buffer when
-// there is one.
-func (e *Engine) fill(a *field.Atom) {
-	if a.Filled() {
+// fill synthesizes the rows of a that rows names, into a free buffer when a
+// holds no samples yet and there is one.
+func (e *Engine) fill(a *field.Atom, rows field.Rows) {
+	if rows == 0 {
 		return
 	}
-	buf, _ := pop(&e.free)
-	a.Fill(buf)
+	var buf []float64
+	if !a.Filled() {
+		buf, _ = pop(&e.free)
+	}
+	a.FillRows(rows, buf)
 	e.fills++
 }
 
@@ -1000,12 +1004,13 @@ func (e *Engine) fill(a *field.Atom) {
 // nowhere, without KeepResults: the evaluation is then the run's CPU load
 // alone). A batch large enough to repay the hand-off fans out across the
 // engine's worker pool (one pool per run, not one goroutine set per
-// batch); a smaller one runs here. The atom is filled here first, on the
-// simulation goroutine: the workers only read it.
+// batch); a smaller one runs here. The rows of the atom the batch's
+// stencils read are filled here first, on the simulation goroutine: the
+// workers only read them.
 func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
-	e.fill(atom)
 	j := &e.job
 	j.atom, j.space = atom, e.cfg.Store.Space()
+	var rows field.Rows
 	work := 0
 	for _, sq := range b.SubQueries {
 		var out []PointSample
@@ -1015,7 +1020,9 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 		u := computeUnit{sq: sq, out: out}
 		j.units = append(j.units, u)
 		work += u.work()
+		rows |= atom.Missing(sq.Query.Kernel, j.space, geom.AtomFromCode(sq.Atom.Code), sq.Points)
 	}
+	e.fill(atom, rows)
 	if spans := min(e.cfg.Parallelism, work/minSpanSamples, len(j.units)); spans > 1 {
 		if e.pool == nil {
 			// Lazily started on the simulation goroutine (Run or Session.loop),

@@ -400,6 +400,51 @@ func TestComputeOffNeverFills(t *testing.T) {
 	})
 }
 
+// TestBatchFillsOnlyItsStencilRows: a batch fills, before it fans out, the
+// rows of its atom that its stencils read and the atom lacks, and no more.
+// A Lag4 stencil reads 4 of the 8 planes and 4 of the 8 rows of an 8³
+// atom, so a batch at the centre fills a quarter of it; the same batch
+// again fills nothing, and one at the far corner fills the rows the first
+// did not. Every value equals a fresh read's, and the large batch fans out
+// across the pool (run it under -race: the workers write no row).
+func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
+	s := frameStore(t, 8, 0)
+	c := cache.New(16, cache.NewLRUK(2, 0))
+	e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 8, Resident: c.Contains}), false, func(cfg *Config) {
+		cfg.Cache = c
+		cfg.Compute = true
+		cfg.KeepResults = true
+		cfg.Parallelism = 2
+	})
+	space := s.Space()
+	ac := geom.AtomCoord{I: 2, J: 2, K: 2}
+	id := store.AtomID{Step: 1, Code: ac.Code()}
+	all := []geom.Position{space.Center(ac)} // a Lag8 stencil here reads every row
+	query := func(n int, pts []geom.Position) *query.Query {
+		return &query.Query{ID: query.ID(n), JobID: int64(n), Step: 1, Points: pts, Kernel: field.KernelLag4}
+	}
+	// Two queries of 200 × 64 stencil samples in one batch: two spans.
+	centre := centrePoints(s, 2, 2, 2, 200)
+	if n := decide(t, e, query(1, centre), query(4, centre)); n != 1 || len(e.job.cuts) != 3 {
+		t.Fatalf("%d decisions, cuts %v: want one batch over two spans", n, e.job.cuts)
+	}
+	v, _ := c.Get(id)
+	a := v.(*field.Atom)
+	if !a.Filled() || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != 0 || a.Missing(field.KernelLag8, space, ac, all) == 0 {
+		t.Fatalf("after the centre batch: filled %v, %d fills, lag8 rows missing %#x; want one fill of the stencil rows alone",
+			a.Filled(), e.fills, a.Missing(field.KernelLag8, space, ac, all))
+	}
+	decide(t, e, query(2, centre[:10]))
+	if e.fills != 1 {
+		t.Fatalf("the same rows again: %d fills, want the first alone", e.fills)
+	}
+	decide(t, e, query(3, cornerPoints(s, 2, 2, 2, 10)))
+	if e.fills != 2 || a.Missing(field.KernelLag8, space, ac, all) == 0 {
+		t.Fatalf("the corner batch: %d fills, lag8 rows missing %#x; want a second fill, the atom still partial", e.fills, a.Missing(field.KernelLag8, space, ac, all))
+	}
+	(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+}
+
 // TestRecycledHandleServesOnlyItsAtom: an evicted atom's handle is free
 // from the end of the decision that evicted it, and the next store read —
 // a miss, a prefetch, a retry after a transient fault — overwrites it. What
@@ -491,7 +536,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 
 // missCycle returns the steady state of a miss at capacity on a warmed
 // engine: every call reads an atom that is not resident, which evicts one,
-// fills it as a batch would, and ends the decision.
+// fills all of it as a batch would, and ends the decision.
 func missCycle(t testing.TB, side int) (step func(), e *Engine) {
 	s := frameStore(t, side, 0)
 	c := cache.New(8, cache.NewLRUK(2, 0))
@@ -500,12 +545,15 @@ func missCycle(t testing.TB, side int) (step func(), e *Engine) {
 	s.ScanStep(0, func(id store.AtomID) bool { ids = append(ids, id); return len(ids) < 32 })
 	next := 0
 	step = func() {
-		a, err := e.readAtom(ids[next%len(ids)])
+		id := ids[next%len(ids)]
+		a, err := e.readAtom(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		next++
-		e.fill(a)
+		// A Lag8 stencil at the centre reads every row of an 8³ or 4³ atom.
+		ac := geom.AtomFromCode(id.Code)
+		e.fill(a, a.Missing(field.KernelLag8, s.Space(), ac, []geom.Position{s.Space().Center(ac)}))
 		e.freeRetired()
 	}
 	for range 2 * len(ids) {

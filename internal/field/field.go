@@ -122,25 +122,57 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 // without touching the neighbour atom's data.
 //
 // An atom from Frame is a frame: it carries the recipe of its samples and
-// synthesizes them on first use (Fill, or the first At / Interpolate on
-// it), so an atom that is only ever resident costs no synthesis and no
-// sample memory. The first use is a write: goroutines
-// that share an atom call Fill before they part.
+// synthesizes them row by row as they are first read (FillRows, or an At /
+// Interpolate that reads them), so an atom that is only ever resident costs
+// no synthesis and no sample memory, and one that is read costs only the
+// rows its stencils reach. The first read of a row is a write: goroutines
+// that share an atom fill the rows they will read before they part.
 type Atom struct {
 	Side  int
 	Ghost int
-	// Data is nil until the atom is filled.
+	// Data is nil until the atom is filled, and then holds the samples of
+	// the rows in filled; the other rows hold whatever the array held.
 	Data []float64
 
-	// The recipe: nil src on an atom assembled by hand around its Data.
+	// The recipe.
 	src   *Field
 	step  int
 	space geom.Space
 	ac    geom.AtomCoord
+	// filled is the set of rows Data holds.
+	filled Rows
 }
+
+// Rows is a set of an atom's sample rows. A row is the dim() samples of one
+// (y, z) line along x, stored contiguously; the (y, z) plane of rows is cut
+// into at most 8 × 8 square blocks of ⌈dim/8⌉ rows a side, and bit 8·bz + by
+// stands for block (by, bz). On the 8³ atoms the daemon serves, a block is
+// one row.
+type Rows uint64
 
 // dim is the stored samples per axis including the halo.
 func (a *Atom) dim() int { return a.Side + 2*a.Ghost }
+
+// band is the rows per block side.
+func (a *Atom) band() int { return (a.dim() + 7) / 8 }
+
+// rows returns the blocks holding rows y0..y1 of planes z0..z1, in stored
+// indices (the halo starts at 0).
+func (a *Atom) rows(y0, y1, z0, z1 int) Rows {
+	b := a.band()
+	line := Rows(1)<<(y1/b+1) - Rows(1)<<(y0/b)
+	var r Rows
+	for bz := z0 / b; bz <= z1/b; bz++ {
+		r |= line << (8 * bz)
+	}
+	return r
+}
+
+// all is every row of the atom.
+func (a *Atom) all() Rows {
+	d := a.dim()
+	return a.rows(0, d-1, 0, d-1)
+}
 
 // NominalAtomBytes is the on-disk size charged for one atom regardless of
 // the in-memory sampling resolution: 64³ points × 4 components × 8 bytes,
@@ -182,30 +214,58 @@ func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord
 	return a
 }
 
-// Filled reports whether the atom's samples are materialized.
+// Filled reports whether the atom holds a sample array, with at least one
+// row of it synthesized.
 func (a *Atom) Filled() bool { return a.Data != nil }
 
-// Fill synthesizes the samples of an unfilled atom, into buf when that is
-// large enough (its contents are overwritten) and into a new array
-// otherwise; on a filled atom it does nothing.
+// Fill synthesizes every row the atom does not hold yet: FillRows of all
+// of them.
 func (a *Atom) Fill(buf []float64) {
-	if a.Data == nil {
-		a.synthesize(buf)
+	a.FillRows(^Rows(0), buf)
+}
+
+// FillRows synthesizes the rows of want the atom does not hold yet. The
+// first fill of an atom writes into buf when that is large enough (its
+// contents are overwritten row by row as rows are filled) and into a new
+// array otherwise; later fills write into that array and ignore buf.
+func (a *Atom) FillRows(want Rows, buf []float64) {
+	if want&^a.filled != 0 {
+		a.synthesize(want, buf)
 	}
 }
 
-// synthesize is Fill's slow path, apart so the guard inlines into the
-// interpolation kernels.
-func (a *Atom) synthesize(buf []float64) {
-	d := a.dim()
-	if n := d * d * d * Components; cap(buf) >= n {
-		buf = buf[:n]
-		clear(buf)
-	} else {
-		buf = make([]float64, n)
+// Missing returns the rows that kernel k's stencils read to evaluate at the
+// positions pts of atom ac, less those the atom holds already: what
+// FillRows must synthesize before the evaluations can share the atom.
+func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom.Position) Rows {
+	var want Rows
+	all := a.all()
+	for _, pos := range pts {
+		if a.filled|want == all {
+			break
+		}
+		want |= a.stencilRows(k, space, ac, pos)
 	}
-	a.fill(buf)
-	a.Data = buf
+	return want &^ a.filled
+}
+
+// synthesize is FillRows' slow path, apart so the guard inlines into the
+// interpolation kernels.
+func (a *Atom) synthesize(want Rows, buf []float64) {
+	want &= a.all() &^ a.filled
+	if want == 0 {
+		return
+	}
+	if a.Data == nil {
+		d := a.dim()
+		if n := d * d * d * Components; cap(buf) >= n {
+			a.Data = buf[:n]
+		} else {
+			a.Data = make([]float64, n)
+		}
+	}
+	a.fill(want)
+	a.filled |= want
 }
 
 // Release detaches the sample array and returns it for reuse (nil from an
@@ -217,7 +277,7 @@ func (a *Atom) synthesize(buf []float64) {
 // further.
 func (a *Atom) Release() []float64 {
 	buf := a.Data
-	a.Data = nil
+	a.Data, a.filled = nil, 0
 	return buf
 }
 
@@ -226,19 +286,27 @@ func (a *Atom) Release() []float64 {
 // stack.
 const paperDim = 72
 
-// fill is the one synthesis kernel: it adds the field at every sample
-// position of the frame into data, which the caller zeroed, with the bits
-// Eval gives there. Eval's work is regrouped, not reformulated: the
-// wrapped coordinate of a sample depends on one index per axis, so the
-// three tables are computed once per atom; with the modes outermost,
-// ω·t is a per-mode and k·z, k·y a per-plane and per-row constant; and one
-// Sincos replaces Sin and Cos of the same phase. Every sample still sums
-// the same rounded terms in the same mode order.
-func (a *Atom) fill(data []float64) {
+// fillRow is a row the fill kernel writes: where it starts in Data, and the
+// wrapped y and z of its samples.
+type fillRow struct {
+	off  int
+	y, z float64
+}
+
+// fill is the one synthesis kernel: it writes the field at every sample
+// position of the rows of want into Data, with the bits Eval gives there.
+// Eval's work is regrouped, not reformulated: the wrapped coordinate of a
+// sample depends on one index per axis, so the three tables are computed
+// once per call; with the modes outermost over the list of rows to fill,
+// ω·t is a per-mode and k·y, k·z per-row constants; and one Sincos replaces
+// Sin and Cos of the same phase. Every sample still sums the same rounded
+// terms in the same mode order, starting from zero. Its cost is the rows'
+// samples, whatever the atom holds already.
+func (a *Atom) fill(want Rows) {
 	f := a.src
 	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
 	h := atomLen / float64(a.Side)
-	d := a.dim()
+	d, b := a.dim(), a.band()
 	var stack [3 * paperDim]float64
 	tab := stack[:]
 	if 3*d > len(tab) {
@@ -254,23 +322,33 @@ func (a *Atom) fill(data []float64) {
 		})
 		xs[n], ys[n], zs[n] = p.X, p.Y, p.Z
 	}
+	rowLen := d * Components
+	var rowStack [64]fillRow
+	rows := rowStack[:0]
+	for zi, z := range zs {
+		plane := want >> (8 * (zi / b))
+		for yi, y := range ys {
+			if plane>>(yi/b)&1 != 0 {
+				off := (zi*d + yi) * rowLen
+				clear(a.Data[off:][:rowLen])
+				rows = append(rows, fillRow{off: off, y: y, z: z})
+			}
+		}
+	}
 	t := float64(a.step) * f.dt
 	for mi := range f.modes {
 		m := &f.modes[mi]
 		kx, wt := m.k[0], float64(m.omega*t)
-		idx := 0
-		for _, z := range zs {
-			kz := float64(m.k[2] * z)
-			for _, y := range ys {
-				ky := float64(m.k[1] * y)
-				for _, x := range xs {
-					s, c := math.Sincos(float64(kx*x) + ky + kz + m.ph + wt)
-					data[idx] += float64(m.a[0] * s)
-					data[idx+1] += float64(m.a[1] * s)
-					data[idx+2] += float64(m.a[2] * s)
-					data[idx+3] += float64(m.p * c)
-					idx += Components
-				}
+		for _, r := range rows {
+			ky, kz := float64(m.k[1]*r.y), float64(m.k[2]*r.z)
+			row := a.Data[r.off:][:rowLen]
+			for xi, x := range xs {
+				s, c := math.Sincos(float64(kx*x) + ky + kz + m.ph + wt)
+				v := row[xi*Components:][:Components]
+				v[0] += float64(m.a[0] * s)
+				v[1] += float64(m.a[1] * s)
+				v[2] += float64(m.a[2] * s)
+				v[3] += float64(m.p * c)
 			}
 		}
 	}
@@ -280,9 +358,10 @@ func (a *Atom) fill(data []float64) {
 // atom's own extent; indices from −Ghost to Side+Ghost−1 reach into the
 // replication halo.
 func (a *Atom) At(i, j, k int) [Components]float64 {
-	a.Fill(nil)
+	y, z := j+a.Ghost, k+a.Ghost
+	a.FillRows(a.rows(y, y, z, z), nil)
 	d := a.dim()
-	base := (((k+a.Ghost)*d+(j+a.Ghost))*d + (i + a.Ghost)) * Components
+	base := ((z*d+y)*d + (i + a.Ghost)) * Components
 	var out [Components]float64
 	copy(out[:], a.Data[base:base+Components])
 	return out

@@ -2,6 +2,7 @@ package field
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -215,7 +216,11 @@ func TestFrameLifecycle(t *testing.T) {
 	if got, w := Interpolate(KernelLag4, a, s, ac, s.Center(ac)), Interpolate(KernelLag4, want, s, ac, s.Center(ac)); got != w {
 		t.Fatalf("interpolation on a released frame: %v, want %v", got, w)
 	}
-	same("refilled by first use")
+	if !a.Filled() || a.filled == a.all() {
+		t.Fatalf("first use filled rows %#x of %#x: want its stencil's alone", a.filled, a.all())
+	}
+	a.Fill(nil)
+	same("refilled by first use, then completed")
 	small := make([]float64, 3)
 	a.Release()
 	a.Fill(small) // too small a buffer is left alone
@@ -233,6 +238,104 @@ func TestFrameLifecycle(t *testing.T) {
 	want = f.SampleGhost(2, s, bc, 4, 0)
 	a.Fill(nil)
 	same("taken over for another atom")
+}
+
+// poisoned returns a frame of atom ac filled into nothing yet, with a
+// sample buffer of NaNs it will fill into: a read of a row it has not
+// filled yields NaN, which no evaluation can mistake for a sample.
+func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost int) (*Atom, []float64) {
+	a := f.Frame(step, s, ac, side, ghost)
+	d := a.dim()
+	buf := make([]float64, d*d*d*Components)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return a, buf
+}
+
+// TestFillRowsMatchesFill holds the row-masked fill to the whole-atom one,
+// bit for bit: rows filled in any order and grouping, into a buffer that
+// held something else, carry the values SampleGhost gives them, and a row
+// not asked for is never written. Sides 4 to 20 cover blocks of one row
+// (dim ≤ 8) and of two and three rows a side.
+func TestFillRowsMatchesFill(t *testing.T) {
+	f := New(5, 48, 0)
+	s := testSpace()
+	rng := rand.New(rand.NewSource(3))
+	for _, side := range []int{4, 8, 12, 20} {
+		for _, ghost := range []int{0, 2, 4} {
+			ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: 7}
+			want := f.SampleGhost(5, s, ac, side, ghost)
+			a, buf := poisoned(f, 5, s, ac, side, ghost)
+			d, b := a.dim(), a.band()
+			for round := 0; a.filled != a.all(); round++ {
+				a.FillRows(Rows(rng.Uint64()&rng.Uint64()&rng.Uint64()), buf)
+				if &a.Data[0] != &buf[0] {
+					t.Fatalf("side %d ghost %d: the first fill did not use the buffer it was given", side, ghost)
+				}
+				for z := 0; z < d; z++ {
+					for y := 0; y < d; y++ {
+						row := (z*d + y) * d * Components
+						filled := a.filled&(1<<(8*(z/b)+y/b)) != 0
+						for i := row; i < row+d*Components; i++ {
+							if filled && math.Float64bits(a.Data[i]) != math.Float64bits(want.Data[i]) ||
+								!filled && !math.IsNaN(a.Data[i]) {
+								t.Fatalf("side %d ghost %d round %d: row (%d,%d) filled %v holds %v at %d, the whole fill %v",
+									side, ghost, round, y, z, filled, a.Data[i], i, want.Data[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInterpolateReadsOnlyFilledRows: evaluating on a frame fills the rows
+// its stencil reads and reads no other (the unfilled rows are NaN), and
+// FillRows(Missing(...)) fills in advance every row that a set of
+// evaluations then reads, so sharing the atom among goroutines writes
+// nothing — the engine's contract with its compute pool. Every value equals
+// the one on a whole atom, bit for bit.
+func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
+	s := testSpace()
+	rng := rand.New(rand.NewSource(11))
+	f := New(17, 24, 0)
+	for _, tc := range kernelCases() {
+		for _, k := range allKernels {
+			lazy, buf := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			lazy.FillRows(0, buf) // nothing: the buffer is not taken
+			if lazy.Filled() {
+				t.Fatalf("%s: an empty fill took a buffer", tc.name)
+			}
+			lazy.FillRows(1, buf) // one block: from here on the frame fills into the NaNs
+			for i := 0; i < 50; i++ {
+				p := positionIn(rng, s, tc.ac)
+				if got, want := Interpolate(k, lazy, s, tc.ac, p), Interpolate(k, tc.atom, s, tc.ac, p); got != want {
+					t.Fatalf("%s %v at %+v: %v on the lazily filled frame, %v on the whole atom", tc.name, k, p, got, want)
+				}
+			}
+
+			ahead, buf := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			pts := make([]geom.Position, 1+rng.Intn(6))
+			for i := range pts {
+				pts[i] = positionIn(rng, s, tc.ac)
+			}
+			ahead.FillRows(ahead.Missing(k, s, tc.ac, pts), buf)
+			if m := ahead.Missing(k, s, tc.ac, pts); m != 0 {
+				t.Fatalf("%s %v: rows %#x still missing after their fill", tc.name, k, m)
+			}
+			before := ahead.filled
+			for _, p := range pts {
+				if got, want := Interpolate(k, ahead, s, tc.ac, p), Interpolate(k, tc.atom, s, tc.ac, p); got != want {
+					t.Fatalf("%s %v at %+v: %v on the frame filled ahead, %v on the whole atom", tc.name, k, p, got, want)
+				}
+			}
+			if ahead.filled != before {
+				t.Fatalf("%s %v: evaluating filled rows %#x beyond the %#x filled ahead", tc.name, k, ahead.filled, before)
+			}
+		}
+	}
 }
 
 func TestNominalAtomBytes(t *testing.T) {
@@ -312,9 +415,9 @@ func TestInterpolateAtSamplePoint(t *testing.T) {
 	h := atomLen / 8
 	for _, idx := range [][3]int{{2, 3, 4}, {0, 0, 0}, {7, 7, 7}, {4, 4, 4}} {
 		p := geom.Position{
-			X: float64(ac.I)*atomLen + (float64(idx[0])+0.5)*h,
-			Y: float64(ac.J)*atomLen + (float64(idx[1])+0.5)*h,
-			Z: float64(ac.K)*atomLen + (float64(idx[2])+0.5)*h,
+			X: float64(float64(ac.I)*atomLen) + float64((float64(idx[0])+0.5)*h),
+			Y: float64(float64(ac.J)*atomLen) + float64((float64(idx[1])+0.5)*h),
+			Z: float64(float64(ac.K)*atomLen) + float64((float64(idx[2])+0.5)*h),
 		}
 		want := a.At(idx[0], idx[1], idx[2])
 		for _, k := range []Kernel{KernelTrilinear, KernelLag4, KernelNone} {
@@ -339,9 +442,9 @@ func TestInterpolateFinite(t *testing.T) {
 	g := func(fx, fy, fz float64, kk uint8) bool {
 		frac := func(v float64) float64 { v = math.Abs(v); return v - math.Floor(v) }
 		p := geom.Position{
-			X: float64(ac.I)*atomLen + frac(fx)*atomLen,
-			Y: float64(ac.J)*atomLen + frac(fy)*atomLen,
-			Z: float64(ac.K)*atomLen + frac(fz)*atomLen,
+			X: float64(float64(ac.I)*atomLen) + float64(frac(fx)*atomLen),
+			Y: float64(float64(ac.J)*atomLen) + float64(frac(fy)*atomLen),
+			Z: float64(float64(ac.K)*atomLen) + float64(frac(fz)*atomLen),
 		}
 		k := Kernel(int(kk) % 5)
 		v := Interpolate(k, a, s, ac, p)
@@ -376,6 +479,21 @@ func BenchmarkFillFrame8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := f.Frame(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8, 0)
 		a.Fill(buf)
+		buf = a.Release()
+	}
+}
+
+// BenchmarkFillStencil8 is BenchmarkFillFrame8 for what a one-point Lag4
+// batch fills: the rows of one stencil, a quarter of the atom.
+func BenchmarkFillStencil8(b *testing.B) {
+	f := New(1, 48, 0)
+	s := testSpace()
+	var buf []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ac := geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}
+		a := f.Frame(i%31, s, ac, 8, 0)
+		a.FillRows(a.stencilRows(KernelLag4, s, ac, s.Center(ac)), buf)
 		buf = a.Release()
 	}
 }

@@ -82,35 +82,62 @@ func (k Kernel) CostWeight() float64 {
 // a (the atom containing pos within `space`). Stencils may extend into
 // the atom's replication halo (§III.A stores four ghost voxels on each
 // side for exactly this purpose); without a halo they are clamped to the
-// atom's own sample grid. Returns the interpolated (u, v, w, p). An unfilled
-// atom is filled first.
+// atom's own sample grid. Returns the interpolated (u, v, w, p). The rows
+// the stencil reads are filled first if the atom lacks them.
 func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
-	// Position in atom-local fractional sample coordinates.
+	sx, sy, sz := a.sampleCoords(space, ac, pos)
+	if k == KernelNone {
+		i, j, l := a.nearest(sx, sy, sz)
+		return a.At(i, j, l)
+	}
+	return lagrange(a, sx, sy, sz, a.width(k))
+}
+
+// sampleCoords is pos in the atom's fractional sample coordinates: samples
+// sit at cell centres (i+0.5), so sample i is at coordinate i.
+func (a *Atom) sampleCoords(space geom.Space, ac geom.AtomCoord, pos geom.Position) (sx, sy, sz float64) {
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
 	h := atomLen / float64(a.Side)
 	wp := geom.Wrap(pos)
 	lx := (wp.X - float64(float64(ac.I)*atomLen)) / h
 	ly := (wp.Y - float64(float64(ac.J)*atomLen)) / h
 	lz := (wp.Z - float64(float64(ac.K)*atomLen)) / h
-	// Samples sit at cell centers (i+0.5); convert to sample coordinates.
-	sx, sy, sz := lx-0.5, ly-0.5, lz-0.5
+	return lx - 0.5, ly - 0.5, lz - 0.5
+}
 
+// nearest is KernelNone's sample: the closest one of the atom's own extent.
+func (a *Atom) nearest(sx, sy, sz float64) (i, j, l int) {
+	return clamp(int(math.Round(sx)), 0, a.Side-1),
+		clamp(int(math.Round(sy)), 0, a.Side-1),
+		clamp(int(math.Round(sz)), 0, a.Side-1)
+}
+
+// width is the Lagrange stencil width of kernel k on the atom: N=2 is
+// trilinear, and tiny test atoms fall back to the widest stencil that fits.
+func (a *Atom) width(k Kernel) int {
+	n := 2
 	switch k {
-	case KernelNone:
-		i := clamp(int(math.Round(sx)), 0, a.Side-1)
-		j := clamp(int(math.Round(sy)), 0, a.Side-1)
-		l := clamp(int(math.Round(sz)), 0, a.Side-1)
-		return a.At(i, j, l)
-	case KernelTrilinear:
-		return lagrange(a, sx, sy, sz, 2)
 	case KernelLag4:
-		return lagrange(a, sx, sy, sz, 4)
+		n = 4
 	case KernelLag6:
-		return lagrange(a, sx, sy, sz, 6)
+		n = 6
 	case KernelLag8:
-		return lagrange(a, sx, sy, sz, 8)
+		n = 8
 	}
-	return lagrange(a, sx, sy, sz, 2)
+	return min(n, a.dim())
+}
+
+// stencilRows returns the rows kernel k reads to evaluate at pos.
+func (a *Atom) stencilRows(k Kernel, space geom.Space, ac geom.AtomCoord, pos geom.Position) Rows {
+	_, sy, sz := a.sampleCoords(space, ac, pos)
+	g := a.Ghost
+	if k == KernelNone {
+		_, j, l := a.nearest(0, sy, sz)
+		return a.rows(j+g, j+g, l+g, l+g)
+	}
+	n := a.width(k)
+	iy, iz := stencilStart(sy, n, a.Side, g)+g, stencilStart(sz, n, a.Side, g)+g
+	return a.rows(iy, iy+n-1, iz, iz+n-1)
 }
 
 func clamp(v, lo, hi int) int {
@@ -124,18 +151,15 @@ func clamp(v, lo, hi int) int {
 }
 
 // lagrange performs separable N-point Lagrange interpolation on the atom's
-// sample grid (halo included). N=2 degenerates to trilinear interpolation.
+// sample grid (halo included), filling the rows it reads first.
 func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
-	a.Fill(nil)
-	if a.dim() < n {
-		n = a.dim() // tiny test atoms: fall back to the widest stencil that fits
-	}
 	ix, wx := lagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
 	iy, wy := lagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
 	iz, wz := lagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
 
 	d := a.dim()
 	g := a.Ghost
+	a.FillRows(a.rows(iy+g, iy+g+n-1, iz+g, iz+g+n-1), nil)
 	var out [Components]float64
 	for kk := 0; kk < n; kk++ {
 		for jj := 0; jj < n; jj++ {
@@ -165,13 +189,7 @@ const maxStencil = 8
 // so positions near an atom face keep a centred (more accurate) stencil
 // instead of a clamped one-sided one.
 func lagrangeWeightsHalo(s float64, n, side, g int) (int, [maxStencil]float64) {
-	var start int
-	if n == 2 {
-		start = int(math.Floor(s))
-	} else {
-		start = int(math.Floor(s)) - n/2 + 1
-	}
-	start = clamp(start, -g, side+g-n)
+	start := stencilStart(s, n, side, g)
 	var w [maxStencil]float64
 	for i := 0; i < n; i++ {
 		xi := float64(start + i)
@@ -187,4 +205,11 @@ func lagrangeWeightsHalo(s float64, n, side, g int) (int, [maxStencil]float64) {
 		w[i] = num / den
 	}
 	return start, w
+}
+
+// stencilStart is the first index of the n-point stencil at fractional
+// sample coordinate s: centred on s (for n = 2, the sample below it), and
+// clamped to the samples there are.
+func stencilStart(s float64, n, side, g int) int {
+	return clamp(int(math.Floor(s))-n/2+1, -g, side+g-n)
 }

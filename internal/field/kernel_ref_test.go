@@ -129,18 +129,18 @@ func kernelCases() []struct {
 func positionIn(rng *rand.Rand, s geom.Space, ac geom.AtomCoord) geom.Position {
 	atomLen := float64(s.AtomSide) * s.VoxelSize()
 	coord := func(i uint32) float64 {
-		lo := float64(i) * atomLen
+		lo := float64(float64(i) * atomLen)
 		switch rng.Intn(8) {
 		case 0:
 			return lo
 		case 1:
 			return math.Nextafter(lo+atomLen, math.Inf(-1))
 		case 2:
-			return lo + rng.Float64()*atomLen - geom.DomainSide
+			return lo + float64(rng.Float64()*atomLen) - geom.DomainSide
 		case 3:
-			return lo + (rng.Float64()*1.2-0.1)*atomLen
+			return lo + float64((float64(rng.Float64()*1.2)-0.1)*atomLen)
 		}
-		return lo + rng.Float64()*atomLen
+		return lo + float64(rng.Float64()*atomLen)
 	}
 	return geom.Position{X: coord(ac.I), Y: coord(ac.J), Z: coord(ac.K)}
 }

@@ -12,7 +12,10 @@
 # packages that compute a decision, a sample or a trace — sched, oracle,
 # field, query, engine, workload, disk, vclock and prefetch under
 # jaws/internal; any FMA-family instruction fails it, printed with its
-# function. s390x is left out until its mnemonics are confirmed.
+# function. The field package's test binary is held to the same rule: its
+# tests mirror the fill and interpolation kernels bit for bit and draw
+# their positions with the kernels' own rounding. s390x is left out until
+# its mnemonics are confirmed.
 #
 #   ./scripts/check_fma.sh        (or: make check-fma)
 set -euo pipefail
@@ -28,13 +31,20 @@ funcs='^jaws/internal/(sched|oracle|field|query|engine|workload|disk|vclock|pref
 
 bad=""
 for arch in arm64 ppc64le riscv64; do
-	for cmd in jawsd jawscheck; do
+	for cmd in jawsd jawscheck field.test; do
 		bin="$tmp/$cmd.$arch"
-		GOOS=linux GOARCH=$arch go build -o "$bin" "./cmd/$cmd"
+		# The package whose absence from the disassembly would make it pass
+		# vacuously.
+		pkg=sched
+		if [ "$cmd" = field.test ]; then
+			pkg=field
+			GOOS=linux GOARCH=$arch go test -c -o "$bin" ./internal/field
+		else
+			GOOS=linux GOARCH=$arch go build -o "$bin" "./cmd/$cmd"
+		fi
 		go tool objdump -s "$funcs" "$bin" >"$bin.s"
-		# A disassembly without the scheduler would pass vacuously.
-		grep -q '^TEXT jaws/internal/sched\.' "$bin.s" || {
-			echo "check-fma: no jaws/internal/sched function in $cmd for $arch"
+		grep -q "^TEXT jaws/internal/$pkg\\." "$bin.s" || {
+			echo "check-fma: no jaws/internal/$pkg function in $cmd for $arch"
 			exit 1
 		}
 		hits=$(awk -v ops="^($ops)\$" '
@@ -50,4 +60,4 @@ if [ -n "$bad" ]; then
 	printf '%s' "$bad"
 	exit 1
 fi
-echo "check-fma: ok (no fused multiply-add in $funcs on arm64, ppc64le, riscv64)"
+echo "check-fma: ok (no fused multiply-add in $funcs of jawsd, jawscheck and the field tests on arm64, ppc64le, riscv64)"
