@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
-check: fmt-check vet check-assembly check-reporting check-surface build test race fuzz-smoke
+check: fmt-check vet check-surface build test race fuzz-smoke
 
 ## fmt-check: every Go file is gofmt-clean.
 fmt-check:
@@ -11,24 +11,27 @@ fmt-check:
 
 ## check-assembly: internal/system is the only non-test code that calls the
 ## store, cache, scheduler and engine constructors (DESIGN.md §3, "One
-## assembler"); offenders are printed.
+## assembler"); offenders are named by file and line. TestOneAssembler in
+## the root package, part of go test ./...
 check-assembly:
-	./scripts/check_assembly.sh
+	$(GO) test -count=1 -run TestOneAssembler .
 
 ## check-reporting: the reporting tier holds one of each — one histogram
 ## type, one trace decoder (obs.ScanTrace), one quantile rank
-## (obs.Quantile), six binaries (DESIGN.md §20); offenders are printed.
+## (obs.Quantile), five binaries (DESIGN.md §20); offenders are named by
+## file and line. TestOneReportingTier in the root package, part of go
+## test ./...
 check-reporting:
-	./scripts/check_reporting.sh
+	$(GO) test -count=1 -run TestOneReportingTier .
 
 ## check-fma: no fused multiply-add in the packages that compute a
 ## decision, a sample or a trace (sched, oracle, field, query, engine,
-## workload, disk, vclock, prefetch) — jawsd, jawscheck and the field test
-## binary cross-compiled for arm64, ppc64le and riscv64 and disassembled (the
-## field tests mirror its kernels bit for bit; the oracle compares
-## floats with ==, DESIGN.md §12); a fused x*y + z rounds differently from
-## amd64, so the byte-identical artifacts and the oracle's float equality
-## would hold on amd64 only. Offending functions are printed.
+## workload, disk, vclock, prefetch) — jawsd and the oracle, field, query
+## and engine test binaries cross-compiled for arm64, ppc64le and riscv64
+## and disassembled (the tests mirror the kernels bit for bit; the oracle
+## compares floats with ==, DESIGN.md §12); a fused x*y + z rounds
+## differently from amd64, so the byte-identical artifacts and the oracle's
+## float equality would hold on amd64 only. Offending functions are printed.
 check-fma:
 	./scripts/check_fma.sh
 
@@ -43,9 +46,10 @@ check-surface:
 
 ## check-oracle: the scheduler correctness oracle — every decision of the
 ## real schedulers diffed against the reference models over randomized
-## workloads and fault schedules (see DESIGN.md §12).
+## workloads and fault schedules (see DESIGN.md §12); a divergence prints a
+## shrunk reproducer. TestDifferentialSuite, part of go test ./...
 check-oracle:
-	$(GO) run ./cmd/jawscheck
+	$(GO) test -count=1 -run TestDifferentialSuite ./internal/oracle/
 
 ## check-artifacts: the proof a refactor changed no decision — every
 ## committed BENCH_*.json regenerated and compared byte for byte (the

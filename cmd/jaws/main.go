@@ -9,7 +9,7 @@
 //	jaws -sched jaws2 -policy urc -k 10 -speedup 4
 //
 // Schedulers: noshare, liferaft1, liferaft2, jaws1, jaws2.
-// Cache policies: lruk (or lru-k), slru, urc, lru, fifo, 2q.
+// Cache policies: lruk (or lru-k), slru, urc.
 package main
 
 import (

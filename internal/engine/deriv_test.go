@@ -56,7 +56,7 @@ func TestDerivQueryFiniteDifference(t *testing.T) {
 			}
 			v := field.Interpolate(field.KernelTrilinear, atom, space, ac, pos)
 			for c := range want {
-				want[c] += w[j] * v[c]
+				want[c] += float64(w[j] * v[c])
 			}
 		}
 		for c := range want {
@@ -80,13 +80,13 @@ func TestDerivQueryFiniteDifference(t *testing.T) {
 		for j := 0; j < k; j++ {
 			v := f.Eval(anchor+j, pos)
 			for c := range truth {
-				truth[c] += w[j] * v[c]
+				truth[c] += float64(w[j] * v[c])
 			}
 		}
 		ok := true
 		for c := range truth {
 			truth[c] /= query.StepDT
-			if math.Abs(pv.Val[c]-truth[c]) > 0.5*(1+math.Abs(truth[c])) {
+			if math.Abs(pv.Val[c]-float64(truth[c])) > 0.5*(1+math.Abs(truth[c])) {
 				ok = false
 			}
 		}

@@ -361,11 +361,11 @@ func TestFootprintAtomsCharged(t *testing.T) {
 	s := testStore(t)
 	e := newEngine(t, s, sched.NewNoShare(), false)
 	sp := s.Space()
-	atomLen := float64(sp.AtomSide) * sp.VoxelSize()
+	atomLen := float64(float64(sp.AtomSide) * sp.VoxelSize())
 	j := &job.Job{ID: 1, User: 1, Type: job.Batched}
 	j.Queries = append(j.Queries, &query.Query{
 		ID: 1, JobID: 1, Step: 0,
-		Points: []geom.Position{{X: atomLen + 0.5*sp.VoxelSize(), Y: 1.5 * atomLen, Z: 1.5 * atomLen}},
+		Points: []geom.Position{{X: atomLen + float64(0.5*sp.VoxelSize()), Y: 1.5 * atomLen, Z: 1.5 * atomLen}},
 		Kernel: field.KernelLag8,
 	})
 	rep, err := e.Run([]*job.Job{j})

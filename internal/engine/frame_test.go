@@ -233,11 +233,11 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 					q.JobID, q.DerivSteps = int64(q.ID), deriv
 					jobs = append(jobs, &job.Job{ID: q.JobID, User: 1, Type: job.Batched, Queries: []*query.Query{q}})
 				}
-				side := float64(space.AtomSide) * space.VoxelSize()
+				side := float64(float64(space.AtomSide) * space.VoxelSize())
 				for i := 0; i < 6; i++ {
 					// Boxes of 2×2×2 atoms' extent at offsets inside one atom, so
 					// they overlap and their sub-queries share batches.
-					lo := geom.Position{X: rng.Float64() * side, Y: rng.Float64() * side, Z: rng.Float64() * side}
+					lo := geom.Position{X: float64(rng.Float64() * side), Y: float64(rng.Float64() * side), Z: float64(rng.Float64() * side)}
 					hi := geom.Position{X: lo.X + 2*side, Y: lo.Y + 2*side, Z: lo.Z + 2*side}
 					q, err := query.BoxQuery(query.ID(i+1), space, 1, lo, hi, 5, field.KernelLag4)
 					if err != nil {

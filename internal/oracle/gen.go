@@ -141,7 +141,7 @@ func GenLog(seed int64, cfg GenConfig) *OpLog {
 		default:
 			log.Ops = append(log.Ops, Op{
 				Kind: OpRunEnd,
-				RT:   float64(rng.Float64()*2) + 0.01,
+				RT:   float64(float64(rng.Float64())*2) + 0.01,
 				TP:   float64(rng.Float64()*50) + 1,
 			})
 		}

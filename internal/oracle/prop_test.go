@@ -37,7 +37,7 @@ func propTargets(seed int64) []Target {
 	// The tail policies, singly and stacked. Gate factors and spans vary
 	// by seed; the adaptive-batch bounds are tight (min 1–2, max ≤ 6) so
 	// random logs actually drive k into both rails.
-	gate := &sched.GateAwareParams{Discount: 0.25 + 0.05*float64(seed%4), Boost: 1.5 + float64(seed%3)}
+	gate := &sched.GateAwareParams{Discount: 0.25 + float64(0.05*float64(seed%4)), Boost: 1.5 + float64(seed%3)}
 	xstep := &sched.CrossStepParams{Span: 2 + int(seed%3)}
 	adapt := &sched.AdaptiveBatchParams{
 		Min: 1 + int(seed%2), Max: 3 + int(seed%4),

@@ -105,8 +105,8 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 	}
 }
 
-// TestDivergenceReporting pins the shape of the divergence report the
-// jawscheck CLI prints.
+// TestDivergenceReporting pins the shape of the divergence report
+// TestDifferentialSuite prints.
 func TestDivergenceReporting(t *testing.T) {
 	d := &Divergence{Target: "JAWS", OpIndex: 7, Kind: "model-vs-real", Detail: "model [], real [s1/a9×1]"}
 	msg := d.Error()

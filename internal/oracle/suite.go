@@ -236,15 +236,9 @@ func SuiteFaultSpec(seed int64) string {
 	return fmt.Sprintf("disk-transient:p=0.05;corrupt:p=0.05;crash@0:at=%ds", crashAt)
 }
 
-// DiffSeed captures one standard-profile run and checks it: differential
-// replay plus the invariant suite. A non-nil error means the harness
-// itself failed (bad config), not that the run diverged.
-func DiffSeed(a Algo, seed int64, faultSpec string) (*SeedResult, error) {
-	return DiffSeedProfile(ProfileStandard, a, seed, faultSpec)
-}
-
 // DiffSeedProfile captures one run under the named profile and checks
-// it: differential replay plus the invariant suite.
+// it: differential replay plus the invariant suite. A non-nil error means
+// the harness itself failed (bad config), not that the run diverged.
 func DiffSeedProfile(profile string, a Algo, seed int64, faultSpec string) (*SeedResult, error) {
 	cfg, _ := ProfileParams(profile, a, seed)
 	cfg.FaultSpec = faultSpec
@@ -283,31 +277,23 @@ func DiffSeedProfile(profile string, a Algo, seed int64, faultSpec string) (*See
 }
 
 // Suite runs the differential suite over seeds 1..n for every algorithm,
-// without and (when withFaults) with the per-seed fault schedule. Every
+// without and with the per-seed fault schedule. Every
 // algorithm runs each seed under the scenario-matrix profile (box and
 // derivative query classes, varied arrivals), and the contention-based
 // algorithms (LifeRaft, JAWS) additionally run the high-churn profile,
 // so one suite pass covers the sustained-queueing, maximum-turnover, and
 // scenario-matrix regimes: 3n standard + 2n churn + 3n matrix captures
 // per fault arm, plus n tail-policy and min(n, ComposeSeeds) QoS ×
-// tail-policy captures of JAWS. report, when non-nil, receives every
-// result as it completes.
-func Suite(n int, withFaults bool, report func(*SeedResult)) ([]*SeedResult, error) {
+// tail-policy captures of JAWS.
+func Suite(n int) ([]*SeedResult, error) {
 	var out []*SeedResult
 	for _, a := range []Algo{AlgoNoShare, AlgoLifeRaft, AlgoJAWS} {
 		for seed := int64(1); seed <= int64(n); seed++ {
-			specs := []string{""}
-			if withFaults {
-				specs = append(specs, SuiteFaultSpec(seed))
-			}
-			for _, spec := range specs {
+			for _, spec := range []string{"", SuiteFaultSpec(seed)} {
 				for _, profile := range suiteProfiles(a, seed) {
 					r, err := DiffSeedProfile(profile, a, seed, spec)
 					if err != nil {
 						return out, fmt.Errorf("oracle: %v seed %d %s fault %q: %w", a, seed, profile, spec, err)
-					}
-					if report != nil {
-						report(r)
 					}
 					out = append(out, r)
 				}

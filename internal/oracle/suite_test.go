@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"testing"
 
 	"jaws/internal/query"
@@ -9,29 +10,33 @@ import (
 	"jaws/internal/workload"
 )
 
-// TestDifferentialSuite is the headline check of this package: randomized
-// workloads are captured on a real engine and replayed through the
-// reference models, with and without fault schedules, and every decision
-// and utility must agree bit for bit. 34 seeds × (3 standard + 2 churn +
-// 3 scenario-matrix + 1 tail-policy profiles) × {clean, faulted} = 612
-// differential runs, plus ComposeSeeds × {clean, faulted} = 12 of JAWS
-// under QoS × tail policies.
+// TestDifferentialSuite is the headline check of this package and the
+// oracle gate (make check-oracle): randomized workloads are captured on a
+// real engine and replayed through the reference models, with and without
+// fault schedules, and every decision and utility must agree bit for bit.
+// 34 seeds × (3 standard + 2 churn + 3 scenario-matrix + 1 tail-policy
+// profiles) × {clean, faulted} = 612 differential runs, plus ComposeSeeds ×
+// {clean, faulted} = 12 of JAWS under QoS × tail policies. The first
+// divergence is re-captured and shrunk to a minimal reproducer.
 func TestDifferentialSuite(t *testing.T) {
 	seeds := 34
 	if testing.Short() {
 		seeds = 5
 	}
-	results, err := Suite(seeds, true, nil)
+	results, err := Suite(seeds)
 	if err != nil {
 		t.Fatalf("suite: %v", err)
 	}
 	if want := (seeds*(3+2+3+1) + min(seeds, ComposeSeeds)) * 2; len(results) != want {
 		t.Fatalf("suite ran %d captures, want %d", len(results), want)
 	}
-	var crashed, decisions int
+	var crashed, decisions, diverged int
 	for _, r := range results {
 		if r.Divergence != nil {
 			t.Errorf("%s: %v", r, r.Divergence)
+			if diverged++; diverged == 1 {
+				t.Log(reproducer(r))
+			}
 		}
 		for _, v := range r.Violations {
 			t.Errorf("%s: invariant: %s", r, v)
@@ -41,6 +46,7 @@ func TestDifferentialSuite(t *testing.T) {
 		}
 		decisions += r.Decisions
 	}
+	t.Logf("%d captures, %d diverged", len(results), diverged)
 	// The fault pass is only meaningful if its crash schedules actually
 	// truncate runs, and a suite that made no decisions certifies nothing.
 	if crashed == 0 {
@@ -52,6 +58,19 @@ func TestDifferentialSuite(t *testing.T) {
 	if decisions == 0 {
 		t.Error("suite recorded zero scheduling decisions")
 	}
+}
+
+// reproducer re-captures a diverging suite run and shrinks its op log to
+// a minimal reproducer.
+func reproducer(r *SeedResult) string {
+	cfg, p := ProfileParams(r.Profile, r.Algo, r.Seed)
+	cfg.FaultSpec, cfg.FaultSeed = r.FaultSpec, r.Seed
+	c, err := Run(cfg)
+	if err != nil {
+		return fmt.Sprintf("recapture of %s failed: %v", r, err)
+	}
+	shrunk := Shrink(StandardTarget(r.Algo, p), c.Log)
+	return fmt.Sprintf("%s: minimal reproducer (%d of %d ops):\n%s", r, len(shrunk.Ops), len(c.Log.Ops), FormatOps(shrunk))
 }
 
 // TestSuiteDeterminism re-captures one configuration and requires the two

@@ -84,7 +84,7 @@ func TestSphereQuery(t *testing.T) {
 		t.Fatal("empty sphere")
 	}
 	for _, p := range q.Points {
-		if dx, dy, dz := p.X-c.X, p.Y-c.Y, p.Z-c.Z; dx*dx+dy*dy+dz*dz > 0.3*0.3+1e-9 {
+		if dx, dy, dz := p.X-c.X, p.Y-c.Y, p.Z-c.Z; float64(dx*dx)+float64(dy*dy)+float64(dz*dz) > 0.3*0.3+1e-9 {
 			t.Fatalf("point %v outside the sphere", p)
 		}
 	}

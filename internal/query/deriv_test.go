@@ -41,7 +41,7 @@ func TestDerivWeightsPolynomialExactness(t *testing.T) {
 		for d := 0; d < k; d++ {
 			sum := 0.0
 			for j := 0; j < k; j++ {
-				sum += w[j] * math.Pow(float64(j), float64(d))
+				sum += float64(w[j] * math.Pow(float64(j), float64(d)))
 			}
 			want := 0.0
 			if d == 1 {

@@ -104,9 +104,9 @@ func randomPoints(rng *rand.Rand, space geom.Space, n int) []geom.Position {
 		case 2:
 			return math.Nextafter(face, math.Inf(1))
 		case 3:
-			return -rng.Float64() * 2 * geom.DomainSide
+			return -float64(rng.Float64()) * 2 * geom.DomainSide
 		case 4:
-			return geom.DomainSide + rng.Float64()*2*geom.DomainSide
+			return geom.DomainSide + float64(float64(rng.Float64())*2*geom.DomainSide)
 		}
 		return rng.Float64() * geom.DomainSide
 	}
@@ -120,7 +120,7 @@ func randomPoints(rng *rand.Rand, space geom.Space, n int) []geom.Position {
 		case 1: // a run of neighbours, most of them in p's voxel
 			for i := rng.Intn(20); i > 0; i-- {
 				d := space.VoxelSize() * 0.3
-				pts = append(pts, geom.Position{X: p.X + rng.Float64()*d, Y: p.Y + rng.Float64()*d, Z: p.Z + rng.Float64()*d})
+				pts = append(pts, geom.Position{X: p.X + float64(rng.Float64()*d), Y: p.Y + float64(rng.Float64()*d), Z: p.Z + float64(rng.Float64()*d)})
 			}
 		}
 	}

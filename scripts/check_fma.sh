@@ -7,15 +7,16 @@
 # strict float equality (DESIGN.md §12) would hold on one architecture
 # only.
 #
-# The script cross-compiles cmd/jawsd and cmd/jawscheck for each of those
-# architectures (no emulator needed) and disassembles every function of the
-# packages that compute a decision, a sample or a trace — sched, oracle,
-# field, query, engine, workload, disk, vclock and prefetch under
-# jaws/internal; any FMA-family instruction fails it, printed with its
-# function. The field package's test binary is held to the same rule: its
-# tests mirror the fill and interpolation kernels bit for bit and draw
-# their positions with the kernels' own rounding. s390x is left out until
-# its mnemonics are confirmed.
+# The script cross-compiles cmd/jawsd and the test binaries of the oracle,
+# field, query and engine packages for each of those architectures (no
+# emulator needed) and disassembles every function of the packages that
+# compute a decision, a sample or a trace — sched, oracle, field, query,
+# engine, workload, disk, vclock and prefetch under jaws/internal; any
+# FMA-family instruction fails it, printed with its function. The test
+# binaries are held to the same rule because their tests mirror the kernels
+# bit for bit, draw inputs with the kernels' own rounding, or (the oracle's
+# differential suite and random op logs) compare floats with ==. s390x is
+# left out until its mnemonics are confirmed.
 #
 #   ./scripts/check_fma.sh        (or: make check-fma)
 set -euo pipefail
@@ -31,16 +32,16 @@ funcs='^jaws/internal/(sched|oracle|field|query|engine|workload|disk|vclock|pref
 
 bad=""
 for arch in arm64 ppc64le riscv64; do
-	for cmd in jawsd jawscheck field.test; do
+	for cmd in jawsd oracle.test field.test query.test engine.test; do
 		bin="$tmp/$cmd.$arch"
-		# The package whose absence from the disassembly would make it pass
-		# vacuously.
-		pkg=sched
-		if [ "$cmd" = field.test ]; then
-			pkg=field
-			GOOS=linux GOARCH=$arch go test -c -o "$bin" ./internal/field
+		# pkg is the package whose absence from the disassembly would make
+		# the check pass vacuously.
+		if [ "$cmd" = jawsd ]; then
+			pkg=sched
+			GOOS=linux GOARCH=$arch go build -o "$bin" ./cmd/jawsd
 		else
-			GOOS=linux GOARCH=$arch go build -o "$bin" "./cmd/$cmd"
+			pkg=${cmd%.test}
+			GOOS=linux GOARCH=$arch go test -c -o "$bin" "./internal/$pkg"
 		fi
 		go tool objdump -s "$funcs" "$bin" >"$bin.s"
 		grep -q "^TEXT jaws/internal/$pkg\\." "$bin.s" || {
@@ -60,4 +61,4 @@ if [ -n "$bad" ]; then
 	printf '%s' "$bad"
 	exit 1
 fi
-echo "check-fma: ok (no fused multiply-add in $funcs of jawsd, jawscheck and the field tests on arm64, ppc64le, riscv64)"
+echo "check-fma: ok (no fused multiply-add in $funcs of jawsd and the oracle, field, query and engine tests on arm64, ppc64le, riscv64)"

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,7 +37,11 @@ var surfaceAllow = map[string]string{
 }
 
 func TestClosedSurface(t *testing.T) {
-	got, err := closedSurface(".")
+	l, err := repoModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := closedSurface(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +71,11 @@ func TestClosedSurface(t *testing.T) {
 // type, a generic method used only through an instantiation, a never-set
 // Config field of a type the facade aliases.
 func TestClosedSurfaceMiniModule(t *testing.T) {
-	got, err := closedSurface(filepath.Join("testdata", "surface"))
+	l, err := loadModule(filepath.Join("testdata", "surface"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := closedSurface(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +167,14 @@ func surfaceCanon(o types.Object) types.Object {
 	return o
 }
 
-// closedSurface analyses the module rooted at root (benchmark/ included
-// when present) and returns the unreached exports and never-set Config
-// fields of its internal packages, sorted by position.
-func closedSurface(root string) ([]surfaceFinding, error) {
+// repoModule is this module's load, shared by the closed-surface check and
+// the assembly and reporting rules (rules_test.go): type-checking it takes
+// seconds, so a test binary pays for it once.
+var repoModule = sync.OnceValues(func() (*surfaceLoader, error) { return loadModule(".") })
+
+// loadModule type-checks the non-test files of every package of the module
+// rooted at root, benchmark/ included when present.
+func loadModule(root string) (*surfaceLoader, error) {
 	mod, err := surfaceModulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -189,6 +202,13 @@ func closedSurface(root string) ([]surfaceFinding, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// closedSurface analyses a loaded module and returns the unreached exports
+// and never-set Config fields of its internal packages, sorted by position.
+func closedSurface(l *surfaceLoader) ([]surfaceFinding, error) {
+	mod := l.mod
 	checked := func(pkg *types.Package) bool {
 		return pkg != nil && strings.HasPrefix(pkg.Path(), mod+"/internal/") &&
 			!strings.HasPrefix(pkg.Path()+"/", mod+"/internal/oracle/")
@@ -368,6 +388,12 @@ func closedSurface(root string) ([]surfaceFinding, error) {
 			}
 		}
 	}
+	sortFindings(out)
+	return out, nil
+}
+
+// sortFindings orders findings by file and line.
+func sortFindings(out []surfaceFinding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].pos, out[j].pos
 		if a.Filename != b.Filename {
@@ -375,7 +401,6 @@ func closedSurface(root string) ([]surfaceFinding, error) {
 		}
 		return a.Line < b.Line
 	})
-	return out, nil
 }
 
 // surfaceFieldSets records the struct fields file f assigns — a keyed or
