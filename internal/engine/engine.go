@@ -985,17 +985,17 @@ func pop[T any](list *[]T) (v T, ok bool) {
 	return v, true
 }
 
-// fill synthesizes the rows of a that rows names, into a free buffer when a
-// holds no samples yet and there is one.
-func (e *Engine) fill(a *field.Atom, rows field.Rows) {
-	if rows == 0 {
+// fill synthesizes the blocks of a that want names, into a free buffer when
+// a holds no samples yet and there is one.
+func (e *Engine) fill(a *field.Atom, want field.Blocks) {
+	if want == (field.Blocks{}) {
 		return
 	}
 	var buf []float64
 	if !a.Filled() {
 		buf, _ = pop(&e.free)
 	}
-	a.FillRows(rows, buf)
+	a.FillBlocks(want, buf)
 	e.fills++
 }
 
@@ -1004,13 +1004,13 @@ func (e *Engine) fill(a *field.Atom, rows field.Rows) {
 // nowhere, without KeepResults: the evaluation is then the run's CPU load
 // alone). A batch large enough to repay the hand-off fans out across the
 // engine's worker pool (one pool per run, not one goroutine set per
-// batch); a smaller one runs here. The rows of the atom the batch's
+// batch); a smaller one runs here. The samples of the atom the batch's
 // stencils read are filled here first, on the simulation goroutine: the
 // workers only read them.
 func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 	j := &e.job
 	j.atom, j.space = atom, e.cfg.Store.Space()
-	var rows field.Rows
+	var want field.Blocks
 	work := 0
 	for _, sq := range b.SubQueries {
 		var out []PointSample
@@ -1020,9 +1020,9 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 		u := computeUnit{sq: sq, out: out}
 		j.units = append(j.units, u)
 		work += u.work()
-		rows |= atom.Missing(sq.Query.Kernel, j.space, geom.AtomFromCode(sq.Atom.Code), sq.Points)
+		want = want.Or(atom.Missing(sq.Query.Kernel, j.space, geom.AtomFromCode(sq.Atom.Code), sq.Points))
 	}
-	e.fill(atom, rows)
+	e.fill(atom, want)
 	if spans := min(e.cfg.Parallelism, work/minSpanSamples, len(j.units)); spans > 1 {
 		if e.pool == nil {
 			// Lazily started on the simulation goroutine (Run or Session.loop),

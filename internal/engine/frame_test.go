@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -401,12 +402,14 @@ func TestComputeOffNeverFills(t *testing.T) {
 }
 
 // TestBatchFillsOnlyItsStencilRows: a batch fills, before it fans out, the
-// rows of its atom that its stencils read and the atom lacks, and no more.
-// A Lag4 stencil reads 4 of the 8 planes and 4 of the 8 rows of an 8³
-// atom, so a batch at the centre fills a quarter of it; the same batch
-// again fills nothing, and one at the far corner fills the rows the first
-// did not. Every value equals a fresh read's, and the large batch fans out
-// across the pool (run it under -race: the workers write no row).
+// samples of its atom that its stencils read and the atom lacks, and no
+// more. On an 8³ atom a block is a sample, and a Lag4 stencil is a 4³ cube
+// of them: the centre batch's points lie within a quarter sample of one
+// another, share samples 2..5 on each axis, and fill 64 of the 512. The
+// same batch again fills nothing, and one at the far corner fills the
+// samples of its stencils the first did not. Every value equals a fresh read's, and
+// the large batch fans out across the pool (run it under -race: the workers
+// write no sample).
 func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	s := frameStore(t, 8, 0)
 	c := cache.New(16, cache.NewLRUK(2, 0))
@@ -430,19 +433,30 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	}
 	v, _ := c.Get(id)
 	a := v.(*field.Atom)
-	if !a.Filled() || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != 0 || a.Missing(field.KernelLag8, space, ac, all) == 0 {
-		t.Fatalf("after the centre batch: filled %v, %d fills, lag8 rows missing %#x; want one fill of the stencil rows alone",
-			a.Filled(), e.fills, a.Missing(field.KernelLag8, space, ac, all))
+	if n := count(a.Missing(field.KernelLag8, space, ac, all)); !a.Filled() || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
+		t.Fatalf("after the centre batch: filled %v, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone",
+			a.Filled(), e.fills, n)
 	}
 	decide(t, e, query(2, centre[:10]))
 	if e.fills != 1 {
 		t.Fatalf("the same rows again: %d fills, want the first alone", e.fills)
 	}
 	decide(t, e, query(3, cornerPoints(s, 2, 2, 2, 10)))
-	if e.fills != 2 || a.Missing(field.KernelLag8, space, ac, all) == 0 {
-		t.Fatalf("the corner batch: %d fills, lag8 rows missing %#x; want a second fill, the atom still partial", e.fills, a.Missing(field.KernelLag8, space, ac, all))
+	// The corner stencils are clamped to samples 4..7 on each axis, which
+	// share 2³ with the centre batch's.
+	if n := count(a.Missing(field.KernelLag8, space, ac, all)); e.fills != 2 || n != 512-4*4*4-(4*4*4-2*2*2) {
+		t.Fatalf("the corner batch: %d fills, %d of 512 samples missing; want a second fill of the corner's 56 new samples", e.fills, n)
 	}
 	(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+}
+
+// count is the number of blocks in b.
+func count(b field.Blocks) int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // TestRecycledHandleServesOnlyItsAtom: an evicted atom's handle is free

@@ -15,6 +15,7 @@ package field
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"jaws/internal/geom"
@@ -104,12 +105,11 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 		// into the following add), here and in the fill kernel, which hoists
 		// three of them out of its inner loop, so both produce the same bits
 		// on every architecture (make check-fma).
-		phase := float64(m.k[0]*pos.X) + float64(m.k[1]*pos.Y) + float64(m.k[2]*pos.Z) + m.ph + float64(m.omega*t)
-		s := math.Sin(phase)
+		s, c := sincos(float64(m.k[0]*pos.X) + float64(m.k[1]*pos.Y) + float64(m.k[2]*pos.Z) + m.ph + float64(m.omega*t))
 		out[0] += float64(m.a[0] * s)
 		out[1] += float64(m.a[1] * s)
 		out[2] += float64(m.a[2] * s)
-		out[3] += float64(m.p * math.Cos(phase))
+		out[3] += float64(m.p * c)
 	}
 	return out
 }
@@ -122,16 +122,17 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 // without touching the neighbour atom's data.
 //
 // An atom from Frame is a frame: it carries the recipe of its samples and
-// synthesizes them row by row as they are first read (FillRows, or an At /
-// Interpolate that reads them), so an atom that is only ever resident costs
-// no synthesis and no sample memory, and one that is read costs only the
-// rows its stencils reach. The first read of a row is a write: goroutines
-// that share an atom fill the rows they will read before they part.
+// synthesizes them block by block as they are first read (FillBlocks, or an
+// At / Interpolate that reads them), so an atom that is only ever resident
+// costs no synthesis and no sample memory, and one that is read costs only
+// the samples its stencils reach. The first read of a sample is a write:
+// goroutines that share an atom fill the blocks they will read before they
+// part.
 type Atom struct {
 	Side  int
 	Ghost int
 	// Data is nil until the atom is filled, and then holds the samples of
-	// the rows in filled; the other rows hold whatever the array held.
+	// the blocks in filled; the other samples hold whatever the array held.
 	Data []float64
 
 	// The recipe.
@@ -139,39 +140,80 @@ type Atom struct {
 	step  int
 	space geom.Space
 	ac    geom.AtomCoord
-	// filled is the set of rows Data holds.
-	filled Rows
+	// filled is the set of blocks Data holds: nil until the handle's first
+	// fill, so a handle that is only ever resident carries no set, and then
+	// kept, cleared, across Release and FrameInto.
+	filled *Blocks
 }
 
-// Rows is a set of an atom's sample rows. A row is the dim() samples of one
-// (y, z) line along x, stored contiguously; the (y, z) plane of rows is cut
-// into at most 8 × 8 square blocks of ⌈dim/8⌉ rows a side, and bit 8·bz + by
-// stands for block (by, bz). On the 8³ atoms the daemon serves, a block is
-// one row.
-type Rows uint64
+// Blocks is a set of an atom's samples. Each axis of the dim()³ samples is
+// cut into at most 8 runs of ⌈dim/8⌉, so the atom into at most 8³ cubic
+// blocks, and bit 8·by + bx of word bz stands for block (bx, by, bz). On the
+// 8³ atoms the daemon serves, a block is one sample.
+type Blocks [8]uint64
+
+// Or returns the union of b and o.
+func (b Blocks) Or(o Blocks) Blocks {
+	for i := range b {
+		b[i] |= o[i]
+	}
+	return b
+}
+
+// covers reports whether b holds every block of o.
+func (b *Blocks) covers(o *Blocks) bool {
+	for i := range b {
+		if o[i]&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// add adds the blocks of width w holding samples x0..x1 × y0..y1 × z0..z1.
+func (b *Blocks) add(w, x0, x1, y0, y1, z0, z1 int) {
+	if w > 1 { // up to 8³ samples a block is a sample: no division
+		x0, x1, y0, y1, z0, z1 = x0/w, x1/w, y0/w, y1/w, z0/w, z1/w
+	}
+	line := uint64(1)<<(x1+1) - uint64(1)<<x0
+	var plane uint64
+	for by := y0; by <= y1; by++ {
+		plane |= line << (8 * by)
+	}
+	for bz := z0; bz <= z1; bz++ {
+		b[bz] |= plane
+	}
+}
 
 // dim is the stored samples per axis including the halo.
 func (a *Atom) dim() int { return a.Side + 2*a.Ghost }
 
-// band is the rows per block side.
+// band is the samples per block side.
 func (a *Atom) band() int { return (a.dim() + 7) / 8 }
 
-// rows returns the blocks holding rows y0..y1 of planes z0..z1, in stored
-// indices (the halo starts at 0).
-func (a *Atom) rows(y0, y1, z0, z1 int) Rows {
-	b := a.band()
-	line := Rows(1)<<(y1/b+1) - Rows(1)<<(y0/b)
-	var r Rows
-	for bz := z0 / b; bz <= z1/b; bz++ {
-		r |= line << (8 * bz)
-	}
-	return r
+// box returns the blocks holding samples x0..x1 × y0..y1 × z0..z1, in
+// stored indices (the halo starts at 0).
+func (a *Atom) box(x0, x1, y0, y1, z0, z1 int) Blocks {
+	var b Blocks
+	b.add(a.band(), x0, x1, y0, y1, z0, z1)
+	return b
 }
 
-// all is every row of the atom.
-func (a *Atom) all() Rows {
+// all is every block of the atom.
+func (a *Atom) all() Blocks {
 	d := a.dim()
-	return a.rows(0, d-1, 0, d-1)
+	return a.box(0, d-1, 0, d-1, 0, d-1)
+}
+
+// noBlocks is the empty set an atom without one holds. It is never written.
+var noBlocks Blocks
+
+// held is the set of blocks Data holds.
+func (a *Atom) held() *Blocks {
+	if a.filled == nil {
+		return &noBlocks
+	}
+	return a.filled
 }
 
 // NominalAtomBytes is the on-disk size charged for one atom regardless of
@@ -199,7 +241,8 @@ func (f *Field) Frame(step int, space geom.Space, ac geom.AtomCoord, side, ghost
 
 // FrameInto is Frame on a handle the caller gives, which nothing else may
 // still hold: a is overwritten whole, so no recipe and no sample of the
-// atom it was survives in it. A nil a is allocated.
+// atom it was survives in it; only the storage of its block set is kept,
+// cleared. A nil a is allocated.
 func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	if side <= 0 {
 		side = 8
@@ -210,50 +253,37 @@ func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord
 	if a == nil {
 		a = new(Atom)
 	}
-	*a = Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac}
+	*a = Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac, filled: a.filled}
+	if a.filled != nil {
+		*a.filled = Blocks{}
+	}
 	return a
 }
 
 // Filled reports whether the atom holds a sample array, with at least one
-// row of it synthesized.
+// block of it synthesized.
 func (a *Atom) Filled() bool { return a.Data != nil }
 
-// Fill synthesizes every row the atom does not hold yet: FillRows of all
-// of them.
+// Fill synthesizes every sample the atom does not hold yet: FillBlocks of
+// all of them.
 func (a *Atom) Fill(buf []float64) {
-	a.FillRows(^Rows(0), buf)
+	a.FillBlocks(a.all(), buf)
 }
 
-// FillRows synthesizes the rows of want the atom does not hold yet. The
+// FillBlocks synthesizes the blocks of want the atom does not hold yet. The
 // first fill of an atom writes into buf when that is large enough (its
-// contents are overwritten row by row as rows are filled) and into a new
-// array otherwise; later fills write into that array and ignore buf.
-func (a *Atom) FillRows(want Rows, buf []float64) {
-	if want&^a.filled != 0 {
-		a.synthesize(want, buf)
+// contents are overwritten block by block as blocks are filled) and into a
+// new array otherwise; later fills write into that array and ignore buf.
+func (a *Atom) FillBlocks(want Blocks, buf []float64) {
+	held := a.held()
+	if held.covers(&want) {
+		return
 	}
-}
-
-// Missing returns the rows that kernel k's stencils read to evaluate at the
-// positions pts of atom ac, less those the atom holds already: what
-// FillRows must synthesize before the evaluations can share the atom.
-func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom.Position) Rows {
-	var want Rows
 	all := a.all()
-	for _, pos := range pts {
-		if a.filled|want == all {
-			break
-		}
-		want |= a.stencilRows(k, space, ac, pos)
+	for i := range want {
+		want[i] &= all[i] &^ held[i]
 	}
-	return want &^ a.filled
-}
-
-// synthesize is FillRows' slow path, apart so the guard inlines into the
-// interpolation kernels.
-func (a *Atom) synthesize(want Rows, buf []float64) {
-	want &= a.all() &^ a.filled
-	if want == 0 {
+	if want == (Blocks{}) { // blocks outside the atom alone
 		return
 	}
 	if a.Data == nil {
@@ -264,8 +294,31 @@ func (a *Atom) synthesize(want Rows, buf []float64) {
 			a.Data = make([]float64, n)
 		}
 	}
-	a.fill(want)
-	a.filled |= want
+	if a.filled == nil {
+		a.filled = new(Blocks)
+	}
+	a.fill(&want)
+	*a.filled = a.filled.Or(want)
+}
+
+// Missing returns the blocks that kernel k's stencils read to evaluate at
+// the positions pts of atom ac, less those the atom holds already: what
+// FillBlocks must synthesize before the evaluations can share the atom.
+func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom.Position) Blocks {
+	var want Blocks
+	held := a.held()
+	if *held == a.all() {
+		return want
+	}
+	w := a.band()
+	for _, pos := range pts {
+		x, y, z, n := a.stencil(k, space, ac, pos)
+		want.add(w, x, x+n-1, y, y+n-1, z, z+n-1)
+	}
+	for i := range want {
+		want[i] &^= held[i]
+	}
+	return want
 }
 
 // Release detaches the sample array and returns it for reuse (nil from an
@@ -277,7 +330,10 @@ func (a *Atom) synthesize(want Rows, buf []float64) {
 // further.
 func (a *Atom) Release() []float64 {
 	buf := a.Data
-	a.Data, a.filled = nil, 0
+	a.Data = nil
+	if a.filled != nil {
+		*a.filled = Blocks{}
+	}
 	return buf
 }
 
@@ -286,23 +342,17 @@ func (a *Atom) Release() []float64 {
 // stack.
 const paperDim = 72
 
-// fillRow is a row the fill kernel writes: where it starts in Data, and the
-// wrapped y and z of its samples.
-type fillRow struct {
-	off  int
-	y, z float64
-}
-
 // fill is the one synthesis kernel: it writes the field at every sample
-// position of the rows of want into Data, with the bits Eval gives there.
+// position of the blocks of want into Data, with the bits Eval gives there.
 // Eval's work is regrouped, not reformulated: the wrapped coordinate of a
 // sample depends on one index per axis, so the three tables are computed
-// once per call; with the modes outermost over the list of rows to fill,
-// ω·t is a per-mode and k·y, k·z per-row constants; and one Sincos replaces
-// Sin and Cos of the same phase. Every sample still sums the same rounded
-// terms in the same mode order, starting from zero. Its cost is the rows'
-// samples, whatever the atom holds already.
-func (a *Atom) fill(want Rows) {
+// once per call; the blocks of a row that want holds side by side are one
+// run of samples along x, and with the modes inside the run and the samples
+// innermost, ω·t, k·y and k·z are per-mode constants of the run; and one
+// sincos gives the sine and cosine of the same phase. Every sample still
+// sums the same rounded terms in the same mode order, starting from zero.
+// Its cost is the blocks' samples, whatever the atom holds already.
+func (a *Atom) fill(want *Blocks) {
 	f := a.src
 	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
 	h := atomLen / float64(a.Side)
@@ -322,33 +372,30 @@ func (a *Atom) fill(want Rows) {
 		})
 		xs[n], ys[n], zs[n] = p.X, p.Y, p.Z
 	}
-	rowLen := d * Components
-	var rowStack [64]fillRow
-	rows := rowStack[:0]
-	for zi, z := range zs {
-		plane := want >> (8 * (zi / b))
-		for yi, y := range ys {
-			if plane>>(yi/b)&1 != 0 {
-				off := (zi*d + yi) * rowLen
-				clear(a.Data[off:][:rowLen])
-				rows = append(rows, fillRow{off: off, y: y, z: z})
-			}
-		}
-	}
 	t := float64(a.step) * f.dt
-	for mi := range f.modes {
-		m := &f.modes[mi]
-		kx, wt := m.k[0], float64(m.omega*t)
-		for _, r := range rows {
-			ky, kz := float64(m.k[1]*r.y), float64(m.k[2]*r.z)
-			row := a.Data[r.off:][:rowLen]
-			for xi, x := range xs {
-				s, c := math.Sincos(float64(kx*x) + ky + kz + m.ph + wt)
-				v := row[xi*Components:][:Components]
-				v[0] += float64(m.a[0] * s)
-				v[1] += float64(m.a[1] * s)
-				v[2] += float64(m.a[2] * s)
-				v[3] += float64(m.p * c)
+	for zi, z := range zs {
+		plane := want[zi/b]
+		for yi, y := range ys {
+			for line := uint8(plane >> (8 * (yi / b))); line != 0; {
+				// The lowest run of set bits: blocks lo..lo+n-1.
+				lo := bits.TrailingZeros8(line)
+				n := bits.TrailingZeros8(^(line >> lo))
+				line &= line + line&-line
+				x0, x1 := lo*b, min((lo+n)*b, d)
+				run := a.Data[((zi*d+yi)*d+x0)*Components:][:(x1-x0)*Components]
+				clear(run)
+				for mi := range f.modes {
+					m := &f.modes[mi]
+					kx, ky, kz, wt := m.k[0], float64(m.k[1]*y), float64(m.k[2]*z), float64(m.omega*t)
+					for i, x := range xs[x0:x1] {
+						s, c := sincos(float64(kx*x) + ky + kz + m.ph + wt)
+						v := run[i*Components:][:Components]
+						v[0] += float64(m.a[0] * s)
+						v[1] += float64(m.a[1] * s)
+						v[2] += float64(m.a[2] * s)
+						v[3] += float64(m.p * c)
+					}
+				}
 			}
 		}
 	}
@@ -358,10 +405,10 @@ func (a *Atom) fill(want Rows) {
 // atom's own extent; indices from −Ghost to Side+Ghost−1 reach into the
 // replication halo.
 func (a *Atom) At(i, j, k int) [Components]float64 {
-	y, z := j+a.Ghost, k+a.Ghost
-	a.FillRows(a.rows(y, y, z, z), nil)
+	x, y, z := i+a.Ghost, j+a.Ghost, k+a.Ghost
+	a.FillBlocks(a.box(x, x, y, y, z, z), nil)
 	d := a.dim()
-	base := ((z*d+y)*d + (i + a.Ghost)) * Components
+	base := ((z*d+y)*d + x) * Components
 	var out [Components]float64
 	copy(out[:], a.Data[base:base+Components])
 	return out

@@ -2,7 +2,9 @@ package field
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -216,8 +218,8 @@ func TestFrameLifecycle(t *testing.T) {
 	if got, w := Interpolate(KernelLag4, a, s, ac, s.Center(ac)), Interpolate(KernelLag4, want, s, ac, s.Center(ac)); got != w {
 		t.Fatalf("interpolation on a released frame: %v, want %v", got, w)
 	}
-	if !a.Filled() || a.filled == a.all() {
-		t.Fatalf("first use filled rows %#x of %#x: want its stencil's alone", a.filled, a.all())
+	if !a.Filled() || *a.held() == a.all() {
+		t.Fatalf("first use filled blocks %x of %x: want its stencil's alone", *a.held(), a.all())
 	}
 	a.Fill(nil)
 	same("refilled by first use, then completed")
@@ -240,8 +242,30 @@ func TestFrameLifecycle(t *testing.T) {
 	same("taken over for another atom")
 }
 
+// TestHandleCarriesNoBlocks: a replay keeps thousands of atoms resident
+// that it never fills, so the handle stays the size it was with a one-word
+// row mask; the 64-byte block set is allocated at the handle's first fill
+// and kept, cleared, when the handle is released and taken over.
+func TestHandleCarriesNoBlocks(t *testing.T) {
+	if n := reflect.TypeFor[Atom]().Size(); n > 96 {
+		t.Fatalf("an atom handle is %d bytes, want at most 96", n)
+	}
+	f := New(5, 8, 0)
+	s := testSpace()
+	a := f.Frame(0, s, geom.AtomCoord{}, 8, 0)
+	if a.filled != nil {
+		t.Fatal("a new frame carries a block set")
+	}
+	a.Fill(nil)
+	set := a.filled
+	a.Release()
+	if f.FrameInto(a, 1, s, geom.AtomCoord{I: 1}, 8, 0); a.filled != set || *set != (Blocks{}) {
+		t.Fatalf("released and taken over: block set %p %x, want %p kept and empty", a.filled, *a.held(), set)
+	}
+}
+
 // poisoned returns a frame of atom ac filled into nothing yet, with a
-// sample buffer of NaNs it will fill into: a read of a row it has not
+// sample buffer of NaNs it will fill into: a read of a sample it has not
 // filled yields NaN, which no evaluation can mistake for a sample.
 func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost int) (*Atom, []float64) {
 	a := f.Frame(step, s, ac, side, ghost)
@@ -253,11 +277,26 @@ func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost i
 	return a, buf
 }
 
-// TestFillRowsMatchesFill holds the row-masked fill to the whole-atom one,
-// bit for bit: rows filled in any order and grouping, into a buffer that
-// held something else, carry the values SampleGhost gives them, and a row
-// not asked for is never written. Sides 4 to 20 cover blocks of one row
-// (dim ≤ 8) and of two and three rows a side.
+// holds reports whether the blocks of b hold sample (x, y, z) of atom a.
+func (a *Atom) holds(b *Blocks, x, y, z int) bool {
+	w := a.band()
+	return b[z/w]>>(8*(y/w)+x/w)&1 != 0
+}
+
+// count is the number of blocks in b.
+func (b *Blocks) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestFillRowsMatchesFill holds the block-masked fill to the whole-atom one,
+// bit for bit: random 3-D sets of blocks filled in any order and grouping,
+// into a buffer that held something else, carry the values SampleGhost gives
+// them, and a sample not asked for is never written. Sides 4 to 20 cover
+// blocks of one sample (dim ≤ 8) and of two and three samples a side.
 func TestFillRowsMatchesFill(t *testing.T) {
 	f := New(5, 48, 0)
 	s := testSpace()
@@ -267,21 +306,27 @@ func TestFillRowsMatchesFill(t *testing.T) {
 			ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: 7}
 			want := f.SampleGhost(5, s, ac, side, ghost)
 			a, buf := poisoned(f, 5, s, ac, side, ghost)
-			d, b := a.dim(), a.band()
-			for round := 0; a.filled != a.all(); round++ {
-				a.FillRows(Rows(rng.Uint64()&rng.Uint64()&rng.Uint64()), buf)
+			d := a.dim()
+			for round := 0; *a.held() != a.all(); round++ {
+				var mask Blocks
+				for i := range mask {
+					mask[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+				}
+				a.FillBlocks(mask, buf)
 				if &a.Data[0] != &buf[0] {
 					t.Fatalf("side %d ghost %d: the first fill did not use the buffer it was given", side, ghost)
 				}
+				i := 0
 				for z := 0; z < d; z++ {
 					for y := 0; y < d; y++ {
-						row := (z*d + y) * d * Components
-						filled := a.filled&(1<<(8*(z/b)+y/b)) != 0
-						for i := row; i < row+d*Components; i++ {
-							if filled && math.Float64bits(a.Data[i]) != math.Float64bits(want.Data[i]) ||
-								!filled && !math.IsNaN(a.Data[i]) {
-								t.Fatalf("side %d ghost %d round %d: row (%d,%d) filled %v holds %v at %d, the whole fill %v",
-									side, ghost, round, y, z, filled, a.Data[i], i, want.Data[i])
+						for x := 0; x < d; x++ {
+							filled := a.holds(a.held(), x, y, z)
+							for end := i + Components; i < end; i++ {
+								if filled && math.Float64bits(a.Data[i]) != math.Float64bits(want.Data[i]) ||
+									!filled && !math.IsNaN(a.Data[i]) {
+									t.Fatalf("side %d ghost %d round %d: sample (%d,%d,%d) filled %v holds %v at %d, the whole fill %v",
+										side, ghost, round, x, y, z, filled, a.Data[i], i, want.Data[i])
+								}
 							}
 						}
 					}
@@ -291,12 +336,14 @@ func TestFillRowsMatchesFill(t *testing.T) {
 	}
 }
 
-// TestInterpolateReadsOnlyFilledRows: evaluating on a frame fills the rows
-// its stencil reads and reads no other (the unfilled rows are NaN), and
-// FillRows(Missing(...)) fills in advance every row that a set of
-// evaluations then reads, so sharing the atom among goroutines writes
-// nothing — the engine's contract with its compute pool. Every value equals
-// the one on a whole atom, bit for bit.
+// TestInterpolateReadsOnlyFilledRows: evaluating on a frame fills the
+// samples its stencil reads and reads no other (the unfilled samples are
+// NaN), and FillBlocks(Missing(...)) fills in advance every sample that a set
+// of evaluations then reads, so sharing the atom among goroutines writes
+// nothing — the engine's contract with its compute pool. Where a block is
+// one sample, what one evaluation asks for is its stencil's cube, n³
+// samples, and KernelNone's one nearest sample. Every value equals the one
+// on a whole atom, bit for bit.
 func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 	s := testSpace()
 	rng := rand.New(rand.NewSource(11))
@@ -304,11 +351,11 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 	for _, tc := range kernelCases() {
 		for _, k := range allKernels {
 			lazy, buf := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
-			lazy.FillRows(0, buf) // nothing: the buffer is not taken
+			lazy.FillBlocks(Blocks{}, buf) // nothing: the buffer is not taken
 			if lazy.Filled() {
 				t.Fatalf("%s: an empty fill took a buffer", tc.name)
 			}
-			lazy.FillRows(1, buf) // one block: from here on the frame fills into the NaNs
+			lazy.FillBlocks(Blocks{1}, buf) // one block: from here on the frame fills into the NaNs
 			for i := 0; i < 50; i++ {
 				p := positionIn(rng, s, tc.ac)
 				if got, want := Interpolate(k, lazy, s, tc.ac, p), Interpolate(k, tc.atom, s, tc.ac, p); got != want {
@@ -321,18 +368,31 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 			for i := range pts {
 				pts[i] = positionIn(rng, s, tc.ac)
 			}
-			ahead.FillRows(ahead.Missing(k, s, tc.ac, pts), buf)
-			if m := ahead.Missing(k, s, tc.ac, pts); m != 0 {
-				t.Fatalf("%s %v: rows %#x still missing after their fill", tc.name, k, m)
+			if ahead.band() == 1 {
+				n := ahead.width(k)
+				if k == KernelNone {
+					n = 1
+				}
+				one := f.Frame(tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+				m := one.Missing(k, s, tc.ac, pts[:1])
+				Interpolate(k, one, s, tc.ac, pts[0])
+				if m.count() != n*n*n || *one.held() != m {
+					t.Fatalf("%s %v at %+v: %d samples missing, %d filled by the evaluation; want the stencil's %d, both the same",
+						tc.name, k, pts[0], m.count(), one.held().count(), n*n*n)
+				}
 			}
-			before := ahead.filled
+			ahead.FillBlocks(ahead.Missing(k, s, tc.ac, pts), buf)
+			if m := ahead.Missing(k, s, tc.ac, pts); m != (Blocks{}) {
+				t.Fatalf("%s %v: blocks %x still missing after their fill", tc.name, k, m)
+			}
+			before := *ahead.held()
 			for _, p := range pts {
 				if got, want := Interpolate(k, ahead, s, tc.ac, p), Interpolate(k, tc.atom, s, tc.ac, p); got != want {
 					t.Fatalf("%s %v at %+v: %v on the frame filled ahead, %v on the whole atom", tc.name, k, p, got, want)
 				}
 			}
-			if ahead.filled != before {
-				t.Fatalf("%s %v: evaluating filled rows %#x beyond the %#x filled ahead", tc.name, k, ahead.filled, before)
+			if *ahead.held() != before {
+				t.Fatalf("%s %v: evaluating filled blocks %x beyond the %x filled ahead", tc.name, k, *ahead.held(), before)
 			}
 		}
 	}
@@ -484,7 +544,7 @@ func BenchmarkFillFrame8(b *testing.B) {
 }
 
 // BenchmarkFillStencil8 is BenchmarkFillFrame8 for what a one-point Lag4
-// batch fills: the rows of one stencil, a quarter of the atom.
+// batch fills: the samples of one stencil, an eighth of the atom.
 func BenchmarkFillStencil8(b *testing.B) {
 	f := New(1, 48, 0)
 	s := testSpace()
@@ -493,7 +553,7 @@ func BenchmarkFillStencil8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ac := geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}
 		a := f.Frame(i%31, s, ac, 8, 0)
-		a.FillRows(a.stencilRows(KernelLag4, s, ac, s.Center(ac)), buf)
+		a.FillBlocks(a.Missing(KernelLag4, s, ac, []geom.Position{s.Center(ac)}), buf)
 		buf = a.Release()
 	}
 }

@@ -82,8 +82,8 @@ func (k Kernel) CostWeight() float64 {
 // a (the atom containing pos within `space`). Stencils may extend into
 // the atom's replication halo (§III.A stores four ghost voxels on each
 // side for exactly this purpose); without a halo they are clamped to the
-// atom's own sample grid. Returns the interpolated (u, v, w, p). The rows
-// the stencil reads are filled first if the atom lacks them.
+// atom's own sample grid. Returns the interpolated (u, v, w, p). The
+// samples the stencil reads are filled first if the atom lacks them.
 func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
 	sx, sy, sz := a.sampleCoords(space, ac, pos)
 	if k == KernelNone {
@@ -127,17 +127,17 @@ func (a *Atom) width(k Kernel) int {
 	return min(n, a.dim())
 }
 
-// stencilRows returns the rows kernel k reads to evaluate at pos.
-func (a *Atom) stencilRows(k Kernel, space geom.Space, ac geom.AtomCoord, pos geom.Position) Rows {
-	_, sy, sz := a.sampleCoords(space, ac, pos)
+// stencil returns the cube of samples kernel k reads to evaluate at pos:
+// its first sample (x, y, z), in stored indices, and its side n.
+func (a *Atom) stencil(k Kernel, space geom.Space, ac geom.AtomCoord, pos geom.Position) (x, y, z, n int) {
+	sx, sy, sz := a.sampleCoords(space, ac, pos)
 	g := a.Ghost
 	if k == KernelNone {
-		_, j, l := a.nearest(0, sy, sz)
-		return a.rows(j+g, j+g, l+g, l+g)
+		i, j, l := a.nearest(sx, sy, sz)
+		return i + g, j + g, l + g, 1
 	}
-	n := a.width(k)
-	iy, iz := stencilStart(sy, n, a.Side, g)+g, stencilStart(sz, n, a.Side, g)+g
-	return a.rows(iy, iy+n-1, iz, iz+n-1)
+	n = a.width(k)
+	return stencilStart(sx, n, a.Side, g) + g, stencilStart(sy, n, a.Side, g) + g, stencilStart(sz, n, a.Side, g) + g, n
 }
 
 func clamp(v, lo, hi int) int {
@@ -151,7 +151,7 @@ func clamp(v, lo, hi int) int {
 }
 
 // lagrange performs separable N-point Lagrange interpolation on the atom's
-// sample grid (halo included), filling the rows it reads first.
+// sample grid (halo included), filling the samples it reads first.
 func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 	ix, wx := lagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
 	iy, wy := lagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
@@ -159,7 +159,7 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 
 	d := a.dim()
 	g := a.Ghost
-	a.FillRows(a.rows(iy+g, iy+g+n-1, iz+g, iz+g+n-1), nil)
+	a.FillBlocks(a.box(ix+g, ix+g+n-1, iy+g, iy+g+n-1, iz+g, iz+g+n-1), nil)
 	var out [Components]float64
 	for kk := 0; kk < n; kk++ {
 		for jj := 0; jj < n; jj++ {
