@@ -61,8 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tailPol     = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler on every node, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		cacheAtoms  = fs.Int("cache", 64, "cache capacity in atoms per node")
 		rf          = system.BindRunFlags(fs, true)
-		flight      = fs.Bool("flight", false, "record scheduler decision flight records (ring + trace-out sink; enables /varz sched and jaws_sched_* metrics)")
-		flightRing  = fs.Int("flight-ring", 0, "flight recorder ring capacity in records (0: default 4096, <0: unbounded)")
+		flight      = fs.Bool("flight", false, "record scheduler decision flight records (aggregated for /varz sched and jaws_sched_* metrics, each record written to -trace-out)")
 		serveFor    = fs.Duration("serve-for", 0, "drain and exit after this long (0: serve until a signal)")
 		allowQuit   = fs.Bool("allow-quit", false, "serve POST /quitquitquit to trigger a graceful drain")
 		logOut      = fs.String("log-out", "", "write structured JSON request logs to this file (- for stderr)")
@@ -92,20 +91,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return errf("%v", err)
 	}
 	reg, tracer := rf.Reg, rf.Tracer
-	var reqSpans *obs.ReqSpanAgg
-	if tracer != nil {
-		// The same tracer carries both the engines' virtual-clock events
-		// and the server's wall-clock request spans, so one JSONL file
-		// holds both sides of every request.
-		reqSpans = obs.NewReqSpanAgg()
-	}
 	var recorder *obs.FlightRecorder
 	if *flight {
-		// Decision flight records land in the recorder's ring (for /varz
-		// aggregates), the jaws_sched_* counters, and — when -trace-out is
-		// set — the shared JSONL trace, where jawsreport -why joins them
-		// with the engine spans.
-		recorder = obs.NewFlightRecorder(*flightRing, tracer, reg)
+		// Decision flight records feed the recorder's aggregates (/varz)
+		// and the jaws_sched_* counters, and — when -trace-out is set —
+		// land in the shared JSONL trace, where jawsreport -why joins them
+		// with the engine spans. The daemon keeps none of them in memory.
+		recorder = obs.NewFlightRecorder(false, tracer, reg)
 		o.Flight = recorder
 	}
 	var logger *obs.Logger
@@ -157,7 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxDeadline:     *maxDeadline,
 		RetryAfter:      *retryAfter,
 		Trace:           tracer,
-		ReqSpans:        reqSpans,
 		Log:             logger,
 		SLO:             slo,
 		ReqIDSeed:       *reqSeed,
@@ -251,16 +242,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, rep := range reports {
 		fmt.Fprintf(stdout, "node %d          %d completed, %.1f virtual s, cache hit %.1f%%\n",
 			i, rep.Completed, rep.Elapsed.Seconds(), rep.CacheStats.HitRatio()*100)
-	}
-	if reqSpans != nil && reqSpans.Count() > 0 {
-		sum := reqSpans.Summarize(3)
-		fmt.Fprintf(stdout, "request spans   %d spans (%d ok), wall p50 %v p99 %v max %v\n",
-			sum.Count, sum.OK, sum.P50.Round(time.Microsecond),
-			sum.P99.Round(time.Microsecond), sum.Max.Round(time.Microsecond))
-		for _, row := range sum.Attribution() {
-			fmt.Fprintf(stdout, "  %-9s %5.1f%%  %v/request\n",
-				row.Name, row.Share*100, row.MeanPerQuery.Round(time.Microsecond))
-		}
 	}
 	if slo != nil {
 		snap := slo.Snapshot()

@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"jaws/internal/obs"
 )
 
 // tiny keeps daemon start-up under a second.
@@ -287,7 +289,7 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		"draining (quitquitquit)", "served          1 queries", "node 0", "node 1",
-		"metrics         ->", "request spans   1 spans (1 ok)", "slo             100.00% <= 5s",
+		"metrics         ->", "slo             100.00% <= 5s",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -308,22 +310,32 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// The trace carries both sides of the request — the server's
 	// wall-clock reqspan and the engine's virtual-clock span — stitched
-	// by the same propagated ID.
-	trace, err := os.ReadFile(tracePath)
+	// by the same propagated ID; its request spans summarize to the one
+	// served request.
+	trace, err := os.Open(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqSide, engineSide bool
-	for _, line := range strings.Split(string(trace), "\n") {
-		if strings.Contains(line, `"kind":"reqspan"`) && strings.Contains(line, rid) {
-			reqSide = true
-		}
-		if strings.Contains(line, `"kind":"span"`) && strings.Contains(line, `"req":"`+rid+`"`) {
+	defer trace.Close()
+	var reqSpans []obs.ReqSpan
+	var engineSide bool
+	err = obs.ScanTrace(trace, func(ev *obs.Event) error {
+		switch {
+		case ev.Kind == obs.KindReqSpan:
+			reqSpans = append(reqSpans, *ev.Req)
+		case ev.Kind == obs.KindSpan && ev.Span.Req == rid:
 			engineSide = true
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reqSide || !engineSide {
-		t.Errorf("trace does not stitch request %s (reqspan=%v, engine span=%v)", rid, reqSide, engineSide)
+	if sum := obs.SummarizeReqSpans(reqSpans, 0); sum.Count != 1 || sum.OK != 1 || reqSpans[0].ID != rid {
+		t.Errorf("trace request spans: %d (%d ok), want the 1 served request %s", sum.Count, sum.OK, rid)
+	}
+	if !engineSide {
+		t.Errorf("trace does not stitch request %s to an engine span", rid)
 	}
 
 	// Every structured log line is JSON and the served request's line

@@ -39,9 +39,9 @@ func policyFixtureScale() experiments.Scale {
 func capturePolicyTrace(t *testing.T, s experiments.Scale) []byte {
 	t.Helper()
 	var trace bytes.Buffer
-	tracer := obs.NewTracer(0, &trace)
+	tracer := obs.NewTracer(&trace)
 	agg := obs.NewSpanAgg()
-	rec := obs.NewFlightRecorder(-1, tracer, nil)
+	rec := obs.NewFlightRecorder(true, tracer, nil)
 	s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
 	if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
 		t.Fatal(err)
@@ -118,9 +118,9 @@ func TestWhyGateAwareFlipsCause(t *testing.T) {
 		s := experiments.TestScale()
 		s.TailPolicy = policy
 		var trace bytes.Buffer
-		tracer := obs.NewTracer(0, &trace)
+		tracer := obs.NewTracer(&trace)
 		agg := obs.NewSpanAgg()
-		rec := obs.NewFlightRecorder(-1, tracer, nil)
+		rec := obs.NewFlightRecorder(true, tracer, nil)
 		s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
 		if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
 			t.Fatal(err)

@@ -19,9 +19,9 @@ import (
 // to exactly one cause, causes summing to the span's gated + queued).
 func TestWhyEndToEnd(t *testing.T) {
 	var trace bytes.Buffer
-	tracer := obs.NewTracer(0, &trace)
+	tracer := obs.NewTracer(&trace)
 	agg := obs.NewSpanAgg()
-	rec := obs.NewFlightRecorder(-1, tracer, nil) // unbounded: no round may be lost
+	rec := obs.NewFlightRecorder(true, tracer, nil) // retains every record: no round may be lost
 	s := experiments.TestScale()
 	s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
 	if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
@@ -46,7 +46,7 @@ func TestWhyEndToEnd(t *testing.T) {
 		sp := &spans[i]
 		c := ix.Chain(*sp)
 		if c.Note != "" {
-			t.Fatalf("query %d: incomplete chain with an unbounded recorder: %s", sp.Query, c.Note)
+			t.Fatalf("query %d: incomplete chain with a retaining recorder: %s", sp.Query, c.Note)
 		}
 		if !c.Exact {
 			t.Errorf("query %d: chain inexact: rounds charge %v, span queued %v", sp.Query, c.Queued, sp.Queued)

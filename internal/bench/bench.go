@@ -130,13 +130,13 @@ func record(s experiments.Scale, alg experiments.Algorithm) ConfigRecord {
 // Run executes the JAWS2 benchmark workload at the given scale with span
 // collection and the decision flight recorder enabled, and distills the
 // report into an artifact. The scale's Obs is replaced for the run (a
-// fresh span aggregator and an unbounded recorder — attribution must
-// not lose rounds — no tracer, no registry) so the measurement is
-// self-contained and repeatable.
+// fresh span aggregator and a recorder that retains every record —
+// attribution must not lose rounds — no tracer, no registry) so the
+// measurement is self-contained and repeatable.
 func Run(s experiments.Scale, name string) (*Artifact, error) {
 	alg := experiments.AlgJAWS2
 	agg := obs.NewSpanAgg()
-	rec := obs.NewFlightRecorder(-1, nil, nil)
+	rec := obs.NewFlightRecorder(true, nil, nil)
 	s.Obs = &obs.Obs{Spans: agg, Flight: rec}
 	rep, err := experiments.RunAlgorithm(s, alg, s.BatchSize)
 	if err != nil {

@@ -192,7 +192,7 @@ func TestRunAggregates(t *testing.T) {
 // cluster wired its engines by hand).
 func TestRunLabelsFlightRecordsByNode(t *testing.T) {
 	cfg := testConfig(2)
-	rec := obs.NewFlightRecorder(-1, nil, nil)
+	rec := obs.NewFlightRecorder(true, nil, nil)
 	cfg.Node.Obs = &obs.Obs{Flight: rec}
 	c, err := New(cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -18,12 +19,13 @@ import (
 // obsWorkload builds a gated two-job workload that exercises every
 // instrumented path: cache hits/misses/evictions, gating edges and
 // blocks, adaptation runs, and multi-atom JAWS decisions.
-func obsWorkload(t *testing.T) (*Engine, *obs.Obs, []*job.Job) {
+func obsWorkload(t *testing.T) (*Engine, *obs.Obs, *bytes.Buffer, []*job.Job) {
 	t.Helper()
 	s := testStore(t)
 	c := cache.New(4, cache.NewLRUK(1, 0)) // tiny: forces evictions
+	var sink bytes.Buffer
 	o := &obs.Obs{
-		Trace: obs.NewTracer(1<<16, nil),
+		Trace: obs.NewTracer(&sink),
 		Reg:   obs.NewRegistry(),
 	}
 	sc := sched.NewJAWS(sched.JAWSConfig{
@@ -55,18 +57,36 @@ func obsWorkload(t *testing.T) (*Engine, *obs.Obs, []*job.Job) {
 		orderedJob(s, 2, []int{0, 1, 2, 3}, []uint32{0, 1, 2, 3}, think, 2*time.Second),
 		j3,
 	}
-	return e, o, jobs
+	return e, o, &sink, jobs
+}
+
+// traceEvents flushes tr and reads back, through the reader jawsreport
+// uses, every event its sink received.
+func traceEvents(t *testing.T, tr *obs.Tracer, sink *bytes.Buffer) []obs.Event {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var evs []obs.Event
+	if err := obs.ScanTrace(bytes.NewReader(sink.Bytes()), func(ev *obs.Event) error {
+		evs = append(evs, *ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 func TestObsEventsAndCountersConsistent(t *testing.T) {
-	e, o, jobs := obsWorkload(t)
+	e, o, sink, jobs := obsWorkload(t)
 	rep, err := e.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	events := traceEvents(t, o.Trace, sink)
 	kinds := make(map[obs.Kind]int)
-	for _, ev := range o.Trace.Events() {
+	for _, ev := range events {
 		kinds[ev.Kind]++
 	}
 	for _, want := range []obs.Kind{
@@ -113,7 +133,7 @@ func TestObsEventsAndCountersConsistent(t *testing.T) {
 	}
 	// Every trace event carries a non-decreasing-capable virtual stamp
 	// within [0, Elapsed].
-	for _, ev := range o.Trace.Events() {
+	for _, ev := range events {
 		if ev.T < 0 || ev.T > rep.Elapsed {
 			t.Fatalf("event %s stamped %v outside run [0, %v]", ev.Kind, ev.T, rep.Elapsed)
 		}
@@ -121,12 +141,12 @@ func TestObsEventsAndCountersConsistent(t *testing.T) {
 }
 
 func TestObsDecisionEventsMatchScheduler(t *testing.T) {
-	e, o, jobs := obsWorkload(t)
+	e, o, sink, jobs := obsWorkload(t)
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
 	decisions := 0
-	for _, ev := range o.Trace.Events() {
+	for _, ev := range traceEvents(t, o.Trace, sink) {
 		if ev.Kind != obs.KindDecision {
 			continue
 		}
@@ -154,7 +174,7 @@ func TestObsJSONLSinkRoundTrips(t *testing.T) {
 	s := testStore(t)
 	c := cache.New(8, cache.NewLRUK(1, 0))
 	var buf bytes.Buffer
-	o := &obs.Obs{Trace: obs.NewTracer(16, &buf)} // ring smaller than event count
+	o := &obs.Obs{Trace: obs.NewTracer(&buf)}
 	e, err := New(Config{
 		Store: s, Cache: c, Sched: sched.NewNoShare(), Cost: testCost, Obs: o,
 	})
@@ -188,7 +208,7 @@ func TestObsJSONLSinkRoundTrips(t *testing.T) {
 func TestObsHooksClearedAcrossEngines(t *testing.T) {
 	s := testStore(t)
 	c := cache.New(8, cache.NewLRUK(1, 0))
-	o := &obs.Obs{Trace: obs.NewTracer(0, nil), Reg: obs.NewRegistry()}
+	o := &obs.Obs{Trace: obs.NewTracer(io.Discard), Reg: obs.NewRegistry()}
 	sc := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, Resident: c.Contains})
 	e1, err := New(Config{Store: s, Cache: c, Sched: sc, Cost: testCost, Obs: o})
 	if err != nil {
@@ -215,12 +235,12 @@ func TestObsHooksClearedAcrossEngines(t *testing.T) {
 }
 
 func TestObsGateWaitMeasured(t *testing.T) {
-	e, o, jobs := obsWorkload(t)
+	e, o, sink, jobs := obsWorkload(t)
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
 	blocks, admits := 0, 0
-	for _, ev := range o.Trace.Events() {
+	for _, ev := range traceEvents(t, o.Trace, sink) {
 		switch ev.Kind {
 		case obs.KindGateBlock:
 			blocks++

@@ -29,7 +29,7 @@ func TestAdaptiveBatchMirrorsFlightRecorder(t *testing.T) {
 		Resident: c.Contains,
 	})
 	spec.Wrap(inner)
-	rec := obs.NewFlightRecorder(-1, nil, nil)
+	rec := obs.NewFlightRecorder(true, nil, nil)
 	e, err := New(Config{
 		Store: s, Cache: c, Sched: inner, Cost: testCost,
 		Obs: &obs.Obs{Flight: rec},

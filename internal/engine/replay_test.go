@@ -49,7 +49,7 @@ func TestReplayByteIdenticalTraces(t *testing.T) {
 			Sched:    sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: ch.Contains}),
 			Cost:     testCost,
 			JobAware: true,
-			Obs:      &obs.Obs{Trace: obs.NewTracer(0, &buf)},
+			Obs:      &obs.Obs{Trace: obs.NewTracer(&buf)},
 			Fault:    fault.New(spec, 9, 0),
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -472,7 +473,8 @@ func TestSessionCrashInsideIdleGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer(0, nil)
+	var sink bytes.Buffer
+	tr := obs.NewTracer(&sink)
 	sess, err := NewSession(Config{
 		Store: st, Cache: cache.New(16, cache.NewLRUK(1, 0)), Sched: sched.NewNoShare(), Cost: testCost,
 		Fault: fault.New(spec, 1, 0),
@@ -494,7 +496,7 @@ func TestSessionCrashInsideIdleGap(t *testing.T) {
 		t.Errorf("session clock reads %v after the crash, want %v", now, crashAt)
 	}
 	var crashes []time.Duration
-	for _, ev := range tr.Events() {
+	for _, ev := range traceEvents(t, tr, &sink) {
 		if ev.Kind == obs.KindNodeCrash {
 			crashes = append(crashes, ev.T)
 		}

@@ -13,7 +13,7 @@ import (
 func instrumentedRun(t *testing.T, s Scale) (*engine.Report, []obs.Span, *obs.DecisionIndex) {
 	t.Helper()
 	agg := obs.NewSpanAgg()
-	rec := obs.NewFlightRecorder(-1, nil, nil)
+	rec := obs.NewFlightRecorder(true, nil, nil)
 	s.Obs = &obs.Obs{Spans: agg, Flight: rec}
 	rep, err := RunAlgorithm(s, AlgJAWS2, s.BatchSize)
 	if err != nil {
@@ -71,7 +71,7 @@ func TestDerivScenarioStressesGating(t *testing.T) {
 		}
 	}
 
-	// Wait-cause conservation: the unbounded recorder saw every round, so
+	// Wait-cause conservation: the retaining recorder saw every round, so
 	// each chain must partition the span's Queued phase exactly.
 	inexact := 0
 	for _, sp := range spans {

@@ -104,7 +104,7 @@ func (r *DecisionRecord) stepMean(step int) *DecisionStep {
 
 // FlightSnapshot is the recorder's live aggregate view: decision-round
 // and pass-over counts by cause, maintained at Record time so /varz can
-// serve them without scanning the ring.
+// serve them without keeping the records.
 type FlightSnapshot struct {
 	// Decisions counts recorded decision rounds.
 	Decisions int64 `json:"decisions"`
@@ -135,44 +135,29 @@ var flightMetricHelp = map[string]string{
 	"jaws_sched_gated_edge_rounds_total":   "Gating edges observed holding arrived queries, summed over decision rounds.",
 }
 
-// FlightRecorder keeps scheduler decision records in a bounded ring,
-// mirrors them to the tracer as "decision_record" events when one is
-// configured, and maintains the live pass-over aggregates. All methods
-// are nil-safe.
+// FlightRecorder maintains the live pass-over aggregates of scheduler
+// decision records, mirrors the records to the tracer as
+// "decision_record" events when one is configured, and keeps them in
+// memory only when built to. All methods are nil-safe.
 type FlightRecorder struct {
-	mu        sync.Mutex
-	ring      []DecisionRecord // bounded mode: ring[next] is the oldest
-	next      int
-	all       []DecisionRecord // unbounded mode
-	unbounded bool
-	total     int64
-	snap      FlightSnapshot
-	trace     *Tracer
+	mu     sync.Mutex
+	retain bool
+	all    []DecisionRecord
+	snap   FlightSnapshot
+	trace  *Tracer
 
 	cDecisions, cChosen, cBatchFull *Counter
 	cLostRace, cAgedIn, cGated      *Counter
 }
 
-// DefaultFlightRingSize bounds the in-memory decision window when the
-// caller does not choose one.
-const DefaultFlightRingSize = 4096
-
-// NewFlightRecorder creates a recorder keeping the last ringSize
-// decisions in memory (0 uses DefaultFlightRingSize; negative keeps
-// every decision — the analysis mode internal/bench uses so attribution
-// never loses a round). trace, when non-nil, receives every record as a
+// NewFlightRecorder creates a recorder. retain keeps every record for
+// Records — the analysis mode internal/bench uses so attribution never
+// loses a round; a daemon passes false and reads its records back from
+// the trace. trace, when non-nil, receives every record as a
 // "decision_record" event; reg, when non-nil, receives the jaws_sched_*
 // counters.
-func NewFlightRecorder(ringSize int, trace *Tracer, reg *Registry) *FlightRecorder {
-	r := &FlightRecorder{trace: trace}
-	switch {
-	case ringSize < 0:
-		r.unbounded = true
-	case ringSize == 0:
-		r.ring = make([]DecisionRecord, 0, DefaultFlightRingSize)
-	default:
-		r.ring = make([]DecisionRecord, 0, ringSize)
-	}
+func NewFlightRecorder(retain bool, trace *Tracer, reg *Registry) *FlightRecorder {
+	r := &FlightRecorder{retain: retain, trace: trace}
 	if reg != nil {
 		for name, help := range flightMetricHelp {
 			reg.Describe(name, help)
@@ -193,7 +178,8 @@ func (r *FlightRecorder) Enabled() bool { return r != nil }
 
 // Record takes ownership of one decision record: rec and its slices
 // must not be touched by the caller afterwards. The record is
-// aggregated, stored, and mirrored to the tracer. Nil-safe no-op.
+// aggregated, retained if the recorder keeps records, and mirrored to
+// the tracer. Nil-safe no-op.
 func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	if r == nil || rec == nil {
 		return
@@ -217,20 +203,14 @@ func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	}
 
 	r.mu.Lock()
-	r.total++
 	r.snap.Decisions++
 	r.snap.ChosenAtoms += int64(len(rec.Chosen))
 	r.snap.PassBatchFull += int64(len(rec.Truncated))
 	r.snap.PassLostRace += int64(lostRace)
 	r.snap.PassAgedIn += int64(agedIn)
 	r.snap.GatedEdgeRounds += int64(len(rec.Blocked))
-	if r.unbounded {
+	if r.retain {
 		r.all = append(r.all, *rec)
-	} else if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, *rec)
-	} else if cap(r.ring) > 0 {
-		r.ring[r.next] = *rec
-		r.next = (r.next + 1) % cap(r.ring)
 	}
 	r.mu.Unlock()
 
@@ -255,19 +235,12 @@ func (r *FlightRecorder) Snapshot() FlightSnapshot {
 }
 
 // Records returns a copy of the retained decision records, oldest
-// first. In bounded mode this is the ring window; records evicted from
-// it are only available through the tracer's sink.
+// first; nil unless the recorder was built to retain them.
 func (r *FlightRecorder) Records() []DecisionRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.unbounded {
-		return append([]DecisionRecord(nil), r.all...)
-	}
-	out := make([]DecisionRecord, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return append([]DecisionRecord(nil), r.all...)
 }

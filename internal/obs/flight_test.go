@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -24,43 +23,28 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 }
 
-// TestFlightRingWraps checks bounded mode: the ring keeps the newest
-// ringSize records and Records() returns them oldest first.
-func TestFlightRingWraps(t *testing.T) {
-	r := NewFlightRecorder(3, nil, nil)
-	for seq := int64(0); seq < 5; seq++ {
-		r.Record(&DecisionRecord{Seq: seq})
-	}
-	if r.total != 5 {
-		t.Fatalf("total = %d, want 5", r.total)
-	}
-	recs := r.Records()
-	wantSeqs := []int64{2, 3, 4}
-	if len(recs) != len(wantSeqs) {
-		t.Fatalf("Records() kept %d, want %d", len(recs), len(wantSeqs))
-	}
-	for i, want := range wantSeqs {
-		if recs[i].Seq != want {
-			t.Errorf("Records()[%d].Seq = %d, want %d (oldest first)", i, recs[i].Seq, want)
-		}
-	}
-}
-
-// TestFlightUnbounded checks the analysis mode (negative ring size):
-// every record is retained.
+// TestFlightUnbounded checks the retaining mode internal/bench uses:
+// every record is kept, oldest first. A daemon's recorder keeps none.
 func TestFlightUnbounded(t *testing.T) {
-	r := NewFlightRecorder(-1, nil, nil)
+	r, daemon := NewFlightRecorder(true, nil, nil), NewFlightRecorder(false, nil, nil)
 	for seq := int64(0); seq < 100; seq++ {
 		r.Record(&DecisionRecord{Seq: seq})
+		daemon.Record(&DecisionRecord{Seq: seq})
 	}
 	recs := r.Records()
 	if len(recs) != 100 {
-		t.Fatalf("unbounded mode kept %d records, want 100", len(recs))
+		t.Fatalf("retaining recorder kept %d records, want 100", len(recs))
 	}
 	for i, rec := range recs {
 		if rec.Seq != int64(i) {
 			t.Fatalf("Records()[%d].Seq = %d, want %d", i, rec.Seq, i)
 		}
+	}
+	if got := daemon.Records(); got != nil {
+		t.Fatalf("non-retaining recorder kept %d records", len(got))
+	}
+	if got := daemon.Snapshot().Decisions; got != 100 {
+		t.Fatalf("non-retaining recorder aggregated %d decisions, want 100", got)
 	}
 }
 
@@ -70,7 +54,7 @@ func TestFlightUnbounded(t *testing.T) {
 // blocked edge — mirrored to both the snapshot and the registry.
 func TestFlightAggregates(t *testing.T) {
 	reg := NewRegistry()
-	r := NewFlightRecorder(0, nil, reg)
+	r := NewFlightRecorder(false, nil, reg)
 	r.Record(&DecisionRecord{
 		Seq:        0,
 		WinnerStep: 3,
@@ -116,31 +100,25 @@ func TestFlightAggregates(t *testing.T) {
 // as decision_record events with the record attached.
 func TestFlightTraceMirror(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(0, &buf)
-	r := NewFlightRecorder(0, tr, nil)
+	tr := NewTracer(&buf)
+	r := NewFlightRecorder(false, tr, nil)
 	r.Record(&DecisionRecord{Seq: 42, T: 5 * time.Millisecond, Sched: "jaws2", WinnerStep: 3})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
+	err := ScanTrace(&buf, func(ev *Event) error {
 		if ev.Kind != KindDecisionRecord {
-			continue
+			return nil
 		}
 		found = true
-		if ev.Flight == nil {
-			t.Fatal("decision_record event carries no flight record")
-		}
 		if ev.Flight.Seq != 42 || ev.Flight.Sched != "jaws2" || ev.Flight.WinnerStep != 3 {
 			t.Fatalf("flight record round-tripped wrong: %+v", ev.Flight)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !found {
 		t.Fatal("no decision_record event in the trace")

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the reproduction: a registry
 // of named counters/gauges/histograms with atomic updates and a
 // Prometheus-style text exposition, plus a virtual-clock-stamped
-// structured event tracer (ring buffer with an optional JSONL sink).
+// structured event tracer that streams JSONL to a sink. The trace file is
+// the one record of a run: nothing here keeps a copy of the events in
+// memory, and tools read the file back through ScanTrace.
 //
 // The engine's behaviour is driven by internal state — the workload
 // throughput metric U_t, the aged U_e, the adaptive α, gating admissions,

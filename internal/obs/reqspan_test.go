@@ -198,7 +198,7 @@ func TestSummarizeReqSpansEmpty(t *testing.T) {
 // TestTracerReqSpanEmission checks the JSONL round trip of the new kind.
 func TestTracerReqSpanEmission(t *testing.T) {
 	var sb strings.Builder
-	tr := NewTracer(0, &sb)
+	tr := NewTracer(&sb)
 	rs := ReqSpan{ID: "r0001", Query: 9, Status: 200, Wall: time.Second, Execute: time.Second}
 	tr.ReqSpanDone(rs)
 	if err := tr.Flush(); err != nil {

@@ -171,7 +171,7 @@ func TestTraceAudit(t *testing.T) {
 // must be the ones json.Unmarshal gives line by line.
 func FuzzScanTrace(f *testing.F) {
 	var sb strings.Builder
-	tr := NewTracer(0, &sb)
+	tr := NewTracer(&sb)
 	tr.CacheHit(time.Millisecond, 1, 5)
 	tr.SpanDone(Span{Query: 1, Done: time.Second, Queued: time.Second})
 	tr.ReqSpanDone(ReqSpan{ID: "r1", Wall: time.Second, Execute: time.Second})

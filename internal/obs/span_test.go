@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,7 +172,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestSpanDoneRoundTripsThroughJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(8, &buf)
+	tr := NewTracer(&buf)
 	want := Span{
 		Query: 7, Job: 3, Seq: 2,
 		Arrival: time.Second, Done: 4 * time.Second,
@@ -217,12 +218,9 @@ func TestObsSpanAggregatorAccessor(t *testing.T) {
 
 func TestTracerDropCountersAndFooter(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(4, &buf)
+	tr := NewTracer(&buf)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{T: time.Duration(i), Kind: KindCacheHit})
-	}
-	if got := tr.RingDropped(); got != 6 {
-		t.Fatalf("ring dropped %d, want 6 (10 emits into a 4-slot ring)", got)
 	}
 	if got := tr.SinkDropped(); got != 0 {
 		t.Fatalf("sink dropped %d, want 0", got)
@@ -253,8 +251,8 @@ func TestTracerDropCountersAndFooter(t *testing.T) {
 	if footer == nil {
 		t.Fatal("no footer written on Close")
 	}
-	if footer.Total != 10 || footer.RingDropped != 6 || footer.SinkDropped != 0 {
-		t.Fatalf("footer %+v, want total=10 ring_dropped=6 sink_dropped=0", footer)
+	if footer.Total != 10 || footer.SinkDropped != 0 {
+		t.Fatalf("footer %+v, want total=10 sink_dropped=0", footer)
 	}
 	// Close is idempotent: no second footer.
 	before := buf.Len()
@@ -281,11 +279,10 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestSinkDroppedCountsWriteErrors(t *testing.T) {
-	// An unbuffered-looking failure: wrap the failing writer so every
-	// encode flushes through. bufio only surfaces the error once its
-	// buffer fills, so emit enough to overflow it.
+	// Every event is bigger than the tracer's buffer, so each one is a
+	// write of its own, and each write fails.
 	w := &failAfter{n: 0}
-	tr := NewTracer(4, w)
+	tr := NewTracer(w)
 	big := make([]byte, 4096)
 	for i := range big {
 		big[i] = 'x'
@@ -293,11 +290,75 @@ func TestSinkDroppedCountsWriteErrors(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tr.Emit(Event{T: time.Duration(i), Kind: KindDecision, Sched: string(big)})
 	}
-	tr.Close()
-	if tr.SinkDropped() == 0 {
-		t.Fatal("sink write errors not counted")
+	if err := tr.Close(); err == nil {
+		t.Fatal("Close hid the sink's write errors")
+	}
+	if got := tr.SinkDropped(); got != 40 {
+		t.Fatalf("sink dropped %d, want all 40 events", got)
 	}
 	if tr.Total() != 40 {
 		t.Fatalf("emission total %d, want 40 (drops still count as emissions)", tr.Total())
+	}
+}
+
+// flakySink fails every write while broken, landing only its first
+// landed bytes; it takes writes whole otherwise.
+type flakySink struct {
+	bytes.Buffer
+	broken bool
+	landed int
+}
+
+func (w *flakySink) Write(p []byte) (int, error) {
+	if w.broken {
+		n := min(w.landed, len(p))
+		w.Buffer.Write(p[:n])
+		return n, errors.New("disk full")
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestSinkDroppedCountsLostLinesOnly checks that a drop is a line the
+// sink did not receive whole, and nothing else: the lines a failed write
+// landed are not dropped, the tracer keeps writing once the sink
+// recovers, and the footer that closes the file accounts for every
+// emitted event.
+func TestSinkDroppedCountsLostLinesOnly(t *testing.T) {
+	line := func() int {
+		var b bytes.Buffer
+		tr := NewTracer(&b)
+		tr.CacheHit(0, 0, 0)
+		tr.Flush()
+		return b.Len()
+	}()
+	sink := &flakySink{}
+	tr := NewTracer(sink)
+	for i := 0; i < 5; i++ {
+		tr.CacheHit(0, 0, 0)
+	}
+	sink.broken, sink.landed = true, 2*line+line/2 // two whole lines, half a third
+	if err := tr.Flush(); err == nil {
+		t.Fatal("Flush hid the write error")
+	}
+	if got := tr.SinkDropped(); got != 3 {
+		t.Fatalf("sink dropped %d, want 3 (5 lines, 2 landed whole)", got)
+	}
+
+	sink.Reset()
+	sink.broken = false
+	for i := 0; i < 4; i++ {
+		tr.CacheHit(0, 0, 0)
+	}
+	tr.Close()
+	var a TraceAudit
+	if err := ScanTrace(&sink.Buffer, func(ev *Event) error { a.Add(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if a.Footer == nil || a.Footer.Total != 9 || a.Footer.SinkDropped != 3 || a.Events != 4 {
+		t.Fatalf("recovered sink holds %d events, footer %+v; want 4 events, total 9, sink_dropped 3", a.Events, a.Footer)
+	}
+	var report bytes.Buffer
+	if err := a.Report(&report); err == nil || !strings.Contains(report.String(), "3 events lost") {
+		t.Fatalf("audit passed a trace with lost lines:\n%s", report.String())
 	}
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"sync"
@@ -126,50 +126,36 @@ type Event struct {
 type TraceFooter struct {
 	// Total is the number of events emitted over the tracer's lifetime.
 	Total int64 `json:"total"`
-	// RingDropped counts events evicted from the in-memory ring window
-	// (Events() is truncated when this is non-zero; the JSONL sink still
-	// saw them).
-	RingDropped int64 `json:"ring_dropped"`
-	// SinkDropped counts events the JSONL sink lost to a write error.
+	// SinkDropped counts event lines the sink did not receive whole: a
+	// failed write, or an event that did not encode.
 	SinkDropped int64 `json:"sink_dropped"`
 }
 
-// Tracer records events into a bounded ring buffer and, when a sink is
-// configured, streams them as JSONL. A nil *Tracer is a valid disabled
-// tracer: every method is a no-op, so instrumented code passes tracers
-// around without branching.
+// flushBytes is how much encoded trace the tracer buffers before it
+// writes to its sink.
+const flushBytes = 4096
+
+// Tracer streams events as JSONL to its sink; the file is the one record
+// of a run (read it back with ScanTrace). A nil *Tracer is a valid
+// disabled tracer: every method is a no-op, so instrumented code passes
+// tracers around without branching.
 type Tracer struct {
 	mu          sync.Mutex
-	ring        []Event
-	next        int // ring write cursor
-	total       int64
-	ringDropped int64 // events evicted from the ring window
-	sinkDropped int64 // events the sink lost to a write error
-	enc         *json.Encoder
-	buf         *bufio.Writer
 	sink        io.Writer
-	err         error
+	buf         bytes.Buffer // encoded lines not yet written to sink
+	lines       int64        // lines in buf
+	enc         *json.Encoder
+	total       int64
+	sinkDropped int64
+	err         error // the first sink or encoding error
 	footerDone  bool
 }
 
-// DefaultRingSize bounds the in-memory event window when the caller does
-// not choose one.
-const DefaultRingSize = 4096
-
-// NewTracer creates a tracer keeping the last ringSize events in memory
-// (DefaultRingSize if ≤ 0). sink, when non-nil, additionally receives
-// every event as one JSON object per line; call Flush or Close before
-// reading the sink.
-func NewTracer(ringSize int, sink io.Writer) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	t := &Tracer{ring: make([]Event, 0, ringSize)}
-	if sink != nil {
-		t.sink = sink
-		t.buf = bufio.NewWriter(sink)
-		t.enc = json.NewEncoder(t.buf)
-	}
+// NewTracer creates a tracer that writes every event to sink as one JSON
+// object per line; call Flush or Close before reading the sink.
+func NewTracer(sink io.Writer) *Tracer {
+	t := &Tracer{sink: sink}
+	t.enc = json.NewEncoder(&t.buf)
 	return t
 }
 
@@ -178,28 +164,46 @@ func NewTracer(ringSize int, sink io.Writer) *Tracer {
 // guard on this to keep the disabled path free of the computation.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Emit records one event. Nil-safe no-op.
+// Emit records one event: it encodes the line into the buffer and
+// writes the buffer through once it is full. Nil-safe no-op.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-	} else {
-		t.ring[t.next] = ev
-		t.next = (t.next + 1) % cap(t.ring)
-		t.ringDropped++
-	}
 	t.total++
-	if t.enc != nil {
-		if t.err != nil {
-			t.sinkDropped++
-		} else if err := t.enc.Encode(&ev); err != nil {
-			t.err = err
-			t.sinkDropped++
-		}
+	if err := t.enc.Encode(&ev); err != nil {
+		t.fail(err, 1)
+		return
+	}
+	t.lines++
+	if t.buf.Len() >= flushBytes {
+		t.writeBuf()
+	}
+}
+
+// writeBuf writes the buffered lines to the sink. The lines a failed
+// write did not land whole count as dropped; the tracer keeps going, so a
+// sink that recovers still receives the rest of the trace and its footer.
+// Called with t.mu held.
+func (t *Tracer) writeBuf() {
+	if t.buf.Len() == 0 {
+		return
+	}
+	n, err := t.sink.Write(t.buf.Bytes())
+	if err != nil {
+		t.fail(err, t.lines-int64(bytes.Count(t.buf.Bytes()[:n], []byte{'\n'})))
+	}
+	t.buf.Reset()
+	t.lines = 0
+}
+
+// fail counts lost lines and keeps the first error.
+func (t *Tracer) fail(err error, lost int64) {
+	t.sinkDropped += lost
+	if t.err == nil {
+		t.err = err
 	}
 }
 
@@ -213,21 +217,9 @@ func (t *Tracer) Total() int64 {
 	return t.total
 }
 
-// RingDropped returns the number of events evicted from the in-memory
-// ring window. Non-zero means Events() is a truncated view of the run
-// (the JSONL sink, when configured, still received every event).
-func (t *Tracer) RingDropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ringDropped
-}
-
-// SinkDropped returns the number of events the JSONL sink lost: after a
-// write error the tracer keeps counting emissions but stops encoding, so
-// a partially written trace is detectable rather than silently short.
+// SinkDropped returns the number of event lines the sink lost. A trace
+// with lines missing stays detectable rather than silently short: the
+// footer carries the count, and ScanTrace's reader checks it.
 func (t *Tracer) SinkDropped() int64 {
 	if t == nil {
 		return 0
@@ -237,49 +229,28 @@ func (t *Tracer) SinkDropped() int64 {
 	return t.sinkDropped
 }
 
-// Events returns the buffered window in emission order (oldest first).
-// Nil tracers return nil.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) < cap(t.ring) {
-		return append([]Event(nil), t.ring...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// Flush writes buffered sink output through. Nil-safe.
+// Flush writes buffered lines through to the sink and returns the first
+// error the tracer met. Nil-safe.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.err != nil {
-		return t.err
-	}
-	if t.buf != nil {
-		t.err = t.buf.Flush()
-	}
+	t.writeBuf()
 	return t.err
 }
 
 // Close writes the trace footer (once), flushes, and, when the sink is an
 // io.Closer, closes it. Nil-safe. The footer carries the emission total
-// and the drop counters, so a consumer can distinguish a complete trace
-// from one cut short by a crash or a failing sink.
+// and the drop count, so a consumer can distinguish a complete trace from
+// one cut short by a crash or a failing sink.
 func (t *Tracer) Close() error {
-	t.writeFooter()
-	err := t.Flush()
 	if t == nil {
 		return nil
 	}
+	t.writeFooter()
+	err := t.Flush()
 	if c, ok := t.sink.(io.Closer); ok {
 		if cerr := c.Close(); err == nil {
 			err = cerr
@@ -288,25 +259,22 @@ func (t *Tracer) Close() error {
 	return err
 }
 
-// writeFooter encodes the closing record straight to the sink (it is a
-// property of the trace file, not a simulation event, so it bypasses the
-// ring and the total). Idempotent and nil-safe.
+// writeFooter writes the closing record after every event line (it is a
+// property of the trace file, not a simulation event, so it is in neither
+// the total nor the drop count). Idempotent.
 func (t *Tracer) writeFooter() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.footerDone || t.enc == nil || t.err != nil {
+	if t.footerDone {
 		return
 	}
 	t.footerDone = true
-	ev := Event{Kind: KindFooter, Footer: &TraceFooter{
-		Total:       t.total,
-		RingDropped: t.ringDropped,
-		SinkDropped: t.sinkDropped,
-	}}
-	t.err = t.enc.Encode(&ev)
+	t.writeBuf()
+	t.enc.Encode(&Event{Kind: KindFooter, Footer: &TraceFooter{Total: t.total, SinkDropped: t.sinkDropped}})
+	if _, err := t.sink.Write(t.buf.Bytes()); err != nil && t.err == nil {
+		t.err = err
+	}
+	t.buf.Reset()
 }
 
 // --- typed emitters ------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.GateAdmit(0, 9, 1, 0, time.Second)
 	tr.Prefetch(0, 1, 2, 3, time.Millisecond)
 	tr.Alpha(0, 1, 0.5, 1, 2)
-	if tr.Total() != 0 || tr.Events() != nil {
+	if tr.Total() != 0 || tr.SinkDropped() != 0 {
 		t.Fatal("nil tracer must record nothing")
 	}
 	if err := tr.Flush(); err != nil {
@@ -37,28 +38,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
-func TestRingBufferWindow(t *testing.T) {
-	tr := NewTracer(4, nil)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Event{T: time.Duration(i), Kind: KindCacheHit})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("window = %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := time.Duration(6 + i); ev.T != want {
-			t.Fatalf("event %d at t=%d, want %d (oldest-first order)", i, ev.T, want)
-		}
-	}
-}
-
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(0, &buf)
+	tr := NewTracer(&buf)
 	tr.Decision(100*time.Millisecond, "JAWS", 3, 42, 5, 1.5, 2.5, 0.25)
 	tr.DiskRead(200*time.Millisecond, 1024, 8<<20, true, 3*time.Millisecond)
 	tr.GateAdmit(300*time.Millisecond, 7, 2, 1, 50*time.Millisecond)
@@ -93,7 +75,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 
 func TestOmitEmptyKeepsLinesLean(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(0, &buf)
+	tr := NewTracer(&buf)
 	tr.CacheHit(time.Second, 0, 0)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -107,7 +89,8 @@ func TestOmitEmptyKeepsLinesLean(t *testing.T) {
 }
 
 func TestConcurrentEmit(t *testing.T) {
-	tr := NewTracer(128, nil)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -122,8 +105,15 @@ func TestConcurrentEmit(t *testing.T) {
 	if tr.Total() != 8*500 {
 		t.Fatalf("total = %d, want %d", tr.Total(), 8*500)
 	}
-	if len(tr.Events()) != 128 {
-		t.Fatalf("window = %d, want 128", len(tr.Events()))
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var a TraceAudit
+	if err := ScanTrace(&buf, func(ev *Event) error { a.Add(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if a.Events != 8*500 || a.Report(io.Discard) != nil {
+		t.Fatalf("sink holds %d events (footer %+v), want every one of %d", a.Events, a.Footer, 8*500)
 	}
 }
 
@@ -136,7 +126,7 @@ func (c *closeRecorder) Close() error { c.closed = true; return nil }
 
 func TestCloseClosesSink(t *testing.T) {
 	sink := &closeRecorder{}
-	tr := NewTracer(0, sink)
+	tr := NewTracer(sink)
 	tr.CacheHit(0, 0, 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

@@ -119,14 +119,21 @@ type roundRef struct {
 	idx    int
 }
 
+// edgeRef locates one gating edge: a round, and the edge's index in that
+// round's Blocked list.
+type edgeRef struct {
+	roundRef
+	edge int
+}
+
 // DecisionIndex pre-indexes decision records for chain reconstruction:
 // per-engine timelines (records in emission order, virtual time
-// non-decreasing) plus query → serving-round and query → blocked-round
+// non-decreasing) plus query → serving-round and query → blocking-edge
 // inverted indexes.
 type DecisionIndex struct {
 	byEngine  map[int][]DecisionRecord
 	servedAt  map[int64][]roundRef
-	blockedAt map[int64][]roundRef
+	blockedAt map[int64][]edgeRef
 }
 
 // NewDecisionIndex builds the index. Records may interleave engines (as
@@ -136,7 +143,7 @@ func NewDecisionIndex(recs []DecisionRecord) *DecisionIndex {
 	ix := &DecisionIndex{
 		byEngine:  make(map[int][]DecisionRecord),
 		servedAt:  make(map[int64][]roundRef),
-		blockedAt: make(map[int64][]roundRef),
+		blockedAt: make(map[int64][]edgeRef),
 	}
 	for _, rec := range recs {
 		ix.byEngine[rec.Engine] = append(ix.byEngine[rec.Engine], rec)
@@ -152,10 +159,7 @@ func NewDecisionIndex(recs []DecisionRecord) *DecisionIndex {
 			}
 			for b := range rec.Blocked {
 				qid := rec.Blocked[b].Query
-				refs := ix.blockedAt[qid]
-				if len(refs) == 0 || refs[len(refs)-1] != ref {
-					ix.blockedAt[qid] = append(refs, ref)
-				}
+				ix.blockedAt[qid] = append(ix.blockedAt[qid], edgeRef{ref, b})
 			}
 		}
 	}
@@ -166,8 +170,8 @@ func NewDecisionIndex(recs []DecisionRecord) *DecisionIndex {
 }
 
 // Chain reconstructs the wait chain of one completed span. When no
-// decision record mentions the query (recorder off, or the ring dropped
-// its window) the chain carries a Note and Exact is false.
+// decision record mentions the query (recorder off, or its records lost)
+// the chain carries a Note and Exact is false.
 func (ix *DecisionIndex) Chain(sp Span) *WaitChain {
 	c := &WaitChain{
 		Query:   sp.Query,
@@ -190,17 +194,10 @@ func (ix *DecisionIndex) Chain(sp Span) *WaitChain {
 	// before dispatch.
 	seenEdge := make(map[DecisionEdge]bool)
 	for _, ref := range blocked {
-		if ref.engine != c.Engine {
+		if ref.engine != c.Engine || timeline[ref.idx].T >= dispatch {
 			continue
 		}
-		rec := &timeline[ref.idx]
-		if rec.T >= dispatch {
-			continue
-		}
-		for _, e := range rec.Blocked {
-			if e.Query != sp.Query || seenEdge[e] {
-				continue
-			}
+		if e := timeline[ref.idx].Blocked[ref.edge]; !seenEdge[e] {
 			seenEdge[e] = true
 			c.GatedEdges = append(c.GatedEdges, e)
 		}

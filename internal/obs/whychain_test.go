@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -210,5 +211,70 @@ func TestCauseBreakdown(t *testing.T) {
 
 	if again := CauseBreakdown([]Span{sp}, ix); !reflect.DeepEqual(tails, again) {
 		t.Error("CauseBreakdown is not deterministic across calls")
+	}
+}
+
+// TestChainMatchesReferenceRandom holds Chain to the reference over
+// random decision logs: several engines interleaved (each with its own
+// queries, as the join assumes), rounds at equal and increasing times, a
+// query blocked by several edges in one round and by the same edge in
+// many, and spans whose windows start before, inside and after the
+// recorded rounds.
+func TestChainMatchesReferenceRandom(t *testing.T) {
+	const perEngine = 5
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		engines := 1 + rng.Intn(3)
+		queryIDs := func(engine, n int) []int64 {
+			ids := make([]int64, n)
+			for i := range ids {
+				ids[i] = int64(1 + engine*perEngine + rng.Intn(perEngine))
+			}
+			return ids
+		}
+		var recs []DecisionRecord
+		now := make([]time.Duration, engines)
+		for seq := int64(0); seq < int64(20+rng.Intn(60)); seq++ {
+			engine := rng.Intn(engines)
+			now[engine] += time.Duration(rng.Intn(3)) * ms
+			rec := DecisionRecord{
+				Engine: engine, Seq: seq, T: now[engine], Sched: "jaws2",
+				WinnerStep: rng.Intn(4), Urgent: rng.Intn(10) == 0,
+				PendingAtoms: rng.Intn(10),
+			}
+			for step := 0; step < 4; step++ {
+				if rng.Intn(3) > 0 {
+					rec.Steps = append(rec.Steps, DecisionStep{
+						Step: step, Atoms: 1 + rng.Intn(5),
+						MeanUt: float64(rng.Intn(4)), MeanUe: float64(rng.Intn(4)),
+					})
+				}
+			}
+			for a := rng.Intn(3); a > 0; a-- {
+				rec.Chosen = append(rec.Chosen, DecisionAtom{Step: rng.Intn(4), Queries: queryIDs(engine, 1+rng.Intn(3))})
+			}
+			for a := rng.Intn(2); a > 0; a-- {
+				rec.Truncated = append(rec.Truncated, DecisionAtom{Step: rng.Intn(4), Queries: queryIDs(engine, 1+rng.Intn(2))})
+			}
+			for b := rng.Intn(6); b > 0; b-- {
+				q := queryIDs(engine, 1)[0]
+				rec.Blocked = append(rec.Blocked, DecisionEdge{
+					Query: q, Job: q % 3, Seq: int(q % 4),
+					OnJob: rng.Int63n(3), OnSeq: rng.Intn(2), OnQuery: rng.Int63n(perEngine),
+				})
+			}
+			recs = append(recs, rec)
+		}
+		var spans []Span
+		for q := int64(1); q <= int64(engines*perEngine); q++ {
+			arrival := time.Duration(rng.Intn(40)) * ms
+			gated := time.Duration(rng.Intn(30)) * ms
+			queued := time.Duration(rng.Intn(30)) * ms
+			spans = append(spans, Span{
+				Query: q, Arrival: arrival, Gated: gated, Queued: queued,
+				Done: arrival + gated + queued + time.Duration(rng.Intn(20))*ms,
+			})
+		}
+		DiffChains(t, recs, spans)
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -136,7 +137,8 @@ func TestQoSTracesEveryRound(t *testing.T) {
 	// Deadline ≈ arrival + 2× service: a sub-query enqueued with an old
 	// arrival is urgent at once, one that arrives "now" is not for a while.
 	q := newQoSForTest(2, 10*time.Millisecond)
-	tr := obs.NewTracer(0, nil)
+	var sink bytes.Buffer
+	tr := obs.NewTracer(&sink)
 	q.SetTracer(tr)
 	q.SetExplain(true)
 
@@ -173,12 +175,18 @@ func TestQoSTracesEveryRound(t *testing.T) {
 	if urgentRounds == 0 || urgentRounds == rounds {
 		t.Fatalf("%d of %d rounds were urgent; the test must cover both paths", urgentRounds, rounds)
 	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	decisions := 0
-	for _, ev := range tr.Events() {
+	if err := obs.ScanTrace(&sink, func(ev *obs.Event) error {
 		if ev.Kind != obs.KindDecision || ev.Sched != "JAWS+QoS" {
 			t.Fatalf("unexpected event %+v", ev)
 		}
 		decisions++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if decisions != atoms {
 		t.Fatalf("traced %d decision events for %d served atoms", decisions, atoms)

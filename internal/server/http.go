@@ -420,8 +420,8 @@ type schedVarz struct {
 	// started (the engines decide on a virtual clock; this is the
 	// observable recording rate).
 	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	// TraceDropped is the tracer's ring+sink drop total (also exported as
-	// jaws_trace_dropped_total).
+	// TraceDropped counts the trace lines the sink lost (also exported
+	// as jaws_trace_dropped_total, and the trace footer's sink_dropped).
 	TraceDropped int64 `json:"trace_dropped"`
 }
 

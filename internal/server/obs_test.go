@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,14 +17,17 @@ import (
 // obsBundle is the full observability wiring a test server can run with.
 type obsBundle struct {
 	trace *obs.Tracer
+	sink  *traceSink
 	spans *obs.ReqSpanAgg
 	logs  *strings.Builder
 	slo   *obs.SLOTracker
 }
 
 func withObs(seed int64) (*obsBundle, func(*Config)) {
+	sink := &traceSink{}
 	b := &obsBundle{
-		trace: obs.NewTracer(0, nil),
+		trace: obs.NewTracer(sink),
+		sink:  sink,
 		spans: obs.NewReqSpanAgg(),
 		logs:  &strings.Builder{},
 		slo:   obs.NewSLOTracker(5*time.Second, 0.99, time.Minute),
@@ -35,6 +39,50 @@ func withObs(seed int64) (*obsBundle, func(*Config)) {
 		c.SLO = b.slo
 		c.ReqIDSeed = seed
 	}
+}
+
+// traceSink is a trace sink a test reads while handlers may still write
+// to it. While failing is set, every write fails and lands nothing.
+type traceSink struct {
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	failing bool
+}
+
+func (s *traceSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failing {
+		return 0, errors.New("disk full")
+	}
+	return s.buf.Write(p)
+}
+
+func (s *traceSink) setFailing(v bool) {
+	s.mu.Lock()
+	s.failing = v
+	s.mu.Unlock()
+}
+
+// scan flushes tr and feeds every line the sink holds, the footer
+// included, through the reader jawsreport uses.
+func (s *traceSink) scan(t *testing.T, tr *obs.Tracer, fn func(*obs.Event)) {
+	t.Helper()
+	tr.Flush()
+	s.mu.Lock()
+	data := bytes.Clone(s.buf.Bytes())
+	s.mu.Unlock()
+	if err := obs.ScanTrace(bytes.NewReader(data), func(ev *obs.Event) error { fn(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// events returns the events the sink holds.
+func (s *traceSink) events(t *testing.T, tr *obs.Tracer) []obs.Event {
+	t.Helper()
+	var evs []obs.Event
+	s.scan(t, tr, func(ev *obs.Event) { evs = append(evs, *ev) })
+	return evs
 }
 
 // TestRequestIDHeaderDeterministic pins the propagated ID: the response
@@ -74,7 +122,7 @@ func TestRequestSpanLifecycle(t *testing.T) {
 	}
 
 	var traced int
-	for _, ev := range b.trace.Events() {
+	for _, ev := range b.sink.events(t, b.trace) {
 		if ev.Kind == obs.KindReqSpan {
 			traced++
 			if ev.Req.ID != rid {
@@ -198,8 +246,8 @@ func TestShedCarriesRequestID(t *testing.T) {
 // and checks the engine's virtual-clock span is stamped with the HTTP
 // request ID — the stitching key jawsreport joins on.
 func TestEngineSpanCarriesRequestID(t *testing.T) {
-	var sink bytes.Buffer
-	trace := obs.NewTracer(0, &sink)
+	sink := &traceSink{}
+	trace := obs.NewTracer(sink)
 	sess, err := jaws.OpenSession(jaws.Config{
 		Space:      jaws.Space{GridSide: 64, AtomSide: 32},
 		Steps:      4,
@@ -221,7 +269,7 @@ func TestEngineSpanCarriesRequestID(t *testing.T) {
 	}
 
 	var engineSpan, reqSpan bool
-	for _, ev := range trace.Events() {
+	for _, ev := range sink.events(t, trace) {
 		switch ev.Kind {
 		case obs.KindSpan:
 			if ev.Span.Req == rid {

@@ -212,9 +212,9 @@ type Server struct {
 	gSLOCompliance, gSLOBurn, gSLOBudget *obs.Gauge
 	gSLOGood, gSLOBad                    *obs.Gauge
 
-	// traceDropped mirrors the tracer's ring+sink drop totals as a
-	// counter; nil unless cfg.Trace is set. Refreshed (delta-added, so the
-	// counter stays monotonic) at scrape time.
+	// traceDropped mirrors the tracer's sink drop count as a counter;
+	// nil unless cfg.Trace is set. Refreshed (delta-added, so the counter
+	// stays monotonic) at scrape time.
 	traceDropped *obs.Counter
 }
 
@@ -237,7 +237,7 @@ var serverMetricHelp = map[string]string{
 	"jaws_slo_budget_remaining":      "Fraction of the windowed error budget left.",
 	"jaws_slo_good":                  "Requests in the window that met the objective.",
 	"jaws_slo_bad":                   "Requests in the window that missed the objective.",
-	"jaws_trace_dropped_total":       "Trace events lost to ring overwrites or sink write failures.",
+	"jaws_trace_dropped_total":       "Trace event lines the trace sink did not receive.",
 }
 
 // New validates cfg, starts the per-backend result demultiplexers, and
@@ -453,14 +453,14 @@ func (s *Server) Shutdown() []*jaws.Report {
 	return s.reports
 }
 
-// refreshTraceDropped folds the tracer's current drop totals into the
+// refreshTraceDropped folds the tracer's current drop total into the
 // jaws_trace_dropped_total counter by delta, preserving counter
 // semantics across repeated scrapes. Returns the current total.
 func (s *Server) refreshTraceDropped() int64 {
 	if s.traceDropped == nil {
 		return 0
 	}
-	dropped := s.cfg.Trace.RingDropped() + s.cfg.Trace.SinkDropped()
+	dropped := s.cfg.Trace.SinkDropped()
 	if d := dropped - s.traceDropped.Value(); d > 0 {
 		s.traceDropped.Add(d)
 	}

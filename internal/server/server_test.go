@@ -884,77 +884,139 @@ func TestVarzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestVarzSchedAndTraceDropped wires a flight recorder and a tiny-ring
-// tracer into the server: /varz must grow the "sched" section with the
-// recorder's live aggregates and the trace drop total, and /metrics
-// must export jaws_trace_dropped_total (with its HELP line) tracking
-// the tracer's ring evictions.
+// TestVarzSchedAndTraceDropped wires a flight recorder and a tracer into
+// the server: /varz must grow the "sched" section with the recorder's
+// live aggregates and the trace drop total, and /metrics must export
+// jaws_trace_dropped_total with its HELP line.
 func TestVarzSchedAndTraceDropped(t *testing.T) {
-	tracer := obs.NewTracer(2, nil) // 2-slot ring: drops are immediate
-	recorder := obs.NewFlightRecorder(16, tracer, nil)
+	tracer := obs.NewTracer(io.Discard)
+	recorder := obs.NewFlightRecorder(false, tracer, nil)
 	fake := newFakeBackend()
 	_, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
 		c.Trace = tracer
 		c.Flight = recorder
 	})
-
-	// Five mirrored decision records through a 2-slot ring: 3+ evictions.
 	for seq := int64(0); seq < 5; seq++ {
 		recorder.Record(&obs.DecisionRecord{Seq: seq, Chosen: []obs.DecisionAtom{{Step: 1}}})
 	}
 
-	vresp, err := http.Get(ts.URL + "/varz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	var v varz
-	if err := json.NewDecoder(vresp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
+	v := getVarz(t, ts.URL)
 	if v.Sched == nil {
 		t.Fatal("/varz has no sched section with a flight recorder configured")
 	}
 	if v.Sched.Decisions != 5 || v.Sched.ChosenAtoms != 5 {
 		t.Errorf("sched varz = %+v, want 5 decisions / 5 chosen", v.Sched.FlightSnapshot)
 	}
-	if want := tracer.RingDropped(); v.Sched.TraceDropped != want {
-		t.Errorf("sched varz trace_dropped = %d, want %d", v.Sched.TraceDropped, want)
+	if v.Sched.TraceDropped != 0 {
+		t.Errorf("sched varz trace_dropped = %d through a working sink", v.Sched.TraceDropped)
 	}
-	if v.Sched.TraceDropped == 0 {
-		t.Error("expected ring drops through a 2-slot tracer")
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(mresp.Body)
-	for _, want := range []string{
-		"# HELP jaws_trace_dropped_total",
-		fmt.Sprintf("jaws_trace_dropped_total %d", tracer.RingDropped()),
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("/metrics missing %q:\n%s", want, buf.String())
-		}
+	if m := getMetrics(t, ts.URL); !strings.Contains(m, "# HELP jaws_trace_dropped_total") ||
+		!strings.Contains(m, "\njaws_trace_dropped_total 0\n") {
+		t.Errorf("/metrics lacks jaws_trace_dropped_total 0 and its HELP line:\n%s", m)
 	}
 
 	// The no-flight server must omit the section entirely.
 	_, plain := newTestServer(t, []Backend{newFakeBackend()}, nil)
-	presp, err := http.Get(plain.URL + "/varz")
+	if pv := getVarz(t, plain.URL); pv.Sched != nil {
+		t.Errorf("sched section present without a flight recorder: %+v", pv.Sched)
+	}
+}
+
+// TestTraceDropsAgreeAcrossSurfaces drives a traced server past 4 096
+// events and reads the drop count from every surface: /varz
+// sched.trace_dropped, jaws_trace_dropped_total, the trace footer's
+// sink_dropped, and the audit jawsreport runs. Through a working sink all
+// four read 0 and the trace holds every event; through a sink that fails
+// after N lines and then recovers, all four read the same number of lost
+// lines.
+func TestTraceDropsAgreeAcrossSurfaces(t *testing.T) {
+	for _, failAfter := range []int{0, 3000} {
+		t.Run(fmt.Sprintf("failAfter=%d", failAfter), func(t *testing.T) {
+			sink := &traceSink{}
+			tracer := obs.NewTracer(sink)
+			recorder := obs.NewFlightRecorder(false, tracer, nil)
+			_, ts := newTestServer(t, []Backend{newFakeBackend()}, func(c *Config) {
+				c.Trace = tracer
+				c.Flight = recorder
+			})
+			for seq := int64(0); seq < 5000; seq++ {
+				if failAfter > 0 && seq == int64(failAfter) {
+					tracer.Flush()
+					sink.setFailing(true)
+				}
+				recorder.Record(&obs.DecisionRecord{Seq: seq, Chosen: []obs.DecisionAtom{{Step: 1}}})
+			}
+			for i := 0; i < 3; i++ {
+				resp := postQuery(t, ts.URL, okBody)
+				resp.Body.Close()
+			}
+			tracer.Flush()
+			sink.setFailing(false)
+
+			varzDropped := getVarz(t, ts.URL).Sched.TraceDropped
+			var metricsDropped int64 = -1
+			for _, line := range strings.Split(getMetrics(t, ts.URL), "\n") {
+				if v, ok := strings.CutPrefix(line, "jaws_trace_dropped_total "); ok {
+					fmt.Sscan(v, &metricsDropped)
+				}
+			}
+			if err := tracer.Close(); err != nil && failAfter == 0 {
+				t.Fatal(err)
+			}
+			var audit obs.TraceAudit
+			sink.scan(t, tracer, audit.Add)
+			if audit.Footer == nil {
+				t.Fatal("trace has no footer")
+			}
+			auditErr := audit.Report(io.Discard)
+			lost := audit.Footer.Total - audit.Events
+
+			want := int64(0)
+			if failAfter > 0 {
+				want = tracer.Total() - int64(failAfter)
+			}
+			if audit.Footer.Total != tracer.Total() || audit.Footer.Total <= 4096 {
+				t.Errorf("footer total %d, tracer emitted %d; want one above 4096", audit.Footer.Total, tracer.Total())
+			}
+			if varzDropped != want || metricsDropped != want || audit.Footer.SinkDropped != want || lost != want {
+				t.Errorf("drops: varz %d, metrics %d, footer %d, audit %d; want %d on every surface",
+					varzDropped, metricsDropped, audit.Footer.SinkDropped, lost, want)
+			}
+			if (auditErr != nil) != (want > 0) {
+				t.Errorf("audit verdict %v with %d lost lines", auditErr, want)
+			}
+		})
+	}
+}
+
+// getVarz fetches and decodes /varz.
+func getVarz(t *testing.T, base string) varz {
+	t.Helper()
+	resp, err := http.Get(base + "/varz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer presp.Body.Close()
-	var pv varz
-	if err := json.NewDecoder(presp.Body).Decode(&pv); err != nil {
+	defer resp.Body.Close()
+	var v varz
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
-	if pv.Sched != nil {
-		t.Errorf("sched section present without a flight recorder: %+v", pv.Sched)
+	return v
+}
+
+// getMetrics fetches the /metrics exposition.
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestChaosCrashFaultOnServicePath runs the serving layer over a real

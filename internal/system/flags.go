@@ -59,7 +59,7 @@ func (f *RunFlags) Obs() (*obs.Obs, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Tracer = obs.NewTracer(0, file)
+		f.Tracer = obs.NewTracer(file)
 	}
 	if f.Tracer == nil && f.Reg == nil {
 		return nil, nil
@@ -85,10 +85,10 @@ func (f *RunFlags) Finish(status, dump io.Writer) error {
 	}
 	if f.metricsOut != "" {
 		if f.Tracer != nil {
-			// Fold the final drop totals into the served counter so the
+			// Fold the final drop total into the served counter so the
 			// exported file agrees with the closed trace.
 			c := f.Reg.Counter("jaws_trace_dropped_total")
-			if dropped := f.Tracer.RingDropped() + f.Tracer.SinkDropped(); dropped > c.Value() {
+			if dropped := f.Tracer.SinkDropped(); dropped > c.Value() {
 				c.Add(dropped - c.Value())
 			}
 		}

@@ -76,8 +76,8 @@ type (
 	// Obs bundles a tracer and a metrics registry for a run; see the
 	// internal/obs package docs for the zero-overhead contract.
 	Obs = obs.Obs
-	// Tracer records virtual-clock-stamped scheduling/cache/disk/gating
-	// events into a ring buffer and an optional JSONL sink.
+	// Tracer streams virtual-clock-stamped scheduling/cache/disk/gating
+	// events to a JSONL sink.
 	Tracer = obs.Tracer
 	// TraceEvent is one structured trace record.
 	TraceEvent = obs.Event
@@ -108,9 +108,8 @@ type (
 // the full grammar). The empty string yields the empty (disabled) spec.
 var ParseFaultSpec = fault.ParseSpec
 
-// NewTracer creates a tracer keeping the last ringSize events in memory
-// (obs.DefaultRingSize if ≤ 0); sink, when non-nil, receives every event
-// as JSONL.
+// NewTracer creates a tracer that writes every event to sink as JSONL
+// (read it back with jawsreport); it keeps no events in memory.
 var NewTracer = obs.NewTracer
 
 // NewRegistry creates an empty metrics registry.

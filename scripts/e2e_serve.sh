@@ -66,7 +66,10 @@ echo "traced request $rid"
 
 # 64 closed-loop clients against a queue bound of 8: shedding is expected
 # and fine; any 5xx or transport error fails the run (jawsload exits 1).
-"$workdir/jawsload" -addr "$addr" -requests 128 -clients 64 \
+# Enough requests that the trace passes 4096 events, so that a drop count
+# that grows with the event count, not with lost lines, fails the guard
+# below.
+"$workdir/jawsload" -addr "$addr" -requests 4096 -clients 64 \
     -steps 4 -points 4 -seed 7 -min-served 1 \
     -latency-out "$artifacts/latency.jsonl" | tee "$workdir/jawsload.out"
 
@@ -90,7 +93,11 @@ grep '"kind":"decision_record"' "$artifacts/trace.jsonl" >"$artifacts/decisions.
 echo "flight recorder captured $(wc -l <"$artifacts/decisions.jsonl") decision records"
 grep -q 'jaws_sched_decisions_total' "$artifacts/metrics.prom"
 grep -q '# HELP jaws_sched_passover_lost_race_total' "$artifacts/metrics.prom"
-grep -q 'jaws_trace_dropped_total' "$artifacts/metrics.prom"
+grep -qx 'jaws_trace_dropped_total 0' "$artifacts/metrics.prom" \
+    || { echo "trace lost events: $(grep '^jaws_trace_dropped_total' "$artifacts/metrics.prom")"; exit 1; }
+events=$(grep -vc '"kind":"trace_footer"' "$artifacts/trace.jsonl")
+[ "$events" -gt 4096 ] || { echo "trace holds only $events events; raise -requests past 4096"; exit 1; }
+echo "trace holds $events events, 0 dropped"
 
 # The captured ID must resolve to a stitched record: the server's
 # wall-clock span and the engine span it propagated the ID into.
@@ -115,4 +122,4 @@ grep -q 'request invariant: all' "$artifacts/report.txt"
 grep -q '== wait causes' "$artifacts/report.txt"
 cp "$workdir/jawsd.log" "$artifacts/jawsd.stdout.log"
 
-echo "e2e-serve ok: $served queries served, request $rid stitched and attributed, daemon drained cleanly"
+echo "e2e-serve ok: $served queries served, $events trace events with 0 dropped, request $rid stitched and attributed, daemon drained cleanly"
