@@ -151,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
 	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
 	$(GO) test -run xxx -fuzz FuzzWrap -fuzztime 10s ./internal/geom/
+	$(GO) test -run xxx -fuzz FuzzFootprint -fuzztime 10s ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run xxx -fuzz FuzzScanTrace -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run xxx -fuzz FuzzLoadArtifact -fuzztime 10s -fuzzminimizetime 1s ./internal/bench/
@@ -162,11 +163,15 @@ fuzz-smoke:
 ## lruk_ref_test.go), and the pre-processor at the sizes the traces carry
 ## (17, 59, 128 points) and at 1 000, its packed-key sort against the
 ## comparator it replaced (the ref rows force the oversize-key path: the
-## reference, which no shipped workload takes).
+## reference, which no shipped workload takes), and the scheduler's share
+## of a replay-warm run — a recorded warm run's enqueues, decisions and
+## run ends, replayed under plain JAWS and under the tail-policy stack
+## (ns/decision).
 bench-sched:
 	$(GO) test -run xxx -bench BenchmarkFig10Schedulers -benchtime 2x .
 	$(GO) test -run xxx -bench BenchmarkLRUKMiss -benchtime 20000x ./internal/cache/
 	$(GO) test -run xxx -bench BenchmarkPreProcess -benchtime 20000x ./internal/query/
+	$(GO) test -run xxx -bench BenchmarkDecideTailStack -benchtime 20x ./internal/sched/
 
 ## profile-replay: CPU and allocation profiles of the replay-cold workload's
 ## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh

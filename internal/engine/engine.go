@@ -724,8 +724,10 @@ func (e *Engine) canDispatch(q *query.Query) bool {
 }
 
 // gateState is the gate-aware tail policy's per-query state source: the
-// job-graph condition of one enqueued query, as dispatch found it. Called
-// per enqueued query per decision: one map lookup.
+// job-graph condition of one enqueued query, as dispatch found it. The
+// scheduler calls it once per sub-query, at Enqueue (one map lookup), and
+// relies on the answer holding while the query has a sub-query pending
+// (sched.GateAware): nothing writes queryState.gate but dispatch.
 func (e *Engine) gateState(qid query.ID) sched.GateState {
 	if st := e.states[qid]; st != nil {
 		return st.gate

@@ -86,9 +86,10 @@ func TestJobAwareDispatchOrderRecorded(t *testing.T) {
 
 // TestGateStateMatchesGraphDerivation holds the gate state dispatch stores
 // in a query's frame to the derivation from the job graph it replaced, at
-// every call the gate-aware policy makes over the fig8 and deriv-chain
-// traces, with jobs registered as they arrive and all up front: a
-// dispatched query's state must not change while it is enqueued.
+// every call the gate-aware policy makes (one per sub-query, at Enqueue)
+// over the fig8 and deriv-chain traces, with jobs registered as they
+// arrive and all up front. That the state then holds while the query is
+// pending is TestGateStateFixedWhilePending's.
 func TestGateStateMatchesGraphDerivation(t *testing.T) {
 	spec, err := sched.ParsePolicySpec("gate-aware")
 	if err != nil {

@@ -38,6 +38,132 @@ func refFootprint(s Space, p Position, radius int) []AtomCoord {
 	return out
 }
 
+// refAppendFootprintAt is AppendFootprintAt as it was before it lost its
+// divisions: three integer divisions or modulos per stencil corner (in
+// refAtomIndex) and a linear search of the listed atoms per corner. It is
+// the reference the division-free one is held to, element by element.
+func refAppendFootprintAt(s Space, dst []AtomCoord, vx, vy, vz, radius int) []AtomCoord {
+	primary := AtomCoord{
+		I: uint32(vx / s.AtomSide),
+		J: uint32(vy / s.AtomSide),
+		K: uint32(vz / s.AtomSide),
+	}
+	start := len(dst)
+	dst = append(dst, primary)
+	if radius <= 0 {
+		return dst
+	}
+	// The two extreme corners of the stencil along each axis.
+	is := [2]uint32{refAtomIndex(s, vx-radius), refAtomIndex(s, vx+radius)}
+	js := [2]uint32{refAtomIndex(s, vy-radius), refAtomIndex(s, vy+radius)}
+	ks := [2]uint32{refAtomIndex(s, vz-radius), refAtomIndex(s, vz+radius)}
+	for _, i := range is {
+		for _, j := range js {
+			for _, k := range ks {
+				if a := (AtomCoord{I: i, J: j, K: k}); !slices.Contains(dst[start:], a) {
+					dst = append(dst, a)
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// refAtomIndex maps a voxel index along one axis, possibly outside the
+// grid, to the index of its atom in the periodic atom grid.
+func refAtomIndex(s Space, v int) uint32 {
+	return uint32(wrapInt(v/s.AtomSide, floorDivAdjust(v, s.AtomSide), s.AtomsPerAxis()))
+}
+
+// floorDivAdjust returns -1 when integer division of a negative numerator
+// truncated toward zero instead of flooring.
+func floorDivAdjust(num, den int) int {
+	if num < 0 && num%den != 0 {
+		return -1
+	}
+	return 0
+}
+
+// wrapInt wraps q+adjust into [0, n) for the periodic atom grid.
+func wrapInt(q, adjust, n int) int {
+	v := (q + adjust) % n
+	if v < 0 {
+		v += n
+	}
+	return v
+}
+
+// footprintSpaces are the spaces the footprint is held to its reference
+// on: the paper's, the benchmark's, a non-power-of-two atom side, and two
+// tiny ones where a stencil reaches around the whole grid.
+var footprintSpaces = []Space{
+	{GridSide: 96, AtomSide: 24},
+	{GridSide: 128, AtomSide: 32},
+	{GridSide: 1024, AtomSide: 64},
+	{GridSide: 8, AtomSide: 2},
+	{GridSide: 16, AtomSide: 8},
+}
+
+// checkFootprintAt compares AppendFootprintAt with the reference on one
+// voxel, after a prefix the call must leave alone.
+func checkFootprintAt(t *testing.T, s Space, vx, vy, vz, radius int) {
+	t.Helper()
+	prefix := []AtomCoord{{I: 7, J: 7, K: 7}}
+	want := refAppendFootprintAt(s, slices.Clone(prefix), vx, vy, vz, radius)
+	var buf [1 + MaxFootprint]AtomCoord
+	got := s.AppendFootprintAt(append(buf[:0], prefix...), vx, vy, vz, radius)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%+v voxel (%d,%d,%d) radius %d: footprint %v, reference %v", s, vx, vy, vz, radius, got, want)
+	}
+}
+
+// The division-free AppendFootprintAt lists the same atoms in the same
+// order as the one it replaced, for voxels up to a stencil radius outside
+// the grid (within one period, which is all a corner may be), for every
+// radius a kernel has, and for a radius of more than a whole period.
+func TestFootprintAtMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, s := range footprintSpaces {
+		for radius := 0; radius <= 4; radius++ {
+			for i := 0; i < 5000; i++ {
+				v := func() int { return rng.Intn(s.GridSide+2*radius) - radius }
+				checkFootprintAt(t, s, v(), v(), v(), radius)
+			}
+		}
+		for _, radius := range []int{s.GridSide, s.GridSide + 1, 2*s.GridSide + 3} {
+			for i := 0; i < 1000; i++ {
+				v := func() int { return rng.Intn(s.GridSide) }
+				checkFootprintAt(t, s, v(), v(), v(), radius)
+			}
+		}
+	}
+}
+
+// FuzzFootprint drives the same comparison from fuzzed voxels and radii:
+// a voxel is folded into [−radius, GridSide + radius) for a radius of at
+// most 4, into the grid for a larger one.
+func FuzzFootprint(f *testing.F) {
+	f.Add(uint8(0), int32(0), int32(0), int32(0), uint16(0))
+	f.Add(uint8(3), int32(-4), int32(11), int32(1), uint16(4))
+	f.Add(uint8(0), int32(23), int32(24), int32(95), uint16(97))
+	f.Fuzz(func(t *testing.T, si uint8, x, y, z int32, r uint16) {
+		s := footprintSpaces[int(si)%len(footprintSpaces)]
+		radius := int(r)
+		lo, n := -radius, s.GridSide+2*radius
+		if radius > 4 {
+			lo, n = 0, s.GridSide
+		}
+		fold := func(v int32) int {
+			m := int(v) % n
+			if m < 0 {
+				m += n
+			}
+			return lo + m
+		}
+		checkFootprintAt(t, s, fold(x), fold(y), fold(z), radius)
+	})
+}
+
 // awkwardCoord draws a coordinate that is, half of the time, one the
 // voxel arithmetic could get wrong: exactly on an atom face, on the
 // periodic seam, negative, or a period or more beyond the domain.

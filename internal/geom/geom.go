@@ -12,7 +12,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"jaws/internal/morton"
 )
@@ -175,19 +174,26 @@ func (s Space) AppendFootprintAt(dst []AtomCoord, vx, vy, vz, radius int) []Atom
 		J: uint32(vy / s.AtomSide),
 		K: uint32(vz / s.AtomSide),
 	}
-	start := len(dst)
 	dst = append(dst, primary)
 	if radius <= 0 {
 		return dst
 	}
-	// The two extreme corners of the stencil along each axis.
-	is := [2]uint32{s.atomIndex(vx - radius), s.atomIndex(vx + radius)}
-	js := [2]uint32{s.atomIndex(vy - radius), s.atomIndex(vy + radius)}
-	ks := [2]uint32{s.atomIndex(vz - radius), s.atomIndex(vz + radius)}
-	for _, i := range is {
-		for _, j := range js {
-			for _, k := range ks {
-				if a := (AtomCoord{I: i, J: j, K: k}); !slices.Contains(dst[start:], a) {
+	// A whole period moves no corner: with the radius below GridSide, each
+	// corner is at most one period outside the grid.
+	if radius >= s.GridSide {
+		radius %= s.GridSide
+	}
+	// The atoms of the two extreme corners along each axis, and how many
+	// of the two are distinct. Their product lists every corner's atom
+	// once, in the corners' order; only the primary can be among them
+	// already.
+	is, ni := s.cornerAtoms(vx, radius)
+	js, nj := s.cornerAtoms(vy, radius)
+	ks, nk := s.cornerAtoms(vz, radius)
+	for _, i := range is[:ni] {
+		for _, j := range js[:nj] {
+			for _, k := range ks[:nk] {
+				if a := (AtomCoord{I: i, J: j, K: k}); a != primary {
 					dst = append(dst, a)
 				}
 			}
@@ -196,28 +202,23 @@ func (s Space) AppendFootprintAt(dst []AtomCoord, vx, vy, vz, radius int) []Atom
 	return dst
 }
 
-// atomIndex maps a voxel index along one axis, possibly outside the grid,
-// to the index of its atom in the periodic atom grid.
-func (s Space) atomIndex(v int) uint32 {
-	return uint32(wrapInt(v/s.AtomSide, floorDivAdjust(v, s.AtomSide), s.AtomsPerAxis()))
-}
-
-// floorDivAdjust returns -1 when integer division of a negative numerator
-// truncated toward zero instead of flooring.
-func floorDivAdjust(num, den int) int {
-	if num < 0 && num%den != 0 {
-		return -1
+// cornerAtoms returns the atom indices of the voxels v−radius and
+// v+radius along one axis (v in [0, GridSide), radius in [0, GridSide)),
+// wrapped into the periodic grid, and 1 when they are the same atom, else
+// 2.
+func (s Space) cornerAtoms(v, radius int) ([2]uint32, int) {
+	lo, hi := v-radius, v+radius
+	if lo < 0 {
+		lo += s.GridSide
 	}
-	return 0
-}
-
-// wrapInt wraps q+adjust into [0, n) for the periodic atom grid.
-func wrapInt(q, adjust, n int) int {
-	v := (q + adjust) % n
-	if v < 0 {
-		v += n
+	if hi >= s.GridSide {
+		hi -= s.GridSide
 	}
-	return v
+	a := [2]uint32{uint32(lo / s.AtomSide), uint32(hi / s.AtomSide)}
+	if a[0] == a[1] {
+		return a, 1
+	}
+	return a, 2
 }
 
 // Center returns the physical center of atom a.

@@ -107,10 +107,12 @@ func Diff(t Target, log *OpLog) *Divergence {
 	if rv, ok := real.(sched.ResidencyVersioned); ok {
 		rv.SetResidencyVersion(func() uint64 { return snapVersion })
 	}
-	// Gate-aware targets replay against the recorded per-decision gate
-	// snapshot: the same source closure is installed on both sides, so a
-	// disagreement is a decision-rule divergence, never a view skew.
-	var gates map[query.ID]sched.GateState
+	// Gate-aware targets replay against the gate states recorded at
+	// enqueue: the same source closure is installed on both sides — the
+	// production scheduler reads it at Enqueue, the model at every
+	// decision — so a disagreement is a decision-rule divergence, or a
+	// query whose state moved while it was pending.
+	gates := make(map[query.ID]sched.GateState)
 	gateFn := func(q query.ID) sched.GateState { return gates[q] }
 	if ga, ok := real.(sched.GateAware); ok {
 		ga.SetGateSource(gateFn)
@@ -122,11 +124,11 @@ func Diff(t Target, log *OpLog) *Divergence {
 	for i, op := range log.Ops {
 		switch op.Kind {
 		case OpEnqueue:
+			gates[op.Sub.Query.ID] = op.Gate
 			real.Enqueue(op.Sub, op.Now)
 			model.Enqueue(op.Sub, op.Now)
 		case OpDecision:
 			snap = op.Resident
-			gates = op.Gates
 			snapVersion++
 			rGot := real.NextBatch(op.Now)
 			mGot := model.NextBatch(op.Now, func(id store.AtomID) bool { return snap[id] })

@@ -17,10 +17,11 @@ import (
 // for quickcheck-style differential testing. Where the capture harness
 // (harness.go) records what a real engine run happens to do, GenLog
 // explores the op space directly — decisions on empty queues, residency
-// snapshots that flip between consecutive decisions, α-controller
-// reports mid-stream — the corners an engine-driven trace rarely
-// reaches. A generated log carries no recorded answers; Diff replays it
-// through the production scheduler and the reference model side by side.
+// snapshots that flip between consecutive decisions, blocked and
+// releasing queries side by side on one atom, α-controller reports
+// mid-stream — the corners an engine-driven trace rarely reaches. A
+// generated log carries no recorded answers; Diff replays it through the
+// production scheduler and the reference model side by side.
 
 // genSpace is the tiny universe random logs draw from: a 128³ grid in
 // 32³ atoms (4 per axis), small enough that random enqueues collide into
@@ -105,7 +106,20 @@ func GenLog(seed int64, cfg GenConfig) *OpLog {
 				inSeen[sq.Atom] = true
 				seen = append(seen, sq.Atom)
 			}
-			log.Ops = append(log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: sq})
+			// Each sub-query is a query of its own, enqueued once: its gate
+			// state is drawn here and holds while it is pending, the
+			// contract of sched.GateAware. Blocked and releasing queries are
+			// far denser than in an engine run (where BlockedBy is
+			// transient), so the gate-aware counts are exercised hard; a
+			// target without a gate-aware clause never reads the state.
+			gate := sched.GateFree
+			switch g := rng.Intn(10); {
+			case g < 2:
+				gate = sched.GateBlocked
+			case g < 3:
+				gate = sched.GateReleasing
+			}
+			log.Ops = append(log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: sq, Gate: gate})
 		case r < 85:
 			// A fresh snapshot per decision: density varies from all-miss to
 			// mostly-resident so the φ(i) term flips between decisions (the
@@ -119,25 +133,7 @@ func GenLog(seed int64, cfg GenConfig) *OpLog {
 					}
 				}
 			}
-			// A fresh gate snapshot too: per-query states flip between
-			// decisions, exercising the gate-aware scoring far harder than
-			// an engine run (where BlockedBy is transient) ever would. The
-			// map is always drawn so gate-free and gate-aware targets
-			// consume the same random stream; non-gate-aware replays simply
-			// ignore it.
-			gates := make(map[query.ID]sched.GateState)
-			for q := query.ID(1); q < qid; q++ {
-				switch g := rng.Intn(10); {
-				case g < 2:
-					gates[q] = sched.GateBlocked
-				case g < 3:
-					gates[q] = sched.GateReleasing
-				}
-			}
-			if len(gates) == 0 {
-				gates = nil
-			}
-			log.Ops = append(log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Gates: gates})
+			log.Ops = append(log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap})
 		default:
 			log.Ops = append(log.Ops, Op{
 				Kind: OpRunEnd,
@@ -156,10 +152,10 @@ func FormatOps(log *OpLog) string {
 	for i, op := range log.Ops {
 		switch op.Kind {
 		case OpEnqueue:
-			fmt.Fprintf(&b, "%3d: enq   q%d s%d/a%d ×%d @%v\n",
-				i, op.Sub.Query.ID, op.Sub.Atom.Step, op.Sub.Atom.Code, len(op.Sub.Points), op.Now)
+			fmt.Fprintf(&b, "%3d: enq   q%d s%d/a%d ×%d @%v gate=%d\n",
+				i, op.Sub.Query.ID, op.Sub.Atom.Step, op.Sub.Atom.Code, len(op.Sub.Points), op.Now, op.Gate)
 		case OpDecision:
-			fmt.Fprintf(&b, "%3d: dec   @%v resident=%d gates=%d\n", i, op.Now, len(op.Resident), len(op.Gates))
+			fmt.Fprintf(&b, "%3d: dec   @%v resident=%d\n", i, op.Now, len(op.Resident))
 		case OpRunEnd:
 			fmt.Fprintf(&b, "%3d: run   rt=%g tp=%g\n", i, op.RT, op.TP)
 		}

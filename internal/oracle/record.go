@@ -31,8 +31,14 @@ type Op struct {
 	Now  time.Duration
 
 	// Enqueue. Sub is the log's own copy of the sub-query: the engine
-	// recycles the record it enqueued once the query completes.
-	Sub *query.SubQuery
+	// recycles the record it enqueued once the query completes. Gate is
+	// the state the gate source gave the scheduler for Sub's query during
+	// the call — GateFree when it asked nothing, as a scheduler without a
+	// gate-aware clause does. A source gives a query one state while any
+	// of its sub-queries is pending (sched.GateAware), so the replay
+	// answers every later read of the query with it.
+	Sub  *query.SubQuery
+	Gate sched.GateState
 
 	// Decision. Resident snapshots residency of every then-pending atom —
 	// NextBatch consults the cache only for queued atoms, and the cache
@@ -40,12 +46,6 @@ type Op struct {
 	// production scheduler's answer (nil once a log has been shrunk).
 	Resident map[store.AtomID]bool
 	Got      []sched.Batch
-	// Gates snapshots every answer the gate source gave the scheduler
-	// during the call (the graph cannot change during it, so the snapshot
-	// is exact); nil when the scheduler asked nothing, as any scheduler
-	// without a gate-aware clause does. Only non-GateFree states are
-	// stored — absent queries read GateFree, matching the source.
-	Gates map[query.ID]sched.GateState
 
 	// Run end.
 	RT, TP float64
@@ -92,9 +92,9 @@ type RecordingSched struct {
 	// reuses the record, which it does only after the sub-query it held
 	// was served, so a decision always finds its own.
 	stable map[*query.SubQuery]*query.SubQuery
-	// gates collects the gate states the inner scheduler reads during the
-	// decision in flight (see SetGateSource).
-	gates map[query.ID]sched.GateState
+	// gate is the state the inner scheduler read during the enqueue in
+	// flight (see SetGateSource).
+	gate sched.GateState
 }
 
 // NewRecordingSched wraps inner. resident is the same residency oracle
@@ -123,9 +123,10 @@ func (r *RecordingSched) Enqueue(sq *query.SubQuery, now time.Duration) {
 	cp := *sq
 	cp.Points, cp.Footprint = slices.Clone(sq.Points), slices.Clone(sq.Footprint)
 	r.stable[sq] = &cp
-	r.log.Ops = append(r.log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: &cp})
 	r.pending[sq.Atom]++
+	r.gate = sched.GateFree
 	r.inner.Enqueue(sq, now)
+	r.log.Ops = append(r.log.Ops, Op{Kind: OpEnqueue, Now: now, Sub: &cp, Gate: r.gate})
 }
 
 // Snapshot copies a decision the wrapped scheduler just returned, with
@@ -150,14 +151,13 @@ func (r *RecordingSched) NextBatch(now time.Duration) []sched.Batch {
 	for id := range r.pending {
 		snap[id] = r.resident != nil && r.resident(id)
 	}
-	r.gates = nil
 	got := r.inner.NextBatch(now)
 	for _, b := range got {
 		if r.pending[b.Atom] -= len(b.SubQueries); r.pending[b.Atom] <= 0 {
 			delete(r.pending, b.Atom)
 		}
 	}
-	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: r.Snapshot(got), Gates: r.gates})
+	r.log.Ops = append(r.log.Ops, Op{Kind: OpDecision, Now: now, Resident: snap, Got: r.Snapshot(got)})
 	return got
 }
 
@@ -192,9 +192,9 @@ func (r *RecordingSched) SetResidencyVersion(fn func() uint64) {
 }
 
 // SetGateSource implements sched.GateAware, passing the engine's job-graph
-// gate source through a tap that notes every state the wrapped scheduler
-// reads, so each decision's op carries exactly the gate view it was taken
-// under — and none at all for a scheduler that never asks.
+// gate source through a tap that notes the state the wrapped scheduler
+// reads, so each enqueue's op carries the gate state its sub-query was
+// admitted under — and GateFree for a scheduler that never asks.
 func (r *RecordingSched) SetGateSource(fn func(query.ID) sched.GateState) {
 	ga, ok := r.inner.(sched.GateAware)
 	if !ok {
@@ -205,14 +205,8 @@ func (r *RecordingSched) SetGateSource(fn func(query.ID) sched.GateState) {
 		return
 	}
 	ga.SetGateSource(func(q query.ID) sched.GateState {
-		st := fn(q)
-		if st != sched.GateFree {
-			if r.gates == nil {
-				r.gates = make(map[query.ID]sched.GateState)
-			}
-			r.gates[q] = st
-		}
-		return st
+		r.gate = fn(q)
+		return r.gate
 	})
 }
 

@@ -159,8 +159,12 @@ func TestComposeProfileCoversBothRoundKinds(t *testing.T) {
 		// Replay the capture through a fresh production scheduler with
 		// decision capture on: the flight-recorder view says which kind of
 		// round each decision was.
+		// live counts the pending sub-queries whose query was enqueued
+		// under a live (non-GateFree) gate state: a decision taken while
+		// it is positive is one the gate-aware factor could steer.
 		var snap map[store.AtomID]bool
-		var gates map[query.ID]sched.GateState
+		gates := make(map[query.ID]sched.GateState)
+		live := 0
 		s := StandardTarget(AlgoJAWS, p).New(func(id store.AtomID) bool { return snap[id] })
 		s.(sched.GateAware).SetGateSource(func(q query.ID) sched.GateState { return gates[q] })
 		ex := s.(sched.Explained)
@@ -168,17 +172,30 @@ func TestComposeProfileCoversBothRoundKinds(t *testing.T) {
 		for _, op := range c.Log.Ops {
 			switch op.Kind {
 			case OpEnqueue:
+				gates[op.Sub.Query.ID] = op.Gate
+				if op.Gate != sched.GateFree {
+					live++
+				}
 				s.Enqueue(op.Sub, op.Now)
 			case OpRunEnd:
 				s.OnRunEnd(op.RT, op.TP)
 			case OpDecision:
-				snap, gates = op.Resident, op.Gates
-				if len(op.Gates) > 0 {
+				snap = op.Resident
+				if live > 0 {
 					gated++
 				}
-				if got := s.NextBatch(op.Now); !batchesEqual(got, op.Got) {
+				got := s.NextBatch(op.Now)
+				if !batchesEqual(got, op.Got) {
 					t.Fatalf("seed %d: replay diverged from the capture", seed)
-				} else if len(got) == 0 {
+				}
+				for _, b := range got {
+					for _, sq := range b.SubQueries {
+						if gates[sq.Query.ID] != sched.GateFree {
+							live--
+						}
+					}
+				}
+				if len(got) == 0 {
 					continue
 				}
 				e := ex.LastExplain()

@@ -299,6 +299,35 @@ func TestPackedKeyOrder(t *testing.T) {
 	}
 }
 
+// sortPacked orders distinct keys as slices.Sort does, on both sides of
+// the insertion cut-off, for keys that share their top bits (a clustered
+// query) and keys that do not.
+func TestSortPackedMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 2, 17, 59, insertionRun, insertionRun + 1} {
+		for _, width := range []uint{16, 24, 40, 64} {
+			for trial := 0; trial < 20; trial++ {
+				seen := make(map[uint64]bool, n)
+				keys := make([]uint64, 0, n)
+				mask := uint64(1)<<width - 1 // all ones at 64
+				prefix := rng.Uint64() &^ mask
+				for len(keys) < n {
+					if k := prefix | rng.Uint64()&mask; !seen[k] {
+						seen[k] = true
+						keys = append(keys, k)
+					}
+				}
+				want := slices.Clone(keys)
+				slices.Sort(want)
+				sortPacked(keys)
+				if !slices.Equal(keys, want) {
+					t.Fatalf("%d keys of %d varying bits: order differs from slices.Sort", n, width)
+				}
+			}
+		}
+	}
+}
+
 // reuseQuery draws the n-th query of a Partition's life: 1 to 2 000
 // points (faces, the periodic seam, ties: randomPoints), any kernel, a
 // chain of 1 to 8 steps.

@@ -150,11 +150,33 @@ func (l keyLayout) sort(keys []pointKey, buf []uint64) []uint64 {
 	for _, k := range keys {
 		buf = append(buf, l.pack(k))
 	}
-	slices.Sort(buf)
+	sortPacked(buf)
 	for i, k := range buf {
 		keys[i] = l.unpack(k)
 	}
 	return buf
+}
+
+// insertionRun is the most keys sortPacked sorts by insertion: every query
+// of the benchmark traces (30 to 89 points). At those sizes insertion
+// beats pdqsort, which pays a mispredicted branch per comparison
+// (DESIGN.md §19, "Defined point order").
+const insertionRun = 96
+
+// sortPacked sorts distinct packed keys ascending: by insertion up to
+// insertionRun keys, by slices.Sort above.
+func sortPacked(keys []uint64) {
+	if len(keys) > insertionRun {
+		slices.Sort(keys)
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 func (l keyLayout) unpack(k uint64) pointKey {
@@ -260,8 +282,10 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 	// atom on all three axes — most do — adds nothing to it.
 	groups, codes := sc.groups[:0], sc.codes[:0]
 	pts := grow(p.pts, len(keys), len(keys))
-	inside := func(v uint32) bool {
-		l := int(v) % space.AtomSide
+	// inside tells whether a stencil about voxel v stays in the atom that
+	// starts at voxel o on that axis.
+	inside := func(v uint32, o int) bool {
+		l := int(v) - o
 		return l >= radius && l+radius < space.AtomSide
 	}
 	for lo := 0; lo < len(keys); {
@@ -269,13 +293,15 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 		for g.hi < len(keys) && keys[g.hi].atom == keys[lo].atom {
 			g.hi++
 		}
+		ax, ay, az := keys[lo].atom.Decode()
+		ox, oy, oz := int(ax)*space.AtomSide, int(ay)*space.AtomSide, int(az)*space.AtomSide
 		for i := g.lo; i < g.hi; i++ {
 			pts[i] = q.Points[keys[i].idx]
 			if radius <= 0 {
 				continue
 			}
 			vx, vy, vz := keys[i].voxel.Decode()
-			if inside(vx) && inside(vy) && inside(vz) {
+			if inside(vx, ox) && inside(vy, oy) && inside(vz, oz) {
 				continue
 			}
 			var buf [geom.MaxFootprint]geom.AtomCoord

@@ -65,13 +65,15 @@ func TestUtilityMemoizationCountsRecomputes(t *testing.T) {
 // The one selection kernel must not have cost plain JAWS its memoized
 // path: at α = 0 with a version source, repeated decisions over unchanged
 // buckets reuse the per-step Σ U_t instead of rebuilding them — also with
-// a cross-step clause, which adds no score factor. A gate-aware clause
-// does add one (it changes per decision), so those sums are rebuilt.
+// a cross-step clause, which adds no score factor, and with a gate-aware
+// clause, whose factors are read at Enqueue and so change only with the
+// bucket (its gated sums have a memo of their own).
 func TestJAWSAlphaZeroUsesMemoizedStepSums(t *testing.T) {
 	build := func(spec PolicySpec) *JAWS {
 		s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1})
 		s.SetResidencyVersion(func() uint64 { return 1 })
 		spec.Wrap(s)
+		s.SetGateSource(func(q query.ID) GateState { return GateState(q % 3) })
 		for step := 0; step < 4; step++ {
 			for a := uint32(0); a < 3; a++ {
 				s.Enqueue(subQueryAt(query.ID(step*10+int(a)+1), step, a, 0, 0, 20+10*step+int(a)), 0)
@@ -94,8 +96,8 @@ func TestJAWSAlphaZeroUsesMemoizedStepSums(t *testing.T) {
 		t.Errorf("JAWS+cross-step rebuilt %d step sums in one decision, want 1", got)
 	}
 	gated := build(PolicySpec{GateAware: &GateAwareParams{Discount: 0.5, Boost: 2}})
-	if got := rebuilds(gated); got != 0 {
-		t.Errorf("JAWS+gate-aware touched the memoized step sums %d times; its sums carry gate factors and bypass them", got)
+	if got := rebuilds(gated); got != 1 {
+		t.Errorf("JAWS+gate-aware rebuilt %d step sums in one decision, want 1", got)
 	}
 }
 

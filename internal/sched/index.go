@@ -33,10 +33,15 @@ import (
 type stepBucket struct {
 	step  int
 	atoms []*atomQueue // key-ascending
-	// utSum is Σ ut over atoms, valid iff sumSeen == queues.epoch.
-	utSum   float64
-	sumSeen uint64
+	// utSum is Σ ut over atoms, valid iff sumSeen == queues.epoch;
+	// scoreSum is JAWS's gated Σ score at α = 0, valid iff scoreSeen ==
+	// queues.epoch (see JAWS.bucketScoreSum).
+	utSum, scoreSum    float64
+	sumSeen, scoreSeen uint64
 }
+
+// stale drops the bucket's memos: its atoms or their workloads changed.
+func (b *stepBucket) stale() { b.sumSeen, b.scoreSeen = 0, 0 }
 
 // insertAtom places aq into the bucket's key-sorted slice.
 func (b *stepBucket) insertAtom(aq *atomQueue) {
@@ -45,7 +50,7 @@ func (b *stepBucket) insertAtom(aq *atomQueue) {
 	b.atoms = append(b.atoms, nil)
 	copy(b.atoms[i+1:], b.atoms[i:])
 	b.atoms[i] = aq
-	b.sumSeen = 0
+	b.stale()
 }
 
 // removeAtom deletes aq from the bucket's key-sorted slice.
@@ -55,7 +60,7 @@ func (b *stepBucket) removeAtom(aq *atomQueue) {
 	copy(b.atoms[i:], b.atoms[i+1:])
 	b.atoms[len(b.atoms)-1] = nil
 	b.atoms = b.atoms[:len(b.atoms)-1]
-	b.sumSeen = 0
+	b.stale()
 }
 
 // bucketFor returns the bucket of step, creating it (in step order) when
@@ -96,7 +101,7 @@ func (q *queues) dropBucket(b *stepBucket) {
 	copy(q.steps[i:], q.steps[i+1:])
 	q.steps = q.steps[:len(q.steps)-1]
 	b.atoms = b.atoms[:0]
-	b.sumSeen = 0
+	b.stale()
 	q.freeBuckets = append(q.freeBuckets, b)
 }
 
@@ -161,6 +166,7 @@ func (q *queues) beginDecision() {
 		}
 		aq.subs = aq.subs[:0]
 		aq.positions = 0
+		aq.releasing, aq.blocked = 0, 0
 		aq.oldest = 0
 		aq.utSeen = 0
 		q.freeAtoms = append(q.freeAtoms, aq)

@@ -144,12 +144,21 @@ func NewJAWS(cfg JAWSConfig) *JAWS {
 // (e.g. JAWS+gate-aware+cross-step+adaptive-batch, JAWS+QoS).
 func (s *JAWS) Name() string { return s.name }
 
-// Enqueue implements Scheduler.
+// Enqueue implements Scheduler. Under a gate-aware clause it reads the
+// query's gate state here, once per sub-query (see GateAware).
 func (s *JAWS) Enqueue(sq *query.SubQuery, now time.Duration) {
 	if s.qos != nil {
 		s.qos.admit(sq)
 	}
-	s.q.add(sq, now)
+	aq := s.q.add(sq, now)
+	if s.gate != nil && s.gateFn != nil {
+		switch s.gateFn(sq.Query.ID) {
+		case GateReleasing:
+			aq.releasing++
+		case GateBlocked:
+			aq.blocked++
+		}
+	}
 }
 
 // sortSel sorts the current selection under the given mode.
@@ -174,14 +183,23 @@ func (s *JAWS) atomScore(aq *atomQueue, alpha float64, now time.Duration) float6
 
 // bucketScoreSum returns Σ atomScore over the bucket, atoms in key order.
 // Without a gate-aware clause this is the queues' own Σ U_e, memoized at
-// α = 0; gate factors change per decision, so with one the sum is rebuilt.
+// α = 0. With one it is memoized at α = 0 too: a score is then U_t times
+// a gate factor, which only an Enqueue on the atom changes (and every
+// Enqueue drops its bucket's memos), and U_t holds for the epoch.
 func (s *JAWS) bucketScoreSum(b *stepBucket, alpha float64, now time.Duration) float64 {
 	if s.gate == nil {
 		return s.q.stepUeSum(b, alpha, now)
 	}
+	if alpha == 0 && b.scoreSeen == s.q.epoch {
+		return b.scoreSum
+	}
 	sum := 0.0
 	for _, aq := range b.atoms {
 		sum += s.atomScore(aq, alpha, now)
+	}
+	if alpha == 0 {
+		s.q.stepSumRecomputes++
+		b.scoreSum, b.scoreSeen = sum, s.q.epoch
 	}
 	return sum
 }

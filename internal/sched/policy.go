@@ -55,6 +55,12 @@ const (
 // GateAware is implemented by schedulers that consume per-query gate
 // states. The engine installs its job-graph view through SetGateSource
 // when job-aware gating is on; fn may be nil (all queries read GateFree).
+//
+// The contract: a scheduler reads a query's state once per sub-query, when
+// it is enqueued, and keeps what it read. A source must therefore give a
+// query the same state for as long as any of its sub-queries is pending
+// (the engine's fixes it at dispatch), and is installed before the first
+// Enqueue it should steer.
 type GateAware interface {
 	SetGateSource(fn func(q query.ID) GateState)
 }
@@ -301,31 +307,18 @@ func (s PolicySpec) Wrap(inner *JAWS) Scheduler {
 // --- score factor: gate-aware ---------------------------------------------
 
 // SetGateSource implements GateAware. The source is consulted only while
-// a gate-aware clause is installed.
+// a gate-aware clause is installed, by Enqueue.
 func (s *JAWS) SetGateSource(fn func(q query.ID) GateState) { s.gateFn = fn }
 
 // gateFactor returns the gate multiplier for one atom queue: Boost if any
 // pending query is releasing, Discount if all are blocked, 1 otherwise
-// (and always 1 without a gate source).
+// (so 1 for sub-queries enqueued without a gate source). The states are
+// those Enqueue counted, so this is two comparisons.
 func (s *JAWS) gateFactor(aq *atomQueue) float64 {
-	if s.gateFn == nil {
-		return 1
-	}
-	releasing := false
-	blocked := len(aq.subs) > 0
-	for _, sq := range aq.subs {
-		switch s.gateFn(sq.Query.ID) {
-		case GateReleasing:
-			releasing = true
-		case GateBlocked:
-		default:
-			blocked = false
-		}
-	}
-	if releasing {
+	if aq.releasing > 0 {
 		return s.gate.Boost
 	}
-	if blocked {
+	if int(aq.blocked) == len(aq.subs) {
 		return s.gate.Discount
 	}
 	return 1

@@ -179,6 +179,10 @@ type atomQueue struct {
 	// completion-time bound over the pending queries, written and read
 	// within one decision.
 	deadline time.Duration
+	// releasing and blocked count the pending sub-queries whose query read
+	// GateReleasing and GateBlocked at Enqueue (the gate-aware score
+	// factor's inputs; both stay 0 without a gate-aware clause and source).
+	releasing, blocked int32
 
 	// ut memoizes the Eq. 1 value, valid iff utSeen == queues.epoch
 	// (see index.go for the invariant).
@@ -236,7 +240,8 @@ func (q *queues) setResidencyVersion(fn func() uint64) {
 	q.epoch++
 }
 
-func (q *queues) add(sq *query.SubQuery, now time.Duration) {
+// add queues sq on its atom and returns the atom's queue.
+func (q *queues) add(sq *query.SubQuery, now time.Duration) *atomQueue {
 	q.syncResidency()
 	aq, ok := q.byAtom[sq.Atom]
 	if !ok {
@@ -247,15 +252,16 @@ func (q *queues) add(sq *query.SubQuery, now time.Duration) {
 		aq.subs = append(aq.subs, sq)
 		aq.positions += len(sq.Points)
 		q.subs++
-		return
+		return aq
 	}
 	aq.subs = append(aq.subs, sq)
 	aq.positions += len(sq.Points)
 	aq.utSeen = 0 // positions changed: the memoized ut is stale
 	q.subs++
 	if b := q.bucketFor(sq.Atom.Step, false); b != nil {
-		b.sumSeen = 0
+		b.stale()
 	}
+	return aq
 }
 
 // take removes the queue of atom id, returning it as a Batch. The

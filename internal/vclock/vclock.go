@@ -11,24 +11,24 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Clock is a monotonically advancing virtual clock. The zero value is a
 // clock at virtual time zero, ready to use.
+//
+// The clock has one writer, the simulation loop that owns it. Now may be
+// called from any goroutine at any time (a serving session reads it while
+// its loop advances) and returns, without a lock, some time the clock has
+// held.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64
 }
 
 // Now returns the current virtual time as an offset from the simulation
 // start.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Advance moves the clock forward by d and returns the new time.
 // Advancing by a negative duration is a programming error and panics:
@@ -37,22 +37,19 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: cannot advance by negative duration %v", d))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
+	return time.Duration(c.now.Add(int64(d)))
 }
 
 // AdvanceTo moves the clock forward to t. If t is in the past the clock is
 // left unchanged; simulation components use this to fast-forward to the
-// next arrival when the system is idle.
+// next arrival when the system is idle. Like Advance, it is called by the
+// clock's one writer only: the read and the store are not one atomic step.
 func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	if now := time.Duration(c.now.Load()); t <= now {
+		return now
 	}
-	return c.now
+	c.now.Store(int64(t))
+	return t
 }
 
 // Event is an entry in the future-event list: an opaque payload that

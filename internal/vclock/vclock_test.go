@@ -68,6 +68,37 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
+// Now is read without a lock while the clock's one writer advances it: run
+// under -race, the reads must be race-free and, since virtual time never
+// rewinds, never decrease.
+func TestClockNowConcurrentWithWriter(t *testing.T) {
+	var c Clock
+	const steps = 20000
+	done := make(chan time.Duration)
+	go func() {
+		last := time.Duration(0)
+		for last < steps*time.Microsecond {
+			now := c.Now()
+			if now < last {
+				t.Errorf("Now went back from %v to %v", last, now)
+				break
+			}
+			last = now
+		}
+		done <- last
+	}()
+	for i := 0; i < steps; i++ {
+		if i%2 == 0 {
+			c.Advance(time.Microsecond)
+		} else {
+			c.AdvanceTo(c.Now() + time.Microsecond)
+		}
+	}
+	if got := <-done; got != steps*time.Microsecond {
+		t.Fatalf("reader stopped at %v, want %v", got, steps*time.Microsecond)
+	}
+}
+
 func TestEventListOrdering(t *testing.T) {
 	var l EventList
 	l.Push(3*time.Second, "c")
