@@ -38,9 +38,9 @@ check-fma:
 ## check-surface: the closed surface (DESIGN.md §3) — every exported name
 ## under internal/ (outside internal/oracle) is reachable from non-test
 ## code of this module or benchmark/, and every field of an internal Config
-## the facade does not re-export is set by non-test code outside its
-## package; a finding names the symbol, file and line. The ≤ 15-entry
-## allowlist, one reason each, is surfaceAllow in surface_test.go.
+## is set by non-test code outside its package; the types the facade
+## aliases get no exemption. A finding names the symbol, file and line. The
+## ≤ 15-entry allowlist, one reason each, is surfaceAllow in surface_test.go.
 check-surface:
 	$(GO) test -count=1 -run 'TestClosedSurface' .
 
@@ -59,8 +59,11 @@ check-oracle:
 check-artifacts:
 	$(GO) test -count=1 -run TestArtifactsByteIdentical ./cmd/jawsbench/
 
+## build: this module, and the benchmark module built and vetted against it
+## (it compiles against internal/, which tier-1 does not build).
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...

@@ -19,62 +19,36 @@ import (
 
 	"jaws/internal/engine"
 	"jaws/internal/fault"
+	"jaws/internal/geom"
 	"jaws/internal/job"
-	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/store"
 	"jaws/internal/system"
 )
 
-// Strategy selects how atoms map to nodes.
-type Strategy int
-
-const (
-	// Contiguous assigns contiguous Morton ranges, so each node owns a
-	// spatially compact region (the shaded regions of Fig. 7). This is
-	// the deployment strategy: a job's queries concentrate on one node
-	// and per-node batching stays effective.
-	Contiguous Strategy = iota
-	// Striped round-robins atoms across nodes (ablation): every query
-	// scatters over all nodes, which balances raw load but destroys
-	// per-node locality.
-	Striped
-)
-
-// String names the strategy.
-func (st Strategy) String() string {
-	switch st {
-	case Contiguous:
-		return "contiguous"
-	case Striped:
-		return "striped"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(st))
-}
-
-// Partitioner maps atoms to nodes.
+// Partitioner maps atoms to nodes in contiguous Morton ranges, so each
+// node owns a spatially compact region (the shaded regions of Fig. 7): a
+// job's queries concentrate on one node and per-node batching stays
+// effective.
 type Partitioner struct {
 	nodes        int
 	atomsPerStep int
-	strategy     Strategy
 }
 
-// NewPartitionerStrategy builds a partitioner with an explicit strategy.
-func NewPartitionerStrategy(n, atomsPerStep int, st Strategy) (*Partitioner, error) {
+// NewPartitioner splits each step's atomsPerStep atoms evenly among n
+// nodes.
+func NewPartitioner(n, atomsPerStep int) (*Partitioner, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
 	}
 	if atomsPerStep <= 0 || atomsPerStep%n != 0 {
 		return nil, fmt.Errorf("cluster: atoms per step %d not divisible by %d nodes", atomsPerStep, n)
 	}
-	return &Partitioner{nodes: n, atomsPerStep: atomsPerStep, strategy: st}, nil
+	return &Partitioner{nodes: n, atomsPerStep: atomsPerStep}, nil
 }
 
 // NodeOf returns the node owning the atom.
 func (p *Partitioner) NodeOf(id store.AtomID) int {
-	if p.strategy == Striped {
-		return int(id.Code) % p.nodes
-	}
 	return int(id.Code) * p.nodes / p.atomsPerStep
 }
 
@@ -87,14 +61,10 @@ type Config struct {
 	// share the synthetic field seed, so the cluster presents one coherent
 	// dataset) with Node.Node set to its index, so its Fault schedule's
 	// '@node' rules address cluster nodes and each node draws its own
-	// stream from FaultSeed. Observe replaces its Obs per node.
+	// stream from FaultSeed. Node.Obs, when set, is shared by every node
+	// run, a crashed run's and a failover rerun's too: its registry and
+	// span aggregator are safe for concurrent use.
 	Node system.Config
-	// Strategy selects the atom→node mapping; default Contiguous.
-	Strategy Strategy
-	// Observe gives every node its own metrics registry and merges them
-	// into Report.Metrics. Per-node registries (not one shared) keep the
-	// nodes' goroutines from contending on the same counters.
-	Observe bool
 	// Replicas is the data replication factor: each node's partition is
 	// also readable on the Replicas-1 nodes that follow it (mod Nodes),
 	// and the mediator reruns a crashed node's jobs on the first live
@@ -125,17 +95,6 @@ type Report struct {
 	MaxElapsed float64
 	// AggregateThroughput is completed / MaxElapsed.
 	AggregateThroughput float64
-	// Metrics is the cluster-wide metric aggregate (counters summed,
-	// histograms pooled across nodes); nil unless Config.Observe.
-	// Crashed runs' registries are discarded — only work that counted
-	// toward Completed is aggregated — and the mediator adds its own
-	// jaws_node_crashes_total / jaws_failovers_total counters.
-	Metrics *obs.Registry
-	// Spans pools every kept node run's completed query-lifecycle spans
-	// (per-node response-time attribution merged at the mediator); nil
-	// unless Config.Observe. Crashed runs' spans are discarded with the
-	// rest of their report (exactly-once accounting).
-	Spans *obs.SpanAgg
 	// Failovers counts crashed nodes whose jobs a replica successfully
 	// reran; FailedNodes lists nodes whose partitions ended unserved.
 	Failovers   int
@@ -165,7 +124,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Node.Space.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := NewPartitionerStrategy(cfg.Nodes, cfg.Node.Space.AtomsPerStep(), cfg.Strategy)
+	part, err := NewPartitioner(cfg.Nodes, cfg.Node.Space.AtomsPerStep())
 	if err != nil {
 		return nil, err
 	}
@@ -204,20 +163,16 @@ func (c *Cluster) SplitJob(j *job.Job) map[int]*job.Job {
 				}
 				out[n] = nj
 			}
-			idx := perNode[n]
-			sub := &query.Query{
-				ID:      q.ID,
-				JobID:   q.JobID,
-				Seq:     seqPerNode[n],
-				Step:    q.Step,
-				Kernel:  q.Kernel,
-				User:    q.User,
-				Arrival: q.Arrival,
-			}
-			for _, i := range idx {
+			// A copy keeps every field of the query (a derivative chain's
+			// DerivSteps, the serving request's ReqID); only its place in
+			// the per-node job and its positions are the node's own.
+			sub := *q
+			sub.Seq = seqPerNode[n]
+			sub.Points = make([]geom.Position, 0, len(perNode[n]))
+			for _, i := range perNode[n] {
 				sub.Points = append(sub.Points, q.Points[i])
 			}
-			nj.Queries = append(nj.Queries, sub)
+			nj.Queries = append(nj.Queries, &sub)
 			seqPerNode[n]++
 		}
 	}
@@ -238,21 +193,15 @@ func (c *Cluster) split(jobs []*job.Job) map[int][]*job.Job {
 }
 
 // runNode executes njobs on one node: a fresh system built from the node
-// description as node `node`, with the node's own registry under Observe.
-func (c *Cluster) runNode(node int, njobs []*job.Job) (*engine.Report, *obs.Obs, error) {
+// description as node `node`.
+func (c *Cluster) runNode(node int, njobs []*job.Job) (*engine.Report, error) {
 	cfg := c.cfg.Node
 	cfg.Node = node
-	var o *obs.Obs
-	if c.cfg.Observe {
-		o = &obs.Obs{Reg: obs.NewRegistry(), Spans: obs.NewSpanAgg()}
-		cfg.Obs = o
-	}
 	sys, err := system.Open(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rep, err := sys.Run(njobs)
-	return rep, o, err
+	return sys.Run(njobs)
 }
 
 // Run splits the jobs, executes every node concurrently, and aggregates.
@@ -282,7 +231,6 @@ func (c *Cluster) Run(jobs []*job.Job) (*Report, error) {
 	type result struct {
 		node int
 		rep  *engine.Report
-		obs  *obs.Obs
 		err  error
 	}
 	var wg sync.WaitGroup
@@ -295,45 +243,36 @@ func (c *Cluster) Run(jobs []*job.Job) (*Report, error) {
 		wg.Add(1)
 		go func(n int, njobs []*job.Job) {
 			defer wg.Done()
-			rep, o, err := c.runNode(n, njobs)
-			results <- result{node: n, rep: rep, obs: o, err: err}
+			rep, err := c.runNode(n, njobs)
+			results <- result{node: n, rep: rep, err: err}
 		}(n, njobs)
 	}
 	wg.Wait()
 	close(results)
 
 	rep := &Report{}
-	if c.cfg.Observe {
-		rep.Metrics = obs.NewRegistry()
-		rep.Spans = obs.NewSpanAgg()
-	}
 	served := make(map[int]bool)  // partition → fully executed by someone
 	crashed := make(map[int]bool) // node → injector killed it (dead host)
 	hostElapsed := make(map[int]float64)
-	var crashes, toFailover []int
+	var toFailover []int
 	var errs []error
 
-	keep := func(host, forNode int, r *engine.Report, o *obs.Obs) {
+	keep := func(host, forNode int, r *engine.Report) {
 		served[forNode] = true
 		rep.PerNode = append(rep.PerNode, NodeReport{Node: host, For: forNode, Report: r})
 		hostElapsed[host] += r.Elapsed.Seconds()
-		if rep.Metrics != nil {
-			rep.Metrics.Merge(o.Registry())
-		}
-		rep.Spans.Merge(o.SpanAggregator())
 	}
 
 	for r := range results {
 		var crash *fault.NodeCrashError
 		switch {
 		case r.err == nil:
-			keep(r.node, r.node, r.rep, r.obs)
+			keep(r.node, r.node, r.rep)
 		case errors.As(r.err, &crash):
-			// The run died mid-flight: discard its partial report and
-			// registry entirely (exactly-once accounting) and line the
-			// partition up for failover.
+			// The run died mid-flight: discard its partial report
+			// entirely (exactly-once accounting) and line the partition
+			// up for failover.
 			crashed[r.node] = true
-			crashes = append(crashes, r.node)
 			toFailover = append(toFailover, r.node)
 		default:
 			errs = append(errs, fmt.Errorf("cluster node %d: %w", r.node, r.err))
@@ -353,17 +292,16 @@ func (c *Cluster) Run(jobs []*job.Job) (*Report, error) {
 			}
 			// Fresh split: the crashed run mutated its copies' arrivals.
 			njobs := c.split(jobs)[dead]
-			frep, fobs, err := c.runNode(host, njobs)
+			frep, err := c.runNode(host, njobs)
 			var crash *fault.NodeCrashError
 			switch {
 			case err == nil:
-				keep(host, dead, frep, fobs)
+				keep(host, dead, frep)
 				rep.Failovers++
 			case errors.As(err, &crash):
 				// The replica's own schedule killed this rerun; the host
 				// is dead for everyone from here on.
 				crashed[host] = true
-				crashes = append(crashes, host)
 				lastErr = err
 			default:
 				lastErr = err
@@ -394,12 +332,6 @@ func (c *Cluster) Run(jobs []*job.Job) (*Report, error) {
 		if e > rep.MaxElapsed {
 			rep.MaxElapsed = e
 		}
-	}
-	if rep.Metrics != nil {
-		// Crashed runs' registries were discarded, so the mediator
-		// re-records the crashes (and the recoveries) itself.
-		rep.Metrics.Counter("jaws_node_crashes_total").Add(int64(len(crashes)))
-		rep.Metrics.Counter("jaws_failovers_total").Add(int64(rep.Failovers))
 	}
 	sort.Slice(rep.PerNode, func(i, j int) bool {
 		if rep.PerNode[i].Node != rep.PerNode[j].Node {

@@ -51,7 +51,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPartitionerContiguousAndBalanced(t *testing.T) {
-	p, err := NewPartitionerStrategy(4, 64, Contiguous)
+	p, err := NewPartitioner(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,66 +263,31 @@ func TestRunParallelismMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestStripedStrategy(t *testing.T) {
-	p, err := NewPartitionerStrategy(4, 64, Striped)
+func TestCompactJobStaysOnOneNode(t *testing.T) {
+	// A compact job (all points in one octant) touches a single node under
+	// the contiguous partition.
+	cfg := testConfig(4)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, 4)
-	for c := 0; c < 64; c++ {
-		counts[p.NodeOf(store.AtomID{Step: 0, Code: morton.Code(c)})]++
+	space := cfg.Node.Space
+	atomLen := float64(space.AtomSide) * space.VoxelSize()
+	var pts []geom.Position
+	for i := 0; i < 8; i++ {
+		pts = append(pts, geom.Position{
+			X: (0.1 + 0.2*float64(i%2)) * atomLen,
+			Y: (0.1 + 0.2*float64(i/2%2)) * atomLen,
+			Z: (0.1 + 0.3*float64(i/4)) * atomLen,
+		})
 	}
-	for n, c := range counts {
-		if c != 16 {
-			t.Fatalf("striped node %d owns %d atoms, want 16", n, c)
-		}
+	// Spread the points across the octant's 8 atoms.
+	for i := range pts {
+		pts[i].X += float64(i%2) * atomLen
+		pts[i].Y += float64(i/2%2) * atomLen
+		pts[i].Z += float64(i/4%2) * atomLen
 	}
-	// Adjacent Morton codes land on different nodes (no locality).
-	a := p.NodeOf(store.AtomID{Step: 0, Code: 0})
-	b := p.NodeOf(store.AtomID{Step: 0, Code: 1})
-	if a == b {
-		t.Fatal("striped partitioner kept adjacent atoms together")
-	}
-	if Contiguous.String() == "" || Striped.String() == "" || Strategy(9).String() == "" {
-		t.Fatal("empty strategy name")
-	}
-}
-
-func TestContiguousBeatsStripedOnLocality(t *testing.T) {
-	// A compact job (all points in one octant) should touch a single node
-	// under the contiguous partition but scatter under striping.
-	mk := func(st Strategy) int {
-		cfg := testConfig(4)
-		cfg.Strategy = st
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space := cfg.Node.Space
-		atomLen := float64(space.AtomSide) * space.VoxelSize()
-		var pts []geom.Position
-		for i := 0; i < 8; i++ {
-			pts = append(pts, geom.Position{
-				X: (0.1 + 0.2*float64(i%2)) * atomLen,
-				Y: (0.1 + 0.2*float64(i/2%2)) * atomLen,
-				Z: (0.1 + 0.3*float64(i/4)) * atomLen,
-			})
-		}
-		// Spread the points across the octant's 8 atoms.
-		for i := range pts {
-			pts[i].X += float64(i%2) * atomLen
-			pts[i].Y += float64(i/2%2) * atomLen
-			pts[i].Z += float64(i/4%2) * atomLen
-		}
-		split := c.SplitJob(mkClusterJob(1, pts, job.Batched))
-		return len(split)
-	}
-	contiguous := mk(Contiguous)
-	striped := mk(Striped)
-	if contiguous != 1 {
-		t.Fatalf("octant job split across %d nodes under contiguous partitioning, want 1", contiguous)
-	}
-	if striped <= contiguous {
-		t.Fatalf("striping did not scatter the job: %d nodes", striped)
+	if n := len(c.SplitJob(mkClusterJob(1, pts, job.Batched))); n != 1 {
+		t.Fatalf("octant job split across %d nodes under contiguous partitioning, want 1", n)
 	}
 }

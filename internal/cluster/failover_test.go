@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"jaws/internal/geom"
 	"jaws/internal/job"
 	"jaws/internal/morton"
+	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/store"
 	"jaws/internal/system"
@@ -62,6 +64,45 @@ func heavyJob(t *testing.T, cfg Config, id int64, node int) *job.Job {
 	return j
 }
 
+// sharedSpans hands every node run of cfg, crashed ones and failover
+// reruns included, one span pool.
+func sharedSpans(cfg *Config) *obs.SpanAgg {
+	agg := obs.NewSpanAgg()
+	cfg.Node.Obs = &obs.Obs{Spans: agg}
+	return agg
+}
+
+// checkExactlyOnce holds the kept runs' completions, Σ PerNode[i].Report.
+// Completed, to the split's per-node query count of the partitions served
+// (nil: all), and every pooled span to the attribution invariant.
+func checkExactlyOnce(t *testing.T, c *Cluster, jobs []*job.Job, rep *Report, spans *obs.SpanAgg, served []int) {
+	t.Helper()
+	want := 0
+	for n, njobs := range c.split(jobs) {
+		if served == nil || slices.Contains(served, n) {
+			for _, nj := range njobs {
+				want += len(nj.Queries)
+			}
+		}
+	}
+	got := 0
+	for _, nr := range rep.PerNode {
+		got += nr.Report.Completed
+	}
+	if got != want {
+		t.Errorf("kept runs completed %d per-node queries, want exactly %d", got, want)
+	}
+	pooled := spans.Spans()
+	if len(pooled) < got {
+		t.Errorf("%d pooled spans for %d kept completions", len(pooled), got)
+	}
+	for _, sp := range pooled {
+		if sp.PhaseSum() != sp.Total() {
+			t.Errorf("query %d violates attribution: phases %v != total %v", sp.Query, sp.PhaseSum(), sp.Total())
+		}
+	}
+}
+
 func mustSpec(t *testing.T, s string) fault.Spec {
 	t.Helper()
 	spec, err := fault.ParseSpec(s)
@@ -74,9 +115,9 @@ func mustSpec(t *testing.T, s string) fault.Spec {
 func TestRunPartialReportOnCrash(t *testing.T) {
 	// Node 0 crashes with no replica to fail over to: Run must return a
 	// joined error naming the node AND a partial report carrying node 1's
-	// completed work — with the crashed run's spans and metrics discarded.
+	// completed work — with the crashed run's completions discarded.
 	cfg := testConfig(2)
-	cfg.Observe = true
+	spans := sharedSpans(&cfg)
 	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
 	if err != nil {
@@ -111,27 +152,14 @@ func TestRunPartialReportOnCrash(t *testing.T) {
 	if rep.Failovers != 0 {
 		t.Errorf("Failovers = %d with replicas=1", rep.Failovers)
 	}
-	// Exactly-once span accounting: only the kept run's spans remain.
-	want := 0
-	for _, nr := range rep.PerNode {
-		want += nr.Report.Completed
-	}
-	if got := rep.Spans.Count(); got != want {
-		t.Errorf("Spans.Count() = %d, want %d (crashed run's spans must be discarded)", got, want)
-	}
-	if got := rep.Metrics.Counter("jaws_node_crashes_total").Value(); got != 1 {
-		t.Errorf("jaws_node_crashes_total = %d, want 1", got)
-	}
-	if got := rep.Metrics.Counter("jaws_failovers_total").Value(); got != 0 {
-		t.Errorf("jaws_failovers_total = %d, want 0", got)
-	}
+	checkExactlyOnce(t, c, jobs, rep, spans, []int{1})
 }
 
 func TestRunFailoverReplicaServes(t *testing.T) {
 	// With replicas=2 the dead node's jobs rerun on node 1 and the cluster
-	// completes everything: no error, one failover, exactly-once spans.
+	// completes everything: no error, one failover, exactly once.
 	cfg := testConfig(2)
-	cfg.Observe = true
+	spans := sharedSpans(&cfg)
 	cfg.Replicas = 2
 	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms")
 	c, err := New(cfg)
@@ -162,16 +190,7 @@ func TestRunFailoverReplicaServes(t *testing.T) {
 	if rep.Completed != 5 { // 4 heavy queries + 1 tiny
 		t.Errorf("Completed = %d, want 5", rep.Completed)
 	}
-	want := 0
-	for _, nr := range rep.PerNode {
-		want += nr.Report.Completed
-	}
-	if got := rep.Spans.Count(); got != want {
-		t.Errorf("Spans.Count() = %d, want %d", got, want)
-	}
-	if got := rep.Metrics.Counter("jaws_failovers_total").Value(); got != 1 {
-		t.Errorf("jaws_failovers_total = %d, want 1", got)
-	}
+	checkExactlyOnce(t, c, jobs, rep, spans, nil)
 }
 
 func TestRunCascadeFailover(t *testing.T) {
@@ -179,7 +198,7 @@ func TestRunCascadeFailover(t *testing.T) {
 	// own tiny run but its crash schedule kills the much longer rerun of
 	// node 0's jobs, so the partition cascades to node 2, which serves it.
 	cfg := testConfig(4)
-	cfg.Observe = true
+	spans := sharedSpans(&cfg)
 	cfg.Replicas = 3
 	cfg.Node.Fault = mustSpec(t, "crash@0:at=50ms;crash@1:at=500ms")
 	c, err := New(cfg)
@@ -207,14 +226,12 @@ func TestRunCascadeFailover(t *testing.T) {
 		t.Fatalf("node 0's partition served by node %d, want cascade to 2", host)
 	}
 	// Two hosts died along the way: node 0 itself and node 1 mid-rerun.
-	if got := rep.Metrics.Counter("jaws_node_crashes_total").Value(); got != 2 {
-		t.Errorf("jaws_node_crashes_total = %d, want 2 (origin + cascade)", got)
-	}
 	// Node 1's own completed run is still kept (it died as a host, not on
 	// its own schedule), so its query counts.
 	if rep.Completed != 5 {
 		t.Errorf("Completed = %d, want 5", rep.Completed)
 	}
+	checkExactlyOnce(t, c, jobs, rep, spans, nil)
 }
 
 func TestRunAllReplicasDead(t *testing.T) {
@@ -321,10 +338,10 @@ func TestNewRejectsBadReplicasAndSpace(t *testing.T) {
 }
 
 func TestPartitionerAccessors(t *testing.T) {
-	if _, err := NewPartitionerStrategy(0, 64, Striped); err == nil {
+	if _, err := NewPartitioner(0, 64); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	p, err := NewPartitionerStrategy(4, 64, Striped)
+	p, err := NewPartitioner(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

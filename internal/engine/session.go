@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"jaws/internal/job"
 )
@@ -200,8 +199,3 @@ func (s *Session) loop(e *Engine) {
 		}
 	}
 }
-
-// Now reports the session's current virtual time. It is safe to call
-// concurrently (the clock is internally synchronized) but the value is
-// advisory: the loop may be advancing it concurrently.
-func (s *Session) Now() time.Duration { return s.eng.clock.Now() }

@@ -79,7 +79,7 @@ func TestSessionMultipleSubmissionsAdvanceClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-sess.Results()
-	t1 := sess.Now()
+	t1 := sess.eng.clock.Now()
 	if t1 <= 0 {
 		t.Fatal("virtual clock did not advance")
 	}
@@ -492,7 +492,7 @@ func TestSessionCrashInsideIdleGap(t *testing.T) {
 	if !errors.As(sess.Err(), &nce) || nce.At != crashAt {
 		t.Fatalf("session error = %v, want a NodeCrashError at %v", sess.Err(), crashAt)
 	}
-	if now := sess.Now(); now != crashAt {
+	if now := sess.eng.clock.Now(); now != crashAt {
 		t.Errorf("session clock reads %v after the crash, want %v", now, crashAt)
 	}
 	var crashes []time.Duration

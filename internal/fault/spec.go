@@ -63,9 +63,6 @@ type Spec struct {
 	Rules []Rule
 }
 
-// Empty reports whether the spec injects nothing.
-func (s Spec) Empty() bool { return len(s.Rules) == 0 }
-
 // String renders the spec in the grammar ParseSpec accepts, so
 // ParseSpec(s.String()) round-trips.
 func (s Spec) String() string {

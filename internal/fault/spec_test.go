@@ -31,7 +31,7 @@ func TestParseSpecBasics(t *testing.T) {
 func TestParseSpecEmpty(t *testing.T) {
 	for _, s := range []string{"", "  ", ";", " ; "} {
 		spec, err := ParseSpec(s)
-		if err != nil || !spec.Empty() {
+		if err != nil || len(spec.Rules) != 0 {
 			t.Fatalf("ParseSpec(%q) = %+v, %v; want empty, nil", s, spec, err)
 		}
 	}

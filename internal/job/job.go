@@ -71,9 +71,6 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Len returns the number of queries.
-func (j *Job) Len() int { return len(j.Queries) }
-
 // TraceRecord is one line of the (simulated) SQL log: what the cluster
 // actually observes about a query, without job labels. Job identification
 // reconstructs jobs from these.

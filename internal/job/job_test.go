@@ -59,7 +59,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLen(t *testing.T) {
-	if mkJob(1, Ordered, 5).Len() != 5 {
+	if len(mkJob(1, Ordered, 5).Queries) != 5 {
 		t.Fatal("Len wrong")
 	}
 }

@@ -72,15 +72,4 @@ func TestRegistryHelpExposition(t *testing.T) {
 	if strings.Contains(out, "# HELP jaws_g") {
 		t.Fatalf("undescribed gauge grew a help line:\n%s", out)
 	}
-
-	// Merge carries help into the destination registry.
-	dst := NewRegistry()
-	dst.Merge(r)
-	var sb2 strings.Builder
-	if err := dst.WriteText(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb2.String(), "# HELP jaws_x_total") {
-		t.Fatalf("merge dropped help:\n%s", sb2.String())
-	}
 }

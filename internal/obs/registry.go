@@ -220,50 +220,6 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Merge folds other's metrics into r: counters and histogram buckets add,
-// gauges take other's value when other has one (last writer wins). Used
-// for per-node → cluster aggregation; histogram merging requires equal
-// bucket bounds and panics otherwise (a programming error — per-node
-// registries are built by identical code).
-func (r *Registry) Merge(other *Registry) {
-	if r == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	for name, h := range other.help {
-		r.Describe(name, h)
-	}
-	for name, oc := range other.counters {
-		r.Counter(name).Add(oc.Value())
-	}
-	for name, og := range other.gauges {
-		r.Gauge(name).Set(og.Value())
-	}
-	for name, oh := range other.histograms {
-		h := r.Histogram(name, oh.bounds...)
-		if len(h.bounds) != len(oh.bounds) {
-			panic(fmt.Sprintf("obs: merging histogram %q with different bounds", name))
-		}
-		for i := range h.bounds {
-			if h.bounds[i] != oh.bounds[i] {
-				panic(fmt.Sprintf("obs: merging histogram %q with different bounds", name))
-			}
-		}
-		for i := range oh.buckets {
-			h.buckets[i].Add(oh.buckets[i].Load())
-		}
-		h.count.Add(oh.count.Load())
-		for {
-			old := h.sumBits.Load()
-			next := math.Float64bits(math.Float64frombits(old) + oh.Sum())
-			if h.sumBits.CompareAndSwap(old, next) {
-				break
-			}
-		}
-	}
-}
-
 // WriteText renders the registry in the Prometheus text exposition
 // format, metrics sorted by name. A nil registry writes nothing.
 func (r *Registry) WriteText(w io.Writer) error {

@@ -21,7 +21,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	if err := r.WriteText(&strings.Builder{}); err != nil {
 		t.Fatalf("nil WriteText: %v", err)
 	}
-	r.Merge(NewRegistry()) // must not panic
 	var o *Obs
 	if o.Tracer() != nil || o.Registry() != nil {
 		t.Fatal("nil Obs accessors must return nil")
@@ -126,36 +125,6 @@ func TestWriteTextExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(3)
-	b.Counter("only_b").Add(1)
-	b.Gauge("g").Set(9)
-	ha := a.Histogram("h", 1, 2)
-	hb := b.Histogram("h", 1, 2)
-	ha.Observe(0.5)
-	hb.Observe(1.5)
-	hb.Observe(5)
-
-	a.Merge(b)
-	if got := a.Counter("c").Value(); got != 5 {
-		t.Fatalf("merged counter = %d, want 5", got)
-	}
-	if got := a.Counter("only_b").Value(); got != 1 {
-		t.Fatalf("merged new counter = %d, want 1", got)
-	}
-	if got := a.Gauge("g").Value(); got != 9 {
-		t.Fatalf("merged gauge = %g, want 9", got)
-	}
-	if got := a.Histogram("h").Count(); got != 3 {
-		t.Fatalf("merged hist count = %d, want 3", got)
-	}
-	if got := a.Histogram("h").Sum(); got != 7 {
-		t.Fatalf("merged hist sum = %g, want 7", got)
 	}
 }
 

@@ -198,28 +198,6 @@ func (a *Agg[S, R]) Add(s S) {
 	a.mu.Unlock()
 }
 
-// Merge folds other's spans into a (per-node → cluster aggregation).
-// Nil-safe in both directions.
-func (a *Agg[S, R]) Merge(other *Agg[S, R]) {
-	if a == nil {
-		return
-	}
-	spans := other.Spans()
-	a.mu.Lock()
-	a.spans = append(a.spans, spans...)
-	a.mu.Unlock()
-}
-
-// Count returns the number of recorded spans (0 for nil).
-func (a *Agg[S, R]) Count() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.spans)
-}
-
 // Spans returns a copy of the recorded spans in recording order.
 func (a *Agg[S, R]) Spans() []S {
 	if a == nil {

@@ -28,78 +28,11 @@ func mkSpan(id int64, total time.Duration) Span {
 func TestNilSpanAggIsNoOp(t *testing.T) {
 	var a *SpanAgg
 	a.Add(Span{Query: 1})
-	a.Merge(NewSpanAgg())
-	if a.Count() != 0 || a.Spans() != nil {
+	if a.Spans() != nil {
 		t.Fatal("nil aggregator recorded something")
 	}
 	if sum := a.Summarize(5); sum.Count != 0 {
 		t.Fatalf("nil aggregator summarized %d spans", sum.Count)
-	}
-	// Merging a nil source into a live aggregator is also a no-op.
-	live := NewSpanAgg()
-	live.Merge(nil)
-	if live.Count() != 0 {
-		t.Fatal("merging nil added spans")
-	}
-}
-
-func TestSpanAggMergePools(t *testing.T) {
-	a, b := NewSpanAgg(), NewSpanAgg()
-	a.Add(mkSpan(1, time.Second))
-	b.Add(mkSpan(2, 2*time.Second))
-	b.Add(mkSpan(3, 3*time.Second))
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count %d, want 3", a.Count())
-	}
-	if b.Count() != 2 {
-		t.Fatalf("merge mutated the source: %d", b.Count())
-	}
-}
-
-// TestSpanAggMergeOneSided pins the degenerate merges the cluster
-// aggregation path hits: an empty source must leave the destination
-// untouched, and merging into an empty destination must carry every
-// span across without mutating the source.
-func TestSpanAggMergeOneSided(t *testing.T) {
-	full := NewSpanAgg()
-	full.Add(mkSpan(1, time.Second))
-	full.Add(mkSpan(2, 2*time.Second))
-
-	// Empty source → destination unchanged.
-	before := full.Spans()
-	full.Merge(NewSpanAgg())
-	after := full.Spans()
-	if len(after) != len(before) {
-		t.Fatalf("merging an empty aggregator changed the count: %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		if after[i] != before[i] {
-			t.Fatalf("merging an empty aggregator changed span %d: %+v -> %+v", i, before[i], after[i])
-		}
-	}
-
-	// Empty destination → all spans carried over, source intact.
-	empty := NewSpanAgg()
-	empty.Merge(full)
-	if empty.Count() != 2 {
-		t.Fatalf("empty destination picked up %d spans, want 2", empty.Count())
-	}
-	got := empty.Spans()
-	for i := range before {
-		if got[i] != before[i] {
-			t.Fatalf("one-sided merge corrupted span %d: %+v, want %+v", i, got[i], before[i])
-		}
-	}
-	if full.Count() != 2 {
-		t.Fatalf("one-sided merge mutated the source: %d", full.Count())
-	}
-
-	// Merged spans are a copy: mutating the destination's view must not
-	// reach back into the source.
-	got[0].Query = 999
-	if full.Spans()[0].Query == 999 {
-		t.Fatal("merge aliased the source's backing array")
 	}
 }
 

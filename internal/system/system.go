@@ -12,7 +12,6 @@ package system
 
 import (
 	"fmt"
-	"time"
 
 	"jaws/internal/cache"
 	"jaws/internal/engine"
@@ -88,11 +87,10 @@ type Config struct {
 	// QoSStretch, when positive, gives the JAWS scheduler the §VII
 	// proportional completion-time guarantee: each query's deadline is
 	// arrival + QoSStretch × its isolated service-time estimate, and
-	// atoms with imminent deadlines are served earliest-deadline-first.
+	// atoms with imminent deadlines are served earliest-deadline-first
+	// (urgent 2 s of virtual time ahead of the deadline, sched.NewQoS's
+	// horizon).
 	QoSStretch float64
-	// QoSHorizon is how far ahead of a deadline a query becomes urgent;
-	// zero means 2 s of virtual time.
-	QoSHorizon time.Duration
 	// TailPolicy, when non-empty, installs the tail-attacking policies of
 	// DESIGN.md §18 on the JAWS scheduler (gate-aware admission, cross-step
 	// batching, adaptive batch sizing). The spec grammar is
@@ -223,7 +221,7 @@ func (s *System) NewScheduler() sched.Scheduler {
 		// Both install hooks on inner itself (one selector, DESIGN.md §18).
 		s.tailSpec.Wrap(inner)
 		if s.cfg.QoSStretch > 0 {
-			sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, s.cfg.QoSHorizon)
+			sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, 0)
 		}
 		return inner
 	}

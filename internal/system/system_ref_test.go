@@ -95,7 +95,7 @@ func refAssemble(cfg system.Config) (engine.Config, error) {
 		})
 		tailSpec.Wrap(inner)
 		if cfg.QoSStretch > 0 {
-			sched.NewQoS(inner, cfg.Cost, cfg.QoSStretch, cfg.QoSHorizon)
+			sched.NewQoS(inner, cfg.Cost, cfg.QoSStretch, 0)
 		}
 		sc = inner
 	}

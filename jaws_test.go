@@ -3,6 +3,8 @@ package jaws
 import (
 	"testing"
 	"time"
+
+	"jaws/internal/workload"
 )
 
 // smallConfig keeps façade tests fast: a tiny store and workload.
@@ -19,7 +21,11 @@ func smallConfig(s Scheduler) Config {
 }
 
 func smallWorkload(seed int64, jobs int) *Workload {
-	return GenerateWorkload(WorkloadConfig{
+	return GenerateWorkload(smallWorkloadConfig(seed, jobs))
+}
+
+func smallWorkloadConfig(seed int64, jobs int) WorkloadConfig {
+	return WorkloadConfig{
 		Seed:           seed,
 		Space:          Space{GridSide: 128, AtomSide: 32},
 		Steps:          4,
@@ -28,7 +34,7 @@ func smallWorkload(seed int64, jobs int) *Workload {
 		MeanJobGap:     200 * time.Millisecond,
 		ThinkTime:      10 * time.Millisecond,
 		QueryScale:     20,
-	})
+	}
 }
 
 func TestEndToEndAllSchedulers(t *testing.T) {
@@ -125,14 +131,20 @@ func TestRunCluster(t *testing.T) {
 
 // A cluster node is the single node: built from the same description
 // through the same assembler, a one-node cluster's node report equals
-// Open(cfg).Run's under every scheduler and every setting the description
-// carries (before internal/system, RunCluster wired its nodes by hand, so
-// NoShare shared I/O there and tail policies, QoS and prefetch were
-// dropped).
+// Open(cfg).Run's under every scheduler, every setting the description
+// carries and every query field the split must carry (before
+// internal/system, RunCluster wired its nodes by hand, so NoShare shared I/O
+// there and tail policies, QoS and prefetch were dropped; until SplitJob
+// copied queries whole, a ∂/∂t chain ran as a single-step query).
 func TestOneNodeClusterEqualsSingleNode(t *testing.T) {
-	cases := map[string]Config{}
+	type oneNode struct {
+		cfg Config
+		w   WorkloadConfig
+	}
+	plain := smallWorkloadConfig(5, 30)
+	cases := map[string]oneNode{}
 	for _, s := range []Scheduler{SchedNoShare, SchedLifeRaft1, SchedLifeRaft2, SchedJAWS1, SchedJAWS2} {
-		cases[s.String()] = smallConfig(s)
+		cases[s.String()] = oneNode{smallConfig(s), plain}
 	}
 	tail := smallConfig(SchedJAWS2)
 	tail.TailPolicy = "gate-aware;adaptive-batch"
@@ -140,18 +152,22 @@ func TestOneNodeClusterEqualsSingleNode(t *testing.T) {
 	qos.QoSStretch = 8
 	prefetch := smallConfig(SchedJAWS2)
 	prefetch.Prefetch = true
-	cases["JAWS2+tail"], cases["JAWS2+QoS"], cases["JAWS2+prefetch"] = tail, qos, prefetch
+	cases["JAWS2+tail"] = oneNode{tail, plain}
+	cases["JAWS2+QoS"] = oneNode{qos, plain}
+	cases["JAWS2+prefetch"] = oneNode{prefetch, plain}
+	cases["JAWS2+deriv-chain"] = oneNode{smallConfig(SchedJAWS2), workload.MustScenario("deriv-chain").Apply(plain)}
 
-	for name, cfg := range cases {
+	for name, c := range cases {
+		cfg := c.cfg
 		sys, err := Open(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := sys.Run(smallWorkload(5, 30).Jobs)
+		want, err := sys.Run(GenerateWorkload(c.w).Jobs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		crep, err := RunCluster(ClusterConfig{Nodes: 1, Node: cfg}, smallWorkload(5, 30).Jobs)
+		crep, err := RunCluster(ClusterConfig{Nodes: 1, Node: cfg}, GenerateWorkload(c.w).Jobs)
 		if err != nil {
 			t.Fatalf("%s: cluster: %v", name, err)
 		}

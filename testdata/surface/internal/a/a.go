@@ -1,7 +1,8 @@
-// Package a holds one dead export among three shapes that only look dead.
+// Package a holds two dead names — an export and a field of a Config the
+// facade aliases — among two shapes that only look dead.
 package a
 
-// Dead has no caller: the one finding.
+// Dead has no caller: the first finding.
 func Dead() {}
 
 // Sched is implemented by Outer, through the embedded core alone.
@@ -24,5 +25,6 @@ type Box[T any] struct{ v T }
 // Get returns the boxed value.
 func (b *Box[T]) Get() T { return b.v }
 
-// Config is aliased by the facade, so nothing in the module sets Size.
+// Config is aliased by the facade, and nothing in the module sets Size:
+// the alias does not set it either, so it is the second finding.
 type Config struct{ Size int }

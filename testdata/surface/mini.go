@@ -4,7 +4,8 @@ package mini
 
 import "mini/internal/a"
 
-// Config re-exports a.Config: its fields are a caller's to set.
+// Config re-exports a.Config. The alias roots the type, not its fields:
+// a field still needs a setter outside its package.
 type Config = a.Config
 
 // Run reaches Outer through the Sched interface alone and Box through an
