@@ -89,11 +89,15 @@ race:
 ## race-obs: race-check the packages with real concurrency — the obs
 ## layer (atomic registry, locked tracer), the engine's compute pool and
 ## the atom frames its workers read (TestEvictedFrameNotReusedWithinDecision),
+## the row tables fills write and workers and lazy Interpolate calls read
+## (field's TestSharedAtomReadOnly),
 ## the results consumers hold and release (TestResultStableUntilRelease,
 ## TestLateResultReleased), the scheduler structures, the sessions the
 ## assembler starts, the serving layer, and their concurrent users.
+## -short: the engine's 20 000-request memory soak (TestRowsFollowFills),
+## which is one goroutine's, runs 2 000 requests here.
 race-obs:
-	$(GO) test -race ./internal/obs/ ./internal/sched/ ./internal/engine/ ./internal/system/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
+	$(GO) test -race -short ./internal/obs/ ./internal/field/ ./internal/sched/ ./internal/engine/ ./internal/system/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
 
 ## check-prop: every op-log certificate behind one target — the
 ## quickcheck-style differential property tests (random op logs replayed
@@ -112,8 +116,9 @@ check-prop:
 ## request allocates over net/http's floor, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
 ## engine's frame pins (a miss at capacity allocates nothing — the handle
-## and the sample buffer are an evicted atom's; a URC utility push allocates
-## nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
+## and the sample rows are an evicted atom's; a stencil's fill on a fresh
+## atom at capacity takes its rows from evicted atoms' rows and allocates
+## nothing; a URC utility push allocates nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
 ## of a returning and of a never-seen atom, allocate nothing), the engine's
 ## query-frame pins (a dispatch into a recycled frame allocates nothing; a
 ## bulk request on a session, Submit to Release, its Submit argument) and the admission
@@ -128,7 +133,7 @@ check-prop:
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
 	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/

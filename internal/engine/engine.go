@@ -378,19 +378,19 @@ type Engine struct {
 	job     computeJob
 
 	// The frame lifecycle (DESIGN.md §19). An atom arrives from the store
-	// unfilled and is filled when it is first a batch's primary; when the
-	// cache evicts it, it is retired; when the decision in hand ends, the
-	// retired atoms' sample buffers become free for later fills and their
-	// handles for later reads. Not sooner: execute fetches every primary
-	// before it evaluates any, so an atom in atomBuf may be evicted,
-	// retired, and still filled and read by its batch; once atomBuf is
-	// cleared nothing of the engine's holds it. The lists belong to the
-	// simulation goroutine. free and freeAtoms each hold at most the
-	// cache's capacity: every buffer and handle was a resident atom's or is
-	// about to be one's, so those cached, free and retired never exceed
-	// that capacity plus one decision's evictions.
+	// unfilled and is filled, into rows of the engine's arena, when it is
+	// first a batch's primary; when the cache evicts it, it is retired; when
+	// the decision in hand ends, the retired atoms' rows become free for
+	// later fills and their handles for later reads. Not sooner: execute
+	// fetches every primary before it evaluates any, so an atom in atomBuf
+	// may be evicted, retired, and still filled and read by its batch; once
+	// atomBuf is cleared nothing of the engine's holds it. The arena and the
+	// lists belong to the simulation goroutine. The arena carves a row only
+	// when none is free, so it holds the most rows cached and retired atoms
+	// held at once: at most the cache's capacity × an atom's block rows,
+	// plus one decision's evictions'. freeAtoms holds at most the capacity.
+	rows      *field.RowArena
 	retired   []*field.Atom
-	free      [][]float64
 	freeAtoms []*field.Atom
 	flushed   []any // FlushPerDecision's scratch: what Cache.Flush dropped
 	// fills counts the syntheses this engine performed (at most one per
@@ -427,6 +427,7 @@ func New(cfg Config) (*Engine, error) {
 		states:    make(map[query.ID]*queryState),
 		jobsByID:  make(map[int64]liveJob),
 		stepMeans: make(map[int]float64),
+		rows:      new(field.RowArena),
 	}
 	if cfg.Prefetch {
 		e.predictor = prefetch.New(cfg.Store.Space())
@@ -831,6 +832,7 @@ func (e *Engine) execute(batches []sched.Batch) error {
 		clear(e.atomBuf)
 		e.atomBuf = e.atomBuf[:0]
 		e.freeRetired()
+		e.inst.noteSampleBytes(e.rows)
 	}()
 	for i := range batches {
 		a, err := e.readAtom(batches[i].Atom)
@@ -957,15 +959,13 @@ func (e *Engine) retire(v any) {
 	}
 }
 
-// freeRetired frees the retired atoms' sample buffers and then their
-// handles: no batch of the decision that evicted them can read them any
-// more, and atomBuf, the last place that could list them, is empty.
+// freeRetired frees the retired atoms' rows and then their handles: no
+// batch of the decision that evicted them can read them any more, and
+// atomBuf, the last place that could list them, is empty.
 func (e *Engine) freeRetired() {
 	limit := e.cfg.Cache.Capacity()
 	for i, a := range e.retired {
-		if buf := a.Release(); buf != nil && len(e.free) < limit {
-			e.free = append(e.free, buf)
-		}
+		a.Release()
 		if len(e.freeAtoms) < limit {
 			e.freeAtoms = append(e.freeAtoms, a)
 		}
@@ -987,17 +987,13 @@ func pop[T any](list *[]T) (v T, ok bool) {
 	return v, true
 }
 
-// fill synthesizes the blocks of a that want names, into a free buffer when
-// a holds no samples yet and there is one.
+// fill synthesizes the blocks of a that want names, into rows of the
+// engine's arena when a holds none yet.
 func (e *Engine) fill(a *field.Atom, want field.Blocks) {
 	if want == (field.Blocks{}) {
 		return
 	}
-	var buf []float64
-	if !a.Filled() {
-		buf, _ = pop(&e.free)
-	}
-	a.FillBlocks(want, buf)
+	a.FillBlocks(want, e.rows)
 	e.fills++
 }
 

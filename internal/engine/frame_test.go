@@ -150,13 +150,13 @@ func oneDecision(e *Engine) []sched.Batch {
 }
 
 // TestEvictedFrameNotReusedWithinDecision is the frame lifecycle's safety
-// rule: the buffer of an evicted atom is reusable only once the decision
+// rule: the rows of an evicted atom are reusable only once the decision
 // that evicted it has ended.
 func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 	// The exact hazard. A is resident and filled; one decision executes
 	// batches B then A, both fetched up front. B's footprint reads then
 	// evict first B and then A from the two-atom cache, and only after
-	// them is B filled — into A's buffer, were that free already, which
+	// them is B filled — into A's rows, were those free already, which
 	// A's batch would then evaluate on.
 	t.Run("hazard", func(t *testing.T) {
 		s := frameStore(t, 4, 0)
@@ -170,7 +170,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
 		v, ok := c.Get(idA)
-		if !ok || !v.(*field.Atom).Filled() || c.Len() != 1 {
+		if !ok || heldRows(s.Space(), v.(*field.Atom)) == 0 || c.Len() != 1 {
 			t.Fatalf("set-up: A resident %v, %d atoms cached; want A filled and alone", ok, c.Len())
 		}
 		oldA := v.(*field.Atom)
@@ -185,11 +185,8 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		if err := e.execute(decision); err != nil {
 			t.Fatal(err)
 		}
-		if c.Contains(idA) || oldA.Filled() {
-			t.Fatalf("A resident %v, filled %v: the decision was meant to evict and then free it", c.Contains(idA), oldA.Filled())
-		}
-		if len(e.free) == 0 {
-			t.Fatal("no buffer became free when the decision ended")
+		if c.Contains(idA) || heldRows(s.Space(), oldA) != 0 {
+			t.Fatalf("A resident %v, %d rows held: the decision was meant to evict A and then free its rows", c.Contains(idA), heldRows(s.Space(), oldA))
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 	})
@@ -262,8 +259,8 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 				if rep.CacheStats.Evictions == 0 || e.fills == 0 {
 					t.Fatalf("%d evictions, %d fills: the run moved no frames", rep.CacheStats.Evictions, e.fills)
 				}
-				if len(e.free) > c.Capacity() || len(e.retired) != 0 {
-					t.Fatalf("%d free buffers for a cache of %d, %d atoms still retired", len(e.free), c.Capacity(), len(e.retired))
+				if len(e.freeAtoms) > c.Capacity() || len(e.retired) != 0 {
+					t.Fatalf("%d free handles for a cache of %d, %d atoms still retired", len(e.freeAtoms), c.Capacity(), len(e.retired))
 				}
 				(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(rep.Results)
 			})
@@ -273,7 +270,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 
 // TestFlushRecyclesFrames: NoShare flushes the cache after every decision,
 // and what it flushes retires like an evicted atom, so the next decision's
-// fills reuse those sample buffers instead of allocating their own. The
+// fills reuse those rows instead of allocating their own. The
 // same goes for a resident atom the integrity hook fails.
 func TestFlushRecyclesFrames(t *testing.T) {
 	const side = 8
@@ -321,7 +318,7 @@ func TestFlushRecyclesFrames(t *testing.T) {
 				corrupt, fills, rep.CacheStats.Evictions, rep.CacheStats.Corruptions)
 		}
 		if buffers := (last.TotalAlloc - first.TotalAlloc) / bufBytes; buffers*4 > fills {
-			t.Errorf("corrupt=%v: %d fills after the first decision allocated %d B, room for %d sample buffers; want the dropped frames' reused",
+			t.Errorf("corrupt=%v: %d fills after the first decision allocated %d B, room for %d whole atoms' samples; want the dropped frames' rows reused",
 				corrupt, fills, last.TotalAlloc-first.TotalAlloc, buffers)
 		}
 	}
@@ -332,12 +329,12 @@ func TestFlushRecyclesFrames(t *testing.T) {
 // for a neighbour's stencil footprint has no samples until it is itself a
 // batch's primary — so fills stay below store reads.
 func TestComputeOffNeverFills(t *testing.T) {
-	unfilled := func(t *testing.T, c *cache.Cache) (resident, filled int) {
+	unfilled := func(t *testing.T, c *cache.Cache, space geom.Space) (resident, filled int) {
 		t.Helper()
 		var ids []store.AtomID
 		c.EachKey(func(id store.AtomID) { ids = append(ids, id) })
 		for _, id := range ids {
-			if v, _ := c.Get(id); v.(*field.Atom).Filled() {
+			if v, _ := c.Get(id); heldRows(space, v.(*field.Atom)) != 0 {
 				filled++
 			}
 		}
@@ -363,12 +360,12 @@ func TestComputeOffNeverFills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resident, filled := unfilled(t, c)
+		resident, filled := unfilled(t, c, s.Space())
 		if rep.DiskStats.Reads == 0 || resident == 0 {
 			t.Fatalf("%d reads, %d resident: nothing to check", rep.DiskStats.Reads, resident)
 		}
-		if e.fills != 0 || filled != 0 || len(e.free) != 0 {
-			t.Fatalf("Compute off: %d fills, %d resident atoms hold samples, %d free buffers; want none", e.fills, filled, len(e.free))
+		if e.fills != 0 || filled != 0 || e.rows.Bytes() != 0 {
+			t.Fatalf("Compute off: %d fills, %d resident atoms hold samples, %d B of rows; want none", e.fills, filled, e.rows.Bytes())
 		}
 	})
 
@@ -381,7 +378,7 @@ func TestComputeOffNeverFills(t *testing.T) {
 			cfg.KeepResults = true
 		})
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 0, Points: cornerPoints(s, 0, 0, 0, 10), Kernel: field.KernelLag4})
-		resident, filled := unfilled(t, c)
+		resident, filled := unfilled(t, c, s.Space())
 		if resident != 8 || filled != 1 || e.fills != 1 {
 			t.Fatalf("%d resident, %d filled, %d fills; want the primary filled and its 7 footprint atoms not", resident, filled, e.fills)
 		}
@@ -390,12 +387,12 @@ func TestComputeOffNeverFills(t *testing.T) {
 		}
 		neighbour := store.AtomID{Step: 0, Code: geom.AtomCoord{I: 1, J: 1, K: 1}.Code()}
 		v, _ := c.Get(neighbour)
-		if v.(*field.Atom).Filled() {
+		if heldRows(s.Space(), v.(*field.Atom)) != 0 {
 			t.Fatal("footprint atom filled before it was a primary")
 		}
 		decide(t, e, &query.Query{ID: 2, JobID: 2, Step: 0, Points: centrePoints(s, 1, 1, 1, 10), Kernel: field.KernelLag4})
-		if !v.(*field.Atom).Filled() || e.fills != 2 {
-			t.Fatalf("the neighbour as primary: filled %v, %d fills; want the resident frame filled in place", v.(*field.Atom).Filled(), e.fills)
+		if n := heldRows(s.Space(), v.(*field.Atom)); n == 0 || e.fills != 2 {
+			t.Fatalf("the neighbour as primary: %d rows held, %d fills; want the resident frame filled in place", n, e.fills)
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 	})
@@ -433,9 +430,9 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	}
 	v, _ := c.Get(id)
 	a := v.(*field.Atom)
-	if n := count(a.Missing(field.KernelLag8, space, ac, all)); !a.Filled() || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
-		t.Fatalf("after the centre batch: filled %v, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone",
-			a.Filled(), e.fills, n)
+	if n := count(a.Missing(field.KernelLag8, space, ac, all)); heldRows(space, a) != 4*4 || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
+		t.Fatalf("after the centre batch: %d rows held, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone, in their 16 rows",
+			heldRows(space, a), e.fills, n)
 	}
 	decide(t, e, query(2, centre[:10]))
 	if e.fills != 1 {
@@ -448,6 +445,26 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 		t.Fatalf("the corner batch: %d fills, %d of 512 samples missing; want a second fill of the corner's 56 new samples", e.fills, n)
 	}
 	(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
+}
+
+// heldRows is the number of block rows atom a holds a block of. On the
+// tests' atoms, at most 8 samples a side with the halo, a block is a
+// sample and a block row a line of samples along x, and a Lag8 stencil at
+// an atom's centre reads every sample, so it misses what a does not hold.
+func heldRows(space geom.Space, a *field.Atom) int {
+	ac := geom.AtomCoord{}
+	miss := a.Missing(field.KernelLag8, space, ac, []geom.Position{space.Center(ac)})
+	d := a.Side + 2*a.Ghost
+	line := uint64(1)<<d - 1
+	n := 0
+	for z := 0; z < d; z++ {
+		for y := 0; y < d; y++ {
+			if miss[z]>>(8*y)&line != line {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // count is the number of blocks in b.
@@ -480,7 +497,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		for i := uint32(0); i < 3; i++ {
 			decide(t, e, &query.Query{ID: query.ID(i + 1), JobID: int64(i + 1), Step: 0, Points: centrePoints(s, i, 1, 1, 10), Kernel: field.KernelLag4})
 		}
-		if len(e.freeAtoms) != 1 || e.freeAtoms[0].Filled() || c.Stats().Evictions != 1 {
+		if len(e.freeAtoms) != 1 || heldRows(s.Space(), e.freeAtoms[0]) != 0 || c.Stats().Evictions != 1 {
 			t.Fatalf("set-up: %d free handles after %d evictions, want one, released", len(e.freeAtoms), c.Stats().Evictions)
 		}
 		return e, s, c, e.freeAtoms[0]
@@ -494,7 +511,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		if v, ok := c.Get(id); !ok || v.(*field.Atom) != h {
 			t.Fatalf("%v resident %v in handle %p, want the recycled %p", id, ok, v, h)
 		}
-		if !h.Filled() {
+		if heldRows(s.Space(), h) == 0 {
 			t.Fatal("the recycled handle was not evaluated on")
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
@@ -516,8 +533,8 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		j := &job.Job{ID: 9, User: 1, Type: job.Ordered, ThinkTime: time.Second}
 		e.predictor.Observe(j.ID, &query.Query{ID: 10, JobID: j.ID, Step: 1, Points: centrePoints(s, 0, 2, 2, 10)})
 		e.prefetchFor(j, &query.Query{ID: 11, JobID: j.ID, Seq: 1, Step: 2, Points: centrePoints(s, 1, 2, 2, 10)})
-		if e.prefetched == 0 || h.Filled() {
-			t.Fatalf("%d atoms prefetched, the handle filled %v: want a prefetch into the free handle, unfilled", e.prefetched, h.Filled())
+		if e.prefetched == 0 || heldRows(s.Space(), h) != 0 {
+			t.Fatalf("%d atoms prefetched, the handle holds %d rows: want a prefetch into the free handle, unfilled", e.prefetched, heldRows(s.Space(), h))
 		}
 		evaluate(t, e, s, c, h, 3, 2, 2, 2)
 	})
@@ -577,8 +594,8 @@ func missCycle(t testing.TB, side int) (step func(), e *Engine) {
 }
 
 // TestReadMissAllocs pins the miss path at capacity to nothing: the atom
-// goes into an evicted atom's handle, its samples into an evicted atom's
-// buffer, and the policy's index moves in place.
+// goes into an evicted atom's handle, its samples into the rows evicted
+// atoms gave back, and the policy's index moves in place.
 func TestReadMissAllocs(t *testing.T) {
 	step, e := missCycle(t, 8)
 	fills := e.fills
@@ -596,7 +613,7 @@ func TestReadMissAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 96 {
-		t.Errorf("a miss at capacity: %d B allocated, want under 96 (no handle, no sample buffer)", per)
+		t.Errorf("a miss at capacity: %d B allocated, want under 96 (no handle, no row)", per)
 	}
 }
 
@@ -626,7 +643,7 @@ func TestURCDecisionZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkReadAtomMiss is one miss at capacity end to end — cache lookup,
-// store read, eviction, fill into the evicted buffer — for the daemon's
+// store read, eviction, fill into the evicted atom's rows — for the daemon's
 // 8³ atoms and the experiments' 4³.
 func BenchmarkReadAtomMiss(b *testing.B) {
 	for _, side := range []int{8, 4} {
@@ -638,5 +655,130 @@ func BenchmarkReadAtomMiss(b *testing.B) {
 				step()
 			}
 		})
+	}
+}
+
+// peekPolicy is a replacement policy a test can read the cache through:
+// while peek is set, a Cache.Get is no hit to the policy, so walking the
+// residents moves nothing it ranks.
+type peekPolicy struct {
+	cache.Policy
+	peek bool
+}
+
+func (p *peekPolicy) OnHit(id store.AtomID) {
+	if !p.peek {
+		p.Policy.OnHit(id)
+	}
+}
+
+// TestRowsFollowFills is serve-cold in small, on the daemon's shape: 8³
+// atoms over 8 steps of 64 (512 atoms) against a 256-atom LRU-K cache at
+// capacity, each request 8 uniform Lag4 points on a uniform step. An atom
+// holds only the block rows it filled, so the engine's arena holds at
+// most the most rows held at once — bounded, request by request, by the
+// rows the residents hold, walked between requests, and 64 for every atom
+// the request evicted while its decisions ran — and the rest of its last
+// slab. Over a stream of 20 000 requests the second half raises that by
+// at most the one slab a new high of rows in use carves: the arena
+// recycles what evicted atoms held instead of growing with the stream.
+func TestRowsFollowFills(t *testing.T) {
+	const (
+		side     = 8
+		rowBytes = side * field.Components * 8 // a block row of an 8³ atom is one line of samples
+		slab     = 16 << 10
+	)
+	requests := 20000
+	if testing.Short() {
+		requests = 2000
+	}
+	s, err := store.Open(store.Config{Space: geom.Space{GridSide: 128, AtomSide: 32}, Steps: 8, SampleSide: side, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &peekPolicy{Policy: cache.NewLRUK(2, 0)}
+	c := cache.New(256, pol)
+	e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 15, Resident: c.Contains}), false, func(cfg *Config) {
+		cfg.Cache = c
+		cfg.Compute = true
+		cfg.Parallelism = 1
+	})
+	space := s.Space()
+	resident := func() (rows int) {
+		pol.peek = true
+		defer func() { pol.peek = false }()
+		c.EachKey(func(id store.AtomID) {
+			v, _ := c.Get(id)
+			rows += heldRows(space, v.(*field.Atom))
+		})
+		return rows
+	}
+	rng := rand.New(rand.NewSource(3))
+	held, peak, mid := 0, 0, 0
+	for n := 1; n <= requests; n++ {
+		evicted := c.Stats().Evictions
+		decide(t, e, &query.Query{ID: query.ID(n), JobID: int64(n), Step: rng.Intn(8), Points: scatter(rng, 8), Kernel: field.KernelLag4})
+		// Rows in use during the request: those held before it, plus what
+		// it took, which is what the residents hold now more than before,
+		// plus what the atoms it evicted held — at most all their rows.
+		before := held
+		held = resident()
+		peak = max(peak, held+int(c.Stats().Evictions-evicted)*side*side, before)
+		if b := e.rows.Bytes(); b > peak*rowBytes+slab {
+			t.Fatalf("request %d: the arena holds %d B, the atoms at most %d rows of %d B at once", n, b, peak, rowBytes)
+		}
+		if n == requests/2 {
+			mid = e.rows.Bytes()
+		}
+	}
+	if c.Stats().Evictions < int64(requests) {
+		t.Fatalf("%d evictions in %d requests: the cache did not churn", c.Stats().Evictions, requests)
+	}
+	end := e.rows.Bytes()
+	t.Logf("arena %d B after %d requests, %d B after %d; the residents hold %d rows (%d B)", mid, requests/2, end, requests, held, held*rowBytes)
+	if end > mid+slab {
+		t.Errorf("the arena grew from %d B to %d B over the second %d requests", mid, end, requests/2)
+	}
+	if whole := c.Capacity() * side * side * side * field.Components * 8; 2*end > whole {
+		t.Errorf("the arena holds %d B, over half of the %d B whole atoms took", end, whole)
+	}
+}
+
+// TestFillRecyclesRows pins a stencil's fill on a fresh atom at capacity
+// to nothing: its rows are rows that evicted atoms gave back.
+func TestFillRecyclesRows(t *testing.T) {
+	s := frameStore(t, 8, 0)
+	c := cache.New(8, cache.NewLRUK(2, 0))
+	e := newEngine(t, s, sched.NewNoShare(), false, func(cfg *Config) { cfg.Cache = c })
+	space := s.Space()
+	var ids []store.AtomID
+	s.ScanStep(1, func(id store.AtomID) bool { ids = append(ids, id); return len(ids) < 32 })
+	rng := rand.New(rand.NewSource(6))
+	next := 0
+	step := func() {
+		id := ids[next%len(ids)]
+		next++
+		a, err := e.readAtom(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac := geom.AtomFromCode(id.Code)
+		lo := float64(space.AtomSide) * space.VoxelSize()
+		p := geom.Position{X: (float64(ac.I) + rng.Float64()) * lo, Y: (float64(ac.J) + rng.Float64()) * lo, Z: (float64(ac.K) + rng.Float64()) * lo}
+		e.fill(a, a.Missing(field.KernelLag4, space, ac, []geom.Position{p}))
+		e.freeRetired()
+	}
+	for range 4 * len(ids) {
+		step()
+	}
+	fills, held := e.fills, e.rows.Bytes()
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Errorf("a stencil's fill on a fresh atom at capacity: %v allocs, want 0", n)
+	}
+	if e.fills-fills < 200 {
+		t.Fatalf("%d fills in 200 misses", e.fills-fills)
+	}
+	if e.rows.Bytes() != held {
+		t.Errorf("the arena grew from %d B to %d B over 200 misses at capacity: fills carved rows while evicted atoms' were free", held, e.rows.Bytes())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"jaws/internal/cache"
+	"jaws/internal/field"
 	"jaws/internal/job"
 	"jaws/internal/jobgraph"
 	"jaws/internal/obs"
@@ -50,6 +51,7 @@ type instruments struct {
 	response      *obs.Histogram // per-query response time (s)
 	runs          *obs.Counter   // adaptation runs ended
 	alphaGauge    *obs.Gauge     // current age bias α
+	sampleBytes   *obs.Gauge     // sample memory of the engine's row arena
 
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
@@ -89,6 +91,7 @@ var engineMetricHelp = map[string]string{
 	"jaws_response_seconds":          "Per-query response time on the virtual clock.",
 	"jaws_runs_total":                "Adaptation runs ended by the alpha controller.",
 	"jaws_alpha":                     "Current age bias alpha of the JAWS scheduler.",
+	"jaws_sample_bytes":              "Bytes of atom samples the engine's row arena holds: rows in use, free, and not yet handed out.",
 	"jaws_cache_hits_total":          "Atom cache hits.",
 	"jaws_cache_misses_total":        "Atom cache misses (lookups that went to disk).",
 	"jaws_cache_evictions_total":     "Atoms evicted from the cache.",
@@ -130,6 +133,7 @@ func newInstruments(o *obs.Obs) *instruments {
 		response:       reg.Histogram("jaws_response_seconds", responseBounds...),
 		runs:           reg.Counter("jaws_runs_total"),
 		alphaGauge:     reg.Gauge("jaws_alpha"),
+		sampleBytes:    reg.Gauge("jaws_sample_bytes"),
 		cacheHits:      reg.Counter("jaws_cache_hits_total"),
 		cacheMisses:    reg.Counter("jaws_cache_misses_total"),
 		cacheEvictions: reg.Counter("jaws_cache_evictions_total"),
@@ -381,6 +385,14 @@ func (in *instruments) noteBeginDecision(batches []sched.Batch) {
 		return
 	}
 	in.spans.beginDecision(batches)
+}
+
+// noteSampleBytes records the sample memory the engine's row arena holds.
+func (in *instruments) noteSampleBytes(rows *field.RowArena) {
+	if in == nil {
+		return
+	}
+	in.sampleBytes.Set(float64(rows.Bytes()))
 }
 
 // noteEndDecision closes the decision's serving window.

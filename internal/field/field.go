@@ -115,35 +115,45 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 }
 
 // Atom holds the gridded samples of one storage block: (Side+2·Ghost)³
-// grid points × Components values, in x-fastest order. Ghost is the
-// replication halo of §III.A ("each atom is 72³ in length with four units
-// of replication on each side for performance reasons"): samples beyond
-// the atom's own extent let interpolation stencils near a face evaluate
-// without touching the neighbour atom's data.
+// grid points × Components values. Ghost is the replication halo of §III.A
+// ("each atom is 72³ in length with four units of replication on each side
+// for performance reasons"): samples beyond the atom's own extent let
+// interpolation stencils near a face evaluate without touching the
+// neighbour atom's data.
 //
 // An atom from Frame is a frame: it carries the recipe of its samples and
 // synthesizes them block by block as they are first read (FillBlocks, or an
 // At / Interpolate that reads them), so an atom that is only ever resident
 // costs no synthesis and no sample memory, and one that is read costs only
-// the samples its stencils reach. The first read of a sample is a write:
-// goroutines that share an atom fill the blocks they will read before they
-// part.
+// the samples its stencils reach. It stores them by block row (the 8
+// blocks that share (by, bz)) in rows of a RowArena, and holds only the
+// rows in which it has filled a block. The first read of a sample is a
+// write: goroutines that share an atom fill the blocks they will read
+// before they part.
 type Atom struct {
 	Side  int
 	Ghost int
-	// Data is nil until the atom is filled, and then holds the samples of
-	// the blocks in filled; the other samples hold whatever the array held.
-	Data []float64
 
 	// The recipe.
 	src   *Field
 	step  int
 	space geom.Space
 	ac    geom.AtomCoord
-	// filled is the set of blocks Data holds: nil until the handle's first
-	// fill, so a handle that is only ever resident carries no set, and then
-	// kept, cleared, across Release and FrameInto.
-	filled *Blocks
+	// filled is what the atom holds of its samples: nil until the handle's
+	// first fill, so a handle that is only ever resident carries nothing,
+	// and then kept, emptied, across Release and FrameInto.
+	filled *holding
+}
+
+// holding is the blocks an atom holds and the arena rows they are in.
+type holding struct {
+	blocks Blocks
+	// rows is the arena the atom's rows come from: bound at its first fill,
+	// nil again once it holds none.
+	rows *RowArena
+	// row[8·bz+by] is the arena row of block row (by, bz), valid while the
+	// atom holds a block of that row: 4 B a row, not a slice header.
+	row [64]uint32
 }
 
 // Blocks is a set of an atom's samples. Each axis of the dim()³ samples is
@@ -208,12 +218,12 @@ func (a *Atom) all() Blocks {
 // noBlocks is the empty set an atom without one holds. It is never written.
 var noBlocks Blocks
 
-// held is the set of blocks Data holds.
+// held is the set of blocks the atom holds.
 func (a *Atom) held() *Blocks {
 	if a.filled == nil {
 		return &noBlocks
 	}
-	return a.filled
+	return &a.filled.blocks
 }
 
 // NominalAtomBytes is the on-disk size charged for one atom regardless of
@@ -230,7 +240,7 @@ const NominalAtomBytes = 64 * 64 * 64 * Components * 8
 // atoms.
 func (f *Field) SampleGhost(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	a := f.Frame(step, space, ac, side, ghost)
-	a.Fill(nil)
+	a.Fill()
 	return a
 }
 
@@ -240,9 +250,9 @@ func (f *Field) Frame(step int, space geom.Space, ac geom.AtomCoord, side, ghost
 }
 
 // FrameInto is Frame on a handle the caller gives, which nothing else may
-// still hold: a is overwritten whole, so no recipe and no sample of the
-// atom it was survives in it; only the storage of its block set is kept,
-// cleared. A nil a is allocated.
+// still hold: a is released and overwritten whole, so no recipe and no
+// sample of the atom it was survives in it; only the storage of its row
+// table is kept, emptied. A nil a is allocated.
 func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
 	if side <= 0 {
 		side = 8
@@ -253,28 +263,24 @@ func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord
 	if a == nil {
 		a = new(Atom)
 	}
+	a.Release()
 	*a = Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac, filled: a.filled}
-	if a.filled != nil {
-		*a.filled = Blocks{}
-	}
 	return a
 }
 
-// Filled reports whether the atom holds a sample array, with at least one
-// block of it synthesized.
-func (a *Atom) Filled() bool { return a.Data != nil }
-
-// Fill synthesizes every sample the atom does not hold yet: FillBlocks of
-// all of them.
-func (a *Atom) Fill(buf []float64) {
-	a.FillBlocks(a.all(), buf)
+// Fill synthesizes every sample the atom does not hold yet, into rows of
+// the atom's own arena when it holds none yet.
+func (a *Atom) Fill() {
+	a.FillBlocks(a.all(), nil)
 }
 
-// FillBlocks synthesizes the blocks of want the atom does not hold yet. The
-// first fill of an atom writes into buf when that is large enough (its
-// contents are overwritten block by block as blocks are filled) and into a
-// new array otherwise; later fills write into that array and ignore buf.
-func (a *Atom) FillBlocks(want Blocks, buf []float64) {
+// FillBlocks synthesizes the blocks of want the atom does not hold yet. A
+// block row the atom holds no block of is taken from rows, the arena the
+// atom is bound to from its first fill until Release: later fills take
+// their rows from it and ignore rows. A nil rows binds the atom to an
+// arena of its own. A taken row is overwritten block by block as its
+// blocks are filled; its other blocks hold whatever the row held.
+func (a *Atom) FillBlocks(want Blocks, rows *RowArena) {
 	held := a.held()
 	if held.covers(&want) {
 		return
@@ -286,19 +292,24 @@ func (a *Atom) FillBlocks(want Blocks, buf []float64) {
 	if want == (Blocks{}) { // blocks outside the atom alone
 		return
 	}
-	if a.Data == nil {
-		d := a.dim()
-		if n := d * d * d * Components; cap(buf) >= n {
-			a.Data = buf[:n]
-		} else {
-			a.Data = make([]float64, n)
+	if a.filled == nil {
+		a.filled = new(holding)
+	}
+	h := a.filled
+	if h.rows == nil {
+		if rows == nil {
+			rows = new(RowArena)
+		}
+		rows.shape(a)
+		h.rows = rows
+	}
+	for bz, w := range want {
+		for m := rowMask(w) &^ rowMask(h.blocks[bz]); m != 0; m &= m - 1 {
+			h.row[8*bz+bits.TrailingZeros8(m)] = h.rows.take()
 		}
 	}
-	if a.filled == nil {
-		a.filled = new(Blocks)
-	}
 	a.fill(&want)
-	*a.filled = a.filled.Or(want)
+	h.blocks = h.blocks.Or(want)
 }
 
 // Missing returns the blocks that kernel k's stencils read to evaluate at
@@ -321,21 +332,110 @@ func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom
 	return want
 }
 
-// Release detaches the sample array and returns it for reuse (nil from an
-// unfilled atom). The atom is a frame again: a holder that still uses it
-// pays a second synthesis, never reads another atom's samples — for as
-// long as the handle is this atom's. The engine releases an atom at the end
-// of the decision in which the cache displaced it and from then on may hand
-// the handle to FrameInto, so a handle is valid until that point and no
+// Release hands the atom's rows back to its arena, free for the arena's
+// next fill. The atom is a frame again: a holder that still uses it pays a
+// second synthesis, never reads another atom's samples — for as long as
+// the handle is this atom's. The engine releases an atom at the end of the
+// decision in which the cache displaced it and from then on may hand the
+// handle to FrameInto, so a handle is valid until that point and no
 // further.
-func (a *Atom) Release() []float64 {
-	buf := a.Data
-	a.Data = nil
-	if a.filled != nil {
-		*a.filled = Blocks{}
+func (a *Atom) Release() {
+	h := a.filled
+	if h == nil || h.rows == nil {
+		return
 	}
-	return buf
+	for bz, w := range h.blocks {
+		for m := rowMask(w); m != 0; m &= m - 1 {
+			h.rows.put(h.row[8*bz+bits.TrailingZeros8(m)])
+		}
+	}
+	h.blocks, h.rows = Blocks{}, nil
 }
+
+// rowMask is the block rows of plane w of a block set that hold a block:
+// bit by for each byte by of w that is not zero.
+func rowMask(w uint64) (m uint8) {
+	for by := 0; w != 0; by, w = by+1, w>>8 {
+		if uint8(w) != 0 {
+			m |= 1 << by
+		}
+	}
+	return m
+}
+
+// line returns the stored samples x = 0.. at stored indices (y, z), to the
+// end of the row of the atom's arena that holds them: the atom must hold a
+// block of that row.
+func (a *Atom) line(y, z int) []float64 {
+	by, bz, in := y, z, 0
+	if b := a.band(); b > 1 { // up to 8³ samples a block row is a line: no division
+		by, bz, in = y/b, z/b, (z%b*b+y%b)*a.dim()*Components
+	}
+	h := a.filled
+	return h.rows.row(h.row[8*bz+by])[in:]
+}
+
+// RowArena is an arena of block rows for atoms of one shape, the first it
+// serves. It carves rows from slabs of at most slabBytes and takes a
+// freed row back before it carves another, so it holds no more rows than
+// its atoms held at once, plus what is left of its last slab. It is not
+// safe for concurrent fills: an engine's arena is its simulation
+// goroutine's, and an atom filled outside an engine gets one of its own.
+// The zero RowArena is empty and ready to use.
+type RowArena struct {
+	n      int  // float64s per row; 0 until an atom shapes the arena
+	shift  uint // log₂ of the rows per slab
+	slabs  [][]float64
+	carved uint32   // rows cut from the slabs so far
+	free   []uint32 // rows handed back, the next taken first
+}
+
+// slabBytes is the most an arena allocates at once, unless a row is
+// larger: a 16 KiB slab is 64 rows of the daemon's 8³ atoms (one atom's
+// worth), and one row per slab of the paper's 72³.
+const slabBytes = 16 << 10
+
+// shape fixes the arena's rows to a's block rows, or checks that they are.
+func (r *RowArena) shape(a *Atom) {
+	d, b := a.dim(), a.band()
+	n := b * b * d * Components
+	if r.n == 0 {
+		nb := (d + b - 1) / b // block rows along an axis
+		per := min(max(1, slabBytes/(8*n)), nb*nb)
+		r.n, r.shift = n, uint(bits.Len(uint(per))-1) // a power of two rows a slab
+		return
+	}
+	if r.n != n {
+		panic("field: atom of another shape filled from an arena")
+	}
+}
+
+// take returns a free row, carving a new one only when none is free.
+func (r *RowArena) take() uint32 {
+	if k := len(r.free); k > 0 {
+		i := r.free[k-1]
+		r.free = r.free[:k-1]
+		return i
+	}
+	i := r.carved
+	if int(i>>r.shift) == len(r.slabs) {
+		r.slabs = append(r.slabs, make([]float64, r.n<<r.shift))
+	}
+	r.carved++
+	return i
+}
+
+// put hands row i back.
+func (r *RowArena) put(i uint32) { r.free = append(r.free, i) }
+
+// row returns the samples of row i.
+func (r *RowArena) row(i uint32) []float64 {
+	return r.slabs[i>>r.shift][int(i&(1<<r.shift-1))*r.n:][:r.n]
+}
+
+// Bytes is the sample memory the arena holds: its slabs, whose rows are
+// in use, free, or not carved yet.
+func (r *RowArena) Bytes() int { return len(r.slabs) * 8 * r.n << r.shift }
 
 // paperDim is the samples per axis of a paper-sized atom, halo included
 // (64 + 2·4): up to it the fill kernel's coordinate tables live on its
@@ -343,15 +443,16 @@ func (a *Atom) Release() []float64 {
 const paperDim = 72
 
 // fill is the one synthesis kernel: it writes the field at every sample
-// position of the blocks of want into Data, with the bits Eval gives there.
-// Eval's work is regrouped, not reformulated: the wrapped coordinate of a
-// sample depends on one index per axis, so the three tables are computed
-// once per call; the blocks of a row that want holds side by side are one
-// run of samples along x, and with the modes inside the run and the samples
-// innermost, ω·t, k·y and k·z are per-mode constants of the run; and one
-// sincos gives the sine and cosine of the same phase. Every sample still
-// sums the same rounded terms in the same mode order, starting from zero.
-// Its cost is the blocks' samples, whatever the atom holds already.
+// position of the blocks of want into the atom's rows, with the bits Eval
+// gives there. Eval's work is regrouped, not reformulated: the wrapped
+// coordinate of a sample depends on one index per axis, so the three
+// tables are computed once per call; the blocks of a row that want holds
+// side by side are one run of samples along x, and with the modes inside
+// the run and the samples innermost, ω·t, k·y and k·z are per-mode
+// constants of the run; and one sincos gives the sine and cosine of the
+// same phase. Every sample still sums the same rounded terms in the same
+// mode order, starting from zero. Its cost is the blocks' samples, whatever
+// the atom holds already.
 func (a *Atom) fill(want *Blocks) {
 	f := a.src
 	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
@@ -376,13 +477,18 @@ func (a *Atom) fill(want *Blocks) {
 	for zi, z := range zs {
 		plane := want[zi/b]
 		for yi, y := range ys {
-			for line := uint8(plane >> (8 * (yi / b))); line != 0; {
+			line := uint8(plane >> (8 * (yi / b)))
+			if line == 0 {
+				continue
+			}
+			samples := a.line(yi, zi)
+			for line != 0 {
 				// The lowest run of set bits: blocks lo..lo+n-1.
 				lo := bits.TrailingZeros8(line)
 				n := bits.TrailingZeros8(^(line >> lo))
 				line &= line + line&-line
 				x0, x1 := lo*b, min((lo+n)*b, d)
-				run := a.Data[((zi*d+yi)*d+x0)*Components:][:(x1-x0)*Components]
+				run := samples[x0*Components : x1*Components]
 				clear(run)
 				for mi := range f.modes {
 					m := &f.modes[mi]
@@ -407,9 +513,7 @@ func (a *Atom) fill(want *Blocks) {
 func (a *Atom) At(i, j, k int) [Components]float64 {
 	x, y, z := i+a.Ghost, j+a.Ghost, k+a.Ghost
 	a.FillBlocks(a.box(x, x, y, y, z, z), nil)
-	d := a.dim()
-	base := ((z*d+y)*d + x) * Components
 	var out [Components]float64
-	copy(out[:], a.Data[base:base+Components])
+	copy(out[:], a.line(y, z)[x*Components:])
 	return out
 }

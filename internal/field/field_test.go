@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -115,8 +116,8 @@ func TestSampleShape(t *testing.T) {
 	if a.Side != 8 {
 		t.Fatalf("Side = %d, want 8", a.Side)
 	}
-	if len(a.Data) != 8*8*8*Components {
-		t.Fatalf("Data len = %d", len(a.Data))
+	if *a.held() != a.all() || a.rowsHeld() != 8*8 || a.filled.rows.Bytes() != 8*8*8*Components*8 {
+		t.Fatalf("holds blocks %x in %d rows, %d B; want every block, 64 rows of 256 B", *a.held(), a.rowsHeld(), a.filled.rows.Bytes())
 	}
 }
 
@@ -154,7 +155,7 @@ func TestFillMatchesEval(t *testing.T) {
 							for i := -ghost; i < side+ghost; i++ {
 								want := f.Eval(step, geom.Position{X: at(ac.I, i), Y: at(ac.J, j), Z: at(ac.K, k)})
 								for c, w := range want {
-									if got := a.Data[idx+c]; math.Float64bits(got) != math.Float64bits(w) {
+									if got := a.sample(i+ghost, j+ghost, k+ghost)[c]; math.Float64bits(got) != math.Float64bits(w) {
 										t.Fatalf("side %d ghost %d step %d atom %v sample (%d,%d,%d) component %d: %v, Eval gives %v",
 											side, ghost, step, ac, i, j, k, c, got, w)
 									}
@@ -166,8 +167,8 @@ func TestFillMatchesEval(t *testing.T) {
 							}
 						}
 					}
-					if idx != len(a.Data) {
-						t.Fatalf("side %d ghost %d: %d values stored, %d checked", side, ghost, len(a.Data), idx)
+					if d := a.dim(); idx != d*d*d*Components || *a.held() != a.all() {
+						t.Fatalf("side %d ghost %d: %d values checked, blocks %x held; want all %d of every block", side, ghost, idx, *a.held(), d*d*d*Components)
 					}
 				}
 			}
@@ -176,79 +177,84 @@ func TestFillMatchesEval(t *testing.T) {
 }
 
 // TestFrameLifecycle walks one frame through its states: unfilled and
-// holding no samples, filled on first use into the buffer it is given
-// (whatever that held), released, and filled again with the same values.
+// holding no samples, filled on first use into rows of the arena it is
+// given (whatever those held), released, and filled again with the same
+// values.
 func TestFrameLifecycle(t *testing.T) {
 	f := New(5, 48, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 1, J: 2, K: 3}
 	want := f.SampleGhost(3, s, ac, 4, 2)
 
-	a := f.Frame(3, s, ac, 4, 2)
-	if a.Filled() || len(a.Data) != 0 {
-		t.Fatalf("a new frame holds %d samples", len(a.Data))
+	a, dirty := poisoned(f, 3, s, ac, 4, 2)
+	if a.rowsHeld() != 0 || a.filled != nil {
+		t.Fatalf("a new frame holds %d rows", a.rowsHeld())
 	}
-	dirty := make([]float64, len(want.Data)+5)
-	for i := range dirty {
-		dirty[i] = math.NaN()
-	}
-	a.Fill(dirty)
-	if !a.Filled() || &a.Data[0] != &dirty[0] {
-		t.Fatal("Fill did not use the buffer it was given")
+	a.FillBlocks(a.all(), dirty)
+	if a.filled.rows != dirty || a.rowsHeld() != 8*8 || dirty.inUse() != 8*8 {
+		t.Fatalf("Fill bound arena %p, want the %p it was given; %d rows held, %d taken", a.filled.rows, dirty, a.rowsHeld(), dirty.inUse())
 	}
 	same := func(stage string) {
 		t.Helper()
-		if len(a.Data) != len(want.Data) {
-			t.Fatalf("%s: %d values, want %d", stage, len(a.Data), len(want.Data))
-		}
-		for i, w := range want.Data {
-			if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
-				t.Fatalf("%s: value %d is %v, want %v", stage, i, a.Data[i], w)
+		d := a.dim()
+		for z := 0; z < d; z++ {
+			for y := 0; y < d; y++ {
+				for x := 0; x < d; x++ {
+					for c, w := range want.sample(x, y, z) {
+						if got := a.sample(x, y, z)[c]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("%s: sample (%d,%d,%d) component %d is %v, want %v", stage, x, y, z, c, got, w)
+						}
+					}
+				}
 			}
 		}
 	}
-	same("filled into a dirty buffer")
-	a.Fill(nil) // filled already: keeps its buffer
-	if &a.Data[0] != &dirty[0] {
-		t.Fatal("Fill replaced the samples of a filled atom")
+	same("filled into dirty rows")
+	a.Fill() // filled already: keeps its rows
+	if a.filled.rows != dirty || dirty.inUse() != 8*8 || dirty.carved != 8*8 {
+		t.Fatal("Fill replaced the rows of a filled atom")
 	}
-	if buf := a.Release(); &buf[0] != &dirty[0] || a.Filled() {
-		t.Fatal("Release did not hand the buffer back")
+	if a.Release(); a.rowsHeld() != 0 || a.filled.rows != nil || dirty.inUse() != 0 || len(dirty.free) != 8*8 {
+		t.Fatalf("Release: %d rows held, %d of the arena's in use; want every row handed back", a.rowsHeld(), dirty.inUse())
 	}
 	if got, w := Interpolate(KernelLag4, a, s, ac, s.Center(ac)), Interpolate(KernelLag4, want, s, ac, s.Center(ac)); got != w {
 		t.Fatalf("interpolation on a released frame: %v, want %v", got, w)
 	}
-	if !a.Filled() || *a.held() == a.all() {
-		t.Fatalf("first use filled blocks %x of %x: want its stencil's alone", *a.held(), a.all())
+	if a.rowsHeld() == 0 || *a.held() == a.all() || a.filled.rows == dirty {
+		t.Fatalf("first use filled blocks %x of %x into arena %p: want its stencil's alone, into an arena of its own", *a.held(), a.all(), a.filled.rows)
 	}
-	a.Fill(nil)
+	a.Fill()
 	same("refilled by first use, then completed")
-	small := make([]float64, 3)
 	a.Release()
-	a.Fill(small) // too small a buffer is left alone
-	same("filled past a buffer that is too small")
-	if &a.Data[0] == &small[0] {
-		t.Fatal("Fill used a buffer smaller than the atom")
+	a.FillBlocks(a.all(), dirty) // released, it binds to the next arena given
+	same("filled again from recycled rows")
+	if a.filled.rows != dirty || dirty.carved != 8*8 {
+		t.Fatalf("refill: arena %p, %d rows carved; want the %p given, its 64 rows reused", a.filled.rows, dirty.carved, dirty)
 	}
 
 	// The handle taken over for another atom, filled as it is: nothing of
 	// the atom it was is left, and it evaluates as a frame of its own does.
 	bc := geom.AtomCoord{I: 3, J: 0, K: 1}
-	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.Filled() || a.Ghost != 0 {
-		t.Fatalf("FrameInto returned %p for %p, filled %v, halo %d; want the handle itself, unfilled, as described", b, a, a.Filled(), a.Ghost)
+	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.rowsHeld() != 0 || dirty.inUse() != 0 || a.Ghost != 0 {
+		t.Fatalf("FrameInto returned %p for %p, %d rows held, %d in use, halo %d; want the handle itself, released, as described",
+			b, a, a.rowsHeld(), dirty.inUse(), a.Ghost)
 	}
 	want = f.SampleGhost(2, s, bc, 4, 0)
-	a.Fill(nil)
+	a.Fill()
 	same("taken over for another atom")
 }
 
 // TestHandleCarriesNoBlocks: a replay keeps thousands of atoms resident
-// that it never fills, so the handle stays the size it was with a one-word
-// row mask; the 64-byte block set is allocated at the handle's first fill
-// and kept, cleared, when the handle is released and taken over.
+// that it never fills, so the handle carries neither block set nor row
+// table; the two are allocated at the handle's first fill and kept,
+// emptied, when the handle is released and taken over. The row table costs
+// 4 B a block row, so a fully filled 8³ atom grows by under 2 %.
 func TestHandleCarriesNoBlocks(t *testing.T) {
-	if n := reflect.TypeFor[Atom]().Size(); n > 96 {
-		t.Fatalf("an atom handle is %d bytes, want at most 96", n)
+	if n := reflect.TypeFor[Atom]().Size(); n > 72 {
+		t.Fatalf("an atom handle is %d bytes, want at most 72", n)
+	}
+	if n := reflect.TypeFor[holding]().Size(); n > 64+8+64*4 {
+		t.Fatalf("an atom's holding is %d bytes, want at most its block set, arena pointer and 4 B a block row", n)
 	}
 	f := New(5, 8, 0)
 	s := testSpace()
@@ -256,25 +262,66 @@ func TestHandleCarriesNoBlocks(t *testing.T) {
 	if a.filled != nil {
 		t.Fatal("a new frame carries a block set")
 	}
-	a.Fill(nil)
+	a.Fill()
 	set := a.filled
 	a.Release()
-	if f.FrameInto(a, 1, s, geom.AtomCoord{I: 1}, 8, 0); a.filled != set || *set != (Blocks{}) {
-		t.Fatalf("released and taken over: block set %p %x, want %p kept and empty", a.filled, *a.held(), set)
+	if f.FrameInto(a, 1, s, geom.AtomCoord{I: 1}, 8, 0); a.filled != set || set.blocks != (Blocks{}) || set.rows != nil {
+		t.Fatalf("released and taken over: holding %p %x, want %p kept and empty", a.filled, *a.held(), set)
 	}
 }
 
-// poisoned returns a frame of atom ac filled into nothing yet, with a
-// sample buffer of NaNs it will fill into: a read of a sample it has not
-// filled yields NaN, which no evaluation can mistake for a sample.
-func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost int) (*Atom, []float64) {
+// poisoned returns a frame of atom ac filled into nothing yet, with an
+// arena of rows of NaNs it will fill into, enough for the whole atom: a read
+// of a sample it has not filled yields NaN, which no evaluation can mistake
+// for a sample.
+func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost int) (*Atom, *RowArena) {
 	a := f.Frame(step, s, ac, side, ghost)
-	d := a.dim()
-	buf := make([]float64, d*d*d*Components)
-	for i := range buf {
-		buf[i] = math.NaN()
+	r := new(RowArena)
+	r.shape(a)
+	rows := a.rowsPerAtom()
+	for range rows {
+		r.take()
 	}
-	return a, buf
+	for _, slab := range r.slabs {
+		for i := range slab {
+			slab[i] = math.NaN()
+		}
+	}
+	for i := rows - 1; i >= 0; i-- {
+		r.put(uint32(i))
+	}
+	return a, r
+}
+
+// sample returns the stored components of sample (x, y, z), in stored
+// indices, of an atom that holds a block of its block row.
+func (a *Atom) sample(x, y, z int) []float64 {
+	return a.line(y, z)[x*Components:][:Components]
+}
+
+// rowsPerAtom is the number of block rows of the atom.
+func (a *Atom) rowsPerAtom() int {
+	nb := (a.dim() + a.band() - 1) / a.band()
+	return nb * nb
+}
+
+// rowsHeld is the number of block rows the atom holds a block of.
+func (a *Atom) rowsHeld() int {
+	n := 0
+	for _, w := range a.held() {
+		n += bits.OnesCount8(rowMask(w))
+	}
+	return n
+}
+
+// inUse is the number of the arena's rows taken and not handed back.
+func (r *RowArena) inUse() int { return int(r.carved) - len(r.free) }
+
+// holdsRow reports whether a holds a block of the block row of stored
+// samples (·, y, z).
+func (a *Atom) holdsRow(y, z int) bool {
+	w := a.band()
+	return rowMask(a.held()[z/w])>>(y/w)&1 != 0
 }
 
 // holds reports whether the blocks of b hold sample (x, y, z) of atom a.
@@ -305,27 +352,32 @@ func TestFillRowsMatchesFill(t *testing.T) {
 		for _, ghost := range []int{0, 2, 4} {
 			ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: 7}
 			want := f.SampleGhost(5, s, ac, side, ghost)
-			a, buf := poisoned(f, 5, s, ac, side, ghost)
+			a, rows := poisoned(f, 5, s, ac, side, ghost)
 			d := a.dim()
 			for round := 0; *a.held() != a.all(); round++ {
 				var mask Blocks
 				for i := range mask {
 					mask[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 				}
-				a.FillBlocks(mask, buf)
-				if &a.Data[0] != &buf[0] {
-					t.Fatalf("side %d ghost %d: the first fill did not use the buffer it was given", side, ghost)
+				a.FillBlocks(mask, rows)
+				if a.filled != nil && a.filled.rows != rows {
+					t.Fatalf("side %d ghost %d: the first fill did not use the arena it was given", side, ghost)
 				}
-				i := 0
+				if rows.inUse() != a.rowsHeld() {
+					t.Fatalf("side %d ghost %d round %d: %d rows taken for %d block rows held", side, ghost, round, rows.inUse(), a.rowsHeld())
+				}
 				for z := 0; z < d; z++ {
 					for y := 0; y < d; y++ {
+						if !a.holdsRow(y, z) {
+							continue // no storage: nothing to read
+						}
 						for x := 0; x < d; x++ {
 							filled := a.holds(a.held(), x, y, z)
-							for end := i + Components; i < end; i++ {
-								if filled && math.Float64bits(a.Data[i]) != math.Float64bits(want.Data[i]) ||
-									!filled && !math.IsNaN(a.Data[i]) {
-									t.Fatalf("side %d ghost %d round %d: sample (%d,%d,%d) filled %v holds %v at %d, the whole fill %v",
-										side, ghost, round, x, y, z, filled, a.Data[i], i, want.Data[i])
+							for c, got := range a.sample(x, y, z) {
+								if w := want.sample(x, y, z)[c]; filled && math.Float64bits(got) != math.Float64bits(w) ||
+									!filled && !math.IsNaN(got) {
+									t.Fatalf("side %d ghost %d round %d: sample (%d,%d,%d) filled %v holds %v in component %d, the whole fill %v",
+										side, ghost, round, x, y, z, filled, got, c, w)
 								}
 							}
 						}
@@ -350,12 +402,12 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 	f := New(17, 24, 0)
 	for _, tc := range kernelCases() {
 		for _, k := range allKernels {
-			lazy, buf := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
-			lazy.FillBlocks(Blocks{}, buf) // nothing: the buffer is not taken
-			if lazy.Filled() {
-				t.Fatalf("%s: an empty fill took a buffer", tc.name)
+			lazy, rows := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			lazy.FillBlocks(Blocks{}, rows) // nothing: no row is taken
+			if lazy.rowsHeld() != 0 || rows.inUse() != 0 {
+				t.Fatalf("%s: an empty fill took %d rows", tc.name, rows.inUse())
 			}
-			lazy.FillBlocks(Blocks{1}, buf) // one block: from here on the frame fills into the NaNs
+			lazy.FillBlocks(Blocks{1}, rows) // one block: from here on the frame fills into the NaNs
 			for i := 0; i < 50; i++ {
 				p := positionIn(rng, s, tc.ac)
 				if got, want := Interpolate(k, lazy, s, tc.ac, p), Interpolate(k, tc.atom, s, tc.ac, p); got != want {
@@ -363,7 +415,7 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 				}
 			}
 
-			ahead, buf := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			ahead, rows := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
 			pts := make([]geom.Position, 1+rng.Intn(6))
 			for i := range pts {
 				pts[i] = positionIn(rng, s, tc.ac)
@@ -381,7 +433,7 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 						tc.name, k, pts[0], m.count(), one.held().count(), n*n*n)
 				}
 			}
-			ahead.FillBlocks(ahead.Missing(k, s, tc.ac, pts), buf)
+			ahead.FillBlocks(ahead.Missing(k, s, tc.ac, pts), rows)
 			if m := ahead.Missing(k, s, tc.ac, pts); m != (Blocks{}) {
 				t.Fatalf("%s %v: blocks %x still missing after their fill", tc.name, k, m)
 			}
@@ -395,6 +447,118 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 				t.Fatalf("%s %v: evaluating filled blocks %x beyond the %x filled ahead", tc.name, k, *ahead.held(), before)
 			}
 		}
+	}
+}
+
+// TestPaperAtomHoldsStencilRows: on a paper-sized atom (64³ samples and a
+// halo of 4, so 72³ and blocks of 9³) one Lag4 point reads a 4³ cube that
+// spans at most two blocks a side, so the atom holds at most 4 block rows
+// of 9·9·72 samples, ≈ 0.75 MB, where a whole-atom array took 11.9 MB.
+func TestPaperAtomHoldsStencilRows(t *testing.T) {
+	f := New(5, 48, 0)
+	s := testSpace()
+	rng := rand.New(rand.NewSource(8))
+	const rowBytes = 9 * 9 * 72 * Components * 8
+	for range 4 {
+		ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: uint32(rng.Intn(8))}
+		a := f.Frame(2, s, ac, 64, 4)
+		p := positionIn(rng, s, ac)
+		got := Interpolate(KernelLag4, a, s, ac, p)
+		if n, b := a.rowsHeld(), a.filled.rows.Bytes(); n > 4 || n == 0 || b != n*rowBytes {
+			t.Fatalf("one Lag4 point at %+v: %d block rows held in %d B; want at most 4 of %d B, and no more memory", p, n, b, rowBytes)
+		}
+		// The same point on a frame filled ahead by the engine's path.
+		ahead := f.Frame(2, s, ac, 64, 4)
+		ahead.FillBlocks(ahead.Missing(KernelLag4, s, ac, []geom.Position{p}), nil)
+		if want := Interpolate(KernelLag4, ahead, s, ac, p); got != want || *ahead.held() != *a.held() {
+			t.Fatalf("at %+v: %v lazily, %v filled ahead; blocks %x and %x", p, got, want, *a.held(), *ahead.held())
+		}
+	}
+	if whole := 72 * 72 * 72 * Components * 8; whole/(4*rowBytes) < 15 {
+		t.Fatalf("a whole atom is %d B, 4 rows %d B", whole, 4*rowBytes)
+	}
+}
+
+// TestRowsHoldPeakRows: an arena takes a freed row back before it carves
+// another, so under any churn of fills and releases it has carved exactly
+// the most rows its atoms held at once, and holds no more sample memory
+// than those rows and the rest of its last slab. Every row is either held
+// by an atom or free, and a released atom's rows serve the next fill.
+func TestRowsHoldPeakRows(t *testing.T) {
+	f := New(5, 8, 0)
+	s := testSpace()
+	rng := rand.New(rand.NewSource(13))
+	for _, side := range []int{4, 8, 12} {
+		rows := new(RowArena)
+		atoms := make([]*Atom, 24)
+		peak := 0
+		for round := 0; round < 3000; round++ {
+			i := rng.Intn(len(atoms))
+			ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: uint32(rng.Intn(8))}
+			switch a := atoms[i]; {
+			case a == nil:
+				atoms[i] = f.Frame(round%4, s, ac, side, 0)
+			case rng.Intn(5) == 0:
+				f.FrameInto(a, round%4, s, ac, side, 0) // released and taken over
+			default:
+				pts := make([]geom.Position, 1+rng.Intn(3))
+				for p := range pts {
+					pts[p] = positionIn(rng, s, a.ac)
+				}
+				a.FillBlocks(a.Missing(KernelLag4, s, a.ac, pts), rows)
+			}
+			held := 0
+			for _, a := range atoms {
+				if a != nil {
+					held += a.rowsHeld()
+				}
+			}
+			peak = max(peak, held)
+			if rows.inUse() != held || int(rows.carved) != peak {
+				t.Fatalf("side %d round %d: %d rows in use, %d carved; the atoms hold %d, at most %d at once", side, round, rows.inUse(), rows.carved, held, peak)
+			}
+			slab := 8 * rows.n << rows.shift
+			if b := rows.Bytes(); b > peak*8*rows.n+slab-8*rows.n || b < peak*8*rows.n {
+				t.Fatalf("side %d round %d: %d B for %d rows of %d B, slabs of %d B", side, round, b, peak, 8*rows.n, slab)
+			}
+		}
+		if peak == 0 || len(rows.free) == 0 {
+			t.Fatalf("side %d: peak %d, %d free: the churn recycled nothing", side, peak, len(rows.free))
+		}
+	}
+}
+
+// TestSharedAtomReadOnly: once FillBlocks(Missing(...)) has filled what a
+// set of evaluations reads, goroutines evaluating on the atom at once only
+// read it — the engine's contract with its compute pool, which -race checks
+// here (make race-obs) — and each gets the whole atom's value.
+func TestSharedAtomReadOnly(t *testing.T) {
+	f := New(17, 24, 0)
+	s := testSpace()
+	rng := rand.New(rand.NewSource(21))
+	for _, ghost := range []int{0, 4} {
+		ac := geom.AtomCoord{I: 3, J: 1, K: 6}
+		whole := f.SampleGhost(1, s, ac, 12, ghost)
+		a := f.Frame(1, s, ac, 12, ghost)
+		pts := make([]geom.Position, 64)
+		for i := range pts {
+			pts[i] = positionIn(rng, s, ac)
+		}
+		a.FillBlocks(a.Missing(KernelLag6, s, ac, pts), new(RowArena))
+		var wg sync.WaitGroup
+		for w := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(pts); i += 4 {
+					if got, want := Interpolate(KernelLag6, a, s, ac, pts[i]), Interpolate(KernelLag6, whole, s, ac, pts[i]); got != want {
+						t.Errorf("ghost %d at %+v: %v on the shared atom, %v on the whole one", ghost, pts[i], got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -530,16 +694,16 @@ func BenchmarkSampleAtom8(b *testing.B) {
 }
 
 // BenchmarkFillFrame8 is BenchmarkSampleAtom8 on the path a cache miss
-// takes at capacity: the samples go into the buffer of an evicted atom.
+// takes at capacity: the samples go into the rows of an evicted atom.
 func BenchmarkFillFrame8(b *testing.B) {
 	f := New(1, 48, 0)
 	s := testSpace()
-	var buf []float64
+	rows := new(RowArena)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := f.Frame(i%31, s, geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}, 8, 0)
-		a.Fill(buf)
-		buf = a.Release()
+		a.FillBlocks(a.all(), rows)
+		a.Release()
 	}
 }
 
@@ -548,13 +712,13 @@ func BenchmarkFillFrame8(b *testing.B) {
 func BenchmarkFillStencil8(b *testing.B) {
 	f := New(1, 48, 0)
 	s := testSpace()
-	var buf []float64
+	rows := new(RowArena)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ac := geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}
 		a := f.Frame(i%31, s, ac, 8, 0)
-		a.FillBlocks(a.Missing(KernelLag4, s, ac, []geom.Position{s.Center(ac)}), buf)
-		buf = a.Release()
+		a.FillBlocks(a.Missing(KernelLag4, s, ac, []geom.Position{s.Center(ac)}), rows)
+		a.Release()
 	}
 }
 
@@ -579,8 +743,8 @@ func TestSampleGhostLayout(t *testing.T) {
 	if a.Ghost != 2 || a.Side != 4 {
 		t.Fatalf("ghost atom shape %d/%d", a.Side, a.Ghost)
 	}
-	if len(a.Data) != 8*8*8*Components {
-		t.Fatalf("halo data len = %d, want (4+2·2)³·4", len(a.Data))
+	if *a.held() != a.all() || a.filled.rows.Bytes() != 8*8*8*Components*8 {
+		t.Fatalf("halo atom holds blocks %x in %d B, want every block of (4+2·2)³·4 samples", *a.held(), a.filled.rows.Bytes())
 	}
 	// Interior samples must agree with the no-halo atom.
 	plain := f.SampleGhost(3, s, ac, 4, 0)

@@ -157,21 +157,20 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 	iy, wy := lagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
 	iz, wz := lagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
 
-	d := a.dim()
 	g := a.Ghost
 	a.FillBlocks(a.box(ix+g, ix+g+n-1, iy+g, iy+g+n-1, iz+g, iz+g+n-1), nil)
 	var out [Components]float64
 	for kk := 0; kk < n; kk++ {
 		for jj := 0; jj < n; jj++ {
 			wyz := wy[jj] * wz[kk]
-			rowBase := (iz+g+kk)*d + (iy + g + jj)
+			line := a.line(iy+g+jj, iz+g+kk)[(ix+g)*Components:]
 			for ii := 0; ii < n; ii++ {
 				w := wx[ii] * wyz
-				base := (rowBase*d + ix + g + ii) * Components
-				out[0] += float64(w * a.Data[base])
-				out[1] += float64(w * a.Data[base+1])
-				out[2] += float64(w * a.Data[base+2])
-				out[3] += float64(w * a.Data[base+3])
+				v := line[ii*Components:][:Components]
+				out[0] += float64(w * v[0])
+				out[1] += float64(w * v[1])
+				out[2] += float64(w * v[2])
+				out[3] += float64(w * v[3])
 			}
 		}
 	}

@@ -79,20 +79,17 @@ func refInterpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos 
 	ix, wx := refLagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
 	iy, wy := refLagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
 	iz, wz := refLagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
-	d := a.dim()
-	g := a.Ghost
 	var out [Components]float64
 	for kk := 0; kk < n; kk++ {
 		for jj := 0; jj < n; jj++ {
 			wyz := wy[jj] * wz[kk]
-			rowBase := (iz+g+kk)*d + (iy + g + jj)
 			for ii := 0; ii < n; ii++ {
 				w := wx[ii] * wyz
-				base := (rowBase*d + ix + g + ii) * Components
-				out[0] += float64(w * a.Data[base])
-				out[1] += float64(w * a.Data[base+1])
-				out[2] += float64(w * a.Data[base+2])
-				out[3] += float64(w * a.Data[base+3])
+				v := a.At(ix+ii, iy+jj, iz+kk)
+				out[0] += float64(w * v[0])
+				out[1] += float64(w * v[1])
+				out[2] += float64(w * v[2])
+				out[3] += float64(w * v[3])
 			}
 		}
 	}

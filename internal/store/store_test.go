@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -64,22 +65,50 @@ func TestReadKnownAtom(t *testing.T) {
 	}
 	// The read charged the transfer; the samples wait for their first use,
 	// and are then the ones an eager SampleGhost gives.
-	if a == nil || a.Filled() {
-		t.Fatal("Read returned no atom, or one with its samples synthesized already")
-	}
 	cfg := testConfig()
 	ac := geom.AtomFromCode(id.Code)
+	if a == nil || !holdsNone(cfg.Space, a) {
+		t.Fatal("Read returned no atom, or one with its samples synthesized already")
+	}
 	want := s.Field().SampleGhost(id.Step, cfg.Space, ac, cfg.SampleSide, cfg.SampleGhost)
 	p := cfg.Space.Center(ac)
 	if got, w := field.Interpolate(field.KernelLag4, a, cfg.Space, ac, p), field.Interpolate(field.KernelLag4, want, cfg.Space, ac, p); got != w {
 		t.Fatalf("interpolation on a read atom: %v, want %v", got, w)
 	}
-	if !a.Filled() || a.Side != want.Side || a.Ghost != want.Ghost || len(a.Data) != len(want.Data) {
-		t.Fatalf("filled atom: side %d ghost %d, %d values; want %d, %d, %d", a.Side, a.Ghost, len(a.Data), want.Side, want.Ghost, len(want.Data))
+	if holdsNone(cfg.Space, a) || a.Side != want.Side || a.Ghost != want.Ghost {
+		t.Fatalf("filled atom: side %d ghost %d, holding nothing %v; want %d, %d and samples", a.Side, a.Ghost, holdsNone(cfg.Space, a), want.Side, want.Ghost)
 	}
-	for i, w := range want.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
-			t.Fatalf("value %d of the lazily filled atom is %v, eager %v", i, a.Data[i], w)
+	eachSample(a, func(i, j, k int) {
+		got, w := a.At(i, j, k), want.At(i, j, k)
+		for c := range w {
+			if math.Float64bits(got[c]) != math.Float64bits(w[c]) {
+				t.Fatalf("sample (%d,%d,%d) of the lazily filled atom is %v, eager %v", i, j, k, got, w)
+			}
+		}
+	})
+}
+
+// holdsNone reports whether a holds none of its samples: a Lag8 stencil at
+// an atom's centre reads every sample of the tests' 4³ atoms, so it misses
+// them all.
+func holdsNone(space geom.Space, a *field.Atom) bool {
+	ac := geom.AtomCoord{}
+	miss := a.Missing(field.KernelLag8, space, ac, []geom.Position{space.Center(ac)})
+	n := 0
+	for _, w := range miss {
+		n += bits.OnesCount64(w)
+	}
+	d := a.Side + 2*a.Ghost
+	return n == d*d*d
+}
+
+// eachSample calls fn on the indices of every sample of a, halo included.
+func eachSample(a *field.Atom, fn func(i, j, k int)) {
+	for k := -a.Ghost; k < a.Side+a.Ghost; k++ {
+		for j := -a.Ghost; j < a.Side+a.Ghost; j++ {
+			for i := -a.Ghost; i < a.Side+a.Ghost; i++ {
+				fn(i, j, k)
+			}
 		}
 	}
 }
@@ -98,10 +127,10 @@ func TestReadIntoOverwritesTheHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Fill(nil)
+	h.Fill()
 	b, cost, err := s.ReadInto(idB, h)
-	if err != nil || b != h || cost <= 0 || h.Filled() {
-		t.Fatalf("ReadInto: atom %p for handle %p, cost %v, filled %v, error %v", b, h, cost, h.Filled(), err)
+	if err != nil || b != h || cost <= 0 || !holdsNone(cfg.Space, h) {
+		t.Fatalf("ReadInto: atom %p for handle %p, cost %v, holding nothing %v, error %v", b, h, cost, holdsNone(cfg.Space, h), err)
 	}
 	fresh, _, err := s.Read(idB)
 	if err != nil || fresh == h {
@@ -218,15 +247,17 @@ func TestReadDeterministic(t *testing.T) {
 	id := AtomID{Step: 1, Code: morton.Encode(2, 0, 1)}
 	a1, _, _ := s1.Read(id)
 	a2, _, _ := s2.Read(id)
-	a1.Fill(nil)
-	a2.Fill(nil)
-	if len(a1.Data) == 0 || len(a1.Data) != len(a2.Data) {
-		t.Fatalf("%d and %d values", len(a1.Data), len(a2.Data))
-	}
-	for i := range a1.Data {
-		if a1.Data[i] != a2.Data[i] {
-			t.Fatalf("atom data not deterministic at %d", i)
+	a1.Fill()
+	a2.Fill()
+	n := 0
+	eachSample(a1, func(i, j, k int) {
+		if a1.At(i, j, k) != a2.At(i, j, k) {
+			t.Fatalf("atom data not deterministic at (%d,%d,%d)", i, j, k)
 		}
+		n++
+	})
+	if n != 4*4*4 {
+		t.Fatalf("%d samples compared, want 4³", n)
 	}
 }
 
