@@ -116,9 +116,10 @@ check-prop:
 ## request allocates over net/http's floor, which are exact counts
 ## and need 20 repetitions only to meet every pool state; likewise the
 ## engine's frame pins (a miss at capacity allocates nothing — the handle
-## and the sample rows are an evicted atom's; a stencil's fill on a fresh
-## atom at capacity takes its rows from evicted atoms' rows and allocates
-## nothing; a URC utility push allocates nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
+## and the sample half rows are an evicted atom's; a stencil's fill on a
+## fresh atom at capacity takes its half rows from evicted atoms' and
+## allocates nothing; a URC utility push allocates nothing; differencing a
+## completed derivative query allocates nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
 ## of a returning and of a never-seen atom, allocate nothing), the engine's
 ## query-frame pins (a dispatch into a recycled frame allocates nothing; a
 ## bulk request on a session, Submit to Release, its Submit argument) and the admission
@@ -133,7 +134,7 @@ check-prop:
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
 	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"jaws/internal/field"
@@ -128,5 +129,32 @@ func TestDerivQueryAccounting(t *testing.T) {
 	}
 	if rep.Results != nil {
 		t.Fatalf("results retained without KeepResults: %+v", rep.Results)
+	}
+}
+
+// TestDifferenceAllocs pins a derivative query's completion to no
+// allocation: the engine computes a chain length's weights the first time
+// it completes such a chain and reuses them, and differencing works in
+// place. The weights it keeps are DerivWeights', whatever order the chain
+// lengths come in.
+func TestDifferenceAllocs(t *testing.T) {
+	e := newEngine(t, testStore(t), sched.NewNoShare(), false)
+	for _, k := range []int{5, 2, 9, 3, 5} {
+		w := e.derivWeights(k)
+		if want := query.DerivWeights(k); !slices.Equal(w, want) || &e.derivWeights(k)[0] != &w[0] {
+			t.Fatalf("k=%d: weights %v, want %v, kept for the next chain", k, w, want)
+		}
+	}
+	const k, n = 4, 8
+	st := &queryState{
+		q:      &query.Query{DerivSteps: k, Points: make([]geom.Position, n)},
+		result: &QueryResult{Positions: make([]PointSample, k*n)},
+		filled: k * n,
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		st.result.Positions = st.result.Positions[:k*n]
+		st.difference(e.derivWeights(k))
+	}); allocs != 0 {
+		t.Errorf("differencing a %d-step chain: %v allocs, want 0", k, allocs)
 	}
 }

@@ -296,14 +296,13 @@ func (st *queryState) samples(sq *query.SubQuery) []PointSample {
 // reads index p of every step and writes index p of the first, so no
 // value is read after it was overwritten. A chain with a step that was
 // never evaluated (a compute-disabled path) yields no values rather than
-// wrongly differenced ones.
-func (st *queryState) difference() {
+// wrongly differenced ones. w is query.DerivWeights of the chain's length.
+func (st *queryState) difference(w []float64) {
 	k, n, r := st.q.ChainLen(), len(st.q.Points), st.result
 	if st.filled != k*n {
 		r.Positions = r.Positions[:0]
 		return
 	}
-	w := query.DerivWeights(k)
 	chain := r.Positions
 	for p := 0; p < n; p++ {
 		var val [field.Components]float64
@@ -318,6 +317,18 @@ func (st *queryState) difference() {
 		chain[p].Val = val
 	}
 	r.Positions = chain[:n]
+}
+
+// derivWeights returns query.DerivWeights(k), computed the first time the
+// engine completes a k-step chain and kept for the next.
+func (e *Engine) derivWeights(k int) []float64 {
+	for len(e.derivW) <= k {
+		e.derivW = append(e.derivW, nil)
+	}
+	if e.derivW[k] == nil {
+		e.derivW[k] = query.DerivWeights(k)
+	}
+	return e.derivW[k]
 }
 
 // liveJob is a submitted job and how many of its queries are still to
@@ -385,10 +396,11 @@ type Engine struct {
 	// fetches every primary before it evaluates any, so an atom in atomBuf
 	// may be evicted, retired, and still filled and read by its batch; once
 	// atomBuf is cleared nothing of the engine's holds it. The arena and the
-	// lists belong to the simulation goroutine. The arena carves a row only
-	// when none is free, so it holds the most rows cached and retired atoms
-	// held at once: at most the cache's capacity × an atom's block rows,
-	// plus one decision's evictions'. freeAtoms holds at most the capacity.
+	// lists belong to the simulation goroutine. The arena carves a half row
+	// only when none is free, so it holds the most half rows cached and
+	// retired atoms held at once: at most the cache's capacity × an atom's
+	// half block rows, plus one decision's evictions'. freeAtoms holds at
+	// most the capacity.
 	rows      *field.RowArena
 	retired   []*field.Atom
 	freeAtoms []*field.Atom
@@ -399,6 +411,9 @@ type Engine struct {
 
 	// stepMeans is pushUtilities' scratch (URC copies what it is given).
 	stepMeans map[int]float64
+	// derivW[k] is the derivative weights of a k-step chain, nil until the
+	// engine completes one.
+	derivW [][]float64
 
 	completedRT []time.Duration
 	runCount    int
@@ -1044,8 +1059,8 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 	e.report.Completed++
 	e.inst.noteCompleted(st.q, rt, now)
 	if st.result != nil {
-		if st.q.ChainLen() > 1 {
-			st.difference()
+		if k := st.q.ChainLen(); k > 1 {
+			st.difference(e.derivWeights(k))
 		}
 		st.result.Completed = now
 		e.report.Results = append(e.report.Results, st.result)

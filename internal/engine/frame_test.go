@@ -170,7 +170,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
 		v, ok := c.Get(idA)
-		if !ok || heldRows(s.Space(), v.(*field.Atom)) == 0 || c.Len() != 1 {
+		if !ok || heldUnits(s.Space(), v.(*field.Atom)) == 0 || c.Len() != 1 {
 			t.Fatalf("set-up: A resident %v, %d atoms cached; want A filled and alone", ok, c.Len())
 		}
 		oldA := v.(*field.Atom)
@@ -185,8 +185,8 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		if err := e.execute(decision); err != nil {
 			t.Fatal(err)
 		}
-		if c.Contains(idA) || heldRows(s.Space(), oldA) != 0 {
-			t.Fatalf("A resident %v, %d rows held: the decision was meant to evict A and then free its rows", c.Contains(idA), heldRows(s.Space(), oldA))
+		if c.Contains(idA) || heldUnits(s.Space(), oldA) != 0 {
+			t.Fatalf("A resident %v, %d half rows held: the decision was meant to evict A and then free its units", c.Contains(idA), heldUnits(s.Space(), oldA))
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 	})
@@ -334,7 +334,7 @@ func TestComputeOffNeverFills(t *testing.T) {
 		var ids []store.AtomID
 		c.EachKey(func(id store.AtomID) { ids = append(ids, id) })
 		for _, id := range ids {
-			if v, _ := c.Get(id); heldRows(space, v.(*field.Atom)) != 0 {
+			if v, _ := c.Get(id); heldUnits(space, v.(*field.Atom)) != 0 {
 				filled++
 			}
 		}
@@ -387,12 +387,12 @@ func TestComputeOffNeverFills(t *testing.T) {
 		}
 		neighbour := store.AtomID{Step: 0, Code: geom.AtomCoord{I: 1, J: 1, K: 1}.Code()}
 		v, _ := c.Get(neighbour)
-		if heldRows(s.Space(), v.(*field.Atom)) != 0 {
+		if heldUnits(s.Space(), v.(*field.Atom)) != 0 {
 			t.Fatal("footprint atom filled before it was a primary")
 		}
 		decide(t, e, &query.Query{ID: 2, JobID: 2, Step: 0, Points: centrePoints(s, 1, 1, 1, 10), Kernel: field.KernelLag4})
-		if n := heldRows(s.Space(), v.(*field.Atom)); n == 0 || e.fills != 2 {
-			t.Fatalf("the neighbour as primary: %d rows held, %d fills; want the resident frame filled in place", n, e.fills)
+		if n := heldUnits(s.Space(), v.(*field.Atom)); n == 0 || e.fills != 2 {
+			t.Fatalf("the neighbour as primary: %d half rows held, %d fills; want the resident frame filled in place", n, e.fills)
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 	})
@@ -430,9 +430,11 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	}
 	v, _ := c.Get(id)
 	a := v.(*field.Atom)
-	if n := count(a.Missing(field.KernelLag8, space, ac, all)); heldRows(space, a) != 4*4 || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
-		t.Fatalf("after the centre batch: %d rows held, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone, in their 16 rows",
-			heldRows(space, a), e.fills, n)
+	// The stencils' x range, 2..5, crosses the midpoint: each of their 16
+	// block rows is held as its two halves.
+	if n := count(a.Missing(field.KernelLag8, space, ac, all)); heldUnits(space, a) != 2*4*4 || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
+		t.Fatalf("after the centre batch: %d half rows held, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone, in their 32 half rows",
+			heldUnits(space, a), e.fills, n)
 	}
 	decide(t, e, query(2, centre[:10]))
 	if e.fills != 1 {
@@ -447,11 +449,12 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 }
 
-// heldRows is the number of block rows atom a holds a block of. On the
-// tests' atoms, at most 8 samples a side with the halo, a block is a
-// sample and a block row a line of samples along x, and a Lag8 stencil at
-// an atom's centre reads every sample, so it misses what a does not hold.
-func heldRows(space geom.Space, a *field.Atom) int {
+// heldUnits is the number of half block rows atom a holds a block of. On
+// the tests' atoms, at most 8 samples a side with the halo, a block is a
+// sample and a half block row the samples x = 0..3 or 4..7 of a line, and
+// a Lag8 stencil at an atom's centre reads every sample, so it misses what
+// a does not hold.
+func heldUnits(space geom.Space, a *field.Atom) int {
 	ac := geom.AtomCoord{}
 	miss := a.Missing(field.KernelLag8, space, ac, []geom.Position{space.Center(ac)})
 	d := a.Side + 2*a.Ghost
@@ -459,8 +462,10 @@ func heldRows(space geom.Space, a *field.Atom) int {
 	n := 0
 	for z := 0; z < d; z++ {
 		for y := 0; y < d; y++ {
-			if miss[z]>>(8*y)&line != line {
-				n++
+			for _, half := range [2]uint64{0x0f & line, 0xf0 & line} {
+				if half != 0 && miss[z]>>(8*y)&half != half {
+					n++
+				}
 			}
 		}
 	}
@@ -497,7 +502,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		for i := uint32(0); i < 3; i++ {
 			decide(t, e, &query.Query{ID: query.ID(i + 1), JobID: int64(i + 1), Step: 0, Points: centrePoints(s, i, 1, 1, 10), Kernel: field.KernelLag4})
 		}
-		if len(e.freeAtoms) != 1 || heldRows(s.Space(), e.freeAtoms[0]) != 0 || c.Stats().Evictions != 1 {
+		if len(e.freeAtoms) != 1 || heldUnits(s.Space(), e.freeAtoms[0]) != 0 || c.Stats().Evictions != 1 {
 			t.Fatalf("set-up: %d free handles after %d evictions, want one, released", len(e.freeAtoms), c.Stats().Evictions)
 		}
 		return e, s, c, e.freeAtoms[0]
@@ -511,7 +516,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		if v, ok := c.Get(id); !ok || v.(*field.Atom) != h {
 			t.Fatalf("%v resident %v in handle %p, want the recycled %p", id, ok, v, h)
 		}
-		if heldRows(s.Space(), h) == 0 {
+		if heldUnits(s.Space(), h) == 0 {
 			t.Fatal("the recycled handle was not evaluated on")
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
@@ -533,8 +538,8 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		j := &job.Job{ID: 9, User: 1, Type: job.Ordered, ThinkTime: time.Second}
 		e.predictor.Observe(j.ID, &query.Query{ID: 10, JobID: j.ID, Step: 1, Points: centrePoints(s, 0, 2, 2, 10)})
 		e.prefetchFor(j, &query.Query{ID: 11, JobID: j.ID, Seq: 1, Step: 2, Points: centrePoints(s, 1, 2, 2, 10)})
-		if e.prefetched == 0 || heldRows(s.Space(), h) != 0 {
-			t.Fatalf("%d atoms prefetched, the handle holds %d rows: want a prefetch into the free handle, unfilled", e.prefetched, heldRows(s.Space(), h))
+		if e.prefetched == 0 || heldUnits(s.Space(), h) != 0 {
+			t.Fatalf("%d atoms prefetched, the handle holds %d half rows: want a prefetch into the free handle, unfilled", e.prefetched, heldUnits(s.Space(), h))
 		}
 		evaluate(t, e, s, c, h, 3, 2, 2, 2)
 	})
@@ -675,18 +680,19 @@ func (p *peekPolicy) OnHit(id store.AtomID) {
 // TestRowsFollowFills is serve-cold in small, on the daemon's shape: 8³
 // atoms over 8 steps of 64 (512 atoms) against a 256-atom LRU-K cache at
 // capacity, each request 8 uniform Lag4 points on a uniform step. An atom
-// holds only the block rows it filled, so the engine's arena holds at
-// most the most rows held at once — bounded, request by request, by the
-// rows the residents hold, walked between requests, and 64 for every atom
-// the request evicted while its decisions ran — and the rest of its last
-// slab. Over a stream of 20 000 requests the second half raises that by
-// at most the one slab a new high of rows in use carves: the arena
-// recycles what evicted atoms held instead of growing with the stream.
+// holds only the half block rows it filled, so the engine's arena holds
+// at most the most half rows held at once — bounded, request by request,
+// by the half rows the residents hold, walked between requests, and 128
+// for every atom the request evicted while its decisions ran — and the
+// rest of its last slab. Over a stream of 20 000 requests the second half
+// raises that by at most the one slab a new high of units in use carves:
+// the arena recycles what evicted atoms held instead of growing with the
+// stream.
 func TestRowsFollowFills(t *testing.T) {
 	const (
-		side     = 8
-		rowBytes = side * field.Components * 8 // a block row of an 8³ atom is one line of samples
-		slab     = 16 << 10
+		side      = 8
+		unitBytes = side / 2 * field.Components * 8 // a half block row of an 8³ atom is 4 samples of a line
+		slab      = 16 << 10
 	)
 	requests := 20000
 	if testing.Short() {
@@ -704,28 +710,28 @@ func TestRowsFollowFills(t *testing.T) {
 		cfg.Parallelism = 1
 	})
 	space := s.Space()
-	resident := func() (rows int) {
+	resident := func() (units int) {
 		pol.peek = true
 		defer func() { pol.peek = false }()
 		c.EachKey(func(id store.AtomID) {
 			v, _ := c.Get(id)
-			rows += heldRows(space, v.(*field.Atom))
+			units += heldUnits(space, v.(*field.Atom))
 		})
-		return rows
+		return units
 	}
 	rng := rand.New(rand.NewSource(3))
 	held, peak, mid := 0, 0, 0
 	for n := 1; n <= requests; n++ {
 		evicted := c.Stats().Evictions
 		decide(t, e, &query.Query{ID: query.ID(n), JobID: int64(n), Step: rng.Intn(8), Points: scatter(rng, 8), Kernel: field.KernelLag4})
-		// Rows in use during the request: those held before it, plus what
+		// Units in use during the request: those held before it, plus what
 		// it took, which is what the residents hold now more than before,
-		// plus what the atoms it evicted held — at most all their rows.
+		// plus what the atoms it evicted held — at most all their units.
 		before := held
 		held = resident()
-		peak = max(peak, held+int(c.Stats().Evictions-evicted)*side*side, before)
-		if b := e.rows.Bytes(); b > peak*rowBytes+slab {
-			t.Fatalf("request %d: the arena holds %d B, the atoms at most %d rows of %d B at once", n, b, peak, rowBytes)
+		peak = max(peak, held+int(c.Stats().Evictions-evicted)*2*side*side, before)
+		if b := e.rows.Bytes(); b > peak*unitBytes+slab {
+			t.Fatalf("request %d: the arena holds %d B, the atoms at most %d half rows of %d B at once", n, b, peak, unitBytes)
 		}
 		if n == requests/2 {
 			mid = e.rows.Bytes()
@@ -735,7 +741,7 @@ func TestRowsFollowFills(t *testing.T) {
 		t.Fatalf("%d evictions in %d requests: the cache did not churn", c.Stats().Evictions, requests)
 	}
 	end := e.rows.Bytes()
-	t.Logf("arena %d B after %d requests, %d B after %d; the residents hold %d rows (%d B)", mid, requests/2, end, requests, held, held*rowBytes)
+	t.Logf("arena %d B after %d requests, %d B after %d; the residents hold %d half rows (%d B)", mid, requests/2, end, requests, held, held*unitBytes)
 	if end > mid+slab {
 		t.Errorf("the arena grew from %d B to %d B over the second %d requests", mid, end, requests/2)
 	}
@@ -764,7 +770,7 @@ func TestFillRecyclesRows(t *testing.T) {
 		}
 		ac := geom.AtomFromCode(id.Code)
 		lo := float64(space.AtomSide) * space.VoxelSize()
-		p := geom.Position{X: (float64(ac.I) + rng.Float64()) * lo, Y: (float64(ac.J) + rng.Float64()) * lo, Z: (float64(ac.K) + rng.Float64()) * lo}
+		p := geom.Position{X: (float64(ac.I) + float64(rng.Float64())) * lo, Y: (float64(ac.J) + float64(rng.Float64())) * lo, Z: (float64(ac.K) + float64(rng.Float64())) * lo}
 		e.fill(a, a.Missing(field.KernelLag4, space, ac, []geom.Position{p}))
 		e.freeRetired()
 	}

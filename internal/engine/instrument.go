@@ -91,7 +91,7 @@ var engineMetricHelp = map[string]string{
 	"jaws_response_seconds":          "Per-query response time on the virtual clock.",
 	"jaws_runs_total":                "Adaptation runs ended by the alpha controller.",
 	"jaws_alpha":                     "Current age bias alpha of the JAWS scheduler.",
-	"jaws_sample_bytes":              "Bytes of atom samples the engine's row arena holds: rows in use, free, and not yet handed out.",
+	"jaws_sample_bytes":              "Bytes of atom samples the engine's row arena holds: half block rows in use, free, and not yet handed out.",
 	"jaws_cache_hits_total":          "Atom cache hits.",
 	"jaws_cache_misses_total":        "Atom cache misses (lookups that went to disk).",
 	"jaws_cache_evictions_total":     "Atoms evicted from the cache.",
@@ -387,7 +387,7 @@ func (in *instruments) noteBeginDecision(batches []sched.Batch) {
 	in.spans.beginDecision(batches)
 }
 
-// noteSampleBytes records the sample memory the engine's row arena holds.
+// noteSampleBytes records the sample memory the engine's arena holds.
 func (in *instruments) noteSampleBytes(rows *field.RowArena) {
 	if in == nil {
 		return

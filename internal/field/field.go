@@ -125,11 +125,12 @@ func (f *Field) Eval(step int, pos geom.Position) [Components]float64 {
 // synthesizes them block by block as they are first read (FillBlocks, or an
 // At / Interpolate that reads them), so an atom that is only ever resident
 // costs no synthesis and no sample memory, and one that is read costs only
-// the samples its stencils reach. It stores them by block row (the 8
-// blocks that share (by, bz)) in rows of a RowArena, and holds only the
-// rows in which it has filled a block. The first read of a sample is a
-// write: goroutines that share an atom fill the blocks they will read
-// before they part.
+// the samples its stencils reach. It stores them by half block row (the 4
+// blocks that share (by, bz) on one side of the x midpoint) in units of a
+// RowArena, and holds only the halves in which it has filled a block: a
+// Lag4 stencil reads half a row's x extent, and most of them lie on one
+// side of the midpoint. The first read of a sample is a write: goroutines
+// that share an atom fill the blocks they will read before they part.
 type Atom struct {
 	Side  int
 	Ghost int
@@ -145,15 +146,16 @@ type Atom struct {
 	filled *holding
 }
 
-// holding is the blocks an atom holds and the arena rows they are in.
+// holding is the blocks an atom holds and the arena units they are in.
 type holding struct {
 	blocks Blocks
-	// rows is the arena the atom's rows come from: bound at its first fill,
-	// nil again once it holds none.
+	// rows is the arena the atom's units come from: bound at its first
+	// fill, nil again once it holds none.
 	rows *RowArena
-	// row[8·bz+by] is the arena row of block row (by, bz), valid while the
-	// atom holds a block of that row: 4 B a row, not a slice header.
-	row [64]uint32
+	// unit[16·bz+2·by+half] is the arena unit of the half (0 below the x
+	// midpoint, 1 above it) of block row (by, bz), valid while the atom
+	// holds a block of that half: 4 B a half row, not a slice header.
+	unit [128]uint32
 }
 
 // Blocks is a set of an atom's samples. Each axis of the dim()³ samples is
@@ -275,11 +277,11 @@ func (a *Atom) Fill() {
 }
 
 // FillBlocks synthesizes the blocks of want the atom does not hold yet. A
-// block row the atom holds no block of is taken from rows, the arena the
-// atom is bound to from its first fill until Release: later fills take
-// their rows from it and ignore rows. A nil rows binds the atom to an
-// arena of its own. A taken row is overwritten block by block as its
-// blocks are filled; its other blocks hold whatever the row held.
+// half block row the atom holds no block of is a unit taken from rows, the
+// arena the atom is bound to from its first fill until Release: later
+// fills take their units from it and ignore rows. A nil rows binds the
+// atom to an arena of its own. A taken unit is overwritten block by block
+// as its blocks are filled; its other blocks hold whatever the unit held.
 func (a *Atom) FillBlocks(want Blocks, rows *RowArena) {
 	held := a.held()
 	if held.covers(&want) {
@@ -304,8 +306,8 @@ func (a *Atom) FillBlocks(want Blocks, rows *RowArena) {
 		h.rows = rows
 	}
 	for bz, w := range want {
-		for m := rowMask(w) &^ rowMask(h.blocks[bz]); m != 0; m &= m - 1 {
-			h.row[8*bz+bits.TrailingZeros8(m)] = h.rows.take()
+		for m := halfMask(w) &^ halfMask(h.blocks[bz]); m != 0; m &= m - 1 {
+			h.unit[16*bz+bits.TrailingZeros16(m)] = h.rows.take()
 		}
 	}
 	a.fill(&want)
@@ -332,7 +334,7 @@ func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom
 	return want
 }
 
-// Release hands the atom's rows back to its arena, free for the arena's
+// Release hands the atom's units back to its arena, free for the arena's
 // next fill. The atom is a frame again: a holder that still uses it pays a
 // second synthesis, never reads another atom's samples — for as long as
 // the handle is this atom's. The engine releases an atom at the end of the
@@ -345,64 +347,94 @@ func (a *Atom) Release() {
 		return
 	}
 	for bz, w := range h.blocks {
-		for m := rowMask(w); m != 0; m &= m - 1 {
-			h.rows.put(h.row[8*bz+bits.TrailingZeros8(m)])
+		for m := halfMask(w); m != 0; m &= m - 1 {
+			h.rows.put(h.unit[16*bz+bits.TrailingZeros16(m)])
 		}
 	}
 	h.blocks, h.rows = Blocks{}, nil
 }
 
-// rowMask is the block rows of plane w of a block set that hold a block:
-// bit by for each byte by of w that is not zero.
-func rowMask(w uint64) (m uint8) {
-	for by := 0; w != 0; by, w = by+1, w>>8 {
-		if uint8(w) != 0 {
-			m |= 1 << by
-		}
-	}
-	return m
+// halfMask is the half block rows of plane w of a block set that hold a
+// block: bit 2·by+half for each nibble of w that is not zero (byte by's low
+// nibble is blocks 0..3 of row by, its high nibble blocks 4..7).
+func halfMask(w uint64) uint16 {
+	w |= w >> 1
+	w |= w >> 2
+	w &= 0x1111111111111111 // bit 4i: nibble i is not zero
+	// Gather bits 0, 4, 8, .. 60 into 0..15, halving the gaps each step.
+	w = (w | w>>3) & 0x0303030303030303
+	w = (w | w>>6) & 0x000f000f000f000f
+	w = (w | w>>12) & 0x000000ff000000ff
+	return uint16(w | w>>24)
 }
 
-// line returns the stored samples x = 0.. at stored indices (y, z), to the
-// end of the row of the atom's arena that holds them: the atom must hold a
-// block of that row.
-func (a *Atom) line(y, z int) []float64 {
-	by, bz, in := y, z, 0
-	if b := a.band(); b > 1 { // up to 8³ samples a block row is a line: no division
-		by, bz, in = y/b, z/b, (z%b*b+y%b)*a.dim()*Components
-	}
+// mid is the atom's x midpoint in stored samples: the first sample of the
+// upper half of every block row.
+func (a *Atom) mid() int { return 4 * a.band() }
+
+// line returns the stored samples x0..x1-1 at stored indices (y, z), in
+// the half block rows that hold them: lo from x0 to x1 or to the end of
+// x0's half, whichever comes first, and hi the rest — empty unless the
+// range crosses the midpoint, where it starts. The atom must hold a block
+// of each half it reads.
+func (a *Atom) line(x0, x1, y, z int) (lo, hi []float64) {
+	by, ry := a.blockOf(y)
+	bz, rz := a.blockOf(z)
+	m := a.mid()
+	in := (rz*a.band() + ry) * m // the line's first sample in its half rows
 	h := a.filled
-	return h.rows.row(h.row[8*bz+by])[in:]
+	units := h.unit[16*bz+2*by:][:2]
+	if x0 >= m {
+		return h.rows.at(units[1], (in+x0-m)*Components)[:(x1-x0)*Components], nil
+	}
+	lo = h.rows.at(units[0], (in+x0)*Components)[:(min(x1, m)-x0)*Components]
+	if x1 > m {
+		hi = h.rows.at(units[1], in*Components)[:(x1-m)*Components]
+	}
+	return lo, hi
 }
 
-// RowArena is an arena of block rows for atoms of one shape, the first it
-// serves. It carves rows from slabs of at most slabBytes and takes a
-// freed row back before it carves another, so it holds no more rows than
-// its atoms held at once, plus what is left of its last slab. It is not
+// blockOf returns the block of stored index i along an axis and i's place
+// in it; up to 8³ samples a block is a sample: no division.
+func (a *Atom) blockOf(i int) (int, int) {
+	if b := a.band(); b > 1 {
+		return i / b, i % b
+	}
+	return i, 0
+}
+
+// RowArena is an arena of half block rows, its units, for atoms of one
+// shape, the first it serves: a unit is the b·b lines of 4b samples (b
+// the samples per block side; all of a line on an atom under 4 samples
+// wide) that one side of a block row's x midpoint holds. It carves units
+// from slabs of at most slabBytes and takes a freed unit back before it
+// carves another, so it holds no more units than its atoms held at once,
+// plus what is left of its last slab. It is not
 // safe for concurrent fills: an engine's arena is its simulation
 // goroutine's, and an atom filled outside an engine gets one of its own.
 // The zero RowArena is empty and ready to use.
 type RowArena struct {
-	n      int  // float64s per row; 0 until an atom shapes the arena
-	shift  uint // log₂ of the rows per slab
+	n      int  // float64s per unit; 0 until an atom shapes the arena
+	shift  uint // log₂ of the units per slab
 	slabs  [][]float64
-	carved uint32   // rows cut from the slabs so far
-	free   []uint32 // rows handed back, the next taken first
+	carved uint32   // units cut from the slabs so far
+	free   []uint32 // units handed back, the next taken first
 }
 
-// slabBytes is the most an arena allocates at once, unless a row is
-// larger: a 16 KiB slab is 64 rows of the daemon's 8³ atoms (one atom's
-// worth), and one row per slab of the paper's 72³.
+// slabBytes is the most an arena allocates at once, unless a unit is
+// larger: a 16 KiB slab is 128 half rows of the daemon's 8³ atoms (one
+// atom's worth), and one half row per slab of the paper's 72³.
 const slabBytes = 16 << 10
 
-// shape fixes the arena's rows to a's block rows, or checks that they are.
+// shape fixes the arena's units to a's half block rows, or checks that
+// they are.
 func (r *RowArena) shape(a *Atom) {
 	d, b := a.dim(), a.band()
-	n := b * b * d * Components
+	n := b * b * min(a.mid(), d) * Components
 	if r.n == 0 {
-		nb := (d + b - 1) / b // block rows along an axis
-		per := min(max(1, slabBytes/(8*n)), nb*nb)
-		r.n, r.shift = n, uint(bits.Len(uint(per))-1) // a power of two rows a slab
+		nb := (d + b - 1) / b // blocks along an axis
+		per := min(max(1, slabBytes/(8*n)), nb*nb*((nb+3)/4))
+		r.n, r.shift = n, uint(bits.Len(uint(per))-1) // a power of two units a slab
 		return
 	}
 	if r.n != n {
@@ -410,7 +442,7 @@ func (r *RowArena) shape(a *Atom) {
 	}
 }
 
-// take returns a free row, carving a new one only when none is free.
+// take returns a free unit, carving a new one only when none is free.
 func (r *RowArena) take() uint32 {
 	if k := len(r.free); k > 0 {
 		i := r.free[k-1]
@@ -425,15 +457,16 @@ func (r *RowArena) take() uint32 {
 	return i
 }
 
-// put hands row i back.
+// put hands unit i back.
 func (r *RowArena) put(i uint32) { r.free = append(r.free, i) }
 
-// row returns the samples of row i.
-func (r *RowArena) row(i uint32) []float64 {
-	return r.slabs[i>>r.shift][int(i&(1<<r.shift-1))*r.n:][:r.n]
+// at returns the samples of unit i from its off-th float64 on, to the end
+// of its slab: a reader slices what it reads.
+func (r *RowArena) at(i uint32, off int) []float64 {
+	return r.slabs[i>>r.shift][int(i&(1<<r.shift-1))*r.n+off:]
 }
 
-// Bytes is the sample memory the arena holds: its slabs, whose rows are
+// Bytes is the sample memory the arena holds: its slabs, whose units are
 // in use, free, or not carved yet.
 func (r *RowArena) Bytes() int { return len(r.slabs) * 8 * r.n << r.shift }
 
@@ -443,16 +476,16 @@ func (r *RowArena) Bytes() int { return len(r.slabs) * 8 * r.n << r.shift }
 const paperDim = 72
 
 // fill is the one synthesis kernel: it writes the field at every sample
-// position of the blocks of want into the atom's rows, with the bits Eval
+// position of the blocks of want into the atom's units, with the bits Eval
 // gives there. Eval's work is regrouped, not reformulated: the wrapped
 // coordinate of a sample depends on one index per axis, so the three
 // tables are computed once per call; the blocks of a row that want holds
-// side by side are one run of samples along x, and with the modes inside
-// the run and the samples innermost, ω·t, k·y and k·z are per-mode
-// constants of the run; and one sincos gives the sine and cosine of the
-// same phase. Every sample still sums the same rounded terms in the same
-// mode order, starting from zero. Its cost is the blocks' samples, whatever
-// the atom holds already.
+// side by side are one run of samples along x, written into the two half
+// rows if it crosses the midpoint, and with the modes inside the run and
+// the samples innermost, ω·t, k·y and k·z are per-mode constants of the
+// run; and one sincos gives the sine and cosine of the same phase. Every sample still
+// sums the same rounded terms in the same mode order, starting from zero.
+// Its cost is the blocks' samples, whatever the atom holds already.
 func (a *Atom) fill(want *Blocks) {
 	f := a.src
 	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
@@ -478,24 +511,29 @@ func (a *Atom) fill(want *Blocks) {
 		plane := want[zi/b]
 		for yi, y := range ys {
 			line := uint8(plane >> (8 * (yi / b)))
-			if line == 0 {
-				continue
-			}
-			samples := a.line(yi, zi)
 			for line != 0 {
 				// The lowest run of set bits: blocks lo..lo+n-1.
 				lo := bits.TrailingZeros8(line)
 				n := bits.TrailingZeros8(^(line >> lo))
 				line &= line + line&-line
 				x0, x1 := lo*b, min((lo+n)*b, d)
-				run := samples[x0*Components : x1*Components]
-				clear(run)
+				// A run across the midpoint is written into its two half
+				// rows: its first cut samples into the lower.
+				below, above := a.line(x0, x1, yi, zi)
+				clear(below)
+				clear(above)
+				cut := len(below) / Components
 				for mi := range f.modes {
 					m := &f.modes[mi]
 					kx, ky, kz, wt := m.k[0], float64(m.k[1]*y), float64(m.k[2]*z), float64(m.omega*t)
+					run := below
 					for i, x := range xs[x0:x1] {
+						if i == cut {
+							run = above
+						}
 						s, c := sincos(float64(kx*x) + ky + kz + m.ph + wt)
-						v := run[i*Components:][:Components]
+						v := run[:Components]
+						run = run[Components:]
 						v[0] += float64(m.a[0] * s)
 						v[1] += float64(m.a[1] * s)
 						v[2] += float64(m.a[2] * s)
@@ -514,6 +552,7 @@ func (a *Atom) At(i, j, k int) [Components]float64 {
 	x, y, z := i+a.Ghost, j+a.Ghost, k+a.Ghost
 	a.FillBlocks(a.box(x, x, y, y, z, z), nil)
 	var out [Components]float64
-	copy(out[:], a.line(y, z)[x*Components:])
+	v, _ := a.line(x, x+1, y, z)
+	copy(out[:], v)
 	return out
 }

@@ -116,8 +116,8 @@ func TestSampleShape(t *testing.T) {
 	if a.Side != 8 {
 		t.Fatalf("Side = %d, want 8", a.Side)
 	}
-	if *a.held() != a.all() || a.rowsHeld() != 8*8 || a.filled.rows.Bytes() != 8*8*8*Components*8 {
-		t.Fatalf("holds blocks %x in %d rows, %d B; want every block, 64 rows of 256 B", *a.held(), a.rowsHeld(), a.filled.rows.Bytes())
+	if *a.held() != a.all() || a.unitsHeld() != 8*8*2 || a.filled.rows.Bytes() != 8*8*8*Components*8 {
+		t.Fatalf("holds blocks %x in %d half rows, %d B; want every block, 128 half rows of 128 B", *a.held(), a.unitsHeld(), a.filled.rows.Bytes())
 	}
 }
 
@@ -177,8 +177,8 @@ func TestFillMatchesEval(t *testing.T) {
 }
 
 // TestFrameLifecycle walks one frame through its states: unfilled and
-// holding no samples, filled on first use into rows of the arena it is
-// given (whatever those held), released, and filled again with the same
+// holding no samples, filled on first use into half rows of the arena it
+// is given (whatever those held), released, and filled again with the same
 // values.
 func TestFrameLifecycle(t *testing.T) {
 	f := New(5, 48, 0)
@@ -187,12 +187,12 @@ func TestFrameLifecycle(t *testing.T) {
 	want := f.SampleGhost(3, s, ac, 4, 2)
 
 	a, dirty := poisoned(f, 3, s, ac, 4, 2)
-	if a.rowsHeld() != 0 || a.filled != nil {
-		t.Fatalf("a new frame holds %d rows", a.rowsHeld())
+	if a.unitsHeld() != 0 || a.filled != nil {
+		t.Fatalf("a new frame holds %d half rows", a.unitsHeld())
 	}
 	a.FillBlocks(a.all(), dirty)
-	if a.filled.rows != dirty || a.rowsHeld() != 8*8 || dirty.inUse() != 8*8 {
-		t.Fatalf("Fill bound arena %p, want the %p it was given; %d rows held, %d taken", a.filled.rows, dirty, a.rowsHeld(), dirty.inUse())
+	if a.filled.rows != dirty || a.unitsHeld() != 8*8*2 || dirty.inUse() != 8*8*2 {
+		t.Fatalf("Fill bound arena %p, want the %p it was given; %d half rows held, %d taken", a.filled.rows, dirty, a.unitsHeld(), dirty.inUse())
 	}
 	same := func(stage string) {
 		t.Helper()
@@ -209,35 +209,35 @@ func TestFrameLifecycle(t *testing.T) {
 			}
 		}
 	}
-	same("filled into dirty rows")
-	a.Fill() // filled already: keeps its rows
-	if a.filled.rows != dirty || dirty.inUse() != 8*8 || dirty.carved != 8*8 {
-		t.Fatal("Fill replaced the rows of a filled atom")
+	same("filled into dirty half rows")
+	a.Fill() // filled already: keeps its half rows
+	if a.filled.rows != dirty || dirty.inUse() != 8*8*2 || dirty.carved != 8*8*2 {
+		t.Fatal("Fill replaced the half rows of a filled atom")
 	}
-	if a.Release(); a.rowsHeld() != 0 || a.filled.rows != nil || dirty.inUse() != 0 || len(dirty.free) != 8*8 {
-		t.Fatalf("Release: %d rows held, %d of the arena's in use; want every row handed back", a.rowsHeld(), dirty.inUse())
+	if a.Release(); a.unitsHeld() != 0 || a.filled.rows != nil || dirty.inUse() != 0 || len(dirty.free) != 8*8*2 {
+		t.Fatalf("Release: %d half rows held, %d of the arena's in use; want every unit handed back", a.unitsHeld(), dirty.inUse())
 	}
 	if got, w := Interpolate(KernelLag4, a, s, ac, s.Center(ac)), Interpolate(KernelLag4, want, s, ac, s.Center(ac)); got != w {
 		t.Fatalf("interpolation on a released frame: %v, want %v", got, w)
 	}
-	if a.rowsHeld() == 0 || *a.held() == a.all() || a.filled.rows == dirty {
+	if a.unitsHeld() == 0 || *a.held() == a.all() || a.filled.rows == dirty {
 		t.Fatalf("first use filled blocks %x of %x into arena %p: want its stencil's alone, into an arena of its own", *a.held(), a.all(), a.filled.rows)
 	}
 	a.Fill()
 	same("refilled by first use, then completed")
 	a.Release()
 	a.FillBlocks(a.all(), dirty) // released, it binds to the next arena given
-	same("filled again from recycled rows")
-	if a.filled.rows != dirty || dirty.carved != 8*8 {
-		t.Fatalf("refill: arena %p, %d rows carved; want the %p given, its 64 rows reused", a.filled.rows, dirty.carved, dirty)
+	same("filled again from recycled half rows")
+	if a.filled.rows != dirty || dirty.carved != 8*8*2 {
+		t.Fatalf("refill: arena %p, %d units carved; want the %p given, its 128 half rows reused", a.filled.rows, dirty.carved, dirty)
 	}
 
 	// The handle taken over for another atom, filled as it is: nothing of
 	// the atom it was is left, and it evaluates as a frame of its own does.
 	bc := geom.AtomCoord{I: 3, J: 0, K: 1}
-	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.rowsHeld() != 0 || dirty.inUse() != 0 || a.Ghost != 0 {
-		t.Fatalf("FrameInto returned %p for %p, %d rows held, %d in use, halo %d; want the handle itself, released, as described",
-			b, a, a.rowsHeld(), dirty.inUse(), a.Ghost)
+	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.unitsHeld() != 0 || dirty.inUse() != 0 || a.Ghost != 0 {
+		t.Fatalf("FrameInto returned %p for %p, %d half rows held, %d in use, halo %d; want the handle itself, released, as described",
+			b, a, a.unitsHeld(), dirty.inUse(), a.Ghost)
 	}
 	want = f.SampleGhost(2, s, bc, 4, 0)
 	a.Fill()
@@ -245,16 +245,16 @@ func TestFrameLifecycle(t *testing.T) {
 }
 
 // TestHandleCarriesNoBlocks: a replay keeps thousands of atoms resident
-// that it never fills, so the handle carries neither block set nor row
+// that it never fills, so the handle carries neither block set nor unit
 // table; the two are allocated at the handle's first fill and kept,
-// emptied, when the handle is released and taken over. The row table costs
-// 4 B a block row, so a fully filled 8³ atom grows by under 2 %.
+// emptied, when the handle is released and taken over. The unit table
+// costs 4 B a half block row, so a fully filled 8³ atom grows by under 4 %.
 func TestHandleCarriesNoBlocks(t *testing.T) {
 	if n := reflect.TypeFor[Atom]().Size(); n > 72 {
 		t.Fatalf("an atom handle is %d bytes, want at most 72", n)
 	}
-	if n := reflect.TypeFor[holding]().Size(); n > 64+8+64*4 {
-		t.Fatalf("an atom's holding is %d bytes, want at most its block set, arena pointer and 4 B a block row", n)
+	if n := reflect.TypeFor[holding]().Size(); n > 64+8+128*4 {
+		t.Fatalf("an atom's holding is %d bytes, want at most its block set, arena pointer and 4 B a half block row", n)
 	}
 	f := New(5, 8, 0)
 	s := testSpace()
@@ -271,15 +271,15 @@ func TestHandleCarriesNoBlocks(t *testing.T) {
 }
 
 // poisoned returns a frame of atom ac filled into nothing yet, with an
-// arena of rows of NaNs it will fill into, enough for the whole atom: a read
-// of a sample it has not filled yields NaN, which no evaluation can mistake
-// for a sample.
+// arena of units of NaNs it will fill into, enough for the whole atom: a
+// read of a sample it has not filled yields NaN, which no evaluation can
+// mistake for a sample.
 func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost int) (*Atom, *RowArena) {
 	a := f.Frame(step, s, ac, side, ghost)
 	r := new(RowArena)
 	r.shape(a)
-	rows := a.rowsPerAtom()
-	for range rows {
+	units := a.unitsPerAtom()
+	for range units {
 		r.take()
 	}
 	for _, slab := range r.slabs {
@@ -287,41 +287,64 @@ func poisoned(f *Field, step int, s geom.Space, ac geom.AtomCoord, side, ghost i
 			slab[i] = math.NaN()
 		}
 	}
-	for i := rows - 1; i >= 0; i-- {
+	for i := units - 1; i >= 0; i-- {
 		r.put(uint32(i))
 	}
 	return a, r
 }
 
 // sample returns the stored components of sample (x, y, z), in stored
-// indices, of an atom that holds a block of its block row.
+// indices, of an atom that holds a block of its half block row.
 func (a *Atom) sample(x, y, z int) []float64 {
-	return a.line(y, z)[x*Components:][:Components]
+	v, _ := a.line(x, x+1, y, z)
+	return v
 }
 
-// rowsPerAtom is the number of block rows of the atom.
-func (a *Atom) rowsPerAtom() int {
+// unitsPerAtom is the number of half block rows of the atom: one a block
+// row when it is at most 4 blocks wide.
+func (a *Atom) unitsPerAtom() int {
 	nb := (a.dim() + a.band() - 1) / a.band()
-	return nb * nb
+	return nb * nb * ((nb + 3) / 4)
 }
 
-// rowsHeld is the number of block rows the atom holds a block of.
-func (a *Atom) rowsHeld() int {
+// unitsHeld is the number of half block rows the atom holds a block of.
+func (a *Atom) unitsHeld() int {
 	n := 0
 	for _, w := range a.held() {
-		n += bits.OnesCount8(rowMask(w))
+		n += bits.OnesCount16(halfMask(w))
 	}
 	return n
 }
 
-// inUse is the number of the arena's rows taken and not handed back.
+// TestHalfMask holds the bit gather to its definition: bit 2·by+half for
+// each nibble of the word that is not zero.
+func TestHalfMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 10000; i++ {
+		w := rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+		if i < 64 {
+			w = 1 << i
+		}
+		var want uint16
+		for n := 0; n < 16; n++ {
+			if w>>(4*n)&0xf != 0 {
+				want |= 1 << n
+			}
+		}
+		if got := halfMask(w); got != want {
+			t.Fatalf("halfMask(%#x) = %#x, want %#x", w, got, want)
+		}
+	}
+}
+
+// inUse is the number of the arena's units taken and not handed back.
 func (r *RowArena) inUse() int { return int(r.carved) - len(r.free) }
 
-// holdsRow reports whether a holds a block of the block row of stored
-// samples (·, y, z).
-func (a *Atom) holdsRow(y, z int) bool {
+// holdsUnit reports whether a holds a block of the half block row of
+// stored sample (x, y, z).
+func (a *Atom) holdsUnit(x, y, z int) bool {
 	w := a.band()
-	return rowMask(a.held()[z/w])>>(y/w)&1 != 0
+	return halfMask(a.held()[z/w])>>(2*(y/w)+x/(4*w))&1 != 0
 }
 
 // holds reports whether the blocks of b hold sample (x, y, z) of atom a.
@@ -363,15 +386,15 @@ func TestFillRowsMatchesFill(t *testing.T) {
 				if a.filled != nil && a.filled.rows != rows {
 					t.Fatalf("side %d ghost %d: the first fill did not use the arena it was given", side, ghost)
 				}
-				if rows.inUse() != a.rowsHeld() {
-					t.Fatalf("side %d ghost %d round %d: %d rows taken for %d block rows held", side, ghost, round, rows.inUse(), a.rowsHeld())
+				if rows.inUse() != a.unitsHeld() {
+					t.Fatalf("side %d ghost %d round %d: %d units taken for %d half rows held", side, ghost, round, rows.inUse(), a.unitsHeld())
 				}
 				for z := 0; z < d; z++ {
 					for y := 0; y < d; y++ {
-						if !a.holdsRow(y, z) {
-							continue // no storage: nothing to read
-						}
 						for x := 0; x < d; x++ {
+							if !a.holdsUnit(x, y, z) {
+								continue // no storage: nothing to read
+							}
 							filled := a.holds(a.held(), x, y, z)
 							for c, got := range a.sample(x, y, z) {
 								if w := want.sample(x, y, z)[c]; filled && math.Float64bits(got) != math.Float64bits(w) ||
@@ -403,9 +426,9 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 	for _, tc := range kernelCases() {
 		for _, k := range allKernels {
 			lazy, rows := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
-			lazy.FillBlocks(Blocks{}, rows) // nothing: no row is taken
-			if lazy.rowsHeld() != 0 || rows.inUse() != 0 {
-				t.Fatalf("%s: an empty fill took %d rows", tc.name, rows.inUse())
+			lazy.FillBlocks(Blocks{}, rows) // nothing: no unit is taken
+			if lazy.unitsHeld() != 0 || rows.inUse() != 0 {
+				t.Fatalf("%s: an empty fill took %d units", tc.name, rows.inUse())
 			}
 			lazy.FillBlocks(Blocks{1}, rows) // one block: from here on the frame fills into the NaNs
 			for i := 0; i < 50; i++ {
@@ -452,20 +475,26 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 
 // TestPaperAtomHoldsStencilRows: on a paper-sized atom (64³ samples and a
 // halo of 4, so 72³ and blocks of 9³) one Lag4 point reads a 4³ cube that
-// spans at most two blocks a side, so the atom holds at most 4 block rows
-// of 9·9·72 samples, ≈ 0.75 MB, where a whole-atom array took 11.9 MB.
+// spans at most two blocks a side, so the atom holds at most 8 half block
+// rows of 9·9·36 samples, and at most 4, ≈ 0.37 MB, when the cube's x
+// range lies on one side of the midpoint (stored sample 36): 3 of the 69
+// stencil starts cross it. The whole atom is 11.9 MB.
 func TestPaperAtomHoldsStencilRows(t *testing.T) {
 	f := New(5, 48, 0)
 	s := testSpace()
 	rng := rand.New(rand.NewSource(8))
-	const rowBytes = 9 * 9 * 72 * Components * 8
-	for range 4 {
-		ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: uint32(rng.Intn(8))}
+	const unitBytes = 9 * 9 * 36 * Components * 8
+	check := func(ac geom.AtomCoord, p geom.Position) (units int) {
+		t.Helper()
 		a := f.Frame(2, s, ac, 64, 4)
-		p := positionIn(rng, s, ac)
 		got := Interpolate(KernelLag4, a, s, ac, p)
-		if n, b := a.rowsHeld(), a.filled.rows.Bytes(); n > 4 || n == 0 || b != n*rowBytes {
-			t.Fatalf("one Lag4 point at %+v: %d block rows held in %d B; want at most 4 of %d B, and no more memory", p, n, b, rowBytes)
+		x, _, _, n := a.stencil(KernelLag4, s, ac, p)
+		most := 4
+		if x < a.mid() && a.mid() < x+n {
+			most = 8
+		}
+		if units, b := a.unitsHeld(), a.filled.rows.Bytes(); units > most || units == 0 || b != units*unitBytes {
+			t.Fatalf("one Lag4 point at %+v (x from %d): %d half rows held in %d B; want at most %d of %d B, and no more memory", p, x, units, b, most, unitBytes)
 		}
 		// The same point on a frame filled ahead by the engine's path.
 		ahead := f.Frame(2, s, ac, 64, 4)
@@ -473,17 +502,36 @@ func TestPaperAtomHoldsStencilRows(t *testing.T) {
 		if want := Interpolate(KernelLag4, ahead, s, ac, p); got != want || *ahead.held() != *a.held() {
 			t.Fatalf("at %+v: %v lazily, %v filled ahead; blocks %x and %x", p, got, want, *a.held(), *ahead.held())
 		}
+		return a.unitsHeld()
 	}
-	if whole := 72 * 72 * 72 * Components * 8; whole/(4*rowBytes) < 15 {
-		t.Fatalf("a whole atom is %d B, 4 rows %d B", whole, 4*rowBytes)
+	for range 4 {
+		ac := geom.AtomCoord{I: uint32(rng.Intn(8)), J: uint32(rng.Intn(8)), K: uint32(rng.Intn(8))}
+		check(ac, positionIn(rng, s, ac))
+	}
+	// Stencils from stored samples (13 or 35, 7, 7): y and z span blocks 0
+	// and 1, and x lies in the lower half, or crosses into the upper one.
+	ac := geom.AtomCoord{I: 5, J: 2, K: 6}
+	atomLen := float64(s.AtomSide) * s.VoxelSize()
+	at := func(c uint32, sample float64) float64 {
+		return float64(float64(c)*atomLen) + float64((sample+0.5)*atomLen/64)
+	}
+	if n := check(ac, geom.Position{X: at(ac.I, 10.5), Y: at(ac.J, 4.5), Z: at(ac.K, 4.5)}); n != 4 {
+		t.Fatalf("a stencil on one side of the midpoint, over two blocks in y and z: %d half rows, want 4 (%d B)", n, 4*unitBytes)
+	}
+	if n := check(ac, geom.Position{X: at(ac.I, 32.5), Y: at(ac.J, 4.5), Z: at(ac.K, 4.5)}); n != 8 {
+		t.Fatalf("the same across the midpoint: %d half rows, want 8", n)
+	}
+	if whole := 72 * 72 * 72 * Components * 8; whole/(4*unitBytes) < 31 {
+		t.Fatalf("a whole atom is %d B, 4 half rows %d B", whole, 4*unitBytes)
 	}
 }
 
-// TestRowsHoldPeakRows: an arena takes a freed row back before it carves
+// TestRowsHoldPeakRows: an arena takes a freed unit back before it carves
 // another, so under any churn of fills and releases it has carved exactly
-// the most rows its atoms held at once, and holds no more sample memory
-// than those rows and the rest of its last slab. Every row is either held
-// by an atom or free, and a released atom's rows serve the next fill.
+// the most half rows its atoms held at once, and holds no more sample
+// memory than those units and the rest of its last slab. Every unit is
+// either held by an atom or free, and a released atom's units serve the
+// next fill.
 func TestRowsHoldPeakRows(t *testing.T) {
 	f := New(5, 8, 0)
 	s := testSpace()
@@ -510,16 +558,16 @@ func TestRowsHoldPeakRows(t *testing.T) {
 			held := 0
 			for _, a := range atoms {
 				if a != nil {
-					held += a.rowsHeld()
+					held += a.unitsHeld()
 				}
 			}
 			peak = max(peak, held)
 			if rows.inUse() != held || int(rows.carved) != peak {
-				t.Fatalf("side %d round %d: %d rows in use, %d carved; the atoms hold %d, at most %d at once", side, round, rows.inUse(), rows.carved, held, peak)
+				t.Fatalf("side %d round %d: %d units in use, %d carved; the atoms hold %d, at most %d at once", side, round, rows.inUse(), rows.carved, held, peak)
 			}
 			slab := 8 * rows.n << rows.shift
 			if b := rows.Bytes(); b > peak*8*rows.n+slab-8*rows.n || b < peak*8*rows.n {
-				t.Fatalf("side %d round %d: %d B for %d rows of %d B, slabs of %d B", side, round, b, peak, 8*rows.n, slab)
+				t.Fatalf("side %d round %d: %d B for %d units of %d B, slabs of %d B", side, round, b, peak, 8*rows.n, slab)
 			}
 		}
 		if peak == 0 || len(rows.free) == 0 {
@@ -722,16 +770,31 @@ func BenchmarkFillStencil8(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpolateLag4 prices one Lag4 evaluation on a filled 8³ atom:
+// at its centre, where the stencil's x range (samples 2..5) crosses the
+// midpoint, so each of its 16 lines is read from two half rows, and two
+// samples lower in x, where it (samples 0..3) lies in the lower half.
 func BenchmarkInterpolateLag4(b *testing.B) {
 	f := New(1, 48, 0)
 	s := testSpace()
 	ac := geom.AtomCoord{I: 1, J: 1, K: 1}
 	a := f.SampleGhost(0, s, ac, 8, 0)
-	p := s.Center(ac)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Interpolate(KernelLag4, a, s, ac, p)
+	atomLen := float64(s.AtomSide) * s.VoxelSize()
+	for _, bc := range []struct {
+		name string
+		sx   float64 // the point's x in sample coordinates
+	}{{"crossing", 3.5}, {"half", 1.5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := s.Center(ac)
+			p.X = float64(float64(ac.I)*atomLen) + float64((bc.sx+0.5)*atomLen/8)
+			if x, _, _, n := a.stencil(KernelLag4, s, ac, p); (x < a.mid() && a.mid() < x+n) != (bc.name == "crossing") {
+				b.Fatalf("%s: stencil from x %d", bc.name, x)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Interpolate(KernelLag4, a, s, ac, p)
+			}
+		})
 	}
 }
 

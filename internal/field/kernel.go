@@ -158,23 +158,59 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 	iz, wz := lagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
 
 	g := a.Ghost
-	a.FillBlocks(a.box(ix+g, ix+g+n-1, iy+g, iy+g+n-1, iz+g, iz+g+n-1), nil)
-	var out [Components]float64
+	x0, y0, z0 := ix+g, iy+g, iz+g
+	a.FillBlocks(a.box(x0, x0+n-1, y0, y0+n-1, z0, z0+n-1), nil)
+	// The stencil's n² lines, walked without a call or a division (Atom.line
+	// is the one-line form): line (y, z) is line z%b·b + y%b of half row
+	// (y/b, z/b, half), from sample x0 − half·m of it, and a line across the
+	// midpoint m goes on, after its first cut samples, at the start of the
+	// same line of the upper half row.
+	b := a.band()
+	m, half, cut := 4*b, 0, n
+	if x0 >= m {
+		half = 1
+	} else if x0+n > m {
+		cut = m - x0
+	}
+	x0 -= half * m
+	h := a.filled
+	r := *h.rows // loop-invariant: the compiler does not hoist its loads
+	// The four sums are scalars, not an array, so they stay in registers.
+	var u, v, w, p float64
+	bz, rz := a.blockOf(z0)
 	for kk := 0; kk < n; kk++ {
+		by, ry := a.blockOf(y0)
 		for jj := 0; jj < n; jj++ {
 			wyz := wy[jj] * wz[kk]
-			line := a.line(iy+g+jj, iz+g+kk)[(ix+g)*Components:]
-			for ii := 0; ii < n; ii++ {
-				w := wx[ii] * wyz
-				v := line[ii*Components:][:Components]
-				out[0] += float64(w * v[0])
-				out[1] += float64(w * v[1])
-				out[2] += float64(w * v[2])
-				out[3] += float64(w * v[3])
+			units := h.unit[16*bz+2*by:][:2]
+			in := (rz*b + ry) * m * Components
+			u, v, w, p = addLine(u, v, w, p, wx[:cut], wyz, r.at(units[half], in+x0*Components))
+			if cut < n {
+				u, v, w, p = addLine(u, v, w, p, wx[cut:n], wyz, r.at(units[1], in))
+			}
+			if ry++; ry == b {
+				by, ry = by+1, 0
 			}
 		}
+		if rz++; rz == b {
+			bz, rz = bz+1, 0
+		}
 	}
-	return out
+	return [Components]float64{u, v, w, p}
+}
+
+// addLine adds to the sums (u, v, w, p) the samples of line, in order, the
+// i-th weighted by wx[i]·wyz.
+func addLine(u, v, w, p float64, wx []float64, wyz float64, line []float64) (float64, float64, float64, float64) {
+	for i, wi := range wx {
+		wi *= wyz
+		s := line[i*Components:][:Components]
+		u += float64(wi * s[0])
+		v += float64(wi * s[1])
+		w += float64(wi * s[2])
+		p += float64(wi * s[3])
+	}
+	return u, v, w, p
 }
 
 // maxStencil is the widest stencil a kernel uses (Lag8), and so the size

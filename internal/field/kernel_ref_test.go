@@ -169,3 +169,63 @@ func TestInterpolateDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossingStencilsMatchReference evaluates every Lagrange kernel at
+// every stencil start whose x range crosses the atom's midpoint, where a
+// stencil line is read from two half rows, on the daemon's 8³ atoms and on
+// paper-sized ones (64³ and a halo of 4), bit for bit against the
+// reference, which reads each sample through At. The atom holds only the
+// stencil's blocks, filled into units of NaNs: a sample read from the
+// wrong half, or from the right half at the wrong place, is NaN or another
+// sample.
+func TestCrossingStencilsMatchReference(t *testing.T) {
+	f := New(17, 24, 0)
+	s := testSpace()
+	atomLen := float64(s.AtomSide) * s.VoxelSize()
+	rng := rand.New(rand.NewSource(19))
+	for _, shape := range []struct{ side, ghost int }{{8, 0}, {64, 4}} {
+		ac := geom.AtomCoord{I: 3, J: 5, K: 1}
+		h := atomLen / float64(shape.side)
+		ref := f.Frame(1, s, ac, shape.side, shape.ghost)
+		a, rows := poisoned(f, 1, s, ac, shape.side, shape.ghost)
+		d, m, g := a.dim(), a.mid(), a.Ghost
+		crossings := 0
+		for _, k := range []Kernel{KernelTrilinear, KernelLag4, KernelLag6, KernelLag8} {
+			n := a.width(k)
+			for x0 := 0; x0+n <= d; x0++ {
+				if x0 >= m || x0+n <= m {
+					continue
+				}
+				for _, frac := range []float64{0.125, 0.5, 0.875} {
+					// stencilStart(sx) = x0 − g: ⌊sx⌋ = x0 − g + n/2 − 1.
+					sx := float64(x0-g+n/2-1) + frac
+					sy := float64(float64(rng.Float64()*float64(shape.side)) - 0.5)
+					sz := float64(float64(rng.Float64()*float64(shape.side)) - 0.5)
+					p := geom.Position{
+						X: float64(float64(ac.I)*atomLen) + float64((sx+0.5)*h),
+						Y: float64(float64(ac.J)*atomLen) + float64((sy+0.5)*h),
+						Z: float64(float64(ac.K)*atomLen) + float64((sz+0.5)*h),
+					}
+					if x, _, _, _ := a.stencil(k, s, ac, p); x != x0 {
+						t.Fatalf("side %d %v: stencil from %d, want %d", shape.side, k, x, x0)
+					}
+					a.FillBlocks(a.Missing(k, s, ac, []geom.Position{p}), rows)
+					if got, want := Interpolate(k, a, s, ac, p), refInterpolate(k, ref, s, ac, p); got != want {
+						t.Fatalf("side %d ghost %d %v from x %d (midpoint %d) at %+v: %v, reference %v",
+							shape.side, shape.ghost, k, x0, m, p, got, want)
+					}
+					crossings++
+					a.Release()
+					for _, slab := range rows.slabs {
+						for i := range slab {
+							slab[i] = math.NaN()
+						}
+					}
+				}
+			}
+		}
+		if crossings == 0 {
+			t.Fatalf("side %d: no stencil crossed the midpoint", shape.side)
+		}
+	}
+}

@@ -9,8 +9,9 @@
 #
 # Then what a daemon holds: boot a fresh one, send it serve-cold's load
 # (8-point Lag4 requests over all 8 steps, 272 of them: the benchmark's
-# 80 warm-up and 192 open-phase requests), and print its in-use heap after
-# a collection, by allocation site.
+# 80 warm-up and 192 open-phase requests), and print the sample memory its
+# engine's arena holds (the jaws_sample_bytes gauge of /metrics) and its
+# in-use heap after a collection, by allocation site.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,8 +65,11 @@ $GO tool pprof -sample_index=alloc_objects -base "$dir/serve-base.prof" -top -no
 boot
 load 272 1 8
 curl -fsS -o "$dir/serve-cold.prof" "http://$pprof/debug/pprof/heap?gc=1"
+curl -fsS -o "$dir/serve-cold.metrics" "http://$addr/metrics"
 quit
 
 echo
-echo "in-use heap after 272 requests of serve-cold's shape (8 points over 8 steps), by site:"
+echo "in-use heap after 272 requests of serve-cold's shape (8 points over 8 steps):"
+awk '$1 == "jaws_sample_bytes" { printf "atom samples (jaws_sample_bytes): %d B = %.1f kB\n", $2, $2 / 1000 }' "$dir/serve-cold.metrics"
+echo "by site:"
 $GO tool pprof -sample_index=inuse_space -top -nodecount 25 "$dir/jawsd" "$dir/serve-cold.prof"
