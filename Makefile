@@ -102,12 +102,14 @@ race-obs:
 ## check-prop: every op-log certificate behind one target — the
 ## quickcheck-style differential property tests (random op logs replayed
 ## through the production schedulers and the reference models, decisions
-## and utilities compared bit for bit) and the cache's (LRU-K against the
-## scanning reference, LRU-K(1) against a linked-list LRU, residency and
-## evictions compared after every op).
+## and utilities compared bit for bit), the cache's (LRU-K against the
+## scanning reference, LRU-K(1) against a linked-list LRU, SLRU against the
+## oracle's model, residency and evictions compared after every op, with
+## corruption drops mixed in) and the faulty run pinned across commits.
 check-prop:
-	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught' -count 1 ./internal/oracle/
-	$(GO) test -run 'TestLRUKMatchesReferenceOnRandomOpLogs|TestLRUKOneIsLRU' -count 1 ./internal/cache/
+	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught|TestSLRUDifferential' -count 1 ./internal/oracle/
+	$(GO) test -run 'TestLRUKMatchesReferenceOnRandomOpLogs|TestLRUKOneIsLRU|TestIntegrityCorruptionDropsEntry' -count 1 ./internal/cache/
+	$(GO) test -run 'TestFaultyRunPinned' -count 1 ./internal/system/
 
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only

@@ -41,9 +41,9 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// Corruptions counts resident entries dropped because their payload
-	// failed integrity verification (fault injection); each is also
-	// counted as a miss, since the caller must re-read from disk.
+	// Corruptions counts resident entries dropped by Corrupt because
+	// their payload was found damaged; the caller's next Get of the atom
+	// misses, so it re-reads the atom from disk.
 	Corruptions int64
 	// PolicyTime is real (wall-clock) time spent inside policy decisions;
 	// it backs Table I's overhead-per-query column.
@@ -62,10 +62,9 @@ func (s Stats) HitRatio() float64 {
 // Observer receives per-atom cache events for tracing. Any hook may be
 // nil; hooks run synchronously on the accessing goroutine.
 type Observer struct {
-	Hit     func(id store.AtomID)
-	Miss    func(id store.AtomID)
-	Evict   func(id store.AtomID)
-	Corrupt func(id store.AtomID)
+	Hit   func(id store.AtomID)
+	Miss  func(id store.AtomID)
+	Evict func(id store.AtomID)
 }
 
 // Cache is an atom cache with a pluggable replacement policy.
@@ -75,10 +74,6 @@ type Cache struct {
 	entries  map[store.AtomID]any
 	stats    Stats
 	obs      Observer
-	// integrity, when non-nil, verifies a resident payload on every hit
-	// (the checksum pass a real buffer manager performs); false drops the
-	// entry and reports a miss so the caller re-reads from disk.
-	integrity func(id store.AtomID) bool
 	// version counts residency mutations: it advances whenever the set of
 	// resident atoms changes (insert, evict, corruption drop, flush).
 	// Schedulers use it to memoize φ(i)-dependent utility values between
@@ -106,32 +101,9 @@ func New(capacity int, policy Policy) *Cache {
 // hooks. The cache serializes calls to the hooks with its own accesses.
 func (c *Cache) SetObserver(o Observer) { c.obs = o }
 
-// SetIntegrity installs (or, with nil, removes) the payload verifier
-// consulted on every hit. See internal/fault for the deterministic
-// corruption injector that normally backs it.
-func (c *Cache) SetIntegrity(fn func(id store.AtomID) bool) { c.integrity = fn }
-
-// Get returns the cached value for id, if resident. A resident value the
-// integrity hook rejects is dropped and handed back with ok false, so the
-// caller that owns the values' memory can reuse it, as with Put.
+// Get returns the cached value for id, if resident.
 func (c *Cache) Get(id store.AtomID) (any, bool) {
 	v, ok := c.entries[id]
-	if ok && c.integrity != nil && !c.integrity(id) {
-		// Checksum mismatch: the resident copy is garbage. Drop it and
-		// report a miss so the caller restores the atom from disk.
-		delete(c.entries, id)
-		c.version++
-		c.policy.OnEvict(id)
-		c.stats.Corruptions++
-		c.stats.Misses++
-		if c.obs.Corrupt != nil {
-			c.obs.Corrupt(id)
-		}
-		if c.obs.Miss != nil {
-			c.obs.Miss(id)
-		}
-		return v, false
-	}
 	if ok {
 		c.stats.Hits++
 		start := time.Now()
@@ -155,6 +127,23 @@ func (c *Cache) Get(id store.AtomID) (any, bool) {
 func (c *Cache) Contains(id store.AtomID) bool {
 	_, ok := c.entries[id]
 	return ok
+}
+
+// Corrupt drops a resident id whose payload was found damaged (the
+// checksum pass a real buffer manager performs on a hit) and hands back
+// its value, as Put hands back what it displaces, so the caller that owns
+// the values' memory can reuse it; nil when id is not resident. The next
+// Get of id misses.
+func (c *Cache) Corrupt(id store.AtomID) any {
+	v, ok := c.entries[id]
+	if !ok {
+		return nil
+	}
+	delete(c.entries, id)
+	c.version++
+	c.policy.OnEvict(id)
+	c.stats.Corruptions++
+	return v
 }
 
 // Put inserts id, evicting per policy if the cache is full. Inserting an

@@ -423,7 +423,7 @@ func TestFlush(t *testing.T) {
 
 // What the cache drops other than through Put's eviction also goes back to
 // the caller that owns the values: everything on a Flush, and a resident
-// value the integrity hook rejects.
+// value dropped as corrupt (TestIntegrityCorruptionDropsEntry).
 func TestDroppedValuesHandedBack(t *testing.T) {
 	c := New(4, NewLRUK(1, 0))
 	for i := 0; i < 3; i++ {
@@ -442,15 +442,6 @@ func TestDroppedValuesHandedBack(t *testing.T) {
 	}
 	if got := c.Flush(nil); len(got) != 0 {
 		t.Fatalf("Flush of an empty cache returned %v", got)
-	}
-
-	c.Put(id(0, 7), "seven")
-	c.SetIntegrity(func(store.AtomID) bool { return false })
-	if v, ok := c.Get(id(0, 7)); ok || v != "seven" {
-		t.Fatalf("Get of a corrupt resident = %v, %v; want the dropped value and false", v, ok)
-	}
-	if v, ok := c.Get(id(0, 7)); ok || v != nil {
-		t.Fatalf("Get after the drop = %v, %v; want a plain miss", v, ok)
 	}
 }
 
@@ -550,40 +541,35 @@ func TestURCReplaceStepMeans(t *testing.T) {
 func TestIntegrityCorruptionDropsEntry(t *testing.T) {
 	c := New(4, NewLRUK(1, 0))
 	c.Put(id(0, 1), "payload")
+	var missed []store.AtomID
+	c.SetObserver(Observer{Miss: func(i store.AtomID) { missed = append(missed, i) }})
 
-	bad := map[store.AtomID]bool{id(0, 1): true}
-	var corrupted, missed []store.AtomID
-	c.SetObserver(Observer{
-		Corrupt: func(i store.AtomID) { corrupted = append(corrupted, i) },
-		Miss:    func(i store.AtomID) { missed = append(missed, i) },
-	})
-	c.SetIntegrity(func(i store.AtomID) bool { return !bad[i] })
-
-	if _, ok := c.Get(id(0, 1)); ok {
-		t.Fatal("corrupted entry served as a hit")
+	if v := c.Corrupt(id(0, 1)); v != "payload" {
+		t.Fatalf("Corrupt handed back %v, want the payload", v)
+	}
+	if v, ok := c.Get(id(0, 1)); ok || v != nil {
+		t.Fatalf("Get after the drop = %v, %v; want a plain miss", v, ok)
 	}
 	if c.Contains(id(0, 1)) {
 		t.Fatal("corrupted entry still resident")
 	}
 	st := c.Stats()
-	if st.Corruptions != 1 || st.Misses != 1 || st.Hits != 0 {
+	if st.Corruptions != 1 || st.Misses != 1 || st.Hits != 0 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(corrupted) != 1 || len(missed) != 1 {
-		t.Fatalf("observer saw %d corruptions, %d misses", len(corrupted), len(missed))
+	if len(missed) != 1 {
+		t.Fatalf("observer saw %d misses", len(missed))
 	}
 
 	// The re-read path restores the atom; a clean hit then works and the
 	// policy state stayed coherent (eviction bookkeeping not corrupted).
-	delete(bad, id(0, 1))
 	c.Put(id(0, 1), "fresh")
 	if v, ok := c.Get(id(0, 1)); !ok || v != "fresh" {
 		t.Fatalf("restored entry: %v, %v", v, ok)
 	}
-
-	c.SetIntegrity(nil)
-	if _, ok := c.Get(id(0, 1)); !ok {
-		t.Fatal("cleared integrity hook still rejecting")
+	// An atom that is not resident has nothing to drop.
+	if v := c.Corrupt(id(0, 2)); v != nil || c.Stats().Corruptions != 1 {
+		t.Fatalf("Corrupt of a non-resident = %v, %d corruptions", v, c.Stats().Corruptions)
 	}
 }
 
@@ -617,15 +603,10 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	}
 	v3 := c.Version()
 
-	// Corruption drop on hit.
-	c.SetIntegrity(func(store.AtomID) bool { return false })
-	if _, ok := c.Get(id(0, 3)); ok {
-		t.Fatal("corrupt entry served")
-	}
+	c.Corrupt(id(0, 3)) // corruption drop
 	if c.Version() == v3 {
 		t.Fatal("corruption drop did not advance the version")
 	}
-	c.SetIntegrity(nil)
 	v4 := c.Version()
 
 	c.Flush(nil)

@@ -115,8 +115,6 @@ type lrukPair struct {
 	cg, cw     *Cache
 	gotEvicted []store.AtomID
 	refEvicted []store.AtomID
-	corrupt    store.AtomID // the atom the integrity hooks fail, if dropping
-	dropping   bool
 	slotsTaken int // atoms that came to the policy without history
 }
 
@@ -126,9 +124,6 @@ func newLRUKPair(k int, correlated, retain int64, capacity int) *lrukPair {
 	d.cg, d.cw = New(capacity, d.got), New(capacity, d.want)
 	d.cg.SetObserver(Observer{Evict: func(id store.AtomID) { d.gotEvicted = append(d.gotEvicted, id) }})
 	d.cw.SetObserver(Observer{Evict: func(id store.AtomID) { d.refEvicted = append(d.refEvicted, id) }})
-	intact := func(id store.AtomID) bool { return !d.dropping || id != d.corrupt }
-	d.cg.SetIntegrity(intact)
-	d.cw.SetIntegrity(intact)
 	return d
 }
 
@@ -153,13 +148,14 @@ func (d *lrukPair) put(a store.AtomID) {
 	d.cw.Put(a, nil)
 }
 
-// drop fails a's integrity check on its next Get: a resident a leaves both
-// caches through OnEvict alone, with no Victim call before it.
+// drop finds a corrupt, as the engine does before its Get: a resident a
+// leaves both caches through OnEvict alone, with no Victim call before it,
+// and the Get misses.
 func (d *lrukPair) drop(a store.AtomID) error {
-	d.corrupt, d.dropping = a, true
+	d.cg.Corrupt(a)
+	d.cw.Corrupt(a)
 	_, okg := d.cg.Get(a)
 	_, okw := d.cw.Get(a)
-	d.dropping = false
 	if okg || okw {
 		return fmt.Errorf("Get(%v) of a corrupt atom hit: %v, reference %v", a, okg, okw)
 	}
@@ -252,7 +248,7 @@ func (p *LRUK) checkIndex() error {
 }
 
 // Random op logs — lookups, inserts of new and of resident atoms, flushes,
-// integrity drops, over a key space a few times the capacity and long
+// corruption drops, over a key space a few times the capacity and long
 // enough for the retained-history sweep to run — must evict the same atoms
 // in the same order under both policies, and leave the same history
 // behind, for k of 1, 2 and 3, with and without the correlated-reference

@@ -47,7 +47,6 @@ type Array struct {
 
 	stats    Stats
 	observer func(addr, size int64, seq bool, cost time.Duration)
-	fault    func(addr, size int64) (time.Duration, error)
 }
 
 // Stats accumulates I/O accounting for an Array.
@@ -58,8 +57,6 @@ type Stats struct {
 	BusyTime    time.Duration // total virtual time spent in I/O
 	SeekTime    time.Duration // virtual time spent seeking
 	TransferDur time.Duration // virtual time spent transferring
-	Errors      int64         // reads that failed (injected faults)
-	FaultDelay  time.Duration // virtual time added by injected latency
 }
 
 // NewArray creates an array of n spindles with the given per-disk
@@ -120,41 +117,6 @@ func (a *Array) Read(addr int64, size int64) time.Duration {
 		observer(addr, size, seq, seek+transfer)
 	}
 	return seek + transfer
-}
-
-// ReadChecked is Read behind the fault hook: when a fault injector is
-// installed it may fail the read or stretch its latency. On error the
-// returned duration is the virtual-time cost of discovering the failure
-// (the injector's detection latency), which callers still charge to the
-// virtual clock. Without a hook it is exactly Read — the disabled path
-// pays one nil check.
-func (a *Array) ReadChecked(addr int64, size int64) (time.Duration, error) {
-	a.mu.Lock()
-	fault := a.fault
-	a.mu.Unlock()
-	if fault == nil {
-		return a.Read(addr, size), nil
-	}
-	extra, err := fault(addr, size)
-	a.mu.Lock()
-	a.stats.FaultDelay += extra
-	a.stats.BusyTime += extra
-	if err != nil {
-		a.stats.Errors++
-		a.mu.Unlock()
-		return extra, err
-	}
-	a.mu.Unlock()
-	return a.Read(addr, size) + extra, nil
-}
-
-// SetFault installs (or, with nil, removes) the fault hook consulted by
-// ReadChecked before each read. The hook returns extra virtual latency to
-// charge and an optional injected error.
-func (a *Array) SetFault(fn func(addr, size int64) (time.Duration, error)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.fault = fn
 }
 
 // SetObserver registers fn to be called after every read with the extent,

@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,61 +162,5 @@ func BenchmarkRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Read(int64(i)*(8<<20), 8<<20)
-	}
-}
-
-func TestReadCheckedWithoutHookEqualsRead(t *testing.T) {
-	a := NewArray(4, DefaultParams())
-	b := NewArray(4, DefaultParams())
-	for i := int64(0); i < 8; i++ {
-		want := a.Read(i*(8<<20), 8<<20)
-		got, err := b.ReadChecked(i*(8<<20), 8<<20)
-		if err != nil || got != want {
-			t.Fatalf("ReadChecked = %v, %v; want %v, nil", got, err, want)
-		}
-	}
-	if a.Snapshot() != b.Snapshot() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Snapshot(), b.Snapshot())
-	}
-}
-
-func TestReadCheckedInjectsErrorsAndLatency(t *testing.T) {
-	a := NewArray(4, DefaultParams())
-	boom := errors.New("boom")
-	fail := true
-	a.SetFault(func(addr, size int64) (time.Duration, error) {
-		if fail {
-			return 3 * time.Millisecond, boom
-		}
-		return 7 * time.Millisecond, nil
-	})
-
-	cost, err := a.ReadChecked(0, 8<<20)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if cost != 3*time.Millisecond {
-		t.Fatalf("failure-detection cost = %v, want 3ms", cost)
-	}
-	st := a.Snapshot()
-	if st.Errors != 1 || st.Reads != 0 || st.FaultDelay != 3*time.Millisecond {
-		t.Fatalf("stats after failed read: %+v", st)
-	}
-
-	fail = false
-	plain := NewArray(4, DefaultParams())
-	want := plain.Read(0, 8<<20) + 7*time.Millisecond
-	cost, err = a.ReadChecked(0, 8<<20)
-	if err != nil || cost != want {
-		t.Fatalf("slow read = %v, %v; want %v, nil", cost, err, want)
-	}
-	st = a.Snapshot()
-	if st.Reads != 1 || st.FaultDelay != 10*time.Millisecond {
-		t.Fatalf("stats after slow read: %+v", st)
-	}
-
-	a.SetFault(nil)
-	if _, err := a.ReadChecked(8<<20, 8<<20); err != nil {
-		t.Fatalf("cleared hook still injecting: %v", err)
 	}
 }

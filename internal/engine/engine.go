@@ -459,30 +459,15 @@ func New(cfg Config) (*Engine, error) {
 		rv.SetResidencyVersion(cfg.Cache.Version)
 	}
 	// Gate-aware tail policies consume per-query gate states: install this
-	// engine's job-graph view, or clear a stale source left on a reused
-	// scheduler (the facade shares schedulers across engines).
-	if ga, ok := cfg.Sched.(sched.GateAware); ok {
-		if cfg.JobAware {
-			ga.SetGateSource(e.gateState)
-		} else {
-			ga.SetGateSource(nil)
-		}
+	// engine's job-graph view. Each engine gets a scheduler of its own.
+	if ga, ok := cfg.Sched.(sched.GateAware); ok && cfg.JobAware {
+		ga.SetGateSource(e.gateState)
 	}
 	// Install (or, uninstrumented, clear) the observability hooks. The
-	// facade reuses store/cache/scheduler across engines, so this must run
-	// unconditionally to drop hooks a previous instrumented run left.
+	// store and cache outlive an engine, so this must run unconditionally
+	// to drop hooks a previous instrumented run left on them.
 	e.inst = newInstruments(cfg.Obs)
 	e.inst.install(e)
-	// Likewise the fault hooks: install them for this run's injector, or
-	// clear whatever an earlier faulty run left on the shared store/cache.
-	if cfg.Fault != nil {
-		cfg.Fault.BindClock(e.clock.Now)
-		cfg.Store.SetFault(cfg.Fault.DiskRead)
-		cfg.Cache.SetIntegrity(func(store.AtomID) bool { return !cfg.Fault.CorruptHit() })
-	} else {
-		cfg.Store.SetFault(nil)
-		cfg.Cache.SetIntegrity(nil)
-	}
 	return e, nil
 }
 
@@ -923,11 +908,15 @@ func (e *Engine) executeBatch(b *sched.Batch, atom *field.Atom) error {
 // backoff charged to the virtual clock; permanent failures and exhausted
 // retries propagate as errors that abort the run.
 func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
-	v, ok := e.cfg.Cache.Get(id)
-	if ok {
+	// A resident payload that fails its checksum is dropped, so the Get
+	// below misses and the atom is re-read.
+	if e.cfg.Fault != nil && e.cfg.Cache.Contains(id) && e.cfg.Fault.CorruptHit(e.clock.Now()) {
+		e.retire(e.cfg.Cache.Corrupt(id))
+		e.inst.noteCorrupt()
+	}
+	if v, ok := e.cfg.Cache.Get(id); ok {
 		return v.(*field.Atom), nil
 	}
-	e.retire(v) // a hit the integrity hook dropped
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		a, cost, err := e.readFrame(id)
@@ -951,14 +940,25 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 }
 
 // readFrame reads id from the store, into a free handle when there is one;
-// a read that fails leaves the handle free.
+// a read that fails leaves the handle free. It is the one path demand
+// reads, retries and prefetches take to the store, and so the one place
+// the fault injector fails a read (charging its detection latency and
+// reading nothing) or stretches one.
 func (e *Engine) readFrame(id store.AtomID) (*field.Atom, time.Duration, error) {
+	var extra time.Duration
+	// An atom the store does not hold fails in ReadInto, with no draw.
+	if e.cfg.Fault != nil && e.cfg.Store.Contains(id) {
+		var err error
+		if extra, err = e.cfg.Fault.DiskRead(e.clock.Now()); err != nil {
+			return nil, extra, fmt.Errorf("store: atom %v: %w", id, err)
+		}
+	}
 	frame, _ := pop(&e.freeAtoms)
 	a, cost, err := e.cfg.Store.ReadInto(id, frame)
 	if err != nil && frame != nil {
 		e.freeAtoms = append(e.freeAtoms, frame)
 	}
-	return a, cost, err
+	return a, cost + extra, err
 }
 
 // putAtom makes a resident and retires the atom this displaced, if any.
@@ -967,7 +967,7 @@ func (e *Engine) putAtom(id store.AtomID, a *field.Atom) {
 }
 
 // retire takes over an atom the cache dropped — displaced by a Put, flushed,
-// or failed by the integrity hook; v is nil when it dropped none.
+// or found corrupt; v is nil when it dropped none.
 func (e *Engine) retire(v any) {
 	if a, ok := v.(*field.Atom); ok {
 		e.retired = append(e.retired, a)

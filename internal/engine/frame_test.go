@@ -119,6 +119,16 @@ func centrePoints(s *store.Store, i, j, k uint32, n int) []geom.Position {
 	return pts
 }
 
+// injector builds node 0's fault injector for spec.
+func injector(t testing.TB, spec string) *fault.Injector {
+	t.Helper()
+	fs, err := fault.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fault.New(fs, 1, 0)
+}
+
 // decide dispatches the queries and executes decisions until none is
 // pending, returning how many it took.
 func decide(t testing.TB, e *Engine, qs ...*query.Query) int {
@@ -271,7 +281,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 // TestFlushRecyclesFrames: NoShare flushes the cache after every decision,
 // and what it flushes retires like an evicted atom, so the next decision's
 // fills reuse those rows instead of allocating their own. The
-// same goes for a resident atom the integrity hook fails.
+// same goes for a resident atom found corrupt.
 func TestFlushRecyclesFrames(t *testing.T) {
 	const side = 8
 	bufBytes := uint64(side * side * side * field.Components * 8)
@@ -286,6 +296,12 @@ func TestFlushRecyclesFrames(t *testing.T) {
 			cfg.Cache = c
 			cfg.Compute = true
 			cfg.FlushPerDecision = !corrupt
+			if corrupt {
+				// Every hit fails verification: the run's only frame turnover
+				// is the corruption drop (one atom, a cache of 8: nothing is
+				// evicted).
+				cfg.Fault = injector(t, "corrupt:p=1")
+			}
 			cfg.OnDecision = func(time.Duration, []sched.Batch) {
 				// Called before a decision executes: the second call is the
 				// first decision's end.
@@ -295,11 +311,6 @@ func TestFlushRecyclesFrames(t *testing.T) {
 				}
 			}
 		})
-		if corrupt {
-			// Every hit fails verification: the run's only frame turnover is
-			// the integrity drop (one atom, a cache of 8: nothing is evicted).
-			c.SetIntegrity(func(store.AtomID) bool { return false })
-		}
 		// Queries on one atom, one decision each.
 		j := &job.Job{ID: 1, User: 1, Type: job.Batched}
 		for i := 0; i < 40; i++ {
@@ -546,21 +557,17 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 
 	t.Run("retry", func(t *testing.T) {
 		e, s, c, h := setup(t)
-		failures := 2
-		s.SetFault(func(addr, size int64) (time.Duration, error) {
-			if failures > 0 {
-				failures--
-				return time.Millisecond, fault.ErrDiskTransient
-			}
-			return 0, nil
-		})
+		// The read comes after the decision's 50 ms overhead; it fails, and
+		// so does its first retry 11 ms later, but the second, 21 ms after
+		// that, falls past the window.
+		e.cfg.Fault = injector(t, fmt.Sprintf("disk-transient:p=1,extra=1ms,until=%v", e.clock.Now()+71*time.Millisecond))
 		evaluate(t, e, s, c, h, 2, 3, 2, 2)
 		if e.report.Retries != 2 {
 			t.Fatalf("%d retries, want 2", e.report.Retries)
 		}
 		// A read that fails for good leaves the handle it was given free.
 		free := len(e.freeAtoms)
-		s.SetFault(func(addr, size int64) (time.Duration, error) { return 0, fault.ErrDiskPermanent })
+		e.cfg.Fault = injector(t, "disk-permanent:p=1")
 		if _, err := e.readAtom(store.AtomID{Step: 1, Code: 0}); err == nil {
 			t.Fatal("a permanent fault read an atom")
 		}

@@ -159,30 +159,20 @@ func newInstruments(o *obs.Obs) *instruments {
 
 // install wires the observability hooks into the engine's components.
 // It runs unconditionally from New — with a nil receiver it clears any
-// hooks a previous engine left on the shared store/cache/scheduler (the
-// facade reuses them across runs), so a later uninstrumented run never
-// emits into a dead tracer.
+// hooks a previous engine left on the store and cache, which outlive an
+// engine, so a later uninstrumented run never emits into a dead tracer.
+// The scheduler and the job graph are the engine's own and start clear.
 func (in *instruments) install(e *Engine) {
 	if in == nil {
 		e.cfg.Cache.SetObserver(cache.Observer{})
 		e.cfg.Store.SetIOObserver(nil)
-		if tr, ok := e.cfg.Sched.(sched.Traced); ok {
-			tr.SetTracer(nil)
-		}
-		if ex, ok := e.cfg.Sched.(sched.Explained); ok {
-			ex.SetExplain(false)
-		}
-		if e.graph != nil {
-			e.graph.SetObserver(nil)
-		}
 		return
 	}
 	in.engineID = e.cfg.EngineID
-	// Decision capture follows the recorder: flipped on only when flight
-	// records are being collected, cleared otherwise (the facade reuses
-	// schedulers across runs).
-	if ex, ok := e.cfg.Sched.(sched.Explained); ok {
-		ex.SetExplain(in.flight.Enabled())
+	// Decision capture follows the recorder: on only when flight records
+	// are being collected.
+	if ex, ok := e.cfg.Sched.(sched.Explained); ok && in.flight.Enabled() {
+		ex.SetExplain(true)
 	}
 	e.cfg.Cache.SetObserver(cache.Observer{
 		Hit: func(id store.AtomID) {
@@ -202,9 +192,6 @@ func (in *instruments) install(e *Engine) {
 		Evict: func(id store.AtomID) {
 			in.cacheEvictions.Inc()
 			in.trace.CacheEvict(e.clock.Now(), id.Step, uint64(id.Code))
-		},
-		Corrupt: func(id store.AtomID) {
-			in.faultCorruptions.Inc()
 		},
 	})
 	e.cfg.Store.SetIOObserver(func(addr, size int64, seq bool, cost time.Duration) {
@@ -418,6 +405,14 @@ func (in *instruments) noteUtilityPush() {
 		return
 	}
 	in.utilityPushes.Inc()
+}
+
+// noteCorrupt records a resident atom dropped as corrupt.
+func (in *instruments) noteCorrupt() {
+	if in == nil {
+		return
+	}
+	in.faultCorruptions.Inc()
 }
 
 // noteRetry records one retried atom read and the backoff charged.

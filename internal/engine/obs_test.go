@@ -204,13 +204,13 @@ func TestObsJSONLSinkRoundTrips(t *testing.T) {
 
 // A second engine over the same store/cache without Obs must clear the
 // hooks the first engine installed — no events may leak into the old
-// tracer.
+// tracer. Each engine has a scheduler of its own, as every caller gives it.
 func TestObsHooksClearedAcrossEngines(t *testing.T) {
 	s := testStore(t)
 	c := cache.New(8, cache.NewLRUK(1, 0))
 	o := &obs.Obs{Trace: obs.NewTracer(io.Discard), Reg: obs.NewRegistry()}
-	sc := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, Resident: c.Contains})
-	e1, err := New(Config{Store: s, Cache: c, Sched: sc, Cost: testCost, Obs: o})
+	newSched := func() sched.Scheduler { return sched.NewJAWS(sched.JAWSConfig{Cost: testCost, Resident: c.Contains}) }
+	e1, err := New(Config{Store: s, Cache: c, Sched: newSched(), Cost: testCost, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestObsHooksClearedAcrossEngines(t *testing.T) {
 		t.Fatal("instrumented run emitted nothing")
 	}
 
-	e2, err := New(Config{Store: s, Cache: c, Sched: sc, Cost: testCost})
+	e2, err := New(Config{Store: s, Cache: c, Sched: newSched(), Cost: testCost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 // injector driven by the same sequence of operations at the same virtual
 // times makes exactly the same decisions. All randomness comes from one
 // seeded generator consumed in operation order, and all time windows are
-// evaluated against the owning engine's virtual clock — never wall time —
-// so a run with faults replays bit-for-bit.
+// evaluated against the virtual time the engine passes with each
+// operation — never wall time — so a run with faults replays bit-for-bit.
 //
 // Zero-overhead-when-disabled contract (mirroring internal/obs): every
 // method on *Injector is nil-safe. Hot paths hold a possibly-nil pointer
@@ -60,7 +60,6 @@ type Counts struct {
 type Injector struct {
 	node   int
 	rng    *rand.Rand
-	now    func() time.Duration
 	disk   []Rule // DiskTransient / DiskPermanent / DiskSlow, in spec order
 	hits   []Rule // CacheCorrupt rules, in spec order
 	crash  time.Duration
@@ -99,29 +98,12 @@ func New(spec Spec, seed int64, node int) *Injector {
 	return in
 }
 
-// BindClock attaches the owning engine's virtual clock. Rules with time
-// windows are inactive until a clock is bound. Nil-safe no-op.
-func (in *Injector) BindClock(now func() time.Duration) {
-	if in == nil {
-		return
-	}
-	in.now = now
-}
-
 // Node reports which node this injector targets (0 for a nil injector).
 func (in *Injector) Node() int {
 	if in == nil {
 		return 0
 	}
 	return in.node
-}
-
-// vnow reads the bound virtual clock (zero when unbound).
-func (in *Injector) vnow() time.Duration {
-	if in.now == nil {
-		return 0
-	}
-	return in.now()
 }
 
 // active reports whether the rule's [After, Until) window covers now.
@@ -132,15 +114,15 @@ func (r *Rule) active(now time.Duration) bool {
 	return r.Until == 0 || now < r.Until
 }
 
-// DiskRead decides the fate of one disk read of size bytes at address
-// addr. It returns extra virtual latency to charge (an injected latency
-// spike, or the failure-detection cost of an injected error) and the
-// injected error, if any. Nil-safe: a nil injector never injects.
-func (in *Injector) DiskRead(addr, size int64) (time.Duration, error) {
+// DiskRead decides the fate of one disk read issued at virtual time now.
+// It returns extra virtual latency to charge (an injected latency spike,
+// or the failure-detection cost of an injected error) and the injected
+// error, ErrDiskTransient or ErrDiskPermanent, if any. Nil-safe: a nil
+// injector never injects.
+func (in *Injector) DiskRead(now time.Duration) (time.Duration, error) {
 	if in == nil || len(in.disk) == 0 {
 		return 0, nil
 	}
-	now := in.vnow()
 	var extra time.Duration
 	for i := range in.disk {
 		r := &in.disk[i]
@@ -150,10 +132,10 @@ func (in *Injector) DiskRead(addr, size int64) (time.Duration, error) {
 		switch r.Kind {
 		case DiskTransient:
 			in.counts.Transient++
-			return extra + r.Extra, fmt.Errorf("fault: read of %d bytes at %d: %w", size, addr, ErrDiskTransient)
+			return extra + r.Extra, ErrDiskTransient
 		case DiskPermanent:
 			in.counts.Permanent++
-			return extra + r.Extra, fmt.Errorf("fault: read of %d bytes at %d: %w", size, addr, ErrDiskPermanent)
+			return extra + r.Extra, ErrDiskPermanent
 		case DiskSlow:
 			in.counts.Slow++
 			extra += r.Extra
@@ -163,13 +145,12 @@ func (in *Injector) DiskRead(addr, size int64) (time.Duration, error) {
 }
 
 // CorruptHit decides whether a cache hit's payload fails its checksum at
-// the current virtual time. The cache drops a corrupted entry and reports
-// a miss, so the engine re-reads the atom from disk. Nil-safe.
-func (in *Injector) CorruptHit() bool {
+// virtual time now. The engine drops a corrupted entry from the cache and
+// re-reads the atom from disk. Nil-safe.
+func (in *Injector) CorruptHit(now time.Duration) bool {
 	if in == nil || len(in.hits) == 0 {
 		return false
 	}
-	now := in.vnow()
 	for i := range in.hits {
 		r := &in.hits[i]
 		if r.active(now) && in.rng.Float64() < r.P {

@@ -6,18 +6,12 @@ import (
 	"time"
 )
 
-// clockAt returns a clock source pinned to a settable virtual time.
-func clockAt(t *time.Duration) func() time.Duration {
-	return func() time.Duration { return *t }
-}
-
 func TestNilInjectorIsDisabled(t *testing.T) {
 	var in *Injector
-	in.BindClock(nil)
-	if extra, err := in.DiskRead(0, 8); extra != 0 || err != nil {
+	if extra, err := in.DiskRead(0); extra != 0 || err != nil {
 		t.Fatal("nil injector injected a disk fault")
 	}
-	if in.CorruptHit() {
+	if in.CorruptHit(0) {
 		t.Fatal("nil injector corrupted a hit")
 	}
 	if _, ok := in.CrashAt(); ok {
@@ -59,10 +53,7 @@ func TestDiskFaultKindsAndWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(spec, 42, 0)
-	now := 1 * time.Second
-	in.BindClock(clockAt(&now))
-
-	extra, err := in.DiskRead(0, 8<<20)
+	extra, err := in.DiskRead(time.Second)
 	if !IsTransient(err) {
 		t.Fatalf("inside window: err = %v, want transient", err)
 	}
@@ -70,8 +61,7 @@ func TestDiskFaultKindsAndWindows(t *testing.T) {
 		t.Fatalf("detection latency = %v, want 2ms", extra)
 	}
 
-	now = 20 * time.Second // transient window closed, permanent open
-	_, err = in.DiskRead(64, 8<<20)
+	_, err = in.DiskRead(20 * time.Second) // transient window closed, permanent open
 	if !errors.Is(err, ErrDiskPermanent) || IsTransient(err) {
 		t.Fatalf("after window: err = %v, want permanent", err)
 	}
@@ -84,7 +74,7 @@ func TestDiskFaultKindsAndWindows(t *testing.T) {
 func TestDiskSlowAccumulates(t *testing.T) {
 	spec, _ := ParseSpec("disk-slow:p=1,extra=50ms")
 	in := New(spec, 3, 0)
-	extra, err := in.DiskRead(0, 1)
+	extra, err := in.DiskRead(0)
 	if err != nil || extra != 50*time.Millisecond {
 		t.Fatalf("DiskRead = %v, %v; want 50ms spike", extra, err)
 	}
@@ -96,7 +86,7 @@ func TestDiskSlowAccumulates(t *testing.T) {
 func TestCorruptHit(t *testing.T) {
 	spec, _ := ParseSpec("corrupt:p=1")
 	in := New(spec, 5, 0)
-	if !in.CorruptHit() {
+	if !in.CorruptHit(0) {
 		t.Fatal("p=1 corruption did not fire")
 	}
 	if in.Counts().Corrupt != 1 {
@@ -105,9 +95,7 @@ func TestCorruptHit(t *testing.T) {
 	// Outside the window nothing fires.
 	spec, _ = ParseSpec("corrupt:p=1,after=10s")
 	in = New(spec, 5, 0)
-	now := time.Second
-	in.BindClock(clockAt(&now))
-	if in.CorruptHit() {
+	if in.CorruptHit(time.Second) {
 		t.Fatal("corruption fired before its window")
 	}
 }
@@ -122,7 +110,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	type decision struct {
 		extra   time.Duration
-		errText string
+		err     error
 		corrupt bool
 	}
 	replay := func(seed int64, node int) []decision {
@@ -130,12 +118,8 @@ func TestDeterministicReplay(t *testing.T) {
 		var out []decision
 		for i := 0; i < 500; i++ {
 			var d decision
-			var err error
-			d.extra, err = in.DiskRead(int64(i)*64, 8<<20)
-			if err != nil {
-				d.errText = err.Error()
-			}
-			d.corrupt = in.CorruptHit()
+			d.extra, d.err = in.DiskRead(time.Duration(i) * time.Millisecond)
+			d.corrupt = in.CorruptHit(time.Duration(i) * time.Millisecond)
 			out = append(out, d)
 		}
 		return out

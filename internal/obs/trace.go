@@ -229,6 +229,22 @@ func (t *Tracer) SinkDropped() int64 {
 	return t.sinkDropped
 }
 
+// FoldTraceDropped brings reg's jaws_trace_dropped_total up to the
+// tracer's sink drop count, by delta so the counter stays monotonic across
+// repeated folds, and returns that count. Without a tracer it folds
+// nothing and returns 0.
+func FoldTraceDropped(reg *Registry, t *Tracer) int64 {
+	if t == nil {
+		return 0
+	}
+	dropped := t.SinkDropped()
+	c := reg.Counter("jaws_trace_dropped_total")
+	if d := dropped - c.Value(); d > 0 {
+		c.Add(d)
+	}
+	return dropped
+}
+
 // Flush writes buffered lines through to the sink and returns the first
 // error the tracer met. Nil-safe.
 func (t *Tracer) Flush() error {

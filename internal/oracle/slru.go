@@ -25,10 +25,6 @@ type ModelSLRU struct {
 	counts   map[store.AtomID]int
 	resident map[store.AtomID]bool
 	stats    ModelCacheStats
-
-	// Integrity, when non-nil, is consulted on every hit; false drops the
-	// entry and reports a corruption-miss, as cache.Cache.Get does.
-	Integrity func(id store.AtomID) bool
 }
 
 // NewModelSLRU builds the model for a cache of capacity atoms with
@@ -48,24 +44,27 @@ func NewModelSLRU(capacity int, protectedFrac float64) *ModelSLRU {
 	}
 }
 
-// Get reports whether id was served from the cache. A resident entry
-// failing the integrity check is dropped and reported as a
-// corruption-miss.
-func (m *ModelSLRU) Get(id store.AtomID) (hit, corrupt bool) {
+// Get reports whether id was served from the cache.
+func (m *ModelSLRU) Get(id store.AtomID) bool {
 	if !m.resident[id] {
 		m.stats.Misses++
-		return false, false
-	}
-	if m.Integrity != nil && !m.Integrity(id) {
-		m.remove(id)
-		m.stats.Corruptions++
-		m.stats.Misses++
-		return false, true
+		return false
 	}
 	m.stats.Hits++
 	m.counts[id]++
 	m.moveToFront(id)
-	return true, false
+	return true
+}
+
+// Corrupt drops a resident id found damaged, as cache.Cache.Corrupt does,
+// and reports whether it was resident.
+func (m *ModelSLRU) Corrupt(id store.AtomID) bool {
+	if !m.resident[id] {
+		return false
+	}
+	m.remove(id)
+	m.stats.Corruptions++
+	return true
 }
 
 // Contains reports residency without touching recency or stats.

@@ -13,9 +13,9 @@ import (
 
 // TestSLRUDifferential drives a real SLRU-backed cache and the reference
 // ModelSLRU through randomized Get/Put/EndRun/Flush sequences shaped like
-// the engine's read path (Get, then Put on miss), with deterministic
-// corruption mixed in, and requires identical hit/miss outcomes, victim
-// choices, resident sets, and final accounting.
+// the engine's read path (now and then a corruption drop, then Get, then
+// Put on miss), and requires identical hit/miss outcomes, victim choices,
+// resident sets, and final accounting.
 func TestSLRUDifferential(t *testing.T) {
 	scenarios := 60
 	if testing.Short() {
@@ -34,14 +34,6 @@ func TestSLRUDifferential(t *testing.T) {
 
 			real := cache.New(capacity, cache.NewSLRU(capacity, frac))
 			model := NewModelSLRU(capacity, frac)
-
-			// Deterministic corruption in lockstep: the verdict of the next
-			// integrity check is drawn before each Get, so both sides see the
-			// identical answer regardless of who checks first.
-			corruptNext := false
-			integ := func(store.AtomID) bool { return !corruptNext }
-			real.SetIntegrity(integ)
-			model.Integrity = integ
 
 			var realEvicted []store.AtomID
 			real.SetObserver(cache.Observer{Evict: func(id store.AtomID) { realEvicted = append(realEvicted, id) }})
@@ -64,11 +56,15 @@ func TestSLRUDifferential(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				id := universe[rng.Intn(len(universe))]
 				switch r := rng.Intn(100); {
-				case r < 80: // the engine's read path: Get, Put on miss
-					corruptNext = rng.Intn(13) == 0
+				case r < 80: // the engine's read path: a checksum, Get, Put on miss
+					if rng.Intn(13) == 0 {
+						if realHad, modelHad := real.Corrupt(id) != nil, model.Corrupt(id); realHad != modelHad {
+							t.Fatalf("op %d: Corrupt(%v): real resident=%v, model resident=%v", i, id, realHad, modelHad)
+						}
+					}
 					realEvicted = realEvicted[:0]
 					_, realHit := real.Get(id)
-					modelHit, _ := model.Get(id)
+					modelHit := model.Get(id)
 					if realHit != modelHit {
 						t.Fatalf("op %d: Get(%v): real hit=%v, model hit=%v", i, id, realHit, modelHit)
 					}

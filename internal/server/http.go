@@ -436,7 +436,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Flight.Enabled() {
 		sv = &schedVarz{
 			FlightSnapshot: s.cfg.Flight.Snapshot(),
-			TraceDropped:   s.refreshTraceDropped(),
+			TraceDropped:   obs.FoldTraceDropped(s.cfg.Reg, s.cfg.Trace),
 		}
 		if up := time.Since(s.start).Seconds(); up > 0 {
 			sv.DecisionsPerSec = float64(sv.Decisions) / up
@@ -475,7 +475,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.gSLOGood.Set(float64(snap.Good))
 		s.gSLOBad.Set(float64(snap.Bad))
 	}
-	s.refreshTraceDropped()
+	obs.FoldTraceDropped(s.cfg.Reg, s.cfg.Trace)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.cfg.Reg.WriteText(w)
 }

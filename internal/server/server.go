@@ -211,11 +211,6 @@ type Server struct {
 	// the tracker's rolling window at scrape time.
 	gSLOCompliance, gSLOBurn, gSLOBudget *obs.Gauge
 	gSLOGood, gSLOBad                    *obs.Gauge
-
-	// traceDropped mirrors the tracer's sink drop count as a counter;
-	// nil unless cfg.Trace is set. Refreshed (delta-added, so the counter
-	// stays monotonic) at scrape time.
-	traceDropped *obs.Counter
 }
 
 // serverMetricHelp is the # HELP text for the serving layer's metrics.
@@ -275,9 +270,6 @@ func New(cfg Config) (*Server, error) {
 	s.reqTrack = cfg.Trace != nil || cfg.ReqSpans != nil
 	for name, help := range serverMetricHelp {
 		cfg.Reg.Describe(name, help)
-	}
-	if cfg.Trace != nil {
-		s.traceDropped = cfg.Reg.Counter("jaws_trace_dropped_total")
 	}
 	if cfg.SLO != nil {
 		s.gSLOCompliance = cfg.Reg.Gauge("jaws_slo_compliance")
@@ -451,20 +443,6 @@ func (s *Server) Shutdown() []*jaws.Report {
 		s.demuxWG.Wait()
 	})
 	return s.reports
-}
-
-// refreshTraceDropped folds the tracer's current drop total into the
-// jaws_trace_dropped_total counter by delta, preserving counter
-// semantics across repeated scrapes. Returns the current total.
-func (s *Server) refreshTraceDropped() int64 {
-	if s.traceDropped == nil {
-		return 0
-	}
-	dropped := s.cfg.Trace.SinkDropped()
-	if d := dropped - s.traceDropped.Value(); d > 0 {
-		s.traceDropped.Add(d)
-	}
-	return dropped
 }
 
 // Stats is a point-in-time snapshot of the server's request accounting.

@@ -123,22 +123,9 @@ func (s *Store) ReadInto(id AtomID, frame *field.Atom) (*field.Atom, time.Durati
 	// two, so Morton codes are dense in [0, per), the layout has no holes and
 	// Morton-adjacent atoms are disk-adjacent.
 	addr := (int64(id.Step)*s.per + int64(id.Code)) * field.NominalAtomBytes
-	cost, err := s.array.ReadChecked(addr, field.NominalAtomBytes)
-	if err != nil {
-		// cost is the failure-detection latency; the engine charges it to
-		// the virtual clock before retrying or aborting.
-		return nil, cost, fmt.Errorf("store: atom %v: %w", id, err)
-	}
+	cost := s.array.Read(addr, field.NominalAtomBytes)
 	a := s.field.FrameInto(frame, id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
 	return a, cost, nil
-}
-
-// SetFault installs (or, with nil, removes) a fault hook on the
-// underlying disk array: it is consulted before every read and may inject
-// an error or extra latency. See internal/fault for the deterministic
-// injector that normally backs it.
-func (s *Store) SetFault(fn func(addr, size int64) (time.Duration, error)) {
-	s.array.SetFault(fn)
 }
 
 // ScanStep calls fn for every atom of the given step in Morton order.

@@ -76,6 +76,8 @@ func (f *RunFlags) Finish(status, dump io.Writer) error {
 			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Fprintf(status, "trace           %d events -> %s\n", f.Tracer.Total(), f.traceOut)
+		// The metrics agree with the closed trace.
+		obs.FoldTraceDropped(f.Reg, f.Tracer)
 	}
 	if f.metrics {
 		fmt.Fprintln(dump)
@@ -84,14 +86,6 @@ func (f *RunFlags) Finish(status, dump io.Writer) error {
 		}
 	}
 	if f.metricsOut != "" {
-		if f.Tracer != nil {
-			// Fold the final drop total into the served counter so the
-			// exported file agrees with the closed trace.
-			c := f.Reg.Counter("jaws_trace_dropped_total")
-			if dropped := f.Tracer.SinkDropped(); dropped > c.Value() {
-				c.Add(dropped - c.Value())
-			}
-		}
 		file, err := os.Create(f.metricsOut)
 		if err != nil {
 			return err
