@@ -95,7 +95,7 @@ func BenchmarkFig11Saturation(b *testing.B) {
 		b.Run(fmt.Sprintf("speedup-%g", su), func(b *testing.B) {
 			var tp float64
 			for i := 0; i < b.N; i++ {
-				rep, err := experiments.RunAlgorithmOn(s, experiments.AlgJAWS2,
+				rep, err := experiments.RunAlgorithmOn(s, SchedJAWS2,
 					experiments.FreshJobs(s, su), s.BatchSize)
 				if err != nil {
 					b.Fatal(err)
@@ -115,7 +115,7 @@ func BenchmarkFig12BatchSize(b *testing.B) {
 		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
 			var tp, hit float64
 			for i := 0; i < b.N; i++ {
-				rep, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, k)
+				rep, err := experiments.RunAlgorithm(s, SchedJAWS2, k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -175,10 +175,10 @@ func BenchmarkAblationGating(b *testing.B) {
 	s := benchScale()
 	for _, aware := range []bool{false, true} {
 		name := "gating-off"
-		alg := experiments.AlgJAWS1
+		alg := SchedJAWS1
 		if aware {
 			name = "gating-on"
-			alg = experiments.AlgJAWS2
+			alg = SchedJAWS2
 		}
 		b.Run(name, func(b *testing.B) {
 			var tp float64
@@ -200,11 +200,11 @@ func BenchmarkAblationAdaptiveAlpha(b *testing.B) {
 	s := benchScale()
 	cases := []struct {
 		name string
-		alg  experiments.Algorithm
+		alg  Scheduler
 	}{
-		{"alpha-fixed-1", experiments.AlgLifeRaft1},
-		{"alpha-fixed-0", experiments.AlgLifeRaft2},
-		{"alpha-adaptive", experiments.AlgJAWS2},
+		{"alpha-fixed-1", SchedLifeRaft1},
+		{"alpha-fixed-0", SchedLifeRaft2},
+		{"alpha-adaptive", SchedJAWS2},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -255,7 +255,7 @@ func BenchmarkReplayCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		jobs := experiments.FreshJobs(s, 1)
-		sys, err := Open(s.Node(experiments.AlgJAWS2, s.BatchSize))
+		sys, err := Open(s.Node(SchedJAWS2, s.BatchSize))
 		if err != nil {
 			b.Fatal(err)
 		}

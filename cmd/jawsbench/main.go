@@ -329,9 +329,9 @@ func (c *cli) benchMode(scale experiments.Scale, outPath string) int {
 
 // fig11Series groups the Fig. 11 grid into per-algorithm series.
 func fig11Series(r *experiments.Fig11Result, respTime bool) []textplot.Series {
-	order := []experiments.Algorithm{
-		experiments.AlgNoShare, experiments.AlgLifeRaft1,
-		experiments.AlgLifeRaft2, experiments.AlgJAWS2,
+	order := []system.Scheduler{
+		system.SchedNoShare, system.SchedLifeRaft1,
+		system.SchedLifeRaft2, system.SchedJAWS2,
 	}
 	var out []textplot.Series
 	for _, alg := range order {

@@ -62,10 +62,7 @@ type plan struct {
 // the pre-scenario generator.
 func buildPlan(requests, steps, points int, kernel string, coordMax float64, seed int64, sc workload.Scenario) (*plan, error) {
 	rng := rand.New(rand.NewSource(seed))
-	boxSide := sc.BoxSide
-	if boxSide <= 0 {
-		boxSide = 0.6
-	}
+	boxSide := workload.BoxSide
 	if boxSide > coordMax {
 		boxSide = coordMax
 	}

@@ -11,6 +11,7 @@ import (
 
 	"jaws/internal/experiments"
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // regenPolicy rewrites the policy trace fixture from the seeded run below
@@ -43,7 +44,7 @@ func capturePolicyTrace(t *testing.T, s experiments.Scale) []byte {
 	agg := obs.NewSpanAgg()
 	rec := obs.NewFlightRecorder(true, tracer, nil)
 	s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
-	if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
+	if _, err := experiments.RunAlgorithm(s, system.SchedJAWS2, s.BatchSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := tracer.Close(); err != nil {
@@ -122,7 +123,7 @@ func TestWhyGateAwareFlipsCause(t *testing.T) {
 		agg := obs.NewSpanAgg()
 		rec := obs.NewFlightRecorder(true, tracer, nil)
 		s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
-		if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
+		if _, err := experiments.RunAlgorithm(s, system.SchedJAWS2, s.BatchSize); err != nil {
 			t.Fatal(err)
 		}
 		if err := tracer.Close(); err != nil {

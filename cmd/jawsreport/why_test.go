@@ -9,6 +9,7 @@ import (
 
 	"jaws/internal/experiments"
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // TestWhyEndToEnd drives the full attribution pipeline against a real
@@ -24,7 +25,7 @@ func TestWhyEndToEnd(t *testing.T) {
 	rec := obs.NewFlightRecorder(true, tracer, nil) // retains every record: no round may be lost
 	s := experiments.TestScale()
 	s.Obs = &obs.Obs{Trace: tracer, Spans: agg, Flight: rec}
-	if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
+	if _, err := experiments.RunAlgorithm(s, system.SchedJAWS2, s.BatchSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := tracer.Close(); err != nil {

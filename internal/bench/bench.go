@@ -20,6 +20,7 @@ import (
 
 	"jaws/internal/experiments"
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // ArtifactVersion is the BENCH_*.json schema version. Bump it on any
@@ -103,7 +104,7 @@ type Artifact struct {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func record(s experiments.Scale, alg experiments.Algorithm) ConfigRecord {
+func record(s experiments.Scale, alg system.Scheduler) ConfigRecord {
 	scenario := s.Scenario
 	if scenario == "" {
 		scenario = "fig8"
@@ -134,7 +135,7 @@ func record(s experiments.Scale, alg experiments.Algorithm) ConfigRecord {
 // attribution must not lose rounds — no tracer, no registry) so the
 // measurement is self-contained and repeatable.
 func Run(s experiments.Scale, name string) (*Artifact, error) {
-	alg := experiments.AlgJAWS2
+	alg := system.SchedJAWS2
 	agg := obs.NewSpanAgg()
 	rec := obs.NewFlightRecorder(true, nil, nil)
 	s.Obs = &obs.Obs{Spans: agg, Flight: rec}

@@ -347,7 +347,7 @@ func TestURCMetadataBounded(t *testing.T) {
 	}
 	// Eviction must clean up per-atom metadata: only resident atoms plus
 	// the 3 step means remain.
-	if got := p.MetadataLen(); got > 8+3 {
+	if got := len(p.atomUt) + len(p.stepMean); got > 8+3 {
 		t.Fatalf("URC metadata grew unbounded: %d entries", got)
 	}
 }

@@ -108,7 +108,3 @@ func (p *URC) Victim() store.AtomID {
 	}
 	return victim
 }
-
-// MetadataLen reports the number of utility entries tracked (tests assert
-// the "metadata is small" claim: bookkeeping is O(resident atoms)).
-func (p *URC) MetadataLen() int { return len(p.atomUt) + len(p.stepMean) }

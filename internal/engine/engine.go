@@ -823,7 +823,7 @@ func (e *Engine) releaseStates() {
 // runs — the two effects the paper's two-level batching banks on.
 func (e *Engine) execute(batches []sched.Batch) error {
 	e.inst.noteDecision(len(batches))
-	e.inst.noteFlight(e, batches)
+	e.inst.noteFlight(e)
 	e.inst.noteBeginDecision(batches)
 	defer e.releaseStates() // deferred first, so it runs after the clean-up below and the hook
 	defer e.inst.noteEndDecision()

@@ -11,6 +11,7 @@ import (
 	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/job"
+	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
@@ -307,7 +308,8 @@ func TestURCCoordinationUpdatesUtilities(t *testing.T) {
 	urc := cache.NewURC()
 	c := cache.New(8, urc)
 	js := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
-	e, err := New(Config{Store: s, Cache: c, Sched: js, Cost: testCost})
+	reg := obs.NewRegistry()
+	e, err := New(Config{Store: s, Cache: c, Sched: js, Cost: testCost, Obs: &obs.Obs{Reg: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +320,12 @@ func TestURCCoordinationUpdatesUtilities(t *testing.T) {
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if urc.MetadataLen() == 0 {
-		t.Fatal("URC never received utility updates from the engine")
+	// One coordination pass per decision: the URC sees every decision's
+	// utilities.
+	pushes := reg.Counter("jaws_utility_pushes_total").Value()
+	decisions := reg.Counter("jaws_decisions_total").Value()
+	if pushes == 0 || pushes != decisions {
+		t.Fatalf("%d utility pushes for %d decisions, want one per decision", pushes, decisions)
 	}
 }
 

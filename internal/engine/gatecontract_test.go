@@ -93,7 +93,7 @@ func TestGateStateFixedWhilePending(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := experiments.DefaultScale()
 			s.Scenario, s.TailPolicy = tc.scenario, tc.policy
-			sys, err := system.Open(s.Node(experiments.AlgJAWS2, s.BatchSize))
+			sys, err := system.Open(s.Node(system.SchedJAWS2, s.BatchSize))
 			if err != nil {
 				t.Fatal(err)
 			}

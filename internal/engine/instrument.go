@@ -118,14 +118,14 @@ func newInstruments(o *obs.Obs) *instruments {
 	if o == nil || (o.Trace == nil && o.Reg == nil && o.Spans == nil && o.Flight == nil) {
 		return nil
 	}
-	reg := o.Registry()
+	reg := o.Reg
 	for name, help := range engineMetricHelp {
 		reg.Describe(name, help)
 	}
 	return &instruments{
-		trace:          o.Tracer(),
+		trace:          o.Trace,
 		spans:          newSpanTracker(o),
-		flight:         o.Recorder(),
+		flight:         o.Flight,
 		decisions:      reg.Counter("jaws_decisions_total"),
 		decisionAtoms:  reg.Histogram("jaws_decision_atoms", decisionBounds...),
 		batchAtoms:     reg.Counter("jaws_batch_atoms_total"),
@@ -233,7 +233,7 @@ func (in *instruments) noteDecision(batches int) {
 // arrived queries out of the race. The capture's slices are adopted,
 // not copied — the scheduler nils them at its next reset, so the record
 // owns the arrays outright. Disabled (no recorder) this is one branch.
-func (in *instruments) noteFlight(e *Engine, batches []sched.Batch) {
+func (in *instruments) noteFlight(e *Engine) {
 	if in == nil || !in.flight.Enabled() {
 		return
 	}
@@ -257,23 +257,6 @@ func (in *instruments) noteFlight(e *Engine, batches []sched.Batch) {
 			rec.Steps = exp.Steps
 			rec.Chosen = exp.Chosen
 			rec.Truncated = exp.Truncated
-		}
-	}
-	// Schedulers without decision capture still yield a joinable record:
-	// rebuild the chosen set from the batches themselves.
-	if len(rec.Chosen) == 0 && len(batches) > 0 {
-		rec.Chosen = make([]obs.DecisionAtom, 0, len(batches))
-		for i := range batches {
-			a := obs.DecisionAtom{
-				Step: batches[i].Atom.Step,
-				Code: uint64(batches[i].Atom.Code),
-				Subs: len(batches[i].SubQueries),
-			}
-			a.Queries = make([]int64, 0, len(batches[i].SubQueries))
-			for _, sq := range batches[i].SubQueries {
-				a.Queries = append(a.Queries, int64(sq.Query.ID))
-			}
-			rec.Chosen = append(rec.Chosen, a)
 		}
 	}
 	// Gating edges: every held-back arrived query, and who it waits on.

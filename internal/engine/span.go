@@ -56,8 +56,8 @@ func newSpanTracker(o *obs.Obs) *spanTracker {
 		return nil
 	}
 	return &spanTracker{
-		trace:    o.Tracer(),
-		agg:      o.SpanAggregator(),
+		trace:    o.Trace,
+		agg:      o.Spans,
 		inflight: make(map[query.ID]*spanState),
 	}
 }

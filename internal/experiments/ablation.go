@@ -37,7 +37,7 @@ func Ablations(s Scale) (*AblationResult, error) {
 		delta func(*system.Config)
 	}{
 		{"JAWS2 (baseline)", func(*system.Config) {}},
-		{"- job-aware gating", func(c *system.Config) { c.Scheduler = AlgJAWS1 }},
+		{"- job-aware gating", func(c *system.Config) { c.Scheduler = system.SchedJAWS1 }},
 		{"- adaptive α (fixed 0.5)", func(c *system.Config) { c.AdaptiveOff = true }},
 		{"- Morton batch order", func(c *system.Config) { c.NoMortonOrder = true }},
 		{"+ trajectory prefetch", func(c *system.Config) { c.Prefetch = true }},
@@ -47,7 +47,7 @@ func Ablations(s Scale) (*AblationResult, error) {
 	r := &AblationResult{}
 	r.Table.Header = []string{"configuration", "throughput (q/s)", "mean resp (s)", "p95 resp (s)", "reads", "hit", "extra"}
 	for _, ab := range rows {
-		cfg := s.Node(AlgJAWS2, s.BatchSize)
+		cfg := s.Node(system.SchedJAWS2, s.BatchSize)
 		ab.delta(&cfg)
 		row, err := runAblation(s, ab.name, cfg)
 		if err != nil {

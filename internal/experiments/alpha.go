@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"jaws/internal/system"
 	"jaws/internal/textplot"
 	"jaws/internal/workload"
 )
@@ -46,7 +47,7 @@ func AlphaDynamics(s Scale) (*AlphaResult, error) {
 		mk(s.Seed+2, s.Jobs/2, 1),  // saturated burst again
 	}, 10*time.Second)
 
-	rep, err := run(s.Node(AlgJAWS2, s.BatchSize), trace.Jobs)
+	rep, err := run(s.Node(system.SchedJAWS2, s.BatchSize), trace.Jobs)
 	if err != nil {
 		return nil, err
 	}

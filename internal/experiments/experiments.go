@@ -46,8 +46,8 @@ type Scale struct {
 	// panics in workloadConfig.
 	Scenario string
 	// TailPolicy, when non-empty, is a sched.PolicySpec string decorating
-	// the JAWS schedulers (AlgJAWS1/AlgJAWS2) with tail policies. The
-	// other algorithms ignore it. Callers must validate the spec (the
+	// the JAWS schedulers (system.SchedJAWS1/SchedJAWS2) with tail
+	// policies. The other algorithms ignore it. Callers must validate the spec (the
 	// CLIs do at flag-parse time); an invalid spec errors in system.Open.
 	TailPolicy string
 	// Obs, when non-nil, instruments every engine the suite builds
@@ -118,28 +118,17 @@ func (s Scale) workloadConfig(speedUp float64, seed int64) workload.Config {
 	return cfg
 }
 
-// Algorithm identifies one evaluated configuration (Fig. 10's x axis): the
-// node description's scheduler, under the paper's name for it.
-type Algorithm = system.Scheduler
-
-const (
-	AlgNoShare   = system.SchedNoShare
-	AlgLifeRaft1 = system.SchedLifeRaft1
-	AlgLifeRaft2 = system.SchedLifeRaft2
-	AlgJAWS1     = system.SchedJAWS1
-	AlgJAWS2     = system.SchedJAWS2
-)
-
 // AllAlgorithms lists the Fig. 10 lineup.
-func AllAlgorithms() []Algorithm {
-	return []Algorithm{AlgNoShare, AlgLifeRaft1, AlgLifeRaft2, AlgJAWS1, AlgJAWS2}
+func AllAlgorithms() []system.Scheduler {
+	return []system.Scheduler{system.SchedNoShare, system.SchedLifeRaft1,
+		system.SchedLifeRaft2, system.SchedJAWS1, system.SchedJAWS2}
 }
 
 // Node describes the node every experiment runs on, under one algorithm
 // with batch size k (α₀ = 0.5, adaptive, LRU-K: the description's defaults).
 // An experiment states its setting as a delta on it. Exported for the
 // benchmark's in-repo twins (BenchmarkReplayCold, TestRunAllocBudget).
-func (s Scale) Node(alg Algorithm, k int) system.Config {
+func (s Scale) Node(alg system.Scheduler, k int) system.Config {
 	cfg := system.Config{
 		Space:      s.Space,
 		Steps:      s.Steps,
@@ -154,7 +143,7 @@ func (s Scale) Node(alg Algorithm, k int) system.Config {
 		Fault:      s.FaultSpec,
 		FaultSeed:  s.FaultSeed,
 	}
-	if alg == AlgJAWS1 || alg == AlgJAWS2 {
+	if alg == system.SchedJAWS1 || alg == system.SchedJAWS2 {
 		cfg.TailPolicy = s.TailPolicy
 	}
 	return cfg
@@ -179,20 +168,20 @@ func FreshJobs(s Scale, speedUp float64) []*job.Job {
 // RunAlgorithm executes a fresh speed-up-1 workload under one algorithm
 // with batch size k, using the default LRU-K cache. Exported for the
 // repository's benchmark suite.
-func RunAlgorithm(s Scale, alg Algorithm, k int) (*engine.Report, error) {
+func RunAlgorithm(s Scale, alg system.Scheduler, k int) (*engine.Report, error) {
 	return RunAlgorithmOn(s, alg, FreshJobs(s, 1), k)
 }
 
 // RunAlgorithmOn is RunAlgorithm with a caller-provided job list (e.g. a
 // different saturation speed-up).
-func RunAlgorithmOn(s Scale, alg Algorithm, jobs []*job.Job, k int) (*engine.Report, error) {
+func RunAlgorithmOn(s Scale, alg system.Scheduler, jobs []*job.Job, k int) (*engine.Report, error) {
 	return run(s.Node(alg, k), jobs)
 }
 
 // RunPolicy executes the speed-up-1 workload under JAWS1 with the given
 // cache replacement policy.
 func RunPolicy(s Scale, pol system.CachePolicy) (*engine.Report, error) {
-	cfg := s.Node(AlgJAWS1, s.BatchSize)
+	cfg := s.Node(system.SchedJAWS1, s.BatchSize)
 	cfg.Policy = pol
 	return run(cfg, FreshJobs(s, 1))
 }
@@ -257,7 +246,7 @@ func Fig9(s Scale) *Fig9Result {
 
 // Fig10Row is one bar of Fig. 10.
 type Fig10Row struct {
-	Algorithm        Algorithm
+	Algorithm        system.Scheduler
 	Throughput       float64
 	SpeedupVsNoShare float64
 }
@@ -279,7 +268,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if alg == AlgNoShare {
+		if alg == system.SchedNoShare {
 			base = rep.ThroughputQPS
 		}
 		row := Fig10Row{Algorithm: alg, Throughput: rep.ThroughputQPS}
@@ -298,7 +287,7 @@ func Fig10(s Scale) (*Fig10Result, error) {
 // Fig11Point is one (speed-up, algorithm) measurement.
 type Fig11Point struct {
 	SpeedUp     float64
-	Algorithm   Algorithm
+	Algorithm   system.Scheduler
 	Throughput  float64
 	MeanRespSec float64
 	FinalAlpha  float64
@@ -323,7 +312,8 @@ func Fig11(s Scale, speedUps []float64) (*Fig11Result, error) {
 		speedUps = DefaultSpeedUps()
 	}
 	s.MeanJobGap *= 16
-	algs := []Algorithm{AlgNoShare, AlgLifeRaft1, AlgLifeRaft2, AlgJAWS2}
+	algs := []system.Scheduler{system.SchedNoShare, system.SchedLifeRaft1,
+		system.SchedLifeRaft2, system.SchedJAWS2}
 	r := &Fig11Result{}
 	r.Table.Header = []string{"speedup", "algorithm", "throughput (q/s)", "mean resp (s)", "final α"}
 
@@ -339,7 +329,7 @@ func Fig11(s Scale, speedUps []float64) (*Fig11Result, error) {
 	for i, su := range speedUps {
 		for j, alg := range algs {
 			wg.Add(1)
-			go func(idx int, su float64, alg Algorithm) {
+			go func(idx int, su float64, alg system.Scheduler) {
 				defer wg.Done()
 				rep, err := RunAlgorithmOn(s, alg, FreshJobs(s, su), s.BatchSize)
 				if err != nil {
@@ -412,7 +402,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		base, err := RunAlgorithm(s, AlgLifeRaft2, 1)
+		base, err := RunAlgorithm(s, system.SchedLifeRaft2, 1)
 		if err != nil {
 			baseErr = err
 			return
@@ -423,7 +413,7 @@ func Fig12(s Scale, ks []int) (*Fig12Result, error) {
 		wg.Add(1)
 		go func(i, k int) {
 			defer wg.Done()
-			rep, err := RunAlgorithm(s, AlgJAWS2, k)
+			rep, err := RunAlgorithm(s, system.SchedJAWS2, k)
 			if err != nil {
 				slots[i] = slot{err: err}
 				return

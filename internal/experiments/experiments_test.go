@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"jaws/internal/system"
 )
 
 func TestFig8Shape(t *testing.T) {
@@ -52,7 +54,7 @@ func TestFig10Ordering(t *testing.T) {
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	by := map[Algorithm]float64{}
+	by := map[system.Scheduler]float64{}
 	for _, row := range r.Rows {
 		if row.Throughput <= 0 {
 			t.Fatalf("%v throughput %.3f", row.Algorithm, row.Throughput)
@@ -61,11 +63,11 @@ func TestFig10Ordering(t *testing.T) {
 	}
 	// The paper's ordering: JAWS2 > JAWS1 > LifeRaft2 > LifeRaft1 ≥ NoShare.
 	// At test scale require the headline relations.
-	if by[AlgJAWS2] <= by[AlgNoShare] {
-		t.Fatalf("JAWS2 (%.3f) ≤ NoShare (%.3f)", by[AlgJAWS2], by[AlgNoShare])
+	if by[system.SchedJAWS2] <= by[system.SchedNoShare] {
+		t.Fatalf("JAWS2 (%.3f) ≤ NoShare (%.3f)", by[system.SchedJAWS2], by[system.SchedNoShare])
 	}
-	if by[AlgLifeRaft2] <= by[AlgNoShare] {
-		t.Fatalf("LifeRaft2 (%.3f) ≤ NoShare (%.3f)", by[AlgLifeRaft2], by[AlgNoShare])
+	if by[system.SchedLifeRaft2] <= by[system.SchedNoShare] {
+		t.Fatalf("LifeRaft2 (%.3f) ≤ NoShare (%.3f)", by[system.SchedLifeRaft2], by[system.SchedNoShare])
 	}
 }
 
@@ -80,7 +82,7 @@ func TestFig11Sweep(t *testing.T) {
 	// Saturation must raise JAWS2 throughput.
 	var lo, hi float64
 	for _, p := range r.Points {
-		if p.Algorithm == AlgJAWS2 {
+		if p.Algorithm == system.SchedJAWS2 {
 			if p.SpeedUp == 0.5 {
 				lo = p.Throughput
 			} else {
@@ -151,7 +153,7 @@ func TestJobID(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	for _, a := range append(AllAlgorithms(), Algorithm(99)) {
+	for _, a := range append(AllAlgorithms(), system.Scheduler(99)) {
 		if a.String() == "" {
 			t.Fatal("empty algorithm name")
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // p99Response runs one instrumented JAWS2 run of the scale and returns
@@ -16,7 +17,7 @@ func p99Response(t *testing.T, s Scale) time.Duration {
 	t.Helper()
 	agg := obs.NewSpanAgg()
 	s.Obs = &obs.Obs{Spans: agg}
-	rep, err := RunAlgorithm(s, AlgJAWS2, s.BatchSize)
+	rep, err := RunAlgorithm(s, system.SchedJAWS2, s.BatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}

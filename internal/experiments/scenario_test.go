@@ -5,6 +5,7 @@ import (
 
 	"jaws/internal/engine"
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // instrumentedRun executes one JAWS2 run of the scale with span
@@ -15,7 +16,7 @@ func instrumentedRun(t *testing.T, s Scale) (*engine.Report, []obs.Span, *obs.De
 	agg := obs.NewSpanAgg()
 	rec := obs.NewFlightRecorder(true, nil, nil)
 	s.Obs = &obs.Obs{Spans: agg, Flight: rec}
-	rep, err := RunAlgorithm(s, AlgJAWS2, s.BatchSize)
+	rep, err := RunAlgorithm(s, system.SchedJAWS2, s.BatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}

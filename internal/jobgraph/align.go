@@ -112,27 +112,3 @@ func (al *Aligner) Pairs(buf []Pair) []Pair {
 	slices.Reverse(buf[first:])
 	return buf
 }
-
-// Align runs the full Needleman–Wunsch alignment between two jobs of lenA
-// and lenB queries in one call. share(i, j) reports whether query i of
-// job A and query j of job B exhibit data sharing. It is the batch
-// convenience over Aligner's append-row interface and computes the
-// identical alignment.
-func Align(lenA, lenB int, share func(i, j int) bool) []Pair {
-	if lenA == 0 || lenB == 0 {
-		return nil
-	}
-	al := Aligner{m: make([]int32, 0, (lenA+1)*(lenB+1))}
-	al.Begin(lenB)
-	row := make([]uint64, al.stride)
-	for i := 0; i < lenA; i++ {
-		clear(row)
-		for j := 0; j < lenB; j++ {
-			if share(i, j) {
-				row[j>>6] |= 1 << (j & 63)
-			}
-		}
-		al.AppendRow(row)
-	}
-	return al.Pairs(nil)
-}

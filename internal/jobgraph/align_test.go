@@ -13,18 +13,45 @@ func shareFromRegions(a, b []int) func(i, j int) bool {
 	return func(i, j int) bool { return a[i] == b[j] }
 }
 
+// align runs the full Needleman–Wunsch alignment between two jobs of lenA
+// and lenB queries in one call, driving Aligner's append-row interface
+// the way the graph does row by row. share(i, j) reports whether query i
+// of job A and query j of job B exhibit data sharing.
+func align(lenA, lenB int, share func(i, j int) bool) []Pair {
+	return alignWith(new(Aligner), lenA, lenB, share)
+}
+
+// alignWith is align on a caller's Aligner, whose arenas it reuses.
+func alignWith(al *Aligner, lenA, lenB int, share func(i, j int) bool) []Pair {
+	if lenA == 0 || lenB == 0 {
+		return nil
+	}
+	al.Begin(lenB)
+	row := make([]uint64, al.stride)
+	for i := 0; i < lenA; i++ {
+		clear(row)
+		for j := 0; j < lenB; j++ {
+			if share(i, j) {
+				row[j>>6] |= 1 << (j & 63)
+			}
+		}
+		al.AppendRow(row)
+	}
+	return al.Pairs(nil)
+}
+
 func TestAlignEmpty(t *testing.T) {
-	if got := Align(0, 5, func(int, int) bool { return true }); got != nil {
+	if got := align(0, 5, func(int, int) bool { return true }); got != nil {
 		t.Fatalf("alignment of empty job = %v", got)
 	}
-	if got := Align(5, 0, func(int, int) bool { return true }); got != nil {
+	if got := align(5, 0, func(int, int) bool { return true }); got != nil {
 		t.Fatalf("alignment with empty job = %v", got)
 	}
 }
 
 func TestAlignIdenticalJobs(t *testing.T) {
 	a := []int{1, 2, 3, 4}
-	pairs := Align(4, 4, shareFromRegions(a, a))
+	pairs := align(4, 4, shareFromRegions(a, a))
 	if len(pairs) != 4 {
 		t.Fatalf("identical jobs aligned %d pairs, want 4", len(pairs))
 	}
@@ -36,7 +63,7 @@ func TestAlignIdenticalJobs(t *testing.T) {
 }
 
 func TestAlignNoSharing(t *testing.T) {
-	pairs := Align(3, 3, shareFromRegions([]int{1, 2, 3}, []int{4, 5, 6}))
+	pairs := align(3, 3, shareFromRegions([]int{1, 2, 3}, []int{4, 5, 6}))
 	if len(pairs) != 0 {
 		t.Fatalf("disjoint jobs aligned %d pairs", len(pairs))
 	}
@@ -47,7 +74,7 @@ func TestAlignWithGaps(t *testing.T) {
 	// skipping B's middle queries.
 	a := []int{1, 2, 3}
 	b := []int{1, 9, 9, 3}
-	pairs := Align(len(a), len(b), shareFromRegions(a, b))
+	pairs := align(len(a), len(b), shareFromRegions(a, b))
 	if len(pairs) != 2 {
 		t.Fatalf("got %d pairs, want 2: %v", len(pairs), pairs)
 	}
@@ -63,7 +90,7 @@ func TestAlignPrefersMoreEdges(t *testing.T) {
 	// Options: {A0↔B1} + {A1↔B2} (non-crossing, 2 edges).
 	a := []int{1, 2}
 	b := []int{2, 1, 2}
-	pairs := Align(len(a), len(b), shareFromRegions(a, b))
+	pairs := align(len(a), len(b), shareFromRegions(a, b))
 	if len(pairs) != 2 {
 		t.Fatalf("got %v, want two non-crossing edges", pairs)
 	}
@@ -75,7 +102,7 @@ func TestAlignFigure2Scenario(t *testing.T) {
 	// and j2 = [R3 R4] must match both queries of j2.
 	j1 := []int{1, 2, 3, 4}
 	j2 := []int{3, 4}
-	pairs := Align(len(j1), len(j2), shareFromRegions(j1, j2))
+	pairs := align(len(j1), len(j2), shareFromRegions(j1, j2))
 	if len(pairs) != 2 {
 		t.Fatalf("got %v, want R3 and R4 aligned", pairs)
 	}
@@ -98,7 +125,7 @@ func TestAlignFeasibilityProperty(t *testing.T) {
 			b[i] = int(v % 8)
 		}
 		share := shareFromRegions(a, b)
-		pairs := Align(len(a), len(b), share)
+		pairs := align(len(a), len(b), share)
 		prevA, prevB := -1, -1
 		for _, p := range pairs {
 			if p.SeqA <= prevA || p.SeqB <= prevB {
@@ -131,7 +158,7 @@ func TestAlignOptimalityAgainstBruteForce(t *testing.T) {
 			b[i] = rng.Intn(4)
 		}
 		share := shareFromRegions(a, b)
-		got := len(Align(n, m, share))
+		got := len(align(n, m, share))
 		want := bruteMaxMatching(n, m, share)
 		if got != want {
 			t.Fatalf("trial %d: DP found %d edges, brute force %d (a=%v b=%v)", trial, got, want, a, b)
@@ -178,7 +205,7 @@ func BenchmarkAlign100x100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Align(100, 100, share)
+		align(100, 100, share)
 	}
 }
 

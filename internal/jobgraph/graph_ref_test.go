@@ -875,7 +875,7 @@ func (al *refAligner) Pairs() []Pair {
 	return out
 }
 
-// Align runs the full Needleman–Wunsch alignment between two jobs of lenA
+// refAlign runs the full Needleman–Wunsch alignment between two jobs of lenA
 // and lenB queries in one call. share(i, j) reports whether query i of
 // job A and query j of job B exhibit data sharing. It is the batch
 // convenience over refAligner's append-row interface and computes the

@@ -161,8 +161,8 @@ func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 }
 
 // The bit-row Aligner must agree with the closure-per-row one it replaced
-// (and so must Align, which drives it) on random share relations,
-// including rows of more than one word and after arena reuse.
+// on random share relations, including rows of more than one word, on a
+// fresh Aligner and after arena reuse (one Aligner across the trials).
 func TestAlignerAppendRowMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var al Aligner
@@ -177,22 +177,11 @@ func TestAlignerAppendRowMatchesAlign(t *testing.T) {
 		}
 		share := func(i, j int) bool { return shares[i*lenB+j] }
 		want := refAlign(lenA, lenB, share)
-		if got := Align(lenA, lenB, share); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: Align %v vs %v", trial, got, want)
+		if got := align(lenA, lenB, share); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: fresh %v vs %v", trial, got, want)
 		}
-		al.Begin(lenB)
-		row := make([]uint64, (lenB+63)/64)
-		for i := 0; i < lenA; i++ {
-			clear(row)
-			for j := 0; j < lenB; j++ {
-				if share(i, j) {
-					row[j>>6] |= 1 << (j & 63)
-				}
-			}
-			al.AppendRow(row)
-		}
-		if got := al.Pairs(nil); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: %v vs %v", trial, got, want)
+		if got := alignWith(&al, lenA, lenB, share); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: reused %v vs %v", trial, got, want)
 		}
 	}
 }

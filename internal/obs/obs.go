@@ -13,7 +13,7 @@
 // reconstruct why a batch was chosen and where time went.
 //
 // Zero-overhead-when-disabled contract: every update method on *Counter,
-// *Gauge, *Histogram, *Registry, *Tracer and *Obs is nil-safe — calling
+// *Gauge, *Histogram, *Registry and *Tracer is nil-safe — calling
 // it on a nil receiver returns immediately. Instrumented hot paths hold
 // possibly-nil pointers and never need to branch on a config flag, so a
 // disabled run costs one nil check per instrumentation point.
@@ -33,36 +33,4 @@ type Obs struct {
 	// Flight records scheduler decision rounds; nil disables the flight
 	// recorder (and keeps the scheduler decision path zero-alloc).
 	Flight *FlightRecorder
-}
-
-// Tracer returns the event tracer, nil-safely.
-func (o *Obs) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
-}
-
-// Registry returns the metrics registry, nil-safely.
-func (o *Obs) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Reg
-}
-
-// SpanAggregator returns the span collector, nil-safely.
-func (o *Obs) SpanAggregator() *SpanAgg {
-	if o == nil {
-		return nil
-	}
-	return o.Spans
-}
-
-// Recorder returns the decision flight recorder, nil-safely.
-func (o *Obs) Recorder() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Flight
 }

@@ -137,18 +137,6 @@ func TestSpanDoneRoundTripsThroughJSONL(t *testing.T) {
 	}
 }
 
-func TestObsSpanAggregatorAccessor(t *testing.T) {
-	var o *Obs
-	if o.SpanAggregator() != nil {
-		t.Fatal("nil Obs returned an aggregator")
-	}
-	agg := NewSpanAgg()
-	o = &Obs{Spans: agg}
-	if o.SpanAggregator() != agg {
-		t.Fatal("accessor lost the aggregator")
-	}
-}
-
 func TestTracerDropCountersAndFooter(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)

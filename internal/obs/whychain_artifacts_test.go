@@ -5,6 +5,7 @@ import (
 
 	"jaws/internal/experiments"
 	"jaws/internal/obs"
+	"jaws/internal/system"
 )
 
 // TestChainMatchesReferenceOnArtifacts holds Chain to the reference over
@@ -29,7 +30,7 @@ func TestChainMatchesReferenceOnArtifacts(t *testing.T) {
 			s.Scenario, s.TailPolicy = a.scenario, a.policy
 			agg, rec := obs.NewSpanAgg(), obs.NewFlightRecorder(true, nil, nil)
 			s.Obs = &obs.Obs{Spans: agg, Flight: rec}
-			if _, err := experiments.RunAlgorithm(s, experiments.AlgJAWS2, s.BatchSize); err != nil {
+			if _, err := experiments.RunAlgorithm(s, system.SchedJAWS2, s.BatchSize); err != nil {
 				t.Fatal(err)
 			}
 			var sample []obs.Span

@@ -29,7 +29,7 @@ func recordWarmStream(b *testing.B, policy string) *warmStream {
 	s := experiments.DefaultScale()
 	s.Scenario, s.Steps, s.TailPolicy = "deriv-chain", 8, policy
 	s.CacheAtoms = s.Steps * s.Space.AtomsPerStep()
-	sys, err := system.Open(s.Node(experiments.AlgJAWS2, s.BatchSize))
+	sys, err := system.Open(s.Node(system.SchedJAWS2, s.BatchSize))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -349,26 +349,22 @@ func bucketsShareQuery(a, b *stepBucket) bool {
 
 // batchSteer resizes the batch bound k from the truncation pressure the
 // decisions themselves report: after Full consecutive rounds that dropped
-// above-mean candidates (batch-full pass-overs, the same per-round count
-// obs.FlightRecorder aggregates as PassBatchFull), k grows by Grow up to
-// Max; after Idle consecutive rounds that fit, k shrinks by Shrink down to
-// Min. Steering on the decision stream — not on a wall-clock recorder
-// snapshot — keeps the policy a pure function of the op log, so the oracle
-// replays it exactly; TestAdaptiveBatchMirrorsFlightRecorder pins the
-// equivalence of the two counters.
+// above-mean candidates (batch-full pass-overs: the round's truncation,
+// which the capture reports as Truncated and obs.FlightRecorder sums as
+// PassBatchFull), k grows by Grow up to Max; after Idle consecutive rounds
+// that fit, k shrinks by Shrink down to Min. Steering on the decision
+// stream — not on a wall-clock recorder snapshot — keeps the policy a pure
+// function of the op log, so the oracle replays it exactly.
 type batchSteer struct {
 	p AdaptiveBatchParams
 
 	streakFull, streakIdle int
-	passOvers              int64
-	grows, shrinks         int
 }
 
 // next folds one non-empty round's truncation count into the streaks and
 // returns the batch bound for the following round (empty rounds never
 // reach the steer, so they leave the streaks untouched).
 func (a *batchSteer) next(k, trunc int) int {
-	a.passOvers += int64(trunc)
 	if trunc > 0 {
 		a.streakFull++
 		a.streakIdle = 0
@@ -376,7 +372,6 @@ func (a *batchSteer) next(k, trunc int) int {
 			a.streakFull = 0
 			if k < a.p.Max {
 				k = min(k+a.p.Grow, a.p.Max)
-				a.grows++
 			}
 		}
 		return k
@@ -387,28 +382,7 @@ func (a *batchSteer) next(k, trunc int) int {
 		a.streakIdle = 0
 		if k > a.p.Min {
 			k = max(k-a.p.Shrink, a.p.Min)
-			a.shrinks++
 		}
 	}
 	return k
-}
-
-// PassOvers reports the cumulative batch-full pass-overs the adaptive-batch
-// steer observed across decisions — the policy's own count of the
-// aggregate the flight recorder publishes as PassBatchFull (0 without the
-// clause).
-func (s *JAWS) PassOvers() int64 {
-	if s.steer == nil {
-		return 0
-	}
-	return s.steer.passOvers
-}
-
-// Resizes reports how many times the adaptive-batch steer grew and shrank
-// k (zeros without the clause).
-func (s *JAWS) Resizes() (grows, shrinks int) {
-	if s.steer == nil {
-		return 0, 0
-	}
-	return s.steer.grows, s.steer.shrinks
 }

@@ -16,7 +16,7 @@ import (
 func replayCold(t testing.TB) (*system.System, func() []*job.Job) {
 	t.Helper()
 	s := experiments.DefaultScale()
-	sys, err := system.Open(s.Node(experiments.AlgJAWS2, s.BatchSize))
+	sys, err := system.Open(s.Node(system.SchedJAWS2, s.BatchSize))
 	if err != nil {
 		t.Fatal(err)
 	}

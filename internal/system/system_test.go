@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"jaws/internal/engine"
+	"jaws/internal/experiments"
 	"jaws/internal/geom"
 	"jaws/internal/job"
+	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
@@ -208,5 +211,73 @@ func TestEnumNames(t *testing.T) {
 	}
 	if _, err := system.ParseCachePolicy("bogus"); err == nil || !strings.Contains(err.Error(), `unknown cache policy "bogus"`) {
 		t.Errorf("bad cache policy name: %v", err)
+	}
+}
+
+// TestEveryAssembledSchedulerFillsItsCapture holds the contract the flight
+// recorder builds on: for every non-empty decision, the record's Chosen
+// lists the decision's batches — each batch's atom, in execution order,
+// with its sub-queries' query IDs. It covers every scheduler NewScheduler
+// assembles, the JAWS hooks (the tail-policy stack, QoS) included.
+func TestEveryAssembledSchedulerFillsItsCapture(t *testing.T) {
+	type variant struct {
+		alg  system.Scheduler
+		tail string
+		qos  float64
+	}
+	var variants []variant
+	for _, alg := range experiments.AllAlgorithms() {
+		variants = append(variants, variant{alg: alg})
+	}
+	variants = append(variants, variant{system.SchedJAWS2, "gate-aware;cross-step;adaptive-batch", 0},
+		variant{system.SchedJAWS1, "", 1})
+	for _, v := range variants {
+		s := experiments.TestScale()
+		s.Jobs = 20
+		cfg := s.Node(v.alg, s.BatchSize)
+		cfg.TailPolicy, cfg.QoSStretch = v.tail, v.qos
+		rec := obs.NewFlightRecorder(true, nil, nil)
+		cfg.Obs = &obs.Obs{Flight: rec}
+		sys, err := system.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]obs.DecisionAtom
+		ec := sys.EngineConfig(sys.NewScheduler())
+		ec.OnDecision = func(_ time.Duration, batches []sched.Batch) {
+			d := make([]obs.DecisionAtom, len(batches))
+			for i, b := range batches {
+				d[i] = obs.DecisionAtom{Step: b.Atom.Step, Code: uint64(b.Atom.Code), Subs: len(b.SubQueries)}
+				for _, sq := range b.SubQueries {
+					d[i].Queries = append(d[i].Queries, int64(sq.Query.ID))
+				}
+			}
+			want = append(want, d)
+		}
+		e, err := engine.New(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(experiments.FreshJobs(s, 1)); err != nil {
+			t.Fatal(err)
+		}
+		recs, urgent := rec.Records(), false
+		if len(recs) != len(want) || len(want) == 0 {
+			t.Fatalf("%v %q qos=%g: %d flight records for %d non-empty decisions", v.alg, v.tail, v.qos, len(recs), len(want))
+		}
+		for i, r := range recs {
+			urgent = urgent || r.Urgent
+			got := make([]obs.DecisionAtom, len(r.Chosen))
+			for j, c := range r.Chosen {
+				c.Ut, c.Ue, c.AgeMS = 0, 0, 0 // the scheduler's scores, not the batch's
+				got[j] = c
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%v %q qos=%g: decision %d: Chosen %+v, batches %+v", v.alg, v.tail, v.qos, i, got, want[i])
+			}
+		}
+		if v.qos > 0 && !urgent {
+			t.Errorf("%v %q qos=%g: no urgent round, so the QoS pre-pass's capture went untested", v.alg, v.tail, v.qos)
+		}
 	}
 }

@@ -16,12 +16,9 @@ import (
 
 // makeCutout builds one box or sphere cutout around center: a regular
 // lattice spanning many atoms, alternating box/sphere per draw. The
-// lattice parameters come from Config.BoxSide/BoxStride.
+// lattice is BoxSide across with Config.BoxStride spacing.
 func (g *generator) makeCutout(jobID int64, seq, step int, center geom.Position, arrival time.Duration) *query.Query {
-	side := g.cfg.BoxSide
-	// side/2 compiles to side*0.5: rounded on its own, or arm64, ppc64le and
-	// riscv64 fuse it into the corners below (make check-fma).
-	half := float64(side / 2)
+	const half = BoxSide / 2
 	var q *query.Query
 	var err error
 	if g.rng.Float64() < 0.5 {

@@ -21,10 +21,8 @@ type Scenario struct {
 	Arrivals Arrivals
 
 	// Query-class mix; zero values keep the config's (all point queries,
-	// with the BoxSide/BoxStride/DerivChain defaults of Generate).
+	// with the DerivChain default of Generate).
 	BoxFrac    float64
-	BoxSide    float64
-	BoxStride  int
 	DerivFrac  float64
 	DerivChain int
 }
@@ -38,12 +36,6 @@ func (s Scenario) Apply(cfg Config) Config {
 	}
 	if s.BoxFrac > 0 {
 		cfg.BoxFrac = s.BoxFrac
-	}
-	if s.BoxSide > 0 {
-		cfg.BoxSide = s.BoxSide
-	}
-	if s.BoxStride > 0 {
-		cfg.BoxStride = s.BoxStride
 	}
 	if s.DerivFrac > 0 {
 		cfg.DerivFrac = s.DerivFrac

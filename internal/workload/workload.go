@@ -26,6 +26,10 @@ import (
 	"jaws/internal/query"
 )
 
+// BoxSide is the cutout edge length (box) or diameter (sphere) in domain
+// units, for the generator's cutouts and jawsload's box lattices alike.
+const BoxSide = 0.6
+
 // Config parameterizes the generator.
 type Config struct {
 	Seed  int64
@@ -70,9 +74,6 @@ type Config struct {
 	// (the fig8 trace) draws no extra randomness, keeping old traces
 	// byte-identical.
 	BoxFrac float64
-	// BoxSide is the cutout edge length (box) or diameter (sphere) in
-	// domain units; 0 defaults to 0.6.
-	BoxSide float64
 	// BoxStride is the cutout lattice stride in voxels; 0 defaults to 6.
 	BoxStride int
 
@@ -149,9 +150,6 @@ func Generate(cfg Config) *Workload {
 	}
 	if cfg.Arrivals == nil {
 		cfg.Arrivals = Fig8()
-	}
-	if cfg.BoxSide <= 0 {
-		cfg.BoxSide = 0.6
 	}
 	if cfg.BoxStride <= 0 {
 		cfg.BoxStride = 6
