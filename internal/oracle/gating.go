@@ -109,7 +109,7 @@ func (g *ModelGraph) align(a, b int64) []jobgraph.Pair {
 }
 
 // modelAlign is the reference restatement of §IV.B's global alignment,
-// independent of jobgraph.Align: match scores 1, gaps cost 0, and the
+// independent of jobgraph.Aligner: match scores 1, gaps cost 0, and the
 // traceback resolves ties by preferring a scoring diagonal, then dropping
 // the A-side query, then the B-side one — the order that turns every unit
 // of score into a gating edge and that the production DP documents.
