@@ -758,9 +758,22 @@ func TestRowsFollowFills(t *testing.T) {
 }
 
 // TestFillRecyclesRows pins a stencil's fill on a fresh atom at capacity
-// to nothing: its rows are rows that evicted atoms gave back.
+// to nothing: its rows are rows that evicted atoms gave back, and the fill
+// kernel's phase tables are the arena's. It holds on the daemon's 8³ atoms
+// and on the paper's 72³ (64³ samples and a halo of 4), where a half row
+// is a slab of its own, so a fill that took one more than an evicted atom
+// gave back would allocate.
 func TestFillRecyclesRows(t *testing.T) {
-	s := frameStore(t, 8, 0)
+	for _, tc := range []struct {
+		name        string
+		side, ghost int
+	}{{"8³", 8, 0}, {"72³", 64, 4}} {
+		t.Run(tc.name, func(t *testing.T) { fillRecyclesRows(t, tc.side, tc.ghost) })
+	}
+}
+
+func fillRecyclesRows(t *testing.T, side, ghost int) {
+	s := frameStore(t, side, ghost)
 	c := cache.New(8, cache.NewLRUK(2, 0))
 	e := newEngine(t, s, sched.NewNoShare(), false, func(cfg *Config) { cfg.Cache = c })
 	space := s.Space()
