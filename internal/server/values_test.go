@@ -19,7 +19,7 @@ import (
 // servedValuesSHA256 is the digest TestServedValuesCertificate computes. It
 // changes only when a served value changes by one bit: the fill kernel, the
 // trig, the interpolation kernels, the derivative assembly or the codec.
-const servedValuesSHA256 = "4bccc5894ca881979b0de0512e9edcab468453abc315ffb542d75e5941c49bec"
+const servedValuesSHA256 = "32cfc601117066eab44476c89238f2367035e811bd71f06e6f97d59750963f46"
 
 // TestServedValuesCertificate serves a seeded mix of requests through the
 // handler of a real session and hashes every value served: all five kernels,
