@@ -159,7 +159,7 @@ func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
 
 	g := a.Ghost
 	x0, y0, z0 := ix+g, iy+g, iz+g
-	a.FillBlocks(a.box(x0, x0+n-1, y0, y0+n-1, z0, z0+n-1), nil)
+	a.fillBox(x0, x0+n-1, y0, y0+n-1, z0, z0+n-1)
 	// The stencil's n² lines, walked without a call or a division (Atom.line
 	// is the one-line form): line (y, z) is line z%b·b + y%b of half row
 	// (y/b, z/b, half), from sample x0 − half·m of it, and a line across the
