@@ -87,10 +87,8 @@ race:
 	$(GO) test -race ./...
 
 ## race-obs: race-check the packages with real concurrency — the obs
-## layer (atomic registry, locked tracer), the engine's compute pool and
-## the atom frames its workers read (TestEvictedFrameNotReusedWithinDecision),
-## the row tables fills write and workers and lazy Interpolate calls read
-## (field's TestSharedAtomReadOnly),
+## layer (atomic registry, locked tracer), a filled atom that goroutines
+## share read-only (field's TestSharedAtomReadOnly),
 ## the results consumers hold and release (TestResultStableUntilRelease,
 ## TestLateResultReleased), the scheduler structures, the sessions the
 ## assembler starts, the serving layer, and their concurrent users.
@@ -124,7 +122,9 @@ check-prop:
 ## completed derivative query allocates nothing), the LRU-K pins (a hit, and a miss's Victim + OnEvict + OnInsert
 ## of a returning and of a never-seen atom, allocate nothing), the engine's
 ## query-frame pins (a dispatch into a recycled frame allocates nothing; a
-## bulk request on a session, Submit to Release, its Submit argument) and the admission
+## bulk request on a session, Submit to Release, its Submit argument), the
+## data-path pin (one decision over 8 or 64 resident sub-queries, fill and
+## kernels on the simulation goroutine, allocates nothing) and the admission
 ## pins (registering a job allocates at most a member array per admitted
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
 ## query's gate re-check and the event list nothing) — and the in-repo twin
@@ -136,7 +136,7 @@ check-prop:
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
-	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs' -count 20 ./internal/engine/
+	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs|TestDecisionAllocsIndependentOfBatchSize' -count 20 ./internal/engine/
 	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/

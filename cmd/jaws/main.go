@@ -37,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.TextVar(&sched, "sched", sched, "scheduler: "+strings.Join(jaws.SchedulerNames(), ", "))
 	fs.TextVar(&pol, "policy", pol, "cache policy: "+strings.Join(jaws.CachePolicyNames(), ", "))
 	var (
-		tailPol   = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		tracePath = fs.String("trace", "", "replay a workload file written by -trace-save (otherwise generate)")
 		traceSave = fs.String("trace-save", "", "save the workload this run uses to this file, for -trace to replay (.gz suffix enables compression)")
 		jobs      = fs.Int("jobs", 200, "jobs to generate when no trace is given")
@@ -104,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		AlphaSet:     true,
 		AdaptiveOff:  *fixed,
 		Policy:       pol,
-		TailPolicy:   *tailPol,
+		TailPolicy:   rf.TailPolicy,
 		CacheAtoms:   *cacheAt,
 		Compute:      *compute,
 		Obs:          o,
@@ -124,8 +123,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "\nscheduler       %s (k=%d, α₀=%.2f adaptive=%v)\n", sched, *batch, *alpha, !*fixed)
 	fmt.Fprintf(stdout, "cache policy    %s (%d atoms)\n", pol, *cacheAt)
-	if *tailPol != "" {
-		fmt.Fprintf(stdout, "tail policy     %s\n", *tailPol)
+	if rf.TailPolicy != "" {
+		fmt.Fprintf(stdout, "tail policy     %s\n", rf.TailPolicy)
 	}
 	fmt.Fprintf(stdout, "completed       %d queries in %.1f virtual seconds (%.3f q/s)\n",
 		rep.Completed, rep.Elapsed.Seconds(), rep.ThroughputQPS)

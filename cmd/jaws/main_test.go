@@ -61,6 +61,7 @@ func TestRunUsageErrors(t *testing.T) {
 		// A bad enum value is rejected by the flag itself, like any bad flag.
 		{append(tiny, "-sched", "bogus"), 2, `unknown scheduler "bogus"`},
 		{append(tiny, "-policy", "bogus"), 2, `unknown cache policy "bogus"`},
+		{append(tiny, "-tail-policy", "bogus"), 2, `invalid value "bogus" for flag -tail-policy`},
 		{append(tiny, "-fault-spec", "bogus:nope"), 1, "fault"},
 		{append(tiny, "-trace", "/nonexistent/trace.gz"), 1, "no such file"},
 	}

@@ -21,9 +21,9 @@ var artifacts = []struct {
 	{"BENCH_poisson-box.json", []string{"-scenario", "poisson-box"}},
 	{"BENCH_deriv-chain.json", []string{"-scenario", "deriv-chain"}},
 	{"BENCH_diurnal.json", []string{"-scenario", "diurnal"}},
-	{"BENCH_fig8-tail.json", []string{"-scenario", "fig8", "-policy", "gate-aware:boost=1.2,discount=0.8"}},
-	{"BENCH_poisson-box-tail.json", []string{"-scenario", "poisson-box", "-policy", "gate-aware"}},
-	{"BENCH_deriv-chain-tail.json", []string{"-scenario", "deriv-chain", "-policy", "cross-step:span=2;adaptive-batch"}},
+	{"BENCH_fig8-tail.json", []string{"-scenario", "fig8", "-tail-policy", "gate-aware:boost=1.2,discount=0.8"}},
+	{"BENCH_poisson-box-tail.json", []string{"-scenario", "poisson-box", "-tail-policy", "gate-aware"}},
+	{"BENCH_deriv-chain-tail.json", []string{"-scenario", "deriv-chain", "-tail-policy", "cross-step:span=2;adaptive-batch"}},
 }
 
 // TestArtifactsByteIdentical regenerates every committed artifact through

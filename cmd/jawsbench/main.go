@@ -28,7 +28,7 @@
 // Tail policies (DESIGN.md §18) decorate the JAWS scheduler for the run;
 // the artifact records the spec and its name gets a -tail suffix:
 //
-//	jawsbench -scenario fig8 -policy 'gate-aware;adaptive-batch' -bench-out bench-artifacts/BENCH_fig8-tail.json
+//	jawsbench -scenario fig8 -tail-policy 'gate-aware;adaptive-batch' -bench-out bench-artifacts/BENCH_fig8-tail.json
 //
 // The artifact is named after the scenario (jaws2 for the baseline trace).
 // The committed artifacts and the arguments that produce each one are the
@@ -47,7 +47,6 @@ import (
 	"jaws/internal/bench"
 	"jaws/internal/experiments"
 	"jaws/internal/obs"
-	"jaws/internal/sched"
 	"jaws/internal/system"
 	"jaws/internal/textplot"
 	"jaws/internal/workload"
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rf := system.BindRunFlags(fs, false)
 	benchOut := fs.String("bench-out", "", "run the benchmark workload and write a BENCH_*.json artifact to this file (skips the experiment tables)")
 	scenario := fs.String("scenario", "", "workload scenario overlay for experiments and benchmarks (see -list-scenarios); empty means the fig8 baseline")
-	policy := fs.String("policy", "", "tail-policy spec decorating the JAWS scheduler of every experiment (ablation and alpha included) and benchmark, e.g. gate-aware;adaptive-batch:min=4,max=32 (DESIGN.md §18); empty means undecorated")
 	listScenarios := fs.Bool("list-scenarios", false, "list the workload scenario registry and exit")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address for profiling long runs (e.g. localhost:6060); empty disables")
 	if err := fs.Parse(args); err != nil {
@@ -113,12 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *policy != "" {
-		if _, err := sched.ParsePolicySpec(*policy); err != nil {
-			fmt.Fprintf(stderr, "jawsbench: %v\n", err)
-			return 2
-		}
-	}
 
 	if *pprofAddr != "" {
 		pp, err := obs.ServePprof(*pprofAddr)
@@ -143,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale = experiments.TestScale()
 	}
 	scale.Scenario = *scenario
-	scale.TailPolicy = *policy
+	scale.TailPolicy = rf.TailPolicy
 	if *jobs > 0 {
 		scale.Jobs = *jobs
 	}

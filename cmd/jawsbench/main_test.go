@@ -27,6 +27,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 		{[]string{"-format", "xml"}, `unknown format "xml"`},
 		{[]string{"-quick", "-exp", "fig99"}, `unknown experiment "fig99"`},
+		{[]string{"-quick", "-tail-policy", "bogus"}, `invalid value "bogus" for flag -tail-policy`},
 		// The artifact run has its own observers and prints no tables:
 		// flags it would ignore are refused, by name.
 		{[]string{"-quick", "-bench-out", artifact, "-trace-out", trace, "-metrics"}, "-bench-out cannot be combined with -metrics, -trace-out"},
@@ -114,8 +115,8 @@ func TestBenchOutWritesArtifact(t *testing.T) {
 
 // The ablation and α-dynamics experiments build their engines through the
 // same node description as every other experiment, so -trace-out, -metrics
-// and -policy reach them too (they used to wire their own engines and drop
-// all three).
+// and -tail-policy reach them too (they used to wire their own engines and
+// drop all three).
 func TestAblationAndAlphaHonourObserversAndPolicy(t *testing.T) {
 	tables := map[string]string{}
 	for _, exp := range []string{"ablation", "alpha"} {
@@ -137,12 +138,12 @@ func TestAblationAndAlphaHonourObserversAndPolicy(t *testing.T) {
 		tables[exp], _, _ = strings.Cut(out, "\n\n") // the table, without the metrics dump
 	}
 	for exp, plain := range tables {
-		code, out, errb := runCLI(t, "-quick", "-exp", exp, "-format", "csv", "-policy", "adaptive-batch:min=2,max=4")
+		code, out, errb := runCLI(t, "-quick", "-exp", exp, "-format", "csv", "-tail-policy", "adaptive-batch:min=2,max=4")
 		if code != 0 {
-			t.Fatalf("%s -policy: exit %d, stderr: %s", exp, code, errb)
+			t.Fatalf("%s -tail-policy: exit %d, stderr: %s", exp, code, errb)
 		}
 		if strings.TrimSpace(out) == strings.TrimSpace(plain) {
-			t.Errorf("-exp %s ignores -policy: same table with and without it:\n%s", exp, out)
+			t.Errorf("-exp %s ignores -tail-policy: same table with and without it:\n%s", exp, out)
 		}
 	}
 }

@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		atom        = fs.Int("atom", 32, "atom side in voxels")
 		steps       = fs.Int("steps", 8, "stored time steps per node")
 		seed        = fs.Int64("seed", 1, "turbulence field seed (replicas share it: same data)")
-		tailPol     = fs.String("tail-policy", "", "tail-policy spec decorating a JAWS scheduler on every node, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18)")
 		cacheAtoms  = fs.Int("cache", 64, "cache capacity in atoms per node")
 		rf          = system.BindRunFlags(fs, true)
 		flight      = fs.Bool("flight", false, "record scheduler decision flight records (aggregated for /varz sched and jaws_sched_* metrics, each record written to -trace-out)")
@@ -122,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Steps:      *steps,
 			Seed:       *seed, // shared: every replica serves the same field
 			Scheduler:  sched,
-			TailPolicy: *tailPol,
+			TailPolicy: rf.TailPolicy,
 			CacheAtoms: *cacheAtoms,
 			Compute:    true,
 			Obs:        o,
@@ -153,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SLO:             slo,
 		ReqIDSeed:       *reqSeed,
 		Flight:          recorder,
-		TailPolicy:      *tailPol,
+		TailPolicy:      rf.TailPolicy,
 	})
 	if err != nil {
 		return errf("%v", err)

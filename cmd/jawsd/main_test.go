@@ -35,6 +35,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{append(tiny, "-sched", "bogus"), 2, `unknown scheduler "bogus"`},
+		{append(tiny, "-tail-policy", "bogus"), 2, `invalid value "bogus" for flag -tail-policy`},
 		{append(tiny, "-nodes", "0"), 1, "at least one node"},
 		{append(tiny, "-fault-spec", "bogus:nope"), 1, "fault"},
 		{append(tiny, "-addr", "256.256.256.256:http"), 1, "listen"},

@@ -28,8 +28,8 @@ func scatter(rng *rand.Rand, n int) []geom.Position {
 }
 
 // TestResultsMatchHandAssembly runs a plain and a derivative query, each
-// scattered over every atom of a step and large enough that their batches
-// fan out across the worker pool, and compares the served positions with
+// of 3 000 points scattered over every atom of a step, and compares the
+// served positions with
 // the same pipeline applied by hand, with == on every float: a plain
 // query's values come in the order its sub-queries execute (under NoShare,
 // the pre-processor's), a derivative query's in partition order, each the
@@ -46,7 +46,6 @@ func TestResultsMatchHandAssembly(t *testing.T) {
 		c.Cache = cache.New(256, cache.NewLRUK(2, 0))
 		c.Compute = true
 		c.KeepResults = true
-		c.Parallelism = 3
 	})
 	rep, err := e.Run([]*job.Job{
 		{ID: 1, User: 1, Type: job.Batched, Queries: []*query.Query{plain}},
@@ -133,7 +132,7 @@ func TestResultsMatchHandAssembly(t *testing.T) {
 // decision measured is the middle one of three over the same queries, so
 // it neither allocates the queries' result arrays (the first does) nor
 // completes them (the last does): what is left is the cache hit, the
-// per-batch scratch, the fan-out and the kernels.
+// per-batch scratch, the fill and the kernels.
 func TestDecisionAllocsIndependentOfBatchSize(t *testing.T) {
 	s := testStore(t)
 	c := cache.New(64, cache.NewLRUK(2, 0))
@@ -141,9 +140,7 @@ func TestDecisionAllocsIndependentOfBatchSize(t *testing.T) {
 		cfg.Cache = c
 		cfg.Compute = true
 		cfg.KeepResults = true
-		cfg.Parallelism = 2
 	})
-	defer e.closePool()
 	next := query.ID(1)
 	// round dispatches n queries, each with points in the same three atoms,
 	// and executes the three decisions; it returns the allocations of the
@@ -174,7 +171,7 @@ func TestDecisionAllocsIndependentOfBatchSize(t *testing.T) {
 		}
 		return during
 	}
-	round(64) // atoms become resident; scratch, freelists and the pool warm up
+	round(64) // atoms become resident; scratch and freelists warm up
 	for _, n := range []int{8, 64} {
 		// The runtime's own goroutines may allocate meanwhile: the least of
 		// a few rounds is the decision's own count.
@@ -189,9 +186,8 @@ func TestDecisionAllocsIndependentOfBatchSize(t *testing.T) {
 	if got := len(e.report.Results); got != 64+5*8+5*64 {
 		t.Fatalf("%d queries completed, want %d", got, 64+5*8+5*64)
 	}
-	// The batches of 64 fanned out across the pool: every sample of every
-	// query must have been written, by whichever goroutine, with the value
-	// a direct evaluation gives.
+	// Every sample of every query, in batches of 8 and of 64, must have
+	// been written with the value a direct evaluation gives.
 	space := s.Space()
 	for _, r := range e.report.Results {
 		if len(r.Positions) != len(r.Query.Points) {

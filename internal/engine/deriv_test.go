@@ -24,7 +24,6 @@ func TestDerivQueryFiniteDifference(t *testing.T) {
 	e := newEngine(t, s, sched.NewNoShare(), false, func(c *Config) {
 		c.Compute = true
 		c.KeepResults = true
-		c.Parallelism = 4
 	})
 	const anchor = 1
 	const k = 3

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -73,9 +72,9 @@ type Config struct {
 	// Compute evaluates the interpolation kernels for real; otherwise
 	// only virtual time is charged (benchmarks of scheduling behaviour).
 	Compute bool
-	// Parallelism is the number of goroutines that evaluate kernels when
-	// Compute is set, the simulation goroutine included; 0 means
-	// GOMAXPROCS.
+	// Parallelism is ignored: the simulation goroutine evaluates every
+	// batch. It stays only because benchmark/ sets it; ROADMAP 1a(i)
+	// deletes it.
 	Parallelism int
 	// KeepResults retains per-position kernel outputs in the report
 	// (memory-heavy; examples use it, experiments do not).
@@ -345,7 +344,6 @@ type Engine struct {
 	events vclock.EventList
 
 	graph *jobgraph.Graph
-	pool  *computePool
 
 	arrived []*query.Query
 	states  map[query.ID]*queryState
@@ -381,12 +379,11 @@ type Engine struct {
 	jobAtomLists [][]store.AtomID
 
 	// Scratch of one decision, reused by the next: the primary atoms of
-	// the decision's batches (index-parallel to them), the footprint atoms
-	// the batch in hand has read, and that batch's kernel evaluation. Each
-	// is cleared after use, so none keeps an atom or a result alive.
+	// the decision's batches (index-parallel to them) and the footprint
+	// atoms the batch in hand has read. Each is cleared after use, so
+	// neither keeps an atom alive.
 	atomBuf []*field.Atom
 	seenBuf []store.AtomID
-	job     computeJob
 
 	// The frame lifecycle (DESIGN.md §19). An atom arrives from the store
 	// unfilled and is filled, into rows of the engine's arena, when it is
@@ -430,9 +427,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.RunLength <= 0 {
 		cfg.RunLength = 32
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Cost.Tm <= 0 {
 		cfg.Cost.Tm = sched.DefaultCost().Tm
@@ -505,8 +499,6 @@ func (e *Engine) Run(jobs []*job.Job) (*Report, error) {
 	if e.cfg.JobAware && e.cfg.DeclareUpfront {
 		e.declareAll(jobs)
 	}
-
-	defer e.closePool()
 
 	stall := 0
 	for e.report.Completed < e.total {
@@ -1015,40 +1007,31 @@ func (e *Engine) fill(a *field.Atom, want field.Blocks) {
 // computeBatch evaluates the kernels for every position of the batch,
 // each sub-query writing into its range of its query's result array (or
 // nowhere, without KeepResults: the evaluation is then the run's CPU load
-// alone). A batch large enough to repay the hand-off fans out across the
-// engine's worker pool (one pool per run, not one goroutine set per
-// batch); a smaller one runs here. The samples of the atom the batch's
-// stencils read are filled here first, on the simulation goroutine: the
-// workers only read them.
+// alone). The blocks the batch's stencils read are filled first, in one
+// pass, then the positions are evaluated in sub-query and point order.
+// Everything runs on the simulation goroutine: Eq. 1 charges a position's
+// computation as T_m on the virtual clock, so how many goroutines evaluate
+// it in wall time is no part of the paper's system.
 func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
-	j := &e.job
-	j.atom, j.space = atom, e.cfg.Store.Space()
+	space := e.cfg.Store.Space()
 	var want field.Blocks
-	work := 0
+	for _, sq := range b.SubQueries {
+		want = want.Or(atom.Missing(sq.Query.Kernel, space, geom.AtomFromCode(sq.Atom.Code), sq.Points))
+	}
+	e.fill(atom, want)
 	for _, sq := range b.SubQueries {
 		var out []PointSample
 		if st := e.states[sq.Query.ID]; st.result != nil {
 			out = st.samples(sq)
 		}
-		u := computeUnit{sq: sq, out: out}
-		j.units = append(j.units, u)
-		work += u.work()
-		want = want.Or(atom.Missing(sq.Query.Kernel, j.space, geom.AtomFromCode(sq.Atom.Code), sq.Points))
-	}
-	e.fill(atom, want)
-	if spans := min(e.cfg.Parallelism, work/minSpanSamples, len(j.units)); spans > 1 {
-		if e.pool == nil {
-			// Lazily started on the simulation goroutine (Run or Session.loop),
-			// whichever drives this engine; both close it when they return.
-			e.pool = newComputePool(e.cfg.Parallelism - 1)
+		ac := geom.AtomFromCode(sq.Atom.Code)
+		for p, pos := range sq.Points {
+			val := field.Interpolate(sq.Query.Kernel, atom, space, ac, pos)
+			if out != nil {
+				out[p] = PointSample{Pos: geom3{X: pos.X, Y: pos.Y, Z: pos.Z}, Val: val}
+			}
 		}
-		j.cut(spans, work)
-		e.pool.run(j, j.cuts, &j.wg)
-	} else {
-		j.evalSpan(0, len(j.units))
 	}
-	clear(j.units)
-	j.units, j.atom = j.units[:0], nil
 }
 
 // complete finalizes a query: response-time accounting, run accounting,

@@ -205,7 +205,6 @@ func TestComputeProducesAccurateValues(t *testing.T) {
 	e := newEngine(t, s, sched.NewNoShare(), false, func(c *Config) {
 		c.Compute = true
 		c.KeepResults = true
-		c.Parallelism = 4
 	})
 	j := &job.Job{ID: 1, User: 1, Type: job.Batched}
 	j.Queries = append(j.Queries, &query.Query{

@@ -175,7 +175,6 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 			cfg.Cache = c
 			cfg.Compute = true
 			cfg.KeepResults = true
-			cfg.Parallelism = 1
 		})
 		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
@@ -203,7 +202,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 
 	// The same rule under everything that moves frames at once: eight
 	// primaries per decision against two cache slots, overlapping box
-	// queries that fan out over the pool, derivative chains, a same-id
+	// queries whose sub-queries share batches, derivative chains, a same-id
 	// re-Put between decisions, and the cache flushed after each one.
 	for _, ghost := range []int{0, 2} {
 		for _, flush := range []bool{false, true} {
@@ -217,7 +216,6 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 					cfg.Cache = c
 					cfg.Compute = true
 					cfg.KeepResults = true
-					cfg.Parallelism = 4
 					cfg.FlushPerDecision = flush
 					cfg.OnDecision = func(_ time.Duration, batches []sched.Batch) {
 						// Every other decision, replace a resident atom under
@@ -409,15 +407,14 @@ func TestComputeOffNeverFills(t *testing.T) {
 	})
 }
 
-// TestBatchFillsOnlyItsStencilRows: a batch fills, before it fans out, the
+// TestBatchFillsOnlyItsStencilRows: a batch fills, before it evaluates, the
 // samples of its atom that its stencils read and the atom lacks, and no
 // more. On an 8³ atom a block is a sample, and a Lag4 stencil is a 4³ cube
 // of them: the centre batch's points lie within a quarter sample of one
 // another, share samples 2..5 on each axis, and fill 64 of the 512. The
 // same batch again fills nothing, and one at the far corner fills the
-// samples of its stencils the first did not. Every value equals a fresh read's, and
-// the large batch fans out across the pool (run it under -race: the workers
-// write no sample).
+// samples of its stencils the first did not. Every value equals a fresh
+// read's.
 func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	s := frameStore(t, 8, 0)
 	c := cache.New(16, cache.NewLRUK(2, 0))
@@ -425,7 +422,6 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 		cfg.Cache = c
 		cfg.Compute = true
 		cfg.KeepResults = true
-		cfg.Parallelism = 2
 	})
 	space := s.Space()
 	ac := geom.AtomCoord{I: 2, J: 2, K: 2}
@@ -434,10 +430,10 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	query := func(n int, pts []geom.Position) *query.Query {
 		return &query.Query{ID: query.ID(n), JobID: int64(n), Step: 1, Points: pts, Kernel: field.KernelLag4}
 	}
-	// Two queries of 200 × 64 stencil samples in one batch: two spans.
+	// Two queries of 200 points each in one batch.
 	centre := centrePoints(s, 2, 2, 2, 200)
-	if n := decide(t, e, query(1, centre), query(4, centre)); n != 1 || len(e.job.cuts) != 3 {
-		t.Fatalf("%d decisions, cuts %v: want one batch over two spans", n, e.job.cuts)
+	if n := decide(t, e, query(1, centre), query(4, centre)); n != 1 {
+		t.Fatalf("%d decisions: want one batch", n)
 	}
 	v, _ := c.Get(id)
 	a := v.(*field.Atom)
@@ -507,7 +503,6 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 			cfg.Cache = c
 			cfg.Compute = true
 			cfg.KeepResults = true
-			cfg.Parallelism = 1
 		}}, opts...)
 		e := newEngine(t, s, sched.NewNoShare(), false, opts...)
 		for i := uint32(0); i < 3; i++ {
@@ -714,7 +709,6 @@ func TestRowsFollowFills(t *testing.T) {
 	e := newEngine(t, s, sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 15, Resident: c.Contains}), false, func(cfg *Config) {
 		cfg.Cache = c
 		cfg.Compute = true
-		cfg.Parallelism = 1
 	})
 	space := s.Space()
 	resident := func() (units int) {

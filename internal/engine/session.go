@@ -109,7 +109,6 @@ func (s *Session) Err() error {
 func (s *Session) loop(e *Engine) {
 	defer close(s.done)
 	defer close(s.results)
-	defer e.closePool()
 	defer e.results.close()
 
 	closing := false

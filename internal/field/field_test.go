@@ -438,8 +438,8 @@ func TestFillRowsMatchesFill(t *testing.T) {
 // TestInterpolateReadsOnlyFilledRows: evaluating on a frame fills the
 // samples its stencil reads and reads no other (the unfilled samples are
 // NaN), and FillBlocks(Missing(...)) fills in advance every sample that a set
-// of evaluations then reads, so sharing the atom among goroutines writes
-// nothing — the engine's contract with its compute pool. Where a block is
+// of evaluations then reads, so those evaluations write nothing — the
+// engine fills a batch's blocks once, then evaluates. Where a block is
 // one sample, what one evaluation asks for is its stencil's cube, n³
 // samples, and KernelNone's one nearest sample. Every value equals the one
 // on a whole atom, bit for bit.
@@ -602,7 +602,7 @@ func TestRowsHoldPeakRows(t *testing.T) {
 
 // TestSharedAtomReadOnly: once FillBlocks(Missing(...)) has filled what a
 // set of evaluations reads, goroutines evaluating on the atom at once only
-// read it — the engine's contract with its compute pool, which -race checks
+// read it — Atom's contract for sharing a filled atom, which -race checks
 // here (make race-obs) — and each gets the whole atom's value.
 func TestSharedAtomReadOnly(t *testing.T) {
 	f := New(17, 24, 0)

@@ -103,7 +103,7 @@ func (r *DecisionRecord) stepMean(step int) *DecisionStep {
 }
 
 // FlightSnapshot is the recorder's live aggregate view: decision-round
-// and pass-over counts by cause, maintained at Record time so /varz can
+// and pass-over counts by cause, read from its counters so /varz can
 // serve them without keeping the records.
 type FlightSnapshot struct {
 	// Decisions counts recorded decision rounds.
@@ -135,15 +135,15 @@ var flightMetricHelp = map[string]string{
 	"jaws_sched_gated_edge_rounds_total":   "Gating edges observed holding arrived queries, summed over decision rounds.",
 }
 
-// FlightRecorder maintains the live pass-over aggregates of scheduler
-// decision records, mirrors the records to the tracer as
-// "decision_record" events when one is configured, and keeps them in
-// memory only when built to. All methods are nil-safe.
+// FlightRecorder counts the pass-overs of scheduler decision records,
+// mirrors the records to the tracer as "decision_record" events when one
+// is configured, and keeps them in memory only when built to. Each count
+// is kept once, in its jaws_sched_* counter: the registry's, or the
+// recorder's own without one. All methods are nil-safe.
 type FlightRecorder struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards all
 	retain bool
 	all    []DecisionRecord
-	snap   FlightSnapshot
 	trace  *Tracer
 
 	cDecisions, cChosen, cBatchFull *Counter
@@ -154,21 +154,23 @@ type FlightRecorder struct {
 // Records — the analysis mode internal/bench uses so attribution never
 // loses a round; a daemon passes false and reads its records back from
 // the trace. trace, when non-nil, receives every record as a
-// "decision_record" event; reg, when non-nil, receives the jaws_sched_*
+// "decision_record" event; reg, when non-nil, holds the jaws_sched_*
 // counters.
 func NewFlightRecorder(retain bool, trace *Tracer, reg *Registry) *FlightRecorder {
 	r := &FlightRecorder{retain: retain, trace: trace}
+	counter := func(string) *Counter { return new(Counter) }
 	if reg != nil {
 		for name, help := range flightMetricHelp {
 			reg.Describe(name, help)
 		}
-		r.cDecisions = reg.Counter("jaws_sched_decisions_total")
-		r.cChosen = reg.Counter("jaws_sched_chosen_atoms_total")
-		r.cBatchFull = reg.Counter("jaws_sched_passover_batch_full_total")
-		r.cLostRace = reg.Counter("jaws_sched_passover_lost_race_total")
-		r.cAgedIn = reg.Counter("jaws_sched_passover_aged_in_total")
-		r.cGated = reg.Counter("jaws_sched_gated_edge_rounds_total")
+		counter = reg.Counter
 	}
+	r.cDecisions = counter("jaws_sched_decisions_total")
+	r.cChosen = counter("jaws_sched_chosen_atoms_total")
+	r.cBatchFull = counter("jaws_sched_passover_batch_full_total")
+	r.cLostRace = counter("jaws_sched_passover_lost_race_total")
+	r.cAgedIn = counter("jaws_sched_passover_aged_in_total")
+	r.cGated = counter("jaws_sched_gated_edge_rounds_total")
 	return r
 }
 
@@ -178,7 +180,7 @@ func (r *FlightRecorder) Enabled() bool { return r != nil }
 
 // Record takes ownership of one decision record: rec and its slices
 // must not be touched by the caller afterwards. The record is
-// aggregated, retained if the recorder keeps records, and mirrored to
+// counted, retained if the recorder keeps records, and mirrored to
 // the tracer. Nil-safe no-op.
 func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	if r == nil || rec == nil {
@@ -201,19 +203,6 @@ func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	if lostRace < 0 {
 		lostRace = 0
 	}
-
-	r.mu.Lock()
-	r.snap.Decisions++
-	r.snap.ChosenAtoms += int64(len(rec.Chosen))
-	r.snap.PassBatchFull += int64(len(rec.Truncated))
-	r.snap.PassLostRace += int64(lostRace)
-	r.snap.PassAgedIn += int64(agedIn)
-	r.snap.GatedEdgeRounds += int64(len(rec.Blocked))
-	if r.retain {
-		r.all = append(r.all, *rec)
-	}
-	r.mu.Unlock()
-
 	r.cDecisions.Inc()
 	r.cChosen.Add(int64(len(rec.Chosen)))
 	r.cBatchFull.Add(int64(len(rec.Truncated)))
@@ -221,6 +210,11 @@ func (r *FlightRecorder) Record(rec *DecisionRecord) {
 	r.cAgedIn.Add(int64(agedIn))
 	r.cGated.Add(int64(len(rec.Blocked)))
 
+	if r.retain {
+		r.mu.Lock()
+		r.all = append(r.all, *rec)
+		r.mu.Unlock()
+	}
 	r.trace.DecisionRecordDone(rec)
 }
 
@@ -229,9 +223,14 @@ func (r *FlightRecorder) Snapshot() FlightSnapshot {
 	if r == nil {
 		return FlightSnapshot{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snap
+	return FlightSnapshot{
+		Decisions:       r.cDecisions.Value(),
+		ChosenAtoms:     r.cChosen.Value(),
+		PassBatchFull:   r.cBatchFull.Value(),
+		PassLostRace:    r.cLostRace.Value(),
+		PassAgedIn:      r.cAgedIn.Value(),
+		GatedEdgeRounds: r.cGated.Value(),
+	}
 }
 
 // Records returns a copy of the retained decision records, oldest

@@ -51,7 +51,7 @@ func TestFlightUnbounded(t *testing.T) {
 // TestFlightAggregates checks the pass-over accounting Record maintains:
 // batch-full per truncated atom, lost-race as the unexplained pending
 // remainder, aged-in per runner-up step that led on raw U_t, gated per
-// blocked edge — mirrored to both the snapshot and the registry.
+// blocked edge — kept in the registry's counters, which the snapshot reads.
 func TestFlightAggregates(t *testing.T) {
 	reg := NewRegistry()
 	r := NewFlightRecorder(false, nil, reg)

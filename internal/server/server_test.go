@@ -887,12 +887,25 @@ func TestVarzAndMetrics(t *testing.T) {
 // TestVarzSchedAndTraceDropped wires a flight recorder and a tracer into
 // the server: /varz must grow the "sched" section with the recorder's
 // live aggregates and the trace drop total, and /metrics must export
-// jaws_trace_dropped_total with its HELP line.
+// jaws_trace_dropped_total with its HELP line. The recorder keeps each
+// count once, in its jaws_sched_* counter, so after a served burst through
+// a real session the sched section equals /metrics' jaws_sched_* family.
 func TestVarzSchedAndTraceDropped(t *testing.T) {
-	tracer := obs.NewTracer(io.Discard)
-	recorder := obs.NewFlightRecorder(false, tracer, nil)
-	fake := newFakeBackend()
-	_, ts := newTestServer(t, []Backend{fake}, func(c *Config) {
+	tracer, reg := obs.NewTracer(io.Discard), obs.NewRegistry()
+	recorder := obs.NewFlightRecorder(false, tracer, reg)
+	sess, err := jaws.OpenSession(jaws.Config{
+		Space:      jaws.Space{GridSide: 64, AtomSide: 16},
+		Steps:      4,
+		Seed:       3,
+		CacheAtoms: 16,
+		Compute:    true,
+		Obs:        &obs.Obs{Trace: tracer, Reg: reg, Flight: recorder},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, []Backend{sess}, func(c *Config) {
+		c.Reg = reg
 		c.Trace = tracer
 		c.Flight = recorder
 	})
@@ -913,6 +926,52 @@ func TestVarzSchedAndTraceDropped(t *testing.T) {
 	if m := getMetrics(t, ts.URL); !strings.Contains(m, "# HELP jaws_trace_dropped_total") ||
 		!strings.Contains(m, "\njaws_trace_dropped_total 0\n") {
 		t.Errorf("/metrics lacks jaws_trace_dropped_total 0 and its HELP line:\n%s", m)
+	}
+
+	// A served burst: concurrent requests over every step, as many as the
+	// slots and the queue hold, so the engine records decisions of several
+	// batches.
+	var wg sync.WaitGroup
+	for i := range 2 + 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"step":%d,"points":[{"x":%d,"y":2,"z":3},{"x":1,"y":%d,"z":60}]}`, i%4, 4*i, 3*i)
+			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := getVarz(t, ts.URL).Sched.FlightSnapshot
+	if snap.Decisions <= 5 {
+		t.Fatalf("sched varz = %+v after the burst: no decision recorded", snap)
+	}
+	metrics := map[string]int64{}
+	for _, line := range strings.Split(getMetrics(t, ts.URL), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "jaws_sched_") {
+			var n int64
+			fmt.Sscan(val, &n)
+			metrics[name] = n
+		}
+	}
+	for name, got := range map[string]int64{
+		"jaws_sched_decisions_total":           snap.Decisions,
+		"jaws_sched_chosen_atoms_total":        snap.ChosenAtoms,
+		"jaws_sched_passover_batch_full_total": snap.PassBatchFull,
+		"jaws_sched_passover_lost_race_total":  snap.PassLostRace,
+		"jaws_sched_passover_aged_in_total":    snap.PassAgedIn,
+		"jaws_sched_gated_edge_rounds_total":   snap.GatedEdgeRounds,
+	} {
+		if want, ok := metrics[name]; !ok || got != want {
+			t.Errorf("/varz sched reads %d where /metrics' %s reads %d (exported: %v)", got, name, want, ok)
+		}
 	}
 
 	// The no-flight server must omit the section entirely.

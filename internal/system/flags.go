@@ -8,16 +8,20 @@ import (
 
 	"jaws/internal/fault"
 	"jaws/internal/obs"
+	"jaws/internal/sched"
 )
 
 // RunFlags is the part of a node description the binaries that run one
-// (jaws, jawsbench, jawsd) take from the command line: where the decision
-// trace goes, whether the metrics registry is shown, and the fault
-// schedule. Bind before fs.Parse; Fault and Obs after it; Finish once the
-// run is over.
+// (jaws, jawsbench, jawsd) take from the command line: the tail policy,
+// where the decision trace goes, whether the metrics registry is shown,
+// and the fault schedule. Bind before fs.Parse; Fault and Obs after it;
+// Finish once the run is over.
 type RunFlags struct {
 	traceOut, metricsOut, faultSpec string
 	metrics                         bool
+	// TailPolicy is -tail-policy (Config.TailPolicy), a spec that
+	// sched.ParsePolicySpec accepted at parse time; empty means none.
+	TailPolicy string
 	// FaultSeed is -fault-seed: with the node index it fixes every
 	// injector's stream (Config.FaultSeed).
 	FaultSeed int64
@@ -27,12 +31,20 @@ type RunFlags struct {
 	Reg    *obs.Registry
 }
 
-// BindRunFlags declares -trace-out, -fault-spec, -fault-seed and the
-// metrics flag on fs. A daemon serves its registry, so it always has one
-// and writes it to a file on exit (-metrics-out); the batch binaries print
-// theirs after the run (-metrics).
+// BindRunFlags declares -tail-policy, -trace-out, -fault-spec,
+// -fault-seed and the metrics flag on fs. A bad -tail-policy spec fails
+// fs.Parse, a usage error. A daemon serves its registry, so it always has
+// one and writes it to a file on exit (-metrics-out); the batch binaries
+// print theirs after the run (-metrics).
 func BindRunFlags(fs *flag.FlagSet, daemon bool) *RunFlags {
 	f := &RunFlags{}
+	fs.Func("tail-policy", "tail-policy spec decorating every JAWS scheduler the binary runs, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18); empty means undecorated", func(spec string) error {
+		if _, err := sched.ParsePolicySpec(spec); err != nil {
+			return err
+		}
+		f.TailPolicy = spec
+		return nil
+	})
 	fs.StringVar(&f.traceOut, "trace-out", "", "write a JSONL decision trace of every engine to this file (read it with jawsreport)")
 	fs.StringVar(&f.faultSpec, "fault-spec", "", "deterministic fault schedule for every engine, e.g. 'disk-transient:p=0.05;disk-slow:p=0.1,extra=50ms' (see internal/fault)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "seed for the fault injector (same spec, seed and node replay identically; each node derives its own stream)")

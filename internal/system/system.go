@@ -74,7 +74,9 @@ type Config struct {
 	Compute bool
 	// KeepResults retains per-position outputs in the report.
 	KeepResults bool
-	// Parallelism bounds kernel-evaluation workers; zero means GOMAXPROCS.
+	// Parallelism is ignored: the engine evaluates every batch on its
+	// simulation goroutine. It stays only because benchmark/ reads it;
+	// ROADMAP 1a(i) deletes it.
 	Parallelism int
 	// Prefetch enables trajectory-extrapolation prefetching (§VII):
 	// predicted atoms of an ordered job's next query are loaded during
@@ -241,7 +243,6 @@ func (s *System) EngineConfig(sc sched.Scheduler) engine.Config {
 		RunLength:   s.cfg.RunLength,
 		Compute:     s.cfg.Compute,
 		KeepResults: s.cfg.KeepResults,
-		Parallelism: s.cfg.Parallelism,
 		// NoShare means no I/O sharing across queries (§VI): flush the
 		// cache after each query, as the paper's baseline does.
 		FlushPerDecision: s.cfg.Scheduler == SchedNoShare,

@@ -34,7 +34,7 @@ var surfaceAllow = map[string]string{
 	"jaws/internal/jobgraph.Graph.AddJob":     "set-up of the gating tests and the oracle's: registration through the shares callback, which AddJobWithAtoms' index replaced in the engine; ROADMAP 10(c) deletes it",
 	"jaws/internal/jobgraph.Graph.Prune":      "the paper's pruning, not yet called by the engine (it moves the artifacts): TestPruneThenAdmit, FuzzGraphOps and oracle.TestGatingPruneDifferential hold it to the references; ROADMAP 3(c) calls it",
 	"jaws/internal/system.Config.SampleGhost": "read, not set, by benchmark/assembly.go's copy of the assembler; settled when benchmark/ builds through system.Open (ROADMAP 1a(i)) or jawsd sets it (20(a))",
-	"jaws/internal/system.Config.Parallelism": "read, not set, by benchmark/assembly.go's copy of the assembler; settled when benchmark/ builds through system.Open (ROADMAP 1a(i))",
+	"jaws/internal/system.Config.Parallelism": "inert (the engine evaluates every batch on one goroutine), kept only because benchmark/assembly.go reads it into engine.Config.Parallelism, also inert; ROADMAP 1a(i) deletes both",
 }
 
 func TestClosedSurface(t *testing.T) {
