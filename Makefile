@@ -40,7 +40,7 @@ check-fma:
 ## code of this module or benchmark/, and every field of an internal Config
 ## is set by non-test code outside its package; the types the facade
 ## aliases get no exemption. A finding names the symbol, file and line. The
-## ≤ 5-entry allowlist, one reason each, is surfaceAllow in surface_test.go.
+## ≤ 4-entry allowlist, one reason each, is surfaceAllow in surface_test.go.
 check-surface:
 	$(GO) test -count=1 -run 'TestClosedSurface' .
 

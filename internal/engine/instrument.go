@@ -237,28 +237,14 @@ func (in *instruments) noteFlight(e *Engine) {
 	if in == nil || !in.flight.Enabled() {
 		return
 	}
-	rec := &obs.DecisionRecord{
-		Engine:     in.engineID,
-		Seq:        in.flightSeq,
-		T:          e.clock.Now(),
-		Sched:      e.cfg.Sched.Name(),
-		Alpha:      e.cfg.Sched.Alpha(),
-		WinnerStep: -1,
-	}
-	in.flightSeq++
+	rec := &obs.DecisionRecord{Sched: e.cfg.Sched.Name(), Alpha: e.cfg.Sched.Alpha(), WinnerStep: -1}
 	if ex, ok := e.cfg.Sched.(sched.Explained); ok {
 		if exp := ex.LastExplain(); exp != nil {
-			rec.Sched = exp.Sched
-			rec.Alpha = exp.Alpha
-			rec.Urgent = exp.Urgent
-			rec.WinnerStep = exp.WinnerStep
-			rec.PendingAtoms = exp.PendingAtoms
-			rec.PendingSubs = exp.PendingSubs
-			rec.Steps = exp.Steps
-			rec.Chosen = exp.Chosen
-			rec.Truncated = exp.Truncated
+			*rec = *exp
 		}
 	}
+	rec.Engine, rec.Seq, rec.T = in.engineID, in.flightSeq, e.clock.Now()
+	in.flightSeq++
 	// Gating edges: every held-back arrived query, and who it waits on.
 	if e.graph != nil {
 		for _, q := range e.arrived {

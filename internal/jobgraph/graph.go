@@ -84,10 +84,9 @@ type vertex struct {
 type jobRec struct {
 	id int64
 	q  []vertex // by sequence number
-	// atoms holds the per-query atom lists end to end when the job was
-	// registered through AddJobWithAtoms (vertex.atomEnd delimits them).
-	atoms    []store.AtomID
-	hasAtoms bool
+	// atoms holds the per-query atom lists end to end (vertex.atomEnd
+	// delimits them).
+	atoms []store.AtomID
 }
 
 // posting is one node of an atom's chain in the inverted index: a query
@@ -130,8 +129,6 @@ func (a *arena[T]) alloc(n int) []T {
 // index; a public call resolves its job ID to a slot once and no walk
 // inside looks anything up by job or Ref.
 type Graph struct {
-	shares func(a, b Ref) bool
-
 	slots     map[int64]int32 // job ID → slot
 	jobs      []jobRec
 	freeSlots []int32
@@ -147,10 +144,9 @@ type Graph struct {
 	verts arena[vertex]
 	atoms arena[store.AtomID]
 
-	// heads and posts are the inverted index over atom-registered jobs: for
-	// each atom, the chain of queries whose footprint contains it. The
-	// merge phase reads a new job's sharing partners straight out of it
-	// instead of probing the shares callback once per query pair.
+	// heads and posts are the inverted index: for each atom, the chain of
+	// queries whose footprint contains it. The merge phase reads a new
+	// job's sharing partners straight out of it.
 	heads    map[store.AtomID]int32
 	posts    []posting
 	freePost int32
@@ -185,16 +181,19 @@ type Graph struct {
 	obs func(admitted bool, u, v Ref)
 }
 
-// New creates an empty graph. shares reports whether two queries (from
-// different jobs) access at least one common atom — A(a) ∩ A(b) ≠ ∅. It
-// may be nil when every job is registered through AddJobWithAtoms, which
-// derives sharing from the inverted atom index instead.
+// New creates an empty graph. Sharing between queries, A(a) ∩ A(b) ≠ ∅,
+// comes only from the atom lists jobs are registered with
+// (AddJobWithAtoms), so shares must be nil: New panics otherwise. The
+// parameter is kept only for benchmark/, which passes nil; ROADMAP item
+// 1a(i) drops it.
 func New(shares func(a, b Ref) bool) *Graph {
+	if shares != nil {
+		panic("jobgraph: New takes no shares callback; register jobs with AddJobWithAtoms")
+	}
 	return &Graph{
-		shares: shares,
-		slots:  make(map[int64]int32),
-		heads:  make(map[store.AtomID]int32),
-		comps:  make([]component, 1),
+		slots: make(map[int64]int32),
+		heads: make(map[store.AtomID]int32),
+		comps: make([]component, 1),
 	}
 }
 
@@ -231,34 +230,23 @@ func (g *Graph) lookup(q Ref) (*vertex, int32) {
 // vert returns m's record.
 func (g *Graph) vert(m member) *vertex { return &g.jobs[m.slot].q[m.seq] }
 
-// AddJob registers an ordered job of n queries, aligns it against every
+// AddJobWithAtoms registers an ordered job, aligns it against every
 // previously registered job with the Needleman–Wunsch dynamic program, and
 // greedily merges the resulting gating edges into the graph (most-sharing
 // partner jobs first). This is the incremental path of §IV.B: "when a new
 // job arrives, it can be added to the existing graph incrementally".
-// Sharing with already-registered jobs is probed through the shares
-// callback (which must be non-nil for edges to form on this path).
-func (g *Graph) AddJob(id int64, n int) error {
-	return g.addJob(id, n, nil)
-}
-
-// AddJobWithAtoms registers an ordered job whose per-query atom footprints
-// are known up front: atoms[s] lists the atoms query s accesses (order
-// irrelevant; duplicates harmless). The job enters the inverted atom
-// index, and its sharing partners are discovered by a single pass over the
-// index — one postings lookup per atom — instead of one set-intersection
-// probe per query pair, so admission cost scales with actual sharing
-// rather than with the number of registered queries. The lists are copied:
-// the caller may reuse them.
+// atoms[s] lists the atoms query s accesses (order irrelevant; duplicates
+// harmless). The job enters the inverted atom index, and its sharing
+// partners are discovered by a single pass over the index — one postings
+// lookup per atom — so admission cost scales with actual sharing rather
+// than with the number of registered queries. The lists are copied: the
+// caller may reuse them.
 func (g *Graph) AddJobWithAtoms(id int64, atoms [][]store.AtomID) error {
-	return g.addJob(id, len(atoms), atoms)
-}
-
-func (g *Graph) addJob(id int64, n int, atoms [][]store.AtomID) error {
 	if _, dup := g.slots[id]; dup {
 		return fmt.Errorf("jobgraph: job %d already registered", id)
 	}
-	if n <= 0 {
+	n := len(atoms)
+	if n == 0 {
 		return fmt.Errorf("jobgraph: job %d has no queries", id)
 	}
 	var slot int32
@@ -270,20 +258,18 @@ func (g *Graph) addJob(id int64, n int, atoms [][]store.AtomID) error {
 		g.blockAt = append(g.blockAt, 0)
 	}
 	j := &g.jobs[slot]
-	*j = jobRec{id: id, q: g.verts.alloc(n), hasAtoms: atoms != nil}
+	*j = jobRec{id: id, q: g.verts.alloc(n)}
 	j.q[0].state = Ready
 	g.slots[id] = slot
 	g.order = append(g.order, slot)
-	if atoms != nil {
-		total := 0
-		for _, as := range atoms {
-			total += len(as)
-		}
-		j.atoms = g.atoms.alloc(total)[:0]
-		for s, as := range atoms {
-			j.atoms = append(j.atoms, as...)
-			j.q[s].atomEnd = int32(len(j.atoms))
-		}
+	total := 0
+	for _, as := range atoms {
+		total += len(as)
+	}
+	j.atoms = g.atoms.alloc(total)[:0]
+	for s, as := range atoms {
+		j.atoms = append(j.atoms, as...)
+		j.q[s].atomEnd = int32(len(j.atoms))
 	}
 	g.touched = g.touched[:0]
 	g.mergeJob(slot)
@@ -329,10 +315,9 @@ func (g *Graph) block(a, b *jobRec, partner int32) (base, stride int) {
 // mergeJob admits gating edges between the new job and every previously
 // registered job, taking partner jobs in decreasing order of alignment
 // size (the greedy merge of §IV.B) and admitting each job's edges in
-// precedence order. When both sides registered atom lists, the sharing
-// relation comes from one pass over the inverted index; mixed pairs fall
-// back to the shares callback. Either way it lands in the same bit
-// matrices, which one dynamic-program driver consumes.
+// precedence order. The sharing relation comes from one pass over the
+// inverted index and lands in one bit matrix per partner, which the
+// dynamic program consumes.
 func (g *Graph) mergeJob(self int32) {
 	j := &g.jobs[self]
 	g.bits, g.partners = g.bits[:0], g.partners[:0]
@@ -359,23 +344,6 @@ func (g *Graph) mergeJob(self int32) {
 		}
 		lo = j.q[s].atomEnd
 	}
-	if g.shares != nil {
-		for _, p := range g.order {
-			if p == self || j.hasAtoms && g.jobs[p].hasAtoms {
-				continue
-			}
-			a, b := g.sides(self, p)
-			base, stride := g.block(a, b, p)
-			for row := range a.q {
-				for col := range b.q {
-					if g.shares(Ref{Job: a.id, Seq: row}, Ref{Job: b.id, Seq: col}) {
-						g.bits[base+row*stride+col>>6] |= 1 << (col & 63)
-					}
-				}
-			}
-		}
-	}
-
 	g.cands, g.pairs = g.cands[:0], g.pairs[:0]
 	for _, p := range g.partners {
 		a, b := g.sides(self, p)

@@ -127,9 +127,8 @@ const (
 	opsMaxAdds  = 48
 )
 
-// replayOps interprets data as an op log — register a job (through atom
-// lists or through the shares callback), complete schedulable queries,
-// prune — and applies it to a Graph and to the map-based reference side by
+// replayOps interprets data as an op log — register a job with its atom
+// lists, complete schedulable queries, prune — and applies it to a Graph and to the map-based reference side by
 // side, comparing everything the two expose after every op. Job IDs are
 // drawn from a small range in no particular order, so the dynamic
 // program's orientation varies, duplicates are attempted, and a pruned ID
@@ -144,19 +143,8 @@ func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
 		data = data[1:]
 		return b, true
 	}
-	atomsOf := make(map[Ref][]store.AtomID)
-	shares := func(a, b Ref) bool {
-		for _, x := range atomsOf[a] {
-			for _, y := range atomsOf[b] {
-				if x == y {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	next() // a header byte no op reads: committed logs keep their alignment
-	g, ref := New(shares), newRefGraph(shares)
+	g, ref := New(nil), newRefGraph()
 	var gotEvents, wantEvents []edgeEvent
 	g.SetObserver(func(ok bool, u, v Ref) { gotEvents = append(gotEvents, edgeEvent{ok, u, v}) })
 	ref.SetObserver(func(ok bool, u, v Ref) { wantEvents = append(wantEvents, edgeEvent{ok, u, v}) })
@@ -232,22 +220,16 @@ func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
 					for _, c := range codes {
 						lists[s] = append(lists[s], store.AtomID{Step: c & 1, Code: morton.Code(c >> 1)})
 					}
-					atomsOf[Ref{Job: id, Seq: s}] = lists[s]
 				}
 			}
-			var got, want error
-			if hdr&16 != 0 {
-				got, want = g.AddJob(id, n), ref.AddJob(id, n)
-			} else {
-				// The graph copies the lists; the reference keeps them.
-				scratch := make([][]store.AtomID, n)
-				for s := range lists {
-					scratch[s] = append([]store.AtomID(nil), lists[s]...)
-				}
-				got, want = g.AddJobWithAtoms(id, scratch), ref.AddJobWithAtoms(id, lists)
-				for s := range scratch {
-					clear(scratch[s])
-				}
+			// The graph copies the lists; the reference keeps them.
+			scratch := make([][]store.AtomID, n)
+			for s := range lists {
+				scratch[s] = append([]store.AtomID(nil), lists[s]...)
+			}
+			got, want := g.AddJobWithAtoms(id, scratch), ref.AddJobWithAtoms(id, lists)
+			for s := range scratch {
+				clear(scratch[s])
 			}
 			if (got == nil) != (want == nil) {
 				t.Fatalf("register job %d: %v, want %v", id, got, want)
@@ -279,8 +261,8 @@ func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
 }
 
 // The dense-table graph must be indistinguishable from the map-based one
-// it replaced, over random op logs: both merge orders, both registration
-// paths mixed in one graph, completions and prunes between registrations.
+// it replaced, over random op logs: both merge orders, completions and
+// prunes between registrations.
 func TestGraphMatchesReference(t *testing.T) {
 	seeds := 200
 	if testing.Short() {

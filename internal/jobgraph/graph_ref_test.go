@@ -2,8 +2,9 @@
 // layout (graph.go and align.go at commit 72a0c97), kept as the
 // differential reference of TestGraphMatchesReference and FuzzGraphOps —
 // the way lruk_ref_test.go and preprocess_ref_test.go keep theirs. It is
-// verbatim but for the ref* names and one marked edit in Prune. Do not
-// optimise it.
+// verbatim but for the ref* names, one marked edit in Prune, and the
+// removal of its shares-callback registration path (AddJob, dpPairs and
+// their cache), which Graph no longer has. Do not optimise it.
 
 package jobgraph
 
@@ -26,8 +27,7 @@ type refComponent struct {
 // refJobInfo is the per-job record: query states and component pointers are
 // dense slices indexed by sequence number (the per-Ref maps they replace
 // dominated the gating profile), gated lists the job's gated queries in
-// sequence order, and atoms holds the per-query atom lists when the job
-// was registered through AddJobWithAtoms (nil for the callback path).
+// sequence order, and atoms holds the per-query atom lists.
 type refJobInfo struct {
 	n      int
 	states []State
@@ -39,18 +39,15 @@ type refJobInfo struct {
 // Graph is the precedence graph with gating edges for a set of ordered
 // jobs. It is not safe for concurrent use; the scheduler owns it.
 type refGraph struct {
-	shares func(a, b Ref) bool
 	jobs   map[int64]*refJobInfo
 	jobSeq []int64 // job registration order, for deterministic iteration
 
-	// postings is the inverted index over atom-registered jobs: for each
-	// atom, the queries whose footprint contains it. The merge phase reads
-	// a new job's sharing partners straight out of it instead of probing
-	// the shares callback once per query pair.
+	// postings is the inverted index: for each atom, the queries whose
+	// footprint contains it. The merge phase reads a new job's sharing
+	// partners straight out of it.
 	postings map[store.AtomID][]Ref
 
-	dpCache map[[2]int64][]Pair
-	al      refAligner
+	al refAligner
 
 	// work and touched are the reusable buffers of the incremental
 	// propagation (see promote).
@@ -70,16 +67,11 @@ type refGraph struct {
 	obs func(admitted bool, u, v Ref)
 }
 
-// New creates an empty graph. shares reports whether two queries (from
-// different jobs) access at least one common atom — A(a) ∩ A(b) ≠ ∅. It
-// may be nil when every job is registered through AddJobWithAtoms, which
-// derives sharing from the inverted atom index instead.
-func newRefGraph(shares func(a, b Ref) bool) *refGraph {
+// newRefGraph creates an empty graph.
+func newRefGraph() *refGraph {
 	return &refGraph{
-		shares:   shares,
 		jobs:     make(map[int64]*refJobInfo),
 		postings: make(map[store.AtomID][]Ref),
-		dpCache:  make(map[[2]int64][]Pair),
 	}
 }
 
@@ -116,17 +108,6 @@ func (g *refGraph) compOf(q Ref) *refComponent {
 		return nil
 	}
 	return ji.comps[q.Seq]
-}
-
-// AddJob registers an ordered job of n queries, aligns it against every
-// previously registered job with the Needleman–Wunsch dynamic program, and
-// greedily merges the resulting gating edges into the graph (most-sharing
-// partner jobs first). This is the incremental path of §IV.B: "when a new
-// job arrives, it can be added to the existing graph incrementally".
-// Sharing with already-registered jobs is probed through the shares
-// callback (which must be non-nil for edges to form on this path).
-func (g *refGraph) AddJob(id int64, n int) error {
-	return g.addJob(id, n, nil)
 }
 
 // AddJobWithAtoms registers an ordered job whose per-query atom footprints
@@ -177,46 +158,11 @@ func (g *refGraph) addJob(id int64, n int, atoms [][]store.AtomID) error {
 	return nil
 }
 
-// dpPairs returns (computing and caching) the dynamic-program alignment
-// between jobs a and b via the shares callback, expressed as pairs
-// (seq in a, seq in b).
-func (g *refGraph) dpPairs(a, b int64) []Pair {
-	key := [2]int64{a, b}
-	if a > b {
-		key = [2]int64{b, a}
-	}
-	if cached, ok := g.dpCache[key]; ok {
-		if key[0] == a {
-			return cached
-		}
-		// Cached with swapped roles: flip.
-		flipped := make([]Pair, len(cached))
-		for i, p := range cached {
-			flipped[i] = Pair{SeqA: p.SeqB, SeqB: p.SeqA}
-		}
-		return flipped
-	}
-	lo, hi := key[0], key[1]
-	pairs := refAlign(g.jobs[lo].n, g.jobs[hi].n, func(i, j int) bool {
-		return g.shares(Ref{Job: lo, Seq: i}, Ref{Job: hi, Seq: j})
-	})
-	g.dpCache[key] = pairs
-	if lo == a {
-		return pairs
-	}
-	flipped := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		flipped[i] = Pair{SeqA: p.SeqB, SeqB: p.SeqA}
-	}
-	return flipped
-}
-
 // mergeJob admits gating edges between the new job and every previously
 // registered job, taking partner jobs in decreasing order of alignment
 // size (the greedy merge of §IV.B) and admitting each job's edges in
-// precedence order. When both sides registered atom lists, the sharing
-// relation comes from one pass over the inverted index; mixed pairs fall
-// back to the shares callback.
+// precedence order. The sharing relation comes from one pass over the
+// inverted index.
 func (g *refGraph) mergeJob(newJob int64) {
 	ji := g.jobs[newJob]
 	type cand struct {
@@ -227,23 +173,20 @@ func (g *refGraph) mergeJob(newJob int64) {
 	// Single sweep over the new job's atoms: every postings hit marks one
 	// shared (new-seq, partner-seq) cell of the pairwise DP's share
 	// relation. The alignment then reads the marks in O(1) per cell.
-	var marks map[int64]map[int]bool
-	if ji.atoms != nil {
-		marks = make(map[int64]map[int]bool)
-		for i, as := range ji.atoms {
-			for _, a := range as {
-				for _, ref := range g.postings[a] {
-					if ref.Job == newJob {
-						continue
-					}
-					pj := g.jobs[ref.Job]
-					m := marks[ref.Job]
-					if m == nil {
-						m = make(map[int]bool)
-						marks[ref.Job] = m
-					}
-					m[i*pj.n+ref.Seq] = true
+	marks := make(map[int64]map[int]bool)
+	for i, as := range ji.atoms {
+		for _, a := range as {
+			for _, ref := range g.postings[a] {
+				if ref.Job == newJob {
+					continue
 				}
+				pj := g.jobs[ref.Job]
+				m := marks[ref.Job]
+				if m == nil {
+					m = make(map[int]bool)
+					marks[ref.Job] = m
+				}
+				m[i*pj.n+ref.Seq] = true
 			}
 		}
 	}
@@ -253,38 +196,30 @@ func (g *refGraph) mergeJob(newJob int64) {
 		}
 		pj := g.jobs[other]
 		var pairs []Pair
-		if ji.atoms != nil && pj.atoms != nil {
-			m := marks[other]
-			if len(m) == 0 {
-				continue
+		m := marks[other]
+		if len(m) == 0 {
+			continue
+		}
+		// Orient the DP with the smaller job ID as the A side, so that
+		// traceback tie-breaks do not depend on which job is being merged.
+		nB := pj.n
+		if newJob < other {
+			g.al.Begin(nB)
+			for i := 0; i < ji.n; i++ {
+				base := i * nB
+				g.al.AppendRow(func(j int) bool { return m[base+j] })
 			}
-			// Orient the DP with the smaller job ID as the A side — the
-			// same canonical orientation dpPairs uses — so traceback
-			// tie-breaks match the callback path exactly.
-			nB := pj.n
-			if newJob < other {
-				g.al.Begin(nB)
-				for i := 0; i < ji.n; i++ {
-					base := i * nB
-					g.al.AppendRow(func(j int) bool { return m[base+j] })
-				}
-				pairs = g.al.Pairs()
-			} else {
-				g.al.Begin(ji.n)
-				for j := 0; j < nB; j++ {
-					j := j
-					g.al.AppendRow(func(i int) bool { return m[i*nB+j] })
-				}
-				pairs = g.al.Pairs()
-				for k := range pairs {
-					pairs[k].SeqA, pairs[k].SeqB = pairs[k].SeqB, pairs[k].SeqA
-				}
-			}
+			pairs = g.al.Pairs()
 		} else {
-			if g.shares == nil {
-				continue // no way to probe sharing for this pair
+			g.al.Begin(ji.n)
+			for j := 0; j < nB; j++ {
+				j := j
+				g.al.AppendRow(func(i int) bool { return m[i*nB+j] })
 			}
-			pairs = g.dpPairs(newJob, other)
+			pairs = g.al.Pairs()
+			for k := range pairs {
+				pairs[k].SeqA, pairs[k].SeqB = pairs[k].SeqB, pairs[k].SeqA
+			}
 		}
 		if len(pairs) > 0 {
 			cands = append(cands, cand{partner: other, pairs: pairs})
@@ -755,11 +690,6 @@ func (g *refGraph) Prune() {
 				}
 			}
 			delete(g.jobs, jobID)
-			for key := range g.dpCache {
-				if key[0] == jobID || key[1] == jobID {
-					delete(g.dpCache, key)
-				}
-			}
 			continue
 		}
 		keep = append(keep, jobID)

@@ -2,30 +2,23 @@ package jobgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // regionGraph builds a Graph over jobs described as region-label slices:
-// queries share data iff their labels match (Fig. 2 convention).
+// queries share data iff their labels match (Fig. 2 convention). Jobs are
+// registered in ascending ID order.
 func regionGraph(t *testing.T, jobs map[int64][]int) *Graph {
 	t.Helper()
-	g := New(func(a, b Ref) bool {
-		return jobs[a.Job][a.Seq] == jobs[b.Job][b.Seq]
-	})
-	// Deterministic insertion order: ascending job ID.
-	var ids []int64
+	ids := make([]int64, 0, len(jobs))
 	for id := range jobs {
 		ids = append(ids, id)
 	}
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
+	slices.Sort(ids)
+	g := New(nil)
 	for _, id := range ids {
-		if err := g.AddJob(id, len(jobs[id])); err != nil {
+		if err := g.AddJobWithAtoms(id, regionAtoms(jobs[id])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,19 +26,30 @@ func regionGraph(t *testing.T, jobs map[int64][]int) *Graph {
 }
 
 func TestAddJobValidation(t *testing.T) {
-	g := New(func(a, b Ref) bool { return false })
-	if err := g.AddJob(1, 0); err == nil {
+	g := New(nil)
+	if err := g.AddJobWithAtoms(1, nil); err == nil {
 		t.Fatal("empty job accepted")
 	}
-	if err := g.AddJob(1, 3); err != nil {
+	if err := g.AddJobWithAtoms(1, regionAtoms([]int{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddJob(1, 3); err == nil {
+	if err := g.AddJobWithAtoms(1, regionAtoms([]int{1, 2, 3})); err == nil {
 		t.Fatal("duplicate job accepted")
 	}
 	if len(g.order) != 1 {
 		t.Fatalf("Jobs = %d", len(g.order))
 	}
+}
+
+// Sharing comes only from atom lists: a graph cannot be built around a
+// pairwise shares callback.
+func TestNewPanicsOnSharesCallback(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a shares callback")
+		}
+	}()
+	New(func(a, b Ref) bool { return true })
 }
 
 func TestSingleJobLifecycle(t *testing.T) {
@@ -213,17 +217,7 @@ func TestScheduleCompletesFigure2(t *testing.T) {
 func TestNoDeadlockProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
-		nJobs := rng.Intn(5) + 2
-		jobs := make(map[int64][]int, nJobs)
-		for j := 0; j < nJobs; j++ {
-			n := rng.Intn(8) + 1
-			regions := make([]int, n)
-			for i := range regions {
-				regions[i] = rng.Intn(5)
-			}
-			jobs[int64(j+1)] = regions
-		}
-		g := regionGraph(t, jobs)
+		g := regionGraph(t, randomRegionJobs(rng, rng.Intn(5)+2, 8, 5))
 		drainAll(t, g, int64(trial))
 	}
 }
@@ -233,16 +227,7 @@ func TestNoDeadlockProperty(t *testing.T) {
 func TestGatingLevelsMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 200; trial++ {
-		nJobs := rng.Intn(5) + 2
-		jobs := make(map[int64][]int, nJobs)
-		for j := 0; j < nJobs; j++ {
-			n := rng.Intn(10) + 1
-			regions := make([]int, n)
-			for i := range regions {
-				regions[i] = rng.Intn(6)
-			}
-			jobs[int64(j+1)] = regions
-		}
+		jobs := randomRegionJobs(rng, rng.Intn(5)+2, 10, 6)
 		g := regionGraph(t, jobs)
 		for id, regions := range jobs {
 			prev := 0
@@ -265,14 +250,9 @@ func TestGatingLevelsMonotoneProperty(t *testing.T) {
 func TestIncrementalAddJobGatesNewArrival(t *testing.T) {
 	// A job arriving after execution began can still pick up gating edges
 	// to the not-yet-executed tail of a running job.
-	jobs := map[int64][]int{1: {1, 2, 3}}
-	g := New(func(a, b Ref) bool { return jobs[a.Job][a.Seq] == jobs[b.Job][b.Seq] })
-	if err := g.AddJob(1, 3); err != nil {
-		t.Fatal(err)
-	}
+	g := regionGraph(t, map[int64][]int{1: {1, 2, 3}})
 	g.MarkDone(Ref{Job: 1, Seq: 0})
-	jobs[2] = []int{2, 3}
-	if err := g.AddJob(2, 2); err != nil {
+	if err := g.AddJobWithAtoms(2, regionAtoms([]int{2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if g.EdgesAdmitted() == 0 {
@@ -289,7 +269,7 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("prune left %d jobs", len(g.order))
 	}
 	// Graph remains usable after pruning.
-	if err := g.AddJob(10, 2); err != nil {
+	if err := g.AddJobWithAtoms(10, regionAtoms([]int{1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	if g.State(Ref{Job: 10, Seq: 0}) != Queue {
@@ -337,27 +317,6 @@ func TestStateStringAndRefString(t *testing.T) {
 	}
 	if (Ref{Job: 1, Seq: 2}).String() == "" {
 		t.Fatal("empty ref string")
-	}
-}
-
-func BenchmarkAddJob50Jobs(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	regions := make(map[int64][]int)
-	for j := int64(1); j <= 50; j++ {
-		n := rng.Intn(20) + 5
-		r := make([]int, n)
-		for i := range r {
-			r[i] = rng.Intn(30)
-		}
-		regions[j] = r
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(func(a, b Ref) bool { return regions[a.Job][a.Seq] == regions[b.Job][b.Seq] })
-		for j := int64(1); j <= 50; j++ {
-			g.AddJob(j, len(regions[j]))
-		}
 	}
 }
 

@@ -35,65 +35,6 @@ func regionAtoms(regions []int) [][]store.AtomID {
 	return atoms
 }
 
-// The postings-index path (AddJobWithAtoms) and the callback path
-// (AddJob with a shares function) must produce identical graphs: same
-// admissions, same rejections, same states and gating numbers through a
-// full randomized execution.
-func TestAtomsPathMatchesCallbackPath(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		jobs := randomRegionJobs(rng, rng.Intn(5)+2, 8, 5)
-		cb := New(func(a, b Ref) bool {
-			return jobs[a.Job][a.Seq] == jobs[b.Job][b.Seq]
-		})
-		ix := New(nil)
-		var ids []int64
-		for id := int64(1); int(id) <= len(jobs); id++ {
-			ids = append(ids, id)
-		}
-		for _, id := range ids {
-			if err := cb.AddJob(id, len(jobs[id])); err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.AddJobWithAtoms(id, regionAtoms(jobs[id])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		compare := func(stage string) {
-			t.Helper()
-			if cb.EdgesAdmitted() != ix.EdgesAdmitted() || cb.EdgesRejected() != ix.EdgesRejected() {
-				t.Fatalf("seed %d %s: edges admitted/rejected %d/%d (callback) vs %d/%d (atoms)",
-					seed, stage, cb.EdgesAdmitted(), cb.EdgesRejected(), ix.EdgesAdmitted(), ix.EdgesRejected())
-			}
-			for _, id := range ids {
-				for s := range jobs[id] {
-					q := Ref{Job: id, Seq: s}
-					if cb.State(q) != ix.State(q) {
-						t.Fatalf("seed %d %s: %v state %v (callback) vs %v (atoms)",
-							seed, stage, q, cb.State(q), ix.State(q))
-					}
-					if cb.GatingNumber(q) != ix.GatingNumber(q) {
-						t.Fatalf("seed %d %s: %v gating %d (callback) vs %d (atoms)",
-							seed, stage, q, cb.GatingNumber(q), ix.GatingNumber(q))
-					}
-				}
-			}
-		}
-		compare("after registration")
-		// Drive both graphs through the same randomized completion order.
-		for !cb.Finished() {
-			sched := cb.Schedulable()
-			if len(sched) == 0 {
-				t.Fatalf("seed %d: deadlock with unfinished graph", seed)
-			}
-			q := sched[rng.Intn(len(sched))]
-			cb.MarkDone(q)
-			ix.MarkDone(q)
-			compare("after " + q.String())
-		}
-	}
-}
-
 // The incremental worklist propagation must leave the graph at the same
 // fixpoint the naive full-graph sweep reaches: after every public
 // operation, re-running the reference propagateAll must change nothing.
@@ -124,7 +65,7 @@ func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 		jobs := randomRegionJobs(rng, rng.Intn(6)+2, 8, 4)
 		g := New(nil)
 		// Interleave registrations with completions so promotion happens
-		// both from AddJob merges and from MarkDone releases.
+		// both from registration merges and from MarkDone releases.
 		pendingIDs := make([]int64, 0, len(jobs))
 		for id := int64(1); int(id) <= len(jobs); id++ {
 			pendingIDs = append(pendingIDs, id)
@@ -141,7 +82,7 @@ func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 				if err := g.AddJobWithAtoms(id, regionAtoms(jobs[id])); err != nil {
 					t.Fatal(err)
 				}
-				assertFixpoint(t, g, seed, "AddJob")
+				assertFixpoint(t, g, seed, "AddJobWithAtoms")
 				continue
 			}
 			sched := g.Schedulable()

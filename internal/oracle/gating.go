@@ -34,7 +34,8 @@ type modelComponent struct {
 }
 
 // NewModelGraph builds the reference gating graph. shares reports data
-// sharing between queries of different jobs, as for jobgraph.New.
+// sharing between queries of different jobs, A(a) ∩ A(b) ≠ ∅, which
+// jobgraph.Graph derives from the atom lists of AddJobWithAtoms.
 func NewModelGraph(shares func(a, b jobgraph.Ref) bool) *ModelGraph {
 	return &ModelGraph{
 		shares: shares,

@@ -12,64 +12,35 @@ import (
 )
 
 // TestGatingDifferential drives the production gating graph and the
-// reference ModelGraph over randomized job sets and requires them to make
-// identical admission decisions, expose identical schedulable frontiers
-// and gating numbers, and — the Fig. 4 guarantee — drain without
-// deadlock.
+// reference ModelGraph over randomized job sets, all registered up front
+// from dense random atom sets, and requires them to make identical
+// admission decisions, expose identical schedulable frontiers and gating
+// numbers, and — the Fig. 4 guarantee — drain without deadlock.
 func TestGatingDifferential(t *testing.T) {
 	scenarios := 150
 	if testing.Short() {
 		scenarios = 25
 	}
 	for seed := int64(0); seed < int64(scenarios); seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			jobs := 2 + rng.Intn(5) // 2–6 ordered jobs
-			lens := make(map[int64]int, jobs)
-			atoms := make(map[jobgraph.Ref]map[int]bool)
-			universe := 4 + rng.Intn(6) // 4–9 atoms: dense sharing
-			for j := int64(1); j <= int64(jobs); j++ {
-				n := 1 + rng.Intn(6) // 1–6 queries per job
-				lens[j] = n
-				for s := 0; s < n; s++ {
-					set := make(map[int]bool)
+			a := newAtomGraphs(t, seed)
+			jobs := 2 + a.rng.Intn(5)     // 2–6 ordered jobs
+			universe := 4 + a.rng.Intn(6) // 4–9 atoms: dense sharing
+			lists := make([][][]store.AtomID, jobs)
+			for j := range lists {
+				lists[j] = make([][]store.AtomID, 1+a.rng.Intn(6)) // 1–6 queries per job
+				for s := range lists[j] {
 					for k := 0; k < universe; k++ {
-						if rng.Intn(3) == 0 {
-							set[k] = true
+						if a.rng.Intn(3) == 0 {
+							lists[j][s] = append(lists[j][s], store.AtomID{Code: morton.Code(k)})
 						}
 					}
-					atoms[jobgraph.Ref{Job: j, Seq: s}] = set
 				}
 			}
-			shares := func(a, b jobgraph.Ref) bool {
-				sa, sb := atoms[a], atoms[b]
-				if len(sa) > len(sb) {
-					sa, sb = sb, sa
-				}
-				for k := range sa {
-					if sb[k] {
-						return true
-					}
-				}
-				return false
+			for j, l := range lists {
+				a.register(int64(j+1), l)
 			}
-
-			g := jobgraph.New(shares)
-			m := NewModelGraph(shares)
-			for j := int64(1); j <= int64(jobs); j++ {
-				if err := g.AddJob(j, lens[j]); err != nil {
-					t.Fatalf("AddJob(%d): %v", j, err)
-				}
-				m.AddJob(j, lens[j])
-			}
-			if ga, ma := g.EdgesAdmitted(), m.EdgesAdmitted(); ga != ma {
-				t.Errorf("admitted edges: real %d, model %d", ga, ma)
-			}
-			if gr, mr := g.EdgesRejected(), m.EdgesRejected(); gr != mr {
-				t.Errorf("rejected edges: real %d, model %d", gr, mr)
-			}
-			for _, d := range CheckDeadlockFree(g, m) {
+			for _, d := range CheckDeadlockFree(a.g, a.m) {
 				t.Error(d)
 			}
 		})
@@ -108,16 +79,11 @@ func newAtomGraphs(t *testing.T, seed int64) *atomGraphs {
 	return a
 }
 
-// register adds a job of n queries with random atom lists over universe
-// atoms (an atom may repeat within a list, and a list may be empty).
-func (a *atomGraphs) register(id int64, n, universe int) {
+// register adds job id with the given per-query atom lists and diffs the
+// two graphs.
+func (a *atomGraphs) register(id int64, lists [][]store.AtomID) {
 	a.t.Helper()
-	lists := make([][]store.AtomID, n)
 	for s := range lists {
-		for k := a.rng.Intn(4); k > 0; k-- {
-			c := a.rng.Intn(universe)
-			lists[s] = append(lists[s], store.AtomID{Step: c % 2, Code: morton.Code(c / 2)})
-		}
 		ref := jobgraph.Ref{Job: id, Seq: s}
 		a.atoms[ref] = append([]store.AtomID(nil), lists[s]...)
 		a.refs = append(a.refs, ref)
@@ -128,8 +94,21 @@ func (a *atomGraphs) register(id int64, n, universe int) {
 	for s := range lists {
 		clear(lists[s]) // the graph copied them
 	}
-	a.m.AddJob(id, n)
+	a.m.AddJob(id, len(lists))
 	a.compare(fmt.Sprintf("registering job %d", id))
+}
+
+// randomLists draws n random atom lists over universe atoms (an atom may
+// repeat within a list, and a list may be empty).
+func (a *atomGraphs) randomLists(n, universe int) [][]store.AtomID {
+	lists := make([][]store.AtomID, n)
+	for s := range lists {
+		for k := a.rng.Intn(4); k > 0; k-- {
+			c := a.rng.Intn(universe)
+			lists[s] = append(lists[s], store.AtomID{Step: c % 2, Code: morton.Code(c / 2)})
+		}
+	}
+	return lists
 }
 
 // serve completes up to k schedulable queries, one at a time.
@@ -214,7 +193,7 @@ func TestGatingAtomsDifferential(t *testing.T) {
 		universe := 4 + a.rng.Intn(8)
 		jobs := 3 + a.rng.Intn(8)
 		for id := int64(1); id <= int64(jobs); id++ {
-			a.register(id, 1+a.rng.Intn(8), universe)
+			a.register(id, a.randomLists(1+a.rng.Intn(8), universe))
 			a.serve(a.rng.Intn(6))
 			if a.rng.Intn(3) == 0 {
 				a.prune()
@@ -236,7 +215,7 @@ func TestGatingPruneDifferential(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		a := newAtomGraphs(t, 1000+seed)
 		for j := int64(1); j <= 3; j++ {
-			a.register(j, 1+a.rng.Intn(4), 5)
+			a.register(j, a.randomLists(1+a.rng.Intn(4), 5))
 		}
 		if seed%2 == 0 {
 			if diffs := CheckDeadlockFree(a.g, a.m); len(diffs) > 0 {
@@ -247,7 +226,7 @@ func TestGatingPruneDifferential(t *testing.T) {
 		}
 		a.prune()
 		for j := int64(4); j <= 6; j++ {
-			a.register(j, 1+a.rng.Intn(4), 5)
+			a.register(j, a.randomLists(1+a.rng.Intn(4), 5))
 			a.serve(a.rng.Intn(3))
 			a.prune()
 		}

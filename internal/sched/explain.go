@@ -7,46 +7,26 @@ import (
 )
 
 // Explain is the decision capture a scheduler fills during NextBatch
-// when explanation is on: the raw material of one obs.DecisionRecord.
-// The engine reads it through Explained immediately after the decision
-// and moves the slices into a fresh record, so every enabled round
-// builds fresh slices (reset nils them) and the disabled path costs one
-// branch per capture site — the zero-alloc invariant pinned by
-// TestDecisionPathZeroAllocs.
-type Explain struct {
-	Sched string
-	Alpha float64
-	// Urgent marks a QoS earliest-deadline-first round.
-	Urgent bool
-	// WinnerStep is the chosen bucket's step (-1 when the scheduler has
-	// no step level).
-	WinnerStep int
-	// PendingAtoms / PendingSubs are the queue depths before the pick.
-	PendingAtoms int
-	PendingSubs  int
-	// Steps are the candidate steps, ascending; Chosen the batched atoms
-	// in execution order; Truncated the above-mean victims of the batch
-	// bound.
-	Steps     []obs.DecisionStep
-	Chosen    []obs.DecisionAtom
-	Truncated []obs.DecisionAtom
-}
+// when explanation is on: one obs.DecisionRecord, less what only the
+// engine knows (Engine, Seq, T, Blocked). The engine reads it through
+// Explained immediately after the decision and adopts its slices into a
+// fresh record, so every enabled round builds fresh slices (resetExplain
+// nils them) and the disabled path costs one branch per capture site — the
+// zero-alloc invariant pinned by TestDecisionPathZeroAllocs.
+type Explain = obs.DecisionRecord
 
-// reset prepares the capture for one decision round. The slices are
-// nil-ed, not truncated: the previous round's arrays now belong to the
+// resetExplain prepares the capture for one decision round. The slices
+// are nil-ed, not truncated: the previous round's arrays now belong to the
 // record the engine built from them.
-func (e *Explain) reset(sched string, alpha float64, pendingAtoms, pendingSubs int) {
-	e.Sched = sched
-	e.Alpha = alpha
-	e.Urgent = false
-	e.WinnerStep = -1
-	e.PendingAtoms = pendingAtoms
-	e.PendingSubs = pendingSubs
-	e.Steps, e.Chosen, e.Truncated = nil, nil, nil
+func resetExplain(e *Explain, sched string, alpha float64, pendingAtoms, pendingSubs int) {
+	*e = Explain{
+		Sched: sched, Alpha: alpha, WinnerStep: -1,
+		PendingAtoms: pendingAtoms, PendingSubs: pendingSubs,
+	}
 }
 
 // captureStep records one candidate step bucket with its mean metrics.
-func (e *Explain) captureStep(q *queues, b *stepBucket, alpha float64, now time.Duration) {
+func captureStep(e *Explain, q *queues, b *stepBucket, alpha float64, now time.Duration) {
 	n := len(b.atoms)
 	if n == 0 {
 		return
@@ -59,9 +39,10 @@ func (e *Explain) captureStep(q *queues, b *stepBucket, alpha float64, now time.
 	})
 }
 
-// captureAtom records one involved atom with its utility components and
-// the queries riding it. ue is the already-computed Eq. 2 score.
-func (e *Explain) captureAtom(dst *[]obs.DecisionAtom, q *queues, aq *atomQueue, ue float64, now time.Duration) {
+// captureAtom appends one involved atom to dst with its utility
+// components and the queries riding it. ue is the already-computed Eq. 2
+// score.
+func captureAtom(dst *[]obs.DecisionAtom, q *queues, aq *atomQueue, ue float64, now time.Duration) {
 	a := obs.DecisionAtom{
 		Step:  aq.id.Step,
 		Code:  uint64(aq.id.Code),

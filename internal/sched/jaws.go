@@ -225,7 +225,7 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 	var exp *Explain
 	if s.explain {
 		exp = &s.exp
-		exp.reset(s.name, alpha, len(q.byAtom), q.subs)
+		resetExplain(exp, s.name, alpha, len(q.byAtom), q.subs)
 	}
 	s.sel = s.sel[:0]
 	s.score = s.score[:0]
@@ -262,7 +262,7 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 				anchor, bestMean, winSum = i, mean, sum
 			}
 			if exp != nil {
-				exp.captureStep(q, b, alpha, now)
+				captureStep(exp, q, b, alpha, now)
 			}
 		}
 		if exp != nil {
@@ -322,7 +322,7 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 				// The victims are the tail beyond k, before the shrink: the
 				// above-mean candidates the batch bound passed over.
 				for i := s.k; i < len(s.sel); i++ {
-					exp.captureAtom(&exp.Truncated, q, s.sel[i], s.score[i], now)
+					captureAtom(&exp.Truncated, q, s.sel[i], s.score[i], now)
 				}
 			}
 			s.sel = s.sel[:s.k]
@@ -345,7 +345,7 @@ func (s *JAWS) NextBatch(now time.Duration) []Batch {
 	s.out = s.out[:0]
 	for i, aq := range s.sel {
 		if exp != nil {
-			exp.captureAtom(&exp.Chosen, q, aq, s.score[i], now)
+			captureAtom(&exp.Chosen, q, aq, s.score[i], now)
 		}
 		s.out = append(s.out, q.take(aq.id))
 		s.sel[i] = nil

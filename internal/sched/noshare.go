@@ -71,7 +71,7 @@ func (s *NoShare) NextBatch(now time.Duration) []Batch {
 		exp = &s.exp
 		// Arrival-order scheduling has no step level or utilities: the
 		// capture carries the FIFO depth and the served atoms only.
-		exp.reset(s.Name(), 0, len(s.fifo)-s.head, s.pending)
+		resetExplain(exp, s.Name(), 0, len(s.fifo)-s.head, s.pending)
 	}
 	qs := s.fifo[s.head]
 	s.fifo[s.head] = nil
@@ -181,12 +181,12 @@ func (s *LifeRaft) NextBatch(now time.Duration) []Batch {
 	}
 	if s.explain {
 		exp := &s.exp
-		exp.reset(s.Name(), s.alpha, len(s.q.byAtom), s.q.subs)
+		resetExplain(exp, s.Name(), s.alpha, len(s.q.byAtom), s.q.subs)
 		for _, b := range s.q.buckets {
-			exp.captureStep(s.q, b, s.alpha, now)
+			captureStep(exp, s.q, b, s.alpha, now)
 		}
 		exp.WinnerStep = best.id.Step
-		exp.captureAtom(&exp.Chosen, s.q, best, bestScore, now)
+		captureAtom(&exp.Chosen, s.q, best, bestScore, now)
 	}
 	s.outBatch[0] = s.q.take(best.id)
 	return s.outBatch[:]
