@@ -105,10 +105,14 @@ func run(w io.Writer) error {
 		// Advance each cloud with the returned velocities (midpoint rule:
 		// use the step-s velocity for a half step, then re-evaluate — here
 		// simple forward Euler with the interpolated velocity, which is
-		// what the public service's clients typically do).
+		// what the public service's clients typically do). Value i answers
+		// the query's point i: that is what lets particle i take it.
 		for _, res := range rep.Results {
 			c := int(res.Query.JobID - 1)
 			for i, pv := range res.Positions {
+				if p := res.Query.Points[i]; pv.Pos.X != p.X || pv.Pos.Y != p.Y || pv.Pos.Z != p.Z {
+					return fmt.Errorf("query %d: value %d answers %+v, not particle %d at %+v", res.Query.ID, i, pv.Pos, i, p)
+				}
 				pos[c][i] = jaws.Position{
 					X: pos[c][i].X + pv.Val[0]*dt,
 					Y: pos[c][i].Y + pv.Val[1]*dt,

@@ -29,11 +29,10 @@ func scatter(rng *rand.Rand, n int) []geom.Position {
 
 // TestResultsMatchHandAssembly runs a plain and a derivative query, each
 // of 3 000 points scattered over every atom of a step, and compares the
-// served positions with
-// the same pipeline applied by hand, with == on every float: a plain
-// query's values come in the order its sub-queries execute (under NoShare,
-// the pre-processor's), a derivative query's in partition order, each the
-// Fornberg stencil over the per-step kernel outputs summed in chain order.
+// served positions with the same pipeline applied by hand, point by point
+// in request order, with == on every float: the kernel at each point's
+// own atom, for the derivative query the Fornberg stencil over the
+// per-step kernel outputs summed in chain order.
 func TestResultsMatchHandAssembly(t *testing.T) {
 	s := testStore(t)
 	space := s.Space()
@@ -62,12 +61,22 @@ func TestResultsMatchHandAssembly(t *testing.T) {
 		got[r.Query.ID] = r.Positions
 	}
 
+	atoms := map[store.AtomID]*field.Atom{}
 	atomOf := func(id store.AtomID) *field.Atom {
+		if a, ok := atoms[id]; ok {
+			return a
+		}
 		a, _, err := s.Read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		atoms[id] = a
 		return a
+	}
+	// eval is the kernel output at p on step's copy of p's atom.
+	eval := func(q *query.Query, step int, p geom.Position) [field.Components]float64 {
+		ac := space.AtomOf(p)
+		return field.Interpolate(q.Kernel, atomOf(store.AtomID{Step: step, Code: ac.Code()}), space, ac, p)
 	}
 	check := func(name string, got, want []PointSample) {
 		t.Helper()
@@ -81,47 +90,26 @@ func TestResultsMatchHandAssembly(t *testing.T) {
 		}
 	}
 
-	sqs, err := query.PreProcess(plain, space)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []PointSample
-	for _, sq := range sqs {
-		a, ac := atomOf(sq.Atom), geom.AtomFromCode(sq.Atom.Code)
-		for _, p := range sq.Points {
-			want = append(want, PointSample{Pos: geom3{X: p.X, Y: p.Y, Z: p.Z}, Val: field.Interpolate(plain.Kernel, a, space, ac, p)})
-		}
+	for _, p := range plain.Points {
+		want = append(want, PointSample{Pos: geom3{X: p.X, Y: p.Y, Z: p.Z}, Val: eval(plain, plain.Step, p)})
 	}
 	check("plain", got[plain.ID], want)
 
-	sqs, err = query.PreProcess(deriv, space)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := query.DerivWeights(k)
 	want = want[:0]
-	for _, sq := range sqs {
-		if sq.Atom.Step != anchor {
-			continue
-		}
-		ac := geom.AtomFromCode(sq.Atom.Code)
-		var atoms [k]*field.Atom
-		for j := range atoms {
-			atoms[j] = atomOf(store.AtomID{Step: anchor + j, Code: sq.Atom.Code})
-		}
-		for _, p := range sq.Points {
-			var val [field.Components]float64
-			for j := 0; j < k; j++ {
-				v := field.Interpolate(deriv.Kernel, atoms[j], space, ac, p)
-				for c := range val {
-					val[c] += float64(w[j] * v[c])
-				}
-			}
+	for _, p := range deriv.Points {
+		var val [field.Components]float64
+		for j := 0; j < k; j++ {
+			v := eval(deriv, anchor+j, p)
 			for c := range val {
-				val[c] /= query.StepDT
+				val[c] += float64(w[j] * v[c])
 			}
-			want = append(want, PointSample{Pos: geom3{X: p.X, Y: p.Y, Z: p.Z}, Val: val})
 		}
+		for c := range val {
+			val[c] /= query.StepDT
+		}
+		want = append(want, PointSample{Pos: geom3{X: p.X, Y: p.Y, Z: p.Z}, Val: val})
 	}
 	check("derivative", got[deriv.ID], want)
 }

@@ -148,7 +148,6 @@ func TestDifferenceAllocs(t *testing.T) {
 	st := &queryState{
 		q:      &query.Query{DerivSteps: k, Points: make([]geom.Position, n)},
 		result: &QueryResult{Positions: make([]PointSample, k*n)},
-		filled: k * n,
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		st.result.Positions = st.result.Positions[:k*n]

@@ -124,11 +124,12 @@ type Config struct {
 }
 
 // QueryResult is a completed query with its measured response time and
-// (optionally) its computed values in sub-query order. For temporal-
-// derivative queries (DerivSteps ≥ 2) the values are ∂/∂t estimates at
-// the anchor step: the per-step kernel outputs of the chain are combined
-// with the forward finite-difference stencil (query.DerivWeights) over
-// query.StepDT.
+// (optionally) its computed values in request order: Positions[i] answers
+// Query.Points[i], whatever order the sub-queries executed in. For
+// temporal-derivative queries (DerivSteps ≥ 2) the values are ∂/∂t
+// estimates at the anchor step: the per-step kernel outputs of the chain
+// are combined with the forward finite-difference stencil
+// (query.DerivWeights) over query.StepDT.
 type QueryResult struct {
 	Query     *query.Query
 	Completed time.Duration
@@ -248,62 +249,46 @@ type queryState struct {
 	query.Partition
 	q         *query.Query
 	remaining int
-	// result is nil without KeepResults. While a derivative query executes,
-	// result.Positions is its chain, one array for the whole query: the
-	// sample of chain step j at partition index i (query.SubQuery.Offset
-	// plus the index within the sub-query) is Positions[j*len(q.Points)+i].
-	// The per-step spatial partitions are congruent (atom codes depend only
-	// on position), so an index names the same position at every step — the
-	// invariant the finite-differencing relies on.
+	// result is nil without KeepResults. While a query executes,
+	// result.Positions is its chain, one array for the whole query (a plain
+	// query is a chain of one step): the sample of chain step j at request
+	// index i (query.SubQuery.Index) is Positions[j*len(q.Points)+i]. A
+	// request index names the same position at every step — the invariant
+	// the finite-differencing relies on.
 	result *QueryResult
-	// filled counts the samples written into a derivative query's chain.
+	// filled counts the samples written into the chain.
 	filled int
 	// gate is what the gate-aware tail policy reads for this query. It
 	// cannot change while the query is enqueued, so dispatch computes it.
 	gate sched.GateState
 }
 
-// samples returns where the kernel outputs of sq go, in the result's
-// buffer, which grows when the query's first sub-query executes if it is
-// too small (a new result's is empty). A plain query's sub-queries fill
-// Positions in execution order; a derivative query's fill their slots of
-// the chain.
+// samples returns the segment of the result's buffer that sq's step owns,
+// one slot per point of the query in request order: the output at
+// sq.Points[p] goes to slot sq.Index[p]. The buffer grows when the query's
+// first sub-query executes if it is too small (a new result's is empty).
 func (st *queryState) samples(sq *query.SubQuery) []PointSample {
 	n, r := len(st.q.Points), st.result
-	if k := st.q.ChainLen(); k > 1 {
-		if st.filled == 0 {
-			if cap(r.Positions) < k*n {
-				r.Positions = make([]PointSample, k*n)
-			}
+	if st.filled == 0 {
+		if k := st.q.ChainLen(); cap(r.Positions) < k*n {
+			r.Positions = make([]PointSample, k*n)
+		} else {
 			r.Positions = r.Positions[:k*n]
 		}
-		lo := (sq.Atom.Step-st.q.Step)*n + sq.Offset
-		st.filled += len(sq.Points)
-		return r.Positions[lo : lo+len(sq.Points)]
 	}
-	pos := r.Positions
-	if cap(pos) < n {
-		pos = make([]PointSample, 0, n)
-	}
-	lo := len(pos)
-	r.Positions = pos[:lo+len(sq.Points)]
-	return r.Positions[lo:]
+	lo := (sq.Atom.Step - st.q.Step) * n
+	st.filled += len(sq.Points)
+	return r.Positions[lo : lo+n]
 }
 
-// difference collapses a derivative query's chain into ∂/∂t estimates, in
-// place and in partition order (atoms in code order, so the result layout
-// is deterministic): for every position the derivative is
-// Σⱼ wⱼ·v(step+j) / StepDT with the Fornberg forward stencil. Position p
-// reads index p of every step and writes index p of the first, so no
-// value is read after it was overwritten. A chain with a step that was
-// never evaluated (a compute-disabled path) yields no values rather than
-// wrongly differenced ones. w is query.DerivWeights of the chain's length.
+// difference collapses a derivative query's evaluated chain into ∂/∂t
+// estimates, in place and in request order: for every position the
+// derivative is Σⱼ wⱼ·v(step+j) / StepDT with the Fornberg forward
+// stencil. Position p reads index p of every step and writes index p of
+// the first, so no value is read after it was overwritten. w is
+// query.DerivWeights of the chain's length.
 func (st *queryState) difference(w []float64) {
 	k, n, r := st.q.ChainLen(), len(st.q.Points), st.result
-	if st.filled != k*n {
-		r.Positions = r.Positions[:0]
-		return
-	}
 	chain := r.Positions
 	for p := 0; p < n; p++ {
 		var val [field.Components]float64
@@ -1012,8 +997,8 @@ func (e *Engine) fill(a *field.Atom, want field.Blocks) {
 }
 
 // computeBatch evaluates the kernels for every position of the batch,
-// each sub-query writing into its range of its query's result array (or
-// nowhere, without KeepResults: the evaluation is then the run's CPU load
+// each point's value going to its request index in its query's result
+// array (or nowhere, without KeepResults: the evaluation is then the run's CPU load
 // alone). The blocks the batch's stencils read are filled first, in one
 // pass, then the positions are evaluated in sub-query and point order.
 // Everything runs on the simulation goroutine: Eq. 1 charges a position's
@@ -1035,7 +1020,7 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 		for p, pos := range sq.Points {
 			val := field.Interpolate(sq.Query.Kernel, atom, space, ac, pos)
 			if out != nil {
-				out[p] = PointSample{Pos: geom3{X: pos.X, Y: pos.Y, Z: pos.Z}, Val: val}
+				out[sq.Index[p]] = PointSample{Pos: geom3{X: pos.X, Y: pos.Y, Z: pos.Z}, Val: val}
 			}
 		}
 	}
@@ -1052,7 +1037,12 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 	e.report.Completed++
 	e.inst.noteCompleted(st.q, rt, now)
 	if st.result != nil {
-		if k := st.q.ChainLen(); k > 1 {
+		// A chain with a step that was never evaluated (a compute-disabled
+		// path) yields no values rather than partial or wrongly differenced
+		// ones.
+		if k := st.q.ChainLen(); st.filled != k*len(st.q.Points) {
+			st.result.Positions = st.result.Positions[:0]
+		} else if k > 1 {
 			st.difference(e.derivWeights(k))
 		}
 		st.result.Completed = now

@@ -248,21 +248,18 @@ func TestResultStableUntilRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[query.ID]map[geom3][field.Components]float64{}
+	want := map[query.ID][]PointSample{}
 	for _, r := range rep.Results {
-		vals := map[geom3][field.Components]float64{}
-		for _, ps := range r.Positions {
-			vals[ps.Pos] = ps.Val
-		}
-		want[r.Query.ID] = vals
+		want[r.Query.ID] = r.Positions
 	}
 	for r := range holding {
-		if len(r.Positions) != len(r.Query.Points) {
-			t.Fatalf("held query %d: %d positions for %d points", r.Query.ID, len(r.Positions), len(r.Query.Points))
+		w := want[r.Query.ID]
+		if len(r.Positions) != len(r.Query.Points) || len(w) != len(r.Positions) {
+			t.Fatalf("held query %d: %d positions, Run %d, for %d points", r.Query.ID, len(r.Positions), len(w), len(r.Query.Points))
 		}
-		for _, ps := range r.Positions {
-			if w, ok := want[r.Query.ID][ps.Pos]; !ok || w != ps.Val {
-				t.Fatalf("held query %d at %+v: %v, Run computed %v (found %v)", r.Query.ID, ps.Pos, ps.Val, w, ok)
+		for i, ps := range r.Positions {
+			if ps != w[i] {
+				t.Fatalf("held query %d, point %d: %+v, Run computed %+v", r.Query.ID, i, ps, w[i])
 			}
 		}
 	}

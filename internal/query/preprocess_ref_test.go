@@ -186,8 +186,9 @@ func splitBothWays(t *testing.T, label string, p *Partition, q *Query, space geo
 // checkAgainstReference fails unless got is what the reference returns for
 // q, sub-query for sub-query: atoms in the same key order, the same points
 // in the same order (input-order ties included), the same sorted
-// footprints (nil where empty), and Offset the running point count within
-// a step.
+// footprints (nil where empty), and an Index entry per point that names
+// that point in q.Points, ascending over a run of equal points, the
+// indices of each step a permutation of 0..n-1.
 func checkAgainstReference(t *testing.T, label string, q *Query, space geom.Space, got []*SubQuery) {
 	t.Helper()
 	want, err := refPreProcess(q, space)
@@ -198,17 +199,37 @@ func checkAgainstReference(t *testing.T, label string, q *Query, space geom.Spac
 		t.Fatalf("%s (%v, chain %d, %d points): %d sub-queries, reference %d",
 			label, q.Kernel, q.ChainLen(), len(q.Points), len(got), len(want))
 	}
-	offset := 0
+	n := len(q.Points)
+	seen, count := make([]bool, n), 0
 	for i := range want {
 		g, w := got[i], want[i]
 		if i > 0 && g.Atom.Step != got[i-1].Atom.Step {
-			offset = 0
+			if count != n {
+				t.Fatalf("%s: step %d indexes %d of %d points", label, got[i-1].Atom.Step, count, n)
+			}
+			clear(seen)
+			count = 0
 		}
-		w.Offset = offset // the reference predates the field
+		if len(g.Index) != len(g.Points) {
+			t.Fatalf("%s sub-query %d: %d indices for %d points", label, i, len(g.Index), len(g.Points))
+		}
+		for p, x := range g.Index {
+			if x < 0 || x >= n || seen[x] || q.Points[x] != g.Points[p] {
+				t.Fatalf("%s sub-query %d: point %d (%+v) has index %d, out of range, repeated or not its point", label, i, p, g.Points[p], x)
+			}
+			if p > 0 && g.Points[p] == g.Points[p-1] && x < g.Index[p-1] {
+				t.Fatalf("%s sub-query %d: equal points %d and %d out of input order (indices %d, %d)", label, i, p-1, p, g.Index[p-1], x)
+			}
+			seen[x] = true
+			count++
+		}
+		w.Index = g.Index // the reference predates the field
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s sub-query %d:\n%+v\nreference\n%+v", label, i, *g, *w)
 		}
-		offset += len(g.Points)
+	}
+	if count != n {
+		t.Fatalf("%s: last step indexes %d of %d points", label, count, n)
 	}
 }
 
@@ -415,9 +436,9 @@ func TestPreProcessSlicesAreCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sq := range sqs {
-		if cap(sq.Points) != len(sq.Points) || cap(sq.Footprint) != len(sq.Footprint) {
-			t.Fatalf("%v: points len %d cap %d, footprint len %d cap %d", sq.Atom,
-				len(sq.Points), cap(sq.Points), len(sq.Footprint), cap(sq.Footprint))
+		if cap(sq.Points) != len(sq.Points) || cap(sq.Index) != len(sq.Index) || cap(sq.Footprint) != len(sq.Footprint) {
+			t.Fatalf("%v: points len %d cap %d, index cap %d, footprint len %d cap %d", sq.Atom,
+				len(sq.Points), cap(sq.Points), cap(sq.Index), len(sq.Footprint), cap(sq.Footprint))
 		}
 	}
 }

@@ -100,11 +100,10 @@ type SubQuery struct {
 	// these positions spill into (excluding Atom itself). The two-level
 	// scheduler co-schedules them to respect locality of reference.
 	Footprint []store.AtomID
-	// Offset is the index of Points[0] in the query's partition order
-	// (atoms in Morton order, then Points order). It does not depend on
-	// the step, so the sub-queries of a derivative chain that cover the
-	// same atom agree on it.
-	Offset int
+	// Index is the request index of each of Points: Points[i] is
+	// Query.Points[Index[i]]. It does not depend on the step, so the
+	// sub-queries of a derivative chain that cover the same atom share it.
+	Index []int
 }
 
 // pointKey places one input position in the partition order: primary
@@ -205,14 +204,15 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Partition is the storage of one query's split into sub-queries: the
-// positions in partition order, the sub-query records and the footprints.
-// Its owner reuses it query after query; an array grows only when a query
-// is larger than any the partition served — the positions to the query's
-// size exactly (they are most of a partition's bytes), the two small
-// arrays to the next power of two (smallCap). The zero value is ready to
-// use.
+// positions in partition order and their request indices, the sub-query
+// records and the footprints. Its owner reuses it query after query; an
+// array grows only when a query is larger than any the partition served —
+// the positions and indices to the query's size exactly (they are most of
+// a partition's bytes), the two small arrays to the next power of two
+// (smallCap). The zero value is ready to use.
 type Partition struct {
 	pts  []geom.Position
+	idx  []int
 	subs []SubQuery
 	fps  []store.AtomID
 }
@@ -281,7 +281,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 	// every step of a derivative chain. A stencil that stays inside its
 	// atom on all three axes — most do — adds nothing to it.
 	groups, codes := sc.groups[:0], sc.codes[:0]
-	pts := grow(p.pts, len(keys), len(keys))
+	pts, idx := grow(p.pts, len(keys), len(keys)), grow(p.idx, len(keys), len(keys))
 	// inside tells whether a stencil about voxel v stays in the atom that
 	// starts at voxel o on that axis.
 	inside := func(v uint32, o int) bool {
@@ -296,7 +296,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 		ax, ay, az := keys[lo].atom.Decode()
 		ox, oy, oz := int(ax)*space.AtomSide, int(ay)*space.AtomSide, int(az)*space.AtomSide
 		for i := g.lo; i < g.hi; i++ {
-			pts[i] = q.Points[keys[i].idx]
+			pts[i], idx[i] = q.Points[keys[i].idx], keys[i].idx
 			if radius <= 0 {
 				continue
 			}
@@ -321,7 +321,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 	// A temporal-derivative query repeats the partition at every step of
 	// its chain (atom codes depend only on position, and the engine's
 	// finite-differencing relies on the congruence): the steps share the
-	// point storage and differ in the step of their atom IDs.
+	// point and index storage and differ in the step of their atom IDs.
 	chain := q.ChainLen()
 	subs := grow(p.subs, chain*len(groups), smallCap(chain*len(groups)))
 	fps := grow(p.fps, chain*len(codes), smallCap(chain*len(codes)))[:0]
@@ -333,7 +333,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 				Query:  q,
 				Atom:   store.AtomID{Step: step, Code: keys[g.lo].atom},
 				Points: pts[g.lo:g.hi:g.hi],
-				Offset: g.lo,
+				Index:  idx[g.lo:g.hi:g.hi],
 			}
 			if g.fpLo < g.fpHi {
 				n := len(fps)
@@ -344,7 +344,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 			}
 		}
 	}
-	p.pts, p.subs, p.fps = pts, subs, fps
+	p.pts, p.idx, p.subs, p.fps = pts, idx, subs, fps
 	return subs, nil
 }
 

@@ -53,7 +53,8 @@ type PointValue struct {
 	Pressure float64    `json:"pressure"`
 }
 
-// QueryResponse is the /query success body.
+// QueryResponse is the /query success body. Values[i] answers the
+// request's Points[i], whatever order its atoms were read in.
 type QueryResponse struct {
 	QueryID int64 `json:"query_id"`
 	// VirtualSeconds is the query's response time on the engine's

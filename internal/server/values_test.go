@@ -1,52 +1,43 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"jaws"
 	"jaws/internal/geom"
 )
 
-// servedValuesSHA256 is the digest TestServedValuesCertificate computes. It
-// changes only when a served value changes by one bit: the fill kernel, the
-// trig, the interpolation kernels, the derivative assembly or the codec.
-const servedValuesSHA256 = "32cfc601117066eab44476c89238f2367035e811bd71f06e6f97d59750963f46"
+// servedValuesSHA256 is the digest TestServedValuesCertificate computes. A
+// response lists its values in request order, so no schedule moves it: it
+// changes only when a served value changes by one bit — the fill kernel,
+// the trig, the interpolation kernels, the derivative assembly or the codec.
+const servedValuesSHA256 = "bcbf2f0d6df06759a485b98b6a6dbcbfdc289638e605fc6aaad27923498324da"
 
-// TestServedValuesCertificate serves a seeded mix of requests through the
-// handler of a real session and hashes every value served: all five kernels,
-// 1 to 64 points, positions on and around atom seams and the domain's
-// periodic edge, derivative chains, over a cache small enough that atoms are
-// evicted and synthesized again. A change to how the atoms are filled (whole,
-// by rows, by samples, in any order) must serve the same bits.
-func TestServedValuesCertificate(t *testing.T) {
+// servedMultisetSHA256 is the same digest over each response's values
+// sorted by their bits: it tells a value that changed from one that moved
+// within its response.
+const servedMultisetSHA256 = "ec6573da0592aea5ae80e76f30d6c03802092e69c98fef6e09cc9c4f4b799ec7"
+
+// certificateRequests draws the certificate's seeded mix of 128 requests:
+// all five kernels, 1 to 64 points, positions on and around atom seams and
+// the domain's periodic edge, derivative chains.
+func certificateRequests() []QueryRequest {
 	const steps, grid, atom = 4, 128, 32
-	sess, err := jaws.OpenSession(jaws.Config{
-		Space:      jaws.Space{GridSide: grid, AtomSide: atom},
-		Steps:      steps,
-		Seed:       23,
-		Scheduler:  jaws.SchedJAWS2,
-		CacheAtoms: 12,
-		Compute:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Backends: []Backend{sess}, Workers: 1, Steps: steps, MaxPoints: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Shutdown() })
-	h := srv.Handler()
-
 	rng := rand.New(rand.NewSource(35))
 	atomLen := geom.DomainSide * atom / grid
 	coord := func() float64 {
@@ -63,14 +54,8 @@ func TestServedValuesCertificate(t *testing.T) {
 		return float64(rng.Float64() * geom.DomainSide)
 	}
 	names := []string{"none", "trilinear", "lag4", "lag6", "lag8"}
-	digest := sha256.New()
-	var word [8]byte
-	put := func(v float64) {
-		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
-		digest.Write(word[:])
-	}
-	values := 0
-	for i := range 128 {
+	reqs := make([]QueryRequest, 128)
+	for i := range reqs {
 		req := QueryRequest{Step: rng.Intn(steps), Kernel: names[rng.Intn(len(names))]}
 		if rng.Intn(5) == 0 {
 			req.DerivSteps = 2 + rng.Intn(steps-1)
@@ -81,31 +66,202 @@ func TestServedValuesCertificate(t *testing.T) {
 		for range n {
 			req.Points = append(req.Points, Point{X: coord(), Y: coord(), Z: coord()})
 		}
-		body, err := json.Marshal(req)
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// certificateConfig is the certificate's system: the requests' 128³ grid of
+// 32³ atoms over 4 steps, behind a cache small enough that atoms are
+// evicted and synthesized again.
+func certificateConfig() jaws.Config {
+	return jaws.Config{
+		Space:      jaws.Space{GridSide: 128, AtomSide: 32},
+		Steps:      4,
+		Seed:       23,
+		Scheduler:  jaws.SchedJAWS2,
+		CacheAtoms: 12,
+		Compute:    true,
+	}
+}
+
+// serveCertificate serves reqs through the handler of a server with the
+// given serving slots over a session of cfg, from clients concurrent
+// clients (client c sends requests c, c+clients, …, one at a time), and
+// returns each response's values by request. Every value must answer its
+// request's point of the same index.
+func serveCertificate(t *testing.T, cfg jaws.Config, workers, clients int, reqs []QueryRequest) [][]PointValue {
+	t.Helper()
+	sess, err := jaws.OpenSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Backends: []Backend{sess}, Workers: workers, Steps: cfg.Steps, MaxPoints: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	h := srv.Handler()
+	out := make([][]PointValue, len(reqs))
+	serve := func(i int) error {
+		body, err := json.Marshal(reqs[i])
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+			return fmt.Errorf("request %d: status %d: %s", i, rec.Code, rec.Body)
 		}
 		var resp QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("request %d: %v", i, err)
+			return fmt.Errorf("request %d: %v", i, err)
 		}
-		if len(resp.Values) != n {
-			t.Fatalf("request %d: %d values for %d points", i, len(resp.Values), n)
+		if len(resp.Values) != len(reqs[i].Points) {
+			return fmt.Errorf("request %d: %d values for %d points", i, len(resp.Values), len(reqs[i].Points))
 		}
-		for _, v := range resp.Values {
-			put(v.Velocity[0])
-			put(v.Velocity[1])
-			put(v.Velocity[2])
-			put(v.Pressure)
-			values++
+		for j, v := range resp.Values {
+			if v.Position != reqs[i].Points[j] {
+				return fmt.Errorf("request %d: value %d answers %+v, not the request's point %+v", i, j, v.Position, reqs[i].Points[j])
+			}
+		}
+		out[i] = resp.Values
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(reqs) && errs[c] == nil; i += clients {
+				errs[c] = serve(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := hex.EncodeToString(digest.Sum(nil)); got != servedValuesSHA256 {
-		t.Fatalf("SHA-256 over the %d served values is %s, want %s: a served value changed", values, got, servedValuesSHA256)
+	return out
+}
+
+// valueWords are the bits of a served value the digests cover.
+func valueWords(v PointValue) [4]uint64 {
+	return [4]uint64{
+		math.Float64bits(v.Velocity[0]), math.Float64bits(v.Velocity[1]),
+		math.Float64bits(v.Velocity[2]), math.Float64bits(v.Pressure),
+	}
+}
+
+// digestValues returns the SHA-256 over every value of resps in order, the
+// same over each response's values sorted by their bits, and the count.
+func digestValues(resps [][]PointValue) (ordered, multiset string, values int) {
+	inOrder, sorted := sha256.New(), sha256.New()
+	var word [8]byte
+	put := func(w [4]uint64, h hash.Hash) {
+		for _, x := range w {
+			binary.LittleEndian.PutUint64(word[:], x)
+			h.Write(word[:])
+		}
+	}
+	for _, vals := range resps {
+		words := make([][4]uint64, len(vals))
+		for i, v := range vals {
+			words[i] = valueWords(v)
+			put(words[i], inOrder)
+		}
+		slices.SortFunc(words, func(a, b [4]uint64) int { return slices.Compare(a[:], b[:]) })
+		for _, w := range words {
+			put(w, sorted)
+		}
+		values += len(vals)
+	}
+	return hex.EncodeToString(inOrder.Sum(nil)), hex.EncodeToString(sorted.Sum(nil)), values
+}
+
+// declaredAt returns where in this file the named constant is declared, as
+// internal/server/values_test.go:LINE.
+func declaredAt(t *testing.T, name string) string {
+	src, err := os.ReadFile("values_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := 1 + slices.IndexFunc(strings.Split(string(src), "\n"), func(l string) bool {
+		return strings.HasPrefix(l, "const "+name+" ")
+	})
+	return fmt.Sprintf("internal/server/values_test.go:%d", line)
+}
+
+// TestServedValuesCertificate serves the certificate's requests through the
+// handler of a real session and hashes every value served, in request
+// order. A change to how the atoms are filled (whole, by rows, by samples,
+// in any order) must serve the same bits.
+func TestServedValuesCertificate(t *testing.T) {
+	ordered, multiset, values := digestValues(serveCertificate(t, certificateConfig(), 1, 1, certificateRequests()))
+	if multiset == servedMultisetSHA256 {
+		t.Logf("every request's multiset of values is unchanged (%s)", multiset)
+	}
+	if ordered != servedValuesSHA256 {
+		what := "a served value changed"
+		if multiset == servedMultisetSHA256 {
+			what = "no value changed, but values moved within their responses"
+		}
+		t.Fatalf("SHA-256 over the %d served values is %s, want %s: %s.\n"+
+			"A deliberate change re-records, at %s:\n\tconst servedValuesSHA256 = %q\n"+
+			"and at %s:\n\tconst servedMultisetSHA256 = %q",
+			values, ordered, servedValuesSHA256, what,
+			declaredAt(t, "servedValuesSHA256"), ordered, declaredAt(t, "servedMultisetSHA256"), multiset)
+	}
+}
+
+// TestServedValuesIndependentOfSchedule is the metamorphic half of the
+// certificate: a served value depends on its request alone, so the
+// certificate's requests must serve the certificate's digest under every
+// scheduler × Table I policy × cache capacity of 1, 16 and 256 atoms (each
+// forcing its own eviction and row-reuse history) × cost model off and on,
+// under the tail stack on JAWS1 and JAWS2, and from 4 concurrent clients
+// against 2 serving slots.
+func TestServedValuesIndependentOfSchedule(t *testing.T) {
+	reqs := certificateRequests()
+	type run struct {
+		name             string
+		cfg              jaws.Config
+		workers, clients int
+	}
+	var runs []run
+	for _, tail := range []string{"", "gate-aware;cross-step;adaptive-batch"} {
+		for s := range jaws.SchedulerNames() {
+			sc := jaws.Scheduler(s)
+			if tail != "" && sc != jaws.SchedJAWS1 && sc != jaws.SchedJAWS2 {
+				continue
+			}
+			for p := range jaws.CachePolicyNames() {
+				for _, capacity := range []int{1, 16, 256} {
+					for _, cost := range []jaws.CostModel{{}, jaws.DefaultEvaluationCost()} {
+						cfg := certificateConfig()
+						cfg.Scheduler, cfg.Policy, cfg.CacheAtoms, cfg.Cost, cfg.TailPolicy = sc, jaws.CachePolicy(p), capacity, cost, tail
+						name := fmt.Sprintf("%v/%v/%d/cost=%t/tail=%t", sc, cfg.Policy, capacity, cost != jaws.CostModel{}, tail != "")
+						runs = append(runs, run{name, cfg, 1, 1})
+					}
+				}
+			}
+		}
+	}
+	if len(runs) != 126 {
+		t.Fatalf("%d configurations, want 126", len(runs))
+	}
+	cfg := certificateConfig()
+	cfg.Scheduler, cfg.Policy, cfg.CacheAtoms, cfg.Cost = jaws.SchedJAWS2, jaws.PolicyURC, 16, jaws.DefaultEvaluationCost()
+	runs = append(runs, run{"concurrent", cfg, 2, 4})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			if got, _, _ := digestValues(serveCertificate(t, r.cfg, r.workers, r.clients, reqs)); got != servedValuesSHA256 {
+				t.Errorf("served values digest %s, want the certificate's %s", got, servedValuesSHA256)
+			}
+		})
 	}
 }
