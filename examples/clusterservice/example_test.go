@@ -14,8 +14,8 @@ func Example() {
 	}
 	// Output:
 	// cluster run: 203 logical queries, makespan 129.9 virtual s, 1.56 q/s aggregate
-	//   node 0:  126 queries, 0.97 q/s, cache hit 81.2%
-	//   node 1:   32 queries, 0.25 q/s, cache hit 85.6%
+	//   node 0:  126 queries, 0.97 q/s, cache hit 82.0%
+	//   node 1:   32 queries, 0.25 q/s, cache hit 85.9%
 	//   node 2:   56 queries, 0.56 q/s, cache hit 84.5%
 	//   node 3:   24 queries, 0.19 q/s, cache hit 85.7%
 	//

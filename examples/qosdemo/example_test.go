@@ -14,8 +14,8 @@ func Example() {
 	}
 	// Output:
 	// mixed workload: one dense cutout + 40 short point queries
-	// JAWS (no guarantees)         p95(short) =  10.84s   throughput = 3.75 q/s
-	// JAWS + QoS (stretch 6)       p95(short) =   9.05s   throughput = 4.33 q/s
+	// JAWS (no guarantees)         p95(short) =   9.93s   throughput = 3.91 q/s
+	// JAWS + QoS (stretch 6)       p95(short) =   0.78s   throughput = 4.34 q/s
 	//
-	// QoS cut the short queries' p95 by 16% while keeping 116% of throughput.
+	// QoS cut the short queries' p95 by 92% while keeping 111% of throughput.
 }

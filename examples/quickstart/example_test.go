@@ -13,11 +13,11 @@ func Example() {
 	}
 	// Output:
 	// running 337 queries from 40 jobs...
-	// throughput      3.25 queries/second (virtual time)
-	// mean response   0.331 s
-	// cache hit       74.6%
+	// throughput      3.26 queries/second (virtual time)
+	// mean response   0.306 s
+	// cache hit       77.1%
 	// gating edges    62 admitted
-	// final age bias  α = 0.66
+	// final age bias  α = 0.09
 	//
 	// NoShare baseline: 3.22 q/s — JAWS speedup 1.01x
 }

@@ -23,6 +23,6 @@ func Example() {
 	//    6     0.00686     0.06765     0.06108
 	//    7     0.00687     0.06766     0.06112
 	//
-	// 8 queries, 3.03 virtual seconds, cache hit 71.4%
+	// 8 queries, 2.93 virtual seconds, cache hit 71.4%
 	// KE(first)=0.00685 KE(last)=0.00687 — stationary within a factor of 1.0
 }

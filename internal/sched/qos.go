@@ -50,10 +50,13 @@ type qosPass struct {
 }
 
 // NewQoS installs proportional completion-time guarantees on a JAWS
-// scheduler and returns the handle. stretch ≤ 0 defaults to 8 (a query may
-// take 8× its isolated service time); horizon ≤ 0 defaults to 2 s of
-// virtual time.
+// scheduler and returns the handle. A zero cost means DefaultCost();
+// stretch ≤ 0 defaults to 8 (a query may take 8× its isolated service
+// time); horizon ≤ 0 defaults to 2 s of virtual time.
 func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration) *QoS {
+	if cost == (CostModel{}) {
+		cost = DefaultCost()
+	}
 	if stretch <= 0 {
 		stretch = 8
 	}

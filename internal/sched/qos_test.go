@@ -22,6 +22,12 @@ func TestQoSDefaults(t *testing.T) {
 	if q.Name() == "" {
 		t.Fatal("empty name")
 	}
+	// A zero cost model means the default, to the deadlines and to the
+	// atom queues alike.
+	inner := NewJAWS(JAWSConfig{BatchSize: 4})
+	if z := NewQoS(inner, CostModel{}, 0, 0); z.qos.cost != DefaultCost() || inner.q.cost != DefaultCost() {
+		t.Fatalf("zero cost: QoS scores with %+v, the queues with %+v; want %+v", z.qos.cost, inner.q.cost, DefaultCost())
+	}
 }
 
 func TestQoSFallsThroughToJAWS(t *testing.T) {

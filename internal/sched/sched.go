@@ -220,7 +220,12 @@ type queues struct {
 	stepSumRecomputes int
 }
 
+// newQueues builds the atom queues of a scheduler that scores with cost; a
+// zero cost means DefaultCost(), the rule the engine applies to its T_m.
 func newQueues(cost CostModel, resident func(store.AtomID) bool) *queues {
+	if cost == (CostModel{}) {
+		cost = DefaultCost()
+	}
 	if resident == nil {
 		resident = func(store.AtomID) bool { return false }
 	}

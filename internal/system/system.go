@@ -64,9 +64,8 @@ type Config struct {
 	// ProtectedFrac is SLRU's protected share; zero means 0.05.
 	ProtectedFrac float64
 	// Cost is the T_b / T_m model of Eq. 1, handed as given to both the
-	// scheduler and the engine. Zero is not defaulted: the scheduler then
-	// scores with T_b = T_m = 0, so U_t = 0 for every atom, while the engine
-	// charges sched.DefaultCost().Tm per position (TestCostHandedAsGiven).
+	// scheduler and the engine; zero means sched.DefaultCost() to both
+	// (TestCostHandedAsGiven).
 	Cost sched.CostModel
 	// RunLength is r, queries per adaptation run; zero means 32.
 	RunLength int
@@ -231,7 +230,8 @@ func (s *System) NewScheduler() sched.Scheduler {
 
 // EngineConfig is the engine configuration of one run of the system under
 // sc: NewScheduler's result, or a wrapper around it. With NewScheduler it
-// is the only reader of Config.Cost, handed on as given
+// is the only reader of Config.Cost, handed on as given: the engine, like
+// the scheduler, takes a zero one for sched.DefaultCost()
 // (TestCostHandedAsGiven).
 func (s *System) EngineConfig(sc sched.Scheduler) engine.Config {
 	return engine.Config{

@@ -102,16 +102,10 @@ func oneQueryJob(n int) *job.Job {
 	return &job.Job{ID: 1, User: 1, Type: job.Batched, Queries: []*query.Query{{ID: 1, JobID: 1, Points: pts}}}
 }
 
-// TestCostHandedAsGiven pins what the assembler does with Config.Cost
-// today: NewScheduler and EngineConfig hand it on exactly as given. Left
-// zero — as cmd/jaws and cmd/jawsd leave it — the scheduler therefore
-// scores with a zero cost model (Eq. 1 yields U_t = 0 for every atom) while
-// the engine falls back to its own default, the zero-CostModel issue of
-// DESIGN.md §19. The fix is one line in the defaults block
-// (Config.WithDefaults: default Cost there, so both readers see the same
-// model); it changes serving behaviour, so it waits for a re-baseline of
-// the wall-clock benchmark — and when it lands, the zero-cost assertions
-// below flip on purpose.
+// TestCostHandedAsGiven: the assembler hands Config.Cost on as given, and
+// both of its readers take a zero one — as cmd/jaws and cmd/jawsd leave it
+// — to mean sched.DefaultCost(): the scheduler scores Eq. 1 with it, and
+// the engine charges its T_m per position.
 func TestCostHandedAsGiven(t *testing.T) {
 	utility := func(cost sched.CostModel) float64 {
 		cfg := smallConfig(system.SchedJAWS2)
@@ -131,16 +125,17 @@ func TestCostHandedAsGiven(t *testing.T) {
 		sc.Enqueue(sqs[0], 0)
 		return sc.(sched.UtilityProvider).AtomUtility(sqs[0].Atom)
 	}
-	if u := utility(testCost); u <= 0 {
-		t.Fatalf("U_t = %v under a real cost model, want > 0", u)
+	zero, def := utility(sched.CostModel{}), utility(sched.DefaultCost())
+	if zero <= 0 || zero != def {
+		t.Fatalf("U_t = %v under the zero cost model, %v under the default; want the default's, > 0", zero, def)
 	}
-	if u := utility(sched.CostModel{}); u != 0 {
-		t.Fatalf("U_t = %v under the zero cost model, want 0 (was the cost-model fix made? see the comment)", u)
+	if other := utility(testCost); other == zero {
+		t.Fatalf("T_b does not reach U_t: %v either way", zero)
 	}
 
-	// The engine's side: a zero Cost runs exactly as the engine's default
-	// T_m = 20 µs does, and not as another T_m. NoShare reads no cost
-	// model, so only the engine's can move the clock.
+	// The engine's side: a zero Cost runs exactly as the default T_m does,
+	// and not as another T_m. NoShare reads no cost model, so only the
+	// engine's can move the clock.
 	elapsed := func(cost sched.CostModel) time.Duration {
 		cfg := smallConfig(system.SchedNoShare)
 		cfg.Cost = cost
@@ -154,12 +149,12 @@ func TestCostHandedAsGiven(t *testing.T) {
 		}
 		return rep.Elapsed
 	}
-	zero := elapsed(sched.CostModel{})
-	if def := elapsed(sched.CostModel{Tm: 20 * time.Microsecond}); zero != def {
-		t.Fatalf("zero cost ran %v, the engine's default T_m %v", zero, def)
+	zeroRun := elapsed(sched.CostModel{})
+	if defRun := elapsed(sched.DefaultCost()); zeroRun != defRun {
+		t.Fatalf("zero cost ran %v, the default %v", zeroRun, defRun)
 	}
-	if other := elapsed(sched.CostModel{Tm: 40 * time.Microsecond}); zero == other {
-		t.Fatalf("T_m does not reach the clock: %v either way", zero)
+	if other := elapsed(sched.CostModel{Tm: 40 * time.Microsecond}); zeroRun == other {
+		t.Fatalf("T_m does not reach the clock: %v either way", zeroRun)
 	}
 }
 
