@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"math"
 	"math/rand"
 	"net/http"
@@ -27,11 +26,6 @@ import (
 // changes only when a served value changes by one bit — the fill kernel,
 // the trig, the interpolation kernels, the derivative assembly or the codec.
 const servedValuesSHA256 = "bcbf2f0d6df06759a485b98b6a6dbcbfdc289638e605fc6aaad27923498324da"
-
-// servedMultisetSHA256 is the same digest over each response's values
-// sorted by their bits: it tells a value that changed from one that moved
-// within its response.
-const servedMultisetSHA256 = "ec6573da0592aea5ae80e76f30d6c03802092e69c98fef6e09cc9c4f4b799ec7"
 
 // certificateRequests draws the certificate's seeded mix of 128 requests:
 // all five kernels, 1 to 64 points, positions on and around atom seams and
@@ -148,49 +142,36 @@ func serveCertificate(t *testing.T, cfg jaws.Config, workers, clients int, reqs 
 	return out
 }
 
-// valueWords are the bits of a served value the digests cover.
-func valueWords(v PointValue) [4]uint64 {
-	return [4]uint64{
-		math.Float64bits(v.Velocity[0]), math.Float64bits(v.Velocity[1]),
-		math.Float64bits(v.Velocity[2]), math.Float64bits(v.Pressure),
-	}
-}
-
-// digestValues returns the SHA-256 over every value of resps in order, the
-// same over each response's values sorted by their bits, and the count.
-func digestValues(resps [][]PointValue) (ordered, multiset string, values int) {
-	inOrder, sorted := sha256.New(), sha256.New()
+// digestValues returns the SHA-256 over every value of resps, in order,
+// and how many there are.
+func digestValues(resps [][]PointValue) (digest string, values int) {
+	h := sha256.New()
 	var word [8]byte
-	put := func(w [4]uint64, h hash.Hash) {
-		for _, x := range w {
-			binary.LittleEndian.PutUint64(word[:], x)
-			h.Write(word[:])
-		}
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		h.Write(word[:])
 	}
 	for _, vals := range resps {
-		words := make([][4]uint64, len(vals))
-		for i, v := range vals {
-			words[i] = valueWords(v)
-			put(words[i], inOrder)
-		}
-		slices.SortFunc(words, func(a, b [4]uint64) int { return slices.Compare(a[:], b[:]) })
-		for _, w := range words {
-			put(w, sorted)
+		for _, v := range vals {
+			put(v.Velocity[0])
+			put(v.Velocity[1])
+			put(v.Velocity[2])
+			put(v.Pressure)
 		}
 		values += len(vals)
 	}
-	return hex.EncodeToString(inOrder.Sum(nil)), hex.EncodeToString(sorted.Sum(nil)), values
+	return hex.EncodeToString(h.Sum(nil)), values
 }
 
-// declaredAt returns where in this file the named constant is declared, as
+// digestDeclaredAt returns where servedValuesSHA256 is declared, as
 // internal/server/values_test.go:LINE.
-func declaredAt(t *testing.T, name string) string {
+func digestDeclaredAt(t *testing.T) string {
 	src, err := os.ReadFile("values_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := 1 + slices.IndexFunc(strings.Split(string(src), "\n"), func(l string) bool {
-		return strings.HasPrefix(l, "const "+name+" ")
+		return strings.HasPrefix(l, "const servedValuesSHA256 ")
 	})
 	return fmt.Sprintf("internal/server/values_test.go:%d", line)
 }
@@ -200,20 +181,11 @@ func declaredAt(t *testing.T, name string) string {
 // order. A change to how the atoms are filled (whole, by rows, by samples,
 // in any order) must serve the same bits.
 func TestServedValuesCertificate(t *testing.T) {
-	ordered, multiset, values := digestValues(serveCertificate(t, certificateConfig(), 1, 1, certificateRequests()))
-	if multiset == servedMultisetSHA256 {
-		t.Logf("every request's multiset of values is unchanged (%s)", multiset)
-	}
-	if ordered != servedValuesSHA256 {
-		what := "a served value changed"
-		if multiset == servedMultisetSHA256 {
-			what = "no value changed, but values moved within their responses"
-		}
-		t.Fatalf("SHA-256 over the %d served values is %s, want %s: %s.\n"+
-			"A deliberate change re-records, at %s:\n\tconst servedValuesSHA256 = %q\n"+
-			"and at %s:\n\tconst servedMultisetSHA256 = %q",
-			values, ordered, servedValuesSHA256, what,
-			declaredAt(t, "servedValuesSHA256"), ordered, declaredAt(t, "servedMultisetSHA256"), multiset)
+	got, values := digestValues(serveCertificate(t, certificateConfig(), 1, 1, certificateRequests()))
+	if got != servedValuesSHA256 {
+		t.Fatalf("SHA-256 over the %d served values is %s, want %s: a served value changed.\n"+
+			"A deliberate change re-records, at %s:\n\tconst servedValuesSHA256 = %q",
+			values, got, servedValuesSHA256, digestDeclaredAt(t), got)
 	}
 }
 
@@ -223,9 +195,14 @@ func TestServedValuesCertificate(t *testing.T) {
 // scheduler × Table I policy × cache capacity of 1, 16 and 256 atoms (each
 // forcing its own eviction and row-reuse history) × cost model off and on,
 // under the tail stack on JAWS1 and JAWS2, and from 4 concurrent clients
-// against 2 serving slots.
+// against 2 serving slots. -short (the race run) keeps the capacity of 16
+// atoms only.
 func TestServedValuesIndependentOfSchedule(t *testing.T) {
 	reqs := certificateRequests()
+	capacities := []int{1, 16, 256}
+	if testing.Short() {
+		capacities = []int{16}
+	}
 	type run struct {
 		name             string
 		cfg              jaws.Config
@@ -239,7 +216,7 @@ func TestServedValuesIndependentOfSchedule(t *testing.T) {
 				continue
 			}
 			for p := range jaws.CachePolicyNames() {
-				for _, capacity := range []int{1, 16, 256} {
+				for _, capacity := range capacities {
 					for _, cost := range []jaws.CostModel{{}, jaws.DefaultEvaluationCost()} {
 						cfg := certificateConfig()
 						cfg.Scheduler, cfg.Policy, cfg.CacheAtoms, cfg.Cost, cfg.TailPolicy = sc, jaws.CachePolicy(p), capacity, cost, tail
@@ -250,8 +227,8 @@ func TestServedValuesIndependentOfSchedule(t *testing.T) {
 			}
 		}
 	}
-	if len(runs) != 126 {
-		t.Fatalf("%d configurations, want 126", len(runs))
+	if want := 42 * len(capacities); len(runs) != want {
+		t.Fatalf("%d configurations, want %d", len(runs), want)
 	}
 	cfg := certificateConfig()
 	cfg.Scheduler, cfg.Policy, cfg.CacheAtoms, cfg.Cost = jaws.SchedJAWS2, jaws.PolicyURC, 16, jaws.DefaultEvaluationCost()
@@ -259,7 +236,7 @@ func TestServedValuesIndependentOfSchedule(t *testing.T) {
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			if got, _, _ := digestValues(serveCertificate(t, r.cfg, r.workers, r.clients, reqs)); got != servedValuesSHA256 {
+			if got, _ := digestValues(serveCertificate(t, r.cfg, r.workers, r.clients, reqs)); got != servedValuesSHA256 {
 				t.Errorf("served values digest %s, want the certificate's %s", got, servedValuesSHA256)
 			}
 		})
