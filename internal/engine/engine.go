@@ -265,8 +265,9 @@ type queryState struct {
 
 // samples returns the segment of the result's buffer that sq's step owns,
 // one slot per point of the query in request order: the output at
-// sq.Points[p] goes to slot sq.Index[p]. The buffer grows when the query's
-// first sub-query executes if it is too small (a new result's is empty).
+// Query.Points[i], for each i of sq.Index, goes to slot i. The buffer
+// grows when the query's first sub-query executes if it is too small (a
+// new result's is empty).
 func (st *queryState) samples(sq *query.SubQuery) []PointSample {
 	n, r := len(st.q.Points), st.result
 	if st.filled == 0 {
@@ -277,7 +278,7 @@ func (st *queryState) samples(sq *query.SubQuery) []PointSample {
 		}
 	}
 	lo := (sq.Atom.Step - st.q.Step) * n
-	st.filled += len(sq.Points)
+	st.filled += len(sq.Index)
 	return r.Positions[lo : lo+n]
 }
 
@@ -388,7 +389,8 @@ type Engine struct {
 	rows      *field.RowArena
 	retired   []*field.Atom
 	freeAtoms []*field.Atom
-	flushed   []any // FlushPerDecision's scratch: what Cache.Flush dropped
+	flushed   []any           // FlushPerDecision's scratch: what Cache.Flush dropped
+	gathered  []geom.Position // computeBatch's scratch: a sub-query's positions
 	// fills counts the syntheses this engine performed (at most one per
 	// store read; none with Compute off).
 	fills int64
@@ -866,7 +868,7 @@ func (e *Engine) executeBatch(b *sched.Batch, atom *field.Atom) error {
 	var compute time.Duration
 	for _, sq := range b.SubQueries {
 		w := sq.Query.Kernel.CostWeight()
-		compute += time.Duration(float64(e.cfg.Cost.Tm) * w * float64(len(sq.Points)))
+		compute += time.Duration(float64(e.cfg.Cost.Tm) * w * float64(len(sq.Index)))
 	}
 	e.advance(compute, causeCompute)
 
@@ -998,8 +1000,8 @@ func (e *Engine) fill(a *field.Atom, want field.Blocks) {
 
 // computeBatch evaluates the kernels for every position of the batch,
 // each point's value going to its request index in its query's result
-// array (or nowhere, without KeepResults: the evaluation is then the run's CPU load
-// alone). The blocks the batch's stencils read are filled first, in one
+// array (or nowhere, without KeepResults: the evaluation is then the run's
+// CPU load alone). The blocks the batch's stencils read are filled first, in one
 // pass, then the positions are evaluated in sub-query and point order.
 // Everything runs on the simulation goroutine: Eq. 1 charges a position's
 // computation as T_m on the virtual clock, so how many goroutines evaluate
@@ -1008,7 +1010,11 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 	space := e.cfg.Store.Space()
 	var want field.Blocks
 	for _, sq := range b.SubQueries {
-		want = want.Or(atom.Missing(sq.Query.Kernel, space, geom.AtomFromCode(sq.Atom.Code), sq.Points))
+		e.gathered = e.gathered[:0]
+		for _, i := range sq.Index {
+			e.gathered = append(e.gathered, sq.Query.Points[i])
+		}
+		want = want.Or(atom.Missing(sq.Query.Kernel, space, geom.AtomFromCode(sq.Atom.Code), e.gathered))
 	}
 	e.fill(atom, want)
 	for _, sq := range b.SubQueries {
@@ -1017,10 +1023,11 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 			out = st.samples(sq)
 		}
 		ac := geom.AtomFromCode(sq.Atom.Code)
-		for p, pos := range sq.Points {
+		for _, i := range sq.Index {
+			pos := sq.Query.Points[i]
 			val := field.Interpolate(sq.Query.Kernel, atom, space, ac, pos)
 			if out != nil {
-				out[sq.Index[p]] = PointSample{Pos: geom3{X: pos.X, Y: pos.Y, Z: pos.Z}, Val: val}
+				out[i] = PointSample{Pos: geom3{X: pos.X, Y: pos.Y, Z: pos.Z}, Val: val}
 			}
 		}
 	}
@@ -1037,9 +1044,8 @@ func (e *Engine) complete(st *queryState, now time.Duration) {
 	e.report.Completed++
 	e.inst.noteCompleted(st.q, rt, now)
 	if st.result != nil {
-		// A chain with a step that was never evaluated (a compute-disabled
-		// path) yields no values rather than partial or wrongly differenced
-		// ones.
+		// A chain with a step never evaluated (a compute-disabled path)
+		// yields no values, not partial or wrongly differenced ones.
 		if k := st.q.ChainLen(); st.filled != k*len(st.q.Points) {
 			st.result.Positions = st.result.Positions[:0]
 		} else if k > 1 {

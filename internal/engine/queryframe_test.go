@@ -363,7 +363,7 @@ func TestCompletedFrameNotReusedWithinDecision(t *testing.T) {
 		if len(e.freeStates) != 0 || len(e.retiredStates) != 1 {
 			t.Errorf("mid-decision: %d free, %d retired frames; want the completed query's retired and none free", len(e.freeStates), len(e.retiredStates))
 		}
-		if firstSub.Query != first || len(firstSub.Points) != 10 {
+		if firstSub.Query != first || len(firstSub.Index) != 10 {
 			t.Errorf("mid-decision: the completed query's sub-query record was recycled: %+v", *firstSub)
 		}
 	}

@@ -153,7 +153,7 @@ func FormatOps(log *OpLog) string {
 		switch op.Kind {
 		case OpEnqueue:
 			fmt.Fprintf(&b, "%3d: enq   q%d s%d/a%d ×%d @%v gate=%d\n",
-				i, op.Sub.Query.ID, op.Sub.Atom.Step, op.Sub.Atom.Code, len(op.Sub.Points), op.Now, op.Gate)
+				i, op.Sub.Query.ID, op.Sub.Atom.Step, op.Sub.Atom.Code, len(op.Sub.Index), op.Now, op.Gate)
 		case OpDecision:
 			fmt.Fprintf(&b, "%3d: dec   @%v resident=%d\n", i, op.Now, len(op.Resident))
 		case OpRunEnd:

@@ -83,7 +83,7 @@ func TestRecorderSnapshotsSubQueries(t *testing.T) {
 	}
 	for i, want := range []query.SubQuery{first, second} {
 		got := enq[i].Sub
-		if got.Query != want.Query || got.Atom != want.Atom || len(got.Points) != len(want.Points) || &got.Points[0] == &want.Points[0] {
+		if got.Query != want.Query || got.Atom != want.Atom || len(got.Index) != len(want.Index) || &got.Index[0] == &want.Index[0] {
 			t.Errorf("enqueue %d logged %+v, want a deep copy of %+v", i, *got, want)
 		}
 		if c.Decisions[i].Batches[0].SubQueries[0] != got {

@@ -177,7 +177,7 @@ func (l *queueList) add(sq *query.SubQuery, now time.Duration) {
 	}
 	q := l.queues[i]
 	q.subs = append(q.subs, sq)
-	q.positions += len(sq.Points)
+	q.positions += len(sq.Index)
 	l.subs++
 }
 

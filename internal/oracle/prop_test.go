@@ -123,7 +123,7 @@ func TestGenLogDeterministic(t *testing.T) {
 		if oa.Kind != ob.Kind || oa.Now != ob.Now || oa.RT != ob.RT || oa.TP != ob.TP {
 			t.Fatalf("op %d differs", i)
 		}
-		if oa.Kind == OpEnqueue && (oa.Sub.Atom != ob.Sub.Atom || len(oa.Sub.Points) != len(ob.Sub.Points)) {
+		if oa.Kind == OpEnqueue && (oa.Sub.Atom != ob.Sub.Atom || len(oa.Sub.Index) != len(ob.Sub.Index)) {
 			t.Fatalf("enqueue %d differs", i)
 		}
 		if oa.Kind == OpDecision && len(oa.Resident) != len(ob.Resident) {

@@ -121,7 +121,7 @@ func (r *RecordingSched) Name() string { return r.inner.Name() }
 // stays shared).
 func (r *RecordingSched) Enqueue(sq *query.SubQuery, now time.Duration) {
 	cp := *sq
-	cp.Points, cp.Footprint = slices.Clone(sq.Points), slices.Clone(sq.Footprint)
+	cp.Index, cp.Footprint = slices.Clone(sq.Index), slices.Clone(sq.Footprint)
 	r.stable[sq] = &cp
 	r.pending[sq.Atom]++
 	r.gate = sched.GateFree

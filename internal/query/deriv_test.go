@@ -84,17 +84,17 @@ func TestPreProcessDerivChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStep := map[int]map[uint64][]geom.Position{}
+	byStep := map[int]map[uint64][]int{}
 	for _, sq := range sqs {
 		if sq.Atom.Step < q.Step || sq.Atom.Step >= q.Step+q.DerivSteps {
 			t.Fatalf("sub-query step %d outside chain [%d, %d)", sq.Atom.Step, q.Step, q.Step+q.DerivSteps)
 		}
 		m := byStep[sq.Atom.Step]
 		if m == nil {
-			m = map[uint64][]geom.Position{}
+			m = map[uint64][]int{}
 			byStep[sq.Atom.Step] = m
 		}
-		m[uint64(sq.Atom.Code)] = sq.Points
+		m[uint64(sq.Atom.Code)] = sq.Index
 	}
 	if len(byStep) != q.DerivSteps {
 		t.Fatalf("chain covers %d steps, want %d", len(byStep), q.DerivSteps)

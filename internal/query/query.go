@@ -91,19 +91,16 @@ type SubQuery struct {
 	Query *Query
 	// Atom is the primary atom (contains the positions).
 	Atom store.AtomID
-	// Points are the positions inside Atom, sorted in Morton order of
-	// their voxels so locations close in space are evaluated in close
-	// succession (§III.B); positions in the same voxel keep their input
-	// order. The steps of a derivative chain share one array: read-only.
-	Points []geom.Position
+	// Index lists the positions inside Atom by their request index, i in
+	// Query.Points[i], sorted in Morton order of their voxels so locations
+	// close in space are evaluated in close succession (§III.B); positions
+	// in the same voxel keep their input order. It does not depend on the
+	// step: the steps of a derivative chain share one array, read-only.
+	Index []int
 	// Footprint lists additional atoms the interpolation stencils of
 	// these positions spill into (excluding Atom itself). The two-level
 	// scheduler co-schedules them to respect locality of reference.
 	Footprint []store.AtomID
-	// Index is the request index of each of Points: Points[i] is
-	// Query.Points[Index[i]]. It does not depend on the step, so the
-	// sub-queries of a derivative chain that cover the same atom share it.
-	Index []int
 }
 
 // pointKey places one input position in the partition order: primary
@@ -204,21 +201,20 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Partition is the storage of one query's split into sub-queries: the
-// positions in partition order and their request indices, the sub-query
-// records and the footprints. Its owner reuses it query after query; an
-// array grows only when a query is larger than any the partition served —
-// the positions and indices to the query's size exactly (they are most of
-// a partition's bytes), the two small arrays to the next power of two
-// (smallCap). The zero value is ready to use.
+// request indices in partition order, the sub-query records and the
+// footprints. Its owner reuses it query after query; an array grows only
+// when a query is larger than any the partition served — the indices to
+// the query's size exactly (they are most of a partition's bytes), the two
+// small arrays to the next power of two (smallCap). The zero value is ready
+// to use.
 type Partition struct {
-	pts  []geom.Position
 	idx  []int
 	subs []SubQuery
 	fps  []store.AtomID
 }
 
 // PointCap is the number of positions p holds without growing.
-func (p *Partition) PointCap() int { return cap(p.pts) }
+func (p *Partition) PointCap() int { return cap(p.idx) }
 
 // PreProcess splits q into sub-queries in storage of their own (see
 // Partition.Split).
@@ -237,7 +233,7 @@ func PreProcess(q *Query, space geom.Space) ([]*SubQuery, error) {
 // Split splits q into sub-queries grouped by primary atom, in Morton
 // order of the atoms. It returns an error if the query is malformed.
 //
-// The sub-queries, their points and their footprints are carved out of
+// The sub-queries, their indices and their footprints are carved out of
 // one array each, so nothing depends on the number of points or atoms but
 // the arrays' sizes. They are p's: valid until the next Split or Reset.
 func (p *Partition) Split(q *Query, space geom.Space) ([]SubQuery, error) {
@@ -281,7 +277,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 	// every step of a derivative chain. A stencil that stays inside its
 	// atom on all three axes — most do — adds nothing to it.
 	groups, codes := sc.groups[:0], sc.codes[:0]
-	pts, idx := grow(p.pts, len(keys), len(keys)), grow(p.idx, len(keys), len(keys))
+	idx := grow(p.idx, len(keys), len(keys))
 	// inside tells whether a stencil about voxel v stays in the atom that
 	// starts at voxel o on that axis.
 	inside := func(v uint32, o int) bool {
@@ -296,7 +292,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 		ax, ay, az := keys[lo].atom.Decode()
 		ox, oy, oz := int(ax)*space.AtomSide, int(ay)*space.AtomSide, int(az)*space.AtomSide
 		for i := g.lo; i < g.hi; i++ {
-			pts[i], idx[i] = q.Points[keys[i].idx], keys[i].idx
+			idx[i] = keys[i].idx
 			if radius <= 0 {
 				continue
 			}
@@ -321,7 +317,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 	// A temporal-derivative query repeats the partition at every step of
 	// its chain (atom codes depend only on position, and the engine's
 	// finite-differencing relies on the congruence): the steps share the
-	// point and index storage and differ in the step of their atom IDs.
+	// index storage and differ in the step of their atom IDs.
 	chain := q.ChainLen()
 	subs := grow(p.subs, chain*len(groups), smallCap(chain*len(groups)))
 	fps := grow(p.fps, chain*len(codes), smallCap(chain*len(codes)))[:0]
@@ -330,10 +326,9 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 		for gi, g := range groups {
 			sq := &subs[s*len(groups)+gi]
 			*sq = SubQuery{
-				Query:  q,
-				Atom:   store.AtomID{Step: step, Code: keys[g.lo].atom},
-				Points: pts[g.lo:g.hi:g.hi],
-				Index:  idx[g.lo:g.hi:g.hi],
+				Query: q,
+				Atom:  store.AtomID{Step: step, Code: keys[g.lo].atom},
+				Index: idx[g.lo:g.hi:g.hi],
 			}
 			if g.fpLo < g.fpHi {
 				n := len(fps)
@@ -344,7 +339,7 @@ func (p *Partition) split(q *Query, space geom.Space, room int) ([]SubQuery, err
 			}
 		}
 	}
-	p.pts, p.idx, p.subs, p.fps = pts, idx, subs, fps
+	p.idx, p.subs, p.fps = idx, subs, fps
 	return subs, nil
 }
 

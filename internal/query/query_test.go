@@ -45,14 +45,15 @@ func TestPreProcessGroupsByAtom(t *testing.T) {
 	if len(sqs) != 2 {
 		t.Fatalf("got %d sub-queries, want 2", len(sqs))
 	}
-	if len(sqs[0].Points)+len(sqs[1].Points) != 3 {
+	if len(sqs[0].Index)+len(sqs[1].Index) != 3 {
 		t.Fatal("positions lost or duplicated in split")
 	}
 	for _, sq := range sqs {
 		if sq.Atom.Step != 2 {
 			t.Fatalf("sub-query step %d, want 2", sq.Atom.Step)
 		}
-		for _, p := range sq.Points {
+		for _, i := range sq.Index {
+			p := pts[i]
 			if got := (store.AtomID{Step: 2, Code: s.AtomOf(p).Code()}); got != sq.Atom {
 				t.Fatalf("position %v grouped under wrong atom %v", p, sq.Atom)
 			}
@@ -95,9 +96,9 @@ func TestPreProcessSortsPointsWithinAtom(t *testing.T) {
 	if len(sqs) != 1 {
 		t.Fatalf("want single sub-query, got %d", len(sqs))
 	}
-	got := sqs[0].Points
+	got := sqs[0].Index
 	for i := 1; i < len(got); i++ {
-		if got[i].X < got[i-1].X {
+		if pts[got[i]].X < pts[got[i-1]].X {
 			t.Fatal("points within atom not Morton-sorted (diagonal should be ascending)")
 		}
 	}
@@ -162,7 +163,7 @@ func TestPreProcessPartitionProperty(t *testing.T) {
 		}
 		total := 0
 		for _, sq := range sqs {
-			total += len(sq.Points)
+			total += len(sq.Index)
 		}
 		return total == len(pts)
 	}

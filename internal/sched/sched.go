@@ -220,8 +220,7 @@ type queues struct {
 	stepSumRecomputes int
 }
 
-// newQueues builds the atom queues of a scheduler that scores with cost; a
-// zero cost means DefaultCost(), the rule the engine applies to its T_m.
+// newQueues builds a scheduler's atom queues; a zero cost means DefaultCost().
 func newQueues(cost CostModel, resident func(store.AtomID) bool) *queues {
 	if cost == (CostModel{}) {
 		cost = DefaultCost()
@@ -255,12 +254,12 @@ func (q *queues) add(sq *query.SubQuery, now time.Duration) *atomQueue {
 		q.byAtom[sq.Atom] = aq
 		q.bucketFor(sq.Atom.Step, true).insertAtom(aq)
 		aq.subs = append(aq.subs, sq)
-		aq.positions += len(sq.Points)
+		aq.positions += len(sq.Index)
 		q.subs++
 		return aq
 	}
 	aq.subs = append(aq.subs, sq)
-	aq.positions += len(sq.Points)
+	aq.positions += len(sq.Index)
 	aq.utSeen = 0 // positions changed: the memoized ut is stale
 	q.subs++
 	if b := q.bucketFor(sq.Atom.Step, false); b != nil {

@@ -154,7 +154,7 @@ func TestLifeRaftPicksMostContended(t *testing.T) {
 	if b.Atom != (store.AtomID{Step: 0, Code: morton.Encode(1, 0, 0)}) {
 		t.Fatalf("picked %v, want the contended atom", b.Atom)
 	}
-	if len(b.SubQueries) != 2 || len(b.SubQueries[0].Points)+len(b.SubQueries[1].Points) != 1000 {
+	if len(b.SubQueries) != 2 || len(b.SubQueries[0].Index)+len(b.SubQueries[1].Index) != 1000 {
 		t.Fatalf("batch did not co-schedule both queries: %d subs", len(b.SubQueries))
 	}
 }
