@@ -39,10 +39,12 @@ func poolDrops() bool {
 
 // TestRunAllocBudget is the in-repo twin of the benchmark's
 // allocs_per_query and alloc_kb_per_query on replay-cold: one Run of the
-// trace on a fresh system allocates at most one object and 0.95 KiB per
-// query (0.85 and 0.83 when the budget was set; 1.59 and 0.99 before the
-// frame and atom-queue slabs). The counts that must not move with it ride
-// along: the run reads, hits, evicts and gates exactly as BENCH_main.json's.
+// trace on a fresh system allocates at most 0.865 objects and 0.705 KiB per
+// query — the 0.846 and 0.665 measured when the budget was tightened, plus
+// the benchmark's 2 % and 6 % bounds (0.85 and 0.83 when it was first set;
+// 1.59 and 0.99 before the frame and atom-queue slabs). The counts that
+// must not move with it ride along: the run reads, hits, evicts and gates
+// exactly as BENCH_main.json's.
 func TestRunAllocBudget(t *testing.T) {
 	if poolDrops() {
 		t.Skip("sync.Pool drops Puts (race detector): the budget assumes the pooled scratch comes back")
@@ -64,8 +66,8 @@ func TestRunAllocBudget(t *testing.T) {
 	objects := float64(m1.Mallocs-m0.Mallocs) / queries
 	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / queries
 	t.Logf("%.3f objects and %.3f KiB per query", objects, kib)
-	if objects > 1.0 || kib > 0.95 {
-		t.Errorf("Run allocates %.3f objects and %.3f KiB per query, want at most 1.0 and 0.95", objects, kib)
+	if objects > 0.865 || kib > 0.705 {
+		t.Errorf("Run allocates %.3f objects and %.3f KiB per query, want at most 0.865 and 0.705", objects, kib)
 	}
 	c := rep.CacheStats
 	if c.Misses != 6432 || c.Hits != 14714 || c.Evictions != 6304 {
