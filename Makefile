@@ -100,12 +100,15 @@ race-obs:
 ## check-prop: every op-log certificate behind one target — the
 ## quickcheck-style differential property tests (random op logs replayed
 ## through the production schedulers and the reference models, decisions
-## and utilities compared bit for bit), the cache's (LRU-K against the
+## and utilities compared bit for bit), the job graph's (op logs and job
+## sets through oracle.GatingPair against the gating model, everything the
+## graph exposes compared after every op), the cache's (LRU-K against the
 ## scanning reference, LRU-K(1) against a linked-list LRU, SLRU against the
 ## oracle's model, residency and evictions compared after every op, with
 ## corruption drops mixed in) and the faulty run pinned across commits.
 check-prop:
-	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught|TestSLRUDifferential' -count 1 ./internal/oracle/
+	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught|TestSLRUDifferential|TestGating.*Differential' -count 1 ./internal/oracle/
+	$(GO) test -run 'TestGraphMatchesReference|FuzzGraphOps' -count 1 ./internal/jobgraph/
 	$(GO) test -run 'TestLRUKMatchesReferenceOnRandomOpLogs|TestLRUKOneIsLRU|TestIntegrityCorruptionDropsEntry' -count 1 ./internal/cache/
 	$(GO) test -run 'TestFaultyRunPinned' -count 1 ./internal/system/
 

@@ -480,9 +480,9 @@ func (g *Graph) admitEdge(u, v member) bool {
 	// one lies on the wrong side of C's, or lower ≥ upper. Where both sides
 	// are committed (cu, cv ≠ 0) lower is never compared with level, so only
 	// that invariant refuses a crossing: checkTables asserts it after every
-	// op of the differential logs. The reference graph keeps the scan; the
-	// tests count how often it is the reference's reason and hold the
-	// outcomes equal.
+	// op of the differential logs. The oracle's ModelGraph keeps the scan
+	// (its crosses); the op-log test counts how often it is the model's
+	// reason and holds the outcomes equal.
 
 	// Level feasibility (gating numbers). Every member imposes a lower
 	// bound (strictly above all gated predecessors in its job) and an

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"jaws/internal/morton"
@@ -113,192 +112,6 @@ func checkTables(g *Graph) error {
 		}
 	}
 	return nil
-}
-
-// edgeEvent is one observer call.
-type edgeEvent struct {
-	admitted bool
-	u, v     Ref
-}
-
-const (
-	opsMaxJobID = 24
-	opsMaxLen   = 12
-	opsMaxAdds  = 48
-)
-
-// replayOps interprets data as an op log — register a job with its atom
-// lists, complete schedulable queries, prune — and applies it to a Graph and to the map-based reference side by
-// side, comparing everything the two expose after every op. Job IDs are
-// drawn from a small range in no particular order, so the dynamic
-// program's orientation varies, duplicates are attempted, and a pruned ID
-// (and its slot) comes back. crossings is how many edges the reference
-// refused by its crossing scan, which Graph does not have.
-func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
-	next := func() (byte, bool) {
-		if len(data) == 0 {
-			return 0, false
-		}
-		b := data[0]
-		data = data[1:]
-		return b, true
-	}
-	next() // a header byte no op reads: committed logs keep their alignment
-	g, ref := New(nil), newRefGraph()
-	var gotEvents, wantEvents []edgeEvent
-	g.SetObserver(func(ok bool, u, v Ref) { gotEvents = append(gotEvents, edgeEvent{ok, u, v}) })
-	ref.SetObserver(func(ok bool, u, v Ref) { wantEvents = append(wantEvents, edgeEvent{ok, u, v}) })
-
-	var longest [opsMaxJobID + 1]int // per job ID, the most queries it was ever registered with
-	var blockers, refBlockers []Ref
-	compare := func(op string) {
-		t.Helper()
-		if err := checkTables(g); err != nil {
-			t.Fatalf("after %s: %v", op, err)
-		}
-		if !slices.Equal(gotEvents, wantEvents) {
-			t.Fatalf("after %s: edge events\n got %v\nwant %v", op, gotEvents, wantEvents)
-		}
-		gotEvents, wantEvents = gotEvents[:0], wantEvents[:0]
-		if len(g.order) != ref.Jobs() || g.Finished() != ref.Finished() ||
-			g.EdgesAdmitted() != ref.EdgesAdmitted() || g.EdgesRejected() != ref.EdgesRejected() {
-			t.Fatalf("after %s: jobs %d/%d finished %v/%v admitted %d/%d rejected %d/%d (got/want)", op,
-				len(g.order), ref.Jobs(), g.Finished(), ref.Finished(),
-				g.EdgesAdmitted(), ref.EdgesAdmitted(), g.EdgesRejected(), ref.EdgesRejected())
-		}
-		if got, want := g.Schedulable(), ref.Schedulable(); !slices.Equal(got, want) {
-			t.Fatalf("after %s: Schedulable %v, want %v", op, got, want)
-		}
-		// Every query ever registered, pruned ones included, a sequence
-		// number past each end, and job 0, which never is.
-		for id := int64(0); id <= opsMaxJobID; id++ {
-			if g.Registered(id) != (ref.jobs[id] != nil) {
-				t.Fatalf("after %s: Registered(%d) = %v", op, id, g.Registered(id))
-			}
-			for s := -1; s <= longest[id]; s++ {
-				q := Ref{Job: id, Seq: s}
-				if g.State(q) != ref.State(q) || g.GatingNumber(q) != ref.GatingNumber(q) {
-					t.Fatalf("after %s: %v is %v G=%d, want %v G=%d", op, q,
-						g.State(q), g.GatingNumber(q), ref.State(q), ref.GatingNumber(q))
-				}
-				want := ref.Partners(q)
-				if got := g.Partners(q); !slices.Equal(got, want) {
-					t.Fatalf("after %s: Partners(%v) = %v, want %v", op, q, got, want)
-				}
-				blockers, refBlockers = g.BlockedBy(q, blockers[:0]), ref.BlockedBy(q, refBlockers[:0])
-				if !slices.Equal(blockers, refBlockers) {
-					t.Fatalf("after %s: BlockedBy(%v) = %v, want %v", op, q, blockers, refBlockers)
-				}
-			}
-		}
-		// The incremental propagation left nothing for the fixpoint to do.
-		g.propagateAll()
-		if got, want := g.Schedulable(), ref.Schedulable(); !slices.Equal(got, want) {
-			t.Fatalf("after %s: the full fixpoint promoted further: %v, want %v", op, got, want)
-		}
-	}
-
-	for {
-		op, ok := next()
-		if !ok {
-			return adds, pruned, ref.crossings
-		}
-		switch {
-		case op%8 < 2: // register
-			hdr, _ := next()
-			id := int64(op>>3)%opsMaxJobID + 1
-			n := int(hdr&15)%opsMaxLen + 1
-			if adds == opsMaxAdds {
-				continue
-			}
-			lists := make([][]store.AtomID, n)
-			if !g.Registered(id) {
-				for s := range lists {
-					b, _ := next()
-					a1, a2 := int(b&7), int(b>>3&7)
-					codes := [][]int{{a1}, {a1, a2}, {a1, a2, (a1 + a2) % 8}, {}}[b>>6]
-					for _, c := range codes {
-						lists[s] = append(lists[s], store.AtomID{Step: c & 1, Code: morton.Code(c >> 1)})
-					}
-				}
-			}
-			// The graph copies the lists; the reference keeps them.
-			scratch := make([][]store.AtomID, n)
-			for s := range lists {
-				scratch[s] = append([]store.AtomID(nil), lists[s]...)
-			}
-			got, want := g.AddJobWithAtoms(id, scratch), ref.AddJobWithAtoms(id, lists)
-			for s := range scratch {
-				clear(scratch[s])
-			}
-			if (got == nil) != (want == nil) {
-				t.Fatalf("register job %d: %v, want %v", id, got, want)
-			}
-			if got == nil {
-				adds++
-				longest[id] = max(longest[id], n)
-			}
-			compare(fmt.Sprintf("register job %d (%d queries)", id, n))
-		case op%8 < 7: // complete up to four schedulable queries
-			for k := 0; k <= int(op>>6); k++ {
-				ready := ref.Schedulable()
-				if len(ready) == 0 {
-					break
-				}
-				q := ready[int(op>>3&7)%len(ready)]
-				g.MarkDone(q)
-				ref.MarkDone(q)
-				compare("MarkDone " + q.String())
-			}
-		default:
-			before := len(g.order)
-			g.Prune()
-			ref.Prune()
-			pruned += before - len(g.order)
-			compare("Prune")
-		}
-	}
-}
-
-// The dense-table graph must be indistinguishable from the map-based one
-// it replaced, over random op logs: both merge orders, completions and
-// prunes between registrations.
-func TestGraphMatchesReference(t *testing.T) {
-	seeds := 200
-	if testing.Short() {
-		seeds = 60
-	}
-	adds, pruned, crossings := 0, 0, 0
-	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		data := make([]byte, 100+rng.Intn(500))
-		rng.Read(data)
-		a, p, c := replayOps(t, data)
-		adds, pruned, crossings = adds+a, pruned+p, crossings+c
-	}
-	t.Logf("%d op logs: %d jobs registered, %d pruned, %d edges refused by the reference's crossing scan", seeds, adds, pruned, crossings)
-	if pruned < seeds {
-		t.Fatalf("op logs pruned only %d jobs: the generator no longer reaches Prune's interesting cases", pruned)
-	}
-	// Graph refuses a crossing edge by its level check, without the scan
-	// (admitEdge): the op logs must keep reaching the case.
-	if crossings < seeds {
-		t.Fatalf("the reference's crossing scan refused only %d edges: the generator no longer certifies that Graph refuses them too", crossings)
-	}
-}
-
-func FuzzGraphOps(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 1, 9, 8, 3, 9, 1, 4, 4, 7, 16, 1, 1})
-	f.Add([]byte{1, 1, 19, 1, 2, 3, 9, 4, 65, 66, 67, 2, 2, 7, 0, 5, 1, 1, 1, 1, 1})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 8; i++ {
-		data := make([]byte, 200)
-		rng.Read(data)
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		replayOps(t, data[:min(len(data), 1024)]) // an op costs a full comparison: bound the log
-	})
 }
 
 // Graph.Prune followed by an admission used to panic: the pruned job's

@@ -2,7 +2,6 @@ package jobgraph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"jaws/internal/morton"
@@ -97,32 +96,6 @@ func TestIncrementalPromoteReachesFixpoint(t *testing.T) {
 				g.Prune()
 				assertFixpoint(t, g, seed, "Prune")
 			}
-		}
-	}
-}
-
-// The bit-row Aligner must agree with the closure-per-row one it replaced
-// on random share relations, including rows of more than one word, on a
-// fresh Aligner and after arena reuse (one Aligner across the trials).
-func TestAlignerAppendRowMatchesAlign(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var al Aligner
-	for trial := 0; trial < 300; trial++ {
-		lenA, lenB := rng.Intn(9)+1, rng.Intn(9)+1
-		if trial%10 == 0 {
-			lenA, lenB = rng.Intn(150)+1, rng.Intn(150)+1
-		}
-		shares := make([]bool, lenA*lenB)
-		for i := range shares {
-			shares[i] = rng.Intn(3) == 0
-		}
-		share := func(i, j int) bool { return shares[i*lenB+j] }
-		want := refAlign(lenA, lenB, share)
-		if got := align(lenA, lenB, share); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: fresh %v vs %v", trial, got, want)
-		}
-		if got := alignWith(&al, lenA, lenB, share); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: reused %v vs %v", trial, got, want)
 		}
 	}
 }

@@ -1,0 +1,150 @@
+package jobgraph_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"jaws/internal/jobgraph"
+	"jaws/internal/morton"
+	"jaws/internal/oracle"
+	"jaws/internal/store"
+)
+
+const (
+	opsMaxJobID = 24
+	opsMaxLen   = 12
+	opsMaxAdds  = 48
+)
+
+// replayOps interprets data as an op log — register a job with its atom
+// lists, complete schedulable queries, mark a query arrived, prune — and
+// applies it through oracle.GatingPair to a Graph and to the oracle's
+// ModelGraph side by side, comparing everything the two expose, and the
+// graph's own tables, after every op. Job IDs are drawn from a small range
+// in no particular order, so the dynamic program's orientation varies,
+// duplicates are attempted, and a pruned ID (and its slot) comes back.
+// crossings is how many edges the model refused by its crossing scan,
+// which Graph does not have.
+func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
+	next := func() (byte, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := data[0]
+		data = data[1:]
+		return b, true
+	}
+	next() // a header byte no op reads: committed logs keep their alignment
+	p := oracle.NewGatingPair(t)
+	p.Check = jobgraph.CheckGraph
+	for {
+		op, ok := next()
+		if !ok {
+			return adds, pruned, p.M.Crossings()
+		}
+		id := int64(op>>3)%opsMaxJobID + 1
+		switch {
+		case op%8 < 2: // register
+			hdr, _ := next()
+			n := int(hdr&15)%opsMaxLen + 1
+			if adds == opsMaxAdds {
+				continue
+			}
+			lists := make([][]store.AtomID, n)
+			if !p.G.Registered(id) {
+				for s := range lists {
+					b, _ := next()
+					a1, a2 := int(b&7), int(b>>3&7)
+					codes := [][]int{{a1}, {a1, a2}, {a1, a2, (a1 + a2) % 8}, {}}[b>>6]
+					for _, c := range codes {
+						lists[s] = append(lists[s], store.AtomID{Step: c & 1, Code: morton.Code(c >> 1)})
+					}
+				}
+			}
+			if p.Register(id, lists) == nil {
+				adds++
+			}
+		case op%8 < 6: // complete up to four schedulable queries
+			for k := 0; k <= int(op>>6); k++ {
+				ready := p.M.Schedulable()
+				if len(ready) == 0 {
+					break
+				}
+				p.Serve(ready[int(op>>3&7)%len(ready)])
+			}
+		case op%8 == 6: // a query reaches the scheduler
+			b, _ := next()
+			p.Arrive(jobgraph.Ref{Job: id, Seq: int(b) % opsMaxLen})
+		default:
+			pruned += p.Prune()
+		}
+	}
+}
+
+// The dense-table graph must be indistinguishable from the oracle's model
+// over random op logs: both merge orders, completions, arrivals and prunes
+// between registrations.
+func TestGraphMatchesReference(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 60
+	}
+	adds, pruned, crossings := 0, 0, 0
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		data := make([]byte, 100+rng.Intn(500))
+		rng.Read(data)
+		a, p, c := replayOps(t, data)
+		adds, pruned, crossings = adds+a, pruned+p, crossings+c
+	}
+	t.Logf("%d op logs: %d jobs registered, %d pruned, %d edges refused by the model's crossing scan", seeds, adds, pruned, crossings)
+	if pruned < seeds {
+		t.Fatalf("op logs pruned only %d jobs: the generator no longer reaches Prune's interesting cases", pruned)
+	}
+	// Graph refuses a crossing edge by its level check, without the scan
+	// (admitEdge): the op logs must keep reaching the case.
+	if crossings < seeds {
+		t.Fatalf("the model's crossing scan refused only %d edges: the generator no longer certifies that Graph refuses them too", crossings)
+	}
+}
+
+func FuzzGraphOps(f *testing.F) {
+	f.Add([]byte{0, 0, 2, 1, 9, 8, 3, 9, 1, 4, 4, 7, 16, 1, 1})
+	f.Add([]byte{1, 1, 19, 1, 2, 3, 9, 4, 65, 66, 67, 2, 2, 7, 0, 5, 1, 1, 1, 1, 1})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		data := make([]byte, 200)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		replayOps(t, data[:min(len(data), 1024)]) // an op costs a full comparison: bound the log
+	})
+}
+
+// The bit-row Aligner must agree with the oracle's alignment on random
+// share relations, including rows of more than one word, on a fresh
+// Aligner and after arena reuse (one Aligner across the trials).
+func TestAlignerAppendRowMatchesAlign(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var al jobgraph.Aligner
+	for trial := 0; trial < 300; trial++ {
+		lenA, lenB := rng.Intn(9)+1, rng.Intn(9)+1
+		if trial%10 == 0 {
+			lenA, lenB = rng.Intn(150)+1, rng.Intn(150)+1
+		}
+		shares := make([]bool, lenA*lenB)
+		for i := range shares {
+			shares[i] = rng.Intn(3) == 0
+		}
+		share := func(i, j int) bool { return shares[i*lenB+j] }
+		want := oracle.ModelAlign(lenA, lenB, share)
+		if got := jobgraph.AlignWith(new(jobgraph.Aligner), lenA, lenB, share); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: fresh %v vs %v", trial, got, want)
+		}
+		if got := jobgraph.AlignWith(&al, lenA, lenB, share); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: reused %v vs %v", trial, got, want)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package oracle
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"jaws/internal/jobgraph"
+	"jaws/internal/store"
 )
 
 // ModelGraph is the reference model of job-aware gated execution (§IV,
@@ -19,8 +22,14 @@ type ModelGraph struct {
 	state  map[jobgraph.Ref]jobgraph.State
 	comps  []*modelComponent
 	byRef  map[jobgraph.Ref]*modelComponent
+	// arrived holds the live queries MarkArrived was told of.
+	arrived map[jobgraph.Ref]bool
 
 	admitted, rejected int
+	// crossings counts the edges crosses refused. jobgraph.Graph has no
+	// such scan — its tie and level checks refuse the same edges — so each
+	// is a case the two rule alike for different reasons.
+	crossings int
 
 	// Observer, when set, is told the outcome of every candidate edge the
 	// feasibility checks ruled on, as jobgraph.Graph.SetObserver's is.
@@ -38,20 +47,25 @@ type modelComponent struct {
 // jobgraph.Graph derives from the atom lists of AddJobWithAtoms.
 func NewModelGraph(shares func(a, b jobgraph.Ref) bool) *ModelGraph {
 	return &ModelGraph{
-		shares: shares,
-		jobLen: make(map[int64]int),
-		state:  make(map[jobgraph.Ref]jobgraph.State),
-		byRef:  make(map[jobgraph.Ref]*modelComponent),
+		shares:  shares,
+		jobLen:  make(map[int64]int),
+		state:   make(map[jobgraph.Ref]jobgraph.State),
+		byRef:   make(map[jobgraph.Ref]*modelComponent),
+		arrived: make(map[jobgraph.Ref]bool),
 	}
 }
 
 // AddJob registers an ordered job of n queries and merges its gating
 // edges: align against every prior job, then admit candidate edges taking
 // the largest alignments first (ties to the lower job id), each job's
-// pairs in precedence order.
-func (g *ModelGraph) AddJob(id int64, n int) {
-	if _, dup := g.jobLen[id]; dup || n <= 0 {
-		return
+// pairs in precedence order. A job ID already registered, or a job of no
+// queries, is refused with an error and changes nothing.
+func (g *ModelGraph) AddJob(id int64, n int) error {
+	if _, dup := g.jobLen[id]; dup {
+		return fmt.Errorf("oracle: job %d already registered", id)
+	}
+	if n <= 0 {
+		return fmt.Errorf("oracle: job %d has no queries", id)
 	}
 	g.jobLen[id] = n
 	g.jobs = append(g.jobs, id)
@@ -85,10 +99,17 @@ func (g *ModelGraph) AddJob(id int64, n int) {
 		}
 	}
 	g.propagate()
+	return nil
+}
+
+// Registered reports whether job id is registered and not yet pruned.
+func (g *ModelGraph) Registered(id int64) bool {
+	_, ok := g.jobLen[id]
+	return ok
 }
 
 // align computes the Needleman–Wunsch alignment between jobs a and b with
-// the model's own DP (modelAlign), fresh each call. Because the production
+// the model's own DP (ModelAlign), fresh each call. Because the production
 // graph canonicalizes each pair to (lower id, higher id) before aligning,
 // the model does too.
 func (g *ModelGraph) align(a, b int64) []jobgraph.Pair {
@@ -96,7 +117,7 @@ func (g *ModelGraph) align(a, b int64) []jobgraph.Pair {
 	if a > b {
 		lo, hi, flip = b, a, true
 	}
-	pairs := modelAlign(g.jobLen[lo], g.jobLen[hi], func(i, j int) bool {
+	pairs := ModelAlign(g.jobLen[lo], g.jobLen[hi], func(i, j int) bool {
 		return g.shares(jobgraph.Ref{Job: lo, Seq: i}, jobgraph.Ref{Job: hi, Seq: j})
 	})
 	if !flip {
@@ -109,12 +130,14 @@ func (g *ModelGraph) align(a, b int64) []jobgraph.Pair {
 	return out
 }
 
-// modelAlign is the reference restatement of §IV.B's global alignment,
+// ModelAlign is the reference restatement of §IV.B's global alignment,
 // independent of jobgraph.Aligner: match scores 1, gaps cost 0, and the
 // traceback resolves ties by preferring a scoring diagonal, then dropping
 // the A-side query, then the B-side one — the order that turns every unit
 // of score into a gating edge and that the production DP documents.
-func modelAlign(lenA, lenB int, share func(i, j int) bool) []jobgraph.Pair {
+// jobgraph's TestAlignerAppendRowMatchesAlign holds the Aligner to it on
+// alignments longer than the graph tests' jobs.
+func ModelAlign(lenA, lenB int, share func(i, j int) bool) []jobgraph.Pair {
 	score := func(i, j int) int {
 		if share(i, j) {
 			return 1
@@ -196,7 +219,12 @@ func (g *ModelGraph) feasible(u, v jobgraph.Ref) bool {
 	mu, mv := g.members(u), g.members(v)
 	union := append(append([]jobgraph.Ref{}, mu...), mv...)
 
-	if g.duplicatesJob(mu, mv) || g.crosses(mu, mv) {
+	if g.duplicatesJob(mu, mv) {
+		g.rejected++
+		return false
+	}
+	if g.crosses(mu, mv) {
+		g.crossings++
 		g.rejected++
 		return false
 	}
@@ -412,6 +440,49 @@ func (g *ModelGraph) EdgesAdmitted() int { return g.admitted }
 // EdgesRejected reports the number of refused candidate links.
 func (g *ModelGraph) EdgesRejected() int { return g.rejected }
 
+// Crossings reports how many of the refused links crosses refused: a
+// second edge on a query for a job pair, or a crossing pair.
+func (g *ModelGraph) Crossings() int { return g.crossings }
+
+// BlockedBy lists what holds q back: a WAIT query its job predecessor, a
+// READY one its partners short of READY; nothing for any other query.
+func (g *ModelGraph) BlockedBy(q jobgraph.Ref) []jobgraph.Ref {
+	var out []jobgraph.Ref
+	switch st, live := g.state[q]; {
+	case live && st == jobgraph.Wait:
+		out = append(out, jobgraph.Ref{Job: q.Job, Seq: q.Seq - 1})
+	case live && st == jobgraph.Ready:
+		for _, p := range g.Partners(q) {
+			if g.state[p] < jobgraph.Ready {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// MarkArrived records that the live query q has reached the scheduler.
+func (g *ModelGraph) MarkArrived(q jobgraph.Ref) {
+	if _, live := g.state[q]; live {
+		g.arrived[q] = true
+	}
+}
+
+// Dispatchable reports whether q may enter the workload queues: atomic
+// group admission (§IV) lets a QUEUE query go once every partner that is
+// not DONE has arrived, so the whole group is enqueued together.
+func (g *ModelGraph) Dispatchable(q jobgraph.Ref) bool {
+	if g.state[q] != jobgraph.Queue {
+		return false
+	}
+	for _, p := range g.Partners(q) {
+		if g.state[p] != jobgraph.Done && !g.arrived[p] {
+			return false
+		}
+	}
+	return true
+}
+
 // Prune drops jobs whose queries are all DONE and whose components hold no
 // live query, mirroring Graph.Prune's contract.
 func (g *ModelGraph) Prune() {
@@ -449,6 +520,7 @@ func (g *ModelGraph) Prune() {
 				}
 				delete(g.state, q)
 				delete(g.byRef, q)
+				delete(g.arrived, q)
 			}
 			delete(g.jobLen, jobID)
 			continue
@@ -471,6 +543,163 @@ func (g *ModelGraph) detach(c *modelComponent, q jobgraph.Ref) {
 	}
 }
 
+// TB is the part of testing.TB a GatingPair reports through.
+type TB interface {
+	Helper()
+	Fatalf(format string, args ...any)
+}
+
+// GatingPair is the job graph's one differential driver: a production
+// jobgraph.Graph fed through AddJobWithAtoms — the path the engine takes
+// — beside a ModelGraph fed the same jobs, whose sharing test is the
+// intersection of the same atom lists. Every op applies to both and then
+// compares them; the first difference fails the test.
+type GatingPair struct {
+	G *jobgraph.Graph
+	M *ModelGraph
+	// Check, when set, runs on G after every comparison: invariants of the
+	// graph's own tables, which only its package can read.
+	Check func(*jobgraph.Graph) error
+
+	t     TB
+	atoms map[jobgraph.Ref][]store.AtomID
+	// ids lists every job ID ever registered, in first-registration order;
+	// longest holds the most queries each was registered with.
+	ids     []int64
+	longest map[int64]int
+
+	got, want []edgeRuling
+}
+
+// edgeRuling is one observer call: a candidate edge and its outcome.
+type edgeRuling struct {
+	admitted bool
+	u, v     jobgraph.Ref
+}
+
+// NewGatingPair returns an empty graph and model that report to t.
+func NewGatingPair(t TB) *GatingPair {
+	p := &GatingPair{
+		G:       jobgraph.New(nil),
+		t:       t,
+		atoms:   make(map[jobgraph.Ref][]store.AtomID),
+		longest: make(map[int64]int),
+	}
+	p.M = NewModelGraph(func(x, y jobgraph.Ref) bool {
+		for _, a := range p.atoms[x] {
+			if slices.Contains(p.atoms[y], a) {
+				return true
+			}
+		}
+		return false
+	})
+	p.G.SetObserver(func(ok bool, u, v jobgraph.Ref) { p.got = append(p.got, edgeRuling{ok, u, v}) })
+	p.M.Observer = func(ok bool, u, v jobgraph.Ref) { p.want = append(p.want, edgeRuling{ok, u, v}) }
+	return p
+}
+
+// Register adds job id, with the atom lists of its queries, to both and
+// compares. It returns the graph's error, which the model must match (a
+// registered ID or a job of no queries is refused). The lists are cleared
+// once the graph has them, so a graph that kept them instead of a copy
+// shows.
+func (p *GatingPair) Register(id int64, lists [][]store.AtomID) error {
+	p.t.Helper()
+	if !p.M.Registered(id) {
+		for s := range lists {
+			p.atoms[jobgraph.Ref{Job: id, Seq: s}] = slices.Clone(lists[s])
+		}
+	}
+	err := p.G.AddJobWithAtoms(id, lists)
+	for s := range lists {
+		clear(lists[s])
+	}
+	if want := p.M.AddJob(id, len(lists)); (err == nil) != (want == nil) {
+		p.t.Fatalf("registering job %d: graph %v, model %v", id, err, want)
+	}
+	if err == nil {
+		if _, seen := p.longest[id]; !seen {
+			p.ids = append(p.ids, id)
+		}
+		p.longest[id] = max(p.longest[id], len(lists))
+	}
+	p.compare(fmt.Sprintf("registering job %d (%d queries)", id, len(lists)))
+	return err
+}
+
+// Serve completes the QUEUE query q in both and compares.
+func (p *GatingPair) Serve(q jobgraph.Ref) {
+	p.t.Helper()
+	p.G.MarkDone(q)
+	p.M.MarkDone(q)
+	p.compare("completing " + q.String())
+}
+
+// Arrive marks q arrived in both and compares.
+func (p *GatingPair) Arrive(q jobgraph.Ref) {
+	p.t.Helper()
+	p.G.MarkArrived(q)
+	p.M.MarkArrived(q)
+	p.compare("arriving " + q.String())
+}
+
+// Prune prunes both, compares, and returns how many jobs were dropped.
+func (p *GatingPair) Prune() int {
+	p.t.Helper()
+	before := len(p.M.jobs)
+	p.G.Prune()
+	p.M.Prune()
+	p.compare("pruning")
+	return before - len(p.M.jobs)
+}
+
+// compare fails the test on the first difference between graph and model:
+// the edge rulings since the last comparison, the admitted and rejected
+// counts, Finished, Schedulable, Registered for every job ID ever
+// registered, and State, GatingNumber, Partners, BlockedBy and
+// Dispatchable for each of its queries — pruned ones, seq −1 and one past
+// its longest registration included. Then it runs Check.
+func (p *GatingPair) compare(after string) {
+	p.t.Helper()
+	g, m := p.G, p.M
+	if !slices.Equal(p.got, p.want) {
+		p.t.Fatalf("after %s: edge rulings\n graph %v\n model %v", after, p.got, p.want)
+	}
+	p.got, p.want = p.got[:0], p.want[:0]
+	if g.EdgesAdmitted() != m.EdgesAdmitted() || g.EdgesRejected() != m.EdgesRejected() || g.Finished() != m.Finished() {
+		p.t.Fatalf("after %s: admitted %d/%d rejected %d/%d finished %v/%v (graph/model)", after,
+			g.EdgesAdmitted(), m.EdgesAdmitted(), g.EdgesRejected(), m.EdgesRejected(), g.Finished(), m.Finished())
+	}
+	if got, want := g.Schedulable(), m.Schedulable(); !slices.Equal(got, want) {
+		p.t.Fatalf("after %s: schedulable %v, model %v", after, got, want)
+	}
+	var blockers []jobgraph.Ref
+	for _, id := range p.ids {
+		if g.Registered(id) != m.Registered(id) {
+			p.t.Fatalf("after %s: job %d registered %v, model %v", after, id, g.Registered(id), m.Registered(id))
+		}
+		for s := -1; s <= p.longest[id]; s++ {
+			q := jobgraph.Ref{Job: id, Seq: s}
+			if g.State(q) != m.State(q) || g.GatingNumber(q) != m.GatingNumber(q) || g.Dispatchable(q) != m.Dispatchable(q) {
+				p.t.Fatalf("after %s: %v is %v G=%d dispatchable %v, model %v G=%d %v", after, q,
+					g.State(q), g.GatingNumber(q), g.Dispatchable(q), m.State(q), m.GatingNumber(q), m.Dispatchable(q))
+			}
+			if got, want := g.Partners(q), m.Partners(q); !slices.Equal(got, want) {
+				p.t.Fatalf("after %s: partners of %v %v, model %v", after, q, got, want)
+			}
+			blockers = g.BlockedBy(q, blockers[:0])
+			if want := m.BlockedBy(q); !slices.Equal(blockers, want) {
+				p.t.Fatalf("after %s: %v blocked by %v, model %v", after, q, blockers, want)
+			}
+		}
+	}
+	if p.Check != nil {
+		if err := p.Check(g); err != nil {
+			p.t.Fatalf("after %s: %v", after, err)
+		}
+	}
+}
+
 // CheckDeadlockFree drives both a production Graph and the model to
 // completion by repeatedly serving every schedulable query, verifying at
 // each round that (a) the schedulable sets agree, (b) progress is always
@@ -486,8 +715,8 @@ func CheckDeadlockFree(g *jobgraph.Graph, m *ModelGraph) []string {
 		}
 		real := g.Schedulable()
 		model := m.Schedulable()
-		if !refsEqual(real, model) {
-			diffs = append(diffs, "gating: schedulable sets diverge: real="+refsString(real)+" model="+refsString(model))
+		if !slices.Equal(real, model) {
+			diffs = append(diffs, fmt.Sprintf("gating: schedulable sets diverge: real=%v model=%v", real, model))
 			return diffs
 		}
 		if g.Finished() != m.Finished() {
@@ -505,7 +734,7 @@ func CheckDeadlockFree(g *jobgraph.Graph, m *ModelGraph) []string {
 			if gn, mn := g.GatingNumber(q), m.GatingNumber(q); gn != mn {
 				diffs = append(diffs, "gating: gating number of "+q.String()+" diverges")
 			}
-			if !refsEqual(g.Partners(q), m.Partners(q)) {
+			if !slices.Equal(g.Partners(q), m.Partners(q)) {
 				diffs = append(diffs, "gating: partners of "+q.String()+" diverge")
 			}
 		}
@@ -521,27 +750,4 @@ func CheckDeadlockFree(g *jobgraph.Graph, m *ModelGraph) []string {
 			}
 		}
 	}
-}
-
-func refsEqual(a, b []jobgraph.Ref) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func refsString(refs []jobgraph.Ref) string {
-	s := "["
-	for i, r := range refs {
-		if i > 0 {
-			s += " "
-		}
-		s += r.String()
-	}
-	return s + "]"
 }

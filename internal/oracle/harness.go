@@ -194,7 +194,9 @@ func referencePartners(jobs []*job.Job, space geom.Space) map[jobgraph.Ref][]job
 		return false
 	})
 	for _, j := range ordered {
-		g.AddJob(j.ID, len(j.Queries))
+		if err := g.AddJob(j.ID, len(j.Queries)); err != nil {
+			panic(err) // Engine.register refuses the same job the same way
+		}
 	}
 	out := make(map[jobgraph.Ref][]jobgraph.Ref)
 	for _, j := range ordered {

@@ -1,10 +1,11 @@
 package system_test
 
 // The hand-wiring internal/system replaced, kept as the reference the
-// assembler is held to (as graph_ref_test.go and lruk_ref_test.go keep
-// their predecessors): jaws.Open, newScheduler and the engine.Config
-// literal of System.Run / OpenSession as they stood before it, constructor
-// by constructor, plus the ablation study's NoMortonOrder hand-off.
+// assembler is held to (as lruk_ref_test.go keeps its predecessor; DESIGN.md
+// §12 lists one reference per mechanism): jaws.Open, newScheduler and the
+// engine.Config literal of System.Run / OpenSession as they stood before
+// it, constructor by constructor, plus the ablation study's NoMortonOrder
+// hand-off.
 
 import (
 	"fmt"

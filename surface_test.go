@@ -31,7 +31,6 @@ import (
 // short list of names kept without such a caller, one reason each.
 var surfaceAllow = map[string]string{
 	"jaws/internal/cluster.Config.Replicas":   "replica failover, which the chaos tests (internal/fault) and failover_test.go certify; ROADMAP 7(a)'s request router over replicas is its planned setter",
-	"jaws/internal/jobgraph.Graph.Prune":      "the paper's pruning, not yet called by the engine (it moves the artifacts): TestPruneThenAdmit, FuzzGraphOps and oracle.TestGatingPruneDifferential hold it to the references; ROADMAP 3(c) calls it",
 	"jaws/internal/system.Config.SampleGhost": "read, not set, by benchmark/assembly.go's copy of the assembler; settled when benchmark/ builds through system.Open (ROADMAP 1a(i)) or jawsd sets it (20(a))",
 	"jaws/internal/system.Config.Parallelism": "inert (the engine evaluates every batch on one goroutine), kept only because benchmark/assembly.go reads it into engine.Config.Parallelism, also inert; ROADMAP 1a(i) deletes both",
 }
