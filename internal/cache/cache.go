@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"jaws/internal/field"
 	"jaws/internal/store"
 )
 
@@ -67,11 +68,14 @@ type Observer struct {
 	Evict func(id store.AtomID)
 }
 
-// Cache is an atom cache with a pluggable replacement policy.
+// Cache is an atom cache with a pluggable replacement policy. Its index
+// holds the resident atoms' handles under their one-word keys
+// (store.AtomID.Key) and grows with the residents: a cache costs the atoms
+// it holds, not the capacity it could hold (DESIGN.md §19).
 type Cache struct {
 	capacity int
 	policy   Policy
-	entries  map[store.AtomID]any
+	entries  map[uint64]*field.Atom
 	stats    Stats
 	obs      Observer
 	// version counts residency mutations: it advances whenever the set of
@@ -81,8 +85,8 @@ type Cache struct {
 	version uint64
 }
 
-// New creates a cache holding up to capacity atoms. capacity must be
-// positive and policy non-nil.
+// New creates a cache holding up to capacity atoms, reserving nothing for
+// them. capacity must be positive and policy non-nil.
 func New(capacity int, policy Policy) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity must be positive, got %d", capacity))
@@ -93,7 +97,7 @@ func New(capacity int, policy Policy) *Cache {
 	return &Cache{
 		capacity: capacity,
 		policy:   policy,
-		entries:  make(map[store.AtomID]any, capacity),
+		entries:  make(map[uint64]*field.Atom),
 	}
 }
 
@@ -101,9 +105,21 @@ func New(capacity int, policy Policy) *Cache {
 // hooks. The cache serializes calls to the hooks with its own accesses.
 func (c *Cache) SetObserver(o Observer) { c.obs = o }
 
-// Get returns the cached value for id, if resident.
-func (c *Cache) Get(id store.AtomID) (any, bool) {
-	v, ok := c.entries[id]
+// lookup returns id's index key and its resident atom. An ID the key
+// cannot hold — store.Open never hands one out — is not resident, whatever
+// its key collides with.
+func (c *Cache) lookup(id store.AtomID) (k uint64, a *field.Atom, ok bool) {
+	k = id.Key()
+	if store.FromKey(k) != id {
+		return k, nil, false
+	}
+	a, ok = c.entries[k]
+	return k, a, ok
+}
+
+// Get returns the cached atom for id, if resident.
+func (c *Cache) Get(id store.AtomID) (*field.Atom, bool) {
+	_, a, ok := c.lookup(id)
 	if ok {
 		c.stats.Hits++
 		start := time.Now()
@@ -118,42 +134,46 @@ func (c *Cache) Get(id store.AtomID) (any, bool) {
 			c.obs.Miss(id)
 		}
 	}
-	return v, ok
+	return a, ok
 }
 
 // Contains reports residency without touching the policy or stats — the
 // scheduler uses this for the φ(i) term of the workload throughput metric
 // (Eq. 1), which must not perturb recency state.
 func (c *Cache) Contains(id store.AtomID) bool {
-	_, ok := c.entries[id]
+	_, _, ok := c.lookup(id)
 	return ok
 }
 
 // Corrupt drops a resident id whose payload was found damaged (the
 // checksum pass a real buffer manager performs on a hit) and hands back
-// its value, as Put hands back what it displaces, so the caller that owns
-// the values' memory can reuse it; nil when id is not resident. The next
+// its atom, as Put hands back what it displaces, so the caller that owns
+// the atoms' memory can reuse it; nil when id is not resident. The next
 // Get of id misses.
-func (c *Cache) Corrupt(id store.AtomID) any {
-	v, ok := c.entries[id]
+func (c *Cache) Corrupt(id store.AtomID) *field.Atom {
+	k, a, ok := c.lookup(id)
 	if !ok {
 		return nil
 	}
-	delete(c.entries, id)
+	delete(c.entries, k)
 	c.version++
 	c.policy.OnEvict(id)
 	c.stats.Corruptions++
-	return v
+	return a
 }
 
 // Put inserts id, evicting per policy if the cache is full. Inserting an
-// already-resident atom just refreshes its value and recency. It returns
-// the value the insertion pushed out — the evicted victim's, or the one a
+// already-resident atom just refreshes its handle and recency. It returns
+// the atom the insertion pushed out — the evicted victim, or the handle a
 // same-id Put replaced; nil when there was none — so the caller that owns
-// the values' memory can reuse it.
-func (c *Cache) Put(id store.AtomID, v any) (displaced any) {
-	if old, ok := c.entries[id]; ok {
-		c.entries[id] = v
+// the atoms' memory can reuse it. id must be an atom a store can hold.
+func (c *Cache) Put(id store.AtomID, a *field.Atom) (displaced *field.Atom) {
+	k := id.Key()
+	if store.FromKey(k) != id {
+		panic(fmt.Sprintf("cache: atom (step %d, code %d) does not pack into a key", id.Step, id.Code))
+	}
+	if old, ok := c.entries[k]; ok {
+		c.entries[k] = a
 		start := time.Now()
 		c.policy.OnHit(id)
 		c.stats.PolicyTime += time.Since(start)
@@ -163,12 +183,13 @@ func (c *Cache) Put(id store.AtomID, v any) (displaced any) {
 	// Residency never exceeds the capacity, so one eviction makes room.
 	if len(c.entries) >= c.capacity {
 		victim := c.policy.Victim()
-		old, ok := c.entries[victim]
+		vk := victim.Key()
+		old, ok := c.entries[vk]
 		if !ok {
 			panic(fmt.Sprintf("cache: policy %s evicted non-resident atom %v", c.policy.Name(), victim))
 		}
 		displaced = old
-		delete(c.entries, victim)
+		delete(c.entries, vk)
 		c.version++
 		c.policy.OnEvict(victim)
 		c.stats.Evictions++
@@ -176,7 +197,7 @@ func (c *Cache) Put(id store.AtomID, v any) (displaced any) {
 			c.obs.Evict(victim)
 		}
 	}
-	c.entries[id] = v
+	c.entries[k] = a
 	c.version++
 	c.policy.OnInsert(id)
 	c.stats.PolicyTime += time.Since(start)
@@ -202,8 +223,8 @@ func (c *Cache) Version() uint64 { return c.version }
 // engine uses this to push scheduler utilities into URC; fn must not
 // touch the cache.
 func (c *Cache) EachKey(fn func(id store.AtomID)) {
-	for id := range c.entries {
-		fn(id)
+	for k := range c.entries {
+		fn(store.FromKey(k))
 	}
 }
 
@@ -216,18 +237,19 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the counters (contents stay resident).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Flush evicts everything, appending the dropped values to buf for the
+// Flush evicts everything, appending the dropped atoms to buf for the
 // caller that owns their memory, as Put hands back what it displaces. The
 // NoShare baseline flushes between queries so that no I/O is shared across
 // queries (§VI), mirroring the paper's methodology of flushing the buffer
 // pool. Residents go in map iteration order: neither the policy's and the
-// observer's eviction callbacks nor the returned values have a defined
+// observer's eviction callbacks nor the returned atoms have a defined
 // order.
-func (c *Cache) Flush(buf []any) []any {
-	for id, v := range c.entries {
-		buf = append(buf, v)
-		delete(c.entries, id)
+func (c *Cache) Flush(buf []*field.Atom) []*field.Atom {
+	for k, a := range c.entries {
+		buf = append(buf, a)
+		delete(c.entries, k)
 		c.version++
+		id := store.FromKey(k)
 		c.policy.OnEvict(id)
 		c.stats.Evictions++
 		if c.obs.Evict != nil {

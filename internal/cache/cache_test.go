@@ -1,14 +1,25 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
+	"jaws/internal/field"
 	"jaws/internal/morton"
 	"jaws/internal/store"
 )
 
 func id(step, code int) store.AtomID {
 	return store.AtomID{Step: step, Code: morton.Code(code)}
+}
+
+// handles returns n distinct atom handles for the cache to hold.
+func handles(n int) []*field.Atom {
+	h := make([]*field.Atom, n)
+	for i := range h {
+		h[i] = new(field.Atom)
+	}
+	return h
 }
 
 func TestNewValidation(t *testing.T) {
@@ -35,9 +46,10 @@ func TestGetMissAndHit(t *testing.T) {
 	if _, ok := c.Get(id(0, 1)); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(id(0, 1), "a")
+	a := new(field.Atom)
+	c.Put(id(0, 1), a)
 	v, ok := c.Get(id(0, 1))
-	if !ok || v != "a" {
+	if !ok || v != a {
 		t.Fatalf("Get = %v/%v", v, ok)
 	}
 	s := c.Stats()
@@ -48,29 +60,31 @@ func TestGetMissAndHit(t *testing.T) {
 
 func TestPutRefreshesExisting(t *testing.T) {
 	c := New(2, NewLRUK(1, 0))
-	if old := c.Put(id(0, 1), "a"); old != nil {
+	h := handles(2)
+	if old := c.Put(id(0, 1), h[0]); old != nil {
 		t.Fatalf("Put into an empty cache displaced %v", old)
 	}
-	if old := c.Put(id(0, 1), "b"); old != "a" {
-		t.Fatalf("same-id Put handed back %v, want the replaced value", old)
+	if old := c.Put(id(0, 1), h[1]); old != h[0] {
+		t.Fatalf("same-id Put handed back %v, want the replaced handle", old)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate Put", c.Len())
 	}
-	if v, _ := c.Get(id(0, 1)); v != "b" {
+	if v, _ := c.Get(id(0, 1)); v != h[1] {
 		t.Fatalf("value not refreshed: %v", v)
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
 	c := New(3, NewLRUK(1, 0))
+	h := handles(10)
 	for i := 0; i < 10; i++ {
-		// Every Put past the capacity hands back the value it evicted.
-		var want any
+		// Every Put past the capacity hands back the handle it evicted.
+		var want *field.Atom
 		if i >= 3 {
-			want = i - 3
+			want = h[i-3]
 		}
-		if old := c.Put(id(0, i), i); old != want {
+		if old := c.Put(id(0, i), h[i]); old != want {
 			t.Fatalf("Put %d displaced %v, want %v", i, old, want)
 		}
 	}
@@ -162,8 +176,9 @@ func TestPolicyConformance(t *testing.T) {
 	for _, mk := range policies {
 		p := mk()
 		c := New(4, p)
+		h := handles(100)
 		for i := 0; i < 100; i++ {
-			c.Put(id(i%3, i), i)
+			c.Put(id(i%3, i), h[i])
 			if c.Len() > 4 {
 				t.Fatalf("%s: cache over capacity: %d", p.Name(), c.Len())
 			}
@@ -404,8 +419,9 @@ func benchPolicy(b *testing.B, p Policy) {
 
 func TestFlush(t *testing.T) {
 	c := New(4, NewLRUK(1, 0))
+	h := handles(4)
 	for i := 0; i < 4; i++ {
-		c.Put(id(0, i), i)
+		c.Put(id(0, i), h[i])
 	}
 	c.Flush(nil)
 	if c.Len() != 0 {
@@ -422,23 +438,22 @@ func TestFlush(t *testing.T) {
 }
 
 // What the cache drops other than through Put's eviction also goes back to
-// the caller that owns the values: everything on a Flush, and a resident
-// value dropped as corrupt (TestIntegrityCorruptionDropsEntry).
+// the caller that owns the atoms: everything on a Flush, and a resident
+// atom dropped as corrupt (TestIntegrityCorruptionDropsEntry).
 func TestDroppedValuesHandedBack(t *testing.T) {
 	c := New(4, NewLRUK(1, 0))
+	h := handles(4)
 	for i := 0; i < 3; i++ {
-		c.Put(id(0, i), i)
+		c.Put(id(0, i), h[i])
 	}
-	got := c.Flush([]any{"kept"})
-	if len(got) != 4 || got[0] != "kept" {
+	got := c.Flush([]*field.Atom{h[3]})
+	if len(got) != 4 || got[0] != h[3] {
 		t.Fatalf("Flush returned %v, want the buffer's element and the 3 residents", got)
 	}
-	sum := 0
-	for _, v := range got[1:] {
-		sum += v.(int)
-	}
-	if sum != 0+1+2 {
-		t.Fatalf("Flush returned %v, want each resident's value once", got[1:])
+	for _, want := range h[:3] {
+		if !slices.Contains(got[1:], want) {
+			t.Fatalf("Flush returned %v, want each resident's handle once", got[1:])
+		}
 	}
 	if got := c.Flush(nil); len(got) != 0 {
 		t.Fatalf("Flush of an empty cache returned %v", got)
@@ -540,11 +555,12 @@ func TestURCReplaceStepMeans(t *testing.T) {
 
 func TestIntegrityCorruptionDropsEntry(t *testing.T) {
 	c := New(4, NewLRUK(1, 0))
-	c.Put(id(0, 1), "payload")
+	h := handles(2)
+	c.Put(id(0, 1), h[0])
 	var missed []store.AtomID
 	c.SetObserver(Observer{Miss: func(i store.AtomID) { missed = append(missed, i) }})
 
-	if v := c.Corrupt(id(0, 1)); v != "payload" {
+	if v := c.Corrupt(id(0, 1)); v != h[0] {
 		t.Fatalf("Corrupt handed back %v, want the payload", v)
 	}
 	if v, ok := c.Get(id(0, 1)); ok || v != nil {
@@ -563,8 +579,8 @@ func TestIntegrityCorruptionDropsEntry(t *testing.T) {
 
 	// The re-read path restores the atom; a clean hit then works and the
 	// policy state stayed coherent (eviction bookkeeping not corrupted).
-	c.Put(id(0, 1), "fresh")
-	if v, ok := c.Get(id(0, 1)); !ok || v != "fresh" {
+	c.Put(id(0, 1), h[1])
+	if v, ok := c.Get(id(0, 1)); !ok || v != h[1] {
 		t.Fatalf("restored entry: %v, %v", v, ok)
 	}
 	// An atom that is not resident has nothing to drop.
@@ -581,7 +597,7 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	c := New(2, NewLRUK(1, 0))
 	v0 := c.Version()
 
-	c.Put(id(0, 1), "a") // insert
+	c.Put(id(0, 1), nil) // insert
 	if c.Version() == v0 {
 		t.Fatal("insert did not advance the version")
 	}
@@ -590,14 +606,14 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	c.Get(id(0, 1)) // hit
 	c.Get(id(0, 9)) // miss
 	c.Contains(id(0, 1))
-	c.Put(id(0, 1), "a2") // refresh: residency set unchanged
+	c.Put(id(0, 1), new(field.Atom)) // refresh: residency set unchanged
 	if c.Version() != v1 {
 		t.Fatalf("reads/refresh advanced the version: %d -> %d", v1, c.Version())
 	}
 
-	c.Put(id(0, 2), "b")
+	c.Put(id(0, 2), nil)
 	v2 := c.Version()
-	c.Put(id(0, 3), "c") // full: evicts + inserts
+	c.Put(id(0, 3), nil) // full: evicts + inserts
 	if c.Version() <= v2 {
 		t.Fatal("eviction+insert did not advance the version")
 	}
@@ -615,5 +631,38 @@ func TestVersionTracksResidencyMutations(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("len after flush = %d", c.Len())
+	}
+}
+
+// An ID whose key collides with a resident's — a step or a code past the
+// packing's bounds, which no store hands out — is not resident, and the
+// cache refuses to hold one.
+func TestUnpackableIDNeverResident(t *testing.T) {
+	c := New(2, NewLRUK(1, 0))
+	c.Put(id(1, 0), new(field.Atom))
+	for _, alias := range []store.AtomID{
+		{Step: 1 + 1<<22, Code: 0},
+		{Step: 0, Code: 1 << 42},
+	} {
+		if alias.Key() != id(1, 0).Key() {
+			t.Fatalf("%+v keys %#x, not the resident's %#x: the test no longer aliases", alias, alias.Key(), id(1, 0).Key())
+		}
+		if c.Contains(alias) {
+			t.Errorf("%+v is resident under the key of %+v", alias, id(1, 0))
+		}
+		if a, ok := c.Get(alias); ok || a != nil {
+			t.Errorf("Get(%+v) = %v, %v; want a miss", alias, a, ok)
+		}
+		if a := c.Corrupt(alias); a != nil || c.Len() != 1 {
+			t.Errorf("Corrupt(%+v) dropped %v, %d resident", alias, a, c.Len())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put(%+v) accepted", alias)
+				}
+			}()
+			c.Put(alias, new(field.Atom))
+		}()
 	}
 }

@@ -25,15 +25,16 @@ import (
 //
 // The state lives on tables the policy owns (DESIGN.md §19, "Eviction
 // index"): an atom with history has a slot — a record in recs and k
-// places in hist — and the resident slots sit in a binary min-heap on the
-// victim order, so a touch sifts one slot and Victim reads the root.
+// places in hist, found by the atom's one-word key (store.AtomID.Key) —
+// and the resident slots sit in a binary min-heap on the victim order, so
+// a touch sifts one slot and Victim reads the root.
 type LRUK struct {
 	k          int
 	correlated int64 // correlated reference period in ticks
 	retain     int64 // retained-history period in ticks
 	clock      int64
 
-	slot map[store.AtomID]int32 // every atom with history → its slot
+	slot map[uint64]int32 // every atom with history, by key → its slot
 	recs []lrukRec
 	hist []int64     // slot s's references at hist[s*k:][:recs[s].n], most recent first
 	heap []lrukEntry // the resident slots, least (the next victim) first
@@ -42,9 +43,9 @@ type LRUK struct {
 
 // lrukRec is one slot: a free one has n 0, a non-resident one pos -1.
 type lrukRec struct {
-	id  store.AtomID
-	n   int32 // references held, ≤ k
-	pos int32 // index in heap
+	key uint64 // the atom's store.AtomID.Key
+	n   int32  // references held, ≤ k
+	pos int32  // index in heap
 }
 
 // lrukEntry is a resident slot in the heap beside its place in the victim
@@ -72,17 +73,17 @@ func NewLRUK(k int, correlated int64) *LRUK {
 		k:          k,
 		correlated: correlated,
 		retain:     DefaultRetain,
-		slot:       make(map[store.AtomID]int32),
+		slot:       make(map[uint64]int32),
 	}
 }
 
 // Name implements Policy.
 func (p *LRUK) Name() string { return "lru-k" }
 
-// slotOf returns id's slot, giving it an empty one — a vacated slot before
-// a new one — when it has no history.
-func (p *LRUK) slotOf(id store.AtomID) int32 {
-	if s, ok := p.slot[id]; ok {
+// slotOf returns key's slot, giving it an empty one — a vacated slot
+// before a new one — when its atom has no history.
+func (p *LRUK) slotOf(key uint64) int32 {
+	if s, ok := p.slot[key]; ok {
 		return s
 	}
 	var s int32
@@ -94,8 +95,8 @@ func (p *LRUK) slotOf(id store.AtomID) int32 {
 		p.recs = append(p.recs, lrukRec{})
 		p.hist = append(p.hist, make([]int64, p.k)...)
 	}
-	p.recs[s] = lrukRec{id: id, pos: -1}
-	p.slot[id] = s
+	p.recs[s] = lrukRec{key: key, pos: -1}
+	p.slot[key] = s
 	return s
 }
 
@@ -127,7 +128,7 @@ func (p *LRUK) gc() {
 	for s := range p.recs {
 		r := &p.recs[s]
 		if r.n > 0 && r.pos < 0 && p.clock-p.hist[s*p.k] > p.retain {
-			delete(p.slot, r.id)
+			delete(p.slot, r.key)
 			r.n = 0
 			p.free = append(p.free, int32(s))
 		}
@@ -153,7 +154,7 @@ func (p *LRUK) less(a, b lrukEntry) bool {
 	if a.rank != b.rank {
 		return a.rank < b.rank
 	}
-	return p.recs[a.slot].id.Key() < p.recs[b.slot].id.Key()
+	return p.recs[a.slot].key < p.recs[b.slot].key
 }
 
 // place puts e at heap index i.
@@ -195,7 +196,7 @@ func (p *LRUK) sift(i int) {
 
 // OnHit implements Policy.
 func (p *LRUK) OnHit(id store.AtomID) {
-	s := p.slotOf(id)
+	s := p.slotOf(id.Key())
 	p.touch(s)
 	if pos := p.recs[s].pos; pos >= 0 {
 		p.sift(int(pos))
@@ -204,7 +205,7 @@ func (p *LRUK) OnHit(id store.AtomID) {
 
 // OnInsert implements Policy.
 func (p *LRUK) OnInsert(id store.AtomID) {
-	s := p.slotOf(id)
+	s := p.slotOf(id.Key())
 	p.touch(s)
 	pos := int(p.recs[s].pos)
 	if pos < 0 {
@@ -220,13 +221,13 @@ func (p *LRUK) Victim() store.AtomID {
 	if len(p.heap) == 0 {
 		return store.AtomID{}
 	}
-	return p.recs[p.heap[0].slot].id
+	return store.FromKey(p.recs[p.heap[0].slot].key)
 }
 
 // OnEvict implements Policy. The reference history is retained (up to the
 // retention period) so returning atoms keep their hotness.
 func (p *LRUK) OnEvict(id store.AtomID) {
-	s, ok := p.slot[id]
+	s, ok := p.slot[id.Key()]
 	if !ok || p.recs[s].pos < 0 {
 		return
 	}

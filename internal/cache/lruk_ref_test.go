@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"jaws/internal/field"
 	"jaws/internal/store"
 )
 
@@ -141,7 +142,7 @@ func (d *lrukPair) lookup(a store.AtomID) error {
 }
 
 func (d *lrukPair) put(a store.AtomID) {
-	if _, had := d.got.slot[a]; !had {
+	if _, had := d.got.slot[a.Key()]; !had {
 		d.slotsTaken++
 	}
 	d.cg.Put(a, nil)
@@ -196,7 +197,7 @@ func (d *lrukPair) checkHistory() error {
 
 // history returns a's references, most recent first; nil when it has none.
 func (p *LRUK) history(a store.AtomID) []int64 {
-	s, ok := p.slot[a]
+	s, ok := p.slot[a.Key()]
 	if !ok {
 		return nil
 	}
@@ -214,9 +215,9 @@ func (p *LRUK) checkIndex() error {
 	if len(p.slot)+len(p.free) != len(p.recs) {
 		return fmt.Errorf("%d mapped + %d free slots, slab of %d", len(p.slot), len(p.free), len(p.recs))
 	}
-	for a, s := range p.slot {
-		if r := p.recs[s]; r.id != a || r.n < 1 || int(r.n) > p.k {
-			return fmt.Errorf("slot %d mapped from %v holds %+v", s, a, r)
+	for k, s := range p.slot {
+		if r := p.recs[s]; r.key != k || r.n < 1 || int(r.n) > p.k {
+			return fmt.Errorf("slot %d mapped from %v holds %+v", s, store.FromKey(k), r)
 		}
 	}
 	seen := make([]bool, len(p.recs))
@@ -365,7 +366,7 @@ func TestLRUKHitDoesNotAllocate(t *testing.T) {
 	for _, correlated := range []int64{0, 3} {
 		c := New(16, NewLRUK(2, correlated))
 		for i := 0; i < 16; i++ {
-			c.Put(id(0, i), i)
+			c.Put(id(0, i), new(field.Atom))
 			c.Get(id(0, i)) // the second reference: the history is at full length
 		}
 		i := 0

@@ -185,7 +185,7 @@ func TestDecisionAllocsIndependentOfBatchSize(t *testing.T) {
 			pos := geom.Position{X: ps.Pos.X, Y: ps.Pos.Y, Z: ps.Pos.Z}
 			ac := space.AtomOf(pos)
 			v, _ := c.Get(store.AtomID{Step: r.Query.Step, Code: ac.Code()})
-			if want := field.Interpolate(r.Query.Kernel, v.(*field.Atom), space, ac, pos); ps.Val != want {
+			if want := field.Interpolate(r.Query.Kernel, v, space, ac, pos); ps.Val != want {
 				t.Fatalf("query %d at %+v: %v, want %v", r.Query.ID, pos, ps.Val, want)
 			}
 		}

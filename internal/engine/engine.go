@@ -389,7 +389,6 @@ type Engine struct {
 	rows      *field.RowArena
 	retired   []*field.Atom
 	freeAtoms []*field.Atom
-	flushed   []any           // FlushPerDecision's scratch: what Cache.Flush dropped
 	gathered  []geom.Position // computeBatch's scratch: a sub-query's positions
 	// fills counts the syntheses this engine performed (at most one per
 	// store read; none with Compute off).
@@ -833,11 +832,7 @@ func (e *Engine) execute(batches []sched.Batch) error {
 		}
 	}
 	if e.cfg.FlushPerDecision {
-		e.flushed = e.cfg.Cache.Flush(e.flushed[:0])
-		for i, v := range e.flushed {
-			e.retire(v)
-			e.flushed[i] = nil
-		}
+		e.retired = e.cfg.Cache.Flush(e.retired)
 	}
 	e.pushUtilities()
 	return nil
@@ -900,8 +895,8 @@ func (e *Engine) readAtom(id store.AtomID) (*field.Atom, error) {
 		e.retire(e.cfg.Cache.Corrupt(id))
 		e.inst.noteCorrupt()
 	}
-	if v, ok := e.cfg.Cache.Get(id); ok {
-		return v.(*field.Atom), nil
+	if a, ok := e.cfg.Cache.Get(id); ok {
+		return a, nil
 	}
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
@@ -952,10 +947,10 @@ func (e *Engine) putAtom(id store.AtomID, a *field.Atom) {
 	e.retire(e.cfg.Cache.Put(id, a))
 }
 
-// retire takes over an atom the cache dropped — displaced by a Put, flushed,
-// or found corrupt; v is nil when it dropped none.
-func (e *Engine) retire(v any) {
-	if a, ok := v.(*field.Atom); ok {
+// retire takes over an atom the cache dropped — displaced by a Put or
+// found corrupt; a is nil when it dropped none.
+func (e *Engine) retire(a *field.Atom) {
+	if a != nil {
 		e.retired = append(e.retired, a)
 	}
 }

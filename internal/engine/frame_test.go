@@ -178,11 +178,10 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		})
 		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
-		v, ok := c.Get(idA)
-		if !ok || heldUnits(s.Space(), v.(*field.Atom)) == 0 || c.Len() != 1 {
+		oldA, ok := c.Get(idA)
+		if !ok || heldUnits(s.Space(), oldA) == 0 || c.Len() != 1 {
 			t.Fatalf("set-up: A resident %v, %d atoms cached; want A filled and alone", ok, c.Len())
 		}
-		oldA := v.(*field.Atom)
 		// JAWS would split the two atoms (A, resident, outranks B), so the
 		// decision is put together by hand, in Morton order as JAWS executes.
 		pts := append(cornerPoints(s, 0, 0, 0, 20), centrePoints(s, 2, 2, 2, 20)...)
@@ -343,7 +342,7 @@ func TestComputeOffNeverFills(t *testing.T) {
 		var ids []store.AtomID
 		c.EachKey(func(id store.AtomID) { ids = append(ids, id) })
 		for _, id := range ids {
-			if v, _ := c.Get(id); heldUnits(space, v.(*field.Atom)) != 0 {
+			if v, _ := c.Get(id); heldUnits(space, v) != 0 {
 				filled++
 			}
 		}
@@ -396,11 +395,11 @@ func TestComputeOffNeverFills(t *testing.T) {
 		}
 		neighbour := store.AtomID{Step: 0, Code: geom.AtomCoord{I: 1, J: 1, K: 1}.Code()}
 		v, _ := c.Get(neighbour)
-		if heldUnits(s.Space(), v.(*field.Atom)) != 0 {
+		if heldUnits(s.Space(), v) != 0 {
 			t.Fatal("footprint atom filled before it was a primary")
 		}
 		decide(t, e, &query.Query{ID: 2, JobID: 2, Step: 0, Points: centrePoints(s, 1, 1, 1, 10), Kernel: field.KernelLag4})
-		if n := heldUnits(s.Space(), v.(*field.Atom)); n == 0 || e.fills != 2 {
+		if n := heldUnits(s.Space(), v); n == 0 || e.fills != 2 {
 			t.Fatalf("the neighbour as primary: %d half rows held, %d fills; want the resident frame filled in place", n, e.fills)
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
@@ -435,8 +434,7 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	if n := decide(t, e, query(1, centre), query(4, centre)); n != 1 {
 		t.Fatalf("%d decisions: want one batch", n)
 	}
-	v, _ := c.Get(id)
-	a := v.(*field.Atom)
+	a, _ := c.Get(id)
 	// The stencils' x range, 2..5, crosses the midpoint: each of their 16
 	// block rows is held as its two halves.
 	if n := count(a.Missing(field.KernelLag8, space, ac, all)); heldUnits(space, a) != 2*4*4 || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
@@ -519,7 +517,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		t.Helper()
 		id := store.AtomID{Step: step, Code: geom.AtomCoord{I: i, J: j, K: k}.Code()}
 		decide(t, e, &query.Query{ID: 100, JobID: 100, Step: step, Points: centrePoints(s, i, j, k, 10), Kernel: field.KernelLag4})
-		if v, ok := c.Get(id); !ok || v.(*field.Atom) != h {
+		if v, ok := c.Get(id); !ok || v != h {
 			t.Fatalf("%v resident %v in handle %p, want the recycled %p", id, ok, v, h)
 		}
 		if heldUnits(s.Space(), h) == 0 {
@@ -716,7 +714,7 @@ func TestRowsFollowFills(t *testing.T) {
 		defer func() { pol.peek = false }()
 		c.EachKey(func(id store.AtomID) {
 			v, _ := c.Get(id)
-			units += heldUnits(space, v.(*field.Atom))
+			units += heldUnits(space, v)
 		})
 		return units
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jaws/internal/cache"
+	"jaws/internal/field"
 	"jaws/internal/morton"
 	"jaws/internal/store"
 )
@@ -34,6 +35,9 @@ func TestSLRUDifferential(t *testing.T) {
 
 			real := cache.New(capacity, cache.NewSLRU(capacity, frac))
 			model := NewModelSLRU(capacity, frac)
+			// One handle for every atom: Corrupt hands it back when its atom
+			// is resident, nil when not.
+			handle := new(field.Atom)
 
 			var realEvicted []store.AtomID
 			real.SetObserver(cache.Observer{Evict: func(id store.AtomID) { realEvicted = append(realEvicted, id) }})
@@ -69,7 +73,7 @@ func TestSLRUDifferential(t *testing.T) {
 						t.Fatalf("op %d: Get(%v): real hit=%v, model hit=%v", i, id, realHit, modelHit)
 					}
 					if !realHit {
-						real.Put(id, i)
+						real.Put(id, handle)
 						victims := model.Put(id)
 						if fmt.Sprint(realEvicted) != fmt.Sprint(victims) {
 							t.Fatalf("op %d: Put(%v) victims: real %v, model %v", i, id, realEvicted, victims)
@@ -77,7 +81,7 @@ func TestSLRUDifferential(t *testing.T) {
 					}
 				case r < 90: // recency refresh of a possibly-resident atom
 					realEvicted = realEvicted[:0]
-					real.Put(id, i)
+					real.Put(id, handle)
 					victims := model.Put(id)
 					if fmt.Sprint(realEvicted) != fmt.Sprint(victims) {
 						t.Fatalf("op %d: refresh Put(%v) victims: real %v, model %v", i, id, realEvicted, victims)

@@ -35,12 +35,29 @@ func (id AtomID) String() string {
 	return fmt.Sprintf("t%d/%s", id.Step, geom.AtomFromCode(id.Code))
 }
 
-// Key packs the ID into its sort key, the on-disk order: time step in the
-// high bits so a whole step is one contiguous key range (and one contiguous
-// disk extent), Morton code in the low bits for spatial order within it.
+// Key packs the ID into one word, its sort key and the cache's index key, in
+// the on-disk order: time step in the high bits so a whole step is one
+// contiguous key range (and one contiguous disk extent), Morton code in the
+// low keyCodeBits for spatial order within it. Every atom of a store Open
+// accepts packs without loss (FromKey inverts it).
 func (id AtomID) Key() uint64 {
-	return uint64(id.Step)<<40 | uint64(id.Code)
+	return uint64(id.Step)<<keyCodeBits | uint64(id.Code)
 }
+
+// FromKey inverts Key for every atom a store can hold: a step in
+// [0, maxSteps) and a code below 2^keyCodeBits.
+func FromKey(key uint64) AtomID {
+	return AtomID{Step: int(key >> keyCodeBits), Code: morton.Code(key & (1<<keyCodeBits - 1))}
+}
+
+// The packing's bounds: a Key holds the Morton code of up to
+// maxAtomsPerAxis atoms per axis in its low 42 bits and the step, below
+// maxSteps, in the 20 above them. Open refuses a geometry past either.
+const (
+	keyCodeBits     = 42
+	maxAtomsPerAxis = 1 << (keyCodeBits / 3)
+	maxSteps        = 1 << 20
+)
 
 // Config parameterizes a store.
 type Config struct {
@@ -76,6 +93,12 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("store: need at least one time step, got %d", cfg.Steps)
+	}
+	if cfg.Steps >= maxSteps {
+		return nil, fmt.Errorf("store: %d time steps do not fit an atom key, want fewer than %d", cfg.Steps, maxSteps)
+	}
+	if n := cfg.Space.AtomsPerAxis(); n > maxAtomsPerAxis {
+		return nil, fmt.Errorf("store: %d atoms per axis do not fit an atom key, want at most %d", n, maxAtomsPerAxis)
 	}
 	if cfg.SampleSide <= 0 {
 		cfg.SampleSide = 8

@@ -172,7 +172,52 @@ func outside() []AtomID {
 		{Step: -1, Code: 0},
 		{Step: 4, Code: 0},
 		{Step: 0, Code: 64},
-		{Step: 0, Code: 1 << 40},
+		{Step: 0, Code: 1 << keyCodeBits},
+	}
+}
+
+// TestKeyPacking: Key packs every atom of the largest geometry Open accepts
+// into one word that FromKey inverts, in (step, Morton) order, and Open
+// refuses a geometry one past either bound.
+func TestKeyPacking(t *testing.T) {
+	const lastCode = morton.Code(1<<keyCodeBits - 1)
+	for _, tc := range []struct {
+		id  AtomID
+		key uint64
+	}{
+		{AtomID{}, 0},
+		{AtomID{Step: 0, Code: lastCode}, 1<<42 - 1},
+		{AtomID{Step: 1, Code: 0}, 1 << 42},
+		{AtomID{Step: maxSteps - 1, Code: 0}, (1<<20 - 1) << 42},
+		{AtomID{Step: maxSteps - 1, Code: lastCode}, 1<<62 - 1},
+	} {
+		if got := tc.id.Key(); got != tc.key {
+			t.Errorf("%+v.Key() = %#x, want %#x", tc.id, got, tc.key)
+		}
+		if got := FromKey(tc.key); got != tc.id {
+			t.Errorf("FromKey(%#x) = %+v, want %+v", tc.key, got, tc.id)
+		}
+	}
+	if a, b := (AtomID{Step: 0, Code: lastCode}).Key(), (AtomID{Step: 1}).Key(); a >= b {
+		t.Errorf("a step's last atom keys %#x, the next step's first %#x: not in disk order", a, b)
+	}
+	// Open builds nothing per atom, so the largest geometry it accepts is
+	// as cheap to open here as the smallest.
+	for _, tc := range []struct {
+		steps, perAxis int
+		ok             bool
+	}{
+		{maxSteps - 1, 1, true},
+		{maxSteps, 1, false},
+		{1, maxAtomsPerAxis, true},
+		{1, 2 * maxAtomsPerAxis, false},
+	} {
+		cfg := testConfig()
+		cfg.Steps = tc.steps
+		cfg.Space = geom.Space{GridSide: tc.perAxis, AtomSide: 1}
+		if _, err := Open(cfg); (err == nil) != tc.ok {
+			t.Errorf("Open at %d steps, %d atoms per axis: error %v, want accepted %v", tc.steps, tc.perAxis, err, tc.ok)
+		}
 	}
 }
 

@@ -111,3 +111,27 @@ func TestFramesDieWithEngine(t *testing.T) {
 		t.Errorf("a second run left %d B more than the first, want at most 64 KiB", grown)
 	}
 }
+
+// TestOpenIndependentOfCacheCapacity: opening a System costs the same bytes
+// whatever its cache could hold, because the cache reserves nothing for
+// atoms it does not hold yet (store's TestOpenIndependentOfSteps is the
+// same rule for the store).
+func TestOpenIndependentOfCacheCapacity(t *testing.T) {
+	const opens = 5
+	bytes := func(atoms int) uint64 {
+		cfg := system.Config{CacheAtoms: atoms}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range opens {
+			if _, err := system.Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / opens
+	}
+	bytes(256) // anything built once per process
+	if small, large := bytes(256), bytes(1<<20); small != large {
+		t.Fatalf("Open allocates %d B at a 256-atom cache and %d B at a 2^20-atom one", small, large)
+	}
+}
