@@ -202,8 +202,8 @@ func assemblyRule(l *surfaceLoader) []surfaceFinding {
 						if o := p.info.Uses[id]; ctor(o) && o.Pkg() != p.pkg && in(o, "internal/engine") && o.Name() == "New" {
 							handled[id] = true
 							if len(n.Args) != 1 || !allowedArg(n.Args[0]) {
-								out = append(out, surfaceFinding{surfaceFset.Position(id.Pos()), objPath(o),
-									"takes a config that is not (*system.System).EngineConfig's result"})
+								out = append(out, surfaceFinding{pos: surfaceFset.Position(id.Pos()), sym: objPath(o),
+									why: "takes a config that is not (*system.System).EngineConfig's result"})
 							}
 						}
 					case *ast.Ident:
@@ -211,8 +211,8 @@ func assemblyRule(l *surfaceLoader) []surfaceFinding {
 						if !ctor(o) || o.Pkg() == p.pkg || handled[n] || (standardTarget && in(o, "internal/sched")) {
 							break
 						}
-						out = append(out, surfaceFinding{surfaceFset.Position(n.Pos()), objPath(o),
-							"is called outside internal/system: build through system.Open / NewScheduler / EngineConfig"})
+						out = append(out, surfaceFinding{pos: surfaceFset.Position(n.Pos()), sym: objPath(o),
+							why: "is called outside internal/system: build through system.Open / NewScheduler / EngineConfig"})
 					}
 					return true
 				})
@@ -234,7 +234,7 @@ func reportingRule(l *surfaceLoader, binaries []string) []surfaceFinding {
 	obsPath := l.mod + "/internal/obs"
 	var out []surfaceFinding
 	flag := func(pos token.Pos, sym, why string) {
-		out = append(out, surfaceFinding{surfaceFset.Position(pos), sym, why})
+		out = append(out, surfaceFinding{pos: surfaceFset.Position(pos), sym: sym, why: why})
 	}
 	seen := map[string]bool{}
 	for _, p := range rulePkgs(l, "internal/oracle") {
@@ -281,7 +281,7 @@ func reportingRule(l *surfaceLoader, binaries []string) []surfaceFinding {
 	}
 	for _, bin := range binaries {
 		if !seen[bin] {
-			out = append(out, surfaceFinding{token.Position{Filename: filepath.Join(l.root, "cmd", bin)}, l.mod + "/cmd/" + bin, "is listed as a binary and is gone"})
+			out = append(out, surfaceFinding{pos: token.Position{Filename: filepath.Join(l.root, "cmd", bin)}, sym: l.mod + "/cmd/" + bin, why: "is listed as a binary and is gone"})
 		}
 	}
 	sortFindings(out)

@@ -1,5 +1,5 @@
-// Package a holds two dead names — an export and a field of a Config the
-// facade aliases — among two shapes that only look dead.
+// Package a holds two dead names (an export, a field of a Config the facade
+// aliases) and a harness-only export, among two shapes that only look dead.
 package a
 
 // Dead has no caller: the first finding.
@@ -28,3 +28,7 @@ func (b *Box[T]) Get() T { return b.v }
 // Config is aliased by the facade, and nothing in the module sets Size:
 // the alias does not set it either, so it is the second finding.
 type Config struct{ Size int }
+
+// Reference is called by the harness alone: the third finding, marked as
+// the harness's.
+func Reference() int { return 0 }
