@@ -132,15 +132,17 @@ check-prop:
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
 ## query's gate re-check and the event list nothing) — and the in-repo twin
 ## of the wall-clock benchmark's replay-cold allocation figures: one Run of
-## the BENCH_main.json trace allocates at most 1.0 objects and 0.95 KiB per
-## query, and nothing of it stays reachable from the System — and opening
-## a store allocates the same at 1 step as at 31: an atom's extent is
-## arithmetic on its (step, Morton) key, so nothing is built per atom.
+## the BENCH_main.json trace allocates at most 0.865 objects and 0.705 KiB
+## per query, and nothing of it stays reachable from the System — and
+## opening a store allocates the same at 1 step as at 31: an atom's extent
+## is arithmetic on its (step, Morton) key, so nothing is built per atom;
+## opening a System allocates the same bytes at a 256-atom cache as at a
+## 2^20-atom one: the cache reserves nothing for atoms it does not hold.
 check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
 	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs|TestDecisionAllocsIndependentOfBatchSize' -count 20 ./internal/engine/
-	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine' -count 5 ./internal/system/
+	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine|TestOpenIndependentOfCacheCapacity' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
@@ -191,8 +193,12 @@ bench-sched:
 ## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh
 ## system each), printed cumulative — the profile tables of EXPERIMENTS.md in
 ## one command (two runs: recording every allocation would bend the CPU
-## profile; the object counts are per 3 replays, one of them b.N's probe).
-## Binary and profiles go to PROFILE_DIR, outside the tree.
+## profile; the object counts are per 3 replays, one of them b.N's probe) —
+## then the in-use heap of a warm System by site (BenchmarkReplayWarm: the
+## replay-warm trace, a set-up Run and 2 more on one System, which the
+## benchmark keeps alive for the profile the binary writes on exit): what
+## replay-warm's live_heap_mb measures. Binary and profiles go to
+## PROFILE_DIR, outside the tree.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/jaws-profile
 profile-replay:
 	@mkdir -p $(PROFILE_DIR)
@@ -200,6 +206,8 @@ profile-replay:
 	$(GO) test -run xxx -bench ReplayCold -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 1 .
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/mem.prof
+	$(GO) test -run xxx -bench ReplayWarm -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/warm.prof -memprofilerate 1 .
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 30 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/warm.prof
 
 ## profile-serve: the per-site allocation profile of served requests — a
 ## jawsd built into PROFILE_DIR and booted with the serve workloads' flags

@@ -10,6 +10,7 @@ package jaws
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -267,4 +268,55 @@ func BenchmarkReplayCold(b *testing.B) {
 		queries = rep.Completed
 	}
 	b.ReportMetric(float64(queries), "queries/op")
+}
+
+// warmHeld is what BenchmarkReplayWarm's caller holds after its Runs — the
+// System and its last Report — kept past the benchmark, so that the heap
+// profile the test binary writes on exit (-memprofile, after a GC) shows
+// what a warm System holds, by site.
+var warmHeld struct {
+	sys *System
+	rep *Report
+}
+
+// BenchmarkReplayWarm is the body of the wall-clock benchmark's
+// replay-warm workload (benchmark/replay.go): the derivative-chain trace
+// under the tail-policy stack, replayed on one System whose cache holds the
+// whole 8-step store. Opening it and the first Run, which fills the cache,
+// are set-up; one op is one Run of 6 610 queries that reads nothing, with
+// the trace built off the clock. live-B is the heap a caller holding the
+// System and its last Report keeps after the Runs — the replay-warm
+// live_heap_mb; `make profile-replay` prints it by site.
+func BenchmarkReplayWarm(b *testing.B) {
+	s := experiments.DefaultScale()
+	s.Scenario = "deriv-chain"
+	s.Steps = 8
+	s.CacheAtoms = 8 * s.Space.AtomsPerStep()
+	s.TailPolicy = "gate-aware;cross-step:span=2;adaptive-batch"
+	warmHeld.sys, warmHeld.rep = nil, nil
+	sys, err := Open(s.Node(SchedJAWS2, s.BatchSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := sys.Run(experiments.FreshJobs(s, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		jobs := experiments.FreshJobs(s, 1)
+		b.StartTimer()
+		if rep, err = sys.Run(jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	warmHeld.sys, warmHeld.rep = sys, rep
+	b.ReportMetric(float64(m.HeapAlloc), "live-B")
+	b.ReportMetric(float64(rep.Completed), "queries/op")
 }
