@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench-field profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-surface build test race fuzz-smoke
@@ -88,7 +88,9 @@ race:
 
 ## race-obs: race-check the packages with real concurrency — the obs
 ## layer (atomic registry, locked tracer), a filled atom that goroutines
-## share read-only (field's TestSharedAtomReadOnly),
+## share read-only (field's TestSharedAtomReadOnly), the first fills of
+## one geometry's atoms racing to build its phase tables
+## (TestFirstFillsShareTables),
 ## the results consumers hold and release (TestResultStableUntilRelease,
 ## TestLateResultReleased), the scheduler structures, the sessions the
 ## assembler starts, the serving layer, and their concurrent users.
@@ -133,7 +135,10 @@ check-prop:
 ## query's gate re-check and the event list nothing) — and the in-repo twin
 ## of the wall-clock benchmark's replay-cold allocation figures: one Run of
 ## the BENCH_main.json trace allocates at most 0.865 objects and 0.705 KiB
-## per query, and nothing of it stays reachable from the System — and
+## per query, and nothing of it stays reachable from the System — and its
+## replay-warm twin: a warm System holds at most 139.7 B per resident atom
+## (10 % over the 127.0 measured with 24 B handles) and, evaluating no
+## kernel, no phase table — and
 ## opening a store allocates the same at 1 step as at 31: an atom's extent
 ## is arithmetic on its (step, Morton) key, so nothing is built per atom;
 ## opening a System allocates the same bytes at a 256-atom cache as at a
@@ -142,7 +147,7 @@ check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
 	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs|TestDecisionAllocsIndependentOfBatchSize' -count 20 ./internal/engine/
-	$(GO) test -run 'TestRunAllocBudget|TestFramesDieWithEngine|TestOpenIndependentOfCacheCapacity' -count 5 ./internal/system/
+	$(GO) test -run 'TestRunAllocBudget|TestWarmSystemHeldBytes|TestFramesDieWithEngine|TestOpenIndependentOfCacheCapacity' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
@@ -188,6 +193,14 @@ bench-sched:
 	$(GO) test -run xxx -bench BenchmarkLRUKMiss -benchtime 20000x ./internal/cache/
 	$(GO) test -run xxx -bench BenchmarkPreProcess -benchtime 20000x ./internal/query/
 	$(GO) test -run xxx -bench BenchmarkDecideTailStack -benchtime 20x ./internal/sched/
+
+## bench-field: the field kernels' wall-clock prices, one CPU, ten
+## samples each — a one-point Lag4 stencil's fill on an 8³ atom and on the
+## paper's 72³, a whole 8³ atom into an evicted atom's rows and into a
+## fresh arena, and one Lag4 evaluation (crossing the x midpoint, and
+## within a half). Compare two trees' output with benchstat, or by median.
+bench-field:
+	$(GO) test -run xxx -bench 'BenchmarkFillStencil8$$|BenchmarkFillStencil72$$|BenchmarkFillFrame8$$|BenchmarkSampleAtom8$$|BenchmarkInterpolateLag4' -cpu 1 -count 10 ./internal/field/
 
 ## profile-replay: CPU and allocation profiles of the replay-cold workload's
 ## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh

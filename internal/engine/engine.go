@@ -1009,7 +1009,7 @@ func (e *Engine) computeBatch(b *sched.Batch, atom *field.Atom) {
 		for _, i := range sq.Index {
 			e.gathered = append(e.gathered, sq.Query.Points[i])
 		}
-		want = want.Or(atom.Missing(sq.Query.Kernel, space, geom.AtomFromCode(sq.Atom.Code), e.gathered))
+		want = want.Or(atom.Missing(sq.Query.Kernel, geom.AtomFromCode(sq.Atom.Code), e.gathered))
 	}
 	e.fill(atom, want)
 	for _, sq := range b.SubQueries {

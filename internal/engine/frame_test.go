@@ -179,7 +179,7 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		idA := store.AtomID{Step: 1, Code: geom.AtomCoord{I: 2, J: 2, K: 2}.Code()}
 		decide(t, e, &query.Query{ID: 1, JobID: 1, Step: 1, Points: centrePoints(s, 2, 2, 2, 20), Kernel: field.KernelLag4})
 		oldA, ok := c.Get(idA)
-		if !ok || heldUnits(s.Space(), oldA) == 0 || c.Len() != 1 {
+		if !ok || heldUnits(4, s.Space(), oldA) == 0 || c.Len() != 1 {
 			t.Fatalf("set-up: A resident %v, %d atoms cached; want A filled and alone", ok, c.Len())
 		}
 		// JAWS would split the two atoms (A, resident, outranks B), so the
@@ -193,8 +193,8 @@ func TestEvictedFrameNotReusedWithinDecision(t *testing.T) {
 		if err := e.execute(decision); err != nil {
 			t.Fatal(err)
 		}
-		if c.Contains(idA) || heldUnits(s.Space(), oldA) != 0 {
-			t.Fatalf("A resident %v, %d half rows held: the decision was meant to evict A and then free its units", c.Contains(idA), heldUnits(s.Space(), oldA))
+		if c.Contains(idA) || heldUnits(4, s.Space(), oldA) != 0 {
+			t.Fatalf("A resident %v, %d half rows held: the decision was meant to evict A and then free its units", c.Contains(idA), heldUnits(4, s.Space(), oldA))
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 	})
@@ -337,12 +337,13 @@ func TestFlushRecyclesFrames(t *testing.T) {
 // for a neighbour's stencil footprint has no samples until it is itself a
 // batch's primary — so fills stay below store reads.
 func TestComputeOffNeverFills(t *testing.T) {
+	// Both subtests run on testStore's 4³ atoms.
 	unfilled := func(t *testing.T, c *cache.Cache, space geom.Space) (resident, filled int) {
 		t.Helper()
 		var ids []store.AtomID
 		c.EachKey(func(id store.AtomID) { ids = append(ids, id) })
 		for _, id := range ids {
-			if v, _ := c.Get(id); heldUnits(space, v) != 0 {
+			if v, _ := c.Get(id); heldUnits(4, space, v) != 0 {
 				filled++
 			}
 		}
@@ -395,11 +396,11 @@ func TestComputeOffNeverFills(t *testing.T) {
 		}
 		neighbour := store.AtomID{Step: 0, Code: geom.AtomCoord{I: 1, J: 1, K: 1}.Code()}
 		v, _ := c.Get(neighbour)
-		if heldUnits(s.Space(), v) != 0 {
+		if heldUnits(4, s.Space(), v) != 0 {
 			t.Fatal("footprint atom filled before it was a primary")
 		}
 		decide(t, e, &query.Query{ID: 2, JobID: 2, Step: 0, Points: centrePoints(s, 1, 1, 1, 10), Kernel: field.KernelLag4})
-		if n := heldUnits(s.Space(), v); n == 0 || e.fills != 2 {
+		if n := heldUnits(4, s.Space(), v); n == 0 || e.fills != 2 {
 			t.Fatalf("the neighbour as primary: %d half rows held, %d fills; want the resident frame filled in place", n, e.fills)
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
@@ -437,9 +438,9 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	a, _ := c.Get(id)
 	// The stencils' x range, 2..5, crosses the midpoint: each of their 16
 	// block rows is held as its two halves.
-	if n := count(a.Missing(field.KernelLag8, space, ac, all)); heldUnits(space, a) != 2*4*4 || e.fills != 1 || a.Missing(field.KernelLag4, space, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
+	if n := count(a.Missing(field.KernelLag8, ac, all)); heldUnits(8, space, a) != 2*4*4 || e.fills != 1 || a.Missing(field.KernelLag4, ac, centre) != (field.Blocks{}) || n != 512-4*4*4 {
 		t.Fatalf("after the centre batch: %d half rows held, %d fills, %d of 512 samples missing; want one fill of the stencils' 64 alone, in their 32 half rows",
-			heldUnits(space, a), e.fills, n)
+			heldUnits(8, space, a), e.fills, n)
 	}
 	decide(t, e, query(2, centre[:10]))
 	if e.fills != 1 {
@@ -448,21 +449,20 @@ func TestBatchFillsOnlyItsStencilRows(t *testing.T) {
 	decide(t, e, query(3, cornerPoints(s, 2, 2, 2, 10)))
 	// The corner stencils are clamped to samples 4..7 on each axis, which
 	// share 2³ with the centre batch's.
-	if n := count(a.Missing(field.KernelLag8, space, ac, all)); e.fills != 2 || n != 512-4*4*4-(4*4*4-2*2*2) {
+	if n := count(a.Missing(field.KernelLag8, ac, all)); e.fills != 2 || n != 512-4*4*4-(4*4*4-2*2*2) {
 		t.Fatalf("the corner batch: %d fills, %d of 512 samples missing; want a second fill of the corner's 56 new samples", e.fills, n)
 	}
 	(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
 }
 
-// heldUnits is the number of half block rows atom a holds a block of. On
-// the tests' atoms, at most 8 samples a side with the halo, a block is a
-// sample and a half block row the samples x = 0..3 or 4..7 of a line, and
-// a Lag8 stencil at an atom's centre reads every sample, so it misses what
-// a does not hold.
-func heldUnits(space geom.Space, a *field.Atom) int {
+// heldUnits is the number of half block rows atom a, d samples a side with
+// the halo, holds a block of. On the tests' atoms, at most 8 samples a side,
+// a block is a sample and a half block row the samples x = 0..3 or 4..7 of
+// a line, and a Lag8 stencil at an atom's centre reads every sample, so it
+// misses what a does not hold.
+func heldUnits(d int, space geom.Space, a *field.Atom) int {
 	ac := geom.AtomCoord{}
-	miss := a.Missing(field.KernelLag8, space, ac, []geom.Position{space.Center(ac)})
-	d := a.Side + 2*a.Ghost
+	miss := a.Missing(field.KernelLag8, ac, []geom.Position{space.Center(ac)})
 	line := uint64(1)<<d - 1
 	n := 0
 	for z := 0; z < d; z++ {
@@ -506,7 +506,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		for i := uint32(0); i < 3; i++ {
 			decide(t, e, &query.Query{ID: query.ID(i + 1), JobID: int64(i + 1), Step: 0, Points: centrePoints(s, i, 1, 1, 10), Kernel: field.KernelLag4})
 		}
-		if len(e.freeAtoms) != 1 || heldUnits(s.Space(), e.freeAtoms[0]) != 0 || c.Stats().Evictions != 1 {
+		if len(e.freeAtoms) != 1 || heldUnits(8, s.Space(), e.freeAtoms[0]) != 0 || c.Stats().Evictions != 1 {
 			t.Fatalf("set-up: %d free handles after %d evictions, want one, released", len(e.freeAtoms), c.Stats().Evictions)
 		}
 		return e, s, c, e.freeAtoms[0]
@@ -520,7 +520,7 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		if v, ok := c.Get(id); !ok || v != h {
 			t.Fatalf("%v resident %v in handle %p, want the recycled %p", id, ok, v, h)
 		}
-		if heldUnits(s.Space(), h) == 0 {
+		if heldUnits(8, s.Space(), h) == 0 {
 			t.Fatal("the recycled handle was not evaluated on")
 		}
 		(&freshValues{t: t, s: s, atoms: map[store.AtomID]*field.Atom{}}).check(e.report.Results)
@@ -542,8 +542,8 @@ func TestRecycledHandleServesOnlyItsAtom(t *testing.T) {
 		j := &job.Job{ID: 9, User: 1, Type: job.Ordered, ThinkTime: time.Second}
 		e.predictor.Observe(j.ID, &query.Query{ID: 10, JobID: j.ID, Step: 1, Points: centrePoints(s, 0, 2, 2, 10)})
 		e.prefetchFor(j, &query.Query{ID: 11, JobID: j.ID, Seq: 1, Step: 2, Points: centrePoints(s, 1, 2, 2, 10)})
-		if e.prefetched == 0 || heldUnits(s.Space(), h) != 0 {
-			t.Fatalf("%d atoms prefetched, the handle holds %d half rows: want a prefetch into the free handle, unfilled", e.prefetched, heldUnits(s.Space(), h))
+		if e.prefetched == 0 || heldUnits(8, s.Space(), h) != 0 {
+			t.Fatalf("%d atoms prefetched, the handle holds %d half rows: want a prefetch into the free handle, unfilled", e.prefetched, heldUnits(8, s.Space(), h))
 		}
 		evaluate(t, e, s, c, h, 3, 2, 2, 2)
 	})
@@ -589,7 +589,7 @@ func missCycle(t testing.TB, side int) (step func(), e *Engine) {
 		next++
 		// A Lag8 stencil at the centre reads every row of an 8³ or 4³ atom.
 		ac := geom.AtomFromCode(id.Code)
-		e.fill(a, a.Missing(field.KernelLag8, s.Space(), ac, []geom.Position{s.Space().Center(ac)}))
+		e.fill(a, a.Missing(field.KernelLag8, ac, []geom.Position{s.Space().Center(ac)}))
 		e.freeRetired()
 	}
 	for range 2 * len(ids) {
@@ -714,7 +714,7 @@ func TestRowsFollowFills(t *testing.T) {
 		defer func() { pol.peek = false }()
 		c.EachKey(func(id store.AtomID) {
 			v, _ := c.Get(id)
-			units += heldUnits(space, v)
+			units += heldUnits(side, space, v)
 		})
 		return units
 	}
@@ -783,7 +783,7 @@ func fillRecyclesRows(t *testing.T, side, ghost int) {
 		ac := geom.AtomFromCode(id.Code)
 		lo := float64(space.AtomSide) * space.VoxelSize()
 		p := geom.Position{X: (float64(ac.I) + float64(rng.Float64())) * lo, Y: (float64(ac.J) + float64(rng.Float64())) * lo, Z: (float64(ac.K) + float64(rng.Float64())) * lo}
-		e.fill(a, a.Missing(field.KernelLag4, space, ac, []geom.Position{p}))
+		e.fill(a, a.Missing(field.KernelLag4, ac, []geom.Position{p}))
 		e.freeRetired()
 	}
 	for range 4 * len(ids) {

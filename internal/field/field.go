@@ -14,9 +14,11 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"jaws/internal/geom"
 )
@@ -39,6 +41,9 @@ type mode struct {
 type Field struct {
 	modes []mode
 	dt    float64 // simulation time per database time step
+
+	mu   sync.Mutex
+	geos []*Geometry // the geometries resolved on the field, one per shape
 }
 
 // New builds a synthetic field with nModes Fourier modes drawn from the
@@ -128,12 +133,12 @@ func rot(sa, ca, sb, cb float64) (s, c float64) {
 	return float64(sa*cb) + float64(ca*sb), float64(ca*cb) - float64(sa*sb)
 }
 
-// Atom holds the gridded samples of one storage block: (Side+2·Ghost)³
-// grid points × Components values. Ghost is the replication halo of §III.A
-// ("each atom is 72³ in length with four units of replication on each side
-// for performance reasons"): samples beyond the atom's own extent let
-// interpolation stencils near a face evaluate without touching the
-// neighbour atom's data.
+// Atom holds the gridded samples of one storage block: (side+2·ghost)³
+// grid points × Components values, the shape of its Geometry. The ghost
+// samples are the replication halo of §III.A ("each atom is 72³ in length
+// with four units of replication on each side for performance reasons"):
+// samples beyond the atom's own extent let interpolation stencils near a
+// face evaluate without touching the neighbour atom's data.
 //
 // An atom from Frame is a frame: it carries the recipe of its samples and
 // synthesizes them block by block as they are first read (FillBlocks, or an
@@ -145,19 +150,140 @@ func rot(sa, ca, sb, cb float64) (s, c float64) {
 // Lag4 stencil reads half a row's x extent, and most of them lie on one
 // side of the midpoint. The first read of a sample is a write: goroutines
 // that share an atom fill the blocks they will read before they part.
+//
+// The handle is three words: what every atom of a store shares is its
+// Geometry's, and the atom's own recipe is one packed word.
 type Atom struct {
-	Side  int
-	Ghost int
-
-	// The recipe.
-	src   *Field
-	step  int
-	space geom.Space
-	ac    geom.AtomCoord
+	geo *Geometry
+	// at is the atom's time step and grid coordinates, packed by pack.
+	at uint64
 	// filled is what the atom holds of its samples: nil until the handle's
 	// first fill, so a handle that is only ever resident carries nothing,
 	// and then kept, emptied, across Release and FrameInto.
 	filled *holding
+}
+
+// The atoms a handle can name: a time step below MaxSteps and fewer than
+// MaxAtomsPerAxis atoms per axis, which a store's atom key packs too
+// (store.Open refuses a geometry past either). The handle packs the step
+// above three coordAxisBits-bit coordinates.
+const (
+	MaxSteps        = 1 << 20
+	MaxAtomsPerAxis = 1 << coordAxisBits
+	coordAxisBits   = 14
+	coordMask       = MaxAtomsPerAxis - 1
+)
+
+// pack is the handle's word for atom ac of time step step.
+func pack(step int, ac geom.AtomCoord) uint64 {
+	return uint64(step)<<(3*coordAxisBits) | uint64(ac.I)<<(2*coordAxisBits) | uint64(ac.J)<<coordAxisBits | uint64(ac.K)
+}
+
+// step is the atom's time step.
+func (a *Atom) step() int { return int(a.at >> (3 * coordAxisBits)) }
+
+// coord is the atom's grid coordinates.
+func (a *Atom) coord() geom.AtomCoord {
+	return geom.AtomCoord{
+		I: uint32(a.at>>(2*coordAxisBits)) & coordMask,
+		J: uint32(a.at>>coordAxisBits) & coordMask,
+		K: uint32(a.at) & coordMask,
+	}
+}
+
+// Geometry is what every atom of one shape shares: the field it samples,
+// the space it tiles, the samples per atom side and the halo, the lengths
+// fill and sampleCoords derive from them, and the x and y phase tables of
+// the fill kernel. A store resolves its geometry once, at open; a Field
+// keeps the geometries resolved on it, one per shape.
+type Geometry struct {
+	src         *Field
+	space       geom.Space
+	side, ghost int
+	dim, band   int     // stored samples per axis, halo included; samples per block side
+	atomLen, h  float64 // an atom's side and a sample's spacing, in physical units
+
+	// The x and y phasors of every mode at every stored index of every atom
+	// along the axis — ex[(I·dim+n)·modes+i] is mode i's at index n of the
+	// atoms with x coordinate I — built by the first fill of any atom of
+	// the geometry, so that a geometry nothing fills costs no table.
+	tables sync.Once
+	ex, ey []cis
+}
+
+// Geometry returns the field's geometry for atoms of space with side
+// samples per axis (zero means 8) and a halo of ghost samples (a negative
+// one means none), resolving it on the first call for that shape.
+func (f *Field) Geometry(space geom.Space, side, ghost int) *Geometry {
+	if side <= 0 {
+		side = 8
+	}
+	ghost = max(ghost, 0)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, g := range f.geos {
+		if g.space == space && g.side == side && g.ghost == ghost {
+			return g
+		}
+	}
+	if n := space.AtomsPerAxis(); n > MaxAtomsPerAxis {
+		panic(fmt.Sprintf("field: %d atoms per axis, a handle names at most %d", n, MaxAtomsPerAxis))
+	}
+	atomLen := float64(space.AtomSide) * space.VoxelSize()
+	d := side + 2*ghost
+	g := &Geometry{
+		src: f, space: space, side: side, ghost: ghost,
+		dim: d, band: (d + 7) / 8,
+		atomLen: atomLen, h: atomLen / float64(side),
+	}
+	f.geos = append(f.geos, g)
+	return g
+}
+
+// phases returns the geometry's x and y phase tables, building them on the
+// first call. Each is the atoms per axis × dim × modes phasors, computed
+// with fill's own expressions: the wrapped coordinate of a stored index is
+// wrapped per component, so an x phasor depends on I and the index alone.
+func (g *Geometry) phases() (ex, ey []cis) {
+	g.tables.Do(func() {
+		modes := g.src.modes
+		nm, d := len(modes), g.dim
+		per := g.space.AtomsPerAxis() * d * nm
+		tab := make([]cis, 2*per)
+		g.ex, g.ey = tab[:per:per], tab[per:]
+		for c := range g.space.AtomsPerAxis() {
+			base := float64(float64(c) * g.atomLen)
+			for n := range d {
+				off := float64((float64(n-g.ghost) + 0.5) * g.h)
+				p := geom.Wrap(geom.Position{X: base + off, Y: base + off})
+				o := (c*d + n) * nm
+				for i := range modes {
+					m := &modes[i]
+					g.ex[o+i].s, g.ex[o+i].c = sincos(float64(m.k[0] * p.X))
+					g.ey[o+i].s, g.ey[o+i].c = sincos(float64(m.k[1] * p.Y))
+				}
+			}
+		}
+	})
+	return g.ex, g.ey
+}
+
+// FrameInto returns the unfilled atom ac of time step step on a handle the
+// caller gives, which nothing else may still hold: a is released and
+// overwritten whole, so no recipe and no sample of the atom it was
+// survives in it; only the storage of its row table is kept, emptied. A
+// nil a is allocated. The atom must be one a handle can name, and of the
+// geometry's space.
+func (g *Geometry) FrameInto(a *Atom, step int, ac geom.AtomCoord) *Atom {
+	if n := uint32(g.space.AtomsPerAxis()); step < 0 || step >= MaxSteps || ac.I >= n || ac.J >= n || ac.K >= n {
+		panic(fmt.Sprintf("field: atom %v of step %d is not one of %v", ac, step, g.space))
+	}
+	if a == nil {
+		a = new(Atom)
+	}
+	a.Release()
+	*a = Atom{geo: g, at: pack(step, ac), filled: a.filled}
+	return a
 }
 
 // holding is the blocks an atom holds and the arena units they are in.
@@ -230,10 +356,10 @@ func boxPlane(w, x0, x1, y0, y1, z0, z1 int) (plane uint64, bz0, bz1 int) {
 }
 
 // dim is the stored samples per axis including the halo.
-func (a *Atom) dim() int { return a.Side + 2*a.Ghost }
+func (a *Atom) dim() int { return a.geo.dim }
 
 // band is the samples per block side.
-func (a *Atom) band() int { return (a.dim() + 7) / 8 }
+func (a *Atom) band() int { return a.geo.band }
 
 // box returns the blocks holding samples x0..x1 × y0..y1 × z0..z1, in
 // stored indices (the halo starts at 0).
@@ -288,28 +414,10 @@ func (f *Field) SampleGhost(step int, space geom.Space, ac geom.AtomCoord, side,
 	return a
 }
 
-// Frame returns the atom SampleGhost would, unfilled.
+// Frame returns the atom SampleGhost would, unfilled, on the field's
+// geometry of that shape.
 func (f *Field) Frame(step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
-	return f.FrameInto(nil, step, space, ac, side, ghost)
-}
-
-// FrameInto is Frame on a handle the caller gives, which nothing else may
-// still hold: a is released and overwritten whole, so no recipe and no
-// sample of the atom it was survives in it; only the storage of its row
-// table is kept, emptied. A nil a is allocated.
-func (f *Field) FrameInto(a *Atom, step int, space geom.Space, ac geom.AtomCoord, side, ghost int) *Atom {
-	if side <= 0 {
-		side = 8
-	}
-	if ghost < 0 {
-		ghost = 0
-	}
-	if a == nil {
-		a = new(Atom)
-	}
-	a.Release()
-	*a = Atom{Side: side, Ghost: ghost, src: f, step: step, space: space, ac: ac, filled: a.filled}
-	return a
+	return f.Geometry(space, side, ghost).FrameInto(nil, step, ac)
 }
 
 // Fill synthesizes every sample the atom does not hold yet, into rows of
@@ -359,7 +467,7 @@ func (a *Atom) FillBlocks(want Blocks, rows *RowArena) {
 // Missing returns the blocks that kernel k's stencils read to evaluate at
 // the positions pts of atom ac, less those the atom holds already: what
 // FillBlocks must synthesize before the evaluations can share the atom.
-func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom.Position) Blocks {
+func (a *Atom) Missing(k Kernel, ac geom.AtomCoord, pts []geom.Position) Blocks {
 	var want Blocks
 	held := a.held()
 	w, d := a.band(), a.dim()
@@ -367,7 +475,7 @@ func (a *Atom) Missing(k Kernel, space geom.Space, ac geom.AtomCoord, pts []geom
 		return want
 	}
 	for _, pos := range pts {
-		x, y, z, n := a.stencil(k, space, ac, pos)
+		x, y, z, n := a.stencil(k, ac, pos)
 		if !held.hasBox(w, x, x+n-1, y, y+n-1, z, z+n-1) {
 			want.add(w, x, x+n-1, y, y+n-1, z, z+n-1)
 		}
@@ -453,18 +561,19 @@ func (a *Atom) blockOf(i int) (int, int) {
 // wide) that one side of a block row's x midpoint holds. It carves units
 // from slabs of at most slabBytes and takes a freed unit back before it
 // carves another, so it holds no more units than its atoms held at once,
-// plus what is left of its last slab. It also holds the phase tables of
-// the fill kernel, which every fill from it overwrites. It is not
-// safe for concurrent fills: an engine's arena is its simulation
-// goroutine's, and an atom filled outside an engine gets one of its own.
-// The zero RowArena is empty and ready to use.
+// plus what is left of its last slab. It also holds the fill kernel's
+// scratch — the z phasors of a fill's step and the y·z products of a line,
+// which every fill from it overwrites; the x and y tables are the
+// geometry's. It is not safe for concurrent fills: an engine's arena is its
+// simulation goroutine's, and an atom filled outside an engine gets one of
+// its own. The zero RowArena is empty and ready to use.
 type RowArena struct {
 	n      int  // float64s per unit; 0 until an atom shapes the arena
 	shift  uint // log₂ of the units per slab
 	slabs  [][]float64
 	carved uint32   // units cut from the slabs so far
 	free   []uint32 // units handed back, the next taken first
-	tab    []cis    // fill's phase tables, grown to the largest asked for
+	tab    []cis    // fill's z phasors and y·z products, grown to the largest asked for
 }
 
 // slabBytes is the most an arena allocates at once, unless a unit is
@@ -512,7 +621,7 @@ func (r *RowArena) at(i uint32, off int) []float64 {
 	return r.slabs[i>>r.shift][int(i&(1<<r.shift-1))*r.n+off:]
 }
 
-// phases returns n entries of phase table, growing the arena's only when
+// phases returns n entries of phase scratch, growing the arena's only when
 // a fill needs more than any before it: once, for an arena of one shape
 // and one field.
 func (r *RowArena) phases(n int) []cis {
@@ -534,65 +643,43 @@ type cis struct{ s, c float64 }
 // position of the blocks of want into the atom's units, with the bits Eval
 // gives there. Eval's work is regrouped: the wrapped coordinate of a sample
 // depends on one stored index per axis, and a mode's phasor is the product
-// of one phasor per axis (Eval), so per mode fill takes one sincos for
-// each index of each axis that want's blocks span (a Lag4 stencil on 8³
-// samples: 4 + 4 + 4, not 64), multiplies the y and z phasors once per
-// line, and then each sample costs one rot per mode, its four sums
-// scalars added in mode order from zero. The tables are the arena's, so a
-// fill allocates nothing once its arena has served one. The blocks of a
-// row that want holds side by side are one run of samples along x, written
-// into the two half rows if it crosses the midpoint. Every sample is a
-// function of its own indices alone, never of what a fill computed before
-// it. Its cost is the blocks' samples, whatever the atom holds already.
+// of one phasor per axis (Eval), so per mode fill reads the x and y phasors
+// of the atom's column and row from its geometry's tables, takes one
+// sincos for each z index that want's blocks span (a Lag4 stencil on 8³
+// samples: 4, not 64), multiplies the y and z phasors once per line, and
+// then each sample costs one rot per mode, its four sums scalars added in
+// mode order from zero. The z phasors depend on the time step, so they are
+// the arena's table, which every fill overwrites: a fill allocates nothing
+// once its arena has served one and its geometry has built its tables. The
+// blocks of a row that want holds side by side are one run of samples
+// along x, written into the two half rows if it crosses the midpoint.
+// Every sample is a function of its own indices alone, never of what a
+// fill computed before it. Its cost is the blocks' samples, whatever the
+// atom holds already.
 func (a *Atom) fill(want *Blocks) {
-	f := a.src
-	modes := f.modes
+	g := a.geo
+	modes := g.src.modes
 	nm := len(modes)
-	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
-	h := atomLen / float64(a.Side)
-	d, b := a.dim(), a.band()
-	// The blocks want spans along each axis.
-	var xb, yb, zb uint8
-	for bz, w := range want {
-		if w == 0 {
-			continue
-		}
-		zb |= 1 << bz
-		for by := 0; by < 8; by++ {
-			if l := uint8(w >> (8 * by)); l != 0 {
-				yb |= 1 << by
-				xb |= l
-			}
-		}
-	}
-	// Per axis, one phasor per mode for each stored index, written only
-	// where the blocks span it; yz is the product of a line's y and z.
-	tab := a.filled.rows.phases((3*d + 1) * nm)
-	ex, ey, ez, yz := tab[:d*nm], tab[d*nm:2*d*nm], tab[2*d*nm:3*d*nm], tab[3*d*nm:][:nm]
-	t := float64(a.step) * f.dt
+	d, b := g.dim, g.band
+	ac := a.coord()
+	gx, gy := g.phases()
+	ex, ey := gx[int(ac.I)*d*nm:][:d*nm], gy[int(ac.J)*d*nm:][:d*nm]
+	// The z indices want's blocks span get one phasor per mode; yz is the
+	// product of a line's y and z.
+	tab := a.filled.rows.phases((d + 1) * nm)
+	ez, yz := tab[:d*nm], tab[d*nm:]
+	t := float64(a.step()) * g.src.dt
+	base := float64(float64(ac.K) * g.atomLen)
 	for n := 0; n < d; n++ {
-		blk := uint8(1) << (n / b)
-		if (xb|yb|zb)&blk == 0 {
+		if want[n/b] == 0 {
 			continue
 		}
-		off := float64((float64(n-a.Ghost) + 0.5) * h)
-		p := geom.Wrap(geom.Position{
-			X: float64(float64(a.ac.I)*atomLen) + off,
-			Y: float64(float64(a.ac.J)*atomLen) + off,
-			Z: float64(float64(a.ac.K)*atomLen) + off,
-		})
+		off := float64((float64(n-g.ghost) + 0.5) * g.h)
+		z := geom.Wrap(geom.Position{Z: base + off}).Z
 		o := n * nm
 		for i := range modes {
 			m := &modes[i]
-			if xb&blk != 0 {
-				ex[o+i].s, ex[o+i].c = sincos(float64(m.k[0] * p.X))
-			}
-			if yb&blk != 0 {
-				ey[o+i].s, ey[o+i].c = sincos(float64(m.k[1] * p.Y))
-			}
-			if zb&blk != 0 {
-				ez[o+i].s, ez[o+i].c = sincos(float64(m.k[2]*p.Z) + m.ph + float64(m.omega*t))
-			}
+			ez[o+i].s, ez[o+i].c = sincos(float64(m.k[2]*z) + m.ph + float64(m.omega*t))
 		}
 	}
 	for zi := 0; zi < d; zi++ {
@@ -645,10 +732,11 @@ func (a *Atom) fill(want *Blocks) {
 }
 
 // At returns the sampled value at integer grid point (i, j, k) of the
-// atom's own extent; indices from −Ghost to Side+Ghost−1 reach into the
+// atom's own extent; indices from −ghost to side+ghost−1 reach into the
 // replication halo.
 func (a *Atom) At(i, j, k int) [Components]float64 {
-	x, y, z := i+a.Ghost, j+a.Ghost, k+a.Ghost
+	g := a.geo.ghost
+	x, y, z := i+g, j+g, k+g
 	a.fillBox(x, x, y, y, z, z)
 	var out [Components]float64
 	v, _ := a.line(x, x+1, y, z)

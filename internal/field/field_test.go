@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jaws/internal/geom"
 )
@@ -113,8 +114,8 @@ func TestSampleShape(t *testing.T) {
 	f := New(5, 16, 0)
 	s := testSpace()
 	a := f.SampleGhost(0, s, geom.AtomCoord{I: 1, J: 2, K: 3}, 8, 0)
-	if a.Side != 8 {
-		t.Fatalf("Side = %d, want 8", a.Side)
+	if a.geo.side != 8 {
+		t.Fatalf("Side = %d, want 8", a.geo.side)
 	}
 	if *a.held() != a.all() || a.unitsHeld() != 8*8*2 || a.filled.rows.Bytes() != 8*8*8*Components*8 {
 		t.Fatalf("holds blocks %x in %d half rows, %d B; want every block, 128 half rows of 128 B", *a.held(), a.unitsHeld(), a.filled.rows.Bytes())
@@ -124,8 +125,8 @@ func TestSampleShape(t *testing.T) {
 func TestSampleDefaultSide(t *testing.T) {
 	f := New(5, 16, 0)
 	a := f.SampleGhost(0, testSpace(), geom.AtomCoord{I: 0, J: 0, K: 0}, 0, 0)
-	if a.Side != 8 {
-		t.Fatalf("default side = %d, want 8", a.Side)
+	if a.geo.side != 8 {
+		t.Fatalf("default side = %d, want 8", a.geo.side)
 	}
 }
 
@@ -235,9 +236,9 @@ func TestFrameLifecycle(t *testing.T) {
 	// The handle taken over for another atom, filled as it is: nothing of
 	// the atom it was is left, and it evaluates as a frame of its own does.
 	bc := geom.AtomCoord{I: 3, J: 0, K: 1}
-	if b := f.FrameInto(a, 2, s, bc, 4, 0); b != a || a.unitsHeld() != 0 || dirty.inUse() != 0 || a.Ghost != 0 {
+	if b := f.Geometry(s, 4, 0).FrameInto(a, 2, bc); b != a || a.unitsHeld() != 0 || dirty.inUse() != 0 || a.geo.ghost != 0 {
 		t.Fatalf("FrameInto returned %p for %p, %d half rows held, %d in use, halo %d; want the handle itself, released, as described",
-			b, a, a.unitsHeld(), dirty.inUse(), a.Ghost)
+			b, a, a.unitsHeld(), dirty.inUse(), a.geo.ghost)
 	}
 	want = f.SampleGhost(2, s, bc, 4, 0)
 	a.Fill()
@@ -250,9 +251,6 @@ func TestFrameLifecycle(t *testing.T) {
 // emptied, when the handle is released and taken over. The unit table
 // costs 4 B a half block row, so a fully filled 8³ atom grows by under 4 %.
 func TestHandleCarriesNoBlocks(t *testing.T) {
-	if n := reflect.TypeFor[Atom]().Size(); n > 72 {
-		t.Fatalf("an atom handle is %d bytes, want at most 72", n)
-	}
 	if n := reflect.TypeFor[holding]().Size(); n > 64+8+128*4 {
 		t.Fatalf("an atom's holding is %d bytes, want at most its block set, arena pointer and 4 B a half block row", n)
 	}
@@ -265,8 +263,120 @@ func TestHandleCarriesNoBlocks(t *testing.T) {
 	a.Fill()
 	set := a.filled
 	a.Release()
-	if f.FrameInto(a, 1, s, geom.AtomCoord{I: 1}, 8, 0); a.filled != set || set.blocks != (Blocks{}) || set.rows != nil {
+	if f.Geometry(s, 8, 0).FrameInto(a, 1, geom.AtomCoord{I: 1}); a.filled != set || set.blocks != (Blocks{}) || set.rows != nil {
 		t.Fatalf("released and taken over: holding %p %x, want %p kept and empty", a.filled, *a.held(), set)
+	}
+}
+
+// TestHandleIs24Bytes: a warm System keeps one handle per resident atom,
+// so the handle is three words — its geometry, the packed (step, I, J, K)
+// and its holding — and the packing is lossless up to the bounds store.Open
+// enforces, which are MaxSteps and MaxAtomsPerAxis.
+func TestHandleIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Atom{}); n != 24 {
+		t.Fatalf("an atom handle is %d bytes, want 24", n)
+	}
+	f := New(5, 8, 0)
+	last := uint32(MaxAtomsPerAxis - 1)
+	for _, tc := range []struct {
+		perAxis int
+		step    int
+		ac      geom.AtomCoord
+	}{
+		{1, 0, geom.AtomCoord{}},
+		{1, MaxSteps - 1, geom.AtomCoord{}},
+		{MaxAtomsPerAxis, 0, geom.AtomCoord{I: last, J: last, K: last}},
+		{MaxAtomsPerAxis, MaxSteps - 1, geom.AtomCoord{I: last, J: last, K: last}},
+		{MaxAtomsPerAxis, MaxSteps - 1, geom.AtomCoord{I: last, J: 0, K: 1}},
+		{MaxAtomsPerAxis, 1, geom.AtomCoord{I: 1, J: last - 1, K: 0}},
+	} {
+		a := f.Frame(tc.step, geom.Space{GridSide: tc.perAxis, AtomSide: 1}, tc.ac, 8, 0)
+		if a.step() != tc.step || a.coord() != tc.ac {
+			t.Errorf("atom %v of step %d reads back as %v of step %d", tc.ac, tc.step, a.coord(), a.step())
+		}
+	}
+	for _, bad := range []func(){
+		func() { f.Frame(MaxSteps, geom.Space{GridSide: 1, AtomSide: 1}, geom.AtomCoord{}, 8, 0) },
+		func() { f.Frame(-1, geom.Space{GridSide: 1, AtomSide: 1}, geom.AtomCoord{}, 8, 0) },
+		func() { f.Frame(0, geom.Space{GridSide: 4, AtomSide: 1}, geom.AtomCoord{J: 4}, 8, 0) },
+		func() { f.Geometry(geom.Space{GridSide: 2 * MaxAtomsPerAxis, AtomSide: 1}, 8, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("an atom a handle cannot name was framed")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestGeometryTablesLazy: a field resolves one geometry per shape, and
+// Frame finds it rather than building another; the x and y phase tables
+// are built by the geometry's first fill, not by a frame of it, so a
+// store whose atoms nothing evaluates on holds none.
+func TestGeometryTablesLazy(t *testing.T) {
+	f := New(5, 8, 0)
+	s := testSpace()
+	g := f.Geometry(s, 0, -1)
+	if g != f.Geometry(s, 8, 0) || g == f.Geometry(s, 8, 2) || g == f.Geometry(s, 4, 0) || len(f.geos) != 3 {
+		t.Fatalf("%d geometries resolved, want one per shape, the defaults folded in", len(f.geos))
+	}
+	a := f.Frame(3, s, geom.AtomCoord{I: 2, J: 5, K: 7}, 8, 0)
+	if a.geo != g || g.ex != nil || g.ey != nil {
+		t.Fatal("a frame built a geometry or its tables")
+	}
+	a.FillBlocks(Blocks{1}, nil)
+	if n := s.AtomsPerAxis() * g.dim * len(f.modes); len(g.ex) != n || len(g.ey) != n {
+		t.Fatalf("tables of %d and %d phasors after the first fill, want %d each", len(g.ex), len(g.ey), n)
+	}
+	if n := len(a.filled.rows.tab); n != (g.dim+1)*len(f.modes) {
+		t.Fatalf("the arena's phase scratch is %d entries, want (dim+1)·modes = %d", n, (g.dim+1)*len(f.modes))
+	}
+}
+
+// TestFirstFillsShareTables: the tables are built under a sync.Once by
+// whichever fill comes first, so fills of different atoms of one geometry
+// may race to build them. Four goroutines make the first fills of four
+// atoms at once, each into an arena of its own; every sample equals an
+// eager SampleGhost's on a field of the same seed, whose tables one
+// goroutine built, bit for bit. Run under -race (make race-obs).
+func TestFirstFillsShareTables(t *testing.T) {
+	s := testSpace()
+	for _, ghost := range []int{0, 2} {
+		f, ref := New(17, 24, 0), New(17, 24, 0)
+		g := f.Geometry(s, 8, ghost)
+		acs := []geom.AtomCoord{{I: 0, J: 7, K: 1}, {I: 3, J: 3, K: 3}, {I: 7, J: 0, K: 5}, {I: 5, J: 6, K: 0}}
+		atoms := make([]*Atom, len(acs))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, ac := range acs {
+			atoms[i] = g.FrameInto(nil, i+1, ac)
+			wg.Add(1)
+			go func(a *Atom) {
+				defer wg.Done()
+				<-start
+				a.Fill()
+			}(atoms[i])
+		}
+		close(start)
+		wg.Wait()
+		for i, a := range atoms {
+			want := ref.SampleGhost(i+1, s, acs[i], 8, ghost)
+			for k := -ghost; k < 8+ghost; k++ {
+				for j := -ghost; j < 8+ghost; j++ {
+					for l := -ghost; l < 8+ghost; l++ {
+						got, w := a.At(l, j, k), want.At(l, j, k)
+						for c := range w {
+							if math.Float64bits(got[c]) != math.Float64bits(w[c]) {
+								t.Fatalf("ghost %d, atom %v: sample (%d,%d,%d) is %v, SampleGhost's %v", ghost, acs[i], l, j, k, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -449,7 +559,7 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 	f := New(17, 24, 0)
 	for _, tc := range kernelCases() {
 		for _, k := range allKernels {
-			lazy, rows := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			lazy, rows := poisoned(f, tc.atom.step(), s, tc.ac, tc.atom.geo.side, tc.atom.geo.ghost)
 			lazy.FillBlocks(Blocks{}, rows) // nothing: no unit is taken
 			if lazy.unitsHeld() != 0 || rows.inUse() != 0 {
 				t.Fatalf("%s: an empty fill took %d units", tc.name, rows.inUse())
@@ -462,7 +572,7 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 				}
 			}
 
-			ahead, rows := poisoned(f, tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
+			ahead, rows := poisoned(f, tc.atom.step(), s, tc.ac, tc.atom.geo.side, tc.atom.geo.ghost)
 			pts := make([]geom.Position, 1+rng.Intn(6))
 			for i := range pts {
 				pts[i] = positionIn(rng, s, tc.ac)
@@ -472,16 +582,16 @@ func TestInterpolateReadsOnlyFilledRows(t *testing.T) {
 				if k == KernelNone {
 					n = 1
 				}
-				one := f.Frame(tc.atom.step, s, tc.ac, tc.atom.Side, tc.atom.Ghost)
-				m := one.Missing(k, s, tc.ac, pts[:1])
+				one := f.Frame(tc.atom.step(), s, tc.ac, tc.atom.geo.side, tc.atom.geo.ghost)
+				m := one.Missing(k, tc.ac, pts[:1])
 				Interpolate(k, one, s, tc.ac, pts[0])
 				if m.count() != n*n*n || *one.held() != m {
 					t.Fatalf("%s %v at %+v: %d samples missing, %d filled by the evaluation; want the stencil's %d, both the same",
 						tc.name, k, pts[0], m.count(), one.held().count(), n*n*n)
 				}
 			}
-			ahead.FillBlocks(ahead.Missing(k, s, tc.ac, pts), rows)
-			if m := ahead.Missing(k, s, tc.ac, pts); m != (Blocks{}) {
+			ahead.FillBlocks(ahead.Missing(k, tc.ac, pts), rows)
+			if m := ahead.Missing(k, tc.ac, pts); m != (Blocks{}) {
 				t.Fatalf("%s %v: blocks %x still missing after their fill", tc.name, k, m)
 			}
 			before := *ahead.held()
@@ -512,7 +622,7 @@ func TestPaperAtomHoldsStencilRows(t *testing.T) {
 		t.Helper()
 		a := f.Frame(2, s, ac, 64, 4)
 		got := Interpolate(KernelLag4, a, s, ac, p)
-		x, _, _, n := a.stencil(KernelLag4, s, ac, p)
+		x, _, _, n := a.stencil(KernelLag4, ac, p)
 		most := 4
 		if x < a.mid() && a.mid() < x+n {
 			most = 8
@@ -522,7 +632,7 @@ func TestPaperAtomHoldsStencilRows(t *testing.T) {
 		}
 		// The same point on a frame filled ahead by the engine's path.
 		ahead := f.Frame(2, s, ac, 64, 4)
-		ahead.FillBlocks(ahead.Missing(KernelLag4, s, ac, []geom.Position{p}), nil)
+		ahead.FillBlocks(ahead.Missing(KernelLag4, ac, []geom.Position{p}), nil)
 		if want := Interpolate(KernelLag4, ahead, s, ac, p); got != want || *ahead.held() != *a.held() {
 			t.Fatalf("at %+v: %v lazily, %v filled ahead; blocks %x and %x", p, got, want, *a.held(), *ahead.held())
 		}
@@ -571,13 +681,13 @@ func TestRowsHoldPeakRows(t *testing.T) {
 			case a == nil:
 				atoms[i] = f.Frame(round%4, s, ac, side, 0)
 			case rng.Intn(5) == 0:
-				f.FrameInto(a, round%4, s, ac, side, 0) // released and taken over
+				f.Geometry(s, side, 0).FrameInto(a, round%4, ac) // released and taken over
 			default:
 				pts := make([]geom.Position, 1+rng.Intn(3))
 				for p := range pts {
-					pts[p] = positionIn(rng, s, a.ac)
+					pts[p] = positionIn(rng, s, a.coord())
 				}
-				a.FillBlocks(a.Missing(KernelLag4, s, a.ac, pts), rows)
+				a.FillBlocks(a.Missing(KernelLag4, a.coord(), pts), rows)
 			}
 			held := 0
 			for _, a := range atoms {
@@ -616,7 +726,7 @@ func TestSharedAtomReadOnly(t *testing.T) {
 		for i := range pts {
 			pts[i] = positionIn(rng, s, ac)
 		}
-		a.FillBlocks(a.Missing(KernelLag6, s, ac, pts), new(RowArena))
+		a.FillBlocks(a.Missing(KernelLag6, ac, pts), new(RowArena))
 		var wg sync.WaitGroup
 		for w := range 4 {
 			wg.Add(1)
@@ -789,7 +899,7 @@ func BenchmarkFillStencil8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ac := geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}
 		a := f.Frame(i%31, s, ac, 8, 0)
-		a.FillBlocks(a.Missing(KernelLag4, s, ac, []geom.Position{s.Center(ac)}), rows)
+		a.FillBlocks(a.Missing(KernelLag4, ac, []geom.Position{s.Center(ac)}), rows)
 		a.Release()
 	}
 }
@@ -806,7 +916,7 @@ func BenchmarkFillStencil72(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ac := geom.AtomCoord{I: uint32(i) % 8, J: 0, K: 0}
 		a := f.Frame(i%31, s, ac, 64, 4)
-		a.FillBlocks(a.Missing(KernelLag4, s, ac, []geom.Position{s.Center(ac)}), rows)
+		a.FillBlocks(a.Missing(KernelLag4, ac, []geom.Position{s.Center(ac)}), rows)
 		a.Release()
 	}
 }
@@ -828,7 +938,7 @@ func BenchmarkInterpolateLag4(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			p := s.Center(ac)
 			p.X = float64(float64(ac.I)*atomLen) + float64((bc.sx+0.5)*atomLen/8)
-			if x, _, _, n := a.stencil(KernelLag4, s, ac, p); (x < a.mid() && a.mid() < x+n) != (bc.name == "crossing") {
+			if x, _, _, n := a.stencil(KernelLag4, ac, p); (x < a.mid() && a.mid() < x+n) != (bc.name == "crossing") {
 				b.Fatalf("%s: stencil from x %d", bc.name, x)
 			}
 			b.ReportAllocs()
@@ -844,8 +954,8 @@ func TestSampleGhostLayout(t *testing.T) {
 	s := testSpace()
 	ac := geom.AtomCoord{I: 1, J: 1, K: 1}
 	a := f.SampleGhost(3, s, ac, 4, 2)
-	if a.Ghost != 2 || a.Side != 4 {
-		t.Fatalf("ghost atom shape %d/%d", a.Side, a.Ghost)
+	if a.geo.ghost != 2 || a.geo.side != 4 {
+		t.Fatalf("ghost atom shape %d/%d", a.geo.side, a.geo.ghost)
 	}
 	if *a.held() != a.all() || a.filled.rows.Bytes() != 8*8*8*Components*8 {
 		t.Fatalf("halo atom holds blocks %x in %d B, want every block of (4+2·2)³·4 samples", *a.held(), a.filled.rows.Bytes())
@@ -909,7 +1019,7 @@ func TestGhostImprovesBoundaryInterpolation(t *testing.T) {
 func TestSampleGhostNegativeClamped(t *testing.T) {
 	f := New(5, 16, 0)
 	a := f.SampleGhost(0, testSpace(), geom.AtomCoord{I: 0, J: 0, K: 0}, 4, -3)
-	if a.Ghost != 0 {
-		t.Fatalf("negative ghost not clamped: %d", a.Ghost)
+	if a.geo.ghost != 0 {
+		t.Fatalf("negative ghost not clamped: %d", a.geo.ghost)
 	}
 }

@@ -35,22 +35,22 @@ func (f *Field) refEval(step int, pos geom.Position) [Components]float64 {
 // the samples of a run: it writes the blocks of want into the units the
 // atom holds for them, with the bits refEval gives there.
 func (a *Atom) refFill(want *Blocks) {
-	f := a.src
-	atomLen := float64(a.space.AtomSide) * a.space.VoxelSize()
-	h := atomLen / float64(a.Side)
+	f := a.geo.src
+	atomLen := float64(a.geo.space.AtomSide) * a.geo.space.VoxelSize()
+	h := atomLen / float64(a.geo.side)
 	d, b := a.dim(), a.band()
 	tab := make([]float64, 3*d)
 	xs, ys, zs := tab[:d], tab[d:2*d], tab[2*d:3*d]
 	for n := 0; n < d; n++ {
-		off := float64((float64(n-a.Ghost) + 0.5) * h)
+		off := float64((float64(n-a.geo.ghost) + 0.5) * h)
 		p := geom.Wrap(geom.Position{
-			X: float64(float64(a.ac.I)*atomLen) + off,
-			Y: float64(float64(a.ac.J)*atomLen) + off,
-			Z: float64(float64(a.ac.K)*atomLen) + off,
+			X: float64(float64(a.coord().I)*atomLen) + off,
+			Y: float64(float64(a.coord().J)*atomLen) + off,
+			Z: float64(float64(a.coord().K)*atomLen) + off,
 		})
 		xs[n], ys[n], zs[n] = p.X, p.Y, p.Z
 	}
-	t := float64(a.step) * f.dt
+	t := float64(a.step()) * f.dt
 	for zi, z := range zs {
 		plane := want[zi/b]
 		for yi, y := range ys {

@@ -79,13 +79,14 @@ func (k Kernel) CostWeight() float64 {
 }
 
 // Interpolate evaluates the kernel at position pos using the sampled atom
-// a (the atom containing pos within `space`). Stencils may extend into
-// the atom's replication halo (§III.A stores four ghost voxels on each
-// side for exactly this purpose); without a halo they are clamped to the
-// atom's own sample grid. Returns the interpolated (u, v, w, p). The
-// samples the stencil reads are filled first if the atom lacks them.
+// a (the atom containing pos within `space`, the space of a's geometry).
+// Stencils may extend into the atom's replication halo (§III.A stores four
+// ghost voxels on each side for exactly this purpose); without a halo they
+// are clamped to the atom's own sample grid. Returns the interpolated (u,
+// v, w, p). The samples the stencil reads are filled first if the atom
+// lacks them.
 func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
-	sx, sy, sz := a.sampleCoords(space, ac, pos)
+	sx, sy, sz := a.sampleCoords(ac, pos)
 	if k == KernelNone {
 		i, j, l := a.nearest(sx, sy, sz)
 		return a.At(i, j, l)
@@ -93,11 +94,11 @@ func Interpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geo
 	return lagrange(a, sx, sy, sz, a.width(k))
 }
 
-// sampleCoords is pos in the atom's fractional sample coordinates: samples
-// sit at cell centres (i+0.5), so sample i is at coordinate i.
-func (a *Atom) sampleCoords(space geom.Space, ac geom.AtomCoord, pos geom.Position) (sx, sy, sz float64) {
-	atomLen := float64(space.AtomSide) * space.VoxelSize()
-	h := atomLen / float64(a.Side)
+// sampleCoords is pos in the fractional sample coordinates of atom ac of
+// a's geometry: samples sit at cell centres (i+0.5), so sample i is at
+// coordinate i.
+func (a *Atom) sampleCoords(ac geom.AtomCoord, pos geom.Position) (sx, sy, sz float64) {
+	atomLen, h := a.geo.atomLen, a.geo.h
 	wp := geom.Wrap(pos)
 	lx := (wp.X - float64(float64(ac.I)*atomLen)) / h
 	ly := (wp.Y - float64(float64(ac.J)*atomLen)) / h
@@ -107,9 +108,10 @@ func (a *Atom) sampleCoords(space geom.Space, ac geom.AtomCoord, pos geom.Positi
 
 // nearest is KernelNone's sample: the closest one of the atom's own extent.
 func (a *Atom) nearest(sx, sy, sz float64) (i, j, l int) {
-	return clamp(int(math.Round(sx)), 0, a.Side-1),
-		clamp(int(math.Round(sy)), 0, a.Side-1),
-		clamp(int(math.Round(sz)), 0, a.Side-1)
+	side := a.geo.side
+	return clamp(int(math.Round(sx)), 0, side-1),
+		clamp(int(math.Round(sy)), 0, side-1),
+		clamp(int(math.Round(sz)), 0, side-1)
 }
 
 // width is the Lagrange stencil width of kernel k on the atom: N=2 is
@@ -129,15 +131,15 @@ func (a *Atom) width(k Kernel) int {
 
 // stencil returns the cube of samples kernel k reads to evaluate at pos:
 // its first sample (x, y, z), in stored indices, and its side n.
-func (a *Atom) stencil(k Kernel, space geom.Space, ac geom.AtomCoord, pos geom.Position) (x, y, z, n int) {
-	sx, sy, sz := a.sampleCoords(space, ac, pos)
-	g := a.Ghost
+func (a *Atom) stencil(k Kernel, ac geom.AtomCoord, pos geom.Position) (x, y, z, n int) {
+	sx, sy, sz := a.sampleCoords(ac, pos)
+	side, g := a.geo.side, a.geo.ghost
 	if k == KernelNone {
 		i, j, l := a.nearest(sx, sy, sz)
 		return i + g, j + g, l + g, 1
 	}
 	n = a.width(k)
-	return stencilStart(sx, n, a.Side, g) + g, stencilStart(sy, n, a.Side, g) + g, stencilStart(sz, n, a.Side, g) + g, n
+	return stencilStart(sx, n, side, g) + g, stencilStart(sy, n, side, g) + g, stencilStart(sz, n, side, g) + g, n
 }
 
 func clamp(v, lo, hi int) int {
@@ -153,11 +155,11 @@ func clamp(v, lo, hi int) int {
 // lagrange performs separable N-point Lagrange interpolation on the atom's
 // sample grid (halo included), filling the samples it reads first.
 func lagrange(a *Atom, sx, sy, sz float64, n int) [Components]float64 {
-	ix, wx := lagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
-	iy, wy := lagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
-	iz, wz := lagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
+	side, g := a.geo.side, a.geo.ghost
+	ix, wx := lagrangeWeightsHalo(sx, n, side, g)
+	iy, wy := lagrangeWeightsHalo(sy, n, side, g)
+	iz, wz := lagrangeWeightsHalo(sz, n, side, g)
 
-	g := a.Ghost
 	x0, y0, z0 := ix+g, iy+g, iz+g
 	a.fillBox(x0, x0+n-1, y0, y0+n-1, z0, z0+n-1)
 	// The stencil's n² lines, walked without a call or a division (Atom.line

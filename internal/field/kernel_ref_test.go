@@ -43,7 +43,7 @@ func refLagrangeWeightsHalo(s float64, n, side, g int) (int, []float64) {
 // sample coordinates.
 func sampleCoords(a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) (sx, sy, sz, h float64) {
 	atomLen := float64(space.AtomSide) * space.VoxelSize()
-	h = atomLen / float64(a.Side)
+	h = atomLen / float64(a.geo.side)
 	wp := geom.Wrap(pos)
 	lx := (wp.X - float64(float64(ac.I)*atomLen)) / h
 	ly := (wp.Y - float64(float64(ac.J)*atomLen)) / h
@@ -70,15 +70,15 @@ func stencilWidth(k Kernel, a *Atom) int {
 func refInterpolate(k Kernel, a *Atom, space geom.Space, ac geom.AtomCoord, pos geom.Position) [Components]float64 {
 	sx, sy, sz, _ := sampleCoords(a, space, ac, pos)
 	if k == KernelNone {
-		i := clamp(int(math.Round(sx)), 0, a.Side-1)
-		j := clamp(int(math.Round(sy)), 0, a.Side-1)
-		l := clamp(int(math.Round(sz)), 0, a.Side-1)
+		i := clamp(int(math.Round(sx)), 0, a.geo.side-1)
+		j := clamp(int(math.Round(sy)), 0, a.geo.side-1)
+		l := clamp(int(math.Round(sz)), 0, a.geo.side-1)
 		return a.At(i, j, l)
 	}
 	n := stencilWidth(k, a)
-	ix, wx := refLagrangeWeightsHalo(sx, n, a.Side, a.Ghost)
-	iy, wy := refLagrangeWeightsHalo(sy, n, a.Side, a.Ghost)
-	iz, wz := refLagrangeWeightsHalo(sz, n, a.Side, a.Ghost)
+	ix, wx := refLagrangeWeightsHalo(sx, n, a.geo.side, a.geo.ghost)
+	iy, wy := refLagrangeWeightsHalo(sy, n, a.geo.side, a.geo.ghost)
+	iz, wz := refLagrangeWeightsHalo(sz, n, a.geo.side, a.geo.ghost)
 	var out [Components]float64
 	for kk := 0; kk < n; kk++ {
 		for jj := 0; jj < n; jj++ {
@@ -188,7 +188,7 @@ func TestCrossingStencilsMatchReference(t *testing.T) {
 		h := atomLen / float64(shape.side)
 		ref := f.Frame(1, s, ac, shape.side, shape.ghost)
 		a, rows := poisoned(f, 1, s, ac, shape.side, shape.ghost)
-		d, m, g := a.dim(), a.mid(), a.Ghost
+		d, m, g := a.dim(), a.mid(), a.geo.ghost
 		crossings := 0
 		for _, k := range []Kernel{KernelTrilinear, KernelLag4, KernelLag6, KernelLag8} {
 			n := a.width(k)
@@ -206,10 +206,10 @@ func TestCrossingStencilsMatchReference(t *testing.T) {
 						Y: float64(float64(ac.J)*atomLen) + float64((sy+0.5)*h),
 						Z: float64(float64(ac.K)*atomLen) + float64((sz+0.5)*h),
 					}
-					if x, _, _, _ := a.stencil(k, s, ac, p); x != x0 {
+					if x, _, _, _ := a.stencil(k, ac, p); x != x0 {
 						t.Fatalf("side %d %v: stencil from %d, want %d", shape.side, k, x, x0)
 					}
-					a.FillBlocks(a.Missing(k, s, ac, []geom.Position{p}), rows)
+					a.FillBlocks(a.Missing(k, ac, []geom.Position{p}), rows)
 					if got, want := Interpolate(k, a, s, ac, p), refInterpolate(k, ref, s, ac, p); got != want {
 						t.Fatalf("side %d ghost %d %v from x %d (midpoint %d) at %+v: %v, reference %v",
 							shape.side, shape.ghost, k, x0, m, p, got, want)

@@ -52,11 +52,12 @@ func FromKey(key uint64) AtomID {
 
 // The packing's bounds: a Key holds the Morton code of up to
 // maxAtomsPerAxis atoms per axis in its low 42 bits and the step, below
-// maxSteps, in the 20 above them. Open refuses a geometry past either.
+// maxSteps, in the 20 above them. Open refuses a geometry past either. They
+// are the bounds of the atoms a field.Atom handle names.
 const (
 	keyCodeBits     = 42
-	maxAtomsPerAxis = 1 << (keyCodeBits / 3)
-	maxSteps        = 1 << 20
+	maxAtomsPerAxis = field.MaxAtomsPerAxis
+	maxSteps        = field.MaxSteps
 )
 
 // Config parameterizes a store.
@@ -82,6 +83,7 @@ const disks = 4
 type Store struct {
 	cfg   Config
 	field *field.Field
+	geo   *field.Geometry // what every atom of the store shares
 	array *disk.Array
 	per   int64 // atoms per step
 }
@@ -103,9 +105,11 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.SampleSide <= 0 {
 		cfg.SampleSide = 8
 	}
+	f := field.New(cfg.Seed, 0, 0)
 	return &Store{
 		cfg:   cfg,
-		field: field.New(cfg.Seed, 0, 0),
+		field: f,
+		geo:   f.Geometry(cfg.Space, cfg.SampleSide, cfg.SampleGhost),
 		array: disk.NewArray(disks, disk.DefaultParams()),
 		per:   int64(cfg.Space.AtomsPerStep()),
 	}, nil
@@ -136,8 +140,8 @@ func (s *Store) Read(id AtomID) (*field.Atom, time.Duration, error) {
 }
 
 // ReadInto is Read into frame, a handle nothing else may still hold, which
-// it overwrites and returns (field.FrameInto); a nil frame is allocated. A
-// failed read returns no atom and leaves frame as it was.
+// it overwrites and returns (field.Geometry.FrameInto); a nil frame is
+// allocated. A failed read returns no atom and leaves frame as it was.
 func (s *Store) ReadInto(id AtomID, frame *field.Atom) (*field.Atom, time.Duration, error) {
 	if !s.Contains(id) {
 		return nil, 0, fmt.Errorf("store: atom %v not in this partition", id)
@@ -147,8 +151,7 @@ func (s *Store) ReadInto(id AtomID, frame *field.Atom) (*field.Atom, time.Durati
 	// Morton-adjacent atoms are disk-adjacent.
 	addr := (int64(id.Step)*s.per + int64(id.Code)) * field.NominalAtomBytes
 	cost := s.array.Read(addr, field.NominalAtomBytes)
-	a := s.field.FrameInto(frame, id.Step, s.cfg.Space, geom.AtomFromCode(id.Code), s.cfg.SampleSide, s.cfg.SampleGhost)
-	return a, cost, nil
+	return s.geo.FrameInto(frame, id.Step, geom.AtomFromCode(id.Code)), cost, nil
 }
 
 // ScanStep calls fn for every atom of the given step in Morton order.

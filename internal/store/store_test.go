@@ -40,12 +40,8 @@ func TestOpenDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := s.Read(AtomID{Step: 0, Code: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Side != 8 {
-		t.Fatalf("default sample side = %d, want 8", a.Side)
+	if s.geo != s.Field().Geometry(cfg.Space, 8, 0) {
+		t.Fatal("the store's atoms are not of the field's 8-sample geometry")
 	}
 }
 
@@ -66,7 +62,7 @@ func TestReadKnownAtom(t *testing.T) {
 	// and are then the ones an eager SampleGhost gives.
 	cfg := testConfig()
 	ac := geom.AtomFromCode(id.Code)
-	if a == nil || !holdsNone(cfg.Space, a) {
+	if a == nil || !holdsNone(cfg, a) {
 		t.Fatal("Read returned no atom, or one with its samples synthesized already")
 	}
 	want := s.Field().SampleGhost(id.Step, cfg.Space, ac, cfg.SampleSide, cfg.SampleGhost)
@@ -74,10 +70,10 @@ func TestReadKnownAtom(t *testing.T) {
 	if got, w := field.Interpolate(field.KernelLag4, a, cfg.Space, ac, p), field.Interpolate(field.KernelLag4, want, cfg.Space, ac, p); got != w {
 		t.Fatalf("interpolation on a read atom: %v, want %v", got, w)
 	}
-	if holdsNone(cfg.Space, a) || a.Side != want.Side || a.Ghost != want.Ghost {
-		t.Fatalf("filled atom: side %d ghost %d, holding nothing %v; want %d, %d and samples", a.Side, a.Ghost, holdsNone(cfg.Space, a), want.Side, want.Ghost)
+	if holdsNone(cfg, a) {
+		t.Fatal("the atom holds nothing after an evaluation on it")
 	}
-	eachSample(a, func(i, j, k int) {
+	eachSample(cfg, func(i, j, k int) {
 		got, w := a.At(i, j, k), want.At(i, j, k)
 		for c := range w {
 			if math.Float64bits(got[c]) != math.Float64bits(w[c]) {
@@ -87,25 +83,27 @@ func TestReadKnownAtom(t *testing.T) {
 	})
 }
 
-// holdsNone reports whether a holds none of its samples: a Lag8 stencil at
-// an atom's centre reads every sample of the tests' 4³ atoms, so it misses
-// them all.
-func holdsNone(space geom.Space, a *field.Atom) bool {
+// holdsNone reports whether a, an atom of a store opened with cfg, holds
+// none of its samples: a Lag8 stencil at an atom's centre reads every
+// sample of the tests' 4³ atoms, so it misses them all.
+func holdsNone(cfg Config, a *field.Atom) bool {
 	ac := geom.AtomCoord{}
-	miss := a.Missing(field.KernelLag8, space, ac, []geom.Position{space.Center(ac)})
+	miss := a.Missing(field.KernelLag8, ac, []geom.Position{cfg.Space.Center(ac)})
 	n := 0
 	for _, w := range miss {
 		n += bits.OnesCount64(w)
 	}
-	d := a.Side + 2*a.Ghost
+	d := cfg.SampleSide + 2*cfg.SampleGhost
 	return n == d*d*d
 }
 
-// eachSample calls fn on the indices of every sample of a, halo included.
-func eachSample(a *field.Atom, fn func(i, j, k int)) {
-	for k := -a.Ghost; k < a.Side+a.Ghost; k++ {
-		for j := -a.Ghost; j < a.Side+a.Ghost; j++ {
-			for i := -a.Ghost; i < a.Side+a.Ghost; i++ {
+// eachSample calls fn on the indices of every sample of an atom of a store
+// opened with cfg, halo included.
+func eachSample(cfg Config, fn func(i, j, k int)) {
+	side, g := cfg.SampleSide, cfg.SampleGhost
+	for k := -g; k < side+g; k++ {
+		for j := -g; j < side+g; j++ {
+			for i := -g; i < side+g; i++ {
 				fn(i, j, k)
 			}
 		}
@@ -128,8 +126,8 @@ func TestReadIntoOverwritesTheHandle(t *testing.T) {
 	}
 	h.Fill()
 	b, cost, err := s.ReadInto(idB, h)
-	if err != nil || b != h || cost <= 0 || !holdsNone(cfg.Space, h) {
-		t.Fatalf("ReadInto: atom %p for handle %p, cost %v, holding nothing %v, error %v", b, h, cost, holdsNone(cfg.Space, h), err)
+	if err != nil || b != h || cost <= 0 || !holdsNone(cfg, h) {
+		t.Fatalf("ReadInto: atom %p for handle %p, cost %v, holding nothing %v, error %v", b, h, cost, holdsNone(cfg, h), err)
 	}
 	fresh, _, err := s.Read(idB)
 	if err != nil || fresh == h {
@@ -215,8 +213,18 @@ func TestKeyPacking(t *testing.T) {
 		cfg := testConfig()
 		cfg.Steps = tc.steps
 		cfg.Space = geom.Space{GridSide: tc.perAxis, AtomSide: 1}
-		if _, err := Open(cfg); (err == nil) != tc.ok {
+		s, err := Open(cfg)
+		if (err == nil) != tc.ok {
 			t.Errorf("Open at %d steps, %d atoms per axis: error %v, want accepted %v", tc.steps, tc.perAxis, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		// The last atom of an accepted geometry has a handle too (the
+		// handle's own round trip is field's TestHandleIs24Bytes).
+		last := AtomID{Step: tc.steps - 1, Code: morton.Code(s.per - 1)}
+		if a, _, err := s.Read(last); err != nil || a == nil {
+			t.Errorf("Read(%v) at %d steps, %d atoms per axis: %v", last, tc.steps, tc.perAxis, err)
 		}
 	}
 }
@@ -293,7 +301,7 @@ func TestReadDeterministic(t *testing.T) {
 	a1.Fill()
 	a2.Fill()
 	n := 0
-	eachSample(a1, func(i, j, k int) {
+	eachSample(testConfig(), func(i, j, k int) {
 		if a1.At(i, j, k) != a2.At(i, j, k) {
 			t.Fatalf("atom data not deterministic at (%d,%d,%d)", i, j, k)
 		}

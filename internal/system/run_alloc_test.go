@@ -2,9 +2,11 @@ package system_test
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"jaws/internal/engine"
 	"jaws/internal/experiments"
 	"jaws/internal/job"
 	"jaws/internal/system"
@@ -16,6 +18,23 @@ import (
 func replayCold(t testing.TB) (*system.System, func() []*job.Job) {
 	t.Helper()
 	s := experiments.DefaultScale()
+	sys, err := system.Open(s.Node(system.SchedJAWS2, s.BatchSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, func() []*job.Job { return experiments.FreshJobs(s, 1) }
+}
+
+// replayWarm is the wall-clock benchmark's replay-warm workload: the
+// derivative-chain trace under the tail-policy stack, replayed on a System
+// whose cache holds the whole 8-step store — kernels not evaluated.
+func replayWarm(t testing.TB) (*system.System, func() []*job.Job) {
+	t.Helper()
+	s := experiments.DefaultScale()
+	s.Scenario = "deriv-chain"
+	s.Steps = 8
+	s.CacheAtoms = 8 * s.Space.AtomsPerStep()
+	s.TailPolicy = "gate-aware;cross-step:span=2;adaptive-batch"
 	sys, err := system.Open(s.Node(system.SchedJAWS2, s.BatchSize))
 	if err != nil {
 		t.Fatal(err)
@@ -133,5 +152,82 @@ func TestOpenIndependentOfCacheCapacity(t *testing.T) {
 	bytes(256) // anything built once per process
 	if small, large := bytes(256), bytes(1<<20); small != large {
 		t.Fatalf("Open allocates %d B at a 256-atom cache and %d B at a 2^20-atom one", small, large)
+	}
+}
+
+// TestWarmSystemHeldBytes is the in-repo twin of the benchmark's
+// live_heap_mb on replay-warm: what a caller holding a warm System and its
+// last Report keeps on the heap, per atom resident in its cache — the
+// atoms' handles and cache entries are most of it. The System is opened,
+// warmed by one Run and run twice more, as the benchmark does; its heap
+// then holds at most 10 % more than the bytes per resident atom measured
+// when the handle shrank to 24 B. The run evaluates no kernel, so no fill
+// ever ran and the atoms' geometry built no phase table: the heap profile
+// shows no allocation in field.Geometry.phases, which builds the tables,
+// and does show the handles' own (field.Geometry.FrameInto).
+func TestWarmSystemHeldBytes(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops Puts (race detector): the pre-processor's scratch is regrown at random")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first may have run finalizers that freed more
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	sys, trace := replayWarm(t)
+	var rep *engine.Report
+	for range 3 {
+		var err error
+		if rep, err = sys.Run(trace()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := heap() - before
+	resident := sys.Cache().Len()
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(rep)
+	if resident != 1669 || rep.CacheStats.Evictions != 0 {
+		t.Fatalf("%d atoms resident, %d evicted; want the trace's 1669, none evicted", resident, rep.CacheStats.Evictions)
+	}
+	perAtom := float64(held) / float64(resident)
+	t.Logf("a warm System holds %d B: %.1f B per resident atom", held, perAtom)
+	const measured = 127.0
+	if perAtom > 1.1*measured {
+		t.Errorf("a warm System holds %.1f B per resident atom, want at most %.1f (10 %% over the %.1f measured)", perAtom, 1.1*measured, measured)
+	}
+
+	// The heap profile, published by the collections above.
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("the heap profile outgrew its buffer")
+	}
+	allocated := func(fn string) (bytes int64) {
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for {
+				f, more := frames.Next()
+				if strings.HasPrefix(f.Function, fn) {
+					bytes += r.AllocBytes
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return bytes
+	}
+	if b := allocated("jaws/internal/field.(*Geometry).FrameInto"); b < int64(resident)*24 {
+		t.Fatalf("the heap profile shows %d B of handles, want at least the %d resident: it does not see field's allocations", b, resident)
+	}
+	if b := allocated("jaws/internal/field.(*Geometry).phases"); b != 0 {
+		t.Errorf("a System that evaluates no kernel built %d B of phase tables, want none", b)
 	}
 }

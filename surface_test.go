@@ -30,7 +30,8 @@ import (
 // methods meet the same rule as any other. The harness is not a root: a
 // name only it reaches is kept for a reference, not for the program.
 // surfaceAllow is the short list of names kept without a caller, and
-// harnessOnly the list of those only the harness calls, one reason each.
+// harnessOnly the list of those only the harness calls or sets, one reason
+// each.
 var surfaceAllow = map[string]string{
 	"jaws/internal/cluster.Config.Replicas":   "replica failover, which the chaos tests (internal/fault) and failover_test.go certify; ROADMAP 7(a)'s request router over replicas is its planned setter",
 	"jaws/internal/system.Config.SampleGhost": "read, not set, by benchmark/assembly.go's copy of the assembler; settled when benchmark/ builds through system.Open (ROADMAP 1a(i)) or jawsd sets it (20(a))",
@@ -46,6 +47,12 @@ var harnessOnly = map[string]string{
 	"jaws/internal/jobgraph.Graph.Finished":     "whether every registered query is DONE, compared with oracle.ModelGraph's by oracle.GatingPair; the engine counts its own completions",
 	"jaws/internal/jobgraph.Graph.Prune":        "the engine never prunes (ROADMAP 3(c)); oracle.GatingPair drives Prune so that it stays certified against oracle.ModelGraph until it does",
 	"jaws/internal/system.System.Cache":         "oracle.Run records decisions against the assembled cache's residency; the program reaches the cache through the engine System.Run builds",
+	"jaws/internal/system.Config.ProtectedFrac": "the program runs SLRU at the 0.05 default; oracle.Run sets 0.1 so that the suite's 12- and 32-atom caches keep a protected segment (0.05 of 12 is none) for the model to be held to",
+	"jaws/internal/workload.Config.Arrivals":    "the program sets it inside the package, through the scenario registry (Scenario.Apply); oracle.MatrixParams sets it directly to cycle Poisson, diurnal and on-off arrivals with the seed",
+	"jaws/internal/workload.Config.BoxFrac":     "the program sets it inside the package, through the scenario registry (Scenario.Apply); oracle.MatrixParams sets it directly for the matrix's cutout share",
+	"jaws/internal/workload.Config.BoxStride":   "the program cuts boxes at the 6-voxel default; oracle.MatrixParams sets 8 so that a cutout stays a handful of positions across the suite's hundreds of runs",
+	"jaws/internal/workload.Config.DerivFrac":   "the program sets it inside the package, through the scenario registry (Scenario.Apply); oracle.MatrixParams sets it directly for the matrix's derivative share",
+	"jaws/internal/workload.Config.DerivChain":  "the program sets it inside the package, through the scenario registry (Scenario.Apply); oracle.MatrixParams sets it directly for the matrix's 3-step chains",
 }
 
 func TestClosedSurface(t *testing.T) {
@@ -83,8 +90,9 @@ func TestClosedSurface(t *testing.T) {
 
 // TestClosedSurfaceMiniModule holds the analysis to a module small enough
 // to read: one dead export, one never-set field of a Config the facade
-// aliases and one export only the harness calls, which it must flag (the
-// last as the harness's), beside the two shapes it must not — an
+// aliases, one field only the harness sets and one export only the harness
+// calls, which it must flag (the last two as the harness's: a set in the
+// harness is no setter), beside the two shapes it must not — an
 // interface implementation reached only through an embedding type, a
 // generic method used only through an instantiation.
 func TestClosedSurfaceMiniModule(t *testing.T) {
@@ -104,7 +112,7 @@ func TestClosedSurfaceMiniModule(t *testing.T) {
 		}
 		syms = append(syms, sym)
 	}
-	want := []string{"a.go:6 mini/internal/a.Dead", "a.go:30 mini/internal/a.Config.Size", "a.go:34 mini/internal/a.Reference (harness)"}
+	want := []string{"a.go:7 mini/internal/a.Dead", "a.go:33 mini/internal/a.Config.Size", "a.go:34 mini/internal/a.Config.Depth (harness)", "a.go:39 mini/internal/a.Reference (harness)"}
 	if !slices.Equal(syms, want) {
 		t.Fatalf("flagged\n  %s\nwant\n  %s", strings.Join(syms, "\n  "), strings.Join(want, "\n  "))
 	}
@@ -252,7 +260,8 @@ func closedSurface(l *surfaceLoader) ([]surfaceFinding, error) {
 	// which names what only the harness reaches.
 	refs := map[types.Object][]types.Object{}
 	var roots, harnessRoots []types.Object
-	set := map[types.Object]bool{} // Config fields assigned outside their package
+	set := map[types.Object]bool{}        // Config fields the program assigns outside their package
+	harnessSet := map[types.Object]bool{} // those the harness assigns
 	var ifaces []*types.Interface
 	var named []*types.TypeName
 	for _, p := range l.pkgs {
@@ -321,7 +330,11 @@ func closedSurface(l *surfaceLoader) ([]surfaceFinding, error) {
 					}
 				}
 			}
-			surfaceFieldSets(f, p, set)
+			if harness(p.pkg) {
+				surfaceFieldSets(f, p, harnessSet)
+			} else {
+				surfaceFieldSets(f, p, set)
+			}
 		}
 	}
 
@@ -369,7 +382,7 @@ func closedSurface(l *surfaceLoader) ([]surfaceFinding, error) {
 
 	var out []surfaceFinding
 	flag := func(o types.Object, sym, why string) {
-		f := surfaceFinding{pos: surfaceFset.Position(o.Pos()), sym: sym, why: why, harness: fromHarness[o]}
+		f := surfaceFinding{pos: surfaceFset.Position(o.Pos()), sym: sym, why: why, harness: fromHarness[o] || harnessSet[o]}
 		if f.harness {
 			f.why += " (only the reference harness, internal/oracle, does)"
 		}

@@ -1,5 +1,6 @@
 // Package a holds two dead names (an export, a field of a Config the facade
-// aliases) and a harness-only export, among two shapes that only look dead.
+// aliases), a field only the harness sets and a harness-only export, among
+// two shapes that only look dead.
 package a
 
 // Dead has no caller: the first finding.
@@ -26,9 +27,13 @@ type Box[T any] struct{ v T }
 func (b *Box[T]) Get() T { return b.v }
 
 // Config is aliased by the facade, and nothing in the module sets Size:
-// the alias does not set it either, so it is the second finding.
-type Config struct{ Size int }
+// the alias does not set it either, so it is the second finding. Only the
+// harness sets Depth: the third, marked as the harness's.
+type Config struct {
+	Size  int
+	Depth int
+}
 
-// Reference is called by the harness alone: the third finding, marked as
+// Reference is called by the harness alone: the fourth finding, marked as
 // the harness's.
 func Reference() int { return 0 }

@@ -4,5 +4,6 @@ package oracle
 
 import "mini/internal/a"
 
-// Check calls a.Reference, which nothing else calls.
-func Check() int { return a.Reference() }
+// Check calls a.Reference, which nothing else calls, on a Config whose
+// Depth nothing else sets.
+func Check() int { return a.Reference() + a.Config{Depth: 2}.Depth }
