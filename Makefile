@@ -134,9 +134,10 @@ check-prop:
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
 ## query's gate re-check and the event list nothing) — and the in-repo twin
 ## of the wall-clock benchmark's replay-cold allocation figures: one Run of
-## the BENCH_main.json trace allocates at most 0.865 objects and 0.705 KiB
+## the BENCH_main.json trace allocates at most 0.449 objects and 0.686 KiB
 ## per query, and nothing of it stays reachable from the System — and its
-## replay-warm twin: a warm System holds at most 139.7 B per resident atom
+## replay-warm twins: a warm System's second Run allocates at most 0.445
+## objects per query, and a warm System holds at most 139.7 B per resident atom
 ## (10 % over the 127.0 measured with 24 B handles) and, evaluating no
 ## kernel, no phase table — and
 ## opening a store allocates the same at 1 step as at 31: an atom's extent
@@ -147,7 +148,7 @@ check-allocs:
 	$(GO) test -run TestDecisionPathZeroAllocs -count 200 ./internal/sched/
 	$(GO) test -run 'TestCodecAllocs|TestHandleQueryAllocs|TestServedRequestOverFloor' -count 20 ./internal/server/
 	$(GO) test -run 'TestReadMissAllocs|TestFillRecyclesRows|TestURCDecisionZeroAllocs|TestDifferenceAllocs|TestArrivalPathAllocs|TestCanDispatchZeroAllocs|TestDispatchAllocs|TestFittingFrameReuse|TestSessionQueryAllocs|TestDecisionAllocsIndependentOfBatchSize' -count 20 ./internal/engine/
-	$(GO) test -run 'TestRunAllocBudget|TestWarmSystemHeldBytes|TestFramesDieWithEngine|TestOpenIndependentOfCacheCapacity' -count 5 ./internal/system/
+	$(GO) test -run 'TestRunAllocBudget|TestWarmRunAllocBudget|TestWarmSystemHeldBytes|TestFramesDieWithEngine|TestOpenIndependentOfCacheCapacity' -count 5 ./internal/system/
 	$(GO) test -run 'TestLRUKHitDoesNotAllocate|TestLRUKMissZeroAllocs' -count 20 ./internal/cache/
 	$(GO) test -run TestAdmissionAllocs -count 20 ./internal/jobgraph/
 	$(GO) test -run TestEventListZeroAllocs -count 20 ./internal/vclock/
@@ -206,7 +207,11 @@ bench-field:
 ## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh
 ## system each), printed cumulative — the profile tables of EXPERIMENTS.md in
 ## one command (two runs: recording every allocation would bend the CPU
-## profile; the object counts are per 3 replays, one of them b.N's probe) —
+## profile; the object counts are per 3 replays, one of them b.N's probe).
+## Both tables are focused on System.Run, what allocs_per_query measures,
+## and give percentages of it: a profile records the trace generator's work
+## too, done while the timer is stopped, and FreshJobs allocates more
+## objects and bytes than a Run —
 ## then the in-use heap of a warm System by site (BenchmarkReplayWarm: the
 ## replay-warm trace, a set-up Run and 2 more on one System, which the
 ## benchmark keeps alive for the profile the binary writes on exit): what
@@ -217,8 +222,8 @@ profile-replay:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench ReplayCold -benchtime 20x -o $(PROFILE_DIR)/jaws.test -cpuprofile $(PROFILE_DIR)/cpu.prof .
 	$(GO) test -run xxx -bench ReplayCold -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 1 .
-	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/cpu.prof
-	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount 40 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/mem.prof
+	$(GO) tool pprof -top -cum -nodecount 40 -focus '\(\*System\)\.Run$$' -relative_percentages $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -cum -nodecount 40 -focus '\(\*System\)\.Run$$' -relative_percentages $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/mem.prof
 	$(GO) test -run xxx -bench ReplayWarm -benchtime 2x -o $(PROFILE_DIR)/jaws.test -memprofile $(PROFILE_DIR)/warm.prof -memprofilerate 1 .
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 30 $(PROFILE_DIR)/jaws.test $(PROFILE_DIR)/warm.prof
 

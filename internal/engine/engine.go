@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"jaws/internal/arena"
 	"jaws/internal/cache"
 	"jaws/internal/disk"
 	"jaws/internal/fault"
@@ -349,13 +350,15 @@ type Engine struct {
 	// Query frames (DESIGN.md §19). dispatch takes a query's state from
 	// freeStates — kept in ascending order of the frames' point capacity, so
 	// that it finds the smallest that fits — or carves a new one from
-	// stateSlab; complete retires it, and the end of the decision in hand
-	// frees what was retired — not sooner: the decision's batches still
-	// list the completed query's sub-queries, for whoever reads them until
-	// then. Slab and lists are the simulation goroutine's and die with the
-	// engine; together they hold as many frames as queries were in flight
-	// at once. results is a session's free list of results; nil under Run.
-	stateSlab     []queryState
+	// frames, whose partition carves its first arrays from partRuns; complete
+	// retires it, and the end of the decision in hand frees what was
+	// retired — not sooner: the decision's batches still list the completed
+	// query's sub-queries, for whoever reads them until then. Arenas and
+	// lists are the simulation goroutine's and die with the engine; together
+	// they hold as many frames as queries were in flight at once. results is
+	// a session's free list of results; nil under Run.
+	frames        arena.Arena[queryState]
+	partRuns      query.Runs
 	freeStates    []*queryState
 	retiredStates []*queryState
 	results       *resultList
@@ -739,9 +742,6 @@ func (e *Engine) gateAtDispatch(q *query.Query) sched.GateState {
 	return sched.GateFree
 }
 
-// frameSlab is the number of query frames the engine allocates at a time.
-const frameSlab = 64
-
 // byPointCap orders the free frames: where a frame of capacity n belongs.
 func byPointCap(st *queryState, n int) int { return cmp.Compare(st.PointCap(), n) }
 
@@ -749,14 +749,12 @@ func byPointCap(st *queryState, n int) int { return cmp.Compare(st.PointCap(), n
 // whose point array holds them — so that a small query does not use up the
 // frame a large one sized, and the large one regrow a small frame. When
 // none does, the smallest of all regrows (it discards the least); with no
-// free frame, a new one is carved from the slab.
+// free frame, a new one is carved.
 func (e *Engine) takeState(n int) *queryState {
 	if len(e.freeStates) == 0 {
-		if len(e.stateSlab) == cap(e.stateSlab) {
-			e.stateSlab = make([]queryState, 0, frameSlab)
-		}
-		e.stateSlab = e.stateSlab[:len(e.stateSlab)+1]
-		return &e.stateSlab[len(e.stateSlab)-1]
+		st := &e.frames.Alloc(1, 1)[0]
+		st.Partition = query.NewPartition(&e.partRuns)
+		return st
 	}
 	i, _ := slices.BinarySearchFunc(e.freeStates, n, byPointCap)
 	if i == len(e.freeStates) {

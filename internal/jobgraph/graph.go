@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"jaws/internal/arena"
 	"jaws/internal/store"
 )
 
@@ -105,23 +106,6 @@ type cand struct {
 	id     int64
 }
 
-// arenaChunk is the number of records an arena allocates at a time.
-const arenaChunk = 2048
-
-// arena carves zeroed runs out of fixed-size chunks. It holds only the
-// chunk it is carving from: a run belongs to the job record it was carved
-// for, and a chunk is collected once every such job has been pruned.
-type arena[T any] struct{ chunk []T }
-
-func (a *arena[T]) alloc(n int) []T {
-	if n > cap(a.chunk)-len(a.chunk) {
-		a.chunk = make([]T, 0, max(n, arenaChunk))
-	}
-	lo := len(a.chunk)
-	a.chunk = a.chunk[:lo+n]
-	return a.chunk[lo : lo+n : lo+n]
-}
-
 // Graph is the precedence graph with gating edges for a set of ordered
 // jobs. It is not safe for concurrent use; the scheduler owns it.
 //
@@ -141,8 +125,8 @@ type Graph struct {
 	comps     []component
 	freeComps []int32
 
-	verts arena[vertex]
-	atoms arena[store.AtomID]
+	verts arena.Arena[vertex]
+	atoms arena.Arena[store.AtomID]
 
 	// heads and posts are the inverted index: for each atom, the chain of
 	// queries whose footprint contains it. The merge phase reads a new
@@ -258,7 +242,7 @@ func (g *Graph) AddJobWithAtoms(id int64, atoms [][]store.AtomID) error {
 		g.blockAt = append(g.blockAt, 0)
 	}
 	j := &g.jobs[slot]
-	*j = jobRec{id: id, q: g.verts.alloc(n)}
+	*j = jobRec{id: id, q: g.verts.Alloc(n, n)}
 	j.q[0].state = Ready
 	g.slots[id] = slot
 	g.order = append(g.order, slot)
@@ -266,7 +250,7 @@ func (g *Graph) AddJobWithAtoms(id int64, atoms [][]store.AtomID) error {
 	for _, as := range atoms {
 		total += len(as)
 	}
-	j.atoms = g.atoms.alloc(total)[:0]
+	j.atoms = g.atoms.Alloc(0, total)
 	for s, as := range atoms {
 		j.atoms = append(j.atoms, as...)
 		j.q[s].atomEnd = int32(len(j.atoms))

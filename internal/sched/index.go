@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"jaws/internal/query"
 	"jaws/internal/store"
 )
 
@@ -127,16 +126,13 @@ func (q *queues) syncResidency() {
 
 // --- freelists ----------------------------------------------------------
 
-// atomSlab is the number of atom queues allocated at a time, and atomSubs
-// the room a new one's sub-query list starts with: most queues drain with
-// fewer, and a list that starts empty grows 1 → 2 → 4 → 8 on the way there.
-const (
-	atomSlab = 64
-	atomSubs = 8
-)
+// atomSubs is the room a new atom queue's sub-query list starts with: most
+// queues drain with fewer, and a list that starts empty grows 1 → 2 → 4 → 8
+// on the way there.
+const atomSubs = 8
 
 // newAtomQueue returns a recycled atom queue for id, or a fresh one carved
-// from the slab.
+// from the records' arena, its list from the lists'.
 func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 	if n := len(q.freeAtoms); n > 0 {
 		aq := q.freeAtoms[n-1]
@@ -145,12 +141,8 @@ func (q *queues) newAtomQueue(id store.AtomID) *atomQueue {
 		aq.id = id
 		return aq
 	}
-	if len(q.slab) == cap(q.slab) {
-		q.slab = make([]atomQueue, 0, atomSlab)
-	}
-	q.slab = q.slab[:len(q.slab)+1]
-	aq := &q.slab[len(q.slab)-1]
-	*aq = atomQueue{id: id, subs: make([]*query.SubQuery, 0, atomSubs)}
+	aq := &q.records.Alloc(1, 1)[0]
+	*aq = atomQueue{id: id, subs: q.lists.Alloc(0, atomSubs)}
 	return aq
 }
 

@@ -22,6 +22,7 @@ package sched
 import (
 	"time"
 
+	"jaws/internal/arena"
 	"jaws/internal/obs"
 	"jaws/internal/query"
 	"jaws/internal/store"
@@ -209,8 +210,10 @@ type queues struct {
 	epoch      uint64
 
 	// Freelists and the deferred-recycle list backing the zero-allocation
-	// decision path; slab is the chunk new atom queues are carved from.
-	slab        []atomQueue
+	// decision path; new atom queues and their lists are carved from records
+	// and lists.
+	records     arena.Arena[atomQueue]
+	lists       arena.Arena[*query.SubQuery]
 	freeAtoms   []*atomQueue
 	freeBuckets []*stepBucket
 	released    []*atomQueue
@@ -258,7 +261,10 @@ func (q *queues) add(sq *query.SubQuery, now time.Duration) *atomQueue {
 		q.subs++
 		return aq
 	}
-	aq.subs = append(aq.subs, sq)
+	old := aq.subs
+	if aq.subs = append(old, sq); cap(aq.subs) != cap(old) {
+		clear(old) // a regrown list's old run stays in its chunk: it must pin no sub-query
+	}
 	aq.positions += len(sq.Index)
 	aq.utSeen = 0 // positions changed: the memoized ut is stale
 	q.subs++

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -375,4 +376,37 @@ func BenchmarkJAWSNextBatch(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestDeadListRunPinsNothing: an atom queue's list that regrows leaves its
+// first run in a chunk the scheduler keeps carving from. The run is
+// cleared, so once the queue is taken and recycled, the sub-queries it
+// listed — the caller's, here query.PreProcess's — and their queries are
+// collected.
+func TestDeadListRunPinsNothing(t *testing.T) {
+	s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 1})
+	collected := make(chan struct{})
+	func() {
+		for n := range atomSubs + 1 {
+			sq := subQueryAt(query.ID(n+1), 0, 1, 1, 1, 5)
+			if n == 0 {
+				runtime.SetFinalizer(sq.Query, func(*query.Query) { close(collected) })
+			}
+			s.Enqueue(sq, 0)
+		}
+		if b := s.NextBatch(0); len(b) != 1 || len(b[0].SubQueries) != atomSubs+1 {
+			t.Fatalf("decision %v, want one batch of %d sub-queries", b, atomSubs+1)
+		}
+		s.NextBatch(0) // recycles the taken queue, clearing its list
+	}()
+	for range 100 {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(s)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the first query is still reachable: the list's dead run pins it")
 }
