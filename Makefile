@@ -99,20 +99,38 @@ race:
 race-obs:
 	$(GO) test -race -short ./internal/obs/ ./internal/field/ ./internal/sched/ ./internal/engine/ ./internal/system/ ./internal/cluster/ ./internal/server/ ./cmd/jawsd/ ./cmd/jawsload/ ./cmd/jawsreport/
 
-## check-prop: every op-log certificate behind one target — the
-## quickcheck-style differential property tests (random op logs replayed
-## through the production schedulers and the reference models, decisions
-## and utilities compared bit for bit), the job graph's (op logs and job
-## sets through oracle.GatingPair against the gating model, everything the
-## graph exposes compared after every op), the cache's (LRU-K against the
-## scanning reference, LRU-K(1) against a linked-list LRU, SLRU against the
-## oracle's model, residency and evictions compared after every op, with
-## corruption drops mixed in) and the faulty run pinned across commits.
+## check-prop: every differential certificate behind one target — each
+## reference pair on the one harness, internal/oracle/difftest (its own
+## tests first), whose seeded test and fuzz seeds replay byte op logs
+## through one decoder and compare the two sides after every op: the job
+## graph against the gating model through oracle.GatingPair, LRU-K against
+## the scanning reference and LRU-K(1) against a linked-list LRU, SLRU
+## against the oracle's model, PreProcess and reused Partitions against the
+## map-based pre-processor, the footprint against the division-based one,
+## the why-chain walk against the rescanning one (and on the artifact
+## runs); then the quickcheck-style property tests (random op logs through
+## the production schedulers and the reference models, decisions and
+## utilities compared bit for bit), the gating differentials on job sets,
+## the cache's corruption drop and the faulty run pinned across commits.
+## Each -run pattern is checked first with go test -list: every
+## alternative must name a test, so a renamed one fails the target instead
+## of dropping out.
+define prop
+	@for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "^($$alt)$$" $(2) | grep -q '^[A-Z]' || { echo "check-prop: no test in $(2) matches $$alt"; exit 1; }; \
+	done
+	$(GO) test -run '$(1)' -count 1 $(2)
+endef
+
 check-prop:
-	$(GO) test -run 'TestRandomOpLogs|TestUtilityMismatchCaught|TestSLRUDifferential|TestGating.*Differential' -count 1 ./internal/oracle/
-	$(GO) test -run 'TestGraphMatchesReference|FuzzGraphOps' -count 1 ./internal/jobgraph/
-	$(GO) test -run 'TestLRUKMatchesReferenceOnRandomOpLogs|TestLRUKOneIsLRU|TestIntegrityCorruptionDropsEntry' -count 1 ./internal/cache/
-	$(GO) test -run 'TestFaultyRunPinned' -count 1 ./internal/system/
+	$(call prop,TestShrinkKeepsOnlyWhatFails|TestLogReadsZeroPastItsEnd|TestSeedsReportReplays,./internal/oracle/difftest/)
+	$(call prop,TestGraphMatchesReference|FuzzGraphOps,./internal/jobgraph/)
+	$(call prop,TestLRUKMatchesReferenceOnRandomOpLogs|FuzzLRUKOps|TestLRUKOneIsLRU|TestIntegrityCorruptionDropsEntry,./internal/cache/)
+	$(call prop,TestPreProcessMatchesReference|TestPartitionReuseMatchesReference|FuzzPartitionReuse,./internal/query/)
+	$(call prop,TestFootprintAtMatchesReference|FuzzFootprint|TestFootprintMatchesReference,./internal/geom/)
+	$(call prop,TestChainMatchesReferenceRandom|TestChainMatchesReferenceOnArtifacts,./internal/obs/)
+	$(call prop,TestSLRUDifferential|TestGatingDifferential|TestRandomOpLogsDifferential|TestRandomOpLogsHighContention|TestUtilityMismatchCaught,./internal/oracle/)
+	$(call prop,TestFaultyRunPinned,./internal/system/)
 
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only
@@ -160,23 +178,15 @@ check-allocs:
 e2e-serve:
 	./scripts/e2e_serve.sh
 
-## fuzz-smoke: a short burst on every fuzz target (Go runs one -fuzz
-## pattern per invocation, hence the repetition).
+## fuzz-smoke: ten seconds on every fuzz target that go test -list finds,
+## one at a time (Go fuzzes one target per invocation).
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime 10s ./internal/morton/
-	$(GO) test -run xxx -fuzz FuzzCubeRange -fuzztime 10s ./internal/morton/
-	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s ./internal/workload/
-	$(GO) test -run xxx -fuzz FuzzGenerate -fuzztime 10s ./internal/workload/
-	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/
-	$(GO) test -run xxx -fuzz FuzzParsePolicySpec -fuzztime 10s ./internal/sched/
-	$(GO) test -run xxx -fuzz FuzzDecodeQuery -fuzztime 10s ./internal/server/
-	$(GO) test -run xxx -fuzz FuzzGraphOps -fuzztime 10s -fuzzminimizetime 1s ./internal/jobgraph/
-	$(GO) test -run xxx -fuzz FuzzPartitionReuse -fuzztime 10s -fuzzminimizetime 1s ./internal/query/
-	$(GO) test -run xxx -fuzz FuzzWrap -fuzztime 10s ./internal/geom/
-	$(GO) test -run xxx -fuzz FuzzFootprint -fuzztime 10s ./internal/geom/
-	$(GO) test -run xxx -fuzz FuzzLRUKOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
-	$(GO) test -run xxx -fuzz FuzzScanTrace -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
-	$(GO) test -run xxx -fuzz FuzzLoadArtifact -fuzztime 10s -fuzzminimizetime 1s ./internal/bench/
+	@for pkg in $$($(GO) list ./...); do \
+		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$fz $$pkg"; \
+			$(GO) test -run xxx -fuzz "^$$fz\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg || exit 1; \
+		done; \
+	done
 
 ## bench-sched: the scheduling benches used to bound instrumentation
 ## overhead (compare against a pre-change baseline), and the eviction

@@ -1,13 +1,11 @@
 package cache
 
 import (
-	"cmp"
 	"container/list"
 	"fmt"
-	"math/rand"
-	"slices"
 	"testing"
 
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/store"
 )
 
@@ -56,69 +54,20 @@ func (p *LRU) OnEvict(id store.AtomID) {
 // EndRun implements Policy (no-op for LRU).
 func (p *LRU) EndRun() {}
 
-// Seeded op logs — Puts of any atom, same-ID Puts of a resident one, Gets
-// and Flushes, over a key space three times the capacity — must leave the
-// same atoms resident after every op under LRU-K(1) as under the list,
-// at every capacity from 1 to 8: the tests that build NewLRUK(1, 0) as
-// their recency cache rely on it.
+// LRU-K(1) without a correlated window must evict what the list evicts,
+// op for op, at every capacity from 1 to 8: the tests that build
+// NewLRUK(1, 0) as their recency cache rely on it. The logs are replay's,
+// the pair LRU-K's differential test runs on.
 func TestLRUKOneIsLRU(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		capacity := 1 + int(seed%8)
-		got, want := New(capacity, NewLRUK(1, 0)), New(capacity, NewLRU())
-		rng := rand.New(rand.NewSource(seed))
-		var resident []store.AtomID
-		for op := 0; op < 3000; op++ {
-			a := id(rng.Intn(3), rng.Intn(capacity)) // 3 × capacity atoms
-			var what string
-			switch r := rng.Intn(100); {
-			case r < 45:
-				what = "Get"
-				_, okg := got.Get(a)
-				_, okw := want.Get(a)
-				if okg != okw {
-					t.Fatalf("seed %d op %d: Get(%v) hit=%v, LRU hit=%v", seed, op, a, okg, okw)
-				}
-			case r < 80:
-				what = "Put"
-				got.Put(a, nil)
-				want.Put(a, nil)
-			case r < 99:
-				what = "same-ID Put"
-				resident = resident[:0]
-				want.EachKey(func(r store.AtomID) { resident = append(resident, r) })
-				if len(resident) == 0 {
-					continue
-				}
-				// EachKey goes in map order: sort, so the seed picks the atom.
-				slices.SortFunc(resident, func(x, y store.AtomID) int { return cmp.Compare(x.Key(), y.Key()) })
-				a = resident[rng.Intn(len(resident))]
-				got.Put(a, nil)
-				want.Put(a, nil)
-			default:
-				what = "Flush"
-				got.Flush(nil)
-				want.Flush(nil)
-			}
-			if err := sameResidents(got, want); err != nil {
-				t.Fatalf("seed %d (capacity %d) op %d (%s %v): %v", seed, capacity, op, what, a, err)
-			}
+	for capacity := 1; capacity <= 8; capacity++ {
+		ok := t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			head := []byte{byte(capacity - 1), 0, 1}
+			difftest.Seeds(t, difftest.Gen{First: 1, N: 7, Head: head, Min: 6000}, func(t difftest.TB, l *difftest.Log) {
+				replay(t, l)
+			})
+		})
+		if !ok {
+			return // one shrunk failure is enough
 		}
 	}
-}
-
-// sameResidents compares the resident sets of two caches.
-func sameResidents(got, want *Cache) error {
-	if got.Len() != want.Len() {
-		return fmt.Errorf("%d residents, LRU has %d", got.Len(), want.Len())
-	}
-	var missing []store.AtomID
-	want.EachKey(func(a store.AtomID) {
-		if !got.Contains(a) {
-			missing = append(missing, a)
-		}
-	})
-	if len(missing) > 0 {
-		return fmt.Errorf("LRU-K(1) evicted %v, which LRU keeps", missing)
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jaws/internal/field"
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/store"
 )
 
@@ -108,24 +109,17 @@ func (p *refLRUK) Victim() store.AtomID {
 func (p *refLRUK) OnEvict(id store.AtomID) { delete(p.resident, id) }
 func (p *refLRUK) EndRun()                 {}
 
-// lrukPair drives the production policy and the reference through one op
-// log, each under a cache of its own, and holds them to each other.
+// lrukPair drives the production LRU-K and a reference policy through one
+// op log, each under a cache of its own, and holds them to each other. The
+// reference is refLRUK, or the list LRU when LRU-K(1) has no correlated
+// window.
 type lrukPair struct {
 	got        *LRUK
-	want       *refLRUK
+	want       Policy
 	cg, cw     *Cache
 	gotEvicted []store.AtomID
 	refEvicted []store.AtomID
 	slotsTaken int // atoms that came to the policy without history
-}
-
-func newLRUKPair(k int, correlated, retain int64, capacity int) *lrukPair {
-	d := &lrukPair{got: NewLRUK(k, correlated), want: newRefLRUK(k, correlated)}
-	d.got.retain, d.want.retain = retain, retain
-	d.cg, d.cw = New(capacity, d.got), New(capacity, d.want)
-	d.cg.SetObserver(Observer{Evict: func(id store.AtomID) { d.gotEvicted = append(d.gotEvicted, id) }})
-	d.cw.SetObserver(Observer{Evict: func(id store.AtomID) { d.refEvicted = append(d.refEvicted, id) }})
-	return d
 }
 
 // lookup is the engine's read: a Get, and a Put on a miss.
@@ -182,12 +176,17 @@ func (d *lrukPair) check() error {
 	return d.got.checkIndex()
 }
 
-// checkHistory compares every atom's retained references.
+// checkHistory compares every atom's retained references with refLRUK's;
+// the list LRU keeps none.
 func (d *lrukPair) checkHistory() error {
-	if len(d.got.slot) != len(d.want.hist) {
-		return fmt.Errorf("history of %d atoms, reference %d", len(d.got.slot), len(d.want.hist))
+	ref, ok := d.want.(*refLRUK)
+	if !ok {
+		return nil
 	}
-	for a, h := range d.want.hist {
+	if len(d.got.slot) != len(ref.hist) {
+		return fmt.Errorf("history of %d atoms, reference %d", len(d.got.slot), len(ref.hist))
+	}
+	for a, h := range ref.hist {
 		if got := d.got.history(a); !slices.Equal(got, h) {
 			return fmt.Errorf("history of %v is %v, reference %v", a, got, h)
 		}
@@ -248,66 +247,99 @@ func (p *LRUK) checkIndex() error {
 	return nil
 }
 
-// Random op logs — lookups, inserts of new and of resident atoms, flushes,
-// corruption drops, over a key space a few times the capacity and long
-// enough for the retained-history sweep to run — must evict the same atoms
-// in the same order under both policies, and leave the same history
-// behind, for k of 1, 2 and 3, with and without the correlated-reference
-// window, at capacities below, at and above the hot set. Under the default
-// retention no history of the 120 atoms ever ages out; the runs with a
-// retention of 16 ticks are the ones whose sweeps free slots that later
-// atoms reuse.
+// replay decodes l as an op log through an lrukPair. Its header holds the
+// capacity (1 to 64), the retention (DefaultRetain or 16 ticks), then 0, k
+// (1 to 3) and the correlated window (0 or 3) for LRU-K against refLRUK,
+// or 1 for LRU-K(1) without a window against the list LRU. Each op is two
+// bytes, what and which atom: a lookup, an insert of a new or resident
+// atom, a corruption drop or a flush. After every op both caches must have
+// evicted the same atoms in the same order, and LRU-K's index must hold;
+// after every 64th and the last, every history must be refLRUK's. replay
+// reports whether atoms took slots that a sweep had vacated.
+func replay(t difftest.TB, l *difftest.Log) (slotsReused bool) {
+	capacity, retain := 1+l.Intn(64), []int64{DefaultRetain, 16}[l.Intn(2)]
+	got, want := NewLRUK(1, 0), Policy(NewLRU())
+	if l.Intn(2) == 0 {
+		k, correlated := 1+l.Intn(3), 3*int64(l.Intn(2))
+		ref := newRefLRUK(k, correlated)
+		got, want, ref.retain = NewLRUK(k, correlated), ref, retain
+	}
+	got.retain = retain
+	d := &lrukPair{got: got, want: want, cg: New(capacity, got), cw: New(capacity, want)}
+	d.cg.SetObserver(Observer{Evict: func(id store.AtomID) { d.gotEvicted = append(d.gotEvicted, id) }})
+	d.cw.SetObserver(Observer{Evict: func(id store.AtomID) { d.refEvicted = append(d.refEvicted, id) }})
+	for op := 0; l.More(); op++ {
+		r, a := l.Intn(100), atom(l.Byte())
+		var err error
+		switch {
+		case r < 55:
+			err = d.lookup(a)
+		case r < 98:
+			d.put(a)
+		case r < 99:
+			err = d.drop(a)
+		default:
+			d.flush()
+		}
+		if err == nil {
+			err = d.check()
+		}
+		if err == nil && op%64 == 63 {
+			err = d.checkHistory()
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if err := d.checkHistory(); err != nil {
+		t.Fatalf("end of log: %v", err)
+	}
+	return d.slotsTaken > len(d.got.recs)
+}
+
+// atom decodes one byte into a skewed key space: a hot set of 16 atoms that
+// accumulates full histories (136 bytes of 256), a cold tail of 120 that
+// comes back after eviction.
+func atom(b byte) store.AtomID {
+	if b < 136 {
+		return id(int(b)%2, int(b)/2%8)
+	}
+	b -= 136
+	return id(int(b)%3, int(b)/3)
+}
+
+// Random op logs, long enough for the retained-history sweep to run, must
+// evict the same atoms in the same order under both policies, and leave
+// the same history behind, for k of 1, 2 and 3, with and without the
+// correlated-reference window, at capacities below, at and above the hot
+// set. Under the default retention no history of the 136 atoms ever ages
+// out; the runs with a retention of 16 ticks are the ones whose sweeps
+// free slots that later atoms reuse.
 func TestLRUKMatchesReferenceOnRandomOpLogs(t *testing.T) {
 	for _, capacity := range []int{1, 8, 64} {
-		for _, retain := range []int64{DefaultRetain, 16} {
+		for ri, retain := range []int64{DefaultRetain, 16} {
 			// Five logs for the configuration the test began with, two for
 			// each it grew to.
-			prefix, seeds := "", int64(5)
+			prefix, seeds := "", 5
 			if capacity != 8 || retain != DefaultRetain {
 				prefix, seeds = fmt.Sprintf("cap=%d/retain=%d/", capacity, retain), 2
 			}
 			for _, k := range []int{1, 2, 3} {
 				for _, correlated := range []int64{0, 3} {
-					for seed := int64(1); seed <= seeds; seed++ {
-						name := fmt.Sprintf("%sk=%d/correlated=%d/seed=%d", prefix, k, correlated, seed)
-						t.Run(name, func(t *testing.T) {
-							d := newLRUKPair(k, correlated, retain, capacity)
-							rng := rand.New(rand.NewSource(seed))
-							for op := 0; op < 6000; op++ {
-								// A skewed key space: a hot set that accumulates full
-								// histories, a cold tail that comes back after eviction.
-								a := id(rng.Intn(2), rng.Intn(8))
-								if rng.Intn(3) == 0 {
-									a = id(rng.Intn(3), rng.Intn(40))
-								}
-								var err error
-								switch r := rng.Intn(100); {
-								case r < 55:
-									err = d.lookup(a)
-								case r < 98:
-									d.put(a)
-								case r < 99:
-									err = d.drop(a)
-								default:
-									d.flush()
-								}
-								if err == nil {
-									err = d.check()
-								}
-								if err == nil && op%64 == 63 {
-									err = d.checkHistory()
-								}
-								if err != nil {
-									t.Fatalf("op %d: %v", op, err)
-								}
-							}
-							if err := d.checkHistory(); err != nil {
-								t.Fatal(err)
-							}
-							if reused := d.slotsTaken > len(d.got.recs); reused != (retain == 16) {
-								t.Errorf("%d atoms took a slot of a slab of %d: slots reused = %v", d.slotsTaken, len(d.got.recs), reused)
+					ok := t.Run(fmt.Sprintf("%sk=%d/correlated=%d", prefix, k, correlated), func(t *testing.T) {
+						head := []byte{byte(capacity - 1), byte(ri), 0, byte(k - 1), byte(correlated / 3)}
+						wrong := 0
+						difftest.Seeds(t, difftest.Gen{First: 1, N: seeds, Head: head, Min: 12000}, func(t difftest.TB, l *difftest.Log) {
+							if replay(t, l) != (retain == 16) {
+								wrong++
 							}
 						})
+						if wrong > 0 && !t.Failed() {
+							t.Errorf("in %d of %d logs atoms did not take vacated slots %v: only a retention of 16 frees them", wrong, seeds, retain == 16)
+						}
+					})
+					if !ok {
+						return // one shrunk failure is enough
 					}
 				}
 			}
@@ -315,50 +347,25 @@ func TestLRUKMatchesReferenceOnRandomOpLogs(t *testing.T) {
 	}
 }
 
-// FuzzLRUKOps is the differential test on byte-driven op logs: the first
-// four bytes choose k, the correlated window, the capacity and the
-// retention, every following pair an op and its atom.
+// FuzzLRUKOps replays fuzzed op logs through the same decoder.
 func FuzzLRUKOps(f *testing.F) {
-	f.Add([]byte{2, 0, 8, 0, 0, 1, 1, 2, 0, 1, 3, 1, 2, 0})
-	f.Add([]byte{1, 1, 1, 1, 1, 5, 1, 6, 0, 5, 2, 6, 1, 5})
-	// Long enough for sweeps, so that slots are freed and taken again.
-	long := []byte{3, 1, 4, 1}
+	// LRU-K(3) at capacity 64: hits and misses of hot atoms.
+	f.Add([]byte{63, 0, 0, 2, 0, 0, 1, 0, 2, 60, 1, 0, 3, 60, 2, 0, 1})
+	// LRU-K(2) with the correlated window at capacity 8, retention 16: a
+	// reference inside the window, a corruption drop, a flush.
+	f.Add([]byte{7, 1, 0, 1, 1, 0, 5, 0, 5, 60, 6, 98, 5, 0, 5, 99, 0, 0, 6})
+	// LRU-K(1) with the window at capacity 8, retention 16, long enough for
+	// sweeps, so that slots are freed and taken again.
+	long := []byte{7, 1, 0, 0, 1}
 	rng := rand.New(rand.NewSource(20))
 	for len(long) < 4096 {
 		long = append(long, byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
 	f.Add(long)
+	// LRU-K(1) against the list LRU at capacity 2.
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 2, 0, 4, 60, 1, 0, 3, 60, 2, 0, 1})
 	f.Fuzz(func(t *testing.T, log []byte) {
-		if len(log) < 4 {
-			return
-		}
-		k, correlated := 1+int(log[0]%3), int64(log[1]%2)*3
-		capacity := []int{1, 8, 64}[log[2]%3]
-		retain := []int64{DefaultRetain, 16}[log[3]%2]
-		d := newLRUKPair(k, correlated, retain, capacity)
-		for op, b := 0, log[4:]; len(b) >= 2; op, b = op+1, b[2:] {
-			a := id(int(b[1]>>6), int(b[1]&63))
-			var err error
-			switch r := b[0] % 32; {
-			case r < 16:
-				err = d.lookup(a)
-			case r < 29:
-				d.put(a)
-			case r < 31:
-				err = d.drop(a)
-			default:
-				d.flush()
-			}
-			if err == nil {
-				err = d.check()
-			}
-			if err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		}
-		if err := d.checkHistory(); err != nil {
-			t.Fatal(err)
-		}
+		replay(t, difftest.NewLog(log))
 	})
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"jaws/internal/oracle/difftest"
 )
 
 // refFootprint is the map-based Footprint this package shipped before the
@@ -105,8 +107,9 @@ var footprintSpaces = []Space{
 }
 
 // checkFootprintAt compares AppendFootprintAt with the reference on one
-// voxel, after a prefix the call must leave alone.
-func checkFootprintAt(t *testing.T, s Space, vx, vy, vz, radius int) {
+// voxel, after a prefix the call must leave alone, and returns the
+// footprint's size.
+func checkFootprintAt(t difftest.TB, s Space, vx, vy, vz, radius int) int {
 	t.Helper()
 	prefix := []AtomCoord{{I: 7, J: 7, K: 7}}
 	want := refAppendFootprintAt(s, slices.Clone(prefix), vx, vy, vz, radius)
@@ -115,52 +118,51 @@ func checkFootprintAt(t *testing.T, s Space, vx, vy, vz, radius int) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("%+v voxel (%d,%d,%d) radius %d: footprint %v, reference %v", s, vx, vy, vz, radius, got, want)
 	}
+	return len(want) - len(prefix)
+}
+
+// replay decodes l into voxels and radii on one space and holds
+// AppendFootprintAt to the reference on each. A byte picks the space; each
+// check reads a radius — one a kernel has (0 to 4) five times in eight,
+// else up to three periods — and a voxel: up to the radius outside the
+// grid (within one period, which is all a corner may be) for a kernel's
+// radius, inside it for a larger one. replay returns the largest
+// footprint it saw.
+func replay(t difftest.TB, l *difftest.Log) (most int) {
+	s := footprintSpaces[l.Intn(len(footprintSpaces))]
+	for l.More() {
+		radius, lo, n := l.Intn(8), 0, s.GridSide
+		if radius > 4 {
+			radius = l.Intn(3*s.GridSide + 1)
+		} else {
+			lo, n = -radius, s.GridSide+2*radius
+		}
+		v := func() int { return lo + l.Intn(n) }
+		most = max(most, checkFootprintAt(t, s, v(), v(), v(), radius))
+	}
+	return most
 }
 
 // The division-free AppendFootprintAt lists the same atoms in the same
-// order as the one it replaced, for voxels up to a stencil radius outside
-// the grid (within one period, which is all a corner may be), for every
-// radius a kernel has, and for a radius of more than a whole period.
+// order as the one it replaced, on random logs of replay's, and some
+// footprint reaches MaxFootprint.
 func TestFootprintAtMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, s := range footprintSpaces {
-		for radius := 0; radius <= 4; radius++ {
-			for i := 0; i < 5000; i++ {
-				v := func() int { return rng.Intn(s.GridSide+2*radius) - radius }
-				checkFootprintAt(t, s, v(), v(), v(), radius)
-			}
-		}
-		for _, radius := range []int{s.GridSide, s.GridSide + 1, 2*s.GridSide + 3} {
-			for i := 0; i < 1000; i++ {
-				v := func() int { return rng.Intn(s.GridSide) }
-				checkFootprintAt(t, s, v(), v(), v(), radius)
-			}
-		}
+	most := 0
+	difftest.Seeds(t, difftest.Gen{First: 1, N: 40, Min: 20000}, func(t difftest.TB, l *difftest.Log) {
+		most = max(most, replay(t, l))
+	})
+	if !t.Failed() && most != MaxFootprint {
+		t.Fatalf("largest footprint seen has %d atoms, MaxFootprint is %d", most, MaxFootprint)
 	}
 }
 
-// FuzzFootprint drives the same comparison from fuzzed voxels and radii:
-// a voxel is folded into [−radius, GridSide + radius) for a radius of at
-// most 4, into the grid for a larger one.
+// FuzzFootprint replays fuzzed logs through the same decoder.
 func FuzzFootprint(f *testing.F) {
-	f.Add(uint8(0), int32(0), int32(0), int32(0), uint16(0))
-	f.Add(uint8(3), int32(-4), int32(11), int32(1), uint16(4))
-	f.Add(uint8(0), int32(23), int32(24), int32(95), uint16(97))
-	f.Fuzz(func(t *testing.T, si uint8, x, y, z int32, r uint16) {
-		s := footprintSpaces[int(si)%len(footprintSpaces)]
-		radius := int(r)
-		lo, n := -radius, s.GridSide+2*radius
-		if radius > 4 {
-			lo, n = 0, s.GridSide
-		}
-		fold := func(v int32) int {
-			m := int(v) % n
-			if m < 0 {
-				m += n
-			}
-			return lo + m
-		}
-		checkFootprintAt(t, s, fold(x), fold(y), fold(z), radius)
+	f.Add([]byte{0, 0, 0, 0, 0})           // the 96/24 space, radius 0 at the origin
+	f.Add([]byte{3, 4, 12, 11, 1})         // the 8/2 space, radius 4 at (8, 7, −3)
+	f.Add([]byte{0, 5, 0, 97, 23, 24, 95}) // the 96/24 space, radius 97 at (23, 24, 95)
+	f.Fuzz(func(t *testing.T, log []byte) {
+		replay(t, difftest.NewLog(log))
 	})
 }
 

@@ -4,7 +4,36 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"jaws/internal/morton"
+	"jaws/internal/store"
 )
+
+// randomRegionJobs draws nJobs jobs of 1..maxLen queries, each query
+// labelled with one of maxRegion regions (two queries share data iff
+// their labels match, the Fig. 2 convention).
+func randomRegionJobs(rng *rand.Rand, nJobs, maxLen, maxRegion int) map[int64][]int {
+	jobs := make(map[int64][]int, nJobs)
+	for j := 0; j < nJobs; j++ {
+		n := rng.Intn(maxLen) + 1
+		regions := make([]int, n)
+		for i := range regions {
+			regions[i] = rng.Intn(maxRegion)
+		}
+		jobs[int64(j+1)] = regions
+	}
+	return jobs
+}
+
+// regionAtoms maps a region-label job description to per-query atom
+// lists: one atom per label, so lists intersect iff labels match.
+func regionAtoms(regions []int) [][]store.AtomID {
+	atoms := make([][]store.AtomID, len(regions))
+	for s, r := range regions {
+		atoms[s] = []store.AtomID{{Step: 0, Code: morton.Code(r)}}
+	}
+	return atoms
+}
 
 // regionGraph builds a Graph over jobs described as region-label slices:
 // queries share data iff their labels match (Fig. 2 convention). Jobs are

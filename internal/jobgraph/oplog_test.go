@@ -8,6 +8,7 @@ import (
 	"jaws/internal/jobgraph"
 	"jaws/internal/morton"
 	"jaws/internal/oracle"
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/store"
 )
 
@@ -17,44 +18,33 @@ const (
 	opsMaxAdds  = 48
 )
 
-// replayOps interprets data as an op log — register a job with its atom
-// lists, complete schedulable queries, mark a query arrived, prune — and
-// applies it through oracle.GatingPair to a Graph and to the oracle's
-// ModelGraph side by side, comparing everything the two expose, and the
-// graph's own tables, after every op. Job IDs are drawn from a small range
-// in no particular order, so the dynamic program's orientation varies,
+// replay decodes l as an op log — register a job with its atom lists,
+// complete schedulable queries, mark a query arrived, prune — and applies
+// it through oracle.GatingPair to a Graph and to the oracle's ModelGraph
+// side by side, comparing everything the two expose, and the graph's own
+// tables, after every op. Job IDs are drawn from a small range in no
+// particular order, so the dynamic program's orientation varies,
 // duplicates are attempted, and a pruned ID (and its slot) comes back.
-// crossings is how many edges the model refused by its crossing scan,
-// which Graph does not have.
-func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
-	next := func() (byte, bool) {
-		if len(data) == 0 {
-			return 0, false
-		}
-		b := data[0]
-		data = data[1:]
-		return b, true
-	}
-	next() // a header byte no op reads: committed logs keep their alignment
+// At the end both are drained side by side (oracle.CheckDeadlockFree): the
+// graphs must agree and finish, Fig. 4's guarantee. crossings is how many
+// edges the model refused by its crossing scan, which Graph does not have.
+func replay(t difftest.TB, l *difftest.Log) (adds, pruned, crossings int) {
+	l.Byte() // a header byte no op reads: committed logs keep their alignment
 	p := oracle.NewGatingPair(t)
 	p.Check = jobgraph.CheckGraph
-	for {
-		op, ok := next()
-		if !ok {
-			return adds, pruned, p.M.Crossings()
-		}
+	for l.More() {
+		op := l.Byte()
 		id := int64(op>>3)%opsMaxJobID + 1
 		switch {
 		case op%8 < 2: // register
-			hdr, _ := next()
-			n := int(hdr&15)%opsMaxLen + 1
+			n := int(l.Byte()&15)%opsMaxLen + 1
 			if adds == opsMaxAdds {
 				continue
 			}
 			lists := make([][]store.AtomID, n)
 			if !p.G.Registered(id) {
 				for s := range lists {
-					b, _ := next()
+					b := l.Byte()
 					a1, a2 := int(b&7), int(b>>3&7)
 					codes := [][]int{{a1}, {a1, a2}, {a1, a2, (a1 + a2) % 8}, {}}[b>>6]
 					for _, c := range codes {
@@ -74,12 +64,16 @@ func replayOps(t testing.TB, data []byte) (adds, pruned, crossings int) {
 				p.Serve(ready[int(op>>3&7)%len(ready)])
 			}
 		case op%8 == 6: // a query reaches the scheduler
-			b, _ := next()
-			p.Arrive(jobgraph.Ref{Job: id, Seq: int(b) % opsMaxLen})
+			p.Arrive(jobgraph.Ref{Job: id, Seq: int(l.Byte()) % opsMaxLen})
 		default:
 			pruned += p.Prune()
 		}
 	}
+	crossings = p.M.Crossings()
+	for _, d := range oracle.CheckDeadlockFree(p.G, p.M) {
+		t.Fatalf("draining the graphs after the log: %s", d)
+	}
+	return adds, pruned, crossings
 }
 
 // The dense-table graph must be indistinguishable from the oracle's model
@@ -91,13 +85,10 @@ func TestGraphMatchesReference(t *testing.T) {
 		seeds = 60
 	}
 	adds, pruned, crossings := 0, 0, 0
-	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		data := make([]byte, 100+rng.Intn(500))
-		rng.Read(data)
-		a, p, c := replayOps(t, data)
+	difftest.Seeds(t, difftest.Gen{N: seeds, Min: 100, Span: 500}, func(t difftest.TB, l *difftest.Log) {
+		a, p, c := replay(t, l)
 		adds, pruned, crossings = adds+a, pruned+p, crossings+c
-	}
+	})
 	t.Logf("%d op logs: %d jobs registered, %d pruned, %d edges refused by the model's crossing scan", seeds, adds, pruned, crossings)
 	if pruned < seeds {
 		t.Fatalf("op logs pruned only %d jobs: the generator no longer reaches Prune's interesting cases", pruned)
@@ -119,7 +110,7 @@ func FuzzGraphOps(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		replayOps(t, data[:min(len(data), 1024)]) // an op costs a full comparison: bound the log
+		replay(t, difftest.NewLog(data[:min(len(data), 1024)])) // an op costs a full comparison: bound the log
 	})
 }
 

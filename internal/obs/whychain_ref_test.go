@@ -3,8 +3,9 @@ package obs
 import (
 	"reflect"
 	"sort"
-	"testing"
 	"time"
+
+	"jaws/internal/oracle/difftest"
 )
 
 // refIndex and its chain are DecisionIndex and Chain as they were before
@@ -156,7 +157,7 @@ func (ix *refIndex) chain(sp Span) *WaitChain {
 // DiffChains reconstructs every span's chain through the index and
 // through the reference and fails on the first chain that differs in any
 // field: gated edges in order, rounds, per-cause waits, exactness.
-func DiffChains(t *testing.T, recs []DecisionRecord, spans []Span) {
+func DiffChains(t difftest.TB, recs []DecisionRecord, spans []Span) {
 	t.Helper()
 	ix, ref := NewDecisionIndex(recs), newRefIndex(recs)
 	for _, sp := range spans {

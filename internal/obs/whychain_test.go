@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+
+	"jaws/internal/oracle/difftest"
 )
 
 const ms = time.Millisecond
@@ -214,67 +215,72 @@ func TestCauseBreakdown(t *testing.T) {
 	}
 }
 
-// TestChainMatchesReferenceRandom holds Chain to the reference over
-// random decision logs: several engines interleaved (each with its own
-// queries, as the join assumes), rounds at equal and increasing times, a
-// query blocked by several edges in one round and by the same edge in
-// many, and spans whose windows start before, inside and after the
-// recorded rounds.
-func TestChainMatchesReferenceRandom(t *testing.T) {
+// replay decodes l into a decision log and the spans of its queries, and
+// holds Chain to the reference on them (DiffChains): several engines
+// interleaved (each with its own queries, as the join assumes), rounds at
+// equal and increasing times, a query blocked by several edges in one
+// round and by the same edge in many, and spans whose windows start
+// before, inside and after the recorded rounds. A byte picks the number of
+// engines, four bytes each query's span; rounds follow to the end of the
+// log.
+func replay(t difftest.TB, l *difftest.Log) {
 	const perEngine = 5
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		engines := 1 + rng.Intn(3)
-		queryIDs := func(engine, n int) []int64 {
-			ids := make([]int64, n)
-			for i := range ids {
-				ids[i] = int64(1 + engine*perEngine + rng.Intn(perEngine))
-			}
-			return ids
+	engines := 1 + l.Intn(3)
+	var spans []Span
+	for q := int64(1); q <= int64(engines*perEngine); q++ {
+		arrival := time.Duration(l.Intn(40)) * ms
+		gated := time.Duration(l.Intn(30)) * ms
+		queued := time.Duration(l.Intn(30)) * ms
+		spans = append(spans, Span{
+			Query: q, Arrival: arrival, Gated: gated, Queued: queued,
+			Done: arrival + gated + queued + time.Duration(l.Intn(20))*ms,
+		})
+	}
+	queryIDs := func(engine, n int) []int64 {
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(1 + engine*perEngine + l.Intn(perEngine))
 		}
-		var recs []DecisionRecord
-		now := make([]time.Duration, engines)
-		for seq := int64(0); seq < int64(20+rng.Intn(60)); seq++ {
-			engine := rng.Intn(engines)
-			now[engine] += time.Duration(rng.Intn(3)) * ms
-			rec := DecisionRecord{
-				Engine: engine, Seq: seq, T: now[engine], Sched: "jaws2",
-				WinnerStep: rng.Intn(4), Urgent: rng.Intn(10) == 0,
-				PendingAtoms: rng.Intn(10),
-			}
-			for step := 0; step < 4; step++ {
-				if rng.Intn(3) > 0 {
-					rec.Steps = append(rec.Steps, DecisionStep{
-						Step: step, Atoms: 1 + rng.Intn(5),
-						MeanUt: float64(rng.Intn(4)), MeanUe: float64(rng.Intn(4)),
-					})
-				}
-			}
-			for a := rng.Intn(3); a > 0; a-- {
-				rec.Chosen = append(rec.Chosen, DecisionAtom{Step: rng.Intn(4), Queries: queryIDs(engine, 1+rng.Intn(3))})
-			}
-			for a := rng.Intn(2); a > 0; a-- {
-				rec.Truncated = append(rec.Truncated, DecisionAtom{Step: rng.Intn(4), Queries: queryIDs(engine, 1+rng.Intn(2))})
-			}
-			for b := rng.Intn(6); b > 0; b-- {
-				q := queryIDs(engine, 1)[0]
-				rec.Blocked = append(rec.Blocked, DecisionEdge{
-					Query: q, Job: q % 3, Seq: int(q % 4),
-					OnJob: rng.Int63n(3), OnSeq: rng.Intn(2), OnQuery: rng.Int63n(perEngine),
+		return ids
+	}
+	var recs []DecisionRecord
+	now := make([]time.Duration, engines)
+	for seq := int64(0); l.More(); seq++ {
+		engine := l.Intn(engines)
+		now[engine] += time.Duration(l.Intn(3)) * ms
+		rec := DecisionRecord{
+			Engine: engine, Seq: seq, T: now[engine], Sched: "jaws2",
+			WinnerStep: l.Intn(4), Urgent: l.Intn(10) == 0,
+			PendingAtoms: l.Intn(10),
+		}
+		for step := 0; step < 4; step++ {
+			if l.Intn(3) > 0 {
+				rec.Steps = append(rec.Steps, DecisionStep{
+					Step: step, Atoms: 1 + l.Intn(5),
+					MeanUt: float64(l.Intn(4)), MeanUe: float64(l.Intn(4)),
 				})
 			}
-			recs = append(recs, rec)
 		}
-		var spans []Span
-		for q := int64(1); q <= int64(engines*perEngine); q++ {
-			arrival := time.Duration(rng.Intn(40)) * ms
-			gated := time.Duration(rng.Intn(30)) * ms
-			queued := time.Duration(rng.Intn(30)) * ms
-			spans = append(spans, Span{
-				Query: q, Arrival: arrival, Gated: gated, Queued: queued,
-				Done: arrival + gated + queued + time.Duration(rng.Intn(20))*ms,
+		for a := l.Intn(3); a > 0; a-- {
+			rec.Chosen = append(rec.Chosen, DecisionAtom{Step: l.Intn(4), Queries: queryIDs(engine, 1+l.Intn(3))})
+		}
+		for a := l.Intn(2); a > 0; a-- {
+			rec.Truncated = append(rec.Truncated, DecisionAtom{Step: l.Intn(4), Queries: queryIDs(engine, 1+l.Intn(2))})
+		}
+		for b := l.Intn(6); b > 0; b-- {
+			q := queryIDs(engine, 1)[0]
+			rec.Blocked = append(rec.Blocked, DecisionEdge{
+				Query: q, Job: q % 3, Seq: int(q % 4),
+				OnJob: int64(l.Intn(3)), OnSeq: l.Intn(2), OnQuery: int64(l.Intn(perEngine)),
 			})
 		}
-		DiffChains(t, recs, spans)
+		recs = append(recs, rec)
 	}
+	DiffChains(t, recs, spans)
+}
+
+// TestChainMatchesReferenceRandom holds Chain to the reference over random
+// logs of 20 to 80 rounds.
+func TestChainMatchesReferenceRandom(t *testing.T) {
+	difftest.Seeds(t, difftest.Gen{First: 1, N: 200, Min: 700, Span: 2100}, replay)
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/query"
 	"jaws/internal/sched"
 	"jaws/internal/store"
@@ -216,12 +217,12 @@ func diffUtilities(name string, opIndex int, real sched.Scheduler, model Model, 
 }
 
 // Shrink reduces a diverging op log to a locally minimal reproducer:
-// first everything after the divergence point is dropped, then single ops
-// are greedily removed while the model and the production scheduler still
-// disagree. Recorded answers are stripped — after surgery the recording
-// no longer corresponds to any real run; the model-vs-real disagreement
-// is the property being preserved. Shrink returns the log unchanged
-// (minus recordings) when the target does not diverge on it.
+// first everything after the divergence point is dropped, then
+// difftest.Shrink removes ops while the model and the production scheduler
+// still disagree. Recorded answers are stripped — after surgery the
+// recording no longer corresponds to any real run; the model-vs-real
+// disagreement is the property being preserved. Shrink returns the log
+// unchanged (minus recordings) when the target does not diverge on it.
 func Shrink(t Target, log *OpLog) *OpLog {
 	cur := &OpLog{Ops: make([]Op, len(log.Ops))}
 	for i, op := range log.Ops {
@@ -232,21 +233,8 @@ func Shrink(t Target, log *OpLog) *OpLog {
 	if d == nil {
 		return cur
 	}
-	if d.OpIndex+1 < len(cur.Ops) {
-		cur.Ops = cur.Ops[:d.OpIndex+1]
-	}
-	for again := true; again; {
-		again = false
-		for i := 0; i < len(cur.Ops); i++ {
-			cand := &OpLog{Ops: make([]Op, 0, len(cur.Ops)-1)}
-			cand.Ops = append(cand.Ops, cur.Ops[:i]...)
-			cand.Ops = append(cand.Ops, cur.Ops[i+1:]...)
-			if Diff(t, cand) != nil {
-				cur = cand
-				again = true
-				i--
-			}
-		}
-	}
+	cur.Ops = difftest.Shrink(cur.Ops[:min(d.OpIndex+1, len(cur.Ops))], func(ops []Op) bool {
+		return Diff(t, &OpLog{Ops: ops}) != nil
+	})
 	return cur
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"jaws/internal/jobgraph"
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/store"
 )
 
@@ -543,12 +544,6 @@ func (g *ModelGraph) detach(c *modelComponent, q jobgraph.Ref) {
 	}
 }
 
-// TB is the part of testing.TB a GatingPair reports through.
-type TB interface {
-	Helper()
-	Fatalf(format string, args ...any)
-}
-
 // GatingPair is the job graph's one differential driver: a production
 // jobgraph.Graph fed through AddJobWithAtoms — the path the engine takes
 // — beside a ModelGraph fed the same jobs, whose sharing test is the
@@ -561,7 +556,7 @@ type GatingPair struct {
 	// graph's own tables, which only its package can read.
 	Check func(*jobgraph.Graph) error
 
-	t     TB
+	t     difftest.TB
 	atoms map[jobgraph.Ref][]store.AtomID
 	// ids lists every job ID ever registered, in first-registration order;
 	// longest holds the most queries each was registered with.
@@ -578,7 +573,7 @@ type edgeRuling struct {
 }
 
 // NewGatingPair returns an empty graph and model that report to t.
-func NewGatingPair(t TB) *GatingPair {
+func NewGatingPair(t difftest.TB) *GatingPair {
 	p := &GatingPair{
 		G:       jobgraph.New(nil),
 		t:       t,

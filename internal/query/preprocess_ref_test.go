@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"jaws/internal/field"
 	"jaws/internal/geom"
 	"jaws/internal/morton"
+	"jaws/internal/oracle/difftest"
 	"jaws/internal/store"
 )
 
@@ -172,35 +172,14 @@ func pointers(subs []SubQuery) []*SubQuery {
 	return out
 }
 
-// splitBothWays splits q into p twice — with the packed key's full room,
-// and with one bit less than q's keys need, which forces the comparator —
-// and checks each against the reference.
-func splitBothWays(t *testing.T, label string, p *Partition, q *Query, space geom.Space) {
+// checkAgainstReference fails unless got is want, the reference's split
+// of q, sub-query for sub-query: atoms in the same key order, the same
+// request indices in the same order (input-order ties included), the same
+// sorted footprints (nil where empty), and each sub-query's slices capped
+// at their length. The indices of each step must be a permutation of
+// 0..n-1: every point answered once.
+func checkAgainstReference(t difftest.TB, label string, q *Query, want, got []*SubQuery) {
 	t.Helper()
-	_, need := layoutFor(space, len(q.Points))
-	if need > packedKeyBits {
-		t.Fatalf("%s: a test query needs %d key bits", label, need)
-	}
-	for _, room := range []int{need - 1, packedKeyBits} {
-		got, err := p.split(q, space, room)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstReference(t, fmt.Sprintf("%s, %d bits of room for %d", label, room, need), q, space, pointers(got))
-	}
-}
-
-// checkAgainstReference fails unless got is what the reference returns for
-// q, sub-query for sub-query: atoms in the same key order, the same request
-// indices in the same order (input-order ties included), the same sorted
-// footprints (nil where empty). The indices of each step must be a
-// permutation of 0..n-1: every point answered once.
-func checkAgainstReference(t *testing.T, label string, q *Query, space geom.Space, got []*SubQuery) {
-	t.Helper()
-	want, err := refPreProcess(q, space)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != len(want) {
 		t.Fatalf("%s (%v, chain %d, %d points): %d sub-queries, reference %d",
 			label, q.Kernel, q.ChainLen(), len(q.Points), len(got), len(want))
@@ -223,8 +202,12 @@ func checkAgainstReference(t *testing.T, label string, q *Query, space geom.Spac
 			seen[x] = true
 			count++
 		}
-		if !reflect.DeepEqual(g, w) {
+		if g.Query != w.Query || g.Atom != w.Atom || !slices.Equal(g.Index, w.Index) ||
+			!slices.Equal(g.Footprint, w.Footprint) || (g.Footprint == nil) != (w.Footprint == nil) {
 			t.Fatalf("%s sub-query %d:\n%+v\nreference\n%+v", label, i, *g, *w)
+		}
+		if cap(g.Index) != len(g.Index) || cap(g.Footprint) != len(g.Footprint) {
+			t.Fatalf("%s, %v: slices not capped at their length", label, g.Atom)
 		}
 	}
 	if count != n {
@@ -243,34 +226,92 @@ var (
 	refKernels = []field.Kernel{field.KernelNone, field.KernelTrilinear, field.KernelLag4, field.KernelLag6, field.KernelLag8}
 )
 
-// PreProcess must return what the reference returns — for every kernel
-// radius, plain and chained, on spaces whose atoms are wider and narrower
-// than the stencil — and leave the query's own points alone.
-func TestPreProcessMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sizes := []int{1, 2, 8, 13, 17, 59, 64, 128, 512, 1000}
-	for trial := 0; trial < 600; trial++ {
-		space := refSpaces[trial%len(refSpaces)]
-		q := &Query{
-			ID:     ID(trial + 1),
-			Step:   rng.Intn(5),
-			Kernel: refKernels[rng.Intn(len(refKernels))],
-			Points: shapedPoints(rng, space, sizes[rng.Intn(len(sizes))], rng.Intn(6)),
+// replay decodes l into queries split by one to three Partitions that
+// carve from one Runs, and holds every result to the reference. A header
+// picks the number of partitions, which of them are Reset before each
+// split (as the engine resets a frame), the space and a seed for the
+// points' rng. Each query reads its partition, size (up to 32 points in
+// the lower half of two bytes' range, up to 2 000 in the upper), shape,
+// kernel, chain length and first step. It goes through PreProcess, which
+// must leave its points alone, and through its partition with the packed
+// key's full room and with one bit less than its keys need, which forces
+// the comparator; then every partition's last result must still be the
+// reference's, so no run carved for one overlaps another's.
+func replay(t difftest.TB, l *difftest.Log) {
+	ps := make([]Partition, 1+l.Intn(3))
+	frames := l.Intn(8) // bit k: partition k is Reset before each split
+	space := refSpaces[l.Intn(len(refSpaces))]
+	rng := rand.New(rand.NewSource(int64(l.Intn(1 << 16))))
+	var runs Runs
+	for i := range ps {
+		ps[i] = NewPartition(&runs)
+	}
+	type split struct {
+		q    *Query
+		want []*SubQuery
+	}
+	last := make([]split, len(ps))
+	for n := 0; l.More(); n++ {
+		k, size := l.Intn(len(ps)), l.Intn(1<<16)
+		points := 1 + size%32
+		if size >= 1<<15 {
+			points = 1 + size%2000
 		}
-		if trial%2 == 1 {
-			q.DerivSteps = 2 + rng.Intn(7)
+		q := &Query{ID: ID(n + 1), Points: shapedPoints(rng, space, points, l.Intn(4))}
+		q.Kernel, q.DerivSteps, q.Step = refKernels[l.Intn(len(refKernels))], 1+l.Intn(8), l.Intn(5)
+		if q.DerivSteps == 1 {
+			q.DerivSteps = 0
 		}
-		input := append([]geom.Position(nil), q.Points...)
+		want, err := refPreProcess(q, space)
+		if err != nil {
+			t.Fatalf("query %d: %v", n, err)
+		}
+		input := slices.Clone(q.Points)
 		got, err := PreProcess(q, space)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("query %d: %v", n, err)
 		}
-		if !reflect.DeepEqual(q.Points, input) {
-			t.Fatalf("trial %d: PreProcess reordered the query's own points", trial)
+		if !slices.Equal(q.Points, input) {
+			t.Fatalf("query %d: PreProcess reordered the query's own points", n)
 		}
-		checkAgainstReference(t, fmt.Sprintf("trial %d", trial), q, space, got)
-		splitBothWays(t, fmt.Sprintf("trial %d", trial), new(Partition), q, space)
+		checkAgainstReference(t, fmt.Sprintf("query %d, PreProcess", n), q, want, got)
+
+		// Reset leaves a frame's arrays in place and no reference to any
+		// query in them.
+		if frames>>k&1 == 1 {
+			ps[k].Reset()
+			for i, sq := range ps[k].subs[:cap(ps[k].subs)] {
+				if sq.Query != nil {
+					t.Fatalf("query %d: partition %d's record %d still points at query %d after Reset", n, k, i, sq.Query.ID)
+				}
+			}
+		}
+		_, need := layoutFor(space, len(q.Points))
+		if need > packedKeyBits {
+			t.Fatalf("query %d needs %d key bits", n, need)
+		}
+		for _, room := range []int{need - 1, packedKeyBits} {
+			subs, err := ps[k].split(q, space, room)
+			if err != nil {
+				t.Fatalf("query %d: %v", n, err)
+			}
+			checkAgainstReference(t, fmt.Sprintf("query %d, partition %d, %d bits of room for %d", n, k, room, need), q, want, pointers(subs))
+		}
+		last[k] = split{q, want}
+		for j, s := range last {
+			if s.q != nil && j != k {
+				checkAgainstReference(t, fmt.Sprintf("partition %d's query %d after query %d", j, s.q.ID-1, n), s.q, s.want, pointers(ps[j].subs))
+			}
+		}
 	}
+}
+
+// PreProcess and one Partition must return what the reference returns —
+// for every kernel radius, plain and chained, on spaces whose atoms are
+// wider and narrower than the stencil — on short random logs of one
+// partition.
+func TestPreProcessMatchesReference(t *testing.T) {
+	difftest.Seeds(t, difftest.Gen{First: 1, N: 80, Head: []byte{0}, Min: 20, Span: 50}, replay)
 }
 
 // The packed key orders exactly as the three-field key does, at the widths
@@ -348,113 +389,48 @@ func TestSortPackedMatchesSort(t *testing.T) {
 	}
 }
 
-// reuseQuery draws the n-th query of a Partition's life: 1 to 2 000
-// points (faces, the periodic seam, ties: randomPoints), any kernel, a
-// chain of 1 to 8 steps.
-func reuseQuery(rng *rand.Rand, space geom.Space, n, points int) *Query {
-	q := &Query{
-		ID:     ID(n + 1),
-		Step:   rng.Intn(5),
-		Kernel: refKernels[rng.Intn(len(refKernels))],
-		Points: randomPoints(rng, space, points),
-	}
-	if chain := 1 + rng.Intn(8); chain > 1 {
-		q.DerivSteps = chain
-	}
-	return q
-}
-
 // Partitions refilled query after query must return what a fresh one
-// returns every time: nothing of an earlier, larger or chained query may
-// show in a later one. Three partitions carve from one Runs, their splits
-// interleaved, and each one's last result must still be the reference's
-// after the others have split: no run carved for one overlaps another's.
+// returns every time: three partitions carve from one Runs, their splits
+// interleaved, on longer random logs.
 func TestPartitionReuseMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	sizes := []int{2000, 1, 8, 700, 3, 64, 1999, 2, 512, 13}
-	for si, space := range refSpaces {
-		var runs Runs
-		ps := []Partition{NewPartition(&runs), NewPartition(&runs), NewPartition(&runs)}
-		last := make([]*Query, len(ps))
-		for n := 0; n < 60; n++ {
-			k := n % len(ps)
-			// Reset, called before a frame's next query as the engine calls
-			// it, leaves the arrays in place and no reference to any query in
-			// them.
-			ps[k].Reset()
-			if n%10 == 9 {
-				for i, sq := range ps[k].subs[:cap(ps[k].subs)] {
-					if sq.Query != nil {
-						t.Fatalf("space %d: record %d still points at query %d after Reset", si, i, sq.Query.ID)
-					}
-				}
-			}
-			last[k] = reuseQuery(rng, space, n, sizes[n%len(sizes)])
-			if _, err := ps[k].Split(last[k], space); err != nil {
-				t.Fatal(err)
-			}
-			for j, q := range last {
-				if q != nil {
-					checkSplit(t, fmt.Sprintf("space %d query %d, partition %d after query %d", si, q.ID-1, j, n), q, space, ps[j].subs)
-				}
-			}
-		}
-	}
+	difftest.Seeds(t, difftest.Gen{First: 1, N: 10, Head: []byte{2}, Min: 250, Span: 300}, replay)
 }
 
-// checkSplit holds a partition's last split to the reference, and each
-// sub-query's slices capped at their length.
-func checkSplit(t *testing.T, label string, q *Query, space geom.Space, subs []SubQuery) {
-	t.Helper()
-	checkAgainstReference(t, label, q, space, pointers(subs))
-	for _, sq := range subs {
-		if cap(sq.Index) != len(sq.Index) || cap(sq.Footprint) != len(sq.Footprint) {
-			t.Fatalf("%s, %v: slices not capped at their length", label, sq.Atom)
-		}
-	}
-}
-
-// FuzzPartitionReuse drives the same comparison from fuzzed sizes: two or
-// three partitions carving from one Runs each serve three queries in a row,
-// of sizes a, b and c, their splits interleaved. The fuzzer chooses the
-// space, the number of partitions and how large each query is — up to 32
-// points for the lower half of a size's range and up to 2 000 for the
-// upper, so that most executions are cheap — and the shape of each
-// (shuffled, in partition order, reversed, one position n times), each
-// split with the packed key and with the comparator. After every split,
-// each partition's last result must still be the reference's.
+// FuzzPartitionReuse replays fuzzed logs through the same decoder. Each
+// seed runs two or three partitions, each serving three queries in a row
+// while the partitions interleave, so that it regrows and shrinks: a
+// query is seven bytes, partition, size (two bytes: 0x8000 + n − 1 for
+// n > 32 points), shape, kernel, chain, step.
 func FuzzPartitionReuse(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint16(1<<15+1999), uint16(0), uint16(7))
-	f.Add(int64(2), uint8(2), uint16(2), uint16(1<<15+1500), uint16(1))
-	f.Add(int64(3), uint8(3), uint16(31), uint16(31), uint16(1<<16-1))
-	f.Add(int64(4), uint8(4), uint16(16), uint16(1<<15+58), uint16(1<<15+127))
-	f.Add(int64(5), uint8(6), uint16(1<<15+700), uint16(3), uint16(1<<15+900))
-	f.Fuzz(func(t *testing.T, seed int64, spaceIdx uint8, a, b, c uint16) {
-		rng := rand.New(rand.NewSource(seed))
-		space := refSpaces[int(spaceIdx)%len(refSpaces)]
-		var runs Runs
-		ps := make([]Partition, 2+int(spaceIdx)/len(refSpaces)%2)
-		for i := range ps {
-			ps[i] = NewPartition(&runs)
-		}
-		last := make([]*Query, len(ps))
-		for n := 0; n < 3*len(ps); n++ {
-			size := []uint16{a, b, c}[n/len(ps)]
-			points := 1 + int(size)%32
-			if size >= 1<<15 {
-				points = 1 + int(size)%2000
-			}
-			q := reuseQuery(rng, space, n, points)
-			q.Points = shapedPoints(rng, space, points, int(size>>5)%6)
-			k := n % len(ps)
-			splitBothWays(t, fmt.Sprintf("query %d", n), &ps[k], q, space)
-			last[k] = q
-			for j, lq := range last {
-				if lq != nil {
-					checkSplit(t, fmt.Sprintf("partition %d after query %d", j, n), lq, space, ps[j].subs)
-				}
-			}
-		}
+	// 128/32 space: 2 000 → 1 → 8 points.
+	f.Add([]byte{1, 0, 1, 0, 1,
+		0, 0x87, 0xcf, 0, 2, 0, 0, 1, 0x87, 0xcf, 0, 2, 0, 0,
+		0, 0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0,
+		0, 0, 7, 0, 2, 0, 0, 1, 0, 7, 0, 2, 0, 0})
+	// 16/2 space: 3 → 1 501 (reversed) → 2 points, a three-step chain.
+	f.Add([]byte{1, 0, 2, 0, 2,
+		0, 0, 2, 0, 3, 2, 1, 1, 0, 2, 0, 3, 2, 1,
+		0, 0x85, 0xdc, 2, 3, 2, 1, 1, 0x85, 0xdc, 2, 3, 2, 1,
+		0, 0, 1, 0, 3, 2, 1, 1, 0, 1, 0, 3, 2, 1})
+	// 8/8 space: 32 → 32 → 1 536 points (in partition order).
+	f.Add([]byte{1, 0, 3, 0, 3,
+		0, 0, 31, 0, 1, 0, 2, 1, 0, 31, 0, 1, 0, 2,
+		0, 0, 31, 0, 1, 0, 2, 1, 0, 31, 0, 1, 0, 2,
+		0, 0xff, 0xff, 1, 1, 0, 2, 1, 0xff, 0xff, 1, 1, 0, 2})
+	// 96/24 space: 17 → 59 → 128 points (in partition order), eight-step chains.
+	f.Add([]byte{1, 0, 4, 0, 4,
+		0, 0, 16, 0, 4, 7, 3, 1, 0, 16, 0, 4, 7, 3,
+		0, 0x80, 0x3a, 0, 4, 7, 3, 1, 0x80, 0x3a, 0, 4, 7, 3,
+		0, 0x80, 0x7f, 1, 4, 7, 3, 1, 0x80, 0x7f, 1, 4, 7, 3})
+	// 64/16 space, three partitions: 701 → 4 → 901 points.
+	f.Add([]byte{2, 0, 1, 0, 5,
+		0, 0x82, 0xbc, 0, 2, 1, 4, 1, 0x82, 0xbc, 0, 2, 1, 4, 2, 0x82, 0xbc, 0, 2, 1, 4,
+		0, 0, 3, 3, 2, 1, 4, 1, 0, 3, 3, 2, 1, 4, 2, 0, 3, 3, 2, 1, 4,
+		0, 0x83, 0x84, 0, 2, 1, 4, 1, 0x83, 0x84, 0, 2, 1, 4, 2, 0x83, 0x84, 0, 2, 1, 4})
+	f.Fuzz(func(t *testing.T, log []byte) {
+		// A query costs a reference split: bound the log to the header and
+		// nine queries, as many as a seed holds.
+		replay(t, difftest.NewLog(log[:min(len(log), 5+9*7)]))
 	})
 }
 
