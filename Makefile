@@ -152,12 +152,12 @@ check-prop:
 ## edge, an ordered job's arrival and first dispatch nothing more, a held
 ## query's gate re-check and the event list nothing) — and the in-repo twin
 ## of the wall-clock benchmark's replay-cold allocation figures: one Run of
-## the BENCH_main.json trace allocates at most 0.449 objects and 0.686 KiB
-## per query, and nothing of it stays reachable from the System — and its
-## replay-warm twins: a warm System's second Run allocates at most 0.445
-## objects per query, and a warm System holds at most 139.7 B per resident atom
-## (10 % over the 127.0 measured with 24 B handles) and, evaluating no
-## kernel, no phase table — and
+## the BENCH_main.json trace stays within TestRunAllocBudget's per-query
+## budget, and nothing of it stays reachable from the System — and its
+## replay-warm twins: a warm System's second Run stays within
+## TestWarmRunAllocBudget's, and a warm System within
+## TestWarmSystemHeldBytes' bytes per resident atom and, evaluating no
+## kernel, holds no phase table — and
 ## opening a store allocates the same at 1 step as at 31: an atom's extent
 ## is arithmetic on its (step, Morton) key, so nothing is built per atom;
 ## opening a System allocates the same bytes at a 256-atom cache as at a
@@ -215,8 +215,8 @@ bench-field:
 
 ## profile-replay: CPU and allocation profiles of the replay-cold workload's
 ## body (BenchmarkReplayCold: 20 replays of the BENCH_main.json trace, fresh
-## system each), printed cumulative — the profile tables of EXPERIMENTS.md in
-## one command (two runs: recording every allocation would bend the CPU
+## system each), printed cumulative — the per-site tables behind EXPERIMENTS.md
+## "Per-query storage" in one command (two runs: recording every allocation would bend the CPU
 ## profile; the object counts are per 3 replays, one of them b.N's probe).
 ## Both tables are focused on System.Run, what allocs_per_query measures,
 ## and give percentages of it: a profile records the trace generator's work

@@ -11,8 +11,8 @@
 //	jawsbench -exp fig11 -format csv > fig11.csv
 //
 // The mapping from experiment IDs to paper results is documented in
-// DESIGN.md §4; measured-versus-paper shapes are recorded in
-// EXPERIMENTS.md.
+// DESIGN.md §4; measured-versus-paper shapes are recorded in the first
+// part of EXPERIMENTS.md.
 //
 // Benchmark trajectory mode (DESIGN.md §11) sidesteps the experiment
 // tables and writes a versioned, byte-deterministic BENCH_*.json artifact:

@@ -26,9 +26,8 @@ func report(t *testing.T, fixture string) (string, error) {
 	return out.String(), err
 }
 
-// TestStreamSections holds the report to what cmd/tracestat printed for the
-// same fixtures: its goldens, minus their header and integrity lines, must
-// appear in the report byte for byte.
+// TestStreamSections holds the report's event-stream sections to their
+// goldens: each must appear in the report byte for byte.
 func TestStreamSections(t *testing.T) {
 	for _, name := range []string{"trace", "truncated"} {
 		t.Run(name, func(t *testing.T) {

@@ -44,7 +44,8 @@ func TestEngineInvariantsAcrossSchedulers(t *testing.T) {
 		}},
 		{"qos", true, func(c *cache.Cache) sched.Scheduler {
 			inner := sched.NewJAWS(sched.JAWSConfig{Cost: testCost, BatchSize: 4, Resident: c.Contains})
-			return sched.NewQoS(inner, testCost, 4, time.Second)
+			sched.NewQoS(inner, testCost, 4, time.Second)
+			return inner
 		}},
 	}
 

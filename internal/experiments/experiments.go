@@ -5,7 +5,8 @@
 //
 // Absolute numbers differ from the paper (the substrate is a simulator,
 // not the 2010 testbed); the shapes under test — who wins, by roughly what
-// factor, where the crossovers fall — are recorded in EXPERIMENTS.md.
+// factor, where the crossovers fall — are recorded in EXPERIMENTS.md's
+// paper-versus-measured part.
 package experiments
 
 import (

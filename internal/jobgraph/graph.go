@@ -141,15 +141,13 @@ type Graph struct {
 	// program's A side — columns: the other job's); blockAt[slot] is 1 +
 	// the start of that partner's matrix, 0 while untouched, and partners
 	// lists the touched slots. cands spans pairs, one span per partner with
-	// a non-empty alignment. touched lists the components whose membership
-	// the merge changed.
+	// a non-empty alignment.
 	al       Aligner
 	bits     []uint64
 	blockAt  []int32
 	partners []int32
 	cands    []cand
 	pairs    []Pair
-	touched  []int32
 
 	// admitEdge's scratch: the would-be combined membership, and the
 	// one-member lists standing in for queries not yet in a component.
@@ -255,19 +253,13 @@ func (g *Graph) AddJobWithAtoms(id int64, atoms [][]store.AtomID) error {
 		j.atoms = append(j.atoms, as...)
 		j.q[s].atomEnd = int32(len(j.atoms))
 	}
-	g.touched = g.touched[:0]
 	g.mergeJob(slot)
-	// Incremental propagation: the only queries the registration can have
-	// made promotable are the new job's first query (born Ready) and the
-	// Ready members of components whose membership just changed. Promoting
-	// a Ready query to Queue never enables further promotions (gating only
-	// requires partners to have reached Ready), so one pass suffices.
+	// The only query the registration can have made promotable is the new
+	// job's first, born Ready. A merge only adds members to a component,
+	// and promote needs every member to have reached Ready, so a component
+	// that was not satisfied before the merge is not satisfied after it;
+	// one that was had its Ready members promoted then.
 	g.promote(slot, 0)
-	for _, c := range g.touched {
-		for _, m := range g.comps[c].members {
-			g.promote(m.slot, m.seq)
-		}
-	}
 	return nil
 }
 
@@ -525,7 +517,6 @@ func (g *Graph) admitEdge(u, v member) bool {
 	for _, m := range all {
 		g.vert(m).comp = keep
 	}
-	g.touched = append(g.touched, keep)
 	g.admitted++
 	if g.obs != nil {
 		g.obs(true, u.ref(), v.ref())

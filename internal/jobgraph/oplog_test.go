@@ -1,6 +1,7 @@
 package jobgraph_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -28,8 +29,10 @@ const (
 // At the end both are drained side by side (oracle.CheckDeadlockFree): the
 // graphs must agree and finish, Fig. 4's guarantee. crossings is how many
 // edges the model refused by its crossing scan, which Graph does not have.
+//
+// The head byte picks the jobs' lengths (jobLengths).
 func replay(t difftest.TB, l *difftest.Log) (adds, pruned, crossings int) {
-	l.Byte() // a header byte no op reads: committed logs keep their alignment
+	lens := jobLengths(l.Byte())
 	p := oracle.NewGatingPair(t)
 	p.Check = jobgraph.CheckGraph
 	for l.More() {
@@ -37,7 +40,7 @@ func replay(t difftest.TB, l *difftest.Log) (adds, pruned, crossings int) {
 		id := int64(op>>3)%opsMaxJobID + 1
 		switch {
 		case op%8 < 2: // register
-			n := int(l.Byte()&15)%opsMaxLen + 1
+			n := lens.of(l.Byte())
 			if adds == opsMaxAdds {
 				continue
 			}
@@ -64,7 +67,7 @@ func replay(t difftest.TB, l *difftest.Log) (adds, pruned, crossings int) {
 				p.Serve(ready[int(op>>3&7)%len(ready)])
 			}
 		case op%8 == 6: // a query reaches the scheduler
-			p.Arrive(jobgraph.Ref{Job: id, Seq: int(l.Byte()) % opsMaxLen})
+			p.Arrive(jobgraph.Ref{Job: id, Seq: int(l.Byte()) % lens.hi})
 		default:
 			pruned += p.Prune()
 		}
@@ -76,10 +79,51 @@ func replay(t difftest.TB, l *difftest.Log) (adds, pruned, crossings int) {
 	return adds, pruned, crossings
 }
 
+// lengths is the range of job lengths an op log registers.
+type lengths struct{ lo, hi int }
+
+// jobLengths reads a log's head byte. A head of 64 registers jobs of 33–64
+// queries, whose share-matrix rows fill a word's upper half, and 130 jobs
+// of 65–130, whose rows span words. Every other head registers jobs of
+// 1–opsMaxLen queries; no seeded log of TestGraphMatchesReference and no
+// committed fuzz seed starts with 64 or 130, so those logs decode as they
+// were written.
+func jobLengths(head byte) lengths {
+	switch head {
+	case 64:
+		return lengths{33, 64}
+	case 130:
+		return lengths{65, 130}
+	}
+	return lengths{1, opsMaxLen}
+}
+
+// of decodes a register op's length byte.
+func (r lengths) of(b byte) int {
+	if r.hi == opsMaxLen {
+		return int(b&15)%opsMaxLen + 1
+	}
+	return r.lo + int(b)%(r.hi-r.lo+1)
+}
+
 // The dense-table graph must be indistinguishable from the oracle's model
 // over random op logs: both merge orders, completions, arrivals and prunes
-// between registrations.
+// between registrations, on short jobs and on jobs long enough that a
+// share-matrix row reaches past bit 31 or spans words.
 func TestGraphMatchesReference(t *testing.T) {
+	for _, head := range []byte{64, 130} {
+		t.Run(fmt.Sprintf("head=%d", head), func(t *testing.T) {
+			const logs = 4
+			adds := 0
+			difftest.Seeds(t, difftest.Gen{N: logs, Head: []byte{head}, Min: 400, Span: 200}, func(t difftest.TB, l *difftest.Log) {
+				a, _, _ := replay(t, l)
+				adds += a
+			})
+			if adds < 2*logs {
+				t.Fatalf("%d long-job logs registered only %d jobs: too few to share", logs, adds)
+			}
+		})
+	}
 	seeds := 200
 	if testing.Short() {
 		seeds = 60

@@ -124,14 +124,16 @@ func TestDecisionPathZeroAllocs(t *testing.T) {
 			inner.SetResidencyVersion(version)
 			// Default stretch: deadlines land inside the horizon, so the
 			// urgent EDF path is the one measured.
-			return NewQoS(inner, testCost, 0, 0)
+			NewQoS(inner, testCost, 0, 0)
+			return inner
 		}},
 		{"JAWS+QoS-fallthrough", func() Scheduler {
 			inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, Resident: resident})
 			inner.SetResidencyVersion(version)
 			// Enormous stretch: nothing is ever urgent, so the inner JAWS
 			// path runs through the QoS bookkeeping.
-			return NewQoS(inner, testCost, 1e9, time.Nanosecond)
+			NewQoS(inner, testCost, 1e9, time.Nanosecond)
+			return inner
 		}},
 		{"JAWS+gate-aware", func() Scheduler {
 			inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 3, Resident: resident})
@@ -199,7 +201,8 @@ func TestDecisionPathZeroAllocs(t *testing.T) {
 				}
 				return GateFree
 			})
-			return NewQoS(inner, testCost, 0.1, time.Millisecond)
+			NewQoS(inner, testCost, 0.1, time.Millisecond)
+			return inner
 		}},
 	}
 	workloads := []struct {

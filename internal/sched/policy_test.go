@@ -147,7 +147,9 @@ func TestWrapComposition(t *testing.T) {
 			t.Errorf("%s: a hook went missing: gate=%v steer=%v qos=%v", s.Name(), s.gate, s.steer, s.qos)
 		}
 	}
-	if plain := NewQoS(build(), testCost, 4, time.Second); plain.Name() != "JAWS+QoS" {
+	plain := build()
+	NewQoS(plain, testCost, 4, time.Second)
+	if plain.Name() != "JAWS+QoS" {
 		t.Errorf("QoS alone names %q, want JAWS+QoS", plain.Name())
 	}
 }

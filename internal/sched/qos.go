@@ -6,13 +6,13 @@ import (
 	"jaws/internal/query"
 )
 
-// QoS implements the quality-of-service direction sketched in the paper's
-// discussion (§VII): "predictable and fair completion time guarantees
-// that are proportional to query size (e.g. short queries are delayed
-// less than long queries). We observe that even with real-time
-// constraints that bound the completion time of queries, there is still
-// elasticity in the workload that permits the reordering of queries to
-// exploit data sharing."
+// qosPass is the state of the urgent pre-pass, the quality-of-service
+// direction sketched in the paper's discussion (§VII): "predictable and
+// fair completion time guarantees that are proportional to query size
+// (e.g. short queries are delayed less than long queries). We observe that
+// even with real-time constraints that bound the completion time of
+// queries, there is still elasticity in the workload that permits the
+// reordering of queries to exploit data sharing."
 //
 // Each query receives a deadline proportional to its estimated service
 // time: deadline = arrival + Stretch × (atoms·T_b + positions·T_m). The
@@ -21,15 +21,6 @@ import (
 // sub-query's deadline falls within the look-ahead horizon, the atoms
 // those urgent sub-queries need are scheduled first, earliest deadline
 // first: the urgent pre-pass of the JAWS selector.
-//
-// QoS is a handle on the JAWS scheduler the pre-pass was installed on: it
-// schedules exactly as that scheduler does (every method is the embedded
-// one) and adds the deadline verdicts.
-type QoS struct {
-	*JAWS
-}
-
-// qosPass is the state of the urgent pre-pass.
 type qosPass struct {
 	cost CostModel
 	// stretch is the proportionality factor between a query's isolated
@@ -50,10 +41,10 @@ type qosPass struct {
 }
 
 // NewQoS installs proportional completion-time guarantees on a JAWS
-// scheduler and returns the handle. A zero cost means DefaultCost();
-// stretch ≤ 0 defaults to 8 (a query may take 8× its isolated service
-// time); horizon ≤ 0 defaults to 2 s of virtual time.
-func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration) *QoS {
+// scheduler; its deadline verdicts are DeadlineMisses. A zero cost means
+// DefaultCost(); stretch ≤ 0 defaults to 8 (a query may take 8× its
+// isolated service time); horizon ≤ 0 defaults to 2 s of virtual time.
+func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration) {
 	if cost == (CostModel{}) {
 		cost = DefaultCost()
 	}
@@ -71,7 +62,6 @@ func NewQoS(inner *JAWS, cost CostModel, stretch float64, horizon time.Duration)
 		pendingCnt: make(map[query.ID]int),
 	}
 	inner.name += "+QoS"
-	return &QoS{inner}
 }
 
 // DeadlineMisses reports how many queries had their final atom served

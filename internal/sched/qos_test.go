@@ -9,9 +9,10 @@ import (
 	"jaws/internal/query"
 )
 
-func newQoSForTest(stretch float64, horizon time.Duration) *QoS {
-	inner := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 4, InitialAlpha: 0})
-	return NewQoS(inner, testCost, stretch, horizon)
+func newQoSForTest(stretch float64, horizon time.Duration) *JAWS {
+	s := NewJAWS(JAWSConfig{Cost: testCost, BatchSize: 4, InitialAlpha: 0})
+	NewQoS(s, testCost, stretch, horizon)
+	return s
 }
 
 func TestQoSDefaults(t *testing.T) {
@@ -25,8 +26,9 @@ func TestQoSDefaults(t *testing.T) {
 	// A zero cost model means the default, to the deadlines and to the
 	// atom queues alike.
 	inner := NewJAWS(JAWSConfig{BatchSize: 4})
-	if z := NewQoS(inner, CostModel{}, 0, 0); z.qos.cost != DefaultCost() || inner.q.cost != DefaultCost() {
-		t.Fatalf("zero cost: QoS scores with %+v, the queues with %+v; want %+v", z.qos.cost, inner.q.cost, DefaultCost())
+	NewQoS(inner, CostModel{}, 0, 0)
+	if inner.qos.cost != DefaultCost() || inner.q.cost != DefaultCost() {
+		t.Fatalf("zero cost: QoS scores with %+v, the queues with %+v; want %+v", inner.qos.cost, inner.q.cost, DefaultCost())
 	}
 }
 
@@ -210,19 +212,19 @@ func TestQoSComposesWithTailPolicies(t *testing.T) {
 		GateAware:     &GateAwareParams{Discount: 0.5, Boost: 2},
 		AdaptiveBatch: &AdaptiveBatchParams{Min: 1, Max: 4, Grow: 1, Shrink: 1, Full: 1, Idle: 1},
 	}.Wrap(inner)
-	q := NewQoS(inner, testCost, 1, time.Second)
-	q.SetExplain(true)
+	NewQoS(inner, testCost, 1, time.Second)
+	inner.SetExplain(true)
 	inner.SetGateSource(func(id query.ID) GateState { return GateBlocked })
 
 	// Four overdue atoms against k = 2: an urgent round, two atoms left over.
 	for a := uint32(0); a < 4; a++ {
 		sq := subQueryAt(query.ID(a+1), 0, a, 0, 0, 40)
-		q.Enqueue(sq, time.Hour)
+		inner.Enqueue(sq, time.Hour)
 	}
-	if got := q.NextBatch(time.Hour); len(got) != 2 {
+	if got := inner.NextBatch(time.Hour); len(got) != 2 {
 		t.Fatalf("urgent round served %d atoms, want k = 2", len(got))
 	}
-	exp := q.LastExplain()
+	exp := inner.LastExplain()
 	if !exp.Urgent || len(exp.Truncated) != 0 {
 		t.Fatalf("urgent round capture: urgent=%v truncated=%d, want true/0", exp.Urgent, len(exp.Truncated))
 	}
@@ -234,7 +236,7 @@ func TestQoSComposesWithTailPolicies(t *testing.T) {
 	if inner.k != 1 {
 		t.Fatalf("k after one urgent round = %d, want 1 (one idle round)", inner.k)
 	}
-	if q.DeadlineMisses() != 2 {
-		t.Fatalf("DeadlineMisses = %d, want the 2 overdue queries served", q.DeadlineMisses())
+	if inner.DeadlineMisses() != 2 {
+		t.Fatalf("DeadlineMisses = %d, want the 2 overdue queries served", inner.DeadlineMisses())
 	}
 }

@@ -58,14 +58,13 @@ func poolDrops() bool {
 
 // TestRunAllocBudget is the in-repo twin of the benchmark's
 // allocs_per_query and alloc_kb_per_query on replay-cold: one Run of the
-// trace on a fresh system allocates at most 0.449 objects and 0.686 KiB per
-// query — the 0.440 and 0.647 measured when frames and atom-queue lists
-// came to carve their first arrays from the engine's and the scheduler's
-// chunks, plus the benchmark's 2 % and 6 % bounds (0.846 and 0.665 before;
-// 1.59 and 0.99 before the frame and atom-queue slabs). The counts that
-// must not move with it ride along: the run reads, hits, evicts and gates
-// exactly as BENCH_main.json's.
+// trace on a fresh system allocates at most coldObjects objects and
+// coldKiB KiB per query. The counts that must not move with it ride along:
+// the run reads, hits, evicts and gates exactly as BENCH_main.json's.
 func TestRunAllocBudget(t *testing.T) {
+	// The 0.440 objects and 0.647 KiB measured with the engine path's
+	// arena, plus the benchmark's 2 % and 6 % bounds.
+	const coldObjects, coldKiB = 0.449, 0.686
 	if poolDrops() {
 		t.Skip("sync.Pool drops Puts (race detector): the budget assumes the pooled scratch comes back")
 	}
@@ -86,8 +85,8 @@ func TestRunAllocBudget(t *testing.T) {
 	objects := float64(m1.Mallocs-m0.Mallocs) / queries
 	kib := float64(m1.TotalAlloc-m0.TotalAlloc) / 1024 / queries
 	t.Logf("%.3f objects and %.3f KiB per query", objects, kib)
-	if objects > 0.449 || kib > 0.686 {
-		t.Errorf("Run allocates %.3f objects and %.3f KiB per query, want at most 0.449 and 0.686", objects, kib)
+	if objects > coldObjects || kib > coldKiB {
+		t.Errorf("Run allocates %.3f objects and %.3f KiB per query, want at most %.3f and %.3f", objects, kib, coldObjects, coldKiB)
 	}
 	c := rep.CacheStats
 	if c.Misses != 6432 || c.Hits != 14714 || c.Evictions != 6304 {
@@ -100,11 +99,11 @@ func TestRunAllocBudget(t *testing.T) {
 
 // TestWarmRunAllocBudget is TestRunAllocBudget's twin on replay-warm: the
 // second Run of a System whose cache the first filled reads nothing, so
-// what it allocates is admission, pre-processing and scheduling. It
-// allocates at most 0.445 objects per query, 2 % over the 0.436 measured
-// when frames and atom-queue lists came to carve their first arrays from
-// chunks (0.902 before).
+// what it allocates is admission, pre-processing and scheduling: at most
+// warmObjects objects per query.
 func TestWarmRunAllocBudget(t *testing.T) {
+	// The 0.436 measured with the engine path's arena, plus 2 %.
+	const warmObjects = 0.445
 	if poolDrops() {
 		t.Skip("sync.Pool drops Puts (race detector): the budget assumes the pooled scratch comes back")
 	}
@@ -128,8 +127,8 @@ func TestWarmRunAllocBudget(t *testing.T) {
 	}
 	objects := float64(m1.Mallocs-m0.Mallocs) / queries
 	t.Logf("%.3f objects per query", objects)
-	if objects > 0.445 {
-		t.Errorf("a warm Run allocates %.3f objects per query, want at most 0.445", objects)
+	if objects > warmObjects {
+		t.Errorf("a warm Run allocates %.3f objects per query, want at most %.3f", objects, warmObjects)
 	}
 }
 
@@ -196,8 +195,7 @@ func TestOpenIndependentOfCacheCapacity(t *testing.T) {
 // last Report keeps on the heap, per atom resident in its cache — the
 // atoms' handles and cache entries are most of it. The System is opened,
 // warmed by one Run and run twice more, as the benchmark does; its heap
-// then holds at most 10 % more than the bytes per resident atom measured
-// when the handle shrank to 24 B. The run evaluates no kernel, so no fill
+// then holds at most heldPerAtom bytes per resident atom. The run evaluates no kernel, so no fill
 // ever ran and the atoms' geometry built no phase table: the heap profile
 // shows no allocation in field.Geometry.phases, which builds the tables,
 // and does show the handles' own (field.Geometry.FrameInto).
@@ -232,9 +230,10 @@ func TestWarmSystemHeldBytes(t *testing.T) {
 	}
 	perAtom := float64(held) / float64(resident)
 	t.Logf("a warm System holds %d B: %.1f B per resident atom", held, perAtom)
-	const measured = 127.0
-	if perAtom > 1.1*measured {
-		t.Errorf("a warm System holds %.1f B per resident atom, want at most %.1f (10 %% over the %.1f measured)", perAtom, 1.1*measured, measured)
+	// The 127.0 B measured with 24-byte atom handles, plus 10 %.
+	const heldPerAtom = 139.7
+	if perAtom > heldPerAtom {
+		t.Errorf("a warm System holds %.1f B per resident atom, want at most %.1f", perAtom, heldPerAtom)
 	}
 
 	// The heap profile, published by the collections above.

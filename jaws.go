@@ -19,7 +19,7 @@
 //	fmt.Printf("%.2f queries/sec\n", report.ThroughputQPS)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// paper-versus-measured record and what each mechanism costs.
 package jaws
 
 import (

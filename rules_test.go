@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -44,6 +45,25 @@ func TestOneReportingTier(t *testing.T) {
 	}
 	for _, f := range reportingRule(l, reportingBinaries) {
 		t.Errorf("%s: %s %s", f.pos, f.sym, f.why)
+	}
+}
+
+// experimentsBudget caps EXPERIMENTS.md, which grows by accretion. It holds
+// the paper's figures and one section per mechanism — method, latest
+// figure, pins, what was dropped; a change's before-and-after numbers go to
+// its CHANGES.md entry.
+const experimentsBudget = 60_000
+
+// TestDocumentBudgets fails when EXPERIMENTS.md outgrows its budget.
+func TestDocumentBudgets(t *testing.T) {
+	fi, err := os.Stat("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > experimentsBudget {
+		t.Errorf("EXPERIMENTS.md is %d B, over its %d B budget: it reports findings by mechanism, not by change; "+
+			"per-change before-and-after numbers belong in CHANGES.md, and a mechanism's section keeps only its latest figure",
+			fi.Size(), experimentsBudget)
 	}
 }
 
