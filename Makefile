@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench-field profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
+.PHONY: check check-assembly check-reporting check-fma check-surface fmt-check check-oracle check-prop check-mutants check-allocs check-artifacts build vet test race race-obs fuzz-smoke bench-sched bench-field profile-replay profile-serve bench bench-wall bench-wall-compare e2e-serve lint
 
 ## check: everything CI should gate on.
 check: fmt-check vet check-surface build test race fuzz-smoke
@@ -108,10 +108,11 @@ race-obs:
 ## against the oracle's model, PreProcess and reused Partitions against the
 ## map-based pre-processor, the footprint against the division-based one,
 ## the why-chain walk against the rescanning one (and on the artifact
-## runs); then the quickcheck-style property tests (random op logs through
-## the production schedulers and the reference models, decisions and
-## utilities compared bit for bit), the gating differentials on job sets,
-## the cache's corruption drop and the faulty run pinned across commits.
+## runs), the twelve scheduler targets against the reference models
+## (decisions, utilities, deadline verdicts, pending counts and α compared
+## bit for bit) and the self-test that a lying utility view is caught;
+## then the gating differentials on job sets, the cache's corruption drop
+## and the faulty run pinned across commits.
 ## Each -run pattern is checked first with go test -list: every
 ## alternative must name a test, so a renamed one fails the target instead
 ## of dropping out.
@@ -129,8 +130,19 @@ check-prop:
 	$(call prop,TestPreProcessMatchesReference|TestPartitionReuseMatchesReference|FuzzPartitionReuse,./internal/query/)
 	$(call prop,TestFootprintAtMatchesReference|FuzzFootprint|TestFootprintMatchesReference,./internal/geom/)
 	$(call prop,TestChainMatchesReferenceRandom|TestChainMatchesReferenceOnArtifacts,./internal/obs/)
-	$(call prop,TestSLRUDifferential|TestGatingDifferential|TestRandomOpLogsDifferential|TestRandomOpLogsHighContention|TestUtilityMismatchCaught,./internal/oracle/)
+	$(call prop,TestSLRUDifferential|TestRandomOpLogsDifferential|TestRandomOpLogsHighContention|FuzzSchedOps|TestUtilityMismatchCaught|TestGatingDifferential,./internal/oracle/)
 	$(call prop,TestFaultyRunPinned,./internal/system/)
+
+## check-mutants: the mutant register, scripts/mutants/register.json — the
+## bugs the differential tests are known to catch, each an exact piece of
+## text in a file and its replacement. Every entry's -run pattern must pass
+## in its package as the tree stands and fail with the mutant, applied
+## through go test -overlay (the tree is not touched); an entry whose old
+## text no longer occurs exactly once fails first (TestRegisterNotStale,
+## part of go test ./..., checks that alone). Equivalent mutants are
+## listed with the reason they change nothing and are not run.
+check-mutants:
+	$(GO) run ./scripts/mutants
 
 ## check-allocs: the zero-allocation pin on the decision path, 200 times
 ## over — one allocation in ten rounds is enough to fail a run, so only

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"jaws/internal/oracle/difftest"
 	"jaws/internal/query"
@@ -86,84 +88,112 @@ func (d *Divergence) Error() string {
 }
 
 // Diff replays the op log through a fresh production scheduler and a
-// fresh reference model, comparing every decision. When the log still
+// fresh reference model, stepping a schedPair op by op. When the log still
 // carries recorded answers (Op.Got), the production replay is also
 // checked against the recording — a determinism and
 // recording-completeness audit. It returns the first divergence, or nil
 // when the sides agree over the whole log.
+func Diff(t Target, log *OpLog) *Divergence {
+	p := newSchedPair(t)
+	for _, op := range log.Ops {
+		if d := p.step(op); d != nil {
+			return d
+		}
+	}
+	return nil
+}
+
+// schedPair is the scheduler pair's one differential driver, as
+// GatingPair is the job graph's: a target's production scheduler and its
+// reference model, fed the same ops and compared after each. Diff steps
+// one through a captured log; the random op logs step one per target.
 //
-// The replay installs a residency version source on the production
+// The pair installs a residency version source on the production
 // scheduler — bumped whenever a decision's snapshot replaces the current
 // one — so memos live across calls, as they do under the engine, and that
-// is what is certified. After every decision the
-// production UtilityProvider view (AtomUtility, StepMean, PendingSteps)
-// is compared against the model's naive rescan with strict float
-// equality.
-func Diff(t Target, log *OpLog) *Divergence {
-	var snap map[store.AtomID]bool
-	var snapVersion uint64 = 1
-	resident := func(id store.AtomID) bool { return snap[id] }
-	real := t.New(resident)
-	model := t.NewModel()
-	if rv, ok := real.(sched.ResidencyVersioned); ok {
-		rv.SetResidencyVersion(func() uint64 { return snapVersion })
+// is what is certified. After every decision the production
+// UtilityProvider view (AtomUtility, StepMean, PendingSteps) is compared
+// against the model's naive rescan with strict float equality, and so are
+// the QoS deadline verdicts; after every op, the pending count and α.
+type schedPair struct {
+	name    string
+	real    sched.Scheduler
+	model   Model
+	snap    map[store.AtomID]bool
+	version uint64
+	// gates holds the gate state each query was enqueued under. Gate-aware
+	// targets read it through the same source on both sides — the
+	// production scheduler at Enqueue, the model at every decision — so a
+	// disagreement is a decision-rule divergence, or a query whose state
+	// moved while it was pending.
+	gates map[query.ID]sched.GateState
+	next  int // the index of the next op
+}
+
+// deadlineCounter is the QoS verdict count: sched.JAWS's and modelJAWS's
+// (0 without QoS).
+type deadlineCounter interface{ DeadlineMisses() int }
+
+func newSchedPair(t Target) *schedPair {
+	p := &schedPair{name: t.Name, version: 1, gates: make(map[query.ID]sched.GateState)}
+	p.real, p.model = t.New(p.resident), t.NewModel()
+	if rv, ok := p.real.(sched.ResidencyVersioned); ok {
+		rv.SetResidencyVersion(func() uint64 { return p.version })
 	}
-	// Gate-aware targets replay against the gate states recorded at
-	// enqueue: the same source closure is installed on both sides — the
-	// production scheduler reads it at Enqueue, the model at every
-	// decision — so a disagreement is a decision-rule divergence, or a
-	// query whose state moved while it was pending.
-	gates := make(map[query.ID]sched.GateState)
-	gateFn := func(q query.ID) sched.GateState { return gates[q] }
-	if ga, ok := real.(sched.GateAware); ok {
+	gateFn := func(q query.ID) sched.GateState { return p.gates[q] }
+	if ga, ok := p.real.(sched.GateAware); ok {
 		ga.SetGateSource(gateFn)
 	}
-	if gm, ok := model.(GateAwareModel); ok {
+	if gm, ok := p.model.(GateAwareModel); ok {
 		gm.SetGateSource(gateFn)
 	}
+	return p
+}
 
-	for i, op := range log.Ops {
-		switch op.Kind {
-		case OpEnqueue:
-			gates[op.Sub.Query.ID] = op.Gate
-			real.Enqueue(op.Sub, op.Now)
-			model.Enqueue(op.Sub, op.Now)
-		case OpDecision:
-			snap = op.Resident
-			snapVersion++
-			rGot := real.NextBatch(op.Now)
-			mGot := model.NextBatch(op.Now, func(id store.AtomID) bool { return snap[id] })
-			if op.Got != nil && !batchesEqual(rGot, op.Got) {
-				return &Divergence{
-					Target: t.Name, OpIndex: i, Kind: "replay-vs-recorded",
-					Detail: fmt.Sprintf("replay %s, recorded %s", describeBatches(rGot), describeBatches(op.Got)),
-				}
-			}
-			if !batchesEqual(mGot, rGot) {
-				return &Divergence{
-					Target: t.Name, OpIndex: i, Kind: "model-vs-real",
-					Detail: fmt.Sprintf("model %s, real %s", describeBatches(mGot), describeBatches(rGot)),
-				}
-			}
-			if d := diffUtilities(t.Name, i, real, model, resident); d != nil {
-				return d
-			}
-		case OpRunEnd:
-			real.OnRunEnd(op.RT, op.TP)
-			model.OnRunEnd(op.RT, op.TP)
+func (p *schedPair) resident(id store.AtomID) bool { return p.snap[id] }
+
+// diverge reports a disagreement at the op just stepped.
+func (p *schedPair) diverge(kind, format string, args ...any) *Divergence {
+	return &Divergence{Target: p.name, OpIndex: p.next - 1, Kind: kind, Detail: fmt.Sprintf(format, args...)}
+}
+
+// step applies op to both sides and returns their first disagreement, or
+// nil.
+func (p *schedPair) step(op Op) *Divergence {
+	p.next++
+	switch op.Kind {
+	case OpEnqueue:
+		p.gates[op.Sub.Query.ID] = op.Gate
+		p.real.Enqueue(op.Sub, op.Now)
+		p.model.Enqueue(op.Sub, op.Now)
+	case OpDecision:
+		p.snap = op.Resident
+		p.version++
+		rGot := p.real.NextBatch(op.Now)
+		mGot := p.model.NextBatch(op.Now, p.resident)
+		if op.Got != nil && !batchesEqual(rGot, op.Got) {
+			return p.diverge("replay-vs-recorded", "replay %s, recorded %s", describeBatches(rGot), describeBatches(op.Got))
 		}
-		if rp, mp := real.Pending(), model.Pending(); rp != mp {
-			return &Divergence{
-				Target: t.Name, OpIndex: i, Kind: "pending-mismatch",
-				Detail: fmt.Sprintf("real has %d pending sub-queries, model %d", rp, mp),
+		if !batchesEqual(mGot, rGot) {
+			return p.diverge("model-vs-real", "model %s, real %s", describeBatches(mGot), describeBatches(rGot))
+		}
+		if rd, ok := p.real.(deadlineCounter); ok {
+			if md, ok := p.model.(deadlineCounter); ok && rd.DeadlineMisses() != md.DeadlineMisses() {
+				return p.diverge("model-vs-real", "deadline misses: real %d, model %d", rd.DeadlineMisses(), md.DeadlineMisses())
 			}
 		}
+		if d := p.diffUtilities(); d != nil {
+			return d
+		}
+	case OpRunEnd:
+		p.real.OnRunEnd(op.RT, op.TP)
+		p.model.OnRunEnd(op.RT, op.TP)
 	}
-	if ra, ma := real.Alpha(), model.Alpha(); ra != ma {
-		return &Divergence{
-			Target: t.Name, OpIndex: len(log.Ops) - 1, Kind: "model-vs-real",
-			Detail: fmt.Sprintf("final alpha: real %g, model %g", ra, ma),
-		}
+	if rp, mp := p.real.Pending(), p.model.Pending(); rp != mp {
+		return p.diverge("pending-mismatch", "real has %d pending sub-queries, model %d", rp, mp)
+	}
+	if ra, ma := p.real.Alpha(), p.model.Alpha(); ra != ma {
+		return p.diverge("model-vs-real", "alpha: real %g, model %g", ra, ma)
 	}
 	return nil
 }
@@ -173,44 +203,27 @@ func Diff(t Target, log *OpLog) *Divergence {
 // strict (==): the incremental structures promise bit-identical floats,
 // not approximations, because the URC cache policy ranks on these exact
 // values.
-func diffUtilities(name string, opIndex int, real sched.Scheduler, model Model, resident func(store.AtomID) bool) *Divergence {
-	up, ok := real.(sched.UtilityProvider)
+func (p *schedPair) diffUtilities() *Divergence {
+	up, ok := p.real.(sched.UtilityProvider)
 	if !ok {
 		return nil
 	}
-	um, ok := model.(UtilityModel)
+	um, ok := p.model.(UtilityModel)
 	if !ok {
 		return nil
 	}
-	rSteps, mSteps := up.PendingSteps(), um.PendingSteps()
-	if len(rSteps) != len(mSteps) {
-		return &Divergence{
-			Target: name, OpIndex: opIndex, Kind: "utility-mismatch",
-			Detail: fmt.Sprintf("pending steps: real %v, model %v", rSteps, mSteps),
-		}
-	}
-	for k := range mSteps {
-		if rSteps[k] != mSteps[k] {
-			return &Divergence{
-				Target: name, OpIndex: opIndex, Kind: "utility-mismatch",
-				Detail: fmt.Sprintf("pending steps: real %v, model %v", rSteps, mSteps),
-			}
-		}
+	mSteps := um.PendingSteps()
+	if rSteps := up.PendingSteps(); !slices.Equal(rSteps, mSteps) {
+		return p.diverge("utility-mismatch", "pending steps: real %v, model %v", rSteps, mSteps)
 	}
 	for _, step := range mSteps {
-		if r, m := up.StepMean(step), um.StepMean(step, resident); r != m {
-			return &Divergence{
-				Target: name, OpIndex: opIndex, Kind: "utility-mismatch",
-				Detail: fmt.Sprintf("step %d mean U_t: real %v, model %v", step, r, m),
-			}
+		if r, m := up.StepMean(step), um.StepMean(step, p.resident); r != m {
+			return p.diverge("utility-mismatch", "step %d mean U_t: real %v, model %v", step, r, m)
 		}
 	}
 	for _, id := range um.PendingAtoms() {
-		if r, m := up.AtomUtility(id), um.AtomUtility(id, resident); r != m {
-			return &Divergence{
-				Target: name, OpIndex: opIndex, Kind: "utility-mismatch",
-				Detail: fmt.Sprintf("atom s%d/a%d U_t: real %v, model %v", id.Step, id.Code, r, m),
-			}
+		if r, m := up.AtomUtility(id), um.AtomUtility(id, p.resident); r != m {
+			return p.diverge("utility-mismatch", "atom s%d/a%d U_t: real %v, model %v", id.Step, id.Code, r, m)
 		}
 	}
 	return nil
@@ -237,4 +250,22 @@ func Shrink(t Target, log *OpLog) *OpLog {
 		return Diff(t, &OpLog{Ops: ops}) != nil
 	})
 	return cur
+}
+
+// FormatOps renders an op log compactly, one op per line — the shape a
+// shrunk reproducer is reported in.
+func FormatOps(log *OpLog) string {
+	var b strings.Builder
+	for i, op := range log.Ops {
+		switch op.Kind {
+		case OpEnqueue:
+			fmt.Fprintf(&b, "%3d: enq   q%d s%d/a%d ×%d @%v gate=%d\n",
+				i, op.Sub.Query.ID, op.Sub.Atom.Step, op.Sub.Atom.Code, len(op.Sub.Index), op.Now, op.Gate)
+		case OpDecision:
+			fmt.Fprintf(&b, "%3d: dec   @%v resident=%d\n", i, op.Now, len(op.Resident))
+		case OpRunEnd:
+			fmt.Fprintf(&b, "%3d: run   rt=%g tp=%g\n", i, op.RT, op.TP)
+		}
+	}
+	return b.String()
 }

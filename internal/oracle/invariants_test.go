@@ -74,12 +74,13 @@ func TestRecorderSnapshotsSubQueries(t *testing.T) {
 	second := *live
 	rec.Enqueue(live, 30)
 	c := &Capture{Log: rec.Log(), Decisions: []Decision{
-		{Now: 20, Batches: rec.Log().Decisions()[0].Got},
+		{Now: 20, Batches: rec.Log().Ops[1].Got},
 		{Now: 40, Batches: rec.Snapshot(rec.NextBatch(40))},
 	}}
-	enq := rec.Log().Enqueues()
-	if len(enq) != 2 || enq[0].Sub == live || enq[1].Sub == live {
-		t.Fatalf("the log holds the engine's record itself: %v", enq)
+	ops := rec.Log().Ops
+	enq := []Op{ops[0], ops[2]}
+	if len(ops) != 4 || enq[0].Kind != OpEnqueue || enq[1].Kind != OpEnqueue || enq[0].Sub == live || enq[1].Sub == live {
+		t.Fatalf("the log holds the engine's record itself: %v", ops)
 	}
 	for i, want := range []query.SubQuery{first, second} {
 		got := enq[i].Sub

@@ -462,7 +462,7 @@ func (m *modelJAWS) NextBatch(now time.Duration, resident func(store.AtomID) boo
 		out[i] = m.q.take(q)
 	}
 	if m.edf != nil {
-		m.edf.retire(out, &m.q)
+		m.edf.retire(out, &m.q, now)
 	}
 	// Post-step: the batch bound follows the truncation streaks.
 	if m.steer != nil {

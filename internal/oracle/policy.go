@@ -114,6 +114,7 @@ type modelEDF struct {
 	stretch   float64
 	horizon   time.Duration
 	deadlines map[query.ID]time.Duration
+	missed    int
 }
 
 // admit fixes the query's deadline on its first sub-query: arrival plus
@@ -162,15 +163,30 @@ func (e *modelEDF) urgent(l *queueList, k int, now time.Duration) []*modelQueue 
 	return urgent
 }
 
-// retire drops the deadline of every query the batches finished: one with
-// no sub-query left in any queue. (A query re-admitted later — a retried
-// read — gets a fresh deadline, as in production.)
-func (e *modelEDF) retire(batches []sched.Batch, l *queueList) {
+// retire gives its verdict on every query the batches finished, one with
+// no sub-query left in any queue: a miss when it was served after its
+// deadline. Then the deadline goes (a query re-admitted later — a retried
+// read — gets a fresh one, as in production).
+func (e *modelEDF) retire(batches []sched.Batch, l *queueList, now time.Duration) {
 	for _, b := range batches {
 		for _, sq := range b.SubQueries {
-			if !l.hasQuery(sq.Query.ID) {
-				delete(e.deadlines, sq.Query.ID)
+			d, ok := e.deadlines[sq.Query.ID]
+			if !ok || l.hasQuery(sq.Query.ID) {
+				continue
 			}
+			if now > d {
+				e.missed++
+			}
+			delete(e.deadlines, sq.Query.ID)
 		}
 	}
+}
+
+// DeadlineMisses counts the queries served after their deadline (0
+// without QoS), as sched.JAWS's does.
+func (m *modelJAWS) DeadlineMisses() int {
+	if m.edf == nil {
+		return 0
+	}
+	return m.edf.missed
 }

@@ -57,28 +57,6 @@ type OpLog struct {
 	Ops []Op
 }
 
-// Enqueues returns the enqueue ops in order.
-func (l *OpLog) Enqueues() []Op {
-	var out []Op
-	for _, op := range l.Ops {
-		if op.Kind == OpEnqueue {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Decisions returns the decision ops in order.
-func (l *OpLog) Decisions() []Op {
-	var out []Op
-	for _, op := range l.Ops {
-		if op.Kind == OpDecision {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // RecordingSched wraps a production scheduler, recording every
 // interaction into an OpLog while delegating unchanged. The engine's
 // behaviour is unaffected: the wrapper adds bookkeeping, never decisions.
