@@ -664,17 +664,30 @@ func BenchmarkReadAtomMiss(b *testing.B) {
 }
 
 // peekPolicy is a replacement policy a test can read the cache through:
-// while peek is set, a Cache.Get is no hit to the policy, so walking the
-// residents moves nothing it ranks.
+// while peek is set, a Cache.Get is no hit to the policy, so reading
+// residents moves nothing it ranks. Otherwise it notes in touched every
+// atom the cache hit, inserted or evicted.
 type peekPolicy struct {
 	cache.Policy
-	peek bool
+	peek    bool
+	touched []store.AtomID
 }
 
 func (p *peekPolicy) OnHit(id store.AtomID) {
 	if !p.peek {
+		p.touched = append(p.touched, id)
 		p.Policy.OnHit(id)
 	}
+}
+
+func (p *peekPolicy) OnInsert(id store.AtomID) {
+	p.touched = append(p.touched, id)
+	p.Policy.OnInsert(id)
+}
+
+func (p *peekPolicy) OnEvict(id store.AtomID) {
+	p.touched = append(p.touched, id)
+	p.Policy.OnEvict(id)
 }
 
 // TestRowsFollowFills is serve-cold in small, on the daemon's shape: 8³
@@ -682,12 +695,13 @@ func (p *peekPolicy) OnHit(id store.AtomID) {
 // capacity, each request 8 uniform Lag4 points on a uniform step. An atom
 // holds only the half block rows it filled, so the engine's arena holds
 // at most the most half rows held at once — bounded, request by request,
-// by the half rows the residents hold, walked between requests, and 128
-// for every atom the request evicted while its decisions ran — and the
-// rest of its last slab. Over a stream of 20 000 requests the second half
-// raises that by at most the one slab a new high of units in use carves:
-// the arena recycles what evicted atoms held instead of growing with the
-// stream.
+// by the half rows the residents hold, recounted between requests on the
+// atoms the request hit, inserted or evicted (no other atom's rows
+// change), and 128 for every atom the request evicted while its decisions
+// ran — and the rest of its last slab. Over a stream of 20 000 requests
+// the second half raises that by at most the one slab a new high of units
+// in use carves: the arena recycles what evicted atoms held instead of
+// growing with the stream.
 func TestRowsFollowFills(t *testing.T) {
 	const (
 		side      = 8
@@ -709,14 +723,19 @@ func TestRowsFollowFills(t *testing.T) {
 		cfg.Compute = true
 	})
 	space := s.Space()
-	resident := func() (units int) {
+	units := make(map[store.AtomID]int) // the half rows each atom held after the last request
+	resident := func(held int) int {
 		pol.peek = true
-		defer func() { pol.peek = false }()
-		c.EachKey(func(id store.AtomID) {
-			v, _ := c.Get(id)
-			units += heldUnits(side, space, v)
-		})
-		return units
+		for _, id := range pol.touched {
+			u := 0
+			if c.Contains(id) {
+				v, _ := c.Get(id)
+				u = heldUnits(side, space, v)
+			}
+			held, units[id] = held+u-units[id], u
+		}
+		pol.peek, pol.touched = false, pol.touched[:0]
+		return held
 	}
 	rng := rand.New(rand.NewSource(3))
 	held, peak, mid := 0, 0, 0
@@ -727,7 +746,7 @@ func TestRowsFollowFills(t *testing.T) {
 		// it took, which is what the residents hold now more than before,
 		// plus what the atoms it evicted held — at most all their units.
 		before := held
-		held = resident()
+		held = resident(held)
 		peak = max(peak, held+int(c.Stats().Evictions-evicted)*2*side*side, before)
 		if b := e.rows.Bytes(); b > peak*unitBytes+slab {
 			t.Fatalf("request %d: the arena holds %d B, the atoms at most %d half rows of %d B at once", n, b, peak, unitBytes)

@@ -77,8 +77,8 @@ func (g *gateContract) NextBatch(now time.Duration) []sched.Batch {
 }
 
 // TestGateStateFixedWhilePending runs the fig8-tail and deriv-chain-tail
-// artifact configurations (the table in cmd/jawsbench/artifacts_test.go)
-// through Engine.Run, and the first through a Session as well, with the gate-contract wrapper around the scheduler: a
+// artifact configurations (the config records of BENCH_fig8-tail.json and
+// BENCH_deriv-chain-tail.json) through Engine.Run, and the first through a Session as well, with the gate-contract wrapper around the scheduler: a
 // change that moves a dispatched query's gate state before it completes
 // fails here, named by query, rather than as a moved artifact byte.
 func TestGateStateFixedWhilePending(t *testing.T) {
