@@ -10,7 +10,7 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 ## check-assembly: internal/system is the only non-test code that calls the
-## store, cache, scheduler and engine constructors (DESIGN.md §3, "One
+## store, cache, scheduler and engine constructors (DESIGN.md §2, "One
 ## assembler"); offenders are named by file and line. TestOneAssembler in
 ## the root package, part of go test ./...
 check-assembly:
@@ -18,7 +18,7 @@ check-assembly:
 
 ## check-reporting: the reporting tier holds one of each — one histogram
 ## type, one trace decoder (obs.ScanTrace), one quantile rank
-## (obs.Quantile), five binaries (DESIGN.md §20); offenders are named by
+## (obs.Quantile), five binaries (DESIGN.md §9); offenders are named by
 ## file and line. TestOneReportingTier in the root package, part of go
 ## test ./...
 check-reporting:
@@ -29,13 +29,13 @@ check-reporting:
 ## workload, disk, vclock, prefetch) — jawsd and the oracle, field, query
 ## and engine test binaries cross-compiled for arm64, ppc64le and riscv64
 ## and disassembled (the tests mirror the kernels bit for bit; the oracle
-## compares floats with ==, DESIGN.md §12); a fused x*y + z rounds
+## compares floats with ==, DESIGN.md §11); a fused x*y + z rounds
 ## differently from amd64, so the byte-identical artifacts and the oracle's
 ## float equality would hold on amd64 only. Offending functions are printed.
 check-fma:
 	./scripts/check_fma.sh
 
-## check-surface: the closed surface (DESIGN.md §3) — every exported name
+## check-surface: the closed surface (DESIGN.md §2) — every exported name
 ## under internal/ (outside internal/oracle) is reachable from non-test
 ## code of this module or benchmark/, and every field of an internal Config
 ## is set by non-test code outside its package; the types the facade
@@ -46,7 +46,7 @@ check-surface:
 
 ## check-oracle: the scheduler correctness oracle — every decision of the
 ## real schedulers diffed against the reference models over randomized
-## workloads and fault schedules (see DESIGN.md §12); a divergence prints a
+## workloads and fault schedules (see DESIGN.md §11); a divergence prints a
 ## shrunk reproducer. TestDifferentialSuite, part of go test ./...
 check-oracle:
 	$(GO) test -count=1 -run TestDifferentialSuite ./internal/oracle/

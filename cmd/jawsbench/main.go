@@ -11,7 +11,7 @@
 //	jawsbench -exp fig11 -format csv > fig11.csv
 //
 // The mapping from experiment IDs to paper results is documented in
-// DESIGN.md §4; measured-versus-paper shapes are recorded in the first
+// DESIGN.md §12; measured-versus-paper shapes are recorded in the first
 // part of EXPERIMENTS.md.
 //
 // Benchmark trajectory mode (DESIGN.md §11) sidesteps the experiment
@@ -19,13 +19,13 @@
 //
 //	jawsbench -bench-out bench-artifacts/BENCH_pr.json   # measure this tree (make bench)
 //
-// The workload scenario matrix (DESIGN.md §17) varies the arrival process
+// The workload scenario matrix (DESIGN.md §12) varies the arrival process
 // and query-class mix without touching the scale:
 //
 //	jawsbench -list-scenarios                      # the registry, one per line
 //	jawsbench -scenario poisson-box -bench-out BENCH_poisson-box.json   # re-record the committed file
 //
-// Tail policies (DESIGN.md §18) decorate the JAWS scheduler for the run;
+// Tail policies (DESIGN.md §5) decorate the JAWS scheduler for the run;
 // the artifact records the spec and its name gets a -tail suffix:
 //
 //	jawsbench -scenario fig8 -tail-policy 'gate-aware;adaptive-batch' -bench-out bench-artifacts/BENCH_fig8-tail.json

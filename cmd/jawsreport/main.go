@@ -325,7 +325,7 @@ func printWhy(out io.Writer, c *obs.WaitChain) {
 		r := &c.Rounds[i]
 		outcome, detail := "SERVED", "sub-query in this round's batch"
 		if !r.Serving {
-			outcome, detail = string(r.Cause), r.Detail
+			outcome, detail = string(r.Cause), r.Detail()
 		}
 		rt.AddRow(fmt.Sprint(r.Seq), fd(r.T), fd(r.Dur), outcome, detail)
 	}
@@ -371,7 +371,7 @@ func dominantDetail(c *obs.WaitChain, cause obs.WaitCause) string {
 	if best == nil {
 		return "-"
 	}
-	return best.Detail
+	return best.Detail()
 }
 
 // printDist writes the percentile line the query and request sections share.

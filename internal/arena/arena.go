@@ -1,4 +1,4 @@
-// Package arena carves runs of records out of chunks (DESIGN.md §19). One
+// Package arena carves runs of records out of chunks (DESIGN.md §7). One
 // owner — the job graph, the engine, the scheduler's atom queues — keeps
 // an arena per record type; the chunks die with the owner and the runs
 // carved from them.

@@ -71,7 +71,7 @@ type Observer struct {
 // Cache is an atom cache with a pluggable replacement policy. Its index
 // holds the resident atoms' handles under their one-word keys
 // (store.AtomID.Key) and grows with the residents: a cache costs the atoms
-// it holds, not the capacity it could hold (DESIGN.md §19).
+// it holds, not the capacity it could hold (DESIGN.md §6).
 type Cache struct {
 	capacity int
 	policy   Policy

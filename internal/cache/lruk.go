@@ -23,7 +23,7 @@ import (
 //     this the cache freezes on early two-reference atoms and thrashes
 //     every newcomer).
 //
-// The state lives on tables the policy owns (DESIGN.md §19, "Eviction
+// The state lives on tables the policy owns (DESIGN.md §6, "Eviction
 // index"): an atom with history has a slot — a record in recs and k
 // places in hist, found by the atom's one-word key (store.AtomID.Key) —
 // and the resident slots sit in a binary min-heap on the victim order, so

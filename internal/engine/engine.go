@@ -242,7 +242,7 @@ type Report struct {
 	Results []*QueryResult
 }
 
-// queryState is the frame of one dispatched query (DESIGN.md §19): its
+// queryState is the frame of one dispatched query (DESIGN.md §7): its
 // partition, its progress and its gate state, in storage the engine
 // recycles from query to query. It holds no sample memory: kernel outputs
 // go straight into the result's buffer.
@@ -347,7 +347,7 @@ type Engine struct {
 
 	inst *instruments
 
-	// Query frames (DESIGN.md §19). dispatch takes a query's state from
+	// Query frames (DESIGN.md §7). dispatch takes a query's state from
 	// freeStates — kept in ascending order of the frames' point capacity, so
 	// that it finds the smallest that fits — or carves a new one from
 	// frames, whose partition carves its first arrays from partRuns; complete
@@ -376,7 +376,7 @@ type Engine struct {
 	atomBuf []*field.Atom
 	seenBuf []store.AtomID
 
-	// The frame lifecycle (DESIGN.md §19). An atom arrives from the store
+	// The frame lifecycle (DESIGN.md §7). An atom arrives from the store
 	// unfilled and is filled, into rows of the engine's arena, when it is
 	// first a batch's primary; when the cache evicts it, it is retired; when
 	// the decision in hand ends, the retired atoms' rows become free for

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -55,12 +57,20 @@ type WaitRound struct {
 	// sub-queries; the others are pass-overs with a Cause.
 	Serving bool
 	Cause   WaitCause
-	// WinnerStep is the step that won the round; Margin the winner's
-	// mean-U_e lead over the query's best candidate step (0 when the
-	// record carries no utilities).
-	WinnerStep int
-	Margin     float64
-	Detail     string
+	// WinnerStep won the round; best is the query's best candidate step and
+	// Margin the winner's mean-U_e lead over it (0 when the record carries
+	// no utilities); detail is Detail's format over the three.
+	WinnerStep, best int
+	Margin           float64
+	detail           string
+}
+
+// Detail is the pass-over in words, "" for a serving round; Chain leaves it unformatted.
+func (r *WaitRound) Detail() string {
+	if strings.Contains(r.detail, "%") {
+		return fmt.Sprintf(r.detail, r.WinnerStep, r.best, r.Margin)
+	}
+	return r.detail
 }
 
 // WaitChain is the reconstructed wait history of one query.
@@ -257,7 +267,7 @@ func (ix *DecisionIndex) Chain(sp Span) *WaitChain {
 		if servingIdx[i] {
 			round.Serving = true
 		} else {
-			round.Cause, round.Margin, round.Detail = classifyRound(rec, sp.Query, pending[i-first])
+			round.Cause, round.Margin, round.detail, round.best = classifyRound(rec, sp.Query, pending[i-first])
 			c.Queued += dur
 			c.ByCause[round.Cause] += dur
 		}
@@ -267,49 +277,39 @@ func (ix *DecisionIndex) Chain(sp Span) *WaitChain {
 	return c
 }
 
-// classifyRound attributes one pass-over round to a cause.
-func classifyRound(rec *DecisionRecord, qid int64, pendingSteps []int) (WaitCause, float64, string) {
+// classifyRound attributes a pass-over round: cause, margin, Detail's format, best step.
+func classifyRound(rec *DecisionRecord, qid int64, pendingSteps []int) (WaitCause, float64, string, int) {
 	// Batch-full wins outright: the atom was above the mean and ranked,
 	// only the bound k dropped it.
-	for t := range rec.Truncated {
-		for _, q := range rec.Truncated[t].Queries {
-			if q == qid {
-				return CauseBatchFull, 0,
-					fmt.Sprintf("above-mean candidate dropped by the batch bound (k reached, step %d)", rec.WinnerStep)
-			}
-		}
+	if slices.ContainsFunc(rec.Truncated, func(a DecisionAtom) bool { return slices.Contains(a.Queries, qid) }) {
+		return CauseBatchFull, 0, "above-mean candidate dropped by the batch bound (k reached, step %[1]d)", 0
 	}
 	if rec.Urgent {
-		return CauseLostRace, 0, "a QoS urgent round bypassed the utility race"
+		return CauseLostRace, 0, "a QoS urgent round bypassed the utility race", 0
 	}
 	if len(rec.Steps) == 0 {
-		return CauseLostRace, 0, "arrival order: earlier queries ahead"
+		return CauseLostRace, 0, "arrival order: earlier queries ahead", 0
 	}
 	win := rec.stepMean(rec.WinnerStep)
 	// The query's best candidate step this round: the highest-mean-U_e
 	// step among the steps its still-queued atoms sit on.
 	var best *DecisionStep
 	for _, step := range pendingSteps {
-		if s := rec.stepMean(step); s != nil {
-			if best == nil || s.MeanUe > best.MeanUe || (s.MeanUe == best.MeanUe && s.Step < best.Step) {
-				best = s
-			}
+		if s := rec.stepMean(step); s != nil && (best == nil || s.MeanUe > best.MeanUe || (s.MeanUe == best.MeanUe && s.Step < best.Step)) {
+			best = s
 		}
 	}
 	if win == nil || best == nil {
-		return CauseLostRace, 0, "lost the utility race (steps unresolved in this record)"
+		return CauseLostRace, 0, "lost the utility race (steps unresolved in this record)", 0
 	}
 	if best.Step == win.Step {
-		return CauseLostRace, 0,
-			fmt.Sprintf("in the winning step %d but below its mean U_e", win.Step)
+		return CauseLostRace, 0, "in the winning step %[1]d but below its mean U_e", 0
 	}
 	margin := win.MeanUe - best.MeanUe
 	if win.MeanUt < best.MeanUt {
-		return CauseAgedIn, margin,
-			fmt.Sprintf("step %d aged in over step %d (ΔU_e %.4g, raw U_t favored %d)", win.Step, best.Step, margin, best.Step)
+		return CauseAgedIn, margin, "step %[1]d aged in over step %[2]d (ΔU_e %.4[3]g, raw U_t favored %[2]d)", best.Step
 	}
-	return CauseLostRace, margin,
-		fmt.Sprintf("lost to step %d (ΔU_e %.4g)", win.Step, margin)
+	return CauseLostRace, margin, "lost to step %[1]d (ΔU_e %.4[3]g)", best.Step
 }
 
 // CauseTail is the per-cause wait distribution across a span

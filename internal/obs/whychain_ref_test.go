@@ -144,7 +144,7 @@ func (ix *refIndex) chain(sp Span) *WaitChain {
 		if servingIdx[i] {
 			round.Serving = true
 		} else {
-			round.Cause, round.Margin, round.Detail = classifyRound(rec, sp.Query, pending[i-first])
+			round.Cause, round.Margin, round.detail, round.best = classifyRound(rec, sp.Query, pending[i-first])
 			c.Queued += dur
 			c.ByCause[round.Cause] += dur
 		}

@@ -160,22 +160,24 @@ func TestChainNoRecords(t *testing.T) {
 // TestClassifyEdgeCases covers the classification branches the fixture
 // timeline does not reach: urgent QoS rounds and step-free schedulers.
 func TestClassifyEdgeCases(t *testing.T) {
-	urgent := &DecisionRecord{Urgent: true, WinnerStep: 2}
-	if cause, _, _ := classifyRound(urgent, 7, nil); cause != CauseLostRace {
-		t.Errorf("urgent round classified %s, want lost-race", cause)
+	classify := func(rec *DecisionRecord, pending []int) WaitRound {
+		r := WaitRound{WinnerStep: rec.WinnerStep}
+		r.Cause, r.Margin, r.detail, r.best = classifyRound(rec, 7, pending)
+		return r
 	}
-	noShare := &DecisionRecord{WinnerStep: -1}
-	if cause, _, detail := classifyRound(noShare, 7, nil); cause != CauseLostRace || detail == "" {
-		t.Errorf("step-free round classified %s (%q), want lost-race with a detail", cause, detail)
+	if r := classify(&DecisionRecord{Urgent: true, WinnerStep: 2}, nil); r.Cause != CauseLostRace {
+		t.Errorf("urgent round classified %s, want lost-race", r.Cause)
+	}
+	if r := classify(&DecisionRecord{WinnerStep: -1}, nil); r.Cause != CauseLostRace || r.Detail() == "" {
+		t.Errorf("step-free round classified %s (%q), want lost-race with a detail", r.Cause, r.Detail())
 	}
 	// In the winning step but below its mean: lost-race with zero margin.
 	sameStep := &DecisionRecord{
 		WinnerStep: 5,
 		Steps:      []DecisionStep{{Step: 5, MeanUt: 1.0, MeanUe: 2.0}},
 	}
-	cause, margin, _ := classifyRound(sameStep, 7, []int{5})
-	if cause != CauseLostRace || margin != 0 {
-		t.Errorf("same-step round = %s margin %v, want lost-race margin 0", cause, margin)
+	if r := classify(sameStep, []int{5}); r.Cause != CauseLostRace || r.Margin != 0 {
+		t.Errorf("same-step round = %s margin %v, want lost-race margin 0", r.Cause, r.Margin)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package difftest is the harness of every reference pair (DESIGN.md §12):
+// Package difftest is the harness of every reference pair (DESIGN.md §11):
 // one decoder, replay(TB, *Log), reads a byte op log and applies each op to
 // both sides, failing on the first difference; the pair's seeded test runs
 // it through Seeds and its fuzz target on the fuzzer's bytes. It imports

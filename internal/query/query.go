@@ -157,7 +157,7 @@ func (l keyLayout) sort(keys []pointKey, buf []uint64) []uint64 {
 // insertionRun is the most keys sortPacked sorts by insertion: every query
 // of the benchmark traces (30 to 89 points). At those sizes insertion
 // beats pdqsort, which pays a mispredicted branch per comparison
-// (DESIGN.md §19, "Defined point order").
+// (DESIGN.md §7, "Defined point order").
 const insertionRun = 96
 
 // sortPacked sorts distinct packed keys ascending: by insertion up to

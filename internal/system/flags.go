@@ -38,7 +38,7 @@ type RunFlags struct {
 // print theirs after the run (-metrics).
 func BindRunFlags(fs *flag.FlagSet, daemon bool) *RunFlags {
 	f := &RunFlags{}
-	fs.Func("tail-policy", "tail-policy spec decorating every JAWS scheduler the binary runs, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §18); empty means undecorated", func(spec string) error {
+	fs.Func("tail-policy", "tail-policy spec decorating every JAWS scheduler the binary runs, e.g. 'gate-aware;adaptive-batch:min=4,max=32' (DESIGN.md §5); empty means undecorated", func(spec string) error {
 		if _, err := sched.ParsePolicySpec(spec); err != nil {
 			return err
 		}

@@ -7,7 +7,7 @@
 // through here. Open owns the defaults, the tail-spec validation and the
 // cache-policy switch, NewScheduler the scheduler switch, EngineConfig the
 // engine.Config literal; a caller with something of its own to add adjusts
-// the engine config that returns (DESIGN.md §3, "One assembler").
+// the engine config that returns (DESIGN.md §2, "One assembler").
 package system
 
 import (
@@ -93,7 +93,7 @@ type Config struct {
 	// horizon).
 	QoSStretch float64
 	// TailPolicy, when non-empty, installs the tail-attacking policies of
-	// DESIGN.md §18 on the JAWS scheduler (gate-aware admission, cross-step
+	// DESIGN.md §5 on the JAWS scheduler (gate-aware admission, cross-step
 	// batching, adaptive batch sizing). The spec grammar is
 	// sched.ParsePolicySpec's, e.g. "gate-aware;adaptive-batch:min=4,max=32".
 	// Requires a JAWS scheduler; composes with QoSStretch.
@@ -219,7 +219,7 @@ func (s *System) NewScheduler() sched.Scheduler {
 			Resident:      resident,
 			NoMortonOrder: s.cfg.NoMortonOrder,
 		})
-		// Both install hooks on inner itself (one selector, DESIGN.md §18).
+		// Both install hooks on inner itself (one selector, DESIGN.md §5).
 		s.tailSpec.Wrap(inner)
 		if s.cfg.QoSStretch > 0 {
 			sched.NewQoS(inner, s.cfg.Cost, s.cfg.QoSStretch, 0)

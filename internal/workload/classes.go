@@ -8,7 +8,7 @@ import (
 	"jaws/internal/query"
 )
 
-// Query classes beyond point interpolation (DESIGN.md §17): cutouts —
+// Query classes beyond point interpolation (DESIGN.md §12, "Scenario matrix"): cutouts —
 // the box/sphere lattice patterns the Turbulence web services expose,
 // built on the query.BoxQuery/query.SphereQuery constructors — and
 // temporal-derivative chains, whose per-step sub-queries stress the

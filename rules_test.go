@@ -5,15 +5,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // Two design rules, decided on the module TestClosedSurface loads: one
-// assembler (DESIGN.md §3) and one reporting tier (DESIGN.md §20). Both
+// assembler (DESIGN.md §2) and one reporting tier (DESIGN.md §9). Both
 // read non-test code only; benchmark/ is its own module, with its own
 // wiring under a drift test and its own harness statistics, and stays out
 // of both.
@@ -48,22 +51,181 @@ func TestOneReportingTier(t *testing.T) {
 	}
 }
 
-// experimentsBudget caps EXPERIMENTS.md, which grows by accretion. It holds
-// the paper's figures and one section per mechanism — method, latest
-// figure, pins, what was dropped; a change's before-and-after numbers go to
-// its CHANGES.md entry.
-const experimentsBudget = 60_000
+// documentBudgets caps the two documents that grow by accretion. Each
+// describes mechanisms: EXPERIMENTS.md the paper's figures and, per
+// mechanism, its method, latest figure, pins and what was dropped;
+// DESIGN.md, per mechanism, what the code does, why, and what pins it. A
+// change's story and its before-and-after numbers go to CHANGES.md.
+var documentBudgets = []struct {
+	file   string
+	budget int64
+	holds  string
+}{
+	{"EXPERIMENTS.md", 60_000, "it reports findings by mechanism, not by change; per-change before-and-after numbers belong in CHANGES.md, and a mechanism's section keeps only its latest figure"},
+	{"DESIGN.md", 80_000, "it describes each mechanism once, not how it came to be; history belongs in CHANGES.md and figures in EXPERIMENTS.md"},
+}
 
-// TestDocumentBudgets fails when EXPERIMENTS.md outgrows its budget.
+// TestDocumentBudgets fails when a document outgrows its budget.
 func TestDocumentBudgets(t *testing.T) {
-	fi, err := os.Stat("EXPERIMENTS.md")
+	for _, d := range documentBudgets {
+		fi, err := os.Stat(d.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > d.budget {
+			t.Errorf("%s is %d B, over its %d B budget: %s", d.file, fi.Size(), d.budget, d.holds)
+		}
+	}
+}
+
+var (
+	// designRef is a pointer into DESIGN.md from another file: "DESIGN.md
+	// §N", more sections as ", §M", and a "Title" after the last, which
+	// may run across comment lines.
+	designRef = regexp.MustCompile(`DESIGN\.md\s+§(\d+)((?:,\s*§\d+)*)(?:,?(?:\s|//|#)+"([^"]+)")?`)
+	// sectionRef is a cross-reference inside DESIGN.md. The paper's own
+	// sections are Roman (§IV, §V.B) and do not match.
+	sectionRef  = regexp.MustCompile(`§(\d+)(?:,?\s+"([^"]+)")?`)
+	sectionNum  = regexp.MustCompile(`§(\d+)`)
+	testDecl    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	makeTarget  = regexp.MustCompile(`(?m)^([\w.-]+):`)
+	codeSpan    = regexp.MustCompile("`[^`]+`")
+	makeCmd     = regexp.MustCompile(`^make\s+((?:[\w.-]+=\S*\s*|[a-z][\w-]*\s*)+)`)
+	repoFile    = regexp.MustCompile(`^[A-Za-z0-9.][\w./-]*\.(?:go|json|sh|yml|golden)$`)
+	prMention   = regexp.MustCompile(`\bPRs? ?\d`)
+	commentMark = regexp.MustCompile(`\s*(?://|#)*\s+`)
+)
+
+// TestDesignReferences holds DESIGN.md and every pointer into it to one
+// numbering. It fails on a "DESIGN.md §N" in any file but DESIGN.md and
+// CHANGES.md (whose old numbers are history) that names no "## N."
+// heading, or whose "Title" names no "### Title" under it; on a §N inside
+// DESIGN.md that does not resolve the same way; on a test, benchmark or
+// fuzz target DESIGN.md names that no _test.go declares; on a make target
+// it names that the Makefile lacks; on a file it names that does not
+// exist; and on a mention of a PR, whose story belongs in CHANGES.md.
+func TestDesignReferences(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() > experimentsBudget {
-		t.Errorf("EXPERIMENTS.md is %d B, over its %d B budget: it reports findings by mechanism, not by change; "+
-			"per-change before-and-after numbers belong in CHANGES.md, and a mechanism's section keeps only its latest figure",
-			fi.Size(), experimentsBudget)
+	// sections maps a "## N." heading to its "### " subheadings.
+	sections := map[string]map[string]bool{}
+	cur := ""
+	for _, line := range strings.Split(string(design), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			cur, _, _ = strings.Cut(h, ".")
+			sections[cur] = map[string]bool{}
+		} else if h, ok := strings.CutPrefix(line, "### "); ok && cur != "" {
+			sections[cur][strings.TrimSpace(h)] = true
+		}
+	}
+	at := func(file string, text []byte, off int, format string, args ...any) {
+		t.Errorf("%s:%d: %s", file, 1+strings.Count(string(text[:off]), "\n"), fmt.Sprintf(format, args...))
+	}
+	resolve := func(file string, text []byte, off int, n, title string) {
+		subs, ok := sections[n]
+		switch {
+		case !ok:
+			at(file, text, off, "§%s names no \"## %s.\" heading of DESIGN.md", n, n)
+		case title != "":
+			if title = strings.TrimSpace(commentMark.ReplaceAllString(title, " ")); !subs[title] {
+				at(file, text, off, "§%s %q names no \"### %s\" under DESIGN.md's \"## %s.\"", n, title, title, n)
+			}
+		}
+	}
+
+	// Pointers from every other file; the files, and the tests declared.
+	files, bases, tests := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bench-artifacts", "bench-wall-artifacts", "e2e-artifacts":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		p = filepath.ToSlash(p)
+		files[p], bases[path.Base(p)] = true, true
+		if p == "DESIGN.md" || p == "CHANGES.md" || !d.Type().IsRegular() {
+			return nil
+		}
+		if info, err := d.Info(); err != nil || info.Size() > 4<<20 {
+			return err
+		}
+		text, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(p, "_test.go") {
+			for _, m := range testDecl.FindAllSubmatch(text, -1) {
+				tests[string(m[1])] = true
+			}
+		}
+		for _, m := range designRef.FindAllSubmatchIndex(text, -1) {
+			nums := []string{string(text[m[2]:m[3]])}
+			for _, more := range sectionNum.FindAllSubmatch(text[m[4]:m[5]], -1) {
+				nums = append(nums, string(more[1]))
+			}
+			for i, n := range nums {
+				title := ""
+				if i == len(nums)-1 && m[6] >= 0 {
+					title = string(text[m[6]:m[7]])
+				}
+				resolve(p, text, m[0], n, title)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cross-references and names inside DESIGN.md.
+	for _, m := range sectionRef.FindAllSubmatchIndex(design, -1) {
+		title := ""
+		if m[4] >= 0 {
+			title = string(design[m[4]:m[5]])
+		}
+		resolve("DESIGN.md", design, m[0], string(design[m[2]:m[3]]), title)
+	}
+	for _, m := range testName.FindAllIndex(design, -1) {
+		if name := string(design[m[0]:m[1]]); !tests[name] {
+			at("DESIGN.md", design, m[0], "%s is declared in no _test.go", name)
+		}
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	for _, m := range codeSpan.FindAllIndex(design, -1) {
+		span := string(design[m[0]+1 : m[1]-1])
+		if mk := makeCmd.FindStringSubmatch(span); mk != nil {
+			for _, tgt := range strings.Fields(mk[1]) {
+				if !strings.Contains(tgt, "=") && !targets[tgt] {
+					at("DESIGN.md", design, m[0], "make %s: no such Makefile target", tgt)
+				}
+			}
+		}
+		for _, f := range strings.Fields(span) {
+			// A path names a file from the root or from internal/; a bare
+			// name, a file anywhere.
+			f = strings.Trim(f, ",;:()")
+			if repoFile.MatchString(f) && !files[f] && !files["internal/"+f] && (strings.Contains(f, "/") || !bases[f]) {
+				at("DESIGN.md", design, m[0], "%s: no such file", f)
+			}
+		}
+	}
+	for _, m := range prMention.FindAllIndex(design, -1) {
+		at("DESIGN.md", design, m[0], "names a PR: a change's story belongs in CHANGES.md")
 	}
 }
 

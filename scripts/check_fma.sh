@@ -4,7 +4,7 @@
 # an explicit float64(...) conversion forces the product to round; amd64
 # never fuses, arm64, ppc64le and riscv64 do. A fused site rounds
 # differently from amd64, so the byte-identical artifacts and the oracle's
-# strict float equality (DESIGN.md §12) would hold on one architecture
+# strict float equality (DESIGN.md §11) would hold on one architecture
 # only.
 #
 # The script cross-compiles cmd/jawsd and the test binaries of the oracle,

@@ -19,7 +19,7 @@ import (
 	"testing"
 )
 
-// The closed surface (DESIGN.md §3): internal/ is importable only by this
+// The closed surface (DESIGN.md §2): internal/ is importable only by this
 // module and benchmark/, so whether a name has a caller is decidable.
 // TestClosedSurface decides it: every exported function, method, type,
 // constant and variable under internal/ (outside internal/oracle, the
